@@ -10,11 +10,13 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"openivm/internal/catalog"
 	"openivm/internal/engine"
 	"openivm/internal/ivm"
 	"openivm/internal/ivmext"
 	"openivm/internal/oltp"
 	"openivm/internal/sqlparser"
+	"openivm/internal/sqltypes"
 	"openivm/internal/storage"
 	"openivm/internal/wire"
 	"openivm/internal/workload"
@@ -736,4 +738,159 @@ func BenchmarkWire_Concurrent(b *testing.B) {
 			wg.Wait()
 		})
 	}
+}
+
+// BenchmarkE12_HTAPSync measures one Pipeline.Sync of the cross-system
+// demo at the repository benchmark's shape: a 100k-row orders mirror
+// behind a join-aggregate view, twenty single-row writes on the OLTP side
+// per sync — 30 % of them upserts of existing orders, each captured as a
+// retraction plus an insertion — pulled over loopback wire and replayed
+// into the mirror. The writes are outside the timed span. ns/delta is the
+// replay cost per pulled delta row, which must not grow with the mirror.
+func BenchmarkE12_HTAPSync(b *testing.B) {
+	const writesPerSync, upsertsPerSync = 20, 6
+	sales := workload.Sales{Customers: 2000, Orders: 100_000, Regions: 16, Seed: 1}
+	store := oltp.New("pg")
+	if err := sales.Load(store.DB, true); err != nil {
+		b.Fatal(err)
+	}
+	srv := wire.NewServer(store.DB)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	writer, err := wire.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer writer.Close()
+	pc, err := wire.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pc.Close()
+	p := htap.New(pc)
+	defer p.OLAP.Close()
+	if err := p.CreateMaterializedView(`CREATE MATERIALIZED VIEW region_totals AS
+		SELECT customers.region, SUM(orders.amount) AS total
+		FROM orders JOIN customers ON orders.cid = customers.cid
+		GROUP BY customers.region`); err != nil {
+		b.Fatal(err)
+	}
+	next := sales.Orders
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for w := 0; w < writesPerSync; w++ {
+			oid := next
+			if w < upsertsPerSync {
+				oid = (i*7919 + w*104729) % sales.Orders
+			} else {
+				next++
+			}
+			sql := fmt.Sprintf("INSERT INTO orders VALUES (%d, %d, %d) ON CONFLICT (oid) DO UPDATE SET cid = %d, amount = %d",
+				oid, oid%sales.Customers, w+1, oid%sales.Customers, i%400)
+			if _, err := writer.Exec(sql); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := p.Sync(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if want := b.N * (writesPerSync + upsertsPerSync); p.Stats.DeltasPulled != want {
+		b.Fatalf("pulled %d deltas, want %d", p.Stats.DeltasPulled, want)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(p.Stats.DeltasPulled), "ns/delta")
+}
+
+// pkBenchRows is the table size of the primary-key index benchmarks.
+const pkBenchRows = 100_000
+
+func pkBenchTable(b *testing.B, rows int) (*catalog.Table, *catalog.Catalog) {
+	b.Helper()
+	cat := catalog.New()
+	tbl, err := cat.CreateTable("t", []catalog.Column{
+		{Name: "id", Type: sqltypes.TypeInt},
+		{Name: "v", Type: sqltypes.TypeInt},
+	}, []string{"id"}, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := tbl.InsertBatch(pkBenchBatch(0, rows)); err != nil {
+		b.Fatal(err)
+	}
+	return tbl, cat
+}
+
+func pkBenchBatch(from, n int) []sqltypes.Row {
+	slab := make([]sqltypes.Value, 2*n)
+	rows := make([]sqltypes.Row, n)
+	for i := range rows {
+		rows[i] = slab[2*i : 2*i+2 : 2*i+2]
+		rows[i][0], rows[i][1] = sqltypes.NewInt(int64(from+i)), sqltypes.NewInt(int64(i))
+	}
+	return rows
+}
+
+// BenchmarkPKIndex_* measure the primary-key index through the table that
+// owns it: a keyed insert (one probe for the duplicate check, one index
+// entry), a point lookup, and the index's share of a compacting sweep.
+// B/key is the index's memory per key — the figure that decides whether a
+// mirror can afford a key at all.
+func BenchmarkPKIndex_Put(b *testing.B) {
+	var first *catalog.Table // the fullest table built: B/key depends on the load
+	for done := 0; done < b.N; done += pkBenchRows {
+		b.StopTimer()
+		rows := pkBenchBatch(0, min(pkBenchRows, b.N-done))
+		tbl, _ := pkBenchTable(b, 0)
+		if first == nil {
+			first = tbl
+		}
+		b.StartTimer()
+		if _, err := tbl.InsertBatch(rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(first.PrimaryKeyIndexBytes())/float64(first.RowCount()), "B/key")
+}
+
+func BenchmarkPKIndex_Get(b *testing.B) {
+	tbl, _ := pkBenchTable(b, pkBenchRows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := tbl.LookupPK(sqltypes.NewInt(int64(i * 7919 % pkBenchRows))); !ok {
+			b.Fatal("key not found")
+		}
+	}
+	b.ReportMetric(float64(tbl.PrimaryKeyIndexBytes())/float64(tbl.RowCount()), "B/key")
+}
+
+// BenchmarkPKIndex_Rebuild times the sweep that compacts a table after
+// 30 % of its rows died: slots are renumbered and the index follows.
+func BenchmarkPKIndex_Rebuild(b *testing.B) {
+	tbl, cat := pkBenchTable(b, pkBenchRows)
+	dead := pkBenchBatch(0, pkBenchRows*3/10)
+	mgr := cat.MVCC()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i > 0 {
+			if _, err := tbl.InsertBatch(dead); err != nil {
+				b.Fatal(err)
+			}
+		}
+		n := int64(len(dead))
+		if _, err := tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[0].I < n, nil }); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if got := mgr.Vacuum(); got != len(dead) {
+			b.Fatalf("sweep reclaimed %d versions, want %d", got, len(dead))
+		}
+	}
+	b.ReportMetric(float64(tbl.PrimaryKeyIndexBytes())/float64(tbl.RowCount()), "B/key")
 }

@@ -7,7 +7,8 @@
 // (see internal/mvcc) so concurrent transactions read consistent snapshots
 // while writers append new versions instead of mutating shared state.
 // Version chains are linked newest-to-oldest through per-slot prev
-// pointers; the primary-key index always maps a key to its newest slot.
+// pointers; the primary-key index (a compact key→slot table, see
+// internal/index/slottab) always maps a key to its newest slot.
 // Legacy (nil-transaction) writes stamp themselves with the latest
 // committed timestamp, making them immediately visible everywhere — the
 // pre-MVCC semantics the IVM delta-capture path relies on.
@@ -21,6 +22,7 @@ import (
 
 	"openivm/internal/enginerr"
 	"openivm/internal/index/art"
+	"openivm/internal/index/slottab"
 	"openivm/internal/mvcc"
 	"openivm/internal/sqltypes"
 )
@@ -45,9 +47,9 @@ type verMeta struct {
 }
 
 // Table is an in-memory multi-versioned heap table with optional primary
-// key (backed by an ART index) and secondary ART indexes. All methods are
-// goroutine-safe; writers serialize on the table lock while readers run
-// concurrently under the shared lock.
+// key (backed by a key→slot table) and secondary ART indexes. All methods
+// are goroutine-safe; writers serialize on the table lock while readers
+// run concurrently under the shared lock.
 type Table struct {
 	Name    string
 	Columns []Column
@@ -64,13 +66,19 @@ type Table struct {
 	// slots) and TRUNCATE must not physically reset the arrays.
 	pinned int
 
+	// abortHoles counts slots emptied by aborted inserts that no sweep has
+	// yet reported as reclaimed (see gc).
+	abortHoles int
+
 	// mv is the catalog-wide transaction manager; set at CreateTable.
 	mv *mvcc.Manager
 
-	// Primary key: column positions and index mapping encoded key -> slot
-	// of the newest version for that key.
+	// Primary key: column positions and the index mapping a key to the
+	// slot of its newest version. The index stores no keys: it is probed
+	// by the hash of the encoded key, and candidates are compared against
+	// the key columns of the row in the slot (pkProbe).
 	pkCols  []int
-	pkIndex *art.Tree
+	pkIndex slottab.Table
 
 	// Write-path scratch buffers, guarded by mu (exclusive lock): every
 	// writer serializes, so per-row key encoding reuses one buffer instead
@@ -190,9 +198,6 @@ func (c *Catalog) CreateTable(name string, cols []Column, pk []string, ifNotExis
 			return nil, fmt.Errorf("catalog: primary key column %q not in table %q", pkc, name)
 		}
 		t.pkCols = append(t.pkCols, pos)
-	}
-	if len(t.pkCols) > 0 {
-		t.pkIndex = art.New()
 	}
 	c.tables[key] = t
 	return t, nil
@@ -389,6 +394,13 @@ func (t *Table) PrimaryKeyColumnNames() []string {
 	return out
 }
 
+// PrimaryKeyIndexBytes returns the memory the primary-key index holds.
+func (t *Table) PrimaryKeyIndexBytes() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.pkIndex.Bytes()
+}
+
 // TableName returns the table's name (storage.Table).
 func (t *Table) TableName() string { return t.Name }
 
@@ -430,16 +442,82 @@ func (t *Table) RowCount() int {
 	return t.live
 }
 
-// pkKey encodes row's primary-key values into the table's write-path
-// scratch buffer; callers must hold mu exclusively and must not retain the
-// result past the next pkKey call (the ART copies keys it stores).
-func (t *Table) pkKey(row sqltypes.Row) []byte {
+// pkCursor is the result of seeking a key in the primary-key index: the
+// key's hash tag and, when the key is present, its index entry and the
+// slot of the key's newest version. It stays valid until the index is
+// next mutated.
+type pkCursor struct {
+	tag  uint32
+	pos  int
+	slot int32 // -1 when absent
+	ok   bool
+}
+
+// pkProbe finds the index entry whose row carries the key values vals
+// (one per primary-key column; tag is the hash of their encoding). Key
+// equality is value equality on the key columns of the indexed row.
+func (t *Table) pkProbe(tag uint32, vals []sqltypes.Value) pkCursor {
+	it := t.pkIndex.Probe(tag)
+next:
+	for it.Next() {
+		r := t.rows[it.Slot()]
+		if r == nil {
+			continue
+		}
+		for i, p := range t.pkCols {
+			if !sqltypes.Equal(r[p], vals[i]) {
+				continue next
+			}
+		}
+		return pkCursor{tag: tag, pos: it.Pos(), slot: it.Slot(), ok: true}
+	}
+	return pkCursor{tag: tag, slot: -1}
+}
+
+// pkSeekLocked seeks the key of a full-width row through the table's
+// write-path scratch buffers; callers hold mu exclusively.
+func (t *Table) pkSeekLocked(row sqltypes.Row) pkCursor {
 	t.valsBuf = t.valsBuf[:0]
 	for _, p := range t.pkCols {
 		t.valsBuf = append(t.valsBuf, row[p])
 	}
-	t.keyBuf = sqltypes.EncodeKey(t.keyBuf[:0], t.valsBuf...)
-	return t.keyBuf
+	return t.pkSeekValsLocked(t.valsBuf)
+}
+
+// pkSeekValsLocked is pkSeekLocked for bare key values.
+func (t *Table) pkSeekValsLocked(vals []sqltypes.Value) pkCursor {
+	t.keyBuf = sqltypes.EncodeKey(t.keyBuf[:0], vals...)
+	return t.pkProbe(slottab.Hash(t.keyBuf), vals)
+}
+
+// pkStore maps the cursor's key to slot: repoints its entry, or adds one.
+func (t *Table) pkStore(cur pkCursor, slot int) {
+	if cur.ok {
+		t.pkIndex.SetAt(cur.pos, int32(slot))
+	} else {
+		t.pkIndex.Insert(cur.tag, int32(slot))
+	}
+}
+
+// pkSameKey reports whether two rows carry the same primary key.
+func (t *Table) pkSameKey(a, b sqltypes.Row) bool {
+	for _, p := range t.pkCols {
+		if !sqltypes.Equal(a[p], b[p]) {
+			return false
+		}
+	}
+	return true
+}
+
+// visibleLocked walks the version chain rooted at slot, newest to oldest,
+// and returns the slot of the version visible to sn, or -1.
+func (t *Table) visibleLocked(sn mvcc.Snapshot, slot int32) int32 {
+	for s := slot; s >= 0; s = t.vers[s].prev {
+		if t.rows[s] != nil && sn.Visible(t.vers[s].begin, t.vers[s].end) {
+			return s
+		}
+	}
+	return -1
 }
 
 // validate coerces the row to the column types and checks NOT NULL. The
@@ -501,26 +579,16 @@ func (t *Table) logLocked(tx *mvcc.Txn, op mvcc.Op) {
 	}
 }
 
-// dupVisibleLocked walks the version chain rooted at slot and reports
-// whether any version is visible to sn — the duplicate-key test.
-func (t *Table) dupVisibleLocked(sn mvcc.Snapshot, slot int32) bool {
-	for s := slot; s >= 0; s = t.vers[s].prev {
-		if t.rows[s] != nil && sn.Visible(t.vers[s].begin, t.vers[s].end) {
-			return true
-		}
-	}
-	return false
-}
-
 // appendVersionLocked appends a new version of r begin-stamped by tx with
-// the given chain predecessor, updates the pk mapping (key may be nil when
-// the table has no primary key) and secondary indexes, and logs the op.
-func (t *Table) appendVersionLocked(tx *mvcc.Txn, r sqltypes.Row, key []byte, prev int32) int {
+// the given chain predecessor, points the pk mapping at it (cur is the
+// seek of r's key; unused when the table has no primary key), updates the
+// secondary indexes, and logs the op.
+func (t *Table) appendVersionLocked(tx *mvcc.Txn, r sqltypes.Row, cur pkCursor, prev int32) int {
 	slot := len(t.rows)
 	t.rows = append(t.rows, r)
 	t.vers = append(t.vers, verMeta{begin: t.beginStamp(tx), prev: prev})
-	if t.pkIndex != nil {
-		t.pkIndex.Put(key, slot)
+	if t.HasPrimaryKey() {
+		t.pkStore(cur, slot)
 	}
 	t.insertIndexedLocked(r, slot)
 	t.live++
@@ -533,13 +601,11 @@ func (t *Table) appendVersionLocked(tx *mvcc.Txn, r sqltypes.Row, key []byte, pr
 // write-write conflicts with concurrent transactions.
 func (t *Table) insertOneLocked(tx *mvcc.Txn, r sqltypes.Row) error {
 	prev := int32(-1)
-	var key []byte
-	if t.pkIndex != nil {
-		key = t.pkKey(r)
-		if v, ok := t.pkIndex.Get(key); ok {
-			slot := int32(v.(int))
-			sn := t.readSnapLocked(tx)
-			if t.dupVisibleLocked(sn, slot) {
+	var cur pkCursor
+	if t.HasPrimaryKey() {
+		if cur = t.pkSeekLocked(r); cur.ok {
+			slot := cur.slot
+			if t.visibleLocked(t.readSnapLocked(tx), slot) >= 0 {
 				return enginerr.Newf(enginerr.CodeDuplicateKey, "table %s: duplicate primary key %v", t.Name, r)
 			}
 			if t.rows[slot] != nil {
@@ -563,7 +629,7 @@ func (t *Table) insertOneLocked(tx *mvcc.Txn, r sqltypes.Row) error {
 			prev = slot
 		}
 	}
-	t.appendVersionLocked(tx, r, key, prev)
+	t.appendVersionLocked(tx, r, cur, prev)
 	return nil
 }
 
@@ -695,12 +761,12 @@ func (t *Table) UpsertTxn(tx *mvcc.Txn, row sqltypes.Row) error {
 	if err != nil {
 		return err
 	}
-	if t.pkIndex == nil {
+	if !t.HasPrimaryKey() {
 		return fmt.Errorf("table %s: INSERT OR REPLACE requires a primary key or unique index", t.Name)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.upsertLocked(tx, r, nil)
+	return t.upsertLocked(tx, r, t.pkSeekLocked(r), nil)
 }
 
 // UpsertMerge inserts or, on conflict, replaces only the given column
@@ -716,12 +782,12 @@ func (t *Table) UpsertMergeTxn(tx *mvcc.Txn, row sqltypes.Row, merge func(old, n
 	if err != nil {
 		return err
 	}
-	if t.pkIndex == nil {
+	if !t.HasPrimaryKey() {
 		return fmt.Errorf("table %s: ON CONFLICT requires a primary key", t.Name)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.upsertLocked(tx, r, merge)
+	return t.upsertLocked(tx, r, t.pkSeekLocked(r), merge)
 }
 
 // UpsertBatchTxn applies INSERT OR REPLACE to a batch of rows under one
@@ -741,7 +807,7 @@ func (t *Table) UpsertMergeTxn(tx *mvcc.Txn, row sqltypes.Row, merge func(old, n
 // pairs for trigger delivery; on error the applied prefix stays, like
 // InsertBatch.
 func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, replacedOld, replacedNew []sqltypes.Row, err error) {
-	if t.pkIndex == nil {
+	if !t.HasPrimaryKey() {
 		return nil, nil, nil, fmt.Errorf("table %s: INSERT OR REPLACE requires a primary key or unique index", t.Name)
 	}
 	t.mu.Lock()
@@ -752,10 +818,9 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, rep
 		if verr != nil {
 			return inserted, replacedOld, replacedNew, verr
 		}
+		cur := t.pkSeekLocked(r)
 		if quiescent {
-			key := t.pkKey(r)
-			v, ok := t.pkIndex.Get(key)
-			if !ok {
+			if !cur.ok {
 				// Fresh key: append stamped committed at tx's read
 				// timestamp (not LatestTS, so the row stays visible to
 				// tx's own snapshot even if unrelated commits land
@@ -763,14 +828,14 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, rep
 				slot := len(t.rows)
 				t.rows = append(t.rows, r)
 				t.vers = append(t.vers, verMeta{begin: tx.ReadTS, prev: -1})
-				t.pkIndex.Put(key, slot)
+				t.pkStore(cur, slot)
 				t.insertIndexedLocked(r, slot)
 				t.live++
 				t.logLocked(tx, mvcc.Op{Kind: mvcc.OpInsert, Slot: int32(slot), Prev: -1})
 				inserted = append(inserted, r)
 				continue
 			}
-			newest := int32(v.(int))
+			newest := cur.slot
 			vm := t.vers[newest]
 			if old := t.rows[newest]; old != nil && vm.begin&mvcc.TxnBit == 0 && vm.begin <= tx.ReadTS && vm.end == 0 {
 				t.removeIndexedLocked(old, int(newest))
@@ -786,11 +851,15 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, rep
 		// version committed after tx's snapshot, uncommitted stamps):
 		// the general versioned path, which detects conflicts and dooms
 		// tx as usual.
-		old, existed := t.lookupPKLocked(t.readSnapLocked(tx), t.pkKey(r))
-		if uerr := t.upsertLocked(tx, r, nil); uerr != nil {
+		vis := t.visibleLocked(t.readSnapLocked(tx), cur.slot)
+		var old sqltypes.Row
+		if vis >= 0 {
+			old = t.rows[vis]
+		}
+		if uerr := t.upsertLocked(tx, r, cur, nil); uerr != nil {
 			return inserted, replacedOld, replacedNew, uerr
 		}
-		if existed {
+		if vis >= 0 {
 			replacedOld = append(replacedOld, old)
 			replacedNew = append(replacedNew, r)
 		} else {
@@ -801,25 +870,15 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, rep
 }
 
 // upsertLocked implements both upsert flavors: replace (merge == nil) or
-// merge-on-conflict. The caller validated r and holds the write lock.
-func (t *Table) upsertLocked(tx *mvcc.Txn, r sqltypes.Row, merge func(old, new sqltypes.Row) (sqltypes.Row, error)) error {
-	key := t.pkKey(r)
-	v, ok := t.pkIndex.Get(key)
-	if !ok {
-		t.appendVersionLocked(tx, r, key, -1)
+// merge-on-conflict. The caller validated r, sought its key (cur) and
+// holds the write lock.
+func (t *Table) upsertLocked(tx *mvcc.Txn, r sqltypes.Row, cur pkCursor, merge func(old, new sqltypes.Row) (sqltypes.Row, error)) error {
+	if !cur.ok {
+		t.appendVersionLocked(tx, r, cur, -1)
 		return nil
 	}
-	newest := int32(v.(int))
-	sn := t.readSnapLocked(tx)
-
-	// Find the version visible to this snapshot, if any.
-	vis := int32(-1)
-	for s := newest; s >= 0; s = t.vers[s].prev {
-		if t.rows[s] != nil && sn.Visible(t.vers[s].begin, t.vers[s].end) {
-			vis = s
-			break
-		}
-	}
+	newest := cur.slot
+	vis := t.visibleLocked(t.readSnapLocked(tx), newest)
 
 	if vis < 0 {
 		// No visible version: behaves as an insert, but the key may be
@@ -839,7 +898,7 @@ func (t *Table) upsertLocked(tx *mvcc.Txn, r sqltypes.Row, merge func(old, new s
 				}
 			}
 		}
-		t.appendVersionLocked(tx, r, key, newest)
+		t.appendVersionLocked(tx, r, cur, newest)
 		return nil
 	}
 
@@ -870,7 +929,7 @@ func (t *Table) upsertLocked(tx *mvcc.Txn, r sqltypes.Row, merge func(old, new s
 		t.vers[vis].end = t.mv.LatestTS()
 		t.live--
 		t.mv.NoteDead(1)
-		t.appendVersionLocked(nil, nr, key, newest)
+		t.appendVersionLocked(nil, nr, cur, newest)
 		return nil
 	}
 
@@ -883,26 +942,70 @@ func (t *Table) upsertLocked(tx *mvcc.Txn, r sqltypes.Row, merge func(old, new s
 		t.live--
 		t.logLocked(tx, mvcc.Op{Kind: mvcc.OpDelete, Slot: vis})
 	}
-	t.appendVersionLocked(tx, nr, key, newest)
+	t.appendVersionLocked(tx, nr, cur, newest)
 	return nil
 }
 
 // Delete removes all rows matching pred, returning them.
 func (t *Table) Delete(pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
-	return t.DeleteTxn(nil, pred)
+	return t.DeleteTxn(nil, nil, pred)
+}
+
+// candidatesLocked bounds the slots a filtered write visits: all of them,
+// or — when key pins the primary key, one value per key column — only the
+// version of that key visible to sn.
+func (t *Table) candidatesLocked(sn mvcc.Snapshot, key []sqltypes.Value) (lo, hi int) {
+	if key == nil || len(key) != len(t.pkCols) {
+		return 0, len(t.rows)
+	}
+	if s := t.visibleLocked(sn, t.pkSeekValsLocked(key).slot); s >= 0 {
+		return int(s), int(s) + 1
+	}
+	return 0, 0
+}
+
+// retireLocked end-stamps the version in slot i, which the caller found
+// visible: with tx's stamp (logged, first-updater-wins — a conflict dooms
+// tx), or for a legacy instant write at the latest timestamp. It reports
+// false when a legacy write must leave the version alone because another
+// transaction's uncommitted delete already holds it: clobbering that
+// stamp would resurrect the row if the transaction aborts.
+func (t *Table) retireLocked(tx *mvcc.Txn, i int) (bool, error) {
+	end := t.vers[i].end
+	if tx == nil {
+		if end != 0 {
+			return false, nil
+		}
+		t.vers[i].end = t.mv.LatestTS()
+		t.live--
+		return true, nil
+	}
+	if err := t.mv.CheckWritable(tx, end); err != nil {
+		tx.Doom()
+		return false, err
+	}
+	if end == 0 {
+		t.vers[i].end = tx.StampID()
+		t.live--
+		t.logLocked(tx, mvcc.Op{Kind: mvcc.OpDelete, Slot: int32(i)})
+	}
+	return true, nil
 }
 
 // DeleteTxn is Delete within a transaction; a nil pred matches every row
-// (the unfiltered DELETE FROM path). Deleted versions are end-stamped, not
-// removed: concurrent snapshots keep seeing them, and GC reclaims them
-// once no snapshot can.
-func (t *Table) DeleteTxn(tx *mvcc.Txn, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
+// (the unfiltered DELETE FROM path), and a non-nil key restricts the
+// statement to the row with that primary key, found through the index
+// instead of a scan (pred still applies to it). Deleted versions are
+// end-stamped, not removed: concurrent snapshots keep seeing them, and GC
+// reclaims them once no snapshot can.
+func (t *Table) DeleteTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sn := t.readSnapLocked(tx)
 	var deleted []sqltypes.Row
 	dead := 0
-	for i := 0; i < len(t.rows); i++ {
+	lo, hi := t.candidatesLocked(sn, key)
+	for i := lo; i < hi; i++ {
 		r := t.rows[i]
 		if r == nil {
 			continue
@@ -921,73 +1024,196 @@ func (t *Table) DeleteTxn(tx *mvcc.Txn, pred func(sqltypes.Row) (bool, error)) (
 				continue
 			}
 		}
-		if tx != nil {
-			if err := t.mv.CheckWritable(tx, vm.end); err != nil {
-				tx.Doom()
-				t.mv.NoteDead(dead)
-				return deleted, err
-			}
-			if t.vers[i].end == 0 {
-				t.vers[i].end = tx.StampID()
-				t.logLocked(tx, mvcc.Op{Kind: mvcc.OpDelete, Slot: int32(i)})
-			}
-		} else {
-			if vm.end != 0 {
-				// Visible only through another transaction's uncommitted
-				// delete; clobbering its stamp would resurrect the row if
-				// it aborts. Leave it to that transaction.
-				continue
-			}
-			t.vers[i].end = t.mv.LatestTS()
+		ok, err := t.retireLocked(tx, i)
+		if err != nil {
+			t.mv.NoteDead(dead)
+			return deleted, err
+		}
+		if !ok {
+			continue
+		}
+		if tx == nil {
 			dead++
 		}
 		deleted = append(deleted, r)
-		t.live--
 	}
 	t.mv.NoteDead(dead)
 	return deleted, nil
 }
 
-// DeleteOne removes at most one row equal to the given row (used by Z-set
+// DeleteOne removes at most one row equal to the given row (Z-set
 // semantics: one deletion cancels one multiplicity unit, so duplicates
-// delete one copy at a time). Returns true if a row was removed. Legacy
-// instant write: the deletion is immediately visible everywhere.
+// delete one copy at a time) and reports whether one was removed — the
+// one-row call of the batch retraction in ApplyDeltasTxn. Legacy instant
+// write: the deletion is immediately visible everywhere.
 func (t *Table) DeleteOne(row sqltypes.Row) bool {
+	return t.ApplyDeltasTxn(nil, []sqltypes.Row{row}, []bool{false}) == nil
+}
+
+// ApplyDeltasTxn replays a batch of Z-set deltas in order under one lock
+// acquisition: rows[i] is inserted when insert[i] is set, otherwise
+// exactly one copy equal to it is retracted — possibly one inserted
+// earlier in the same batch. A retraction resolves through the
+// primary-key index; on a key-less table the batch's retractions share
+// one pass over the table (retractions), so the cost is O(batch) or
+// O(table + batch), never their product. The first failing op — a
+// duplicate key, a retraction with no matching row, a write-write
+// conflict — stops the batch with the ops before it still applied; a
+// caller that needs all-or-nothing passes a transaction and aborts it.
+func (t *Table) ApplyDeltasTxn(tx *mvcc.Txn, rows []sqltypes.Row, insert []bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sn := t.mv.Current()
-	for i, r := range t.rows {
-		if r == nil || !r.Equal(row) {
-			continue
-		}
-		vm := t.vers[i]
-		if !sn.Visible(vm.begin, vm.end) || vm.end != 0 {
-			continue
-		}
-		t.vers[i].end = t.mv.LatestTS()
-		t.live--
-		t.mv.NoteDead(1)
-		return true
+	var copies *retractions
+	if !t.HasPrimaryKey() {
+		copies = t.retractionsLocked(t.readSnapLocked(tx), rows, insert)
 	}
-	return false
+	dead := 0
+	defer func() { t.mv.NoteDead(dead) }()
+	for i, row := range rows {
+		if insert[i] {
+			r, err := t.validate(row)
+			if err != nil {
+				return err
+			}
+			slot := int32(len(t.rows))
+			if err := t.insertOneLocked(tx, r); err != nil {
+				return err
+			}
+			copies.inserted(r, slot)
+			continue
+		}
+		slot := int32(-1)
+		if copies != nil {
+			slot = copies.take(row)
+		} else if len(row) == len(t.Columns) {
+			// Resolved per op, not per batch: a legacy insert earlier in
+			// the batch is stamped at a timestamp that may since have
+			// moved past the snapshot the batch started with.
+			slot = t.visibleLocked(t.readSnapLocked(tx), t.pkSeekLocked(row).slot)
+			if slot >= 0 && !t.rows[slot].Equal(row) {
+				slot = -1
+			}
+		}
+		ok := slot >= 0
+		if ok {
+			var err error
+			if ok, err = t.retireLocked(tx, int(slot)); err != nil {
+				return err
+			}
+		}
+		if !ok {
+			return fmt.Errorf("table %s: delta #%d retracts a row with no matching copy: %v", t.Name, i, row)
+		}
+		if tx == nil {
+			dead++
+		}
+	}
+	return nil
+}
+
+// retractions resolves a delta batch's retractions on a key-less table:
+// per distinct retracted row, the slots of the copies the batch may
+// cancel, gathered in one pass over the table instead of one scan per
+// retraction. Rows the batch itself inserts join as they land, so an
+// insert-then-retract pair cancels and a retract-before-insert fails,
+// exactly as row-at-a-time replay would.
+type retractions struct {
+	byRow map[string]*rowCopies // keyed by the encoded full row
+	buf   []byte
+}
+
+type rowCopies struct {
+	need  int     // retractions of this row in the batch
+	slots []int32 // copies found so far, at most need
+}
+
+func (rs *retractions) lookup(row sqltypes.Row) *rowCopies {
+	rs.buf = sqltypes.EncodeKey(rs.buf[:0], row...)
+	return rs.byRow[string(rs.buf)]
+}
+
+// inserted offers a freshly inserted row as a copy later retractions of
+// the same batch may cancel. Safe on a nil receiver (keyed tables).
+func (rs *retractions) inserted(row sqltypes.Row, slot int32) {
+	if rs == nil {
+		return
+	}
+	if c := rs.lookup(row); c != nil {
+		c.slots = append(c.slots, slot)
+	}
+}
+
+// take hands out one copy of row, or -1 when none is left.
+func (rs *retractions) take(row sqltypes.Row) int32 {
+	c := rs.lookup(row)
+	if c == nil || len(c.slots) == 0 {
+		return -1
+	}
+	slot := c.slots[len(c.slots)-1]
+	c.slots = c.slots[:len(c.slots)-1]
+	return slot
+}
+
+// retractionsLocked gathers, for every row the batch retracts, up to as
+// many retractable copies as the batch needs: versions visible to sn and
+// not already delete-stamped. A batch that retracts a single distinct row
+// (DeleteOne, one-row replay) compares rows directly instead of encoding
+// every row of the table.
+func (t *Table) retractionsLocked(sn mvcc.Snapshot, rows []sqltypes.Row, insert []bool) *retractions {
+	rs := &retractions{byRow: map[string]*rowCopies{}}
+	missing := 0
+	var only sqltypes.Row
+	for i, row := range rows {
+		if insert[i] {
+			continue
+		}
+		c := rs.lookup(row)
+		if c == nil {
+			c = &rowCopies{}
+			rs.byRow[string(rs.buf)] = c
+			only = row
+		}
+		c.need++
+		missing++
+	}
+	for i := 0; i < len(t.rows) && missing > 0; i++ {
+		r := t.rows[i]
+		if r == nil || t.vers[i].end != 0 || !sn.Visible(t.vers[i].begin, 0) {
+			continue
+		}
+		var c *rowCopies
+		if len(rs.byRow) > 1 {
+			c = rs.lookup(r)
+		} else if r.Equal(only) {
+			c = rs.lookup(only)
+		}
+		if c != nil && len(c.slots) < c.need {
+			c.slots = append(c.slots, int32(i))
+			missing--
+		}
+	}
+	return rs
 }
 
 // Update applies set to all rows matching pred, returning (old, new) pairs.
 func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error) {
-	return t.UpdateTxn(nil, pred, set)
+	return t.UpdateTxn(nil, nil, pred, set)
 }
 
 // UpdateTxn is Update within a transaction: each matching row's current
 // version is end-stamped and a new version appended, so the update is
-// invisible to other snapshots until commit. Legacy (nil-transaction)
-// updates mutate committed rows in place, preserving the pre-MVCC
-// zero-allocation behavior.
-func (t *Table) UpdateTxn(tx *mvcc.Txn, pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error) {
+// invisible to other snapshots until commit. A non-nil key restricts the
+// statement to the row with that primary key, found through the index
+// instead of a scan (see DeleteTxn). Legacy (nil-transaction) updates
+// mutate committed rows in place, preserving the pre-MVCC zero-allocation
+// behavior.
+func (t *Table) UpdateTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sn := t.readSnapLocked(tx)
-	n0 := len(t.rows) // fixed bound: versions appended below must not be revisited
-	for i := 0; i < n0; i++ {
+	// hi is fixed up front: versions appended below must not be revisited.
+	lo, hi := t.candidatesLocked(sn, key)
+	for i := lo; i < hi; i++ {
 		r := t.rows[i]
 		if r == nil {
 			continue
@@ -1011,6 +1237,7 @@ func (t *Table) UpdateTxn(tx *mvcc.Txn, pred func(sqltypes.Row) (bool, error), s
 		if serr != nil {
 			return old, new, serr
 		}
+		rekeyed := t.HasPrimaryKey() && !t.pkSameKey(r, nr)
 
 		if tx == nil {
 			if vm.end != 0 || vm.begin&mvcc.TxnBit != 0 {
@@ -1019,18 +1246,14 @@ func (t *Table) UpdateTxn(tx *mvcc.Txn, pred func(sqltypes.Row) (bool, error), s
 				// never raced real transactions before MVCC either).
 				continue
 			}
-			if t.pkIndex != nil {
-				// pkKey reuses one scratch buffer; copy the old key before
-				// encoding the new one so the comparison sees both.
-				oldKey := append([]byte(nil), t.pkKey(r)...)
-				newKey := t.pkKey(nr)
-				if string(oldKey) != string(newKey) {
-					if slot, exists := t.pkIndex.Get(newKey); exists && t.dupVisibleLocked(sn, int32(slot.(int))) {
-						return old, new, enginerr.Newf(enginerr.CodeDuplicateKey, "table %s: update violates primary key", t.Name)
-					}
-					t.pkIndex.Delete(oldKey)
-					t.pkIndex.Put(newKey, i)
+			if rekeyed {
+				if t.visibleLocked(sn, t.pkSeekLocked(nr).slot) >= 0 {
+					return old, new, enginerr.Newf(enginerr.CodeDuplicateKey, "table %s: update violates primary key", t.Name)
 				}
+				if oc := t.pkSeekLocked(r); oc.ok && int(oc.slot) == i {
+					t.pkIndex.DeleteAt(oc.pos)
+				}
+				t.pkStore(t.pkSeekLocked(nr), i) // sought again: the delete moved entries
 			}
 			t.removeIndexedLocked(r, i)
 			t.rows[i] = nr
@@ -1046,36 +1269,34 @@ func (t *Table) UpdateTxn(tx *mvcc.Txn, pred func(sqltypes.Row) (bool, error), s
 		}
 
 		// Resolve the pk mapping for the new version before stamping.
-		var newKey []byte
+		var cur pkCursor
 		prev := int32(i)
-		if t.pkIndex != nil {
-			oldKey := append([]byte(nil), t.pkKey(r)...)
-			newKey = t.pkKey(nr)
-			if string(oldKey) != string(newKey) {
-				if v, exists := t.pkIndex.Get(newKey); exists {
-					ns := int32(v.(int))
-					if t.dupVisibleLocked(sn, ns) {
-						return old, new, enginerr.Newf(enginerr.CodeDuplicateKey, "table %s: update violates primary key", t.Name)
-					}
-					if t.rows[ns] != nil {
-						nvm := t.vers[ns]
-						if nvm.end == 0 {
-							tx.Doom()
-							return old, new, fmt.Errorf("%w: primary key inserted by concurrent transaction on table %s", mvcc.ErrSerialization, t.Name)
-						}
-						if cerr := t.mv.CheckWritable(tx, nvm.end); cerr != nil {
-							tx.Doom()
-							return old, new, cerr
-						}
-					}
-					prev = ns
-				} else {
-					prev = -1
+		if t.HasPrimaryKey() {
+			cur = t.pkSeekLocked(nr)
+		}
+		if rekeyed {
+			prev = -1
+			if cur.ok {
+				ns := cur.slot
+				if t.visibleLocked(sn, ns) >= 0 {
+					return old, new, enginerr.Newf(enginerr.CodeDuplicateKey, "table %s: update violates primary key", t.Name)
 				}
-				// The old key's mapping keeps pointing at the end-stamped
-				// version — correct for its chain; GC removes it when the
-				// version dies.
+				if t.rows[ns] != nil {
+					nvm := t.vers[ns]
+					if nvm.end == 0 {
+						tx.Doom()
+						return old, new, fmt.Errorf("%w: primary key inserted by concurrent transaction on table %s", mvcc.ErrSerialization, t.Name)
+					}
+					if cerr := t.mv.CheckWritable(tx, nvm.end); cerr != nil {
+						tx.Doom()
+						return old, new, cerr
+					}
+				}
+				prev = ns
 			}
+			// The old key's mapping keeps pointing at the end-stamped
+			// version — correct for its chain; GC removes it when the
+			// version dies.
 		}
 
 		if t.vers[i].end == 0 {
@@ -1083,7 +1304,7 @@ func (t *Table) UpdateTxn(tx *mvcc.Txn, pred func(sqltypes.Row) (bool, error), s
 			t.live--
 			t.logLocked(tx, mvcc.Op{Kind: mvcc.OpDelete, Slot: int32(i)})
 		}
-		t.appendVersionLocked(tx, nr, newKey, prev)
+		t.appendVersionLocked(tx, nr, cur, prev)
 		old = append(old, r)
 		new = append(new, nr)
 	}
@@ -1176,16 +1397,15 @@ func (t *Table) DrainRows() []sqltypes.Row {
 	return rows
 }
 
-// resetLocked releases the row arrays and rebuilds empty index trees. The
+// resetLocked releases the row arrays and empties the indexes. The
 // backing array is released rather than reused so row copies handed out
 // earlier never observe post-truncate writes.
 func (t *Table) resetLocked() {
 	t.rows = nil
 	t.vers = nil
 	t.live = 0
-	if t.pkIndex != nil {
-		t.pkIndex = art.New()
-	}
+	t.abortHoles = 0
+	t.pkIndex.Reset()
 	for _, idx := range t.indexes {
 		idx.tree = art.New()
 	}
@@ -1231,17 +1451,20 @@ func (t *Table) RowsSnap(sn mvcc.Snapshot) []sqltypes.Row {
 	return out
 }
 
-// lookupPKLocked resolves a pk key to the version visible to sn, walking
-// the chain newest-to-oldest.
-func (t *Table) lookupPKLocked(sn mvcc.Snapshot, key []byte) (sqltypes.Row, bool) {
-	v, ok := t.pkIndex.Get(key)
-	if !ok {
-		return nil, false
+// lookupPK resolves primary-key values to the version visible to sn (the
+// zero snapshot means latest-committed). It takes the shared lock, so the
+// key is encoded into a stack buffer: the write-path scratch is off
+// limits to concurrent readers.
+func (t *Table) lookupPK(sn mvcc.Snapshot, vals []sqltypes.Value) (sqltypes.Row, bool) {
+	var buf [64]byte
+	tag := slottab.Hash(sqltypes.EncodeKey(buf[:0], vals...))
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if sn.M == nil {
+		sn = t.mv.Current()
 	}
-	for s := int32(v.(int)); s >= 0; s = t.vers[s].prev {
-		if r := t.rows[s]; r != nil && sn.Visible(t.vers[s].begin, t.vers[s].end) {
-			return r, true
-		}
+	if s := t.visibleLocked(sn, t.pkProbe(tag, vals).slot); s >= 0 {
+		return t.rows[s], true
 	}
 	return nil, false
 }
@@ -1249,15 +1472,10 @@ func (t *Table) lookupPKLocked(sn mvcc.Snapshot, key []byte) (sqltypes.Row, bool
 // LookupPK returns the row with the given primary-key values, if present
 // under the latest snapshot.
 func (t *Table) LookupPK(vals ...sqltypes.Value) (sqltypes.Row, bool) {
-	if t.pkIndex == nil {
+	if len(vals) != len(t.pkCols) || len(vals) == 0 {
 		return nil, false
 	}
-	// Stack buffer: readers run concurrently under RLock, so the shared
-	// write-path scratch is off limits here.
-	var buf [64]byte
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.lookupPKLocked(t.mv.Current(), sqltypes.EncodeKey(buf[:0], vals...))
+	return t.lookupPK(mvcc.Snapshot{}, vals)
 }
 
 // LookupPKRow is LookupPK with the key values taken from a full-width
@@ -1271,7 +1489,7 @@ func (t *Table) LookupPKRow(row sqltypes.Row) (sqltypes.Row, bool) {
 // LookupPKRowSnap is LookupPKRow against an explicit snapshot (the zero
 // snapshot means latest-committed).
 func (t *Table) LookupPKRowSnap(sn mvcc.Snapshot, row sqltypes.Row) (sqltypes.Row, bool) {
-	if t.pkIndex == nil {
+	if !t.HasPrimaryKey() {
 		return nil, false
 	}
 	var vbuf [8]sqltypes.Value
@@ -1282,13 +1500,7 @@ func (t *Table) LookupPKRowSnap(sn mvcc.Snapshot, row sqltypes.Row) (sqltypes.Ro
 		}
 		vals = append(vals, row[p])
 	}
-	var buf [64]byte
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if sn.M == nil {
-		sn = t.mv.Current()
-	}
-	return t.lookupPKLocked(sn, sqltypes.EncodeKey(buf[:0], vals...))
+	return t.lookupPK(sn, vals)
 }
 
 // ---------------------------------------------------------------------------
@@ -1298,7 +1510,10 @@ func (t *Table) LookupPKRowSnap(sn mvcc.Snapshot, row sqltypes.Row) (sqltypes.Ro
 // ApplyCommit restamps the transaction's ops with its commit timestamp.
 // Called by the transaction manager with the commit mutex held; takes the
 // table's write lock so no reader observes a half-restamped transaction on
-// this table.
+// this table. The table stays pinned until Unpin: the commit hook that
+// runs next still resolves the write log's slot numbers (redo capture
+// reads the committed rows through RowAt), so no sweep may renumber them
+// in between.
 func (t *Table) ApplyCommit(ops []mvcc.Op, commitTS uint64) {
 	t.mu.Lock()
 	dead := 0
@@ -1323,11 +1538,18 @@ func (t *Table) ApplyCommit(ops []mvcc.Op, commitTS uint64) {
 			// restamp, no version died.
 		}
 	}
+	t.mu.Unlock()
+	t.mv.NoteDead(dead)
+}
+
+// Unpin drops the pin the transaction's first write against this table
+// took (mvcc.Store): its write log no longer references slots here.
+func (t *Table) Unpin() {
+	t.mu.Lock()
 	if t.pinned > 0 {
 		t.pinned--
 	}
 	t.mu.Unlock()
-	t.mv.NoteDead(dead)
 }
 
 // ApplyAbort reverts the transaction's ops in reverse order: inserted
@@ -1348,13 +1570,19 @@ func (t *Table) ApplyAbort(ops []mvcc.Op) {
 			if r == nil {
 				continue
 			}
-			if t.pkIndex != nil {
-				key := t.pkKey(r)
-				if v, ok := t.pkIndex.Get(key); ok && v.(int) == s {
-					if op.Prev >= 0 {
-						t.pkIndex.Put(key, int(op.Prev))
+			if t.HasPrimaryKey() {
+				if cur := t.pkSeekLocked(r); cur.ok && int(cur.slot) == s {
+					// A sweep may have reclaimed the logged predecessor
+					// while this transaction was in flight: fall through
+					// to the nearest version still stored.
+					prev := op.Prev
+					for prev >= 0 && t.rows[prev] == nil {
+						prev = t.vers[prev].prev
+					}
+					if prev >= 0 {
+						t.pkIndex.SetAt(cur.pos, prev)
 					} else {
-						t.pkIndex.Delete(key)
+						t.pkIndex.DeleteAt(cur.pos)
 					}
 				}
 			}
@@ -1381,9 +1609,7 @@ func (t *Table) ApplyAbort(ops []mvcc.Op) {
 			}
 		}
 	}
-	if t.pinned > 0 {
-		t.pinned--
-	}
+	t.abortHoles += dead
 	t.mu.Unlock()
 	t.mv.NoteDead(dead)
 }
@@ -1392,39 +1618,63 @@ func (t *Table) ApplyAbort(ops []mvcc.Op) {
 // Garbage collection
 // ---------------------------------------------------------------------------
 
-// gc reclaims versions dead at or before the watermark. With no pinned
-// transactions it compacts the arrays (renumbering slots and rebuilding
-// indexes) so hot upsert/truncate churn cannot grow the slot array without
-// bound; otherwise it nils reclaimable slots in place.
+// compactFraction is the share of the slot array that must be garbage —
+// empty slots plus reclaimable versions — before a sweep renumbers the
+// slots and rebuilds the indexes; below it, dead versions are emptied in
+// place at a cost proportional to their number, not the table's.
+const compactFraction = 4
+
+// reclaimableLocked reports whether the version in slot i died at or
+// before the watermark, i.e. no snapshot can still see it.
+func (t *Table) reclaimableLocked(i int, watermark uint64) bool {
+	e := t.vers[i].end
+	return e != 0 && e&mvcc.TxnBit == 0 && e <= watermark
+}
+
+// gc reclaims versions dead at or before the watermark and returns how
+// many it reclaimed, plus the slots aborted inserts emptied since the
+// last sweep (they were announced through NoteDead as well). Dead
+// versions are normally emptied in place — slot set to nil, index entries
+// dropped, prev pointers compressed past it — which allocates nothing per
+// surviving row. Only when garbage exceeds 1/compactFraction of the slot
+// array, and no transaction pins the slot numbering, are the arrays
+// compacted, so hot upsert/truncate churn still cannot grow them without
+// bound.
 func (t *Table) gc(watermark uint64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.pinned == 0 {
-		return t.compactLocked(watermark)
-	}
-	n := 0
-	for i := range t.vers {
-		r := t.rows[i]
+	dead, holes := 0, 0
+	for i, r := range t.rows {
 		if r == nil {
+			holes++
+		} else if t.reclaimableLocked(i, watermark) {
+			dead++
+		}
+	}
+	n := dead + t.abortHoles
+	t.abortHoles = 0
+	if t.pinned == 0 && (dead+holes)*compactFraction > len(t.rows) {
+		t.compactLocked(watermark)
+		return n
+	}
+	if dead == 0 {
+		return n
+	}
+	for i, r := range t.rows {
+		if r == nil || !t.reclaimableLocked(i, watermark) {
 			continue
 		}
-		e := t.vers[i].end
-		if e == 0 || e&mvcc.TxnBit != 0 || e > watermark {
-			continue
-		}
-		if t.pkIndex != nil {
-			key := t.pkKey(r)
-			if v, ok := t.pkIndex.Get(key); ok && v.(int) == i {
-				t.pkIndex.Delete(key)
+		if t.HasPrimaryKey() {
+			if cur := t.pkSeekLocked(r); cur.ok && int(cur.slot) == i {
+				t.pkIndex.DeleteAt(cur.pos)
 			}
 		}
 		t.removeIndexedLocked(r, i)
 		t.rows[i] = nil
-		n++
 	}
-	if n > 0 {
+	if t.HasPrimaryKey() {
 		// Path-compress prev pointers through reclaimed (and aborted)
-		// slots so chain walks stay short.
+		// slots so chain walks stay short. Key-less tables have no chains.
 		for i := range t.vers {
 			p := t.vers[i].prev
 			for p >= 0 && t.rows[p] == nil {
@@ -1437,29 +1687,20 @@ func (t *Table) gc(watermark uint64) int {
 }
 
 // compactLocked rebuilds the row/version arrays keeping only versions
-// still reachable by some snapshot, remapping slots and rebuilding all
-// indexes. Only legal with no pinned transactions (their write logs hold
-// slot numbers).
-func (t *Table) compactLocked(watermark uint64) int {
-	reclaimed, holes, keep := 0, 0, 0
+// still reachable by some snapshot, renumbering slots. The primary-key
+// index is renumbered in place (entries of dropped slots fall out); the
+// secondary indexes are rebuilt. Only legal with no pinned transactions
+// (their write logs hold slot numbers).
+func (t *Table) compactLocked(watermark uint64) {
+	keep := 0
 	newSlot := make([]int32, len(t.rows))
 	for i, r := range t.rows {
-		if r == nil {
+		if r == nil || t.reclaimableLocked(i, watermark) {
 			newSlot[i] = -1
-			holes++
-			continue
-		}
-		e := t.vers[i].end
-		if e != 0 && e&mvcc.TxnBit == 0 && e <= watermark {
-			newSlot[i] = -1
-			reclaimed++
 			continue
 		}
 		newSlot[i] = int32(keep)
 		keep++
-	}
-	if reclaimed == 0 && holes == 0 {
-		return 0
 	}
 	rows := make([]sqltypes.Row, keep)
 	vers := make([]verMeta, keep)
@@ -1481,19 +1722,7 @@ func (t *Table) compactLocked(watermark uint64) int {
 		}
 		vers[ns] = vm
 	}
-	if t.pkIndex != nil {
-		newPK := art.New()
-		for i, r := range t.rows {
-			if newSlot[i] < 0 {
-				continue
-			}
-			key := t.pkKey(r)
-			if v, ok := t.pkIndex.Get(key); ok && v.(int) == i {
-				newPK.Put(key, int(newSlot[i]))
-			}
-		}
-		t.pkIndex = newPK
-	}
+	t.pkIndex.Remap(newSlot)
 	t.rows = rows
 	t.vers = vers
 	for _, idx := range t.indexes {
@@ -1504,7 +1733,6 @@ func (t *Table) compactLocked(watermark uint64) int {
 			t.insertIndexedLocked(r, i)
 		}
 	}
-	return reclaimed + holes
 }
 
 // ---------------------------------------------------------------------------

@@ -312,7 +312,7 @@ func (s *Session) execUpdate(ctx context.Context, st *sqlparser.UpdateStmt) (*Re
 
 	tx, _, done := s.beginWrite()
 	check := ctxChecker(ctx)
-	old, new_, err := tbl.UpdateTxn(tx,
+	old, new_, err := tbl.UpdateTxn(tx, pinnedKey(tbl, pred),
 		func(r sqltypes.Row) (bool, error) {
 			if err := check(); err != nil {
 				return false, err
@@ -393,7 +393,7 @@ func (s *Session) execDelete(ctx context.Context, st *sqlparser.DeleteStmt) (*Re
 				return v.IsTrue(), nil
 			}
 		}
-		deleted, err = tbl.DeleteTxn(tx, dpred)
+		deleted, err = tbl.DeleteTxn(tx, pinnedKey(tbl, pred), dpred)
 		if err != nil {
 			return nil, done(err)
 		}
@@ -425,7 +425,7 @@ func (s *Session) execTruncate(st *sqlparser.TruncateStmt) (*Result, error) {
 		}
 	}
 	if !fast {
-		rows, err = tbl.DeleteTxn(tx, nil)
+		rows, err = tbl.DeleteTxn(tx, nil, nil)
 		if err != nil {
 			return nil, done(err)
 		}
@@ -448,32 +448,159 @@ func tableSchema(tbl *catalog.Table) []plan.ColumnInfo {
 	return out
 }
 
-// ApplyDeltaRow replays one captured delta row against a table: an
-// insertion (mult=true) inserts the row, a deletion (mult=false) removes
-// exactly one matching copy (Z-set semantics). Row-level triggers fire, so
-// IVM delta capture observes the replayed change — this is the primitive
-// the cross-system HTAP pipeline uses to mirror remote deltas locally.
+// pinnedKey returns the primary key a WHERE clause pins, or nil. A key is
+// pinned when pred is a conjunction that compares every primary-key
+// column of tbl for equality with a literal or a bound parameter of the
+// column's own kind (number, string, boolean). UPDATE and DELETE then
+// find the row through the primary-key index instead of scanning; they
+// still evaluate the whole of pred on it, so residual conjuncts keep
+// their effect. Anything else — a NULL, a mixed-kind comparison, an
+// expression on either side — leaves the statement on the scan path.
+func pinnedKey(tbl *catalog.Table, pred expr.Expr) []sqltypes.Value {
+	pk := tbl.PrimaryKeyColumns()
+	if pred == nil || len(pk) == 0 {
+		return nil
+	}
+	key := make([]sqltypes.Value, len(pk))
+	found := 0
+	var walk func(e expr.Expr)
+	walk = func(e expr.Expr) {
+		b, ok := e.(*expr.Binary)
+		if !ok {
+			return
+		}
+		if b.Op == "AND" {
+			walk(b.Left)
+			walk(b.Right)
+			return
+		}
+		if b.Op != "=" {
+			return
+		}
+		col, ok := b.Left.(*expr.Column)
+		val := b.Right
+		if !ok {
+			col, ok = b.Right.(*expr.Column)
+			val = b.Left
+		}
+		if !ok {
+			return
+		}
+		switch val.(type) {
+		case *expr.Literal, *expr.Param:
+		default:
+			return
+		}
+		v, err := val.Eval(nil)
+		if err != nil || !sameKeyKind(tbl.Columns[col.Idx].Type, v.T) {
+			return
+		}
+		for i, p := range pk {
+			if p == col.Idx && key[i].IsNull() {
+				key[i] = v
+				found++
+			}
+		}
+	}
+	walk(pred)
+	if found != len(pk) {
+		return nil
+	}
+	return key
+}
+
+// sameKeyKind reports whether a value of type val compares with a column
+// of type col the way their index-key encodings do.
+func sameKeyKind(col, val sqltypes.Type) bool {
+	numeric := func(t sqltypes.Type) bool { return t == sqltypes.TypeInt || t == sqltypes.TypeFloat }
+	switch {
+	case numeric(col):
+		return numeric(val)
+	case col == sqltypes.TypeString, col == sqltypes.TypeBool:
+		return val == col
+	}
+	return false
+}
+
+// ApplyDeltaRow replays one captured delta row: ApplyDeltaBatch with a
+// batch of one.
 func (s *Session) ApplyDeltaRow(table string, row sqltypes.Row, mult bool) error {
+	return s.ApplyDeltaBatch(table, []sqltypes.Row{row}, []bool{mult})
+}
+
+// ApplyDeltaBatch replays captured delta rows against a table, in order,
+// as one write: rows[i] is inserted when insert[i] is set, otherwise
+// exactly one matching copy is removed (Z-set semantics; see
+// catalog.Table.ApplyDeltasTxn for how retractions are resolved). This is
+// the primitive the cross-system HTAP pipeline uses to mirror remote
+// deltas locally. In autocommit the batch is all-or-nothing — one
+// transaction, hence one table lock, one redo record and one commit; a
+// failing row (a retraction with no matching copy, a duplicate key)
+// aborts it and nothing is captured. Inside an explicit transaction it
+// joins that transaction, like any other DML. Row-level triggers then
+// fire once per event kind, retractions first, so IVM delta capture
+// observes the replayed change.
+func (s *Session) ApplyDeltaBatch(table string, rows []sqltypes.Row, insert []bool) error {
+	if len(rows) != len(insert) {
+		return fmt.Errorf("engine: delta batch for %s has %d rows but %d multiplicities", table, len(rows), len(insert))
+	}
+	if s.db.degr.flag.Load() && !s.walBypass {
+		return s.db.degradedErr()
+	}
 	tbl, err := s.db.cat.Table(table)
 	if err != nil {
 		return err
 	}
-	if mult {
-		if err := s.walInstant(tbl, storage.OpInsert, row); err != nil {
-			return err
+	tx, _, done := s.beginWrite()
+	if err := tbl.ApplyDeltasTxn(tx, rows, insert); err != nil {
+		if s.txn == nil {
+			s.activeWrite = nil
+			s.db.cat.MVCC().Abort(tx)
 		}
-		if err := tbl.Insert(row); err != nil {
-			return err
-		}
-		return s.fire(table, TrigInsert, nil, []sqltypes.Row{row})
-	}
-	if err := s.walInstant(tbl, storage.OpDelete, row); err != nil {
 		return err
 	}
-	if !tbl.DeleteOne(row) {
-		return fmt.Errorf("engine: delta deletion found no matching row in %s", table)
+	if err := done(nil); err != nil {
+		return err
 	}
-	return s.fire(table, TrigDelete, []sqltypes.Row{row}, nil)
+	var retracted, inserted []sqltypes.Row
+	for i, r := range rows {
+		if insert[i] {
+			inserted = append(inserted, r)
+		} else {
+			retracted = append(retracted, r)
+		}
+	}
+	if err := s.fireTxn(table, TrigDelete, retracted, nil); err != nil {
+		return err
+	}
+	return s.fireTxn(table, TrigInsert, nil, inserted)
+}
+
+// DrainTable atomically removes and returns every committed row of a
+// table — the pull half of cross-system delta shipping (the wire drain
+// op serves it), built on catalog.Table.DrainRows: a row committed while
+// the drain runs is either in the result or left for the next drain,
+// never lost. No trigger fires. On a logged table the drain is recorded
+// as a truncate, appended under the commit lock so that no commit record
+// can land between the record and the rows it stands for.
+func (s *Session) DrainTable(table string) ([]sqltypes.Row, error) {
+	tbl, err := s.db.cat.Table(table)
+	if err != nil {
+		return nil, err
+	}
+	if tbl.RowCount() == 0 {
+		return nil, nil
+	}
+	if !s.walLogging() || tbl.Unlogged() {
+		return tbl.DrainRows(), nil
+	}
+	var rows []sqltypes.Row
+	s.db.cat.MVCC().WithCommitLock(func() {
+		if err = s.walInstant(tbl, storage.OpTruncate, nil); err == nil {
+			rows = tbl.DrainRows()
+		}
+	})
+	return rows, err
 }
 
 // ctxChecker returns a per-row cancellation probe for filtered

@@ -487,7 +487,7 @@ func (s *Session) logHookDDL(stmt sqlparser.Statement) error {
 	return nil
 }
 
-// walInstant logs one legacy instant write (ApplyDeltaRow) before it is
+// walInstant logs one instant (non-transactional) write before it is
 // applied: append-then-apply means a crash between the two replays the
 // record (redo is idempotent for these single-op records), while
 // apply-then-append could let a checkpoint snapshot the effect and then

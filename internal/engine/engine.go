@@ -458,18 +458,10 @@ func (s *Session) wantsTriggerRows(table string, ev TriggerEvent) bool {
 	return false
 }
 
-// fire invokes the table's triggers for the event unless this session has
-// suppressed them.
-func (s *Session) fire(table string, ev TriggerEvent, oldRows, newRows []sqltypes.Row) error {
-	if s.trigOff.Load() > 0 {
-		return nil
-	}
-	return s.fireForce(table, ev, oldRows, newRows)
-}
-
-// fireForce is fire without the suppression check — COMMIT-deferred
-// events use it so delivery mirrors the suppression state captured at
-// DML time even when it has changed since (see fireTxn).
+// fireForce invokes the table's triggers for the event without
+// consulting the session's trigger suppression: fireTxn takes that
+// decision at DML time, and COMMIT-deferred events must mirror it even
+// when the suppression state has changed since.
 func (s *Session) fireForce(table string, ev TriggerEvent, oldRows, newRows []sqltypes.Row) error {
 	if len(oldRows)+len(newRows) == 0 {
 		return nil

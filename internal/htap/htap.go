@@ -8,6 +8,7 @@ package htap
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"openivm/internal/engine"
@@ -24,28 +25,47 @@ type Pipeline struct {
 	OLAP *engine.DB
 	Ext  *ivmext.Extension
 
-	// mirrored tracks base tables mirrored into the OLAP engine.
+	// sess replays deltas into the OLAP engine.
+	sess *engine.Session
+
+	// mirrored tracks base tables mirrored into the OLAP engine (by
+	// lower-cased name); deltas lists their remote delta tables in sorted
+	// order, the order every Sync drains and replays them in.
 	mirrored map[string]bool
+	deltas   []string
+
+	// applied is the sequence number of the last drained batch that was
+	// replayed completely — the acknowledgement the next drain carries.
+	// pending is a drained batch not yet completely replayed: a Sync that
+	// failed partway resumes it, table by table, before draining again.
+	applied uint64
+	pending *wire.DrainBatch
 
 	// Stats for the demo/benchmarks.
 	Stats struct {
-		Syncs        int
-		DeltasPulled int
-		RowsMirrored int
+		Syncs        int // Sync calls
+		DeltasPulled int // delta rows replayed into the mirrors
+		RowsMirrored int // rows copied by Mirror's initial scans
+		Drains       int // drain round trips
+		Batches      int // per-table delta batches replayed
 	}
 }
+
+// deltaPrefix names the remote delta table of a base table.
+const deltaPrefix = "delta_"
 
 // New builds a pipeline over an established client connection. The OLAP
 // engine is created fresh with the IVM extension installed.
 func New(client *wire.Client) *Pipeline {
 	db := engine.Open("olap", engine.DialectDuckDB)
 	ext := ivmext.Install(db)
-	return &Pipeline{OLTP: client, OLAP: db, Ext: ext, mirrored: map[string]bool{}}
+	return &Pipeline{OLTP: client, OLAP: db, Ext: ext, sess: db.NewSession(), mirrored: map[string]bool{}}
 }
 
-// Mirror replicates a remote base table into the OLAP engine: schema plus
-// a full initial copy (the postgres_scanner-style scan), and asks the
-// remote side to enable delta capture for it.
+// Mirror replicates a remote base table into the OLAP engine: schema
+// (primary key included, so replayed retractions resolve through the
+// mirror's key index) plus a full initial copy (the postgres_scanner-style
+// scan), and asks the remote side to enable delta capture for it.
 func (p *Pipeline) Mirror(table string) error {
 	if p.mirrored[strings.ToLower(table)] {
 		return nil
@@ -55,14 +75,24 @@ func (p *Pipeline) Mirror(table string) error {
 		return err
 	}
 	var cols []string
+	pk := make([]string, len(schema))
+	keyed := 0
 	for _, c := range schema {
 		col := c.Name + " " + c.Type
 		if c.NotNull {
 			col += " NOT NULL"
 		}
 		cols = append(cols, col)
+		if c.PK > 0 && c.PK <= len(pk) {
+			pk[c.PK-1] = c.Name
+			keyed++
+		}
 	}
-	if _, err := p.OLAP.Exec(fmt.Sprintf("CREATE TABLE IF NOT EXISTS %s (%s)", table, strings.Join(cols, ", "))); err != nil {
+	mirrorCols := cols
+	if keyed > 0 {
+		mirrorCols = append(append([]string{}, cols...), "PRIMARY KEY ("+strings.Join(pk[:keyed], ", ")+")")
+	}
+	if _, err := p.OLAP.Exec(fmt.Sprintf("CREATE TABLE IF NOT EXISTS %s (%s)", table, strings.Join(mirrorCols, ", "))); err != nil {
 		return err
 	}
 
@@ -75,14 +105,14 @@ func (p *Pipeline) Mirror(table string) error {
 	if err != nil {
 		return err
 	}
+	rows := make([]sqltypes.Row, len(resp.Rows))
+	for i, r := range resp.Rows {
+		rows[i] = r
+	}
 	if err := p.OLAP.WithoutTriggers(func() error {
-		for _, r := range resp.Rows {
-			if err := tbl.Insert(sqltypes.Row(r)); err != nil {
-				return err
-			}
-			p.Stats.RowsMirrored++
-		}
-		return nil
+		n, err := tbl.InsertBatch(rows)
+		p.Stats.RowsMirrored += n
+		return err
 	}); err != nil {
 		return err
 	}
@@ -90,7 +120,7 @@ func (p *Pipeline) Mirror(table string) error {
 	// Remote delta capture: delta table + trigger, exactly the manual
 	// PostgreSQL configuration the paper describes.
 	deltaCols := append(append([]string{}, cols...), ivm.MultiplicityColumn+" BOOLEAN")
-	if _, err := p.OLTP.Exec(fmt.Sprintf("CREATE TABLE IF NOT EXISTS delta_%s (%s)", table, strings.Join(deltaCols, ", "))); err != nil {
+	if _, err := p.OLTP.Exec(fmt.Sprintf("CREATE TABLE IF NOT EXISTS %s%s (%s)", deltaPrefix, table, strings.Join(deltaCols, ", "))); err != nil {
 		return err
 	}
 	if _, err := p.OLTP.Exec(fmt.Sprintf(
@@ -99,6 +129,8 @@ func (p *Pipeline) Mirror(table string) error {
 		return err
 	}
 	p.mirrored[strings.ToLower(table)] = true
+	p.deltas = append(p.deltas, deltaPrefix+table)
+	sort.Strings(p.deltas)
 	return nil
 }
 
@@ -119,33 +151,71 @@ func (p *Pipeline) CreateMaterializedView(sql string) error {
 	return err
 }
 
-// Sync pulls buffered deltas for every mirrored table from the OLTP side
-// and replays them against the local mirrors. Replay fires the local
-// capture triggers, so the compiled propagation scripts then maintain the
-// views; with PRAGMA ivm_mode='lazy' the actual fold happens on the next
-// view query, with 'eager' it happens during replay.
+// Sync pulls the buffered deltas of every mirrored table from the OLTP
+// side in one drain round trip and replays them against the local
+// mirrors, one batch per table, in sorted table order. Replay fires the
+// local capture triggers, so the compiled propagation scripts then
+// maintain the views; with PRAGMA ivm_mode='lazy' the actual fold happens
+// on the next view query, with 'eager' it happens during replay.
+//
+// The cost is proportional to the number of delta rows: the drain moves
+// only them, and a retraction finds its row through the mirror's
+// primary-key index. Every delta is replayed exactly once, whatever
+// fails in between: a drain whose answer is lost is answered again with
+// the same batch (see wire.Client.Drain), and a replay that fails leaves
+// the batch pending, to be resumed at the failed table by the next Sync.
 func (p *Pipeline) Sync() error {
 	p.Stats.Syncs++
-	for table := range p.mirrored {
-		resp, err := p.OLTP.Exec("SELECT * FROM delta_" + table)
+	if len(p.deltas) == 0 {
+		return nil
+	}
+	if p.pending == nil {
+		batch, err := p.OLTP.Drain(p.applied, p.deltas...)
 		if err != nil {
 			return err
 		}
-		if len(resp.Rows) == 0 {
-			continue
+		p.Stats.Drains++
+		if len(batch.Tables) == 0 {
+			return nil
 		}
-		for _, r := range resp.Rows {
-			row := sqltypes.Row(r)
-			mult := row[len(row)-1].IsTrue()
-			if err := p.OLAP.ApplyDeltaRow(table, row[:len(row)-1], mult); err != nil {
-				return fmt.Errorf("htap: replaying delta for %s: %w", table, err)
-			}
-			p.Stats.DeltasPulled++
-		}
-		if _, err := p.OLTP.Exec("DELETE FROM delta_" + table); err != nil {
-			return err
-		}
+		p.pending = batch
 	}
+	return p.replayPending()
+}
+
+// replayPending replays what is left of the pending batch. A batch whose
+// sequence number is not the successor of the last one applied is not
+// replayed: at or below it, the batch is a duplicate delivery and is
+// dropped; beyond it, batches in between were lost.
+func (p *Pipeline) replayPending() error {
+	b := p.pending
+	if b.Seq <= p.applied {
+		p.pending = nil
+		return nil
+	}
+	if b.Seq != p.applied+1 {
+		return fmt.Errorf("htap: drained batch %d after batch %d: deltas in between are lost", b.Seq, p.applied)
+	}
+	for len(b.Tables) > 0 {
+		t := b.Tables[0]
+		table := strings.TrimPrefix(t.Table, deltaPrefix)
+		rows := make([]sqltypes.Row, len(t.Rows))
+		mult := make([]bool, len(t.Rows))
+		for i, r := range t.Rows {
+			if len(r) == 0 {
+				return fmt.Errorf("htap: empty delta row for %s", table)
+			}
+			rows[i], mult[i] = r[:len(r)-1], r[len(r)-1].IsTrue()
+		}
+		if err := p.sess.ApplyDeltaBatch(table, rows, mult); err != nil {
+			return fmt.Errorf("htap: replaying deltas for %s: %w", table, err)
+		}
+		p.Stats.DeltasPulled += len(rows)
+		p.Stats.Batches++
+		b.Tables = b.Tables[1:]
+	}
+	p.applied = b.Seq
+	p.pending = nil
 	return nil
 }
 

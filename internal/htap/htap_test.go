@@ -1,10 +1,13 @@
 package htap
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"openivm/internal/fault"
 	"openivm/internal/oltp"
 	"openivm/internal/sqltypes"
 	"openivm/internal/wire"
@@ -14,6 +17,14 @@ import (
 // pipeline — the full Figure 3 architecture in-process.
 func startPipeline(t *testing.T) (*oltp.Store, *Pipeline) {
 	t.Helper()
+	store, p, _ := startPipelineOver(t, wire.Dial)
+	return store, p
+}
+
+// startPipelineOver is startPipeline with the pipeline's connection
+// opened by dial; it also returns the server's address.
+func startPipelineOver(t *testing.T, dial func(addr string) (*wire.Client, error)) (*oltp.Store, *Pipeline, string) {
+	t.Helper()
 	store := oltp.New("pg")
 	srv := wire.NewServer(store.DB)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -21,12 +32,12 @@ func startPipeline(t *testing.T) (*oltp.Store, *Pipeline) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	cl, err := wire.Dial(addr)
+	cl, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return store, New(cl)
+	return store, New(cl), addr
 }
 
 func mustRemote(t *testing.T, p *Pipeline, sql string) {
@@ -174,5 +185,234 @@ func TestInitialDataMirrored(t *testing.T) {
 	}
 	if p.Stats.RowsMirrored != 3 {
 		t.Errorf("stats.RowsMirrored = %d", p.Stats.RowsMirrored)
+	}
+}
+
+// startRetryPipeline is startPipeline over a reconnecting client.
+func startRetryPipeline(t *testing.T) (*oltp.Store, *Pipeline, string) {
+	t.Helper()
+	return startPipelineOver(t, func(addr string) (*wire.Client, error) {
+		return wire.DialRetry(addr, wire.RetryPolicy{BaseDelay: time.Millisecond})
+	})
+}
+
+const (
+	accountsView = `CREATE MATERIALIZED VIEW branch_totals AS
+		SELECT branch, SUM(balance) AS total, COUNT(*) AS n FROM accounts GROUP BY branch`
+	accountsQuery = "SELECT branch, SUM(balance), COUNT(*) FROM accounts GROUP BY branch"
+)
+
+// TestMirrorDeclaresPrimaryKey: the mirror carries the remote table's
+// key, so replayed retractions resolve through its index.
+func TestMirrorDeclaresPrimaryKey(t *testing.T) {
+	_, p := startPipeline(t)
+	mustRemote(t, p, "CREATE TABLE li (note TEXT, line INTEGER, oid INTEGER, PRIMARY KEY (oid, line))")
+	mustRemote(t, p, "CREATE TABLE plain (a INTEGER)")
+	for _, tbl := range []string{"li", "plain"} {
+		if err := p.Mirror(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	li, err := p.OLAP.Catalog().Table("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(li.PrimaryKeyColumnNames(), ","); got != "oid,line" {
+		t.Fatalf("mirror key = %q, want oid,line", got)
+	}
+	plain, err := p.OLAP.Catalog().Table("plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.HasPrimaryKey() {
+		t.Fatal("key-less table mirrored with a key")
+	}
+}
+
+// TestSyncLosesNoDeltaUnderConcurrentWriter: a writer commits upserts on
+// its own connection while the pipeline loops Sync. Reading a delta table
+// and clearing it in two statements loses what is committed in between;
+// the atomic drain must not, so the view ends equal to a recompute on the
+// system of record. Both tables change, so every Sync replays a batch per
+// table out of one drain.
+func TestSyncLosesNoDeltaUnderConcurrentWriter(t *testing.T) {
+	_, p, addr := startRetryPipeline(t)
+	mustRemote(t, p, "CREATE TABLE accounts (id INTEGER PRIMARY KEY, branch TEXT, balance INTEGER)")
+	mustRemote(t, p, "CREATE TABLE audit (note INTEGER)")
+	for i := 0; i < 40; i++ {
+		mustRemote(t, p, fmt.Sprintf("INSERT INTO accounts VALUES (%d, 'b%d', %d)", i, i%4, i))
+	}
+	if err := p.CreateMaterializedView(accountsView); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CreateMaterializedView(
+		"CREATE MATERIALIZED VIEW audit_n AS SELECT note, COUNT(*) AS n FROM audit GROUP BY note"); err != nil {
+		t.Fatal(err)
+	}
+
+	writes := 1500
+	if testing.Short() {
+		writes = 300
+	}
+	werr := make(chan error, 1)
+	go func() {
+		wc, err := wire.Dial(addr)
+		if err != nil {
+			werr <- err
+			return
+		}
+		defer wc.Close()
+		for i := 0; i < writes; i++ {
+			id := (i * 7) % 60 // two thirds replace a live row, the rest insert
+			sql := fmt.Sprintf("INSERT INTO accounts VALUES (%d, 'b%d', %d) ON CONFLICT (id) DO UPDATE SET branch = 'b%d', balance = %d",
+				id, i%4, i, i%4, i)
+			if i%5 == 0 {
+				sql = fmt.Sprintf("INSERT INTO audit VALUES (%d)", i%3)
+			}
+			if _, err := wc.Exec(sql); err != nil {
+				werr <- fmt.Errorf("%s: %w", sql, err)
+				return
+			}
+		}
+		werr <- nil
+	}()
+	for done := false; !done; {
+		select {
+		case err := <-werr:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+		}
+		if err := p.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crossCheck(t, p, "branch, total, n", "branch_totals", accountsQuery)
+	crossCheck(t, p, "note, n", "audit_n", "SELECT note, COUNT(*) FROM audit GROUP BY note")
+	if p.Stats.Drains > p.Stats.Syncs || p.Stats.Batches < 2 || p.Stats.DeltasPulled < writes {
+		t.Fatalf("stats = %+v: want at most one drain per sync, and every write pulled", p.Stats)
+	}
+}
+
+// TestSyncRedeliversDrainExactlyOnce: the server drains the deltas, then
+// the connection drops while it answers. The pipeline's retrying client
+// reconnects and repeats the drain with its stale acknowledgement; the
+// server re-sends the batch it retained, and the deltas are replayed once.
+func TestSyncRedeliversDrainExactlyOnce(t *testing.T) {
+	defer fault.Reset()
+	store, p, _ := startRetryPipeline(t)
+	mustRemote(t, p, "CREATE TABLE accounts (id INTEGER PRIMARY KEY, branch TEXT, balance INTEGER)")
+	mustRemote(t, p, "INSERT INTO accounts VALUES (1, 'north', 10), (2, 'south', 20)")
+	if err := p.CreateMaterializedView(accountsView); err != nil {
+		t.Fatal(err)
+	}
+	mustRemote(t, p, "INSERT INTO accounts VALUES (3, 'north', 5)")
+	mustRemote(t, p, "UPDATE accounts SET balance = 25 WHERE id = 2")
+
+	before := fault.Injected()
+	if err := fault.Activate(fault.WireFrameWrite, "disconnect@times1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Sync(); err != nil {
+		t.Fatalf("sync across a dropped drain answer: %v", err)
+	}
+	if fault.Injected()-before != 1 {
+		t.Fatalf("disconnect fired %d times, want 1", fault.Injected()-before)
+	}
+	if p.Stats.DeltasPulled != 3 || p.Stats.Drains != 1 {
+		t.Fatalf("stats = %+v, want the 3 deltas pulled by 1 drain", p.Stats)
+	}
+	if store.PendingDeltas("accounts") != 0 {
+		t.Fatal("remote deltas not cleared")
+	}
+	crossCheck(t, p, "branch, total, n", "branch_totals", accountsQuery)
+	if p.Stats.DeltasPulled != 3 {
+		t.Fatalf("deltas replayed twice: %+v", p.Stats)
+	}
+
+	mustRemote(t, p, "DELETE FROM accounts WHERE id = 1")
+	crossCheck(t, p, "branch, total, n", "branch_totals", accountsQuery)
+}
+
+// TestReplaySkipsAppliedSequence: a batch delivered again under a number
+// the pipeline has applied is dropped, and one from beyond the next number
+// is refused — deltas in between would be missing.
+func TestReplaySkipsAppliedSequence(t *testing.T) {
+	_, p := startPipeline(t)
+	mustRemote(t, p, "CREATE TABLE t (a INTEGER)")
+	if err := p.Mirror("t"); err != nil {
+		t.Fatal(err)
+	}
+	mustRemote(t, p, "INSERT INTO t VALUES (1)")
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	dup := func(seq uint64) *wire.DrainBatch {
+		return &wire.DrainBatch{Seq: seq, Tables: []wire.DrainTable{{Table: "delta_t", N: 1,
+			Rows: []sqltypes.Row{{sqltypes.NewInt(1), sqltypes.NewBool(true)}}}}}
+	}
+	p.pending = dup(p.applied)
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats.DeltasPulled != 1 || p.pending != nil {
+		t.Fatalf("duplicate batch replayed: %+v", p.Stats)
+	}
+	p.pending = dup(p.applied + 2)
+	if err := p.Sync(); err == nil {
+		t.Fatal("a batch beyond the next sequence number was replayed")
+	}
+}
+
+// TestFailedReplayResumesPendingBatch: a batch whose replay fails stays
+// pending and no delta of it is lost or replayed twice: once the cause is
+// removed, the next Sync resumes at the failed table without draining.
+func TestFailedReplayResumesPendingBatch(t *testing.T) {
+	_, p := startPipeline(t)
+	mustRemote(t, p, "CREATE TABLE a (k INTEGER)")
+	mustRemote(t, p, "CREATE TABLE b (k INTEGER)")
+	for _, tbl := range []string{"a", "b"} {
+		if err := p.Mirror(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustRemote(t, p, "INSERT INTO a VALUES (1)")
+	mustRemote(t, p, "INSERT INTO b VALUES (2)")
+	// The mirror of b diverges: a retraction of a row it lacks cannot apply.
+	mustRemote(t, p, "INSERT INTO b VALUES (3)")
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.OLAP.Exec("DELETE FROM b WHERE k = 3"); err != nil {
+		t.Fatal(err)
+	}
+	mustRemote(t, p, "INSERT INTO a VALUES (4)")
+	mustRemote(t, p, "DELETE FROM b WHERE k = 3")
+	if err := p.Sync(); err == nil {
+		t.Fatal("replaying a retraction with no matching row succeeded")
+	}
+	pulled, drains := p.Stats.DeltasPulled, p.Stats.Drains
+	if pulled != 4 { // a's insert applied, b's retraction did not
+		t.Fatalf("pulled %d deltas, want 4", pulled)
+	}
+	if _, err := p.OLAP.Exec("INSERT INTO b VALUES (3)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats.DeltasPulled != pulled+1 || p.Stats.Drains != drains {
+		t.Fatalf("stats = %+v: want b's one delta resumed without a new drain", p.Stats)
+	}
+	for tbl, want := range map[string]int64{"a": 2, "b": 1} {
+		res, err := p.OLAP.Exec("SELECT COUNT(*) FROM " + tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows[0][0].I != want {
+			t.Fatalf("mirror %s holds %d rows, want %d", tbl, res.Rows[0][0].I, want)
+		}
 	}
 }

@@ -85,11 +85,15 @@ const (
 
 // Store is the storage-side half of the write log: a table that can
 // restamp (commit) or revert (abort) the ops a transaction logged
-// against it. Implementations lock themselves; the manager never holds
-// its own mutex while calling in.
+// against it. A store that pinned its slot numbering on the
+// transaction's first Log keeps it pinned until Unpin, which the manager
+// calls once the write log is no longer read: after the CommitHook on
+// commit, after ApplyAbort on abort. Implementations lock themselves;
+// the manager never holds its own mutex while calling in.
 type Store interface {
 	ApplyCommit(ops []Op, commitTS uint64)
 	ApplyAbort(ops []Op)
+	Unpin()
 }
 
 // Txn is one in-flight transaction. It is single-goroutine, like the
@@ -428,6 +432,11 @@ func (m *Manager) Commit(tx *Txn) error {
 	if tx.CommitHook != nil {
 		tx.CommitHook(ts)
 	}
+	// Only now may a sweep renumber the slots the write log names: the
+	// hook derives the redo record from them.
+	for _, store := range tx.stores {
+		store.Unpin()
+	}
 	m.lastTS.Store(ts)
 	m.commitMu.Unlock()
 	m.mu.Lock()
@@ -456,6 +465,7 @@ func (m *Manager) WithCommitLock(f func()) {
 func (m *Manager) Abort(tx *Txn) {
 	for i := len(tx.stores) - 1; i >= 0; i-- {
 		tx.stores[i].ApplyAbort(tx.ops[i])
+		tx.stores[i].Unpin()
 	}
 	m.mu.Lock()
 	delete(m.status, tx.ID)

@@ -11,9 +11,12 @@ type memStore struct {
 	commits [][]Op
 	aborts  [][]Op
 	tss     []uint64
+	unpins  int
 	order   *[]string
 	name    string
 }
+
+func (s *memStore) Unpin() { s.unpins++ }
 
 func (s *memStore) ApplyCommit(ops []Op, ts uint64) {
 	s.commits = append(s.commits, ops)
@@ -49,6 +52,9 @@ func TestBeginCommitAdvancesClock(t *testing.T) {
 	}
 	if len(st.commits) != 1 || st.tss[0] != 2 {
 		t.Fatalf("store commits = %v at %v, want one at ts 2", st.commits, st.tss)
+	}
+	if st.unpins != 1 {
+		t.Fatalf("store unpinned %d times, want 1", st.unpins)
 	}
 	if s := m.Stats(); s.Commits != 1 || s.ActiveTxns != 0 {
 		t.Fatalf("stats = %+v", s)

@@ -101,20 +101,15 @@ func (s *Store) EnableCapture(table string) error {
 // DeltaTable returns the delta table name for a base table.
 func (s *Store) DeltaTable(table string) string { return deltaName(table) }
 
-// DrainDeltas returns the buffered delta rows for a table and clears them
-// (the pull step of cross-system propagation).
+// DrainDeltas removes and returns the buffered delta rows for a table
+// (the pull step of cross-system propagation), atomically: a delta
+// captured meanwhile is in this result or the next.
 func (s *Store) DrainDeltas(table string) ([]sqltypes.Row, error) {
 	dt, err := s.DB.Catalog().Table(deltaName(table))
 	if err != nil {
 		return nil, err
 	}
-	rows := dt.Rows()
-	out := make([]sqltypes.Row, len(rows))
-	for i, r := range rows {
-		out[i] = r.Clone()
-	}
-	dt.Truncate()
-	return out, nil
+	return dt.DrainRows(), nil
 }
 
 // PendingDeltas reports the number of buffered delta rows for a table.

@@ -67,8 +67,17 @@ type Table interface {
 	InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]sqltypes.Row, int, error)
 	UpsertTxn(tx *mvcc.Txn, row sqltypes.Row) error
 	UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, replacedOld, replacedNew []sqltypes.Row, err error)
-	UpdateTxn(tx *mvcc.Txn, pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error)
-	DeleteTxn(tx *mvcc.Txn, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error)
+	// UpdateTxn and DeleteTxn visit every visible row, or — with a
+	// non-nil key, one value per primary-key column — only the row with
+	// that key, resolved through the primary-key index.
+	UpdateTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error)
+	DeleteTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error)
+
+	// ApplyDeltasTxn replays Z-set deltas in order under one lock:
+	// rows[i] is inserted when insert[i], else one equal copy is
+	// retracted (through the primary-key index when there is one).
+	// DeleteOne is its one-row legacy retraction, which WAL replay uses.
+	ApplyDeltasTxn(tx *mvcc.Txn, rows []sqltypes.Row, insert []bool) error
 	DeleteOne(row sqltypes.Row) bool
 
 	// TruncateQuiescent is the O(1) physical truncate fast path, legal

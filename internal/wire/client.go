@@ -149,7 +149,9 @@ func (c *Client) roundTripLocked(req *Request) (*Response, error) {
 		if err = c.sendRequest(req); err != nil {
 			return nil, err
 		}
-		resp, err = c.readResponse()
+		if resp, err = c.readResponse(); err == nil && resp.Drain != nil {
+			err = c.readDrainRows(resp.Drain)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -158,6 +160,35 @@ func (c *Client) roundTripLocked(req *Request) (*Response, error) {
 		return nil, remoteError(resp.Error, resp.Code)
 	}
 	return resp, nil
+}
+
+// readDrainRows collects the row-batch frames that follow a v2 drain
+// response: N rows per listed table (mu held).
+func (c *Client) readDrainRows(b *DrainBatch) error {
+	for i := range b.Tables {
+		t := &b.Tables[i]
+		for len(t.Rows) < t.N {
+			typ, payload, err := readFrame(c.br, c.rbuf)
+			if err != nil {
+				return err
+			}
+			c.rbuf = payload
+			if typ != frameRows {
+				return fmt.Errorf("wire: unexpected frame 0x%02x in drain of %s, want rows", typ, t.Table)
+			}
+			rows, err := decodeRowBatch(payload)
+			if err != nil {
+				return err
+			}
+			if len(rows) == 0 {
+				return fmt.Errorf("wire: empty row batch in drain of %s", t.Table)
+			}
+			for _, r := range rows {
+				t.Rows = append(t.Rows, r)
+			}
+		}
+	}
+	return nil
 }
 
 // Ping checks liveness.
@@ -245,6 +276,24 @@ func (c *Client) Schema(table string) ([]ColumnDesc, error) {
 		return nil, err
 	}
 	return resp.Schema, nil
+}
+
+// Drain removes and returns the committed rows of the named remote
+// tables in one round trip. ack is the Seq of the last DrainBatch the
+// caller has applied (0 before the first): the server then releases the
+// copy it retained of that batch. The op is safe to resend — a server
+// that sees the same ack again hands out the same batch — so a DialRetry
+// client retries it across a reconnect, and the caller receives every
+// drained row exactly once.
+func (c *Client) Drain(ack uint64, tables ...string) (*DrainBatch, error) {
+	resp, err := c.roundTrip(&Request{Op: "drain", Tables: tables, Ack: ack})
+	if err != nil {
+		return nil, err
+	}
+	if resp.Drain == nil {
+		return nil, fmt.Errorf("wire: server answered a drain without a batch")
+	}
+	return resp.Drain, nil
 }
 
 // Tables lists remote tables.

@@ -7,6 +7,9 @@
 //
 //   - control-plane and read operations (ping, stats, schema, tables,
 //     token, cancel, prepare, deallocate) are always retried;
+//   - drain is retried although it removes rows: the server retains what
+//     it handed out until the next drain acknowledges it, and answers a
+//     repeated acknowledgement number with the same batch (Server.drain);
 //   - exec/Query scripts are retried only when every statement is
 //     read-shaped (SELECT/WITH/EXPLAIN/SHOW/PRAGMA/VALUES);
 //   - prepared executions are retried only when the statement's

@@ -27,7 +27,9 @@
 // Supported operations (v2 adds the last five):
 //
 //	{"op":"exec","sql":"..."}     -> run a statement/script, stream rows
-//	{"op":"schema","table":"t"}   -> column names and types of a table
+//	{"op":"schema","table":"t"}   -> column names, types and key of a table
+//	{"op":"drain","tables":[..],"ack":N} -> remove and return the named
+//	                                 tables' committed rows (see Server.drain)
 //	{"op":"tables"}               -> list table names
 //	{"op":"ping"}                 -> liveness check
 //	{"op":"stats"}                -> flat v1 counter snapshot (compat)
@@ -57,6 +59,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,16 +79,40 @@ type Request struct {
 	Name   string           `json:"name,omitempty"`   // prepared-statement name
 	Params []sqltypes.Value `json:"params,omitempty"` // execPrepared bindings ($1 = Params[0])
 	Token  string           `json:"token,omitempty"`  // cancel target
+	Tables []string         `json:"tables,omitempty"` // drain: tables to empty
+	Ack    uint64           `json:"ack,omitempty"`    // drain: last batch the consumer applied
 	// Version selects the stats payload shape: 0/1 returns the flat v1
 	// Stats shim, 2 the namespaced StatsV2 groups.
 	Version int `json:"version,omitempty"`
 }
 
-// ColumnDesc describes one column in a schema response.
+// ColumnDesc describes one column in a schema response. PK is the
+// column's 1-based position in the table's primary key, 0 when it is not
+// part of it (omitted then, so clients of older builds decode the
+// response unchanged).
 type ColumnDesc struct {
 	Name    string `json:"name"`
 	Type    string `json:"type"`
 	NotNull bool   `json:"notNull,omitempty"`
+	PK      int    `json:"pk,omitempty"`
+}
+
+// DrainBatch answers a drain: the rows removed from each table that had
+// any, under the sequence number the consumer acknowledges with its next
+// drain.
+type DrainBatch struct {
+	Seq    uint64       `json:"seq"`
+	Tables []DrainTable `json:"tables,omitempty"`
+}
+
+// DrainTable is one table's share of a DrainBatch. Over protocol v1 the
+// rows ride inline; over v2 the response carries only N and the rows
+// follow it as binary row-batch frames, which the client collects into
+// Rows.
+type DrainTable struct {
+	Table string         `json:"table"`
+	N     int            `json:"n"`
+	Rows  []sqltypes.Row `json:"rows,omitempty"`
 }
 
 // Stats is the flat v1 counter snapshot returned by {"op":"stats"} with
@@ -219,6 +246,7 @@ type Response struct {
 	Stats        *Stats             `json:"stats,omitempty"`
 	StatsV2      *StatsV2           `json:"statsV2,omitempty"`
 	Token        string             `json:"token,omitempty"`
+	Drain        *DrainBatch        `json:"drain,omitempty"`
 }
 
 const errConnLimit = "wire: server connection limit reached"
@@ -265,6 +293,17 @@ type Server struct {
 	streamedBatches atomic.Int64
 	streamedRows    atomic.Int64
 	panics          atomic.Int64
+
+	// retained holds, per drained table (lower-cased name), the rows last
+	// handed to the consumer and not yet acknowledged; see drain.
+	drainMu  sync.Mutex
+	retained map[string]retainedDrain
+}
+
+// retainedDrain is one table's unacknowledged share of a drain.
+type retainedDrain struct {
+	seq  uint64
+	rows []sqltypes.Row
 }
 
 // servedConn pairs an accepted connection with its session and tracks
@@ -279,7 +318,7 @@ type servedConn struct {
 
 // NewServer wraps db.
 func NewServer(db *engine.DB) *Server {
-	return &Server{DB: db, conns: map[net.Conn]*servedConn{}}
+	return &Server{DB: db, conns: map[net.Conn]*servedConn{}, retained: map[string]retainedDrain{}}
 }
 
 // Listen starts serving on addr ("127.0.0.1:0" picks a free port) and
@@ -467,7 +506,16 @@ func (s *Server) handle(sess *engine.Session, req *Request) *Response {
 		for _, c := range tbl.Columns {
 			resp.Schema = append(resp.Schema, ColumnDesc{Name: c.Name, Type: c.Type.String(), NotNull: c.NotNull})
 		}
+		for i, pos := range tbl.PrimaryKeyColumns() {
+			resp.Schema[pos].PK = i + 1
+		}
 		return resp
+	case "drain":
+		batch, err := s.drain(sess, req)
+		if err != nil {
+			return errResponse(err)
+		}
+		return &Response{Drain: batch}
 	case "tables":
 		return &Response{Tables: s.DB.Catalog().TableNames()}
 	case "stats":
@@ -487,6 +535,49 @@ func (s *Server) handle(sess *engine.Session, req *Request) *Response {
 		return &Response{}
 	}
 	return &Response{Error: fmt.Sprintf("wire: unknown op %q", req.Op)}
+}
+
+// drain serves the drain op: one round trip that empties every named
+// table of its committed rows (engine.Session.DrainTable, so a row a
+// concurrent writer commits meanwhile is in this batch or the next, never
+// lost) and answers with them under sequence number Ack+1.
+//
+// Delivery is exactly-once across a lost response. What a drain hands
+// out is retained, per table, until the consumer's next drain
+// acknowledges it by carrying that sequence number as its Ack. A drain
+// whose Ack is still one behind — the consumer never saw the answer and
+// asks again, typically on a fresh connection after wire.DialRetry
+// reconnected — is answered with the retained rows under the same
+// number; a table with nothing retained for that number is drained
+// afresh. The retained rows live in server memory only: a server restart
+// between a drain and its acknowledgement loses them, and the consumer
+// must mirror the table again.
+func (s *Server) drain(sess *engine.Session, req *Request) (*DrainBatch, error) {
+	batch := &DrainBatch{Seq: req.Ack + 1}
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	for _, name := range req.Tables {
+		key := strings.ToLower(name)
+		r, ok := s.retained[key]
+		if !ok || r.seq != batch.Seq {
+			rows, err := sess.DrainTable(name)
+			if err != nil {
+				// Tables drained so far stay retained under this number:
+				// the consumer's retry collects them.
+				return nil, err
+			}
+			r = retainedDrain{seq: batch.Seq, rows: rows}
+			if len(rows) == 0 {
+				delete(s.retained, key)
+			} else {
+				s.retained[key] = r
+			}
+		}
+		if len(r.rows) > 0 {
+			batch.Tables = append(batch.Tables, DrainTable{Table: name, N: len(r.rows), Rows: r.rows})
+		}
+	}
+	return batch, nil
 }
 
 // snapshotStatsV2 assembles the canonical namespaced snapshot; the flat
@@ -686,9 +777,51 @@ func (c *v2conn) dispatch(req *Request) error {
 		c.srv.DB.Unprepare(stmts)
 		delete(c.prepared, req.Name)
 		return c.writeResponse(&Response{})
+	case "drain":
+		return c.writeDrain(req)
 	default:
 		return c.writeResponse(c.srv.handle(c.sess, req))
 	}
+}
+
+// drainFrameRows bounds the rows of one row-batch frame of a drain
+// answer, keeping a large backlog inside the frame size limit.
+const drainFrameRows = 4096
+
+// writeDrain answers a drain over v2: a response frame naming each
+// table and its row count, then that many rows per table as binary
+// row-batch frames, so deltas never pass through the JSON marshaller.
+func (c *v2conn) writeDrain(req *Request) error {
+	batch, err := c.srv.drain(c.sess, req)
+	if err != nil {
+		return c.writeResponse(errResponse(err))
+	}
+	hdr := DrainBatch{Seq: batch.Seq, Tables: make([]DrainTable, len(batch.Tables))}
+	for i, t := range batch.Tables {
+		hdr.Tables[i] = DrainTable{Table: t.Table, N: t.N}
+	}
+	payload, err := json.Marshal(&Response{Drain: &hdr})
+	if err != nil {
+		return err
+	}
+	if err := c.writeF(frameResponse, payload); err != nil {
+		return err
+	}
+	for _, t := range batch.Tables {
+		for rows := t.Rows; len(rows) > 0; {
+			n := len(rows)
+			if n > drainFrameRows {
+				n = drainFrameRows
+			}
+			enc := appendRowBatch(c.wbuf[:0], rows[:n])
+			c.wbuf = enc[:0]
+			if err := c.writeF(frameRows, enc); err != nil {
+				return err
+			}
+			rows = rows[n:]
+		}
+	}
+	return c.bw.Flush()
 }
 
 // streamExec runs one statement with a streamed result: schema frame,
