@@ -622,37 +622,15 @@ func startWireBig(b *testing.B, rows int) string {
 	return addr
 }
 
-// BenchmarkWire_Stream compares result transport across the two protocol
-// generations on a 100k-row result. v1 materializes the whole result
-// server-side, marshals it into one JSON object and parses it back
-// client-side; v2 streams binary row-batch frames straight off the live
+// BenchmarkWire_Stream measures result transport on a 100k-row result:
+// the server streams binary row-batch frames straight off the live
 // operator tree and the consumer visits each batch as it lands — no
-// materialization on either end. allocs/op is the headline number.
+// materialization on either end. allocs/op is the headline number. (The
+// one arm keeps the name "v2" it had beside the removed JSON protocol, so
+// its BENCH_BASELINE.json entry stays comparable.)
 func BenchmarkWire_Stream(b *testing.B) {
 	const rows = 100_000
 	const q = "SELECT id, val, tag FROM big"
-	b.Run("v1", func(b *testing.B) {
-		addr := startWireBig(b, rows)
-		cl, err := wire.DialV1(addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
-		if _, err := cl.Exec(q); err != nil { // warm the plan cache
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := cl.Exec(q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(resp.Rows) != rows {
-				b.Fatalf("rows = %d", len(resp.Rows))
-			}
-		}
-	})
 	b.Run("v2", func(b *testing.B) {
 		addr := startWireBig(b, rows)
 		cl, err := wire.Dial(addr)

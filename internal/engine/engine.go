@@ -25,7 +25,6 @@ import (
 	"openivm/internal/exec"
 	"openivm/internal/expr"
 	"openivm/internal/mvcc"
-	"openivm/internal/optimizer"
 	"openivm/internal/plan"
 	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
@@ -93,7 +92,7 @@ type trigger struct {
 // multiple sessions: per-connection execution state (transactions, trigger
 // suppression, execution pragmas, cancellation) lives in Session, while
 // the DB holds only shared state — catalog, triggers, hooks, the schema
-// epoch and the plan caches — each behind its own lock. The DB's own
+// epoch and the shared plan cache — each behind its own lock. The DB's own
 // Exec/Query/... methods delegate to a built-in default session, so
 // single-connection callers keep the historical API.
 type DB struct {
@@ -125,27 +124,15 @@ type DB struct {
 	// API (Exec, Query, WithoutTriggers, ...) delegates to.
 	def *Session
 
-	// Prepared-statement plan cache. PrepareScript marks its statements'
-	// SELECT bodies; PlanSelect then caches their bound+optimized plans so
-	// hot prepared scripts (IVM propagation re-runs the same generated
-	// statements on every refresh) skip binding and optimization entirely.
-	// schemaEpoch invalidates the cache on anything that could change a
-	// plan: DDL (tables, views, indexes, triggers) and pragma writes
-	// (batch_size/workers become plan.Hint nodes). Plans holding lazily
-	// cached query results (scalar/IN subqueries) are never cached — see
-	// expr.Reusable. Unprepare releases markers and entries when a prepared
-	// script is discarded (materialized-view drop), so churning through
-	// many prepared scripts cannot permanently exhaust the marker cap.
+	// schemaEpoch moves on anything that could change a plan: DDL (tables,
+	// views, indexes, triggers) and engine-global pragma writes
+	// (batch_size/workers become plan.Hint nodes). Every cached plan
+	// records the epoch it was built under (see plancache.go).
 	schemaEpoch int64
-	prepared    map[*sqlparser.SelectStmt]bool
-	planCache   map[*sqlparser.SelectStmt]cachedPlan
 
-	// stmts is the general SQL-text keyed plan cache shared across
-	// sessions: LRU-bounded, schema-epoch invalidated, keyed by (text,
-	// batch_size, workers) so sessions with different execution knobs never
-	// share a Hint. Only plans safe for concurrent re-execution enter it —
-	// see planShareable.
-	stmts *stmtCache
+	// plans is the SQL-text keyed plan cache shared across sessions. Plans
+	// of prepared scripts live in their Prepared handle instead.
+	plans *planLRU
 
 	// sessMu guards sessions, the token registry of live sessions. The
 	// wire protocol's out-of-band cancel op resolves its token here to
@@ -175,25 +162,6 @@ type DB struct {
 	panicsRecovered atomic.Int64
 }
 
-// cachedPlan is one plan-cache entry, valid while the schema epoch holds
-// and only for a session whose execution knobs match the Hint baked into
-// the plan (batchSize/workers record the knob values at plan time, so a
-// session with a different session-local PRAGMA overlay re-plans instead
-// of inheriting another session's parallelism).
-type cachedPlan struct {
-	node      plan.Node
-	epoch     int64
-	batchSize int
-	workers   int
-}
-
-// preparedMarkerCap bounds the prepared-statement marker set (and with it
-// the plan cache, which only ever holds marked statements): beyond it,
-// PrepareScript stops marking new statements rather than grow without
-// limit under a caller that re-prepares the same script per request.
-// Unmarked statements still execute correctly — they just re-plan.
-const preparedMarkerCap = 4096
-
 // Open creates a fresh in-memory database with the given dialect.
 func Open(name string, dialect Dialect) *DB {
 	db := &DB{
@@ -203,9 +171,7 @@ func Open(name string, dialect Dialect) *DB {
 		pragmas:      map[string]string{},
 		triggers:     map[string][]*trigger{},
 		trigHandlers: map[string]TriggerFunc{},
-		prepared:     map[*sqlparser.SelectStmt]bool{},
-		planCache:    map[*sqlparser.SelectStmt]cachedPlan{},
-		stmts:        newStmtCache(stmtCacheSize),
+		plans:        newPlanLRU(planCacheSize),
 		sessions:     map[string]*Session{},
 		backend:      storage.MemBackend{},
 	}
@@ -213,18 +179,16 @@ func Open(name string, dialect Dialect) *DB {
 	return db
 }
 
-// bumpSchemaEpoch invalidates every cached prepared-statement plan. The
-// cache map is cleared outright: invalidated entries could never hit
-// again (their epoch can't recur), so dropping them frees the dead plan
-// trees instead of retaining them for the life of the DB. The prepared
-// marker set survives — prepared scripts outlive unrelated DDL and
-// re-enter the cache on their next execution.
+// bumpSchemaEpoch invalidates every cached plan. The shared cache is
+// cleared outright: its entries could never hit again (their epoch can't
+// recur), so dropping them frees the dead plan trees instead of retaining
+// them until eviction. Prepared handles keep their (now invalid) entries
+// until the next execution replans over them.
 func (db *DB) bumpSchemaEpoch() {
 	db.mu.Lock()
 	db.schemaEpoch++
-	clear(db.planCache)
 	db.mu.Unlock()
-	db.stmts.clear()
+	db.plans.clear()
 }
 
 // epoch returns the current schema epoch.
@@ -232,39 +196,6 @@ func (db *DB) epoch() int64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.schemaEpoch
-}
-
-// Unprepare releases the prepared-statement markers (and any cached
-// plans) of a previously prepared script. The IVM extension calls it when
-// a materialized view is dropped, so its propagation scripts stop holding
-// marker slots — without this, a process churning through many prepared
-// scripts would hit the marker cap and new scripts would run uncached
-// forever.
-func (db *DB) Unprepare(stmts []sqlparser.Statement) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	drop := func(sel *sqlparser.SelectStmt) {
-		delete(db.prepared, sel)
-		delete(db.planCache, sel)
-	}
-	for _, st := range stmts {
-		switch x := st.(type) {
-		case *sqlparser.SelectStmt:
-			drop(x)
-		case *sqlparser.InsertStmt:
-			if x.Select != nil {
-				drop(x.Select)
-			}
-		}
-	}
-}
-
-// PreparedCount returns the number of marked prepared statements (tests
-// and monitoring).
-func (db *DB) PreparedCount() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.prepared)
 }
 
 // registerSession enters a session into the token registry.
@@ -368,13 +299,10 @@ func (db *DB) Pragma(name string) string {
 func (db *DB) SetPragma(name, value string) {
 	db.mu.Lock()
 	db.pragmas[strings.ToLower(name)] = value
-	// Pragmas flow into plans (batch_size/workers as Hint nodes), so any
-	// change invalidates cached prepared-statement plans (cleared like
-	// bumpSchemaEpoch — dead entries would never hit again).
-	db.schemaEpoch++
-	clear(db.planCache)
 	db.mu.Unlock()
-	db.stmts.clear()
+	// Pragmas flow into plans (batch_size/workers as Hint nodes), so any
+	// change invalidates cached plans.
+	db.bumpSchemaEpoch()
 }
 
 // RegisterFallbackParser appends a parser tried when the main parse fails.
@@ -503,60 +431,6 @@ func (db *DB) Exec(sql string) (*Result, error) { return db.def.Exec(sql) }
 // Deprecated: use NewSession and Session.ExecScript.
 func (db *DB) ExecScript(sql string) (*Result, error) { return db.def.ExecScript(sql) }
 
-// PrepareScript parses a script into its statements once, consulting
-// fallback parsers per statement when the main parser rejects the whole
-// script. Hot paths (IVM propagation re-runs the same generated script on
-// every refresh) cache the result and execute via ExecStmts, skipping the
-// per-refresh parse.
-func (db *DB) PrepareScript(sql string) ([]sqlparser.Statement, error) {
-	stmts, err := sqlparser.ParseScript(sql)
-	if err != nil {
-		stmts = nil
-		for _, piece := range SplitStatements(sql) {
-			st, perr := db.Parse(piece)
-			if perr != nil {
-				return nil, perr
-			}
-			stmts = append(stmts, st)
-		}
-	}
-	// Mark the SELECT bodies so PlanSelect caches their plans across
-	// executions. Because cached plans carry per-node evaluation scratch,
-	// one prepared statement list must not be executed from multiple
-	// goroutines at once (the IVM refresh path serializes on refreshMu).
-	db.mu.Lock()
-	// The marker set is expected to stay small (one entry per prepared
-	// script statement — the IVM extension prepares each propagation
-	// script once). A caller that re-prepares per request would grow it
-	// without bound, so past a generous cap newly prepared statements
-	// simply run uncached (they re-plan per execution, which is the
-	// pre-cache behavior); statements already marked keep their caching.
-	mark := func(sel *sqlparser.SelectStmt) {
-		if len(db.prepared) < preparedMarkerCap {
-			db.prepared[sel] = true
-		}
-	}
-	for _, st := range stmts {
-		switch x := st.(type) {
-		case *sqlparser.SelectStmt:
-			mark(x)
-		case *sqlparser.InsertStmt:
-			if x.Select != nil {
-				mark(x.Select)
-			}
-		}
-	}
-	db.mu.Unlock()
-	return stmts, nil
-}
-
-// ExecStmts executes pre-parsed statements on the default session.
-//
-// Deprecated: use NewSession and Session.ExecStmts.
-func (db *DB) ExecStmts(stmts []sqlparser.Statement) (*Result, error) {
-	return db.def.ExecStmts(stmts)
-}
-
 // SplitStatements splits a script on semicolons outside quotes.
 func SplitStatements(sql string) []string {
 	var out []string
@@ -606,13 +480,6 @@ func SplitStatements(sql string) []string {
 // Deprecated: use NewSession and Session.Query.
 func (db *DB) Query(sql string) (*Result, error) { return db.Exec(sql) }
 
-// ExecStmt executes a parsed statement on the default session.
-//
-// Deprecated: use NewSession and Session.ExecStmt.
-func (db *DB) ExecStmt(stmt sqlparser.Statement) (*Result, error) {
-	return db.def.ExecStmt(stmt)
-}
-
 // ApplyDeltaRow replays one captured delta row on the default session.
 //
 // Deprecated: use NewSession and Session.ApplyDeltaRow.
@@ -624,79 +491,6 @@ func (db *DB) ApplyDeltaRow(table string, row sqltypes.Row, mult bool) error {
 // for the IVM compiler, which rewrites view plans).
 func (db *DB) PlanSelect(sel *sqlparser.SelectStmt) (plan.Node, error) {
 	return db.def.PlanSelect(sel)
-}
-
-// execStmtInner runs the hook pass and dispatches a parsed statement.
-// ctx cancels any query execution the statement performs. Callers go
-// through execStmt (robustness.go), which layers the degraded-mode
-// write rejection and panic isolation on top.
-func (s *Session) execStmtInner(ctx context.Context, stmt sqlparser.Statement) (*Result, error) {
-	// Statement hooks first (IVM interception etc.). A hook-handled
-	// schema change (materialized-view create/drop) is logged here —
-	// the engine's own DDL cases below never see it.
-	for _, h := range s.db.hooks {
-		handled, res, err := h(s, stmt)
-		if err != nil {
-			return nil, err
-		}
-		if handled {
-			if lerr := s.logHookDDL(stmt); lerr != nil {
-				return res, lerr
-			}
-			return res, nil
-		}
-	}
-
-	switch st := stmt.(type) {
-	case *sqlparser.SelectStmt:
-		return s.execSelect(ctx, st)
-	case *sqlparser.CreateTableStmt:
-		return s.execCreateTable(ctx, st)
-	case *sqlparser.CreateIndexStmt:
-		return s.execCreateIndex(st)
-	case *sqlparser.CreateViewStmt:
-		if st.Materialized {
-			return nil, fmt.Errorf("engine: CREATE MATERIALIZED VIEW requires the IVM extension (openivm/internal/ivmext)")
-		}
-		if err := s.db.cat.CreateView(st.Name, st.SourceSQL); err != nil {
-			return nil, err
-		}
-		s.db.bumpSchemaEpoch() // after the mutation; see execCreateTable
-		if s.walLogging() {
-			if err := s.appendDDL(&storage.DDLRecord{Kind: storage.DDLCreateView, Name: st.Name, SQL: st.SourceSQL}); err != nil {
-				return nil, err
-			}
-		}
-		return &Result{}, nil
-	case *sqlparser.DropStmt:
-		return s.execDrop(st)
-	case *sqlparser.InsertStmt:
-		return s.execInsert(ctx, st)
-	case *sqlparser.UpdateStmt:
-		return s.execUpdate(ctx, st)
-	case *sqlparser.DeleteStmt:
-		return s.execDelete(ctx, st)
-	case *sqlparser.TruncateStmt:
-		return s.execTruncate(st)
-	case *sqlparser.BeginStmt:
-		return s.execBegin()
-	case *sqlparser.CommitStmt:
-		return s.execCommit()
-	case *sqlparser.RollbackStmt:
-		return s.execRollback()
-	case *sqlparser.PragmaStmt:
-		if err := s.setPragmaChecked(st.Name, st.Value); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-	case *sqlparser.ExplainStmt:
-		return s.execExplain(st)
-	case *sqlparser.CreateTriggerStmt:
-		return s.execCreateTrigger(st)
-	case *sqlparser.RefreshStmt:
-		return nil, fmt.Errorf("engine: REFRESH MATERIALIZED VIEW requires the IVM extension")
-	}
-	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 }
 
 // newBinder builds a binder with scalar-subquery support and the $N
@@ -735,123 +529,6 @@ func (s *Session) newBinder() *plan.Binder {
 		}, nil
 	}
 	return b
-}
-
-// PlanSelect binds and optimizes a SELECT, returning the logical plan.
-// Exposed for the IVM compiler, which rewrites view plans. When PRAGMA
-// batch_size or PRAGMA workers is set (session overlay or global), the
-// root is wrapped in a plan.Hint so the executor runs the whole tree with
-// the requested knobs.
-func (s *Session) PlanSelect(sel *sqlparser.SelectStmt) (plan.Node, error) {
-	db := s.db
-	bs, w := s.batchSize(), s.workers()
-	db.mu.Lock()
-	if cp, ok := db.planCache[sel]; ok && cp.epoch == db.schemaEpoch &&
-		cp.batchSize == bs && cp.workers == w {
-		db.mu.Unlock()
-		return cp.node, nil
-	}
-	cacheWanted := db.prepared[sel]
-	epoch := db.schemaEpoch
-	db.mu.Unlock()
-
-	n, err := s.newBinder().BindSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	n = optimizer.Optimize(n)
-	if bs > 0 || w > 0 {
-		n = &plan.Hint{Input: n, BatchSize: bs, Workers: w}
-	}
-	if cacheWanted && planCacheable(n) {
-		db.mu.Lock()
-		if db.schemaEpoch == epoch { // schema unchanged while planning
-			db.planCache[sel] = cachedPlan{node: n, epoch: epoch, batchSize: bs, workers: w}
-		}
-		db.mu.Unlock()
-	}
-	return n, nil
-}
-
-// planCacheable reports whether a bound plan may be re-executed verbatim
-// (sequentially) on later executions: every expression in every node must
-// be expr.Reusable (no lazily cached subquery results — see the field
-// comment on DB.planCache). planShareable layers the concurrent-execution
-// requirement on top for the shared statement cache.
-func planCacheable(n plan.Node) bool {
-	return planExprsOK(n, expr.Reusable)
-}
-
-// planExprsOK walks a plan and applies one predicate to every expression
-// in every known node kind — the single walker behind planCacheable and
-// planShareable, so the two cache gates can never drift apart on node
-// coverage. Unknown node kinds refuse, keeping the default conservative
-// if new plan nodes appear.
-func planExprsOK(n plan.Node, pred func(expr.Expr) bool) bool {
-	ok := true
-	plan.Walk(n, func(nd plan.Node) bool {
-		switch x := nd.(type) {
-		case *plan.Scan:
-			ok = ok && pred(x.Filter)
-		case *plan.Filter:
-			ok = ok && pred(x.Pred)
-		case *plan.Project:
-			for _, e := range x.Exprs {
-				ok = ok && pred(e)
-			}
-		case *plan.Aggregate:
-			for _, g := range x.GroupBy {
-				ok = ok && pred(g)
-			}
-			for _, a := range x.Aggs {
-				ok = ok && pred(a.Arg)
-			}
-		case *plan.Join:
-			ok = ok && pred(x.On)
-		case *plan.Sort:
-			for _, k := range x.Keys {
-				ok = ok && pred(k.Expr)
-			}
-		case *plan.Values:
-			for _, row := range x.Rows {
-				for _, e := range row {
-					ok = ok && pred(e)
-				}
-			}
-		case *plan.Distinct, *plan.Limit, *plan.SetOp, *plan.Hint:
-		default:
-			ok = false
-		}
-		return ok
-	})
-	return ok
-}
-
-func (s *Session) execSelect(ctx context.Context, sel *sqlparser.SelectStmt) (*Result, error) {
-	n, err := s.PlanSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	return s.runPlan(ctx, n)
-}
-
-// runPlan executes a planned SELECT with the session's options and builds
-// the result. The statement reads under the session's transaction
-// snapshot, or a statement snapshot registered for the duration of the
-// run in autocommit.
-func (s *Session) runPlan(ctx context.Context, n plan.Node) (*Result, error) {
-	opts := s.execOpts(ctx)
-	release := s.bindSnap(&opts)
-	rows, err := exec.RunOpts(n, opts)
-	release()
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Rows: rows}
-	for _, c := range n.Schema() {
-		res.Columns = append(res.Columns, c.Name)
-	}
-	return res, nil
 }
 
 func (s *Session) execExplain(st *sqlparser.ExplainStmt) (*Result, error) {

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"testing"
+
+	"openivm/internal/sqlparser"
 )
 
 // TestPreparedPlanCacheHit: executing a prepared SELECT twice must bind
@@ -12,32 +14,41 @@ func TestPreparedPlanCacheHit(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE t (k INTEGER, v INTEGER)")
 	mustExec(t, db, "INSERT INTO t VALUES (1, 10), (2, 20)")
 
+	sess := db.NewSession()
+	defer sess.Close()
 	stmts, err := db.PrepareScript("SELECT k, v FROM t WHERE v > 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExecStmts(stmts)
+	res, err := sess.ExecStmts(stmts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("first execution returned %d rows, want 2", len(res.Rows))
 	}
-	db.mu.Lock()
-	cached := len(db.planCache)
-	db.mu.Unlock()
-	if cached != 1 {
-		t.Fatalf("plan cache holds %d entries after prepared exec, want 1", cached)
+	if cached := stmts.CachedPlans(); cached != 1 {
+		t.Fatalf("handle holds %d plans after prepared exec, want 1", cached)
 	}
+	first := stmts.plans[stmts.stmts[0].(*sqlparser.SelectStmt)].node
 
 	// A cached plan must observe rows inserted after it was planned.
 	mustExec(t, db, "INSERT INTO t VALUES (3, 30)")
-	res, err = db.ExecStmts(stmts)
+	res, err = sess.ExecStmts(stmts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("cached plan returned %d rows after insert, want 3", len(res.Rows))
+	}
+	if again := stmts.plans[stmts.stmts[0].(*sqlparser.SelectStmt)].node; again != first {
+		t.Fatal("second execution re-planned instead of reusing the handle's plan")
+	}
+	// The plan lives in the handle, not in the engine: ad-hoc executions
+	// of the same text leave it alone, and the shared cache is untouched
+	// by prepared execution.
+	if st := db.StmtCacheStats(); st.Entries != 0 || st.Hits+st.Misses != 0 {
+		t.Fatalf("prepared execution touched the shared cache: %+v", st)
 	}
 }
 
@@ -48,11 +59,13 @@ func TestPreparedPlanCacheInvalidation(t *testing.T) {
 	db := Open("pc", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE t (k INTEGER)")
 	mustExec(t, db, "INSERT INTO t VALUES (1)")
+	sess := db.NewSession()
+	defer sess.Close()
 	stmts, err := db.PrepareScript("SELECT k FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ExecStmts(stmts); err != nil {
+	if _, err := sess.ExecStmts(stmts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,7 +74,7 @@ func TestPreparedPlanCacheInvalidation(t *testing.T) {
 	mustExec(t, db, "DROP TABLE t")
 	mustExec(t, db, "CREATE TABLE t (k INTEGER)")
 	mustExec(t, db, "INSERT INTO t VALUES (7), (8)")
-	res, err := db.ExecStmts(stmts)
+	res, err := sess.ExecStmts(stmts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,48 +106,30 @@ func TestPreparedPlanCacheRefusesSubqueries(t *testing.T) {
 	mustExec(t, db, "INSERT INTO a VALUES (1), (2), (3)")
 	mustExec(t, db, "INSERT INTO b VALUES (1)")
 
+	sess := db.NewSession()
+	defer sess.Close()
 	stmts, err := db.PrepareScript("SELECT k FROM a WHERE k IN (SELECT k FROM b)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.ExecStmts(stmts)
+	res, err := sess.ExecStmts(stmts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("first execution: %d rows, want 1", len(res.Rows))
 	}
-	db.mu.Lock()
-	cached := len(db.planCache)
-	db.mu.Unlock()
-	if cached != 0 {
+	if cached := stmts.CachedPlans(); cached != 0 {
 		t.Fatalf("subquery plan was cached (%d entries)", cached)
 	}
 	// The subquery must re-evaluate against current b contents.
 	mustExec(t, db, "INSERT INTO b VALUES (2)")
-	res, err = db.ExecStmts(stmts)
+	res, err = sess.ExecStmts(stmts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("re-execution after b changed: %d rows, want 2", len(res.Rows))
-	}
-}
-
-// TestAdHocSelectsNotCached: only statements marked by PrepareScript enter
-// the cache — ad-hoc statements are parsed fresh each time and caching
-// them would only grow the map without hits.
-func TestAdHocSelectsNotCached(t *testing.T) {
-	db := Open("pc", DialectDuckDB)
-	mustExec(t, db, "CREATE TABLE t (k INTEGER)")
-	for i := 0; i < 5; i++ {
-		mustExec(t, db, "SELECT k FROM t")
-	}
-	db.mu.Lock()
-	cached := len(db.planCache)
-	db.mu.Unlock()
-	if cached != 0 {
-		t.Fatalf("ad-hoc selects populated the plan cache (%d entries)", cached)
 	}
 }
 

@@ -28,10 +28,11 @@
 //
 // # Panic isolation
 //
-// execStmt runs every statement under a recover(): a panic anywhere in
-// the statement path — binder, optimizer, kernels, triggers, extension
-// hooks — is converted into a SQLSTATE XX000 internal error carrying
-// the panic value and stack. The statement's transaction is rolled
+// Every statement runs under a recover() (Session.isolate): a panic
+// anywhere in the statement path — binder, optimizer, kernels, triggers,
+// extension hooks, and the batches a streamed result pulls later — is
+// converted into a SQLSTATE XX000 internal error carrying the panic value
+// and stack. The statement's transaction is rolled
 // back (the undo log makes this exact), the session survives, and no
 // other connection observes anything but its own consistent snapshot.
 // The executor's parallel workers route their panics to the statement
@@ -39,7 +40,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -125,24 +125,18 @@ func isWriteStmt(stmt sqlparser.Statement) bool {
 	return false
 }
 
-// execStmt is the single statement dispatch point: it enforces
-// read-only degraded mode, isolates panics to the statement, and then
-// delegates to execStmtInner (the hook pass and type switch).
-func (s *Session) execStmt(ctx context.Context, stmt sqlparser.Statement) (res *Result, err error) {
-	if s.db.degr.flag.Load() && !s.walBypass && isWriteStmt(stmt) {
-		return nil, s.db.degradedErr()
+// isolate is deferred around every stretch of the statement path
+// (Session.openStmt, Stream.Next): a panic there becomes a SQLSTATE XX000
+// error in *err and whatever transaction the statement left dangling is
+// rolled back.
+func (s *Session) isolate(err *error) {
+	if r := recover(); r != nil {
+		s.db.panicsRecovered.Add(1)
+		s.recoverStatement()
+		*err = enginerr.Newf(enginerr.CodeInternal,
+			"engine: internal error executing statement (the statement's transaction was rolled back; the session remains usable): %v\n%s",
+			r, debug.Stack())
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			s.db.panicsRecovered.Add(1)
-			s.recoverStatement()
-			res = nil
-			err = enginerr.Newf(enginerr.CodeInternal,
-				"engine: internal error executing statement (the statement's transaction was rolled back; the session remains usable): %v\n%s",
-				r, debug.Stack())
-		}
-	}()
-	return s.execStmtInner(ctx, stmt)
 }
 
 // recoverStatement rolls back whatever transaction a panicking

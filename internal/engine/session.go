@@ -14,8 +14,6 @@ import (
 	"openivm/internal/exec"
 	"openivm/internal/expr"
 	"openivm/internal/mvcc"
-	"openivm/internal/plan"
-	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
 )
 
@@ -81,7 +79,7 @@ type Session struct {
 	// session resolve Param nodes against it, and BindParams swaps the
 	// values in before each prepared execution. Session-private mutable
 	// state, which is why parameterized plans are never admitted to the
-	// cross-session shared statement cache (see expr.ParallelSafe).
+	// cross-session shared plan cache (see expr.ParallelSafe).
 	params expr.ParamBinding
 
 	// walBypass excludes this session's writes and DDL from the
@@ -90,6 +88,11 @@ type Session struct {
 	// derived state that recovery rebuilds from base tables, so logging
 	// it would double both the log volume and the replayed effects.
 	walBypass bool
+
+	// executing is the prepared handle the session is running right now
+	// (nil otherwise): PlanSelect serves the handle's own SELECT bodies
+	// from it. Set and cleared by open, on the driving goroutine.
+	executing *Prepared
 
 	// internal marks extension-internal sessions (IVM propagation and
 	// bookkeeping). Statement hooks consult it to skip interception —
@@ -113,8 +116,8 @@ func (s *Session) SetInternal(on bool) { s.internal = on }
 func (s *Session) Internal() bool { return s.internal }
 
 // NewSession creates an independent execution context over the database.
-// Sessions share the catalog, triggers, materialized views and the plan
-// caches; they do not share transactions, trigger suppression or
+// Sessions share the catalog, triggers, materialized views and the shared
+// plan cache; they do not share transactions, trigger suppression or
 // execution pragmas. Every session is entered into the DB's token
 // registry until Close, so out-of-band cancellation can address it.
 func (db *DB) NewSession() *Session {
@@ -344,219 +347,4 @@ func (s *Session) WithoutTriggers(fn func() error) error {
 	s.trigOff.Add(1)
 	defer s.trigOff.Add(-1)
 	return fn()
-}
-
-// --- statement execution ---
-
-// Exec parses and executes a single statement under the session context.
-func (s *Session) Exec(sql string) (*Result, error) {
-	return s.ExecContext(s.ctx, sql)
-}
-
-// Query is Exec restricted to row-returning statements (for readability
-// at call sites).
-func (s *Session) Query(sql string) (*Result, error) { return s.Exec(sql) }
-
-// ExecContext is Exec with an explicit cancellation context for this
-// statement: the statement's own execution — scans, parallel workers,
-// filtered UPDATE/DELETE sweeps — observes ctx. (Uncorrelated scalar/IN
-// subqueries are bound to the session at plan time and run under the
-// session context instead.) Cached plans are consulted first: a SELECT
-// whose text (and execution knobs) hit the shared statement cache skips
-// parsing, binding and optimization entirely.
-func (s *Session) ExecContext(ctx context.Context, sql string) (*Result, error) {
-	if ent, ok := s.lookupStmt(sql); ok {
-		return s.runCachedSelect(ctx, ent)
-	}
-	stmt, err := s.db.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if sel, isSel := stmt.(*sqlparser.SelectStmt); isSel {
-		return s.execSelectText(ctx, sql, sel)
-	}
-	return s.execStmt(ctx, stmt)
-}
-
-// ExecStmt executes a parsed statement under the session context.
-func (s *Session) ExecStmt(stmt sqlparser.Statement) (*Result, error) {
-	return s.execStmt(s.ctx, stmt)
-}
-
-// ExecStmts executes pre-parsed statements in order, returning the last
-// result. Statements are bound and planned fresh on every call (unless
-// marked by PrepareScript), so a prepared script observes current table
-// contents like re-parsed SQL.
-func (s *Session) ExecStmts(stmts []sqlparser.Statement) (*Result, error) {
-	return s.execStmtsCtx(s.ctx, stmts)
-}
-
-// execStmtsCtx is ExecStmts with an explicit per-statement cancellation
-// context (the wire server's interruptible exec path).
-func (s *Session) execStmtsCtx(ctx context.Context, stmts []sqlparser.Statement) (*Result, error) {
-	var last *Result
-	for _, st := range stmts {
-		r, err := s.execStmt(ctx, st)
-		if err != nil {
-			return nil, err
-		}
-		last = r
-	}
-	return last, nil
-}
-
-// ExecScript executes a semicolon-separated script, returning the last
-// statement's result. Single-statement scripts hit the shared statement
-// cache like Exec.
-func (s *Session) ExecScript(sql string) (*Result, error) {
-	return s.ExecScriptContext(s.ctx, sql)
-}
-
-// ExecScriptContext is ExecScript with an explicit per-statement
-// cancellation context (the wire server's interruptible exec path).
-func (s *Session) ExecScriptContext(ctx context.Context, sql string) (*Result, error) {
-	if ent, ok := s.lookupStmt(sql); ok {
-		return s.runCachedSelect(ctx, ent)
-	}
-	stmts, err := sqlparser.ParseScript(sql)
-	if err != nil {
-		// Retry statement-by-statement so fallback parsers get a chance.
-		return s.execScriptWithFallback(ctx, sql)
-	}
-	if len(stmts) == 1 {
-		if sel, isSel := stmts[0].(*sqlparser.SelectStmt); isSel {
-			return s.execSelectText(ctx, sql, sel)
-		}
-	}
-	return s.execStmtsCtx(ctx, stmts)
-}
-
-// execScriptWithFallback splits naively on top-level semicolons and runs
-// each piece through ExecContext (which consults fallback parsers).
-func (s *Session) execScriptWithFallback(ctx context.Context, sql string) (*Result, error) {
-	var last *Result
-	for _, piece := range SplitStatements(sql) {
-		r, err := s.ExecContext(ctx, piece)
-		if err != nil {
-			return nil, err
-		}
-		last = r
-	}
-	return last, nil
-}
-
-// textKey builds the statement-cache key: the raw SQL plus the session's
-// execution knobs, so sessions with different batch_size/workers never
-// share a plan whose Hint disagrees with them.
-func (s *Session) textKey(sql string) string {
-	return sql + "\x00" + strconv.Itoa(s.batchSize()) + "," + strconv.Itoa(s.workers())
-}
-
-// lookupStmt probes the shared statement cache — but only for
-// SELECT-shaped texts. Only SELECT plans are ever admitted, so probing
-// DML would build a key string, take the pragma locks and inflate the
-// miss counter on every INSERT of a write-heavy workload for a cache it
-// can never hit.
-func (s *Session) lookupStmt(sql string) (*stmtEntry, bool) {
-	if !selectShaped(sql) {
-		return nil, false
-	}
-	return s.db.stmts.get(s.textKey(sql), s.db.epoch())
-}
-
-// selectShaped reports whether the text's first keyword is SELECT or
-// WITH (allocation-free; case-insensitive).
-func selectShaped(sql string) bool {
-	i := 0
-	for i < len(sql) && (sql[i] == ' ' || sql[i] == '\t' || sql[i] == '\n' || sql[i] == '\r') {
-		i++
-	}
-	rest := sql[i:]
-	return keywordPrefix(rest, "SELECT") || keywordPrefix(rest, "WITH")
-}
-
-// keywordPrefix reports whether s begins with the (upper-case) keyword
-// followed by a non-identifier byte or end of string.
-func keywordPrefix(s, kw string) bool {
-	if len(s) < len(kw) {
-		return false
-	}
-	for i := 0; i < len(kw); i++ {
-		c := s[i]
-		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		if c != kw[i] {
-			return false
-		}
-	}
-	if len(s) == len(kw) {
-		return true
-	}
-	c := s[len(kw)]
-	return !(c == '_' || (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))
-}
-
-// runCachedSelect executes a statement-cache hit. The statement hook pass
-// still runs over the cached AST — lazy IVM refresh must see the SELECT
-// even when planning is skipped — and the epoch is re-checked afterwards
-// in case a hook performed DDL.
-func (s *Session) runCachedSelect(ctx context.Context, ent *stmtEntry) (*Result, error) {
-	for _, h := range s.db.hooks {
-		handled, res, err := h(s, ent.sel)
-		if err != nil {
-			return nil, err
-		}
-		if handled {
-			return res, nil
-		}
-	}
-	if s.db.epoch() != ent.epoch {
-		// A hook invalidated the schema mid-statement; replan.
-		return s.execSelect(ctx, ent.sel)
-	}
-	return s.runPlan(ctx, ent.node)
-}
-
-// execSelectText runs the hook pass, plans the SELECT, executes it, and —
-// when the plan is safe for concurrent re-execution — publishes it in the
-// shared statement cache for every session.
-func (s *Session) execSelectText(ctx context.Context, sql string, sel *sqlparser.SelectStmt) (*Result, error) {
-	for _, h := range s.db.hooks {
-		handled, res, err := h(s, sel)
-		if err != nil {
-			return nil, err
-		}
-		if handled {
-			return res, nil
-		}
-	}
-	epoch := s.db.epoch()
-	n, err := s.PlanSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	if planShareable(n) && selectShaped(sql) && s.db.epoch() == epoch {
-		s.db.stmts.put(s.textKey(sql), &stmtEntry{sel: sel, node: n, epoch: epoch})
-	}
-	return s.runPlan(ctx, n)
-}
-
-// planShareable reports whether a bound plan may be re-executed verbatim
-// by MULTIPLE sessions, possibly concurrently. It is strictly stronger
-// than planCacheable: besides refusing lazily cached subquery results
-// (expr.Reusable), every expression must be expr.ParallelSafe, because
-// two sessions executing the shared plan at once evaluate the same
-// expression trees from two goroutines (per-node scratch like
-// ScalarFunc's argument buffer would race). Unknown node kinds refuse.
-func planShareable(n plan.Node) bool {
-	return planExprsOK(n, func(e expr.Expr) bool {
-		return expr.Reusable(e) && expr.ParallelSafe(e)
-	})
-}
-
-// PrepareScript delegates to the DB (markers are engine-global; see
-// DB.PrepareScript).
-func (s *Session) PrepareScript(sql string) ([]sqlparser.Statement, error) {
-	return s.db.PrepareScript(sql)
 }

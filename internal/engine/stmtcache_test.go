@@ -186,31 +186,33 @@ func TestStmtCacheAdmitsScalarFuncPlans(t *testing.T) {
 // TestStmtCacheLRUEviction exercises the LRU bound directly: beyond
 // capacity the least recently used entry leaves, recently used ones stay.
 func TestStmtCacheLRUEviction(t *testing.T) {
-	c := newStmtCache(3)
+	c := newPlanLRU(3)
+	at := planStamp{epoch: 1}
+	key := func(i int) planKey { return planKey{sql: fmt.Sprintf("q%d", i)} }
 	for i := 0; i < 3; i++ {
-		c.put(fmt.Sprintf("q%d", i), &stmtEntry{epoch: 1})
+		c.put(key(i), &planEntry{stamp: at})
 	}
-	if _, ok := c.get("q0", 1); !ok { // refresh q0
+	if c.get(key(0), at) == nil { // refresh q0
 		t.Fatal("q0 missing")
 	}
-	c.put("q3", &stmtEntry{epoch: 1}) // evicts q1 (LRU)
-	if _, ok := c.get("q1", 1); ok {
+	c.put(key(3), &planEntry{stamp: at}) // evicts q1 (LRU)
+	if c.get(key(1), at) != nil {
 		t.Fatal("LRU entry q1 survived eviction")
 	}
-	for _, k := range []string{"q0", "q2", "q3"} {
-		if _, ok := c.get(k, 1); !ok {
-			t.Fatalf("%s evicted wrongly", k)
+	for _, i := range []int{0, 2, 3} {
+		if c.get(key(i), at) == nil {
+			t.Fatalf("q%d evicted wrongly", i)
 		}
 	}
-	if c.len() != 3 {
-		t.Fatalf("len = %d, want 3", c.len())
+	if n := c.lru.Len(); n != 3 {
+		t.Fatalf("len = %d, want 3", n)
 	}
-	// Epoch mismatch evicts on sight.
-	if _, ok := c.get("q3", 2); ok {
+	// A stamp mismatch evicts on sight.
+	if c.get(key(3), planStamp{epoch: 2}) != nil {
 		t.Fatal("stale-epoch entry served")
 	}
-	if c.len() != 2 {
-		t.Fatalf("stale entry retained: len = %d", c.len())
+	if n := c.lru.Len(); n != 2 {
+		t.Fatalf("stale entry retained: len = %d", n)
 	}
 }
 
@@ -220,13 +222,13 @@ func TestStmtCacheEngineLRUBound(t *testing.T) {
 	db := Open("sc", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE t (k INTEGER)")
 	s := db.NewSession()
-	for i := 0; i < stmtCacheSize+50; i++ {
+	for i := 0; i < planCacheSize+50; i++ {
 		if _, err := s.Query(fmt.Sprintf("SELECT k FROM t WHERE k = %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := db.StmtCacheStats(); st.Entries > stmtCacheSize {
-		t.Fatalf("cache grew past its bound: %d > %d", st.Entries, stmtCacheSize)
+	if st := db.StmtCacheStats(); st.Entries > planCacheSize {
+		t.Fatalf("cache grew past its bound: %d > %d", st.Entries, planCacheSize)
 	}
 }
 

@@ -147,7 +147,7 @@ func (p *Pipeline) CreateMaterializedView(sql string) error {
 			return err
 		}
 	}
-	_, err = p.OLAP.ExecStmt(stmt)
+	_, err = p.OLAP.Exec(sql)
 	return err
 }
 

@@ -1,11 +1,13 @@
 package ivm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"openivm/internal/duckast"
 	"openivm/internal/engine"
+	"openivm/internal/sqltypes"
 )
 
 // newDB builds an engine preloaded with the paper's Listing 1 schema.
@@ -322,5 +324,66 @@ func TestCompiledScriptsReparse(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSealedBodiesCompiledOnce: an aggregate view carries one runtime body
+// per valid combine strategy, and the configured strategy's entry is
+// SealedBody itself rather than a second compilation of it.
+func TestSealedBodiesCompiledOnce(t *testing.T) {
+	db := newDB(t)
+	comp := compile(t, db, DefaultOptions(), listing1View)
+	if len(comp.SealedAltBodies) != 3 {
+		t.Fatalf("alternative bodies = %d, want one per strategy", len(comp.SealedAltBodies))
+	}
+	if comp.SealedAltBodies[StrategyUpsertLeftJoin] != comp.SealedBody {
+		t.Error("the configured strategy's alternative is not SealedBody")
+	}
+	for strat, body := range comp.SealedAltBodies {
+		sql := body.SQL(duckast.DialectDuckDB)
+		if !strings.Contains(sql, "delta_groups_sealed") || strings.Contains(sql, "FROM delta_groups ") {
+			t.Errorf("[%v] runtime body does not read the sealed twin:\n%s", strat, sql)
+		}
+	}
+	// Without the index, upsert is not a valid alternative.
+	opts := DefaultOptions()
+	opts.Strategy = StrategyUnionRegroup
+	comp = compile(t, db, opts, listing1View)
+	if _, ok := comp.SealedAltBodies[StrategyUpsertLeftJoin]; ok || len(comp.SealedAltBodies) != 2 {
+		t.Errorf("alternatives under union_regroup = %d (upsert offered: %v), want the two rebuild plans", len(comp.SealedAltBodies), ok)
+	}
+	// Non-aggregate classes have no strategy choice.
+	if comp = compile(t, db, DefaultOptions(), "CREATE MATERIALIZED VIEW p AS SELECT group_index FROM groups"); comp.SealedAltBodies != nil {
+		t.Error("projection view offers alternative combine bodies")
+	}
+}
+
+func TestDeltaRows(t *testing.T) {
+	row := func(vals ...int64) sqltypes.Row {
+		r := make(sqltypes.Row, len(vals))
+		for i, v := range vals {
+			r[i] = sqltypes.NewInt(v)
+		}
+		return r
+	}
+	olds, news := []sqltypes.Row{row(1, 10), row(2, 20)}, []sqltypes.Row{row(1, 11), row(2, 21)}
+	for _, c := range []struct {
+		ev   engine.TriggerEvent
+		want string
+	}{
+		{engine.TrigInsert, "1,11,true 2,21,true"},
+		{engine.TrigDelete, "1,10,false 2,20,false"},
+		{engine.TrigUpdate, "1,10,false 2,20,false 1,11,true 2,21,true"},
+	} {
+		var got []string
+		for _, r := range DeltaRows(c.ev, olds, news) {
+			got = append(got, fmt.Sprintf("%d,%d,%v", r[0].I, r[1].I, r[2].IsTrue()))
+		}
+		if s := strings.Join(got, " "); s != c.want {
+			t.Errorf("%s: delta rows %q, want %q", c.ev, s, c.want)
+		}
+	}
+	if len(olds[0]) != 2 {
+		t.Error("DeltaRows grew its input rows in place")
 	}
 }

@@ -36,6 +36,31 @@ import (
 // the paper's generated SQL.
 const MultiplicityColumn = "_duckdb_ivm_multiplicity"
 
+// DeltaRows builds what one base-table DML event appends to the table's
+// delta table: the affected rows with the multiplicity column appended.
+// Insertions carry TRUE, deletions FALSE, and an update is its old rows
+// (FALSE) followed by its new rows (TRUE), each in statement order. Both
+// capture sides — the extension's and the OLTP store's trigger — append
+// the result with a single InsertBatch.
+func DeltaRows(ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) []sqltypes.Row {
+	if ev == engine.TrigInsert {
+		oldRows = nil
+	} else if ev == engine.TrigDelete {
+		newRows = nil
+	}
+	rows := make([]sqltypes.Row, 0, len(oldRows)+len(newRows))
+	add := func(src []sqltypes.Row, mult bool) {
+		for _, r := range src {
+			dr := make(sqltypes.Row, 0, len(r)+1)
+			dr = append(dr, r...)
+			rows = append(rows, append(dr, sqltypes.NewBool(mult)))
+		}
+	}
+	add(oldRows, false)
+	add(newRows, true)
+	return rows
+}
+
 // HiddenCountColumn is the hidden per-group cardinality column maintained
 // under EmptyHiddenCount empty-group detection.
 const HiddenCountColumn = "_duckdb_ivm_count"
@@ -222,33 +247,23 @@ type Compilation struct {
 	// into their SUM and COUNT parts).
 	storageCols []ViewColumn
 
-	// Setup holds the DDL script; Propagate the 4-step maintenance script.
+	// Setup holds the DDL script; Propagate the paper-faithful standalone
+	// 4-step maintenance script (what PropagateSQL renders and the
+	// metadata tables store).
 	Setup     *duckast.Script
 	Propagate *duckast.Script
-	// AltCombine holds the step-2 combine script compiled under each
-	// alternative strategy, enabling the runtime's cost-based choice (the
-	// paper's envisioned cost-based optimization over the IVM plan space).
-	// Keys are the Strategy values; the script replaces PropagateBody's
-	// combine statements when selected.
-	AltBodies map[Strategy]*duckast.Script
-	// PropagateBody is steps 1–3 plus ΔV truncation, without the base
-	// delta truncation — the runtime uses it to coordinate several views
-	// that share base tables (the base ΔT is truncated once, after every
-	// dependent view has consumed it). Propagate = PropagateBody +
-	// TruncateBase and remains the paper-faithful standalone script.
-	PropagateBody *duckast.Script
-	// TruncateBase clears the base delta tables (step 4's ΔT part).
-	TruncateBase *duckast.Script
-	// SealedBody / SealedAltBodies / SealedTruncate are the
-	// generation-aware variants of PropagateBody / AltBodies /
-	// TruncateBase: identical scripts except that every read of a base
-	// delta table ΔT goes to its sealed twin ΔT_sealed, and the final
-	// truncation clears the sealed twins. The runtime seals the open
-	// generation (drains ΔT → ΔT_sealed) before running these, so capture
-	// into ΔT never waits out a propagation.
-	SealedBody      *duckast.Script
+	// SealedBody is what the runtime executes: steps 1–3 of Propagate with
+	// every read of a base delta table ΔT going to its sealed twin
+	// ΔT_sealed, and no truncation — the runtime seals the open generation
+	// (drains ΔT → ΔT_sealed) before running it, so capture into ΔT never
+	// waits out a propagation, and clears scratch and sealed twins through
+	// the catalog afterwards.
+	SealedBody *duckast.Script
+	// SealedAltBodies holds SealedBody compiled under each valid combine
+	// strategy (aggregate classes only), enabling the runtime's cost-based
+	// choice — the paper's envisioned cost-based optimization over the IVM
+	// plan space. The entry for Options.Strategy is SealedBody itself.
 	SealedAltBodies map[Strategy]*duckast.Script
-	SealedTruncate  *duckast.Script
 	// PopulateSQL fills V from the current base-table contents (initial
 	// materialization).
 	Populate *duckast.Script

@@ -16,52 +16,41 @@ import (
 // Step 3  delete invalidated rows from V (empty groups / deleted tuples);
 // Step 4  truncate ΔV and every ΔT.
 func (c *Compiler) genPropagate(comp *Compilation) error {
-	s, err := c.buildBody(comp, comp.Options.Strategy, false)
+	// The standalone paper-faithful script: steps 1–4a over the open ΔT,
+	// then step 4b, truncating the base delta tables.
+	full, err := c.buildBody(comp, comp.Options.Strategy, false)
 	if err != nil {
 		return err
 	}
-	comp.PropagateBody = s
+	for _, b := range comp.Bases {
+		full.Add(&duckast.Delete{Table: b.Delta})
+	}
+	comp.Propagate = full
+
+	// What the runtime executes: the same body over the sealed twins.
 	if comp.SealedBody, err = c.buildBody(comp, comp.Options.Strategy, true); err != nil {
 		return err
 	}
 
-	// Alternative combine plans for the runtime's cost-based choice.
-	// The upsert plan is only valid when the setup created the group-key
-	// index (primary key); the rebuild plans work either way.
+	// Alternative combine plans for the runtime's cost-based choice; the
+	// configured strategy's entry is SealedBody itself. The upsert plan is
+	// only valid when the setup created the group-key index (primary key);
+	// the rebuild plans work either way.
 	if comp.Class == ClassAggregate || comp.Class == ClassJoinAggregate {
-		comp.AltBodies = map[Strategy]*duckast.Script{}
 		comp.SealedAltBodies = map[Strategy]*duckast.Script{}
 		for _, strat := range []Strategy{StrategyUpsertLeftJoin, StrategyUnionRegroup, StrategyFullOuterJoin} {
 			if strat == StrategyUpsertLeftJoin && !(comp.needsIndex() && comp.Options.CreateIndex) {
 				continue
 			}
-			alt, err := c.buildBody(comp, strat, false)
-			if err != nil {
-				return err
+			alt := comp.SealedBody
+			if strat != comp.Options.Strategy {
+				if alt, err = c.buildBody(comp, strat, true); err != nil {
+					return err
+				}
 			}
-			comp.AltBodies[strat] = alt
-			if comp.SealedAltBodies[strat], err = c.buildBody(comp, strat, true); err != nil {
-				return err
-			}
+			comp.SealedAltBodies[strat] = alt
 		}
 	}
-
-	// Step 4b: truncate the base delta tables (and, for the
-	// generation-aware variant, the sealed twins the runtime reads).
-	trunc := &duckast.Script{}
-	sealedTrunc := &duckast.Script{}
-	for _, b := range comp.Bases {
-		trunc.Add(&duckast.Delete{Table: b.Delta})
-		sealedTrunc.Add(&duckast.Delete{Table: b.Sealed})
-	}
-	comp.TruncateBase = trunc
-	comp.SealedTruncate = sealedTrunc
-
-	// The standalone paper-faithful script is body followed by truncation.
-	full := &duckast.Script{}
-	full.Add(s.Stmts...)
-	full.Add(trunc.Stmts...)
-	comp.Propagate = full
 	return nil
 }
 

@@ -60,30 +60,63 @@ func TestDropSharedBaseKeepsSiblingCapture(t *testing.T) {
 		"SELECT group_index, COUNT(*) FROM groups GROUP BY group_index")
 }
 
-// TestDropReleasesPreparedMarkers is the plan-cache lifecycle acceptance
-// test (ROADMAP open item): churning through CREATE/DROP MATERIALIZED
-// VIEW cycles must not accumulate prepared-statement markers, or a
-// long-lived process would hit the marker cap and lose plan caching for
-// every future script.
-func TestDropReleasesPreparedMarkers(t *testing.T) {
-	db, _ := setup(t)
-	baseline := db.PreparedCount()
-	var after1 int
-	for i := 0; i < 24; i++ {
-		mustExec(t, db, `CREATE MATERIALIZED VIEW churn AS SELECT group_index,
-			SUM(group_value) AS total_value FROM groups GROUP BY group_index`)
-		// Exercise the propagation script so it is prepared and cached.
+// TestDropFreesPreparedScripts is the plan-cache lifecycle test: a
+// view's prepared propagation scripts — and the plans they own — belong to
+// the view's registry entry, so churning through CREATE/DROP MATERIALIZED
+// VIEW cycles (more than the 4096 prepared statements the engine used to
+// be able to mark) leaves nothing behind, and a view created afterwards
+// still plans its propagation once and re-uses the plans on every refresh.
+func TestDropFreesPreparedScripts(t *testing.T) {
+	db, ext := setup(t)
+	const view = `CREATE MATERIALIZED VIEW churn AS SELECT group_index,
+		SUM(group_value) AS total_value FROM groups GROUP BY group_index`
+	cycles := 5000
+	if testing.Short() {
+		cycles = 200
+	}
+	for i := 0; i < cycles; i++ {
+		mustExec(t, db, view)
+		// Exercise the propagation script so it is prepared and planned.
 		mustExec(t, db, "INSERT INTO groups VALUES ('x', 1)")
 		mustExec(t, db, "REFRESH MATERIALIZED VIEW churn")
 		mustExec(t, db, "DROP VIEW churn")
-		if i == 0 {
-			after1 = db.PreparedCount()
-		}
 	}
-	if got := db.PreparedCount(); got > after1 {
-		t.Fatalf("prepared markers grew across CREATE/DROP cycles: %d after one cycle, %d after many (baseline %d)",
-			after1, got, baseline)
+	if n := len(ext.prepared); n != 0 {
+		t.Fatalf("%d views' prepared scripts survived their DROP", n)
 	}
+
+	mustExec(t, db, view)
+	refresh := func() {
+		t.Helper()
+		mustExec(t, db, "INSERT INTO groups VALUES ('y', 2)")
+		mustExec(t, db, "REFRESH MATERIALIZED VIEW churn")
+	}
+	refresh()
+	comp, _ := ext.Compilation("churn")
+	body := ext.prepared["churn"][comp.SealedBody]
+	if body == nil || len(ext.prepared) != 1 || len(ext.prepared["churn"]) != 1 {
+		t.Fatalf("prepared scripts after one refresh: %v", ext.prepared)
+	}
+	planned := body.CachedPlans()
+	if planned == 0 {
+		t.Fatal("propagation planned nothing into its prepared handle")
+	}
+	cache := db.StmtCacheStats()
+	refresh()
+	refresh()
+	if got := body.CachedPlans(); got != planned {
+		t.Fatalf("handle holds %d plans after three refreshes, %d after one", got, planned)
+	}
+	if ext.prepared["churn"][comp.SealedBody] != body {
+		t.Fatal("refresh re-prepared its propagation script")
+	}
+	// Propagation runs on prepared handles only: the shared text cache is
+	// neither probed nor filled by it.
+	if after := db.StmtCacheStats(); after != cache {
+		t.Fatalf("refresh went through the shared plan cache: %+v -> %+v", cache, after)
+	}
+	viewEquals(t, db, "group_index, total_value", "churn",
+		"SELECT group_index, SUM(group_value) FROM groups GROUP BY group_index")
 }
 
 // TestDropMaterializedViewAvgDecomposition covers the hidden-storage

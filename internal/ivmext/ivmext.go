@@ -81,10 +81,12 @@ type Extension struct {
 	// is guarded by mu.
 	applied map[string]map[string]int64
 
-	// prepared caches propagation scripts parsed into statements, keyed by
-	// the (immutable) compiled script, so a refresh re-executes the stored
-	// plan without re-rendering and re-parsing its SQL every time.
-	prepared map[*duckast.Script][]sqlparser.Statement
+	// prepared holds, per lower-cased view name, the view's propagation
+	// bodies as prepared handles keyed by the (immutable) compiled script,
+	// so a refresh re-executes parsed statements and cached plans instead
+	// of re-rendering, re-parsing and re-planning its SQL every time.
+	// Dropping the view drops its entry, and with it the handles' plans.
+	prepared map[string]map[*duckast.Script]*engine.Prepared
 
 	// pool bounds how many propagations run concurrently
 	// (PRAGMA ivm_refresh_workers; capacity 1 reproduces serial refresh).
@@ -186,7 +188,7 @@ func Install(db *engine.DB) *Extension {
 		locks:    map[string]*sync.Mutex{},
 		deltas:   map[string]*deltaState{},
 		applied:  map[string]map[string]int64{},
-		prepared: map[*duckast.Script][]sqlparser.Statement{},
+		prepared: map[string]map[*duckast.Script]*engine.Prepared{},
 	}
 	db.RegisterStatementHook(ext.statementHook)
 	db.SetIVMStatsSource(ext.engineStats)
@@ -527,9 +529,8 @@ func markUnlogged(cat *catalog.Catalog, comp *ivm.Compilation) {
 	}
 }
 
-// capture appends delta rows for one base-table DML event: insertions with
-// multiplicity TRUE, deletions FALSE; updates become a FALSE/TRUE pair.
-// The append happens under the shared side of the delta's generation lock,
+// capture appends the delta rows of one base-table DML event
+// (ivm.DeltaRows). The append happens under the shared side of the delta's generation lock,
 // so a writer only ever waits out a generation seal (a drain of already-
 // captured rows), never a propagation.
 func (ext *Extension) capture(deltaTable string, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
@@ -537,24 +538,7 @@ func (ext *Extension) capture(deltaTable string, ev engine.TriggerEvent, oldRows
 	if err != nil {
 		return err
 	}
-	rows := make([]sqltypes.Row, 0, len(oldRows)+len(newRows))
-	add := func(src []sqltypes.Row, mult bool) {
-		for _, r := range src {
-			dr := make(sqltypes.Row, 0, len(r)+1)
-			dr = append(dr, r...)
-			dr = append(dr, sqltypes.NewBool(mult))
-			rows = append(rows, dr)
-		}
-	}
-	switch ev {
-	case engine.TrigInsert:
-		add(newRows, true)
-	case engine.TrigDelete:
-		add(oldRows, false)
-	case engine.TrigUpdate:
-		add(oldRows, false)
-		add(newRows, true)
-	}
+	rows := ivm.DeltaRows(ev, oldRows, newRows)
 	if len(rows) == 0 {
 		return nil
 	}
@@ -588,12 +572,10 @@ func (ext *Extension) deltaState(deltaTable string) *deltaState {
 	return ext.deltas[strings.ToLower(deltaTable)]
 }
 
-// dropMaterializedView tears one view down completely: registry entry,
-// capture triggers and delta tables no surviving view needs, the storage
-// table and metadata, and — the plan-cache lifecycle half — the prepared
-// markers of its propagation scripts (engine.DB.Unprepare), so a process
-// churning through CREATE/DROP MATERIALIZED VIEW cycles never exhausts
-// the prepared-statement marker cap and new scripts keep caching.
+// dropMaterializedView tears one view down completely: registry entry
+// (and with it the prepared propagation scripts and their plans), capture
+// triggers and delta tables no surviving view needs, the storage table
+// and metadata.
 func (ext *Extension) dropMaterializedView(comp *ivm.Compilation) error {
 	// Serialize against propagation: lock the view's whole refresh group,
 	// so a refresh mid-flight finishes before its scripts and delta
@@ -606,6 +588,7 @@ func (ext *Extension) dropMaterializedView(comp *ivm.Compilation) error {
 	delete(ext.views, strings.ToLower(comp.ViewName))
 	delete(ext.locks, strings.ToLower(comp.ViewName))
 	delete(ext.applied, strings.ToLower(comp.ViewName))
+	delete(ext.prepared, strings.ToLower(comp.ViewName))
 	// Deltas still feeding surviving views keep their capture triggers.
 	live := map[string]bool{}
 	for _, other := range ext.views {
@@ -621,27 +604,6 @@ func (ext *Extension) dropMaterializedView(comp *ivm.Compilation) error {
 			delete(ext.captured, key)
 			delete(ext.deltas, key)
 			dead = append(dead, deadDelta{base: b.Name, delta: b.Delta, sealed: b.Sealed})
-		}
-	}
-	// Release the prepared markers and parsed-script cache entries of
-	// every script this compilation could have executed.
-	scripts := []*duckast.Script{
-		comp.PropagateBody, comp.TruncateBase, comp.Propagate, comp.Populate,
-		comp.SealedBody, comp.SealedTruncate,
-	}
-	for _, alt := range comp.AltBodies {
-		scripts = append(scripts, alt)
-	}
-	for _, alt := range comp.SealedAltBodies {
-		scripts = append(scripts, alt)
-	}
-	for _, sc := range scripts {
-		if sc == nil {
-			continue
-		}
-		if stmts, ok := ext.prepared[sc]; ok {
-			ext.db.Unprepare(stmts)
-			delete(ext.prepared, sc)
 		}
 	}
 	ext.mu.Unlock()
@@ -1025,11 +987,11 @@ func (ext *Extension) applyView(is *engine.Session, comp *ivm.Compilation) error
 		return fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
 	atomic.AddInt64(&ext.Stats.Propagations, 1)
-	stmts, err := ext.preparedScript(ext.chooseBody(comp), comp.Options.Dialect)
+	body, err := ext.preparedScript(comp, ext.chooseBody(comp))
 	if err != nil {
 		return fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
-	_, err = is.ExecStmts(stmts)
+	_, err = is.ExecStmts(body)
 	ext.clearScratch(comp)
 	if err != nil {
 		return fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
@@ -1124,24 +1086,29 @@ func (ext *Extension) seal(ds *deltaState) error {
 	return nil
 }
 
-// preparedScript returns the parsed statements for a compiled script,
-// parsing and caching on first use. Compiled scripts are immutable, so the
-// cache never invalidates; dropped views merely leave a dead entry.
-func (ext *Extension) preparedScript(s *duckast.Script, d duckast.Dialect) ([]sqlparser.Statement, error) {
+// preparedScript returns the prepared handle for one of comp's compiled
+// bodies, preparing and caching it on first use. Compiled scripts are
+// immutable, so an entry never invalidates. The caller holds comp's
+// refresh lock, which is what makes it the handle's only executor.
+func (ext *Extension) preparedScript(comp *ivm.Compilation, body *duckast.Script) (*engine.Prepared, error) {
+	view := strings.ToLower(comp.ViewName)
 	ext.mu.Lock()
-	stmts, ok := ext.prepared[s]
+	p, ok := ext.prepared[view][body]
 	ext.mu.Unlock()
 	if ok {
-		return stmts, nil
+		return p, nil
 	}
-	stmts, err := ext.db.PrepareScript(s.SQL(d))
+	p, err := ext.db.PrepareScript(body.SQL(comp.Options.Dialect))
 	if err != nil {
 		return nil, err
 	}
 	ext.mu.Lock()
-	ext.prepared[s] = stmts
+	if ext.prepared[view] == nil {
+		ext.prepared[view] = map[*duckast.Script]*engine.Prepared{}
+	}
+	ext.prepared[view][body] = p
 	ext.mu.Unlock()
-	return stmts, nil
+	return p, nil
 }
 
 // chooseBody returns the generation-aware propagation body to run,

@@ -41,35 +41,15 @@ func New(name string) *Store {
 // deltaName derives the delta table fed by a capture trigger on table.
 func deltaName(table string) string { return "delta_" + strings.ToLower(table) }
 
-// capture is the trigger body: append affected rows to delta_<table> with
-// the boolean multiplicity column (insert=TRUE, delete=FALSE; updates are
-// a FALSE/TRUE pair).
+// capture is the trigger body: append the event's delta rows
+// (ivm.DeltaRows) to delta_<table> in one batch.
 func (s *Store) capture(db *engine.DB, table string, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
 	dt, err := db.Catalog().Table(deltaName(table))
 	if err != nil {
 		return fmt.Errorf("oltp: capture on %s: %w (create the delta table first)", table, err)
 	}
-	add := func(rows []sqltypes.Row, mult bool) error {
-		for _, r := range rows {
-			dr := make(sqltypes.Row, 0, len(r)+1)
-			dr = append(dr, r...)
-			dr = append(dr, sqltypes.NewBool(mult))
-			if err := dt.Insert(dr); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	switch ev {
-	case engine.TrigInsert:
-		return add(newRows, true)
-	case engine.TrigDelete:
-		return add(oldRows, false)
-	case engine.TrigUpdate:
-		if err := add(oldRows, false); err != nil {
-			return err
-		}
-		return add(newRows, true)
+	if _, err := dt.InsertBatch(ivm.DeltaRows(ev, oldRows, newRows)); err != nil {
+		return fmt.Errorf("oltp: capture on %s: %w", table, err)
 	}
 	return nil
 }

@@ -68,6 +68,37 @@ func TestCaptureDeleteUpdate(t *testing.T) {
 	}
 }
 
+// TestCaptureMultiRowUpdateOrder: one multi-row UPDATE lands in the delta
+// table as the statement's old rows (FALSE) followed by its new rows
+// (TRUE), each in statement order — the layout ivm.DeltaRows builds and
+// capture appends as a single batch.
+func TestCaptureMultiRowUpdateOrder(t *testing.T) {
+	s := newStore(t)
+	s.DB.Exec("INSERT INTO orders VALUES (1, 10), (2, 20), (3, 30)")
+	s.DrainDeltas("orders")
+
+	if _, err := s.DB.Exec("UPDATE orders SET amount = amount + 1"); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := s.DrainDeltas("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 6 {
+		t.Fatalf("captured %d rows, want 3 FALSE + 3 TRUE: %v", len(rows), rows)
+	}
+	for i, r := range rows {
+		oid, newRow := int64(i%3+1), i >= 3
+		amount := oid * 10
+		if newRow {
+			amount++
+		}
+		if r[0].I != oid || r[1].I != amount || r[2].IsTrue() != newRow {
+			t.Fatalf("delta row %d = %v, want (%d, %d, %v); all: %v", i, r, oid, amount, newRow, rows)
+		}
+	}
+}
+
 func TestPostgresDialectUpsert(t *testing.T) {
 	s := newStore(t)
 	s.DB.Exec("INSERT INTO orders VALUES (1, 10)")

@@ -6,8 +6,15 @@ import (
 	"testing"
 
 	"openivm/internal/engine"
+	"openivm/internal/enginerr"
 	"openivm/internal/wire"
 )
+
+// isSerialization classifies a remote error by the SQLSTATE that crossed
+// the wire — the same path local errors take.
+func isSerialization(err error) bool {
+	return enginerr.HasCode(err, enginerr.CodeSerialization)
+}
 
 // wireConn adapts a v2 wire client to the harness: the same histories
 // that run embedded also run through frames, streams, and the server's
@@ -73,13 +80,13 @@ func TestSequentialHistoriesWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, rerr := RunSequential(open, h, wire.IsSerializationError, o)
+		v, rerr := RunSequential(open, h, isSerialization, o)
 		teardown()
 		if rerr != nil {
 			t.Fatalf("TXNTEST_SEED=%d (history %d, from env: %v): harness error: %v", seed, i, fromEnv, rerr)
 		}
 		if v != nil {
-			min := Minimize(func() (func() (Conn, error), func(), error) { return newWireDB(o) }, h, wire.IsSerializationError, o)
+			min := Minimize(func() (func() (Conn, error), func(), error) { return newWireDB(o) }, h, isSerialization, o)
 			t.Fatalf("TXNTEST_SEED=%d (history %d): %v\nminimized history:\n%s", seed, i, v, Format(min))
 		}
 	}
@@ -100,7 +107,7 @@ func TestConcurrentHistoriesWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		streams := GenerateStreams(rand.New(rand.NewSource(seed+int64(round))), 4, o)
-		if err := RunConcurrent(open, streams, wire.IsSerializationError); err != nil {
+		if err := RunConcurrent(open, streams, isSerialization); err != nil {
 			t.Fatalf("TXNTEST_SEED=%d round %d: %v", seed, round, err)
 		}
 		teardown()

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"openivm/internal/enginerr"
 	"openivm/internal/sqltypes"
 )
 
@@ -27,34 +26,16 @@ func (e *RemoteError) Error() string { return "wire: remote error: " + e.Msg }
 // ones — one classification path on both sides of the wire.
 func (e *RemoteError) SQLState() string { return e.Code }
 
-// IsSerializationError reports whether err is a remote serialization
-// failure (SQLSTATE 40001) — the client should retry the transaction.
-//
-// Deprecated: compare enginerr.CodeOf(err) against
-// enginerr.CodeSerialization; this wrapper remains for existing
-// callers.
-func IsSerializationError(err error) bool {
-	return enginerr.CodeOf(err) == enginerr.CodeSerialization
-}
-
 func remoteError(msg, code string) error {
 	return &RemoteError{Msg: msg, Code: code}
 }
 
-// Client is a connection to a wire server. Dial speaks protocol v2
-// (framed, streamed results); DialV1 speaks the legacy JSON protocol.
-// A Client is safe for concurrent use, but a streaming Query pins the
-// connection until its Rows is drained or closed.
+// Client is a connection to a wire server (framed protocol, streamed
+// results). A Client is safe for concurrent use, but a streaming Query
+// pins the connection until its Rows is drained or closed.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
-	v1   bool
-
-	// v1 codec.
-	enc *json.Encoder
-	dec *json.Decoder
-
-	// v2 codec.
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	rbuf []byte
@@ -70,7 +51,7 @@ type Client struct {
 func newClientReader(conn net.Conn) *bufio.Reader { return bufio.NewReaderSize(conn, 64<<10) }
 func newClientWriter(conn net.Conn) *bufio.Writer { return bufio.NewWriterSize(conn, 32<<10) }
 
-// Dial connects to a wire server with protocol v2.
+// Dial connects to a wire server.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -87,19 +68,10 @@ func Dial(addr string) (*Client, error) {
 	}, nil
 }
 
-// DialV1 connects with the legacy newline-delimited JSON protocol.
-func DialV1(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn, v1: true, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}, nil
-}
-
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// sendRequest frames and flushes one request (v2, mu held).
+// sendRequest frames and flushes one request (mu held).
 func (c *Client) sendRequest(req *Request) error {
 	payload, err := json.Marshal(req)
 	if err != nil {
@@ -111,7 +83,7 @@ func (c *Client) sendRequest(req *Request) error {
 	return c.bw.Flush()
 }
 
-// readResponse reads one non-streaming response (v2, mu held).
+// readResponse reads one non-streaming response (mu held).
 func (c *Client) readResponse() (*Response, error) {
 	typ, payload, err := readFrame(c.br, c.rbuf)
 	if err != nil {
@@ -129,29 +101,20 @@ func (c *Client) readResponse() (*Response, error) {
 }
 
 // roundTrip runs one request/response exchange. Every direct caller is
-// an idempotent operation (control plane, metadata, the v1 paths), so a
-// retrying client may transparently resubmit it.
+// an idempotent operation (control plane, metadata, drain), so a retrying
+// client may transparently resubmit it.
 func (c *Client) roundTrip(req *Request) (*Response, error) {
 	return c.doRetry(req, true)
 }
 
 // roundTripLocked is one exchange on the current connection (mu held).
 func (c *Client) roundTripLocked(req *Request) (*Response, error) {
-	var resp *Response
-	var err error
-	if c.v1 {
-		if err = c.enc.Encode(req); err != nil {
-			return nil, err
-		}
-		resp = &Response{}
-		err = c.dec.Decode(resp)
-	} else {
-		if err = c.sendRequest(req); err != nil {
-			return nil, err
-		}
-		if resp, err = c.readResponse(); err == nil && resp.Drain != nil {
-			err = c.readDrainRows(resp.Drain)
-		}
+	if err := c.sendRequest(req); err != nil {
+		return nil, err
+	}
+	resp, err := c.readResponse()
+	if err == nil && resp.Drain != nil {
+		err = c.readDrainRows(resp.Drain)
 	}
 	if err != nil {
 		return nil, err
@@ -162,7 +125,7 @@ func (c *Client) roundTripLocked(req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// readDrainRows collects the row-batch frames that follow a v2 drain
+// readDrainRows collects the row-batch frames that follow a drain
 // response: N rows per listed table (mu held).
 func (c *Client) readDrainRows(b *DrainBatch) error {
 	for i := range b.Tables {
@@ -198,26 +161,22 @@ func (c *Client) Ping() error {
 }
 
 // Exec runs a SQL script remotely on this connection's session and
-// materializes the whole result client-side. Over v2 the transfer still
-// streams; use Query to consume batches incrementally instead.
+// materializes the whole result client-side. The transfer still streams;
+// use Query to consume batches incrementally instead.
 func (c *Client) Exec(sql string) (*Response, error) {
-	if c.v1 {
-		return c.roundTrip(&Request{Op: "exec", SQL: sql})
-	}
 	return c.collect(&Request{Op: "exec", SQL: sql})
 }
 
 // Query runs a SQL script remotely and returns its result as a stream of
 // row batches. The connection is pinned to this query until the Rows is
-// drained or closed. Over a v1 connection the result is materialized and
-// served as a single batch.
+// drained or closed.
 func (c *Client) Query(sql string) (*Rows, error) {
 	return c.startStream(&Request{Op: "exec", SQL: sql})
 }
 
-// Prepare parses and marks a script server-side under name: its SELECT
-// plans enter the server's prepared-plan cache, and later ExecPrepared
-// calls skip parsing entirely. Names are connection-scoped. Statements
+// Prepare parses a script server-side under name: later ExecPrepared
+// calls skip parsing entirely and re-use the plans of its SELECT bodies.
+// Names (and those plans) are connection-scoped. Statements
 // may reference $1..$N, bound per execution.
 func (c *Client) Prepare(name, sql string) error {
 	_, err := c.roundTrip(&Request{Op: "prepare", Name: name, SQL: sql})
@@ -305,20 +264,10 @@ func (c *Client) Tables() ([]string, error) {
 	return resp.Tables, nil
 }
 
-// Stats fetches the flat v1 counter snapshot (compatibility shim; see
-// StatsV2 for the namespaced layout with storage counters).
-func (c *Client) Stats() (*Stats, error) {
-	resp, err := c.roundTrip(&Request{Op: "stats"})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Stats, nil
-}
-
 // StatsV2 fetches the namespaced counter snapshot, grouped into
-// server.*, txn.*, and storage.* subsystems.
+// server.*, txn.*, storage.* and ivm.* subsystems.
 func (c *Client) StatsV2() (*StatsV2, error) {
-	resp, err := c.roundTrip(&Request{Op: "stats", Version: 2})
+	resp, err := c.roundTrip(&Request{Op: "stats"})
 	if err != nil {
 		return nil, err
 	}
@@ -347,19 +296,12 @@ func (c *Client) collect(req *Request) (*Response, error) {
 }
 
 // startStream sends a streaming exec and positions the client at the
-// first result frame. On the v2 path the client mutex stays held until
+// first result frame. The client mutex stays held until
 // the stream finishes (trailer read, read error, or Close). A retrying
 // client resubmits read-shaped requests on connection failure, but only
 // here — before any result frame has been consumed; once the Rows is
 // returned, a mid-stream failure surfaces to the caller.
 func (c *Client) startStream(req *Request) (*Rows, error) {
-	if c.v1 {
-		resp, err := c.roundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		return &Rows{Columns: resp.Columns, v1rows: resp.Rows, rowsAffected: resp.RowsAffected}, nil
-	}
 	c.mu.Lock()
 	if c.retry == nil {
 		rows, err := c.startStreamLocked(req)
@@ -444,9 +386,7 @@ type Rows struct {
 	// Columns names the result columns.
 	Columns []string
 
-	c            *Client            // nil for a materialized (v1) result
-	v1rows       [][]sqltypes.Value // materialized payload
-	served       bool
+	c            *Client
 	done         bool
 	err          error
 	rowsAffected int
@@ -458,14 +398,6 @@ type Rows struct {
 func (r *Rows) Next() ([][]sqltypes.Value, error) {
 	if r.done {
 		return nil, r.err
-	}
-	if r.c == nil {
-		if r.served || len(r.v1rows) == 0 {
-			r.finish(nil)
-			return nil, nil
-		}
-		r.served = true
-		return r.v1rows, nil
 	}
 	typ, payload, err := readFrame(r.c.br, r.c.rbuf)
 	if err != nil {
@@ -511,12 +443,10 @@ func (r *Rows) finish(err error) {
 	}
 	r.done = true
 	r.err = err
-	if r.c != nil {
-		if err != nil && r.c.retry != nil && retryableErr(err) {
-			r.c.broken = true
-		}
-		r.c.mu.Unlock()
+	if err != nil && r.c.retry != nil && retryableErr(err) {
+		r.c.broken = true
 	}
+	r.c.mu.Unlock()
 }
 
 // RowsAffected returns the DML row count from the trailer (0 for

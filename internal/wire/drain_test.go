@@ -39,66 +39,52 @@ func remoteCount(t *testing.T, cl *Client, table string) int64 {
 	return resp.Rows[0][0].I
 }
 
-// TestDrainEmptiesTablesInOneRoundTrip runs the op over both protocol
-// versions: every named table's rows come back typed, the tables are
-// empty afterwards, a table with nothing to give is left out of the
-// batch, and an unknown table is an error.
+// TestDrainEmptiesTablesInOneRoundTrip: every named table's rows come
+// back typed, the tables are empty afterwards, a table with nothing to
+// give is left out of the batch, and an unknown table is an error.
 func TestDrainEmptiesTablesInOneRoundTrip(t *testing.T) {
-	for _, v1 := range []bool{false, true} {
-		t.Run(fmt.Sprintf("v1=%v", v1), func(t *testing.T) {
-			_, addr := startServerOpts(t, nil)
-			dial := Dial
-			if v1 {
-				dial = DialV1
-			}
-			cl, err := dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			mustExecRemote(t, cl, "CREATE TABLE a (k INTEGER, s TEXT, f DOUBLE, b BOOLEAN)")
-			mustExecRemote(t, cl, "CREATE TABLE b (k INTEGER)")
-			mustExecRemote(t, cl, "CREATE TABLE c (k INTEGER)")
-			mustExecRemote(t, cl, "INSERT INTO a VALUES (1, 'x', 1.5, TRUE), (2, NULL, 2.5, FALSE)")
-			mustExecRemote(t, cl, "INSERT INTO c VALUES (7), (8), (9)")
+	_, cl := startServer(t)
+	mustExecRemote(t, cl, "CREATE TABLE a (k INTEGER, s TEXT, f DOUBLE, b BOOLEAN)")
+	mustExecRemote(t, cl, "CREATE TABLE b (k INTEGER)")
+	mustExecRemote(t, cl, "CREATE TABLE c (k INTEGER)")
+	mustExecRemote(t, cl, "INSERT INTO a VALUES (1, 'x', 1.5, TRUE), (2, NULL, 2.5, FALSE)")
+	mustExecRemote(t, cl, "INSERT INTO c VALUES (7), (8), (9)")
 
-			batch, err := cl.Drain(0, "a", "b", "c")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if batch.Seq != 1 || len(batch.Tables) != 2 {
-				t.Fatalf("batch = seq %d with %d tables, want seq 1 with a and c", batch.Seq, len(batch.Tables))
-			}
-			if got := drainedInts(batch); got != "a:1 a:2 c:7 c:8 c:9" {
-				t.Fatalf("drained %q", got)
-			}
-			r := batch.Tables[0].Rows[0]
-			if r[1].S != "x" || r[2].F != 1.5 || !r[3].IsTrue() || !batch.Tables[0].Rows[1][1].IsNull() {
-				t.Fatalf("row values did not survive: %v", batch.Tables[0].Rows)
-			}
-			if batch.Tables[0].N != 2 || batch.Tables[1].N != 3 {
-				t.Fatalf("row counts %d, %d", batch.Tables[0].N, batch.Tables[1].N)
-			}
-			for _, tbl := range []string{"a", "c"} {
-				if n := remoteCount(t, cl, tbl); n != 0 {
-					t.Fatalf("%s holds %d rows after the drain", tbl, n)
-				}
-			}
+	batch, err := cl.Drain(0, "a", "b", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch.Seq != 1 || len(batch.Tables) != 2 {
+		t.Fatalf("batch = seq %d with %d tables, want seq 1 with a and c", batch.Seq, len(batch.Tables))
+	}
+	if got := drainedInts(batch); got != "a:1 a:2 c:7 c:8 c:9" {
+		t.Fatalf("drained %q", got)
+	}
+	r := batch.Tables[0].Rows[0]
+	if r[1].S != "x" || r[2].F != 1.5 || !r[3].IsTrue() || !batch.Tables[0].Rows[1][1].IsNull() {
+		t.Fatalf("row values did not survive: %v", batch.Tables[0].Rows)
+	}
+	if batch.Tables[0].N != 2 || batch.Tables[1].N != 3 {
+		t.Fatalf("row counts %d, %d", batch.Tables[0].N, batch.Tables[1].N)
+	}
+	for _, tbl := range []string{"a", "c"} {
+		if n := remoteCount(t, cl, tbl); n != 0 {
+			t.Fatalf("%s holds %d rows after the drain", tbl, n)
+		}
+	}
 
-			next, err := cl.Drain(batch.Seq, "a", "b", "c")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if next.Seq != 2 || len(next.Tables) != 0 {
-				t.Fatalf("second drain = seq %d with %d tables, want an empty batch 2", next.Seq, len(next.Tables))
-			}
-			if _, err := cl.Drain(next.Seq, "nope"); err == nil {
-				t.Fatal("draining an unknown table succeeded")
-			}
-			if err := cl.Ping(); err != nil {
-				t.Fatalf("connection did not survive a drain error: %v", err)
-			}
-		})
+	next, err := cl.Drain(batch.Seq, "a", "b", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Seq != 2 || len(next.Tables) != 0 {
+		t.Fatalf("second drain = seq %d with %d tables, want an empty batch 2", next.Seq, len(next.Tables))
+	}
+	if _, err := cl.Drain(next.Seq, "nope"); err == nil {
+		t.Fatal("draining an unknown table succeeded")
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("connection did not survive a drain error: %v", err)
 	}
 }
 

@@ -9,15 +9,15 @@ import (
 	"openivm/internal/sqltypes"
 )
 
-// Protocol v2 frame layer. A v2 connection opens with the 4-byte magic
-// "OWP2" from the client; everything after is frames:
+// The frame layer. A connection opens with the 4-byte magic "OWP2" from
+// the client; everything after is frames:
 //
 //	+------+----------------+=========+
 //	| type | length (u32 BE)| payload |
 //	+------+----------------+=========+
 //
-// Request and Response payloads stay JSON (v1's vocabulary, one frame
-// per message); row batches are a compact binary encoding so a large
+// Request and Response payloads are JSON, one frame per message; row
+// batches are a compact binary encoding so a large
 // result never passes through the JSON marshaller. The server answers a
 // streaming exec with one schema frame, any number of row-batch frames
 // and a trailer — each batch is written (and flushed) before the next is

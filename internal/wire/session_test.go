@@ -7,6 +7,7 @@ import (
 
 	"openivm/internal/engine"
 	"openivm/internal/ivmext"
+	"openivm/internal/sqltypes"
 )
 
 // TestSessionTransactionIsolation: each connection owns its transaction.
@@ -104,11 +105,11 @@ func TestMaxConnsAdmission(t *testing.T) {
 	if err := c3.Ping(); err == nil {
 		t.Fatal("connection beyond MaxConns was admitted")
 	}
-	st, err := c1.Stats()
+	st, err := c1.StatsV2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.RejectedConns != 1 || st.ActiveConns != 2 {
+	if st.Server.RejectedConns != 1 || st.Server.ActiveConns != 2 {
 		t.Fatalf("stats = %+v, want 1 rejected / 2 active", st)
 	}
 }
@@ -218,4 +219,100 @@ func TestWireMultiClientStress(t *testing.T) {
 			t.Fatalf("row %d: view %v, recompute %v", i, view.Rows[i], want.Rows[i])
 		}
 	}
+}
+
+// TestPlanHintsNeverCrossSessions: several connections prepare and execute
+// one SQL text concurrently — and run it ad hoc, through the shared plan
+// cache — while their sessions disagree on PRAGMA workers/batch_size. A
+// cached plan carries those knobs as a Hint that overrides the executing
+// session's options, so a plan served to a session with other knobs would
+// show: batch_size is the streamed frame size. Each connection must only
+// ever see its own. Run under -race by the CI race job.
+func TestPlanHintsNeverCrossSessions(t *testing.T) {
+	srv, addr := startServerOpts(t, nil)
+	const nrows = 3000
+	loadBig(t, srv.DB, nrows, 4)
+
+	// run streams one execution and checks every full frame's size.
+	run := func(cl *Client, prepared bool, batchSize int) error {
+		var rows *Rows
+		var err error
+		if prepared {
+			rows, err = cl.QueryPrepared("q", sqltypes.NewInt(0))
+		} else {
+			rows, err = cl.Query("SELECT id FROM big")
+		}
+		if err != nil {
+			return err
+		}
+		total := 0
+		for {
+			batch, err := rows.Next()
+			if err != nil {
+				return err
+			}
+			if batch == nil {
+				break
+			}
+			total += len(batch)
+			if len(batch) != batchSize && total != nrows {
+				return fmt.Errorf("a frame of %d rows under batch_size %d: executed another session's Hint", len(batch), batchSize)
+			}
+		}
+		if total != nrows {
+			return fmt.Errorf("%d rows, want %d", total, nrows)
+		}
+		return nil
+	}
+
+	// The sessions with their own knobs publish first, so a cache that
+	// ignored the knobs would hand their Hints to the default sessions.
+	conns := []struct {
+		pragmas   string
+		batchSize int // rows per full frame this session must see
+		cl        *Client
+	}{
+		{pragmas: "PRAGMA workers = 2; PRAGMA batch_size = 64", batchSize: 64},
+		{pragmas: "PRAGMA workers = 3; PRAGMA batch_size = 200", batchSize: 200},
+		{batchSize: 1024}, // two sessions with the default knobs share plans
+		{batchSize: 1024},
+	}
+	for i := range conns {
+		c := &conns[i]
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		c.cl = cl
+		if c.pragmas != "" {
+			if _, err := cl.Exec(c.pragmas); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cl.Prepare("q", "SELECT id FROM big WHERE id >= $1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(cl, false, c.batchSize); err != nil {
+			t.Fatalf("conn %d, first ad-hoc run: %v", i, err)
+		}
+	}
+	if st := srv.DB.StmtCacheStats(); st.Entries != 3 || st.Hits != 1 {
+		t.Fatalf("shared cache after four first runs: %+v, want one entry per knob setting and one hit", st)
+	}
+
+	var wg sync.WaitGroup
+	for i := range conns {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				if err := run(conns[i].cl, round%2 == 0, conns[i].batchSize); err != nil {
+					t.Errorf("conn %d round %d: %v", i, round, err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
 }

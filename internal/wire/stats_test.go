@@ -9,9 +9,8 @@ import (
 	"openivm/internal/storage"
 )
 
-// TestStatsV2Namespaced: the versioned stats op returns grouped counters
-// and the unversioned op keeps serving the flat v1 shim with the same
-// underlying numbers.
+// TestStatsV2Namespaced: the (unversioned) stats op returns grouped
+// counters.
 func TestStatsV2Namespaced(t *testing.T) {
 	_, cl := startServer(t)
 	if _, err := cl.Exec("CREATE TABLE t (a INTEGER)"); err != nil {
@@ -44,25 +43,10 @@ func TestStatsV2Namespaced(t *testing.T) {
 	if v2.Storage.LastCheckpointMS != -1 {
 		t.Fatalf("MemBackend lastCheckpointMS = %d, want -1", v2.Storage.LastCheckpointMS)
 	}
-
-	v1, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1 == nil {
-		t.Fatal("unversioned stats returned no flat payload")
-	}
-	if v1.ActiveConns != v2.Server.ActiveConns || v1.TotalConns != v2.Server.TotalConns {
-		t.Fatalf("v1 shim disagrees with v2: v1=%+v server=%+v", v1, v2.Server)
-	}
-	if v1.TxnCommits < v2.Txn.Commits {
-		t.Fatalf("v1 shim txnCommits = %d, want >= %d", v1.TxnCommits, v2.Txn.Commits)
-	}
 }
 
 // TestStatsV2Ivm: with the IVM extension installed, the ivm.* group
-// carries live refresh-scheduler counters over the wire, and the frozen
-// v1 flat shim is unchanged (no ivm fields leak into it).
+// carries live refresh-scheduler counters over the wire.
 func TestStatsV2Ivm(t *testing.T) {
 	db := engine.Open("srv", engine.DialectPostgres)
 	ivmext.Install(db)

@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -54,6 +57,26 @@ func startServerOpts(t *testing.T, tune func(*Server)) (*Server, string) {
 	}
 	t.Cleanup(srv.Close)
 	return srv, addr
+}
+
+// dialSmallBuffer dials like Dial but pins the socket's receive buffer, so
+// a client that stops reading parks the server within a few megabytes.
+// Left to autotune, a loopback receive buffer can grow to tcp_rmem's
+// maximum (32 MiB on some hosts) and swallow a whole test result, which
+// then completes instead of waiting to be cancelled or timed out.
+func dialSmallBuffer(t *testing.T, addr string) *Client {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte(magicV2)); err != nil {
+		t.Fatal(err)
+	}
+	return &Client{conn: conn, br: newClientReader(conn), bw: newClientWriter(conn)}
 }
 
 // TestFrameRowBatchRoundtrip pins the binary value encoding.
@@ -123,31 +146,26 @@ func TestStreamedQuery(t *testing.T) {
 	if batches < 2 {
 		t.Fatalf("result arrived in %d batch(es); streaming should chunk it", batches)
 	}
-	st, err := cl.Stats()
+	st, err := cl.StatsV2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.StreamedRows < 5000 || st.StreamedBatches < int64(batches) {
+	if st.Server.StreamedRows < 5000 || st.Server.StreamedBatches < int64(batches) {
 		t.Fatalf("streaming counters missing: %+v", st)
 	}
 }
 
-// TestV1Compat: a legacy JSON client against the same port still gets
-// materialized responses, and errors still arrive as one JSON object.
-func TestV1Compat(t *testing.T) {
+// TestScriptExecAndErrorRecovery: a multi-statement script answers with
+// its last statement's rows, a failing statement surfaces as an error,
+// and the connection serves the next request.
+func TestScriptExecAndErrorRecovery(t *testing.T) {
 	_, addr := startServerOpts(t, nil)
-	cl, err := DialV1(addr)
+	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Exec("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1), (2); SELECT a FROM t ORDER BY a"); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := cl.Exec("SELECT a FROM t ORDER BY a")
+	resp, err := cl.Exec("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1), (2); SELECT a FROM t ORDER BY a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,32 +173,48 @@ func TestV1Compat(t *testing.T) {
 		t.Fatalf("rows = %v", resp.Rows)
 	}
 	if _, err := cl.Exec("SELECT nope FROM t"); err == nil {
-		t.Fatal("v1 error must surface")
+		t.Fatal("statement error must surface")
 	}
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestMaxConnsRejectV1: the over-limit answer for a legacy client is a
-// JSON object, not a v2 frame (the old bug wrote JSON to everyone).
-func TestMaxConnsRejectV1(t *testing.T) {
-	_, addr := startServerOpts(t, func(s *Server) { s.MaxConns = 1 })
-	keep, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer keep.Close()
-	if err := keep.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	over, err := DialV1(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer over.Close()
-	if err := over.Ping(); err == nil || !strings.Contains(err.Error(), "connection limit") {
-		t.Fatalf("v1 over-limit ping error = %v, want connection limit", err)
+// TestNonV2OpenerRejected: a peer that does not open with the OWP2 magic
+// — here a protocol-v1 JSON request — gets exactly one error frame and a
+// closed connection, whether or not the server is at its connection limit.
+func TestNonV2OpenerRejected(t *testing.T) {
+	for _, maxConns := range []int{0, 1} {
+		_, addr := startServerOpts(t, func(s *Server) { s.MaxConns = maxConns })
+		keep, err := Dial(addr) // occupies the only slot when MaxConns = 1
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer keep.Close()
+		if err := keep.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte(`{"op":"ping"}` + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		br := bufio.NewReader(conn)
+		typ, payload, err := readFrame(br, nil)
+		if err != nil || typ != frameResponse {
+			t.Fatalf("maxConns=%d: frame 0x%02x, err %v; want one response frame", maxConns, typ, err)
+		}
+		var resp Response
+		if err := json.Unmarshal(payload, &resp); err != nil || resp.Error == "" {
+			t.Fatalf("maxConns=%d: response %s (err %v), want an error", maxConns, payload, err)
+		}
+		if _, err := br.ReadByte(); err == nil { // EOF, or a reset over the unread request bytes
+			t.Fatalf("maxConns=%d: connection still open after the error frame", maxConns)
+		}
 	}
 }
 
@@ -217,15 +251,45 @@ func TestWirePreparedStatements(t *testing.T) {
 	if len(resp.Rows) != 4 {
 		t.Fatalf("$1=0 rows = %v", resp.Rows)
 	}
-	st, err := cl.Stats()
+	st, err := cl.StatsV2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PreparedMarked < 1 {
-		t.Fatalf("prepared statement not marked for the plan cache: %+v", st)
+	if st.Server.PreparedMarked != 1 {
+		t.Fatalf("preparedMarked = %d with one live prepared statement", st.Server.PreparedMarked)
+	}
+	// Re-preparing a name replaces the handle; a second connection's
+	// handles count until that connection goes away.
+	if err := cl.Prepare("above", "SELECT a FROM t WHERE a > $1 ORDER BY a"); err != nil {
+		t.Fatal(err)
+	}
+	other, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Prepare("p", "SELECT a FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = cl.StatsV2(); err != nil || st.Server.PreparedMarked != 2 {
+		t.Fatalf("preparedMarked = %+v (err %v), want 2 across two connections", st, err)
+	}
+	other.Close()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if st, err = cl.StatsV2(); err != nil {
+			t.Fatal(err)
+		}
+		if st.Server.PreparedMarked == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("closed connection's prepared statement still counted: %d", st.Server.PreparedMarked)
+		}
 	}
 	if err := cl.Deallocate("above"); err != nil {
 		t.Fatal(err)
+	}
+	if st, err = cl.StatsV2(); err != nil || st.Server.PreparedMarked != 0 {
+		t.Fatalf("preparedMarked = %+v (err %v) after deallocate, want 0", st, err)
 	}
 	if _, err := cl.ExecPrepared("above", sqltypes.NewInt(2)); err == nil {
 		t.Fatal("deallocated statement still executable")
@@ -259,10 +323,7 @@ func drainUntilError(t *testing.T, rows *Rows) error {
 func TestCancelRace(t *testing.T) {
 	srv, addr := startServerOpts(t, nil)
 	loadBig(t, srv.DB, 20000, 512)
-	a, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := dialSmallBuffer(t, addr)
 	defer a.Close()
 	b, err := Dial(addr)
 	if err != nil {
@@ -295,12 +356,12 @@ func TestCancelRace(t *testing.T) {
 	if resp.Rows[0][0].I != 20000 {
 		t.Fatalf("post-cancel count = %v", resp.Rows)
 	}
-	st, err := b.Stats()
+	st, err := b.StatsV2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Cancels != 1 {
-		t.Fatalf("cancels = %d, want 1", st.Cancels)
+	if st.Server.Cancels != 1 {
+		t.Fatalf("cancels = %d, want 1", st.Server.Cancels)
 	}
 	if err := b.Cancel("no-such-token"); err == nil {
 		t.Fatal("cancel with a bogus token must error")
@@ -316,10 +377,7 @@ func TestQueryTimeoutKill(t *testing.T) {
 	// expire while the client parks the stream below.
 	srv, addr := startServerOpts(t, func(s *Server) { s.QueryTimeout = 400 * time.Millisecond })
 	loadBig(t, srv.DB, 20000, 512)
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := dialSmallBuffer(t, addr)
 	defer cl.Close()
 
 	rows, err := cl.Query("SELECT id, pad FROM big")
@@ -333,12 +391,12 @@ func TestQueryTimeoutKill(t *testing.T) {
 	if err := drainUntilError(t, rows); err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("overtime stream ended with %v, want deadline exceeded", err)
 	}
-	st, err := cl.Stats()
+	st, err := cl.StatsV2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TimeoutKills != 1 {
-		t.Fatalf("timeoutKills = %d, want 1", st.TimeoutKills)
+	if st.Server.TimeoutKills != 1 {
+		t.Fatalf("timeoutKills = %d, want 1", st.Server.TimeoutKills)
 	}
 	// Fast statements still fit inside the budget.
 	if _, err := cl.Exec("SELECT COUNT(id) FROM big"); err != nil {
@@ -368,12 +426,12 @@ func TestGovernorBudgets(t *testing.T) {
 	if len(resp.Rows) != 1000 {
 		t.Fatalf("under-budget rows = %d", len(resp.Rows))
 	}
-	st, err := cl.Stats()
+	st, err := cl.StatsV2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.GovernorKills != 1 {
-		t.Fatalf("governorKills = %d, want 1", st.GovernorKills)
+	if st.Server.GovernorKills != 1 {
+		t.Fatalf("governorKills = %d, want 1", st.Server.GovernorKills)
 	}
 
 	// Byte budget, separately tuned server.
@@ -435,11 +493,8 @@ func TestDisconnectMidStreamNoLeak(t *testing.T) {
 func TestSlowReaderBackpressure(t *testing.T) {
 	const nrows = 20000
 	srv, addr := startServerOpts(t, nil)
-	loadBig(t, srv.DB, nrows, 512) // ~10 MB result, far past any buffer
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loadBig(t, srv.DB, nrows, 512) // ~10 MB result, past the pinned buffers
+	cl := dialSmallBuffer(t, addr)
 	defer cl.Close()
 	mon, err := Dial(addr)
 	if err != nil {
@@ -453,22 +508,22 @@ func TestSlowReaderBackpressure(t *testing.T) {
 	}
 	// Let the server run into the full transport buffers, then sample.
 	time.Sleep(150 * time.Millisecond)
-	st1, err := mon.Stats()
+	st1, err := mon.StatsV2()
 	if err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(150 * time.Millisecond)
-	st2, err := mon.Stats()
+	st2, err := mon.StatsV2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.StreamedRows != st1.StreamedRows {
+	if st2.Server.StreamedRows != st1.Server.StreamedRows {
 		t.Fatalf("server kept streaming into a stalled reader: %d -> %d rows",
-			st1.StreamedRows, st2.StreamedRows)
+			st1.Server.StreamedRows, st2.Server.StreamedRows)
 	}
-	if st1.StreamedRows >= nrows {
+	if st1.Server.StreamedRows >= nrows {
 		t.Fatalf("server buffered the whole %d-row result (%d streamed) with no reader",
-			nrows, st1.StreamedRows)
+			nrows, st1.Server.StreamedRows)
 	}
 	total := 0
 	for {

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"testing"
+
+	"openivm/internal/enginerr"
 )
 
 // TestSerializationErrorCode: a write-write conflict over the wire
@@ -42,28 +44,28 @@ func TestSerializationErrorCode(t *testing.T) {
 	if confErr == nil {
 		t.Fatal("conflicting writer committed on both connections")
 	}
-	if !IsSerializationError(confErr) {
+	if !enginerr.HasCode(confErr, enginerr.CodeSerialization) {
 		t.Fatalf("conflict error not classified 40001: %v", confErr)
 	}
 	// An ordinary statement error carries no code.
 	_, synErr := c2.Exec("SELECT nope FROM missing_table")
-	if synErr == nil || IsSerializationError(synErr) {
+	if synErr == nil || enginerr.HasCode(synErr, enginerr.CodeSerialization) {
 		t.Fatalf("plain error misclassified as serialization: %v", synErr)
 	}
 
 	// The stats op surfaces the transaction counters.
-	st, err := c1.Stats()
+	st, err := c1.StatsV2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TxnCommits == 0 {
+	if st.Txn.Commits == 0 {
 		t.Fatalf("stats report no commits: %+v", st)
 	}
-	if st.ConflictAborts == 0 {
+	if st.Txn.ConflictAborts == 0 {
 		t.Fatalf("stats report no conflict aborts: %+v", st)
 	}
-	if st.ActiveTxns != 0 {
-		t.Fatalf("stats report %d active txns, want 0", st.ActiveTxns)
+	if st.Txn.ActiveTxns != 0 {
+		t.Fatalf("stats report %d active txns, want 0", st.Txn.ActiveTxns)
 	}
 }
 
@@ -77,15 +79,15 @@ func TestStatsActiveTxn(t *testing.T) {
 	if _, err := c.Exec("BEGIN; INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
+	st, err := c.StatsV2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ActiveTxns != 1 {
-		t.Fatalf("ActiveTxns = %d, want 1", st.ActiveTxns)
+	if st.Txn.ActiveTxns != 1 {
+		t.Fatalf("ActiveTxns = %d, want 1", st.Txn.ActiveTxns)
 	}
-	if st.OldestSnapshotMS < 0 {
-		t.Fatalf("OldestSnapshotMS = %d", st.OldestSnapshotMS)
+	if st.Txn.OldestSnapshotMS < 0 {
+		t.Fatalf("OldestSnapshotMS = %d", st.Txn.OldestSnapshotMS)
 	}
 	if _, err := c.Exec("COMMIT"); err != nil {
 		t.Fatal(err)

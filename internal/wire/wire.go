@@ -2,17 +2,14 @@
 // for the PostgreSQL client protocol / DuckDB postgres_scanner bridge in
 // the paper's Figure 3, grown into a multi-client server front end.
 //
-// Two protocol generations share one port. A legacy v1 client speaks
-// newline-delimited JSON: one Request object in, one materialized
-// Response object out. A v2 client opens with the 4-byte magic "OWP2"
-// and speaks length-prefixed frames (see frame.go): requests and
-// non-streaming responses stay JSON payloads, but an exec result streams
-// back as a schema frame, binary row-batch frames and a trailer — the
-// server pulls one batch from the live operator tree, writes and flushes
-// it, then pulls the next, so the result is never materialized and a
-// slow reader parks the whole pipeline (backpressure down to the
-// parallel scan's bounded channels). The server detects the generation
-// by peeking the first byte: '{' is a v1 JSON request.
+// A client opens with the 4-byte magic "OWP2" and speaks length-prefixed
+// frames (see frame.go): requests and non-streaming responses are JSON
+// payloads, but an exec result streams back as a schema frame, binary
+// row-batch frames and a trailer — the server pulls one batch from the
+// live operator tree, writes and flushes it, then pulls the next, so the
+// result is never materialized and a slow reader parks the whole pipeline
+// (backpressure down to the parallel scan's bounded channels). Any other
+// opener is answered with one error frame and closed.
 //
 // Every accepted connection gets its own engine.Session, so N clients run
 // interleaved DML, transactions and queries concurrently against one
@@ -24,7 +21,7 @@
 // engine's Close/cancellation protocol) and any open transaction rolls
 // back.
 //
-// Supported operations (v2 adds the last five):
+// Supported operations:
 //
 //	{"op":"exec","sql":"..."}     -> run a statement/script, stream rows
 //	{"op":"schema","table":"t"}   -> column names, types and key of a table
@@ -32,12 +29,11 @@
 //	                                 tables' committed rows (see Server.drain)
 //	{"op":"tables"}               -> list table names
 //	{"op":"ping"}                 -> liveness check
-//	{"op":"stats"}                -> flat v1 counter snapshot (compat)
-//	{"op":"stats","version":2}    -> namespaced counters: server.*,
-//	                                 txn.*, storage.* (WAL/checkpoints)
+//	{"op":"stats"}                -> namespaced counters: server.*, txn.*,
+//	                                 storage.* (WAL/checkpoints), ivm.*
 //	{"op":"token"}                -> this session's cancellation token
 //	{"op":"cancel","token":"..."} -> interrupt that session's statement
-//	{"op":"prepare","name":"p","sql":"..."}          -> parse + mark once
+//	{"op":"prepare","name":"p","sql":"..."}          -> parse once
 //	{"op":"execPrepared","name":"p","params":[...]}  -> bind + stream
 //	{"op":"deallocate","name":"p"}                   -> drop prepared
 //
@@ -45,9 +41,9 @@
 // disclosed over its own connection) lets a second connection interrupt
 // the statement in flight; the target session survives and serves its
 // next request. Admission discipline: MaxConns bounds concurrent
-// connections — beyond it, a connection is answered with one error in
-// its own protocol and closed rather than left to queue invisibly — and
-// the per-query governor (MaxRowsPerQuery, MaxBytesPerQuery,
+// connections — beyond it, a connection is answered with one error frame
+// and closed rather than left to queue invisibly — and the per-query
+// governor (MaxRowsPerQuery, MaxBytesPerQuery,
 // QueryTimeout) kills runaway statements mid-stream, surfacing each kill
 // in the stats op.
 package wire
@@ -67,7 +63,6 @@ import (
 	"openivm/internal/engine"
 	"openivm/internal/enginerr"
 	"openivm/internal/fault"
-	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
 )
 
@@ -81,9 +76,6 @@ type Request struct {
 	Token  string           `json:"token,omitempty"`  // cancel target
 	Tables []string         `json:"tables,omitempty"` // drain: tables to empty
 	Ack    uint64           `json:"ack,omitempty"`    // drain: last batch the consumer applied
-	// Version selects the stats payload shape: 0/1 returns the flat v1
-	// Stats shim, 2 the namespaced StatsV2 groups.
-	Version int `json:"version,omitempty"`
 }
 
 // ColumnDesc describes one column in a schema response. PK is the
@@ -105,42 +97,13 @@ type DrainBatch struct {
 	Tables []DrainTable `json:"tables,omitempty"`
 }
 
-// DrainTable is one table's share of a DrainBatch. Over protocol v1 the
-// rows ride inline; over v2 the response carries only N and the rows
-// follow it as binary row-batch frames, which the client collects into
-// Rows.
+// DrainTable is one table's share of a DrainBatch. The response frame
+// carries only N; the rows follow it as binary row-batch frames, which
+// the client collects into Rows.
 type DrainTable struct {
 	Table string         `json:"table"`
 	N     int            `json:"n"`
 	Rows  []sqltypes.Row `json:"rows,omitempty"`
-}
-
-// Stats is the flat v1 counter snapshot returned by {"op":"stats"} with
-// no version field. It predates the namespaced layout and is kept as a
-// compatibility shim; its fields are a strict subset of StatsV2 flattened
-// into one struct. New clients should request version 2 and read StatsV2.
-type Stats struct {
-	ActiveConns    int   `json:"activeConns"`
-	TotalConns     int64 `json:"totalConns"`
-	RejectedConns  int64 `json:"rejectedConns"`
-	PlanCacheSize  int   `json:"planCacheSize"`
-	PlanCacheHits  int64 `json:"planCacheHits"`
-	PlanCacheMiss  int64 `json:"planCacheMiss"`
-	PreparedMarked int   `json:"preparedMarked"`
-
-	// Governor and streaming counters (v2).
-	GovernorKills   int64 `json:"governorKills"`   // row/byte budget kills
-	TimeoutKills    int64 `json:"timeoutKills"`    // QueryTimeout kills
-	Cancels         int64 `json:"cancels"`         // honored cancel ops
-	StreamedBatches int64 `json:"streamedBatches"` // row-batch frames written
-	StreamedRows    int64 `json:"streamedRows"`    // rows inside those frames
-
-	// Transaction counters (MVCC).
-	ActiveTxns       int64 `json:"activeTxns"`       // open transactions right now
-	OldestSnapshotMS int64 `json:"oldestSnapshotMS"` // age of the oldest pinned snapshot
-	TxnCommits       int64 `json:"txnCommits"`       // committed transactions
-	ConflictAborts   int64 `json:"conflictAborts"`   // write-write conflict aborts
-	GCVersions       int64 `json:"gcVersions"`       // dead row versions reclaimed
 }
 
 // ServerStats is the "server.*" group of StatsV2: connection admission,
@@ -152,7 +115,7 @@ type ServerStats struct {
 	PlanCacheSize   int   `json:"planCacheSize"`
 	PlanCacheHits   int64 `json:"planCacheHits"`
 	PlanCacheMiss   int64 `json:"planCacheMiss"`
-	PreparedMarked  int   `json:"preparedMarked"`
+	PreparedMarked  int   `json:"preparedMarked"` // live connection-scoped prepared statements
 	GovernorKills   int64 `json:"governorKills"`
 	TimeoutKills    int64 `json:"timeoutKills"`
 	Cancels         int64 `json:"cancels"`
@@ -215,9 +178,10 @@ type IVMStats struct {
 	DeltaRowsCaptured int64 `json:"deltaRowsCaptured"`
 }
 
-// StatsV2 is the versioned, namespaced counter snapshot returned by
-// {"op":"stats","version":2}. Counters are grouped by subsystem so new
-// groups can be added without colliding with existing field names.
+// StatsV2 is the namespaced counter snapshot returned by {"op":"stats"}
+// (Version stays 2; the flat shape that was version 1 is gone). Counters
+// are grouped by subsystem so new groups can be added without colliding
+// with existing field names.
 type StatsV2 struct {
 	Version int          `json:"version"`
 	Server  ServerStats  `json:"server"`
@@ -225,14 +189,6 @@ type StatsV2 struct {
 	Storage StorageStats `json:"storage"`
 	Ivm     IVMStats     `json:"ivm"`
 }
-
-// CodeSerialization is the SQLSTATE class carried on serialization
-// failures (write-write conflicts under snapshot isolation). Clients
-// should retry the whole transaction when they see it.
-//
-// Deprecated: the engine-wide class constants live in
-// internal/enginerr; this alias remains for existing callers.
-const CodeSerialization = enginerr.CodeSerialization
 
 // Response is one server->client message.
 type Response struct {
@@ -243,7 +199,6 @@ type Response struct {
 	RowsAffected int                `json:"rowsAffected,omitempty"`
 	Schema       []ColumnDesc       `json:"schema,omitempty"`
 	Tables       []string           `json:"tables,omitempty"`
-	Stats        *Stats             `json:"stats,omitempty"`
 	StatsV2      *StatsV2           `json:"statsV2,omitempty"`
 	Token        string             `json:"token,omitempty"`
 	Drain        *DrainBatch        `json:"drain,omitempty"`
@@ -293,6 +248,7 @@ type Server struct {
 	streamedBatches atomic.Int64
 	streamedRows    atomic.Int64
 	panics          atomic.Int64
+	preparedLive    atomic.Int64 // connection-scoped prepared handles alive
 
 	// retained holds, per drained table (lower-cased name), the rows last
 	// handed to the consumer and not yet acknowledged; see drain.
@@ -313,7 +269,6 @@ type servedConn struct {
 	conn net.Conn
 	sess *engine.Session
 	busy atomic.Bool
-	v1   bool // speaks the legacy JSON protocol (set once, before serving)
 }
 
 // NewServer wraps db.
@@ -359,10 +314,10 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if s.MaxConns > 0 && len(s.conns) >= s.MaxConns {
 			s.rejectedConns++
 			s.mu.Unlock()
-			// Reject loudly: one error response in the client's own
-			// protocol, then close. A silently dropped connection looks
-			// like a network fault to the client. Runs aside so a client
-			// that never speaks cannot stall the accept loop.
+			// Reject loudly: one error frame, then close. A silently
+			// dropped connection looks like a network fault to the client.
+			// Runs aside so a client that never speaks cannot stall the
+			// accept loop.
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
@@ -379,23 +334,22 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// rejectConn answers an over-limit connection with one error message in
-// whatever protocol the client speaks, then closes it.
+// rejectConn answers an over-limit connection with one error frame, then
+// closes it.
 func rejectConn(conn net.Conn) {
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	br := bufio.NewReaderSize(conn, 64)
-	first, err := br.Peek(1)
-	if err != nil {
-		return // never spoke; nothing to answer in
+	// Wait for the client's opener so the answer is not lost to a reset.
+	if n, _ := io.CopyN(io.Discard, conn, int64(len(magicV2))); n == 0 {
+		return // never spoke; nothing to answer
 	}
-	if first[0] == '{' {
-		json.NewEncoder(conn).Encode(&Response{Error: errConnLimit})
-		return
-	}
-	// v2: the magic is on the wire; answer with a proper error frame.
-	io.CopyN(io.Discard, br, int64(len(magicV2)))
-	payload, _ := json.Marshal(&Response{Error: errConnLimit})
+	writeResponseFrame(conn, &Response{Error: errConnLimit})
+}
+
+// writeResponseFrame writes one unbuffered response frame — the
+// connection-level answers given outside a request loop.
+func writeResponseFrame(conn net.Conn, resp *Response) {
+	payload, _ := json.Marshal(resp)
 	writeFrame(conn, frameResponse, payload)
 }
 
@@ -409,16 +363,10 @@ func (s *Server) serveConn(sc *servedConn) {
 		// connection closes, every other client keeps its server.
 		if r := recover(); r != nil {
 			s.panics.Add(1)
-			resp := &Response{
+			writeResponseFrame(conn, &Response{
 				Error: fmt.Sprintf("wire: internal error: %v", r),
 				Code:  enginerr.CodeInternal,
-			}
-			if sc.v1 {
-				json.NewEncoder(conn).Encode(resp)
-			} else {
-				payload, _ := json.Marshal(resp)
-				writeFrame(conn, frameResponse, payload)
-			}
+			})
 		}
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -429,45 +377,12 @@ func (s *Server) serveConn(sc *servedConn) {
 		conn.Close()
 	}()
 	br := bufio.NewReaderSize(conn, 32<<10)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == '{' {
-		sc.v1 = true
-		s.serveV1(sc, br)
-		return
-	}
 	var magic [len(magicV2)]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != magicV2 {
-		payload, _ := json.Marshal(&Response{Error: "wire: bad protocol magic"})
-		writeFrame(conn, frameResponse, payload)
+		writeResponseFrame(conn, &Response{Error: "wire: bad protocol magic"})
 		return
 	}
 	s.serveV2(sc, br)
-}
-
-// serveV1 is the legacy loop: newline-delimited JSON, materialized
-// responses. Statements still run under StartStatement, so the governor
-// timeout and out-of-band cancel reach v1 clients too.
-func (s *Server) serveV1(sc *servedConn, br *bufio.Reader) {
-	dec := json.NewDecoder(br)
-	enc := json.NewEncoder(sc.conn)
-	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		sc.busy.Store(true)
-		resp := s.handle(sc.sess, &req)
-		err := enc.Encode(resp)
-		sc.busy.Store(false)
-		if err != nil || s.draining.Load() {
-			// Draining: finish the request in flight, then bow out
-			// instead of parking in the next read.
-			return
-		}
-	}
 }
 
 // errResponse wraps an engine error, carrying whatever SQLSTATE class
@@ -478,29 +393,16 @@ func errResponse(err error) *Response {
 	return &Response{Error: err.Error(), Code: enginerr.CodeOf(err)}
 }
 
-// handle serves the materialized (v1-compatible) operations.
+// handle serves the control-plane operations: one request, one JSON
+// response frame.
 func (s *Server) handle(sess *engine.Session, req *Request) *Response {
 	switch req.Op {
 	case "ping":
 		return &Response{}
-	case "exec":
-		ctx, finish := sess.StartStatement(s.QueryTimeout)
-		res, err := sess.ExecScriptContext(ctx, req.SQL)
-		if err != nil {
-			s.classifyKill(ctx)
-			finish()
-			return errResponse(err)
-		}
-		finish()
-		out := &Response{RowsAffected: res.RowsAffected, Columns: res.Columns}
-		for _, r := range res.Rows {
-			out.Rows = append(out.Rows, r)
-		}
-		return out
 	case "schema":
 		tbl, err := s.DB.Catalog().Table(req.Table)
 		if err != nil {
-			return &Response{Error: err.Error()}
+			return errResponse(err)
 		}
 		resp := &Response{}
 		for _, c := range tbl.Columns {
@@ -510,19 +412,10 @@ func (s *Server) handle(sess *engine.Session, req *Request) *Response {
 			resp.Schema[pos].PK = i + 1
 		}
 		return resp
-	case "drain":
-		batch, err := s.drain(sess, req)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &Response{Drain: batch}
 	case "tables":
 		return &Response{Tables: s.DB.Catalog().TableNames()}
 	case "stats":
-		if req.Version >= 2 {
-			return &Response{StatsV2: s.snapshotStatsV2()}
-		}
-		return &Response{Stats: flattenStats(s.snapshotStatsV2())}
+		return &Response{StatsV2: s.snapshotStatsV2()}
 	case "token":
 		return &Response{Token: sess.Token()}
 	case "cancel":
@@ -580,8 +473,7 @@ func (s *Server) drain(sess *engine.Session, req *Request) (*DrainBatch, error) 
 	return batch, nil
 }
 
-// snapshotStatsV2 assembles the canonical namespaced snapshot; the flat
-// v1 payload is derived from it by flattenStats.
+// snapshotStatsV2 assembles the namespaced counter snapshot.
 func (s *Server) snapshotStatsV2() *StatsV2 {
 	cs := s.DB.StmtCacheStats()
 	st := &StatsV2{Version: 2}
@@ -593,7 +485,7 @@ func (s *Server) snapshotStatsV2() *StatsV2 {
 		PlanCacheSize:  cs.Entries,
 		PlanCacheHits:  cs.Hits,
 		PlanCacheMiss:  cs.Misses,
-		PreparedMarked: s.DB.PreparedCount(),
+		PreparedMarked: int(s.preparedLive.Load()),
 	}
 	s.mu.Unlock()
 	st.Server.GovernorKills = s.governorKills.Load()
@@ -636,30 +528,6 @@ func (s *Server) snapshotStatsV2() *StatsV2 {
 	return st
 }
 
-// flattenStats projects the v2 snapshot onto the flat v1 shim for
-// clients that do not send a version.
-func flattenStats(v2 *StatsV2) *Stats {
-	return &Stats{
-		ActiveConns:      v2.Server.ActiveConns,
-		TotalConns:       v2.Server.TotalConns,
-		RejectedConns:    v2.Server.RejectedConns,
-		PlanCacheSize:    v2.Server.PlanCacheSize,
-		PlanCacheHits:    v2.Server.PlanCacheHits,
-		PlanCacheMiss:    v2.Server.PlanCacheMiss,
-		PreparedMarked:   v2.Server.PreparedMarked,
-		GovernorKills:    v2.Server.GovernorKills,
-		TimeoutKills:     v2.Server.TimeoutKills,
-		Cancels:          v2.Server.Cancels,
-		StreamedBatches:  v2.Server.StreamedBatches,
-		StreamedRows:     v2.Server.StreamedRows,
-		ActiveTxns:       v2.Txn.ActiveTxns,
-		OldestSnapshotMS: v2.Txn.OldestSnapshotMS,
-		TxnCommits:       v2.Txn.Commits,
-		ConflictAborts:   v2.Txn.ConflictAborts,
-		GCVersions:       v2.Txn.GCVersions,
-	}
-}
-
 // classifyKill records why a statement context died, if it did.
 func (s *Server) classifyKill(ctx context.Context) {
 	if ctx.Err() == context.DeadlineExceeded {
@@ -674,7 +542,7 @@ type v2conn struct {
 	br       *bufio.Reader
 	bw       *bufio.Writer
 	sess     *engine.Session
-	prepared map[string][]sqlparser.Statement
+	prepared map[string]*engine.Prepared
 	rbuf     []byte // frame read buffer, reused across requests
 	wbuf     []byte // row-batch encode buffer, reused across batches
 }
@@ -687,13 +555,9 @@ func (s *Server) serveV2(sc *servedConn, br *bufio.Reader) {
 		bw:   bufio.NewWriterSize(sc.conn, 32<<10),
 		sess: sc.sess,
 	}
-	defer func() {
-		// Connection-scoped prepared statements die with the connection;
-		// unmark them so the prepared-plan cache does not pin their plans.
-		for _, stmts := range c.prepared {
-			s.DB.Unprepare(stmts)
-		}
-	}()
+	// Connection-scoped prepared statements (and the plans their handles
+	// own) die with the connection.
+	defer func() { s.preparedLive.Add(-int64(len(c.prepared))) }()
 	for {
 		if err := fault.Inject(fault.WireFrameRead); err != nil {
 			return // injected read failure: connection teardown
@@ -757,25 +621,24 @@ func (c *v2conn) dispatch(req *Request) error {
 	case "exec", "execPrepared":
 		return c.streamExec(req)
 	case "prepare":
-		stmts, err := c.sess.PrepareScript(req.SQL)
+		p, err := c.sess.PrepareScript(req.SQL)
 		if err != nil {
 			return c.writeResponse(&Response{Error: err.Error()})
 		}
 		if c.prepared == nil {
-			c.prepared = map[string][]sqlparser.Statement{}
+			c.prepared = map[string]*engine.Prepared{}
 		}
-		if old, ok := c.prepared[req.Name]; ok {
-			c.srv.DB.Unprepare(old)
+		if _, replaced := c.prepared[req.Name]; !replaced {
+			c.srv.preparedLive.Add(1)
 		}
-		c.prepared[req.Name] = stmts
+		c.prepared[req.Name] = p
 		return c.writeResponse(&Response{})
 	case "deallocate":
-		stmts, ok := c.prepared[req.Name]
-		if !ok {
+		if _, ok := c.prepared[req.Name]; !ok {
 			return c.writeResponse(&Response{Error: fmt.Sprintf("wire: unknown prepared statement %q", req.Name)})
 		}
-		c.srv.DB.Unprepare(stmts)
 		delete(c.prepared, req.Name)
+		c.srv.preparedLive.Add(-1)
 		return c.writeResponse(&Response{})
 	case "drain":
 		return c.writeDrain(req)
@@ -788,7 +651,7 @@ func (c *v2conn) dispatch(req *Request) error {
 // answer, keeping a large backlog inside the frame size limit.
 const drainFrameRows = 4096
 
-// writeDrain answers a drain over v2: a response frame naming each
+// writeDrain answers a drain: a response frame naming each
 // table and its row count, then that many rows per table as binary
 // row-batch frames, so deltas never pass through the JSON marshaller.
 func (c *v2conn) writeDrain(req *Request) error {
@@ -837,12 +700,12 @@ func (c *v2conn) streamExec(req *Request) error {
 	var st *engine.Stream
 	var err error
 	if req.Op == "execPrepared" {
-		stmts, ok := c.prepared[req.Name]
+		p, ok := c.prepared[req.Name]
 		if !ok {
 			return c.writeResponse(&Response{Error: fmt.Sprintf("wire: unknown prepared statement %q", req.Name)})
 		}
 		c.sess.BindParams(req.Params)
-		st, err = c.sess.ExecPreparedStream(ctx, stmts)
+		st, err = c.sess.ExecPreparedStream(ctx, p)
 	} else {
 		st, err = c.sess.ExecStream(ctx, req.SQL)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"openivm/internal/engine"
+	"openivm/internal/enginerr"
 )
 
 func startServer(t *testing.T) (*Server, *Client) {
@@ -88,8 +89,11 @@ func TestSchemaAndTables(t *testing.T) {
 	if err != nil || len(tables) != 1 || tables[0] != "orders" {
 		t.Fatalf("tables = %v, %v", tables, err)
 	}
-	if _, err := cl.Schema("missing"); err == nil {
-		t.Error("missing table should error")
+	// A misspelt table is classifiable without string matching: the 42P01
+	// catalog.Table attached survives the schema op (htap.Pipeline.Mirror
+	// passes this error straight up).
+	if _, err := cl.Schema("missing"); enginerr.CodeOf(err) != enginerr.CodeUndefinedTable {
+		t.Errorf("schema of a missing table: code %q (err %v), want %s", enginerr.CodeOf(err), err, enginerr.CodeUndefinedTable)
 	}
 }
 
