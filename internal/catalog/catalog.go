@@ -1360,15 +1360,14 @@ func (t *Table) TruncateQuiescent(tx *mvcc.Txn, wantRows bool) ([]sqltypes.Row, 
 	return rows, n, true
 }
 
-// DrainRows atomically removes and returns every committed live row — the
-// generation-seal primitive of the IVM refresh scheduler, which moves the
-// returned rows into the delta table's sealed twin while writers keep
-// appending to this one. When nothing can observe the difference the
-// backing arrays are physically reset (Truncate's fast path); otherwise
-// the drained versions are end-stamped at the latest timestamp so
-// concurrent snapshots keep a consistent view. Uncommitted in-flight
-// versions stay in place: they belong to the next generation once their
-// transaction commits.
+// DrainRows atomically removes and returns every committed live row — how
+// the OLTP store hands its captured delta rows to the cross-system drain
+// while writers keep appending to the table. When nothing can observe the
+// difference the backing arrays are physically reset (Truncate's fast
+// path); otherwise the drained versions are end-stamped at the latest
+// timestamp so concurrent snapshots keep a consistent view. Uncommitted
+// in-flight versions stay in place: they belong to the next drain once
+// their transaction commits.
 func (t *Table) DrainRows() []sqltypes.Row {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -239,15 +239,15 @@ type IVMStats struct {
 	// ParallelRefreshes counts propagations that overlapped in time with
 	// at least one other in-flight propagation.
 	ParallelRefreshes int64
-	// GenerationsSealed counts delta-table generations sealed (drained
-	// from the open ΔT into its sealed twin).
+	// GenerationsSealed counts delta-table generations sealed (a
+	// non-empty ΔT frozen for a propagation to consume).
 	GenerationsSealed int64
 	// GenerationsPending is a gauge: delta tables currently holding
-	// unconsumed rows (open or sealed).
+	// unconsumed rows (in ΔT, open or frozen, or overflowed beside it).
 	GenerationsPending int64
 	// CaptureStallNanos is the cumulative time writers spent waiting on
-	// the capture append lock — bounded by generation seal, never by a
-	// whole propagation.
+	// a delta table's generation lock — bounded by a seal or a consume,
+	// never by a whole propagation.
 	CaptureStallNanos int64
 	// DeltaRowsCaptured counts rows appended to delta tables by capture.
 	DeltaRowsCaptured int64
@@ -479,13 +479,6 @@ func SplitStatements(sql string) []string {
 //
 // Deprecated: use NewSession and Session.Query.
 func (db *DB) Query(sql string) (*Result, error) { return db.Exec(sql) }
-
-// ApplyDeltaRow replays one captured delta row on the default session.
-//
-// Deprecated: use NewSession and Session.ApplyDeltaRow.
-func (db *DB) ApplyDeltaRow(table string, row sqltypes.Row, mult bool) error {
-	return db.def.ApplyDeltaRow(table, row, mult)
-}
 
 // PlanSelect binds and optimizes a SELECT on the default session (exposed
 // for the IVM compiler, which rewrites view plans).

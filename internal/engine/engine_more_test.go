@@ -88,17 +88,19 @@ func TestApplyDeltaRow(t *testing.T) {
 			events++
 			return nil
 		})
+	s := db.NewSession()
+	defer s.Close()
 	row := sqltypes.Row{sqltypes.NewInt(7)}
-	if err := db.ApplyDeltaRow("t", row, true); err != nil {
+	if err := s.ApplyDeltaRow("t", row, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.ApplyDeltaRow("t", row, false); err != nil {
+	if err := s.ApplyDeltaRow("t", row, false); err != nil {
 		t.Fatal(err)
 	}
 	if events != 2 {
 		t.Fatalf("trigger events = %d", events)
 	}
-	if err := db.ApplyDeltaRow("t", row, false); err == nil {
+	if err := s.ApplyDeltaRow("t", row, false); err == nil {
 		t.Fatal("deleting a missing row must error")
 	}
 	tbl, _ := db.Catalog().Table("t")

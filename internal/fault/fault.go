@@ -84,7 +84,7 @@ const (
 	EngineCommit = "engine/commit" // before the MVCC commit publishes
 
 	// IVM: the concurrent refresh scheduler's propagate path.
-	IVMSeal          = "ivm/seal"           // sealing a delta generation (ΔT → ΔT_sealed)
+	IVMSeal          = "ivm/seal"           // before a delta generation is sealed (ΔT frozen)
 	IVMPropagateView = "ivm/propagate-view" // before one view's propagation body runs
 	IVMCombine       = "ivm/combine"        // before the group's combine/truncate commit
 )

@@ -94,8 +94,7 @@ func (c *Compiler) resolveBases(comp *Compilation, from sqlparser.TableRef) erro
 		if alias == "" {
 			alias = nt.Name
 		}
-		delta := c.Opts.DeltaPrefix + tbl.Name
-		bt := BaseTable{Name: tbl.Name, Alias: alias, Delta: delta, Sealed: delta + "_sealed"}
+		bt := BaseTable{Name: tbl.Name, Alias: alias, Delta: c.Opts.DeltaPrefix + tbl.Name}
 		for _, col := range tbl.Columns {
 			bt.Columns = append(bt.Columns, duckast.ColumnDef{Name: col.Name, Type: col.Type.String()})
 		}
@@ -260,14 +259,11 @@ func (c *Compilation) hasMinMax() bool {
 func (c *Compiler) genSetup(comp *Compilation) {
 	s := &duckast.Script{}
 
-	// Delta tables for the base tables, each with a sealed twin of the
-	// same shape (the runtime drains ΔT into ΔT_sealed at generation
-	// seal; propagation reads only the sealed twin).
+	// Delta tables for the base tables.
 	for _, b := range comp.Bases {
 		cols := append([]duckast.ColumnDef{}, b.Columns...)
 		cols = append(cols, duckast.ColumnDef{Name: MultiplicityColumn, Type: "BOOLEAN"})
 		s.Add(&duckast.CreateTable{Name: b.Delta, IfNotExists: true, Columns: cols})
-		s.Add(&duckast.CreateTable{Name: b.Sealed, IfNotExists: true, Columns: cols})
 	}
 
 	// The table materializing the view (the storage table when AVG

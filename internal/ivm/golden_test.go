@@ -44,7 +44,6 @@ func TestListing2Golden(t *testing.T) {
 
 	wantSetup := strings.TrimSpace(`
 CREATE TABLE IF NOT EXISTS delta_groups (group_index VARCHAR, group_value INTEGER, _duckdb_ivm_multiplicity BOOLEAN);
-CREATE TABLE IF NOT EXISTS delta_groups_sealed (group_index VARCHAR, group_value INTEGER, _duckdb_ivm_multiplicity BOOLEAN);
 CREATE TABLE IF NOT EXISTS query_groups (group_index VARCHAR, total_value INTEGER, PRIMARY KEY (group_index));
 CREATE TABLE IF NOT EXISTS delta_query_groups (group_index VARCHAR, total_value INTEGER, _duckdb_ivm_multiplicity BOOLEAN);
 `)
@@ -327,33 +326,37 @@ func TestCompiledScriptsReparse(t *testing.T) {
 	}
 }
 
-// TestSealedBodiesCompiledOnce: an aggregate view carries one runtime body
-// per valid combine strategy, and the configured strategy's entry is
-// SealedBody itself rather than a second compilation of it.
-func TestSealedBodiesCompiledOnce(t *testing.T) {
+// TestBodiesCompiledOnce: an aggregate view carries one body per valid
+// combine strategy — three compilations in all — and the configured
+// strategy's entry is Body, whose statements are Propagate's own leading
+// nodes rather than a second compilation of them.
+func TestBodiesCompiledOnce(t *testing.T) {
 	db := newDB(t)
 	comp := compile(t, db, DefaultOptions(), listing1View)
-	if len(comp.SealedAltBodies) != 3 {
-		t.Fatalf("alternative bodies = %d, want one per strategy", len(comp.SealedAltBodies))
+	if len(comp.AltBodies) != 3 {
+		t.Fatalf("alternative bodies = %d, want one per strategy", len(comp.AltBodies))
 	}
-	if comp.SealedAltBodies[StrategyUpsertLeftJoin] != comp.SealedBody {
-		t.Error("the configured strategy's alternative is not SealedBody")
+	if comp.AltBodies[StrategyUpsertLeftJoin] != comp.Body {
+		t.Error("the configured strategy's alternative is not Body")
 	}
-	for strat, body := range comp.SealedAltBodies {
-		sql := body.SQL(duckast.DialectDuckDB)
-		if !strings.Contains(sql, "delta_groups_sealed") || strings.Contains(sql, "FROM delta_groups ") {
-			t.Errorf("[%v] runtime body does not read the sealed twin:\n%s", strat, sql)
+	for i, st := range comp.Body.Stmts {
+		if comp.Propagate.Stmts[i] != st {
+			t.Errorf("Body statement %d is not Propagate's node", i)
 		}
+	}
+	// Step 4 of the listing-1 view: DELETE FROM ΔV, DELETE FROM ΔT.
+	if got, want := len(comp.Body.Stmts), len(comp.Propagate.Stmts)-2; got != want {
+		t.Errorf("Body has %d statements, want Propagate's first %d", got, want)
 	}
 	// Without the index, upsert is not a valid alternative.
 	opts := DefaultOptions()
 	opts.Strategy = StrategyUnionRegroup
 	comp = compile(t, db, opts, listing1View)
-	if _, ok := comp.SealedAltBodies[StrategyUpsertLeftJoin]; ok || len(comp.SealedAltBodies) != 2 {
-		t.Errorf("alternatives under union_regroup = %d (upsert offered: %v), want the two rebuild plans", len(comp.SealedAltBodies), ok)
+	if _, ok := comp.AltBodies[StrategyUpsertLeftJoin]; ok || len(comp.AltBodies) != 2 {
+		t.Errorf("alternatives under union_regroup = %d (upsert offered: %v), want the two rebuild plans", len(comp.AltBodies), ok)
 	}
 	// Non-aggregate classes have no strategy choice.
-	if comp = compile(t, db, DefaultOptions(), "CREATE MATERIALIZED VIEW p AS SELECT group_index FROM groups"); comp.SealedAltBodies != nil {
+	if comp = compile(t, db, DefaultOptions(), "CREATE MATERIALIZED VIEW p AS SELECT group_index FROM groups"); comp.AltBodies != nil {
 		t.Error("projection view offers alternative combine bodies")
 	}
 }

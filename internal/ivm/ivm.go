@@ -217,12 +217,9 @@ type ViewColumn struct {
 type BaseTable struct {
 	Name  string
 	Alias string // binding alias inside the view query
-	Delta string // generated delta table name (the open generation)
-	// Sealed is the twin table holding sealed delta generations: the
-	// runtime drains ΔT into ΔT_sealed atomically before propagating, so
-	// writers keep appending to ΔT while the propagation consumes the
-	// sealed rows. The paper-faithful standalone script ignores it.
-	Sealed  string
+	// Delta is the generated delta table ΔT: capture appends to it, the
+	// propagation script reads it and step 4 truncates it.
+	Delta   string
 	Columns []duckast.ColumnDef
 }
 
@@ -247,23 +244,20 @@ type Compilation struct {
 	// into their SUM and COUNT parts).
 	storageCols []ViewColumn
 
-	// Setup holds the DDL script; Propagate the paper-faithful standalone
-	// 4-step maintenance script (what PropagateSQL renders and the
-	// metadata tables store).
+	// Setup holds the DDL script; Propagate the 4-step maintenance script
+	// (what PropagateSQL renders and the metadata tables store).
 	Setup     *duckast.Script
 	Propagate *duckast.Script
-	// SealedBody is what the runtime executes: steps 1–3 of Propagate with
-	// every read of a base delta table ΔT going to its sealed twin
-	// ΔT_sealed, and no truncation — the runtime seals the open generation
-	// (drains ΔT → ΔT_sealed) before running it, so capture into ΔT never
-	// waits out a propagation, and clears scratch and sealed twins through
-	// the catalog afterwards.
-	SealedBody *duckast.Script
-	// SealedAltBodies holds SealedBody compiled under each valid combine
-	// strategy (aggregate classes only), enabling the runtime's cost-based
-	// choice — the paper's envisioned cost-based optimization over the IVM
-	// plan space. The entry for Options.Strategy is SealedBody itself.
-	SealedAltBodies map[Strategy]*duckast.Script
+	// Body is steps 1–3 of Propagate — the same statement nodes, not a
+	// copy. It is what a runtime executes when it performs step 4 itself
+	// (truncating ΔV and ΔT through the catalog cannot fail halfway, so a
+	// script error never leaves scratch rows a retry would read twice).
+	Body *duckast.Script
+	// AltBodies holds steps 1–3 under each valid combine strategy
+	// (aggregate classes only), enabling the runtime's cost-based choice —
+	// the paper's envisioned cost-based optimization over the IVM plan
+	// space. The entry for Options.Strategy is Body itself.
+	AltBodies map[Strategy]*duckast.Script
 	// PopulateSQL fills V from the current base-table contents (initial
 	// materialization).
 	Populate *duckast.Script

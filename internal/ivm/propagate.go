@@ -16,76 +16,63 @@ import (
 // Step 3  delete invalidated rows from V (empty groups / deleted tuples);
 // Step 4  truncate ΔV and every ΔT.
 func (c *Compiler) genPropagate(comp *Compilation) error {
-	// The standalone paper-faithful script: steps 1–4a over the open ΔT,
-	// then step 4b, truncating the base delta tables.
-	full, err := c.buildBody(comp, comp.Options.Strategy, false)
+	body, err := c.buildBody(comp, comp.Options.Strategy)
 	if err != nil {
 		return err
+	}
+	comp.Body = body
+	// Propagate is Body's statement nodes followed by step 4: truncate the
+	// view-local delta tables, then every ΔT.
+	full := &duckast.Script{}
+	full.Add(body.Stmts...)
+	full.Add(&duckast.Delete{Table: comp.DeltaView})
+	if comp.JoinDelta != "" {
+		full.Add(&duckast.Delete{Table: comp.JoinDelta})
 	}
 	for _, b := range comp.Bases {
 		full.Add(&duckast.Delete{Table: b.Delta})
 	}
 	comp.Propagate = full
 
-	// What the runtime executes: the same body over the sealed twins.
-	if comp.SealedBody, err = c.buildBody(comp, comp.Options.Strategy, true); err != nil {
-		return err
-	}
-
-	// Alternative combine plans for the runtime's cost-based choice; the
-	// configured strategy's entry is SealedBody itself. The upsert plan is
-	// only valid when the setup created the group-key index (primary key);
-	// the rebuild plans work either way.
+	// Alternative combine plans for the runtime's cost-based choice. The
+	// upsert plan is only valid when the setup created the group-key index
+	// (primary key); the rebuild plans work either way.
 	if comp.Class == ClassAggregate || comp.Class == ClassJoinAggregate {
-		comp.SealedAltBodies = map[Strategy]*duckast.Script{}
+		comp.AltBodies = map[Strategy]*duckast.Script{}
 		for _, strat := range []Strategy{StrategyUpsertLeftJoin, StrategyUnionRegroup, StrategyFullOuterJoin} {
 			if strat == StrategyUpsertLeftJoin && !(comp.needsIndex() && comp.Options.CreateIndex) {
 				continue
 			}
-			alt := comp.SealedBody
+			alt := body
 			if strat != comp.Options.Strategy {
-				if alt, err = c.buildBody(comp, strat, true); err != nil {
+				if alt, err = c.buildBody(comp, strat); err != nil {
 					return err
 				}
 			}
-			comp.SealedAltBodies[strat] = alt
+			comp.AltBodies[strat] = alt
 		}
 	}
 	return nil
 }
 
-// buildBody assembles steps 1–3 plus view-local delta truncation under the
-// given combine strategy. With sealed set, every read of a base delta table
-// targets its sealed twin instead (the generation-aware runtime variant);
-// the sealed scripts also omit the trailing scratch truncation — the
-// scheduler clears ΔV/join-delta through the catalog after each body, so
-// the script's last statements are the writes into V and a mid-script
-// failure never leaves scratch state the retry would double-read.
-func (c *Compiler) buildBody(comp *Compilation, strat Strategy, sealed bool) (*duckast.Script, error) {
+// buildBody assembles steps 1–3 under the given combine strategy.
+func (c *Compiler) buildBody(comp *Compilation, strat Strategy) (*duckast.Script, error) {
 	s := &duckast.Script{}
 	var err error
 	switch comp.Class {
 	case ClassProjection:
-		err = c.propProjection(comp, s, sealed)
+		err = c.propProjection(comp, s)
 	case ClassAggregate:
-		err = c.propAggregate(comp, s, strat, sealed)
+		err = c.propAggregate(comp, s, strat)
 	case ClassJoin:
-		err = c.propJoin(comp, s, sealed)
+		err = c.propJoin(comp, s)
 	case ClassJoinAggregate:
-		err = c.propJoinAggregate(comp, s, strat, sealed)
+		err = c.propJoinAggregate(comp, s, strat)
 	default:
 		err = fmt.Errorf("unsupported query class %v", comp.Class)
 	}
 	if err != nil {
 		return nil, err
-	}
-	if sealed {
-		return s, nil
-	}
-	// Step 4a: truncate the view-local delta tables.
-	s.Add(&duckast.Delete{Table: comp.DeltaView})
-	if comp.JoinDelta != "" {
-		s.Add(&duckast.Delete{Table: comp.JoinDelta})
 	}
 	return s, nil
 }
@@ -142,37 +129,25 @@ func whereSQL(comp *Compilation) string {
 	return sqlparser.ExprString(comp.Select.Where)
 }
 
-// deltaTable names the delta table to read: the open ΔT for the
-// paper-faithful scripts, its sealed twin for the generation-aware ones.
-func deltaTable(b BaseTable, sealed bool) string {
-	if sealed {
-		return b.Sealed
-	}
-	return b.Delta
-}
-
 // deltaSourceSQL returns the single-table FROM clause with the base table
 // replaced by its delta, keeping the original alias so that the view's
-// expressions still resolve. The delta table always carries an alias when
-// reading the sealed twin, since the view expressions name ΔT's columns
-// through the base alias.
-func deltaSourceSQL(b BaseTable, sealed bool) string {
-	d := deltaTable(b, sealed)
-	if b.Alias != b.Name || sealed {
-		return d + " AS " + b.Alias
+// expressions still resolve.
+func deltaSourceSQL(b BaseTable) string {
+	if b.Alias != b.Name {
+		return b.Delta + " AS " + b.Alias
 	}
-	return d
+	return b.Delta
 }
 
 // --- projection / filter views -------------------------------------------
 
 // propProjection emits the σ/π incremental form: identical query over ΔT,
 // multiplicity carried through (DBSP: σ* = σ, π* = π).
-func (c *Compiler) propProjection(comp *Compilation, s *duckast.Script, sealed bool) error {
+func (c *Compiler) propProjection(comp *Compilation, s *duckast.Script) error {
 	b := comp.Bases[0]
 
 	// Step 1: ΔV := π(σ(ΔT)).
-	sel := &duckast.Select{From: &duckast.Raw{Text: deltaSourceSQL(b, sealed)}}
+	sel := &duckast.Select{From: &duckast.Raw{Text: deltaSourceSQL(b)}}
 	for _, col := range comp.Columns {
 		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: col.Name})
 	}
@@ -247,11 +222,11 @@ func aggDeltaColumns(comp *Compilation) []ViewColumn {
 }
 
 // propAggregate emits the GROUP BY incremental form (paper Listing 2).
-func (c *Compiler) propAggregate(comp *Compilation, s *duckast.Script, strat Strategy, sealed bool) error {
+func (c *Compiler) propAggregate(comp *Compilation, s *duckast.Script, strat Strategy) error {
 	b := comp.Bases[0]
 
 	// Step 1: ΔV := γ(ΔT) grouped by (keys, multiplicity).
-	step1 := &duckast.Select{From: &duckast.Raw{Text: deltaSourceSQL(b, sealed)}}
+	step1 := &duckast.Select{From: &duckast.Raw{Text: deltaSourceSQL(b)}}
 	for _, col := range aggDeltaColumns(comp) {
 		switch {
 		case col.IsGroupKey:
@@ -521,7 +496,7 @@ func (c *Compiler) emitEmptyGroupDelete(comp *Compilation, s *duckast.Script) {
 // ΔA.m, ΔB.m and (ΔA.m <> ΔB.m) respectively — the last term compensates
 // for the deltas already being applied to the (post-state) base tables.
 // items(selector) produces the projection for each term.
-func joinDeltaTerms(comp *Compilation, sealed bool, items func(sel *duckast.Select)) []*duckast.Select {
+func joinDeltaTerms(comp *Compilation, items func(sel *duckast.Select)) []*duckast.Select {
 	jt := comp.Select.From.(*sqlparser.JoinTable)
 	a, b := comp.Bases[0], comp.Bases[1]
 	on := joinOnSQL(jt, a.Alias, b.Alias)
@@ -542,19 +517,18 @@ func joinDeltaTerms(comp *Compilation, sealed bool, items func(sel *duckast.Sele
 		}
 		return table
 	}
-	da, db := deltaTable(a, sealed), deltaTable(b, sealed)
 	return []*duckast.Select{
-		mk(da+" AS "+a.Alias, aliased(b.Name, b.Alias), mcol(a.Alias)),
-		mk(aliased(a.Name, a.Alias), db+" AS "+b.Alias, mcol(b.Alias)),
-		mk(da+" AS "+a.Alias, db+" AS "+b.Alias,
+		mk(a.Delta+" AS "+a.Alias, aliased(b.Name, b.Alias), mcol(a.Alias)),
+		mk(aliased(a.Name, a.Alias), b.Delta+" AS "+b.Alias, mcol(b.Alias)),
+		mk(a.Delta+" AS "+a.Alias, b.Delta+" AS "+b.Alias,
 			fmt.Sprintf("%s <> %s", mcol(a.Alias), mcol(b.Alias))),
 	}
 }
 
 // propJoin emits the incremental form of a two-table equi-join view.
-func (c *Compiler) propJoin(comp *Compilation, s *duckast.Script, sealed bool) error {
+func (c *Compiler) propJoin(comp *Compilation, s *duckast.Script) error {
 	// Step 1: the three product-rule terms feed ΔV.
-	terms := joinDeltaTerms(comp, sealed, func(sel *duckast.Select) {
+	terms := joinDeltaTerms(comp, func(sel *duckast.Select) {
 		for _, col := range comp.Columns {
 			sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: col.Name})
 		}
@@ -592,10 +566,10 @@ func (c *Compiler) propJoin(comp *Compilation, s *duckast.Script, sealed bool) e
 
 // propJoinAggregate composes the join product rule with aggregation through
 // the intermediate join-delta table.
-func (c *Compiler) propJoinAggregate(comp *Compilation, s *duckast.Script, strat Strategy, sealed bool) error {
+func (c *Compiler) propJoinAggregate(comp *Compilation, s *duckast.Script, strat Strategy) error {
 	// Step 1a-c: fill the join-delta intermediate.
 	aggCols := comp.AggColumns()
-	terms := joinDeltaTerms(comp, sealed, func(sel *duckast.Select) {
+	terms := joinDeltaTerms(comp, func(sel *duckast.Select) {
 		for _, col := range comp.Columns {
 			if col.IsGroupKey {
 				sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: col.Name})

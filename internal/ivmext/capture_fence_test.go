@@ -15,10 +15,10 @@ import (
 // DELETE FROM ΔT was discarded unapplied, leaving the view permanently
 // stale — a rare wire-stress failure under -race). Under the generation
 // model the same invariant holds structurally: a capture lands either
-// in the open generation before the seal (and is drained into ΔT_sealed
-// and applied) or after it (and survives untouched for the next
-// refresh), because propagation reads and truncates only the sealed
-// twin. Here lazy readers trigger propagation continuously while
+// in ΔT before the seal freezes it (and is applied) or in the overflow
+// after it (and becomes the next generation, untouched, when the
+// propagation truncates ΔT), because nothing is appended to a frozen
+// ΔT. Here lazy readers trigger propagation continuously while
 // independent sessions keep writing; afterwards one final refresh must
 // make the view exactly equal to a recompute over the base table.
 func TestConcurrentWritersNoLostDeltas(t *testing.T) {

@@ -37,7 +37,7 @@ func chaosSeed() (int64, bool) {
 //   - an injected refresh failure surfaces as an error on the reader or
 //     REFRESH statement that triggered it, never crashes the engine, and
 //     never corrupts the view: a failed body leaves the view's
-//     applied-generation marker and the sealed rows intact, so the next
+//     applied-generation marker and the frozen ΔT intact, so the next
 //     refresh repairs exactly the views that missed the generation —
 //     nothing lost, and a view that already applied it is skipped,
 //     nothing double-applied;
@@ -162,7 +162,7 @@ func runRefreshChaos(t *testing.T, rnd *rand.Rand, sites, actions []string) erro
 
 	// Disarm and converge: every view must equal a recompute — the
 	// generation markers must have kept every injected failure
-	// exactly-once: sealed rows preserved for the views that missed them,
+	// exactly-once: the frozen rows preserved for the views that missed them,
 	// never re-applied to the views that did not.
 	fault.Reset()
 	for _, v := range views {

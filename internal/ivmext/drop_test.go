@@ -81,8 +81,8 @@ func TestDropFreesPreparedScripts(t *testing.T) {
 		mustExec(t, db, "REFRESH MATERIALIZED VIEW churn")
 		mustExec(t, db, "DROP VIEW churn")
 	}
-	if n := len(ext.prepared); n != 0 {
-		t.Fatalf("%d views' prepared scripts survived their DROP", n)
+	if n := len(ext.views); n != 0 {
+		t.Fatalf("%d views' registry entries, prepared scripts included, survived their DROP", n)
 	}
 
 	mustExec(t, db, view)
@@ -92,10 +92,10 @@ func TestDropFreesPreparedScripts(t *testing.T) {
 		mustExec(t, db, "REFRESH MATERIALIZED VIEW churn")
 	}
 	refresh()
-	comp, _ := ext.Compilation("churn")
-	body := ext.prepared["churn"][comp.SealedBody]
-	if body == nil || len(ext.prepared) != 1 || len(ext.prepared["churn"]) != 1 {
-		t.Fatalf("prepared scripts after one refresh: %v", ext.prepared)
+	churn := ext.view("churn")
+	body := churn.prepared[churn.comp.Body]
+	if body == nil || len(churn.prepared) != 1 {
+		t.Fatalf("prepared scripts after one refresh: %v", churn.prepared)
 	}
 	planned := body.CachedPlans()
 	if planned == 0 {
@@ -107,7 +107,7 @@ func TestDropFreesPreparedScripts(t *testing.T) {
 	if got := body.CachedPlans(); got != planned {
 		t.Fatalf("handle holds %d plans after three refreshes, %d after one", got, planned)
 	}
-	if ext.prepared["churn"][comp.SealedBody] != body {
+	if churn.prepared[churn.comp.Body] != body {
 		t.Fatal("refresh re-prepared its propagation script")
 	}
 	// Propagation runs on prepared handles only: the shared text cache is

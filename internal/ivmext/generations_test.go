@@ -15,7 +15,7 @@ import (
 // fires post-commit synchronously, so by the time the session's next
 // statement runs, the delta is in the open generation; the lazy hook
 // must treat open-generation rows as pending and refresh before the
-// read — a regression guard against "only sealed rows count as stale".
+// read — a regression guard against "only a frozen ΔT counts as stale".
 func TestReadYourWritesFreshness(t *testing.T) {
 	db := engine.Open("ryw", engine.DialectDuckDB)
 	Install(db)

@@ -13,13 +13,16 @@
 //   - the generated SQL scripts are retained for inspection ("stored on
 //     disk" in the paper) via Extension.Scripts and SaveScripts.
 //
-// Refresh is concurrent and pipelined: capture appends into the open
-// delta generation under a short per-table append lock; a propagation
-// atomically seals the generation (drains ΔT into its sealed twin, so
-// writers immediately fill the next generation) and consumes only sealed
-// rows; and independent views refresh in parallel on a bounded worker
-// pool — views that share a delta table or feed each other serialize
-// through per-view refresh locks, everything else overlaps.
+// Refresh is concurrent and pipelined: capture appends to ΔT under a
+// short per-table lock; a propagation seals the generation in O(1) by
+// freezing ΔT — the table itself is the sealed generation, and captures
+// that arrive while it is frozen wait in memory and become the next
+// generation when the propagation has consumed ΔT; and independent views
+// refresh in parallel on a bounded worker pool — views that share a delta
+// table or feed each other serialize through per-view refresh locks,
+// everything else overlaps. What runs is the script PropagateSQL prints:
+// the prepared statements are steps 1–3 of ivm.Compilation.Propagate, and
+// step 4 (truncating ΔV and ΔT) goes through the catalog.
 //
 // Compiler switches are engine pragmas:
 //
@@ -59,34 +62,11 @@ type Extension struct {
 	db *engine.DB
 
 	mu    sync.Mutex
-	views map[string]*ivm.Compilation // lower-cased view name -> compilation
-	// captured tracks which base delta tables already have a capture
-	// trigger installed (several views may share one base table).
-	captured map[string]bool
-	// locks holds one refresh mutex per registered view. A propagation
-	// locks every view of its refresh group in sorted name order (after
-	// taking a pool slot), so groups with disjoint view sets run fully in
-	// parallel while overlapping groups serialize deadlock-free.
-	locks map[string]*sync.Mutex
+	views map[string]*view // by lower-cased view name
 	// deltas holds the per-delta-table generation state, keyed by the
-	// lower-cased open delta table name. Shared across every view fed by
-	// the table.
+	// lower-cased delta table name. Shared across every view fed by the
+	// table; an entry lives exactly as long as the table's capture trigger.
 	deltas map[string]*deltaState
-	// applied records, per lower-cased view name, the newest sealed
-	// generation the view's propagation body has consumed from each of its
-	// delta tables (keyed like deltas). A view whose marker trails the
-	// delta's generation still owes an application; a sealed twin whose
-	// every dependent view is current can be truncated. Markers are only
-	// mutated while holding the view's refresh-group locks; the map itself
-	// is guarded by mu.
-	applied map[string]map[string]int64
-
-	// prepared holds, per lower-cased view name, the view's propagation
-	// bodies as prepared handles keyed by the (immutable) compiled script,
-	// so a refresh re-executes parsed statements and cached plans instead
-	// of re-rendering, re-parsing and re-planning its SQL every time.
-	// Dropping the view drops its entry, and with it the handles' plans.
-	prepared map[string]map[*duckast.Script]*engine.Prepared
 
 	// pool bounds how many propagations run concurrently
 	// (PRAGMA ivm_refresh_workers; capacity 1 reproduces serial refresh).
@@ -113,11 +93,12 @@ type Extension struct {
 		// ParallelRefreshes counts propagations that overlapped with at
 		// least one other in-flight propagation.
 		ParallelRefreshes int64
-		// GenerationsSealed counts ΔT → ΔT_sealed generation seals.
+		// GenerationsSealed counts generation seals (a non-empty ΔT frozen
+		// for a propagation).
 		GenerationsSealed int64
-		// CaptureStallNanos accumulates writer wait time on the capture
-		// append lock — bounded by a generation seal, never by a whole
-		// propagation.
+		// CaptureStallNanos accumulates writer wait time on the delta's
+		// generation lock — bounded by a seal or a consume, never by a
+		// whole propagation.
 		CaptureStallNanos int64
 		// AutoChoices counts cost-based strategy selections by name
 		// (guarded by the extension mutex).
@@ -125,21 +106,54 @@ type Extension struct {
 	}
 }
 
-// deltaState is the generation state of one shared delta table: writers
-// append to the open generation (table `open`) under the read side of mu;
-// a propagation seals the generation by draining `open` into `sealed`
-// under the write side — an O(rows) pointer move, the only window a
-// writer can stall on. gen numbers the sealed generations: it increments
-// on every non-empty seal, and each view records the last generation it
-// applied per delta table (Extension.applied) — the pair makes refresh
-// exactly-once without wrapping propagation in an engine transaction.
-// gen is written under mu with the delta's refresh-group view locks held,
-// and read either under those group locks or under mu's read side.
+// view is the registry entry of one materialized view. mu is the view's
+// refresh lock: a propagation locks every view of its refresh group in
+// sorted name order (after taking a pool slot), so groups with disjoint
+// view sets run fully in parallel while overlapping groups serialize
+// deadlock-free. applied and prepared are only touched under it.
+type view struct {
+	comp *ivm.Compilation
+	// deltas is the generation state of each base table's delta table, in
+	// comp.Bases order.
+	deltas []*deltaState
+	mu     sync.Mutex
+	// applied records the newest sealed generation the view's propagation
+	// body has consumed from each of its delta tables. A marker that trails
+	// the delta's generation is an application still owed; a frozen ΔT
+	// whose every dependent view is current can be consumed.
+	applied map[*deltaState]int64
+	// prepared holds the view's propagation bodies as prepared handles
+	// keyed by the (immutable) compiled script, so a refresh re-executes
+	// parsed statements and cached plans instead of re-rendering,
+	// re-parsing and re-planning its SQL every time. Dropping the view
+	// drops the entry, and with it the handles' plans.
+	prepared map[*duckast.Script]*engine.Prepared
+}
+
+// deltaState is the generation state of one shared delta table ΔT, which
+// cycles open → frozen → consumed (→ open):
+//
+//   - open: capture appends to ΔT under the read side of mu;
+//   - seal: a propagation that finds ΔT non-empty sets frozen and bumps gen
+//     under the write side — no row moves. A frozen ΔT is the sealed
+//     generation: the propagation bodies read it, and capture appends to
+//     overflow instead (write side), so it does not change under them;
+//   - consume: once every dependent view has applied gen, ΔT is truncated,
+//     overflow moves into it as the next open generation and frozen
+//     clears — one step under the write side.
+//
+// A failed body leaves ΔT frozen with its rows. gen numbers the sealed
+// generations, and each view records the last one it applied per delta
+// table (view.applied) — the pair makes refresh exactly-once without
+// wrapping propagation in an engine transaction. gen and frozen are
+// written under mu with the delta's refresh-group view locks held, and
+// read under either.
 type deltaState struct {
-	mu     sync.RWMutex
-	open   string
-	sealed string
-	gen    int64
+	mu       sync.RWMutex
+	table    string // ΔT
+	frozen   bool
+	gen      int64
+	overflow []sqltypes.Row
 }
 
 // workerPool is a counting semaphore with dynamic capacity (re-read from
@@ -182,13 +196,9 @@ func (p *workerPool) release() {
 // Install registers the IVM extension on db and returns its handle.
 func Install(db *engine.DB) *Extension {
 	ext := &Extension{
-		db:       db,
-		views:    map[string]*ivm.Compilation{},
-		captured: map[string]bool{},
-		locks:    map[string]*sync.Mutex{},
-		deltas:   map[string]*deltaState{},
-		applied:  map[string]map[string]int64{},
-		prepared: map[string]map[*duckast.Script]*engine.Prepared{},
+		db:     db,
+		views:  map[string]*view{},
+		deltas: map[string]*deltaState{},
 	}
 	db.RegisterStatementHook(ext.statementHook)
 	db.SetIVMStatsSource(ext.engineStats)
@@ -208,8 +218,7 @@ func (ext *Extension) engineStats() engine.IVMStats {
 	}
 }
 
-// pendingGauge counts delta tables currently holding unconsumed rows,
-// open or sealed.
+// pendingGauge counts delta tables currently holding unconsumed rows.
 func (ext *Extension) pendingGauge() int64 {
 	ext.mu.Lock()
 	states := make([]*deltaState, 0, len(ext.deltas))
@@ -217,18 +226,38 @@ func (ext *Extension) pendingGauge() int64 {
 		states = append(states, ds)
 	}
 	ext.mu.Unlock()
-	cat := ext.db.Catalog()
 	var n int64
 	for _, ds := range states {
-		if t, err := cat.Table(ds.open); err == nil && t.RowCount() > 0 {
-			n++
-			continue
-		}
-		if t, err := cat.Table(ds.sealed); err == nil && t.RowCount() > 0 {
+		if ext.pending(ds) {
 			n++
 		}
 	}
 	return n
+}
+
+// pending reports whether the delta holds unconsumed rows: ΔT has rows
+// (open or frozen) or captures overflowed while it was frozen. Rows only
+// ever move from overflow into ΔT, so reading in that order misses none.
+func (ext *Extension) pending(ds *deltaState) bool {
+	ds.mu.RLock()
+	overflowed := len(ds.overflow) > 0
+	ds.mu.RUnlock()
+	if overflowed {
+		return true
+	}
+	t, err := ext.db.Catalog().Table(ds.table)
+	return err == nil && t.RowCount() > 0
+}
+
+// anyPending reports whether any of the delta tables holds unconsumed
+// rows.
+func (ext *Extension) anyPending(states []*deltaState) bool {
+	for _, ds := range states {
+		if ext.pending(ds) {
+			return true
+		}
+	}
+	return false
 }
 
 // options assembles compiler options from the engine's pragmas.
@@ -307,62 +336,69 @@ func (ext *Extension) statementHook(s *engine.Session, stmt sqlparser.Statement)
 		if st.Kind != "VIEW" {
 			return false, nil, nil
 		}
-		comp := ext.lookup(st.Name)
-		if comp == nil {
+		v := ext.view(st.Name)
+		if v == nil {
 			return false, nil, nil // plain view: engine handles it
 		}
-		if err := ext.dropMaterializedView(comp); err != nil {
+		if err := ext.dropMaterializedView(v); err != nil {
 			return true, nil, err
 		}
 		return true, &engine.Result{}, nil
-	case *sqlparser.SelectStmt:
-		// Lazy mode: refresh any stale materialized view the query touches
-		// before letting normal execution proceed (the paper models this
-		// as an implicit table function ahead of the plan). A reader that
-		// arrives while another goroutine's propagation is in flight
-		// blocks on the view's refresh lock inside the scheduler and reads
-		// fresh state. Several stale views refresh concurrently on the
-		// scheduler pool.
-		var stale []string
-		for _, name := range referencedTables(st) {
-			if comp := ext.lookup(name); comp != nil && ext.pendingDeltas(comp) {
-				stale = append(stale, name)
-			}
+	case *sqlparser.SelectStmt, *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
+		// Lazy mode: refresh any stale materialized view the statement
+		// reads before letting normal execution proceed (the paper models
+		// this as an implicit table function ahead of the plan).
+		if err := ext.refreshStale(stmt); err != nil {
+			return true, nil, err
 		}
-		switch len(stale) {
-		case 0:
-		case 1:
-			atomic.AddInt64(&ext.Stats.LazyRefreshes, 1)
-			if err := ext.Refresh(stale[0]); err != nil {
-				return true, nil, err
-			}
-		default:
-			var wg sync.WaitGroup
-			errs := make([]error, len(stale))
-			for i, name := range stale {
-				atomic.AddInt64(&ext.Stats.LazyRefreshes, 1)
-				wg.Add(1)
-				go func(i int, name string) {
-					defer wg.Done()
-					errs[i] = ext.Refresh(name)
-				}(i, name)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return true, nil, err
-				}
-			}
-		}
-		return false, nil, nil
 	}
 	return false, nil, nil
 }
 
-func (ext *Extension) lookup(view string) *ivm.Compilation {
+// refreshStale refreshes every materialized view stmt reads whose delta
+// tables hold unconsumed rows. A reader that arrives while another
+// goroutine's propagation is in flight blocks on the view's refresh lock
+// inside the scheduler and reads fresh state. Several stale views refresh
+// concurrently on the scheduler pool.
+func (ext *Extension) refreshStale(stmt sqlparser.Statement) error {
+	var stale []*view
+	for _, v := range ext.matviewsRead(stmt) {
+		if ext.anyPending(v.deltas) {
+			stale = append(stale, v)
+		}
+	}
+	switch len(stale) {
+	case 0:
+		return nil
+	case 1:
+		atomic.AddInt64(&ext.Stats.LazyRefreshes, 1)
+		return ext.propagate(stale[0])
+	}
+	atomic.AddInt64(&ext.Stats.LazyRefreshes, int64(len(stale)))
+	var wg sync.WaitGroup
+	errs := make([]error, len(stale))
+	for i, v := range stale {
+		wg.Add(1)
+		go func(i int, v *view) {
+			defer wg.Done()
+			errs[i] = ext.propagate(v)
+		}(i, v)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// view returns the registry entry of a materialized view, nil when the
+// name is not one.
+func (ext *Extension) view(name string) *view {
 	ext.mu.Lock()
 	defer ext.mu.Unlock()
-	return ext.views[strings.ToLower(view)]
+	return ext.views[strings.ToLower(name)]
 }
 
 // Views lists the names of the registered materialized views.
@@ -370,16 +406,19 @@ func (ext *Extension) Views() []string {
 	ext.mu.Lock()
 	defer ext.mu.Unlock()
 	var out []string
-	for _, c := range ext.views {
-		out = append(out, c.ViewName)
+	for _, v := range ext.views {
+		out = append(out, v.comp.ViewName)
 	}
 	return out
 }
 
 // Compilation returns the stored compiler output for a view.
 func (ext *Extension) Compilation(view string) (*ivm.Compilation, bool) {
-	c := ext.lookup(view)
-	return c, c != nil
+	v := ext.view(view)
+	if v == nil {
+		return nil, false
+	}
+	return v.comp, true
 }
 
 // createMaterializedView compiles the definition, runs the generated DDL,
@@ -397,7 +436,7 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) (*eng
 	// Existing views may have buffered deltas against the same base
 	// tables; drain them first so the new view's initial population (from
 	// the post-delta base state) is not double-counted later. The drain
-	// consumes sealed leftovers of failed propagations too.
+	// consumes the frozen leftovers of failed propagations too.
 	for _, b := range comp.Bases {
 		if err := ext.refreshByDelta(b.Delta); err != nil {
 			return nil, err
@@ -441,39 +480,30 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) (*eng
 	// recovered base tables.
 	markUnlogged(ext.db.Catalog(), comp)
 
-	// Register the view's refresh lock, the per-delta generation state
-	// and delta capture on every base table — once per delta table, even
-	// when several views share a base.
+	// Register the per-delta generation state and delta capture on every
+	// base table — once per delta table, even when several views share a
+	// base.
+	v := &view{comp: comp, applied: map[*deltaState]int64{}, prepared: map[*duckast.Script]*engine.Prepared{}}
 	ext.mu.Lock()
-	viewKey := strings.ToLower(comp.ViewName)
-	if ext.locks[viewKey] == nil {
-		ext.locks[viewKey] = &sync.Mutex{}
-	}
-	if ext.applied[viewKey] == nil {
-		ext.applied[viewKey] = map[string]int64{}
-	}
 	for _, b := range comp.Bases {
 		key := strings.ToLower(b.Delta)
-		if ext.deltas[key] == nil {
-			ext.deltas[key] = &deltaState{open: b.Delta, sealed: b.Sealed}
+		ds := ext.deltas[key]
+		if ds == nil {
+			ds = &deltaState{table: b.Delta}
+			ext.deltas[key] = ds
+			ext.db.AddTrigger(b.Name, "ivm_capture_"+b.Delta,
+				[]engine.TriggerEvent{engine.TrigInsert, engine.TrigDelete, engine.TrigUpdate},
+				func(db *engine.DB, table string, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
+					return ext.capture(ds, ev, oldRows, newRows)
+				})
 		}
 		// The view was just populated from the post-delta base state, so
 		// every generation sealed so far is already reflected in V: start
 		// the marker at the current generation.
-		ds := ext.deltas[key]
 		ds.mu.RLock()
-		ext.applied[viewKey][key] = ds.gen
+		v.applied[ds] = ds.gen
 		ds.mu.RUnlock()
-		if ext.captured[key] {
-			continue
-		}
-		ext.captured[key] = true
-		base := b
-		ext.db.AddTrigger(b.Name, "ivm_capture_"+b.Delta,
-			[]engine.TriggerEvent{engine.TrigInsert, engine.TrigDelete, engine.TrigUpdate},
-			func(db *engine.DB, table string, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
-				return ext.capture(base.Delta, ev, oldRows, newRows)
-			})
+		v.deltas = append(v.deltas, ds)
 	}
 	ext.mu.Unlock()
 
@@ -491,7 +521,7 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) (*eng
 	})
 
 	ext.mu.Lock()
-	ext.views[strings.ToLower(comp.ViewName)] = comp
+	ext.views[strings.ToLower(comp.ViewName)] = v
 	ext.mu.Unlock()
 	return &engine.Result{}, nil
 }
@@ -505,15 +535,11 @@ func deltaNames(comp *ivm.Compilation) []string {
 }
 
 // markUnlogged flags every table the compilation derives from base
-// state (delta tables and their sealed twins, join-delta and delta-view
-// scratch tables, the view's storage table) as excluded from durability.
-// Names that are views rather than tables simply fail the catalog lookup
-// and are skipped.
+// state (delta tables, join-delta and delta-view scratch tables, the
+// view's storage table) as excluded from durability. Names that are views
+// rather than tables simply fail the catalog lookup and are skipped.
 func markUnlogged(cat *catalog.Catalog, comp *ivm.Compilation) {
 	names := append(deltaNames(comp), comp.JoinDelta, comp.DeltaView)
-	for _, b := range comp.Bases {
-		names = append(names, b.Sealed)
-	}
 	st := comp.Storage
 	if st == "" {
 		st = comp.ViewName
@@ -530,11 +556,10 @@ func markUnlogged(cat *catalog.Catalog, comp *ivm.Compilation) {
 }
 
 // capture appends the delta rows of one base-table DML event
-// (ivm.DeltaRows). The append happens under the shared side of the delta's generation lock,
-// so a writer only ever waits out a generation seal (a drain of already-
-// captured rows), never a propagation.
-func (ext *Extension) capture(deltaTable string, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
-	dt, err := ext.db.Catalog().Table(deltaTable)
+// (ivm.DeltaRows) to the delta's open generation, so a writer only ever
+// waits out a seal or a consume, never a propagation.
+func (ext *Extension) capture(ds *deltaState, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
+	dt, err := ext.db.Catalog().Table(ds.table)
 	if err != nil {
 		return err
 	}
@@ -543,67 +568,71 @@ func (ext *Extension) capture(deltaTable string, ev engine.TriggerEvent, oldRows
 		return nil
 	}
 
-	if ds := ext.deltaState(deltaTable); ds != nil {
-		t0 := time.Now()
-		ds.mu.RLock()
-		atomic.AddInt64(&ext.Stats.CaptureStallNanos, int64(time.Since(t0)))
-		_, err = dt.InsertBatch(rows)
-		ds.mu.RUnlock()
-	} else {
-		// No generation state (view being dropped concurrently): plain
-		// append, the rows die with the table.
-		_, err = dt.InsertBatch(rows)
-	}
-	if err != nil {
+	if err := ext.appendOpen(ds, dt, rows); err != nil {
 		return err
 	}
 	atomic.AddInt64(&ext.Stats.DeltasCaught, int64(len(rows)))
 
 	if ext.eager() {
 		atomic.AddInt64(&ext.Stats.EagerRefreshes, 1)
-		return ext.refreshByDelta(deltaTable)
+		return ext.refreshByDelta(ds.table)
 	}
 	return nil
 }
 
-func (ext *Extension) deltaState(deltaTable string) *deltaState {
-	ext.mu.Lock()
-	defer ext.mu.Unlock()
-	return ext.deltas[strings.ToLower(deltaTable)]
+// appendOpen adds captured rows to the delta's open generation: ΔT itself
+// (dt), or the in-memory overflow while a propagation has ΔT frozen.
+// Appends to ΔT share the read side of the generation lock — writers on
+// one base table do not wait on each other here, only on the table's own
+// lock — and CaptureStallNanos meters the wait for either side.
+func (ext *Extension) appendOpen(ds *deltaState, dt *catalog.Table, rows []sqltypes.Row) error {
+	t0 := time.Now()
+	ds.mu.RLock()
+	if !ds.frozen {
+		atomic.AddInt64(&ext.Stats.CaptureStallNanos, int64(time.Since(t0)))
+		_, err := dt.InsertBatch(rows)
+		ds.mu.RUnlock()
+		return err
+	}
+	ds.mu.RUnlock()
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	atomic.AddInt64(&ext.Stats.CaptureStallNanos, int64(time.Since(t0)))
+	if ds.frozen {
+		ds.overflow = append(ds.overflow, rows...)
+		return nil
+	}
+	_, err := dt.InsertBatch(rows) // consumed between the two acquisitions
+	return err
 }
 
 // dropMaterializedView tears one view down completely: registry entry
 // (and with it the prepared propagation scripts and their plans), capture
 // triggers and delta tables no surviving view needs, the storage table
 // and metadata.
-func (ext *Extension) dropMaterializedView(comp *ivm.Compilation) error {
+func (ext *Extension) dropMaterializedView(v *view) error {
 	// Serialize against propagation: lock the view's whole refresh group,
 	// so a refresh mid-flight finishes before its scripts and delta
 	// tables disappear underneath it.
-	_, names, _ := ext.refreshGroup(comp)
-	unlock := ext.lockViews(names)
-	defer unlock()
+	group, names, _ := ext.refreshGroup(v)
+	defer lockViews(group, names)()
+	comp := v.comp
 
 	ext.mu.Lock()
 	delete(ext.views, strings.ToLower(comp.ViewName))
-	delete(ext.locks, strings.ToLower(comp.ViewName))
-	delete(ext.applied, strings.ToLower(comp.ViewName))
-	delete(ext.prepared, strings.ToLower(comp.ViewName))
 	// Deltas still feeding surviving views keep their capture triggers.
 	live := map[string]bool{}
 	for _, other := range ext.views {
-		for _, b := range other.Bases {
+		for _, b := range other.comp.Bases {
 			live[strings.ToLower(b.Delta)] = true
 		}
 	}
-	type deadDelta struct{ base, delta, sealed string }
-	var dead []deadDelta
+	var dead []ivm.BaseTable
 	for _, b := range comp.Bases {
 		key := strings.ToLower(b.Delta)
-		if !live[key] && ext.captured[key] {
-			delete(ext.captured, key)
+		if !live[key] && ext.deltas[key] != nil {
 			delete(ext.deltas, key)
-			dead = append(dead, deadDelta{base: b.Name, delta: b.Delta, sealed: b.Sealed})
+			dead = append(dead, b)
 		}
 	}
 	ext.mu.Unlock()
@@ -615,12 +644,10 @@ func (ext *Extension) dropMaterializedView(comp *ivm.Compilation) error {
 	defer is.Close()
 	is.SetInternal(true)
 	is.SetWALBypass(true) // the hook wrapper logs the single DROP VIEW record
-	for _, d := range dead {
-		ext.db.RemoveTrigger(d.base, "ivm_capture_"+d.delta)
-		for _, tbl := range []string{d.delta, d.sealed} {
-			if _, err := is.Exec("DROP TABLE IF EXISTS " + tbl); err != nil {
-				return fmt.Errorf("ivmext: dropping delta table %s: %w", tbl, err)
-			}
+	for _, b := range dead {
+		ext.db.RemoveTrigger(b.Name, "ivm_capture_"+b.Delta)
+		if _, err := is.Exec("DROP TABLE IF EXISTS " + b.Delta); err != nil {
+			return fmt.Errorf("ivmext: dropping delta table %s: %w", b.Delta, err)
 		}
 	}
 	for _, tbl := range []string{comp.DeltaView, comp.JoinDelta} {
@@ -652,11 +679,11 @@ func (ext *Extension) dropMaterializedView(comp *ivm.Compilation) error {
 // refreshByDelta propagates every view fed by the given delta table.
 func (ext *Extension) refreshByDelta(deltaTable string) error {
 	ext.mu.Lock()
-	var target *ivm.Compilation
-	for _, comp := range ext.views {
-		for _, b := range comp.Bases {
+	var target *view
+	for _, v := range ext.views {
+		for _, b := range v.comp.Bases {
 			if strings.EqualFold(b.Delta, deltaTable) {
-				target = comp
+				target = v
 				break
 			}
 		}
@@ -671,29 +698,14 @@ func (ext *Extension) refreshByDelta(deltaTable string) error {
 	return ext.propagate(target)
 }
 
-// pendingDeltas reports whether any of the view's delta tables hold
-// unconsumed rows — open generation or sealed leftovers.
-func (ext *Extension) pendingDeltas(comp *ivm.Compilation) bool {
-	cat := ext.db.Catalog()
-	for _, b := range comp.Bases {
-		if t, err := cat.Table(b.Delta); err == nil && t.RowCount() > 0 {
-			return true
-		}
-		if t, err := cat.Table(b.Sealed); err == nil && t.RowCount() > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Refresh runs the propagation script for one view (REFRESH MATERIALIZED
 // VIEW, or the lazy path before a query).
 func (ext *Extension) Refresh(view string) error {
-	comp := ext.lookup(view)
-	if comp == nil {
+	v := ext.view(view)
+	if v == nil {
 		return fmt.Errorf("ivmext: %q is not a materialized view", view)
 	}
-	return ext.propagate(comp)
+	return ext.propagate(v)
 }
 
 // refreshGroup computes the target's refresh group under the extension
@@ -704,44 +716,33 @@ func (ext *Extension) Refresh(view string) error {
 // delta table and can propagate concurrently. Returns the group, its
 // sorted lower-cased view names (the lock order) and the generation
 // states of every delta table the group consumes.
-func (ext *Extension) refreshGroup(target *ivm.Compilation) (map[string]*ivm.Compilation, []string, []*deltaState) {
+func (ext *Extension) refreshGroup(target *view) (map[string]*view, []string, []*deltaState) {
 	ext.mu.Lock()
 	defer ext.mu.Unlock()
-	group := map[string]*ivm.Compilation{strings.ToLower(target.ViewName): target}
-	deltas := map[string]bool{}
-	for _, b := range target.Bases {
-		deltas[strings.ToLower(b.Delta)] = true
+	group := map[string]*view{strings.ToLower(target.comp.ViewName): target}
+	deltas := map[*deltaState]bool{}
+	for _, ds := range target.deltas {
+		deltas[ds] = true
 	}
 	for changed := true; changed; {
 		changed = false
-		for name, comp := range ext.views {
+		for name, v := range ext.views {
 			if _, ok := group[name]; ok {
 				continue
 			}
 			link := false
-			for _, b := range comp.Bases {
-				if deltas[strings.ToLower(b.Delta)] {
-					link = true
-					break
-				}
+			for _, ds := range v.deltas {
+				link = link || deltas[ds]
 			}
-			if !link {
-				for _, g := range group {
-					if feeds(comp, g) || feeds(g, comp) {
-						link = true
-						break
-					}
-				}
+			for _, g := range group {
+				link = link || feeds(v.comp, g.comp) || feeds(g.comp, v.comp)
 			}
 			if !link {
 				continue
 			}
-			group[name] = comp
-			for _, b := range comp.Bases {
-				if !deltas[strings.ToLower(b.Delta)] {
-					deltas[strings.ToLower(b.Delta)] = true
-					changed = true
-				}
+			group[name] = v
+			for _, ds := range v.deltas {
+				deltas[ds] = true
 			}
 			changed = true
 		}
@@ -752,16 +753,10 @@ func (ext *Extension) refreshGroup(target *ivm.Compilation) (map[string]*ivm.Com
 	}
 	sort.Strings(names)
 	states := make([]*deltaState, 0, len(deltas))
-	dnames := make([]string, 0, len(deltas))
-	for d := range deltas {
-		dnames = append(dnames, d)
+	for ds := range deltas {
+		states = append(states, ds)
 	}
-	sort.Strings(dnames)
-	for _, d := range dnames {
-		if ds := ext.deltas[d]; ds != nil {
-			states = append(states, ds)
-		}
-	}
+	sort.Slice(states, func(i, j int) bool { return states[i].table < states[j].table })
 	return group, names, states
 }
 
@@ -779,27 +774,17 @@ func feeds(a, b *ivm.Compilation) bool {
 	return false
 }
 
-// lockViews locks the given (sorted) view names' refresh mutexes and
-// returns the unlock function. Lock objects outlive registry removal, so
-// a group computed just before a concurrent drop still locks safely.
-func (ext *Extension) lockViews(names []string) func() {
-	ms := make([]*sync.Mutex, 0, len(names))
-	ext.mu.Lock()
+// lockViews takes the refresh locks of the group's views in the given
+// (sorted) name order and returns the unlock function. The entries outlive
+// registry removal, so a group computed just before a concurrent drop
+// still locks safely.
+func lockViews(group map[string]*view, names []string) func() {
 	for _, n := range names {
-		m := ext.locks[n]
-		if m == nil {
-			m = &sync.Mutex{}
-			ext.locks[n] = m
-		}
-		ms = append(ms, m)
-	}
-	ext.mu.Unlock()
-	for _, m := range ms {
-		m.Lock()
+		group[n].mu.Lock()
 	}
 	return func() {
-		for i := len(ms) - 1; i >= 0; i-- {
-			ms[i].Unlock()
+		for i := len(names) - 1; i >= 0; i-- {
+			group[names[i]].mu.Unlock()
 		}
 	}
 }
@@ -813,31 +798,30 @@ func (ext *Extension) lockViews(names []string) func() {
 //     groups overlap;
 //  2. re-check for pending deltas: a propagation that ran while this one
 //     waited may have consumed them already (refresh coalescing);
-//  3. repair: if a previous propagation failed partway, some views'
-//     applied-generation markers trail their deltas — re-run exactly
-//     those bodies over the still-intact sealed rows, then truncate the
-//     sealed twins every dependent view is now current on;
-//  4. seal each delta table's open generation — drain ΔT into ΔT_sealed
-//     under the exclusive side of the append lock, bumping the delta's
-//     generation number; writers stall only for this drain and
-//     immediately start filling the next generation;
-//  5. apply: run the generation-aware body of each view whose marker
-//     trails the new generation, advancing its markers on success;
-//  6. consume: truncate the sealed twins (and reset their slot storage).
+//  3. repair: if a previous propagation failed partway, ΔT is still
+//     frozen and some views' applied-generation markers trail it — re-run
+//     exactly those bodies over its intact rows, then consume the deltas
+//     every dependent view is now current on;
+//  4. seal each non-empty delta table: freeze ΔT and bump its generation
+//     number — O(1), no row moves; captures from here on overflow in
+//     memory and are untouched by this propagation;
+//  5. apply: run the body of each view whose marker trails the new
+//     generation, advancing its markers on success;
+//  6. consume (the script's step 4): truncate ΔT through the catalog,
+//     move the overflow into it as the next open generation, unfreeze.
 //
 // Bodies run as ordinary autocommit statements — no wrapping engine
 // transaction, so propagation DML keeps the quiescent single-writer fast
 // paths. Exactly-once refresh is carried by the generation markers
-// instead: a body failure leaves the view's marker (and the sealed rows)
-// untouched, so the next refresh repairs just the views that missed the
-// generation and never re-applies one that landed.
-func (ext *Extension) propagate(target *ivm.Compilation) error {
+// instead: a body failure leaves the view's marker untouched and ΔT
+// frozen with its rows, so the next refresh repairs just the views that
+// missed the generation and never re-applies one that landed.
+func (ext *Extension) propagate(target *view) error {
 	ext.pool.acquire(ext.refreshWorkers)
 	defer ext.pool.release()
 
 	group, names, states := ext.refreshGroup(target)
-	unlock := ext.lockViews(names)
-	defer unlock()
+	defer lockViews(group, names)()
 
 	// Drop group members unregistered while we waited for the locks
 	// (concurrent DROP MATERIALIZED VIEW).
@@ -855,7 +839,7 @@ func (ext *Extension) propagate(target *ivm.Compilation) error {
 
 	// Coalesce: everything pending when we were called has been consumed
 	// by a propagation that held these locks before us.
-	if !ext.statesPending(states) {
+	if !ext.anyPending(states) {
 		return nil
 	}
 
@@ -876,12 +860,13 @@ func (ext *Extension) propagate(target *ivm.Compilation) error {
 	is.SetWALBypass(true) // propagation touches only unlogged derived tables
 	if err := is.WithoutTriggers(func() error {
 		// Repair + consume leftovers of a failed predecessor, so the seal
-		// below never mixes an already-applied generation with a new one.
-		gens := genSnapshot(states)
-		if err := ext.applyStale(is, group, ordered, gens); err != nil {
+		// below only ever finds open delta tables.
+		if err := ext.applyStale(is, group, ordered); err != nil {
 			return err
 		}
-		ext.consume(ordered, group, states, gens)
+		if err := ext.consume(states); err != nil {
+			return err
+		}
 
 		// Seal the open generations. From here on, new captures land in
 		// the next generation and are untouched by this propagation.
@@ -891,35 +876,21 @@ func (ext *Extension) propagate(target *ivm.Compilation) error {
 			}
 		}
 
-		gens = genSnapshot(states)
-		if err := ext.applyStale(is, group, ordered, gens); err != nil {
+		if err := ext.applyStale(is, group, ordered); err != nil {
 			return err
 		}
 		if err := fault.Inject(fault.IVMCombine); err != nil {
-			// Every body has landed and advanced its markers; the sealed
-			// rows linger until the next refresh repairs nothing and
-			// consumes them.
+			// Every body has landed and advanced its markers; ΔT stays
+			// frozen until the next refresh repairs nothing and consumes
+			// it.
 			return err
 		}
-		ext.consume(ordered, group, states, gens)
-		return nil
+		return ext.consume(states)
 	}); err != nil {
 		return err
 	}
 	atomic.AddInt64(&ext.Stats.Refreshes, 1)
 	return nil
-}
-
-// genSnapshot reads the current generation number of each group delta.
-// The group's view locks are held, so no seal can move them concurrently.
-func genSnapshot(states []*deltaState) map[string]int64 {
-	gens := make(map[string]int64, len(states))
-	for _, ds := range states {
-		ds.mu.RLock()
-		gens[strings.ToLower(ds.open)] = ds.gen
-		ds.mu.RUnlock()
-	}
-	return gens
 }
 
 // applyStale runs the propagation body of every group view whose
@@ -928,66 +899,47 @@ func genSnapshot(states []*deltaState) map[string]int64 {
 // (their deltas sealed nothing new, or a prior partially-failed
 // propagation already applied them) are skipped — the skip is what makes
 // retry-after-failure exactly-once.
-func (ext *Extension) applyStale(is *engine.Session, group map[string]*ivm.Compilation, names []string, gens map[string]int64) error {
+func (ext *Extension) applyStale(is *engine.Session, group map[string]*view, names []string) error {
 	for _, n := range names {
-		comp := group[n]
-		if !ext.viewStale(n, comp, gens) {
+		v := group[n]
+		if !v.stale() {
 			continue
 		}
-		if err := ext.applyView(is, comp); err != nil {
+		if err := ext.applyView(is, v); err != nil {
 			return err
 		}
-		ext.markApplied(n, comp, gens)
+		for _, ds := range v.deltas {
+			v.applied[ds] = ds.gen
+		}
 	}
 	return nil
 }
 
-// viewStale reports whether the view still owes an application of some
-// group delta's sealed generation.
-func (ext *Extension) viewStale(name string, comp *ivm.Compilation, gens map[string]int64) bool {
-	ext.mu.Lock()
-	defer ext.mu.Unlock()
-	av := ext.applied[name]
-	for _, b := range comp.Bases {
-		key := strings.ToLower(b.Delta)
-		if g, ok := gens[key]; ok && av[key] < g {
+// stale reports whether the view still owes an application of the current
+// generation of one of its delta tables. The caller holds the view's
+// refresh-group locks, so no seal can move a generation concurrently.
+func (v *view) stale() bool {
+	for _, ds := range v.deltas {
+		if v.applied[ds] < ds.gen {
 			return true
 		}
 	}
 	return false
 }
 
-// markApplied advances the view's markers to the generations it just
-// consumed.
-func (ext *Extension) markApplied(name string, comp *ivm.Compilation, gens map[string]int64) {
-	ext.mu.Lock()
-	defer ext.mu.Unlock()
-	av := ext.applied[name]
-	if av == nil {
-		av = map[string]int64{}
-		ext.applied[name] = av
-	}
-	for _, b := range comp.Bases {
-		key := strings.ToLower(b.Delta)
-		if g, ok := gens[key]; ok {
-			av[key] = g
-		}
-	}
-}
-
-// applyView executes one view's generation-aware propagation body as
+// applyView executes steps 1–3 of the view's propagation script as
 // autocommit statements and clears its scratch tables. The body's last
-// statements are the writes into V (the compiler omits scratch
-// truncation from the sealed scripts), so a script that returns success
-// has fully applied the generation; on failure the scratch is still
-// cleared — infallibly, through the catalog — leaving the retry a clean
-// slate with the sealed rows intact.
-func (ext *Extension) applyView(is *engine.Session, comp *ivm.Compilation) error {
+// statements are the writes into V, so a script that returns success has
+// fully applied the generation; on failure the scratch is still cleared —
+// infallibly, through the catalog — leaving the retry a clean slate with
+// the frozen ΔT intact.
+func (ext *Extension) applyView(is *engine.Session, v *view) error {
+	comp := v.comp
 	if err := fault.Inject(fault.IVMPropagateView); err != nil {
 		return fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
 	atomic.AddInt64(&ext.Stats.Propagations, 1)
-	body, err := ext.preparedScript(comp, ext.chooseBody(comp))
+	body, err := ext.preparedScript(v, ext.chooseBody(comp))
 	if err != nil {
 		return fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
@@ -1014,117 +966,97 @@ func (ext *Extension) clearScratch(comp *ivm.Compilation) {
 	}
 }
 
-// consume truncates every sealed twin whose dependent views have all
-// applied its current generation. A delta left alone here (some view's
-// body failed) keeps its sealed rows for the next refresh's repair pass.
-func (ext *Extension) consume(names []string, group map[string]*ivm.Compilation, states []*deltaState, gens map[string]int64) {
-	cat := ext.db.Catalog()
+// consume re-opens the group's frozen deltas (reopen). Its callers reach it
+// only after applyStale has brought every group view up to the generation
+// of each of its deltas; a propagation that failed before that point
+// returns without consuming, and the deltas stay frozen with their rows
+// for the next refresh's repair pass.
+func (ext *Extension) consume(states []*deltaState) error {
 	for _, ds := range states {
-		key := strings.ToLower(ds.open)
-		gen := gens[key]
-		current := true
-		ext.mu.Lock()
-		for _, n := range names {
-			for _, b := range group[n].Bases {
-				if strings.ToLower(b.Delta) == key && ext.applied[n][key] < gen {
-					current = false
-				}
-			}
+		t, err := ext.db.Catalog().Table(ds.table)
+		if err != nil {
+			continue // dropped with its last view
 		}
-		ext.mu.Unlock()
-		if !current {
-			continue
-		}
-		if t, err := cat.Table(ds.sealed); err == nil {
-			t.Truncate()
+		if err := ds.reopen(t); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// statesPending reports whether any group delta table holds rows.
-func (ext *Extension) statesPending(states []*deltaState) bool {
-	cat := ext.db.Catalog()
-	for _, ds := range states {
-		if t, err := cat.Table(ds.open); err == nil && t.RowCount() > 0 {
-			return true
-		}
-		if t, err := cat.Table(ds.sealed); err == nil && t.RowCount() > 0 {
-			return true
-		}
+// reopen ends a frozen generation in one step under the write side of the
+// generation lock: truncate ΔT (t), move the overflow into it, unfreeze.
+func (ds *deltaState) reopen(t *catalog.Table) error {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	if !ds.frozen {
+		return nil
 	}
-	return false
+	t.Truncate()
+	// The overflowed rows are base-table rows plus the multiplicity flag,
+	// shaped like ΔT by construction; an insert error means the rest of
+	// them are lost, and is reported as that.
+	n, err := t.InsertBatch(ds.overflow)
+	lost := len(ds.overflow) - n
+	ds.overflow, ds.frozen = nil, false
+	if err != nil {
+		return fmt.Errorf("ivmext: re-opening %s lost %d captured rows: %w", ds.table, lost, err)
+	}
+	return nil
 }
 
-// seal drains the delta table's open generation into its sealed twin,
-// atomically under the exclusive side of the append lock, and bumps the
-// generation number when rows moved. Capture stalls only for the
-// duration of this drain.
+// seal freezes the delta table's open generation when it holds rows and
+// bumps the generation number: ΔT itself is now the sealed generation, and
+// captures overflow in memory until consume. No row moves.
 func (ext *Extension) seal(ds *deltaState) error {
 	if err := fault.Inject(fault.IVMSeal); err != nil {
 		return err
 	}
+	t, err := ext.db.Catalog().Table(ds.table)
+	if err != nil {
+		return err
+	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	cat := ext.db.Catalog()
-	open, err := cat.Table(ds.open)
-	if err != nil {
-		return err
-	}
-	rows := open.DrainRows()
-	if len(rows) == 0 {
+	if t.RowCount() == 0 {
 		return nil
 	}
-	sealed, err := cat.Table(ds.sealed)
-	if err != nil {
-		return err
-	}
-	if _, err := sealed.InsertBatch(rows); err != nil {
-		return err
-	}
+	ds.frozen = true
 	ds.gen++
 	atomic.AddInt64(&ext.Stats.GenerationsSealed, 1)
 	return nil
 }
 
-// preparedScript returns the prepared handle for one of comp's compiled
-// bodies, preparing and caching it on first use. Compiled scripts are
-// immutable, so an entry never invalidates. The caller holds comp's
-// refresh lock, which is what makes it the handle's only executor.
-func (ext *Extension) preparedScript(comp *ivm.Compilation, body *duckast.Script) (*engine.Prepared, error) {
-	view := strings.ToLower(comp.ViewName)
-	ext.mu.Lock()
-	p, ok := ext.prepared[view][body]
-	ext.mu.Unlock()
-	if ok {
+// preparedScript returns the prepared handle for one of the view's
+// compiled bodies, preparing and caching it on first use. Compiled scripts
+// are immutable, so an entry never invalidates. The caller holds the
+// view's refresh lock, which is what makes it the handle's only executor.
+func (ext *Extension) preparedScript(v *view, body *duckast.Script) (*engine.Prepared, error) {
+	if p, ok := v.prepared[body]; ok {
 		return p, nil
 	}
-	p, err := ext.db.PrepareScript(body.SQL(comp.Options.Dialect))
+	p, err := ext.db.PrepareScript(body.SQL(v.comp.Options.Dialect))
 	if err != nil {
 		return nil, err
 	}
-	ext.mu.Lock()
-	if ext.prepared[view] == nil {
-		ext.prepared[view] = map[*duckast.Script]*engine.Prepared{}
-	}
-	ext.prepared[view][body] = p
-	ext.mu.Unlock()
+	v.prepared[body] = p
 	return p, nil
 }
 
-// chooseBody returns the generation-aware propagation body to run,
-// performing the cost-based strategy selection when PRAGMA
-// ivm_strategy='auto': the upsert plan's cost tracks |ΔV| (index probes
-// per changed group) while the rebuild plans scan all of |V|, so upsert
-// wins once the view dwarfs the delta; for small views rebuilding by
-// regrouping is cheaper than per-key upserts. Runs after the seal, so
-// the delta cardinality is read from the sealed twins.
+// chooseBody returns the propagation body to run — comp.Body, steps 1–3
+// of the printed script — or, when PRAGMA ivm_strategy='auto', the
+// cost-based pick among the combine strategies: the upsert plan's cost
+// tracks |ΔV| (index probes per changed group) while the rebuild plans
+// scan all of |V|, so upsert wins once the view dwarfs the delta; for
+// small views rebuilding by regrouping is cheaper than per-key upserts.
+// Runs after the seal, so ΔT's row count is the generation's cardinality.
 func (ext *Extension) chooseBody(comp *ivm.Compilation) *duckast.Script {
-	if !strings.EqualFold(ext.db.Pragma("ivm_strategy"), "auto") || len(comp.SealedAltBodies) == 0 {
-		return comp.SealedBody
+	if !strings.EqualFold(ext.db.Pragma("ivm_strategy"), "auto") || len(comp.AltBodies) == 0 {
+		return comp.Body
 	}
 	deltaRows := 0
 	for _, b := range comp.Bases {
-		if t, err := ext.db.Catalog().Table(b.Sealed); err == nil {
+		if t, err := ext.db.Catalog().Table(b.Delta); err == nil {
 			deltaRows += t.RowCount()
 		}
 	}
@@ -1133,15 +1065,15 @@ func (ext *Extension) chooseBody(comp *ivm.Compilation) *duckast.Script {
 		viewRows = t.RowCount()
 	}
 	choice := ivm.StrategyUnionRegroup
-	if body, ok := comp.SealedAltBodies[ivm.StrategyUpsertLeftJoin]; ok && viewRows > 4*deltaRows {
+	if body, ok := comp.AltBodies[ivm.StrategyUpsertLeftJoin]; ok && viewRows > 4*deltaRows {
 		ext.recordChoice(ivm.StrategyUpsertLeftJoin)
 		return body
 	}
-	if body, ok := comp.SealedAltBodies[choice]; ok {
+	if body, ok := comp.AltBodies[choice]; ok {
 		ext.recordChoice(choice)
 		return body
 	}
-	return comp.SealedBody
+	return comp.Body
 }
 
 func (ext *Extension) recordChoice(s ivm.Strategy) {
@@ -1155,60 +1087,127 @@ func (ext *Extension) recordChoice(s ivm.Strategy) {
 
 // Scripts returns the stored setup and propagation SQL for a view.
 func (ext *Extension) Scripts(view string) (setup, propagate string, err error) {
-	comp := ext.lookup(view)
-	if comp == nil {
+	v := ext.view(view)
+	if v == nil {
 		return "", "", fmt.Errorf("ivmext: %q is not a materialized view", view)
 	}
-	return comp.SetupSQL(), comp.PropagateSQL(), nil
+	return v.comp.SetupSQL(), v.comp.PropagateSQL(), nil
 }
 
 // SaveScripts writes each registered view's scripts to dir — the paper
 // stores the propagation scripts on disk "to allow future inspection and
 // usage without having to start DuckDB".
 func (ext *Extension) SaveScripts(dir string) error {
-	ext.mu.Lock()
-	defer ext.mu.Unlock()
-	for name, comp := range ext.views {
-		base := filepath.Join(dir, name)
-		if err := os.WriteFile(base+"_setup.sql", []byte(comp.SetupSQL()), 0o644); err != nil {
+	// Views and Scripts each take and release ext.mu; no file is written
+	// under it, where every refresh would queue behind the I/O.
+	for _, name := range ext.Views() {
+		setup, propagate, err := ext.Scripts(name)
+		if err != nil {
+			continue // dropped since the listing
+		}
+		base := filepath.Join(dir, strings.ToLower(name))
+		if err := os.WriteFile(base+"_setup.sql", []byte(setup), 0o644); err != nil {
 			return err
 		}
-		if err := os.WriteFile(base+"_propagate.sql", []byte(comp.PropagateSQL()), 0o644); err != nil {
+		if err := os.WriteFile(base+"_propagate.sql", []byte(propagate), 0o644); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// referencedTables collects every table name referenced in the FROM
-// clauses of a select (including CTEs and subqueries).
-func referencedTables(sel *sqlparser.SelectStmt) []string {
-	var out []string
-	var fromRef func(tr sqlparser.TableRef)
-	var fromSel func(s *sqlparser.SelectStmt)
-	fromRef = func(tr sqlparser.TableRef) {
-		switch t := tr.(type) {
-		case *sqlparser.NamedTable:
-			out = append(out, t.Name)
-		case *sqlparser.SubqueryTable:
-			fromSel(t.Select)
-		case *sqlparser.JoinTable:
-			fromRef(t.Left)
-			fromRef(t.Right)
+// matviewsRead collects the registered materialized views a statement
+// reads: named in the FROM clauses (joins, derived tables), CTEs,
+// set-operation arms and subquery expressions of a SELECT, reached through
+// the definition of a plain view, or read by the source and the
+// predicates of INSERT … SELECT, UPDATE and DELETE.
+func (ext *Extension) matviewsRead(stmt sqlparser.Statement) []*view {
+	w := readWalk{ext: ext}
+	w.visit = func(x sqlparser.Expr) bool {
+		if sq, ok := x.(*sqlparser.SubqueryExpr); ok {
+			w.sel(sq.Select)
+		}
+		return true
+	}
+	switch st := stmt.(type) {
+	case *sqlparser.SelectStmt:
+		w.sel(st)
+	case *sqlparser.InsertStmt:
+		w.sel(st.Select)
+	case *sqlparser.UpdateStmt:
+		for _, a := range st.Set {
+			w.expr(a.Value)
+		}
+		w.expr(st.Where)
+	case *sqlparser.DeleteStmt:
+		w.expr(st.Where)
+	}
+	return w.views
+}
+
+// readWalk is the state of one matviewsRead traversal.
+type readWalk struct {
+	ext   *Extension
+	views []*view
+	visit func(sqlparser.Expr) bool // WalkExpr callback: descends into subqueries
+}
+
+// expr descends into the subqueries of an expression.
+func (w *readWalk) expr(e sqlparser.Expr) { sqlparser.WalkExpr(e, w.visit) }
+
+func (w *readWalk) sel(s *sqlparser.SelectStmt) {
+	if s == nil {
+		return
+	}
+	for _, cte := range s.CTEs {
+		w.sel(cte.Select)
+	}
+	for _, it := range s.Items {
+		w.expr(it.Expr)
+	}
+	for _, row := range s.Values {
+		for _, e := range row {
+			w.expr(e)
 		}
 	}
-	fromSel = func(s *sqlparser.SelectStmt) {
-		if s == nil {
-			return
-		}
-		for _, cte := range s.CTEs {
-			fromSel(cte.Select)
-		}
-		if s.From != nil {
-			fromRef(s.From)
-		}
-		fromSel(s.Next)
+	if s.From != nil {
+		w.ref(s.From)
 	}
-	fromSel(sel)
-	return out
+	w.expr(s.Where)
+	w.expr(s.Having)
+	w.sel(s.Next)
+}
+
+func (w *readWalk) ref(tr sqlparser.TableRef) {
+	switch t := tr.(type) {
+	case *sqlparser.NamedTable:
+		w.named(t.Name)
+	case *sqlparser.SubqueryTable:
+		w.sel(t.Select)
+	case *sqlparser.JoinTable:
+		w.ref(t.Left)
+		w.ref(t.Right)
+		w.expr(t.On)
+	}
+}
+
+func (w *readWalk) named(name string) {
+	if v := w.ext.view(name); v != nil {
+		for _, seen := range w.views {
+			if seen == v {
+				return
+			}
+		}
+		w.views = append(w.views, v)
+		return
+	}
+	// A plain view reads what its definition reads. One that does not
+	// parse as a SELECT is the binder's error to report.
+	if v, ok := w.ext.db.Catalog().View(name); ok {
+		if def, err := sqlparser.Parse(v.SourceSQL); err == nil {
+			if sel, ok := def.(*sqlparser.SelectStmt); ok {
+				w.sel(sel)
+			}
+		}
+	}
 }

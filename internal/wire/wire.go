@@ -166,13 +166,14 @@ type IVMStats struct {
 	// ParallelRefreshes counts propagations that overlapped at least one
 	// other in-flight propagation on the scheduler pool.
 	ParallelRefreshes int64 `json:"parallelRefreshes"`
-	// GenerationsSealed counts delta generations drained into sealed
-	// twins; GenerationsPending gauges delta tables holding unconsumed
-	// rows right now.
+	// GenerationsSealed counts delta generations sealed (a non-empty ΔT
+	// frozen for a propagation); GenerationsPending gauges delta tables
+	// holding unconsumed rows right now.
 	GenerationsSealed  int64 `json:"generationsSealed"`
 	GenerationsPending int64 `json:"generationsPending"`
-	// CaptureStallNanos accumulates writer wait time on the capture
-	// append lock (bounded by generation seals, not propagations).
+	// CaptureStallNanos accumulates writer wait time on the delta
+	// tables' generation locks (bounded by seals and consumes, not
+	// propagations).
 	CaptureStallNanos int64 `json:"captureStallNanos"`
 	// DeltaRowsCaptured counts rows appended to delta tables.
 	DeltaRowsCaptured int64 `json:"deltaRowsCaptured"`
