@@ -14,6 +14,7 @@ import (
 	"openivm/internal/engine"
 	"openivm/internal/ivm"
 	"openivm/internal/ivmext"
+	"openivm/internal/mvcc"
 	"openivm/internal/oltp"
 	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
@@ -171,7 +172,7 @@ func BenchmarkE2_Recompute(b *testing.B) {
 func BenchmarkE3_CrossSystemIVM(b *testing.B) {
 	sales := workload.Sales{Customers: 500, Orders: 5000, Regions: 16, Seed: 1}
 	store := oltp.New("pg")
-	if err := sales.Load(store.DB, true); err != nil {
+	if err := sales.Load(store.DB); err != nil {
 		b.Fatal(err)
 	}
 	srv := wire.NewServer(store.DB)
@@ -210,7 +211,7 @@ func BenchmarkE3_CrossSystemIVM(b *testing.B) {
 func BenchmarkE3_CrossSystemRecompute(b *testing.B) {
 	sales := workload.Sales{Customers: 500, Orders: 5000, Regions: 16, Seed: 1}
 	store := oltp.New("pg")
-	if err := sales.Load(store.DB, true); err != nil {
+	if err := sales.Load(store.DB); err != nil {
 		b.Fatal(err)
 	}
 	srv := wire.NewServer(store.DB)
@@ -236,7 +237,7 @@ func BenchmarkE3_CrossSystemRecompute(b *testing.B) {
 func BenchmarkE3_PureOLTP(b *testing.B) {
 	sales := workload.Sales{Customers: 500, Orders: 5000, Regions: 16, Seed: 1}
 	store := oltp.New("pg")
-	if err := sales.Load(store.DB, true); err != nil {
+	if err := sales.Load(store.DB); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -326,7 +327,7 @@ func BenchmarkE7_JoinIVM(b *testing.B) {
 			ivmext.Install(db)
 			mustExecB(b, db, "PRAGMA workers = 1") // cross-machine determinism
 			sales := workload.Sales{Customers: customers, Orders: 20000, Regions: 8, Seed: 5}
-			if err := sales.Load(db, true); err != nil {
+			if err := sales.Load(db); err != nil {
 				b.Fatal(err)
 			}
 			mustExecB(b, db, `CREATE MATERIALIZED VIEW region_totals AS
@@ -353,7 +354,7 @@ func BenchmarkE7_JoinRecompute(b *testing.B) {
 	db := engine.Open("e7", engine.DialectDuckDB)
 	mustExecB(b, db, "PRAGMA workers = 1") // cross-machine determinism
 	sales := workload.Sales{Customers: 2048, Orders: 20000, Regions: 8, Seed: 5}
-	if err := sales.Load(db, true); err != nil {
+	if err := sales.Load(db); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -471,7 +472,7 @@ func BenchmarkE7_JoinBuild(b *testing.B) {
 			db := engine.Open("e7b", engine.DialectDuckDB)
 			mustExecB(b, db, fmt.Sprintf("PRAGMA workers = %d", w))
 			sales := workload.Sales{Customers: 20000, Orders: 30000, Regions: 8, Seed: 5}
-			if err := sales.Load(db, true); err != nil {
+			if err := sales.Load(db); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -729,7 +730,7 @@ func BenchmarkE12_HTAPSync(b *testing.B) {
 	const writesPerSync, upsertsPerSync = 20, 6
 	sales := workload.Sales{Customers: 2000, Orders: 100_000, Regions: 16, Seed: 1}
 	store := oltp.New("pg")
-	if err := sales.Load(store.DB, true); err != nil {
+	if err := sales.Load(store.DB); err != nil {
 		b.Fatal(err)
 	}
 	srv := wire.NewServer(store.DB)
@@ -798,10 +799,24 @@ func pkBenchTable(b *testing.B, rows int) (*catalog.Table, *catalog.Catalog) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := tbl.InsertBatch(pkBenchBatch(0, rows)); err != nil {
+	pkBenchWrite(b, cat, func(tx *mvcc.Txn) error {
+		_, err := tbl.InsertBatchTxn(tx, pkBenchBatch(0, rows))
+		return err
+	})
+	return tbl, cat
+}
+
+// pkBenchWrite runs write as one committed transaction of cat.
+func pkBenchWrite(b *testing.B, cat *catalog.Catalog, write func(tx *mvcc.Txn) error) {
+	b.Helper()
+	tx := cat.MVCC().Begin()
+	err := write(tx)
+	if err == nil {
+		err = cat.MVCC().Commit(tx)
+	}
+	if err != nil {
 		b.Fatal(err)
 	}
-	return tbl, cat
 }
 
 func pkBenchBatch(from, n int) []sqltypes.Row {
@@ -824,16 +839,17 @@ func BenchmarkPKIndex_Put(b *testing.B) {
 	for done := 0; done < b.N; done += pkBenchRows {
 		b.StopTimer()
 		rows := pkBenchBatch(0, min(pkBenchRows, b.N-done))
-		tbl, _ := pkBenchTable(b, 0)
+		tbl, cat := pkBenchTable(b, 0)
 		if first == nil {
 			first = tbl
 		}
-		b.StartTimer()
-		if _, err := tbl.InsertBatch(rows); err != nil {
-			b.Fatal(err)
-		}
+		pkBenchWrite(b, cat, func(tx *mvcc.Txn) error {
+			b.StartTimer() // the insert alone, not its commit
+			_, err := tbl.InsertBatchTxn(tx, rows)
+			b.StopTimer()
+			return err
+		})
 	}
-	b.StopTimer()
 	b.ReportMetric(float64(first.PrimaryKeyIndexBytes())/float64(first.RowCount()), "B/key")
 }
 
@@ -856,16 +872,26 @@ func BenchmarkPKIndex_Rebuild(b *testing.B) {
 	mgr := cat.MVCC()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		// The delete's commit triggers a background sweep. A registered
+		// snapshot holds the watermark behind that commit until the timed
+		// span, and the untimed sweep below queues behind the background
+		// one on the table lock, so both find nothing to reclaim and the
+		// timed sweep does all of the work.
+		_, release := mgr.AcquireSnapshot()
 		if i > 0 {
-			if _, err := tbl.InsertBatch(dead); err != nil {
-				b.Fatal(err)
-			}
+			pkBenchWrite(b, cat, func(tx *mvcc.Txn) error {
+				_, err := tbl.InsertBatchTxn(tx, dead)
+				return err
+			})
 		}
 		n := int64(len(dead))
-		if _, err := tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[0].I < n, nil }); err != nil {
-			b.Fatal(err)
-		}
+		pkBenchWrite(b, cat, func(tx *mvcc.Txn) error {
+			_, err := tbl.DeleteTxn(tx, nil, func(r sqltypes.Row) (bool, error) { return r[0].I < n, nil })
+			return err
+		})
+		mgr.Vacuum()
 		b.StartTimer()
+		release()
 		if got := mgr.Vacuum(); got != len(dead) {
 			b.Fatalf("sweep reclaimed %d versions, want %d", got, len(dead))
 		}

@@ -38,7 +38,7 @@ func run(orders, customers, stream int) error {
 	// 1. The OLTP side: a PostgreSQL-style store served over TCP.
 	store := oltp.New("pg")
 	sales := workload.Sales{Customers: customers, Orders: orders, Regions: 12, Seed: 1}
-	if err := sales.Load(store.DB, true); err != nil {
+	if err := sales.Load(store.DB); err != nil {
 		return err
 	}
 	srv := wire.NewServer(store.DB)

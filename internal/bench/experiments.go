@@ -161,7 +161,7 @@ func E3CrossSystem(s Scale) (*Table, error) {
 	// (a) pure OLAP: everything in the analytical engine, view recomputed.
 	{
 		db := engine.Open("olap", engine.DialectDuckDB)
-		if err := sales.Load(db, true); err != nil {
+		if err := sales.Load(db); err != nil {
 			return nil, err
 		}
 		stream := sales.OrderStream(streamLen, 3)
@@ -180,7 +180,7 @@ func E3CrossSystem(s Scale) (*Table, error) {
 	// (b) pure OLTP: the same, in the row-store engine.
 	{
 		store := oltp.New("pg")
-		if err := sales.Load(store.DB, true); err != nil {
+		if err := sales.Load(store.DB); err != nil {
 			return nil, err
 		}
 		stream := sales.OrderStream(streamLen, 3)
@@ -199,7 +199,7 @@ func E3CrossSystem(s Scale) (*Table, error) {
 	// (c) cross-system with IVM and (d) without (full re-pull + recompute).
 	for _, withIVM := range []bool{true, false} {
 		store := oltp.New("pg")
-		if err := sales.Load(store.DB, true); err != nil {
+		if err := sales.Load(store.DB); err != nil {
 			return nil, err
 		}
 		srv := wire.NewServer(store.DB)
@@ -436,7 +436,7 @@ func E7JoinIVM(s Scale) (*Table, error) {
 		db := engine.Open("e7", engine.DialectDuckDB)
 		ivmext.Install(db)
 		sales := workload.Sales{Customers: customers, Orders: orders, Regions: 8, Seed: 5}
-		if err := sales.Load(db, true); err != nil {
+		if err := sales.Load(db); err != nil {
 			return nil, err
 		}
 		if _, err := db.Exec(`CREATE MATERIALIZED VIEW region_totals AS

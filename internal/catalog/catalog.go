@@ -8,10 +8,9 @@
 // while writers append new versions instead of mutating shared state.
 // Version chains are linked newest-to-oldest through per-slot prev
 // pointers; the primary-key index (a compact key→slot table, see
-// internal/index/slottab) always maps a key to its newest slot.
-// Legacy (nil-transaction) writes stamp themselves with the latest
-// committed timestamp, making them immediately visible everywhere — the
-// pre-MVCC semantics the IVM delta-capture path relies on.
+// internal/index/slottab) always maps a key to its newest slot. Every
+// write runs under a transaction: it stamps the versions it creates or
+// retires with its id, logs them, and becomes visible at its commit.
 package catalog
 
 import (
@@ -63,7 +62,7 @@ type Table struct {
 
 	// pinned counts in-flight transactions holding write-log references to
 	// slots of this table. While nonzero, GC must not compact (renumber
-	// slots) and TRUNCATE must not physically reset the arrays.
+	// slots) and TruncateTxn must not physically reset the arrays.
 	pinned int
 
 	// abortHoles counts slots emptied by aborted inserts that no sweep has
@@ -549,31 +548,9 @@ func (t *Table) validate(row sqltypes.Row) (sqltypes.Row, error) {
 	return out, nil
 }
 
-// readSnapLocked resolves the snapshot a write path validates against:
-// the transaction's snapshot, or latest-committed for legacy writes.
-func (t *Table) readSnapLocked(tx *mvcc.Txn) mvcc.Snapshot {
-	if tx != nil {
-		return tx.Snapshot()
-	}
-	return t.mv.Current()
-}
-
-// beginStamp is the begin stamp a new version gets: the writer's tagged
-// txn id, or — for legacy writes — the latest committed timestamp, which
-// makes the version immediately visible to every current snapshot.
-func (t *Table) beginStamp(tx *mvcc.Txn) uint64 {
-	if tx != nil {
-		return tx.StampID()
-	}
-	return t.mv.LatestTS()
-}
-
 // logLocked records a write-log entry and pins the table on the
 // transaction's first op against it.
 func (t *Table) logLocked(tx *mvcc.Txn, op mvcc.Op) {
-	if tx == nil {
-		return
-	}
 	if tx.Log(t, op) {
 		t.pinned++
 	}
@@ -586,7 +563,7 @@ func (t *Table) logLocked(tx *mvcc.Txn, op mvcc.Op) {
 func (t *Table) appendVersionLocked(tx *mvcc.Txn, r sqltypes.Row, cur pkCursor, prev int32) int {
 	slot := len(t.rows)
 	t.rows = append(t.rows, r)
-	t.vers = append(t.vers, verMeta{begin: t.beginStamp(tx), prev: prev})
+	t.vers = append(t.vers, verMeta{begin: tx.StampID(), prev: prev})
 	if t.HasPrimaryKey() {
 		t.pkStore(cur, slot)
 	}
@@ -594,6 +571,27 @@ func (t *Table) appendVersionLocked(tx *mvcc.Txn, r sqltypes.Row, cur pkCursor, 
 	t.live++
 	t.logLocked(tx, mvcc.Op{Kind: mvcc.OpInsert, Slot: int32(slot), Prev: prev})
 	return slot
+}
+
+// claimKeyLocked decides whether tx may append a new version of a key whose
+// newest version sits in slot and is invisible to tx. A live version there
+// is another transaction's uncommitted insert; a retired one is writable
+// under first-updater-wins (mvcc.Manager.CheckWritable). Either conflict
+// dooms tx.
+func (t *Table) claimKeyLocked(tx *mvcc.Txn, slot int32) error {
+	if t.rows[slot] == nil {
+		return nil
+	}
+	end := t.vers[slot].end
+	if end == 0 {
+		tx.Doom()
+		return fmt.Errorf("%w: primary key inserted by concurrent transaction on table %s", mvcc.ErrSerialization, t.Name)
+	}
+	if err := t.mv.CheckWritable(tx, end); err != nil {
+		tx.Doom()
+		return err
+	}
+	return nil
 }
 
 // insertOneLocked inserts a validated row as a new version, enforcing
@@ -605,26 +603,11 @@ func (t *Table) insertOneLocked(tx *mvcc.Txn, r sqltypes.Row) error {
 	if t.HasPrimaryKey() {
 		if cur = t.pkSeekLocked(r); cur.ok {
 			slot := cur.slot
-			if t.visibleLocked(t.readSnapLocked(tx), slot) >= 0 {
+			if t.visibleLocked(tx.Snapshot(), slot) >= 0 {
 				return enginerr.Newf(enginerr.CodeDuplicateKey, "table %s: duplicate primary key %v", t.Name, r)
 			}
-			if t.rows[slot] != nil {
-				vm := t.vers[slot]
-				if vm.end == 0 {
-					// Live but invisible: a concurrent uncommitted insert
-					// holds this key.
-					if tx == nil {
-						return enginerr.Newf(enginerr.CodeDuplicateKey, "table %s: duplicate primary key %v", t.Name, r)
-					}
-					tx.Doom()
-					return fmt.Errorf("%w: primary key inserted by concurrent transaction on table %s", mvcc.ErrSerialization, t.Name)
-				}
-				if tx != nil {
-					if err := t.mv.CheckWritable(tx, vm.end); err != nil {
-						tx.Doom()
-						return err
-					}
-				}
+			if err := t.claimKeyLocked(tx, slot); err != nil {
+				return err
 			}
 			prev = slot
 		}
@@ -633,11 +616,8 @@ func (t *Table) insertOneLocked(tx *mvcc.Txn, r sqltypes.Row) error {
 	return nil
 }
 
-// Insert appends a row. With a primary key, a duplicate key is an error.
-func (t *Table) Insert(row sqltypes.Row) error { return t.InsertTxn(nil, row) }
-
-// InsertTxn is Insert within a transaction: the new version stays invisible
-// to other snapshots until tx commits.
+// InsertTxn appends a row; with a primary key, a duplicate key is an error.
+// The new version stays invisible to other snapshots until tx commits.
 func (t *Table) InsertTxn(tx *mvcc.Txn, row sqltypes.Row) error {
 	r, err := t.validate(row)
 	if err != nil {
@@ -648,16 +628,11 @@ func (t *Table) InsertTxn(tx *mvcc.Txn, row sqltypes.Row) error {
 	return t.insertOneLocked(tx, r)
 }
 
-// InsertBatch appends rows under a single lock acquisition — the batched
-// DML path. Semantics match calling Insert per row: on the first failing
+// InsertBatchTxn appends rows under a single lock acquisition — the batched
+// DML path. Semantics match calling InsertTxn per row: on the first failing
 // row it stops and returns the error, leaving earlier rows inserted. The
 // returned count says how many rows landed, so callers can compensate for
 // the prefix even on failure.
-func (t *Table) InsertBatch(rows []sqltypes.Row) (int, error) {
-	return t.InsertBatchTxn(nil, rows)
-}
-
-// InsertBatchTxn is InsertBatch within a transaction.
 func (t *Table) InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -673,21 +648,16 @@ func (t *Table) InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (int, error) {
 	return len(rows), nil
 }
 
-// InsertVecs appends n rows given as typed column vectors — the columnar
+// InsertVecsTxn appends n rows given as typed column vectors — the columnar
 // DML sink INSERT ... SELECT uses when its source pipeline produces
 // columnar batches, so rows materialize straight from the vector payloads
 // into one row-major slab with no intermediate row view. Validation is
 // hoisted out of the row loop: a vector whose type matches its column
 // needs no per-value coercion, only a NOT NULL sweep over the validity
-// bitmap. Semantics match InsertBatch row for row: the first failing row
+// bitmap. Semantics match InsertBatchTxn row for row: the first failing row
 // stops the insert, earlier rows stay, and the returned count says how
 // many landed. The built rows are returned (durable slab rows) so callers
 // can fire triggers and compensate the inserted prefix without rebuilding.
-func (t *Table) InsertVecs(cols []*sqltypes.Vector, n int) ([]sqltypes.Row, int, error) {
-	return t.InsertVecsTxn(nil, cols, n)
-}
-
-// InsertVecsTxn is InsertVecs within a transaction.
 func (t *Table) InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]sqltypes.Row, int, error) {
 	if len(cols) != len(t.Columns) {
 		return nil, 0, fmt.Errorf("table %s: batch has %d columns, want %d", t.Name, len(cols), len(t.Columns))
@@ -749,13 +719,10 @@ func (t *Table) InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]s
 	return rows[:n], n, nil
 }
 
-// Upsert inserts, or replaces the existing row with the same primary key
-// (DuckDB INSERT OR REPLACE). The table must have a primary key.
-func (t *Table) Upsert(row sqltypes.Row) error { return t.UpsertTxn(nil, row) }
-
-// UpsertTxn is Upsert within a transaction: the replaced version is
-// end-stamped and a new version appended, so concurrent snapshots keep
-// seeing the old row until commit.
+// UpsertTxn inserts, or replaces the existing row with the same primary key
+// (DuckDB INSERT OR REPLACE). The table must have a primary key. The
+// replaced version is end-stamped and a new version appended, so concurrent
+// snapshots keep seeing the old row until commit.
 func (t *Table) UpsertTxn(tx *mvcc.Txn, row sqltypes.Row) error {
 	r, err := t.validate(row)
 	if err != nil {
@@ -766,35 +733,14 @@ func (t *Table) UpsertTxn(tx *mvcc.Txn, row sqltypes.Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.upsertLocked(tx, r, t.pkSeekLocked(r), nil)
-}
-
-// UpsertMerge inserts or, on conflict, replaces only the given column
-// positions with values computed by merge(old, new) — used by the
-// PostgreSQL-dialect ON CONFLICT DO UPDATE path.
-func (t *Table) UpsertMerge(row sqltypes.Row, merge func(old, new sqltypes.Row) (sqltypes.Row, error)) error {
-	return t.UpsertMergeTxn(nil, row, merge)
-}
-
-// UpsertMergeTxn is UpsertMerge within a transaction.
-func (t *Table) UpsertMergeTxn(tx *mvcc.Txn, row sqltypes.Row, merge func(old, new sqltypes.Row) (sqltypes.Row, error)) error {
-	r, err := t.validate(row)
-	if err != nil {
-		return err
-	}
-	if !t.HasPrimaryKey() {
-		return fmt.Errorf("table %s: ON CONFLICT requires a primary key", t.Name)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.upsertLocked(tx, r, t.pkSeekLocked(r), merge)
+	return t.upsertLocked(tx, r, t.pkSeekLocked(r))
 }
 
 // UpsertBatchTxn applies INSERT OR REPLACE to a batch of rows under one
 // lock acquisition — the IVM combine step's hot path. Per-row semantics
 // match UpsertTxn, with one addition: when tx is an autocommit statement
 // transaction and the sole observer (no other transaction, no registered
-// snapshot — the same quiescence test TruncateQuiescent uses), replaced
+// snapshot — the same quiescence test TruncateTxn uses), replaced
 // rows are updated in place and fresh keys are appended already stamped
 // committed, instead of version-churning every group on every refresh.
 // The batch stays atomic for later-arriving readers because the table
@@ -802,17 +748,17 @@ func (t *Table) UpsertMergeTxn(tx *mvcc.Txn, row sqltypes.Row, merge func(old, n
 // (OpReplace) so the rare doom-abort — only reachable through the
 // fallback path below — still reverts cleanly. The sub-statement window
 // in which a snapshot taken mid-batch observes the statement's
-// uncommitted (but commit-bound) writes is the one TruncateQuiescent
-// already accepts. Returns the inserted rows and the replaced old/new
-// pairs for trigger delivery; on error the applied prefix stays, like
-// InsertBatch.
+// uncommitted (but commit-bound) writes is the one TruncateTxn already
+// accepts. Returns the inserted rows and the replaced old/new pairs for
+// trigger delivery; on error the applied prefix stays, like
+// InsertBatchTxn.
 func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, replacedOld, replacedNew []sqltypes.Row, err error) {
 	if !t.HasPrimaryKey() {
 		return nil, nil, nil, fmt.Errorf("table %s: INSERT OR REPLACE requires a primary key or unique index", t.Name)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	quiescent := tx != nil && tx.AutoCommit() && !tx.Doomed() && t.mv.OnlyActive(tx)
+	quiescent := t.quiescentLocked(tx)
 	for _, row := range rows {
 		r, verr := t.validate(row)
 		if verr != nil {
@@ -822,8 +768,8 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, rep
 		if quiescent {
 			if !cur.ok {
 				// Fresh key: append stamped committed at tx's read
-				// timestamp (not LatestTS, so the row stays visible to
-				// tx's own snapshot even if unrelated commits land
+				// timestamp (not the latest one, so the row stays visible
+				// to tx's own snapshot even if unrelated commits land
 				// mid-batch), logged so an abort still removes it.
 				slot := len(t.rows)
 				t.rows = append(t.rows, r)
@@ -851,12 +797,12 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, rep
 		// version committed after tx's snapshot, uncommitted stamps):
 		// the general versioned path, which detects conflicts and dooms
 		// tx as usual.
-		vis := t.visibleLocked(t.readSnapLocked(tx), cur.slot)
+		vis := t.visibleLocked(tx.Snapshot(), cur.slot)
 		var old sqltypes.Row
 		if vis >= 0 {
 			old = t.rows[vis]
 		}
-		if uerr := t.upsertLocked(tx, r, cur, nil); uerr != nil {
+		if uerr := t.upsertLocked(tx, r, cur); uerr != nil {
 			return inserted, replacedOld, replacedNew, uerr
 		}
 		if vis >= 0 {
@@ -869,86 +815,27 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, rep
 	return inserted, replacedOld, replacedNew, nil
 }
 
-// upsertLocked implements both upsert flavors: replace (merge == nil) or
-// merge-on-conflict. The caller validated r, sought its key (cur) and
-// holds the write lock.
-func (t *Table) upsertLocked(tx *mvcc.Txn, r sqltypes.Row, cur pkCursor, merge func(old, new sqltypes.Row) (sqltypes.Row, error)) error {
+// upsertLocked appends r as the newest version of its key, retiring the
+// version visible to tx when there is one. The caller validated r, sought
+// its key (cur) and holds the write lock.
+func (t *Table) upsertLocked(tx *mvcc.Txn, r sqltypes.Row, cur pkCursor) error {
 	if !cur.ok {
 		t.appendVersionLocked(tx, r, cur, -1)
 		return nil
 	}
 	newest := cur.slot
-	vis := t.visibleLocked(t.readSnapLocked(tx), newest)
-
+	vis := t.visibleLocked(tx.Snapshot(), newest)
 	if vis < 0 {
 		// No visible version: behaves as an insert, but the key may be
 		// claimed by a concurrent writer.
-		if t.rows[newest] != nil {
-			vm := t.vers[newest]
-			if vm.end == 0 {
-				if tx != nil {
-					tx.Doom()
-				}
-				return fmt.Errorf("%w: primary key inserted by concurrent transaction on table %s", mvcc.ErrSerialization, t.Name)
-			}
-			if tx != nil {
-				if err := t.mv.CheckWritable(tx, vm.end); err != nil {
-					tx.Doom()
-					return err
-				}
-			}
-		}
-		t.appendVersionLocked(tx, r, cur, newest)
-		return nil
-	}
-
-	old := t.rows[vis]
-	nr := r
-	if merge != nil {
-		merged, err := merge(old, r)
-		if err != nil {
+		if err := t.claimKeyLocked(tx, newest); err != nil {
 			return err
 		}
-		if nr, err = t.validate(merged); err != nil {
-			return err
-		}
-	}
-
-	if tx == nil {
-		// Legacy instant write. When the visible version is a committed
-		// live row we replace it in place — the pre-MVCC fast path the IVM
-		// combine step depends on (no version churn in upsert loops).
-		vm := t.vers[vis]
-		if vis == newest && vm.begin&mvcc.TxnBit == 0 && vm.end == 0 {
-			t.removeIndexedLocked(old, int(vis))
-			t.rows[vis] = nr
-			t.insertIndexedLocked(nr, int(vis))
-			return nil
-		}
-		// Visible through an uncommitted delete, or shadowed: append.
-		t.vers[vis].end = t.mv.LatestTS()
-		t.live--
-		t.mv.NoteDead(1)
-		t.appendVersionLocked(nil, nr, cur, newest)
-		return nil
-	}
-
-	if err := t.mv.CheckWritable(tx, t.vers[vis].end); err != nil {
-		tx.Doom()
+	} else if err := t.retireLocked(tx, int(vis)); err != nil {
 		return err
 	}
-	if t.vers[vis].end == 0 {
-		t.vers[vis].end = tx.StampID()
-		t.live--
-		t.logLocked(tx, mvcc.Op{Kind: mvcc.OpDelete, Slot: vis})
-	}
-	t.appendVersionLocked(tx, nr, cur, newest)
+	t.appendVersionLocked(tx, r, cur, newest)
 	return nil
-}
-
-// Delete removes all rows matching pred, returning them.
-func (t *Table) Delete(pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
-	return t.DeleteTxn(nil, nil, pred)
 }
 
 // candidatesLocked bounds the slots a filtered write visits: all of them,
@@ -965,45 +852,43 @@ func (t *Table) candidatesLocked(sn mvcc.Snapshot, key []sqltypes.Value) (lo, hi
 }
 
 // retireLocked end-stamps the version in slot i, which the caller found
-// visible: with tx's stamp (logged, first-updater-wins — a conflict dooms
-// tx), or for a legacy instant write at the latest timestamp. It reports
-// false when a legacy write must leave the version alone because another
-// transaction's uncommitted delete already holds it: clobbering that
-// stamp would resurrect the row if the transaction aborts.
-func (t *Table) retireLocked(tx *mvcc.Txn, i int) (bool, error) {
-	end := t.vers[i].end
-	if tx == nil {
-		if end != 0 {
-			return false, nil
-		}
-		t.vers[i].end = t.mv.LatestTS()
-		t.live--
-		return true, nil
-	}
-	if err := t.mv.CheckWritable(tx, end); err != nil {
+// visible to tx, with tx's stamp and logs it. First-updater-wins: a version
+// another transaction already retired is a conflict, which dooms tx.
+func (t *Table) retireLocked(tx *mvcc.Txn, i int) error {
+	if err := t.mv.CheckWritable(tx, t.vers[i].end); err != nil {
 		tx.Doom()
-		return false, err
+		return err
 	}
-	if end == 0 {
+	t.endStampLocked(tx, i)
+	return nil
+}
+
+// endStampLocked is retireLocked past the conflict check: a version tx
+// already retired itself stays as it is.
+func (t *Table) endStampLocked(tx *mvcc.Txn, i int) {
+	if t.vers[i].end == 0 {
 		t.vers[i].end = tx.StampID()
 		t.live--
 		t.logLocked(tx, mvcc.Op{Kind: mvcc.OpDelete, Slot: int32(i)})
 	}
-	return true, nil
 }
 
-// DeleteTxn is Delete within a transaction; a nil pred matches every row
-// (the unfiltered DELETE FROM path), and a non-nil key restricts the
-// statement to the row with that primary key, found through the index
-// instead of a scan (pred still applies to it). Deleted versions are
-// end-stamped, not removed: concurrent snapshots keep seeing them, and GC
-// reclaims them once no snapshot can.
+// DeleteTxn removes the rows matching pred and returns them. A non-nil key
+// restricts the statement to the row with that primary key, found through
+// the index instead of a scan (pred still applies to it). Deleted versions
+// are end-stamped, not removed: concurrent snapshots keep seeing them, and
+// GC reclaims them once no snapshot can.
 func (t *Table) DeleteTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sn := t.readSnapLocked(tx)
+	return t.deleteLocked(tx, key, pred)
+}
+
+// deleteLocked is DeleteTxn under the held write lock; a nil pred matches
+// every row (TruncateTxn's versioned path).
+func (t *Table) deleteLocked(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
+	sn := tx.Snapshot()
 	var deleted []sqltypes.Row
-	dead := 0
 	lo, hi := t.candidatesLocked(sn, key)
 	for i := lo; i < hi; i++ {
 		r := t.rows[i]
@@ -1017,58 +902,39 @@ func (t *Table) DeleteTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes
 		if pred != nil {
 			ok, err := pred(r)
 			if err != nil {
-				t.mv.NoteDead(dead)
 				return deleted, err
 			}
 			if !ok {
 				continue
 			}
 		}
-		ok, err := t.retireLocked(tx, i)
-		if err != nil {
-			t.mv.NoteDead(dead)
+		if err := t.retireLocked(tx, i); err != nil {
 			return deleted, err
-		}
-		if !ok {
-			continue
-		}
-		if tx == nil {
-			dead++
 		}
 		deleted = append(deleted, r)
 	}
-	t.mv.NoteDead(dead)
 	return deleted, nil
-}
-
-// DeleteOne removes at most one row equal to the given row (Z-set
-// semantics: one deletion cancels one multiplicity unit, so duplicates
-// delete one copy at a time) and reports whether one was removed — the
-// one-row call of the batch retraction in ApplyDeltasTxn. Legacy instant
-// write: the deletion is immediately visible everywhere.
-func (t *Table) DeleteOne(row sqltypes.Row) bool {
-	return t.ApplyDeltasTxn(nil, []sqltypes.Row{row}, []bool{false}) == nil
 }
 
 // ApplyDeltasTxn replays a batch of Z-set deltas in order under one lock
 // acquisition: rows[i] is inserted when insert[i] is set, otherwise
-// exactly one copy equal to it is retracted — possibly one inserted
-// earlier in the same batch. A retraction resolves through the
-// primary-key index; on a key-less table the batch's retractions share
+// exactly one copy equal to it is retracted (one deletion cancels one
+// multiplicity unit, so duplicates retract one copy at a time) — possibly
+// one inserted earlier in the same batch. A retraction resolves through
+// the primary-key index; on a key-less table the batch's retractions share
 // one pass over the table (retractions), so the cost is O(batch) or
 // O(table + batch), never their product. The first failing op — a
 // duplicate key, a retraction with no matching row, a write-write
 // conflict — stops the batch with the ops before it still applied; a
-// caller that needs all-or-nothing passes a transaction and aborts it.
+// caller that needs all-or-nothing aborts tx.
 func (t *Table) ApplyDeltasTxn(tx *mvcc.Txn, rows []sqltypes.Row, insert []bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	sn := tx.Snapshot()
 	var copies *retractions
 	if !t.HasPrimaryKey() {
-		copies = t.retractionsLocked(t.readSnapLocked(tx), rows, insert)
+		copies = t.retractionsLocked(sn, rows, insert)
 	}
-	dead := 0
-	defer func() { t.mv.NoteDead(dead) }()
 	for i, row := range rows {
 		if insert[i] {
 			r, err := t.validate(row)
@@ -1086,26 +952,16 @@ func (t *Table) ApplyDeltasTxn(tx *mvcc.Txn, rows []sqltypes.Row, insert []bool)
 		if copies != nil {
 			slot = copies.take(row)
 		} else if len(row) == len(t.Columns) {
-			// Resolved per op, not per batch: a legacy insert earlier in
-			// the batch is stamped at a timestamp that may since have
-			// moved past the snapshot the batch started with.
-			slot = t.visibleLocked(t.readSnapLocked(tx), t.pkSeekLocked(row).slot)
+			slot = t.visibleLocked(sn, t.pkSeekLocked(row).slot)
 			if slot >= 0 && !t.rows[slot].Equal(row) {
 				slot = -1
 			}
 		}
-		ok := slot >= 0
-		if ok {
-			var err error
-			if ok, err = t.retireLocked(tx, int(slot)); err != nil {
-				return err
-			}
-		}
-		if !ok {
+		if slot < 0 {
 			return fmt.Errorf("table %s: delta #%d retracts a row with no matching copy: %v", t.Name, i, row)
 		}
-		if tx == nil {
-			dead++
+		if err := t.retireLocked(tx, int(slot)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1157,8 +1013,8 @@ func (rs *retractions) take(row sqltypes.Row) int32 {
 // retractionsLocked gathers, for every row the batch retracts, up to as
 // many retractable copies as the batch needs: versions visible to sn and
 // not already delete-stamped. A batch that retracts a single distinct row
-// (DeleteOne, one-row replay) compares rows directly instead of encoding
-// every row of the table.
+// (one-row replay) compares rows directly instead of encoding every row of
+// the table.
 func (t *Table) retractionsLocked(sn mvcc.Snapshot, rows []sqltypes.Row, insert []bool) *retractions {
 	rs := &retractions{byRow: map[string]*rowCopies{}}
 	missing := 0
@@ -1195,22 +1051,15 @@ func (t *Table) retractionsLocked(sn mvcc.Snapshot, rows []sqltypes.Row, insert 
 	return rs
 }
 
-// Update applies set to all rows matching pred, returning (old, new) pairs.
-func (t *Table) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error) {
-	return t.UpdateTxn(nil, nil, pred, set)
-}
-
-// UpdateTxn is Update within a transaction: each matching row's current
-// version is end-stamped and a new version appended, so the update is
-// invisible to other snapshots until commit. A non-nil key restricts the
-// statement to the row with that primary key, found through the index
-// instead of a scan (see DeleteTxn). Legacy (nil-transaction) updates
-// mutate committed rows in place, preserving the pre-MVCC zero-allocation
-// behavior.
+// UpdateTxn applies set to the rows matching pred, returning (old, new)
+// pairs: each matching row's current version is end-stamped and a new
+// version appended, so the update is invisible to other snapshots until
+// commit. A non-nil key restricts the statement to the row with that
+// primary key, found through the index instead of a scan (see DeleteTxn).
 func (t *Table) UpdateTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sn := t.readSnapLocked(tx)
+	sn := tx.Snapshot()
 	// hi is fixed up front: versions appended below must not be revisited.
 	lo, hi := t.candidatesLocked(sn, key)
 	for i := lo; i < hi; i++ {
@@ -1237,32 +1086,6 @@ func (t *Table) UpdateTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes
 		if serr != nil {
 			return old, new, serr
 		}
-		rekeyed := t.HasPrimaryKey() && !t.pkSameKey(r, nr)
-
-		if tx == nil {
-			if vm.end != 0 || vm.begin&mvcc.TxnBit != 0 {
-				// Row involved in an in-flight transaction; in-place
-				// mutation would corrupt its view. Skip (legacy writes
-				// never raced real transactions before MVCC either).
-				continue
-			}
-			if rekeyed {
-				if t.visibleLocked(sn, t.pkSeekLocked(nr).slot) >= 0 {
-					return old, new, enginerr.Newf(enginerr.CodeDuplicateKey, "table %s: update violates primary key", t.Name)
-				}
-				if oc := t.pkSeekLocked(r); oc.ok && int(oc.slot) == i {
-					t.pkIndex.DeleteAt(oc.pos)
-				}
-				t.pkStore(t.pkSeekLocked(nr), i) // sought again: the delete moved entries
-			}
-			t.removeIndexedLocked(r, i)
-			t.rows[i] = nr
-			t.insertIndexedLocked(nr, i)
-			old = append(old, r)
-			new = append(new, nr)
-			continue
-		}
-
 		if cerr := t.mv.CheckWritable(tx, vm.end); cerr != nil {
 			tx.Doom()
 			return old, new, cerr
@@ -1273,37 +1096,24 @@ func (t *Table) UpdateTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes
 		prev := int32(i)
 		if t.HasPrimaryKey() {
 			cur = t.pkSeekLocked(nr)
-		}
-		if rekeyed {
-			prev = -1
-			if cur.ok {
-				ns := cur.slot
-				if t.visibleLocked(sn, ns) >= 0 {
-					return old, new, enginerr.Newf(enginerr.CodeDuplicateKey, "table %s: update violates primary key", t.Name)
-				}
-				if t.rows[ns] != nil {
-					nvm := t.vers[ns]
-					if nvm.end == 0 {
-						tx.Doom()
-						return old, new, fmt.Errorf("%w: primary key inserted by concurrent transaction on table %s", mvcc.ErrSerialization, t.Name)
+			if !t.pkSameKey(r, nr) {
+				prev = -1
+				if cur.ok {
+					if t.visibleLocked(sn, cur.slot) >= 0 {
+						return old, new, enginerr.Newf(enginerr.CodeDuplicateKey, "table %s: update violates primary key", t.Name)
 					}
-					if cerr := t.mv.CheckWritable(tx, nvm.end); cerr != nil {
-						tx.Doom()
+					if cerr := t.claimKeyLocked(tx, cur.slot); cerr != nil {
 						return old, new, cerr
 					}
+					prev = cur.slot
 				}
-				prev = ns
+				// The old key's mapping keeps pointing at the end-stamped
+				// version — correct for its chain; GC removes it when the
+				// version dies.
 			}
-			// The old key's mapping keeps pointing at the end-stamped
-			// version — correct for its chain; GC removes it when the
-			// version dies.
 		}
 
-		if t.vers[i].end == 0 {
-			t.vers[i].end = tx.StampID()
-			t.live--
-			t.logLocked(tx, mvcc.Op{Kind: mvcc.OpDelete, Slot: int32(i)})
-		}
+		t.endStampLocked(tx, i)
 		t.appendVersionLocked(tx, nr, cur, prev)
 		old = append(old, r)
 		new = append(new, nr)
@@ -1311,45 +1121,35 @@ func (t *Table) UpdateTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes
 	return old, new, nil
 }
 
-// Truncate removes all rows. When no transaction or snapshot could observe
-// the difference, the backing arrays are released (physical reset);
-// otherwise every live version is end-stamped at the latest timestamp so
-// concurrent snapshots keep a consistent view.
-func (t *Table) Truncate() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.pinned == 0 && t.mv.OnlyActive(nil) {
-		t.resetLocked()
-		return
-	}
-	end := t.mv.LatestTS()
-	dead := 0
-	for i := range t.vers {
-		if t.rows[i] != nil && t.vers[i].end == 0 && t.vers[i].begin&mvcc.TxnBit == 0 {
-			t.vers[i].end = end
-			t.live--
-			dead++
-		}
-	}
-	t.mv.NoteDead(dead)
+// quiescentLocked reports whether tx may take an irreversible in-place
+// fast path on this table: tx is an autocommit statement transaction (its
+// visibility window ends with the statement, and it is never rolled back
+// by its client), has not lost a conflict, and is the sole observer — no
+// other transaction, no registered snapshot — so nobody can tell the fast
+// path from versioned writes.
+func (t *Table) quiescentLocked(tx *mvcc.Txn) bool {
+	return tx.AutoCommit() && !tx.Doomed() && t.mv.OnlyActive(tx)
 }
 
-// TruncateQuiescent is the O(1) physical-truncate fast path: it succeeds
-// only when tx (which may be nil) is the sole active transaction with no
-// ops on this table and no registered snapshots exist — i.e. nobody can
-// tell physical reset apart from stamping. Returns the rows it removed
-// (when wantRows), the live-row count, and whether the fast path
-// applied; on false the caller must fall back to DeleteTxn.
-func (t *Table) TruncateQuiescent(tx *mvcc.Txn, wantRows bool) ([]sqltypes.Row, int, bool) {
+// TruncateTxn removes every row, returning the removed rows when wantRows
+// is set and their number either way. When no transaction holds write-log
+// references into the table and tx is quiescent (quiescentLocked), the
+// backing arrays are released — an O(1) physical reset that also drops the
+// rows committed after tx's snapshot, which nobody can observe — and the
+// write log carries a single OpTruncate so redo replays it. Otherwise every
+// version visible to tx is end-stamped like a DELETE, so concurrent
+// snapshots keep a consistent view.
+func (t *Table) TruncateTxn(tx *mvcc.Txn, wantRows bool) ([]sqltypes.Row, int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.pinned != 0 || !t.mv.OnlyActive(tx) {
-		return nil, 0, false
+	if t.pinned != 0 || !t.quiescentLocked(tx) {
+		rows, err := t.deleteLocked(tx, nil, nil)
+		return rows, len(rows), err
 	}
 	n := t.live
 	var rows []sqltypes.Row
 	if wantRows {
-		rows = make([]sqltypes.Row, 0, t.live)
+		rows = make([]sqltypes.Row, 0, n)
 		for i, r := range t.rows {
 			if r != nil && t.vers[i].end == 0 {
 				rows = append(rows, r)
@@ -1357,43 +1157,8 @@ func (t *Table) TruncateQuiescent(tx *mvcc.Txn, wantRows bool) ([]sqltypes.Row, 
 		}
 	}
 	t.resetLocked()
-	return rows, n, true
-}
-
-// DrainRows atomically removes and returns every committed live row — how
-// the OLTP store hands its captured delta rows to the cross-system drain
-// while writers keep appending to the table. When nothing can observe the
-// difference the backing arrays are physically reset (Truncate's fast
-// path); otherwise the drained versions are end-stamped at the latest
-// timestamp so concurrent snapshots keep a consistent view. Uncommitted
-// in-flight versions stay in place: they belong to the next drain once
-// their transaction commits.
-func (t *Table) DrainRows() []sqltypes.Row {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.pinned == 0 && t.mv.OnlyActive(nil) {
-		rows := make([]sqltypes.Row, 0, t.live)
-		for i, r := range t.rows {
-			if r != nil && t.vers[i].end == 0 {
-				rows = append(rows, r)
-			}
-		}
-		t.resetLocked()
-		return rows
-	}
-	end := t.mv.LatestTS()
-	dead := 0
-	rows := make([]sqltypes.Row, 0, t.live)
-	for i, r := range t.rows {
-		if r != nil && t.vers[i].end == 0 && t.vers[i].begin&mvcc.TxnBit == 0 {
-			rows = append(rows, r)
-			t.vers[i].end = end
-			t.live--
-			dead++
-		}
-	}
-	t.mv.NoteDead(dead)
-	return rows
+	t.logLocked(tx, mvcc.Op{Kind: mvcc.OpTruncate, Slot: -1})
+	return rows, n, nil
 }
 
 // resetLocked releases the row arrays and empties the indexes. The

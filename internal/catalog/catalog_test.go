@@ -4,10 +4,60 @@ import (
 	"fmt"
 	"testing"
 
+	"openivm/internal/mvcc"
 	"openivm/internal/sqltypes"
 )
 
-func testTable(t *testing.T) *Table {
+// autoTable commits every write as a transaction of its own — the shape of
+// an autocommit statement — so the tests read as single calls.
+type autoTable struct{ *Table }
+
+func (a autoTable) write(fn func(tx *mvcc.Txn) error) error {
+	tx := a.mv.Begin()
+	tx.SetAutoCommit()
+	err := fn(tx)
+	if cerr := a.mv.Commit(tx); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func (a autoTable) Insert(r sqltypes.Row) error {
+	return a.write(func(tx *mvcc.Txn) error { return a.InsertTxn(tx, r) })
+}
+
+func (a autoTable) InsertBatch(rows []sqltypes.Row) (n int, err error) {
+	err = a.write(func(tx *mvcc.Txn) (err error) { n, err = a.InsertBatchTxn(tx, rows); return })
+	return
+}
+
+func (a autoTable) Upsert(r sqltypes.Row) error {
+	return a.write(func(tx *mvcc.Txn) error { return a.UpsertTxn(tx, r) })
+}
+
+func (a autoTable) Delete(pred func(sqltypes.Row) (bool, error)) (del []sqltypes.Row, err error) {
+	err = a.write(func(tx *mvcc.Txn) (err error) { del, err = a.DeleteTxn(tx, nil, pred); return })
+	return
+}
+
+func (a autoTable) Update(pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error) {
+	err = a.write(func(tx *mvcc.Txn) (err error) { old, new, err = a.UpdateTxn(tx, nil, pred, set); return })
+	return
+}
+
+// Retract removes one copy of r, reporting whether there was one.
+func (a autoTable) Retract(r sqltypes.Row) bool {
+	return a.write(func(tx *mvcc.Txn) error {
+		return a.ApplyDeltasTxn(tx, []sqltypes.Row{r}, []bool{false})
+	}) == nil
+}
+
+func (a autoTable) Truncate() (rows []sqltypes.Row) {
+	a.write(func(tx *mvcc.Txn) (err error) { rows, _, err = a.TruncateTxn(tx, true); return })
+	return
+}
+
+func testTable(t *testing.T) autoTable {
 	t.Helper()
 	c := New()
 	tbl, err := c.CreateTable("t", []Column{
@@ -18,7 +68,7 @@ func testTable(t *testing.T) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tbl
+	return autoTable{tbl}
 }
 
 func row(id int64, name string, score float64) sqltypes.Row {
@@ -144,32 +194,10 @@ func TestUpsertIdempotent(t *testing.T) {
 
 func TestUpsertNoPK(t *testing.T) {
 	c := New()
-	tbl, _ := c.CreateTable("t", []Column{{Name: "a", Type: sqltypes.TypeInt}}, nil, false)
+	raw, _ := c.CreateTable("t", []Column{{Name: "a", Type: sqltypes.TypeInt}}, nil, false)
+	tbl := autoTable{raw}
 	if err := tbl.Upsert(sqltypes.Row{sqltypes.NewInt(1)}); err == nil {
 		t.Error("upsert without PK should fail")
-	}
-}
-
-func TestUpsertMerge(t *testing.T) {
-	tbl := testTable(t)
-	add := func(old, new sqltypes.Row) (sqltypes.Row, error) {
-		m := old.Clone()
-		s, err := sqltypes.Arith('+', old[2], new[2])
-		if err != nil {
-			return nil, err
-		}
-		m[2] = s
-		return m, nil
-	}
-	if err := tbl.UpsertMerge(row(1, "a", 10), add); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.UpsertMerge(row(1, "a", 5), add); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := tbl.LookupPK(sqltypes.NewInt(1))
-	if r[2].AsFloat() != 15 {
-		t.Errorf("merged = %v", r)
 	}
 }
 
@@ -195,20 +223,21 @@ func TestDeletePred(t *testing.T) {
 	}
 }
 
-func TestDeleteOne(t *testing.T) {
+func TestRetractOneCopy(t *testing.T) {
 	c := New()
-	tbl, _ := c.CreateTable("t", []Column{{Name: "a", Type: sqltypes.TypeInt}}, nil, false)
+	raw, _ := c.CreateTable("t", []Column{{Name: "a", Type: sqltypes.TypeInt}}, nil, false)
+	tbl := autoTable{raw}
 	tbl.Insert(sqltypes.Row{sqltypes.NewInt(1)})
 	tbl.Insert(sqltypes.Row{sqltypes.NewInt(1)})
 	tbl.Insert(sqltypes.Row{sqltypes.NewInt(1)})
-	if !tbl.DeleteOne(sqltypes.Row{sqltypes.NewInt(1)}) {
-		t.Fatal("DeleteOne failed")
+	if !tbl.Retract(sqltypes.Row{sqltypes.NewInt(1)}) {
+		t.Fatal("retraction failed")
 	}
 	if tbl.RowCount() != 2 {
-		t.Errorf("count = %d; DeleteOne must remove exactly one copy", tbl.RowCount())
+		t.Errorf("count = %d; a retraction must remove exactly one copy", tbl.RowCount())
 	}
-	if tbl.DeleteOne(sqltypes.Row{sqltypes.NewInt(9)}) {
-		t.Error("DeleteOne on absent row")
+	if tbl.Retract(sqltypes.Row{sqltypes.NewInt(9)}) {
+		t.Error("retracted an absent row")
 	}
 }
 
@@ -278,12 +307,45 @@ func TestTruncate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tbl.Insert(row(int64(i), "x", 0))
 	}
-	tbl.Truncate()
-	if tbl.RowCount() != 0 {
-		t.Errorf("count = %d", tbl.RowCount())
+	if rows := tbl.Truncate(); len(rows) != 10 || tbl.RowCount() != 0 {
+		t.Errorf("truncate returned %d rows, left %d", len(rows), tbl.RowCount())
+	}
+	if len(tbl.rows) != 0 {
+		t.Errorf("quiescent truncate kept %d slots", len(tbl.rows))
 	}
 	if err := tbl.Insert(row(1, "y", 0)); err != nil {
 		t.Errorf("insert after truncate: %v", err)
+	}
+}
+
+// The one truncate picks its own path: a physical reset only for an
+// autocommit transaction nobody else can observe; otherwise versions are
+// stamped, so an open snapshot keeps its rows and a rollback restores them.
+func TestTruncateVersionedWhenObserved(t *testing.T) {
+	tbl := testTable(t)
+	for i := 0; i < 10; i++ {
+		tbl.Insert(row(int64(i), "x", 0))
+	}
+	sn, release := tbl.mv.AcquireSnapshot()
+	if rows := tbl.Truncate(); len(rows) != 10 || tbl.RowCount() != 0 {
+		t.Fatalf("truncate returned %d rows, left %d", len(rows), tbl.RowCount())
+	}
+	if got := len(tbl.RowsSnap(sn)); got != 10 {
+		t.Fatalf("snapshot opened before the truncate sees %d rows, want 10", got)
+	}
+	if got := len(tbl.Rows()); got != 0 {
+		t.Fatalf("latest snapshot sees %d rows after the truncate", got)
+	}
+	release()
+
+	tbl.Insert(row(1, "y", 0))
+	tx := tbl.mv.Begin() // an explicit transaction: it may still roll back
+	if _, n, err := tbl.TruncateTxn(tx, false); err != nil || n != 1 {
+		t.Fatalf("TruncateTxn = %d rows, %v", n, err)
+	}
+	tbl.mv.Abort(tx)
+	if _, ok := tbl.LookupPK(sqltypes.NewInt(1)); !ok || tbl.RowCount() != 1 {
+		t.Fatalf("rolled-back truncate lost the row (count %d)", tbl.RowCount())
 	}
 }
 

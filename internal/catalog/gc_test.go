@@ -8,7 +8,7 @@ import (
 	"openivm/internal/sqltypes"
 )
 
-func mustLookup(t *testing.T, tbl *Table, id int64, name string) {
+func mustLookup(t *testing.T, tbl autoTable, id int64, name string) {
 	t.Helper()
 	r, ok := tbl.LookupPK(sqltypes.NewInt(id))
 	if !ok || r[1].S != name {
@@ -147,8 +147,8 @@ func TestAbortAfterPredecessorReclaimed(t *testing.T) {
 	if err := tbl.Insert(row(1, "v1", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if !tbl.DeleteOne(row(1, "v1", 0)) {
-		t.Fatal("DeleteOne missed")
+	if !tbl.Retract(row(1, "v1", 0)) {
+		t.Fatal("retraction missed")
 	}
 	tx := mgr.Begin()
 	if err := tbl.InsertTxn(tx, row(1, "v2", 0)); err != nil {

@@ -27,7 +27,7 @@ func newDeltaReplica(t *testing.T, keyed bool) *deltaReplica {
 	}
 	mustExec(t, r.db, ddl)
 	r.db.AddTrigger("m", "capture", []TriggerEvent{TrigInsert, TrigDelete, TrigUpdate},
-		func(_ *DB, _ string, ev TriggerEvent, oldRows, newRows []sqltypes.Row) error {
+		func(_ *Session, _ string, ev TriggerEvent, oldRows, newRows []sqltypes.Row) error {
 			if ev == TrigUpdate {
 				return fmt.Errorf("delta replay fired an UPDATE event")
 			}

@@ -13,7 +13,6 @@ import (
 	"openivm/internal/plan"
 	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
-	"openivm/internal/storage"
 )
 
 // execInsert handles INSERT, INSERT OR REPLACE (DuckDB dialect) and
@@ -90,12 +89,12 @@ func (s *Session) execInsert(ctx context.Context, st *sqlparser.InsertStmt) (*Re
 	// Plain INSERT: stream source batches straight into storage, one lock
 	// acquisition per batch — the batched DML path IVM delta application
 	// runs on. Columnar batches (fused scan pipelines) sink through
-	// Table.InsertVecs without ever boxing through the batch's RowView.
+	// Table.InsertVecsTxn without ever boxing through the batch's RowView.
 	if !st.OrReplace && st.Conflict == nil {
 		return s.insertStream(ctx, n, tbl, st, colPos, identity, buildRow)
 	}
 
-	tx, _, done := s.beginWrite()
+	tx, done := s.BeginWrite()
 	srcRows, err := exec.RunOpts(n, s.execOptsTxn(ctx, tx))
 	if err != nil {
 		return nil, done(err)
@@ -173,15 +172,15 @@ func (s *Session) execInsert(ctx context.Context, st *sqlparser.InsertStmt) (*Re
 
 // insertStream executes the plain-INSERT sink over a batch pipeline. Each
 // batch lands under one table lock; a columnar identity-mapped batch goes
-// through the vectorized InsertVecs path (typed column loops, hoisted
-// validation), anything else builds rows and uses InsertBatch. Error
-// semantics per batch match InsertBatch: the first failing row stops the
+// through the vectorized InsertVecsTxn path (typed column loops, hoisted
+// validation), anything else builds rows and uses InsertBatchTxn. Error
+// semantics per batch match InsertBatchTxn: the first failing row stops the
 // statement with every earlier row (including earlier batches) kept in
 // place — committed by the autocommit bracket, or carried by the open
 // transaction until COMMIT/ROLLBACK settles it.
 func (s *Session) insertStream(ctx context.Context, n plan.Node, tbl *catalog.Table, st *sqlparser.InsertStmt,
 	colPos []int, identity bool, buildRow func(sqltypes.Row) (sqltypes.Row, error)) (*Result, error) {
-	tx, _, done := s.beginWrite()
+	tx, done := s.BeginWrite()
 	it, err := exec.OpenBatch(n, s.execOptsTxn(ctx, tx))
 	if err != nil {
 		return nil, done(err)
@@ -310,7 +309,7 @@ func (s *Session) execUpdate(ctx context.Context, st *sqlparser.UpdateStmt) (*Re
 		sets = append(sets, setOp{pos: p, e: e})
 	}
 
-	tx, _, done := s.beginWrite()
+	tx, done := s.BeginWrite()
 	check := ctxChecker(ctx)
 	old, new_, err := tbl.UpdateTxn(tx, pinnedKey(tbl, pred),
 		func(r sqltypes.Row) (bool, error) {
@@ -361,45 +360,30 @@ func (s *Session) execDelete(ctx context.Context, st *sqlparser.DeleteStmt) (*Re
 			return nil, err
 		}
 	}
-	tx, wp, done := s.beginWrite()
+	tx, done := s.BeginWrite()
 	var deleted []sqltypes.Row
 	affected := 0
-	fast := false
-	if pred == nil && s.txn == nil {
-		// Unfiltered DELETE clears the whole table in one shot when nobody
-		// could observe the difference (IVM truncates its delta tables on
-		// every refresh; the IVM path runs with triggers suppressed, so it
-		// also skips the row copy). Concurrent snapshots force the stamped
-		// per-version path below instead.
-		if rows, n, ok := tbl.TruncateQuiescent(tx, s.wantsTriggerRows(st.Table, TrigDelete)); ok {
-			deleted, affected, fast = rows, n, true
-			// The physical reset leaves no write-log ops; record the
-			// truncate explicitly so redo replays it.
-			wp.truncate(tbl)
-		}
-	}
-	if !fast {
-		var dpred func(sqltypes.Row) (bool, error)
-		if pred != nil {
-			check := ctxChecker(ctx)
-			dpred = func(r sqltypes.Row) (bool, error) {
-				if err := check(); err != nil {
-					return false, err
-				}
-				v, err := pred.Eval(r)
-				if err != nil {
-					return false, err
-				}
-				return v.IsTrue(), nil
+	if pred == nil {
+		// Unfiltered DELETE is a truncate: storage clears the whole table
+		// in one shot when nobody could observe the difference (IVM empties
+		// its delta tables on every refresh; that path runs with triggers
+		// suppressed, so it also skips the row copy).
+		deleted, affected, err = tbl.TruncateTxn(tx, s.wantsTriggerRows(st.Table, TrigDelete))
+	} else {
+		check := ctxChecker(ctx)
+		deleted, err = tbl.DeleteTxn(tx, pinnedKey(tbl, pred), func(r sqltypes.Row) (bool, error) {
+			if err := check(); err != nil {
+				return false, err
 			}
-		}
-		deleted, err = tbl.DeleteTxn(tx, pinnedKey(tbl, pred), dpred)
-		if err != nil {
-			return nil, done(err)
-		}
+			v, err := pred.Eval(r)
+			if err != nil {
+				return false, err
+			}
+			return v.IsTrue(), nil
+		})
 		affected = len(deleted)
 	}
-	if err := done(nil); err != nil {
+	if err := done(err); err != nil {
 		return nil, err
 	}
 	if err := s.fireTxn(st.Table, TrigDelete, deleted, nil); err != nil {
@@ -413,25 +397,9 @@ func (s *Session) execTruncate(st *sqlparser.TruncateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tx, wp, done := s.beginWrite()
-	want := s.wantsTriggerRows(st.Table, TrigDelete)
-	var rows []sqltypes.Row
-	affected := 0
-	fast := false
-	if s.txn == nil {
-		if r, n, ok := tbl.TruncateQuiescent(tx, want); ok {
-			rows, affected, fast = r, n, true
-			wp.truncate(tbl) // see execDelete: the fast path logs no ops
-		}
-	}
-	if !fast {
-		rows, err = tbl.DeleteTxn(tx, nil, nil)
-		if err != nil {
-			return nil, done(err)
-		}
-		affected = len(rows)
-	}
-	if err := done(nil); err != nil {
+	tx, done := s.BeginWrite()
+	rows, affected, err := tbl.TruncateTxn(tx, s.wantsTriggerRows(st.Table, TrigDelete))
+	if err := done(err); err != nil {
 		return nil, err
 	}
 	if err := s.fireTxn(st.Table, TrigDelete, rows, nil); err != nil {
@@ -551,7 +519,7 @@ func (s *Session) ApplyDeltaBatch(table string, rows []sqltypes.Row, insert []bo
 	if err != nil {
 		return err
 	}
-	tx, _, done := s.beginWrite()
+	tx, done := s.BeginWrite()
 	if err := tbl.ApplyDeltasTxn(tx, rows, insert); err != nil {
 		if s.txn == nil {
 			s.activeWrite = nil
@@ -576,13 +544,22 @@ func (s *Session) ApplyDeltaBatch(table string, rows []sqltypes.Row, insert []bo
 	return s.fireTxn(table, TrigInsert, nil, inserted)
 }
 
-// DrainTable atomically removes and returns every committed row of a
-// table — the pull half of cross-system delta shipping (the wire drain
-// op serves it), built on catalog.Table.DrainRows: a row committed while
-// the drain runs is either in the result or left for the next drain,
-// never lost. No trigger fires. On a logged table the drain is recorded
-// as a truncate, appended under the commit lock so that no commit record
-// can land between the record and the rows it stands for.
+// InsertRows inserts rows into tbl as one committed write of s (inside an
+// explicit transaction, as part of it), returning how many landed: a
+// failing row leaves the rows before it in place. A catalog-level write,
+// so no trigger fires — bulk loads, mirrors and trigger handlers use it.
+func (s *Session) InsertRows(tbl *catalog.Table, rows []sqltypes.Row) (int, error) {
+	tx, done := s.BeginWrite()
+	n, err := tbl.InsertBatchTxn(tx, rows)
+	return n, done(err)
+}
+
+// DrainTable removes and returns the committed rows of a table — the pull
+// half of cross-system delta shipping (the wire drain op serves it). It is
+// a truncate that returns its rows, run and logged as the session's own
+// write like TRUNCATE: a row committed while the drain runs is either in
+// the result or left for the next drain, never lost, and a snapshot taken
+// before the drain commits keeps seeing the drained rows. No trigger fires.
 func (s *Session) DrainTable(table string) ([]sqltypes.Row, error) {
 	tbl, err := s.db.cat.Table(table)
 	if err != nil {
@@ -591,16 +568,9 @@ func (s *Session) DrainTable(table string) ([]sqltypes.Row, error) {
 	if tbl.RowCount() == 0 {
 		return nil, nil
 	}
-	if !s.walLogging() || tbl.Unlogged() {
-		return tbl.DrainRows(), nil
-	}
-	var rows []sqltypes.Row
-	s.db.cat.MVCC().WithCommitLock(func() {
-		if err = s.walInstant(tbl, storage.OpTruncate, nil); err == nil {
-			rows = tbl.DrainRows()
-		}
-	})
-	return rows, err
+	tx, done := s.BeginWrite()
+	rows, _, err := tbl.TruncateTxn(tx, true)
+	return rows, done(err)
 }
 
 // ctxChecker returns a per-row cancellation probe for filtered
@@ -644,17 +614,21 @@ type txnState struct {
 	fires []pendingFire
 }
 
-// beginWrite returns the transaction a DML statement writes under and a
-// completion func. Inside an explicit transaction the statement joins it
-// and completion defers to COMMIT. In autocommit the statement runs as
-// its own transaction, committed by the completion func BEFORE triggers
-// fire so propagation reads the published state. Autocommit commits even
-// when the statement failed partway: the landed prefix stays in place,
-// matching the historical no-transaction semantics (a doomed conflicting
-// statement aborts inside Commit instead and keeps nothing).
-func (s *Session) beginWrite() (*mvcc.Txn, *walPending, func(error) error) {
+// BeginWrite returns the transaction a write runs under and a completion
+// func that takes the write's error and returns the statement's. It is the
+// one bracket every catalog write of the engine and its extensions goes
+// through: DML, trigger handlers (delta capture), the IVM extension's
+// delta-table upkeep, the cross-system drain, recovery replay. Inside an
+// explicit transaction the write joins it and completion defers to COMMIT.
+// In autocommit the write runs as its own transaction, committed by the
+// completion func BEFORE triggers fire so propagation reads the published
+// state, and made durable before the func returns. Autocommit commits even
+// when the write failed partway: the landed prefix stays in place (a
+// doomed conflicting statement aborts inside Commit instead and keeps
+// nothing).
+func (s *Session) BeginWrite() (*mvcc.Txn, func(error) error) {
 	if s.txn != nil {
-		return s.txn.mtx, s.txn.wal, func(err error) error { return err }
+		return s.txn.mtx, func(err error) error { return err }
 	}
 	mgr := s.db.cat.MVCC()
 	tx := mgr.Begin()
@@ -662,7 +636,7 @@ func (s *Session) beginWrite() (*mvcc.Txn, *walPending, func(error) error) {
 	wp := s.walArm(tx)
 	s.activeWrite = tx // panic cleanup target until completion runs
 	settled := false
-	return tx, wp, func(err error) error {
+	return tx, func(err error) error {
 		if settled {
 			return err
 		}

@@ -9,12 +9,13 @@
 // one CommitRecord. The statement then group-commits: WaitDurable
 // batches concurrent committers behind a single fsync.
 //
-// Recovery replays the newest checkpoint plus the log tail through
-// legacy instant writes (immediately visible, no triggers), then
-// re-executes every CREATE MATERIALIZED VIEW — rebuilding view storage,
-// delta tables and capture triggers from recovered base state in one
-// stroke. IVM-derived tables are unlogged; internal extension sessions
-// carry a WAL bypass.
+// Recovery replays the newest checkpoint plus the log tail, one
+// transaction per record through the same write bracket DML uses (no
+// triggers: none is attached yet), then re-executes every CREATE
+// MATERIALIZED VIEW — rebuilding view storage, delta tables and capture
+// triggers from recovered base state in one stroke — and re-attaches the
+// SQL-created triggers. IVM-derived tables are unlogged; internal
+// extension sessions carry a WAL bypass.
 package engine
 
 import (
@@ -35,22 +36,11 @@ import (
 func (s *Session) walLogging() bool { return s.db.logging.Load() && !s.walBypass }
 
 // walPending tracks one transaction's staged redo record: the LSN to
-// group-commit on, any append error (surfaced at commit completion —
-// the MVCC commit has already published by the time the hook runs), and
-// extra redo ops for effects the write log doesn't carry (the quiescent
-// truncate fast path physically resets the table without logging ops).
+// group-commit on and any append error (surfaced at commit completion —
+// the MVCC commit has already published by the time the hook runs).
 type walPending struct {
-	extra []storage.RedoOp
-	lsn   uint64
-	err   error
-}
-
-// truncate records a quiescent-truncate redo op.
-func (wp *walPending) truncate(tbl *catalog.Table) {
-	if wp == nil || tbl.Unlogged() {
-		return
-	}
-	wp.extra = append(wp.extra, storage.RedoOp{Table: tbl.Name, Kind: storage.OpTruncate})
+	lsn uint64
+	err error
 }
 
 // wait completes group commit after a successful MVCC commit: block
@@ -89,7 +79,7 @@ func (s *Session) walArm(tx *mvcc.Txn) *walPending {
 	}
 	wp := &walPending{}
 	tx.CommitHook = func(ts uint64) {
-		rec := storage.CommitRecord{CommitTS: ts, Ops: wp.extra}
+		rec := storage.CommitRecord{CommitTS: ts}
 		tx.Writes(func(store mvcc.Store, ops []mvcc.Op) {
 			tbl, ok := store.(storage.Table)
 			if !ok || tbl.Unlogged() {
@@ -104,6 +94,8 @@ func (s *Session) walArm(tx *mvcc.Txn) *walPending {
 					rec.Ops = append(rec.Ops, storage.RedoOp{Table: name, Kind: storage.OpDelete, Row: tbl.RowAt(op.Slot)})
 				case mvcc.OpReplace:
 					rec.Ops = append(rec.Ops, storage.RedoOp{Table: name, Kind: storage.OpUpsert, Row: tbl.RowAt(op.Slot)})
+				case mvcc.OpTruncate:
+					rec.Ops = append(rec.Ops, storage.RedoOp{Table: name, Kind: storage.OpTruncate})
 				}
 			}
 		})
@@ -176,24 +168,33 @@ func (db *DB) AttachBackend(b storage.Backend) error {
 	if !b.Durable() {
 		return nil
 	}
-	rec := &recoverer{db: db, mv: map[string]string{}}
+	s := db.NewSession()
+	s.SetWALBypass(true)
+	defer s.Close()
+	rec := &recoverer{s: s, mv: map[string]string{}}
 	if err := b.Recover(rec); err != nil {
 		return err
 	}
-	if len(rec.mvOrder) > 0 {
-		s := db.NewSession()
-		s.SetWALBypass(true)
-		defer s.Close()
-		for _, name := range rec.mvOrder {
-			sql, ok := rec.mv[name]
-			if !ok {
-				continue // dropped later in the log
-			}
-			stmt := "CREATE MATERIALIZED VIEW " + name + " AS " + sql
-			if _, err := s.ExecScript(stmt); err != nil {
-				return enginerr.Wrap(enginerr.CodeRecoveryCorruption,
-					fmt.Errorf("engine: rebuilding materialized view %s: %w", name, err))
-			}
+	for _, name := range rec.mvOrder {
+		sql, ok := rec.mv[name]
+		if !ok {
+			continue // dropped later in the log
+		}
+		stmt := "CREATE MATERIALIZED VIEW " + name + " AS " + sql
+		if _, err := s.ExecScript(stmt); err != nil {
+			return enginerr.Wrap(enginerr.CodeRecoveryCorruption,
+				fmt.Errorf("engine: rebuilding materialized view %s: %w", name, err))
+		}
+	}
+	// Triggers last: every table they name exists by now, and nothing
+	// replayed above may fire them.
+	for _, t := range rec.triggers {
+		if !db.cat.HasTable(t.Table) {
+			continue // its table was dropped later in the log
+		}
+		if err := db.addNamedTrigger(t); err != nil {
+			return enginerr.Wrap(enginerr.CodeRecoveryCorruption,
+				fmt.Errorf("engine: re-attaching trigger %s on %s: %w", t.Name, t.Table, err))
 		}
 	}
 	db.bumpSchemaEpoch()
@@ -202,14 +203,16 @@ func (db *DB) AttachBackend(b storage.Backend) error {
 }
 
 // recoverer applies the durable history to the catalog. Base-table
-// state is written through legacy instant writes (immediately visible,
-// bypassing triggers and the MVCC write path entirely); materialized
-// views are collected and rebuilt by re-execution after replay, so
-// their DDL records carry only name and defining SQL.
+// state is written one transaction per replayed record through the
+// recovery session's write bracket (logging is not armed yet, and no
+// trigger is attached); materialized views and SQL-created triggers are
+// collected and rebuilt after replay, so their records carry definitions
+// only.
 type recoverer struct {
-	db      *DB
-	mvOrder []string          // creation order
-	mv      map[string]string // lower(name) -> defining SQL; deleted on drop
+	s        *Session
+	mvOrder  []string          // creation order
+	mv       map[string]string // lower(name) -> defining SQL; deleted on drop
+	triggers []storage.TriggerSnap
 }
 
 func (r *recoverer) addMatView(name, sql string) {
@@ -230,16 +233,28 @@ func (r *recoverer) dropMatView(name string) bool {
 	return false
 }
 
+// createTable replays a table definition and its population, if any.
+func (r *recoverer) createTable(name string, defs []storage.ColumnDef, pk []string, rows []sqltypes.Row) (*catalog.Table, error) {
+	cols := make([]catalog.Column, len(defs))
+	for i, c := range defs {
+		cols[i] = catalog.Column{Name: c.Name, Type: c.Type, NotNull: c.NotNull, Default: c.Default, HasDef: c.HasDefault}
+	}
+	tbl, err := r.s.db.cat.CreateTable(name, cols, pk, false)
+	if err != nil || len(rows) == 0 {
+		return tbl, err
+	}
+	_, err = r.s.InsertRows(tbl, rows)
+	return tbl, err
+}
+
 // Checkpoint restores a full snapshot: tables with their indexes and
-// rows, plain views, and the deferred materialized-view rebuild list.
+// rows, plain views, and the deferred materialized-view and trigger
+// lists.
 func (r *recoverer) Checkpoint(snap *storage.CheckpointData) error {
-	cat := r.db.cat
 	for _, ts := range snap.Tables {
-		cols := make([]catalog.Column, len(ts.Columns))
-		for i, c := range ts.Columns {
-			cols[i] = catalog.Column{Name: c.Name, Type: c.Type, NotNull: c.NotNull, Default: c.Default, HasDef: c.HasDefault}
-		}
-		tbl, err := cat.CreateTable(ts.Name, cols, ts.PrimaryKey, false)
+		// Indexes are built over the loaded rows (the chunked bulk build),
+		// not maintained row by row during the load.
+		tbl, err := r.createTable(ts.Name, ts.Columns, ts.PrimaryKey, ts.Rows)
 		if err != nil {
 			return err
 		}
@@ -248,48 +263,46 @@ func (r *recoverer) Checkpoint(snap *storage.CheckpointData) error {
 				return err
 			}
 		}
-		if len(ts.Rows) > 0 {
-			if _, err := tbl.InsertBatch(ts.Rows); err != nil {
-				return err
-			}
-		}
 	}
 	for _, v := range snap.Views {
-		if err := cat.CreateView(v.Name, v.SQL); err != nil {
+		if err := r.s.db.cat.CreateView(v.Name, v.SQL); err != nil {
 			return err
 		}
 	}
 	for _, mv := range snap.MatViews {
 		r.addMatView(mv.Name, mv.SQL)
 	}
+	r.triggers = append(r.triggers, snap.Triggers...)
 	return nil
 }
 
-// Commit replays one committed transaction's (or instant write's)
-// logical redo ops. A delete whose row is already absent is ignored —
-// Z-set semantics, and the tolerance instant-write interleavings need.
+// Commit replays one committed transaction's logical redo ops as one
+// transaction. A delete whose row is already absent is ignored — Z-set
+// semantics, and the tolerance a record trailing the checkpoint that
+// already holds its effect needs.
 func (r *recoverer) Commit(rec *storage.CommitRecord) error {
+	tx, done := r.s.BeginWrite()
 	for _, op := range rec.Ops {
-		tbl, err := r.db.cat.Table(op.Table)
+		tbl, err := r.s.db.cat.Table(op.Table)
 		if err != nil {
-			return enginerr.Wrap(enginerr.CodeRecoveryCorruption,
-				fmt.Errorf("engine: redo for unknown table %q: %w", op.Table, err))
+			return done(enginerr.Wrap(enginerr.CodeRecoveryCorruption,
+				fmt.Errorf("engine: redo for unknown table %q: %w", op.Table, err)))
 		}
 		switch op.Kind {
 		case storage.OpInsert:
-			err = tbl.Insert(op.Row)
+			err = tbl.InsertTxn(tx, op.Row)
 		case storage.OpUpsert:
-			err = tbl.Upsert(op.Row)
+			err = tbl.UpsertTxn(tx, op.Row)
 		case storage.OpDelete:
-			tbl.DeleteOne(op.Row)
+			_ = tbl.ApplyDeltasTxn(tx, []sqltypes.Row{op.Row}, []bool{false}) // absent: see above
 		case storage.OpTruncate:
-			tbl.Truncate()
+			_, _, err = tbl.TruncateTxn(tx, false)
 		}
 		if err != nil {
-			return err
+			return done(err)
 		}
 	}
-	return nil
+	return done(nil)
 }
 
 // DDL replays one schema change. Creates are skipped when the object
@@ -297,25 +310,14 @@ func (r *recoverer) Commit(rec *storage.CommitRecord) error {
 // entering a checkpoint and its record being appended after it, so the
 // record may trail the snapshot that already contains its effect.
 func (r *recoverer) DDL(rec *storage.DDLRecord) error {
-	cat := r.db.cat
+	cat := r.s.db.cat
 	switch rec.Kind {
 	case storage.DDLCreateTable:
 		if cat.HasTable(rec.Name) {
 			return nil
 		}
-		cols := make([]catalog.Column, len(rec.Columns))
-		for i, c := range rec.Columns {
-			cols[i] = catalog.Column{Name: c.Name, Type: c.Type, NotNull: c.NotNull, Default: c.Default, HasDef: c.HasDefault}
-		}
-		tbl, err := cat.CreateTable(rec.Name, cols, rec.PrimaryKey, false)
-		if err != nil {
-			return err
-		}
-		if len(rec.Rows) > 0 { // CREATE TABLE AS SELECT population
-			if _, err := tbl.InsertBatch(rec.Rows); err != nil {
-				return err
-			}
-		}
+		_, err := r.createTable(rec.Name, rec.Columns, rec.PrimaryKey, rec.Rows)
+		return err
 	case storage.DDLCreateIndex:
 		tbl, err := cat.Table(rec.Table)
 		if err != nil {
@@ -332,6 +334,8 @@ func (r *recoverer) DDL(rec *storage.DDLRecord) error {
 		return cat.CreateView(rec.Name, rec.SQL)
 	case storage.DDLCreateMatView:
 		r.addMatView(rec.Name, rec.SQL)
+	case storage.DDLCreateTrigger:
+		r.triggers = append(r.triggers, storage.TriggerSnap{Name: rec.Name, Table: rec.Table, Events: rec.Events, Handler: rec.Handler})
 	case storage.DDLDrop:
 		switch rec.ObjectKind {
 		case "TABLE":
@@ -429,12 +433,13 @@ func (db *DB) assembleCheckpoint(lastLSN uint64) (*storage.CheckpointData, error
 		}
 		snap.Views = append(snap.Views, storage.ViewSnap{Name: v.Name, SQL: v.SourceSQL})
 	}
+	snap.Triggers = db.namedTriggers()
 	return snap, nil
 }
 
 // logCreateTable logs a CREATE TABLE. rows carries the CREATE TABLE AS
-// SELECT population — those inserts bypass transactional DML, so they
-// ride in the DDL record instead of a commit record.
+// SELECT population, which rides in the DDL record so that table and rows
+// are one record.
 func (s *Session) logCreateTable(tbl *catalog.Table, rows []sqltypes.Row) error {
 	if !s.walLogging() || tbl.Unlogged() {
 		return nil
@@ -485,18 +490,4 @@ func (s *Session) logHookDDL(stmt sqlparser.Statement) error {
 		}
 	}
 	return nil
-}
-
-// walInstant logs one instant (non-transactional) write before it is
-// applied: append-then-apply means a crash between the two replays the
-// record (redo is idempotent for these single-op records), while
-// apply-then-append could let a checkpoint snapshot the effect and then
-// replay the trailing record again.
-func (s *Session) walInstant(tbl *catalog.Table, kind storage.OpKind, row sqltypes.Row) error {
-	if !s.walLogging() || tbl.Unlogged() {
-		return nil
-	}
-	return s.db.noteStorageErr(s.db.be().AppendInstant(&storage.CommitRecord{
-		Ops: []storage.RedoOp{{Table: tbl.Name, Kind: kind, Row: row}},
-	}))
 }

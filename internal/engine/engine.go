@@ -16,6 +16,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,10 +67,13 @@ const (
 	TrigUpdate TriggerEvent = "UPDATE"
 )
 
-// TriggerFunc receives the affected rows after a DML statement commits.
-// For UPDATE both oldRows and newRows are set pairwise; for INSERT only
-// newRows; for DELETE only oldRows.
-type TriggerFunc func(db *DB, table string, event TriggerEvent, oldRows, newRows []sqltypes.Row) error
+// TriggerFunc receives the affected rows after a DML statement commits,
+// on the session that ran it. For UPDATE both oldRows and newRows are set
+// pairwise; for INSERT only newRows; for DELETE only oldRows. The events of
+// an explicit transaction arrive after its COMMIT, one call per statement,
+// in statement order. The writer's transaction is over by then: a handler
+// that writes does so in a transaction of its own, through s.BeginWrite.
+type TriggerFunc func(s *Session, table string, event TriggerEvent, oldRows, newRows []sqltypes.Row) error
 
 // StatementHook may intercept a parsed statement before standard execution.
 // Returning handled=true short-circuits. The hook receives the executing
@@ -81,11 +85,14 @@ type StatementHook func(s *Session, stmt sqlparser.Statement) (handled bool, res
 // extension parser chain. It returns ok=false to pass to the next parser.
 type FallbackParser func(sql string) (stmt sqlparser.Statement, ok bool, err error)
 
-// trigger is a registered row-level trigger.
+// trigger is a registered row-level trigger. durable is set for triggers
+// created by SQL (CREATE TRIGGER … EXECUTE 'name'): what the log and the
+// checkpoints record of them.
 type trigger struct {
 	name    string
 	events  map[TriggerEvent]bool
 	handler TriggerFunc
+	durable *storage.TriggerSnap
 }
 
 // DB is an embedded database instance. A DB is safe for concurrent use by
@@ -317,16 +324,58 @@ func (db *DB) RegisterTriggerHandler(name string, fn TriggerFunc) {
 	db.trigHandlers[strings.ToLower(name)] = fn
 }
 
-// AddTrigger registers a row-level trigger programmatically.
+// AddTrigger registers a row-level trigger programmatically. Such a
+// trigger lives as long as the process: whoever adds it re-adds it after a
+// restart (the IVM extension does, when recovery re-creates its views).
 func (db *DB) AddTrigger(table, name string, events []TriggerEvent, fn TriggerFunc) {
 	tr := &trigger{name: name, events: map[TriggerEvent]bool{}, handler: fn}
 	for _, e := range events {
 		tr.events[e] = true
 	}
+	db.addTrigger(table, tr)
+}
+
+// addNamedTrigger registers a trigger on a handler registered by name —
+// CREATE TRIGGER, live or replayed.
+func (db *DB) addNamedTrigger(def storage.TriggerSnap) error {
+	fn, ok := db.trigHandlers[strings.ToLower(def.Handler)]
+	if !ok {
+		return fmt.Errorf("engine: unknown trigger handler %q", def.Handler)
+	}
+	tr := &trigger{name: def.Name, events: map[TriggerEvent]bool{}, handler: fn, durable: &def}
+	for _, e := range def.Events {
+		tr.events[TriggerEvent(e)] = true
+	}
+	db.addTrigger(def.Table, tr)
+	return nil
+}
+
+func (db *DB) addTrigger(table string, tr *trigger) {
 	key := strings.ToLower(table)
 	db.trigMu.Lock()
 	db.triggers[key] = append(db.triggers[key], tr)
 	db.trigMu.Unlock()
+}
+
+// namedTriggers lists the SQL-created triggers in their durable form,
+// sorted by table and registration order (checkpoint assembly).
+func (db *DB) namedTriggers() []storage.TriggerSnap {
+	db.trigMu.RLock()
+	defer db.trigMu.RUnlock()
+	tables := make([]string, 0, len(db.triggers))
+	for t := range db.triggers {
+		tables = append(tables, t)
+	}
+	sort.Strings(tables)
+	var out []storage.TriggerSnap
+	for _, t := range tables {
+		for _, tr := range db.triggers[t] {
+			if tr.durable != nil {
+				out = append(out, *tr.durable)
+			}
+		}
+	}
+	return out
 }
 
 // RemoveTrigger deregisters a trigger by table and name (the IVM
@@ -396,7 +445,7 @@ func (s *Session) fireForce(table string, ev TriggerEvent, oldRows, newRows []sq
 	}
 	for _, tr := range s.db.triggersFor(table) {
 		if tr.events[ev] {
-			if err := tr.handler(s.db, table, ev, oldRows, newRows); err != nil {
+			if err := tr.handler(s, table, ev, oldRows, newRows); err != nil {
 				return fmt.Errorf("trigger %s: %w", tr.name, err)
 			}
 		}
@@ -554,13 +603,22 @@ func (s *Session) execCreateTable(ctx context.Context, st *sqlparser.CreateTable
 		}
 	}
 	if st.AsSelect != nil {
+		if !created && st.IfNotExists {
+			return &Result{}, nil // nothing to create, so nothing to select
+		}
+		if s.txn != nil {
+			// The catalog is not versioned: the table could neither stay
+			// invisible until COMMIT nor go away on ROLLBACK.
+			return nil, fmt.Errorf("engine: CREATE TABLE AS SELECT cannot run inside a transaction block")
+		}
 		n, err := s.PlanSelect(st.AsSelect)
 		if err != nil {
 			return nil, err
 		}
-		rows, err := exec.RunOpts(n, s.execOpts(ctx))
+		tx, done := s.BeginWrite()
+		rows, err := exec.RunOpts(n, s.execOptsTxn(ctx, tx))
 		if err != nil {
-			return nil, err
+			return nil, done(err)
 		}
 		var cols []catalog.Column
 		for _, c := range n.Schema() {
@@ -570,20 +628,37 @@ func (s *Session) execCreateTable(ctx context.Context, st *sqlparser.CreateTable
 			}
 			cols = append(cols, catalog.Column{Name: c.Name, Type: t})
 		}
-		tbl, err := s.db.cat.CreateTable(st.Name, cols, nil, st.IfNotExists)
+		// No checkpoint between the table entering the catalog and its
+		// record: it would snapshot the table empty, and recovery would
+		// skip the record that trails it as already applied.
+		s.db.ckptMu.Lock()
+		defer s.db.ckptMu.Unlock()
+		tbl, err := s.db.cat.CreateTable(st.Name, cols, nil, false)
 		if err != nil {
+			return nil, done(err)
+		}
+		committed := false
+		defer func() {
+			if !committed {
+				s.db.cat.DropTable(st.Name, true) // aborted: nothing was created
+			}
+			bump()
+		}()
+		landed, err := tbl.InsertBatchTxn(tx, rows)
+		// Table and population are one DDL record, appended by the commit
+		// in place of its commit record: recovery finds both or neither.
+		// The statement is rare, so it pays that record's fsync under the
+		// commit lock.
+		var logErr error
+		tx.CommitHook = func(uint64) {
+			committed = true
+			logErr = s.logCreateTable(tbl, rows[:landed])
+		}
+		if err := done(err); err != nil {
 			return nil, err
 		}
-		bump()
-		for _, r := range rows {
-			if err := tbl.Insert(r); err != nil {
-				return nil, err
-			}
-		}
-		if created {
-			if err := s.logCreateTable(tbl, rows); err != nil {
-				return nil, err
-			}
+		if logErr != nil {
+			return nil, logErr
 		}
 		return &Result{RowsAffected: len(rows)}, nil
 	}
@@ -695,15 +770,17 @@ func (s *Session) execDrop(st *sqlparser.DropStmt) (*Result, error) {
 }
 
 func (s *Session) execCreateTrigger(st *sqlparser.CreateTriggerStmt) (*Result, error) {
-	fn, ok := s.db.trigHandlers[strings.ToLower(st.Handler)]
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown trigger handler %q", st.Handler)
+	def := storage.TriggerSnap{Name: st.Name, Table: st.Table, Events: st.Events, Handler: st.Handler}
+	if err := s.db.addNamedTrigger(def); err != nil {
+		return nil, err
 	}
-	defer s.db.bumpSchemaEpoch() // after the mutation; see execCreateTable
-	var events []TriggerEvent
-	for _, e := range st.Events {
-		events = append(events, TriggerEvent(e))
+	s.db.bumpSchemaEpoch() // after the mutation; see execCreateTable
+	if s.walLogging() {
+		rec := &storage.DDLRecord{Kind: storage.DDLCreateTrigger, Name: def.Name, Table: def.Table,
+			Events: def.Events, Handler: def.Handler}
+		if err := s.appendDDL(rec); err != nil {
+			return nil, err
+		}
 	}
-	s.db.AddTrigger(st.Table, st.Name, events, fn)
 	return &Result{}, nil
 }

@@ -84,7 +84,7 @@ func TestApplyDeltaRow(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
 	var events int
 	db.AddTrigger("t", "tr", []TriggerEvent{TrigInsert, TrigDelete},
-		func(_ *DB, _ string, _ TriggerEvent, _, _ []sqltypes.Row) error {
+		func(_ *Session, _ string, _ TriggerEvent, _, _ []sqltypes.Row) error {
 			events++
 			return nil
 		})
@@ -160,7 +160,7 @@ func TestBareDoubleRollback(t *testing.T) {
 func TestTriggerErrorAborts(t *testing.T) {
 	db := testDB(t)
 	db.AddTrigger("groups", "boom", []TriggerEvent{TrigInsert},
-		func(_ *DB, _ string, _ TriggerEvent, _, _ []sqltypes.Row) error {
+		func(_ *Session, _ string, _ TriggerEvent, _, _ []sqltypes.Row) error {
 			return errBoom
 		})
 	if _, err := db.Exec("INSERT INTO groups VALUES ('x', 1)"); err == nil ||

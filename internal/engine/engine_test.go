@@ -444,7 +444,7 @@ func TestTriggers(t *testing.T) {
 	db := testDB(t)
 	var events []string
 	db.AddTrigger("groups", "trc", []TriggerEvent{TrigInsert, TrigDelete, TrigUpdate},
-		func(_ *DB, table string, ev TriggerEvent, oldR, newR []sqltypes.Row) error {
+		func(_ *Session, table string, ev TriggerEvent, oldR, newR []sqltypes.Row) error {
 			events = append(events, fmt.Sprintf("%s:%d:%d", ev, len(oldR), len(newR)))
 			return nil
 		})
@@ -455,12 +455,33 @@ func TestTriggers(t *testing.T) {
 	if strings.Join(events, ",") != strings.Join(want, ",") {
 		t.Fatalf("events = %v", events)
 	}
+
+	// Inside a transaction the events wait for COMMIT and arrive one per
+	// statement, in statement order.
+	events = nil
+	for _, sql := range []string{
+		"BEGIN",
+		"INSERT INTO groups VALUES ('t', 1)",
+		"INSERT INTO groups VALUES ('u', 2), ('v', 3)",
+		"DELETE FROM groups WHERE group_index = 'u'",
+		"INSERT INTO groups VALUES ('w', 4)",
+	} {
+		mustExec(t, db, sql)
+	}
+	if len(events) != 0 {
+		t.Fatalf("events before COMMIT = %v", events)
+	}
+	mustExec(t, db, "COMMIT")
+	want = []string{"INSERT:0:1", "INSERT:0:2", "DELETE:1:0", "INSERT:0:1"}
+	if strings.Join(events, ",") != strings.Join(want, ",") {
+		t.Fatalf("events at COMMIT = %v, want %v", events, want)
+	}
 }
 
 func TestTriggerViaSQL(t *testing.T) {
 	db := testDB(t)
 	n := 0
-	db.RegisterTriggerHandler("counter", func(_ *DB, _ string, _ TriggerEvent, _, _ []sqltypes.Row) error {
+	db.RegisterTriggerHandler("counter", func(_ *Session, _ string, _ TriggerEvent, _, _ []sqltypes.Row) error {
 		n++
 		return nil
 	})
@@ -475,7 +496,7 @@ func TestWithoutTriggers(t *testing.T) {
 	db := testDB(t)
 	n := 0
 	db.AddTrigger("groups", "t", []TriggerEvent{TrigInsert},
-		func(_ *DB, _ string, _ TriggerEvent, _, _ []sqltypes.Row) error { n++; return nil })
+		func(_ *Session, _ string, _ TriggerEvent, _, _ []sqltypes.Row) error { n++; return nil })
 	db.WithoutTriggers(func() error {
 		_, err := db.Exec("INSERT INTO groups VALUES ('x', 1)")
 		return err

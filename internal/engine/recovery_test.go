@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"openivm/internal/engine"
+	"openivm/internal/fault"
 	"openivm/internal/ivmext"
+	"openivm/internal/oltp"
 	"openivm/internal/storage"
 	"openivm/internal/txntest"
 )
@@ -570,7 +572,8 @@ func (c recoveredConn) Close() error { return c.s.Close() }
 
 // TestRecoveryDDLSurface: every DDL object class round-trips through
 // close/reopen — tables with PKs and defaults, secondary indexes, plain
-// views, and dropped objects staying dropped.
+// views, a table created and filled by CREATE TABLE AS SELECT (once: IF
+// NOT EXISTS on it is a no-op), and dropped objects staying dropped.
 func TestRecoveryDDLSurface(t *testing.T) {
 	dir := t.TempDir()
 	db := openDurable(t, dir)
@@ -581,6 +584,18 @@ func TestRecoveryDDLSurface(t *testing.T) {
 	mustExec(t, s, "CREATE VIEW big_a AS SELECT id, name FROM a WHERE n > 10")
 	mustExec(t, s, "INSERT INTO a VALUES (1, 'one', 5), (2, 'two', 50)")
 	mustExec(t, s, "DROP TABLE doomed")
+	copyRows := func(s *engine.Session) string {
+		return fmt.Sprint(mustExec(t, s, "SELECT id, n FROM a_copy ORDER BY id").Rows)
+	}
+	if res := mustExec(t, s, "CREATE TABLE a_copy AS SELECT id, n FROM a"); res.RowsAffected != 2 {
+		t.Fatalf("CREATE TABLE AS SELECT affected %d rows, want 2", res.RowsAffected)
+	}
+	wantCopy := copyRows(s)
+	mustExec(t, s, "INSERT INTO a VALUES (3, 'three', 7)")
+	if res := mustExec(t, s, "CREATE TABLE IF NOT EXISTS a_copy AS SELECT id, n FROM a"); res.RowsAffected != 0 || copyRows(s) != wantCopy {
+		t.Fatalf("CREATE TABLE IF NOT EXISTS ... AS SELECT on an existing table: %d rows affected, table now %s, want %s",
+			res.RowsAffected, copyRows(s), wantCopy)
+	}
 	s.Close()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -597,6 +612,9 @@ func TestRecoveryDDLSurface(t *testing.T) {
 	if _, err := s2.Exec("SELECT * FROM doomed"); err == nil {
 		t.Fatal("dropped table resurrected by recovery")
 	}
+	if got := copyRows(s2); got != wantCopy {
+		t.Fatalf("CREATE TABLE AS SELECT population after recovery = %s, want %s", got, wantCopy)
+	}
 	// The PK constraint survived (unique index rebuilt).
 	if _, err := s2.Exec("INSERT INTO a VALUES (1, 'dup', 0)"); err == nil {
 		t.Fatal("primary key not enforced after recovery")
@@ -607,6 +625,69 @@ func TestRecoveryDDLSurface(t *testing.T) {
 	}
 	if _, ok := tbl.Index("a_n"); !ok {
 		t.Fatal("secondary index a_n lost in recovery")
+	}
+}
+
+// TestRecoveryCreateTableAsAtomic: CREATE TABLE AS SELECT is one log
+// record, so table and population recover together or not at all. A
+// commit that fails or panics leaves no table behind, live or recovered,
+// and the statement is refused inside a transaction block, where the
+// catalog could neither hide the table until COMMIT nor undo it on
+// ROLLBACK.
+func TestRecoveryCreateTableAsAtomic(t *testing.T) {
+	defer fault.Reset()
+	dir := t.TempDir()
+	db := openDurable(t, dir)
+	s := db.NewSession()
+	mustExec(t, s, "CREATE TABLE a (id INTEGER PRIMARY KEY, n INTEGER)")
+	mustExec(t, s, "INSERT INTO a VALUES (1, 5), (2, 50)")
+
+	for _, spec := range []string{"error(ctas)", "panic(ctas)"} {
+		if err := fault.Activate(fault.EngineCommit, spec); err != nil {
+			t.Fatal(err)
+		}
+		_, err := s.Exec("CREATE TABLE lost AS SELECT id, n FROM a")
+		fault.Reset()
+		if err == nil {
+			t.Fatalf("%s: CREATE TABLE AS SELECT succeeded over a failed commit", spec)
+		}
+		if db.Catalog().HasTable("lost") {
+			t.Fatalf("%s: aborted CREATE TABLE AS SELECT left its table in the catalog", spec)
+		}
+	}
+
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO a VALUES (3, 7)")
+	if _, err := s.Exec("CREATE TABLE in_txn AS SELECT id, n FROM a"); err == nil || !strings.Contains(err.Error(), "transaction block") {
+		t.Fatalf("CREATE TABLE AS SELECT inside BEGIN = %v, want a transaction-block error", err)
+	}
+	mustExec(t, s, "ROLLBACK")
+
+	records := db.StorageStats().WALRecords
+	mustExec(t, s, "CREATE TABLE a_copy AS SELECT id, n FROM a")
+	mustExec(t, s, "CREATE TABLE a_none AS SELECT id, n FROM a WHERE n < 0")
+	if got := db.StorageStats().WALRecords - records; got != 2 {
+		t.Fatalf("two CREATE TABLE AS SELECT wrote %d log records, want one each", got)
+	}
+	s.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2 := openDurable(t, dir)
+	defer db2.Close()
+	s2 := db2.NewSession()
+	defer s2.Close()
+	if got := fmt.Sprint(mustExec(t, s2, "SELECT id, n FROM a_copy ORDER BY id").Rows); got != "[1|5 2|50]" {
+		t.Fatalf("CREATE TABLE AS SELECT population after recovery = %s", got)
+	}
+	if got := len(mustExec(t, s2, "SELECT id FROM a_none").Rows); got != 0 {
+		t.Fatalf("empty CREATE TABLE AS SELECT recovered %d rows", got)
+	}
+	for _, name := range []string{"lost", "in_txn"} {
+		if db2.Catalog().HasTable(name) {
+			t.Fatalf("table %s, never created, exists after recovery", name)
+		}
 	}
 }
 
@@ -626,5 +707,127 @@ func TestRecoveryUnloggedDerivedState(t *testing.T) {
 	mustExec(t, s, "SELECT g, total FROM ev_sum ORDER BY g")
 	if after := db.StorageStats().WALRecords; after != before {
 		t.Fatalf("refresh/select grew the log: %d -> %d records", before, after)
+	}
+}
+
+// openDurableStore opens a durable OLTP store over dir: the capture
+// handler is registered first (recovery re-attaches CREATE TRIGGER ...
+// EXECUTE 'ivm_capture' by that name), then the disk backend.
+func openDurableStore(t *testing.T, dir string) *oltp.Store {
+	t.Helper()
+	store := oltp.New("pg")
+	b, err := storage.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.DB.AttachBackend(b); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// TestRecoveryCapturedDeltas: on a durable OLTP store the captured deltas
+// are as durable as the writes they describe. After a restart the delta
+// table holds exactly the rows captured before it, a drain hands them out
+// once, and the capture trigger is still attached — also when the log
+// that recorded it has been checkpointed away.
+func TestRecoveryCapturedDeltas(t *testing.T) {
+	dir := t.TempDir()
+	store := openDurableStore(t, dir)
+	s := store.DB.NewSession()
+	mustExec(t, s, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, amount INTEGER)")
+	if err := store.EnableCapture("orders"); err != nil {
+		t.Fatal(err)
+	}
+	deltas := func(s *engine.Session) string {
+		return fmt.Sprint(mustExec(t, s, "SELECT * FROM delta_orders ORDER BY oid, amount, 3").Rows)
+	}
+	for _, sql := range []string{
+		"INSERT INTO orders VALUES (1, 10), (2, 20)",
+		"UPDATE orders SET amount = 11 WHERE oid = 1",
+		"BEGIN",
+		"INSERT INTO orders VALUES (3, 30)",
+		"DELETE FROM orders WHERE oid = 2",
+		"COMMIT",
+		"BEGIN",
+		"INSERT INTO orders VALUES (4, 40)",
+		"ROLLBACK",
+	} {
+		mustExec(t, s, sql)
+	}
+	want := deltas(s)
+	if n := store.PendingDeltas("orders"); n != 6 {
+		t.Fatalf("captured %d delta rows before the restart, want 6: %s", n, want)
+	}
+	s.Close()
+	if err := store.DB.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store = openDurableStore(t, dir)
+	s = store.DB.NewSession()
+	if got := deltas(s); got != want {
+		t.Fatalf("delta_orders after recovery:\n got %s\nwant %s", got, want)
+	}
+	if got := mustExec(t, s, "SELECT COUNT(*) FROM orders").Rows[0][0].I; got != 2 {
+		t.Fatalf("orders after recovery holds %d rows, want 2", got)
+	}
+	drained, err := store.DrainDeltas("orders")
+	if err != nil || len(drained) != 6 {
+		t.Fatalf("drain after recovery returned %d rows (%v), want 6", len(drained), err)
+	}
+	if again, _ := store.DrainDeltas("orders"); len(again) != 0 {
+		t.Fatalf("second drain returned %d rows again", len(again))
+	}
+	mustExec(t, s, "INSERT INTO orders VALUES (5, 50)")
+	if n := store.PendingDeltas("orders"); n != 1 {
+		t.Fatalf("a write after recovery captured %d delta rows, want 1", n)
+	}
+
+	// The drain and the trigger survive a checkpoint too.
+	if err := store.DB.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := store.DB.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store = openDurableStore(t, dir)
+	defer store.DB.Close()
+	s = store.DB.NewSession()
+	defer s.Close()
+	if n := store.PendingDeltas("orders"); n != 1 {
+		t.Fatalf("delta_orders holds %d rows after the checkpointed restart, want 1", n)
+	}
+	mustExec(t, s, "DELETE FROM orders WHERE oid = 5")
+	if n := store.PendingDeltas("orders"); n != 2 {
+		t.Fatalf("a write after the checkpointed restart left %d delta rows, want 2", n)
+	}
+}
+
+// TestRecoveryUnknownTriggerHandler: a logged trigger whose handler the
+// reopened process did not register is a recovery error that names it,
+// not a store that has silently stopped capturing.
+func TestRecoveryUnknownTriggerHandler(t *testing.T) {
+	dir := t.TempDir()
+	store := openDurableStore(t, dir)
+	if _, err := store.DB.Exec("CREATE TABLE orders (oid INTEGER PRIMARY KEY, amount INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.EnableCapture("orders"); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.DB.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db := engine.Open("plain", engine.DialectPostgres) // no ivm_capture handler
+	b, err := storage.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	err = db.AttachBackend(b)
+	if err == nil || !strings.Contains(err.Error(), "ivm_capture") || engine.Code(err) != "XX001" {
+		t.Fatalf("AttachBackend = %v (code %q), want a recovery error naming the handler", err, engine.Code(err))
 	}
 }

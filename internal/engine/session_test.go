@@ -79,7 +79,7 @@ func TestSessionTriggerSuppressionIsolation(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
 	var mu sync.Mutex
 	fired := 0
-	db.AddTrigger("t", "count", []TriggerEvent{TrigInsert}, func(*DB, string, TriggerEvent, []sqltypes.Row, []sqltypes.Row) error {
+	db.AddTrigger("t", "count", []TriggerEvent{TrigInsert}, func(*Session, string, TriggerEvent, []sqltypes.Row, []sqltypes.Row) error {
 		mu.Lock()
 		fired++
 		mu.Unlock()
@@ -162,7 +162,7 @@ func TestSessionContextCancel(t *testing.T) {
 		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i))})
 	}
 	tbl, _ := db.Catalog().Table("t")
-	if _, err := tbl.InsertBatch(rows); err != nil {
+	if _, err := db.def.InsertRows(tbl, rows); err != nil {
 		t.Fatal(err)
 	}
 
@@ -190,17 +190,18 @@ func TestMultiSessionConcurrentDML(t *testing.T) {
 	db := Open("s", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE t (w INTEGER, v INTEGER)")
 	mustExec(t, db, "CREATE TABLE audit (w INTEGER)")
-	db.AddTrigger("t", "audit", []TriggerEvent{TrigInsert}, func(db *DB, _ string, _ TriggerEvent, _, newRows []sqltypes.Row) error {
-		at, err := db.Catalog().Table("audit")
+	db.AddTrigger("t", "audit", []TriggerEvent{TrigInsert}, func(s *Session, _ string, _ TriggerEvent, _, newRows []sqltypes.Row) error {
+		at, err := s.DB().Catalog().Table("audit")
 		if err != nil {
 			return err
 		}
+		tx, done := s.BeginWrite()
 		for _, r := range newRows {
-			if err := at.Insert(sqltypes.Row{r[0]}); err != nil {
-				return err
+			if err = at.InsertTxn(tx, sqltypes.Row{r[0]}); err != nil {
+				break
 			}
 		}
-		return nil
+		return done(err)
 	})
 
 	const writers, readers, rounds = 4, 4, 50

@@ -116,8 +116,8 @@ func TestLeftJoinEmptyBuildSidePads(t *testing.T) {
 	c := catalog.New()
 	a, _ := c.CreateTable("a", []catalog.Column{{Name: "x", Type: sqltypes.TypeInt}}, nil, false)
 	c.CreateTable("b", []catalog.Column{{Name: "y", Type: sqltypes.TypeInt}}, nil, false)
-	a.Insert(sqltypes.Row{sqltypes.NewInt(1)})
-	a.Insert(sqltypes.Row{sqltypes.NewInt(2)})
+	load(t, c, a, sqltypes.Row{sqltypes.NewInt(1)})
+	load(t, c, a, sqltypes.Row{sqltypes.NewInt(2)})
 	rows := runSQL(t, c, "SELECT a.x, b.y FROM a LEFT JOIN b ON a.x = b.y")
 	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)
@@ -144,7 +144,7 @@ func allocTable(t testing.TB, nRows, nGroups int) *catalog.Catalog {
 		t.Fatal(err)
 	}
 	for i := 0; i < nRows; i++ {
-		tbl.Insert(sqltypes.Row{
+		load(t, c, tbl, sqltypes.Row{
 			sqltypes.NewString(fmt.Sprint("g", i%nGroups)),
 			sqltypes.NewInt(int64(i)),
 		})
@@ -188,7 +188,7 @@ func TestHashJoinAllocsPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		dim.Insert(sqltypes.Row{
+		load(t, c, dim, sqltypes.Row{
 			sqltypes.NewString(fmt.Sprint("g", i)),
 			sqltypes.NewString(fmt.Sprint("name", i)),
 		})

@@ -140,7 +140,7 @@ func TestAggregateZeroMapAllocsPerGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < rows; i++ {
-		tbl.Insert(sqltypes.Row{
+		load(t, c, tbl, sqltypes.Row{
 			sqltypes.NewString(fmt.Sprint("g", i%groups)),
 			sqltypes.NewInt(int64(i)),
 		})

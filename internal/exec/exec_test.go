@@ -11,6 +11,18 @@ import (
 	"openivm/internal/sqltypes"
 )
 
+// load inserts rows into tbl as one committed transaction of c.
+func load(t testing.TB, c *catalog.Catalog, tbl *catalog.Table, rows ...sqltypes.Row) {
+	t.Helper()
+	tx := c.MVCC().Begin()
+	if _, err := tbl.InsertBatchTxn(tx, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MVCC().Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func testCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	c := catalog.New()
@@ -22,7 +34,7 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		tbl.Insert(sqltypes.Row{
+		load(t, c, tbl, sqltypes.Row{
 			sqltypes.NewString(fmt.Sprint("k", i%3)),
 			sqltypes.NewInt(int64(i)),
 		})
@@ -79,8 +91,8 @@ func TestHashAggDeterministicFirstSeenOrder(t *testing.T) {
 func TestAggOnNullGroup(t *testing.T) {
 	c := testCatalog(t)
 	tbl, _ := c.Table("nums")
-	tbl.Insert(sqltypes.Row{sqltypes.Null, sqltypes.NewInt(100)})
-	tbl.Insert(sqltypes.Row{sqltypes.Null, sqltypes.NewInt(200)})
+	load(t, c, tbl, sqltypes.Row{sqltypes.Null, sqltypes.NewInt(100)})
+	load(t, c, tbl, sqltypes.Row{sqltypes.Null, sqltypes.NewInt(200)})
 	rows := runSQL(t, c, "SELECT k, SUM(v) FROM nums GROUP BY k")
 	// NULL keys form one group (SQL GROUP BY semantics).
 	if len(rows) != 4 {
@@ -115,7 +127,7 @@ func TestSortStability(t *testing.T) {
 func TestSortNullsFirst(t *testing.T) {
 	c := testCatalog(t)
 	tbl, _ := c.Table("nums")
-	tbl.Insert(sqltypes.Row{sqltypes.Null, sqltypes.NewInt(999)})
+	load(t, c, tbl, sqltypes.Row{sqltypes.Null, sqltypes.NewInt(999)})
 	rows := runSQL(t, c, "SELECT k FROM nums ORDER BY k")
 	if !rows[0][0].IsNull() {
 		t.Fatalf("NULL should sort first ASC: %v", rows[0])
@@ -143,7 +155,7 @@ func TestExceptAllMultiset(t *testing.T) {
 	c := catalog.New()
 	tbl, _ := c.CreateTable("m", []catalog.Column{{Name: "x", Type: sqltypes.TypeInt}}, nil, false)
 	for _, v := range []int64{1, 1, 1, 2} {
-		tbl.Insert(sqltypes.Row{sqltypes.NewInt(v)})
+		load(t, c, tbl, sqltypes.Row{sqltypes.NewInt(v)})
 	}
 	// {1,1,1,2} EXCEPT ALL {1} = {1,1,2}
 	rows := runSQL(t, c, "SELECT x FROM m EXCEPT ALL SELECT 1")
@@ -161,7 +173,7 @@ func TestIntersectDedup(t *testing.T) {
 	c := catalog.New()
 	tbl, _ := c.CreateTable("m", []catalog.Column{{Name: "x", Type: sqltypes.TypeInt}}, nil, false)
 	for _, v := range []int64{1, 1, 2, 3} {
-		tbl.Insert(sqltypes.Row{sqltypes.NewInt(v)})
+		load(t, c, tbl, sqltypes.Row{sqltypes.NewInt(v)})
 	}
 	rows := runSQL(t, c, "SELECT x FROM m INTERSECT SELECT x FROM m")
 	if len(rows) != 3 {
@@ -176,8 +188,8 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	a, _ := c.CreateTable("a", []catalog.Column{{Name: "x", Type: sqltypes.TypeInt}}, nil, false)
 	b, _ := c.CreateTable("b", []catalog.Column{{Name: "y", Type: sqltypes.TypeInt}}, nil, false)
 	for i := 0; i < 30; i++ {
-		a.Insert(sqltypes.Row{sqltypes.NewInt(int64(i % 7))})
-		b.Insert(sqltypes.Row{sqltypes.NewInt(int64(i % 5))})
+		load(t, c, a, sqltypes.Row{sqltypes.NewInt(int64(i % 7))})
+		load(t, c, b, sqltypes.Row{sqltypes.NewInt(int64(i % 5))})
 	}
 	hash := runSQL(t, c, "SELECT a.x, b.y FROM a JOIN b ON a.x = b.y")
 	// Force nested loop by obscuring the equality from key extraction.
@@ -205,8 +217,8 @@ func TestFullOuterBothUnmatched(t *testing.T) {
 	c := catalog.New()
 	a, _ := c.CreateTable("a", []catalog.Column{{Name: "x", Type: sqltypes.TypeInt}}, nil, false)
 	b, _ := c.CreateTable("b", []catalog.Column{{Name: "y", Type: sqltypes.TypeInt}}, nil, false)
-	a.Insert(sqltypes.Row{sqltypes.NewInt(1)})
-	b.Insert(sqltypes.Row{sqltypes.NewInt(2)})
+	load(t, c, a, sqltypes.Row{sqltypes.NewInt(1)})
+	load(t, c, b, sqltypes.Row{sqltypes.NewInt(2)})
 	rows := runSQL(t, c, "SELECT a.x, b.y FROM a FULL OUTER JOIN b ON a.x = b.y")
 	if len(rows) != 2 {
 		t.Fatalf("rows = %v", rows)

@@ -33,14 +33,12 @@ func nullHeavyCatalog(t *testing.T, rows int) *catalog.Catalog {
 		return v
 	}
 	for i := 0; i < rows; i++ {
-		if err := tbl.Insert(sqltypes.Row{
+		load(t, c, tbl, sqltypes.Row{
 			maybe(sqltypes.NewInt(int64(rng.Intn(20) - 10))),
 			maybe(sqltypes.NewFloat(float64(rng.Intn(100)) / 4)),
 			maybe(sqltypes.NewString(fmt.Sprintf("s%d", rng.Intn(6)))),
 			maybe(sqltypes.NewBool(rng.Intn(2) == 0)),
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 	return c
 }
@@ -233,9 +231,7 @@ func TestFusedScanAllocs(t *testing.T) {
 				sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 10)),
 			})
 		}
-		if _, err := tbl.InsertBatch(batch); err != nil {
-			t.Fatal(err)
-		}
+		load(t, c, tbl, batch...)
 		return c
 	}
 	const sql = "SELECT a + b, a * 2 FROM big WHERE b < 5"
@@ -281,13 +277,13 @@ func TestJoinBuildSideSelection(t *testing.T) {
 	small, _ := c.CreateTable("small", []catalog.Column{{Name: "x", Type: sqltypes.TypeInt}}, nil, false)
 	big, _ := c.CreateTable("big", []catalog.Column{{Name: "y", Type: sqltypes.TypeInt}}, nil, false)
 	for i := 0; i < 3; i++ {
-		small.Insert(sqltypes.Row{sqltypes.NewInt(int64(i * 2))}) // 0 2 4
+		load(t, c, small, sqltypes.Row{sqltypes.NewInt(int64(i * 2))}) // 0 2 4
 	}
-	small.Insert(sqltypes.Row{sqltypes.Null})
+	load(t, c, small, sqltypes.Row{sqltypes.Null})
 	for i := 0; i < 40; i++ {
-		big.Insert(sqltypes.Row{sqltypes.NewInt(int64(i % 6))})
+		load(t, c, big, sqltypes.Row{sqltypes.NewInt(int64(i % 6))})
 	}
-	big.Insert(sqltypes.Row{sqltypes.Null})
+	load(t, c, big, sqltypes.Row{sqltypes.Null})
 
 	cases := []string{
 		// small on the left: cost model builds left, probes right

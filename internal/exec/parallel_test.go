@@ -40,9 +40,7 @@ func parallelCatalog(t testing.TB, rows int) *catalog.Catalog {
 		}
 		batch = append(batch, sqltypes.Row{g, v, sqltypes.NewFloat(float64(rng.Intn(64)) / 4)})
 	}
-	if _, err := tbl.InsertBatch(batch); err != nil {
-		t.Fatal(err)
-	}
+	load(t, c, tbl, batch...)
 	return c
 }
 

@@ -44,9 +44,7 @@ func radixJoinCatalog(t testing.TB, buildRows, probeRows int) *catalog.Catalog {
 			}
 			rows = append(rows, sqltypes.Row{k, sqltypes.NewInt(seed + int64(i))})
 		}
-		if _, err := tbl.InsertBatch(rows); err != nil {
-			t.Fatal(err)
-		}
+		load(t, c, tbl, rows...)
 	}
 	fill(bt, buildRows, 0)
 	fill(pt, probeRows, 1_000_000)

@@ -109,11 +109,13 @@ func (p *Pipeline) Mirror(table string) error {
 	for i, r := range resp.Rows {
 		rows[i] = r
 	}
-	if err := p.OLAP.WithoutTriggers(func() error {
-		n, err := tbl.InsertBatch(rows)
-		p.Stats.RowsMirrored += n
-		return err
-	}); err != nil {
+	// A catalog-level write: no trigger fires, so the base load reaches no
+	// delta table.
+	sess := p.OLAP.NewSession()
+	defer sess.Close()
+	n, err := sess.InsertRows(tbl, rows)
+	p.Stats.RowsMirrored += n
+	if err != nil {
 		return err
 	}
 

@@ -100,6 +100,36 @@ func TestCrossSystemAggregate(t *testing.T) {
 	}
 }
 
+// TestCrossSystemChainedUpdatesInOneTransaction: two UPDATEs of one keyed
+// row inside BEGIN … COMMIT are captured per statement, in statement order
+// (-v1 +v2 -v2 +v3), which is the only order the keyed replay on the OLAP
+// side can apply; so are an insert and a delete of one key.
+func TestCrossSystemChainedUpdatesInOneTransaction(t *testing.T) {
+	_, p := startPipeline(t)
+	mustRemote(t, p, "CREATE TABLE acct (id INTEGER PRIMARY KEY, branch TEXT, bal INTEGER)")
+	mustRemote(t, p, "INSERT INTO acct VALUES (1, 'a', 10), (2, 'b', 20)")
+	if err := p.CreateMaterializedView(`CREATE MATERIALIZED VIEW branch_bal AS
+		SELECT branch, SUM(bal) AS total, COUNT(*) AS n FROM acct GROUP BY branch`); err != nil {
+		t.Fatal(err)
+	}
+	remoteQ := "SELECT branch, SUM(bal), COUNT(*) FROM acct GROUP BY branch"
+	crossCheck(t, p, "branch, total, n", "branch_bal", remoteQ)
+
+	for _, sql := range []string{
+		"BEGIN",
+		"UPDATE acct SET bal = 11 WHERE id = 1",
+		"UPDATE acct SET bal = 12 WHERE id = 1",
+		"INSERT INTO acct VALUES (3, 'a', 30)",
+		"DELETE FROM acct WHERE id = 3",
+		"INSERT INTO acct VALUES (3, 'b', 31)",
+		"COMMIT",
+	} {
+		mustRemote(t, p, sql)
+	}
+	crossCheck(t, p, "branch, total, n", "branch_bal", remoteQ)
+	crossCheck(t, p, "id, branch, bal", "acct", "SELECT id, branch, bal FROM acct")
+}
+
 func TestCrossSystemJoinView(t *testing.T) {
 	_, p := startPipeline(t)
 	mustRemote(t, p, "CREATE TABLE customers (cid INTEGER, region TEXT)")

@@ -493,8 +493,8 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) (*eng
 			ext.deltas[key] = ds
 			ext.db.AddTrigger(b.Name, "ivm_capture_"+b.Delta,
 				[]engine.TriggerEvent{engine.TrigInsert, engine.TrigDelete, engine.TrigUpdate},
-				func(db *engine.DB, table string, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
-					return ext.capture(ds, ev, oldRows, newRows)
+				func(s *engine.Session, table string, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
+					return ext.capture(s, ds, ev, oldRows, newRows)
 				})
 		}
 		// The view was just populated from the post-delta base state, so
@@ -557,8 +557,10 @@ func markUnlogged(cat *catalog.Catalog, comp *ivm.Compilation) {
 
 // capture appends the delta rows of one base-table DML event
 // (ivm.DeltaRows) to the delta's open generation, so a writer only ever
-// waits out a seal or a consume, never a propagation.
-func (ext *Extension) capture(ds *deltaState, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
+// waits out a seal or a consume, never a propagation. It runs on the
+// writer's session s after the writer's commit, as a transaction of its
+// own.
+func (ext *Extension) capture(s *engine.Session, ds *deltaState, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
 	dt, err := ext.db.Catalog().Table(ds.table)
 	if err != nil {
 		return err
@@ -568,7 +570,7 @@ func (ext *Extension) capture(ds *deltaState, ev engine.TriggerEvent, oldRows, n
 		return nil
 	}
 
-	if err := ext.appendOpen(ds, dt, rows); err != nil {
+	if err := ext.appendOpen(s, ds, dt, rows); err != nil {
 		return err
 	}
 	atomic.AddInt64(&ext.Stats.DeltasCaught, int64(len(rows)))
@@ -584,13 +586,15 @@ func (ext *Extension) capture(ds *deltaState, ev engine.TriggerEvent, oldRows, n
 // (dt), or the in-memory overflow while a propagation has ΔT frozen.
 // Appends to ΔT share the read side of the generation lock — writers on
 // one base table do not wait on each other here, only on the table's own
-// lock — and CaptureStallNanos meters the wait for either side.
-func (ext *Extension) appendOpen(ds *deltaState, dt *catalog.Table, rows []sqltypes.Row) error {
+// lock — and CaptureStallNanos meters the wait for either side. The insert
+// commits before the generation lock is released, so a seal never freezes a
+// ΔT that holds an uncommitted version.
+func (ext *Extension) appendOpen(s *engine.Session, ds *deltaState, dt *catalog.Table, rows []sqltypes.Row) error {
 	t0 := time.Now()
 	ds.mu.RLock()
 	if !ds.frozen {
 		atomic.AddInt64(&ext.Stats.CaptureStallNanos, int64(time.Since(t0)))
-		_, err := dt.InsertBatch(rows)
+		_, err := s.InsertRows(dt, rows)
 		ds.mu.RUnlock()
 		return err
 	}
@@ -602,7 +606,7 @@ func (ext *Extension) appendOpen(ds *deltaState, dt *catalog.Table, rows []sqlty
 		ds.overflow = append(ds.overflow, rows...)
 		return nil
 	}
-	_, err := dt.InsertBatch(rows) // consumed between the two acquisitions
+	_, err := s.InsertRows(dt, rows) // consumed between the two acquisitions
 	return err
 }
 
@@ -864,7 +868,7 @@ func (ext *Extension) propagate(target *view) error {
 		if err := ext.applyStale(is, group, ordered); err != nil {
 			return err
 		}
-		if err := ext.consume(states); err != nil {
+		if err := ext.consume(is, states); err != nil {
 			return err
 		}
 
@@ -885,7 +889,7 @@ func (ext *Extension) propagate(target *view) error {
 			// it.
 			return err
 		}
-		return ext.consume(states)
+		return ext.consume(is, states)
 	}); err != nil {
 		return err
 	}
@@ -930,9 +934,9 @@ func (v *view) stale() bool {
 // applyView executes steps 1–3 of the view's propagation script as
 // autocommit statements and clears its scratch tables. The body's last
 // statements are the writes into V, so a script that returns success has
-// fully applied the generation; on failure the scratch is still cleared —
-// infallibly, through the catalog — leaving the retry a clean slate with
-// the frozen ΔT intact.
+// fully applied the generation; on failure the scratch is still cleared
+// through the catalog, leaving the retry a clean slate with the frozen ΔT
+// intact.
 func (ext *Extension) applyView(is *engine.Session, v *view) error {
 	comp := v.comp
 	if err := fault.Inject(fault.IVMPropagateView); err != nil {
@@ -944,7 +948,9 @@ func (ext *Extension) applyView(is *engine.Session, v *view) error {
 		return fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
 	_, err = is.ExecStmts(body)
-	ext.clearScratch(comp)
+	if cerr := ext.clearScratch(is, comp); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
@@ -952,18 +958,26 @@ func (ext *Extension) applyView(is *engine.Session, v *view) error {
 }
 
 // clearScratch empties the view's ΔV and join-delta scratch tables
-// through the catalog — a physical slot reset when quiescent, so the
-// scratch never accumulates dead version slots across refreshes.
-func (ext *Extension) clearScratch(comp *ivm.Compilation) {
+// through the catalog, one committed truncate each — a physical slot reset
+// when quiescent, so the scratch never accumulates dead version slots
+// across refreshes.
+func (ext *Extension) clearScratch(is *engine.Session, comp *ivm.Compilation) error {
 	cat := ext.db.Catalog()
 	for _, name := range []string{comp.DeltaView, comp.JoinDelta} {
 		if name == "" {
 			continue
 		}
-		if t, err := cat.Table(name); err == nil {
-			t.Truncate()
+		t, err := cat.Table(name)
+		if err != nil {
+			continue
+		}
+		tx, done := is.BeginWrite()
+		_, _, err = t.TruncateTxn(tx, false)
+		if err = done(err); err != nil {
+			return fmt.Errorf("ivmext: clearing %s: %w", name, err)
 		}
 	}
+	return nil
 }
 
 // consume re-opens the group's frozen deltas (reopen). Its callers reach it
@@ -971,13 +985,13 @@ func (ext *Extension) clearScratch(comp *ivm.Compilation) {
 // of each of its deltas; a propagation that failed before that point
 // returns without consuming, and the deltas stay frozen with their rows
 // for the next refresh's repair pass.
-func (ext *Extension) consume(states []*deltaState) error {
+func (ext *Extension) consume(is *engine.Session, states []*deltaState) error {
 	for _, ds := range states {
 		t, err := ext.db.Catalog().Table(ds.table)
 		if err != nil {
 			continue // dropped with its last view
 		}
-		if err := ds.reopen(t); err != nil {
+		if err := ds.reopen(is, t); err != nil {
 			return err
 		}
 	}
@@ -985,18 +999,25 @@ func (ext *Extension) consume(states []*deltaState) error {
 }
 
 // reopen ends a frozen generation in one step under the write side of the
-// generation lock: truncate ΔT (t), move the overflow into it, unfreeze.
-func (ds *deltaState) reopen(t *catalog.Table) error {
+// generation lock, as one committed write of is: truncate ΔT (t), move the
+// overflow into it, unfreeze.
+func (ds *deltaState) reopen(is *engine.Session, t *catalog.Table) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if !ds.frozen {
 		return nil
 	}
-	t.Truncate()
+	tx, done := is.BeginWrite()
+	if _, _, err := t.TruncateTxn(tx, false); err != nil {
+		// ΔT still holds the applied generation: it stays frozen, with the
+		// overflow beside it, for the next refresh to consume.
+		return done(fmt.Errorf("ivmext: re-opening %s: %w", ds.table, err))
+	}
 	// The overflowed rows are base-table rows plus the multiplicity flag,
 	// shaped like ΔT by construction; an insert error means the rest of
 	// them are lost, and is reported as that.
-	n, err := t.InsertBatch(ds.overflow)
+	n, err := t.InsertBatchTxn(tx, ds.overflow)
+	err = done(err)
 	lost := len(ds.overflow) - n
 	ds.overflow, ds.frozen = nil, false
 	if err != nil {

@@ -78,9 +78,10 @@ type OpKind uint8
 
 // Write-log entry kinds.
 const (
-	OpInsert  OpKind = iota // slot holds a new version begin-stamped by the txn
-	OpDelete                // slot's end stamp was set by the txn
-	OpReplace               // slot's value was replaced in place; Old holds the prior value
+	OpInsert   OpKind = iota // slot holds a new version begin-stamped by the txn
+	OpDelete                 // slot's end stamp was set by the txn
+	OpReplace                // slot's value was replaced in place; Old holds the prior value
+	OpTruncate               // the store was physically reset (Slot -1): nothing to restamp, nothing abort can restore
 )
 
 // Store is the storage-side half of the write log: a table that can
@@ -263,9 +264,9 @@ type Manager struct {
 	lastTS atomic.Uint64 // last fully committed timestamp
 	nextID atomic.Uint64 // txn id allocator
 
-	// commitMu serializes commits (and legacy instant-stamp allocation):
-	// restamp + lastTS advance must be atomic with respect to each other
-	// or a reader could observe a half-visible commit across tables.
+	// commitMu serializes commits: restamp + lastTS advance must be
+	// atomic with respect to each other or a reader could observe a
+	// half-visible commit across tables.
 	commitMu sync.Mutex
 
 	// mu guards status and snaps. Lock order: table mutex before mu —
@@ -477,8 +478,8 @@ func (m *Manager) Abort(tx *Txn) {
 	m.maybeGC()
 }
 
-// OnlyActive reports whether tx (which may be nil) is the only active
-// transaction and no statement snapshots are registered — the condition
+// OnlyActive reports whether tx is the only active transaction and no
+// statement snapshots are registered — the condition
 // under which storage may take irreversible fast paths (physical
 // truncate) without violating any concurrent snapshot. Callers must
 // hold the relevant table's write lock so no new reader can slip in
@@ -488,21 +489,11 @@ func (m *Manager) Abort(tx *Txn) {
 func (m *Manager) OnlyActive(tx *Txn) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.snaps) != 0 {
+	if len(m.snaps) != 0 || len(m.status) != 1 {
 		return false
 	}
-	switch len(m.status) {
-	case 0:
-		return tx == nil
-	case 1:
-		if tx == nil {
-			return false
-		}
-		_, ok := m.status[tx.ID]
-		return ok
-	default:
-		return false
-	}
+	_, ok := m.status[tx.ID]
+	return ok
 }
 
 // Watermark returns the oldest read timestamp any active transaction or

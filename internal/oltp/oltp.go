@@ -34,7 +34,7 @@ type Store struct {
 func New(name string) *Store {
 	db := engine.Open(name, engine.DialectPostgres)
 	s := &Store{DB: db}
-	db.RegisterTriggerHandler("ivm_capture", s.capture)
+	db.RegisterTriggerHandler("ivm_capture", capture)
 	return s
 }
 
@@ -42,13 +42,15 @@ func New(name string) *Store {
 func deltaName(table string) string { return "delta_" + strings.ToLower(table) }
 
 // capture is the trigger body: append the event's delta rows
-// (ivm.DeltaRows) to delta_<table> in one batch.
-func (s *Store) capture(db *engine.DB, table string, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
-	dt, err := db.Catalog().Table(deltaName(table))
+// (ivm.DeltaRows) to delta_<table> in one batch — a transaction of its own
+// on the writer's session, after the writer's commit, logged and made
+// durable like any other write of that session.
+func capture(sess *engine.Session, table string, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
+	dt, err := sess.DB().Catalog().Table(deltaName(table))
 	if err != nil {
 		return fmt.Errorf("oltp: capture on %s: %w (create the delta table first)", table, err)
 	}
-	if _, err := dt.InsertBatch(ivm.DeltaRows(ev, oldRows, newRows)); err != nil {
+	if _, err := sess.InsertRows(dt, ivm.DeltaRows(ev, oldRows, newRows)); err != nil {
 		return fmt.Errorf("oltp: capture on %s: %w", table, err)
 	}
 	return nil
@@ -85,11 +87,9 @@ func (s *Store) DeltaTable(table string) string { return deltaName(table) }
 // (the pull step of cross-system propagation), atomically: a delta
 // captured meanwhile is in this result or the next.
 func (s *Store) DrainDeltas(table string) ([]sqltypes.Row, error) {
-	dt, err := s.DB.Catalog().Table(deltaName(table))
-	if err != nil {
-		return nil, err
-	}
-	return dt.DrainRows(), nil
+	sess := s.DB.NewSession()
+	defer sess.Close()
+	return sess.DrainTable(deltaName(table))
 }
 
 // PendingDeltas reports the number of buffered delta rows for a table.

@@ -23,12 +23,18 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tx := c.MVCC().Begin()
 	for i := 0; i < 10; i++ {
-		tbl.Insert(sqltypes.Row{
+		if err := tbl.InsertTxn(tx, sqltypes.Row{
 			sqltypes.NewInt(int64(i)),
 			sqltypes.NewString("x"),
 			sqltypes.NewFloat(float64(i) / 2),
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.MVCC().Commit(tx); err != nil {
+		t.Fatal(err)
 	}
 	return c
 }

@@ -15,7 +15,9 @@ import (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Record types inside a WAL record payload.
+// Record types inside a WAL record payload. Only the first two are
+// written; recInstant (a non-transactional write, CommitTS 0) is read from
+// data directories older engines left behind, and replays as a commit.
 const (
 	recCommit  byte = 1
 	recDDL     byte = 2
@@ -23,12 +25,11 @@ const (
 )
 
 // Record is one decoded WAL record: exactly one of Commit and DDL is
-// set (an instant write decodes as a Commit with CommitTS 0).
+// set.
 type Record struct {
-	LSN     uint64
-	Instant bool
-	Commit  *CommitRecord
-	DDL     *DDLRecord
+	LSN    uint64
+	Commit *CommitRecord
+	DDL    *DDLRecord
 }
 
 // --- primitive appenders ---
@@ -193,13 +194,9 @@ func (r *reader) row() (sqltypes.Row, error) {
 
 // --- record encode/decode ---
 
-// appendCommitPayload encodes a commit/instant record payload.
-func appendCommitPayload(dst []byte, lsn uint64, rec *CommitRecord, instant bool) []byte {
-	typ := recCommit
-	if instant {
-		typ = recInstant
-	}
-	dst = append(dst, typ)
+// appendCommitPayload encodes a commit record payload.
+func appendCommitPayload(dst []byte, lsn uint64, rec *CommitRecord) []byte {
+	dst = append(dst, recCommit)
 	dst = binary.AppendUvarint(dst, lsn)
 	dst = binary.AppendUvarint(dst, rec.CommitTS)
 	dst = binary.AppendUvarint(dst, uint64(len(rec.Ops)))
@@ -243,7 +240,34 @@ func appendDDLPayload(dst []byte, lsn uint64, rec *DDLRecord) []byte {
 	for _, r := range rec.Rows {
 		dst = appendRow(dst, r)
 	}
+	if rec.Kind == DDLCreateTrigger {
+		dst = appendTriggerDef(dst, rec.Events, rec.Handler)
+	}
 	return dst
+}
+
+func appendTriggerDef(dst []byte, events []string, handler string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(events)))
+	for _, e := range events {
+		dst = appendString(dst, e)
+	}
+	return appendString(dst, handler)
+}
+
+func (r *reader) triggerDef() (events []string, handler string, err error) {
+	n, err := r.count("trigger events")
+	if err != nil {
+		return nil, "", err
+	}
+	for i := 0; i < n; i++ {
+		e, err := r.str("trigger event")
+		if err != nil {
+			return nil, "", err
+		}
+		events = append(events, e)
+	}
+	handler, err = r.str("trigger handler")
+	return events, handler, err
 }
 
 func appendColumnDef(dst []byte, c ColumnDef) []byte {
@@ -305,7 +329,6 @@ func DecodeRecord(payload []byte) (*Record, error) {
 	out := &Record{LSN: lsn}
 	switch typ {
 	case recCommit, recInstant:
-		out.Instant = typ == recInstant
 		cr := &CommitRecord{}
 		if cr.CommitTS, err = r.uvarint("commit ts"); err != nil {
 			return nil, err
@@ -343,7 +366,7 @@ func DecodeRecord(payload []byte) (*Record, error) {
 			return nil, err
 		}
 		dr.Kind = DDLKind(k)
-		if dr.Kind < DDLCreateTable || dr.Kind > DDLDrop {
+		if dr.Kind < DDLCreateTable || dr.Kind > DDLCreateTrigger {
 			return nil, enginerr.Newf(enginerr.CodeRecoveryCorruption, "storage: unknown ddl kind %d", k)
 		}
 		if dr.Name, err = r.str("ddl name"); err != nil {
@@ -406,6 +429,11 @@ func DecodeRecord(payload []byte) (*Record, error) {
 				return nil, err
 			}
 			dr.Rows = append(dr.Rows, row)
+		}
+		if dr.Kind == DDLCreateTrigger {
+			if dr.Events, dr.Handler, err = r.triggerDef(); err != nil {
+				return nil, err
+			}
 		}
 		out.DDL = dr
 	default:
@@ -506,6 +534,12 @@ func encodeCheckpoint(snap *CheckpointData) []byte {
 	for _, v := range snap.MatViews {
 		body = appendString(body, v.Name)
 		body = appendString(body, v.SQL)
+	}
+	body = binary.AppendUvarint(body, uint64(len(snap.Triggers)))
+	for _, t := range snap.Triggers {
+		body = appendString(body, t.Name)
+		body = appendString(body, t.Table)
+		body = appendTriggerDef(body, t.Events, t.Handler)
 	}
 	dst = append(dst, body...)
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(body, crcTable))
@@ -634,6 +668,27 @@ func decodeCheckpoint(b []byte) (*CheckpointData, error) {
 			return nil, err
 		}
 		snap.MatViews = append(snap.MatViews, v)
+	}
+	// The trigger section is absent from checkpoints written before
+	// triggers were logged: those end here.
+	ntrig := 0
+	if r.off != len(body) {
+		if ntrig, err = r.count("triggers"); err != nil {
+			return nil, err
+		}
+	}
+	for i := 0; i < ntrig; i++ {
+		var t TriggerSnap
+		if t.Name, err = r.str("trigger name"); err != nil {
+			return nil, err
+		}
+		if t.Table, err = r.str("trigger table"); err != nil {
+			return nil, err
+		}
+		if t.Events, t.Handler, err = r.triggerDef(); err != nil {
+			return nil, err
+		}
+		snap.Triggers = append(snap.Triggers, t)
 	}
 	if r.off != len(body) {
 		return nil, enginerr.Newf(enginerr.CodeRecoveryCorruption, "storage: %d trailing bytes after checkpoint", len(body)-r.off)

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -28,25 +30,27 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 			{Table: "u", Kind: OpTruncate},
 		},
 	}
-	payload := appendCommitPayload(nil, 12, rec, false)
+	payload := appendCommitPayload(nil, 12, rec)
 	got, err := DecodeRecord(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.LSN != 12 || got.Instant || got.Commit == nil || got.DDL != nil {
+	if got.LSN != 12 || got.Commit == nil || got.DDL != nil {
 		t.Fatalf("decoded frame header wrong: %+v", got)
 	}
 	if !reflect.DeepEqual(got.Commit, rec) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got.Commit, rec)
 	}
 
-	inst := appendCommitPayload(nil, 13, rec, true)
-	got, err = DecodeRecord(inst)
+	// Record type 3 is no longer written, but data directories of older
+	// engines hold it: same body, replayed as a commit.
+	legacy := append([]byte{3}, payload[1:]...)
+	got, err = DecodeRecord(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Instant {
-		t.Fatal("instant flag lost in round trip")
+	if !reflect.DeepEqual(got.Commit, rec) {
+		t.Fatalf("type-3 record decoded to %+v, want %+v", got.Commit, rec)
 	}
 }
 
@@ -65,6 +69,7 @@ func TestDDLRecordRoundTrip(t *testing.T) {
 		{Kind: DDLCreateView, Name: "v", SQL: "SELECT a FROM t"},
 		{Kind: DDLCreateMatView, Name: "mv", SQL: "SELECT a, COUNT(*) FROM t GROUP BY a"},
 		{Kind: DDLDrop, Name: "t", ObjectKind: "TABLE"},
+		{Kind: DDLCreateTrigger, Name: "cap", Table: "t", Events: []string{"INSERT", "UPDATE"}, Handler: "ivm_capture"},
 	}
 	for _, rec := range recs {
 		payload := appendDDLPayload(nil, 5, rec)
@@ -82,7 +87,7 @@ func TestDDLRecordRoundTrip(t *testing.T) {
 }
 
 func TestFrameRejectsCorruption(t *testing.T) {
-	payload := appendCommitPayload(nil, 1, &CommitRecord{CommitTS: 1}, false)
+	payload := appendCommitPayload(nil, 1, &CommitRecord{CommitTS: 1})
 	frame := frameRecord(nil, payload)
 
 	// Clean read first.
@@ -123,7 +128,7 @@ func TestDecodeRecordRejectsGarbage(t *testing.T) {
 	payload := appendCommitPayload(nil, 3, &CommitRecord{
 		CommitTS: 9,
 		Ops:      []RedoOp{{Table: "t", Kind: OpInsert, Row: sampleRow()}},
-	}, false)
+	})
 	for i := 0; i < len(payload); i++ {
 		if _, err := DecodeRecord(payload[:i]); err == nil {
 			t.Fatalf("truncated payload of %d bytes decoded without error", i)
@@ -153,6 +158,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		},
 		Views:    []ViewSnap{{Name: "v", SQL: "SELECT a FROM t"}},
 		MatViews: []ViewSnap{{Name: "mv", SQL: "SELECT b FROM t"}},
+		Triggers: []TriggerSnap{{Name: "cap", Table: "t", Events: []string{"INSERT", "DELETE"}, Handler: "ivm_capture"}},
 	}
 	img := encodeCheckpoint(snap)
 	got, err := decodeCheckpoint(img)
@@ -166,8 +172,18 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if got.LastLSN != 99 || got.LastTS != 1234 || len(got.Tables) != 2 ||
 		len(got.Tables[0].Rows) != 2 || got.Tables[0].Rows[1][1] != sqltypes.Null ||
-		len(got.Views) != 1 || len(got.MatViews) != 1 {
+		len(got.Views) != 1 || len(got.MatViews) != 1 ||
+		!reflect.DeepEqual(got.Triggers, snap.Triggers) {
 		t.Fatalf("checkpoint content mismatch: %+v", got)
+	}
+	// A checkpoint written before triggers were logged ends after the
+	// materialized views.
+	snap.Triggers = nil
+	old := encodeCheckpoint(snap)
+	old = old[:len(old)-5] // the empty trigger section (one count byte) and the CRC
+	old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(old[len(ckptMagic):], crcTable))
+	if got, err := decodeCheckpoint(old); err != nil || len(got.Triggers) != 0 || len(got.MatViews) != 1 {
+		t.Fatalf("pre-trigger checkpoint: %+v, %v", got, err)
 	}
 	// Every single-byte flip must be rejected by CRC or structure checks.
 	for i := range img {
@@ -196,8 +212,12 @@ func FuzzWALDecode(f *testing.F) {
 			{Table: "kv", Kind: OpInsert, Row: sampleRow()},
 			{Table: "kv", Kind: OpTruncate},
 		},
-	}, false))
-	f.Add(appendCommitPayload(nil, 2, &CommitRecord{CommitTS: 8}, true))
+	}))
+	f.Add(append([]byte{3}, appendCommitPayload(nil, 2, &CommitRecord{})[1:]...)) // legacy type-3 record
+	f.Add(appendDDLPayload(nil, 5, &DDLRecord{
+		Kind: DDLCreateTrigger, Name: "cap", Table: "orders",
+		Events: []string{"INSERT", "DELETE", "UPDATE"}, Handler: "ivm_capture",
+	}))
 	f.Add(appendDDLPayload(nil, 3, &DDLRecord{
 		Kind: DDLCreateTable, Name: "t",
 		Columns:    []ColumnDef{{Name: "a", Type: sqltypes.TypeInt}},
@@ -208,7 +228,7 @@ func FuzzWALDecode(f *testing.F) {
 	encode := func(rec *Record) []byte {
 		switch {
 		case rec.Commit != nil:
-			return appendCommitPayload(nil, rec.LSN, rec.Commit, rec.Instant)
+			return appendCommitPayload(nil, rec.LSN, rec.Commit)
 		case rec.DDL != nil:
 			return appendDDLPayload(nil, rec.LSN, rec.DDL)
 		}

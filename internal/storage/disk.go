@@ -113,7 +113,7 @@ func (b *DiskBackend) AppendCommit(rec *CommitRecord) (uint64, error) {
 		return 0, wrapIO(err)
 	}
 	lsn := b.nextLSN
-	payload := appendCommitPayload(make([]byte, 0, 256), lsn, rec, false)
+	payload := appendCommitPayload(make([]byte, 0, 256), lsn, rec)
 	return b.stageRecord(payload), nil
 }
 
@@ -126,19 +126,6 @@ func (b *DiskBackend) AppendDDL(rec *DDLRecord) error {
 		return err
 	}
 	payload := appendDDLPayload(make([]byte, 0, 256), b.nextLSN, rec)
-	lsn := b.stageRecord(payload)
-	b.mu.Unlock()
-	return b.WaitDurable(lsn)
-}
-
-// AppendInstant stages a legacy instant-write record and syncs it.
-func (b *DiskBackend) AppendInstant(rec *CommitRecord) error {
-	b.mu.Lock()
-	if err := b.appendableLocked(); err != nil {
-		b.mu.Unlock()
-		return err
-	}
-	payload := appendCommitPayload(make([]byte, 0, 128), b.nextLSN, rec, true)
 	lsn := b.stageRecord(payload)
 	b.mu.Unlock()
 	return b.WaitDurable(lsn)

@@ -14,9 +14,9 @@
 //     It only stages the record; WaitDurable blocks until an fsync
 //     covers it, letting concurrent commits share one fsync (group
 //     commit).
-//   - AppendDDL and AppendInstant stage schema changes and
-//     legacy instant (non-transactional) writes under the same append
-//     lock, keeping the log totally ordered.
+//   - AppendDDL stages a schema change under the same append lock,
+//     keeping the log totally ordered. Commit and DDL are the only two
+//     record kinds: every data change is some transaction's commit.
 //   - Checkpoint atomically replaces the log prefix with a snapshot.
 //     The engine assembles the CheckpointData while holding the
 //     backend's append lock (via BeginCheckpoint/EndCheckpoint), so a
@@ -35,9 +35,10 @@
 //
 // Table is the data-plane interface the engine's DML layer and the
 // MVCC restamping protocol require from a table implementation:
-// transactional writes, the quiescent fast paths (TruncateQuiescent's
-// physical reset, UpsertBatchTxn's in-place replace), snapshot scans,
-// and the ApplyCommit/ApplyAbort restamping hooks. internal/catalog's
+// transactional writes (there is no other kind), the quiescent fast
+// paths they may pick by themselves (TruncateTxn's physical reset,
+// UpsertBatchTxn's in-place replace), snapshot scans, and the
+// ApplyCommit/ApplyAbort restamping hooks. internal/catalog's
 // columnar Table is the default implementation; an embedded-KV backend
 // can slot in by implementing the same contract.
 package storage
@@ -60,8 +61,8 @@ type Table interface {
 	// carry).
 	TableName() string
 
-	// Transactional writes. A nil transaction is a legacy instant write
-	// (immediately visible at the latest committed timestamp).
+	// Writes. Each runs under the given transaction: invisible to other
+	// snapshots until it commits, reverted when it aborts.
 	InsertTxn(tx *mvcc.Txn, row sqltypes.Row) error
 	InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (int, error)
 	InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]sqltypes.Row, int, error)
@@ -76,14 +77,14 @@ type Table interface {
 	// ApplyDeltasTxn replays Z-set deltas in order under one lock:
 	// rows[i] is inserted when insert[i], else one equal copy is
 	// retracted (through the primary-key index when there is one).
-	// DeleteOne is its one-row legacy retraction, which WAL replay uses.
 	ApplyDeltasTxn(tx *mvcc.Txn, rows []sqltypes.Row, insert []bool) error
-	DeleteOne(row sqltypes.Row) bool
 
-	// TruncateQuiescent is the O(1) physical truncate fast path, legal
-	// only when no concurrent snapshot could observe the difference.
-	TruncateQuiescent(tx *mvcc.Txn, wantRows bool) ([]sqltypes.Row, int, bool)
-	Truncate()
+	// TruncateTxn removes every row, returning the removed rows on
+	// request and their number. The implementation may reset the table
+	// physically when no concurrent snapshot could observe the
+	// difference; it then logs one mvcc.OpTruncate in place of per-row
+	// ops.
+	TruncateTxn(tx *mvcc.Txn, wantRows bool) ([]sqltypes.Row, int, error)
 
 	// Snapshot reads.
 	RowsSnap(sn mvcc.Snapshot) []sqltypes.Row
@@ -123,8 +124,7 @@ type RedoOp struct {
 	Row   sqltypes.Row // nil for OpTruncate
 }
 
-// CommitRecord is the redo payload of one committed transaction (or
-// one legacy instant write, CommitTS 0).
+// CommitRecord is the redo payload of one committed transaction.
 type CommitRecord struct {
 	CommitTS uint64
 	Ops      []RedoOp
@@ -143,6 +143,10 @@ const (
 	// delta tables and capture triggers in one stroke.
 	DDLCreateMatView DDLKind = 4
 	DDLDrop          DDLKind = 5
+	// DDLCreateTrigger records CREATE TRIGGER … EXECUTE 'handler' by the
+	// handler's registered name; recovery re-attaches it once the tables
+	// exist, and fails when no handler of that name is registered.
+	DDLCreateTrigger DDLKind = 6
 )
 
 // ColumnDef is the durable form of a column definition.
@@ -163,9 +167,11 @@ type IndexDef struct {
 
 // DDLRecord is one logged schema change. Fields are populated by kind:
 // create-table carries Columns/PrimaryKey (+ Rows for CREATE TABLE AS
-// SELECT, whose population is not transactional DML); create-index
-// carries Table/Columns/Unique; views carry SQL (the defining SELECT);
-// drop carries ObjectKind ("TABLE" or "VIEW").
+// SELECT: the statement's transaction logs this record in place of a
+// commit record, so table and population recover together or not at
+// all); create-index carries Table/IdxColumns/Unique; views carry SQL
+// (the defining SELECT); drop carries ObjectKind ("TABLE" or "VIEW");
+// create-trigger carries Table, Events and Handler.
 type DDLRecord struct {
 	Kind       DDLKind
 	Name       string
@@ -177,6 +183,18 @@ type DDLRecord struct {
 	Unique     bool
 	SQL        string
 	Rows       []sqltypes.Row
+	Events     []string // trigger events: INSERT, DELETE, UPDATE
+	Handler    string   // registered name of the trigger's handler
+}
+
+// TriggerSnap is the durable form of a row-level trigger created by SQL,
+// as a checkpoint holds it: the events it fires on and the registered
+// name of its handler.
+type TriggerSnap struct {
+	Name    string
+	Table   string
+	Events  []string
+	Handler string
 }
 
 // TableSnap is one logged table's schema and visible rows inside a
@@ -206,6 +224,7 @@ type CheckpointData struct {
 	Tables   []TableSnap
 	Views    []ViewSnap
 	MatViews []ViewSnap
+	Triggers []TriggerSnap
 }
 
 // RecoveryHandler receives the durable history during Recover, in
@@ -233,7 +252,7 @@ type Stats struct {
 // Backend owns durability for one engine instance. Implementations
 // must allow concurrent WaitDurable callers; Append* calls are
 // externally serialized by the engine (MVCC commit lock or the
-// backend's own append locking via the engine's instant/DDL paths).
+// backend's own append locking via the engine's DDL path).
 type Backend interface {
 	// Durable reports whether the backend persists anything. The
 	// engine skips redo capture entirely when false.
@@ -250,10 +269,6 @@ type Backend interface {
 	// AppendDDL stages a schema change and makes it durable before
 	// returning (DDL is rare; it pays its own fsync).
 	AppendDDL(rec *DDLRecord) error
-
-	// AppendInstant stages a legacy instant write record and makes it
-	// durable before returning.
-	AppendInstant(rec *CommitRecord) error
 
 	// BeginCheckpoint freezes the log (append lock held) and returns
 	// the LSN of the last staged record. The engine assembles the
@@ -295,7 +310,6 @@ func (MemBackend) Durable() bool                              { return false }
 func (MemBackend) AppendCommit(*CommitRecord) (uint64, error) { return 0, nil }
 func (MemBackend) WaitDurable(uint64) error                   { return nil }
 func (MemBackend) AppendDDL(*DDLRecord) error                 { return nil }
-func (MemBackend) AppendInstant(*CommitRecord) error          { return nil }
 func (MemBackend) BeginCheckpoint() (uint64, error)           { return 0, nil }
 func (MemBackend) Checkpoint(*CheckpointData) error           { return nil }
 func (MemBackend) EndCheckpoint()                             {}

@@ -35,23 +35,28 @@ func (g Groups) Load(db *engine.DB) error {
 	if _, err := db.Exec(g.Schema()); err != nil {
 		return err
 	}
-	tbl, err := db.Catalog().Table("groups")
+	rng := rand.New(rand.NewSource(g.Seed))
+	rows := make([]sqltypes.Row, g.Rows)
+	for i := range rows {
+		rows[i] = sqltypes.Row{
+			sqltypes.NewString(GroupKey(rng.Intn(g.NumGroups))),
+			sqltypes.NewInt(int64(rng.Intn(1000))),
+		}
+	}
+	return load(db, "groups", rows)
+}
+
+// load fills a table as one committed catalog-level write, which fires no
+// trigger.
+func load(db *engine.DB, table string, rows []sqltypes.Row) error {
+	tbl, err := db.Catalog().Table(table)
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(g.Seed))
-	return db.WithoutTriggers(func() error {
-		for i := 0; i < g.Rows; i++ {
-			row := sqltypes.Row{
-				sqltypes.NewString(GroupKey(rng.Intn(g.NumGroups))),
-				sqltypes.NewInt(int64(rng.Intn(1000))),
-			}
-			if err := tbl.Insert(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	s := db.NewSession()
+	defer s.Close()
+	_, err = s.InsertRows(tbl, rows)
+	return err
 }
 
 // GroupKey formats the i-th group key.
@@ -117,48 +122,35 @@ func (Sales) Schema() []string {
 	}
 }
 
-// Load fills both tables through the SQL layer of db (so OLTP-side
-// triggers fire if configured); pass loadDirect=true to bypass triggers
-// for bulk base loads.
-func (s Sales) Load(db *engine.DB, loadDirect bool) error {
+// Load creates and fills both tables on db. The rows go in as
+// catalog-level writes, which fire no trigger: the base load is not part
+// of the update stream.
+func (s Sales) Load(db *engine.DB) error {
 	for _, ddl := range s.Schema() {
 		if _, err := db.Exec(ddl); err != nil {
 			return err
 		}
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	fill := func() error {
-		ct, err := db.Catalog().Table("customers")
-		if err != nil {
-			return err
+	customers := make([]sqltypes.Row, s.Customers)
+	for i := range customers {
+		customers[i] = sqltypes.Row{
+			sqltypes.NewInt(int64(i)),
+			sqltypes.NewString(fmt.Sprintf("r%03d", rng.Intn(s.Regions))),
 		}
-		ot, err := db.Catalog().Table("orders")
-		if err != nil {
-			return err
-		}
-		for i := 0; i < s.Customers; i++ {
-			if err := ct.Insert(sqltypes.Row{
-				sqltypes.NewInt(int64(i)),
-				sqltypes.NewString(fmt.Sprintf("r%03d", rng.Intn(s.Regions))),
-			}); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < s.Orders; i++ {
-			if err := ot.Insert(sqltypes.Row{
-				sqltypes.NewInt(int64(i)),
-				sqltypes.NewInt(int64(rng.Intn(max(1, s.Customers)))),
-				sqltypes.NewInt(int64(rng.Intn(500))),
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	if loadDirect {
-		return db.WithoutTriggers(fill)
+	orders := make([]sqltypes.Row, s.Orders)
+	for i := range orders {
+		orders[i] = sqltypes.Row{
+			sqltypes.NewInt(int64(i)),
+			sqltypes.NewInt(int64(rng.Intn(max(1, s.Customers)))),
+			sqltypes.NewInt(int64(rng.Intn(500))),
+		}
 	}
-	return fill()
+	if err := load(db, "customers", customers); err != nil {
+		return err
+	}
+	return load(db, "orders", orders)
 }
 
 // OrderStream generates new-order inserts (the OLTP transaction stream).

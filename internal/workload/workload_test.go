@@ -99,7 +99,7 @@ func TestInsertBatch(t *testing.T) {
 func TestSalesLoad(t *testing.T) {
 	db := engine.Open("w", engine.DialectDuckDB)
 	s := Sales{Customers: 50, Orders: 500, Regions: 5, Seed: 1}
-	if err := s.Load(db, true); err != nil {
+	if err := s.Load(db); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := db.Exec("SELECT COUNT(*) FROM orders")
@@ -116,7 +116,7 @@ func TestSalesLoad(t *testing.T) {
 func TestOrderStreamNoCollisions(t *testing.T) {
 	db := engine.Open("w", engine.DialectDuckDB)
 	s := Sales{Customers: 10, Orders: 100, Regions: 3, Seed: 1}
-	if err := s.Load(db, true); err != nil {
+	if err := s.Load(db); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range s.OrderStream(50, 2) {
