@@ -319,9 +319,13 @@ func BenchmarkE6_Batch(b *testing.B) {
 }
 
 // BenchmarkE7_JoinIVM measures incremental join-view maintenance vs
-// recomputing the join (E7).
+// recomputing the join (E7), as a base-size sweep at a fixed 50-row delta:
+// C2048 / C20480 / C204800 run Δorders ⋈ customers as an index join (one
+// primary-key probe per delta row), so their refresh time must not grow
+// with the customers table; C16 is smaller than the delta and stays on the
+// hash path.
 func BenchmarkE7_JoinIVM(b *testing.B) {
-	for _, customers := range []int{16, 2048} {
+	for _, customers := range []int{16, 2048, 20480, 204800} {
 		b.Run(fmt.Sprintf("C%d", customers), func(b *testing.B) {
 			db := engine.Open("e7", engine.DialectDuckDB)
 			ivmext.Install(db)

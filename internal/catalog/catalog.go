@@ -15,6 +15,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -1525,8 +1526,10 @@ func (t *Table) CreateIndex(name string, cols []string, unique bool, ifNotExists
 		idx.Columns = append(idx.Columns, pos)
 	}
 	// Chunked bulk build (paper: "more efficient to build small indexes for
-	// each chunk and merge them"). Uniqueness is checked over live versions
-	// only; dead versions are indexed but never conflict.
+	// each chunk and merge them"). Every stored version is indexed, dead or
+	// retired ones included: an older snapshot may still see them, and an
+	// uncommitted delete may yet abort. Uniqueness is checked over live
+	// versions only.
 	const chunk = 2048
 	for lo := 0; lo < len(t.rows); lo += chunk {
 		hi := lo + chunk
@@ -1535,13 +1538,11 @@ func (t *Table) CreateIndex(name string, cols []string, unique bool, ifNotExists
 		}
 		var pairs []art.KV
 		for slot := lo; slot < hi; slot++ {
-			r := t.rows[slot]
-			if r == nil || t.vers[slot].end != 0 {
-				continue
+			if r := t.rows[slot]; r != nil {
+				pairs = append(pairs, art.KV{Key: idx.keyFor(r), Val: slot})
 			}
-			pairs = append(pairs, art.KV{Key: idx.keyFor(r), Val: slot})
 		}
-		if err := idx.mergeChunk(pairs); err != nil {
+		if err := t.mergeChunkLocked(idx, pairs); err != nil {
 			return nil, err
 		}
 	}
@@ -1577,23 +1578,24 @@ func (idx *Index) keyFor(r sqltypes.Row) []byte {
 	return sqltypes.EncodeKey(nil, vals...)
 }
 
-func (idx *Index) mergeChunk(pairs []art.KV) error {
-	if idx.Unique {
-		for _, kv := range pairs {
-			if _, ok := idx.tree.Get(kv.Key); ok {
-				return enginerr.Newf(enginerr.CodeDuplicateKey, "catalog: unique index %q violated", idx.Name)
-			}
-			idx.tree.Put(kv.Key, []int{kv.Val.(int)})
-		}
-		return nil
-	}
-	sort.Slice(pairs, func(i, j int) bool { return string(pairs[i].Key) < string(pairs[j].Key) })
+func (t *Table) mergeChunkLocked(idx *Index, pairs []art.KV) error {
+	sort.SliceStable(pairs, func(i, j int) bool { return string(pairs[i].Key) < string(pairs[j].Key) })
 	for _, kv := range pairs {
-		if v, ok := idx.tree.Get(kv.Key); ok {
-			idx.tree.Put(kv.Key, append(v.([]int), kv.Val.(int)))
-		} else {
-			idx.tree.Put(kv.Key, []int{kv.Val.(int)})
+		slot := kv.Val.(int)
+		v, ok := idx.tree.Get(kv.Key)
+		if !ok {
+			idx.tree.Put(kv.Key, []int{slot})
+			continue
 		}
+		slots := v.([]int)
+		if idx.Unique && t.vers[slot].end == 0 {
+			for _, s := range slots {
+				if t.vers[s].end == 0 {
+					return enginerr.Newf(enginerr.CodeDuplicateKey, "catalog: unique index %q violated", idx.Name)
+				}
+			}
+		}
+		idx.tree.Put(kv.Key, append(slots, slot))
 	}
 	return nil
 }
@@ -1629,26 +1631,108 @@ func (t *Table) removeIndexedLocked(r sqltypes.Row, slot int) {
 	}
 }
 
-// LookupIndex returns the rows whose indexed columns equal vals, filtered
-// to the latest snapshot (index entries may reference dead versions until
-// GC removes them).
-func (t *Table) LookupIndex(idx *Index, vals ...sqltypes.Value) []sqltypes.Row {
+// ---------------------------------------------------------------------------
+// Key probes
+// ---------------------------------------------------------------------------
+
+// KeyIndex names one of a table's point-lookup structures for ProbeKeys:
+// the primary-key index (Name "pk") or a secondary index. Cols are the
+// table column positions of the key, in the order probe values are given.
+type KeyIndex struct {
+	Name string
+	Cols []int
+	idx  *Index // nil = primary key
+}
+
+// KeyIndexOn returns the key index whose columns are exactly cols, in any
+// order: the primary key if it qualifies, otherwise the first qualifying
+// secondary index by name.
+func (t *Table) KeyIndexOn(cols []int) (KeyIndex, bool) {
+	if sameColumns(t.pkCols, cols) {
+		return KeyIndex{Name: "pk", Cols: t.pkCols}, true
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	v, ok := idx.tree.Get(sqltypes.EncodeKey(nil, vals...))
-	if !ok {
-		return nil
-	}
-	sn := t.mv.Current()
-	slots := v.([]int)
-	out := make([]sqltypes.Row, 0, len(slots))
-	for _, s := range slots {
-		if s < 0 || s >= len(t.rows) {
-			continue
-		}
-		if r := t.rows[s]; r != nil && sn.Visible(t.vers[s].begin, t.vers[s].end) {
-			out = append(out, r)
+	var best *Index
+	for _, idx := range t.indexes {
+		if sameColumns(idx.Columns, cols) && (best == nil || idx.Name < best.Name) {
+			best = idx
 		}
 	}
-	return out
+	if best == nil {
+		return KeyIndex{}, false
+	}
+	return KeyIndex{Name: best.Name, Cols: best.Columns, idx: best}, true
+}
+
+// sameColumns reports whether b is a permutation of the non-empty column
+// list a (index column lists never repeat a column).
+func sameColumns(a, b []int) bool {
+	if len(a) == 0 || len(a) != len(b) {
+		return false
+	}
+	for i, c := range b {
+		if !slices.Contains(a, c) || slices.Contains(b[:i], c) {
+			return false
+		}
+	}
+	return true
+}
+
+// ProbeKeys resolves every row of probes to the stored rows carrying its
+// key, through ki instead of a scan: probe[at[k]] is the value for column
+// ki.Cols[k]. Matches are appended to one slice; ends[i] is where probe i's
+// matches end (they start at ends[i-1], or 0). A probe with a NULL key
+// value matches nothing — SQL equality. All probes are resolved under one
+// hold of the shared lock against one snapshot (the zero snapshot means
+// latest-committed, resolved under the lock like RowsSnap), so the result
+// is what a scan at that moment would have returned for those keys. Index
+// entries outlive the versions' visibility (they go when GC reclaims the
+// version), hence the per-version visibility check on the secondary path;
+// the primary-key path walks the key's version chain.
+func (t *Table) ProbeKeys(sn mvcc.Snapshot, ki KeyIndex, probes []sqltypes.Row, at []int) (rows []sqltypes.Row, ends []int) {
+	rows = make([]sqltypes.Row, 0, len(probes))
+	ends = make([]int, len(probes))
+	vals := make([]sqltypes.Value, len(at))
+	var key []byte
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if sn.M == nil {
+		sn = t.mv.Current()
+	}
+probe:
+	for i, p := range probes {
+		ends[i] = len(rows)
+		for k, c := range at {
+			if p[c].IsNull() {
+				continue probe
+			}
+			vals[k] = p[c]
+		}
+		key = sqltypes.EncodeKey(key[:0], vals...)
+		if ki.idx == nil {
+			if s := t.visibleLocked(sn, t.pkProbe(slottab.Hash(key), vals).slot); s >= 0 {
+				rows = append(rows, t.rows[s])
+			}
+		} else if v, ok := ki.idx.tree.Get(key); ok {
+			for _, s := range v.([]int) {
+				if r := t.rows[s]; r != nil && sn.Visible(t.vers[s].begin, t.vers[s].end) {
+					rows = append(rows, r)
+				}
+			}
+		}
+		ends[i] = len(rows)
+	}
+	return rows, ends
+}
+
+// LookupIndex returns the rows whose indexed columns equal vals, as seen by
+// sn (the zero snapshot means latest-committed).
+func (t *Table) LookupIndex(sn mvcc.Snapshot, idx *Index, vals ...sqltypes.Value) []sqltypes.Row {
+	at := make([]int, len(vals))
+	for i := range at {
+		at[i] = i
+	}
+	rows, _ := t.ProbeKeys(sn, KeyIndex{Name: idx.Name, Cols: idx.Columns, idx: idx}, []sqltypes.Row{vals}, at)
+	return rows
 }

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"openivm/internal/mvcc"
@@ -358,20 +359,168 @@ func TestSecondaryIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := tbl.LookupIndex(idx, sqltypes.NewString("g3"))
+	rows := tbl.LookupIndex(mvcc.Snapshot{}, idx, sqltypes.NewString("g3"))
 	if len(rows) != 10 {
 		t.Errorf("lookup = %d rows", len(rows))
 	}
 	// Index maintained on subsequent DML.
 	tbl.Insert(row(1000, "g3", 1))
-	rows = tbl.LookupIndex(idx, sqltypes.NewString("g3"))
+	rows = tbl.LookupIndex(mvcc.Snapshot{}, idx, sqltypes.NewString("g3"))
 	if len(rows) != 11 {
 		t.Errorf("after insert: %d rows", len(rows))
 	}
 	tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[0].I == 1000, nil })
-	rows = tbl.LookupIndex(idx, sqltypes.NewString("g3"))
+	rows = tbl.LookupIndex(mvcc.Snapshot{}, idx, sqltypes.NewString("g3"))
 	if len(rows) != 10 {
 		t.Errorf("after delete: %d rows", len(rows))
+	}
+}
+
+// TestKeyProbesHonourSnapshot: a snapshot opened before an UPDATE, a DELETE
+// and a re-INSERT of indexed rows still resolves the versions it saw, and
+// only those, through the primary-key version chain and through the
+// secondary index; the latest snapshot sees the new state through both.
+func TestKeyProbesHonourSnapshot(t *testing.T) {
+	tbl := testTable(t)
+	for i := int64(1); i <= 3; i++ {
+		tbl.Insert(row(i, "g", float64(i)))
+	}
+	idx, err := tbl.CreateIndex("idx_name", []string{"name"}, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := tbl.mv.Begin() // pins the pre-write versions
+	defer tbl.mv.Abort(old)
+
+	isID := func(id int64) func(sqltypes.Row) (bool, error) {
+		return func(r sqltypes.Row) (bool, error) { return r[0].I == id, nil }
+	}
+	tbl.Update(isID(1), func(r sqltypes.Row) (sqltypes.Row, error) { return row(1, "h", 10), nil })
+	tbl.Delete(isID(2))
+	tbl.Delete(isID(3))
+	tbl.Insert(row(3, "h", 30))
+	tbl.Insert(row(4, "g", 4))
+
+	pk, ok := tbl.KeyIndexOn([]int{0})
+	if !ok || pk.Name != "pk" {
+		t.Fatalf("KeyIndexOn(id) = %+v, %v", pk, ok)
+	}
+	sec, ok := tbl.KeyIndexOn([]int{1})
+	if !ok || sec.Name != "idx_name" {
+		t.Fatalf("KeyIndexOn(name) = %+v, %v", sec, ok)
+	}
+	if _, ok := tbl.KeyIndexOn([]int{2}); ok {
+		t.Fatal("score is not indexed")
+	}
+	ids := []sqltypes.Row{{sqltypes.NewInt(1)}, {sqltypes.NewInt(2)}, {sqltypes.NewInt(3)}, {sqltypes.NewInt(4)}, {sqltypes.Null}}
+	names := []sqltypes.Row{{sqltypes.NewString("g")}, {sqltypes.NewString("h")}}
+	for _, tc := range []struct {
+		label          string
+		sn             mvcc.Snapshot
+		byID, byName   string
+		idEnds, nmEnds []int
+	}{
+		{"old snapshot", old.Snapshot(),
+			"[1|g|1.0 2|g|2.0 3|g|3.0]", "[1|g|1.0 2|g|2.0 3|g|3.0]",
+			[]int{1, 2, 3, 3, 3}, []int{3, 3}},
+		{"latest", mvcc.Snapshot{},
+			"[1|h|10.0 3|h|30.0 4|g|4.0]", "[4|g|4.0 1|h|10.0 3|h|30.0]",
+			[]int{1, 1, 2, 3, 3}, []int{1, 3}},
+	} {
+		rows, ends := tbl.ProbeKeys(tc.sn, pk, ids, []int{0})
+		if got := fmt.Sprint(rows); got != tc.byID || fmt.Sprint(ends) != fmt.Sprint(tc.idEnds) {
+			t.Errorf("%s, by primary key: %s ends %v, want %s ends %v", tc.label, got, ends, tc.byID, tc.idEnds)
+		}
+		rows, ends = tbl.ProbeKeys(tc.sn, sec, names, []int{0})
+		if got := fmt.Sprint(rows); got != tc.byName || fmt.Sprint(ends) != fmt.Sprint(tc.nmEnds) {
+			t.Errorf("%s, by secondary index: %s ends %v, want %s ends %v", tc.label, got, ends, tc.byName, tc.nmEnds)
+		}
+	}
+	if got := fmt.Sprint(tbl.LookupIndex(old.Snapshot(), idx, sqltypes.NewString("h"))); got != "[]" {
+		t.Errorf("LookupIndex under the old snapshot sees later commits: %s", got)
+	}
+}
+
+// TestProbeKeysConcurrentWithWriters: readers probing both kinds of key
+// index while a writer churns versions and vacuums see, per probe, only
+// rows that carry the probed key — at most one through the primary key.
+func TestProbeKeysConcurrentWithWriters(t *testing.T) {
+	tbl := testTable(t)
+	const keys = 64
+	for i := int64(0); i < keys; i++ {
+		tbl.Insert(row(i, fmt.Sprint("g", i%8), 0))
+	}
+	if _, err := tbl.CreateIndex("idx_name", []string{"name"}, false, false); err != nil {
+		t.Fatal(err)
+	}
+	pk, _ := tbl.KeyIndexOn([]int{0})
+	sec, _ := tbl.KeyIndexOn([]int{1})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := int64((n*7 + g) % keys)
+				rows, _ := tbl.ProbeKeys(mvcc.Snapshot{}, pk, []sqltypes.Row{{sqltypes.NewInt(id)}}, []int{0})
+				if len(rows) > 1 || (len(rows) == 1 && rows[0][0].I != id) {
+					t.Errorf("primary-key probe %d returned %v", id, rows)
+					return
+				}
+				name := fmt.Sprint("g", id%8)
+				rows, _ = tbl.ProbeKeys(mvcc.Snapshot{}, sec, []sqltypes.Row{{sqltypes.NewString(name)}}, []int{0})
+				for _, r := range rows {
+					if r[1].S != name {
+						t.Errorf("secondary probe %q returned %v", name, r)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	for n := 0; n < 400; n++ {
+		id := int64(n % keys)
+		isID := func(r sqltypes.Row) (bool, error) { return r[0].I == id, nil }
+		switch n % 3 {
+		case 0:
+			tbl.Update(isID, func(r sqltypes.Row) (sqltypes.Row, error) {
+				return row(id, fmt.Sprint("g", (id+int64(n))%8), float64(n)), nil
+			})
+		case 1:
+			tbl.Delete(isID)
+		case 2:
+			tbl.Upsert(row(id, fmt.Sprint("g", id%8), float64(n)))
+		}
+		if n%50 == 49 {
+			tbl.mv.Vacuum()
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestCreateIndexCoversRetiredVersions: an index built while a delete is
+// still uncommitted must contain the row the delete's rollback brings back.
+func TestCreateIndexCoversRetiredVersions(t *testing.T) {
+	tbl := testTable(t)
+	tbl.Insert(row(1, "a", 0))
+	tx := tbl.mv.Begin()
+	if _, err := tbl.DeleteTxn(tx, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := tbl.CreateIndex("u", []string{"name"}, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.mv.Abort(tx)
+	if got := tbl.LookupIndex(mvcc.Snapshot{}, idx, sqltypes.NewString("a")); len(got) != 1 {
+		t.Fatalf("row restored by rollback is missing from the index: %v", got)
 	}
 }
 

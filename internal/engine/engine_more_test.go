@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"openivm/internal/mvcc"
 	"openivm/internal/sqltypes"
 )
 
@@ -17,7 +18,7 @@ func TestCreateIndexViaSQL(t *testing.T) {
 	if !ok {
 		t.Fatal("index missing")
 	}
-	rows := tbl.LookupIndex(idx, sqltypes.NewString("g1"))
+	rows := tbl.LookupIndex(mvcc.Snapshot{}, idx, sqltypes.NewString("g1"))
 	if len(rows) != 5 {
 		t.Fatalf("lookup = %d rows", len(rows))
 	}

@@ -53,65 +53,6 @@ func TestBatchHintRespected(t *testing.T) {
 	}
 }
 
-func TestRowIteratorAdapterMatchesRun(t *testing.T) {
-	c := testCatalog(t)
-	n := bindSQL(t, c, "SELECT k, SUM(v) FROM nums GROUP BY k")
-	want, err := Run(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := Open(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []sqltypes.Row
-	for {
-		r, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, r)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("adapter rows = %d, Run rows = %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("row %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestBatchIteratorAdapter(t *testing.T) {
-	c := testCatalog(t)
-	n := bindSQL(t, c, "SELECT k, v FROM nums")
-	row, err := Open(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bi := NewBatchIterator(row, 4)
-	total := 0
-	for {
-		b, err := bi.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		if b.Len() == 0 || b.Len() > 4 {
-			t.Fatalf("bad batch size %d", b.Len())
-		}
-		total += b.Len()
-	}
-	if total != 12 {
-		t.Fatalf("total = %d", total)
-	}
-}
-
 func TestLeftJoinEmptyBuildSidePads(t *testing.T) {
 	c := catalog.New()
 	a, _ := c.CreateTable("a", []catalog.Column{{Name: "x", Type: sqltypes.TypeInt}}, nil, false)

@@ -7,7 +7,7 @@
 //
 // # Execution model
 //
-// Open/OpenBatch build an operator tree over a plan.Node. Each call to
+// OpenBatch builds an operator tree over a plan.Node. Each call to
 // NextBatch returns a non-empty *Batch or nil at end of stream. A batch is
 // owned by its producer and recycled on the next NextBatch call: consumers
 // may truncate or reorder the batch's row slice in place (filters compact
@@ -54,6 +54,19 @@
 // buckets, multiset counts). Hash tables are pre-sized from plan
 // cardinality hints (plan.EstimateRows).
 //
+// # Join strategies
+//
+// A join drains its smaller estimated input as the build side and then
+// picks how to read the other one (plan.ChooseJoin, called at open with the
+// build side's exact row count): stream it through a hash table of the
+// build rows, or — when it is a bare scan of a table whose join columns are
+// its primary key or a secondary index, and the table is at least 8× the
+// build side — probe that index once per build row and never scan it. The
+// second is what an IVM refresh runs: ΔT ⋈ base and ivm_cte LEFT JOIN V
+// cost O(|ΔT|), not O(|base|). The plan is the same either way, so cached
+// prepared plans switch strategy as their delta tables grow and shrink.
+// Cross and theta joins run as a nested loop. See batchJoin.
+//
 // # Close and cancellation
 //
 // Every iterator must be closed when the caller is done with it, drained
@@ -63,17 +76,12 @@
 // the whole operator tree (every wrapping operator closes its inputs,
 // including half-drained ones), and returns only after the subtree's
 // goroutines have exited. Run/RunOpts close the tree they open; callers
-// of Open/OpenBatch own the close.
+// of OpenBatch own the close.
 //
-// Options.Ctx carries a cancellation context into the tree: scans check
-// it between batches and parallel workers between morsels, so a cancelled
-// query surfaces ctx.Err() promptly instead of scanning to completion.
-//
-// # Row-at-a-time compatibility
-//
-// The Iterator interface remains for callers that want single rows; Open
-// returns a thin adapter draining the batch tree one row at a time.
-// NewRowIterator and NewBatchIterator convert between the two models.
+// Options.Ctx carries a cancellation context into the tree: scans and
+// joins check it between batches and parallel workers between morsels, so a
+// cancelled query surfaces ctx.Err() promptly instead of running to
+// completion.
 package exec
 
 import (
@@ -163,13 +171,6 @@ type BatchIterator interface {
 	Close()
 }
 
-// Iterator produces rows one at a time. Next returns ok=false at end.
-// Close follows the BatchIterator contract.
-type Iterator interface {
-	Next() (row sqltypes.Row, ok bool, err error)
-	Close()
-}
-
 // Options tunes execution.
 type Options struct {
 	// BatchSize is the target rows-per-batch (0 = DefaultBatchSize). A
@@ -223,16 +224,6 @@ func RunOpts(n plan.Node, opts Options) ([]sqltypes.Row, error) {
 		}
 		out = append(out, b.RowView()...)
 	}
-}
-
-// Open builds a row-at-a-time iterator tree for the plan (a thin adapter
-// over the batch engine, kept for engine/ivmext/htap call sites).
-func Open(n plan.Node) (Iterator, error) {
-	bi, err := OpenBatch(n, Options{})
-	if err != nil {
-		return nil, err
-	}
-	return NewRowIterator(bi), nil
 }
 
 // OpenBatch builds a batch-iterator tree for the plan.
@@ -358,88 +349,6 @@ func streamsFromScan(n plan.Node) bool {
 		}
 	}
 }
-
-// --- Iterator <-> BatchIterator adapters ---
-
-// NewRowIterator adapts a batch iterator to the row-at-a-time Iterator
-// interface.
-func NewRowIterator(in BatchIterator) Iterator {
-	return &rowIter{in: in}
-}
-
-type rowIter struct {
-	in   BatchIterator
-	rows []sqltypes.Row
-	pos  int
-	done bool
-}
-
-// Next implements Iterator.
-func (it *rowIter) Next() (sqltypes.Row, bool, error) {
-	for it.pos >= len(it.rows) {
-		if it.done {
-			return nil, false, nil
-		}
-		b, err := it.in.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if b == nil {
-			it.done = true
-			return nil, false, nil
-		}
-		it.rows, it.pos = b.RowView(), 0
-	}
-	r := it.rows[it.pos]
-	it.pos++
-	return r, true, nil
-}
-
-// Close implements Iterator.
-func (it *rowIter) Close() { it.in.Close() }
-
-// NewBatchIterator adapts a row-at-a-time Iterator to the batch interface,
-// accumulating up to size rows per batch (0 = DefaultBatchSize). The rows
-// produced by the source must be durable (not reused across Next calls).
-func NewBatchIterator(in Iterator, size int) BatchIterator {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	return &batchAdapter{in: in, size: size}
-}
-
-type batchAdapter struct {
-	in   Iterator
-	size int
-	out  Batch
-	done bool
-}
-
-// NextBatch implements BatchIterator.
-func (it *batchAdapter) NextBatch() (*Batch, error) {
-	if it.done {
-		return nil, nil
-	}
-	it.out.reset()
-	for len(it.out.Rows) < it.size {
-		r, ok, err := it.in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			it.done = true
-			break
-		}
-		it.out.Rows = append(it.out.Rows, r)
-	}
-	if len(it.out.Rows) == 0 {
-		return nil, nil
-	}
-	return &it.out, nil
-}
-
-// Close implements BatchIterator.
-func (it *batchAdapter) Close() { it.in.Close() }
 
 // drain materializes every row of a batch subtree (build sides, sorts).
 // The size hint comes from plan.EstimateRows and is capped like the hash

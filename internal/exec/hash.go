@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -320,23 +321,36 @@ type joinPart struct {
 	buckets []joinBucket
 }
 
-// batchJoin is the hash-join operator. The build side is materialized into
-// a hash table keyed by the equi-join columns; the probe side streams
-// through it batch by batch. Which child becomes the build side is a
-// cost-based choice (plan.BuildOnLeft): the smaller estimated input is
-// built, the larger probed — the IVM delta-join terms build on a
-// handful-of-rows delta table while the base table streams.
+// batchJoin is the join operator. The build side — the smaller estimated
+// input (plan.BuildOnLeft) — is drained at open; how the probe side is then
+// read is plan.ChooseJoin's decision, taken at open from the build side's
+// exact row count:
+//
+//   - hash join: the build rows are hashed on the equi-join columns and the
+//     whole probe side streams through the table batch by batch;
+//   - index join: the probe side is a keyed table far larger than the build
+//     side, and is never scanned — its key index is probed once per build
+//     row (catalog.Table.ProbeKeys: one lock hold and one snapshot, read at
+//     open like the scan it replaces), so the join costs O(|build|). This is
+//     what makes an IVM refresh cost what the delta costs: ΔT ⋈ base and
+//     ivm_cte LEFT JOIN V both probe the big side's primary key;
+//   - nested loop (cross/theta joins): every build row is a candidate for
+//     every probe row and the residual predicate decides.
+//
+// Output rows are left-then-right whichever side was built. The hash and
+// nested-loop paths emit in probe-side order, the index path in build-side
+// order.
 type batchJoin struct {
 	node  *plan.Join
-	probe BatchIterator
+	probe BatchIterator // nil under an index join
 	size  int
+	ctx   context.Context
 
-	// buildLeft records which child was drained into the hash table; emit
-	// always produces left-then-right column order regardless.
+	algo plan.JoinAlgo
+	// buildLeft records which child was drained as the build side.
 	buildLeft bool
 
 	buildRows []sqltypes.Row
-	hashed    bool // equi-key build table present (false = cross/theta)
 	// parts is the build-side hash directory, split by the high bits of the
 	// key hash (hash >> radixShift selects the partition). A single
 	// partition with radixShift 32 is the serial build; the parallel radix
@@ -348,6 +362,13 @@ type batchJoin struct {
 	keyBuf       []byte
 	keyScratch   sqltypes.Row
 	buildMatched []bool
+
+	// Index join: fetched[fetchEnds[i-1]:fetchEnds[i]] are the probe-table
+	// rows carrying buildRows[i]'s key, past the scan's pushed-down filter
+	// and projection; bi is the next build row to join.
+	fetched   []sqltypes.Row
+	fetchEnds []int
+	bi        int
 
 	// probePreserve/buildPreserve say whether unmatched rows of that side
 	// appear in the output padded with NULLs (LEFT/RIGHT/FULL semantics
@@ -390,6 +411,7 @@ func newBatchJoin(j *plan.Join, opts Options) (BatchIterator, error) {
 	it := &batchJoin{
 		node:         j,
 		size:         opts.BatchSize,
+		ctx:          opts.Ctx,
 		buildLeft:    buildLeft,
 		buildRows:    buildRows,
 		buildMatched: make([]bool, len(buildRows)),
@@ -410,20 +432,25 @@ func newBatchJoin(j *plan.Join, opts Options) (BatchIterator, error) {
 		it.buildPreserve = true
 	}
 	// Empty build side: unless the probe side must be preserved, the join
-	// can produce no rows at all, so skip opening (and scanning) the probe
-	// side entirely. This is the common shape of IVM join-delta terms
-	// where one delta table is empty.
+	// can produce no rows at all, so skip reading the probe side entirely.
+	// This is the common shape of IVM join-delta terms where one delta
+	// table is empty.
 	if len(buildRows) == 0 && !it.probePreserve {
 		it.probeDone = true
 		it.emittedTail = true
 		return it, nil
 	}
+	strategy := plan.ChooseJoin(j, buildLeft, len(buildRows))
+	it.algo = strategy.Algo
+	if it.algo == plan.IndexJoin {
+		it.probeDone = true
+		return it, it.fetchMatches(strategy, opts)
+	}
 	it.probe, err = openBatch(probeNode, opts)
 	if err != nil {
 		return nil, err
 	}
-	if len(j.EquiLeft) > 0 {
-		it.hashed = true
+	if it.algo == plan.HashJoin {
 		it.keyScratch = make(sqltypes.Row, len(buildKeys))
 		it.buildHashTable(opts)
 	} else {
@@ -433,6 +460,44 @@ func newBatchJoin(j *plan.Join, opts Options) (BatchIterator, error) {
 		}
 	}
 	return it, nil
+}
+
+// fetchMatches is the index join's read of the probe side: one key probe
+// per build row, then the probe scan's pushed-down filter and projection
+// over the rows the probes found.
+func (it *batchJoin) fetchMatches(s plan.JoinStrategy, opts Options) error {
+	rows, ends := s.Probe.Table.ProbeKeys(opts.Snap, s.Index, it.buildRows, s.BuildKeys)
+	it.fetched, it.fetchEnds = rows, ends
+	scan := s.Probe
+	if scan.Filter == nil && scan.Projection == nil {
+		return nil
+	}
+	slab := newValueSlab(len(scan.Projection), opts.BatchSize)
+	kept, lo := rows[:0], 0
+	for i, hi := range ends {
+		for _, r := range rows[lo:hi] {
+			if scan.Filter != nil {
+				v, err := scan.Filter.Eval(r)
+				if err != nil {
+					return err
+				}
+				if !v.IsTrue() {
+					continue
+				}
+			}
+			if scan.Projection != nil {
+				out := slab.newRow()
+				for c, p := range scan.Projection {
+					out[c] = r[p]
+				}
+				r = out
+			}
+			kept = append(kept, r)
+		}
+		lo, ends[i] = hi, len(kept)
+	}
+	it.fetched = kept
+	return nil
 }
 
 // buildHashTable builds the equi-key directory over it.buildRows. Small
@@ -591,29 +656,29 @@ func (p *panicCapture) rethrow() {
 // matchBuild returns candidate build-row indexes for the probe row (valid
 // until the next call).
 func (it *batchJoin) matchBuild(p sqltypes.Row) []int {
-	if it.hashed {
-		if hasNullKey(p, it.probeKeys) {
-			return nil
-		}
-		for k, c := range it.probeKeys {
-			it.keyScratch[k] = p[c]
-		}
-		it.keyBuf = sqltypes.EncodeKey(it.keyBuf[:0], it.keyScratch...)
-		h := hashBytes(it.keyBuf)
-		part := &it.parts[h>>it.radixShift]
-		bi, ok := part.table.getHashed(it.keyBuf, h)
-		if !ok {
-			return nil
-		}
-		b := &part.buckets[bi]
-		if len(b.rest) == 0 {
-			it.cand = append(it.cand[:0], b.first)
-		} else {
-			it.cand = append(append(it.cand[:0], b.first), b.rest...)
-		}
-		return it.cand
+	if it.algo == plan.NestedLoopJoin {
+		return it.allBuild
 	}
-	return it.allBuild
+	if hasNullKey(p, it.probeKeys) {
+		return nil
+	}
+	for k, c := range it.probeKeys {
+		it.keyScratch[k] = p[c]
+	}
+	it.keyBuf = sqltypes.EncodeKey(it.keyBuf[:0], it.keyScratch...)
+	h := hashBytes(it.keyBuf)
+	part := &it.parts[h>>it.radixShift]
+	bi, ok := part.table.getHashed(it.keyBuf, h)
+	if !ok {
+		return nil
+	}
+	b := &part.buckets[bi]
+	if len(b.rest) == 0 {
+		it.cand = append(it.cand[:0], b.first)
+	} else {
+		it.cand = append(append(it.cand[:0], b.first), b.rest...)
+	}
+	return it.cand
 }
 
 func hasNullKey(r sqltypes.Row, cols []int) bool {
@@ -638,49 +703,41 @@ func (it *batchJoin) emit(l, r sqltypes.Row) {
 	it.out.Rows = append(it.out.Rows, out)
 }
 
+// pair emits build row bi joined with probe-side row p — their equi keys
+// already known equal — if the residual predicate accepts the pair, and
+// reports whether it did.
+func (it *batchJoin) pair(bi int, p sqltypes.Row) (bool, error) {
+	l, r := p, it.buildRows[bi]
+	if it.buildLeft {
+		l, r = r, l
+	}
+	it.emit(l, r)
+	if it.node.On != nil {
+		v, err := it.node.On.Eval(it.out.Rows[len(it.out.Rows)-1])
+		if err != nil {
+			return false, err
+		}
+		if !v.IsTrue() {
+			// Residual rejected: retract the speculative row. The slab
+			// slot is abandoned (never reused), keeping emitted rows
+			// durable.
+			it.out.Rows = it.out.Rows[:len(it.out.Rows)-1]
+			return false, nil
+		}
+	}
+	it.buildMatched[bi] = true
+	return true, nil
+}
+
 // probeOne joins one probe row against the build side, appending matches.
 func (it *batchJoin) probeOne(p sqltypes.Row) error {
 	matched := false
 	for _, bi := range it.matchBuild(p) {
-		b := it.buildRows[bi]
-		l, r := p, b
-		if it.buildLeft {
-			l, r = b, p
+		ok, err := it.pair(bi, p)
+		if err != nil {
+			return err
 		}
-		// Equi keys matched via hash; re-check them in the no-hash
-		// (cross/theta) path, plus the residual predicate.
-		if !it.hashed && len(it.node.EquiLeft) > 0 {
-			eq := true
-			for k := range it.node.EquiLeft {
-				c, ok := sqltypes.CompareSQL(l[it.node.EquiLeft[k]], r[it.node.EquiRight[k]])
-				if !ok || c != 0 {
-					eq = false
-					break
-				}
-			}
-			if !eq {
-				continue
-			}
-		}
-		if it.node.On != nil {
-			it.emit(l, r)
-			combined := it.out.Rows[len(it.out.Rows)-1]
-			v, err := it.node.On.Eval(combined)
-			if err != nil {
-				return err
-			}
-			if !v.IsTrue() {
-				// Residual rejected: retract the speculative row. The slab
-				// slot is abandoned (never reused), keeping emitted rows
-				// durable.
-				it.out.Rows = it.out.Rows[:len(it.out.Rows)-1]
-				continue
-			}
-		} else {
-			it.emit(l, r)
-		}
-		matched = true
-		it.buildMatched[bi] = true
+		matched = matched || ok
 	}
 	if !matched && it.probePreserve {
 		if it.buildLeft {
@@ -694,8 +751,25 @@ func (it *batchJoin) probeOne(p sqltypes.Row) error {
 
 // NextBatch implements BatchIterator.
 func (it *batchJoin) NextBatch() (*Batch, error) {
+	if err := ctxErr(it.ctx); err != nil {
+		return nil, err
+	}
 	it.out.reset()
 	for len(it.out.Rows) < it.size {
+		// Index join: the next build row against its fetched matches.
+		if it.bi < len(it.fetchEnds) {
+			lo := 0
+			if it.bi > 0 {
+				lo = it.fetchEnds[it.bi-1]
+			}
+			for _, p := range it.fetched[lo:it.fetchEnds[it.bi]] {
+				if _, err := it.pair(it.bi, p); err != nil {
+					return nil, err
+				}
+			}
+			it.bi++
+			continue
+		}
 		if it.pi < len(it.prows) {
 			p := it.prows[it.pi]
 			it.pi++
@@ -743,8 +817,8 @@ func (it *batchJoin) NextBatch() (*Batch, error) {
 
 // Close implements BatchIterator. The probe side may be half-drained (a
 // consumer abandoning the join early) or never opened at all (the
-// empty-build short-circuit); the build side was drained and closed during
-// construction.
+// empty-build short-circuit, an index join); the build side was drained and
+// closed during construction.
 func (it *batchJoin) Close() {
 	if it.probe != nil {
 		it.probe.Close()

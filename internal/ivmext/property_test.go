@@ -260,3 +260,82 @@ func TestPropertyPostgresDialectEngine(t *testing.T) {
 	randWorkload(t, db, rng, 120, "vw", "k, s, n",
 		"SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k")
 }
+
+// TestPropertyJoinDeltaSizes is the join invariant on keyed, indexed base
+// tables with the pending delta drawn from a few rows to several times the
+// base table, so the script's joins run on both sides of the index-join
+// threshold: Δo ⋈ c through c's primary key or a hash of Δo, o ⋈ Δc
+// through the user's index on the foreign key or a scan of o, ivm_cte LEFT
+// JOIN V through V's composite key or a hash. EXPLAIN of the two delta
+// terms, asked just before each refresh, says which way that refresh goes;
+// the test requires every strategy to have been taken.
+func TestPropertyJoinDeltaSizes(t *testing.T) {
+	db := engine.Open("prop", engine.DialectDuckDB)
+	Install(db)
+	mustExec(t, db, "PRAGMA ivm_empty='hidden_count'")
+	mustExec(t, db, "CREATE TABLE c (cid INTEGER PRIMARY KEY, region VARCHAR)")
+	mustExec(t, db, "CREATE TABLE o (oid INTEGER PRIMARY KEY, cid INTEGER, amt INTEGER)")
+	mustExec(t, db, "CREATE INDEX o_cid ON o (cid)")
+	const customers = 64
+	rng := rand.New(rand.NewSource(37))
+	for cid := 0; cid < customers; cid++ {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO c VALUES (%d, 'r%d')", cid, rng.Intn(4)))
+	}
+	var live []int // oids present in o
+	nextO := 0
+	insertOrder := func() {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO o VALUES (%d, %d, %d)", nextO, rng.Intn(customers+4), rng.Intn(100)))
+		live = append(live, nextO)
+		nextO++
+	}
+	for i := 0; i < 300; i++ {
+		insertOrder()
+	}
+	mustExec(t, db, `CREATE MATERIALIZED VIEW ja AS
+		SELECT o.cid, c.region, SUM(o.amt) AS total, COUNT(*) AS n
+		FROM o JOIN c ON o.cid = c.cid GROUP BY o.cid, c.region`)
+	recompute := `SELECT o.cid, c.region, SUM(o.amt), COUNT(*)
+		FROM o JOIN c ON o.cid = c.cid GROUP BY o.cid, c.region`
+
+	taken := map[string]int{}
+	tally := func(term, sql string) {
+		for _, r := range mustExec(t, db, "EXPLAIN "+sql).Rows {
+			line := strings.TrimSpace(r[0].S)
+			if strings.Contains(line, "JOIN") {
+				taken[term+" "+strings.Fields(line)[0]]++
+			}
+		}
+	}
+	for round, sizes := 0, []int{1, 2, 7, 9, 40, 250}; round < 36; round++ {
+		for n := sizes[rng.Intn(len(sizes))]; n > 0; n-- {
+			switch op := rng.Intn(10); {
+			case op < 5 || len(live) == 0:
+				insertOrder()
+			case op < 7:
+				j := rng.Intn(len(live))
+				mustExec(t, db, fmt.Sprintf("DELETE FROM o WHERE oid = %d", live[j]))
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+			case op < 9:
+				mustExec(t, db, fmt.Sprintf("UPDATE o SET amt = %d, cid = %d WHERE oid = %d",
+					rng.Intn(100), rng.Intn(customers+4), live[rng.Intn(len(live))]))
+			default:
+				mustExec(t, db, fmt.Sprintf("UPDATE c SET region = 'r%d' WHERE cid = %d", rng.Intn(4), rng.Intn(customers)))
+			}
+		}
+		if round%4 == 3 { // a burst of customer moves: a large Δc
+			for n := sizes[rng.Intn(len(sizes))]; n > 0; n-- {
+				mustExec(t, db, fmt.Sprintf("UPDATE c SET region = 'r%d' WHERE cid = %d", rng.Intn(4), rng.Intn(customers)))
+			}
+		}
+		tally("Δo⋈c", "SELECT c.region FROM delta_o AS o JOIN c ON (o.cid = c.cid)")
+		tally("o⋈Δc", "SELECT o.amt FROM o JOIN delta_c AS c ON (o.cid = c.cid)")
+		mustExec(t, db, "REFRESH MATERIALIZED VIEW ja")
+		checkView(t, db, round, "ja", "cid, region, total, n", recompute)
+	}
+	for _, want := range []string{"Δo⋈c IndexJoin", "Δo⋈c HashJoin", "o⋈Δc IndexJoin", "o⋈Δc HashJoin"} {
+		if taken[want] == 0 {
+			t.Errorf("no refresh ran %s: %v", want, taken)
+		}
+	}
+}

@@ -249,9 +249,57 @@ func TestDescribeMethods(t *testing.T) {
 		return true
 	})
 	joined := strings.Join(descs, "\n")
-	for _, want := range []string{"UnionAll", "Distinct", "HashJOIN"} {
+	for _, want := range []string{"UnionAll", "Distinct", "HashJoin"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("descriptions missing %q:\n%s", want, joined)
+		}
+	}
+}
+
+// TestJoinDescribeNamesTheStrategy: EXPLAIN prints what the executor would
+// run — one case per strategy, plus the two ways an indexed probe side
+// still ends up hashed (a build side past the threshold, a preserved probe
+// side).
+func TestJoinDescribeNamesTheStrategy(t *testing.T) {
+	c := catalog.New()
+	mk := func(name string, pk []string, rows int) *catalog.Table {
+		tbl, err := c.CreateTable(name, []catalog.Column{
+			{Name: "k", Type: sqltypes.TypeInt}, {Name: "fk", Type: sqltypes.TypeInt},
+		}, pk, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]sqltypes.Row, rows)
+		for i := range batch {
+			batch[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 7))}
+		}
+		tx := c.MVCC().Begin()
+		if _, err := tbl.InsertBatchTxn(tx, batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.MVCC().Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	mk("delta", nil, 10)
+	mk("bulk", nil, 11)
+	base := mk("base", []string{"k"}, 10*indexJoinMinFanout)
+	if _, err := base.CreateIndex("base_fk", []string{"fk"}, false, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ from, want string }{
+		{"delta JOIN base ON delta.k = base.k", "IndexJoin base[pk] build=left JOIN (keys: [0]=[0])"},
+		{"base LEFT JOIN delta ON delta.k = base.fk", "HashJoin build=right LEFT JOIN"}, // base preserved
+		{"base JOIN delta ON delta.k = base.fk", "IndexJoin base[base_fk] build=right JOIN (keys: [1]=[0])"},
+		{"bulk JOIN base ON bulk.k = base.k", "HashJoin build=left JOIN (keys: [0]=[0])"}, // 11 × 8 > 80
+		{"delta LEFT JOIN base ON delta.k = base.k AND base.fk > 1", "IndexJoin base[pk] build=left LEFT JOIN (keys: [0]=[0]) [residual: "},
+		{"delta JOIN base ON delta.k < base.k", "NestedLoop build=left JOIN [residual: "},
+		{"delta CROSS JOIN base", "NestedLoop build=left CROSS JOIN"},
+	} {
+		ex := Explain(bind(t, c, "SELECT * FROM "+tc.from))
+		if !strings.Contains(ex, tc.want) {
+			t.Errorf("%s: EXPLAIN lacks %q:\n%s", tc.from, tc.want, ex)
 		}
 	}
 }

@@ -166,8 +166,8 @@ func (a *Aggregate) Describe() string {
 
 // Join combines two inputs. On is evaluated over the concatenation of the
 // left and right schemas. EquiLeft/EquiRight hold the positions of
-// equality key pairs extracted from On (enabling hash join); the residual
-// non-equi condition remains in On.
+// equality key pairs extracted from On (enabling the hash and index joins);
+// the residual non-equi condition remains in On.
 type Join struct {
 	Kind        sqlparser.JoinKind
 	Left, Right Node
@@ -188,9 +188,25 @@ func (j *Join) Schema() []ColumnInfo {
 // Children implements Node.
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
 
-// Describe implements Node.
+// Describe implements Node. It names the algorithm the executor would run
+// the join as right now — the executor's own chooser (ChooseJoin), fed the
+// build side's estimated size where the executor has the drained count.
 func (j *Join) Describe() string {
-	d := "Hash" + j.Kind.String()
+	buildLeft := BuildOnLeft(j)
+	build, side := j.Right, "right"
+	if buildLeft {
+		build, side = j.Left, "left"
+	}
+	var d string
+	switch s := ChooseJoin(j, buildLeft, EstimateRows(build)); s.Algo {
+	case IndexJoin:
+		d = fmt.Sprintf("IndexJoin %s[%s]", s.Probe.Table.Name, s.Index.Name)
+	case HashJoin:
+		d = "HashJoin"
+	default:
+		d = "NestedLoop"
+	}
+	d += " build=" + side + " " + j.Kind.String()
 	if len(j.EquiLeft) > 0 {
 		d += fmt.Sprintf(" (keys: %v=%v)", j.EquiLeft, j.EquiRight)
 	}
