@@ -81,7 +81,8 @@ func BenchmarkE1_Compile(b *testing.B) {
 }
 
 // BenchmarkE2_IVMRefresh / BenchmarkE2_Recompute sweep delta fraction on a
-// fixed base (E2: the core incremental-vs-recompute claim).
+// fixed base (E2: the core incremental-vs-recompute claim); E2_IVMRefresh
+// also sweeps the number of groups at a fixed delta (G4096 … G409600).
 func BenchmarkE2_IVMRefresh(b *testing.B) {
 	for _, frac := range []float64{0.001, 0.01, 0.1} {
 		b.Run(workload.Fraction(frac), func(b *testing.B) {
@@ -97,6 +98,35 @@ func BenchmarkE2_IVMRefresh(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				mustExecB(b, db, w.InsertBatch(deltaRows, int64(i)))
+				b.StartTimer()
+				mustExecB(b, db, "REFRESH MATERIALIZED VIEW query_groups")
+			}
+		})
+	}
+	// The group-count sweep at a fixed 100-row delta: the view holds one
+	// row per group, and refresh time must not grow with it — step 3 finds
+	// the emptied groups among the ~100 keys of ΔV through the view's key
+	// index, not by scanning the view.
+	for _, groups := range []int{4096, 40960, 409600} {
+		b.Run(fmt.Sprintf("G%d", groups), func(b *testing.B) {
+			db := loadGroups(b, 0, groups)
+			tbl, err := db.Catalog().Table("groups")
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows := make([]sqltypes.Row, groups)
+			for g := range rows {
+				rows[g] = sqltypes.Row{sqltypes.NewString(workload.GroupKey(g)), sqltypes.NewInt(int64(g % 1000))}
+			}
+			if _, err := db.NewSession().InsertRows(tbl, rows); err != nil {
+				b.Fatal(err)
+			}
+			mustExecB(b, db, listing1View)
+			w := workload.Groups{NumGroups: groups}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				mustExecB(b, db, w.InsertBatch(100, int64(i)))
 				b.StartTimer()
 				mustExecB(b, db, "REFRESH MATERIALIZED VIEW query_groups")
 			}

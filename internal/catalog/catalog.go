@@ -80,6 +80,11 @@ type Table struct {
 	pkCols  []int
 	pkIndex slottab.Table
 
+	// nullKey remembers that a stored version holds a NULL in a key column;
+	// the slots below nullKeyScanned are known to hold none (HasNullKey).
+	nullKey        bool
+	nullKeyScanned int
+
 	// Write-path scratch buffers, guarded by mu (exclusive lock): every
 	// writer serializes, so per-row key encoding reuses one buffer instead
 	// of allocating.
@@ -384,6 +389,25 @@ func (t *Table) HasPrimaryKey() bool { return len(t.pkCols) > 0 }
 
 // PrimaryKeyColumns returns the PK column positions.
 func (t *Table) PrimaryKeyColumns() []int { return t.pkCols }
+
+// HasNullKey reports whether a stored version may hold a NULL in a
+// primary-key column. `key IN (...)` can never select such a row, so a
+// statement that also asks for them (`OR key IS NULL`) has to scan while
+// this is true. Only the slots appended since the last call are looked at
+// — a row keeps its key for as long as it keeps its slot — and the answer
+// stays true until the row arrays are rebuilt (truncate, compaction).
+func (t *Table) HasNullKey() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for ; !t.nullKey && t.nullKeyScanned < len(t.rows); t.nullKeyScanned++ {
+		if r := t.rows[t.nullKeyScanned]; r != nil {
+			for _, p := range t.pkCols {
+				t.nullKey = t.nullKey || r[p].IsNull()
+			}
+		}
+	}
+	return t.nullKey
+}
 
 // PrimaryKeyColumnNames returns the PK column names in key order.
 func (t *Table) PrimaryKeyColumnNames() []string {
@@ -839,17 +863,34 @@ func (t *Table) upsertLocked(tx *mvcc.Txn, r sqltypes.Row, cur pkCursor) error {
 	return nil
 }
 
-// candidatesLocked bounds the slots a filtered write visits: all of them,
-// or — when key pins the primary key, one value per key column — only the
-// version of that key visible to sn.
-func (t *Table) candidatesLocked(sn mvcc.Snapshot, key []sqltypes.Value) (lo, hi int) {
-	if key == nil || len(key) != len(t.pkCols) {
-		return 0, len(t.rows)
+// candidatesLocked names the slots a filtered write visits: with nil keys
+// every slot (slots is nil and n the slot count), otherwise — keys holding
+// one value per primary-key column, key after key — the version of each
+// key visible to sn, ascending, n of them. A key listed twice yields one
+// slot and an absent key none. Keys that do not fit the table's primary
+// key (no key, a ragged list) send the statement to the scan.
+func (t *Table) candidatesLocked(sn mvcc.Snapshot, keys []sqltypes.Value) (slots []int32, n int) {
+	w := len(t.pkCols)
+	if keys == nil || w == 0 || len(keys)%w != 0 {
+		return nil, len(t.rows)
 	}
-	if s := t.visibleLocked(sn, t.pkSeekValsLocked(key).slot); s >= 0 {
-		return int(s), int(s) + 1
+	slots = make([]int32, 0, len(keys)/w)
+	for k := 0; k < len(keys); k += w {
+		if s := t.visibleLocked(sn, t.pkSeekValsLocked(keys[k:k+w]).slot); s >= 0 {
+			slots = append(slots, s)
+		}
 	}
-	return 0, 0
+	slices.Sort(slots)
+	slots = slices.Compact(slots)
+	return slots, len(slots)
+}
+
+// candidate is the j-th slot of a candidatesLocked result.
+func candidate(slots []int32, j int) int {
+	if slots == nil {
+		return j
+	}
+	return int(slots[j])
 }
 
 // retireLocked end-stamps the version in slot i, which the caller found
@@ -874,24 +915,27 @@ func (t *Table) endStampLocked(tx *mvcc.Txn, i int) {
 	}
 }
 
-// DeleteTxn removes the rows matching pred and returns them. A non-nil key
-// restricts the statement to the row with that primary key, found through
-// the index instead of a scan (pred still applies to it). Deleted versions
-// are end-stamped, not removed: concurrent snapshots keep seeing them, and
-// GC reclaims them once no snapshot can.
-func (t *Table) DeleteTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
+// DeleteTxn removes the rows matching pred and returns them, in slot
+// order. Non-nil keys — a set of primary keys, one value per key column,
+// key after key — restrict the statement to the rows with those keys,
+// found through the index instead of a scan (pred still applies to each;
+// an empty set visits nothing). Deleted versions are end-stamped, not
+// removed: concurrent snapshots keep seeing them, and GC reclaims them once
+// no snapshot can.
+func (t *Table) DeleteTxn(tx *mvcc.Txn, keys []sqltypes.Value, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.deleteLocked(tx, key, pred)
+	return t.deleteLocked(tx, keys, pred)
 }
 
 // deleteLocked is DeleteTxn under the held write lock; a nil pred matches
 // every row (TruncateTxn's versioned path).
-func (t *Table) deleteLocked(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
+func (t *Table) deleteLocked(tx *mvcc.Txn, keys []sqltypes.Value, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error) {
 	sn := tx.Snapshot()
 	var deleted []sqltypes.Row
-	lo, hi := t.candidatesLocked(sn, key)
-	for i := lo; i < hi; i++ {
+	slots, n := t.candidatesLocked(sn, keys)
+	for j := 0; j < n; j++ {
+		i := candidate(slots, j)
 		r := t.rows[i]
 		if r == nil {
 			continue
@@ -1055,15 +1099,17 @@ func (t *Table) retractionsLocked(sn mvcc.Snapshot, rows []sqltypes.Row, insert 
 // UpdateTxn applies set to the rows matching pred, returning (old, new)
 // pairs: each matching row's current version is end-stamped and a new
 // version appended, so the update is invisible to other snapshots until
-// commit. A non-nil key restricts the statement to the row with that
-// primary key, found through the index instead of a scan (see DeleteTxn).
-func (t *Table) UpdateTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error) {
+// commit. Non-nil keys restrict the statement to the rows with those
+// primary keys, found through the index instead of a scan (see DeleteTxn).
+func (t *Table) UpdateTxn(tx *mvcc.Txn, keys []sqltypes.Value, pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sn := tx.Snapshot()
-	// hi is fixed up front: versions appended below must not be revisited.
-	lo, hi := t.candidatesLocked(sn, key)
-	for i := lo; i < hi; i++ {
+	// The candidates are fixed up front: versions appended below must not
+	// be revisited.
+	slots, n := t.candidatesLocked(sn, keys)
+	for j := 0; j < n; j++ {
+		i := candidate(slots, j)
 		r := t.rows[i]
 		if r == nil {
 			continue
@@ -1170,6 +1216,7 @@ func (t *Table) resetLocked() {
 	t.vers = nil
 	t.live = 0
 	t.abortHoles = 0
+	t.nullKey, t.nullKeyScanned = false, 0
 	t.pkIndex.Reset()
 	for _, idx := range t.indexes {
 		idx.tree = art.New()
@@ -1490,6 +1537,7 @@ func (t *Table) compactLocked(watermark uint64) {
 	t.pkIndex.Remap(newSlot)
 	t.rows = rows
 	t.vers = vers
+	t.nullKey, t.nullKeyScanned = false, 0
 	for _, idx := range t.indexes {
 		idx.tree = art.New()
 	}

@@ -224,6 +224,169 @@ func TestDeletePred(t *testing.T) {
 	}
 }
 
+// TestHasNullKey: the table knows whether a key column holds a NULL by
+// looking at each appended slot once; the answer is kept until the row
+// arrays are rebuilt.
+func TestHasNullKey(t *testing.T) {
+	c := New()
+	raw, err := c.CreateTable("v", []Column{
+		{Name: "g", Type: sqltypes.TypeString},
+		{Name: "h", Type: sqltypes.TypeInt},
+		{Name: "n", Type: sqltypes.TypeInt},
+	}, []string{"g", "h"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := autoTable{raw}
+	vrow := func(g sqltypes.Value, h, n int64) sqltypes.Row {
+		return sqltypes.Row{g, sqltypes.NewInt(h), sqltypes.NewInt(n)}
+	}
+	if tbl.HasNullKey() {
+		t.Error("an empty table reports a NULL key")
+	}
+	for i := int64(0); i < 40; i++ {
+		tbl.Insert(vrow(sqltypes.NewString("a"), i, 1))
+	}
+	if tbl.HasNullKey() || tbl.nullKeyScanned != 40 {
+		t.Errorf("40 whole keys: NULL key %v, %d slots looked at", tbl.nullKey, tbl.nullKeyScanned)
+	}
+	tbl.Upsert(vrow(sqltypes.NewString("a"), 3, 2)) // a new version of a whole key
+	tbl.Upsert(vrow(sqltypes.Null, 7, 1))
+	if !tbl.HasNullKey() {
+		t.Error("the NULL-keyed row went unseen")
+	}
+	// Deleting the row does not rebuild anything: the answer stays.
+	tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[0].IsNull(), nil })
+	if !tbl.HasNullKey() {
+		t.Error("the answer changed without a rebuild")
+	}
+	// Compaction (most slots dead) and truncation start over.
+	tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[1].I > 1, nil })
+	tbl.mv.Vacuum()
+	if len(tbl.rows) != 2 || tbl.HasNullKey() {
+		t.Errorf("after compaction: %d slots, NULL key %v", len(tbl.rows), tbl.nullKey)
+	}
+	tbl.Upsert(vrow(sqltypes.NewString("b"), 0, 1))
+	tbl.Upsert(vrow(sqltypes.Null, 0, 1))
+	if !tbl.HasNullKey() {
+		t.Error("the NULL-keyed row after compaction went unseen")
+	}
+	tbl.Truncate()
+	if tbl.HasNullKey() {
+		t.Error("a truncated table reports a NULL key")
+	}
+}
+
+// TestKeySetCandidates: DeleteTxn and UpdateTxn confined to a key set
+// visit, in slot order, the version of each key their snapshot sees — once
+// for a key listed twice, never for an absent key — and call the predicate
+// on nothing else; keys that do not fit the primary key fall back to the
+// scan.
+func TestKeySetCandidates(t *testing.T) {
+	tbl := testTable(t)
+	for i := int64(0); i < 8; i++ {
+		tbl.Insert(row(i, "x", float64(i)))
+	}
+	old := tbl.mv.Begin() // an open snapshot from before the churn below
+	defer tbl.mv.Abort(old)
+	isID := func(id int64) func(sqltypes.Row) (bool, error) {
+		return func(r sqltypes.Row) (bool, error) { return r[0].I == id, nil }
+	}
+	tbl.Update(isID(1), func(sqltypes.Row) (sqltypes.Row, error) { return row(1, "y", 10), nil }) // 1 moves to a later slot
+	tbl.Delete(isID(2))
+
+	keys := func(ids ...int64) []sqltypes.Value {
+		out := make([]sqltypes.Value, 0, len(ids))
+		for _, id := range ids {
+			out = append(out, sqltypes.NewInt(id))
+		}
+		return out
+	}
+	var seen []int64
+	notFive := func(r sqltypes.Row) (bool, error) {
+		seen = append(seen, r[0].I)
+		return r[0].I != 5, nil
+	}
+	var del []sqltypes.Row
+	err := tbl.write(func(tx *mvcc.Txn) (err error) {
+		del, err = tbl.DeleteTxn(tx, keys(5, 1, 3, 1, 2, 42, 3), notFive)
+		return
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(seen); got != "[3 5 1]" {
+		t.Errorf("predicate saw ids %s, want [3 5 1]: each live key once, in slot order", got)
+	}
+	if got := fmt.Sprint(del); got != "[3|x|3.0 1|y|10.0]" {
+		t.Errorf("deleted %s, want 3 and the new version of 1", got)
+	}
+	if got := len(tbl.RowsSnap(old.Snapshot())); got != 8 {
+		t.Errorf("the open snapshot sees %d rows, want its 8", got)
+	}
+
+	// The old snapshot's own key-set write resolves the versions it sees —
+	// key 2 is still there for it — and retiring what a later transaction
+	// already retired is a write conflict.
+	seen = nil
+	if _, err := tbl.DeleteTxn(old, keys(4, 2), notFive); err == nil || fmt.Sprint(seen) != "[2]" {
+		t.Errorf("old snapshot deleting keys 4 and 2: saw %v, err %v; want a write conflict on 2, reached first", seen, err)
+	}
+
+	seen = nil
+	var olds, news []sqltypes.Row
+	err = tbl.write(func(tx *mvcc.Txn) (err error) {
+		olds, news, err = tbl.UpdateTxn(tx, keys(6, 6, 5), notFive,
+			func(r sqltypes.Row) (sqltypes.Row, error) { return row(r[0].I, "z", 0), nil })
+		return
+	})
+	if err != nil || fmt.Sprint(seen) != "[5 6]" || fmt.Sprint(olds) != "[6|x|6.0]" || fmt.Sprint(news) != "[6|z|0.0]" {
+		t.Errorf("keyed update: saw %v, %v -> %v, err %v", seen, olds, news, err)
+	}
+
+	// An empty set visits nothing; nil, or keys of the wrong width, scan.
+	for _, c := range []struct {
+		keys []sqltypes.Value
+		want int
+	}{
+		{[]sqltypes.Value{}, 0},
+		{nil, 5},
+	} {
+		seen = nil
+		tbl.write(func(tx *mvcc.Txn) error {
+			_, err := tbl.DeleteTxn(tx, c.keys, func(r sqltypes.Row) (bool, error) { seen = append(seen, r[0].I); return false, nil })
+			return err
+		})
+		if len(seen) != c.want {
+			t.Errorf("keys %v: predicate saw %d rows, want %d", c.keys, len(seen), c.want)
+		}
+	}
+	two, err := New().CreateTable("two", []Column{{Name: "a", Type: sqltypes.TypeInt}, {Name: "b", Type: sqltypes.TypeInt}}, []string{"a", "b"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair := autoTable{two}
+	for i := int64(0); i < 3; i++ {
+		pair.Insert(sqltypes.Row{sqltypes.NewInt(i), sqltypes.NewInt(i)})
+	}
+	for _, c := range []struct {
+		keys []sqltypes.Value
+		want string
+	}{
+		{keys(2, 2, 0, 0, 1, 0), "[0 2]"},
+		{keys(1, 1, 2), "[0 1 2]"}, // ragged: not a list of (a, b) keys
+	} {
+		seen = nil
+		pair.write(func(tx *mvcc.Txn) error {
+			_, err := two.DeleteTxn(tx, c.keys, func(r sqltypes.Row) (bool, error) { seen = append(seen, r[0].I); return false, nil })
+			return err
+		})
+		if got := fmt.Sprint(seen); got != c.want {
+			t.Errorf("composite keys %v: predicate saw %s, want %s", c.keys, got, c.want)
+		}
+	}
+}
+
 func TestRetractOneCopy(t *testing.T) {
 	c := New()
 	raw, _ := c.CreateTable("t", []Column{{Name: "a", Type: sqltypes.TypeInt}}, nil, false)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"openivm/internal/catalog"
@@ -311,7 +312,11 @@ func (s *Session) execUpdate(ctx context.Context, st *sqlparser.UpdateStmt) (*Re
 
 	tx, done := s.BeginWrite()
 	check := ctxChecker(ctx)
-	old, new_, err := tbl.UpdateTxn(tx, pinnedKey(tbl, pred),
+	keys, err := writeKeys(tbl, pred).resolve(tbl)
+	if err != nil {
+		return nil, done(err)
+	}
+	old, new_, err := tbl.UpdateTxn(tx, keys,
 		func(r sqltypes.Row) (bool, error) {
 			if err := check(); err != nil {
 				return false, err
@@ -371,16 +376,19 @@ func (s *Session) execDelete(ctx context.Context, st *sqlparser.DeleteStmt) (*Re
 		deleted, affected, err = tbl.TruncateTxn(tx, s.wantsTriggerRows(st.Table, TrigDelete))
 	} else {
 		check := ctxChecker(ctx)
-		deleted, err = tbl.DeleteTxn(tx, pinnedKey(tbl, pred), func(r sqltypes.Row) (bool, error) {
-			if err := check(); err != nil {
-				return false, err
-			}
-			v, err := pred.Eval(r)
-			if err != nil {
-				return false, err
-			}
-			return v.IsTrue(), nil
-		})
+		var keys []sqltypes.Value
+		if keys, err = writeKeys(tbl, pred).resolve(tbl); err == nil {
+			deleted, err = tbl.DeleteTxn(tx, keys, func(r sqltypes.Row) (bool, error) {
+				if err := check(); err != nil {
+					return false, err
+				}
+				v, err := pred.Eval(r)
+				if err != nil {
+					return false, err
+				}
+				return v.IsTrue(), nil
+			})
+		}
 		affected = len(deleted)
 	}
 	if err := done(err); err != nil {
@@ -416,65 +424,204 @@ func tableSchema(tbl *catalog.Table) []plan.ColumnInfo {
 	return out
 }
 
-// pinnedKey returns the primary key a WHERE clause pins, or nil. A key is
-// pinned when pred is a conjunction that compares every primary-key
-// column of tbl for equality with a literal or a bound parameter of the
-// column's own kind (number, string, boolean). UPDATE and DELETE then
-// find the row through the primary-key index instead of scanning; they
-// still evaluate the whole of pred on it, so residual conjuncts keep
-// their effect. Anything else — a NULL, a mixed-kind comparison, an
-// expression on either side — leaves the statement on the scan path.
-func pinnedKey(tbl *catalog.Table, pred expr.Expr) []sqltypes.Value {
-	pk := tbl.PrimaryKeyColumns()
-	if pred == nil || len(pk) == 0 {
+// keySet is the set of primary keys a WHERE clause confines an UPDATE or
+// DELETE to: the statement then finds its rows through the primary-key
+// index instead of scanning. It still evaluates the whole predicate on
+// each of them, so residual conjuncts keep their effect. A nil *keySet is
+// the scan.
+type keySet struct {
+	n     int              // how many keys vals holds
+	vals  []sqltypes.Value // the keys, one value per key column, key after key — or
+	query *expr.InQuery    // the subquery whose rows are the keys,
+	perm  []int            // perm[i] being the row position of key column i
+}
+
+// writeKeys returns the key set pred pins on tbl, or nil. A set is pinned
+// when a top-level conjunct compares exactly the primary-key columns with
+// values of their own kind (sameKeyKind): every key column `=` a literal
+// or bound parameter, the key column `IN` a list of them (one-column keys),
+// or the key columns, in any order, `IN (SELECT ...)` — either IN possibly
+// followed by `OR k IS NULL` over key columns, as long as tbl holds no
+// NULL-keyed row (catalog.Table.HasNullKey). Anything else — a negated IN,
+// part of the key, a value of another kind, an expression on either side —
+// leaves the statement on the scan path. EXPLAIN prints what this returns.
+func writeKeys(tbl *catalog.Table, pred expr.Expr) *keySet {
+	f := keyFinder{tbl, tbl.PrimaryKeyColumns()}
+	if pred == nil || len(f.pk) == 0 {
 		return nil
 	}
-	key := make([]sqltypes.Value, len(pk))
+	key := make([]sqltypes.Value, len(f.pk)) // from `=` conjuncts
 	found := 0
+	var in *keySet // from the first usable IN conjunct
 	var walk func(e expr.Expr)
 	walk = func(e expr.Expr) {
-		b, ok := e.(*expr.Binary)
-		if !ok {
+		if x, ok := e.(*expr.Binary); ok && x.Op == "AND" {
+			walk(x.Left)
+			walk(x.Right)
 			return
 		}
-		if b.Op == "AND" {
-			walk(b.Left)
-			walk(b.Right)
-			return
-		}
-		if b.Op != "=" {
-			return
-		}
-		col, ok := b.Left.(*expr.Column)
-		val := b.Right
-		if !ok {
-			col, ok = b.Right.(*expr.Column)
-			val = b.Left
-		}
-		if !ok {
-			return
-		}
-		switch val.(type) {
-		case *expr.Literal, *expr.Param:
-		default:
-			return
-		}
-		v, err := val.Eval(nil)
-		if err != nil || !sameKeyKind(tbl.Columns[col.Idx].Type, v.T) {
-			return
-		}
-		for i, p := range pk {
-			if p == col.Idx && key[i].IsNull() {
+		if x, ok := e.(*expr.Binary); ok && x.Op == "=" {
+			i, val := f.pkPos(x.Left), x.Right
+			if i < 0 {
+				i, val = f.pkPos(x.Right), x.Left
+			}
+			if i < 0 || !key[i].IsNull() {
+				return
+			}
+			if v, ok := constant(val); ok && sameKeyKind(tbl.Columns[f.pk[i]].Type, v.T) {
 				key[i] = v
 				found++
 			}
+			return
+		}
+		if in != nil {
+			return
+		}
+		if k, nulls, _ := f.orKeys(e); k != nil && !(nulls && tbl.HasNullKey()) {
+			in = k
 		}
 	}
 	walk(pred)
-	if found != len(pk) {
-		return nil
+	if found == len(f.pk) {
+		return &keySet{n: 1, vals: key}
 	}
-	return key
+	return in
+}
+
+// keyFinder reads predicates over tbl for its primary-key columns pk.
+type keyFinder struct {
+	tbl *catalog.Table
+	pk  []int
+}
+
+// pkPos is the position of column reference e in the primary key, or -1.
+func (f keyFinder) pkPos(e expr.Expr) int {
+	if col, ok := e.(*expr.Column); ok {
+		return slices.Index(f.pk, col.Idx)
+	}
+	return -1
+}
+
+// constant is the value of a literal or bound parameter.
+func constant(e expr.Expr) (sqltypes.Value, bool) {
+	switch e.(type) {
+	case *expr.Literal, *expr.Param:
+		v, err := e.Eval(nil)
+		return v, err == nil
+	}
+	return sqltypes.Null, false
+}
+
+// inKeys is the key set one `IN` over the whole key pins, or nil.
+func (f keyFinder) inKeys(e expr.Expr) *keySet {
+	switch x := e.(type) {
+	case *expr.In:
+		if x.Negate || len(f.pk) != 1 || f.pkPos(x.Operand) != 0 {
+			return nil
+		}
+		vals := make([]sqltypes.Value, 0, len(x.List))
+		for _, item := range x.List {
+			v, ok := constant(item)
+			if !ok {
+				return nil
+			}
+			if v.IsNull() {
+				continue // equals no key
+			}
+			if !sameKeyKind(f.tbl.Columns[f.pk[0]].Type, v.T) {
+				return nil
+			}
+			vals = append(vals, v)
+		}
+		return &keySet{n: len(vals), vals: vals}
+	case *expr.InQuery:
+		if x.Negate || len(x.Operands) != len(f.pk) {
+			return nil
+		}
+		perm := make([]int, len(f.pk))
+		seen := 0
+		for at, o := range x.Operands {
+			if i := f.pkPos(o); i >= 0 {
+				perm[i] = at
+				seen |= 1 << i
+			}
+		}
+		if seen == 1<<len(f.pk)-1 {
+			return &keySet{query: x, perm: perm}
+		}
+	}
+	return nil
+}
+
+// orKeys is inKeys through the NULL-safe spelling `<IN> OR k IS NULL
+// [OR k2 IS NULL ...]`, every k a key column: ok when e is at most one
+// pinning IN and otherwise such tests. No index probe finds the NULL-keyed
+// rows they ask for, so with them (nulls) the set is good only while the
+// table holds no such row.
+func (f keyFinder) orKeys(e expr.Expr) (in *keySet, nulls, ok bool) {
+	switch x := e.(type) {
+	case *expr.Binary:
+		if x.Op == "OR" {
+			l, ln, lok := f.orKeys(x.Left)
+			r, rn, rok := f.orKeys(x.Right)
+			if !lok || !rok || (l != nil && r != nil) {
+				return nil, false, false
+			}
+			if l == nil {
+				l = r
+			}
+			return l, ln || rn, true
+		}
+	case *expr.IsNull:
+		ok = !x.Negate && f.pkPos(x.Operand) >= 0
+		return nil, ok, ok
+	}
+	in = f.inKeys(e)
+	return in, false, in != nil
+}
+
+// String is the key set as EXPLAIN shows it.
+func (k *keySet) String() string {
+	if k.query != nil {
+		return "keys=IN(subquery)"
+	}
+	return fmt.Sprintf("keys=%d", k.n)
+}
+
+// resolve returns the keys in the layout catalog.Table.DeleteTxn takes,
+// running the subquery if there is one (its rows stay cached for the
+// predicate's own evaluation). A NULL in a subquery row equals no key; a
+// value of another kind than its key column returns nil, the scan, which
+// compares it the way the predicate does.
+func (k *keySet) resolve(tbl *catalog.Table) ([]sqltypes.Value, error) {
+	if k == nil {
+		return nil, nil
+	}
+	if k.query == nil {
+		return k.vals, nil
+	}
+	rows, err := k.query.Rows()
+	if err != nil {
+		return nil, err
+	}
+	pk := tbl.PrimaryKeyColumns()
+	keys := make([]sqltypes.Value, 0, len(rows)*len(pk))
+next:
+	for _, r := range rows {
+		at := len(keys)
+		for i, p := range pk {
+			v := r[k.perm[i]]
+			if v.IsNull() {
+				keys = keys[:at]
+				continue next
+			}
+			if !sameKeyKind(tbl.Columns[p].Type, v.T) {
+				return nil, nil
+			}
+			keys = append(keys, v)
+		}
+	}
+	return keys, nil
 }
 
 // sameKeyKind reports whether a value of type val compares with a column

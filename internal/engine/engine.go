@@ -545,10 +545,10 @@ func (s *Session) newBinder() *plan.Binder {
 	b.SubqueryFn = func(sel *sqlparser.SelectStmt) (expr.Expr, error) {
 		return newLazySubquery(s, sel), nil
 	}
-	b.SubqueryRowsFn = func(sel *sqlparser.SelectStmt) (func() ([]sqltypes.Value, error), error) {
-		var cached []sqltypes.Value
+	b.SubqueryRowsFn = func(sel *sqlparser.SelectStmt) (func() ([]sqltypes.Row, error), error) {
+		var cached []sqltypes.Row
 		done := false
-		return func() ([]sqltypes.Value, error) {
+		return func() ([]sqltypes.Row, error) {
 			if done {
 				return cached, nil
 			}
@@ -556,37 +556,64 @@ func (s *Session) newBinder() *plan.Binder {
 			if err != nil {
 				return nil, err
 			}
-			rows, err := exec.RunOpts(n, s.execOptsTxn(s.ctx, s.currentTxn()))
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range rows {
-				if len(r) != 1 {
-					return nil, fmt.Errorf("engine: IN subquery must return one column")
-				}
-				cached = append(cached, r[0])
-			}
-			done = true
-			return cached, nil
+			cached, err = exec.RunOpts(n, s.execOptsTxn(s.ctx, s.currentTxn()))
+			done = err == nil
+			return cached, err
 		}, nil
 	}
 	return b
 }
 
 func (s *Session) execExplain(st *sqlparser.ExplainStmt) (*Result, error) {
-	sel, ok := st.Stmt.(*sqlparser.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("engine: EXPLAIN supports SELECT only")
+	var text string
+	var err error
+	switch x := st.Stmt.(type) {
+	case *sqlparser.SelectStmt:
+		var n plan.Node
+		if n, err = s.PlanSelect(x); err == nil {
+			text = plan.Explain(n)
+		}
+	case *sqlparser.DeleteStmt:
+		text, err = s.explainWrite("Delete", x.Table, x.Where)
+	case *sqlparser.UpdateStmt:
+		text, err = s.explainWrite("Update", x.Table, x.Where)
+	default:
+		err = fmt.Errorf("engine: EXPLAIN supports SELECT, UPDATE and DELETE")
 	}
-	n, err := s.PlanSelect(sel)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Columns: []string{"plan"}}
-	for _, line := range strings.Split(strings.TrimRight(plan.Explain(n), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewString(line)})
 	}
 	return res, nil
+}
+
+// explainWrite says how an UPDATE or DELETE (verb) finds its rows, from
+// the function the executor itself asks (writeKeys): through the
+// primary-key index for a pinned key set, else by scanning. Nothing runs —
+// a key subquery is named, not evaluated, so a value of the wrong kind in
+// its result can still send the statement to the scan.
+func (s *Session) explainWrite(verb, table string, where sqlparser.Expr) (string, error) {
+	tbl, err := s.db.cat.Table(table)
+	if err != nil {
+		return "", err
+	}
+	if where == nil {
+		if verb == "Delete" {
+			return "Truncate " + tbl.Name, nil
+		}
+		return "Scan" + verb + " " + tbl.Name, nil
+	}
+	pred, err := s.newBinder().BindExprSchema(where, tableSchema(tbl))
+	if err != nil {
+		return "", err
+	}
+	if keys := writeKeys(tbl, pred); keys != nil {
+		return fmt.Sprintf("Keyed%s %s[pk] %s", verb, tbl.Name, keys), nil
+	}
+	return "Scan" + verb + " " + tbl.Name, nil
 }
 
 func (s *Session) execCreateTable(ctx context.Context, st *sqlparser.CreateTableStmt) (*Result, error) {

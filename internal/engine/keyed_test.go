@@ -9,13 +9,17 @@ import (
 	"openivm/internal/sqltypes"
 )
 
-// TestPinnedKey: which WHERE clauses resolve through the primary-key
-// index, and with which key.
-func TestPinnedKey(t *testing.T) {
+// TestWriteKeys: which WHERE clauses resolve through the primary-key
+// index, and with which keys ("-" is the scan).
+func TestWriteKeys(t *testing.T) {
 	db := Open("keyed", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE one (k INTEGER PRIMARY KEY, v INTEGER, s TEXT)")
 	mustExec(t, db, "CREATE TABLE two (a INTEGER, b TEXT, v INTEGER, PRIMARY KEY (a, b))")
 	mustExec(t, db, "CREATE TABLE none (k INTEGER, v INTEGER)")
+	mustExec(t, db, "CREATE TABLE nulk (k INTEGER, v INTEGER, PRIMARY KEY (k))")
+	mustExec(t, db, "INSERT INTO nulk VALUES (1, 0), (NULL, 0)")
+	mustExec(t, db, "CREATE TABLE pick (a INTEGER, b TEXT, f DOUBLE)")
+	mustExec(t, db, "INSERT INTO pick VALUES (1, 'x', 1.0), (2, 'y', 2.5), (1, 'x', 1.0), (NULL, 'z', NULL), (3, NULL, 3.0)")
 	s := db.NewSession()
 	s.BindParams([]sqltypes.Value{sqltypes.NewInt(9), sqltypes.NewString("z")})
 
@@ -32,19 +36,58 @@ func TestPinnedKey(t *testing.T) {
 		{"two", "a = 1 AND b = 'x'", "1|x"},
 		{"two", "b = $2 AND v = 3 AND a = $1", "9|z"},
 
-		{"one", "k + 0 = 5", ""},
-		{"one", "k = 2 + 3", ""},
-		{"one", "k = 5 OR v = 1", ""},
-		{"one", "NOT (k = 5)", ""},
-		{"one", "k > 5", ""},
-		{"one", "k = NULL", ""},
-		{"one", "k = 'x'", ""},
-		{"one", "k = $2", ""}, // a string bound against an integer key
-		{"one", "k = v", ""},
-		{"one", "v = 5", ""},
-		{"two", "a = 1", ""},
-		{"two", "a = 1 AND b = 2", ""},
-		{"none", "k = 5", ""},
+		// A key set: an IN list, or the rows of an IN subquery — duplicates
+		// kept (storage visits a key once), NULLs dropped (they equal no key).
+		{"one", "k IN (5, 7, 5)", "5|7|5"},
+		{"one", "k IN (5, NULL, $1) AND v = 0", "5|9"},
+		{"one", "k IN (NULL)", ""},
+		{"one", "k IN (SELECT a FROM pick)", "1|2|1|3"},
+		{"one", "v = 0 AND k IN (SELECT a FROM pick WHERE a > 5)", ""},
+		{"one", "k IN (SELECT f FROM pick)", "1.0|2.5|1.0|3.0"},
+		{"one", "k IN (SELECT a FROM pick) AND k IN (1, 2)", "1|2|1|3"}, // the first IN that pins wins; the other stays a residual
+		{"one", "k = 2 AND k IN (SELECT a FROM pick)", "2"},
+		{"two", "(a, b) IN (SELECT a, b FROM pick)", "1|x|2|y|1|x"},
+		{"two", "(b, a) IN (SELECT b, a FROM pick) AND v > 0", "1|x|2|y|1|x"},
+
+		// The NULL-safe spelling: IN never selects a NULL-keyed row, so
+		// `OR key IS NULL` asks for them beside the set — which still pins
+		// the statement while the table holds no such row.
+		{"one", "(k IN (SELECT a FROM pick) OR k IS NULL) AND v = 0", "1|2|1|3"},
+		{"one", "k IS NULL OR k IN (5, 7)", "5|7"},
+		{"two", "((a, b) IN (SELECT a, b FROM pick) OR a IS NULL OR b IS NULL) AND v = 0", "1|x|2|y|1|x"},
+		{"nulk", "k IN (SELECT a FROM pick) AND v = 0", "1|2|1|3"},
+
+		{"one", "k + 0 = 5", "-"},
+		{"one", "k = 2 + 3", "-"},
+		{"one", "k = 5 OR v = 1", "-"},
+		{"one", "NOT (k = 5)", "-"},
+		{"one", "k > 5", "-"},
+		{"one", "k = NULL", "-"},
+		{"one", "k = 'x'", "-"},
+		{"one", "k = $2", "-"}, // a string bound against an integer key
+		{"one", "k = v", "-"},
+		{"one", "v = 5", "-"},
+		{"two", "a = 1", "-"},
+		{"two", "a = 1 AND b = 2", "-"},
+		{"none", "k = 5", "-"},
+		{"one", "k NOT IN (5, 7)", "-"},
+		{"one", "k IN (5, 'x')", "-"},
+		{"one", "k IN (5, v)", "-"},
+		{"one", "v IN (5, 7)", "-"},
+		{"one", "k NOT IN (SELECT a FROM pick)", "-"},
+		{"one", "k IN (SELECT b FROM pick)", "-"}, // strings against an integer key: found at run time
+		{"one", "k + 0 IN (SELECT a FROM pick)", "-"},
+		{"one", "k IN (SELECT a FROM pick) OR v = 1", "-"},
+		{"one", "k IN (SELECT a FROM pick) OR v IS NULL", "-"},
+		{"one", "k IN (SELECT a FROM pick) OR k IS NOT NULL", "-"},
+		{"one", "k IN (1, 2) OR k IN (3) OR k IS NULL", "-"},
+		{"one", "((k IN (1) OR k IS NULL) OR (k IN (2) OR k IS NULL)) OR k IN (3)", "-"},
+		{"one", "k IS NULL", "-"},
+		{"nulk", "(k IN (SELECT a FROM pick) OR k IS NULL) AND v = 0", "-"}, // it holds a NULL key
+		{"two", "a IN (SELECT a FROM pick)", "-"},
+		{"two", "(a, v) IN (SELECT a, a FROM pick)", "-"},
+		{"two", "(a, a) IN (SELECT a, a FROM pick)", "-"},
+		{"none", "k IN (SELECT a FROM pick)", "-"},
 	}
 	for _, c := range cases {
 		stmt, err := sqlparser.Parse("DELETE FROM " + c.table + " WHERE " + c.where)
@@ -59,22 +102,161 @@ func TestPinnedKey(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.where, err)
 		}
-		got := ""
-		if key := pinnedKey(tbl, pred); key != nil {
-			got = sqltypes.Row(key).String()
+		keys, err := writeKeys(tbl, pred).resolve(tbl)
+		if err != nil {
+			t.Fatalf("%s: %v", c.where, err)
+		}
+		got := "-"
+		if keys != nil {
+			got = sqltypes.Row(keys).String()
 		}
 		if got != c.want {
-			t.Errorf("%s WHERE %s: pinned key %q, want %q", c.table, c.where, got, c.want)
+			t.Errorf("%s WHERE %s: keys %q, want %q", c.table, c.where, got, c.want)
 		}
+	}
+}
+
+// TestExplainWrite: EXPLAIN of an UPDATE or DELETE says how the rows are
+// found, from the function the executor asks, and runs nothing.
+func TestExplainWrite(t *testing.T) {
+	db := Open("explain", DialectDuckDB)
+	mustExec(t, db, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)")
+	mustExec(t, db, "CREATE TABLE cust_totals (region TEXT, cid INTEGER, n INTEGER, PRIMARY KEY (region, cid))")
+	mustExec(t, db, "CREATE TABLE big_orders (oid INTEGER, amount INTEGER)")
+	mustExec(t, db, "CREATE TABLE delta (region TEXT, cid INTEGER, oid INTEGER)")
+	mustExec(t, db, "CREATE TABLE nulls (g INTEGER, n INTEGER, PRIMARY KEY (g))")
+	mustExec(t, db, "INSERT INTO orders VALUES (1, 1, 10), (2, 1, 20)")
+	mustExec(t, db, "INSERT INTO nulls VALUES (1, 0), (NULL, 0)")
+	for _, c := range []struct{ sql, want string }{
+		{"DELETE FROM orders WHERE oid IN (SELECT oid FROM delta) AND amount = 0", "KeyedDelete orders[pk] keys=IN(subquery)"},
+		{"DELETE FROM cust_totals WHERE (region, cid) IN (SELECT region, cid FROM delta) AND n = 0", "KeyedDelete cust_totals[pk] keys=IN(subquery)"},
+		{"UPDATE orders SET amount = 0 WHERE oid = 2", "KeyedUpdate orders[pk] keys=1"},
+		{"UPDATE orders SET amount = 0 WHERE oid IN (1, 2, 3)", "KeyedUpdate orders[pk] keys=3"},
+		{"DELETE FROM cust_totals WHERE ((region, cid) IN (SELECT region, cid FROM delta) OR region IS NULL OR cid IS NULL) AND n = 0", "KeyedDelete cust_totals[pk] keys=IN(subquery)"},
+		{"DELETE FROM nulls WHERE g IN (SELECT cid FROM delta) AND n = 0", "KeyedDelete nulls[pk] keys=IN(subquery)"},
+		{"DELETE FROM cust_totals WHERE cid = 4 AND region = 'eu'", "KeyedDelete cust_totals[pk] keys=1"},
+		// The fall-backs: negated IN, part of the key, a value of the wrong
+		// kind, a table without a key, NULL-keyed rows asked for and held,
+		// no predicate at all.
+		{"DELETE FROM orders WHERE oid NOT IN (SELECT oid FROM delta)", "ScanDelete orders"},
+		{"DELETE FROM cust_totals WHERE cid IN (SELECT cid FROM delta)", "ScanDelete cust_totals"},
+		{"UPDATE cust_totals SET n = 0 WHERE region = 'eu'", "ScanUpdate cust_totals"},
+		{"UPDATE orders SET amount = 0 WHERE oid = 'two'", "ScanUpdate orders"},
+		{"DELETE FROM orders WHERE oid IN (1, 'two')", "ScanDelete orders"},
+		{"DELETE FROM big_orders WHERE oid IN (SELECT oid FROM delta)", "ScanDelete big_orders"},
+		{"DELETE FROM big_orders WHERE amount = 0", "ScanDelete big_orders"},
+		{"DELETE FROM nulls WHERE (g IN (SELECT cid FROM delta) OR g IS NULL) AND n = 0", "ScanDelete nulls"},
+		{"UPDATE orders SET amount = 0", "ScanUpdate orders"},
+		{"DELETE FROM orders", "Truncate orders"},
+	} {
+		rows := queryRows(t, db, "EXPLAIN "+c.sql)
+		if len(rows) != 1 || rows[0][0].S != c.want {
+			t.Errorf("EXPLAIN %s:\n got %v\nwant %s", c.sql, rows, c.want)
+		}
+	}
+	if got := queryRows(t, db, "SELECT COUNT(*) FROM orders"); got[0][0].I != 2 {
+		t.Errorf("EXPLAIN changed the table: %v rows left", got[0][0])
+	}
+	if _, err := db.Exec("EXPLAIN DELETE FROM missing WHERE k = 1"); err == nil {
+		t.Error("EXPLAIN on an unknown table should fail")
+	}
+	if _, err := db.Exec("EXPLAIN INSERT INTO orders VALUES (3, 1, 1)"); err == nil {
+		t.Error("EXPLAIN INSERT should be refused")
+	}
+}
+
+// TestKeySetWrites: DELETE and UPDATE confined by a key set touch exactly
+// the rows the same statement finds by scanning — with duplicate and NULL
+// keys in the set, a residual conjunct that rejects a candidate, another
+// session's open snapshot, and a ROLLBACK.
+func TestKeySetWrites(t *testing.T) {
+	db := Open("keyset", DialectDuckDB)
+	mustExec(t, db, "CREATE TABLE v (g INTEGER, h TEXT, n INTEGER, PRIMARY KEY (g, h))")
+	mustExec(t, db, "CREATE TABLE dv (g INTEGER, h TEXT, m BOOLEAN)")
+	mustExec(t, db, "INSERT INTO v VALUES (1,'a',0), (1,'b',0), (2,'a',3), (3,'a',0), (4,'a',0), (5,'a',7)")
+	// ΔV-shaped: a TRUE and a FALSE row per touched group, NULL keys, a key
+	// V does not hold, and (4,'a') left out — its n = 0 must survive.
+	mustExec(t, db, "INSERT INTO dv VALUES (1,'a',TRUE), (1,'a',FALSE), (2,'a',TRUE), (2,'a',FALSE), (3,'a',FALSE), (NULL,'a',TRUE), (5,NULL,TRUE), (9,'z',TRUE)")
+	const dump = "SELECT g, h, n FROM v ORDER BY g, h"
+	const step3 = "DELETE FROM v WHERE (g, h) IN (SELECT g, h FROM dv) AND n = 0"
+	if got := queryRows(t, db, "EXPLAIN "+step3); got[0][0].S != "KeyedDelete v[pk] keys=IN(subquery)" {
+		t.Fatalf("step 3 is not keyed: %v", got)
+	}
+
+	reader, writer := db.NewSession(), db.NewSession()
+	if _, err := reader.Exec("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	before := sortedLines(rowStrings(queryRowsSess(t, reader, dump)))
+
+	// Inside BEGIN … ROLLBACK: the transaction sees its delete, nobody else
+	// does, and the rollback restores the rows.
+	if _, err := writer.Exec("BEGIN"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := writer.Exec(step3)
+	if err != nil || res.RowsAffected != 2 {
+		t.Fatalf("keyed delete: %v rows, %v; want (1,a) and (3,a)", res, err)
+	}
+	if got, want := sortedLines(rowStrings(queryRowsSess(t, writer, dump))), "1|b|0;2|a|3;4|a|0;5|a|7"; got != want {
+		t.Errorf("inside the transaction: %s, want %s", got, want)
+	}
+	if got := sortedLines(rowStrings(queryRows(t, db, dump))); got != before {
+		t.Errorf("uncommitted delete visible outside: %s", got)
+	}
+	if _, err := writer.Exec("ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
+	if got := sortedLines(rowStrings(queryRows(t, db, dump))); got != before {
+		t.Errorf("after ROLLBACK: %s, want %s", got, before)
+	}
+
+	// Autocommit, under the reader's open snapshot: the reader keeps its
+	// view, a new statement sees the delete.
+	if res := mustExec(t, db, step3); res.RowsAffected != 2 {
+		t.Errorf("keyed delete affected %d rows, want 2", res.RowsAffected)
+	}
+	if got := sortedLines(rowStrings(queryRowsSess(t, reader, dump))); got != before {
+		t.Errorf("open snapshot moved: %s, want %s", got, before)
+	}
+	if got, want := sortedLines(rowStrings(queryRows(t, db, dump))), "1|b|0;2|a|3;4|a|0;5|a|7"; got != want {
+		t.Errorf("after the delete: %s, want %s", got, want)
+	}
+	// Run again: the keys now name retired versions and rows the residual
+	// rejects; nothing is left to delete.
+	if res := mustExec(t, db, step3); res.RowsAffected != 0 {
+		t.Errorf("second keyed delete affected %d rows, want 0", res.RowsAffected)
+	}
+
+	// UPDATE over the same set: (2,a) is listed twice and updated once.
+	res = mustExec(t, db, "UPDATE v SET n = n + 1 WHERE (g, h) IN (SELECT g, h FROM dv) AND n > 0")
+	if res.RowsAffected != 1 {
+		t.Errorf("keyed update affected %d rows, want 1", res.RowsAffected)
+	}
+	if got, want := sortedLines(rowStrings(queryRows(t, db, dump))), "1|b|0;2|a|4;4|a|0;5|a|7"; got != want {
+		t.Errorf("after the update: %s, want %s", got, want)
+	}
+	if _, err := reader.Exec("COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+
+	// A statement that reads the table it writes through its key subquery
+	// (it used to deadlock on the table lock).
+	res = mustExec(t, db, "DELETE FROM v WHERE (g, h) IN (SELECT g, h FROM v WHERE n = 0)")
+	if res.RowsAffected != 2 {
+		t.Errorf("self-referencing keyed delete affected %d rows, want 2", res.RowsAffected)
 	}
 }
 
 // TestKeyedUpdateDeleteMatchesScan replays one random history — writes
 // inside and outside transactions, commits and rollbacks, two sessions
 // taking turns — on two engines. One receives UPDATE/DELETE statements
-// whose WHERE pins the primary key, the other the same statements with
-// the key column wrapped in an expression, which forces the scan. Row
-// counts, errors and table contents must agree after every statement.
+// whose WHERE pins the primary key — one key with `=`, or a set through
+// `(k, g) IN (SELECT ...)` over a table of picked keys holding duplicates
+// and NULLs, alone or with `OR k IS NULL OR g IS NULL` while the table now
+// and then holds a NULL key — the other the same statements with the key
+// column wrapped in an expression, which forces the scan. Row counts, errors and table
+// contents must agree after every statement.
 func TestKeyedUpdateDeleteMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
@@ -82,6 +264,7 @@ func TestKeyedUpdateDeleteMatchesScan(t *testing.T) {
 		for _, db := range []*DB{keyed, scan} {
 			mustExec(t, db, "CREATE TABLE kv (k INTEGER, g TEXT, v INTEGER, PRIMARY KEY (k, g))")
 			mustExec(t, db, "CREATE INDEX kv_v ON kv (v)")
+			mustExec(t, db, "CREATE TABLE pick (k INTEGER, g TEXT)")
 		}
 		ks := []*Session{keyed.NewSession(), keyed.NewSession()}
 		ss := []*Session{scan.NewSession(), scan.NewSession()}
@@ -119,9 +302,26 @@ func TestKeyedUpdateDeleteMatchesScan(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				residual = fmt.Sprintf(" AND v <> %d", rng.Intn(4))
 			}
+			if rng.Intn(4) == 0 { // a key set instead of one key
+				pin = "(k, g) IN (SELECT k, g FROM pick)"
+				noPin = "(k + 0, g) IN (SELECT k, g FROM pick)"
+				if rng.Intn(2) == 0 { // NULL-safe: the set, and the NULL-keyed rows
+					pin = "(" + pin + " OR k IS NULL OR g IS NULL)"
+					noPin = "(" + noPin + " OR k IS NULL OR g IS NULL)"
+				}
+			}
 			switch p := rng.Intn(100); {
+			case p < 10:
+				sql := "DELETE FROM pick"
+				if rng.Intn(3) > 0 {
+					sql = fmt.Sprintf("INSERT INTO pick VALUES (%d, '%s'), (%d, 'a'), (NULL, 'b'), (%d, NULL)", k, g, rng.Intn(5), k)
+				}
+				both(who, sql, sql)
 			case p < 25:
 				sql := fmt.Sprintf("INSERT OR REPLACE INTO kv VALUES (%d, '%s', %d)", k, g, v)
+				if rng.Intn(8) == 0 {
+					sql = fmt.Sprintf("INSERT OR REPLACE INTO kv VALUES (NULL, '%s', %d)", g, v)
+				}
 				both(who, sql, sql)
 			case p < 60:
 				set := fmt.Sprintf("UPDATE kv SET v = %d WHERE ", v)

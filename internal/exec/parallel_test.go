@@ -294,7 +294,7 @@ func TestParallelSafeRefusesStatefulExprs(t *testing.T) {
 		t.Fatal("tree containing ScalarFunc reported unsafe")
 	}
 	// A ScalarFunc whose ARGUMENT is stateful still refuses.
-	inq := &expr.InQuery{Operand: &expr.Column{Idx: 0}}
+	inq := &expr.InQuery{Operands: []expr.Expr{&expr.Column{Idx: 0}}}
 	if expr.ParallelSafe(&expr.ScalarFunc{Name: "ABS", Args: []expr.Expr{inq}}) {
 		t.Fatal("ScalarFunc over InQuery reported parallel-safe")
 	}

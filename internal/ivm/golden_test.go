@@ -37,7 +37,10 @@ const listing1View = `CREATE MATERIALIZED VIEW query_groups AS SELECT group_inde
 // multiplicity); INSERT OR REPLACE via a signed CTE LEFT-JOINed to the
 // view; deletion of zeroed rows; delta truncation. (Where Listing 2 as
 // printed selects and groups by the view-side key — NULL for new groups —
-// we emit the delta-side key; see DESIGN.md.)
+// we emit the delta-side key; see DESIGN.md. Step 3 names the keys ΔV
+// touched — the only groups whose count can have reached zero — so it
+// deletes the rows of the paper's `WHERE total_value = 0` through the key
+// index.)
 func TestListing2Golden(t *testing.T) {
 	db := newDB(t)
 	comp := compile(t, db, DefaultOptions(), listing1View)
@@ -54,7 +57,7 @@ CREATE TABLE IF NOT EXISTS delta_query_groups (group_index VARCHAR, total_value 
 	wantProp := strings.TrimSpace(`
 INSERT INTO delta_query_groups SELECT group_index AS group_index, SUM(group_value) AS total_value, _duckdb_ivm_multiplicity FROM delta_groups GROUP BY group_index, _duckdb_ivm_multiplicity;
 INSERT OR REPLACE INTO query_groups (group_index, total_value) WITH ivm_cte AS (SELECT group_index, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -total_value ELSE total_value END) AS total_value FROM delta_query_groups GROUP BY group_index) SELECT ivm_delta.group_index, COALESCE(query_groups.total_value, 0) + COALESCE(ivm_delta.total_value, 0) AS total_value FROM ivm_cte AS ivm_delta LEFT JOIN query_groups ON query_groups.group_index = ivm_delta.group_index;
-DELETE FROM query_groups WHERE total_value = 0;
+DELETE FROM query_groups WHERE (group_index IN (SELECT group_index FROM delta_query_groups) OR group_index IS NULL) AND total_value = 0;
 DELETE FROM delta_query_groups;
 DELETE FROM delta_groups;
 `)
@@ -70,6 +73,8 @@ INSERT INTO query_groups SELECT group_index AS group_index, SUM(group_value) AS 
 	}
 }
 
+const step3Listing1 = "DELETE FROM query_groups WHERE (group_index IN (SELECT group_index FROM delta_query_groups) OR group_index IS NULL) AND total_value = 0"
+
 func TestListing2PostgresDialect(t *testing.T) {
 	db := newDB(t)
 	opts := DefaultOptions()
@@ -81,6 +86,9 @@ func TestListing2PostgresDialect(t *testing.T) {
 	}
 	if strings.Contains(prop, "INSERT OR REPLACE") {
 		t.Errorf("postgres dialect leaked DuckDB syntax:\n%s", prop)
+	}
+	if !strings.Contains(prop, step3Listing1+";") {
+		t.Errorf("postgres step 3 is not the keyed delete:\n%s", prop)
 	}
 	setup := comp.SetupSQL()
 	if !strings.Contains(setup, "group_index TEXT") {
@@ -195,8 +203,63 @@ func TestHiddenCountSetup(t *testing.T) {
 	if !strings.Contains(comp.SetupSQL(), HiddenCountColumn+" INTEGER") {
 		t.Errorf("hidden count column missing:\n%s", comp.SetupSQL())
 	}
-	if !strings.Contains(comp.PropagateSQL(), "DELETE FROM query_groups WHERE "+HiddenCountColumn+" = 0") {
+	if !strings.Contains(comp.PropagateSQL(), "DELETE FROM query_groups WHERE (group_index IN (SELECT group_index FROM delta_query_groups) OR group_index IS NULL) AND "+HiddenCountColumn+" = 0;") {
 		t.Errorf("hidden count delete missing:\n%s", comp.PropagateSQL())
+	}
+}
+
+// TestStep3Golden pins step 3 for every shape of group key, under every
+// combine strategy and in both dialects: one keyed form per view class.
+func TestStep3Golden(t *testing.T) {
+	db := engine.Open("s3", engine.DialectDuckDB)
+	for _, ddl := range []string{
+		"CREATE TABLE a (x VARCHAR, y INTEGER, v INTEGER)",
+		"CREATE TABLE b (x VARCHAR, w INTEGER)",
+	} {
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct{ view, want string }{
+		{"CREATE MATERIALIZED VIEW one AS SELECT x, SUM(v) AS s, COUNT(*) AS n FROM a GROUP BY x",
+			"DELETE FROM one WHERE (x IN (SELECT x FROM delta_one) OR x IS NULL) AND n = 0;"},
+		{"CREATE MATERIALIZED VIEW two AS SELECT x, y, SUM(v) AS s, COUNT(*) AS n FROM a GROUP BY x, y",
+			"DELETE FROM two WHERE ((x, y) IN (SELECT x, y FROM delta_two) OR x IS NULL OR y IS NULL) AND n = 0;"},
+		{"CREATE MATERIALIZED VIEW tot AS SELECT SUM(v) AS s, COUNT(*) AS n FROM a",
+			"DELETE FROM tot WHERE n = 0;"},
+		{"CREATE MATERIALIZED VIEW ja AS SELECT a.x, SUM(b.w) AS s FROM a JOIN b ON a.x = b.x GROUP BY a.x",
+			"DELETE FROM ja WHERE (x IN (SELECT x FROM delta_ja) OR x IS NULL) AND s = 0;"},
+		{"CREATE MATERIALIZED VIEW ja2 AS SELECT a.x, a.y, COUNT(*) AS n FROM a JOIN b ON a.x = b.x GROUP BY a.x, a.y",
+			"DELETE FROM ja2 WHERE ((x, y) IN (SELECT x, y FROM delta_ja2) OR x IS NULL OR y IS NULL) AND n = 0;"},
+	}
+	for _, dialect := range []duckast.Dialect{duckast.DialectDuckDB, duckast.DialectPostgres} {
+		for _, strat := range []Strategy{StrategyUpsertLeftJoin, StrategyUnionRegroup, StrategyFullOuterJoin} {
+			for _, c := range cases {
+				opts := DefaultOptions()
+				opts.Dialect, opts.Strategy = dialect, strat
+				prop := compile(t, db, opts, c.view).PropagateSQL()
+				if !strings.Contains(prop, "\n"+c.want+"\n") {
+					t.Errorf("[%v %v] step 3 is not %q:\n%s", dialect, strat, c.want, prop)
+				}
+			}
+		}
+	}
+}
+
+// TestRowKeySQL: a projection or join view finds the rows to delete as row
+// values, and the rows holding a NULL — which IN never selects — by a key
+// that is never NULL and that no two distinct rows share.
+func TestRowKeySQL(t *testing.T) {
+	db := newDB(t)
+	prop := compile(t, db, DefaultOptions(),
+		"CREATE MATERIALIZED VIEW pv AS SELECT group_index, group_value FROM groups").PropagateSQL()
+	key := "COALESCE(LENGTH(CAST(group_index AS VARCHAR)) || ':' || group_index, 'N') || " +
+		"COALESCE(LENGTH(CAST(group_value AS VARCHAR)) || ':' || group_value, 'N')"
+	const from = " FROM delta_pv WHERE _duckdb_ivm_multiplicity = FALSE)"
+	want := "DELETE FROM pv WHERE (group_index, group_value) IN (SELECT group_index, group_value" + from +
+		" OR ((group_index IS NULL OR group_value IS NULL) AND " + key + " IN (SELECT " + key + from + ");"
+	if !strings.Contains(prop, want) {
+		t.Errorf("projection step 3 is not\n%s\nin:\n%s", want, prop)
 	}
 }
 
@@ -213,6 +276,18 @@ func TestMinMaxRepairSQL(t *testing.T) {
 	} {
 		if !strings.Contains(prop, want) {
 			t.Errorf("min/max repair missing %q:\n%s", want, prop)
+		}
+	}
+	// A composite group key compares as a row value, not a concatenation.
+	db.Exec("CREATE TABLE a (x VARCHAR, y INTEGER, v INTEGER)")
+	prop = compile(t, db, DefaultOptions(), `CREATE MATERIALIZED VIEW mm2 AS
+		SELECT x, y, MAX(v) AS hi FROM a GROUP BY x, y`).PropagateSQL()
+	for _, want := range []string{
+		"FROM a WHERE (x, y) IN (SELECT DISTINCT x, y FROM delta_mm2 WHERE _duckdb_ivm_multiplicity = FALSE) GROUP BY x, y;",
+		"DELETE FROM mm2 WHERE (x, y) IN (SELECT DISTINCT x, y FROM delta_mm2 WHERE _duckdb_ivm_multiplicity = FALSE) AND (x, y) NOT IN (SELECT x, y FROM a);",
+	} {
+		if !strings.Contains(prop, want) {
+			t.Errorf("composite min/max repair missing %q:\n%s", want, prop)
 		}
 	}
 }
@@ -301,6 +376,7 @@ func TestCompiledScriptsReparse(t *testing.T) {
 		"CREATE MATERIALIZED VIEW m3 AS SELECT x, MIN(v) AS lo, MAX(v) AS hi FROM a GROUP BY x",
 		"CREATE MATERIALIZED VIEW m4 AS SELECT a.x, a.v, b.w FROM a JOIN b ON a.x = b.x",
 		"CREATE MATERIALIZED VIEW m5 AS SELECT a.x, SUM(b.w) AS s FROM a JOIN b ON a.x = b.x GROUP BY a.x",
+		"CREATE MATERIALIZED VIEW m6 AS SELECT x, v, COUNT(*) AS n, MIN(v) AS lo FROM a GROUP BY x, v",
 	}
 	for _, strat := range []Strategy{StrategyUpsertLeftJoin, StrategyUnionRegroup, StrategyFullOuterJoin} {
 		for _, v := range views {

@@ -85,22 +85,38 @@ func mcol(qual string) string {
 	return qual + "." + MultiplicityColumn
 }
 
-// keyExpr builds a row-identity expression over the given column names,
-// optionally qualified: a single column stays bare; multiple columns are
-// concatenated with a separator (the portable-SQL trick for row-valued IN).
-func keyExpr(qual string, cols []string) string {
+// rowIn renders "this row of a projection or join view over cols is one of
+// the rows `SELECT cols FROM from` yields", NULL-safely. A row without a
+// NULL is compared as a row value. IN never selects a row holding a NULL,
+// so such a row is compared through rowKey instead — per row of the view
+// that costs one IS NULL test per column, the key is built only for the
+// rows that need it.
+func rowIn(cols []string, from string) string {
+	list, key := strings.Join(cols, ", "), rowKey(cols)
+	return fmt.Sprintf("%s IN (SELECT %s FROM %s) OR ((%s IS NULL) AND %s IN (SELECT %s FROM %s))",
+		groupKey(cols), list, from, strings.Join(cols, " IS NULL OR "), key, key, from)
+}
+
+// rowKey builds a row-identity string over column names that is never
+// NULL: each column becomes a tagged part — 'N' for NULL, otherwise the
+// value prefixed with its length, which keeps ('a|', 'b') and ('a', '|b')
+// apart — and the parts are concatenated (the portable-SQL stand-in for
+// IS NOT DISTINCT FROM over a row).
+func rowKey(cols []string) string {
 	parts := make([]string, len(cols))
 	for i, c := range cols {
-		if qual != "" {
-			parts[i] = qual + "." + c
-		} else {
-			parts[i] = c
-		}
+		parts[i] = fmt.Sprintf("COALESCE(LENGTH(CAST(%s AS VARCHAR)) || ':' || %s, 'N')", c, c)
 	}
-	if len(parts) == 1 {
-		return parts[0]
+	return strings.Join(parts, " || ")
+}
+
+// groupKey renders a group key for IN: the column itself, or the row
+// value (g1, g2) for a composite key.
+func groupKey(cols []string) string {
+	if len(cols) == 1 {
+		return cols[0]
 	}
-	return strings.Join(parts, " || '|' || ")
+	return "(" + strings.Join(cols, ", ") + ")"
 }
 
 func viewColNames(cols []ViewColumn) []string {
@@ -167,11 +183,10 @@ func (c *Compiler) propProjection(comp *Compilation, s *duckast.Script) error {
 	s.Add(&duckast.Insert{Table: comp.ViewName, Select: ins})
 
 	// Step 3: delete rows invalidated by FALSE multiplicity.
-	key := keyExpr("", names)
 	s.Add(&duckast.Delete{
 		Table: comp.ViewName,
-		Where: &duckast.Raw{Text: fmt.Sprintf("%s IN (SELECT %s FROM %s WHERE %s = FALSE)",
-			key, key, comp.DeltaView, MultiplicityColumn)},
+		Where: &duckast.Raw{Text: rowIn(names,
+			fmt.Sprintf("%s WHERE %s = FALSE", comp.DeltaView, MultiplicityColumn))},
 	})
 	return nil
 }
@@ -412,12 +427,12 @@ func (c *Compiler) emitCombine(comp *Compilation, s *duckast.Script, dvName stri
 func (c *Compiler) emitMinMaxRepair(comp *Compilation, s *duckast.Script, from string) {
 	groups := comp.GroupColumns()
 	groupNames := viewColNames(groups)
-	srcKey := keyExpr("", groupSrcSQL(comp.Columns))
-	dvKey := keyExpr("", groupNames)
+	srcKey := groupKey(groupSrcSQL(comp.Columns))
+	dvKey := groupKey(groupNames)
 	allCols := viewColNames(aggDeltaColumns(comp))
 
 	deletedGroups := fmt.Sprintf("SELECT DISTINCT %s FROM %s WHERE %s = FALSE",
-		dvKey, comp.DeltaView, MultiplicityColumn)
+		strings.Join(groupNames, ", "), comp.DeltaView, MultiplicityColumn)
 
 	// Recompute affected groups from the base relation.
 	recompute := &duckast.Select{From: &duckast.Raw{Text: from}}
@@ -446,7 +461,7 @@ func (c *Compiler) emitMinMaxRepair(comp *Compilation, s *duckast.Script, from s
 	})
 
 	// Remove groups whose last row was deleted.
-	baseKeys := fmt.Sprintf("SELECT %s FROM %s", srcKey, from)
+	baseKeys := fmt.Sprintf("SELECT %s FROM %s", strings.Join(groupSrcSQL(comp.Columns), ", "), from)
 	if w := whereSQL(comp); w != "" {
 		baseKeys += " WHERE " + w
 	}
@@ -457,36 +472,52 @@ func (c *Compiler) emitMinMaxRepair(comp *Compilation, s *duckast.Script, from s
 	})
 }
 
-// emitEmptyGroupDelete emits step 3 under the configured detection mode.
+// emitEmptyGroupDelete emits step 3: delete the groups whose count reached
+// zero. Only a group ΔV touched can have changed its count, so the paper's
+// `DELETE FROM V WHERE n = 0` is stated over those keys alone — the same
+// rows, found through V's key index in O(|ΔV|) instead of by scanning V.
+// IN never selects a group with a NULL in its key, so those stay under the
+// paper's unkeyed test (`OR g IS NULL`). A view without group columns is
+// one row and keeps the bare form.
 func (c *Compiler) emitEmptyGroupDelete(comp *Compilation, s *duckast.Script) {
-	if comp.usesHiddenCount() {
-		s.Add(&duckast.Delete{Table: comp.Storage,
-			Where: &duckast.Raw{Text: HiddenCountColumn + " = 0"}})
+	col := emptyGroupColumn(comp)
+	if col == "" {
 		return
+	}
+	where := col + " = 0"
+	if groups := viewColNames(comp.GroupColumns()); len(groups) > 0 {
+		where = fmt.Sprintf("(%s IN (SELECT %s FROM %s) OR %s IS NULL) AND %s",
+			groupKey(groups), strings.Join(groups, ", "), comp.DeltaView,
+			strings.Join(groups, " IS NULL OR "), where)
+	}
+	s.Add(&duckast.Delete{Table: comp.Storage, Where: &duckast.Raw{Text: where}})
+}
+
+// emptyGroupColumn names the column whose zero marks an emptied group
+// under the configured detection mode ("" when no column does).
+func emptyGroupColumn(comp *Compilation) string {
+	if comp.usesHiddenCount() {
+		return HiddenCountColumn
 	}
 	// Paper behaviour: prefer a COUNT column, else a SUM column — over the
 	// physical storage layout, so AVG's decomposed COUNT part qualifies.
 	// Views with only MIN/MAX aggregates are fully handled by the repair
 	// steps.
-	var col string
+	sum := ""
 	for _, a := range comp.StorageColumns() {
-		if a.HasAgg && (a.Agg == expr.AggCount || a.Agg == expr.AggCountStar) {
-			col = a.Name
-			break
+		if !a.HasAgg {
+			continue
 		}
-	}
-	if col == "" {
-		for _, a := range comp.StorageColumns() {
-			if a.HasAgg && a.Agg == expr.AggSum {
-				col = a.Name
-				break
+		switch a.Agg {
+		case expr.AggCount, expr.AggCountStar:
+			return a.Name
+		case expr.AggSum:
+			if sum == "" {
+				sum = a.Name
 			}
 		}
 	}
-	if col != "" {
-		s.Add(&duckast.Delete{Table: comp.Storage,
-			Where: &duckast.Raw{Text: col + " = 0"}})
-	}
+	return sum
 }
 
 // --- join views -------------------------------------------------------------
@@ -550,16 +581,10 @@ func (c *Compiler) propJoin(comp *Compilation, s *duckast.Script) error {
 	s.Add(&duckast.Insert{Table: comp.ViewName, Select: ins})
 
 	// Step 3: apply net deletions.
-	key := keyExpr("", names)
-	var groupKey []string
-	for _, n := range names {
-		groupKey = append(groupKey, n)
-	}
 	s.Add(&duckast.Delete{
 		Table: comp.ViewName,
-		Where: &duckast.Raw{Text: fmt.Sprintf(
-			"%s IN (SELECT %s FROM %s GROUP BY %s HAVING %s < 0)",
-			key, key, comp.DeltaView, strings.Join(groupKey, ", "), signed)},
+		Where: &duckast.Raw{Text: rowIn(names, fmt.Sprintf("%s GROUP BY %s HAVING %s < 0",
+			comp.DeltaView, strings.Join(names, ", "), signed))},
 	})
 	return nil
 }

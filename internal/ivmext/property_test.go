@@ -339,3 +339,229 @@ func TestPropertyJoinDeltaSizes(t *testing.T) {
 		}
 	}
 }
+
+// step3Access returns how the engine finds the rows of the view's step 3
+// (the emptied-group delete of its propagation script): the first word of
+// its EXPLAIN line.
+func step3Access(t *testing.T, db *engine.DB, ext *Extension, view string) string {
+	t.Helper()
+	_, prop, err := ext.Scripts(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range engine.SplitStatements(prop) {
+		if strings.HasPrefix(stmt, "DELETE FROM "+view+" WHERE ") {
+			return strings.Fields(mustExec(t, db, "EXPLAIN "+stmt).Rows[0][0].S)[0]
+		}
+	}
+	t.Fatalf("no step 3 in the script of %s:\n%s", view, prop)
+	return ""
+}
+
+// TestPropertyEmptiedGroups is the invariant for step 3 — groups whose
+// count reaches zero leave the view, found through the keys ΔV touched —
+// on a single and a composite group key, under every combine strategy,
+// lazy and eager, with and without V's key index (the rebuild strategies
+// never create it; PRAGMA ivm_index is switched off for them as well, so
+// the statement runs on the scan path). A scripted prefix empties a group,
+// then empties and refills one inside a single generation; a random
+// workload that keeps deleting whole groups follows.
+func TestPropertyEmptiedGroups(t *testing.T) {
+	type shape struct{ name, def, cols, recompute string }
+	shapes := []shape{
+		{"single", "SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k", "k, s, n",
+			"SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k"},
+		{"composite", "SELECT k, w, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k, w", "k, w, s, n",
+			"SELECT k, w, SUM(v), COUNT(*) FROM t GROUP BY k, w"},
+	}
+	for _, strat := range []string{"upsert_left_join", "union_regroup", "full_outer_join"} {
+		for _, mode := range []string{"lazy", "eager"} {
+			for _, sh := range shapes {
+				t.Run(strat+"_"+mode+"_"+sh.name, func(t *testing.T) {
+					db := engine.Open("prop", engine.DialectDuckDB)
+					ext := Install(db)
+					mustExec(t, db, "PRAGMA ivm_strategy='"+strat+"'")
+					mustExec(t, db, "PRAGMA ivm_mode='"+mode+"'")
+					wantAccess := "KeyedDelete"
+					if strat != "upsert_left_join" {
+						mustExec(t, db, "PRAGMA ivm_index='off'")
+						wantAccess = "ScanDelete"
+					}
+					mustExec(t, db, "CREATE TABLE t (k VARCHAR, w INTEGER, v INTEGER)")
+					mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 5), ('a', 1, 6), ('a', 2, 7), ('b', 1, 8), ('c', 3, 9)")
+					mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS "+sh.def)
+					if got := step3Access(t, db, ext, "vw"); got != wantAccess {
+						t.Errorf("step 3 runs as %s, want %s", got, wantAccess)
+					}
+					step := 0
+					check := func() {
+						t.Helper()
+						mustExec(t, db, "REFRESH MATERIALIZED VIEW vw")
+						checkView(t, db, step, "vw", sh.cols, sh.recompute)
+						step++
+					}
+					// A group reaches zero.
+					mustExec(t, db, "DELETE FROM t WHERE k = 'c'")
+					check()
+					if n := len(mustExec(t, db, "SELECT * FROM vw WHERE k = 'c'").Rows); n != 0 {
+						t.Fatalf("emptied group c still has %d rows in the view", n)
+					}
+					// A group reaches zero and reappears in the same generation.
+					mustExec(t, db, "DELETE FROM t WHERE k = 'a'")
+					mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 40)")
+					check()
+					// ... reappears and empties again.
+					mustExec(t, db, "INSERT INTO t VALUES ('c', 3, 1), ('d', 4, 2)")
+					mustExec(t, db, "DELETE FROM t WHERE k = 'c'")
+					check()
+					// Every group at once, then a fresh start.
+					mustExec(t, db, "DELETE FROM t")
+					check()
+					if n := len(mustExec(t, db, "SELECT * FROM vw").Rows); n != 0 {
+						t.Fatalf("the emptied view holds %d rows", n)
+					}
+
+					rng := rand.New(rand.NewSource(int64(41 + len(strat) + len(mode) + len(sh.name))))
+					keys := []string{"a", "b", "c", "d", "e"}
+					for i := 0; i < 160; i++ {
+						k, w := keys[rng.Intn(len(keys))], rng.Intn(3)
+						switch rng.Intn(10) {
+						case 0, 1, 2, 3, 4:
+							mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES ('%s', %d, %d)", k, w, rng.Intn(41)-20))
+						case 5:
+							mustExec(t, db, fmt.Sprintf("DELETE FROM t WHERE k = '%s' AND w = %d", k, w))
+						case 6:
+							mustExec(t, db, fmt.Sprintf("DELETE FROM t WHERE k = '%s'", k))
+						case 7:
+							mustExec(t, db, fmt.Sprintf("UPDATE t SET w = %d WHERE k = '%s' AND w = %d", rng.Intn(3), k, w))
+						case 8:
+							mustExec(t, db, fmt.Sprintf("UPDATE t SET v = v + 1 WHERE k = '%s'", k))
+						case 9:
+							check()
+						}
+					}
+					check()
+				})
+			}
+		}
+	}
+}
+
+// TestPropertyNullGroups: step 3 removes an emptied group whose key holds a
+// NULL — `g IN (SELECT g FROM ΔV)` alone never selects it — on a single and
+// a composite key, under every combine strategy. Only union_regroup combines
+// a NULL group correctly in step 2 (the joins of the other two compare keys
+// with `=`, ROADMAP item 3), so the whole view is compared under it and the
+// NULL-free groups under the others: whatever step 2 makes of the NULL
+// groups, the keyed step 3 must keep the rest right. While V holds a NULL
+// key the statement scans; before, it goes through V's key index.
+func TestPropertyNullGroups(t *testing.T) {
+	type shape struct{ name, def, cols, recompute, whole string }
+	shapes := []shape{
+		{"single", "SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k", "k, s, n",
+			"SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k", "k IS NOT NULL"},
+		{"composite", "SELECT k, w, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k, w", "k, w, s, n",
+			"SELECT k, w, SUM(v), COUNT(*) FROM t GROUP BY k, w", "k IS NOT NULL AND w IS NOT NULL"},
+	}
+	for _, strat := range []string{"upsert_left_join", "union_regroup", "full_outer_join"} {
+		for _, sh := range shapes {
+			t.Run(strat+"_"+sh.name, func(t *testing.T) {
+				db := engine.Open("prop", engine.DialectDuckDB)
+				ext := Install(db)
+				mustExec(t, db, "PRAGMA ivm_strategy='"+strat+"'")
+				mustExec(t, db, "CREATE TABLE t (k VARCHAR, w INTEGER, v INTEGER)")
+				mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 5), ('b', 1, 8), ('c', 2, 9)")
+				mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS "+sh.def)
+				keyed := strat == "upsert_left_join" // the only strategy that gives V a key
+				if got := step3Access(t, db, ext, "vw"); keyed && got != "KeyedDelete" {
+					t.Errorf("no NULL key in the view yet, step 3 runs as %s", got)
+				}
+				view, recompute := "vw", sh.recompute
+				if strat != "union_regroup" {
+					view += " WHERE " + sh.whole
+					recompute = strings.Replace(recompute, " GROUP BY", " WHERE "+sh.whole+" GROUP BY", 1)
+				}
+				step := 0
+				check := func() {
+					t.Helper()
+					mustExec(t, db, "REFRESH MATERIALIZED VIEW vw")
+					checkView(t, db, step, view, sh.cols, recompute)
+					step++
+				}
+				mustExec(t, db, "INSERT INTO t VALUES (NULL, 1, 5), (NULL, 1, 6), ('d', NULL, 7), (NULL, NULL, 1)")
+				check()
+				if got := step3Access(t, db, ext, "vw"); got != "ScanDelete" {
+					t.Errorf("the view holds NULL keys, step 3 runs as %s", got)
+				}
+				// The NULL groups reach zero, beside a whole-keyed one.
+				mustExec(t, db, "DELETE FROM t WHERE k IS NULL OR w IS NULL OR k = 'c'")
+				check()
+				if n := len(mustExec(t, db, "SELECT * FROM vw WHERE k = 'c'").Rows); n != 0 {
+					t.Errorf("emptied group c still has %d rows in the view", n)
+				}
+				if strat == "union_regroup" {
+					if n := len(mustExec(t, db, "SELECT * FROM vw WHERE NOT ("+sh.whole+")").Rows); n != 0 {
+						t.Errorf("%d emptied NULL groups are still in the view", n)
+					}
+				}
+				// ... and one of them comes back, then leaves again.
+				mustExec(t, db, "INSERT INTO t VALUES (NULL, 1, 3), ('a', 1, 1)")
+				check()
+				mustExec(t, db, "DELETE FROM t WHERE k IS NULL OR k = 'a'")
+				check()
+			})
+		}
+	}
+}
+
+// TestPropertyNullRows: a projection or join view finds the rows it must
+// delete by a row key, and a row holding a NULL has one too (the key used
+// to be NULL, which IN never matches, so such a row stayed forever). The
+// key also tells ('a|', 'b') from ('a', '|b').
+func TestPropertyNullRows(t *testing.T) {
+	t.Run("projection", func(t *testing.T) {
+		db := engine.Open("prop", engine.DialectDuckDB)
+		Install(db)
+		mustExec(t, db, "CREATE TABLE t (k VARCHAR, v INTEGER)")
+		mustExec(t, db, "INSERT INTO t VALUES ('a', 1), ('b', NULL)")
+		mustExec(t, db, "CREATE MATERIALIZED VIEW pv AS SELECT k, v FROM t WHERE k <> 'zz'")
+		recompute := "SELECT k, v FROM t WHERE k <> 'zz'"
+		mustExec(t, db, "DELETE FROM t WHERE k = 'b'")
+		mustExec(t, db, "REFRESH MATERIALIZED VIEW pv")
+		checkView(t, db, 0, "pv", "k, v", recompute)
+
+		mustExec(t, db, "INSERT INTO t VALUES (NULL, 2), (NULL, NULL), ('a|', 3), ('a', 4)")
+		mustExec(t, db, "REFRESH MATERIALIZED VIEW pv")
+		checkView(t, db, 1, "pv", "k, v", recompute)
+		mustExec(t, db, "DELETE FROM t WHERE v IS NULL OR v = 4")
+		mustExec(t, db, "REFRESH MATERIALIZED VIEW pv")
+		checkView(t, db, 2, "pv", "k, v", recompute)
+	})
+	t.Run("separator", func(t *testing.T) {
+		db := engine.Open("prop", engine.DialectDuckDB)
+		Install(db)
+		mustExec(t, db, "CREATE TABLE t (a VARCHAR, b VARCHAR)")
+		mustExec(t, db, "INSERT INTO t VALUES ('a|', 'b'), ('a', '|b'), ('1', '11'), ('11', '1')")
+		mustExec(t, db, "CREATE MATERIALIZED VIEW pv AS SELECT a, b FROM t")
+		mustExec(t, db, "DELETE FROM t WHERE a = 'a|' OR a = '11'")
+		mustExec(t, db, "REFRESH MATERIALIZED VIEW pv")
+		checkView(t, db, 0, "pv", "a, b", "SELECT a, b FROM t")
+	})
+	t.Run("join", func(t *testing.T) {
+		db := engine.Open("prop", engine.DialectDuckDB)
+		Install(db)
+		mustExec(t, db, "CREATE TABLE c (cid INTEGER, region VARCHAR)")
+		mustExec(t, db, "CREATE TABLE o (oid INTEGER, cid INTEGER, amt INTEGER)")
+		mustExec(t, db, "INSERT INTO c VALUES (1, NULL), (2, 'eu')")
+		mustExec(t, db, "INSERT INTO o VALUES (10, 1, 5), (11, 2, NULL), (12, 2, 7)")
+		mustExec(t, db, `CREATE MATERIALIZED VIEW jv AS
+			SELECT o.oid, c.region, o.amt FROM o JOIN c ON o.cid = c.cid`)
+		recompute := "SELECT o.oid, c.region, o.amt FROM o JOIN c ON o.cid = c.cid"
+		mustExec(t, db, "DELETE FROM o WHERE oid = 11")
+		mustExec(t, db, "REFRESH MATERIALIZED VIEW jv")
+		checkView(t, db, 0, "jv", "oid, region, amt", recompute)
+		mustExec(t, db, "DELETE FROM c WHERE cid = 1")
+		mustExec(t, db, "REFRESH MATERIALIZED VIEW jv")
+		checkView(t, db, 1, "jv", "oid, region, amt", recompute)
+	})
+}

@@ -18,9 +18,9 @@ type Binder struct {
 	// expression (typically: plan + execute lazily, caching the result).
 	// nil disables subquery support.
 	SubqueryFn func(sel *sqlparser.SelectStmt) (expr.Expr, error)
-	// SubqueryRowsFn turns an uncorrelated subquery into a lazy fetch of
-	// its first-column values, used for IN (SELECT ...). nil disables.
-	SubqueryRowsFn func(sel *sqlparser.SelectStmt) (func() ([]sqltypes.Value, error), error)
+	// SubqueryRowsFn turns an uncorrelated subquery into a lazy, cached
+	// fetch of its rows, used for IN (SELECT ...). nil disables.
+	SubqueryRowsFn func(sel *sqlparser.SelectStmt) (func() ([]sqltypes.Row, error), error)
 	// Params is the value binding $N parameters resolve against (the
 	// engine wires each session's binding in). nil rejects parameters.
 	Params *expr.ParamBinding
@@ -845,22 +845,35 @@ func (b *Binder) bindExpr(e sqlparser.Expr, schema []ColumnInfo, allowAgg bool) 
 		}
 		return &expr.IsNull{Operand: o, Negate: x.Negate}, nil
 	case *sqlparser.InExpr:
-		o, err := b.bindExpr(x.Operand, schema, allowAgg)
-		if err != nil {
-			return nil, err
-		}
-		// IN (SELECT ...) binds to a lazy subquery fetch.
+		// IN (SELECT ...) binds to a lazy subquery fetch; its left operand
+		// may be a row value.
 		if len(x.List) == 1 {
 			if sq, ok := x.List[0].(*sqlparser.SubqueryExpr); ok {
 				if b.SubqueryRowsFn == nil {
 					return nil, fmt.Errorf("plan: IN subqueries not supported in this context")
 				}
-				fetch, err := b.SubqueryRowsFn(sq.Select)
-				if err != nil {
+				items := []sqlparser.Expr{x.Operand}
+				if row, ok := x.Operand.(*sqlparser.RowExpr); ok {
+					items = row.Items
+				}
+				q := &expr.InQuery{Negate: x.Negate}
+				for _, item := range items {
+					o, err := b.bindExpr(item, schema, allowAgg)
+					if err != nil {
+						return nil, err
+					}
+					q.Operands = append(q.Operands, o)
+				}
+				var err error
+				if q.Fetch, err = b.SubqueryRowsFn(sq.Select); err != nil {
 					return nil, err
 				}
-				return &expr.InQuery{Operand: o, Fetch: fetch, Negate: x.Negate}, nil
+				return q, nil
 			}
+		}
+		o, err := b.bindExpr(x.Operand, schema, allowAgg)
+		if err != nil {
+			return nil, err
 		}
 		ie := &expr.In{Operand: o, Negate: x.Negate}
 		for _, item := range x.List {
@@ -950,6 +963,8 @@ func (b *Binder) bindExpr(e sqlparser.Expr, schema []ColumnInfo, allowAgg bool) 
 			return nil, fmt.Errorf("plan: scalar subqueries not supported in this context")
 		}
 		return b.SubqueryFn(x.Select)
+	case *sqlparser.RowExpr:
+		return nil, fmt.Errorf("plan: a row value (a, b, ...) is supported only as the left operand of IN (SELECT ...)")
 	case *sqlparser.ParamExpr:
 		if b.Params == nil {
 			return nil, fmt.Errorf("plan: statement parameters ($%d) not supported in this context", x.Index)

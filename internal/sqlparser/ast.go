@@ -88,6 +88,10 @@ type CastExpr struct {
 // SubqueryExpr is a scalar subquery (SELECT ...) used as an expression.
 type SubqueryExpr struct{ Select *SelectStmt }
 
+// RowExpr is a row value (e1, e2, ...) of two or more items. It is accepted
+// only as the left operand of IN (SELECT ...): (a, b) IN (SELECT x, y ...).
+type RowExpr struct{ Items []Expr }
+
 // ParamExpr is a positional statement parameter ($1, $2, ...) bound with a
 // value per execution (wire prepared statements). Index is 1-based.
 type ParamExpr struct{ Index int }
@@ -103,6 +107,7 @@ func (*CaseExpr) expr()     {}
 func (*FuncExpr) expr()     {}
 func (*CastExpr) expr()     {}
 func (*SubqueryExpr) expr() {}
+func (*RowExpr) expr()      {}
 func (*ParamExpr) expr()    {}
 
 // ---------------------------------------------------------------------------
@@ -393,6 +398,10 @@ func WalkExpr(e Expr, fn func(Expr) bool) {
 		for _, it := range x.List {
 			WalkExpr(it, fn)
 		}
+	case *RowExpr:
+		for _, it := range x.Items {
+			WalkExpr(it, fn)
+		}
 	case *BetweenExpr:
 		WalkExpr(x.Operand, fn)
 		WalkExpr(x.Lo, fn)
@@ -528,6 +537,15 @@ func writeExpr(sb *strings.Builder, e Expr) {
 		sb.WriteByte(')')
 	case *SubqueryExpr:
 		sb.WriteString("(<subquery>)")
+	case *RowExpr:
+		sb.WriteByte('(')
+		for i, it := range x.Items {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			writeExpr(sb, it)
+		}
+		sb.WriteByte(')')
 	case *ParamExpr:
 		sb.WriteByte('$')
 		sb.WriteString(strconv.Itoa(x.Index))

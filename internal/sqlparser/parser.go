@@ -1356,6 +1356,21 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
+			if p.acceptOp(",") {
+				// (e1, e2, ...): a row value.
+				row := &RowExpr{Items: []Expr{e}}
+				for {
+					item, err := p.parseExpr()
+					if err != nil {
+						return nil, err
+					}
+					row.Items = append(row.Items, item)
+					if !p.acceptOp(",") {
+						break
+					}
+				}
+				e = row
+			}
 			if err := p.expectOp(")"); err != nil {
 				return nil, err
 			}

@@ -68,11 +68,12 @@ type Table interface {
 	InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]sqltypes.Row, int, error)
 	UpsertTxn(tx *mvcc.Txn, row sqltypes.Row) error
 	UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, replacedOld, replacedNew []sqltypes.Row, err error)
-	// UpdateTxn and DeleteTxn visit every visible row, or — with a
-	// non-nil key, one value per primary-key column — only the row with
-	// that key, resolved through the primary-key index.
-	UpdateTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error)
-	DeleteTxn(tx *mvcc.Txn, key []sqltypes.Value, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error)
+	// UpdateTxn and DeleteTxn visit every visible row, or — with
+	// non-nil keys: a set of primary keys, one value per key column, key
+	// after key — only the rows with those keys, each resolved through
+	// the primary-key index and visited once.
+	UpdateTxn(tx *mvcc.Txn, keys []sqltypes.Value, pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error)
+	DeleteTxn(tx *mvcc.Txn, keys []sqltypes.Value, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error)
 
 	// ApplyDeltasTxn replays Z-set deltas in order under one lock:
 	// rows[i] is inserted when insert[i], else one equal copy is
