@@ -109,19 +109,7 @@ func BenchmarkE2_IVMRefresh(b *testing.B) {
 	// index, not by scanning the view.
 	for _, groups := range []int{4096, 40960, 409600} {
 		b.Run(fmt.Sprintf("G%d", groups), func(b *testing.B) {
-			db := loadGroups(b, 0, groups)
-			tbl, err := db.Catalog().Table("groups")
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows := make([]sqltypes.Row, groups)
-			for g := range rows {
-				rows[g] = sqltypes.Row{sqltypes.NewString(workload.GroupKey(g)), sqltypes.NewInt(int64(g % 1000))}
-			}
-			if _, err := db.NewSession().InsertRows(tbl, rows); err != nil {
-				b.Fatal(err)
-			}
-			mustExecB(b, db, listing1View)
+			db := loadGroupView(b, groups)
 			w := workload.Groups{NumGroups: groups}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -130,6 +118,66 @@ func BenchmarkE2_IVMRefresh(b *testing.B) {
 				b.StartTimer()
 				mustExecB(b, db, "REFRESH MATERIALIZED VIEW query_groups")
 			}
+		})
+	}
+}
+
+// loadGroupView loads one base row per group and creates the Listing 1
+// view over them: a fresh view of exactly groups rows.
+func loadGroupView(b *testing.B, groups int) *engine.DB {
+	b.Helper()
+	db := loadGroups(b, 0, groups)
+	tbl, err := db.Catalog().Table("groups")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]sqltypes.Row, groups)
+	for g := range rows {
+		rows[g] = sqltypes.Row{sqltypes.NewString(workload.GroupKey(g)), sqltypes.NewInt(int64(g % 1000))}
+	}
+	if _, err := db.NewSession().InsertRows(tbl, rows); err != nil {
+		b.Fatal(err)
+	}
+	mustExecB(b, db, listing1View)
+	return db
+}
+
+// BenchmarkE11_PointRead is one point read of a fresh aggregate view — the
+// dashboard's statement — swept over the number of groups the view holds:
+// as ad-hoc text (a new key, hence parse and plan, every time) and through
+// a prepared handle with the key as `$1`. The read finds its row through
+// the view's key index, so its time must not grow with the view.
+func BenchmarkE11_PointRead(b *testing.B) {
+	for _, groups := range []int{4096, 40960, 409600} {
+		b.Run(fmt.Sprintf("G%d", groups), func(b *testing.B) {
+			db := loadGroupView(b, groups)
+			s := db.NewSession()
+			defer s.Close()
+			read := func(b *testing.B, exec func(key string) (*engine.Result, error)) {
+				b.Helper()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := exec(workload.GroupKey(i * 7919 % groups))
+					if err != nil || len(res.Rows) != 1 {
+						b.Fatalf("point read: %v, %v", res, err)
+					}
+				}
+			}
+			b.Run("adhoc", func(b *testing.B) {
+				read(b, func(key string) (*engine.Result, error) {
+					return s.Exec("SELECT total_value FROM query_groups WHERE group_index = '" + key + "'")
+				})
+			})
+			b.Run("prepared", func(b *testing.B) {
+				p, err := s.PrepareScript("SELECT total_value FROM query_groups WHERE group_index = $1")
+				if err != nil {
+					b.Fatal(err)
+				}
+				read(b, func(key string) (*engine.Result, error) {
+					s.BindParams([]sqltypes.Value{sqltypes.NewString(key)})
+					return s.ExecStmts(p)
+				})
+			})
 		})
 	}
 }

@@ -505,13 +505,8 @@ func (t *Table) pkSeekLocked(row sqltypes.Row) pkCursor {
 	for _, p := range t.pkCols {
 		t.valsBuf = append(t.valsBuf, row[p])
 	}
-	return t.pkSeekValsLocked(t.valsBuf)
-}
-
-// pkSeekValsLocked is pkSeekLocked for bare key values.
-func (t *Table) pkSeekValsLocked(vals []sqltypes.Value) pkCursor {
-	t.keyBuf = sqltypes.EncodeKey(t.keyBuf[:0], vals...)
-	return t.pkProbe(slottab.Hash(t.keyBuf), vals)
+	t.keyBuf = sqltypes.EncodeKey(t.keyBuf[:0], t.valsBuf...)
+	return t.pkProbe(slottab.Hash(t.keyBuf), t.valsBuf)
 }
 
 // pkStore maps the cursor's key to slot: repoints its entry, or adds one.
@@ -863,20 +858,28 @@ func (t *Table) upsertLocked(tx *mvcc.Txn, r sqltypes.Row, cur pkCursor) error {
 	return nil
 }
 
-// candidatesLocked names the slots a filtered write visits: with nil keys
-// every slot (slots is nil and n the slot count), otherwise — keys holding
-// one value per primary-key column, key after key — the version of each
-// key visible to sn, ascending, n of them. A key listed twice yields one
-// slot and an absent key none. Keys that do not fit the table's primary
-// key (no key, a ragged list) send the statement to the scan.
+// candidatesLocked names the slots a filtered statement visits — the one
+// resolution path of keyed reads (RowsSnap) and writes (DeleteTxn,
+// UpdateTxn): with nil keys every slot (slots is nil and n the slot count),
+// otherwise — keys holding one value per primary-key column, key after key
+// — the version of each key visible to sn, ascending, n of them: what the
+// scan would visit of those keys, in the scan's order. A key listed twice
+// yields one slot and an absent key none. Keys that do not fit the table's
+// primary key (no key, a ragged list) send the statement to the scan. The
+// shared lock is enough: keys are encoded into a local buffer, the
+// write-path scratch being off limits to concurrent readers.
 func (t *Table) candidatesLocked(sn mvcc.Snapshot, keys []sqltypes.Value) (slots []int32, n int) {
 	w := len(t.pkCols)
 	if keys == nil || w == 0 || len(keys)%w != 0 {
 		return nil, len(t.rows)
 	}
+	var buf [64]byte
+	enc := buf[:0]
 	slots = make([]int32, 0, len(keys)/w)
 	for k := 0; k < len(keys); k += w {
-		if s := t.visibleLocked(sn, t.pkSeekValsLocked(keys[k:k+w]).slot); s >= 0 {
+		vals := keys[k : k+w]
+		enc = sqltypes.EncodeKey(enc[:0], vals...)
+		if s := t.visibleLocked(sn, t.pkProbe(slottab.Hash(enc), vals).slot); s >= 0 {
 			slots = append(slots, s)
 		}
 	}
@@ -1223,29 +1226,30 @@ func (t *Table) resetLocked() {
 	}
 }
 
-// Scan calls fn for every row visible to the latest snapshot. fn must not
-// retain the row without cloning. Returning an error stops the scan.
-func (t *Table) Scan(fn func(sqltypes.Row) error) error {
-	for _, r := range t.Rows() {
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Rows returns a copy of the rows visible to the latest snapshot.
 func (t *Table) Rows() []sqltypes.Row {
-	return t.RowsSnap(mvcc.Snapshot{})
+	return t.RowsSnap(mvcc.Snapshot{}, nil)
 }
 
-// RowsSnap returns a copy of the rows visible to sn. The zero snapshot
-// means latest-committed (resolved under the lock).
-func (t *Table) RowsSnap(sn mvcc.Snapshot) []sqltypes.Row {
+// RowsSnap returns a copy of the rows visible to sn, in slot order. The
+// zero snapshot means latest-committed (resolved under the lock). Non-nil
+// keys — a set of primary keys, one value per key column, key after key —
+// restrict the result to the rows with those keys, found through the index
+// instead of a scan (see DeleteTxn): the same rows in the same order the
+// scan returns for them, at the cost of the keys instead of the table.
+func (t *Table) RowsSnap(sn mvcc.Snapshot, keys []sqltypes.Value) []sqltypes.Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if sn.M == nil {
 		sn = t.mv.Current()
+	}
+	slots, n := t.candidatesLocked(sn, keys)
+	if slots != nil {
+		out := make([]sqltypes.Row, n)
+		for j, s := range slots {
+			out[j] = t.rows[s]
+		}
+		return out
 	}
 	out := make([]sqltypes.Row, 0, t.live)
 	for i, r := range t.rows {
@@ -1772,15 +1776,4 @@ probe:
 		ends[i] = len(rows)
 	}
 	return rows, ends
-}
-
-// LookupIndex returns the rows whose indexed columns equal vals, as seen by
-// sn (the zero snapshot means latest-committed).
-func (t *Table) LookupIndex(sn mvcc.Snapshot, idx *Index, vals ...sqltypes.Value) []sqltypes.Row {
-	at := make([]int, len(vals))
-	for i := range at {
-		at[i] = i
-	}
-	rows, _ := t.ProbeKeys(sn, KeyIndex{Name: idx.Name, Cols: idx.Columns, idx: idx}, []sqltypes.Row{vals}, at)
-	return rows
 }

@@ -116,9 +116,7 @@ func TestInsertAndScan(t *testing.T) {
 	if tbl.RowCount() != 10 {
 		t.Errorf("count = %d", tbl.RowCount())
 	}
-	n := 0
-	tbl.Scan(func(r sqltypes.Row) error { n++; return nil })
-	if n != 10 {
+	if n := len(tbl.Rows()); n != 10 {
 		t.Errorf("scanned %d", n)
 	}
 }
@@ -302,6 +300,32 @@ func TestKeySetCandidates(t *testing.T) {
 		}
 		return out
 	}
+	// A keyed read is the scan's rows for those keys, in the scan's order,
+	// under either snapshot: each key once, the absent and deleted ones not.
+	for _, c := range []struct {
+		label string
+		sn    mvcc.Snapshot
+		want  string
+	}{
+		{"latest", mvcc.Snapshot{}, "[3|x|3.0 5|x|5.0 1|y|10.0]"},
+		{"old snapshot", old.Snapshot(), "[1|x|1.0 2|x|2.0 3|x|3.0 5|x|5.0]"},
+	} {
+		picked := map[int64]bool{5: true, 1: true, 3: true, 2: true, 42: true}
+		var scanned []sqltypes.Row
+		for _, r := range tbl.RowsSnap(c.sn, nil) {
+			if picked[r[0].I] {
+				scanned = append(scanned, r)
+			}
+		}
+		got := fmt.Sprint(tbl.RowsSnap(c.sn, keys(5, 1, 3, 1, 2, 42, 3)))
+		if got != c.want || got != fmt.Sprint(scanned) {
+			t.Errorf("keyed read, %s: %s, want %s; the scan gives %v", c.label, got, c.want, scanned)
+		}
+	}
+	if got := tbl.RowsSnap(mvcc.Snapshot{}, keys()); got == nil || len(got) != 0 {
+		t.Errorf("a read of the empty key set returned %v", got)
+	}
+
 	var seen []int64
 	notFive := func(r sqltypes.Row) (bool, error) {
 		seen = append(seen, r[0].I)
@@ -321,7 +345,7 @@ func TestKeySetCandidates(t *testing.T) {
 	if got := fmt.Sprint(del); got != "[3|x|3.0 1|y|10.0]" {
 		t.Errorf("deleted %s, want 3 and the new version of 1", got)
 	}
-	if got := len(tbl.RowsSnap(old.Snapshot())); got != 8 {
+	if got := len(tbl.RowsSnap(old.Snapshot(), nil)); got != 8 {
 		t.Errorf("the open snapshot sees %d rows, want its 8", got)
 	}
 
@@ -494,7 +518,7 @@ func TestTruncateVersionedWhenObserved(t *testing.T) {
 	if rows := tbl.Truncate(); len(rows) != 10 || tbl.RowCount() != 0 {
 		t.Fatalf("truncate returned %d rows, left %d", len(rows), tbl.RowCount())
 	}
-	if got := len(tbl.RowsSnap(sn)); got != 10 {
+	if got := len(tbl.RowsSnap(sn, nil)); got != 10 {
 		t.Fatalf("snapshot opened before the truncate sees %d rows, want 10", got)
 	}
 	if got := len(tbl.Rows()); got != 0 {
@@ -513,27 +537,34 @@ func TestTruncateVersionedWhenObserved(t *testing.T) {
 	}
 }
 
+// lookupName probes the secondary index on the name column for one value.
+func lookupName(t *Table, sn mvcc.Snapshot, v sqltypes.Value) []sqltypes.Row {
+	ki, _ := t.KeyIndexOn([]int{t.ColumnPos("name")})
+	rows, _ := t.ProbeKeys(sn, ki, []sqltypes.Row{{v}}, []int{0})
+	return rows
+}
+
 func TestSecondaryIndex(t *testing.T) {
 	tbl := testTable(t)
 	for i := 0; i < 100; i++ {
 		tbl.Insert(row(int64(i), fmt.Sprint("g", i%10), float64(i)))
 	}
-	idx, err := tbl.CreateIndex("idx_name", []string{"name"}, false, false)
+	_, err := tbl.CreateIndex("idx_name", []string{"name"}, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := tbl.LookupIndex(mvcc.Snapshot{}, idx, sqltypes.NewString("g3"))
+	rows := lookupName(tbl.Table, mvcc.Snapshot{}, sqltypes.NewString("g3"))
 	if len(rows) != 10 {
 		t.Errorf("lookup = %d rows", len(rows))
 	}
 	// Index maintained on subsequent DML.
 	tbl.Insert(row(1000, "g3", 1))
-	rows = tbl.LookupIndex(mvcc.Snapshot{}, idx, sqltypes.NewString("g3"))
+	rows = lookupName(tbl.Table, mvcc.Snapshot{}, sqltypes.NewString("g3"))
 	if len(rows) != 11 {
 		t.Errorf("after insert: %d rows", len(rows))
 	}
 	tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[0].I == 1000, nil })
-	rows = tbl.LookupIndex(mvcc.Snapshot{}, idx, sqltypes.NewString("g3"))
+	rows = lookupName(tbl.Table, mvcc.Snapshot{}, sqltypes.NewString("g3"))
 	if len(rows) != 10 {
 		t.Errorf("after delete: %d rows", len(rows))
 	}
@@ -548,7 +579,7 @@ func TestKeyProbesHonourSnapshot(t *testing.T) {
 	for i := int64(1); i <= 3; i++ {
 		tbl.Insert(row(i, "g", float64(i)))
 	}
-	idx, err := tbl.CreateIndex("idx_name", []string{"name"}, false, false)
+	_, err := tbl.CreateIndex("idx_name", []string{"name"}, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,8 +630,8 @@ func TestKeyProbesHonourSnapshot(t *testing.T) {
 			t.Errorf("%s, by secondary index: %s ends %v, want %s ends %v", tc.label, got, ends, tc.byName, tc.nmEnds)
 		}
 	}
-	if got := fmt.Sprint(tbl.LookupIndex(old.Snapshot(), idx, sqltypes.NewString("h"))); got != "[]" {
-		t.Errorf("LookupIndex under the old snapshot sees later commits: %s", got)
+	if got := fmt.Sprint(lookupName(tbl.Table, old.Snapshot(), sqltypes.NewString("h"))); got != "[]" {
+		t.Errorf("the index probe under the old snapshot sees later commits: %s", got)
 	}
 }
 
@@ -677,12 +708,12 @@ func TestCreateIndexCoversRetiredVersions(t *testing.T) {
 	if _, err := tbl.DeleteTxn(tx, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := tbl.CreateIndex("u", []string{"name"}, true, false)
+	_, err := tbl.CreateIndex("u", []string{"name"}, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tbl.mv.Abort(tx)
-	if got := tbl.LookupIndex(mvcc.Snapshot{}, idx, sqltypes.NewString("a")); len(got) != 1 {
+	if got := lookupName(tbl.Table, mvcc.Snapshot{}, sqltypes.NewString("a")); len(got) != 1 {
 		t.Fatalf("row restored by rollback is missing from the index: %v", got)
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"openivm/internal/catalog"
@@ -298,6 +297,7 @@ func (s *Session) execUpdate(ctx context.Context, st *sqlparser.UpdateStmt) (*Re
 		e   expr.Expr
 	}
 	var sets []setOp
+	var setExprs []expr.Expr
 	for _, a := range st.Set {
 		p := tbl.ColumnPos(a.Column)
 		if p < 0 {
@@ -308,11 +308,12 @@ func (s *Session) execUpdate(ctx context.Context, st *sqlparser.UpdateStmt) (*Re
 			return nil, err
 		}
 		sets = append(sets, setOp{pos: p, e: e})
+		setExprs = append(setExprs, e)
 	}
 
 	tx, done := s.BeginWrite()
 	check := ctxChecker(ctx)
-	keys, err := writeKeys(tbl, pred).resolve(tbl)
+	keys, err := keysBeforeLock(tbl, pred, setExprs...)
 	if err != nil {
 		return nil, done(err)
 	}
@@ -377,7 +378,7 @@ func (s *Session) execDelete(ctx context.Context, st *sqlparser.DeleteStmt) (*Re
 	} else {
 		check := ctxChecker(ctx)
 		var keys []sqltypes.Value
-		if keys, err = writeKeys(tbl, pred).resolve(tbl); err == nil {
+		if keys, err = keysBeforeLock(tbl, pred); err == nil {
 			deleted, err = tbl.DeleteTxn(tx, keys, func(r sqltypes.Row) (bool, error) {
 				if err := check(); err != nil {
 					return false, err
@@ -422,219 +423,6 @@ func tableSchema(tbl *catalog.Table) []plan.ColumnInfo {
 		out[i] = plan.ColumnInfo{Table: tbl.Name, Name: c.Name, Type: c.Type}
 	}
 	return out
-}
-
-// keySet is the set of primary keys a WHERE clause confines an UPDATE or
-// DELETE to: the statement then finds its rows through the primary-key
-// index instead of scanning. It still evaluates the whole predicate on
-// each of them, so residual conjuncts keep their effect. A nil *keySet is
-// the scan.
-type keySet struct {
-	n     int              // how many keys vals holds
-	vals  []sqltypes.Value // the keys, one value per key column, key after key — or
-	query *expr.InQuery    // the subquery whose rows are the keys,
-	perm  []int            // perm[i] being the row position of key column i
-}
-
-// writeKeys returns the key set pred pins on tbl, or nil. A set is pinned
-// when a top-level conjunct compares exactly the primary-key columns with
-// values of their own kind (sameKeyKind): every key column `=` a literal
-// or bound parameter, the key column `IN` a list of them (one-column keys),
-// or the key columns, in any order, `IN (SELECT ...)` — either IN possibly
-// followed by `OR k IS NULL` over key columns, as long as tbl holds no
-// NULL-keyed row (catalog.Table.HasNullKey). Anything else — a negated IN,
-// part of the key, a value of another kind, an expression on either side —
-// leaves the statement on the scan path. EXPLAIN prints what this returns.
-func writeKeys(tbl *catalog.Table, pred expr.Expr) *keySet {
-	f := keyFinder{tbl, tbl.PrimaryKeyColumns()}
-	if pred == nil || len(f.pk) == 0 {
-		return nil
-	}
-	key := make([]sqltypes.Value, len(f.pk)) // from `=` conjuncts
-	found := 0
-	var in *keySet // from the first usable IN conjunct
-	var walk func(e expr.Expr)
-	walk = func(e expr.Expr) {
-		if x, ok := e.(*expr.Binary); ok && x.Op == "AND" {
-			walk(x.Left)
-			walk(x.Right)
-			return
-		}
-		if x, ok := e.(*expr.Binary); ok && x.Op == "=" {
-			i, val := f.pkPos(x.Left), x.Right
-			if i < 0 {
-				i, val = f.pkPos(x.Right), x.Left
-			}
-			if i < 0 || !key[i].IsNull() {
-				return
-			}
-			if v, ok := constant(val); ok && sameKeyKind(tbl.Columns[f.pk[i]].Type, v.T) {
-				key[i] = v
-				found++
-			}
-			return
-		}
-		if in != nil {
-			return
-		}
-		if k, nulls, _ := f.orKeys(e); k != nil && !(nulls && tbl.HasNullKey()) {
-			in = k
-		}
-	}
-	walk(pred)
-	if found == len(f.pk) {
-		return &keySet{n: 1, vals: key}
-	}
-	return in
-}
-
-// keyFinder reads predicates over tbl for its primary-key columns pk.
-type keyFinder struct {
-	tbl *catalog.Table
-	pk  []int
-}
-
-// pkPos is the position of column reference e in the primary key, or -1.
-func (f keyFinder) pkPos(e expr.Expr) int {
-	if col, ok := e.(*expr.Column); ok {
-		return slices.Index(f.pk, col.Idx)
-	}
-	return -1
-}
-
-// constant is the value of a literal or bound parameter.
-func constant(e expr.Expr) (sqltypes.Value, bool) {
-	switch e.(type) {
-	case *expr.Literal, *expr.Param:
-		v, err := e.Eval(nil)
-		return v, err == nil
-	}
-	return sqltypes.Null, false
-}
-
-// inKeys is the key set one `IN` over the whole key pins, or nil.
-func (f keyFinder) inKeys(e expr.Expr) *keySet {
-	switch x := e.(type) {
-	case *expr.In:
-		if x.Negate || len(f.pk) != 1 || f.pkPos(x.Operand) != 0 {
-			return nil
-		}
-		vals := make([]sqltypes.Value, 0, len(x.List))
-		for _, item := range x.List {
-			v, ok := constant(item)
-			if !ok {
-				return nil
-			}
-			if v.IsNull() {
-				continue // equals no key
-			}
-			if !sameKeyKind(f.tbl.Columns[f.pk[0]].Type, v.T) {
-				return nil
-			}
-			vals = append(vals, v)
-		}
-		return &keySet{n: len(vals), vals: vals}
-	case *expr.InQuery:
-		if x.Negate || len(x.Operands) != len(f.pk) {
-			return nil
-		}
-		perm := make([]int, len(f.pk))
-		seen := 0
-		for at, o := range x.Operands {
-			if i := f.pkPos(o); i >= 0 {
-				perm[i] = at
-				seen |= 1 << i
-			}
-		}
-		if seen == 1<<len(f.pk)-1 {
-			return &keySet{query: x, perm: perm}
-		}
-	}
-	return nil
-}
-
-// orKeys is inKeys through the NULL-safe spelling `<IN> OR k IS NULL
-// [OR k2 IS NULL ...]`, every k a key column: ok when e is at most one
-// pinning IN and otherwise such tests. No index probe finds the NULL-keyed
-// rows they ask for, so with them (nulls) the set is good only while the
-// table holds no such row.
-func (f keyFinder) orKeys(e expr.Expr) (in *keySet, nulls, ok bool) {
-	switch x := e.(type) {
-	case *expr.Binary:
-		if x.Op == "OR" {
-			l, ln, lok := f.orKeys(x.Left)
-			r, rn, rok := f.orKeys(x.Right)
-			if !lok || !rok || (l != nil && r != nil) {
-				return nil, false, false
-			}
-			if l == nil {
-				l = r
-			}
-			return l, ln || rn, true
-		}
-	case *expr.IsNull:
-		ok = !x.Negate && f.pkPos(x.Operand) >= 0
-		return nil, ok, ok
-	}
-	in = f.inKeys(e)
-	return in, false, in != nil
-}
-
-// String is the key set as EXPLAIN shows it.
-func (k *keySet) String() string {
-	if k.query != nil {
-		return "keys=IN(subquery)"
-	}
-	return fmt.Sprintf("keys=%d", k.n)
-}
-
-// resolve returns the keys in the layout catalog.Table.DeleteTxn takes,
-// running the subquery if there is one (its rows stay cached for the
-// predicate's own evaluation). A NULL in a subquery row equals no key; a
-// value of another kind than its key column returns nil, the scan, which
-// compares it the way the predicate does.
-func (k *keySet) resolve(tbl *catalog.Table) ([]sqltypes.Value, error) {
-	if k == nil {
-		return nil, nil
-	}
-	if k.query == nil {
-		return k.vals, nil
-	}
-	rows, err := k.query.Rows()
-	if err != nil {
-		return nil, err
-	}
-	pk := tbl.PrimaryKeyColumns()
-	keys := make([]sqltypes.Value, 0, len(rows)*len(pk))
-next:
-	for _, r := range rows {
-		at := len(keys)
-		for i, p := range pk {
-			v := r[k.perm[i]]
-			if v.IsNull() {
-				keys = keys[:at]
-				continue next
-			}
-			if !sameKeyKind(tbl.Columns[p].Type, v.T) {
-				return nil, nil
-			}
-			keys = append(keys, v)
-		}
-	}
-	return keys, nil
-}
-
-// sameKeyKind reports whether a value of type val compares with a column
-// of type col the way their index-key encodings do.
-func sameKeyKind(col, val sqltypes.Type) bool {
-	numeric := func(t sqltypes.Type) bool { return t == sqltypes.TypeInt || t == sqltypes.TypeFloat }
-	switch {
-	case numeric(col):
-		return numeric(val)
-	case col == sqltypes.TypeString, col == sqltypes.TypeBool:
-		return val == col
-	}
-	return false
 }
 
 // ApplyDeltaRow replays one captured delta row: ApplyDeltaBatch with a
@@ -878,6 +666,33 @@ func (s *Session) execRollback() (*Result, error) {
 }
 
 // --- lazy scalar subquery ---
+
+// keysBeforeLock is what UPDATE and DELETE do before they take tbl's write
+// lock: run every uncorrelated subquery of the predicate and of the other
+// expressions evaluated per row (each caches its result) — first evaluated
+// under the lock, one that reads tbl itself would wait for the lock its own
+// statement holds — and return the keys pred pins (nil: the scan).
+func keysBeforeLock(tbl *catalog.Table, pred expr.Expr, perRow ...expr.Expr) (keys []sqltypes.Value, err error) {
+	fetch := func(x expr.Expr) {
+		if err != nil {
+			return
+		}
+		switch q := x.(type) {
+		case *expr.InQuery:
+			_, err = q.Rows()
+		case *lazySubquery:
+			_, err = q.Eval(nil)
+		}
+	}
+	expr.Walk(pred, fetch)
+	for _, e := range perRow {
+		expr.Walk(e, fetch)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return plan.PinnedKeys(tbl, pred).Resolve(tbl)
+}
 
 // lazySubquery evaluates an uncorrelated scalar subquery on first use and
 // caches the result. It is bound to the session that planned it: the

@@ -591,7 +591,7 @@ func (s *Session) execExplain(st *sqlparser.ExplainStmt) (*Result, error) {
 }
 
 // explainWrite says how an UPDATE or DELETE (verb) finds its rows, from
-// the function the executor itself asks (writeKeys): through the
+// the function the executor itself asks (plan.PinnedKeys): through the
 // primary-key index for a pinned key set, else by scanning. Nothing runs —
 // a key subquery is named, not evaluated, so a value of the wrong kind in
 // its result can still send the statement to the scan.
@@ -610,7 +610,7 @@ func (s *Session) explainWrite(verb, table string, where sqlparser.Expr) (string
 	if err != nil {
 		return "", err
 	}
-	if keys := writeKeys(tbl, pred); keys != nil {
+	if keys := plan.PinnedKeys(tbl, pred); keys != nil {
 		return fmt.Sprintf("Keyed%s %s[pk] %s", verb, tbl.Name, keys), nil
 	}
 	return "Scan" + verb + " " + tbl.Name, nil

@@ -14,11 +14,11 @@ func TestCreateIndexViaSQL(t *testing.T) {
 	db := testDB(t)
 	mustExec(t, db, "CREATE INDEX gi ON groups (group_index)")
 	tbl, _ := db.Catalog().Table("groups")
-	idx, ok := tbl.Index("gi")
-	if !ok {
-		t.Fatal("index missing")
+	ki, ok := tbl.KeyIndexOn([]int{tbl.ColumnPos("group_index")})
+	if !ok || ki.Name != "gi" {
+		t.Fatalf("index missing: %+v", ki)
 	}
-	rows := tbl.LookupIndex(mvcc.Snapshot{}, idx, sqltypes.NewString("g1"))
+	rows, _ := tbl.ProbeKeys(mvcc.Snapshot{}, ki, []sqltypes.Row{{sqltypes.NewString("g1")}}, []int{0})
 	if len(rows) != 5 {
 		t.Fatalf("lookup = %d rows", len(rows))
 	}

@@ -5,13 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"openivm/internal/plan"
 	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
 )
 
-// TestWriteKeys: which WHERE clauses resolve through the primary-key
+// TestPinnedKeys: which WHERE clauses resolve through the primary-key
 // index, and with which keys ("-" is the scan).
-func TestWriteKeys(t *testing.T) {
+func TestPinnedKeys(t *testing.T) {
 	db := Open("keyed", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE one (k INTEGER PRIMARY KEY, v INTEGER, s TEXT)")
 	mustExec(t, db, "CREATE TABLE two (a INTEGER, b TEXT, v INTEGER, PRIMARY KEY (a, b))")
@@ -102,7 +103,7 @@ func TestWriteKeys(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.where, err)
 		}
-		keys, err := writeKeys(tbl, pred).resolve(tbl)
+		keys, err := plan.PinnedKeys(tbl, pred).Resolve(tbl)
 		if err != nil {
 			t.Fatalf("%s: %v", c.where, err)
 		}

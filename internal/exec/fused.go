@@ -111,8 +111,7 @@ func newFusedScan(scan *plan.Scan, filters []expr.Expr, proj *plan.Project, opts
 	if !ok {
 		return nil, false
 	}
-	// RowsSnap copies the visible rows under the table lock (see batchScan).
-	it.rows = scan.Table.RowsSnap(opts.Snap)
+	it.rows = scanRows(scan, opts)
 	return it, true
 }
 

@@ -287,7 +287,7 @@ func newParallelScan(scan *plan.Scan, filters []expr.Expr, proj *plan.Project, o
 	if !ok {
 		return nil, false
 	}
-	rows := scan.Table.RowsSnap(opts.Snap)
+	rows := scanRows(scan, opts)
 	if len(rows) <= minParallelRows {
 		return nil, false
 	}
@@ -585,7 +585,7 @@ func newParallelAgg(node *plan.Aggregate, opts Options) (BatchIterator, bool) {
 	if !ok {
 		return nil, false
 	}
-	rows := scan.Table.RowsSnap(opts.Snap)
+	rows := scanRows(scan, opts)
 	if len(rows) <= minParallelRows {
 		return nil, false
 	}

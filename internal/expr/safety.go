@@ -30,56 +30,67 @@ func Reusable(e Expr) bool {
 }
 
 func exprSafe(e Expr, allowScratch bool) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *Column, *Literal:
-		return true
-	case *Binary:
-		return exprSafe(x.Left, allowScratch) && exprSafe(x.Right, allowScratch)
-	case *Unary:
-		return exprSafe(x.Operand, allowScratch)
-	case *IsNull:
-		return exprSafe(x.Operand, allowScratch)
-	case *In:
-		if !exprSafe(x.Operand, allowScratch) {
-			return false
+	safe := true
+	Walk(e, func(x Expr) {
+		switch x.(type) {
+		case *Column, *Literal, *Binary, *Unary, *IsNull, *In, *Between, *Case, *Cast:
+		case *ScalarFunc:
+			// The argument scratch is handed off by atomic swap (see
+			// ScalarFunc.Eval), so the node is safe both across executions and
+			// across goroutines; only the arguments can disqualify the tree.
+		case *Param:
+			// A parameter reads its session's mutable value binding: fine to
+			// re-execute sequentially after re-binding (the prepared-statement
+			// contract), never safe to share across sessions or goroutines.
+			safe = safe && allowScratch
+		default:
+			safe = false
 		}
-		for _, item := range x.List {
-			if !exprSafe(item, allowScratch) {
-				return false
-			}
-		}
-		return true
-	case *Between:
-		return exprSafe(x.Operand, allowScratch) && exprSafe(x.Lo, allowScratch) && exprSafe(x.Hi, allowScratch)
-	case *Case:
-		if x.Operand != nil && !exprSafe(x.Operand, allowScratch) {
-			return false
-		}
-		for _, w := range x.Whens {
-			if !exprSafe(w.When, allowScratch) || !exprSafe(w.Then, allowScratch) {
-				return false
-			}
-		}
-		return x.Else == nil || exprSafe(x.Else, allowScratch)
-	case *Cast:
-		return exprSafe(x.Operand, allowScratch)
-	case *ScalarFunc:
-		// The argument scratch is handed off by atomic swap (see
-		// ScalarFunc.Eval), so the node is safe both across executions and
-		// across goroutines; only the arguments can disqualify the tree.
-		for _, a := range x.Args {
-			if !exprSafe(a, allowScratch) {
-				return false
-			}
-		}
-		return true
-	case *Param:
-		// A parameter reads its session's mutable value binding: fine to
-		// re-execute sequentially after re-binding (the prepared-statement
-		// contract), never safe to share across sessions or goroutines.
-		return allowScratch
+	})
+	return safe
+}
+
+// Walk calls fn on e and on every expression below it, parents first. A
+// node kind this package does not define (the engine's scalar subquery) is
+// visited as a leaf; nil is no expression.
+func Walk(e Expr, fn func(Expr)) {
+	if e == nil {
+		return
 	}
-	return false
+	fn(e)
+	switch x := e.(type) {
+	case *Binary:
+		Walk(x.Left, fn)
+		Walk(x.Right, fn)
+	case *Unary:
+		Walk(x.Operand, fn)
+	case *IsNull:
+		Walk(x.Operand, fn)
+	case *In:
+		Walk(x.Operand, fn)
+		for _, item := range x.List {
+			Walk(item, fn)
+		}
+	case *InQuery:
+		for _, o := range x.Operands {
+			Walk(o, fn)
+		}
+	case *Between:
+		Walk(x.Operand, fn)
+		Walk(x.Lo, fn)
+		Walk(x.Hi, fn)
+	case *Case:
+		Walk(x.Operand, fn)
+		for _, w := range x.Whens {
+			Walk(w.When, fn)
+			Walk(w.Then, fn)
+		}
+		Walk(x.Else, fn)
+	case *Cast:
+		Walk(x.Operand, fn)
+	case *ScalarFunc:
+		for _, a := range x.Args {
+			Walk(a, fn)
+		}
+	}
 }

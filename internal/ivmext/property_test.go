@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"openivm/internal/engine"
+	"openivm/internal/sqltypes"
 )
 
 // The central IVM correctness invariant, exercised by randomized workloads:
@@ -564,4 +565,120 @@ func TestPropertyNullRows(t *testing.T) {
 		mustExec(t, db, "REFRESH MATERIALIZED VIEW jv")
 		checkView(t, db, 1, "jv", "oid, region, amt", recompute)
 	})
+}
+
+// TestPropertyPointReads: reading a maintained view one group at a time by
+// its key gives, group for group, the full-view read — after every refresh
+// and, in lazy mode, straight after the write that left the view stale (the
+// point read refreshes it). With V's key index (PRAGMA ivm_index, the
+// upsert strategy) the read goes through it, without (a rebuild strategy)
+// it scans; absent groups read as nothing either way.
+func TestPropertyPointReads(t *testing.T) {
+	type shape struct {
+		name, def, cols, recompute string
+		where                      func(r []string) string
+		absent                     [][]string
+	}
+	shapes := []shape{
+		{"single", "SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k", "k, s, n", "SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k",
+			func(r []string) string { return fmt.Sprintf("k = '%s'", r[0]) }, [][]string{{"zz"}}},
+		{"composite", "SELECT k, w, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k, w", "k, w, s, n", "SELECT k, w, SUM(v), COUNT(*) FROM t GROUP BY k, w",
+			func(r []string) string { return fmt.Sprintf("w = %s AND k = '%s'", r[1], r[0]) }, [][]string{{"zz", "1"}, {"a", "99"}}},
+	}
+	for _, index := range []bool{true, false} {
+		for _, mode := range []string{"lazy", "eager"} {
+			for _, sh := range shapes {
+				t.Run(fmt.Sprintf("index=%v_%s_%s", index, mode, sh.name), func(t *testing.T) {
+					db := engine.Open("prop", engine.DialectDuckDB)
+					Install(db)
+					mustExec(t, db, "PRAGMA ivm_mode='"+mode+"'")
+					wantAccess := "KeyedScan vw[pk] keys=1"
+					if !index {
+						mustExec(t, db, "PRAGMA ivm_strategy='union_regroup'")
+						mustExec(t, db, "PRAGMA ivm_index='off'")
+						wantAccess = "Scan vw"
+					}
+					mustExec(t, db, "CREATE TABLE t (k VARCHAR, w INTEGER, v INTEGER)")
+					mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 5), ('a', 2, 7), ('b', 1, 8)")
+					mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS "+sh.def)
+					point := "SELECT " + sh.cols + " FROM vw WHERE "
+					plan := fmt.Sprint(mustExec(t, db, "EXPLAIN "+point+sh.where([]string{"a", "1"})).Rows)
+					if !strings.Contains(plan, " "+wantAccess+" ") {
+						t.Fatalf("the point read explains as %s, want %s", plan, wantAccess)
+					}
+					// readByKey reads every group of want, and the absent ones, by key.
+					readByKey := func(step int, want [][]string) {
+						t.Helper()
+						for _, r := range want {
+							got := mustExec(t, db, point+sh.where(r)).Rows
+							if len(got) != 1 || got[0].String() != strings.Join(r, "|") {
+								t.Fatalf("step %d: group %v read by key as %v", step, r, got)
+							}
+						}
+						for _, r := range sh.absent {
+							if got := mustExec(t, db, point+sh.where(r)).Rows; len(got) != 0 {
+								t.Fatalf("step %d: absent group %v read by key as %v", step, r, got)
+							}
+						}
+					}
+					rowsOf := func(sql string) [][]string {
+						var out [][]string
+						for _, r := range mustExec(t, db, sql).Rows {
+							out = append(out, strings.Split(r.String(), "|"))
+						}
+						return out
+					}
+					rng := rand.New(rand.NewSource(int64(7 + len(mode) + len(sh.name))))
+					keys := []string{"a", "b", "c", "d", "e"}
+					for i := 0; i < 120; i++ {
+						k, w := keys[rng.Intn(len(keys))], rng.Intn(3)
+						switch rng.Intn(8) {
+						case 0, 1, 2, 3:
+							mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES ('%s', %d, %d)", k, w, rng.Intn(41)-20))
+						case 4:
+							mustExec(t, db, fmt.Sprintf("DELETE FROM t WHERE k = '%s' AND w = %d", k, w))
+						case 5:
+							mustExec(t, db, fmt.Sprintf("UPDATE t SET v = v + 1 WHERE k = '%s'", k))
+						case 6:
+							// Stale (lazy) or just propagated (eager): the point
+							// reads come first and must already be fresh.
+							readByKey(i, rowsOf(sh.recompute))
+						case 7:
+							mustExec(t, db, "REFRESH MATERIALIZED VIEW vw")
+							readByKey(i, rowsOf("SELECT "+sh.cols+" FROM vw"))
+							checkView(t, db, i, "vw", sh.cols, sh.recompute)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestExplainViewPointRead: the benchmark's point reads of an aggregate
+// view — inlined key and prepared `$1` — go through the view's key index.
+func TestExplainViewPointRead(t *testing.T) {
+	db := engine.Open("bench", engine.DialectDuckDB)
+	Install(db)
+	mustExec(t, db, "CREATE TABLE groups (id INTEGER PRIMARY KEY, group_index VARCHAR, group_value INTEGER)")
+	mustExec(t, db, "INSERT INTO groups VALUES (1, 'g0123', 5), (2, 'g0123', 6), (3, 'g0001', 7)")
+	mustExec(t, db, "CREATE MATERIALIZED VIEW query_groups AS SELECT group_index, SUM(group_value) AS total_value, COUNT(*) AS n FROM groups GROUP BY group_index")
+	s := db.NewSession()
+	defer s.Close()
+	s.BindParams([]sqltypes.Value{sqltypes.NewString("g0123")})
+	for _, q := range []string{
+		"SELECT total_value, n FROM query_groups WHERE group_index = 'g0123'",
+		"SELECT total_value, n FROM query_groups WHERE group_index = $1",
+	} {
+		res, err := s.Exec("EXPLAIN " + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan := fmt.Sprint(res.Rows); !strings.Contains(plan, " KeyedScan query_groups[pk] keys=1 [filter: ") {
+			t.Errorf("EXPLAIN %s: %s", q, plan)
+		}
+		if res, err = s.Exec(q); err != nil || len(res.Rows) != 1 || res.Rows[0].String() != "11|2" {
+			t.Errorf("%s: %v, %v", q, res, err)
+		}
+	}
 }

@@ -73,11 +73,20 @@ func (s *Scan) FullSchema() []ColumnInfo { return s.schema }
 // Children implements Node.
 func (s *Scan) Children() []Node { return nil }
 
-// Describe implements Node.
+// Describe implements Node. How the scan finds its rows is asked of the
+// function the executor asks at open (PinnedKeys), with the parameters
+// bound now: an unbound `$1` pins nothing.
 func (s *Scan) Describe() string {
 	d := "Scan " + s.Table.Name
+	keys := PinnedKeys(s.Table, s.Filter)
+	if keys != nil {
+		d = "KeyedScan " + s.Table.Name + "[pk]"
+	}
 	if s.Alias != s.Table.Name {
 		d += " AS " + s.Alias
+	}
+	if keys != nil {
+		d += " " + keys.String()
 	}
 	if s.Filter != nil {
 		d += " [filter: " + s.Filter.String() + "]"

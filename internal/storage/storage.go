@@ -87,8 +87,9 @@ type Table interface {
 	// ops.
 	TruncateTxn(tx *mvcc.Txn, wantRows bool) ([]sqltypes.Row, int, error)
 
-	// Snapshot reads.
-	RowsSnap(sn mvcc.Snapshot) []sqltypes.Row
+	// Snapshot reads: every visible row, or — with non-nil keys, as for
+	// UpdateTxn — the visible rows with those primary keys, in scan order.
+	RowsSnap(sn mvcc.Snapshot, keys []sqltypes.Value) []sqltypes.Row
 	RowCount() int
 
 	// RowAt returns the row stored in a write-log slot — how redo

@@ -115,7 +115,7 @@ func RunConcurrent(open func() (Conn, error), streams []History, isSer func(erro
 					mu.Lock()
 					reads = append(reads, readObs{gid: gid, key: op.Key, val: got, ownWrite: own})
 					mu.Unlock()
-				case OpReadAll:
+				case OpReadAll, OpReadKeys:
 					if execErr != nil {
 						errs <- fmt.Errorf("g%d op %d (%s): %v", gid, i, op, execErr)
 						return

@@ -3,6 +3,7 @@ package txntest
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"openivm/internal/engine"
@@ -40,6 +41,27 @@ func newEngineDB(o Options) (func() (Conn, error), func(), error) {
 	}
 	open := func() (Conn, error) { return engineConn{db.NewSession()}, nil }
 	return open, func() {}, nil
+}
+
+// TestHistoryReadsCoverBothPaths: the histories' point read and key-set
+// read find their rows through the primary-key index and the full read by
+// scanning, so the oracle checks snapshot isolation on both.
+func TestHistoryReadsCoverBothPaths(t *testing.T) {
+	db := engine.Open("txntest", engine.DialectDuckDB)
+	for _, stmt := range SetupSQL(Options{Keys: 2}) {
+		if _, err := db.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for kind, want := range map[OpKind]string{OpRead: "KeyedScan kv[pk] keys=1", OpReadKeys: "KeyedScan kv[pk] keys=IN(subquery)", OpReadAll: "Scan kv"} {
+		res, err := db.Exec("EXPLAIN " + Op{Kind: kind}.sql())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan := fmt.Sprint(res.Rows); !strings.Contains(plan, " "+want) {
+			t.Errorf("%s: plan %s, want %q", kind, plan, want)
+		}
+	}
 }
 
 // TestSequentialHistoriesEngine replays randomized multi-session

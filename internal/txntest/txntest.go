@@ -54,7 +54,10 @@ const (
 	OpRollback
 	OpRead    // SELECT v FROM kv WHERE k = Key
 	OpReadAll // SELECT k, v FROM kv ORDER BY k
-	OpWrite   // UPDATE kv SET v = Val WHERE k = Key
+	// OpReadKeys is OpReadAll found through the primary-key index: the key
+	// set is the table's own keys, read by a subquery at the same snapshot.
+	OpReadKeys // SELECT k, v FROM kv WHERE k IN (SELECT k FROM kv) ORDER BY k
+	OpWrite    // UPDATE kv SET v = Val WHERE k = Key
 )
 
 func (k OpKind) String() string {
@@ -69,6 +72,8 @@ func (k OpKind) String() string {
 		return "read"
 	case OpReadAll:
 		return "readall"
+	case OpReadKeys:
+		return "readkeys"
 	case OpWrite:
 		return "write"
 	}
@@ -89,8 +94,6 @@ func (o Op) String() string {
 		return fmt.Sprintf("s%d read k%d", o.Sess, o.Key)
 	case OpWrite:
 		return fmt.Sprintf("s%d write k%d=%d", o.Sess, o.Key, o.Val)
-	case OpReadAll:
-		return fmt.Sprintf("s%d readall", o.Sess)
 	default:
 		return fmt.Sprintf("s%d %s", o.Sess, o.Kind)
 	}
@@ -151,7 +154,11 @@ func Generate(rnd *rand.Rand, o Options) History {
 		case r < 6:
 			h = append(h, Op{Sess: s, Kind: OpRead, Key: k})
 		case r < 7:
-			h = append(h, Op{Sess: s, Kind: OpReadAll})
+			kind := OpReadAll
+			if rnd.Intn(2) == 0 {
+				kind = OpReadKeys
+			}
+			h = append(h, Op{Sess: s, Kind: kind})
 		default:
 			h = append(h, Op{Sess: s, Kind: OpWrite, Key: k, Val: val})
 			val++
@@ -211,6 +218,8 @@ func (o Op) sql() string {
 		return fmt.Sprintf("SELECT v FROM kv WHERE k = %d", o.Key)
 	case OpReadAll:
 		return "SELECT k, v FROM kv ORDER BY k"
+	case OpReadKeys:
+		return "SELECT k, v FROM kv WHERE k IN (SELECT k FROM kv) ORDER BY k"
 	case OpWrite:
 		return fmt.Sprintf("UPDATE kv SET v = %d WHERE k = %d", o.Val, o.Key)
 	}
@@ -359,7 +368,7 @@ func RunSequential(open func() (Conn, error), h History, isSer func(error) bool,
 				return &Violation{i, op, fmt.Sprintf("read k%d = %d, oracle says %d", op.Key, got, want)}, nil
 			}
 
-		case OpReadAll:
+		case OpReadAll, OpReadKeys:
 			if execErr != nil {
 				return nil, fmt.Errorf("op %d (%s): %w", i, op, execErr)
 			}
