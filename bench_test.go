@@ -6,6 +6,7 @@ package openivm
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,31 +29,46 @@ import (
 const listing1View = `CREATE MATERIALIZED VIEW query_groups AS SELECT group_index,
 	SUM(group_value) AS total_value FROM groups GROUP BY group_index`
 
-func loadGroups(b *testing.B, rows, groups int, pragmas ...string) *engine.DB {
+// benchDB is a database and the session a benchmark's statements run on.
+type benchDB struct {
+	*engine.DB
+	s *engine.Session
+}
+
+// openBench opens a database, serial by default so numbers are comparable
+// across machines with different core counts (the executor otherwise fans
+// out per CPU); pragmas — PRAGMA statements — then set engine-wide values,
+// which the IVM extension's own sessions run under too (the *Workers
+// benchmarks override workers so).
+func openBench(b *testing.B, name string, pragmas ...string) benchDB {
 	b.Helper()
-	db := engine.Open("bench", engine.DialectDuckDB)
-	ivmext.Install(db)
-	// Serial by default so numbers are comparable across machines with
-	// different core counts (the executor otherwise fans out per CPU);
-	// the *Workers benchmarks override this with their own pragma.
-	if _, err := db.Exec("PRAGMA workers = 1"); err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range pragmas {
-		if _, err := db.Exec(p); err != nil {
+	db := engine.Open(name, engine.DialectDuckDB)
+	db.SetPragma("workers", "1")
+	for _, sql := range pragmas {
+		st, err := sqlparser.Parse(sql)
+		if err != nil {
 			b.Fatal(err)
 		}
+		p := st.(*sqlparser.PragmaStmt)
+		db.SetPragma(p.Name, p.Value)
 	}
+	return benchDB{DB: db, s: db.NewSession()}
+}
+
+func loadGroups(b *testing.B, rows, groups int, pragmas ...string) benchDB {
+	b.Helper()
+	db := openBench(b, "bench", pragmas...)
+	ivmext.Install(db.DB)
 	w := workload.Groups{Rows: rows, NumGroups: groups, Seed: 42}
-	if err := w.Load(db); err != nil {
+	if err := w.Load(db.DB); err != nil {
 		b.Fatal(err)
 	}
 	return db
 }
 
-func mustExecB(b *testing.B, db *engine.DB, sql string) {
+func mustExecB(b *testing.B, db benchDB, sql string) {
 	b.Helper()
-	if _, err := db.Exec(sql); err != nil {
+	if _, err := db.s.Exec(sql); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -60,16 +76,14 @@ func mustExecB(b *testing.B, db *engine.DB, sql string) {
 // BenchmarkE1_Compile measures the SQL-to-SQL compiler itself: parsing,
 // planning and emitting the Listing 2 scripts for the Listing 1 view.
 func BenchmarkE1_Compile(b *testing.B) {
-	db := engine.Open("e1", engine.DialectDuckDB)
-	if _, err := db.Exec("CREATE TABLE groups (group_index VARCHAR, group_value INTEGER)"); err != nil {
-		b.Fatal(err)
-	}
+	db := openBench(b, "e1")
+	mustExecB(b, db, "CREATE TABLE groups (group_index VARCHAR, group_value INTEGER)")
 	stmt, err := sqlparser.Parse(listing1View)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cv := stmt.(*sqlparser.CreateViewStmt)
-	c := ivm.NewCompiler(db, ivm.DefaultOptions())
+	c := ivm.NewCompiler(db.DB, ivm.DefaultOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		comp, err := c.Compile(cv.Name, cv.Select, cv.SourceSQL)
@@ -124,7 +138,7 @@ func BenchmarkE2_IVMRefresh(b *testing.B) {
 
 // loadGroupView loads one base row per group and creates the Listing 1
 // view over them: a fresh view of exactly groups rows.
-func loadGroupView(b *testing.B, groups int) *engine.DB {
+func loadGroupView(b *testing.B, groups int) benchDB {
 	b.Helper()
 	db := loadGroups(b, 0, groups)
 	tbl, err := db.Catalog().Table("groups")
@@ -135,7 +149,7 @@ func loadGroupView(b *testing.B, groups int) *engine.DB {
 	for g := range rows {
 		rows[g] = sqltypes.Row{sqltypes.NewString(workload.GroupKey(g)), sqltypes.NewInt(int64(g % 1000))}
 	}
-	if _, err := db.NewSession().InsertRows(tbl, rows); err != nil {
+	if _, err := db.s.InsertRows(tbl, rows); err != nil {
 		b.Fatal(err)
 	}
 	mustExecB(b, db, listing1View)
@@ -182,6 +196,131 @@ func BenchmarkE11_PointRead(b *testing.B) {
 	}
 }
 
+// BenchmarkE13_AdhocWrite is the write side of the embedded workloads: a
+// 25-row INSERT … VALUES into a 50 000-row table with an aggregate view on
+// it (insert25), and a transaction of 96 single-row INSERTs (txn96), each
+// as ad-hoc text — new literals every time — and through a prepared handle
+// with the values as $N parameters. The lexer lifts the text's literals
+// out and the statement's plan is found in the cache, so the ad-hoc
+// allocs/op track the prepared ones instead of paying parse and bind. The
+// view is refreshed, untimed, every 64 iterations.
+func BenchmarkE13_AdhocWrite(b *testing.B) {
+	const base, groups = 50_000, 1000
+	names := make([]string, groups)
+	for g := range names {
+		names[g] = workload.GroupKey(g)
+	}
+	setup := func(b *testing.B) (benchDB, func(i int)) {
+		db := openBench(b, "e13")
+		ivmext.Install(db.DB)
+		mustExecB(b, db, "CREATE TABLE g (id INTEGER PRIMARY KEY, group_index VARCHAR, group_value INTEGER)")
+		tbl, err := db.Catalog().Table("g")
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := make([]sqltypes.Row, base)
+		for id := range rows {
+			rows[id] = sqltypes.Row{sqltypes.NewInt(int64(id)), sqltypes.NewString(names[id%groups]), sqltypes.NewInt(int64(id % 97))}
+		}
+		if _, err := db.s.InsertRows(tbl, rows); err != nil {
+			b.Fatal(err)
+		}
+		mustExecB(b, db, "CREATE MATERIALIZED VIEW gv AS SELECT group_index, SUM(group_value) AS total, COUNT(*) AS n FROM g GROUP BY group_index")
+		b.ReportAllocs()
+		b.ResetTimer()
+		return db, func(i int) {
+			if i%64 == 63 {
+				b.StopTimer()
+				mustExecB(b, db, "REFRESH MATERIALIZED VIEW gv")
+				b.StartTimer()
+			}
+		}
+	}
+	// write appends one row's values for the id to the text and the
+	// parameters.
+	write := func(sql []byte, params []sqltypes.Value, id int) ([]byte, []sqltypes.Value) {
+		sql = strconv.AppendInt(append(sql, '('), int64(id), 10)
+		sql = strconv.AppendInt(append(append(append(sql, ",'"...), names[id%groups]...), "',"...), int64(id%89), 10)
+		return append(sql, ')'), append(params, sqltypes.NewInt(int64(id)), sqltypes.NewString(names[id%groups]), sqltypes.NewInt(int64(id%89)))
+	}
+	var sql []byte
+	var params []sqltypes.Value
+	b.Run("insert25", func(b *testing.B) {
+		b.Run("adhoc", func(b *testing.B) {
+			db, tick := setup(b)
+			for i := 0; i < b.N; i++ {
+				sql = append(sql[:0], "INSERT INTO g VALUES "...)
+				for r := 0; r < 25; r++ {
+					if r > 0 {
+						sql = append(sql, ',')
+					}
+					sql, _ = write(sql, nil, base+25*i+r)
+				}
+				mustExecB(b, db, string(sql))
+				tick(i)
+			}
+		})
+		b.Run("prepared", func(b *testing.B) {
+			db, tick := setup(b)
+			text := "INSERT INTO g VALUES "
+			for r := 0; r < 25; r++ {
+				if r > 0 {
+					text += ","
+				}
+				text += fmt.Sprintf("($%d, $%d, $%d)", 3*r+1, 3*r+2, 3*r+3)
+			}
+			p, err := db.PrepareScript(text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				params = params[:0]
+				for r := 0; r < 25; r++ {
+					_, params = write(nil, params, base+25*i+r)
+				}
+				db.s.BindParams(params)
+				if _, err := db.s.ExecStmts(p); err != nil {
+					b.Fatal(err)
+				}
+				tick(i)
+			}
+		})
+	})
+	b.Run("txn96", func(b *testing.B) {
+		b.Run("adhoc", func(b *testing.B) {
+			db, tick := setup(b)
+			for i := 0; i < b.N; i++ {
+				sql = append(sql[:0], "BEGIN; "...)
+				for r := 0; r < 96; r++ {
+					sql, _ = write(append(sql, "INSERT INTO g VALUES "...), nil, base+96*i+r)
+					sql = append(sql, "; "...)
+				}
+				mustExecB(b, db, string(append(sql, "COMMIT"...)))
+				tick(i)
+			}
+		})
+		b.Run("prepared", func(b *testing.B) {
+			db, tick := setup(b)
+			p, err := db.PrepareScript("INSERT INTO g VALUES ($1, $2, $3)")
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				mustExecB(b, db, "BEGIN")
+				for r := 0; r < 96; r++ {
+					_, params = write(nil, params[:0], base+96*i+r)
+					db.s.BindParams(params)
+					if _, err := db.s.ExecStmts(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				mustExecB(b, db, "COMMIT")
+				tick(i)
+			}
+		})
+	})
+}
+
 // BenchmarkE2_BatchSize sweeps the vectorized executor's batch size over
 // the E2 refresh loop (PRAGMA batch_size), exposing the chunk-size
 // trade-off the batch engine introduces.
@@ -211,8 +350,8 @@ func BenchmarkE2_BatchSize(b *testing.B) {
 // nothing.
 func BenchmarkE2_IVMRefreshWAL(b *testing.B) {
 	const rows, groups = 20000, 256
-	db := engine.Open("bench", engine.DialectDuckDB)
-	ivmext.Install(db)
+	db := openBench(b, "bench")
+	ivmext.Install(db.DB)
 	bk, err := storage.OpenDisk(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
@@ -221,9 +360,8 @@ func BenchmarkE2_IVMRefreshWAL(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	mustExecB(b, db, "PRAGMA workers = 1")
 	w := workload.Groups{Rows: rows, NumGroups: groups, Seed: 42}
-	if err := w.Load(db); err != nil {
+	if err := w.Load(db.DB); err != nil {
 		b.Fatal(err)
 	}
 	mustExecB(b, db, listing1View)
@@ -318,9 +456,11 @@ func BenchmarkE3_PureOLTP(b *testing.B) {
 	if err := sales.Load(store.DB); err != nil {
 		b.Fatal(err)
 	}
+	s := store.DB.NewSession()
+	defer s.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := store.DB.Exec(`SELECT region, SUM(amount) FROM orders
+		if _, err := s.Exec(`SELECT region, SUM(amount) FROM orders
 			JOIN customers ON orders.cid = customers.cid GROUP BY region`); err != nil {
 			b.Fatal(err)
 		}
@@ -405,11 +545,10 @@ func BenchmarkE6_Batch(b *testing.B) {
 func BenchmarkE7_JoinIVM(b *testing.B) {
 	for _, customers := range []int{16, 2048, 20480, 204800} {
 		b.Run(fmt.Sprintf("C%d", customers), func(b *testing.B) {
-			db := engine.Open("e7", engine.DialectDuckDB)
-			ivmext.Install(db)
-			mustExecB(b, db, "PRAGMA workers = 1") // cross-machine determinism
+			db := openBench(b, "e7")
+			ivmext.Install(db.DB)
 			sales := workload.Sales{Customers: customers, Orders: 20000, Regions: 8, Seed: 5}
-			if err := sales.Load(db); err != nil {
+			if err := sales.Load(db.DB); err != nil {
 				b.Fatal(err)
 			}
 			mustExecB(b, db, `CREATE MATERIALIZED VIEW region_totals AS
@@ -433,10 +572,9 @@ func BenchmarkE7_JoinIVM(b *testing.B) {
 }
 
 func BenchmarkE7_JoinRecompute(b *testing.B) {
-	db := engine.Open("e7", engine.DialectDuckDB)
-	mustExecB(b, db, "PRAGMA workers = 1") // cross-machine determinism
+	db := openBench(b, "e7")
 	sales := workload.Sales{Customers: 2048, Orders: 20000, Regions: 8, Seed: 5}
-	if err := sales.Load(db); err != nil {
+	if err := sales.Load(db.DB); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -479,7 +617,7 @@ func BenchmarkE9_FusedScanWorkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			db := loadWide(b)
-			mustExecB(b, db, fmt.Sprintf("PRAGMA workers = %d", w))
+			db.SetPragma("workers", fmt.Sprint(w))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mustExecB(b, db, "SELECT a + v, v * 2 FROM wide WHERE v % 4 = 0 AND a < 15000")
@@ -509,10 +647,9 @@ func BenchmarkE2_IVMRefreshWorkers(b *testing.B) {
 	}
 }
 
-func loadWide(b *testing.B) *engine.DB {
+func loadWide(b *testing.B) benchDB {
 	b.Helper()
-	db := engine.Open("e9", engine.DialectDuckDB)
-	mustExecB(b, db, "PRAGMA workers = 1") // cross-machine determinism; sweeps override
+	db := openBench(b, "e9")
 	mustExecB(b, db, "CREATE TABLE wide (a INTEGER, v INTEGER)")
 	var sb []byte
 	for lo := 0; lo < 20000; lo += 2000 {
@@ -551,10 +688,9 @@ func BenchmarkE2_ColumnarAgg(b *testing.B) {
 func BenchmarkE7_JoinBuild(b *testing.B) {
 	for _, w := range []int{1, 4} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			db := engine.Open("e7b", engine.DialectDuckDB)
-			mustExecB(b, db, fmt.Sprintf("PRAGMA workers = %d", w))
+			db := openBench(b, "e7b", fmt.Sprintf("PRAGMA workers = %d", w))
 			sales := workload.Sales{Customers: 20000, Orders: 30000, Regions: 8, Seed: 5}
-			if err := sales.Load(db); err != nil {
+			if err := sales.Load(db.DB); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -612,8 +748,9 @@ func BenchmarkE10_MultiViewRefresh(b *testing.B) {
 		b.Run(fmt.Sprintf("rw%d", rw), func(b *testing.B) {
 			db := engine.Open("e10", engine.DialectDuckDB)
 			ext := ivmext.Install(db)
-			mustExecB(b, db, "PRAGMA workers = 1") // isolate scheduler parallelism
-			mustExecB(b, db, fmt.Sprintf("PRAGMA ivm_refresh_workers = %d", rw))
+			db.SetPragma("workers", "1") // isolate scheduler parallelism
+			db.SetPragma("ivm_refresh_workers", fmt.Sprint(rw))
+			bdb := benchDB{DB: db, s: db.NewSession()}
 			insertBatch := func(v, n int, round int64) string {
 				sb := fmt.Appendf(nil, "INSERT INTO e10_t%d VALUES ", v)
 				for i := 0; i < n; i++ {
@@ -625,9 +762,9 @@ func BenchmarkE10_MultiViewRefresh(b *testing.B) {
 				return string(sb)
 			}
 			for v := 0; v < views; v++ {
-				mustExecB(b, db, fmt.Sprintf("CREATE TABLE e10_t%d (k VARCHAR, v INTEGER)", v))
-				mustExecB(b, db, insertBatch(v, 2000, -1))
-				mustExecB(b, db, fmt.Sprintf(
+				mustExecB(b, bdb, fmt.Sprintf("CREATE TABLE e10_t%d (k VARCHAR, v INTEGER)", v))
+				mustExecB(b, bdb, insertBatch(v, 2000, -1))
+				mustExecB(b, bdb, fmt.Sprintf(
 					"CREATE MATERIALIZED VIEW e10_v%d AS SELECT k, SUM(v) AS sv FROM e10_t%d GROUP BY k", v, v))
 			}
 			var stop atomic.Bool
@@ -652,7 +789,7 @@ func BenchmarkE10_MultiViewRefresh(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				for v := 0; v < views; v++ {
-					mustExecB(b, db, insertBatch(v, deltaRows, int64(i)))
+					mustExecB(b, bdb, insertBatch(v, deltaRows, int64(i)))
 				}
 				b.StartTimer()
 				var rwg sync.WaitGroup
@@ -681,8 +818,7 @@ func BenchmarkE10_MultiViewRefresh(b *testing.B) {
 // for the streaming-transport benchmarks.
 func startWireBig(b *testing.B, rows int) string {
 	b.Helper()
-	db := engine.Open("bench", engine.DialectDuckDB)
-	mustExecB(b, db, "PRAGMA workers = 1") // cross-machine determinism
+	db := openBench(b, "bench")
 	mustExecB(b, db, "CREATE TABLE big (id INTEGER, val INTEGER, tag VARCHAR)")
 	var sb []byte
 	const chunk = 2000
@@ -696,7 +832,7 @@ func startWireBig(b *testing.B, rows int) string {
 		}
 		mustExecB(b, db, string(sb))
 	}
-	srv := wire.NewServer(db)
+	srv := wire.NewServer(db.DB)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -760,7 +896,7 @@ func BenchmarkWire_Concurrent(b *testing.B) {
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("c%d", clients), func(b *testing.B) {
 			db := loadGroups(b, 5000, 50)
-			srv := wire.NewServer(db)
+			srv := wire.NewServer(db.DB)
 			addr, err := srv.Listen("127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)

@@ -1,23 +1,23 @@
 // Command benchcheck is the CI benchmark-regression gate: it parses
 // `go test -bench` output, reduces repeated runs (-count N) to the
 // per-benchmark minimum — the least noise-contaminated observation — and
-// compares ns/op and allocs/op against a committed baseline JSON, failing
-// the build when either regresses beyond its threshold.
+// compares allocs/op against a committed baseline JSON, failing the build
+// when it regresses beyond the threshold.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'E2_IVMRefresh|E2_ColumnarAgg|E7_JoinIVM|E7_JoinBuild|E9_|E10_|E11_|E12_|PKIndex_|Wire_' -benchmem -count 3 . | \
+//	go test -run '^$' -bench 'E2_IVMRefresh|E2_ColumnarAgg|E7_JoinIVM|E7_JoinBuild|E9_|E10_|E11_|E12_|E13_|PKIndex_|Wire_' -benchmem -count 3 . | \
 //	    go run ./cmd/benchcheck -baseline BENCH_BASELINE.json
 //
 // Refresh the baseline after an intentional performance change:
 //
 //	go test ... -benchmem -count 3 . | go run ./cmd/benchcheck -baseline BENCH_BASELINE.json -update
 //
-// allocs/op is machine-independent and enforced strictly; ns/op is
-// compared at the same threshold by default but can be relaxed (or set to
-// a negative value to skip) when baseline and CI hardware differ wildly.
-// A baseline entry marked "allocs_only" records its ns/op for the reader
-// and is gated on allocs/op alone; -update keeps the mark.
+// allocs/op is machine-independent, so it is the gate. ns/op is recorded
+// in the baseline and printed beside the measurement for the reader, never
+// gated: on shared hardware the same code reads 25–100 % apart from one
+// hour to the next. Time is judged by the repository benchmark
+// (benchmark/), in alternated runs against the parent commit.
 package main
 
 import (
@@ -37,9 +37,6 @@ import (
 type entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// AllocsOnly exempts the entry from the ns/op gate: its time is not
-	// reproducible enough on shared hardware to gate on (ROADMAP item 5).
-	AllocsOnly bool `json:"allocs_only,omitempty"`
 }
 
 // baseline is the committed BENCH_BASELINE.json shape.
@@ -96,7 +93,6 @@ func parseBench(r io.Reader) (map[string]entry, error) {
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "committed baseline JSON")
 	input := flag.String("input", "-", "benchmark output file (- = stdin)")
-	maxNs := flag.Float64("max-ns-regress", 0.25, "fail when ns/op exceeds baseline by this fraction (negative = skip ns check)")
 	maxAllocs := flag.Float64("max-allocs-regress", 0.25, "fail when allocs/op exceeds baseline by this fraction (negative = skip allocs check)")
 	update := flag.Bool("update", false, "rewrite the baseline from the measured results instead of comparing")
 	flag.Parse()
@@ -130,12 +126,8 @@ func main() {
 	}
 
 	if *update {
-		for name, e := range got {
-			e.AllocsOnly = base.Benchmarks[name].AllocsOnly
-			got[name] = e
-		}
 		base = baseline{
-			Note:       "Regenerate with: go test -run '^$' -bench 'E2_IVMRefresh|E2_ColumnarAgg|E7_JoinIVM|E7_JoinBuild|E9_|E10_|E11_|E12_|PKIndex_|Wire_' -benchmem -count 3 . | go run ./cmd/benchcheck -update",
+			Note:       "Regenerate with: go test -run '^$' -bench 'E2_IVMRefresh|E2_ColumnarAgg|E7_JoinIVM|E7_JoinBuild|E9_|E10_|E11_|E12_|E13_|PKIndex_|Wire_' -benchmem -count 3 . | go run ./cmd/benchcheck -update",
 			Benchmarks: got,
 		}
 		buf, err := json.MarshalIndent(base, "", "  ")
@@ -164,14 +156,6 @@ func main() {
 			continue
 		}
 		status := "ok"
-		if want.AllocsOnly {
-			status = "ok (allocs only)"
-		}
-		if *maxNs >= 0 && !want.AllocsOnly && want.NsPerOp > 0 && have.NsPerOp > want.NsPerOp*(1+*maxNs) {
-			failures = append(failures, fmt.Sprintf("%s: ns/op %.0f exceeds baseline %.0f by more than %.0f%%",
-				name, have.NsPerOp, want.NsPerOp, *maxNs*100))
-			status = "NS REGRESSION"
-		}
 		if *maxAllocs >= 0 && want.AllocsPerOp > 0 {
 			if have.AllocsPerOp < 0 {
 				failures = append(failures, fmt.Sprintf("%s: no allocs/op in results (run with -benchmem) but baseline has %.0f",

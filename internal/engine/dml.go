@@ -17,7 +17,7 @@ import (
 
 // execInsert handles INSERT, INSERT OR REPLACE (DuckDB dialect) and
 // INSERT ... ON CONFLICT (PostgreSQL dialect).
-func (s *Session) execInsert(ctx context.Context, st *sqlparser.InsertStmt) (*Result, error) {
+func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.InsertStmt) (*Result, error) {
 	tbl, err := s.db.cat.Table(st.Table)
 	if err != nil {
 		return nil, err
@@ -28,7 +28,7 @@ func (s *Session) execInsert(ctx context.Context, st *sqlparser.InsertStmt) (*Re
 
 	// Source plan (rows are pulled after the column mapping is known: the
 	// plain-INSERT path streams batches instead of materializing them).
-	n, err := s.PlanSelect(st.Select)
+	n, err := s.planSelect(ent, st.Select)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func (s *Session) execInsert(ctx context.Context, st *sqlparser.InsertStmt) (*Re
 				continue
 			}
 			if existed {
-				merged, err := s.applyConflictSet(tbl, st.Conflict, old, row)
+				merged, err := s.applyConflictSet(&ent.params, tbl, st.Conflict, old, row)
 				if err != nil {
 					return nil, done(err)
 				}
@@ -245,7 +245,7 @@ func lookupByPK(tbl *catalog.Table, tx *mvcc.Txn, row sqltypes.Row) (sqltypes.Ro
 
 // applyConflictSet computes the merged row for ON CONFLICT DO UPDATE.
 // Assignment expressions see the schema [table columns..., excluded.*].
-func (s *Session) applyConflictSet(tbl *catalog.Table, oc *sqlparser.OnConflict, old, new sqltypes.Row) (sqltypes.Row, error) {
+func (s *Session) applyConflictSet(params *expr.ParamBinding, tbl *catalog.Table, oc *sqlparser.OnConflict, old, new sqltypes.Row) (sqltypes.Row, error) {
 	schema := make([]plan.ColumnInfo, 0, 2*len(tbl.Columns))
 	for _, c := range tbl.Columns {
 		schema = append(schema, plan.ColumnInfo{Table: tbl.Name, Name: c.Name, Type: c.Type})
@@ -258,7 +258,7 @@ func (s *Session) applyConflictSet(tbl *catalog.Table, oc *sqlparser.OnConflict,
 	env = append(env, new...)
 
 	merged := old.Clone()
-	b := s.newBinder()
+	b := s.newBinder(params)
 	for _, a := range oc.Set {
 		p := tbl.ColumnPos(a.Column)
 		if p < 0 {
@@ -277,13 +277,13 @@ func (s *Session) applyConflictSet(tbl *catalog.Table, oc *sqlparser.OnConflict,
 	return merged, nil
 }
 
-func (s *Session) execUpdate(ctx context.Context, st *sqlparser.UpdateStmt) (*Result, error) {
+func (s *Session) execUpdate(ctx context.Context, params *expr.ParamBinding, st *sqlparser.UpdateStmt) (*Result, error) {
 	tbl, err := s.db.cat.Table(st.Table)
 	if err != nil {
 		return nil, err
 	}
 	schema := tableSchema(tbl)
-	b := s.newBinder()
+	b := s.newBinder(params)
 
 	var pred expr.Expr
 	if st.Where != nil {
@@ -354,14 +354,14 @@ func (s *Session) execUpdate(ctx context.Context, st *sqlparser.UpdateStmt) (*Re
 	return &Result{RowsAffected: len(new_)}, nil
 }
 
-func (s *Session) execDelete(ctx context.Context, st *sqlparser.DeleteStmt) (*Result, error) {
+func (s *Session) execDelete(ctx context.Context, params *expr.ParamBinding, st *sqlparser.DeleteStmt) (*Result, error) {
 	tbl, err := s.db.cat.Table(st.Table)
 	if err != nil {
 		return nil, err
 	}
 	var pred expr.Expr
 	if st.Where != nil {
-		pred, err = s.newBinder().BindExprSchema(st.Where, tableSchema(tbl))
+		pred, err = s.newBinder(params).BindExprSchema(st.Where, tableSchema(tbl))
 		if err != nil {
 			return nil, err
 		}
@@ -695,20 +695,17 @@ func keysBeforeLock(tbl *catalog.Table, pred expr.Expr, perRow ...expr.Expr) (ke
 }
 
 // lazySubquery evaluates an uncorrelated scalar subquery on first use and
-// caches the result. It is bound to the session that planned it: the
-// subquery runs with that session's execution options and cancellation
-// context. Plans holding one are never cached or shared (expr.Reusable
-// refuses unknown node kinds).
+// caches the result. It is bound to the session that planned it and to the
+// parameter binding of its statement: the subquery runs with that session's
+// execution options and cancellation context. Plans holding one are never
+// cached (expr.ParallelSafe refuses unknown node kinds).
 type lazySubquery struct {
 	s      *Session
 	sel    *sqlparser.SelectStmt
+	params *expr.ParamBinding
 	done   bool
 	cached sqltypes.Value
 	typ    sqltypes.Type
-}
-
-func newLazySubquery(s *Session, sel *sqlparser.SelectStmt) *lazySubquery {
-	return &lazySubquery{s: s, sel: sel, typ: sqltypes.TypeAny}
 }
 
 // Eval implements expr.Expr.
@@ -716,7 +713,7 @@ func (l *lazySubquery) Eval(sqltypes.Row) (sqltypes.Value, error) {
 	if l.done {
 		return l.cached, nil
 	}
-	n, err := l.s.PlanSelect(l.sel)
+	n, err := l.s.bindSelect(l.sel, l.params, l.s.stamp())
 	if err != nil {
 		return sqltypes.Null, err
 	}

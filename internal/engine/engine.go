@@ -99,9 +99,7 @@ type trigger struct {
 // multiple sessions: per-connection execution state (transactions, trigger
 // suppression, execution pragmas, cancellation) lives in Session, while
 // the DB holds only shared state — catalog, triggers, hooks, the schema
-// epoch and the shared plan cache — each behind its own lock. The DB's own
-// Exec/Query/... methods delegate to a built-in default session, so
-// single-connection callers keep the historical API.
+// epoch and the plan cache — each behind its own lock.
 type DB struct {
 	Name    string
 	dialect Dialect
@@ -127,19 +125,18 @@ type DB struct {
 	triggers     map[string][]*trigger // table -> triggers
 	trigHandlers map[string]TriggerFunc
 
-	// def is the built-in default session the DB's legacy single-connection
-	// API (Exec, Query, WithoutTriggers, ...) delegates to.
-	def *Session
-
 	// schemaEpoch moves on anything that could change a plan: DDL (tables,
 	// views, indexes, triggers) and engine-global pragma writes
 	// (batch_size/workers become plan.Hint nodes). Every cached plan
 	// records the epoch it was built under (see plancache.go).
-	schemaEpoch int64
+	schemaEpoch atomic.Int64
 
-	// plans is the SQL-text keyed plan cache shared across sessions. Plans
-	// of prepared scripts live in their Prepared handle instead.
-	plans *planLRU
+	// plans is the statement cache shared across sessions, text and
+	// prepared handles alike (plancache.go). verbatim keeps every literal in
+	// the statement text, and in the cache key: set only by tests, to compare
+	// the two.
+	plans    *planLRU
+	verbatim bool
 
 	// sessMu guards sessions, the token registry of live sessions. The
 	// wire protocol's out-of-band cancel op resolves its token here to
@@ -182,28 +179,21 @@ func Open(name string, dialect Dialect) *DB {
 		sessions:     map[string]*Session{},
 		backend:      storage.MemBackend{},
 	}
-	db.def = db.NewSession()
 	return db
 }
 
-// bumpSchemaEpoch invalidates every cached plan. The shared cache is
-// cleared outright: its entries could never hit again (their epoch can't
-// recur), so dropping them frees the dead plan trees instead of retaining
-// them until eviction. Prepared handles keep their (now invalid) entries
-// until the next execution replans over them.
+// bumpSchemaEpoch invalidates every cached plan. The cache is cleared
+// outright: no plan in it is valid any more, so dropping the entries frees
+// the dead plan trees instead of retaining them until eviction. An entry
+// lent out at the time is filed again when its execution ends and replans
+// on its next one.
 func (db *DB) bumpSchemaEpoch() {
-	db.mu.Lock()
-	db.schemaEpoch++
-	db.mu.Unlock()
+	db.schemaEpoch.Add(1)
 	db.plans.clear()
 }
 
 // epoch returns the current schema epoch.
-func (db *DB) epoch() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.schemaEpoch
-}
+func (db *DB) epoch() int64 { return db.schemaEpoch.Load() }
 
 // registerSession enters a session into the token registry.
 func (db *DB) registerSession(s *Session) {
@@ -412,14 +402,6 @@ func (db *DB) triggersFor(table string) []*trigger {
 	return db.triggers[strings.ToLower(table)]
 }
 
-// WithoutTriggers runs fn on the default session with trigger firing
-// suppressed (see Session.WithoutTriggers). Suppression is per session:
-// one session's internal writes never disable another session's delta
-// capture.
-func (db *DB) WithoutTriggers(fn func() error) error {
-	return db.def.WithoutTriggers(fn)
-}
-
 // wantsTriggerRows reports whether any trigger would currently fire for
 // the event in this session — i.e. whether DML must snapshot affected
 // rows it otherwise would not need.
@@ -467,83 +449,40 @@ func (db *DB) Parse(sql string) (sqlparser.Statement, error) {
 	return nil, err
 }
 
-// Exec parses and executes a single statement on the default session.
-//
-// Deprecated: the default session is shared process-wide state (one
-// transaction, one pragma scope). Use NewSession and Session.Exec so
-// each caller owns its transaction and settings.
-func (db *DB) Exec(sql string) (*Result, error) { return db.def.Exec(sql) }
+// Exec executes a statement or script on a session of its own, closed
+// when Exec returns: a one-off statement from a caller that holds no
+// session. A transaction or a session pragma does not outlive the call;
+// use NewSession for those.
+func (db *DB) Exec(sql string) (*Result, error) {
+	s := db.NewSession()
+	defer s.Close()
+	return s.Exec(sql)
+}
 
-// ExecScript executes a semicolon-separated script on the default
-// session, returning the last statement's result.
-//
-// Deprecated: use NewSession and Session.ExecScript.
-func (db *DB) ExecScript(sql string) (*Result, error) { return db.def.ExecScript(sql) }
-
-// SplitStatements splits a script on semicolons outside quotes.
+// SplitStatements splits a script into the texts of its statements, on
+// semicolons outside quotes and parentheses, as the lexer reads it. A
+// script the lexer rejects comes back whole.
 func SplitStatements(sql string) []string {
-	var out []string
-	depth := 0
-	var sb strings.Builder
-	inStr := false
-	for i := 0; i < len(sql); i++ {
-		c := sql[i]
-		switch {
-		case inStr:
-			sb.WriteByte(c)
-			if c == '\'' {
-				if i+1 < len(sql) && sql[i+1] == '\'' {
-					sb.WriteByte(sql[i+1])
-					i++
-				} else {
-					inStr = false
-				}
-			}
-		case c == '\'':
-			inStr = true
-			sb.WriteByte(c)
-		case c == '(':
-			depth++
-			sb.WriteByte(c)
-		case c == ')':
-			depth--
-			sb.WriteByte(c)
-		case c == ';' && depth == 0:
-			if s := strings.TrimSpace(sb.String()); s != "" {
-				out = append(out, s)
-			}
-			sb.Reset()
-		default:
-			sb.WriteByte(c)
-		}
+	ls, err := sqlparser.Lift(sql, false)
+	if err != nil {
+		return []string{strings.TrimSpace(sql)}
 	}
-	if s := strings.TrimSpace(sb.String()); s != "" {
-		out = append(out, s)
+	out := make([]string, len(ls))
+	for i := range ls {
+		out[i] = ls[i].Text()
 	}
 	return out
 }
 
-// Query is Exec restricted to row-returning statements (for readability at
-// call sites).
-//
-// Deprecated: use NewSession and Session.Query.
-func (db *DB) Query(sql string) (*Result, error) { return db.Exec(sql) }
-
-// PlanSelect binds and optimizes a SELECT on the default session (exposed
-// for the IVM compiler, which rewrites view plans).
-func (db *DB) PlanSelect(sel *sqlparser.SelectStmt) (plan.Node, error) {
-	return db.def.PlanSelect(sel)
-}
-
-// newBinder builds a binder with scalar-subquery support and the $N
-// parameter binding wired to this session (subqueries execute with the
-// session's options and context; Param nodes read the session's values at
-// Eval time, so prepared plans re-execute against freshly bound params).
-func (s *Session) newBinder() *plan.Binder {
+// newBinder builds a binder with scalar-subquery support whose parameters
+// read params (subqueries execute with the session's options and context,
+// their parameters reading the same binding; Param nodes read it at Eval
+// time, so a cached plan re-executes against freshly bound values).
+func (s *Session) newBinder(params *expr.ParamBinding) *plan.Binder {
 	b := plan.NewBinder(s.db.cat)
-	b.Params = &s.params
+	b.Params = params
 	b.SubqueryFn = func(sel *sqlparser.SelectStmt) (expr.Expr, error) {
-		return newLazySubquery(s, sel), nil
+		return &lazySubquery{s: s, sel: sel, params: params, typ: sqltypes.TypeAny}, nil
 	}
 	b.SubqueryRowsFn = func(sel *sqlparser.SelectStmt) (func() ([]sqltypes.Row, error), error) {
 		var cached []sqltypes.Row
@@ -552,7 +491,7 @@ func (s *Session) newBinder() *plan.Binder {
 			if done {
 				return cached, nil
 			}
-			n, err := s.PlanSelect(sel)
+			n, err := s.bindSelect(sel, params, s.stamp())
 			if err != nil {
 				return nil, err
 			}
@@ -564,19 +503,19 @@ func (s *Session) newBinder() *plan.Binder {
 	return b
 }
 
-func (s *Session) execExplain(st *sqlparser.ExplainStmt) (*Result, error) {
+func (s *Session) execExplain(params *expr.ParamBinding, st *sqlparser.ExplainStmt) (*Result, error) {
 	var text string
 	var err error
 	switch x := st.Stmt.(type) {
 	case *sqlparser.SelectStmt:
 		var n plan.Node
-		if n, err = s.PlanSelect(x); err == nil {
+		if n, err = s.bindSelect(x, params, s.stamp()); err == nil {
 			text = plan.Explain(n)
 		}
 	case *sqlparser.DeleteStmt:
-		text, err = s.explainWrite("Delete", x.Table, x.Where)
+		text, err = s.explainWrite(params, "Delete", x.Table, x.Where)
 	case *sqlparser.UpdateStmt:
-		text, err = s.explainWrite("Update", x.Table, x.Where)
+		text, err = s.explainWrite(params, "Update", x.Table, x.Where)
 	default:
 		err = fmt.Errorf("engine: EXPLAIN supports SELECT, UPDATE and DELETE")
 	}
@@ -595,7 +534,7 @@ func (s *Session) execExplain(st *sqlparser.ExplainStmt) (*Result, error) {
 // primary-key index for a pinned key set, else by scanning. Nothing runs —
 // a key subquery is named, not evaluated, so a value of the wrong kind in
 // its result can still send the statement to the scan.
-func (s *Session) explainWrite(verb, table string, where sqlparser.Expr) (string, error) {
+func (s *Session) explainWrite(params *expr.ParamBinding, verb, table string, where sqlparser.Expr) (string, error) {
 	tbl, err := s.db.cat.Table(table)
 	if err != nil {
 		return "", err
@@ -606,7 +545,7 @@ func (s *Session) explainWrite(verb, table string, where sqlparser.Expr) (string
 		}
 		return "Scan" + verb + " " + tbl.Name, nil
 	}
-	pred, err := s.newBinder().BindExprSchema(where, tableSchema(tbl))
+	pred, err := s.newBinder(params).BindExprSchema(where, tableSchema(tbl))
 	if err != nil {
 		return "", err
 	}
@@ -693,8 +632,7 @@ func (s *Session) execCreateTable(ctx context.Context, st *sqlparser.CreateTable
 	for _, cd := range st.Columns {
 		col := catalog.Column{Name: cd.Name, Type: cd.Type, NotNull: cd.NotNull}
 		if cd.Default != nil {
-			b := s.newBinder()
-			e, err := b.BindExprNoInput(cd.Default)
+			e, err := s.newBinder(&s.params).BindExprNoInput(cd.Default)
 			if err != nil {
 				return nil, fmt.Errorf("engine: DEFAULT for %s: %w", cd.Name, err)
 			}

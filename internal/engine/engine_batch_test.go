@@ -16,15 +16,16 @@ func TestPragmaBatchSizeRoundTrip(t *testing.T) {
 		mustExec(t, db, "INSERT INTO nums VALUES ('k', 1)")
 	}
 
-	if _, err := db.Exec("PRAGMA batch_size = 3"); err != nil {
+	s := sess(t, db)
+	if _, err := s.Exec("PRAGMA batch_size = 3"); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Pragma("batch_size"); got != "3" {
+	if got := s.Pragma("batch_size"); got != "3" {
 		t.Fatalf("pragma round-trip = %q", got)
 	}
 
 	// Plan layer: the root carries the hint.
-	res, err := db.Exec("EXPLAIN SELECT k, SUM(v) FROM nums GROUP BY k")
+	res, err := s.Exec("EXPLAIN SELECT k, SUM(v) FROM nums GROUP BY k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestPragmaBatchSizeRoundTrip(t *testing.T) {
 	}
 
 	// Exec layer: results are unchanged by the batch size.
-	res, err = db.Exec("SELECT k, SUM(v) FROM nums GROUP BY k")
+	res, err = s.Exec("SELECT k, SUM(v) FROM nums GROUP BY k")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,14 +146,15 @@ func TestDeleteUnknownTable(t *testing.T) {
 }
 
 func TestBareDoubleRollback(t *testing.T) {
-	db := Open("t", DialectDuckDB)
-	if _, err := db.Exec("ROLLBACK"); err == nil {
+	s := Open("t", DialectDuckDB).NewSession()
+	defer s.Close()
+	if _, err := s.Exec("ROLLBACK"); err == nil {
 		t.Fatal("ROLLBACK without BEGIN must fail")
 	}
-	if _, err := db.Exec("BEGIN"); err != nil {
+	if _, err := s.Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec("BEGIN"); err == nil {
+	if _, err := s.Exec("BEGIN"); err == nil {
 		t.Fatal("nested BEGIN must fail")
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"openivm/internal/sqlparser"
@@ -20,9 +21,28 @@ func testDB(t *testing.T) *DB {
 	return db
 }
 
+// sessions holds the session each test database's statements run on
+// (mustExec, queryRows, sess): one per database, so a transaction or a
+// session pragma carries from one statement to the next.
+var sessions sync.Map // *DB -> *Session
+
+// sess returns the session t's statements on db run on.
+func sess(t *testing.T, db *DB) *Session {
+	if s, ok := sessions.Load(db); ok {
+		return s.(*Session)
+	}
+	s := db.NewSession()
+	sessions.Store(db, s)
+	t.Cleanup(func() {
+		sessions.Delete(db)
+		s.Close()
+	})
+	return s
+}
+
 func mustExec(t *testing.T, db *DB, sql string) *Result {
 	t.Helper()
-	r, err := db.Exec(sql)
+	r, err := sess(t, db).Exec(sql)
 	if err != nil {
 		t.Fatalf("Exec(%q): %v", sql, err)
 	}
@@ -435,7 +455,7 @@ func TestTransactionsCommit(t *testing.T) {
 	if rows[0][0].I != 21 {
 		t.Fatalf("got %v", rows)
 	}
-	if _, err := db.Exec("COMMIT"); err == nil {
+	if _, err := sess(t, db).Exec("COMMIT"); err == nil {
 		t.Error("COMMIT without BEGIN should fail")
 	}
 }
@@ -497,8 +517,10 @@ func TestWithoutTriggers(t *testing.T) {
 	n := 0
 	db.AddTrigger("groups", "t", []TriggerEvent{TrigInsert},
 		func(_ *Session, _ string, _ TriggerEvent, _, _ []sqltypes.Row) error { n++; return nil })
-	db.WithoutTriggers(func() error {
-		_, err := db.Exec("INSERT INTO groups VALUES ('x', 1)")
+	s := db.NewSession()
+	defer s.Close()
+	s.WithoutTriggers(func() error {
+		_, err := s.Exec("INSERT INTO groups VALUES ('x', 1)")
 		return err
 	})
 	if n != 0 {
@@ -554,7 +576,7 @@ func TestExplain(t *testing.T) {
 
 func TestExecScript(t *testing.T) {
 	db := Open("t", DialectDuckDB)
-	r, err := db.ExecScript(`
+	r, err := db.Exec(`
 		CREATE TABLE t (a INTEGER);
 		INSERT INTO t VALUES (1), (2);
 		SELECT SUM(a) FROM t;`)

@@ -11,8 +11,9 @@ import (
 // serial and parallel settings on a table large enough to actually fan
 // out.
 func TestPragmaWorkers(t *testing.T) {
-	db := Open("w", DialectDuckDB)
-	if _, err := db.Exec("CREATE TABLE nums (a INTEGER, b INTEGER)"); err != nil {
+	s := Open("w", DialectDuckDB).NewSession()
+	defer s.Close()
+	if _, err := s.Exec("CREATE TABLE nums (a INTEGER, b INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -23,35 +24,35 @@ func TestPragmaWorkers(t *testing.T) {
 		}
 		fmt.Fprintf(&sb, "(%d, %d)", i, i%53)
 	}
-	if _, err := db.Exec(sb.String()); err != nil {
+	if _, err := s.Exec(sb.String()); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, bad := range []string{"PRAGMA workers = -2", "PRAGMA workers = 'many'"} {
-		if _, err := db.Exec(bad); err == nil {
+		if _, err := s.Exec(bad); err == nil {
 			t.Fatalf("%s was accepted", bad)
 		}
 	}
 	// 0 is legal: reset to the per-CPU executor default.
-	if _, err := db.Exec("PRAGMA workers = 0"); err != nil {
+	if _, err := s.Exec("PRAGMA workers = 0"); err != nil {
 		t.Fatalf("PRAGMA workers = 0 (reset) rejected: %v", err)
 	}
 
-	if _, err := db.Exec("PRAGMA workers = 1"); err != nil {
+	if _, err := s.Exec("PRAGMA workers = 1"); err != nil {
 		t.Fatal(err)
 	}
-	serial, err := db.Exec("SELECT a + b FROM nums WHERE b % 3 = 0")
+	serial, err := s.Exec("SELECT a + b FROM nums WHERE b % 3 = 0")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := db.Exec("PRAGMA workers = 4"); err != nil {
+	if _, err := s.Exec("PRAGMA workers = 4"); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Pragma("workers"); got != "4" {
+	if got := s.Pragma("workers"); got != "4" {
 		t.Fatalf("pragma round-trip = %q", got)
 	}
-	res, err := db.Exec("EXPLAIN SELECT a FROM nums WHERE b = 1")
+	res, err := s.Exec("EXPLAIN SELECT a FROM nums WHERE b = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestPragmaWorkers(t *testing.T) {
 		t.Fatalf("EXPLAIN does not show the workers hint:\n%s", strings.Join(lines, "\n"))
 	}
 
-	parallel, err := db.Exec("SELECT a + b FROM nums WHERE b % 3 = 0")
+	parallel, err := s.Exec("SELECT a + b FROM nums WHERE b % 3 = 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestPragmaWorkers(t *testing.T) {
 
 	// Aggregation goes through the thread-local + combine path.
 	agg := func() []string {
-		res, err := db.Exec("SELECT b, SUM(a), COUNT(*) FROM nums GROUP BY b")
+		res, err := s.Exec("SELECT b, SUM(a), COUNT(*) FROM nums GROUP BY b")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestPragmaWorkers(t *testing.T) {
 		return out
 	}
 	par := agg()
-	if _, err := db.Exec("PRAGMA workers = 1"); err != nil {
+	if _, err := s.Exec("PRAGMA workers = 1"); err != nil {
 		t.Fatal(err)
 	}
 	ser := agg()

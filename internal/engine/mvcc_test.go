@@ -118,7 +118,7 @@ func TestMVCCWriteWriteConflict(t *testing.T) {
 	if !IsSerializationError(err) {
 		t.Fatalf("conflict error %v is not a serialization error", err)
 	}
-	if got := queryInts(t, db.def, "SELECT bal FROM acct"); len(got) != 1 || got[0] != 150 {
+	if got := queryInts(t, s1, "SELECT bal FROM acct"); len(got) != 1 || got[0] != 150 {
 		t.Fatalf("balance = %v, want [150] (loser's write leaked)", got)
 	}
 
@@ -126,7 +126,7 @@ func TestMVCCWriteWriteConflict(t *testing.T) {
 	if _, err := s2.Exec("UPDATE acct SET bal = 50 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := queryInts(t, db.def, "SELECT bal FROM acct"); got[0] != 50 {
+	if got := queryInts(t, s1, "SELECT bal FROM acct"); got[0] != 50 {
 		t.Fatalf("retry did not land: %v", got)
 	}
 }
@@ -164,7 +164,7 @@ func TestMVCCConflictAfterSnapshot(t *testing.T) {
 	if !IsSerializationError(err) {
 		t.Fatalf("stale-snapshot update: err = %v, want serialization", err)
 	}
-	if got := queryInts(t, db.def, "SELECT bal FROM acct"); got[0] != 110 {
+	if got := queryInts(t, s1, "SELECT bal FROM acct"); got[0] != 110 {
 		t.Fatalf("balance = %v, want [110]", got)
 	}
 }
@@ -221,13 +221,13 @@ func TestMVCCMonotonicVisibility(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	w.Close()
+	defer w.Close()
 	select {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
 	}
-	if got := queryInts(t, db.def, "SELECT n FROM c"); got[0] != bumps {
+	if got := queryInts(t, w, "SELECT n FROM c"); got[0] != bumps {
 		t.Fatalf("final counter = %v, want [%d]", got, bumps)
 	}
 }
@@ -256,7 +256,7 @@ func TestMVCCInsertPKConflict(t *testing.T) {
 	if stmtErr == nil && commitErr == nil {
 		t.Fatal("duplicate-PK insert pair both committed")
 	}
-	got := queryInts(t, db.def, "SELECT v FROM u WHERE id = 7")
+	got := queryInts(t, s1, "SELECT v FROM u WHERE id = 7")
 	if len(got) != 1 || got[0] != 1 {
 		t.Fatalf("row = %v, want first committer's [1]", got)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"container/list"
+	"strconv"
 	"sync"
 
 	"openivm/internal/expr"
@@ -10,16 +11,21 @@ import (
 	"openivm/internal/sqlparser"
 )
 
-// The engine caches bound+optimized SELECT plans in two places that share
-// one entry type, one validity rule and one probe/publish pair:
+// The plan cache is one LRU of statements shared by every session, filed
+// under each statement's key: its text with the literals lifted out
+// (sqlparser.Lift), so that statements of one shape share an entry whatever
+// their values. An entry holds the statement's parse, the plan of its own
+// SELECT body and the parameter binding that plan reads. Text and prepared
+// handles come in through it alike.
 //
-//   - the shared LRU (DB.plans), keyed by SQL text and execution knobs,
-//     serves every session and therefore only admits planShareable plans;
-//   - a Prepared handle holds the plans of its own SELECT bodies, keyed by
-//     AST identity, admits on planCacheable, and is freed with the handle.
-//
-// A cached plan is valid exactly while the planStamp it was built under
-// equals the executing session's current stamp.
+// An entry serves one execution at a time: the LRU lends it out (take) and
+// gets it back when the execution ends (give), so the binding can live in
+// the entry and a plan with parameters in it is reused by every session
+// without two of them ever sharing it at once. A session whose key is lent
+// out meanwhile builds a copy of its own, which the cache does not keep. A
+// plan is valid while the planStamp it was built under equals the
+// executing session's; the schema epoch moving also empties the LRU,
+// releasing every dead plan.
 
 // planStamp is everything outside the statement that shapes its plan: the
 // schema epoch (DDL, trigger and pragma writes move it) and the session's
@@ -31,100 +37,129 @@ type planStamp struct {
 }
 
 // stamp returns the stamp a plan built by this session right now carries.
+// The knobs are read again only when the epoch moved since the last call
+// (DB.SetPragma moves it) or the session set one of its own.
 func (s *Session) stamp() planStamp {
-	return planStamp{epoch: s.db.epoch(), batchSize: s.batchSize(), workers: s.workers()}
+	if e := s.db.epoch(); e != s.at.epoch || !s.atValid {
+		s.at = planStamp{epoch: e, batchSize: s.batchSize(), workers: s.workers()}
+		s.atValid = true
+	}
+	return s.at
 }
 
-// planEntry is one cached plan: the parsed SELECT (the statement-hook
-// pass runs over it on every execution, hit or not), its plan, and the
-// stamp the plan was built under.
+// appendKey appends the LRU address of statement key k for a session at
+// this stamp to dst: k, followed by the knobs when either is set, so
+// sessions with different batch_size/workers keep one entry each instead of
+// replanning over each other's.
+func (at planStamp) appendKey(dst, k []byte) []byte {
+	dst = append(dst, k...)
+	if at.batchSize == 0 && at.workers == 0 {
+		return dst
+	}
+	dst = strconv.AppendInt(append(dst, 0), int64(at.batchSize), 10)
+	return strconv.AppendInt(append(dst, ','), int64(at.workers), 10)
+}
+
+// planEntry is one statement on its way through the engine, and what the
+// cache keeps of it.
 type planEntry struct {
-	sel   *sqlparser.SelectStmt
+	key  string // the LRU address (planStamp.appendKey); "" for a statement the cache does not hold
+	stmt sqlparser.Statement
+	// body is the statement's own SELECT — the statement itself, or the
+	// source of an INSERT — and node its plan, nil until planned or when
+	// the plan may not be executed twice (planCacheable); stamp is what
+	// node was built under.
+	body  *sqlparser.SelectStmt
 	node  plan.Node
 	stamp planStamp
+	// params is the binding the statement's parameters read: the literals
+	// lifted out of this execution's text, or the user's $N values.
+	params expr.ParamBinding
+	lent   bool // out to an execution (guarded by the LRU's mutex)
 }
 
-// planKey addresses the shared LRU. The knobs are part of the key, not
-// only of the stamp, so sessions with different batch_size/workers keep
-// one entry each instead of evicting each other's.
-type planKey struct {
-	sql       string
-	batchSize int
-	workers   int
+// newEntry wraps a parsed statement, to be filed under key unless key is
+// empty.
+func newEntry(key []byte, stmt sqlparser.Statement) *planEntry {
+	ent := &planEntry{key: string(key), stmt: stmt}
+	switch x := stmt.(type) {
+	case *sqlparser.SelectStmt:
+		ent.body = x
+	case *sqlparser.InsertStmt:
+		ent.body = x.Select
+	}
+	return ent
 }
 
-// key is the shared-LRU address of sql for a session at this stamp.
-func (at planStamp) key(sql string) planKey {
-	return planKey{sql: sql, batchSize: at.batchSize, workers: at.workers}
-}
-
-// planCacheSize bounds the shared LRU: the working set of a wire server's
-// repeated ad-hoc queries stays hot while a stream of one-off statements
-// cannot grow the cache without limit.
+// planCacheSize bounds the LRU: the working set of a server's statement
+// shapes stays hot while a stream of one-off statements cannot grow the
+// cache without limit.
 const planCacheSize = 512
 
-// planLRU is the shared text-keyed plan cache: a bounded LRU, cleared
-// wholesale when the schema epoch moves so dead plan trees are released
-// rather than retained until eviction.
+// planLRU is the statement cache: a bounded LRU of entries, each lent to
+// one execution at a time, cleared wholesale when the schema epoch moves.
 type planLRU struct {
 	mu     sync.Mutex
 	max    int
-	m      map[planKey]*list.Element // key -> element whose Value is *lruItem
-	lru    *list.List                // front = most recently used
+	m      map[string]*list.Element // key -> element whose Value is the *planEntry
+	lru    *list.List               // front = most recently used
 	hits   int64
 	misses int64
 }
 
-type lruItem struct {
-	key planKey
-	ent *planEntry
-}
-
 func newPlanLRU(max int) *planLRU {
-	return &planLRU{max: max, m: make(map[planKey]*list.Element), lru: list.New()}
+	return &planLRU{max: max, m: make(map[string]*list.Element), lru: list.New()}
 }
 
-// get returns the entry under key when its stamp equals at. An entry
-// built under another stamp is evicted on sight.
-func (c *planLRU) get(key planKey, at planStamp) *planEntry {
+// take lends out the entry filed under key as the most recently used one:
+// nil when there is none, or when it is out already.
+func (c *planLRU) take(key []byte) *planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
+	el, ok := c.m[string(key)]
+	if !ok || el.Value.(*planEntry).lent {
 		c.misses++
 		return nil
 	}
-	item := el.Value.(*lruItem)
-	if item.ent.stamp != at {
-		c.lru.Remove(el)
-		delete(c.m, key)
-		c.misses++
-		return nil
-	}
-	c.lru.MoveToFront(el)
 	c.hits++
-	return item.ent
+	ent := el.Value.(*planEntry)
+	ent.lent = true
+	c.lru.MoveToFront(el)
+	return ent
 }
 
-// put inserts (or replaces) an entry, evicting the least recently used
-// one beyond capacity.
-func (c *planLRU) put(key planKey, ent *planEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		el.Value.(*lruItem).ent = ent
-		c.lru.MoveToFront(el)
+// give ends an execution of ent: a lent entry is back, a new one is filed
+// as the most recently used, evicting the least recently used beyond
+// capacity — unless another entry holds its key (the one that was lent out
+// while this copy was built).
+func (c *planLRU) give(ent *planEntry) {
+	if ent.key == "" {
 		return
 	}
-	c.m[key] = c.lru.PushFront(&lruItem{key: key, ent: ent})
+	ent.params = expr.ParamBinding{} // the execution's values are not the cache's to keep
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ent.lent = false
+	if _, ok := c.m[ent.key]; ok {
+		return
+	}
+	c.m[ent.key] = c.lru.PushFront(ent)
 	for c.lru.Len() > c.max {
 		back := c.lru.Back()
 		c.lru.Remove(back)
-		delete(c.m, back.Value.(*lruItem).key)
+		delete(c.m, back.Value.(*planEntry).key)
 	}
 }
 
-// clear drops every entry (schema epoch moved: none could ever hit again).
+// holds reports whether an entry is filed under key, moving nothing.
+func (c *planLRU) holds(key []byte) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.m[string(key)]
+	return ok
+}
+
+// clear drops every entry (schema epoch moved: no plan in it is valid).
 func (c *planLRU) clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -132,15 +167,16 @@ func (c *planLRU) clear() {
 	c.lru.Init()
 }
 
-// StmtCacheStats reports the shared plan cache's counters (tests,
-// monitoring, the wire server's stats op).
+// StmtCacheStats reports the statement cache's counters (tests,
+// monitoring, the wire server's stats op). Every SELECT, INSERT, UPDATE and
+// DELETE probes the cache once per execution.
 type StmtCacheStats struct {
 	Entries int
 	Hits    int64
 	Misses  int64
 }
 
-// StmtCacheStats returns a snapshot of the shared plan cache.
+// StmtCacheStats returns a snapshot of the statement cache.
 func (db *DB) StmtCacheStats() StmtCacheStats {
 	c := db.plans
 	c.mu.Lock()
@@ -148,140 +184,154 @@ func (db *DB) StmtCacheStats() StmtCacheStats {
 	return StmtCacheStats{Entries: c.lru.Len(), Hits: c.hits, Misses: c.misses}
 }
 
-// Prepared is a script parsed once (PrepareScript) together with the plans
-// of its own SELECT bodies — top-level SELECTs and the sources of
-// INSERT ... SELECT. The handle owns those plans: nothing in the engine
-// refers to them, so dropping the last reference to the handle (a closed
-// connection, a dropped materialized view) frees them.
-//
-// A cached plan carries per-node evaluation scratch, so a handle must be
-// executed by one goroutine at a time — the contract a Session has too.
-// The wire server keeps handles per connection; the IVM extension runs a
-// view's scripts only under that view's refresh lock.
+// Prepared is a script lexed and parsed once (PrepareScript), executed by
+// Session.ExecStmts and ExecPreparedStream. Its statements go through the
+// plan cache like text, under the keys they have as text; the handle keeps
+// their parses for when the cache has none. Text executes through a
+// handle of its own whose statements are parsed only on a cache miss. A
+// handle holds no execution state: sessions may execute one concurrently.
 type Prepared struct {
-	stmts []sqlparser.Statement
-	// plans has one slot per SELECT body, nil until first planned.
-	plans map[*sqlparser.SelectStmt]*planEntry
+	lifted []sqlparser.Lifted
+	stmts  []sqlparser.Statement // the parses, nil until PrepareScript parses them
 }
 
-// CachedPlans returns how many of the handle's SELECT bodies currently
-// hold a plan (tests and monitoring).
-func (p *Prepared) CachedPlans() int {
-	n := 0
-	for _, ent := range p.plans {
-		if ent != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// parseScript parses a script into its statements, consulting the
-// fallback parsers statement by statement when the main parser rejects
-// the script as a whole.
-func (db *DB) parseScript(sql string) ([]sqlparser.Statement, error) {
-	stmts, err := sqlparser.ParseScript(sql)
+// split lexes a script into its statements, lifting literals (none when
+// the DB runs verbatim). A script the lexer rejects is one statement for
+// the fallback parsers, and the cache does not hold it.
+func (db *DB) split(sql string) (*Prepared, error) {
+	lifted, err := sqlparser.Lift(sql, !db.verbatim)
 	if err == nil {
-		return stmts, nil
+		return &Prepared{lifted: lifted}, nil
 	}
-	stmts = nil
-	for _, piece := range SplitStatements(sql) {
-		st, perr := db.Parse(piece)
-		if perr != nil {
-			return nil, perr
-		}
-		stmts = append(stmts, st)
-	}
-	return stmts, nil
-}
-
-// PrepareScript parses a script once and returns the handle that executes
-// it (Session.ExecStmts, Session.ExecPreparedStream). Hot paths — IVM
-// propagation re-runs the same generated script on every refresh, a wire
-// client its prepared statements — skip the parse on every execution and,
-// from the second one on, binding and optimization of the SELECT bodies.
-func (db *DB) PrepareScript(sql string) (*Prepared, error) {
-	stmts, err := db.parseScript(sql)
+	stmt, err := db.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{stmts: stmts, plans: map[*sqlparser.SelectStmt]*planEntry{}}
-	for _, st := range stmts {
-		switch x := st.(type) {
-		case *sqlparser.SelectStmt:
-			p.plans[x] = nil
-		case *sqlparser.InsertStmt:
-			if x.Select != nil {
-				p.plans[x.Select] = nil
-			}
+	return &Prepared{lifted: make([]sqlparser.Lifted, 1), stmts: []sqlparser.Statement{stmt}}, nil
+}
+
+// parse parses statement i of the handle, keeping the parse. A lifted
+// statement the parser rejects goes to the fallback parsers as text, and
+// the cache does not hold what they return: its key is dropped.
+func (db *DB) parse(p *Prepared, i int) (sqlparser.Statement, error) {
+	if p.stmts == nil {
+		p.stmts = make([]sqlparser.Statement, len(p.lifted))
+	}
+	if p.stmts[i] != nil {
+		return p.stmts[i], nil
+	}
+	l := &p.lifted[i]
+	if l.Key != nil {
+		if stmt, err := l.Parse(); err == nil {
+			p.stmts[i] = stmt
+			return stmt, nil
+		}
+		l.Key = nil
+	}
+	stmt, err := db.Parse(l.Text())
+	p.stmts[i] = stmt
+	return stmt, err
+}
+
+// PrepareScript lexes and parses a script once and returns the handle
+// that executes it (Session.ExecStmts, Session.ExecPreparedStream): parse
+// errors surface here, and an execution never parses. Whether an
+// execution also skips binding is the plan cache's to say, as for text.
+func (db *DB) PrepareScript(sql string) (*Prepared, error) {
+	p, err := db.split(sql)
+	if err != nil {
+		return nil, err
+	}
+	for i := range p.lifted {
+		if _, err := db.parse(p, i); err != nil {
+			return nil, err
 		}
 	}
 	return p, nil
 }
 
 // PrepareScript delegates to the DB: a handle is not tied to the session
-// that prepared it, only to one executing goroutine at a time.
+// that prepared it.
 func (s *Session) PrepareScript(sql string) (*Prepared, error) {
 	return s.db.PrepareScript(sql)
 }
 
-// lookupPlan is the one cache probe. A non-empty sql addresses the shared
-// LRU (only ever asked for SELECT-shaped text, see selectShaped);
-// otherwise sel is looked up among the bodies of the prepared handle the
-// session is executing. Either way an entry is returned only while its
-// stamp equals at.
-func (s *Session) lookupPlan(at planStamp, sql string, sel *sqlparser.SelectStmt) *planEntry {
-	if sql != "" {
-		return s.db.plans.get(at.key(sql), at)
-	}
-	if s.executing != nil {
-		if ent := s.executing.plans[sel]; ent != nil && ent.stamp == at {
-			return ent
+// parseUncached parses statement i of p unless the cache holds its key: a
+// statement the cache holds is known to parse.
+func (s *Session) parseUncached(p *Prepared, i int) error {
+	if l := &p.lifted[i]; l.Key != nil && (p.stmts == nil || p.stmts[i] == nil) {
+		s.keyBuf = s.stamp().appendKey(s.keyBuf[:0], l.Key)
+		if s.db.plans.holds(s.keyBuf) {
+			return nil
 		}
 	}
-	return nil
+	_, err := s.db.parse(p, i)
+	return err
 }
 
-// publishPlan is the one publish: a plan built under stamp at enters the
-// executing prepared handle when sel is one of its bodies, else the
-// shared LRU under sql when the statement came in as SELECT-shaped text.
-// A plan whose schema moved while it was being built is dropped.
-func (s *Session) publishPlan(at planStamp, sql string, sel *sqlparser.SelectStmt, n plan.Node) {
-	if s.db.epoch() != at.epoch {
-		return
+// checkout returns the entry statement i of p executes as: the cache's,
+// when it holds the statement's key, else one built from the statement's
+// parse. Either way it carries this execution's binding — the literals
+// lifted out of the text, or the session's $N values — until it is given
+// back.
+func (s *Session) checkout(p *Prepared, i int) (*planEntry, error) {
+	l := &p.lifted[i]
+	var ent *planEntry
+	var key []byte
+	if l.Key != nil {
+		s.keyBuf = s.stamp().appendKey(s.keyBuf[:0], l.Key)
+		key = s.keyBuf
+		ent = s.db.plans.take(key)
 	}
-	if p := s.executing; p != nil {
-		if _, own := p.plans[sel]; own {
-			if planCacheable(n) {
-				p.plans[sel] = &planEntry{sel: sel, node: n, stamp: at}
-			}
-			return
+	if ent == nil {
+		stmt, err := s.db.parse(p, i)
+		if err != nil {
+			return nil, err
 		}
+		if l.Key == nil { // a fallback parser's statement
+			key = nil
+		}
+		ent = newEntry(key, stmt)
 	}
-	if sql != "" && planShareable(n) {
-		s.db.plans.put(at.key(sql), &planEntry{sel: sel, node: n, stamp: at})
+	if l.Params != nil || l.Rows != nil {
+		ent.params = expr.ParamBinding{Vals: l.Params, Rows: l.Rows}
+	} else {
+		ent.params = expr.ParamBinding{Vals: s.params.Vals}
 	}
+	return ent, nil
 }
 
-// PlanSelect binds and optimizes a SELECT, returning the logical plan.
-// Exposed for the IVM compiler, which rewrites view plans. When PRAGMA
-// batch_size or PRAGMA workers is set (session overlay or global), the
-// root is wrapped in a plan.Hint so the executor runs the whole tree with
-// the requested knobs. While the session executes a prepared handle, the
-// handle's own SELECT bodies are served from (and planned into) it.
+// PlanSelect binds and optimizes a SELECT against the session's own $N
+// binding, returning the logical plan. Exposed for the IVM compiler, which
+// rewrites view plans. When PRAGMA batch_size or PRAGMA workers is set
+// (session overlay or global), the root is wrapped in a plan.Hint so the
+// executor runs the whole tree with the requested knobs.
 func (s *Session) PlanSelect(sel *sqlparser.SelectStmt) (plan.Node, error) {
-	return s.planSelect("", sel)
+	return s.bindSelect(sel, &s.params, s.stamp())
 }
 
-// planSelect is PlanSelect for a statement that may also be published in
-// the shared LRU: sql is its text when it arrived as a single
-// SELECT-shaped statement, "" otherwise.
-func (s *Session) planSelect(sql string, sel *sqlparser.SelectStmt) (plan.Node, error) {
+// planSelect is PlanSelect for a SELECT of the statement ent: its own body
+// is served from, and planned into, the entry.
+func (s *Session) planSelect(ent *planEntry, sel *sqlparser.SelectStmt) (plan.Node, error) {
 	at := s.stamp()
-	if ent := s.lookupPlan(at, "", sel); ent != nil {
+	if sel == ent.body && ent.node != nil && ent.stamp == at {
 		return ent.node, nil
 	}
-	n, err := s.newBinder().BindSelect(sel)
+	n, err := s.bindSelect(sel, &ent.params, at)
+	if err != nil {
+		return nil, err
+	}
+	// A plan whose schema moved while it was being built is not kept.
+	if sel == ent.body && planCacheable(n) && s.db.epoch() == at.epoch {
+		ent.node, ent.stamp = n, at
+	}
+	return n, nil
+}
+
+// bindSelect binds and optimizes sel under stamp at, its parameters read
+// from params.
+func (s *Session) bindSelect(sel *sqlparser.SelectStmt, params *expr.ParamBinding, at planStamp) (plan.Node, error) {
+	n, err := s.newBinder(params).BindSelect(sel)
 	if err != nil {
 		return nil, err
 	}
@@ -289,66 +339,43 @@ func (s *Session) planSelect(sql string, sel *sqlparser.SelectStmt) (plan.Node, 
 	if at.batchSize > 0 || at.workers > 0 {
 		n = &plan.Hint{Input: n, BatchSize: at.batchSize, Workers: at.workers}
 	}
-	s.publishPlan(at, sql, sel, n)
 	return n, nil
 }
 
-// planCacheable reports whether a bound plan may be re-executed verbatim
-// (sequentially) on later executions: every expression in every node must
-// be expr.Reusable — a plan holding a lazily cached scalar/IN subquery
-// result would replay the first execution's rows. planShareable layers the
-// concurrent-execution requirement on top for the shared LRU.
+// planCacheable reports whether a bound plan may be executed again: every
+// expression in every node must be expr.ParallelSafe — a plan holding a
+// lazily cached scalar/IN subquery result would replay the first
+// execution's rows. Unknown node kinds refuse, keeping the default
+// conservative if new plan nodes appear.
 func planCacheable(n plan.Node) bool {
-	return planExprsOK(n, expr.Reusable)
-}
-
-// planShareable reports whether a bound plan may be re-executed verbatim
-// by MULTIPLE sessions, possibly concurrently. It is strictly stronger
-// than planCacheable: besides refusing lazily cached subquery results
-// (expr.Reusable), every expression must be expr.ParallelSafe, because
-// two sessions executing the shared plan at once evaluate the same
-// expression trees from two goroutines (per-node scratch like
-// ScalarFunc's argument buffer would race). Unknown node kinds refuse.
-func planShareable(n plan.Node) bool {
-	return planExprsOK(n, func(e expr.Expr) bool {
-		return expr.Reusable(e) && expr.ParallelSafe(e)
-	})
-}
-
-// planExprsOK walks a plan and applies one predicate to every expression
-// in every known node kind — the single walker behind planCacheable and
-// planShareable, so the two cache gates can never drift apart on node
-// coverage. Unknown node kinds refuse, keeping the default conservative
-// if new plan nodes appear.
-func planExprsOK(n plan.Node, pred func(expr.Expr) bool) bool {
 	ok := true
 	plan.Walk(n, func(nd plan.Node) bool {
 		switch x := nd.(type) {
 		case *plan.Scan:
-			ok = ok && pred(x.Filter)
+			ok = ok && expr.ParallelSafe(x.Filter)
 		case *plan.Filter:
-			ok = ok && pred(x.Pred)
+			ok = ok && expr.ParallelSafe(x.Pred)
 		case *plan.Project:
 			for _, e := range x.Exprs {
-				ok = ok && pred(e)
+				ok = ok && expr.ParallelSafe(e)
 			}
 		case *plan.Aggregate:
 			for _, g := range x.GroupBy {
-				ok = ok && pred(g)
+				ok = ok && expr.ParallelSafe(g)
 			}
 			for _, a := range x.Aggs {
-				ok = ok && pred(a.Arg)
+				ok = ok && expr.ParallelSafe(a.Arg)
 			}
 		case *plan.Join:
-			ok = ok && pred(x.On)
+			ok = ok && expr.ParallelSafe(x.On)
 		case *plan.Sort:
 			for _, k := range x.Keys {
-				ok = ok && pred(k.Expr)
+				ok = ok && expr.ParallelSafe(k.Expr)
 			}
 		case *plan.Values:
 			for _, row := range x.Rows {
 				for _, e := range row {
-					ok = ok && pred(e)
+					ok = ok && expr.ParallelSafe(e)
 				}
 			}
 		case *plan.Distinct, *plan.Limit, *plan.SetOp, *plan.Hint:
@@ -358,40 +385,4 @@ func planExprsOK(n plan.Node, pred func(expr.Expr) bool) bool {
 		return ok
 	})
 	return ok
-}
-
-// selectShaped reports whether the text's first keyword is SELECT or
-// WITH (allocation-free; case-insensitive). Only such text is probed in
-// and published to the shared LRU: probing DML would take the pragma
-// locks and inflate the miss counter on every INSERT of a write-heavy
-// workload for a cache it can never hit.
-func selectShaped(sql string) bool {
-	i := 0
-	for i < len(sql) && (sql[i] == ' ' || sql[i] == '\t' || sql[i] == '\n' || sql[i] == '\r') {
-		i++
-	}
-	rest := sql[i:]
-	return keywordPrefix(rest, "SELECT") || keywordPrefix(rest, "WITH")
-}
-
-// keywordPrefix reports whether s begins with the (upper-case) keyword
-// followed by a non-identifier byte or end of string.
-func keywordPrefix(s, kw string) bool {
-	if len(s) < len(kw) {
-		return false
-	}
-	for i := 0; i < len(kw); i++ {
-		c := s[i]
-		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		if c != kw[i] {
-			return false
-		}
-	}
-	if len(s) == len(kw) {
-		return true
-	}
-	c := s[len(kw)]
-	return !(c == '_' || (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))
 }

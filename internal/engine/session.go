@@ -44,12 +44,7 @@ type Session struct {
 	cancel context.CancelFunc
 
 	// txn is the session's open transaction (nil outside BEGIN..COMMIT).
-	// Deliberately unsynchronized: a session is single-goroutine. The one
-	// sanctioned multi-goroutine sharing — legacy callers racing db.Exec
-	// on the default session — is supported for NON-transactional
-	// statements only (the historical contract: reads and autocommit DML
-	// against the thread-safe catalog); goroutines that need BEGIN/COMMIT
-	// must take their own NewSession.
+	// Deliberately unsynchronized: a session is single-goroutine.
 	txn *txnState
 
 	// activeWrite is the autocommit write transaction of the statement
@@ -58,9 +53,7 @@ type Session struct {
 	// open MVCC transaction. Same synchronization contract as txn.
 	activeWrite *mvcc.Txn
 
-	// trigOff counts nested WithoutTriggers scopes. An atomic because the
-	// legacy default session is shared by concurrent callers of db.Exec
-	// (see the txn comment for the limits of that sharing).
+	// trigOff counts nested WithoutTriggers scopes.
 	trigOff atomic.Int32
 
 	// token identifies this session in the DB's session registry, so an
@@ -75,12 +68,17 @@ type Session struct {
 	stmtMu     sync.Mutex
 	stmtCancel context.CancelFunc
 
-	// params is the session's $N parameter binding: plans bound by this
-	// session resolve Param nodes against it, and BindParams swaps the
-	// values in before each prepared execution. Session-private mutable
-	// state, which is why parameterized plans are never admitted to the
-	// cross-session shared plan cache (see expr.ParallelSafe).
+	// params holds the session's $N values (BindParams): a statement that
+	// names $N parameters executes with them, and PlanSelect binds against
+	// them.
 	params expr.ParamBinding
+
+	// keyBuf is scratch for the plan-cache address of the statement being
+	// checked out (planStamp.appendKey); at is the session's stamp as of
+	// its last statement, valid while atValid (see stamp).
+	keyBuf  []byte
+	at      planStamp
+	atValid bool
 
 	// walBypass excludes this session's writes and DDL from the
 	// write-ahead log. The IVM extension sets it on its internal
@@ -88,11 +86,6 @@ type Session struct {
 	// derived state that recovery rebuilds from base tables, so logging
 	// it would double both the log volume and the replayed effects.
 	walBypass bool
-
-	// executing is the prepared handle the session is running right now
-	// (nil otherwise): PlanSelect serves the handle's own SELECT bodies
-	// from it. Set and cleared by open, on the driving goroutine.
-	executing *Prepared
 
 	// internal marks extension-internal sessions (IVM propagation and
 	// bookkeeping). Statement hooks consult it to skip interception —
@@ -192,8 +185,7 @@ func (s *Session) Interrupt() {
 
 // BindParams sets the session's $N parameter values for subsequent
 // executions. The wire server binds parameters per prepared execution;
-// values stay bound until the next call, mirroring how the binding is
-// read lazily at Eval time.
+// values stay bound until the next call.
 func (s *Session) BindParams(vals []sqltypes.Value) { s.params.Vals = vals }
 
 // Cancel interrupts the session's in-flight query (if any): scans and
@@ -239,16 +231,16 @@ func (s *Session) Pragma(name string) string {
 
 // SetPragma sets a pragma for this session. The engine-owned execution
 // knobs (batch_size, workers) stay session-local, so two connections can
-// run with different parallelism against one DB; every other pragma
-// (ivm_mode, ivm_strategy, ...) configures shared engine state — the IVM
-// extension is one extension instance per DB — and is therefore written
-// through to the global table. The default session always writes through:
-// its historical API (db.Exec("PRAGMA ...")) configures the engine.
+// run with different parallelism against one DB (DB.SetPragma sets their
+// global default); every other pragma (ivm_mode, ivm_strategy, ...)
+// configures shared engine state — the IVM extension is one extension
+// instance per DB — and is therefore written through to the global table.
 func (s *Session) SetPragma(name, value string) {
-	if s != s.db.def && sessionLocalPragma(name) {
+	if sessionLocalPragma(name) {
 		s.mu.Lock()
 		s.pragmas[strings.ToLower(name)] = value
 		s.mu.Unlock()
+		s.atValid = false
 		return
 	}
 	s.db.SetPragma(name, value)
@@ -298,7 +290,8 @@ func (s *Session) workers() int { return s.intPragma("workers") }
 // execOpts assembles the executor options for one statement: the
 // session's knobs plus the cancellation context.
 func (s *Session) execOpts(ctx context.Context) exec.Options {
-	return exec.Options{BatchSize: s.batchSize(), Workers: s.workers(), Ctx: ctx}
+	at := s.stamp()
+	return exec.Options{BatchSize: at.batchSize, Workers: at.workers, Ctx: ctx}
 }
 
 // execOptsTxn is execOpts with a transaction's read snapshot attached,

@@ -121,8 +121,8 @@ func done2(t *testing.T, s2 *Session) chan struct{} {
 }
 
 // TestSessionPragmaOverlay: batch_size/workers set on a session stay
-// session-local; the default session's writes stay engine-global (the
-// historical PRAGMA semantics every benchmark and test relies on).
+// session-local; DB.SetPragma sets the engine-global default every
+// session without an overlay sees.
 func TestSessionPragmaOverlay(t *testing.T) {
 	db := Open("s", DialectDuckDB)
 	s1, s2 := db.NewSession(), db.NewSession()
@@ -139,7 +139,7 @@ func TestSessionPragmaOverlay(t *testing.T) {
 		t.Fatalf("global table polluted: %q", got)
 	}
 	// Global default flows into sessions without an overlay.
-	mustExec(t, db, "PRAGMA workers = 2")
+	db.SetPragma("workers", "2")
 	if got := s2.Pragma("workers"); got != "2" {
 		t.Fatalf("s2 misses the global default: %q", got)
 	}
@@ -162,7 +162,7 @@ func TestSessionContextCancel(t *testing.T) {
 		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i))})
 	}
 	tbl, _ := db.Catalog().Table("t")
-	if _, err := db.def.InsertRows(tbl, rows); err != nil {
+	if _, err := db.NewSession().InsertRows(tbl, rows); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"openivm/internal/plan"
 	"openivm/internal/sqltypes"
 )
 
@@ -26,8 +27,8 @@ func TestStmtCacheHit(t *testing.T) {
 		t.Fatalf("first run: %d rows", len(res.Rows))
 	}
 	before := db.StmtCacheStats()
-	if before.Entries != 1 {
-		t.Fatalf("cache entries = %d, want 1", before.Entries)
+	if cachedPlan(t, db, q) == nil {
+		t.Fatal("no plan cached")
 	}
 	mustExec(t, db, "INSERT INTO t VALUES (3, 30)")
 	res, err = s.Query(q)
@@ -101,6 +102,7 @@ func TestStmtCacheKnobSeparation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = "SELECT k FROM t"
+	before := db.StmtCacheStats()
 	if _, err := s1.Query(q); err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +114,14 @@ func TestStmtCacheKnobSeparation(t *testing.T) {
 	if st.Hits != hitsBefore {
 		t.Fatal("sessions with different workers knobs shared one plan")
 	}
-	if st.Entries != 2 {
-		t.Fatalf("entries = %d, want 2 (one per knob setting)", st.Entries)
+	if st.Entries != before.Entries+2 {
+		t.Fatalf("entries %d -> %d, want one more per knob setting", before.Entries, st.Entries)
 	}
 }
 
-// TestStmtCacheRefusesUnshareablePlans: plans with lazily cached subquery
-// results or statement parameters must never be shared across sessions —
-// replayed stale rows or racing value bindings.
+// TestStmtCacheRefusesUnshareablePlans: a plan with a lazily cached
+// subquery result is never executed twice — it would replay stale rows —
+// while a plan with parameters is: each execution brings its own values.
 func TestStmtCacheRefusesUnshareablePlans(t *testing.T) {
 	db := Open("sc", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE a (k INTEGER)")
@@ -129,25 +131,33 @@ func TestStmtCacheRefusesUnshareablePlans(t *testing.T) {
 	s := db.NewSession()
 	defer s.Close()
 	s.BindParams([]sqltypes.Value{sqltypes.NewInt(0)})
-	for _, q := range []string{
-		"SELECT k FROM a WHERE k IN (SELECT k FROM b)", // lazy subquery cache
-		"SELECT k FROM a WHERE k > $1",                 // session-bound parameter
-	} {
+	const sub, param = "SELECT k FROM a WHERE k IN (SELECT k FROM b)", "SELECT k FROM a WHERE k > $1"
+	for _, q := range []string{sub, param} {
 		if _, err := s.Query(q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
-	if st := db.StmtCacheStats(); st.Entries != 0 {
-		t.Fatalf("unshareable plans entered the cache: %+v", st)
+	if n := cachedPlan(t, db, sub); n != nil {
+		t.Fatalf("subquery plan entered the cache:\n%s", plan.Explain(n))
+	}
+	if cachedPlan(t, db, param) == nil {
+		t.Fatal("parameterised plan left out of the cache")
 	}
 	// The subquery still re-evaluates per execution.
 	mustExec(t, db, "INSERT INTO b VALUES (2)")
-	res, err := s.Query("SELECT k FROM a WHERE k IN (SELECT k FROM b)")
+	res, err := s.Query(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("subquery replayed stale rows: %v", res.Rows)
+	}
+	// Another session's values reach the cached parameterised plan.
+	s2 := db.NewSession()
+	defer s2.Close()
+	s2.BindParams([]sqltypes.Value{sqltypes.NewInt(1)})
+	if res, err = s2.Query(param); err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 2 {
+		t.Fatalf("second session's $1 = 1: %v, %v", res, err)
 	}
 }
 
@@ -167,8 +177,8 @@ func TestStmtCacheAdmitsScalarFuncPlans(t *testing.T) {
 	if _, err := s1.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.StmtCacheStats(); st.Entries != 1 {
-		t.Fatalf("ScalarFunc plan refused from the cache: %+v", st)
+	if cachedPlan(t, db, q) == nil {
+		t.Fatalf("ScalarFunc plan refused from the cache: %+v", db.StmtCacheStats())
 	}
 	hitsBefore := db.StmtCacheStats().Hits
 	res, err := s2.Query(q)
@@ -184,35 +194,43 @@ func TestStmtCacheAdmitsScalarFuncPlans(t *testing.T) {
 }
 
 // TestStmtCacheLRUEviction exercises the LRU bound directly: beyond
-// capacity the least recently used entry leaves, recently used ones stay.
+// capacity the least recently used entry leaves, recently used ones stay;
+// a lent entry is lent to no one else until given back, and a copy built
+// meanwhile is not kept.
 func TestStmtCacheLRUEviction(t *testing.T) {
 	c := newPlanLRU(3)
-	at := planStamp{epoch: 1}
-	key := func(i int) planKey { return planKey{sql: fmt.Sprintf("q%d", i)} }
+	key := func(i int) []byte { return []byte(fmt.Sprintf("q%d", i)) }
 	for i := 0; i < 3; i++ {
-		c.put(key(i), &planEntry{stamp: at})
+		c.give(&planEntry{key: string(key(i))})
 	}
-	if c.get(key(0), at) == nil { // refresh q0
+	q0 := c.take(key(0)) // refresh q0
+	if q0 == nil {
 		t.Fatal("q0 missing")
 	}
-	c.put(key(3), &planEntry{stamp: at}) // evicts q1 (LRU)
-	if c.get(key(1), at) != nil {
+	if c.take(key(0)) != nil {
+		t.Fatal("a lent entry was lent twice")
+	}
+	c.give(q0)
+	c.give(&planEntry{key: string(key(3))}) // evicts q1 (LRU)
+	if c.take(key(1)) != nil {
 		t.Fatal("LRU entry q1 survived eviction")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if c.get(key(i), at) == nil {
+		ent := c.take(key(i))
+		if ent == nil {
 			t.Fatalf("q%d evicted wrongly", i)
 		}
+		c.give(ent)
 	}
 	if n := c.lru.Len(); n != 3 {
 		t.Fatalf("len = %d, want 3", n)
 	}
-	// A stamp mismatch evicts on sight.
-	if c.get(key(3), planStamp{epoch: 2}) != nil {
-		t.Fatal("stale-epoch entry served")
-	}
-	if n := c.lru.Len(); n != 2 {
-		t.Fatalf("stale entry retained: len = %d", n)
+	lent := c.take(key(2))
+	dup := &planEntry{key: string(key(2))}
+	c.give(dup)
+	c.give(lent)
+	if got := c.take(key(2)); got != lent {
+		t.Fatal("a copy built while the entry was lent out displaced it")
 	}
 }
 
@@ -223,7 +241,7 @@ func TestStmtCacheEngineLRUBound(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE t (k INTEGER)")
 	s := db.NewSession()
 	for i := 0; i < planCacheSize+50; i++ {
-		if _, err := s.Query(fmt.Sprintf("SELECT k FROM t WHERE k = %d", i)); err != nil {
+		if _, err := s.Query(fmt.Sprintf("SELECT k AS k%d FROM t", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,40 +250,48 @@ func TestStmtCacheEngineLRUBound(t *testing.T) {
 	}
 }
 
-// TestStmtCacheConcurrentSharedPlan: many sessions hammer one cached plan
-// concurrently — the planShareable gate plus per-execution operator state
-// must make this race-free (run under -race in CI).
+// TestStmtCacheConcurrentSharedPlan: many sessions hammer one statement
+// shape concurrently — the cache lends its entry to one execution at a
+// time, the others plan copies of their own, and every execution sees its
+// own values (run under -race in CI).
 func TestStmtCacheConcurrentSharedPlan(t *testing.T) {
 	db := Open("sc", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE t (k INTEGER, v INTEGER)")
 	for i := 0; i < 50; i++ {
 		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", i%5, i))
 	}
-	const q = "SELECT k, SUM(v) FROM t WHERE v >= 0 GROUP BY k"
-	if _, err := db.NewSession().Query(q); err != nil {
+	if _, err := db.NewSession().Query("SELECT k, SUM(v) FROM t WHERE v >= 0 GROUP BY k"); err != nil {
 		t.Fatal(err)
 	}
+	before := db.StmtCacheStats()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			s := db.NewSession()
+			defer s.Close()
 			for j := 0; j < 30; j++ {
-				res, err := s.Query(q)
+				// v >= 10*g keeps rows 10*g..49: 5 groups while g < 5.
+				res, err := s.Query(fmt.Sprintf("SELECT k, SUM(v) FROM t WHERE v >= %d GROUP BY k", 10*(g%5)))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if len(res.Rows) != 5 {
-					t.Errorf("rows = %d, want 5", len(res.Rows))
+				sum := int64(0)
+				for _, r := range res.Rows {
+					sum += r[1].I
+				}
+				if want := int64(49*50/2 - (10*(g%5)-1)*10*(g%5)/2); len(res.Rows) != 5 || sum != want {
+					t.Errorf("session %d: %d groups summing to %d, want 5 summing to %d", g, len(res.Rows), sum, want)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if st := db.StmtCacheStats(); st.Hits < 8*30-1 {
-		t.Fatalf("shared plan barely hit: %+v", st)
+	st := db.StmtCacheStats()
+	if st.Entries != before.Entries || st.Hits == before.Hits || st.Hits+st.Misses-before.Hits-before.Misses != 8*30 {
+		t.Fatalf("one shape, 240 executions: %+v after %+v", st, before)
 	}
 }

@@ -33,7 +33,8 @@ type Stream struct {
 	res     *Result            // materialized payload (nil when streaming)
 	served  bool
 	closed  bool
-	release func() // statement-snapshot unpin (nil when none)
+	release func()     // statement-snapshot unpin (nil when none)
+	ent     *planEntry // the cache entry the operator tree was planned from, given back at Close
 }
 
 // Next returns the next batch of rows, or nil at end of stream. The
@@ -65,8 +66,8 @@ func (st *Stream) RowsAffected() int {
 	return st.res.RowsAffected
 }
 
-// Close releases the stream's operator tree and unpins its read
-// snapshot from the MVCC GC watermark. Idempotent.
+// Close releases the stream's operator tree, unpins its read snapshot from
+// the MVCC GC watermark and gives its plan back to the cache. Idempotent.
 func (st *Stream) Close() {
 	if st.closed {
 		return
@@ -77,6 +78,9 @@ func (st *Stream) Close() {
 	}
 	if st.release != nil {
 		st.release()
+	}
+	if st.ent != nil {
+		st.s.db.plans.give(st.ent)
 	}
 }
 
@@ -139,7 +143,7 @@ func (s *Session) ExecStream(ctx context.Context, sql string) (*Stream, error) {
 }
 
 // ExecPreparedStream is ExecStream for a prepared handle (PrepareScript).
-// Parameters are whatever the session's binding currently holds
+// $N parameters are whatever the session's binding currently holds
 // (BindParams).
 func (s *Session) ExecPreparedStream(ctx context.Context, p *Prepared) (*Stream, error) {
 	return s.open(ctx, "", p)
@@ -173,47 +177,48 @@ func (s *Session) ExecStmts(p *Prepared) (*Result, error) {
 
 // --- the statement pipeline ---
 
-// open is the engine's single statement front door. Text goes through
-// cache probe → parse (fallback parsers included); a prepared handle
-// starts from its parsed statements. Every statement then takes the same
-// per-statement path (openStmt): hooks once, plan, publish, open. All
-// statements but the last are drained as they go; the last one's stream
-// is returned.
+// open is the engine's single statement front door. Text is lexed into
+// statements with their literals lifted out; a prepared handle was lexed
+// and parsed already. Every statement the cache does not hold is parsed
+// before the first one runs, so a script with a syntax error runs nothing.
+// Each statement is then checked out of the plan cache (or built from its
+// parse) and takes the same path (openStmt): hooks once, plan (or reuse
+// the entry's plan), open. All statements but the last are drained as they
+// go, giving their entries back, so a script that repeats a statement
+// finds it in the cache; the last one's stream is returned, and gives its
+// entry back when closed.
 func (s *Session) open(ctx context.Context, sql string, p *Prepared) (*Stream, error) {
 	if ctx == nil {
 		ctx = s.ctx
 	}
-	var stmts []sqlparser.Statement
-	if p != nil {
-		stmts = p.stmts
-		prev := s.executing
-		s.executing = p
-		defer func() { s.executing = prev }()
-	} else {
-		shaped := selectShaped(sql)
-		if shaped {
-			if ent := s.lookupPlan(s.stamp(), sql, nil); ent != nil {
-				return s.openStmt(ctx, ent.sel, sql, ent)
-			}
-		}
+	if p == nil {
 		var err error
-		if stmts, err = s.db.parseScript(sql); err != nil {
+		if p, err = s.db.split(sql); err != nil {
 			return nil, err
 		}
-		shareable := false
-		if shaped && len(stmts) == 1 {
-			_, shareable = stmts[0].(*sqlparser.SelectStmt)
-		}
-		if !shareable {
-			sql = "" // nothing the shared cache could hold
+	}
+	// The first statement's parse error surfaces at its checkout, before
+	// anything ran.
+	for i := 1; i < len(p.lifted); i++ {
+		if err := s.parseUncached(p, i); err != nil {
+			return nil, err
 		}
 	}
-	for i, stmt := range stmts {
-		st, err := s.openStmt(ctx, stmt, sql, nil)
+	for i := range p.lifted {
+		ent, err := s.checkout(p, i)
 		if err != nil {
 			return nil, err
 		}
-		if i == len(stmts)-1 {
+		st, err := s.openStmt(ctx, ent)
+		if err != nil || st.it == nil {
+			s.db.plans.give(ent)
+		} else {
+			st.ent = ent
+		}
+		if err != nil {
+			return nil, err
+		}
+		if i == len(p.lifted)-1 {
 			return st, nil
 		}
 		if err := st.finish(); err != nil {
@@ -223,13 +228,12 @@ func (s *Session) open(ctx context.Context, sql string, p *Prepared) (*Stream, e
 	return materializedStream(nil), nil
 }
 
-// openStmt runs one parsed statement: read-only degraded mode is
-// enforced, panics are isolated to the statement, the statement hooks see
-// it exactly once, and then a SELECT is planned (or served from hit, the
-// cache entry the caller already found for it) and its operator tree
-// opened, while any other statement executes to completion. sql is the
-// statement's text when its plan may be published in the shared cache.
-func (s *Session) openStmt(ctx context.Context, stmt sqlparser.Statement, sql string, hit *planEntry) (st *Stream, err error) {
+// openStmt runs one statement: read-only degraded mode is enforced,
+// panics are isolated to the statement, the statement hooks see it exactly
+// once, and then a SELECT is planned (or its entry's plan reused) and its
+// operator tree opened, while any other statement executes to completion.
+func (s *Session) openStmt(ctx context.Context, ent *planEntry) (st *Stream, err error) {
+	stmt := ent.stmt
 	if s.db.degr.flag.Load() && !s.walBypass && isWriteStmt(stmt) {
 		return nil, s.db.degradedErr()
 	}
@@ -250,16 +254,14 @@ func (s *Session) openStmt(ctx context.Context, stmt sqlparser.Statement, sql st
 
 	sel, isSel := stmt.(*sqlparser.SelectStmt)
 	if !isSel {
-		res, err := s.execStmt(ctx, stmt)
+		res, err := s.execStmt(ctx, ent)
 		if err != nil {
 			return nil, err
 		}
 		return materializedStream(res), nil
 	}
-	var n plan.Node
-	if hit != nil && hit.stamp == s.stamp() { // a hook may have moved the schema
-		n = hit.node
-	} else if n, err = s.planSelect(sql, sel); err != nil {
+	n, err := s.planSelect(ent, sel)
+	if err != nil {
 		return nil, err
 	}
 	return s.openStream(ctx, n)
@@ -287,8 +289,8 @@ func (s *Session) openStream(ctx context.Context, n plan.Node) (*Stream, error) 
 
 // execStmt dispatches a non-SELECT statement the hooks passed on. ctx
 // cancels any query execution the statement performs.
-func (s *Session) execStmt(ctx context.Context, stmt sqlparser.Statement) (*Result, error) {
-	switch st := stmt.(type) {
+func (s *Session) execStmt(ctx context.Context, ent *planEntry) (*Result, error) {
+	switch st := ent.stmt.(type) {
 	case *sqlparser.CreateTableStmt:
 		return s.execCreateTable(ctx, st)
 	case *sqlparser.CreateIndexStmt:
@@ -310,11 +312,11 @@ func (s *Session) execStmt(ctx context.Context, stmt sqlparser.Statement) (*Resu
 	case *sqlparser.DropStmt:
 		return s.execDrop(st)
 	case *sqlparser.InsertStmt:
-		return s.execInsert(ctx, st)
+		return s.execInsert(ctx, ent, st)
 	case *sqlparser.UpdateStmt:
-		return s.execUpdate(ctx, st)
+		return s.execUpdate(ctx, &ent.params, st)
 	case *sqlparser.DeleteStmt:
-		return s.execDelete(ctx, st)
+		return s.execDelete(ctx, &ent.params, st)
 	case *sqlparser.TruncateStmt:
 		return s.execTruncate(st)
 	case *sqlparser.BeginStmt:
@@ -329,11 +331,11 @@ func (s *Session) execStmt(ctx context.Context, stmt sqlparser.Statement) (*Resu
 		}
 		return &Result{}, nil
 	case *sqlparser.ExplainStmt:
-		return s.execExplain(st)
+		return s.execExplain(&ent.params, st)
 	case *sqlparser.CreateTriggerStmt:
 		return s.execCreateTrigger(st)
 	case *sqlparser.RefreshStmt:
 		return nil, fmt.Errorf("engine: REFRESH MATERIALIZED VIEW requires the IVM extension")
 	}
-	return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
+	return nil, fmt.Errorf("engine: unsupported statement %T", ent.stmt)
 }

@@ -146,9 +146,13 @@ func newBatchValues(v *plan.Values, opts Options) *batchValues {
 	return &batchValues{node: v, size: opts.BatchSize, slab: newValueSlab(len(v.Columns), opts.BatchSize)}
 }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements BatchIterator. A lifted list's rows are already
+// values: the batch references them.
 func (it *batchValues) NextBatch() (*Batch, error) {
 	it.out.reset()
+	for rows := it.node.LiftedRows(); it.pos < len(rows) && len(it.out.Rows) < it.size; it.pos++ {
+		it.out.Rows = append(it.out.Rows, rows[it.pos])
+	}
 	for it.pos < len(it.node.Rows) && len(it.out.Rows) < it.size {
 		exprs := it.node.Rows[it.pos]
 		it.pos++

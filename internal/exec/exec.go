@@ -241,8 +241,10 @@ func openBatch(n plan.Node, opts Options) (BatchIterator, error) {
 	// partitioned across worker goroutines when the snapshot is large
 	// enough (see parallel.go). On a partial match (say the projection is
 	// too rich but the filter is simple) the recursion below still fuses
-	// the inner sub-chain.
-	if scan, filters, proj, ok := plan.ScanPipeline(n); ok {
+	// the inner sub-chain. A keyed scan takes the classic chain: it reads a
+	// handful of rows through the key index, for which compiling kernels
+	// costs more than it saves.
+	if scan, filters, proj, ok := plan.ScanPipeline(n); ok && plan.PinnedKeys(scan.Table, scan.Filter) == nil {
 		if ps, parallel := newParallelScan(scan, filters, proj, opts); parallel {
 			return ps, nil
 		}

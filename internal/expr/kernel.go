@@ -64,6 +64,14 @@ func compileKernel(e Expr, resolve func(int) (int, sqltypes.Type, bool)) (Kernel
 			return nil, 0, false
 		}
 		return &litKernel{val: x.Val, out: &sqltypes.Vector{T: x.Val.T}}, x.Val.T, true
+	case *Param:
+		// Kernels are compiled per execution, with the binding in place: the
+		// parameter is the literal it stands for this time.
+		v, err := x.Eval(nil)
+		if err != nil {
+			return nil, 0, false
+		}
+		return compileKernel(&Literal{Val: v}, resolve)
 	case *Binary:
 		return compileBinary(x, resolve)
 	case *Unary:

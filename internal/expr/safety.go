@@ -1,48 +1,23 @@
 package expr
 
-// ParallelSafe reports whether e may be evaluated concurrently from
-// multiple goroutines. Almost every bound expression is read-only at Eval
-// time; the exceptions carry shared mutable state — InQuery's Fetch
-// closure populates a lazy result cache, and Param reads a per-session
-// value binding that the driver mutates between executions — so a tree
-// containing one must stay on a single goroutine. (ScalarFunc used to be
-// in this set for its argument scratch buffer; the buffer now moves
-// between evaluators by atomic swap, so COALESCE/ABS-shaped plans are
-// admitted to the shared statement cache and to parallel scans.) Unknown
-// node kinds refuse, keeping the default conservative if new Expr types
-// appear.
+// ParallelSafe reports whether e keeps no state between evaluations, so it
+// may be evaluated from several goroutines at once (a parallel scan's
+// workers) and again on a later execution of the same plan (the engine's
+// plan cache). Almost every bound expression qualifies; the exception is
+// InQuery, whose Fetch closure caches the subquery's rows lazily (the
+// engine's scalar subqueries, which arrive here as unknown node kinds, do
+// the same) — a tree containing one would replay the first execution's
+// rows and race its own cache. ScalarFunc's argument scratch moves between
+// evaluators by atomic swap, and a Param only reads its binding, which is
+// set before an execution and left alone until it ends. Unknown node kinds
+// refuse, keeping the default conservative if new Expr types appear.
 //
 // A nil expression (absent filter, COUNT(*) argument) is trivially safe.
 func ParallelSafe(e Expr) bool {
-	return exprSafe(e, false)
-}
-
-// Reusable reports whether e may be evaluated again on a later execution
-// of the same plan — the gate for the engine's prepared-statement plan
-// cache. It is weaker than ParallelSafe: statement parameters (Param) are
-// fine across sequential executions — re-binding values between runs is
-// exactly the prepared-statement contract — but expressions that cache
-// query RESULTS lazily (InQuery's subquery rows, the engine's scalar
-// subqueries, which arrive here as unknown node kinds) would replay stale
-// data and must force a re-plan.
-func Reusable(e Expr) bool {
-	return exprSafe(e, true)
-}
-
-func exprSafe(e Expr, allowScratch bool) bool {
 	safe := true
 	Walk(e, func(x Expr) {
 		switch x.(type) {
-		case *Column, *Literal, *Binary, *Unary, *IsNull, *In, *Between, *Case, *Cast:
-		case *ScalarFunc:
-			// The argument scratch is handed off by atomic swap (see
-			// ScalarFunc.Eval), so the node is safe both across executions and
-			// across goroutines; only the arguments can disqualify the tree.
-		case *Param:
-			// A parameter reads its session's mutable value binding: fine to
-			// re-execute sequentially after re-binding (the prepared-statement
-			// contract), never safe to share across sessions or goroutines.
-			safe = safe && allowScratch
+		case *Column, *Literal, *Param, *Binary, *Unary, *IsNull, *In, *Between, *Case, *Cast, *ScalarFunc:
 		default:
 			safe = false
 		}

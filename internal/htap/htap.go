@@ -25,7 +25,7 @@ type Pipeline struct {
 	OLAP *engine.DB
 	Ext  *ivmext.Extension
 
-	// sess replays deltas into the OLAP engine.
+	// sess replays deltas into the OLAP engine and runs its statements.
 	sess *engine.Session
 
 	// mirrored tracks base tables mirrored into the OLAP engine (by
@@ -92,7 +92,7 @@ func (p *Pipeline) Mirror(table string) error {
 	if keyed > 0 {
 		mirrorCols = append(append([]string{}, cols...), "PRIMARY KEY ("+strings.Join(pk[:keyed], ", ")+")")
 	}
-	if _, err := p.OLAP.Exec(fmt.Sprintf("CREATE TABLE IF NOT EXISTS %s (%s)", table, strings.Join(mirrorCols, ", "))); err != nil {
+	if _, err := p.sess.Exec(fmt.Sprintf("CREATE TABLE IF NOT EXISTS %s (%s)", table, strings.Join(mirrorCols, ", "))); err != nil {
 		return err
 	}
 
@@ -111,9 +111,7 @@ func (p *Pipeline) Mirror(table string) error {
 	}
 	// A catalog-level write: no trigger fires, so the base load reaches no
 	// delta table.
-	sess := p.OLAP.NewSession()
-	defer sess.Close()
-	n, err := sess.InsertRows(tbl, rows)
+	n, err := p.sess.InsertRows(tbl, rows)
 	p.Stats.RowsMirrored += n
 	if err != nil {
 		return err
@@ -149,7 +147,7 @@ func (p *Pipeline) CreateMaterializedView(sql string) error {
 			return err
 		}
 	}
-	_, err = p.OLAP.Exec(sql)
+	_, err = p.sess.Exec(sql)
 	return err
 }
 
@@ -227,7 +225,7 @@ func (p *Pipeline) Query(sql string) (*engine.Result, error) {
 	if err := p.Sync(); err != nil {
 		return nil, err
 	}
-	return p.OLAP.Exec(sql)
+	return p.sess.Exec(sql)
 }
 
 // RecomputeRemote runs the analytical query directly against the OLTP

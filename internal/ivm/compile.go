@@ -21,7 +21,9 @@ func (c *Compiler) Compile(viewName string, sel *sqlparser.SelectStmt, sourceSQL
 	// Validate and type the query with the engine's planner ("DuckDB
 	// inside OpenIVM"): binding errors surface here, and the plan's output
 	// schema supplies the view column types.
-	node, err := c.DB.PlanSelect(sel)
+	s := c.DB.NewSession()
+	node, err := s.PlanSelect(sel)
+	s.Close()
 	if err != nil {
 		return nil, fmt.Errorf("ivm: view %q: %w", viewName, err)
 	}

@@ -61,11 +61,11 @@ func TestDropSharedBaseKeepsSiblingCapture(t *testing.T) {
 }
 
 // TestDropFreesPreparedScripts is the plan-cache lifecycle test: a
-// view's prepared propagation scripts — and the plans they own — belong to
-// the view's registry entry, so churning through CREATE/DROP MATERIALIZED
-// VIEW cycles (more than the 4096 prepared statements the engine used to
-// be able to mark) leaves nothing behind, and a view created afterwards
-// still plans its propagation once and re-uses the plans on every refresh.
+// view's prepared propagation scripts belong to the view's registry entry,
+// so churning through thousands of CREATE/DROP MATERIALIZED VIEW cycles
+// leaves nothing behind, and a view created afterwards still plans its
+// propagation once and finds the plans in the statement cache on every
+// refresh after the first.
 func TestDropFreesPreparedScripts(t *testing.T) {
 	db, ext := setup(t)
 	const view = `CREATE MATERIALIZED VIEW churn AS SELECT group_index,
@@ -97,23 +97,14 @@ func TestDropFreesPreparedScripts(t *testing.T) {
 	if body == nil || len(churn.prepared) != 1 {
 		t.Fatalf("prepared scripts after one refresh: %v", churn.prepared)
 	}
-	planned := body.CachedPlans()
-	if planned == 0 {
-		t.Fatal("propagation planned nothing into its prepared handle")
-	}
 	cache := db.StmtCacheStats()
 	refresh()
 	refresh()
-	if got := body.CachedPlans(); got != planned {
-		t.Fatalf("handle holds %d plans after three refreshes, %d after one", got, planned)
-	}
 	if churn.prepared[churn.comp.Body] != body {
 		t.Fatal("refresh re-prepared its propagation script")
 	}
-	// Propagation runs on prepared handles only: the shared text cache is
-	// neither probed nor filled by it.
-	if after := db.StmtCacheStats(); after != cache {
-		t.Fatalf("refresh went through the shared plan cache: %+v -> %+v", cache, after)
+	if after := db.StmtCacheStats(); after.Misses != cache.Misses || after.Hits == cache.Hits {
+		t.Fatalf("refreshes after the first missed the statement cache: %+v -> %+v", cache, after)
 	}
 	viewEquals(t, db, "group_index, total_value", "churn",
 		"SELECT group_index, SUM(group_value) FROM groups GROUP BY group_index")

@@ -21,8 +21,9 @@ type Binder struct {
 	// SubqueryRowsFn turns an uncorrelated subquery into a lazy, cached
 	// fetch of its rows, used for IN (SELECT ...). nil disables.
 	SubqueryRowsFn func(sel *sqlparser.SelectStmt) (func() ([]sqltypes.Row, error), error)
-	// Params is the value binding $N parameters resolve against (the
-	// engine wires each session's binding in). nil rejects parameters.
+	// Params is the binding parameters resolve against — $N and lifted
+	// literals, and lifted VALUES lists (the engine wires in the binding of
+	// the statement being planned). nil rejects parameters.
 	Params *expr.ParamBinding
 
 	ctes map[string]Node // CTEs currently in scope
@@ -81,7 +82,7 @@ func (b *Binder) BindSelect(sel *sqlparser.SelectStmt) (Node, error) {
 // bindSelectBody binds one SELECT term without its ORDER BY/LIMIT (those are
 // bound by BindSelect so they apply after set operations).
 func (b *Binder) bindSelectBody(sel *sqlparser.SelectStmt) (Node, error) {
-	if sel.Values != nil {
+	if sel.Values != nil || sel.ValuesParam != nil {
 		return b.bindValues(sel)
 	}
 
@@ -196,8 +197,19 @@ func containsAggregate(e sqlparser.Expr) bool {
 	return found
 }
 
-// bindValues binds a VALUES list.
+// bindValues binds a VALUES list: its expressions, or the lifted list its
+// rows are read from at execution.
 func (b *Binder) bindValues(sel *sqlparser.SelectStmt) (Node, error) {
+	if vp := sel.ValuesParam; vp != nil {
+		if b.Params == nil {
+			return nil, fmt.Errorf("plan: statement parameters not supported in this context")
+		}
+		v := &Values{Lifted: vp.Index, Params: b.Params}
+		for i, t := range vp.Types {
+			v.Columns = append(v.Columns, ColumnInfo{Name: fmt.Sprintf("col%d", i), Type: t})
+		}
+		return v, nil
+	}
 	v := &Values{}
 	width := -1
 	for _, prow := range sel.Values {
@@ -969,7 +981,7 @@ func (b *Binder) bindExpr(e sqlparser.Expr, schema []ColumnInfo, allowAgg bool) 
 		if b.Params == nil {
 			return nil, fmt.Errorf("plan: statement parameters ($%d) not supported in this context", x.Index)
 		}
-		return &expr.Param{Index: x.Index, Binding: b.Params}, nil
+		return &expr.Param{Index: x.Index, Typ: x.Type, Binding: b.Params}, nil
 	}
 	return nil, fmt.Errorf("plan: unsupported expression %T", e)
 }

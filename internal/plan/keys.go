@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"openivm/internal/catalog"
@@ -25,15 +24,15 @@ type KeySet struct {
 // PinnedKeys returns the key set pred pins on tbl, or nil; pred is bound
 // against tbl's full row. A set is pinned when a top-level conjunct
 // compares exactly the primary-key columns with values of their own kind
-// (sameKeyKind): every key column `=` a literal or bound parameter, the key
+// (sameKeyKind): every key column `=` a constant (see constant), the key
 // column `IN` a list of them (one-column keys), or the key columns, in any
 // order, `IN (SELECT ...)` — either IN possibly followed by `OR k IS NULL`
 // over key columns, as long as tbl holds no NULL-keyed row
 // (catalog.Table.HasNullKey). Anything else — a negated IN, part of the
-// key, a value of another kind, an expression on either side — leaves the
+// key, a value of another kind, an expression over a column — leaves the
 // statement on the scan. It is asked once per execution (parameters are
-// bound then, and the plan may be shared) by the executor's scan, by UPDATE
-// and DELETE, and by EXPLAIN, which prints what this returns.
+// bound then, and the plan is reused) by the executor's scan, by UPDATE and
+// DELETE, and by EXPLAIN, which prints what this returns.
 func PinnedKeys(tbl *catalog.Table, pred expr.Expr) *KeySet {
 	f := keyFinder{tbl, tbl.PrimaryKeyColumns()}
 	if pred == nil || len(f.pk) == 0 {
@@ -91,14 +90,24 @@ func (f keyFinder) pkPos(e expr.Expr) int {
 	return -1
 }
 
-// constant is the value of a literal or bound parameter.
+// constant is the value of an expression over literals and bound
+// parameters alone — `5`, `$1`, `2 + 3` — evaluated now: a literal the
+// lexer lifted is a parameter the optimizer cannot fold, and must pin the
+// key all the same.
 func constant(e expr.Expr) (sqltypes.Value, bool) {
-	switch e.(type) {
-	case *expr.Literal, *expr.Param:
-		v, err := e.Eval(nil)
-		return v, err == nil
+	ok := true
+	expr.Walk(e, func(x expr.Expr) {
+		switch x.(type) {
+		case *expr.Literal, *expr.Param, *expr.Binary, *expr.Unary, *expr.Cast, *expr.ScalarFunc:
+		default:
+			ok = false
+		}
+	})
+	if !ok {
+		return sqltypes.Null, false
 	}
-	return sqltypes.Null, false
+	v, err := e.Eval(nil)
+	return v, err == nil
 }
 
 // inKeys is the key set one `IN` over the whole key pins, or nil.
@@ -216,18 +225,13 @@ next:
 
 // sameKeyKind reports whether value v compares with a column of type col
 // the way their index-key encodings do: numbers with numbers (encoded by
-// value, so 1 finds 1.0), strings and booleans with their own type. Zero is
-// the one number with two encodings (0 and -0.0 are equal): -0.0 never
-// probes, and 0 does not probe a DOUBLE column, which may hold a -0.0.
+// value, so 1 finds 1.0 and 0 finds -0.0), strings and booleans with their
+// own type.
 func sameKeyKind(col sqltypes.Type, v sqltypes.Value) bool {
 	numeric := func(t sqltypes.Type) bool { return t == sqltypes.TypeInt || t == sqltypes.TypeFloat }
 	switch {
 	case numeric(col):
-		if !numeric(v.T) {
-			return false
-		}
-		f := v.AsFloat()
-		return f != 0 || (col == sqltypes.TypeInt && !math.Signbit(f))
+		return numeric(v.T)
 	case col == sqltypes.TypeString, col == sqltypes.TypeBool:
 		return v.T == col
 	}

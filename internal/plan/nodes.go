@@ -94,9 +94,13 @@ func (s *Scan) Describe() string {
 	return d
 }
 
-// Values produces literal rows (VALUES lists, SELECT without FROM).
+// Values produces literal rows (VALUES lists, SELECT without FROM): Rows,
+// or, for a list the lexer lifted out of the text, the Lifted-th (1-based)
+// list of rows in Params, read per execution.
 type Values struct {
 	Rows    [][]expr.Expr
+	Lifted  int
+	Params  *expr.ParamBinding
 	Columns []ColumnInfo
 }
 
@@ -106,8 +110,22 @@ func (v *Values) Schema() []ColumnInfo { return v.Columns }
 // Children implements Node.
 func (v *Values) Children() []Node { return nil }
 
+// LiftedRows returns the rows of a lifted list as bound now (nil when the
+// list is not lifted or not bound).
+func (v *Values) LiftedRows() []sqltypes.Row {
+	if v.Lifted < 1 || v.Lifted > len(v.Params.Rows) {
+		return nil
+	}
+	return v.Params.Rows[v.Lifted-1]
+}
+
 // Describe implements Node.
-func (v *Values) Describe() string { return fmt.Sprintf("Values (%d rows)", len(v.Rows)) }
+func (v *Values) Describe() string {
+	if v.Lifted > 0 {
+		return fmt.Sprintf("Values ($%d rows)", v.Lifted)
+	}
+	return fmt.Sprintf("Values (%d rows)", len(v.Rows))
+}
 
 // Filter keeps rows where Pred evaluates to TRUE.
 type Filter struct {

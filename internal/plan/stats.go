@@ -162,7 +162,7 @@ func EstimateRows(n Node) int {
 	case *Scan:
 		return x.Table.RowCount()
 	case *Values:
-		return len(x.Rows)
+		return len(x.Rows) + len(x.LiftedRows())
 	case *Filter:
 		// Selectivity guess: keep a third.
 		return EstimateRows(x.Input)/3 + 1

@@ -93,8 +93,20 @@ type SubqueryExpr struct{ Select *SelectStmt }
 type RowExpr struct{ Items []Expr }
 
 // ParamExpr is a positional statement parameter ($1, $2, ...) bound with a
-// value per execution (wire prepared statements). Index is 1-based.
-type ParamExpr struct{ Index int }
+// value per execution: one the user names (wire prepared statements), or a
+// literal the lexer lifted out of the text (Lift), whose kind Type keeps.
+// Index is 1-based.
+type ParamExpr struct {
+	Index int
+	Type  sqltypes.Type // TypeNull, which no lifted literal has, for a $N the user binds
+}
+
+// ValuesParam is a VALUES list the lexer lifted out of the text: its rows
+// are the execution's Index-th (1-based) list of rows, each typed as Types.
+type ValuesParam struct {
+	Index int
+	Types []sqltypes.Type
+}
 
 func (*ColumnRef) expr()    {}
 func (*Literal) expr()      {}
@@ -217,7 +229,9 @@ type SelectStmt struct {
 	Limit    Expr // nil = no limit
 	Offset   Expr
 	// Values is set for a VALUES (...),(...) "select"; Items/From unused.
-	Values [][]Expr
+	// ValuesParam is set instead when the list was lifted out of the text.
+	Values      [][]Expr
+	ValuesParam *ValuesParam
 	// Set-operation chain: this SELECT <NextOp> Next.
 	NextOp SetOp
 	Next   *SelectStmt

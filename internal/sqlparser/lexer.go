@@ -23,37 +23,54 @@ const (
 	TokString // 'single quoted'
 	TokOp     // operators and punctuation
 	TokParam  // $1, $2, ... positional statement parameter (Text = digits)
+	TokSlot   // a literal lifted out of the text (Lift): Slot indexes Lifted.Params
+	TokRows   // a VALUES list lifted out of the text: Slot indexes Lifted.Rows
 )
 
 // Token is a lexical token with its source position (for error messages).
 type Token struct {
 	Kind TokenKind
+	Slot int32  // TokSlot, TokRows: which lifted value
 	Text string // keywords are upper-cased; identifiers keep original case
 	Pos  int    // byte offset in the input
 }
 
-// keywords is the set of reserved words recognized by the lexer. Words not
-// in this set lex as identifiers.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true,
-	"ASC": true, "DESC": true, "AS": true, "DISTINCT": true, "ALL": true,
-	"AND": true, "OR": true, "NOT": true, "IN": true, "IS": true,
-	"NULL": true, "TRUE": true, "FALSE": true, "BETWEEN": true, "LIKE": true,
-	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "END": true,
-	"CAST": true, "JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true,
-	"FULL": true, "OUTER": true, "CROSS": true, "ON": true, "USING": true,
-	"UNION": true, "EXCEPT": true, "INTERSECT": true, "WITH": true,
-	"VALUES": true, "INSERT": true, "INTO": true, "DELETE": true,
-	"UPDATE": true, "SET": true, "CREATE": true, "TABLE": true,
-	"VIEW": true, "MATERIALIZED": true, "INDEX": true, "UNIQUE": true,
-	"DROP": true, "IF": true, "EXISTS": true, "PRIMARY": true, "KEY": true,
-	"DEFAULT": true, "REPLACE": true, "CONFLICT": true, "DO": true,
-	"NOTHING": true, "EXCLUDED": true, "RETURNING": true, "TRUNCATE": true,
-	"BEGIN": true, "COMMIT": true, "ROLLBACK": true, "EXPLAIN": true,
-	"REFRESH": true, "PRAGMA": true, "COUNT": true, "SUM": true, "MIN": true,
-	"MAX": true, "AVG": true, "COALESCE": true, "OF": true, "FOR": true,
-	"TRIGGER": true, "AFTER": true, "ROW": true, "EACH": true, "EXECUTE": true,
+// keywords maps each reserved word to itself, so that recognising one in
+// any case returns the canonical upper-case text without building it.
+// Words not in this set lex as identifiers.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range strings.Fields(`SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT OFFSET
+		ASC DESC AS DISTINCT ALL AND OR NOT IN IS NULL TRUE FALSE BETWEEN LIKE
+		CASE WHEN THEN ELSE END CAST JOIN INNER LEFT RIGHT FULL OUTER CROSS ON USING
+		UNION EXCEPT INTERSECT WITH VALUES INSERT INTO DELETE UPDATE SET CREATE TABLE
+		VIEW MATERIALIZED INDEX UNIQUE DROP IF EXISTS PRIMARY KEY DEFAULT REPLACE
+		CONFLICT DO NOTHING EXCLUDED RETURNING TRUNCATE BEGIN COMMIT ROLLBACK EXPLAIN
+		REFRESH PRAGMA COUNT SUM MIN MAX AVG COALESCE OF FOR TRIGGER AFTER ROW EACH EXECUTE`) {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword (MATERIALIZED).
+const maxKeywordLen = 12
+
+// keyword returns the canonical text of word when it is a keyword in any
+// case.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var up [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	kw, ok := keywords[string(up[:len(word)])]
+	return kw, ok
 }
 
 // Lexer tokenizes a SQL string.
@@ -65,7 +82,9 @@ type Lexer struct {
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer { return &Lexer{src: src} }
 
-// Next returns the next token, or an error on malformed input.
+// Next returns the next token, or an error on malformed input. Token texts
+// are substrings of the input (keywords: of a static table), so lexing
+// allocates only for a quoted string or identifier with a doubled quote.
 func (l *Lexer) Next() (Token, error) {
 	l.skipSpace()
 	if l.pos >= len(l.src) {
@@ -80,51 +99,22 @@ func (l *Lexer) Next() (Token, error) {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		up := strings.ToUpper(word)
-		if keywords[up] {
-			return Token{Kind: TokKeyword, Text: up, Pos: start}, nil
+		if kw, ok := keyword(word); ok {
+			return Token{Kind: TokKeyword, Text: kw, Pos: start}, nil
 		}
 		return Token{Kind: TokIdent, Text: word, Pos: start}, nil
 	case c == '"': // quoted identifier
-		l.pos++
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("sqlparser: unterminated quoted identifier at %d", start)
-			}
-			if l.src[l.pos] == '"' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '"' {
-					sb.WriteByte('"')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				break
-			}
-			sb.WriteByte(l.src[l.pos])
-			l.pos++
+		text, ok := l.quoted('"')
+		if !ok {
+			return Token{}, fmt.Errorf("sqlparser: unterminated quoted identifier at %d", start)
 		}
-		return Token{Kind: TokIdent, Text: sb.String(), Pos: start}, nil
+		return Token{Kind: TokIdent, Text: text, Pos: start}, nil
 	case c == '\'':
-		l.pos++
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("sqlparser: unterminated string literal at %d", start)
-			}
-			if l.src[l.pos] == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteByte('\'')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				break
-			}
-			sb.WriteByte(l.src[l.pos])
-			l.pos++
+		text, ok := l.quoted('\'')
+		if !ok {
+			return Token{}, fmt.Errorf("sqlparser: unterminated string literal at %d", start)
 		}
-		return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
+		return Token{Kind: TokString, Text: text, Pos: start}, nil
 	case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 		l.pos++
 		seenDot := c == '.'
@@ -159,19 +149,58 @@ func (l *Lexer) Next() (Token, error) {
 			l.pos++
 		}
 		return Token{Kind: TokParam, Text: l.src[numStart:l.pos], Pos: start}, nil
-	default:
-		// multi-char operators first
-		for _, op := range []string{"<>", "!=", "<=", ">=", "||", "::"} {
-			if strings.HasPrefix(l.src[l.pos:], op) {
-				l.pos += len(op)
-				return Token{Kind: TokOp, Text: op, Pos: start}, nil
+	}
+	if l.pos+1 < len(l.src) {
+		switch op := l.src[l.pos : l.pos+2]; op {
+		case "<>", "!=", "<=", ">=", "||", "::":
+			l.pos += 2
+			return Token{Kind: TokOp, Text: op, Pos: start}, nil
+		}
+	}
+	if op := opText[c]; op != "" {
+		l.pos++
+		return Token{Kind: TokOp, Text: op, Pos: start}, nil
+	}
+	return Token{}, fmt.Errorf("sqlparser: unexpected character %q at %d", string(c), start)
+}
+
+// opText holds the text of each one-byte operator, "" for other bytes.
+var opText = func() (t [256]string) {
+	for _, op := range []string{"+", "-", "*", "/", "%", "(", ")", ",", ".", ";", "=", "<", ">"} {
+		t[op[0]] = op
+	}
+	return t
+}()
+
+// quoted lexes the text between a pair of q quotes starting at l.pos, a
+// doubled q standing for one. Without a doubled quote the text is a
+// substring of the input. ok is false when the closing quote is missing.
+func (l *Lexer) quoted(q byte) (text string, ok bool) {
+	l.pos++
+	from := l.pos
+	var sb *strings.Builder
+	for {
+		i := strings.IndexByte(l.src[l.pos:], q)
+		if i < 0 {
+			l.pos = len(l.src)
+			return "", false
+		}
+		end := l.pos + i
+		if end+1 < len(l.src) && l.src[end+1] == q {
+			if sb == nil {
+				sb = &strings.Builder{}
 			}
+			sb.WriteString(l.src[from : end+1])
+			l.pos = end + 2
+			from = l.pos
+			continue
 		}
-		if strings.IndexByte("+-*/%(),.;=<>", c) >= 0 {
-			l.pos++
-			return Token{Kind: TokOp, Text: string(c), Pos: start}, nil
+		l.pos = end + 1
+		if sb == nil {
+			return l.src[from:end], true
 		}
-		return Token{}, fmt.Errorf("sqlparser: unexpected character %q at %d", string(c), start)
+		sb.WriteString(l.src[from:end])
+		return sb.String(), true
 	}
 }
 
@@ -208,10 +237,12 @@ func isIdentStart(c byte) bool {
 
 func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) || c == '$' }
 
-// Tokenize lexes the whole input; convenience for tests.
+// Tokenize lexes the whole input. The token slice is sized for the input
+// up front: every token but EOF takes at least one byte, and most take two
+// with the space or comma after them.
 func Tokenize(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var toks []Token
+	toks := make([]Token, 0, len(src)/2+2)
 	for {
 		t, err := l.Next()
 		if err != nil {

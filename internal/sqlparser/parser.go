@@ -13,6 +13,10 @@ type Parser struct {
 	src  string
 	toks []Token
 	pos  int
+	// params and rows are the values of a lifted statement's slots
+	// (Lifted.Parse), which give its ParamExprs and ValuesParams their kinds.
+	params []sqltypes.Value
+	rows   [][]sqltypes.Row
 }
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
@@ -227,8 +231,10 @@ func (p *Parser) parseStatement() (Statement, error) {
 		}
 		st := &PragmaStmt{Name: name}
 		if p.acceptOp("=") {
-			v := p.next()
-			st.Value = v.Text
+			if v := p.peek(); v.Kind == TokEOF || p.isOp(";") {
+				return nil, p.errorf("PRAGMA %s: expected a value, got %q", name, v.Text)
+			}
+			st.Value = p.next().Text
 		}
 		return st, nil
 	}
@@ -817,6 +823,16 @@ func (p *Parser) parseSelectBody() (*SelectStmt, error) {
 	}
 	if p.acceptKw("VALUES") {
 		sel := &SelectStmt{}
+		if t := p.peek(); t.Kind == TokRows {
+			p.pos++
+			row := p.rows[t.Slot][0]
+			vp := &ValuesParam{Index: int(t.Slot) + 1, Types: make([]sqltypes.Type, len(row))}
+			for i, v := range row {
+				vp.Types[i] = v.T
+			}
+			sel.ValuesParam = vp
+			return sel, nil
+		}
 		for {
 			if err := p.expectOp("("); err != nil {
 				return nil, err
@@ -1312,26 +1328,19 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.Kind {
 	case TokNumber:
+		v, ok := number(t)
+		if !ok {
+			return nil, p.errorf("bad number %q", t.Text)
+		}
 		p.pos++
-		if strings.ContainsAny(t.Text, ".eE") {
-			f, err := strconv.ParseFloat(t.Text, 64)
-			if err != nil {
-				return nil, p.errorf("bad number %q", t.Text)
-			}
-			return &Literal{Value: sqltypes.NewFloat(f)}, nil
-		}
-		i, err := strconv.ParseInt(t.Text, 10, 64)
-		if err != nil {
-			f, ferr := strconv.ParseFloat(t.Text, 64)
-			if ferr != nil {
-				return nil, p.errorf("bad number %q", t.Text)
-			}
-			return &Literal{Value: sqltypes.NewFloat(f)}, nil
-		}
-		return &Literal{Value: sqltypes.NewInt(i)}, nil
+		return &Literal{Value: v}, nil
 	case TokString:
 		p.pos++
-		return &Literal{Value: sqltypes.NewString(t.Text)}, nil
+		// A copy: the value may be stored, and must not pin the statement text.
+		return &Literal{Value: sqltypes.NewString(strings.Clone(t.Text))}, nil
+	case TokSlot:
+		p.pos++
+		return &ParamExpr{Index: int(t.Slot) + 1, Type: p.params[t.Slot].T}, nil
 	case TokParam:
 		p.pos++
 		idx, err := strconv.Atoi(t.Text)

@@ -445,6 +445,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT", "SELECT FROM t", "INSERT t VALUES (1)",
 		"CREATE TABLE t", "SELECT * FROM t WHERE", "DELETE t",
 		"SELECT * FROM a JOIN b", "CASE END", "SELECT 1 2 3 FROM",
+		"PRAGMA workers =", "PRAGMA workers = ;",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)

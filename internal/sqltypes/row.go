@@ -66,7 +66,7 @@ func (r Row) String() string {
 //	string -> 0x03, escaped bytes (0x00 -> 0x00 0xFF), terminator 0x00 0x00
 //
 // Ints and floats share tag 0x02 so that 1 and 1.0 group together, matching
-// Compare's numeric promotion.
+// Compare's numeric promotion; -0.0 encodes as 0, which it equals.
 func EncodeKey(dst []byte, vals ...Value) []byte {
 	for _, v := range vals {
 		switch v.T {
@@ -95,6 +95,9 @@ func appendKeyBool(dst []byte, b bool) []byte {
 
 func appendKeyNumber(dst []byte, f float64) []byte {
 	dst = append(dst, 0x02)
+	if f == 0 {
+		f = 0 // -0.0 equals 0 and must encode as it: one key, one group
+	}
 	bits := math.Float64bits(f)
 	// Flip so that lexicographic byte order equals numeric order.
 	if bits&(1<<63) != 0 {

@@ -341,6 +341,21 @@ func TestEncodeKeyFloatSpecials(t *testing.T) {
 	}
 }
 
+// TestEncodeKeyFoldsNegativeZero: -0.0 equals 0, so every key encoder —
+// boxed and columnar — writes it as 0.
+func TestEncodeKeyFoldsNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	want := KeyString(NewInt(0))
+	if got := KeyString(NewFloat(negZero)); got != want {
+		t.Errorf("EncodeKey(-0.0) = %x, want %x", got, want)
+	}
+	v := &Vector{T: TypeFloat}
+	v.AppendValue(NewFloat(negZero))
+	if got := string(v.EncodeCell(nil, 0)); got != want {
+		t.Errorf("EncodeCell(-0.0) = %x, want %x", got, want)
+	}
+}
+
 func TestArithQuickAddCommutes(t *testing.T) {
 	f := func(a, b int32) bool {
 		x, _ := Arith('+', NewInt(int64(a)), NewInt(int64(b)))
