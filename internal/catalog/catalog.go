@@ -375,15 +375,6 @@ func (t *Table) columnPos(name string) int {
 // ColumnPos returns the position of the named column or -1.
 func (t *Table) ColumnPos(name string) int { return t.columnPos(name) }
 
-// ColumnNames returns the column names in order.
-func (t *Table) ColumnNames() []string {
-	out := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // HasPrimaryKey reports whether the table has a primary key.
 func (t *Table) HasPrimaryKey() bool { return len(t.pkCols) > 0 }
 
@@ -1294,16 +1285,11 @@ func (t *Table) LookupPK(vals ...sqltypes.Value) (sqltypes.Row, bool) {
 	return t.lookupPK(mvcc.Snapshot{}, vals)
 }
 
-// LookupPKRow is LookupPK with the key values taken from a full-width
-// candidate row — the upsert path's per-row existence probe. Stack
+// LookupPKRowSnap is LookupPK with the key values taken from a full-width
+// candidate row, against snapshot sn (the zero snapshot means
+// latest-committed) — the upsert path's per-row existence probe. Stack
 // buffers keep the probe allocation-free (the INSERT OR REPLACE loop the
 // IVM combine step runs calls this once per source row).
-func (t *Table) LookupPKRow(row sqltypes.Row) (sqltypes.Row, bool) {
-	return t.LookupPKRowSnap(mvcc.Snapshot{}, row)
-}
-
-// LookupPKRowSnap is LookupPKRow against an explicit snapshot (the zero
-// snapshot means latest-committed).
 func (t *Table) LookupPKRowSnap(sn mvcc.Snapshot, row sqltypes.Row) (sqltypes.Row, bool) {
 	if !t.HasPrimaryKey() {
 		return nil, false

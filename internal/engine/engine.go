@@ -451,12 +451,18 @@ func (db *DB) Parse(sql string) (sqlparser.Statement, error) {
 
 // Exec executes a statement or script on a session of its own, closed
 // when Exec returns: a one-off statement from a caller that holds no
-// session. A transaction or a session pragma does not outlive the call;
-// use NewSession for those.
+// session. PRAGMA batch_size/workers set through it are engine-wide
+// (DB.SetPragma). A transaction cannot outlive the call: one the script
+// leaves open is rolled back and reported as an error; use NewSession.
 func (db *DB) Exec(sql string) (*Result, error) {
 	s := db.NewSession()
+	s.knobsGlobal = true
 	defer s.Close()
-	return s.Exec(sql)
+	res, err := s.Exec(sql)
+	if err == nil && s.txn != nil {
+		return nil, fmt.Errorf("engine: DB.Exec leaves no transaction open (rolled back); run BEGIN … COMMIT on a Session")
+	}
+	return res, err
 }
 
 // SplitStatements splits a script into the texts of its statements, on

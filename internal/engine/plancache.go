@@ -21,11 +21,12 @@ import (
 // An entry serves one execution at a time: the LRU lends it out (take) and
 // gets it back when the execution ends (give), so the binding can live in
 // the entry and a plan with parameters in it is reused by every session
-// without two of them ever sharing it at once. A session whose key is lent
-// out meanwhile builds a copy of its own, which the cache does not keep. A
-// plan is valid while the planStamp it was built under equals the
-// executing session's; the schema epoch moving also empties the LRU,
-// releasing every dead plan.
+// without two of them ever sharing it at once. A session that finds every
+// entry of its key lent out builds one more, which the cache keeps beside
+// the others (up to planCopies per key): sessions running one shape
+// concurrently settle on one entry each. A plan is valid while the
+// planStamp it was built under equals the executing session's; the schema
+// epoch moving also empties the LRU, releasing every dead plan.
 
 // planStamp is everything outside the statement that shapes its plan: the
 // schema epoch (DDL, trigger and pragma writes move it) and the session's
@@ -37,14 +38,8 @@ type planStamp struct {
 }
 
 // stamp returns the stamp a plan built by this session right now carries.
-// The knobs are read again only when the epoch moved since the last call
-// (DB.SetPragma moves it) or the session set one of its own.
 func (s *Session) stamp() planStamp {
-	if e := s.db.epoch(); e != s.at.epoch || !s.atValid {
-		s.at = planStamp{epoch: e, batchSize: s.batchSize(), workers: s.workers()}
-		s.atValid = true
-	}
-	return s.at
+	return planStamp{epoch: s.db.epoch(), batchSize: s.batchSize(), workers: s.workers()}
 }
 
 // appendKey appends the LRU address of statement key k for a session at
@@ -75,7 +70,6 @@ type planEntry struct {
 	// params is the binding the statement's parameters read: the literals
 	// lifted out of this execution's text, or the user's $N values.
 	params expr.ParamBinding
-	lent   bool // out to an execution (guarded by the LRU's mutex)
 }
 
 // newEntry wraps a parsed statement, to be filed under key unless key is
@@ -96,42 +90,53 @@ func newEntry(key []byte, stmt sqlparser.Statement) *planEntry {
 // cache without limit.
 const planCacheSize = 512
 
-// planLRU is the statement cache: a bounded LRU of entries, each lent to
-// one execution at a time, cleared wholesale when the schema epoch moves.
+// planCopies bounds the entries kept under one key: as many sessions as
+// that may run one shape at once, each on an entry of its own.
+const planCopies = 16
+
+// planLRU is the statement cache: a bounded LRU of keys, each with the
+// entries filed under it that no execution holds, cleared wholesale when the
+// schema epoch moves.
 type planLRU struct {
 	mu     sync.Mutex
 	max    int
-	m      map[string]*list.Element // key -> element whose Value is the *planEntry
+	m      map[string]*list.Element // key -> element whose Value is the *planSlot
 	lru    *list.List               // front = most recently used
 	hits   int64
 	misses int64
+}
+
+// planSlot is one key of the LRU and its idle entries.
+type planSlot struct {
+	key  string
+	idle []*planEntry
 }
 
 func newPlanLRU(max int) *planLRU {
 	return &planLRU{max: max, m: make(map[string]*list.Element), lru: list.New()}
 }
 
-// take lends out the entry filed under key as the most recently used one:
-// nil when there is none, or when it is out already.
+// take lends out an idle entry filed under key, marking the key the most
+// recently used: nil when there is none.
 func (c *planLRU) take(key []byte) *planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[string(key)]
-	if !ok || el.Value.(*planEntry).lent {
+	if !ok || len(el.Value.(*planSlot).idle) == 0 {
 		c.misses++
 		return nil
 	}
 	c.hits++
-	ent := el.Value.(*planEntry)
-	ent.lent = true
 	c.lru.MoveToFront(el)
+	slot := el.Value.(*planSlot)
+	ent := slot.idle[len(slot.idle)-1]
+	slot.idle = slot.idle[:len(slot.idle)-1]
 	return ent
 }
 
-// give ends an execution of ent: a lent entry is back, a new one is filed
-// as the most recently used, evicting the least recently used beyond
-// capacity — unless another entry holds its key (the one that was lent out
-// while this copy was built).
+// give ends an execution of ent, filing it as idle under its key unless
+// planCopies are idle there already. A new key is the most recently used,
+// evicting the least recently used beyond capacity.
 func (c *planLRU) give(ent *planEntry) {
 	if ent.key == "" {
 		return
@@ -139,15 +144,18 @@ func (c *planLRU) give(ent *planEntry) {
 	ent.params = expr.ParamBinding{} // the execution's values are not the cache's to keep
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent.lent = false
-	if _, ok := c.m[ent.key]; ok {
-		return
+	el, ok := c.m[ent.key]
+	if !ok {
+		el = c.lru.PushFront(&planSlot{key: ent.key})
+		c.m[ent.key] = el
+		for c.lru.Len() > c.max {
+			back := c.lru.Back()
+			c.lru.Remove(back)
+			delete(c.m, back.Value.(*planSlot).key)
+		}
 	}
-	c.m[ent.key] = c.lru.PushFront(ent)
-	for c.lru.Len() > c.max {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.m, back.Value.(*planEntry).key)
+	if slot := el.Value.(*planSlot); len(slot.idle) < planCopies {
+		slot.idle = append(slot.idle, ent)
 	}
 }
 

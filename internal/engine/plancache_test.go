@@ -8,7 +8,7 @@ import (
 )
 
 // cachedPlan returns the plan the statement cache holds for the first
-// statement of sql, nil when it holds none.
+// statement of sql (the entry take would lend next), nil when it holds none.
 func cachedPlan(t *testing.T, db *DB, sql string) plan.Node {
 	t.Helper()
 	ls, err := sqlparser.Lift(sql, !db.verbatim)
@@ -18,7 +18,9 @@ func cachedPlan(t *testing.T, db *DB, sql string) plan.Node {
 	db.plans.mu.Lock()
 	defer db.plans.mu.Unlock()
 	if el, ok := db.plans.m[string(ls[0].Key)]; ok {
-		return el.Value.(*planEntry).node
+		if idle := el.Value.(*planSlot).idle; len(idle) > 0 {
+			return idle[len(idle)-1].node
+		}
 	}
 	return nil
 }

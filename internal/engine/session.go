@@ -74,11 +74,12 @@ type Session struct {
 	params expr.ParamBinding
 
 	// keyBuf is scratch for the plan-cache address of the statement being
-	// checked out (planStamp.appendKey); at is the session's stamp as of
-	// its last statement, valid while atValid (see stamp).
-	keyBuf  []byte
-	at      planStamp
-	atValid bool
+	// checked out (planStamp.appendKey).
+	keyBuf []byte
+
+	// knobsGlobal writes PRAGMA batch_size/workers through to the DB, like
+	// every other pragma: DB.Exec's session, which ends with the call.
+	knobsGlobal bool
 
 	// walBypass excludes this session's writes and DDL from the
 	// write-ahead log. The IVM extension sets it on its internal
@@ -236,11 +237,10 @@ func (s *Session) Pragma(name string) string {
 // configures shared engine state — the IVM extension is one extension
 // instance per DB — and is therefore written through to the global table.
 func (s *Session) SetPragma(name, value string) {
-	if sessionLocalPragma(name) {
+	if sessionLocalPragma(name) && !s.knobsGlobal {
 		s.mu.Lock()
 		s.pragmas[strings.ToLower(name)] = value
 		s.mu.Unlock()
-		s.atValid = false
 		return
 	}
 	s.db.SetPragma(name, value)

@@ -152,6 +152,30 @@ func TestSessionPragmaOverlay(t *testing.T) {
 	}
 }
 
+// TestDBExecOneOff: DB.Exec's session ends with the call, so what would
+// outlive it does not silently vanish — knob pragmas are engine-wide and a
+// transaction left open is rolled back and reported.
+func TestDBExecOneOff(t *testing.T) {
+	db := Open("s", DialectDuckDB)
+	if _, err := db.Exec("PRAGMA workers = 3; PRAGMA batch_size = 64"); err != nil {
+		t.Fatal(err)
+	}
+	if w, b := db.Pragma("workers"), db.Pragma("batch_size"); w != "3" || b != "64" {
+		t.Fatalf("DB.Exec knobs: workers=%q batch_size=%q, want 3 and 64", w, b)
+	}
+	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
+	if _, err := db.Exec("BEGIN; INSERT INTO t VALUES (1)"); err == nil {
+		t.Fatal("a transaction left open by DB.Exec was not reported")
+	}
+	if _, err := db.Exec("BEGIN; INSERT INTO t VALUES (2); COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+	res := mustExec(t, db, "SELECT a FROM t")
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 2 {
+		t.Fatalf("rows = %v, want only the committed 2", res.Rows)
+	}
+}
+
 // TestSessionContextCancel: a cancelled statement context surfaces
 // context.Canceled, and Session.Cancel interrupts the session.
 func TestSessionContextCancel(t *testing.T) {

@@ -62,28 +62,28 @@ type batchScan struct {
 }
 
 // scanRows is what every scan opens with: the rows of s's table visible to
-// the statement's snapshot — all of them, or, when s.Filter pins the primary
-// key (plan.PinnedKeys), the rows with those keys, found through the key
-// index and in the order the scan meets them. The keys are resolved here,
-// per execution — parameters are bound per execution and the plan may be a
-// shared cache entry, so nothing is kept on s — and a key subquery runs
-// before the table's lock is taken. The iterators evaluate the whole filter
-// on every row they are handed, keyed or not; that is also where a failing
-// key subquery reports its error, as it always has: here it only means a
-// scan.
-func scanRows(s *plan.Scan, opts Options) []sqltypes.Row {
-	keys, err := plan.PinnedKeys(s.Table, s.Filter).Resolve(s.Table)
+// the statement's snapshot — all of them, or, when keys is the key set
+// s.Filter pins (plan.PinnedKeys), the rows with those keys, found through
+// the key index and in the order the scan meets them. The keys are found
+// and resolved per execution — parameters are bound per execution and the
+// plan may be a cached entry, so nothing is kept on s — and a key subquery
+// runs before the table's lock is taken. The iterators evaluate the whole
+// filter on every row they are handed, keyed or not; that is also where a
+// failing key subquery reports its error, as it always has: here it only
+// means a scan.
+func scanRows(s *plan.Scan, keys *plan.KeySet, opts Options) []sqltypes.Row {
+	vals, err := keys.Resolve(s.Table)
 	if err != nil {
-		keys = nil
+		vals = nil
 	}
 	// RowsSnap copies the row pointers under the table lock; concurrent
 	// writers replace slots in the underlying storage, so iterating it
 	// directly would race (stored Row values themselves are immutable).
-	return s.Table.RowsSnap(opts.Snap, keys)
+	return s.Table.RowsSnap(opts.Snap, vals)
 }
 
 func newBatchScan(s *plan.Scan, opts Options) *batchScan {
-	return newBatchScanRows(s, scanRows(s, opts), opts)
+	return newBatchScanRows(s, scanRows(s, plan.PinnedKeys(s.Table, s.Filter), opts), opts)
 }
 
 // newBatchScanRows is newBatchScan over an explicit row snapshot — the

@@ -235,16 +235,31 @@ func OpenBatch(n plan.Node, opts Options) (BatchIterator, error) {
 	return openBatch(n, opts)
 }
 
+// classicChain opens the Project?→Filter* chain of scan pipeline n over
+// scan, the iterator of the pipeline's Scan.
+func classicChain(n plan.Node, scan BatchIterator, opts Options) BatchIterator {
+	switch x := n.(type) {
+	case *plan.Project:
+		return newBatchProject(classicChain(x.Input, scan, opts), x, opts)
+	case *plan.Filter:
+		return &batchFilter{in: classicChain(x.Input, scan, opts), pred: x.Pred}
+	}
+	return scan
+}
+
 func openBatch(n plan.Node, opts Options) (BatchIterator, error) {
 	// Fused fast path: collapse a Project?→Filter*→Scan chain into one
 	// columnar pass when every expression compiles to a vector kernel —
 	// partitioned across worker goroutines when the snapshot is large
 	// enough (see parallel.go). On a partial match (say the projection is
 	// too rich but the filter is simple) the recursion below still fuses
-	// the inner sub-chain. A keyed scan takes the classic chain: it reads a
-	// handful of rows through the key index, for which compiling kernels
-	// costs more than it saves.
-	if scan, filters, proj, ok := plan.ScanPipeline(n); ok && plan.PinnedKeys(scan.Table, scan.Filter) == nil {
+	// the inner sub-chain. A keyed scan takes the classic chain instead,
+	// over the rows its key set finds: it reads a handful of rows through
+	// the key index, for which compiling kernels costs more than it saves.
+	if scan, filters, proj, ok := plan.ScanPipeline(n); ok {
+		if keys := plan.PinnedKeys(scan.Table, scan.Filter); keys != nil {
+			return classicChain(n, newBatchScanRows(scan, scanRows(scan, keys, opts), opts), opts), nil
+		}
 		if ps, parallel := newParallelScan(scan, filters, proj, opts); parallel {
 			return ps, nil
 		}

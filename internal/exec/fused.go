@@ -103,15 +103,15 @@ func (ls *loadSet) vectors() []*sqltypes.Vector {
 }
 
 // newFusedScan compiles the matched pipeline into a fused iterator over a
-// fresh table snapshot. ok is false when any predicate or projection
-// expression falls outside the kernel compiler's reach; the caller then
-// builds the classic chain.
+// fresh snapshot of the whole table (openBatch fuses no keyed scan). ok is
+// false when any predicate or projection expression falls outside the
+// kernel compiler's reach; the caller then builds the classic chain.
 func newFusedScan(scan *plan.Scan, filters []expr.Expr, proj *plan.Project, opts Options) (*fusedScan, bool) {
 	it, ok := compileFusedScan(scan, filters, proj, opts)
 	if !ok {
 		return nil, false
 	}
-	it.rows = scanRows(scan, opts)
+	it.rows = scanRows(scan, nil, opts)
 	return it, true
 }
 

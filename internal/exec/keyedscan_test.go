@@ -48,7 +48,7 @@ func TestScanRowsKeyed(t *testing.T) {
 	}
 	scan := plan.NewScan(tbl, "")
 	scan.Filter = idIn(7, 4093, 7, -1, 12)
-	rows := scanRows(scan, Options{})
+	rows := scanRows(scan, plan.PinnedKeys(tbl, scan.Filter), Options{})
 	if got, want := strings.Join(rowsToStrings(rows), ";"), "4093|3;12|2;7|7"; got != want {
 		t.Errorf("candidates %s, want %s (slot order, each key once)", got, want)
 	}

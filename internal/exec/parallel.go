@@ -273,9 +273,10 @@ type parallelScan struct {
 }
 
 // newParallelScan builds the morsel-parallel operator for a matched scan
-// pipeline (filters/proj may be nil for a bare scan). ok=false means the
-// caller should run the serial path: too few rows or workers, or a
-// pipeline that is not safe to share across goroutines.
+// pipeline (filters/proj may be nil for a bare scan) over the whole table
+// (openBatch runs no keyed scan in parallel). ok=false means the caller
+// should run the serial path: too few rows or workers, or a pipeline that
+// is not safe to share across goroutines.
 func newParallelScan(scan *plan.Scan, filters []expr.Expr, proj *plan.Project, opts Options) (BatchIterator, bool) {
 	if opts.Workers < 2 {
 		return nil, false
@@ -287,7 +288,7 @@ func newParallelScan(scan *plan.Scan, filters []expr.Expr, proj *plan.Project, o
 	if !ok {
 		return nil, false
 	}
-	rows := scanRows(scan, opts)
+	rows := scanRows(scan, nil, opts)
 	if len(rows) <= minParallelRows {
 		return nil, false
 	}
@@ -585,7 +586,7 @@ func newParallelAgg(node *plan.Aggregate, opts Options) (BatchIterator, bool) {
 	if !ok {
 		return nil, false
 	}
-	rows := scanRows(scan, opts)
+	rows := scanRows(scan, plan.PinnedKeys(scan.Table, scan.Filter), opts)
 	if len(rows) <= minParallelRows {
 		return nil, false
 	}

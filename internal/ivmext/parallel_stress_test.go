@@ -27,7 +27,7 @@ func TestParallelRefreshStress(t *testing.T) {
 	run := func(workers string, concurrentReads bool) []string {
 		db := engine.Open("stress", engine.DialectDuckDB)
 		Install(db)
-		mustExec(t, db, "PRAGMA workers = "+workers)
+		db.SetPragma("workers", workers)
 		mustExec(t, db, "CREATE TABLE groups (group_index VARCHAR, group_value INTEGER)")
 		w := workload.Groups{Rows: rows, NumGroups: groups, Seed: 7}
 		mustExec(t, db, w.InsertBatch(rows, 7))

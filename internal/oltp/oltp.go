@@ -80,9 +80,6 @@ func (s *Store) EnableCapture(table string) error {
 	return err
 }
 
-// DeltaTable returns the delta table name for a base table.
-func (s *Store) DeltaTable(table string) string { return deltaName(table) }
-
 // DrainDeltas removes and returns the buffered delta rows for a table
 // (the pull step of cross-system propagation), atomically: a delta
 // captured meanwhile is in this result or the next.

@@ -125,9 +125,12 @@ func TestCaptureWithoutDeltaTableErrors(t *testing.T) {
 
 func TestTransactionalWorkload(t *testing.T) {
 	s := newStore(t)
-	s.DB.Exec("BEGIN")
-	s.DB.Exec("INSERT INTO orders VALUES (10, 100)")
-	s.DB.Exec("COMMIT")
+	if _, err := s.DB.Exec("BEGIN"); err == nil {
+		t.Fatal("a transaction left open by DB.Exec must be reported")
+	}
+	if _, err := s.DB.Exec("BEGIN; INSERT INTO orders VALUES (10, 100); COMMIT"); err != nil {
+		t.Fatal(err)
+	}
 	r, _ := s.DB.Exec("SELECT COUNT(*) FROM orders")
 	if r.Rows[0][0].I != 1 {
 		t.Fatalf("got %v", r.Rows)

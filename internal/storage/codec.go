@@ -34,10 +34,6 @@ type Record struct {
 
 // --- primitive appenders ---
 
-func appendUvarint(dst []byte, x uint64) []byte {
-	return binary.AppendUvarint(dst, x)
-}
-
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)

@@ -761,6 +761,9 @@ func (c *v2conn) streamExec(req *Request) error {
 		s.streamedRows.Add(int64(len(batch)))
 	}
 	tr.RowsAffected = st.RowsAffected()
+	// The plan goes back to the cache before the client learns the result
+	// is complete, so its next statement of this shape finds it.
+	st.Close()
 	payload, merr = json.Marshal(&tr)
 	if merr != nil {
 		return merr
