@@ -149,7 +149,7 @@ func loadGroupView(b *testing.B, groups int) benchDB {
 	for g := range rows {
 		rows[g] = sqltypes.Row{sqltypes.NewString(workload.GroupKey(g)), sqltypes.NewInt(int64(g % 1000))}
 	}
-	if _, err := db.s.InsertRows(tbl, rows); err != nil {
+	if err := db.s.InsertRows(tbl, rows); err != nil {
 		b.Fatal(err)
 	}
 	mustExecB(b, db, listing1View)
@@ -222,7 +222,7 @@ func BenchmarkE13_AdhocWrite(b *testing.B) {
 		for id := range rows {
 			rows[id] = sqltypes.Row{sqltypes.NewInt(int64(id)), sqltypes.NewString(names[id%groups]), sqltypes.NewInt(int64(id % 97))}
 		}
-		if _, err := db.s.InsertRows(tbl, rows); err != nil {
+		if err := db.s.InsertRows(tbl, rows); err != nil {
 			b.Fatal(err)
 		}
 		mustExecB(b, db, "CREATE MATERIALIZED VIEW gv AS SELECT group_index, SUM(group_value) AS total, COUNT(*) AS n FROM g GROUP BY group_index")
@@ -1018,7 +1018,7 @@ func pkBenchTable(b *testing.B, rows int) (*catalog.Table, *catalog.Catalog) {
 		b.Fatal(err)
 	}
 	pkBenchWrite(b, cat, func(tx *mvcc.Txn) error {
-		_, err := tbl.InsertBatchTxn(tx, pkBenchBatch(0, rows))
+		err := tbl.InsertBatchTxn(tx, pkBenchBatch(0, rows))
 		return err
 	})
 	return tbl, cat
@@ -1063,7 +1063,7 @@ func BenchmarkPKIndex_Put(b *testing.B) {
 		}
 		pkBenchWrite(b, cat, func(tx *mvcc.Txn) error {
 			b.StartTimer() // the insert alone, not its commit
-			_, err := tbl.InsertBatchTxn(tx, rows)
+			err := tbl.InsertBatchTxn(tx, rows)
 			b.StopTimer()
 			return err
 		})
@@ -1098,7 +1098,7 @@ func BenchmarkPKIndex_Rebuild(b *testing.B) {
 		_, release := mgr.AcquireSnapshot()
 		if i > 0 {
 			pkBenchWrite(b, cat, func(tx *mvcc.Txn) error {
-				_, err := tbl.InsertBatchTxn(tx, dead)
+				err := tbl.InsertBatchTxn(tx, dead)
 				return err
 			})
 		}

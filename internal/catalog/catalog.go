@@ -640,23 +640,22 @@ func (t *Table) InsertTxn(tx *mvcc.Txn, row sqltypes.Row) error {
 }
 
 // InsertBatchTxn appends rows under a single lock acquisition — the batched
-// DML path. Semantics match calling InsertTxn per row: on the first failing
-// row it stops and returns the error, leaving earlier rows inserted. The
-// returned count says how many rows landed, so callers can compensate for
-// the prefix even on failure.
-func (t *Table) InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (int, error) {
+// DML path. Semantics match calling InsertTxn per row: the first failing
+// row stops it with the error, leaving the rows before it in tx for the
+// caller to abort.
+func (t *Table) InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i, row := range rows {
+	for _, row := range rows {
 		r, err := t.validate(row)
 		if err != nil {
-			return i, err
+			return err
 		}
 		if err := t.insertOneLocked(tx, r); err != nil {
-			return i, err
+			return err
 		}
 	}
-	return len(rows), nil
+	return nil
 }
 
 // InsertVecsTxn appends n rows given as typed column vectors — the columnar
@@ -666,12 +665,11 @@ func (t *Table) InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (int, error) {
 // hoisted out of the row loop: a vector whose type matches its column
 // needs no per-value coercion, only a NOT NULL sweep over the validity
 // bitmap. Semantics match InsertBatchTxn row for row: the first failing row
-// stops the insert, earlier rows stay, and the returned count says how
-// many landed. The built rows are returned (durable slab rows) so callers
-// can fire triggers and compensate the inserted prefix without rebuilding.
-func (t *Table) InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]sqltypes.Row, int, error) {
+// stops the insert with the error. The built rows are returned (durable slab
+// rows) so callers can fire triggers without rebuilding them.
+func (t *Table) InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]sqltypes.Row, error) {
 	if len(cols) != len(t.Columns) {
-		return nil, 0, fmt.Errorf("table %s: batch has %d columns, want %d", t.Name, len(cols), len(t.Columns))
+		return nil, fmt.Errorf("table %s: batch has %d columns, want %d", t.Name, len(cols), len(t.Columns))
 	}
 	width := len(t.Columns)
 	slab := make([]sqltypes.Value, n*width)
@@ -693,7 +691,7 @@ func (t *Table) InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]s
 	for j, vec := range cols {
 		col := &t.Columns[j]
 		if vec.Len() < n {
-			return nil, 0, fmt.Errorf("table %s: column %s vector has %d cells, want %d", t.Name, col.Name, vec.Len(), n)
+			return nil, fmt.Errorf("table %s: column %s vector has %d cells, want %d", t.Name, col.Name, vec.Len(), n)
 		}
 		direct := vec.T == col.Type || col.Type == sqltypes.TypeAny
 		for i := 0; i < n && i <= badRow; i++ {
@@ -713,21 +711,18 @@ func (t *Table) InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]s
 			slab[i*width+j] = v
 		}
 	}
-	if badRow < n {
-		n = badRow // rows before the first failure still insert below
+	if badErr != nil {
+		return nil, badErr
 	}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := 0; i < n; i++ {
 		if err := t.insertOneLocked(tx, rows[i]); err != nil {
-			return rows[:i], i, err
+			return nil, err
 		}
 	}
-	if badErr != nil {
-		return rows[:n], n, badErr
-	}
-	return rows[:n], n, nil
+	return rows, nil
 }
 
 // UpsertTxn inserts, or replaces the existing row with the same primary key
@@ -757,12 +752,13 @@ func (t *Table) UpsertTxn(tx *mvcc.Txn, row sqltypes.Row) error {
 // The batch stays atomic for later-arriving readers because the table
 // lock is held throughout, and the displaced rows ride the write log
 // (OpReplace) so the rare doom-abort — only reachable through the
-// fallback path below — still reverts cleanly. The sub-statement window
-// in which a snapshot taken mid-batch observes the statement's
-// uncommitted (but commit-bound) writes is the one TruncateTxn already
-// accepts. Returns the inserted rows and the replaced old/new pairs for
-// trigger delivery; on error the applied prefix stays, like
-// InsertBatchTxn.
+// fallback path below — still reverts cleanly. A snapshot taken between
+// the batch and the statement's commit observes the statement's
+// uncommitted writes; should the statement still abort — a trigger
+// handler fails inside its transaction — that snapshot has seen writes
+// that never committed. Returns the inserted rows and the replaced old/new
+// pairs for trigger delivery; on error the applied prefix stays in tx, for
+// the caller to abort.
 func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, replacedOld, replacedNew []sqltypes.Row, err error) {
 	if !t.HasPrimaryKey() {
 		return nil, nil, nil, fmt.Errorf("table %s: INSERT OR REPLACE requires a primary key or unique index", t.Name)

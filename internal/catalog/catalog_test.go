@@ -15,7 +15,7 @@ type autoTable struct{ *Table }
 
 func (a autoTable) write(fn func(tx *mvcc.Txn) error) error {
 	tx := a.mv.Begin()
-	tx.SetAutoCommit()
+	tx.SetAutoCommit(true)
 	err := fn(tx)
 	if cerr := a.mv.Commit(tx); err == nil {
 		err = cerr
@@ -27,9 +27,8 @@ func (a autoTable) Insert(r sqltypes.Row) error {
 	return a.write(func(tx *mvcc.Txn) error { return a.InsertTxn(tx, r) })
 }
 
-func (a autoTable) InsertBatch(rows []sqltypes.Row) (n int, err error) {
-	err = a.write(func(tx *mvcc.Txn) (err error) { n, err = a.InsertBatchTxn(tx, rows); return })
-	return
+func (a autoTable) InsertBatch(rows []sqltypes.Row) error {
+	return a.write(func(tx *mvcc.Txn) error { return a.InsertBatchTxn(tx, rows) })
 }
 
 func (a autoTable) Upsert(r sqltypes.Row) error {

@@ -94,7 +94,7 @@ func TestSweepReclaimsInPlaceBelowThreshold(t *testing.T) {
 	for i := range rows {
 		rows[i] = row(int64(i), "r", 0)
 	}
-	if _, err := tbl.InsertBatch(rows); err != nil {
+	if err := tbl.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[0].I%10_000 == 0, nil }); err != nil {

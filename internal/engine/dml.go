@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -114,57 +115,39 @@ func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.
 			built = append(built, row)
 		}
 		inserted, replacedOld, replacedNew, err = tbl.UpsertBatchTxn(tx, built)
-		if err != nil {
-			return nil, done(err)
-		}
-		if err := done(nil); err != nil {
-			return nil, err
-		}
-		if err := s.fireTxn(st.Table, TrigInsert, nil, inserted); err != nil {
-			return nil, err
-		}
-		if err := s.fireTxn(st.Table, TrigUpdate, replacedOld, replacedNew); err != nil {
-			return nil, err
-		}
-		return &Result{RowsAffected: len(inserted) + len(replacedNew)}, nil
-	}
-	for _, src := range srcRows {
-		row, err := buildRow(src)
-		if err != nil {
-			return nil, done(err)
-		}
-		switch {
-		case st.Conflict != nil:
+	} else {
+		for _, src := range srcRows {
+			var row sqltypes.Row
+			if row, err = buildRow(src); err != nil {
+				break
+			}
 			old, existed := lookupByPK(tbl, tx, row)
 			if existed && st.Conflict.DoNothing {
 				continue
 			}
-			if existed {
-				merged, err := s.applyConflictSet(&ent.params, tbl, st.Conflict, old, row)
-				if err != nil {
-					return nil, done(err)
-				}
-				if err := tbl.UpsertTxn(tx, merged); err != nil {
-					return nil, done(err)
-				}
-				replacedOld = append(replacedOld, old)
-				replacedNew = append(replacedNew, merged)
-			} else {
-				if err := tbl.InsertTxn(tx, row); err != nil {
-					return nil, done(err)
+			if !existed {
+				if err = tbl.InsertTxn(tx, row); err != nil {
+					break
 				}
 				inserted = append(inserted, row)
+				continue
 			}
+			var merged sqltypes.Row
+			if merged, err = s.applyConflictSet(&ent.params, tbl, st.Conflict, old, row); err == nil {
+				err = tbl.UpsertTxn(tx, merged)
+			}
+			if err != nil {
+				break
+			}
+			replacedOld = append(replacedOld, old)
+			replacedNew = append(replacedNew, merged)
 		}
 	}
-
-	if err := done(nil); err != nil {
-		return nil, err
+	if err == nil {
+		s.fireTxn(st.Table, TrigInsert, nil, inserted)
+		s.fireTxn(st.Table, TrigUpdate, replacedOld, replacedNew)
 	}
-	if err := s.fireTxn(st.Table, TrigInsert, nil, inserted); err != nil {
-		return nil, err
-	}
-	if err := s.fireTxn(st.Table, TrigUpdate, replacedOld, replacedNew); err != nil {
+	if err := done(err); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: len(inserted) + len(replacedNew)}, nil
@@ -173,11 +156,8 @@ func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.
 // insertStream executes the plain-INSERT sink over a batch pipeline. Each
 // batch lands under one table lock; a columnar identity-mapped batch goes
 // through the vectorized InsertVecsTxn path (typed column loops, hoisted
-// validation), anything else builds rows and uses InsertBatchTxn. Error
-// semantics per batch match InsertBatchTxn: the first failing row stops the
-// statement with every earlier row (including earlier batches) kept in
-// place — committed by the autocommit bracket, or carried by the open
-// transaction until COMMIT/ROLLBACK settles it.
+// validation), anything else builds rows and uses InsertBatchTxn. The first
+// failing row fails the statement, which then keeps none of its rows.
 func (s *Session) insertStream(ctx context.Context, n plan.Node, tbl *catalog.Table, st *sqlparser.InsertStmt,
 	colPos []int, identity bool, buildRow func(sqltypes.Row) (sqltypes.Row, error)) (*Result, error) {
 	tx, done := s.BeginWrite()
@@ -198,37 +178,32 @@ func (s *Session) insertStream(ctx context.Context, n plan.Node, tbl *catalog.Ta
 			break
 		}
 		var rows []sqltypes.Row
-		var landed int
-		var insErr error
 		if identity && b.Cols != nil && len(b.Cols) == len(colPos) {
-			rows, landed, insErr = tbl.InsertVecsTxn(tx, b.Cols, b.Len())
+			rows, err = tbl.InsertVecsTxn(tx, b.Cols, b.Len())
 		} else if b.Cols != nil && len(b.Cols) != len(colPos) {
-			return nil, done(fmt.Errorf("engine: INSERT has %d values for %d columns", len(b.Cols), len(colPos)))
+			err = fmt.Errorf("engine: INSERT has %d values for %d columns", len(b.Cols), len(colPos))
 		} else {
 			src := b.RowView()
-			built := make([]sqltypes.Row, len(src))
-			for i, r := range src {
-				row, berr := buildRow(r)
-				if berr != nil {
-					return nil, done(berr)
-				}
-				built[i] = row
+			rows = make([]sqltypes.Row, len(src))
+			for i := 0; i < len(src) && err == nil; i++ {
+				rows[i], err = buildRow(src[i])
 			}
-			landed, insErr = tbl.InsertBatchTxn(tx, built)
-			rows = built
+			if err == nil {
+				err = tbl.InsertBatchTxn(tx, rows)
+			}
 		}
-		total += landed
-		if collect && landed > 0 {
-			all = append(all, rows[:landed]...)
+		if err != nil {
+			return nil, done(err)
 		}
-		if insErr != nil {
-			return nil, done(insErr)
+		total += len(rows)
+		if collect && all == nil {
+			all = rows // full-length, so a later append copies
+		} else if collect {
+			all = append(all, rows...)
 		}
 	}
+	s.fireTxn(st.Table, TrigInsert, nil, all)
 	if err := done(nil); err != nil {
-		return nil, err
-	}
-	if err := s.fireTxn(st.Table, TrigInsert, nil, all); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: total}, nil
@@ -342,13 +317,10 @@ func (s *Session) execUpdate(ctx context.Context, params *expr.ParamBinding, st 
 			}
 			return nr, nil
 		})
-	if err != nil {
-		return nil, done(err)
+	if err == nil {
+		s.fireTxn(st.Table, TrigUpdate, old, new_)
 	}
-	if err := done(nil); err != nil {
-		return nil, err
-	}
-	if err := s.fireTxn(st.Table, TrigUpdate, old, new_); err != nil {
+	if err := done(err); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: len(new_)}, nil
@@ -366,39 +338,32 @@ func (s *Session) execDelete(ctx context.Context, params *expr.ParamBinding, st 
 			return nil, err
 		}
 	}
-	tx, done := s.BeginWrite()
-	var deleted []sqltypes.Row
-	affected := 0
 	if pred == nil {
-		// Unfiltered DELETE is a truncate: storage clears the whole table
-		// in one shot when nobody could observe the difference (IVM empties
-		// its delta tables on every refresh; that path runs with triggers
-		// suppressed, so it also skips the row copy).
-		deleted, affected, err = tbl.TruncateTxn(tx, s.wantsTriggerRows(st.Table, TrigDelete))
-	} else {
-		check := ctxChecker(ctx)
-		var keys []sqltypes.Value
-		if keys, err = keysBeforeLock(tbl, pred); err == nil {
-			deleted, err = tbl.DeleteTxn(tx, keys, func(r sqltypes.Row) (bool, error) {
-				if err := check(); err != nil {
-					return false, err
-				}
-				v, err := pred.Eval(r)
-				if err != nil {
-					return false, err
-				}
-				return v.IsTrue(), nil
-			})
-		}
-		affected = len(deleted)
+		return s.truncate(tbl, st.Table)
+	}
+	tx, done := s.BeginWrite()
+	check := ctxChecker(ctx)
+	var deleted []sqltypes.Row
+	keys, err := keysBeforeLock(tbl, pred)
+	if err == nil {
+		deleted, err = tbl.DeleteTxn(tx, keys, func(r sqltypes.Row) (bool, error) {
+			if err := check(); err != nil {
+				return false, err
+			}
+			v, err := pred.Eval(r)
+			if err != nil {
+				return false, err
+			}
+			return v.IsTrue(), nil
+		})
+	}
+	if err == nil {
+		s.fireTxn(st.Table, TrigDelete, deleted, nil)
 	}
 	if err := done(err); err != nil {
 		return nil, err
 	}
-	if err := s.fireTxn(st.Table, TrigDelete, deleted, nil); err != nil {
-		return nil, err
-	}
-	return &Result{RowsAffected: affected}, nil
+	return &Result{RowsAffected: len(deleted)}, nil
 }
 
 func (s *Session) execTruncate(st *sqlparser.TruncateStmt) (*Result, error) {
@@ -406,12 +371,26 @@ func (s *Session) execTruncate(st *sqlparser.TruncateStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.truncate(tbl, st.Table)
+}
+
+// truncate runs TRUNCATE, and DELETE without WHERE: storage clears the whole
+// table in one shot when nobody could observe the difference (IVM empties
+// its scratch tables that way on every refresh, with triggers suppressed,
+// so it also skips the row copy). A table with delete triggers takes the
+// versioned path: its handlers run after the truncate, in its transaction,
+// and can still abort it.
+func (s *Session) truncate(tbl *catalog.Table, table string) (*Result, error) {
+	want := s.wantsTriggerRows(table, TrigDelete)
 	tx, done := s.BeginWrite()
-	rows, affected, err := tbl.TruncateTxn(tx, s.wantsTriggerRows(st.Table, TrigDelete))
-	if err := done(err); err != nil {
-		return nil, err
+	if want {
+		tx.SetAutoCommit(false)
 	}
-	if err := s.fireTxn(st.Table, TrigDelete, rows, nil); err != nil {
+	rows, affected, err := tbl.TruncateTxn(tx, want)
+	if err == nil {
+		s.fireTxn(table, TrigDelete, rows, nil)
+	}
+	if err := done(err); err != nil {
 		return nil, err
 	}
 	return &Result{RowsAffected: affected}, nil
@@ -436,13 +415,11 @@ func (s *Session) ApplyDeltaRow(table string, row sqltypes.Row, mult bool) error
 // exactly one matching copy is removed (Z-set semantics; see
 // catalog.Table.ApplyDeltasTxn for how retractions are resolved). This is
 // the primitive the cross-system HTAP pipeline uses to mirror remote
-// deltas locally. In autocommit the batch is all-or-nothing — one
-// transaction, hence one table lock, one redo record and one commit; a
-// failing row (a retraction with no matching copy, a duplicate key)
-// aborts it and nothing is captured. Inside an explicit transaction it
-// joins that transaction, like any other DML. Row-level triggers then
-// fire once per event kind, retractions first, so IVM delta capture
-// observes the replayed change.
+// deltas locally. It is one write, like any statement: in autocommit one
+// transaction, hence one table lock, one redo record and one commit, and
+// a failing row (a retraction with no matching copy, a duplicate key)
+// aborts it whole. Row-level triggers see it as two events, retractions
+// first, so IVM delta capture observes the replayed change.
 func (s *Session) ApplyDeltaBatch(table string, rows []sqltypes.Row, insert []bool) error {
 	if len(rows) != len(insert) {
 		return fmt.Errorf("engine: delta batch for %s has %d rows but %d multiplicities", table, len(rows), len(insert))
@@ -456,14 +433,7 @@ func (s *Session) ApplyDeltaBatch(table string, rows []sqltypes.Row, insert []bo
 	}
 	tx, done := s.BeginWrite()
 	if err := tbl.ApplyDeltasTxn(tx, rows, insert); err != nil {
-		if s.txn == nil {
-			s.activeWrite = nil
-			s.db.cat.MVCC().Abort(tx)
-		}
-		return err
-	}
-	if err := done(nil); err != nil {
-		return err
+		return done(err)
 	}
 	var retracted, inserted []sqltypes.Row
 	for i, r := range rows {
@@ -473,20 +443,18 @@ func (s *Session) ApplyDeltaBatch(table string, rows []sqltypes.Row, insert []bo
 			retracted = append(retracted, r)
 		}
 	}
-	if err := s.fireTxn(table, TrigDelete, retracted, nil); err != nil {
-		return err
-	}
-	return s.fireTxn(table, TrigInsert, nil, inserted)
+	s.fireTxn(table, TrigDelete, retracted, nil)
+	s.fireTxn(table, TrigInsert, nil, inserted)
+	return done(nil)
 }
 
-// InsertRows inserts rows into tbl as one committed write of s (inside an
-// explicit transaction, as part of it), returning how many landed: a
-// failing row leaves the rows before it in place. A catalog-level write,
-// so no trigger fires — bulk loads, mirrors and trigger handlers use it.
-func (s *Session) InsertRows(tbl *catalog.Table, rows []sqltypes.Row) (int, error) {
+// InsertRows inserts rows into tbl as one write of s: a transaction of its
+// own, or part of the open one (a trigger handler's joins the writer's). A
+// catalog-level write, so no trigger fires — bulk loads, mirrors and
+// trigger handlers use it.
+func (s *Session) InsertRows(tbl *catalog.Table, rows []sqltypes.Row) error {
 	tx, done := s.BeginWrite()
-	n, err := tbl.InsertBatchTxn(tx, rows)
-	return n, done(err)
+	return done(tbl.InsertBatchTxn(tx, rows))
 }
 
 // DrainTable removes and returns the committed rows of a table — the pull
@@ -528,91 +496,173 @@ func ctxChecker(ctx context.Context) func() error {
 
 // --- transactions ---
 
-// pendingFire is a trigger event queued inside an explicit transaction
-// and delivered after COMMIT publishes the writes: IVM delta capture and
-// eager propagation must read committed state, and a ROLLBACK must leave
-// no trace in the captured deltas.
+// pendingFire is a trigger event a write queued, delivered inside its
+// transaction just before the commit (Session.deliver).
 type pendingFire struct {
 	table    string
 	ev       TriggerEvent
 	old, new []sqltypes.Row
 }
 
-// txnState is an open explicit transaction: the MVCC transaction that
-// carries the write set and consistent read snapshot, plus the deferred
-// trigger events. ROLLBACK aborts the MVCC transaction (storage restamps
-// the logged versions) and drops the queued events — nothing was
-// captured, so nothing needs compensating.
+// txnState is a transaction of the session: an explicit BEGIN … COMMIT, or
+// the one of the autocommit statement writing now (Session.auto). It holds
+// the MVCC transaction that carries the write set and the read snapshot,
+// the staged redo record, the queued trigger events and the after-commit
+// hooks. ROLLBACK aborts the MVCC transaction (storage restamps the logged
+// versions) and drops the queued events undelivered.
 type txnState struct {
 	mtx   *mvcc.Txn
 	wal   *walPending // staged redo record state (nil when not logging)
 	fires []pendingFire
+	after []func(committed bool) error
+	// err dooms the transaction: a statement failed after it had written,
+	// so COMMIT aborts and returns err.
+	err error
+	// ending is set once COMMIT delivers: a handler cannot end the
+	// transaction from inside.
+	ending bool
 }
+
+// errRolledBack ends a transaction that nothing failed in: ROLLBACK, Close.
+var errRolledBack = errors.New("engine: transaction rolled back")
 
 // BeginWrite returns the transaction a write runs under and a completion
 // func that takes the write's error and returns the statement's. It is the
 // one bracket every catalog write of the engine and its extensions goes
 // through: DML, trigger handlers (delta capture), the IVM extension's
-// delta-table upkeep, the cross-system drain, recovery replay. Inside an
-// explicit transaction the write joins it and completion defers to COMMIT.
-// In autocommit the write runs as its own transaction, committed by the
-// completion func BEFORE triggers fire so propagation reads the published
-// state, and made durable before the func returns. Autocommit commits even
-// when the write failed partway: the landed prefix stays in place (a
-// doomed conflicting statement aborts inside Commit instead and keeps
-// nothing).
+// delta-table upkeep, the cross-system drain, recovery replay. A statement
+// either happens or does not. In autocommit the write is a transaction of
+// its own: completion delivers the statement's trigger events inside it,
+// then commits and waits for the commit's fsync — or, when the write or a
+// handler failed, aborts, and nothing of the statement stays. Inside an
+// open transaction (an explicit one, or the one whose events are being
+// delivered) the write joins it, and a write that fails after changing
+// something dooms it: COMMIT returns the failure and keeps nothing.
 func (s *Session) BeginWrite() (*mvcc.Txn, func(error) error) {
-	if s.txn != nil {
-		return s.txn.mtx, func(err error) error { return err }
+	if s.autoDone == nil {
+		s.autoDone, s.joinDone = s.endAuto, s.endJoined
 	}
-	mgr := s.db.cat.MVCC()
-	tx := mgr.Begin()
-	tx.SetAutoCommit()
-	wp := s.walArm(tx)
-	s.activeWrite = tx // panic cleanup target until completion runs
-	settled := false
-	return tx, func(err error) error {
-		if settled {
-			return err
-		}
-		settled = true
-		if err == nil {
-			// Injected while activeWrite is still set: a panic-action fire
-			// unwinds into recoverStatement, which aborts the transaction.
-			if ferr := fault.Inject(fault.EngineCommit); ferr != nil {
-				s.activeWrite = nil
-				mgr.Abort(tx)
-				return ferr
-			}
-		}
-		s.activeWrite = nil
-		if cerr := mgr.Commit(tx); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err == nil {
-			// Group commit: block until the staged redo record's fsync.
-			// On a statement error the landed prefix stays committed in
-			// memory (historical autocommit semantics) and its staged
-			// record rides the next flush.
-			err = wp.wait(s.db)
-		}
-		return err
+	if s.txn != nil {
+		s.mark = s.txn.mtx.Ops()
+		return s.txn.mtx, s.joinDone
+	}
+	tx := s.db.cat.MVCC().Begin()
+	tx.SetAutoCommit(true)
+	s.auto.mtx, s.auto.wal = tx, s.walArm(tx)
+	s.txn = &s.auto
+	return tx, s.autoDone
+}
+
+// endAuto completes an autocommit statement's write.
+func (s *Session) endAuto(err error) error {
+	if s.txn != &s.auto {
+		return err // completed already
+	}
+	if err == nil {
+		err = s.deliver(&s.auto)
+	}
+	return s.end(&s.auto, err)
+}
+
+// endJoined completes a write that joined the open transaction.
+func (s *Session) endJoined(err error) error {
+	if t := s.txn; err != nil && t != nil && t.err == nil && t.mtx.Ops() != s.mark {
+		t.err = err
+	}
+	return err
+}
+
+// fireTxn queues a DML trigger event on the open transaction. The
+// suppression decision is taken now, at DML time, so it matches the rows
+// the statement collected.
+func (s *Session) fireTxn(table string, ev TriggerEvent, oldRows, newRows []sqltypes.Row) {
+	if len(oldRows)+len(newRows) > 0 && s.trigOff.Load() == 0 {
+		s.txn.fires = append(s.txn.fires, pendingFire{table: table, ev: ev, old: oldRows, new: newRows})
 	}
 }
 
-// fireTxn delivers a DML trigger event: immediately in autocommit (the
-// statement's own transaction has already committed), queued until COMMIT
-// inside an explicit transaction. The suppression decision is taken now,
-// at DML time, so it matches the rows the statement collected.
-func (s *Session) fireTxn(table string, ev TriggerEvent, oldRows, newRows []sqltypes.Row) error {
-	if len(oldRows)+len(newRows) == 0 || s.trigOff.Load() > 0 {
-		return nil
+// deliver runs t's queued trigger events on the session, in queue order,
+// inside t: a handler's writes share t's commit, and its error aborts t.
+// Consecutive INSERT events on one table are one call, and so are
+// consecutive DELETE events; UPDATE events never merge, so a keyed replay
+// of the deltas sees every row version in turn. Events a handler queues
+// are delivered after the ones before them.
+func (s *Session) deliver(t *txnState) error {
+	for i := 0; i < len(t.fires); {
+		f := t.fires[i]
+		j := i + 1
+		for f.ev != TrigUpdate && j < len(t.fires) && t.fires[j].ev == f.ev && strings.EqualFold(t.fires[j].table, f.table) {
+			j++
+		}
+		if j > i+1 {
+			n := 0
+			for _, g := range t.fires[i:j] {
+				n += len(g.old) + len(g.new)
+			}
+			rows := make([]sqltypes.Row, 0, n)
+			for _, g := range t.fires[i:j] {
+				rows = append(append(rows, g.old...), g.new...)
+			}
+			if f.ev == TrigDelete {
+				f.old = rows
+			} else {
+				f.new = rows
+			}
+		}
+		for _, tr := range s.db.triggersFor(f.table) {
+			if tr.events[f.ev] {
+				if err := tr.handler(s, f.table, f.ev, f.old, f.new); err != nil {
+					return fmt.Errorf("trigger %s: %w", tr.name, err)
+				}
+			}
+		}
+		i = j
 	}
-	if s.txn != nil {
-		s.txn.fires = append(s.txn.fires, pendingFire{table: table, ev: ev, old: oldRows, new: newRows})
-		return nil
+	return t.err
+}
+
+// end closes t — committing it when err is nil, aborting it otherwise —
+// then runs its after-commit hooks with the outcome. It returns err, else
+// what failed committing or making the commit durable, else the first
+// hook's error.
+func (s *Session) end(t *txnState, err error) error {
+	mgr := s.db.cat.MVCC()
+	if err == nil {
+		// Injected while t is still open: a panic-action fire unwinds into
+		// recoverStatement, which aborts it.
+		err = fault.Inject(fault.EngineCommit)
 	}
-	return s.fireForce(table, ev, oldRows, newRows)
+	s.txn = nil
+	committed := false
+	if err != nil {
+		mgr.Abort(t.mtx)
+	} else if err = mgr.Commit(t.mtx); err == nil {
+		committed = true
+		// Group commit: block until the staged redo record's fsync, before
+		// the client or a hook treats the write as acknowledged.
+		err = t.wal.wait(s.db)
+	}
+	fires, after := t.fires, t.after
+	clear(fires)
+	*t = txnState{fires: fires[:0]}
+	for _, fn := range after {
+		if herr := fn(committed); err == nil {
+			err = herr
+		}
+	}
+	if clear(after); t.after == nil {
+		t.after = after[:0] // no hook wrote on the session meanwhile
+	}
+	return err
+}
+
+// AfterCommit registers fn to run on the session once its open transaction
+// has ended, with whether it committed (and was made durable): a trigger
+// handler's way to act on the writer's outcome. fn's error becomes the
+// statement's unless it already failed. It is called inside a transaction
+// (a trigger handler always is).
+func (s *Session) AfterCommit(fn func(committed bool) error) {
+	s.txn.after = append(s.txn.after, fn)
 }
 
 func (s *Session) execBegin() (*Result, error) {
@@ -624,44 +674,37 @@ func (s *Session) execBegin() (*Result, error) {
 	return &Result{}, nil
 }
 
+// explicit returns the session's explicit transaction, nil when none is
+// open for COMMIT or ROLLBACK to end.
+func (s *Session) explicit() *txnState {
+	if t := s.txn; t != nil && t != &s.auto && !t.ending {
+		return t
+	}
+	return nil
+}
+
 func (s *Session) execCommit() (*Result, error) {
-	if s.txn == nil {
+	t := s.explicit()
+	if t == nil {
 		return nil, fmt.Errorf("engine: no transaction in progress")
 	}
-	tx := s.txn
-	// Injected while s.txn is still set: a panic-action fire unwinds into
-	// recoverStatement, which aborts the whole transaction.
-	if ferr := fault.Inject(fault.EngineCommit); ferr != nil {
-		s.txn = nil
-		s.db.cat.MVCC().Abort(tx.mtx)
-		return nil, ferr
+	t.ending = true
+	err := t.err
+	if err == nil {
+		err = s.deliver(t)
 	}
-	s.txn = nil // deferred fires below run in autocommit, not re-queued
-	if err := s.db.cat.MVCC().Commit(tx.mtx); err != nil {
-		// First-committer-wins conflict: the manager has already aborted
-		// and restamped the write set; surface the serialization failure.
+	if err := s.end(t, err); err != nil {
 		return nil, err
-	}
-	if err := tx.wal.wait(s.db); err != nil {
-		// Committed in memory but not confirmed durable: surface the
-		// failure before the client treats the COMMIT as acknowledged.
-		return nil, err
-	}
-	for _, f := range tx.fires {
-		if err := s.fireForce(f.table, f.ev, f.old, f.new); err != nil {
-			return nil, err
-		}
 	}
 	return &Result{}, nil
 }
 
 func (s *Session) execRollback() (*Result, error) {
-	if s.txn == nil {
+	t := s.explicit()
+	if t == nil {
 		return nil, fmt.Errorf("engine: no transaction in progress")
 	}
-	tx := s.txn
-	s.txn = nil
-	s.db.cat.MVCC().Abort(tx.mtx)
+	s.end(t, errRolledBack)
 	return &Result{}, nil
 }
 

@@ -243,8 +243,7 @@ func (r *recoverer) createTable(name string, defs []storage.ColumnDef, pk []stri
 	if err != nil || len(rows) == 0 {
 		return tbl, err
 	}
-	_, err = r.s.InsertRows(tbl, rows)
-	return tbl, err
+	return tbl, r.s.InsertRows(tbl, rows)
 }
 
 // Checkpoint restores a full snapshot: tables with their indexes and

@@ -67,12 +67,17 @@ const (
 	TrigUpdate TriggerEvent = "UPDATE"
 )
 
-// TriggerFunc receives the affected rows after a DML statement commits,
-// on the session that ran it. For UPDATE both oldRows and newRows are set
-// pairwise; for INSERT only newRows; for DELETE only oldRows. The events of
-// an explicit transaction arrive after its COMMIT, one call per statement,
-// in statement order. The writer's transaction is over by then: a handler
-// that writes does so in a transaction of its own, through s.BeginWrite.
+// TriggerFunc receives the rows a DML statement changed, on the session
+// that ran it, inside the writer's transaction just before it commits, as
+// PostgreSQL's AFTER … FOR EACH ROW triggers run. For UPDATE both oldRows
+// and newRows are set pairwise; for INSERT only newRows; for DELETE only
+// oldRows. An autocommit statement's events arrive when its write ends, an
+// explicit transaction's at COMMIT, in the order they were queued;
+// consecutive INSERT events on one table arrive as one call, and so do
+// consecutive DELETE events, while UPDATE events never merge. A handler's
+// writes (s.BeginWrite) join the writer's transaction: one commit record,
+// one timestamp. What must wait for the outcome goes to s.AfterCommit. An
+// error aborts the writer's transaction.
 type TriggerFunc func(s *Session, table string, event TriggerEvent, oldRows, newRows []sqltypes.Row) error
 
 // StatementHook may intercept a parsed statement before standard execution.
@@ -417,24 +422,6 @@ func (s *Session) wantsTriggerRows(table string, ev TriggerEvent) bool {
 	return false
 }
 
-// fireForce invokes the table's triggers for the event without
-// consulting the session's trigger suppression: fireTxn takes that
-// decision at DML time, and COMMIT-deferred events must mirror it even
-// when the suppression state has changed since.
-func (s *Session) fireForce(table string, ev TriggerEvent, oldRows, newRows []sqltypes.Row) error {
-	if len(oldRows)+len(newRows) == 0 {
-		return nil
-	}
-	for _, tr := range s.db.triggersFor(table) {
-		if tr.events[ev] {
-			if err := tr.handler(s, table, ev, oldRows, newRows); err != nil {
-				return fmt.Errorf("trigger %s: %w", tr.name, err)
-			}
-		}
-	}
-	return nil
-}
-
 // Parse parses one statement, consulting fallback parsers on failure.
 func (db *DB) Parse(sql string) (sqlparser.Statement, error) {
 	stmt, err := sqlparser.Parse(sql)
@@ -616,7 +603,7 @@ func (s *Session) execCreateTable(ctx context.Context, st *sqlparser.CreateTable
 			}
 			bump()
 		}()
-		landed, err := tbl.InsertBatchTxn(tx, rows)
+		err = tbl.InsertBatchTxn(tx, rows)
 		// Table and population are one DDL record, appended by the commit
 		// in place of its commit record: recovery finds both or neither.
 		// The statement is rare, so it pays that record's fsync under the
@@ -624,7 +611,7 @@ func (s *Session) execCreateTable(ctx context.Context, st *sqlparser.CreateTable
 		var logErr error
 		tx.CommitHook = func(uint64) {
 			committed = true
-			logErr = s.logCreateTable(tbl, rows[:landed])
+			logErr = s.logCreateTable(tbl, rows)
 		}
 		if err := done(err); err != nil {
 			return nil, err

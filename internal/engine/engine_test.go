@@ -460,31 +460,58 @@ func TestTransactionsCommit(t *testing.T) {
 	}
 }
 
+// TestTriggers pins trigger delivery. A handler runs on the writer's
+// session inside the writer's transaction, before it commits: the session
+// sees the write, another one does not yet. An autocommit statement's
+// events arrive when its write ends; an explicit transaction's wait for
+// COMMIT, where a run of consecutive INSERT (or DELETE) events on one table
+// is one call with the rows in statement order, and UPDATE events arrive
+// one by one.
 func TestTriggers(t *testing.T) {
 	db := testDB(t)
+	other := db.NewSession()
+	defer other.Close()
+	state := func(s *Session) string {
+		res, err := s.Exec("SELECT COUNT(*), SUM(group_value) FROM groups")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0].String()
+	}
+	keys := func(rows []sqltypes.Row) string {
+		var ks []string
+		for _, r := range rows {
+			ks = append(ks, fmt.Sprintf("%s=%d", r[0].S, r[1].I))
+		}
+		return strings.Join(ks, ",")
+	}
 	var events []string
 	db.AddTrigger("groups", "trc", []TriggerEvent{TrigInsert, TrigDelete, TrigUpdate},
-		func(_ *Session, table string, ev TriggerEvent, oldR, newR []sqltypes.Row) error {
-			events = append(events, fmt.Sprintf("%s:%d:%d", ev, len(oldR), len(newR)))
+		func(s *Session, table string, ev TriggerEvent, oldR, newR []sqltypes.Row) error {
+			if !s.InTxn() || state(s) == state(other) {
+				t.Errorf("%s delivered outside the writer's transaction or after its commit", ev)
+			}
+			events = append(events, fmt.Sprintf("%s:%s>%s", ev, keys(oldR), keys(newR)))
 			return nil
 		})
 	mustExec(t, db, "INSERT INTO groups VALUES ('t', 1)")
 	mustExec(t, db, "UPDATE groups SET group_value = 2 WHERE group_index = 't'")
 	mustExec(t, db, "DELETE FROM groups WHERE group_index = 't'")
-	want := []string{"INSERT:0:1", "UPDATE:1:1", "DELETE:1:0"}
-	if strings.Join(events, ",") != strings.Join(want, ",") {
-		t.Fatalf("events = %v", events)
+	want := []string{"INSERT:>t=1", "UPDATE:t=1>t=2", "DELETE:t=2>"}
+	if strings.Join(events, " ") != strings.Join(want, " ") {
+		t.Fatalf("events = %v, want %v", events, want)
 	}
 
-	// Inside a transaction the events wait for COMMIT and arrive one per
-	// statement, in statement order.
 	events = nil
 	for _, sql := range []string{
 		"BEGIN",
 		"INSERT INTO groups VALUES ('t', 1)",
 		"INSERT INTO groups VALUES ('u', 2), ('v', 3)",
+		"UPDATE groups SET group_value = 4 WHERE group_index = 't'",
+		"UPDATE groups SET group_value = 5 WHERE group_index = 't'",
 		"DELETE FROM groups WHERE group_index = 'u'",
-		"INSERT INTO groups VALUES ('w', 4)",
+		"DELETE FROM groups WHERE group_index = 'v'",
+		"INSERT INTO groups VALUES ('w', 6)",
 	} {
 		mustExec(t, db, sql)
 	}
@@ -492,8 +519,8 @@ func TestTriggers(t *testing.T) {
 		t.Fatalf("events before COMMIT = %v", events)
 	}
 	mustExec(t, db, "COMMIT")
-	want = []string{"INSERT:0:1", "INSERT:0:2", "DELETE:1:0", "INSERT:0:1"}
-	if strings.Join(events, ",") != strings.Join(want, ",") {
+	want = []string{"INSERT:>t=1,u=2,v=3", "UPDATE:t=1>t=4", "UPDATE:t=4>t=5", "DELETE:u=2,v=3>", "INSERT:>w=6"}
+	if strings.Join(events, " ") != strings.Join(want, " ") {
 		t.Fatalf("events at COMMIT = %v, want %v", events, want)
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"openivm/internal/engine"
 	"openivm/internal/fault"
+	"openivm/internal/ivm"
 	"openivm/internal/ivmext"
 	"openivm/internal/oltp"
 	"openivm/internal/storage"
@@ -802,6 +803,129 @@ func TestRecoveryCapturedDeltas(t *testing.T) {
 	mustExec(t, s, "DELETE FROM orders WHERE oid = 5")
 	if n := store.PendingDeltas("orders"); n != 2 {
 		t.Fatalf("a write after the checkpointed restart left %d delta rows, want 2", n)
+	}
+}
+
+// TestRecoveryCaptureRidesTheWrite: on a durable OLTP store a captured
+// delta is part of the write it describes — one commit record — so wherever
+// a crash cuts the log, every recovered version of an orders row has its
+// delta_orders rows and every delta row its version: replaying delta_orders
+// (nothing drains it) gives exactly the recovered orders table. The log of
+// a randomized workload — autocommit and BEGIN … COMMIT writes, rollbacks —
+// is cut at evenly spread offsets through every segment.
+func TestRecoveryCaptureRidesTheWrite(t *testing.T) {
+	seed, fromEnv := recoverySeed()
+	rnd := rand.New(rand.NewSource(seed))
+	fail := func(format string, args ...any) {
+		t.Fatalf("RECOVERY_SEED=%d (from env: %v): %s", seed, fromEnv, fmt.Sprintf(format, args...))
+	}
+	dir := t.TempDir()
+	store := openDurableStore(t, dir)
+	s := store.DB.NewSession()
+	mustExec(t, s, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, amount INTEGER)")
+	if err := store.EnableCapture("orders"); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	write := func() string {
+		switch p := rnd.Intn(6); {
+		case p < 3 || next == 0:
+			next += 2
+			return fmt.Sprintf("INSERT INTO orders VALUES (%d, %d), (%d, %d)", next-2, rnd.Intn(100), next-1, rnd.Intn(100))
+		case p < 5:
+			return fmt.Sprintf("UPDATE orders SET amount = amount + 1 WHERE oid = %d", rnd.Intn(next))
+		default:
+			return fmt.Sprintf("DELETE FROM orders WHERE oid = %d", rnd.Intn(next))
+		}
+	}
+	for i := 0; i < 40; i++ {
+		if rnd.Intn(3) > 0 {
+			mustExec(t, s, write())
+			continue
+		}
+		mustExec(t, s, "BEGIN")
+		for j := 0; j < 2+rnd.Intn(3); j++ {
+			mustExec(t, s, write())
+		}
+		if rnd.Intn(4) == 0 {
+			mustExec(t, s, "ROLLBACK")
+		} else {
+			mustExec(t, s, "COMMIT")
+		}
+	}
+	s.Close()
+	if err := store.DB.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// agree reports where the recovered orders table and the replay of
+	// delta_orders differ ("" when they do not).
+	agree := func(s *engine.Session) string {
+		held := map[string]int{}
+		if res, err := s.Exec("SELECT oid, amount FROM orders"); err == nil {
+			for _, r := range res.Rows {
+				held[r.String()]++
+			}
+		}
+		if res, err := s.Exec("SELECT oid, amount, " + ivm.MultiplicityColumn + " FROM delta_orders"); err == nil {
+			for _, r := range res.Rows {
+				if r[2].IsTrue() {
+					held[r[:2].String()]--
+				} else {
+					held[r[:2].String()]++
+				}
+			}
+		}
+		var diff []string
+		for row, n := range held {
+			if n != 0 {
+				diff = append(diff, fmt.Sprintf("%s:%+d", row, n))
+			}
+		}
+		sort.Strings(diff)
+		return strings.Join(diff, " ")
+	}
+
+	var segs []string
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".owl") {
+			segs = append(segs, e.Name())
+		}
+	}
+	sort.Strings(segs)
+	const cuts = 48
+	for idx, seg := range segs {
+		fi, err := os.Stat(filepath.Join(dir, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c <= cuts; c++ {
+			off := fi.Size() * int64(c) / cuts
+			if c > 0 && c < cuts {
+				off += rnd.Int63n(fi.Size()/cuts + 1)
+			}
+			tdir := t.TempDir()
+			copyDir(t, dir, tdir)
+			if err := os.Truncate(filepath.Join(tdir, seg), off); err != nil {
+				t.Fatal(err)
+			}
+			for _, later := range segs[idx+1:] {
+				os.Remove(filepath.Join(tdir, later))
+			}
+			store := openDurableStore(t, tdir)
+			s := store.DB.NewSession()
+			if diff := agree(s); diff != "" {
+				fail("log %s cut at byte %d of %d: orders and the replay of delta_orders differ by (row:count) %s", seg, off, fi.Size(), diff)
+			}
+			s.Close()
+			if err := store.DB.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

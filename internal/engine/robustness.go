@@ -139,21 +139,13 @@ func (s *Session) isolate(err *error) {
 	}
 }
 
-// recoverStatement rolls back whatever transaction a panicking
-// statement left dangling: the autocommit write transaction it opened
-// (tracked in s.activeWrite), or the session's explicit transaction —
-// a panic mid-transaction aborts the whole transaction, because the
-// statement may have applied part of its writes.
+// recoverStatement rolls back whatever transaction a panicking statement
+// left open: the autocommit statement's own, or the session's explicit
+// transaction — a panic mid-transaction aborts the whole transaction,
+// because the statement may have applied part of its writes.
 func (s *Session) recoverStatement() {
-	mgr := s.db.cat.MVCC()
-	if tx := s.activeWrite; tx != nil {
-		s.activeWrite = nil
-		mgr.Abort(tx)
-	}
 	if s.txn != nil {
-		tx := s.txn
-		s.txn = nil
-		mgr.Abort(tx.mtx)
+		s.end(s.txn, errRolledBack)
 	}
 }
 

@@ -43,15 +43,19 @@ type Session struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// txn is the session's open transaction (nil outside BEGIN..COMMIT).
-	// Deliberately unsynchronized: a session is single-goroutine.
+	// txn is the session's open transaction: the explicit one between
+	// BEGIN and COMMIT, &auto while an autocommit statement writes, nil
+	// otherwise. Deliberately unsynchronized: a session is single-goroutine.
 	txn *txnState
 
-	// activeWrite is the autocommit write transaction of the statement
-	// currently executing (nil otherwise). Tracked so the statement-level
-	// panic recovery (robustness.go) can abort it instead of leaking an
-	// open MVCC transaction. Same synchronization contract as txn.
-	activeWrite *mvcc.Txn
+	// auto is the autocommit statement's transaction state, kept here so
+	// that a statement allocates none of it; autoDone and joinDone are the
+	// completion funcs BeginWrite hands out, bound once per session, and
+	// mark is the write-log length at which the current statement joined
+	// the open transaction.
+	auto               txnState
+	autoDone, joinDone func(error) error
+	mark               int
 
 	// trigOff counts nested WithoutTriggers scopes.
 	trigOff atomic.Int32
@@ -209,11 +213,15 @@ func (s *Session) Close() error {
 	s.cancel()
 	s.db.dropSession(s)
 	if s.txn != nil {
-		_, err := s.execRollback()
-		return err
+		s.end(s.txn, errRolledBack)
 	}
 	return nil
 }
+
+// InTxn reports whether the session has a transaction open: between BEGIN
+// and COMMIT, or while a statement's trigger events are delivered inside
+// the statement's own.
+func (s *Session) InTxn() bool { return s.txn != nil }
 
 // --- pragmas ---
 
@@ -305,8 +313,8 @@ func (s *Session) execOptsTxn(ctx context.Context, tx *mvcc.Txn) exec.Options {
 	return o
 }
 
-// currentTxn returns the session's open explicit transaction, nil in
-// autocommit.
+// currentTxn returns the session's open transaction — a trigger handler
+// reads inside the writer's — nil in autocommit.
 func (s *Session) currentTxn() *mvcc.Txn {
 	if s.txn != nil {
 		return s.txn.mtx

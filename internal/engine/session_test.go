@@ -186,7 +186,7 @@ func TestSessionContextCancel(t *testing.T) {
 		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i))})
 	}
 	tbl, _ := db.Catalog().Table("t")
-	if _, err := db.NewSession().InsertRows(tbl, rows); err != nil {
+	if err := db.NewSession().InsertRows(tbl, rows); err != nil {
 		t.Fatal(err)
 	}
 

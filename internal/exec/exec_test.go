@@ -15,7 +15,7 @@ import (
 func load(t testing.TB, c *catalog.Catalog, tbl *catalog.Table, rows ...sqltypes.Row) {
 	t.Helper()
 	tx := c.MVCC().Begin()
-	if _, err := tbl.InsertBatchTxn(tx, rows); err != nil {
+	if err := tbl.InsertBatchTxn(tx, rows); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.MVCC().Commit(tx); err != nil {

@@ -111,11 +111,10 @@ func (p *Pipeline) Mirror(table string) error {
 	}
 	// A catalog-level write: no trigger fires, so the base load reaches no
 	// delta table.
-	n, err := p.sess.InsertRows(tbl, rows)
-	p.Stats.RowsMirrored += n
-	if err != nil {
+	if err := p.sess.InsertRows(tbl, rows); err != nil {
 		return err
 	}
+	p.Stats.RowsMirrored += len(rows)
 
 	// Remote delta capture: delta table + trigger, exactly the manual
 	// PostgreSQL configuration the paper describes.

@@ -11,6 +11,7 @@ import (
 	"openivm/internal/duckast"
 	"openivm/internal/engine"
 	"openivm/internal/fault"
+	"openivm/internal/sqltypes"
 )
 
 // deltaOf returns the catalog table and the generation state of a delta
@@ -32,8 +33,8 @@ func deltaOf(t *testing.T, db *engine.DB, ext *Extension, name string) (*catalog
 
 // generation snapshots a delta's generation state.
 func generation(ds *deltaState) (frozen bool, gen int64, overflow int) {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
 	return ds.frozen, ds.gen, len(ds.overflow)
 }
 
@@ -118,6 +119,58 @@ func TestCaptureOverlapsFrozenGeneration(t *testing.T) {
 		t.Fatalf("after second refresh: gen=%d ΔT rows=%d, want generation 2 consumed", gen, dt.RowCount())
 	}
 	wantPending(t, db, "converged", 0)
+	viewEquals(t, db, "group_index, total_value", "qg",
+		"SELECT group_index, SUM(group_value) FROM groups GROUP BY group_index")
+}
+
+// TestCaptureOutlivesItsFrozenGeneration: a writer captures while ΔT is
+// frozen and commits only after the propagation has consumed that
+// generation and re-opened ΔT. Its rows belong to the open generation then
+// — in ΔT, not in an overflow nobody moves any more — and the next refresh
+// applies them.
+func TestCaptureOutlivesItsFrozenGeneration(t *testing.T) {
+	db, ext := setup(t)
+	defer fault.Reset()
+	mustExec(t, db, `CREATE MATERIALIZED VIEW qg AS SELECT group_index,
+		SUM(group_value) AS total_value FROM groups GROUP BY group_index`)
+	dt, ds := deltaOf(t, db, ext, "delta_groups")
+	mustExec(t, db, "INSERT INTO groups VALUES ('a', 1)")
+
+	// The propagation parks between its seal and its body; the writer's
+	// COMMIT captures meanwhile, then a trigger after the capture holds the
+	// writer's transaction open until the propagation is done.
+	if err := fault.Activate(fault.IVMPropagateView, "delay(100ms)@times1"); err != nil {
+		t.Fatal(err)
+	}
+	sealed := atomic.LoadInt64(&ext.Stats.GenerationsSealed)
+	refreshed := make(chan error, 1)
+	go func() { refreshed <- ext.Refresh("qg") }()
+	for atomic.LoadInt64(&ext.Stats.GenerationsSealed) == sealed {
+		time.Sleep(time.Millisecond)
+	}
+	var refreshErr error
+	db.AddTrigger("groups", "hold", []engine.TriggerEvent{engine.TrigInsert},
+		func(*engine.Session, string, engine.TriggerEvent, []sqltypes.Row, []sqltypes.Row) error {
+			if frozen, _, _ := generation(ds); !frozen {
+				t.Error("the capture did not overlap the frozen generation")
+			}
+			refreshErr = <-refreshed
+			return nil
+		})
+	s := db.NewSession()
+	defer s.Close()
+	for _, sql := range []string{"BEGIN", "INSERT INTO groups VALUES ('a', 10), ('b', 20)", "COMMIT"} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if refreshErr != nil {
+		t.Fatal(refreshErr)
+	}
+	if frozen, gen, overflow := generation(ds); frozen || gen != 1 || overflow != 0 || dt.RowCount() != 2 {
+		t.Fatalf("after the late commit: frozen=%v gen=%d overflow=%d ΔT rows=%d, want its 2 rows open in ΔT",
+			frozen, gen, overflow, dt.RowCount())
+	}
 	viewEquals(t, db, "group_index, total_value", "qg",
 		"SELECT group_index, SUM(group_value) FROM groups GROUP BY group_index")
 }

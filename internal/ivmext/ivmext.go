@@ -13,8 +13,8 @@
 //   - the generated SQL scripts are retained for inspection ("stored on
 //     disk" in the paper) via Extension.Scripts and SaveScripts.
 //
-// Refresh is concurrent and pipelined: capture appends to ΔT under a
-// short per-table lock; a propagation seals the generation in O(1) by
+// Refresh is concurrent and pipelined: capture writes ΔT inside the
+// writer's transaction; a propagation seals the generation in O(1) by
 // freezing ΔT — the table itself is the sealed generation, and captures
 // that arrive while it is frozen wait in memory and become the next
 // generation when the propagation has consumed ΔT; and independent views
@@ -68,6 +68,11 @@ type Extension struct {
 	// table; an entry lives exactly as long as the table's capture trigger.
 	deltas map[string]*deltaState
 
+	// writers holds, per writer session with a transaction open, what the
+	// transaction has captured (guarded by writersMu).
+	writersMu sync.Mutex
+	writers   map[*engine.Session]*writerTxn
+
 	// pool bounds how many propagations run concurrently
 	// (PRAGMA ivm_refresh_workers; capacity 1 reproduces serial refresh).
 	pool workerPool
@@ -97,8 +102,8 @@ type Extension struct {
 		// for a propagation).
 		GenerationsSealed int64
 		// CaptureStallNanos accumulates writer wait time on the delta's
-		// generation lock — bounded by a seal or a consume, never by a
-		// whole propagation.
+		// generation lock — bounded by a seal's freeze or a consume, never
+		// by a propagation.
 		CaptureStallNanos int64
 		// AutoChoices counts cost-based strategy selections by name
 		// (guarded by the extension mutex).
@@ -133,14 +138,17 @@ type view struct {
 // deltaState is the generation state of one shared delta table ΔT, which
 // cycles open → frozen → consumed (→ open):
 //
-//   - open: capture appends to ΔT under the read side of mu;
-//   - seal: a propagation that finds ΔT non-empty sets frozen and bumps gen
-//     under the write side — no row moves. A frozen ΔT is the sealed
-//     generation: the propagation bodies read it, and capture appends to
-//     overflow instead (write side), so it does not change under them;
+//   - open: capture writes ΔT inside the writer's transaction, counted in
+//     inflight (under mu) until that transaction has ended;
+//   - seal: a propagation that finds ΔT non-empty sets frozen, waits for
+//     inflight to drain and bumps gen — no row moves. A writer in flight is
+//     between its capture and its commit, and waits on no propagation. A
+//     frozen ΔT is the sealed generation: the propagation bodies read it,
+//     and a capture keeps its rows until its writer commits, then appends
+//     them to overflow, so ΔT does not change under them;
 //   - consume: once every dependent view has applied gen, ΔT is truncated,
 //     overflow moves into it as the next open generation and frozen
-//     clears — one step under the write side.
+//     clears — one step under mu.
 //
 // A failed body leaves ΔT frozen with its rows. gen numbers the sealed
 // generations, and each view records the last one it applied per delta
@@ -149,10 +157,12 @@ type view struct {
 // written under mu with the delta's refresh-group view locks held, and
 // read under either.
 type deltaState struct {
-	mu       sync.RWMutex
-	table    string // ΔT
+	mu       sync.Mutex
+	drained  sync.Cond // on mu: inflight fell to zero
+	table    string    // ΔT
 	frozen   bool
 	gen      int64
+	inflight int
 	overflow []sqltypes.Row
 }
 
@@ -196,9 +206,10 @@ func (p *workerPool) release() {
 // Install registers the IVM extension on db and returns its handle.
 func Install(db *engine.DB) *Extension {
 	ext := &Extension{
-		db:     db,
-		views:  map[string]*view{},
-		deltas: map[string]*deltaState{},
+		db:      db,
+		views:   map[string]*view{},
+		deltas:  map[string]*deltaState{},
+		writers: map[*engine.Session]*writerTxn{},
 	}
 	db.RegisterStatementHook(ext.statementHook)
 	db.SetIVMStatsSource(ext.engineStats)
@@ -239,9 +250,9 @@ func (ext *Extension) pendingGauge() int64 {
 // (open or frozen) or captures overflowed while it was frozen. Rows only
 // ever move from overflow into ΔT, so reading in that order misses none.
 func (ext *Extension) pending(ds *deltaState) bool {
-	ds.mu.RLock()
+	ds.mu.Lock()
 	overflowed := len(ds.overflow) > 0
-	ds.mu.RUnlock()
+	ds.mu.Unlock()
 	if overflowed {
 		return true
 	}
@@ -320,39 +331,41 @@ func (ext *Extension) statementHook(s *engine.Session, stmt sqlparser.Statement)
 	if s.Internal() {
 		return false, nil, nil
 	}
+	var run func() error
 	switch st := stmt.(type) {
 	case *sqlparser.CreateViewStmt:
-		if !st.Materialized {
-			return false, nil, nil
+		if st.Materialized {
+			run = func() error { return ext.createMaterializedView(st) }
 		}
-		res, err := ext.createMaterializedView(st)
-		return true, res, err
 	case *sqlparser.RefreshStmt:
-		if err := ext.Refresh(st.View); err != nil {
-			return true, nil, err
-		}
-		return true, &engine.Result{}, nil
+		run = func() error { return ext.Refresh(st.View) }
 	case *sqlparser.DropStmt:
-		if st.Kind != "VIEW" {
-			return false, nil, nil
+		if st.Kind == "VIEW" {
+			if v := ext.view(st.Name); v != nil { // else a plain view: the engine's
+				run = func() error { return ext.dropMaterializedView(v) }
+			}
 		}
-		v := ext.view(st.Name)
-		if v == nil {
-			return false, nil, nil // plain view: engine handles it
-		}
-		if err := ext.dropMaterializedView(v); err != nil {
-			return true, nil, err
-		}
-		return true, &engine.Result{}, nil
 	case *sqlparser.SelectStmt, *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
 		// Lazy mode: refresh any stale materialized view the statement
 		// reads before letting normal execution proceed (the paper models
 		// this as an implicit table function ahead of the plan).
-		if err := ext.refreshStale(stmt); err != nil {
-			return true, nil, err
+		if !s.InTxn() {
+			if err := ext.refreshStale(stmt); err != nil {
+				return true, nil, err
+			}
 		}
 	}
-	return false, nil, nil
+	if run == nil {
+		return false, nil, nil
+	}
+	// Inside a transaction nothing refreshes: a statement there reads at
+	// the transaction's snapshot, which a refresh committing now cannot
+	// change, a refresh is not undone by ROLLBACK, and a session delivering
+	// trigger events must not wait on a seal waiting for its own capture.
+	if s.InTxn() {
+		return true, nil, fmt.Errorf("ivmext: REFRESH and materialized-view DDL cannot run inside a transaction block")
+	}
+	return true, &engine.Result{}, run()
 }
 
 // refreshStale refreshes every materialized view stmt reads whose delta
@@ -423,14 +436,14 @@ func (ext *Extension) Compilation(view string) (*ivm.Compilation, bool) {
 
 // createMaterializedView compiles the definition, runs the generated DDL,
 // populates V, registers delta-capture triggers and stores the metadata.
-func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) (*engine.Result, error) {
+func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error {
 	opts, err := ext.options()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	comp, err := ivm.NewCompiler(ext.db, opts).Compile(st.Name, st.Select, st.SourceSQL)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Existing views may have buffered deltas against the same base
@@ -439,7 +452,7 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) (*eng
 	// consumes the frozen leftovers of failed propagations too.
 	for _, b := range comp.Bases {
 		if err := ext.refreshByDelta(b.Delta); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -471,7 +484,7 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) (*eng
 		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Exclude the view's derived tables from the WAL and from
@@ -490,6 +503,7 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) (*eng
 		ds := ext.deltas[key]
 		if ds == nil {
 			ds = &deltaState{table: b.Delta}
+			ds.drained.L = &ds.mu
 			ext.deltas[key] = ds
 			ext.db.AddTrigger(b.Name, "ivm_capture_"+b.Delta,
 				[]engine.TriggerEvent{engine.TrigInsert, engine.TrigDelete, engine.TrigUpdate},
@@ -500,9 +514,9 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) (*eng
 		// The view was just populated from the post-delta base state, so
 		// every generation sealed so far is already reflected in V: start
 		// the marker at the current generation.
-		ds.mu.RLock()
+		ds.mu.Lock()
 		v.applied[ds] = ds.gen
-		ds.mu.RUnlock()
+		ds.mu.Unlock()
 		v.deltas = append(v.deltas, ds)
 	}
 	ext.mu.Unlock()
@@ -523,7 +537,7 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) (*eng
 	ext.mu.Lock()
 	ext.views[strings.ToLower(comp.ViewName)] = v
 	ext.mu.Unlock()
-	return &engine.Result{}, nil
+	return nil
 }
 
 func deltaNames(comp *ivm.Compilation) []string {
@@ -555,11 +569,13 @@ func markUnlogged(cat *catalog.Catalog, comp *ivm.Compilation) {
 	}
 }
 
-// capture appends the delta rows of one base-table DML event
-// (ivm.DeltaRows) to the delta's open generation, so a writer only ever
-// waits out a seal or a consume, never a propagation. It runs on the
-// writer's session s after the writer's commit, as a transaction of its
-// own.
+// capture files the delta rows of one base-table DML event
+// (ivm.DeltaRows) in the delta's open generation. It runs on the writer's
+// session s inside the writer's transaction, and writes ΔT in it — one
+// commit with the write, held in flight until the transaction ends — or,
+// while a propagation has ΔT frozen, keeps the rows for the overflow until
+// the writer has committed. A writer never waits on a propagation:
+// CaptureStallNanos meters its wait for the generation lock.
 func (ext *Extension) capture(s *engine.Session, ds *deltaState, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
 	dt, err := ext.db.Catalog().Table(ds.table)
 	if err != nil {
@@ -569,45 +585,110 @@ func (ext *Extension) capture(s *engine.Session, ds *deltaState, ev engine.Trigg
 	if len(rows) == 0 {
 		return nil
 	}
-
-	if err := ext.appendOpen(s, ds, dt, rows); err != nil {
+	w := ext.writer(s)
+	t0 := time.Now()
+	ds.mu.Lock()
+	atomic.AddInt64(&ext.Stats.CaptureStallNanos, int64(time.Since(t0)))
+	frozen := ds.frozen
+	if !frozen {
+		ds.inflight++
+	}
+	ds.mu.Unlock()
+	if frozen {
+		w.late = append(w.late, lateRows{ds, rows})
+		return nil
+	}
+	w.held = append(w.held, ds)
+	if err := s.InsertRows(dt, rows); err != nil {
 		return err
 	}
 	atomic.AddInt64(&ext.Stats.DeltasCaught, int64(len(rows)))
+	return nil
+}
 
-	if ext.eager() {
+// writerTxn is what a writer session's open transaction has captured: the
+// deltas it holds in flight, and the rows it keeps for frozen deltas'
+// overflows until it commits. Only the session's goroutine touches it.
+type writerTxn struct {
+	held []*deltaState
+	late []lateRows
+}
+
+type lateRows struct {
+	ds   *deltaState
+	rows []sqltypes.Row
+}
+
+// writer returns what s's open transaction has captured so far; on its
+// first capture it registers the after-commit hook that settles them.
+func (ext *Extension) writer(s *engine.Session) *writerTxn {
+	ext.writersMu.Lock()
+	w := ext.writers[s]
+	first := w == nil
+	if first {
+		w = &writerTxn{}
+		ext.writers[s] = w
+	}
+	ext.writersMu.Unlock()
+	if first {
+		s.AfterCommit(func(committed bool) error { return ext.settle(s, w, committed) })
+	}
+	return w
+}
+
+// settle ends a writer transaction's captures: it releases every delta
+// held in flight — all of them first, since a refresh below seals them —
+// and, if the writer committed, files the rows kept for overflows and, in
+// eager mode, refreshes the views fed by the captured deltas.
+func (ext *Extension) settle(s *engine.Session, w *writerTxn, committed bool) error {
+	ext.writersMu.Lock()
+	delete(ext.writers, s)
+	ext.writersMu.Unlock()
+	for _, ds := range w.held {
+		ds.mu.Lock()
+		if ds.inflight--; ds.inflight == 0 {
+			ds.drained.Broadcast()
+		}
+		ds.mu.Unlock()
+	}
+	if !committed {
+		return nil
+	}
+	for _, l := range w.late {
+		if err := ext.appendCommitted(s, l.ds, l.rows); err != nil {
+			return err
+		}
+		w.held = append(w.held, l.ds)
+	}
+	if !ext.eager() {
+		return nil
+	}
+	for _, ds := range w.held { // a delta held twice refreshes once: the second coalesces
 		atomic.AddInt64(&ext.Stats.EagerRefreshes, 1)
-		return ext.refreshByDelta(ds.table)
+		if err := ext.refreshByDelta(ds.table); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// appendOpen adds captured rows to the delta's open generation: ΔT itself
-// (dt), or the in-memory overflow while a propagation has ΔT frozen.
-// Appends to ΔT share the read side of the generation lock — writers on
-// one base table do not wait on each other here, only on the table's own
-// lock — and CaptureStallNanos meters the wait for either side. The insert
-// commits before the generation lock is released, so a seal never freezes a
-// ΔT that holds an uncommitted version.
-func (ext *Extension) appendOpen(s *engine.Session, ds *deltaState, dt *catalog.Table, rows []sqltypes.Row) error {
-	t0 := time.Now()
-	ds.mu.RLock()
-	if !ds.frozen {
-		atomic.AddInt64(&ext.Stats.CaptureStallNanos, int64(time.Since(t0)))
-		_, err := s.InsertRows(dt, rows)
-		ds.mu.RUnlock()
-		return err
-	}
-	ds.mu.RUnlock()
+// appendCommitted files the rows a committed writer captured while ΔT was
+// frozen: in the overflow while ΔT still is, else — the generation was
+// consumed before the writer committed — in ΔT, as a write of its own on s,
+// committed under the generation lock like a consume.
+func (ext *Extension) appendCommitted(s *engine.Session, ds *deltaState, rows []sqltypes.Row) error {
+	atomic.AddInt64(&ext.Stats.DeltasCaught, int64(len(rows)))
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	atomic.AddInt64(&ext.Stats.CaptureStallNanos, int64(time.Since(t0)))
 	if ds.frozen {
 		ds.overflow = append(ds.overflow, rows...)
 		return nil
 	}
-	_, err := s.InsertRows(dt, rows) // consumed between the two acquisitions
-	return err
+	dt, err := ext.db.Catalog().Table(ds.table)
+	if err != nil {
+		return err
+	}
+	return s.InsertRows(dt, rows)
 }
 
 // dropMaterializedView tears one view down completely: registry entry
@@ -998,9 +1079,8 @@ func (ext *Extension) consume(is *engine.Session, states []*deltaState) error {
 	return nil
 }
 
-// reopen ends a frozen generation in one step under the write side of the
-// generation lock, as one committed write of is: truncate ΔT (t), move the
-// overflow into it, unfreeze.
+// reopen ends a frozen generation in one step under the generation lock,
+// as one write of is: truncate ΔT (t), move the overflow into it, unfreeze.
 func (ds *deltaState) reopen(is *engine.Session, t *catalog.Table) error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
@@ -1008,27 +1088,24 @@ func (ds *deltaState) reopen(is *engine.Session, t *catalog.Table) error {
 		return nil
 	}
 	tx, done := is.BeginWrite()
-	if _, _, err := t.TruncateTxn(tx, false); err != nil {
-		// ΔT still holds the applied generation: it stays frozen, with the
-		// overflow beside it, for the next refresh to consume.
-		return done(fmt.Errorf("ivmext: re-opening %s: %w", ds.table, err))
+	_, _, err := t.TruncateTxn(tx, false)
+	if err == nil {
+		err = t.InsertBatchTxn(tx, ds.overflow)
 	}
-	// The overflowed rows are base-table rows plus the multiplicity flag,
-	// shaped like ΔT by construction; an insert error means the rest of
-	// them are lost, and is reported as that.
-	n, err := t.InsertBatchTxn(tx, ds.overflow)
-	err = done(err)
-	lost := len(ds.overflow) - n
+	if err = done(err); err != nil {
+		// ΔT stays frozen, with the overflow beside it, for the next
+		// refresh to consume.
+		return fmt.Errorf("ivmext: re-opening %s: %w", ds.table, err)
+	}
 	ds.overflow, ds.frozen = nil, false
-	if err != nil {
-		return fmt.Errorf("ivmext: re-opening %s lost %d captured rows: %w", ds.table, lost, err)
-	}
 	return nil
 }
 
-// seal freezes the delta table's open generation when it holds rows and
-// bumps the generation number: ΔT itself is now the sealed generation, and
-// captures overflow in memory until consume. No row moves.
+// seal freezes the delta table's open generation when it holds rows, waits
+// for the captures in flight to end — committed, their rows are in the
+// generation; aborted, gone — and bumps the generation number: ΔT itself
+// is now the sealed generation, and captures overflow in memory until
+// consume. No row moves.
 func (ext *Extension) seal(ds *deltaState) error {
 	if err := fault.Inject(fault.IVMSeal); err != nil {
 		return err
@@ -1043,6 +1120,13 @@ func (ext *Extension) seal(ds *deltaState) error {
 		return nil
 	}
 	ds.frozen = true
+	for ds.inflight > 0 {
+		ds.drained.Wait()
+	}
+	if t.RowCount() == 0 {
+		ds.frozen = false // every capture in flight aborted
+		return nil
+	}
 	ds.gen++
 	atomic.AddInt64(&ext.Stats.GenerationsSealed, 1)
 	return nil

@@ -127,11 +127,13 @@ type Txn struct {
 	CommitHook func(commitTS uint64)
 }
 
-// SetAutoCommit marks tx as a single-statement transaction: it commits
-// the moment its statement ends, barring a conflict doom. Stores use
-// this to enable quiescent fast paths whose visibility window must not
-// outlive one statement.
-func (tx *Txn) SetAutoCommit() { tx.auto = true }
+// SetAutoCommit marks tx as a single-statement transaction (on) that
+// commits the moment its statement's write ends, barring a conflict doom,
+// or clears the mark. Stores use it to enable quiescent fast paths whose
+// visibility window must not outlive one statement; a statement that can
+// still abort after its write — its trigger handlers have yet to run in tx
+// — clears it first.
+func (tx *Txn) SetAutoCommit(on bool) { tx.auto = on }
 
 // AutoCommit reports whether tx is a single-statement transaction.
 func (tx *Txn) AutoCommit() bool { return tx.auto }
@@ -179,6 +181,16 @@ func (tx *Txn) Writes(f func(store Store, ops []Op)) {
 	for i, s := range tx.stores {
 		f(s, tx.ops[i])
 	}
+}
+
+// Ops returns how many ops the write log holds: a statement that fails
+// after the count moved has written something.
+func (tx *Txn) Ops() int {
+	n := 0
+	for _, ops := range tx.ops {
+		n += len(ops)
+	}
+	return n
 }
 
 // Doom marks the transaction as having lost a conflict: its COMMIT will

@@ -42,15 +42,15 @@ func New(name string) *Store {
 func deltaName(table string) string { return "delta_" + strings.ToLower(table) }
 
 // capture is the trigger body: append the event's delta rows
-// (ivm.DeltaRows) to delta_<table> in one batch — a transaction of its own
-// on the writer's session, after the writer's commit, logged and made
-// durable like any other write of that session.
+// (ivm.DeltaRows) to delta_<table> in one batch, inside the writer's
+// transaction — one commit record with the write it describes, so a crash
+// keeps both or neither.
 func capture(sess *engine.Session, table string, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
 	dt, err := sess.DB().Catalog().Table(deltaName(table))
 	if err != nil {
 		return fmt.Errorf("oltp: capture on %s: %w (create the delta table first)", table, err)
 	}
-	if _, err := sess.InsertRows(dt, ivm.DeltaRows(ev, oldRows, newRows)); err != nil {
+	if err := sess.InsertRows(dt, ivm.DeltaRows(ev, oldRows, newRows)); err != nil {
 		return fmt.Errorf("oltp: capture on %s: %w", table, err)
 	}
 	return nil

@@ -274,7 +274,7 @@ func TestJoinDescribeNamesTheStrategy(t *testing.T) {
 			batch[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 7))}
 		}
 		tx := c.MVCC().Begin()
-		if _, err := tbl.InsertBatchTxn(tx, batch); err != nil {
+		if err := tbl.InsertBatchTxn(tx, batch); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.MVCC().Commit(tx); err != nil {

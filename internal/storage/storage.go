@@ -64,8 +64,8 @@ type Table interface {
 	// Writes. Each runs under the given transaction: invisible to other
 	// snapshots until it commits, reverted when it aborts.
 	InsertTxn(tx *mvcc.Txn, row sqltypes.Row) error
-	InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (int, error)
-	InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]sqltypes.Row, int, error)
+	InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) error
+	InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]sqltypes.Row, error)
 	UpsertTxn(tx *mvcc.Txn, row sqltypes.Row) error
 	UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, replacedOld, replacedNew []sqltypes.Row, err error)
 	// UpdateTxn and DeleteTxn visit every visible row, or — with

@@ -55,8 +55,7 @@ func load(db *engine.DB, table string, rows []sqltypes.Row) error {
 	}
 	s := db.NewSession()
 	defer s.Close()
-	_, err = s.InsertRows(tbl, rows)
-	return err
+	return s.InsertRows(tbl, rows)
 }
 
 // GroupKey formats the i-th group key.
