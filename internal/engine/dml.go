@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"openivm/internal/catalog"
+	"openivm/internal/enginerr"
 	"openivm/internal/exec"
 	"openivm/internal/expr"
 	"openivm/internal/fault"
@@ -525,6 +526,24 @@ type txnState struct {
 
 // errRolledBack ends a transaction that nothing failed in: ROLLBACK, Close.
 var errRolledBack = errors.New("engine: transaction rolled back")
+
+// errTxnAborted refuses a statement sent to a doomed transaction (one whose
+// err is set): only COMMIT, which returns that err, and ROLLBACK end it.
+var errTxnAborted = enginerr.New(enginerr.CodeInFailedTxn,
+	"engine: current transaction is aborted, commands ignored until end of transaction block")
+
+// doomed reports whether stmt must be refused because the session's
+// explicit transaction is doomed.
+func (s *Session) doomed(stmt sqlparser.Statement) bool {
+	if t := s.explicit(); t == nil || t.err == nil {
+		return false
+	}
+	switch stmt.(type) {
+	case *sqlparser.CommitStmt, *sqlparser.RollbackStmt:
+		return false
+	}
+	return true
+}
 
 // BeginWrite returns the transaction a write runs under and a completion
 // func that takes the write's error and returns the statement's. It is the

@@ -13,8 +13,12 @@ func SetVerbatim(db *DB, on bool) { db.verbatim = on }
 
 // ExplainLifted explains a single SELECT, UPDATE or DELETE the way its
 // execution plans it: lifted, with this text's literals bound. (EXPLAIN
-// itself keeps its literals.)
+// itself keeps its literals.) A doomed transaction refuses it as it
+// refuses EXPLAIN.
 func ExplainLifted(s *Session, sql string) (string, error) {
+	if s.doomed(nil) {
+		return "", errTxnAborted
+	}
 	p, err := s.db.split(sql)
 	if err != nil {
 		return "", err

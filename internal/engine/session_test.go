@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"openivm/internal/enginerr"
 	"openivm/internal/sqltypes"
 )
 
@@ -68,6 +70,40 @@ func TestSessionCloseRollsBack(t *testing.T) {
 	res := mustExec(t, db, "SELECT COUNT(*) FROM t")
 	if res.Rows[0][0].I != 0 {
 		t.Fatalf("closed session's transaction survived: %v", res.Rows)
+	}
+}
+
+// TestDoomedTransactionRefusesStatements: once a statement inside BEGIN
+// fails after writing, the transaction takes nothing but COMMIT, which
+// returns the failure, and ROLLBACK. Nothing reads or keeps the failed
+// statement's prefix, and the session works again once the block ends.
+func TestDoomedTransactionRefusesStatements(t *testing.T) {
+	db := Open("doomed", DialectDuckDB)
+	mustExec(t, db, "CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
+	for _, end := range []string{"COMMIT", "ROLLBACK"} {
+		s := db.NewSession()
+		if _, err := s.Exec("BEGIN"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Exec("INSERT INTO t VALUES (1,1),(2,2),(1,3)"); err == nil {
+			t.Fatal("duplicate primary key accepted")
+		}
+		for _, sql := range []string{"INSERT INTO t VALUES (5,5)", "SELECT COUNT(*) FROM t", "BEGIN"} {
+			if _, err := s.Exec(sql); !enginerr.HasCode(err, enginerr.CodeInFailedTxn) {
+				t.Errorf("%s: %s after the failure = %v, want it refused", end, sql, err)
+			}
+		}
+		_, err := s.Exec(end)
+		if end == "COMMIT" && (err == nil || !strings.Contains(err.Error(), "duplicate")) {
+			t.Errorf("COMMIT of the doomed transaction = %v, want the failure", err)
+		}
+		if end == "ROLLBACK" && err != nil {
+			t.Errorf("ROLLBACK: %v", err)
+		}
+		if n := queryRowsSess(t, s, "SELECT COUNT(*) FROM t")[0][0].I; n != 0 {
+			t.Errorf("%s: t holds %d rows, want 0", end, n)
+		}
+		s.Close()
 	}
 }
 

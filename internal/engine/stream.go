@@ -228,14 +228,18 @@ func (s *Session) open(ctx context.Context, sql string, p *Prepared) (*Stream, e
 	return materializedStream(nil), nil
 }
 
-// openStmt runs one statement: read-only degraded mode is enforced,
-// panics are isolated to the statement, the statement hooks see it exactly
-// once, and then a SELECT is planned (or its entry's plan reused) and its
-// operator tree opened, while any other statement executes to completion.
+// openStmt runs one statement: read-only degraded mode is enforced, a
+// doomed transaction takes nothing but COMMIT and ROLLBACK, panics are
+// isolated to the statement, the statement hooks see it exactly once, and
+// then a SELECT is planned (or its entry's plan reused) and its operator
+// tree opened, while any other statement executes to completion.
 func (s *Session) openStmt(ctx context.Context, ent *planEntry) (st *Stream, err error) {
 	stmt := ent.stmt
 	if s.db.degr.flag.Load() && !s.walBypass && isWriteStmt(stmt) {
 		return nil, s.db.degradedErr()
+	}
+	if s.doomed(stmt) {
+		return nil, errTxnAborted
 	}
 	defer s.isolate(&err)
 

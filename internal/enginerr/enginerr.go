@@ -49,6 +49,10 @@ const (
 	// or interrupted the operation. Retryable against another replica or
 	// after the server returns.
 	CodeShutdown = "57P01"
+	// CodeInFailedTxn refuses a statement sent to a transaction a failed
+	// statement doomed: only COMMIT (which returns that failure) and
+	// ROLLBACK end it.
+	CodeInFailedTxn = "25P02"
 )
 
 // Error is a classified engine error: a SQLSTATE class plus a message,

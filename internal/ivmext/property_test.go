@@ -178,6 +178,56 @@ func TestPropertyJoin(t *testing.T) {
 	checkView(t, db, 150, "jv", "oid, region, amt", recompute)
 }
 
+// TestPropertyFilteredJoin: a join view with WHERE conjuncts on both sides
+// (its delta terms filter each side before they join) equals its recompute
+// after any interleaving of writes to both sides, lazy and eager; updates
+// move rows across both conjuncts' boundaries.
+func TestPropertyFilteredJoin(t *testing.T) {
+	for _, mode := range []string{"lazy", "eager"} {
+		t.Run(mode, func(t *testing.T) {
+			db := engine.Open("prop", engine.DialectDuckDB)
+			Install(db)
+			mustExec(t, db, "PRAGMA ivm_mode='"+mode+"'")
+			mustExec(t, db, "CREATE TABLE c (cid INTEGER, region VARCHAR)")
+			mustExec(t, db, "CREATE TABLE o (oid INTEGER, cid INTEGER, amt INTEGER)")
+			const def = "SELECT o.oid, c.region, o.amt FROM o JOIN c ON o.cid = c.cid WHERE c.region <> 'r0' AND o.amt >= 30"
+			mustExec(t, db, "CREATE MATERIALIZED VIEW fj AS "+def)
+			rng := rand.New(rand.NewSource(int64(43 + len(mode))))
+			nextC, nextO := 0, 0
+			for i := 0; i < 150; i++ {
+				switch rng.Intn(9) {
+				case 0, 1:
+					mustExec(t, db, fmt.Sprintf("INSERT INTO c VALUES (%d, 'r%d')", nextC, rng.Intn(3)))
+					nextC++
+				case 2, 3, 4:
+					if nextC > 0 {
+						mustExec(t, db, fmt.Sprintf("INSERT INTO o VALUES (%d, %d, %d)", nextO, rng.Intn(nextC), rng.Intn(100)))
+						nextO++
+					}
+				case 5:
+					if nextO > 0 {
+						mustExec(t, db, fmt.Sprintf("DELETE FROM o WHERE oid = %d", rng.Intn(nextO)))
+					}
+				case 6:
+					if nextC > 0 {
+						mustExec(t, db, fmt.Sprintf("UPDATE c SET region = 'r%d' WHERE cid = %d", rng.Intn(3), rng.Intn(nextC)))
+					}
+				case 7:
+					if nextO > 0 {
+						mustExec(t, db, fmt.Sprintf("UPDATE o SET amt = %d WHERE oid = %d", rng.Intn(100), rng.Intn(nextO)))
+					}
+				case 8:
+					mustExec(t, db, "REFRESH MATERIALIZED VIEW fj")
+				}
+				if rng.Intn(11) == 0 {
+					checkView(t, db, i, "fj", "oid, region, amt", def)
+				}
+			}
+			checkView(t, db, 150, "fj", "oid, region, amt", def)
+		})
+	}
+}
+
 func TestPropertyJoinAggregate(t *testing.T) {
 	for _, strat := range []string{"upsert_left_join", "union_regroup"} {
 		t.Run(strat, func(t *testing.T) {
@@ -680,5 +730,40 @@ func TestExplainViewPointRead(t *testing.T) {
 		if res, err = s.Exec(q); err != nil || len(res.Rows) != 1 || res.Rows[0].String() != "11|2" {
 			t.Errorf("%s: %v, %v", q, res, err)
 		}
+	}
+}
+
+// TestExplainStep2ReadsCTEDirectly: step 2 of an aggregate view's script
+// reads ivm_cte through no Project that passes its input through — the
+// CTE's own select list, its reference and the renaming of ivm_delta each
+// made one — so its plan's only Project is the root, which names the
+// result.
+func TestExplainStep2ReadsCTEDirectly(t *testing.T) {
+	db := engine.Open("step2", engine.DialectDuckDB)
+	ext := Install(db)
+	mustExec(t, db, "CREATE TABLE groups (id INTEGER PRIMARY KEY, group_index VARCHAR, group_value INTEGER)")
+	mustExec(t, db, "INSERT INTO groups VALUES (1, 'g0123', 5), (2, 'g0001', 7)")
+	mustExec(t, db, "CREATE MATERIALIZED VIEW query_groups AS SELECT group_index, SUM(group_value) AS total_value, COUNT(*) AS n FROM groups GROUP BY group_index")
+	_, prop, err := ext.Scripts("query_groups")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sel string
+	for _, stmt := range engine.SplitStatements(prop) {
+		if at := strings.Index(stmt, "WITH ivm_cte"); at >= 0 {
+			sel = stmt[at:]
+		}
+	}
+	if sel == "" {
+		t.Fatalf("no step 2 in the script:\n%s", prop)
+	}
+	var projects []string
+	for _, r := range mustExec(t, db, "EXPLAIN "+sel).Rows {
+		if line := strings.TrimSpace(r[0].S); strings.HasPrefix(line, "Project ") {
+			projects = append(projects, line)
+		}
+	}
+	if len(projects) != 1 {
+		t.Errorf("step 2 plans %d Projects, want the root alone: %q", len(projects), projects)
 	}
 }

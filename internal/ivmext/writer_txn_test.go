@@ -19,8 +19,9 @@ import (
 // TestFailedStatementKeepsNothing: a statement either happens or does not.
 // An autocommit INSERT that fails on its third row keeps none of its rows,
 // so the base table and the view stay in agreement; inside BEGIN the
-// failure dooms the transaction, and COMMIT returns it and keeps nothing,
-// the statements around the failing one included.
+// failure dooms the transaction: the statements after it are refused, and
+// COMMIT returns the failure and keeps nothing, the statements before the
+// failing one included.
 func TestFailedStatementKeepsNothing(t *testing.T) {
 	db := engine.Open("atomic", engine.DialectDuckDB)
 	Install(db)
@@ -52,8 +53,8 @@ func TestFailedStatementKeepsNothing(t *testing.T) {
 	if _, err := s.Exec(failing); err == nil {
 		t.Fatal("duplicate primary key accepted inside BEGIN")
 	}
-	if _, err := s.Exec("INSERT INTO t VALUES (4, 'a', 3)"); err != nil {
-		t.Fatal(err)
+	if _, err := s.Exec("INSERT INTO t VALUES (4, 'a', 3)"); err == nil || !strings.Contains(err.Error(), "current transaction is aborted") {
+		t.Fatalf("a statement after the failure = %v, want it refused", err)
 	}
 	if _, err := s.Exec("COMMIT"); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("COMMIT of a transaction whose statement failed = %v, want the failure", err)

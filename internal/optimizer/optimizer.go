@@ -1,53 +1,54 @@
-// Package optimizer implements logical-plan rewrite rules: constant
-// folding, filter pushdown into scans, and projection pruning. It also
-// exposes the rule-registration hook that the paper's IVM extension uses to
-// inject its own rewrites into the optimization pipeline.
+// Package optimizer rewrites bound logical plans before execution: it folds
+// constant sub-expressions, places each predicate conjunct as far down the
+// plan as it may legally go (through joins and column-renaming projections
+// to the scans), drops column-identity projections below the root, and
+// narrows the columns a scan emits.
 package optimizer
 
 import (
+	"slices"
+
 	"openivm/internal/expr"
 	"openivm/internal/plan"
+	"openivm/internal/sqlparser"
 )
 
-// Rule transforms a plan node (returning the node unchanged is a no-op).
-type Rule func(plan.Node) plan.Node
-
-// Optimize applies the built-in rules plus any extras, bottom-up.
-func Optimize(n plan.Node, extra ...Rule) plan.Node {
-	rules := []Rule{FoldConstants, PushFilterIntoScan, PruneScanColumns}
-	rules = append(rules, extra...)
-	return rewrite(n, rules)
+// Optimize rewrites a bound plan. A rule may swap a node's child for an
+// equivalent one in place, but what it changes the meaning of — a scan
+// given a filter, a Project or join that conjuncts move through, an
+// expression bound anew — it copies: a subtree the binder shares between
+// references (a CTE read twice) must keep its meaning under each of them.
+func Optimize(n plan.Node) plan.Node {
+	n = rewrite(n, FoldConstants)
+	n = place(n, nil, true)
+	return rewrite(n, PruneScanColumns)
 }
 
-// rewrite applies rules to children first, then the node, repeating each
-// rule once (our rules are idempotent).
-func rewrite(n plan.Node, rules []Rule) plan.Node {
+// rewrite applies rule to n's children first, then to n.
+func rewrite(n plan.Node, rule func(plan.Node) plan.Node) plan.Node {
 	switch x := n.(type) {
 	case *plan.Hint:
-		x.Input = rewrite(x.Input, rules)
+		x.Input = rewrite(x.Input, rule)
 	case *plan.Filter:
-		x.Input = rewrite(x.Input, rules)
+		x.Input = rewrite(x.Input, rule)
 	case *plan.Project:
-		x.Input = rewrite(x.Input, rules)
+		x.Input = rewrite(x.Input, rule)
 	case *plan.Aggregate:
-		x.Input = rewrite(x.Input, rules)
+		x.Input = rewrite(x.Input, rule)
 	case *plan.Join:
-		x.Left = rewrite(x.Left, rules)
-		x.Right = rewrite(x.Right, rules)
+		x.Left = rewrite(x.Left, rule)
+		x.Right = rewrite(x.Right, rule)
 	case *plan.Distinct:
-		x.Input = rewrite(x.Input, rules)
+		x.Input = rewrite(x.Input, rule)
 	case *plan.Sort:
-		x.Input = rewrite(x.Input, rules)
+		x.Input = rewrite(x.Input, rule)
 	case *plan.Limit:
-		x.Input = rewrite(x.Input, rules)
+		x.Input = rewrite(x.Input, rule)
 	case *plan.SetOp:
-		x.Left = rewrite(x.Left, rules)
-		x.Right = rewrite(x.Right, rules)
+		x.Left = rewrite(x.Left, rule)
+		x.Right = rewrite(x.Right, rule)
 	}
-	for _, r := range rules {
-		n = r(n)
-	}
-	return n
+	return rule(n)
 }
 
 // FoldConstants evaluates constant sub-expressions in filters and
@@ -103,30 +104,275 @@ func isLit(e expr.Expr) bool {
 	return ok
 }
 
-// PushFilterIntoScan moves Filter predicates that reference only scan
-// columns into the scan itself (so deleted-row skipping and predicate
-// evaluation happen in one pass). Only applies when the scan has no
-// projection pruning yet (predicates are bound against full rows).
-func PushFilterIntoScan(n plan.Node) plan.Node {
-	f, ok := n.(*plan.Filter)
-	if !ok {
-		return n
+// place is predicate placement: it returns n with the conjuncts conj, bound
+// against n's output, applied as far down as each may go, and every Filter
+// and join condition below n placed the same way. A conjunct moves only if
+// it is built from columns, literals, parameters and scalar operators
+// (expr.ParallelSafe): a subquery stays in the Filter it was written in,
+// except that a Filter right on a scan becomes the scan's filter whole.
+// Where a conjunct may go:
+//
+//   - through a Project, when every column it reads is a plain column there;
+//   - through an inner or cross join, to the side it reads; a conjunct
+//     reading both sides becomes the join's condition, and its column
+//     equalities the join's hash keys;
+//   - through a LEFT (RIGHT) join, a conjunct from above only into the left
+//     (right), preserved side, and a conjunct of the ON condition only into
+//     the other, null-supplying side;
+//   - through a FULL join, nowhere;
+//   - into a scan, as its filter — a fused-kernel filter, a key pin
+//     (plan.PinnedKeys), or the filter an index join applies to what it
+//     fetches.
+//
+// What stops above a node is a Filter there. root is set while n is
+// reached from the plan root through nodes that keep their input's schema:
+// the Project there names the result's columns and stays; below it, a
+// Project that passes its input through unchanged is dropped.
+func place(n plan.Node, conj []expr.Expr, root bool) plan.Node {
+	switch x := n.(type) {
+	case *plan.Filter:
+		var moving, kept []expr.Expr
+		if _, onScan := x.Input.(*plan.Scan); onScan {
+			moving = conjuncts(x.Pred, nil)
+		} else {
+			for _, c := range conjuncts(x.Pred, nil) {
+				if expr.ParallelSafe(c) {
+					moving = append(moving, c)
+				} else {
+					kept = append(kept, c)
+				}
+			}
+		}
+		return filter(place(x.Input, append(moving, conj...), root), kept)
+	case *plan.Project:
+		if !root && passesThrough(x) {
+			return place(x.Input, conj, false)
+		}
+		var moving, kept []expr.Expr
+		for _, c := range conj {
+			if m := mapColumns(c, func(col *expr.Column) *expr.Column {
+				in, _ := x.Exprs[col.Idx].(*expr.Column)
+				return in
+			}); m != nil {
+				moving = append(moving, m)
+			} else {
+				kept = append(kept, c)
+			}
+		}
+		if in := place(x.Input, moving, false); in != x.Input {
+			p := *x
+			p.Input = in
+			n = &p
+		}
+		return filter(n, kept)
+	case *plan.Join:
+		return filter(placeJoin(x, conj))
+	case *plan.Scan:
+		// A scan's filter reads the full row: one already narrowed keeps
+		// the conjuncts above it.
+		if len(conj) == 0 || x.Projection != nil {
+			return filter(x, conj)
+		}
+		s := *x
+		if x.Filter != nil {
+			conj = append([]expr.Expr{x.Filter}, conj...)
+		}
+		s.Filter = and(conj)
+		return &s
+	// Nothing moves through the rest; what is below them is placed on its
+	// own, into the node itself: the result means what the input did.
+	case *plan.Aggregate:
+		x.Input = place(x.Input, nil, false)
+	case *plan.Distinct:
+		x.Input = place(x.Input, nil, root)
+	case *plan.Sort:
+		x.Input = place(x.Input, nil, root)
+	case *plan.Limit:
+		x.Input = place(x.Input, nil, root)
+	case *plan.SetOp:
+		x.Left, x.Right = place(x.Left, nil, root), place(x.Right, nil, root)
 	}
-	s, ok := f.Input.(*plan.Scan)
-	if !ok || s.Projection != nil {
-		return n
-	}
-	if s.Filter == nil {
-		s.Filter = f.Pred
-	} else {
-		s.Filter = &expr.Binary{Op: "AND", Left: s.Filter, Right: f.Pred}
-	}
-	return s
+	return filter(n, conj)
 }
 
-// PruneScanColumns narrows scans under a Project that uses a subset of
-// columns. It only handles the direct Project(Scan) shape — enough to avoid
-// materializing wide rows in the common IVM propagation plans.
+// placeJoin places the conjuncts conj from above j and those of j's own
+// condition (see place), returning the new join and the conjuncts that stay
+// above it.
+func placeJoin(j *plan.Join, conj []expr.Expr) (plan.Node, []expr.Expr) {
+	lw := len(j.Left.Schema())
+	kind := j.Kind
+	inner := kind == sqlparser.JoinInner || kind == sqlparser.JoinCross
+	// reads reports whether c reads a column of the left side and of the
+	// right one: a conjunct reading neither may go to either.
+	reads := func(c expr.Expr) (l, r bool) {
+		expr.Walk(c, func(x expr.Expr) {
+			if col, ok := x.(*expr.Column); ok {
+				l = l || col.Idx < lw
+				r = r || col.Idx >= lw
+			}
+		})
+		return l, r
+	}
+	var left, right, on, above []expr.Expr
+	for _, c := range conj {
+		switch l, r := reads(c); {
+		case !r && (inner || kind == sqlparser.JoinLeft):
+			left = append(left, c)
+		case !l && (inner || kind == sqlparser.JoinRight):
+			right = append(right, c)
+		case inner:
+			on = append(on, c)
+		default:
+			above = append(above, c)
+		}
+	}
+	for _, c := range conjuncts(j.On, nil) {
+		switch l, r := reads(c); {
+		case !expr.ParallelSafe(c):
+			on = append(on, c)
+		case !r && (inner || kind == sqlparser.JoinRight):
+			left = append(left, c)
+		case !l && (inner || kind == sqlparser.JoinLeft):
+			right = append(right, c)
+		default:
+			on = append(on, c)
+		}
+	}
+	for i, c := range right {
+		right[i] = mapColumns(c, func(col *expr.Column) *expr.Column {
+			return &expr.Column{Idx: col.Idx - lw, Name: col.Name, Typ: col.Typ}
+		})
+	}
+	out := &plan.Join{
+		Kind:      kind,
+		Left:      place(j.Left, left, false),
+		Right:     place(j.Right, right, false),
+		On:        and(on),
+		EquiLeft:  slices.Clip(j.EquiLeft),
+		EquiRight: slices.Clip(j.EquiRight),
+	}
+	if inner && out.On != nil {
+		plan.ExtractEquiKeys(out, out.On, lw)
+	}
+	if kind == sqlparser.JoinCross && (out.On != nil || len(out.EquiLeft) > 0) {
+		out.Kind = sqlparser.JoinInner
+	}
+	return out, above
+}
+
+// conjuncts appends the top-level AND-ed terms of e to dst.
+func conjuncts(e expr.Expr, dst []expr.Expr) []expr.Expr {
+	if e == nil {
+		return dst
+	}
+	if b, ok := e.(*expr.Binary); ok && b.Op == "AND" {
+		return conjuncts(b.Right, conjuncts(b.Left, dst))
+	}
+	return append(dst, e)
+}
+
+// and is the conjunction of terms, nil for none.
+func and(terms []expr.Expr) expr.Expr {
+	var out expr.Expr
+	for _, c := range terms {
+		if out == nil {
+			out = c
+		} else {
+			out = &expr.Binary{Op: "AND", Left: out, Right: c}
+		}
+	}
+	return out
+}
+
+// filter is n under a Filter of conj, n itself when conj is empty.
+func filter(n plan.Node, conj []expr.Expr) plan.Node {
+	if len(conj) == 0 {
+		return n
+	}
+	return &plan.Filter{Input: n, Pred: and(conj)}
+}
+
+// passesThrough reports whether p emits its input's columns unchanged: the
+// same positions, kinds and count.
+func passesThrough(p *plan.Project) bool {
+	in := p.Input.Schema()
+	if len(p.Exprs) != len(in) {
+		return false
+	}
+	for i, e := range p.Exprs {
+		if c, ok := e.(*expr.Column); !ok || c.Idx != i || p.Cols[i].Type != in[i].Type {
+			return false
+		}
+	}
+	return true
+}
+
+// mapColumns returns a copy of e in which every column reference is the
+// one col returns for it, or nil when col returns nil for one. It copies
+// the expression kinds of expr.ParallelSafe; one of another kind is kept
+// as it is when it reads no column (a scalar subquery), else nil.
+func mapColumns(e expr.Expr, col func(*expr.Column) *expr.Column) expr.Expr {
+	ok := true
+	var m func(e expr.Expr) expr.Expr
+	m = func(e expr.Expr) expr.Expr {
+		switch x := e.(type) {
+		case nil:
+			return nil
+		case *expr.Column:
+			c := col(x)
+			if c == nil {
+				ok = false
+				return x
+			}
+			return c
+		case *expr.Literal, *expr.Param:
+			return x
+		case *expr.Binary:
+			return &expr.Binary{Op: x.Op, Left: m(x.Left), Right: m(x.Right)}
+		case *expr.Unary:
+			return &expr.Unary{Op: x.Op, Operand: m(x.Operand)}
+		case *expr.IsNull:
+			return &expr.IsNull{Operand: m(x.Operand), Negate: x.Negate}
+		case *expr.In:
+			in := &expr.In{Operand: m(x.Operand), Negate: x.Negate, List: make([]expr.Expr, len(x.List))}
+			for i, item := range x.List {
+				in.List[i] = m(item)
+			}
+			return in
+		case *expr.Between:
+			return &expr.Between{Operand: m(x.Operand), Lo: m(x.Lo), Hi: m(x.Hi), Negate: x.Negate}
+		case *expr.Case:
+			c := &expr.Case{Operand: m(x.Operand), Else: m(x.Else), Whens: make([]expr.CaseWhen, len(x.Whens))}
+			for i, w := range x.Whens {
+				c.Whens[i] = expr.CaseWhen{When: m(w.When), Then: m(w.Then)}
+			}
+			return c
+		case *expr.Cast:
+			return &expr.Cast{Operand: m(x.Operand), Target: x.Target}
+		case *expr.ScalarFunc:
+			f := &expr.ScalarFunc{Name: x.Name, Fn: x.Fn, Typ: x.Typ, Args: make([]expr.Expr, len(x.Args))}
+			for i, a := range x.Args {
+				f.Args[i] = m(a)
+			}
+			return f
+		}
+		expr.Walk(e, func(x expr.Expr) {
+			if _, isCol := x.(*expr.Column); isCol {
+				ok = false
+			}
+		})
+		return e
+	}
+	out := m(e)
+	if !ok {
+		return nil
+	}
+	return out
+}
+
+// PruneScanColumns narrows the scan under a Project that uses a subset of
+// its columns. It only handles the direct Project(Scan) shape — enough to
+// avoid materializing wide rows in the common IVM propagation plans.
 func PruneScanColumns(n plan.Node) plan.Node {
 	p, ok := n.(*plan.Project)
 	if !ok {
@@ -136,118 +382,37 @@ func PruneScanColumns(n plan.Node) plan.Node {
 	if !ok || s.Projection != nil || s.Filter != nil {
 		return n
 	}
-	full := s.FullSchema()
-	used := make([]bool, len(full))
-	countUsed := 0
-	usable := true
+	width := len(s.FullSchema())
+	remap := make([]int, width) // table column -> position in the projection + 1
+	var proj []int
 	for _, e := range p.Exprs {
-		walkExprCols(e, func(idx int) {
-			if idx < 0 || idx >= len(full) {
-				usable = false
-				return
-			}
-			if !used[idx] {
-				used[idx] = true
-				countUsed++
+		expr.Walk(e, func(x expr.Expr) {
+			if c, ok := x.(*expr.Column); ok && c.Idx >= 0 && c.Idx < width && remap[c.Idx] == 0 {
+				proj = append(proj, c.Idx)
+				remap[c.Idx] = len(proj)
 			}
 		})
 	}
-	if !usable || countUsed == 0 || countUsed == len(full) {
+	if len(proj) == 0 || len(proj) == width {
 		return n
 	}
-	proj := make([]int, 0, countUsed)
-	remap := make(map[int]int, countUsed)
-	for i, u := range used {
-		if u {
-			remap[i] = len(proj)
-			proj = append(proj, i)
+	slices.Sort(proj)
+	for i, c := range proj {
+		remap[c] = i + 1
+	}
+	out := &plan.Project{Exprs: make([]expr.Expr, len(p.Exprs)), Cols: p.Cols}
+	for i, e := range p.Exprs {
+		if out.Exprs[i] = mapColumns(e, func(c *expr.Column) *expr.Column {
+			if c.Idx < 0 || c.Idx >= width {
+				return nil
+			}
+			return &expr.Column{Idx: remap[c.Idx] - 1, Name: c.Name, Typ: c.Typ}
+		}); out.Exprs[i] == nil {
+			return n
 		}
 	}
-	s.Projection = proj
-	for _, e := range p.Exprs {
-		remapExprCols(e, remap)
-	}
-	return n
-}
-
-func walkExprCols(e expr.Expr, fn func(int)) {
-	switch x := e.(type) {
-	case *expr.Column:
-		fn(x.Idx)
-	case *expr.Binary:
-		walkExprCols(x.Left, fn)
-		walkExprCols(x.Right, fn)
-	case *expr.Unary:
-		walkExprCols(x.Operand, fn)
-	case *expr.IsNull:
-		walkExprCols(x.Operand, fn)
-	case *expr.In:
-		walkExprCols(x.Operand, fn)
-		for _, it := range x.List {
-			walkExprCols(it, fn)
-		}
-	case *expr.Between:
-		walkExprCols(x.Operand, fn)
-		walkExprCols(x.Lo, fn)
-		walkExprCols(x.Hi, fn)
-	case *expr.Case:
-		if x.Operand != nil {
-			walkExprCols(x.Operand, fn)
-		}
-		for _, w := range x.Whens {
-			walkExprCols(w.When, fn)
-			walkExprCols(w.Then, fn)
-		}
-		if x.Else != nil {
-			walkExprCols(x.Else, fn)
-		}
-	case *expr.Cast:
-		walkExprCols(x.Operand, fn)
-	case *expr.ScalarFunc:
-		for _, a := range x.Args {
-			walkExprCols(a, fn)
-		}
-	}
-}
-
-func remapExprCols(e expr.Expr, remap map[int]int) {
-	switch x := e.(type) {
-	case *expr.Column:
-		if ni, ok := remap[x.Idx]; ok {
-			x.Idx = ni
-		}
-	case *expr.Binary:
-		remapExprCols(x.Left, remap)
-		remapExprCols(x.Right, remap)
-	case *expr.Unary:
-		remapExprCols(x.Operand, remap)
-	case *expr.IsNull:
-		remapExprCols(x.Operand, remap)
-	case *expr.In:
-		remapExprCols(x.Operand, remap)
-		for _, it := range x.List {
-			remapExprCols(it, remap)
-		}
-	case *expr.Between:
-		remapExprCols(x.Operand, remap)
-		remapExprCols(x.Lo, remap)
-		remapExprCols(x.Hi, remap)
-	case *expr.Case:
-		if x.Operand != nil {
-			remapExprCols(x.Operand, remap)
-		}
-		for _, w := range x.Whens {
-			remapExprCols(w.When, remap)
-			remapExprCols(w.Then, remap)
-		}
-		if x.Else != nil {
-			remapExprCols(x.Else, remap)
-		}
-	case *expr.Cast:
-		remapExprCols(x.Operand, remap)
-	case *expr.ScalarFunc:
-		for _, a := range x.Args {
-			remapExprCols(a, remap)
-		}
-	}
+	scan := *s
+	scan.Projection = proj
+	out.Input = &scan
+	return out
 }

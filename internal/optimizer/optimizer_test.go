@@ -141,20 +141,6 @@ func TestPruneSkippedWhenAllUsed(t *testing.T) {
 	}
 }
 
-func TestCustomRuleHook(t *testing.T) {
-	c := testCatalog(t)
-	n := bindSQL(t, c, "SELECT a FROM t")
-	called := false
-	rule := func(x plan.Node) plan.Node {
-		called = true
-		return x
-	}
-	Optimize(n, rule)
-	if !called {
-		t.Error("extension rule not invoked (the IVM hook mechanism)")
-	}
-}
-
 func TestOptimizedAggStillCorrect(t *testing.T) {
 	c := testCatalog(t)
 	n := bindSQL(t, c, "SELECT b, SUM(a) FROM t WHERE a >= 2 GROUP BY b")

@@ -329,14 +329,16 @@ func (b *Binder) bindJoin(jt *sqlparser.JoinTable) (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		extractEquiKeys(j, pred, len(left.Schema()))
+		ExtractEquiKeys(j, pred, len(left.Schema()))
 	}
 	return j, nil
 }
 
-// extractEquiKeys pulls top-level AND-ed equality conditions between the two
-// sides out of pred into hash-join keys, leaving the residual in j.On.
-func extractEquiKeys(j *Join, pred expr.Expr, leftWidth int) {
+// ExtractEquiKeys pulls top-level AND-ed column equalities between the two
+// sides out of pred, appending them to j's hash-join keys, and leaves the
+// rest in j.On. The binder runs it on an ON condition, the optimizer on
+// what predicate placement leaves at an inner join.
+func ExtractEquiKeys(j *Join, pred expr.Expr, leftWidth int) {
 	var residual []expr.Expr
 	var visit func(e expr.Expr)
 	visit = func(e expr.Expr) {

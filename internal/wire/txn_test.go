@@ -69,6 +69,37 @@ func TestSerializationErrorCode(t *testing.T) {
 	}
 }
 
+// TestDoomedTransactionOverWire: after a statement inside BEGIN fails
+// having written, the connection's transaction refuses every statement
+// with SQLSTATE 25P02 until ROLLBACK, and the failed statement's prefix is
+// gone.
+func TestDoomedTransactionOverWire(t *testing.T) {
+	_, c := startServer(t)
+	for _, sql := range []string{"CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)", "BEGIN"} {
+		if _, err := c.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Exec("INSERT INTO t VALUES (1,1),(2,2),(1,3)"); err == nil {
+		t.Fatal("duplicate primary key accepted")
+	}
+	for _, sql := range []string{"INSERT INTO t VALUES (5,5)", "SELECT COUNT(*) FROM t"} {
+		if _, err := c.Exec(sql); !enginerr.HasCode(err, enginerr.CodeInFailedTxn) {
+			t.Errorf("%s after the failure = %v, want 25P02", sql, err)
+		}
+	}
+	if _, err := c.Exec("ROLLBACK"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Exec("SELECT COUNT(*) FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].I; n != 0 {
+		t.Fatalf("t holds %d rows after ROLLBACK, want 0", n)
+	}
+}
+
 // TestStatsActiveTxn: an open transaction is visible in the stats
 // snapshot, with a snapshot age.
 func TestStatsActiveTxn(t *testing.T) {
