@@ -321,6 +321,60 @@ func BenchmarkE13_AdhocWrite(b *testing.B) {
 	})
 }
 
+// BenchmarkE14_ProjectionRefresh is the refresh of a view that carries its
+// base's key — the dashboards' big_orders projection (V5000 … V500000), and
+// the same orders joined to their customers (join_V*) — after a one-row
+// INSERT OR REPLACE that changes the row, swept over the number of rows the
+// view holds. The view is keyed by orders.oid, so the refresh deletes the
+// retracted row through V's key: its time must not grow with the view.
+// Only the refresh is timed.
+func BenchmarkE14_ProjectionRefresh(b *testing.B) {
+	const customers = 1000
+	arms := []struct{ prefix, view string }{
+		{"", "CREATE MATERIALIZED VIEW v AS SELECT oid, cid, amount FROM orders WHERE amount >= 250"},
+		{"join_", "CREATE MATERIALIZED VIEW v AS SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid"},
+	}
+	for _, arm := range arms {
+		for _, rows := range []int{5000, 50000, 500000} {
+			b.Run(fmt.Sprintf("%sV%d", arm.prefix, rows), func(b *testing.B) {
+				db := openBench(b, "e14")
+				ivmext.Install(db.DB)
+				mustExecB(b, db, "CREATE TABLE customers (cid INTEGER PRIMARY KEY, region VARCHAR)")
+				mustExecB(b, db, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)")
+				load := func(table string, n int, row func(i int) sqltypes.Row) {
+					tbl, err := db.Catalog().Table(table)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows := make([]sqltypes.Row, n)
+					for i := range rows {
+						rows[i] = row(i)
+					}
+					if err := db.s.InsertRows(tbl, rows); err != nil {
+						b.Fatal(err)
+					}
+				}
+				load("customers", customers, func(i int) sqltypes.Row {
+					return sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("r%02d", i%16))}
+				})
+				load("orders", rows, func(i int) sqltypes.Row {
+					return sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % customers)), sqltypes.NewInt(int64(250 + i%500))}
+				})
+				mustExecB(b, db, arm.view)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					oid := i * 7919 % rows
+					mustExecB(b, db, fmt.Sprintf("INSERT OR REPLACE INTO orders VALUES (%d, %d, %d)", oid, oid%customers, 250+(oid+i+1)%500))
+					b.StartTimer()
+					mustExecB(b, db, "REFRESH MATERIALIZED VIEW v")
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkE2_BatchSize sweeps the vectorized executor's batch size over
 // the E2 refresh loop (PRAGMA batch_size), exposing the chunk-size
 // trade-off the batch engine introduces.

@@ -497,21 +497,7 @@ func (s *Session) newBinder(params *expr.ParamBinding) *plan.Binder {
 }
 
 func (s *Session) execExplain(params *expr.ParamBinding, st *sqlparser.ExplainStmt) (*Result, error) {
-	var text string
-	var err error
-	switch x := st.Stmt.(type) {
-	case *sqlparser.SelectStmt:
-		var n plan.Node
-		if n, err = s.bindSelect(x, params, s.stamp()); err == nil {
-			text = plan.Explain(n)
-		}
-	case *sqlparser.DeleteStmt:
-		text, err = s.explainWrite(params, "Delete", x.Table, x.Where)
-	case *sqlparser.UpdateStmt:
-		text, err = s.explainWrite(params, "Update", x.Table, x.Where)
-	default:
-		err = fmt.Errorf("engine: EXPLAIN supports SELECT, UPDATE and DELETE")
-	}
+	text, err := s.explain(params, st.Stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -520,6 +506,40 @@ func (s *Session) execExplain(params *expr.ParamBinding, st *sqlparser.ExplainSt
 		res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewString(line)})
 	}
 	return res, nil
+}
+
+// explain renders the plan of a SELECT, INSERT, UPDATE or DELETE. An
+// INSERT is `Insert t` (`Upsert t` when it replaces on conflict) above the
+// plan of its source.
+func (s *Session) explain(params *expr.ParamBinding, stmt sqlparser.Statement) (string, error) {
+	switch x := stmt.(type) {
+	case *sqlparser.SelectStmt:
+		n, err := s.bindSelect(x, params, s.stamp())
+		if err != nil {
+			return "", err
+		}
+		return plan.Explain(n), nil
+	case *sqlparser.InsertStmt:
+		tbl, err := s.db.cat.Table(x.Table)
+		if err != nil {
+			return "", err
+		}
+		n, err := s.bindSelect(x.Select, params, s.stamp())
+		if err != nil {
+			return "", err
+		}
+		verb := "Insert "
+		if x.OrReplace || (x.Conflict != nil && !x.Conflict.DoNothing) {
+			verb = "Upsert "
+		}
+		src := strings.TrimRight(plan.Explain(n), "\n")
+		return verb + tbl.Name + "\n  " + strings.ReplaceAll(src, "\n", "\n  "), nil
+	case *sqlparser.DeleteStmt:
+		return s.explainWrite(params, "Delete", x.Table, x.Where)
+	case *sqlparser.UpdateStmt:
+		return s.explainWrite(params, "Update", x.Table, x.Where)
+	}
+	return "", fmt.Errorf("engine: EXPLAIN supports SELECT, INSERT, UPDATE and DELETE")
 }
 
 // explainWrite says how an UPDATE or DELETE (verb) finds its rows, from

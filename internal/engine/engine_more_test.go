@@ -38,10 +38,18 @@ func TestCreateIndexUnknownTable(t *testing.T) {
 	}
 }
 
+// TestExplainNonSelect: EXPLAIN of a statement that has no plan — DDL,
+// TRUNCATE — reports it unsupported; an INSERT explains its source.
 func TestExplainNonSelect(t *testing.T) {
 	db := testDB(t)
-	if _, err := db.Exec("EXPLAIN INSERT INTO groups VALUES ('x', 1)"); err == nil {
-		t.Fatal("EXPLAIN of DML should report unsupported")
+	for _, sql := range []string{"EXPLAIN CREATE TABLE x (a INTEGER)", "EXPLAIN TRUNCATE groups"} {
+		if _, err := db.Exec(sql); err == nil {
+			t.Errorf("%s should report unsupported", sql)
+		}
+	}
+	res, err := db.Exec("EXPLAIN INSERT INTO groups VALUES ('x', 1)")
+	if err != nil || len(res.Rows) < 2 || res.Rows[0][0].S != "Insert groups" {
+		t.Fatalf("EXPLAIN INSERT … VALUES: %v, %v", res, err)
 	}
 }
 

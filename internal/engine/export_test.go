@@ -1,20 +1,14 @@
 package engine
 
-import (
-	"fmt"
-
-	"openivm/internal/plan"
-	"openivm/internal/sqlparser"
-)
+import "fmt"
 
 // SetVerbatim makes db keep every literal in the statement text (and in
 // its cache keys), so a test can compare lifted execution against it.
 func SetVerbatim(db *DB, on bool) { db.verbatim = on }
 
-// ExplainLifted explains a single SELECT, UPDATE or DELETE the way its
-// execution plans it: lifted, with this text's literals bound. (EXPLAIN
-// itself keeps its literals.) A doomed transaction refuses it as it
-// refuses EXPLAIN.
+// ExplainLifted explains a single statement the way its execution plans
+// it: lifted, with this text's literals bound. (EXPLAIN itself keeps its
+// literals.) A doomed transaction refuses it as it refuses EXPLAIN.
 func ExplainLifted(s *Session, sql string) (string, error) {
 	if s.doomed(nil) {
 		return "", errTxnAborted
@@ -31,17 +25,5 @@ func ExplainLifted(s *Session, sql string) (string, error) {
 		return "", err
 	}
 	defer s.db.plans.give(ent)
-	switch x := ent.stmt.(type) {
-	case *sqlparser.SelectStmt:
-		n, err := s.bindSelect(x, &ent.params, s.stamp())
-		if err != nil {
-			return "", err
-		}
-		return plan.Explain(n), nil
-	case *sqlparser.UpdateStmt:
-		return s.explainWrite(&ent.params, "Update", x.Table, x.Where)
-	case *sqlparser.DeleteStmt:
-		return s.explainWrite(&ent.params, "Delete", x.Table, x.Where)
-	}
-	return "", fmt.Errorf("cannot explain %T", ent.stmt)
+	return s.explain(&ent.params, ent.stmt)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"openivm/internal/plan"
@@ -161,8 +162,51 @@ func TestExplainWrite(t *testing.T) {
 	if _, err := db.Exec("EXPLAIN DELETE FROM missing WHERE k = 1"); err == nil {
 		t.Error("EXPLAIN on an unknown table should fail")
 	}
-	if _, err := db.Exec("EXPLAIN INSERT INTO orders VALUES (3, 1, 1)"); err == nil {
-		t.Error("EXPLAIN INSERT should be refused")
+	if _, err := db.Exec("EXPLAIN TRUNCATE orders"); err == nil {
+		t.Error("EXPLAIN TRUNCATE should be refused")
+	}
+}
+
+// TestExplainInsert: EXPLAIN of an INSERT prints `Insert t` — `Upsert t`
+// when it replaces on conflict — above its source's plan, and runs
+// nothing.
+func TestExplainInsert(t *testing.T) {
+	db := Open("explain", DialectDuckDB)
+	mustExec(t, db, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)")
+	mustExec(t, db, "CREATE TABLE big (oid INTEGER PRIMARY KEY, amount INTEGER)")
+	mustExec(t, db, "INSERT INTO orders VALUES (1, 1, 300), (2, 1, 20)")
+	for _, c := range []struct {
+		sql  string
+		want []string
+	}{
+		{"INSERT INTO big SELECT oid, amount FROM orders WHERE oid = 1",
+			[]string{"Insert big", "  Project oid, amount", "    KeyedScan orders[pk] keys=1 [filter: (oid = 1)]"}},
+		{"INSERT OR REPLACE INTO big SELECT oid, amount FROM orders WHERE amount >= 250",
+			[]string{"Upsert big", "  Project oid, amount", "    Scan orders [filter: (amount >= 250)]"}},
+	} {
+		var got []string
+		for _, r := range queryRows(t, db, "EXPLAIN "+c.sql) {
+			got = append(got, r[0].S)
+		}
+		if strings.Join(got, "\n") != strings.Join(c.want, "\n") {
+			t.Errorf("EXPLAIN %s:\n got %q\nwant %q", c.sql, got, c.want)
+		}
+	}
+	if got := queryRows(t, db, "SELECT COUNT(*) FROM big"); got[0][0].I != 0 {
+		t.Errorf("EXPLAIN INSERT wrote %v rows", got[0][0])
+	}
+	if _, err := db.Exec("EXPLAIN INSERT INTO missing SELECT oid FROM orders"); err == nil {
+		t.Error("EXPLAIN INSERT into an unknown table should fail")
+	}
+	pg := Open("explain_pg", DialectPostgres)
+	mustExec(t, pg, "CREATE TABLE big (oid INTEGER PRIMARY KEY, amount INTEGER)")
+	for sql, want := range map[string]string{
+		"INSERT INTO big VALUES (1, 2) ON CONFLICT (oid) DO UPDATE SET amount = EXCLUDED.amount": "Upsert big",
+		"INSERT INTO big VALUES (1, 2) ON CONFLICT DO NOTHING":                                   "Insert big",
+	} {
+		if got := queryRows(t, pg, "EXPLAIN "+sql); got[0][0].S != want {
+			t.Errorf("EXPLAIN %s: %v, want %s on top", sql, got, want)
+		}
 	}
 }
 

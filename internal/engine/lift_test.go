@@ -130,7 +130,7 @@ func outcomeOf(res *engine.Result, err error) string {
 
 // strategyWords are the EXPLAIN operator names that say how a statement
 // finds its rows.
-var strategyWords = regexp.MustCompile(`\b(KeyedScan|Scan|IndexJoin|HashJoin|NestedLoop|KeyedDelete|ScanDelete|KeyedUpdate|ScanUpdate|Truncate)\b`)
+var strategyWords = regexp.MustCompile(`\b(KeyedScan|Scan|IndexJoin|HashJoin|NestedLoop|KeyedDelete|ScanDelete|KeyedUpdate|ScanUpdate|Truncate|Insert|Upsert)\b`)
 
 func strategies(plan string) string {
 	return strings.Join(strategyWords.FindAllString(plan, -1), " ")
@@ -141,7 +141,7 @@ func strategies(plan string) string {
 // literals of each test function, replayed in order on two fresh
 // databases, one lifting literals and one keeping them in the text — gives
 // the same columns, rows, rows affected and error both ways, and EXPLAIN
-// of each SELECT, UPDATE and DELETE names the same strategies.
+// of each SELECT, INSERT, UPDATE and DELETE names the same strategies.
 func TestLiftedMatchesVerbatim(t *testing.T) {
 	corpus := statementCorpus(t, ".", "../ivmext")
 	names := make([]string, 0, len(corpus))
@@ -163,7 +163,7 @@ func TestLiftedMatchesVerbatim(t *testing.T) {
 		for _, sql := range corpus[name] {
 			if ks, err := sqlparser.Lift(sql, true); err == nil && len(ks) == 1 {
 				switch first := strings.Fields(string(ks[0].Key) + " x")[0]; first {
-				case "SELECT", "WITH", "UPDATE", "DELETE":
+				case "SELECT", "WITH", "INSERT", "UPDATE", "DELETE":
 					lp, lerr := engine.ExplainLifted(ls, sql)
 					vr, verr := vs.Exec("EXPLAIN " + sql)
 					var vp string

@@ -2,6 +2,7 @@ package ivm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"openivm/internal/duckast"
@@ -45,6 +46,9 @@ func (c *Compiler) Compile(viewName string, sel *sqlparser.SelectStmt, sourceSQL
 	// Classify and extract view columns.
 	if err := c.classify(comp, sel, outSchema); err != nil {
 		return nil, fmt.Errorf("ivm: view %q: %w", viewName, err)
+	}
+	if comp.Class == ClassProjection || comp.Class == ClassJoin {
+		comp.Key = viewKey(comp, sel)
 	}
 
 	// AVG decomposition: maintain hidden SUM/COUNT columns in a storage
@@ -99,6 +103,16 @@ func (c *Compiler) resolveBases(comp *Compilation, from sqlparser.TableRef) erro
 		bt := BaseTable{Name: tbl.Name, Alias: alias, Delta: c.Opts.DeltaPrefix + tbl.Name}
 		for _, col := range tbl.Columns {
 			bt.Columns = append(bt.Columns, duckast.ColumnDef{Name: col.Name, Type: col.Type.String()})
+		}
+		// A table-level PRIMARY KEY admits a NULL, which `k IN (…)` never
+		// selects: such a key cannot key the view.
+		if tbl.HasPrimaryKey() {
+			bt.Key = tbl.PrimaryKeyColumnNames()
+		}
+		for _, p := range tbl.PrimaryKeyColumns() {
+			if !tbl.Columns[p].NotNull {
+				bt.Key = nil
+			}
 		}
 		comp.Bases = append(comp.Bases, bt)
 		return nil
@@ -233,6 +247,122 @@ func containsAgg(e sqlparser.Expr) bool {
 	return found
 }
 
+// baseCol is one column of one of the view's bases: its position in
+// Compilation.Bases and its name in lower case.
+type baseCol struct {
+	base int
+	name string
+}
+
+// viewKey names the view columns that identify a row of a projection or
+// join view, or returns nil when its rows have no key.
+//
+// A projection view is keyed when its select list names every column of
+// its base's key by a plain reference. A join view starts from both bases'
+// keys. A base whose whole key ON equates to columns of the other base is
+// left out: each row of the other side matches at most one of its rows
+// (the FK→PK case). Each remaining key column must be named by a plain
+// reference to itself or to a column ON equates it with. Base keys are NOT
+// NULL (BaseTable.Key) and inner-join columns never are, so no column of
+// V's key ever holds a NULL.
+func viewKey(comp *Compilation, sel *sqlparser.SelectStmt) []string {
+	colType := func(c baseCol) string {
+		for _, col := range comp.Bases[c.base].Columns {
+			if strings.EqualFold(col.Name, c.name) {
+				return col.Type
+			}
+		}
+		return ""
+	}
+	// resolve finds the base column a plain reference names.
+	resolve := func(e sqlparser.Expr) (baseCol, bool) {
+		ref, ok := e.(*sqlparser.ColumnRef)
+		if !ok || ref.Star {
+			return baseCol{}, false
+		}
+		var found baseCol
+		n := 0
+		for i, b := range comp.Bases {
+			c := baseCol{i, strings.ToLower(ref.Column)}
+			if (ref.Table == "" || strings.EqualFold(ref.Table, b.Alias)) && colType(c) != "" {
+				found, n = c, n+1
+			}
+		}
+		return found, n == 1
+	}
+
+	// same[c] lists the columns of the other base that ON equates c with.
+	same := map[baseCol][]baseCol{}
+	equate := func(l, r sqlparser.Expr) {
+		a, aok := resolve(l)
+		b, bok := resolve(r)
+		if aok && bok && a.base != b.base && colType(a) == colType(b) {
+			same[a] = append(same[a], b)
+			same[b] = append(same[b], a)
+		}
+	}
+	if jt, ok := sel.From.(*sqlparser.JoinTable); ok {
+		for _, u := range jt.Using {
+			equate(&sqlparser.ColumnRef{Table: comp.Bases[0].Alias, Column: u},
+				&sqlparser.ColumnRef{Table: comp.Bases[1].Alias, Column: u})
+		}
+		var conjuncts func(e sqlparser.Expr)
+		conjuncts = func(e sqlparser.Expr) {
+			if x, ok := e.(*sqlparser.BinaryExpr); ok && x.Op == "AND" {
+				conjuncts(x.Left)
+				conjuncts(x.Right)
+			} else if ok && x.Op == "=" {
+				equate(x.Left, x.Right)
+			}
+		}
+		conjuncts(jt.On)
+	}
+
+	// nameOf is the view column a plain reference to c, or to a column ON
+	// equates c with, names ("" when none does).
+	nameOf := func(c baseCol) string {
+		for i, it := range sel.Items {
+			if r, ok := resolve(it.Expr); ok && (r == c || slices.Contains(same[c], r)) {
+				return comp.Columns[i].Name
+			}
+		}
+		return ""
+	}
+	// keyOf is the view columns naming the keys of bases, or nil. Two key
+	// columns named by one view column are equal in every row: one suffices.
+	keyOf := func(bases ...int) []string {
+		var key []string
+		for _, b := range bases {
+			if comp.Bases[b].Key == nil {
+				return nil
+			}
+			for _, k := range comp.Bases[b].Key {
+				n := nameOf(baseCol{b, strings.ToLower(k)})
+				if n == "" {
+					return nil
+				}
+				if !slices.Contains(key, n) {
+					key = append(key, n)
+				}
+			}
+		}
+		return key
+	}
+	if len(comp.Bases) == 1 {
+		return keyOf(0)
+	}
+	for b := 1; b >= 0; b-- {
+		determined := comp.Bases[b].Key != nil
+		for _, k := range comp.Bases[b].Key {
+			determined = determined && len(same[baseCol{b, strings.ToLower(k)}]) > 0
+		}
+		if key := keyOf(1 - b); determined && key != nil {
+			return key
+		}
+	}
+	return keyOf(0, 1)
+}
+
 // needsIndex reports whether the compiled view requires the ART-backed
 // group-key index (DuckDB needs an index to apply upserts — paper §2).
 func (c *Compilation) needsIndex() bool {
@@ -285,6 +415,9 @@ func (c *Compiler) genSetup(comp *Compilation) {
 		for _, g := range comp.GroupColumns() {
 			vt.PrimaryKey = append(vt.PrimaryKey, g.Name)
 		}
+	}
+	if comp.Key != nil && comp.Options.CreateIndex {
+		vt.PrimaryKey = comp.Key
 	}
 	s.Add(vt)
 

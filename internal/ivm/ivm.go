@@ -221,6 +221,9 @@ type BaseTable struct {
 	// propagation script reads it and step 4 truncates it.
 	Delta   string
 	Columns []duckast.ColumnDef
+	// Key names the base's primary-key columns when every one of them is
+	// NOT NULL (nil otherwise): they identify a row of the base.
+	Key []string
 }
 
 // Compilation is the full compiler output for one materialized view.
@@ -240,6 +243,11 @@ type Compilation struct {
 	Storage string
 
 	Columns []ViewColumn
+	// Key names the view columns that identify a row of a projection or
+	// join view (see viewKey): V's primary key when the setup creates
+	// indexes, and what the keyed combine deletes by. Nil for the other
+	// classes and for views whose rows have no key.
+	Key []string
 	// storageCols caches the physical column layout (AVG columns expanded
 	// into their SUM and COUNT parts).
 	storageCols []ViewColumn

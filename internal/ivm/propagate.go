@@ -15,6 +15,9 @@ import (
 // Step 2  fold ΔV into V using the selected combine strategy;
 // Step 3  delete invalidated rows from V (empty groups / deleted tuples);
 // Step 4  truncate ΔV and every ΔT.
+//
+// A keyed projection or join view does steps 2–3 as one combine whose
+// delete comes first (emitKeyedCombine).
 func (c *Compiler) genPropagate(comp *Compilation) error {
 	body, err := c.buildBody(comp, comp.Options.Strategy)
 	if err != nil {
@@ -172,6 +175,10 @@ func (c *Compiler) propProjection(comp *Compilation, s *duckast.Script) error {
 		sel.Where = &duckast.Raw{Text: w}
 	}
 	s.Add(&duckast.Insert{Table: comp.DeltaView, Select: sel})
+	if comp.Key != nil {
+		emitKeyedCombine(comp, s)
+		return nil
+	}
 
 	// Step 2: insert the insertions (multiplicity TRUE), dropping the
 	// multiplicity column.
@@ -567,26 +574,55 @@ func (c *Compiler) propJoin(comp *Compilation, s *duckast.Script) error {
 	for _, t := range terms {
 		s.Add(&duckast.Insert{Table: comp.DeltaView, Select: t})
 	}
+	if comp.Key != nil {
+		emitKeyedCombine(comp, s)
+		return nil
+	}
 
 	// Step 2: net ΔV per row (the compensation term produces cancelling
 	// pairs even for insert-only workloads) and apply insertions.
 	names := viewColNames(comp.Columns)
-	signed := fmt.Sprintf("SUM(CASE WHEN %s = TRUE THEN 1 ELSE -1 END)", MultiplicityColumn)
-	ins := &duckast.Select{From: &duckast.Raw{Text: comp.DeltaView},
-		Having: &duckast.Raw{Text: signed + " > 0"}}
-	for _, n := range names {
-		ins.Items = append(ins.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: n}})
-		ins.GroupBy = append(ins.GroupBy, &duckast.Raw{Text: n})
-	}
-	s.Add(&duckast.Insert{Table: comp.ViewName, Select: ins})
+	s.Add(&duckast.Insert{Table: comp.ViewName, Select: netRows(comp, names, "> 0")})
 
 	// Step 3: apply net deletions.
 	s.Add(&duckast.Delete{
 		Table: comp.ViewName,
 		Where: &duckast.Raw{Text: rowIn(names, fmt.Sprintf("%s GROUP BY %s HAVING %s < 0",
-			comp.DeltaView, strings.Join(names, ", "), signed))},
+			comp.DeltaView, strings.Join(names, ", "), netCount))},
 	})
 	return nil
+}
+
+// netCount is a row's net multiplicity over ΔV grouped by the view columns.
+const netCount = "SUM(CASE WHEN " + MultiplicityColumn + " = TRUE THEN 1 ELSE -1 END)"
+
+// netRows selects cols of the ΔV rows whose net multiplicity satisfies cmp
+// ("> 0": inserted, "< 0": retracted).
+func netRows(comp *Compilation, cols []string, cmp string) *duckast.Select {
+	sel := &duckast.Select{From: &duckast.Raw{Text: comp.DeltaView},
+		Having: &duckast.Raw{Text: netCount + " " + cmp}}
+	for _, n := range cols {
+		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: n}})
+	}
+	for _, col := range comp.Columns {
+		sel.GroupBy = append(sel.GroupBy, &duckast.Raw{Text: col.Name})
+	}
+	return sel
+}
+
+// emitKeyedCombine emits steps 2–3 of a keyed projection or join view:
+// delete, through V's key, every key whose row nets below zero in ΔV, then
+// insert the rows that net above zero. Rows are unique per key, so a key
+// nets to at most one retracted and one inserted row; a row retracted and
+// re-inserted unchanged nets to nothing, and deleting first keeps the
+// INSERT free of key conflicts.
+func emitKeyedCombine(comp *Compilation, s *duckast.Script) {
+	s.Add(&duckast.Delete{
+		Table: comp.ViewName,
+		Where: &duckast.Raw{Text: fmt.Sprintf("%s IN (%s)",
+			groupKey(comp.Key), netRows(comp, comp.Key, "< 0").SQL(comp.Options.Dialect))},
+	})
+	s.Add(&duckast.Insert{Table: comp.ViewName, Select: netRows(comp, viewColNames(comp.Columns), "> 0")})
 }
 
 // propJoinAggregate composes the join product rule with aggregation through
