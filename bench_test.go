@@ -991,6 +991,71 @@ func BenchmarkWire_Concurrent(b *testing.B) {
 	}
 }
 
+// BenchmarkWire_RoundTrip measures one single-row statement over
+// loopback per iteration: the per-statement cost of the wire path
+// (request, schema, rows and trailer frames, socket writes) around work
+// that costs the engine a few microseconds. adhoc is a keyed point read
+// in statement text, prepared the same read with the key bound to $1,
+// insert a one-row INSERT … VALUES.
+func BenchmarkWire_RoundTrip(b *testing.B) {
+	const keys = 1000
+	db := openBench(b, "bench")
+	mustExecB(b, db, "CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER)")
+	mustExecB(b, db, "CREATE TABLE w (k INTEGER PRIMARY KEY, v INTEGER)")
+	sb := []byte("INSERT INTO kv VALUES ")
+	for k := 0; k < keys; k++ {
+		if k > 0 {
+			sb = append(sb, ',')
+		}
+		sb = fmt.Appendf(sb, "(%d, %d)", k, k*7)
+	}
+	mustExecB(b, db, string(sb))
+	srv := wire.NewServer(db.DB)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := wire.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Prepare("point", "SELECT v FROM kv WHERE k = $1"); err != nil {
+		b.Fatal(err)
+	}
+	oneRow := func(b *testing.B, resp *wire.Response, err error) {
+		if err != nil || len(resp.Rows) != 1 {
+			b.Fatalf("point read: %v, %v", resp, err)
+		}
+	}
+	b.Run("adhoc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			resp, err := cl.Exec("SELECT v FROM kv WHERE k = " + strconv.Itoa(i%keys))
+			oneRow(b, resp, err)
+		}
+	})
+	b.Run("prepared", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			resp, err := cl.ExecPrepared("point", sqltypes.NewInt(int64(i%keys)))
+			oneRow(b, resp, err)
+		}
+	})
+	next := 0 // keys already inserted into w, across the runs of b.N
+	b.Run("insert", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			resp, err := cl.Exec("INSERT INTO w VALUES (" + strconv.Itoa(next) + ", 1)")
+			if err != nil || resp.RowsAffected != 1 {
+				b.Fatalf("insert: %v, %v", resp, err)
+			}
+			next++
+		}
+	})
+}
+
 // BenchmarkE12_HTAPSync measures one Pipeline.Sync of the cross-system
 // demo at the repository benchmark's shape: a 100k-row orders mirror
 // behind a join-aggregate view, twenty single-row writes on the OLTP side

@@ -39,6 +39,7 @@ type Client struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	rbuf []byte
+	wbuf []byte // request encode buffer
 
 	// Reconnect/retry state (DialRetry clients only; see retry.go).
 	// All guarded by mu.
@@ -57,7 +58,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := conn.Write([]byte(magicV2)); err != nil {
+	if _, err := conn.Write([]byte(protocolMagic)); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -73,11 +74,8 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // sendRequest frames and flushes one request (mu held).
 func (c *Client) sendRequest(req *Request) error {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	if err := writeFrame(c.bw, frameRequest, payload); err != nil {
+	c.wbuf = appendRequest(c.wbuf[:0], req)
+	if err := writeFrame(c.bw, frameRequest, c.wbuf); err != nil {
 		return err
 	}
 	return c.bw.Flush()
@@ -156,7 +154,7 @@ func (c *Client) readDrainRows(b *DrainBatch) error {
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip(&Request{Op: "ping"})
+	_, err := c.roundTrip(&Request{Op: opPing})
 	return err
 }
 
@@ -164,14 +162,14 @@ func (c *Client) Ping() error {
 // materializes the whole result client-side. The transfer still streams;
 // use Query to consume batches incrementally instead.
 func (c *Client) Exec(sql string) (*Response, error) {
-	return c.collect(&Request{Op: "exec", SQL: sql})
+	return c.collect(&Request{Op: opExec, SQL: sql})
 }
 
 // Query runs a SQL script remotely and returns its result as a stream of
 // row batches. The connection is pinned to this query until the Rows is
 // drained or closed.
 func (c *Client) Query(sql string) (*Rows, error) {
-	return c.startStream(&Request{Op: "exec", SQL: sql})
+	return c.startStream(&Request{Op: opExec, SQL: sql})
 }
 
 // Prepare parses a script server-side under name: later ExecPrepared
@@ -179,7 +177,7 @@ func (c *Client) Query(sql string) (*Rows, error) {
 // Names (and those plans) are connection-scoped. Statements
 // may reference $1..$N, bound per execution.
 func (c *Client) Prepare(name, sql string) error {
-	_, err := c.roundTrip(&Request{Op: "prepare", Name: name, SQL: sql})
+	_, err := c.roundTrip(&Request{Op: opPrepare, Name: name, SQL: sql})
 	if err == nil && c.prepared != nil {
 		c.mu.Lock()
 		c.prepared[name] = sql
@@ -190,7 +188,7 @@ func (c *Client) Prepare(name, sql string) error {
 
 // Deallocate drops a prepared statement.
 func (c *Client) Deallocate(name string) error {
-	_, err := c.roundTrip(&Request{Op: "deallocate", Name: name})
+	_, err := c.roundTrip(&Request{Op: opDeallocate, Name: name})
 	if err == nil && c.prepared != nil {
 		c.mu.Lock()
 		delete(c.prepared, name)
@@ -202,18 +200,18 @@ func (c *Client) Deallocate(name string) error {
 // QueryPrepared executes a prepared statement with params bound to
 // $1..$N, streaming the result.
 func (c *Client) QueryPrepared(name string, params ...sqltypes.Value) (*Rows, error) {
-	return c.startStream(&Request{Op: "execPrepared", Name: name, Params: params})
+	return c.startStream(&Request{Op: opExecPrepared, Name: name, Params: params})
 }
 
 // ExecPrepared is QueryPrepared with the result materialized.
 func (c *Client) ExecPrepared(name string, params ...sqltypes.Value) (*Response, error) {
-	return c.collect(&Request{Op: "execPrepared", Name: name, Params: params})
+	return c.collect(&Request{Op: opExecPrepared, Name: name, Params: params})
 }
 
 // Token fetches this connection's session token — the capability a
 // second connection needs to cancel this one's in-flight statement.
 func (c *Client) Token() (string, error) {
-	resp, err := c.roundTrip(&Request{Op: "token"})
+	resp, err := c.roundTrip(&Request{Op: opToken})
 	if err != nil {
 		return "", err
 	}
@@ -224,13 +222,13 @@ func (c *Client) Token() (string, error) {
 // identified by token (obtained via Token on that session's own
 // connection). The target session survives and serves its next request.
 func (c *Client) Cancel(token string) error {
-	_, err := c.roundTrip(&Request{Op: "cancel", Token: token})
+	_, err := c.roundTrip(&Request{Op: opCancel, Token: token})
 	return err
 }
 
 // Schema fetches a remote table's columns.
 func (c *Client) Schema(table string) ([]ColumnDesc, error) {
-	resp, err := c.roundTrip(&Request{Op: "schema", Table: table})
+	resp, err := c.roundTrip(&Request{Op: opSchema, Table: table})
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +243,7 @@ func (c *Client) Schema(table string) ([]ColumnDesc, error) {
 // client retries it across a reconnect, and the caller receives every
 // drained row exactly once.
 func (c *Client) Drain(ack uint64, tables ...string) (*DrainBatch, error) {
-	resp, err := c.roundTrip(&Request{Op: "drain", Tables: tables, Ack: ack})
+	resp, err := c.roundTrip(&Request{Op: opDrain, Tables: tables, Ack: ack})
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +255,7 @@ func (c *Client) Drain(ack uint64, tables ...string) (*DrainBatch, error) {
 
 // Tables lists remote tables.
 func (c *Client) Tables() ([]string, error) {
-	resp, err := c.roundTrip(&Request{Op: "tables"})
+	resp, err := c.roundTrip(&Request{Op: opTables})
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +265,7 @@ func (c *Client) Tables() ([]string, error) {
 // StatsV2 fetches the namespaced counter snapshot, grouped into
 // server.*, txn.*, storage.* and ivm.* subsystems.
 func (c *Client) StatsV2() (*StatsV2, error) {
-	resp, err := c.roundTrip(&Request{Op: "stats"})
+	resp, err := c.roundTrip(&Request{Op: opStats})
 	if err != nil {
 		return nil, err
 	}
@@ -370,11 +368,11 @@ func (c *Client) startStreamLocked(req *Request) (*Rows, error) {
 		}
 		return nil, fmt.Errorf("wire: server answered a stream request without a stream")
 	case frameSchema:
-		var sf schemaFrame
-		if jerr := json.Unmarshal(payload, &sf); jerr != nil {
-			return nil, jerr
+		cols, serr := decodeSchema(payload)
+		if serr != nil {
+			return nil, serr
 		}
-		return &Rows{c: c, Columns: sf.Columns}, nil
+		return &Rows{c: c, Columns: cols}, nil
 	default:
 		return nil, fmt.Errorf("wire: unexpected frame 0x%02x, want schema", typ)
 	}
@@ -414,13 +412,12 @@ func (r *Rows) Next() ([][]sqltypes.Value, error) {
 		}
 		return batch, nil
 	case frameTrailer:
-		var tf trailerFrame
-		if jerr := json.Unmarshal(payload, &tf); jerr != nil {
-			r.finish(jerr)
-			return nil, jerr
+		tf, terr := decodeTrailer(payload)
+		if terr != nil {
+			r.finish(terr)
+			return nil, terr
 		}
 		r.rowsAffected = tf.RowsAffected
-		var terr error
 		if tf.Error != "" {
 			terr = remoteError(tf.Error, tf.Code)
 		}

@@ -138,7 +138,7 @@ func (c *Client) reconnectLocked() error {
 	if err != nil {
 		return err
 	}
-	if _, err := conn.Write([]byte(magicV2)); err != nil {
+	if _, err := conn.Write([]byte(protocolMagic)); err != nil {
 		conn.Close()
 		return err
 	}
@@ -147,7 +147,7 @@ func (c *Client) reconnectLocked() error {
 	c.bw = newClientWriter(conn)
 	c.broken = false
 	for name, sql := range c.prepared {
-		if _, err := c.roundTripLocked(&Request{Op: "prepare", Name: name, SQL: sql}); err != nil {
+		if _, err := c.roundTripLocked(&Request{Op: opPrepare, Name: name, SQL: sql}); err != nil {
 			c.broken = true
 			return fmt.Errorf("wire: replaying prepared statement %q after reconnect: %w", name, err)
 		}
@@ -198,9 +198,9 @@ func (c *Client) doRetry(req *Request, idempotent bool) (*Response, error) {
 // whose recorded SQL is read-shaped (mu held).
 func (c *Client) streamIdempotent(req *Request) bool {
 	switch req.Op {
-	case "exec":
+	case opExec:
 		return selectShaped(req.SQL)
-	case "execPrepared":
+	case opExecPrepared:
 		sql, ok := c.prepared[req.Name]
 		return ok && selectShaped(sql)
 	}

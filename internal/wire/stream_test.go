@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,7 +74,7 @@ func dialSmallBuffer(t *testing.T, addr string) *Client {
 	if err := conn.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte(magicV2)); err != nil {
+	if _, err := conn.Write([]byte(protocolMagic)); err != nil {
 		t.Fatal(err)
 	}
 	return &Client{conn: conn, br: newClientReader(conn), bw: newClientWriter(conn)}
@@ -180,10 +181,15 @@ func TestScriptExecAndErrorRecovery(t *testing.T) {
 	}
 }
 
-// TestNonV2OpenerRejected: a peer that does not open with the OWP2 magic
-// — here a protocol-v1 JSON request — gets exactly one error frame and a
-// closed connection, whether or not the server is at its connection limit.
+// TestNonV2OpenerRejected: a peer that does not open with the OWP3 magic
+// — a protocol-v1 JSON request, or a client of the OWP2 protocol whose
+// requests were JSON — gets exactly one error frame and a closed
+// connection, whether or not the server is at its connection limit.
 func TestNonV2OpenerRejected(t *testing.T) {
+	var owp2 strings.Builder
+	owp2.WriteString("OWP2")
+	writeFrame(&owp2, frameRequest, []byte(`{"op":"ping"}`))
+	openers := map[string]string{"v1": `{"op":"ping"}` + "\n", "OWP2": owp2.String()}
 	for _, maxConns := range []int{0, 1} {
 		_, addr := startServerOpts(t, func(s *Server) { s.MaxConns = maxConns })
 		keep, err := Dial(addr) // occupies the only slot when MaxConns = 1
@@ -194,27 +200,142 @@ func TestNonV2OpenerRejected(t *testing.T) {
 		if err := keep.Ping(); err != nil {
 			t.Fatal(err)
 		}
-		conn, err := net.Dial("tcp", addr)
+		for name, opener := range openers {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte(opener)); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			br := bufio.NewReader(conn)
+			typ, payload, err := readFrame(br, nil)
+			if err != nil || typ != frameResponse {
+				t.Fatalf("%s, maxConns=%d: frame 0x%02x, err %v; want one response frame", name, maxConns, typ, err)
+			}
+			want := "wire: bad protocol magic"
+			if maxConns == 1 {
+				want = errConnLimit
+			}
+			var resp Response
+			if err := json.Unmarshal(payload, &resp); err != nil || resp.Error != want {
+				t.Fatalf("%s, maxConns=%d: response %s (err %v), want error %q", name, maxConns, payload, err, want)
+			}
+			if _, err := br.ReadByte(); err == nil { // EOF, or a reset over the unread request bytes
+				t.Fatalf("%s, maxConns=%d: connection still open after the error frame", name, maxConns)
+			}
+		}
+	}
+}
+
+// countingConn counts the Write calls made on a connection. The count
+// goes up before the bytes leave, so a peer that has read them sees it.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestOneWritePerShortResult pins the framing rule that makes a point read
+// cost one round trip: a result of one batch — a keyed read, an empty
+// read, a DML statement — reaches the client in exactly one server write,
+// schema frame, rows and trailer together. A result of several batches
+// takes about one write per batch.
+func TestOneWritePerShortResult(t *testing.T) {
+	db := engine.Open("srv", engine.DialectDuckDB)
+	srv := NewServer(db)
+	t.Cleanup(srv.Close)
+	if _, err := db.Exec("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)"); err != nil {
+		t.Fatal(err)
+	}
+	loadBig(t, db, 5000, 10)
+
+	// Serve one accepted connection through the counting wrapper.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingConn{Conn: accepted}
+	sc := &servedConn{conn: cc, sess: db.NewSession()}
+	srv.mu.Lock()
+	srv.conns[cc] = sc
+	srv.wg.Add(1)
+	srv.mu.Unlock()
+	go srv.serveConn(sc)
+	if _, err := conn.Write([]byte(protocolMagic)); err != nil {
+		t.Fatal(err)
+	}
+	cl := &Client{conn: conn, br: newClientReader(conn), bw: newClientWriter(conn)}
+	defer cl.Close()
+	if err := cl.Prepare("point", "SELECT v FROM t WHERE k = $1"); err != nil {
+		t.Fatal(err)
+	}
+
+	short := []struct {
+		name string
+		rows int
+		run  func() (*Response, error)
+	}{
+		{"point read", 1, func() (*Response, error) { return cl.Exec("SELECT v FROM t WHERE k = 2") }},
+		{"prepared point read", 1, func() (*Response, error) { return cl.ExecPrepared("point", sqltypes.NewInt(3)) }},
+		{"empty read", 0, func() (*Response, error) { return cl.Exec("SELECT v FROM t WHERE k = 99") }},
+		{"insert", 0, func() (*Response, error) { return cl.Exec("INSERT INTO t VALUES (4, 40)") }},
+		{"update", 0, func() (*Response, error) { return cl.Exec("UPDATE t SET v = v + 1 WHERE k = 4") }},
+		{"failed statement", 0, func() (*Response, error) { return cl.Exec("INSERT INTO t VALUES (4, 41)") }},
+	}
+	for _, c := range short {
+		cc.writes.Store(0)
+		resp, err := c.run()
+		if c.name == "failed statement" {
+			if err == nil {
+				t.Fatalf("%s: duplicate key accepted", c.name)
+			}
+		} else if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		} else if len(resp.Rows) != c.rows {
+			t.Fatalf("%s: rows = %v, want %d", c.name, resp.Rows, c.rows)
+		}
+		if got := cc.writes.Load(); got != 1 {
+			t.Errorf("%s: %d server writes, want 1", c.name, got)
+		}
+	}
+
+	cc.writes.Store(0)
+	rows, err := cl.Query("SELECT id, pad FROM big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := 0
+	for {
+		batch, err := rows.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
-		if _, err := conn.Write([]byte(`{"op":"ping"}` + "\n")); err != nil {
-			t.Fatal(err)
+		if batch == nil {
+			break
 		}
-		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		br := bufio.NewReader(conn)
-		typ, payload, err := readFrame(br, nil)
-		if err != nil || typ != frameResponse {
-			t.Fatalf("maxConns=%d: frame 0x%02x, err %v; want one response frame", maxConns, typ, err)
-		}
-		var resp Response
-		if err := json.Unmarshal(payload, &resp); err != nil || resp.Error == "" {
-			t.Fatalf("maxConns=%d: response %s (err %v), want an error", maxConns, payload, err)
-		}
-		if _, err := br.ReadByte(); err == nil { // EOF, or a reset over the unread request bytes
-			t.Fatalf("maxConns=%d: connection still open after the error frame", maxConns)
-		}
+		batches++
+	}
+	if got := cc.writes.Load(); batches < 2 || got < int64(batches)/2 || got > int64(batches)+1 {
+		t.Errorf("%d batches took %d server writes, want about one per batch", batches, got)
 	}
 }
 

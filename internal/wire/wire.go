@@ -2,14 +2,16 @@
 // for the PostgreSQL client protocol / DuckDB postgres_scanner bridge in
 // the paper's Figure 3, grown into a multi-client server front end.
 //
-// A client opens with the 4-byte magic "OWP2" and speaks length-prefixed
-// frames (see frame.go): requests and non-streaming responses are JSON
-// payloads, but an exec result streams back as a schema frame, binary
-// row-batch frames and a trailer — the server pulls one batch from the
-// live operator tree, writes and flushes it, then pulls the next, so the
-// result is never materialized and a slow reader parks the whole pipeline
-// (backpressure down to the parallel scan's bounded channels). Any other
-// opener is answered with one error frame and closed.
+// A client opens with the 4-byte magic "OWP3" and speaks length-prefixed
+// frames (see frame.go): requests are binary, and an exec result streams
+// back as a binary schema frame, binary row-batch frames and a binary
+// trailer — the server pulls batches from the live operator tree one at
+// a time and holds at most one written batch back until the next is
+// pulled, so the result is never materialized, a short result leaves in
+// one write, and a slow reader parks the whole pipeline (backpressure
+// down to the parallel scan's bounded channels). Only the control-plane
+// answers (Response) are JSON. Any other opener is answered with one
+// error frame and closed.
 //
 // Every accepted connection gets its own engine.Session, so N clients run
 // interleaved DML, transactions and queries concurrently against one
@@ -21,21 +23,21 @@
 // engine's Close/cancellation protocol) and any open transaction rolls
 // back.
 //
-// Supported operations:
+// Supported operations (the fields each carries):
 //
-//	{"op":"exec","sql":"..."}     -> run a statement/script, stream rows
-//	{"op":"schema","table":"t"}   -> column names, types and key of a table
-//	{"op":"drain","tables":[..],"ack":N} -> remove and return the named
-//	                                 tables' committed rows (see Server.drain)
-//	{"op":"tables"}               -> list table names
-//	{"op":"ping"}                 -> liveness check
-//	{"op":"stats"}                -> namespaced counters: server.*, txn.*,
-//	                                 storage.* (WAL/checkpoints), ivm.*
-//	{"op":"token"}                -> this session's cancellation token
-//	{"op":"cancel","token":"..."} -> interrupt that session's statement
-//	{"op":"prepare","name":"p","sql":"..."}          -> parse once
-//	{"op":"execPrepared","name":"p","params":[...]}  -> bind + stream
-//	{"op":"deallocate","name":"p"}                   -> drop prepared
+//	exec(sql)                  -> run a statement/script, stream rows
+//	schema(table)              -> column names, types and key of a table
+//	drain(tables, ack)         -> remove and return the named tables'
+//	                              committed rows (see Server.drain)
+//	tables                     -> list table names
+//	ping                       -> liveness check
+//	stats                      -> namespaced counters: server.*, txn.*,
+//	                              storage.* (WAL/checkpoints), ivm.*
+//	token                      -> this session's cancellation token
+//	cancel(token)              -> interrupt that session's statement
+//	prepare(name, sql)         -> parse once
+//	execPrepared(name, params) -> bind + stream
+//	deallocate(name)           -> drop prepared
 //
 // Cancellation is out of band: a session's token (crypto-random, only
 // disclosed over its own connection) lets a second connection interrupt
@@ -66,16 +68,35 @@ import (
 	"openivm/internal/sqltypes"
 )
 
-// Request is one client->server message.
+// opcode names a request's operation; it is the first byte of a request
+// frame, so the values are part of the protocol.
+type opcode byte
+
+const (
+	opPing         opcode = 0x01
+	opExec         opcode = 0x02
+	opExecPrepared opcode = 0x03
+	opPrepare      opcode = 0x04
+	opDeallocate   opcode = 0x05
+	opSchema       opcode = 0x06
+	opTables       opcode = 0x07
+	opStats        opcode = 0x08
+	opToken        opcode = 0x09
+	opCancel       opcode = 0x0a
+	opDrain        opcode = 0x0b
+)
+
+// Request is one client->server message. Each op sends only the fields
+// it uses (see appendRequest).
 type Request struct {
-	Op     string           `json:"op"`
-	SQL    string           `json:"sql,omitempty"`
-	Table  string           `json:"table,omitempty"`
-	Name   string           `json:"name,omitempty"`   // prepared-statement name
-	Params []sqltypes.Value `json:"params,omitempty"` // execPrepared bindings ($1 = Params[0])
-	Token  string           `json:"token,omitempty"`  // cancel target
-	Tables []string         `json:"tables,omitempty"` // drain: tables to empty
-	Ack    uint64           `json:"ack,omitempty"`    // drain: last batch the consumer applied
+	Op     opcode
+	SQL    string
+	Table  string
+	Name   string           // prepared-statement name
+	Params []sqltypes.Value // execPrepared bindings ($1 = Params[0])
+	Token  string           // cancel target
+	Tables []string         // drain: tables to empty
+	Ack    uint64           // drain: last batch the consumer applied
 }
 
 // ColumnDesc describes one column in a schema response. PK is the
@@ -341,7 +362,7 @@ func rejectConn(conn net.Conn) {
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	// Wait for the client's opener so the answer is not lost to a reset.
-	if n, _ := io.CopyN(io.Discard, conn, int64(len(magicV2))); n == 0 {
+	if n, _ := io.CopyN(io.Discard, conn, int64(len(protocolMagic))); n == 0 {
 		return // never spoke; nothing to answer
 	}
 	writeResponseFrame(conn, &Response{Error: errConnLimit})
@@ -378,8 +399,8 @@ func (s *Server) serveConn(sc *servedConn) {
 		conn.Close()
 	}()
 	br := bufio.NewReaderSize(conn, 32<<10)
-	var magic [len(magicV2)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != magicV2 {
+	var magic [len(protocolMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != protocolMagic {
 		writeResponseFrame(conn, &Response{Error: "wire: bad protocol magic"})
 		return
 	}
@@ -398,9 +419,9 @@ func errResponse(err error) *Response {
 // response frame.
 func (s *Server) handle(sess *engine.Session, req *Request) *Response {
 	switch req.Op {
-	case "ping":
+	case opPing:
 		return &Response{}
-	case "schema":
+	case opSchema:
 		tbl, err := s.DB.Catalog().Table(req.Table)
 		if err != nil {
 			return errResponse(err)
@@ -413,13 +434,13 @@ func (s *Server) handle(sess *engine.Session, req *Request) *Response {
 			resp.Schema[pos].PK = i + 1
 		}
 		return resp
-	case "tables":
+	case opTables:
 		return &Response{Tables: s.DB.Catalog().TableNames()}
-	case "stats":
+	case opStats:
 		return &Response{StatsV2: s.snapshotStatsV2()}
-	case "token":
+	case opToken:
 		return &Response{Token: sess.Token()}
-	case "cancel":
+	case opCancel:
 		target, ok := s.DB.SessionByToken(req.Token)
 		if !ok {
 			return &Response{Error: "wire: no session with that token"}
@@ -428,7 +449,7 @@ func (s *Server) handle(sess *engine.Session, req *Request) *Response {
 		s.cancels.Add(1)
 		return &Response{}
 	}
-	return &Response{Error: fmt.Sprintf("wire: unknown op %q", req.Op)}
+	return &Response{Error: fmt.Sprintf("wire: unknown op 0x%02x", byte(req.Op))}
 }
 
 // drain serves the drain op: one round trip that empties every named
@@ -545,7 +566,7 @@ type v2conn struct {
 	sess     *engine.Session
 	prepared map[string]*engine.Prepared
 	rbuf     []byte // frame read buffer, reused across requests
-	wbuf     []byte // row-batch encode buffer, reused across batches
+	wbuf     []byte // frame encode buffer, reused across frames
 }
 
 func (s *Server) serveV2(sc *servedConn, br *bufio.Reader) {
@@ -572,9 +593,9 @@ func (s *Server) serveV2(sc *servedConn, br *bufio.Reader) {
 			c.writeResponse(&Response{Error: fmt.Sprintf("wire: unexpected frame 0x%02x, want request", typ)})
 			return
 		}
-		var req Request
-		if err := json.Unmarshal(payload, &req); err != nil {
-			if c.writeResponse(&Response{Error: "wire: malformed request: " + err.Error()}) != nil {
+		req, err := decodeRequest(payload)
+		if err != nil {
+			if c.writeResponse(&Response{Error: err.Error()}) != nil {
 				return
 			}
 			continue
@@ -619,9 +640,9 @@ func (c *v2conn) writeResponse(resp *Response) error {
 
 func (c *v2conn) dispatch(req *Request) error {
 	switch req.Op {
-	case "exec", "execPrepared":
+	case opExec, opExecPrepared:
 		return c.streamExec(req)
-	case "prepare":
+	case opPrepare:
 		p, err := c.sess.PrepareScript(req.SQL)
 		if err != nil {
 			return c.writeResponse(&Response{Error: err.Error()})
@@ -634,14 +655,14 @@ func (c *v2conn) dispatch(req *Request) error {
 		}
 		c.prepared[req.Name] = p
 		return c.writeResponse(&Response{})
-	case "deallocate":
+	case opDeallocate:
 		if _, ok := c.prepared[req.Name]; !ok {
 			return c.writeResponse(&Response{Error: fmt.Sprintf("wire: unknown prepared statement %q", req.Name)})
 		}
 		delete(c.prepared, req.Name)
 		c.srv.preparedLive.Add(-1)
 		return c.writeResponse(&Response{})
-	case "drain":
+	case opDrain:
 		return c.writeDrain(req)
 	default:
 		return c.writeResponse(c.srv.handle(c.sess, req))
@@ -689,10 +710,13 @@ func (c *v2conn) writeDrain(req *Request) error {
 }
 
 // streamExec runs one statement with a streamed result: schema frame,
-// row-batch frames (each flushed before the next batch is pulled from
-// the engine — the write path is the backpressure), then a trailer. An
-// error before any frame goes out is a plain error response; an error
-// after streaming began rides in the trailer.
+// row-batch frames, then a trailer. A rows frame stays in the writer
+// until the next batch has been pulled from the engine and goes out
+// before that batch is written: the last one leaves with the trailer, so
+// a short result costs one write, and at most one batch is held back, so
+// the write path is still the backpressure. An error before any frame
+// goes out is a plain error response; an error after streaming began
+// rides in the trailer.
 func (c *v2conn) streamExec(req *Request) error {
 	s := c.srv
 	ctx, finish := c.sess.StartStatement(s.QueryTimeout)
@@ -700,7 +724,7 @@ func (c *v2conn) streamExec(req *Request) error {
 
 	var st *engine.Stream
 	var err error
-	if req.Op == "execPrepared" {
+	if req.Op == opExecPrepared {
 		p, ok := c.prepared[req.Name]
 		if !ok {
 			return c.writeResponse(&Response{Error: fmt.Sprintf("wire: unknown prepared statement %q", req.Name)})
@@ -716,16 +740,14 @@ func (c *v2conn) streamExec(req *Request) error {
 	}
 	defer st.Close()
 
-	payload, merr := json.Marshal(&schemaFrame{Columns: st.Columns})
-	if merr != nil {
-		return merr
-	}
-	if err := c.writeF(frameSchema, payload); err != nil {
+	c.wbuf = appendStrings(c.wbuf[:0], st.Columns)
+	if err := c.writeF(frameSchema, c.wbuf); err != nil {
 		return err
 	}
 
 	var tr trailerFrame
 	var sentBytes int64
+	held := false // a rows frame waits in the writer
 	for {
 		batch, berr := st.Next()
 		if berr != nil {
@@ -737,25 +759,27 @@ func (c *v2conn) streamExec(req *Request) error {
 		if batch == nil {
 			break
 		}
-		enc := appendRowBatch(c.wbuf[:0], batch)
-		c.wbuf = enc[:0]
+		c.wbuf = appendRowBatch(c.wbuf[:0], batch)
 		if s.MaxRowsPerQuery > 0 && int64(tr.Rows+len(batch)) > s.MaxRowsPerQuery {
 			s.governorKills.Add(1)
 			tr.Error = fmt.Sprintf("wire: query killed by admission governor: row budget %d exceeded", s.MaxRowsPerQuery)
 			break
 		}
-		sentBytes += int64(len(enc))
+		sentBytes += int64(len(c.wbuf))
 		if s.MaxBytesPerQuery > 0 && sentBytes > s.MaxBytesPerQuery {
 			s.governorKills.Add(1)
 			tr.Error = fmt.Sprintf("wire: query killed by admission governor: byte budget %d exceeded", s.MaxBytesPerQuery)
 			break
 		}
-		if err := c.writeF(frameRows, enc); err != nil {
+		if held {
+			if err := c.bw.Flush(); err != nil {
+				return err
+			}
+		}
+		if err := c.writeF(frameRows, c.wbuf); err != nil {
 			return err
 		}
-		if err := c.bw.Flush(); err != nil {
-			return err
-		}
+		held = true
 		tr.Rows += len(batch)
 		s.streamedBatches.Add(1)
 		s.streamedRows.Add(int64(len(batch)))
@@ -764,11 +788,8 @@ func (c *v2conn) streamExec(req *Request) error {
 	// The plan goes back to the cache before the client learns the result
 	// is complete, so its next statement of this shape finds it.
 	st.Close()
-	payload, merr = json.Marshal(&tr)
-	if merr != nil {
-		return merr
-	}
-	if err := c.writeF(frameTrailer, payload); err != nil {
+	c.wbuf = appendTrailer(c.wbuf[:0], &tr)
+	if err := c.writeF(frameTrailer, c.wbuf); err != nil {
 		return err
 	}
 	return c.bw.Flush()

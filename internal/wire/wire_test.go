@@ -132,7 +132,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestUnknownOp(t *testing.T) {
 	_, cl := startServer(t)
-	if _, err := cl.roundTrip(&Request{Op: "bogus"}); err == nil {
+	if _, err := cl.roundTrip(&Request{Op: 0xff}); err == nil {
 		t.Error("unknown op should error")
 	}
 }
