@@ -792,10 +792,9 @@ func BenchmarkE8_AutoStrategy(b *testing.B) {
 // from K goroutines and waits (timed). The rw1 arm clamps the scheduler
 // pool to one worker — the serial baseline — and rw4 lets the four
 // groups propagate in parallel; their ns/op ratio is the scheduler's
-// speedup. stall-ns/op reports writer capture-stall time per iteration
-// (time writers spent blocked on the generation append lock), the
-// non-blocking-capture claim: bounded by generation seals, not by
-// propagation duration.
+// speedup. stall-ns/op reports the writers' stall per iteration (time
+// their commits waited for a change log's lock): bounded by a refresh
+// building its window's rows, not by propagation duration.
 func BenchmarkE10_MultiViewRefresh(b *testing.B) {
 	const views, writers, deltaRows = 4, 2, 500
 	for _, rw := range []int{1, 4} {

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"openivm/internal/enginerr"
 	"openivm/internal/index/art"
@@ -60,6 +61,18 @@ type Table struct {
 	live int            // live-version count (includes uncommitted inserts)
 
 	unlogged bool // excluded from the WAL and checkpoints (IVM-derived)
+
+	// log is the change log commits append to while the table is tracked
+	// (Track); changes is the log a delta table reads instead of rows of
+	// its own (ReadChanges).
+	log, changes atomic.Pointer[ChangeLog]
+
+	// inPlaceTS is the commit timestamp of the newest transaction that
+	// took UpsertBatchTxn's in-place path on the table, all ones while it
+	// is in flight, and inPlaceHolds counts the holds that keep writes off
+	// that path (HoldInPlace).
+	inPlaceTS    uint64
+	inPlaceHolds int
 
 	// pinned counts in-flight transactions holding write-log references to
 	// slots of this table. While nonzero, GC must not compact (renumber
@@ -428,11 +441,12 @@ func (t *Table) SetUnlogged() {
 	t.mu.Unlock()
 }
 
-// Unlogged reports whether the table is excluded from durability.
+// Unlogged reports whether the table is excluded from durability: marked
+// so, or a delta table, which stores nothing.
 func (t *Table) Unlogged() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.unlogged
+	return t.unlogged || t.ReadsChanges()
 }
 
 // RowAt returns the row stored in a write-log slot. Redo capture uses
@@ -451,7 +465,11 @@ func (t *Table) RowAt(slot int32) sqltypes.Row {
 // RowCount returns the number of live row versions. Under concurrent
 // transactions this counts uncommitted inserts and excludes uncommitted
 // deletes — an estimate, which is all its callers (planning, stats) need.
+// A delta table counts the rows its scan returns.
 func (t *Table) RowCount() int {
+	if l := t.changes.Load(); l != nil {
+		return len(l.scan(t.mv.LatestTS()))
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.live
@@ -765,7 +783,7 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, rep
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	quiescent := t.quiescentLocked(tx)
+	quiescent := t.quiescentLocked(tx) && t.inPlaceHolds == 0
 	for _, row := range rows {
 		r, verr := t.validate(row)
 		if verr != nil {
@@ -785,6 +803,7 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, rep
 				t.insertIndexedLocked(r, slot)
 				t.live++
 				t.logLocked(tx, mvcc.Op{Kind: mvcc.OpInsert, Slot: int32(slot), Prev: -1})
+				t.inPlaceTS = ^uint64(0)
 				inserted = append(inserted, r)
 				continue
 			}
@@ -795,6 +814,7 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, rep
 				t.rows[newest] = r
 				t.insertIndexedLocked(r, int(newest))
 				t.logLocked(tx, mvcc.Op{Kind: mvcc.OpReplace, Slot: newest, Old: old})
+				t.inPlaceTS = ^uint64(0)
 				replacedOld = append(replacedOld, old)
 				replacedNew = append(replacedNew, r)
 				continue
@@ -1173,13 +1193,13 @@ func (t *Table) quiescentLocked(tx *mvcc.Txn) bool {
 // references into the table and tx is quiescent (quiescentLocked), the
 // backing arrays are released — an O(1) physical reset that also drops the
 // rows committed after tx's snapshot, which nobody can observe — and the
-// write log carries a single OpTruncate so redo replays it. Otherwise every
-// version visible to tx is end-stamped like a DELETE, so concurrent
-// snapshots keep a consistent view.
+// write log carries a single OpTruncate so redo replays it. Otherwise — and
+// always on a tracked table — every version visible to tx is end-stamped
+// like a DELETE, so concurrent snapshots keep a consistent view.
 func (t *Table) TruncateTxn(tx *mvcc.Txn, wantRows bool) ([]sqltypes.Row, int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.pinned != 0 || !t.quiescentLocked(tx) {
+	if t.pinned != 0 || !t.quiescentLocked(tx) || t.Tracked() {
 		rows, err := t.deleteLocked(tx, nil, nil)
 		return rows, len(rows), err
 	}
@@ -1223,8 +1243,15 @@ func (t *Table) Rows() []sqltypes.Row {
 // keys — a set of primary keys, one value per key column, key after key —
 // restrict the result to the rows with those keys, found through the index
 // instead of a scan (see DeleteTxn): the same rows in the same order the
-// scan returns for them, at the cost of the keys instead of the table.
+// scan returns for them, at the cost of the keys instead of the table. A
+// delta table returns its change log's rows (ReadChanges).
 func (t *Table) RowsSnap(sn mvcc.Snapshot, keys []sqltypes.Value) []sqltypes.Row {
+	if l := t.changes.Load(); l != nil {
+		if sn.M == nil {
+			sn = t.mv.Current()
+		}
+		return l.scan(sn.ReadTS)
+	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if sn.M == nil {
@@ -1305,13 +1332,14 @@ func (t *Table) LookupPKRowSnap(sn mvcc.Snapshot, row sqltypes.Row) (sqltypes.Ro
 // mvcc.Store: commit/abort application
 // ---------------------------------------------------------------------------
 
-// ApplyCommit restamps the transaction's ops with its commit timestamp.
-// Called by the transaction manager with the commit mutex held; takes the
-// table's write lock so no reader observes a half-restamped transaction on
-// this table. The table stays pinned until Unpin: the commit hook that
-// runs next still resolves the write log's slot numbers (redo capture
-// reads the committed rows through RowAt), so no sweep may renumber them
-// in between.
+// ApplyCommit restamps the transaction's ops with its commit timestamp and,
+// on a tracked table, appends them to the change log. Called by the
+// transaction manager with the commit mutex held, so the log fills in
+// commit order; takes the table's write lock so no reader observes a
+// half-restamped transaction on this table. The table stays pinned until
+// Unpin: the commit hook that runs next still resolves the write log's slot
+// numbers (redo capture reads the committed rows through RowAt), so no
+// sweep may renumber them in between.
 func (t *Table) ApplyCommit(ops []mvcc.Op, commitTS uint64) {
 	t.mu.Lock()
 	dead := 0
@@ -1324,6 +1352,8 @@ func (t *Table) ApplyCommit(ops []mvcc.Op, commitTS uint64) {
 		case mvcc.OpInsert:
 			if t.vers[s].begin&mvcc.TxnBit != 0 {
 				t.vers[s].begin = commitTS
+			} else {
+				t.inPlaceTS = commitTS // appended committed: the in-place path
 			}
 		case mvcc.OpDelete:
 			if t.vers[s].end&mvcc.TxnBit != 0 {
@@ -1334,7 +1364,11 @@ func (t *Table) ApplyCommit(ops []mvcc.Op, commitTS uint64) {
 			// In-place replacement: the slot already carries the new
 			// value under its old committed begin stamp — nothing to
 			// restamp, no version died.
+			t.inPlaceTS = commitTS
 		}
+	}
+	if l := t.log.Load(); l != nil {
+		t.logChangesLocked(l, ops, commitTS)
 	}
 	t.mu.Unlock()
 	t.mv.NoteDead(dead)
@@ -1368,6 +1402,9 @@ func (t *Table) ApplyAbort(ops []mvcc.Op) {
 			if r == nil {
 				continue
 			}
+			if t.vers[s].begin&mvcc.TxnBit == 0 {
+				t.inPlaceTS = 0
+			}
 			if t.HasPrimaryKey() {
 				if cur := t.pkSeekLocked(r); cur.ok && int(cur.slot) == s {
 					// A sweep may have reclaimed the logged predecessor
@@ -1398,6 +1435,7 @@ func (t *Table) ApplyAbort(ops []mvcc.Op) {
 			// has since stamped the slot: it already read the replaced
 			// value, and rewriting the row underneath its chain would
 			// corrupt what it based its write on.
+			t.inPlaceTS = 0
 			if op.Old != nil && t.vers[s].end == 0 {
 				if r := t.rows[s]; r != nil {
 					t.removeIndexedLocked(r, s)

@@ -20,7 +20,7 @@ import (
 // execInsert handles INSERT, INSERT OR REPLACE (DuckDB dialect) and
 // INSERT ... ON CONFLICT (PostgreSQL dialect).
 func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.InsertStmt) (*Result, error) {
-	tbl, err := s.db.cat.Table(st.Table)
+	tbl, err := s.writeTable(st.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +254,7 @@ func (s *Session) applyConflictSet(params *expr.ParamBinding, tbl *catalog.Table
 }
 
 func (s *Session) execUpdate(ctx context.Context, params *expr.ParamBinding, st *sqlparser.UpdateStmt) (*Result, error) {
-	tbl, err := s.db.cat.Table(st.Table)
+	tbl, err := s.writeTable(st.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +328,7 @@ func (s *Session) execUpdate(ctx context.Context, params *expr.ParamBinding, st 
 }
 
 func (s *Session) execDelete(ctx context.Context, params *expr.ParamBinding, st *sqlparser.DeleteStmt) (*Result, error) {
-	tbl, err := s.db.cat.Table(st.Table)
+	tbl, err := s.writeTable(st.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +368,7 @@ func (s *Session) execDelete(ctx context.Context, params *expr.ParamBinding, st 
 }
 
 func (s *Session) execTruncate(st *sqlparser.TruncateStmt) (*Result, error) {
-	tbl, err := s.db.cat.Table(st.Table)
+	tbl, err := s.writeTable(st.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -376,9 +376,9 @@ func (s *Session) execTruncate(st *sqlparser.TruncateStmt) (*Result, error) {
 }
 
 // truncate runs TRUNCATE, and DELETE without WHERE: storage clears the whole
-// table in one shot when nobody could observe the difference (IVM empties
-// its scratch tables that way on every refresh, with triggers suppressed,
-// so it also skips the row copy). A table with delete triggers takes the
+// table in one shot when nobody could observe the difference and no change
+// log needs its rows (IVM empties its scratch tables that way on every
+// refresh, and skips the row copy). A table with delete triggers takes the
 // versioned path: its handlers run after the truncate, in its transaction,
 // and can still abort it.
 func (s *Session) truncate(tbl *catalog.Table, table string) (*Result, error) {
@@ -395,6 +395,16 @@ func (s *Session) truncate(tbl *catalog.Table, table string) (*Result, error) {
 		return nil, err
 	}
 	return &Result{RowsAffected: affected}, nil
+}
+
+// writeTable resolves the table a statement writes. A delta table reads its
+// base table's change log (catalog.Table.ReadChanges) and takes no writes.
+func (s *Session) writeTable(name string) (*catalog.Table, error) {
+	tbl, err := s.db.cat.Table(name)
+	if err == nil && tbl.ReadsChanges() {
+		return nil, fmt.Errorf("engine: %s is a delta table: it reads its base table's change log and cannot be written", tbl.Name)
+	}
+	return tbl, err
 }
 
 func tableSchema(tbl *catalog.Table) []plan.ColumnInfo {
@@ -420,7 +430,7 @@ func (s *Session) ApplyDeltaRow(table string, row sqltypes.Row, mult bool) error
 // transaction, hence one table lock, one redo record and one commit, and
 // a failing row (a retraction with no matching copy, a duplicate key)
 // aborts it whole. Row-level triggers see it as two events, retractions
-// first, so IVM delta capture observes the replayed change.
+// first.
 func (s *Session) ApplyDeltaBatch(table string, rows []sqltypes.Row, insert []bool) error {
 	if len(rows) != len(insert) {
 		return fmt.Errorf("engine: delta batch for %s has %d rows but %d multiplicities", table, len(rows), len(insert))
@@ -428,7 +438,7 @@ func (s *Session) ApplyDeltaBatch(table string, rows []sqltypes.Row, insert []bo
 	if s.db.degr.flag.Load() && !s.walBypass {
 		return s.db.degradedErr()
 	}
-	tbl, err := s.db.cat.Table(table)
+	tbl, err := s.writeTable(table)
 	if err != nil {
 		return err
 	}
@@ -465,7 +475,7 @@ func (s *Session) InsertRows(tbl *catalog.Table, rows []sqltypes.Row) error {
 // the result or left for the next drain, never lost, and a snapshot taken
 // before the drain commits keeps seeing the drained rows. No trigger fires.
 func (s *Session) DrainTable(table string) ([]sqltypes.Row, error) {
-	tbl, err := s.db.cat.Table(table)
+	tbl, err := s.writeTable(table)
 	if err != nil {
 		return nil, err
 	}
@@ -508,14 +518,13 @@ type pendingFire struct {
 // txnState is a transaction of the session: an explicit BEGIN … COMMIT, or
 // the one of the autocommit statement writing now (Session.auto). It holds
 // the MVCC transaction that carries the write set and the read snapshot,
-// the staged redo record, the queued trigger events and the after-commit
-// hooks. ROLLBACK aborts the MVCC transaction (storage restamps the logged
-// versions) and drops the queued events undelivered.
+// the staged redo record and the queued trigger events. ROLLBACK aborts the
+// MVCC transaction (storage restamps the logged versions) and drops the
+// queued events undelivered.
 type txnState struct {
 	mtx   *mvcc.Txn
 	wal   *walPending // staged redo record state (nil when not logging)
 	fires []pendingFire
-	after []func(committed bool) error
 	// err dooms the transaction: a statement failed after it had written,
 	// so COMMIT aborts and returns err.
 	err error
@@ -549,7 +558,7 @@ func (s *Session) doomed(stmt sqlparser.Statement) bool {
 // func that takes the write's error and returns the statement's. It is the
 // one bracket every catalog write of the engine and its extensions goes
 // through: DML, trigger handlers (delta capture), the IVM extension's
-// delta-table upkeep, the cross-system drain, recovery replay. A statement
+// scratch-table upkeep, the cross-system drain, recovery replay. A statement
 // either happens or does not. In autocommit the write is a transaction of
 // its own: completion delivers the statement's trigger events inside it,
 // then commits and waits for the commit's fsync — or, when the write or a
@@ -591,11 +600,9 @@ func (s *Session) endJoined(err error) error {
 	return err
 }
 
-// fireTxn queues a DML trigger event on the open transaction. The
-// suppression decision is taken now, at DML time, so it matches the rows
-// the statement collected.
+// fireTxn queues a DML trigger event on the open transaction.
 func (s *Session) fireTxn(table string, ev TriggerEvent, oldRows, newRows []sqltypes.Row) {
-	if len(oldRows)+len(newRows) > 0 && s.trigOff.Load() == 0 {
+	if len(oldRows)+len(newRows) > 0 {
 		s.txn.fires = append(s.txn.fires, pendingFire{table: table, ev: ev, old: oldRows, new: newRows})
 	}
 }
@@ -641,8 +648,8 @@ func (s *Session) deliver(t *txnState) error {
 }
 
 // end closes t — committing it when err is nil, aborting it otherwise —
-// then runs its after-commit hooks with the outcome. It returns err, else
-// what failed committing or making the commit durable, else the first
+// then, when it committed, runs the DB's after-commit hook. It returns err,
+// else what failed committing or making the commit durable, else the
 // hook's error.
 func (s *Session) end(t *txnState, err error) error {
 	mgr := s.db.cat.MVCC()
@@ -652,36 +659,24 @@ func (s *Session) end(t *txnState, err error) error {
 		err = fault.Inject(fault.EngineCommit)
 	}
 	s.txn = nil
-	committed := false
+	mtx, committed := t.mtx, false
 	if err != nil {
-		mgr.Abort(t.mtx)
-	} else if err = mgr.Commit(t.mtx); err == nil {
+		mgr.Abort(mtx)
+	} else if err = mgr.Commit(mtx); err == nil {
 		committed = true
 		// Group commit: block until the staged redo record's fsync, before
-		// the client or a hook treats the write as acknowledged.
+		// the client or the hook treats the write as acknowledged.
 		err = t.wal.wait(s.db)
 	}
-	fires, after := t.fires, t.after
+	fires := t.fires
 	clear(fires)
 	*t = txnState{fires: fires[:0]}
-	for _, fn := range after {
-		if herr := fn(committed); err == nil {
+	if committed && s.db.afterCommit != nil {
+		if herr := s.db.afterCommit(s, mtx); err == nil {
 			err = herr
 		}
 	}
-	if clear(after); t.after == nil {
-		t.after = after[:0] // no hook wrote on the session meanwhile
-	}
 	return err
-}
-
-// AfterCommit registers fn to run on the session once its open transaction
-// has ended, with whether it committed (and was made durable): a trigger
-// handler's way to act on the writer's outcome. fn's error becomes the
-// statement's unless it already failed. It is called inside a transaction
-// (a trigger handler always is).
-func (s *Session) AfterCommit(fn func(committed bool) error) {
-	s.txn.after = append(s.txn.after, fn)
 }
 
 func (s *Session) execBegin() (*Result, error) {

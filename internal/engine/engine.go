@@ -7,8 +7,8 @@
 //   - fallback parsers, tried when the main parser rejects a statement
 //     (the paper's CREATE MATERIALIZED VIEW fallback-parser mechanism);
 //   - statement hooks, which intercept statements before execution (the
-//     paper's optimizer-rule injection used to reroute base-table DML into
-//     delta tables and trigger propagation);
+//     paper's optimizer-rule injection, used to trigger propagation);
+//   - an after-commit hook, which eager propagation runs from;
 //   - row-level triggers, the PostgreSQL-side delta-capture mechanism;
 //   - pragmas, the paper's "compiler switches" controlling IVM strategy.
 package engine
@@ -76,8 +76,7 @@ const (
 // consecutive INSERT events on one table arrive as one call, and so do
 // consecutive DELETE events, while UPDATE events never merge. A handler's
 // writes (s.BeginWrite) join the writer's transaction: one commit record,
-// one timestamp. What must wait for the outcome goes to s.AfterCommit. An
-// error aborts the writer's transaction.
+// one timestamp. An error aborts the writer's transaction.
 type TriggerFunc func(s *Session, table string, event TriggerEvent, oldRows, newRows []sqltypes.Row) error
 
 // StatementHook may intercept a parsed statement before standard execution.
@@ -101,8 +100,8 @@ type trigger struct {
 }
 
 // DB is an embedded database instance. A DB is safe for concurrent use by
-// multiple sessions: per-connection execution state (transactions, trigger
-// suppression, execution pragmas, cancellation) lives in Session, while
+// multiple sessions: per-connection execution state (transactions,
+// execution pragmas, cancellation) lives in Session, while
 // the DB holds only shared state — catalog, triggers, hooks, the schema
 // epoch and the plan cache — each behind its own lock.
 type DB struct {
@@ -123,9 +122,13 @@ type DB struct {
 	// an extension installs one via SetIVMStatsSource).
 	ivmStats func() IVMStats
 
-	// trigMu guards the trigger registry: CREATE MATERIALIZED VIEW installs
-	// capture triggers at runtime while concurrent sessions' DML reads the
-	// registry to fire them.
+	// afterCommit runs on the writer's session after each of its
+	// transactions commits (SetAfterCommit).
+	afterCommit func(s *Session, tx *mvcc.Txn) error
+
+	// trigMu guards the trigger registry: CREATE TRIGGER installs triggers
+	// at runtime while concurrent sessions' DML reads the registry to fire
+	// them.
 	trigMu       sync.RWMutex
 	triggers     map[string][]*trigger // table -> triggers
 	trigHandlers map[string]TriggerFunc
@@ -241,17 +244,17 @@ type IVMStats struct {
 	// ParallelRefreshes counts propagations that overlapped in time with
 	// at least one other in-flight propagation.
 	ParallelRefreshes int64
-	// GenerationsSealed counts delta-table generations sealed (a
-	// non-empty ΔT frozen for a propagation to consume).
+	// GenerationsSealed counts non-empty cuts: refreshes that found
+	// changes to apply.
 	GenerationsSealed int64
-	// GenerationsPending is a gauge: delta tables currently holding
-	// unconsumed rows (in ΔT, open or frozen, or overflowed beside it).
+	// GenerationsPending is a gauge: base tables' change logs holding an
+	// entry some view has yet to apply.
 	GenerationsPending int64
-	// CaptureStallNanos is the cumulative time writers spent waiting on
-	// a delta table's generation lock — bounded by a seal or a consume,
-	// never by a whole propagation.
+	// CaptureStallNanos is the cumulative time commits spent waiting for
+	// a change log's lock — held while a refresh finds a window or trims,
+	// never through a whole propagation.
 	CaptureStallNanos int64
-	// DeltaRowsCaptured counts rows appended to delta tables by capture.
+	// DeltaRowsCaptured counts entries commits appended to change logs.
 	DeltaRowsCaptured int64
 }
 
@@ -307,6 +310,12 @@ func (db *DB) SetPragma(name, value string) {
 	db.bumpSchemaEpoch()
 }
 
+// SetAfterCommit installs fn, run on the writer's session once each of its
+// transactions has committed and is durable, with the transaction: what it
+// wrote is tx.Writes. fn's error becomes the statement's. Called once by an
+// extension at install time, before any session runs.
+func (db *DB) SetAfterCommit(fn func(s *Session, tx *mvcc.Txn) error) { db.afterCommit = fn }
+
 // RegisterFallbackParser appends a parser tried when the main parse fails.
 func (db *DB) RegisterFallbackParser(p FallbackParser) { db.fallbacks = append(db.fallbacks, p) }
 
@@ -317,17 +326,6 @@ func (db *DB) RegisterStatementHook(h StatementHook) { db.hooks = append(db.hook
 // ... EXECUTE 'name' can reference it.
 func (db *DB) RegisterTriggerHandler(name string, fn TriggerFunc) {
 	db.trigHandlers[strings.ToLower(name)] = fn
-}
-
-// AddTrigger registers a row-level trigger programmatically. Such a
-// trigger lives as long as the process: whoever adds it re-adds it after a
-// restart (the IVM extension does, when recovery re-creates its views).
-func (db *DB) AddTrigger(table, name string, events []TriggerEvent, fn TriggerFunc) {
-	tr := &trigger{name: name, events: map[TriggerEvent]bool{}, handler: fn}
-	for _, e := range events {
-		tr.events[e] = true
-	}
-	db.addTrigger(table, tr)
 }
 
 // addNamedTrigger registers a trigger on a handler registered by name —
@@ -373,31 +371,6 @@ func (db *DB) namedTriggers() []storage.TriggerSnap {
 	return out
 }
 
-// RemoveTrigger deregisters a trigger by table and name (the IVM
-// extension removes a base table's delta-capture trigger when the last
-// view fed by it is dropped). Unknown names are a no-op.
-func (db *DB) RemoveTrigger(table, name string) {
-	key := strings.ToLower(table)
-	db.trigMu.Lock()
-	defer db.trigMu.Unlock()
-	trs := db.triggers[key]
-	for i, tr := range trs {
-		if strings.EqualFold(tr.name, name) {
-			// Copy-on-write removal: sessions iterating a previously read
-			// slice header keep a consistent view.
-			next := make([]*trigger, 0, len(trs)-1)
-			next = append(next, trs[:i]...)
-			next = append(next, trs[i+1:]...)
-			if len(next) == 0 {
-				delete(db.triggers, key)
-			} else {
-				db.triggers[key] = next
-			}
-			return
-		}
-	}
-}
-
 // triggersFor returns the current trigger list for a table; the returned
 // slice is immutable (registration replaces the slice header under
 // trigMu), so callers may iterate it lock-free.
@@ -411,9 +384,6 @@ func (db *DB) triggersFor(table string) []*trigger {
 // the event in this session — i.e. whether DML must snapshot affected
 // rows it otherwise would not need.
 func (s *Session) wantsTriggerRows(table string, ev TriggerEvent) bool {
-	if s.trigOff.Load() > 0 {
-		return false
-	}
 	for _, tr := range s.db.triggersFor(table) {
 		if tr.events[ev] {
 			return true

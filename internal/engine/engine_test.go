@@ -539,22 +539,6 @@ func TestTriggerViaSQL(t *testing.T) {
 	}
 }
 
-func TestWithoutTriggers(t *testing.T) {
-	db := testDB(t)
-	n := 0
-	db.AddTrigger("groups", "t", []TriggerEvent{TrigInsert},
-		func(_ *Session, _ string, _ TriggerEvent, _, _ []sqltypes.Row) error { n++; return nil })
-	s := db.NewSession()
-	defer s.Close()
-	s.WithoutTriggers(func() error {
-		_, err := s.Exec("INSERT INTO groups VALUES ('x', 1)")
-		return err
-	})
-	if n != 0 {
-		t.Fatal("trigger fired under WithoutTriggers")
-	}
-}
-
 func TestFallbackParser(t *testing.T) {
 	db := Open("t", DialectDuckDB)
 	// A fallback parser that recognizes custom syntax the main parser

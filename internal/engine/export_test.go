@@ -1,6 +1,33 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
+
+// AddTrigger registers a row-level trigger on a handler that has no SQL
+// name, for the life of db.
+func (db *DB) AddTrigger(table, name string, events []TriggerEvent, fn TriggerFunc) {
+	tr := &trigger{name: name, events: map[TriggerEvent]bool{}, handler: fn}
+	for _, e := range events {
+		tr.events[e] = true
+	}
+	db.addTrigger(table, tr)
+}
+
+// RemoveTrigger deregisters a trigger by table and name.
+func (db *DB) RemoveTrigger(table, name string) {
+	key := strings.ToLower(table)
+	db.trigMu.Lock()
+	defer db.trigMu.Unlock()
+	var next []*trigger
+	for _, tr := range db.triggers[key] {
+		if !strings.EqualFold(tr.name, name) {
+			next = append(next, tr)
+		}
+	}
+	db.triggers[key] = next
+}
 
 // SetVerbatim makes db keep every literal in the statement text (and in
 // its cache keys), so a test can compare lifted execution against it.

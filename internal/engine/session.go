@@ -18,9 +18,8 @@ import (
 )
 
 // Session is one connection's execution context over a shared DB. All
-// per-connection state lives here — the open transaction, trigger
-// suppression, execution-pragma overlays (batch_size/workers) and the
-// cancellation context — so N sessions can run interleaved DML and
+// per-connection state lives here — the open transaction, execution-pragma
+// overlays (batch_size/workers) and the cancellation context — so N sessions can run interleaved DML and
 // queries against one DB without sharing any mutable statement state.
 //
 // A Session is cheap to create (the wire server makes one per accepted
@@ -57,9 +56,6 @@ type Session struct {
 	autoDone, joinDone func(error) error
 	mark               int
 
-	// trigOff counts nested WithoutTriggers scopes.
-	trigOff atomic.Int32
-
 	// token identifies this session in the DB's session registry, so an
 	// out-of-band actor (another wire connection's cancel op) can find it
 	// without holding a *Session.
@@ -87,8 +83,7 @@ type Session struct {
 
 	// walBypass excludes this session's writes and DDL from the
 	// write-ahead log. The IVM extension sets it on its internal
-	// sessions: delta capture, propagation and matview bookkeeping are
-	// derived state that recovery rebuilds from base tables, so logging
+	// sessions: propagation and matview bookkeeping are derived state that recovery rebuilds from base tables, so logging
 	// it would double both the log volume and the replayed effects.
 	walBypass bool
 
@@ -115,8 +110,7 @@ func (s *Session) Internal() bool { return s.internal }
 
 // NewSession creates an independent execution context over the database.
 // Sessions share the catalog, triggers, materialized views and the shared
-// plan cache; they do not share transactions, trigger suppression or
-// execution pragmas. Every session is entered into the DB's token
+// plan cache; they do not share transactions or execution pragmas. Every session is entered into the DB's token
 // registry until Close, so out-of-band cancellation can address it.
 func (db *DB) NewSession() *Session {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -216,6 +210,15 @@ func (s *Session) Close() error {
 		s.end(s.txn, errRolledBack)
 	}
 	return nil
+}
+
+// ReadTS returns the read timestamp of the session's open transaction: it
+// sees the commits at or before it. 0 when none is open.
+func (s *Session) ReadTS() uint64 {
+	if s.txn == nil {
+		return 0
+	}
+	return s.txn.mtx.ReadTS
 }
 
 // InTxn reports whether the session has a transaction open: between BEGIN
@@ -335,17 +338,4 @@ func (s *Session) bindSnap(opts *exec.Options) func() {
 	sn, release := s.db.cat.MVCC().AcquireSnapshot()
 	opts.Snap = sn
 	return release
-}
-
-// --- triggers ---
-
-// WithoutTriggers runs fn with this session's trigger firing suppressed —
-// the engine's own internal writes (e.g. IVM propagation filling delta
-// tables) must not re-enter delta capture. Suppression nests, and it is
-// per session: concurrent sessions' DML keeps capturing deltas while one
-// session runs an internal script.
-func (s *Session) WithoutTriggers(fn func() error) error {
-	s.trigOff.Add(1)
-	defer s.trigOff.Add(-1)
-	return fn()
 }

@@ -107,55 +107,6 @@ func TestDoomedTransactionRefusesStatements(t *testing.T) {
 	}
 }
 
-// TestSessionTriggerSuppressionIsolation: WithoutTriggers on one session
-// must not disable another session's trigger firing — the bug class that
-// loses IVM deltas under concurrent DML.
-func TestSessionTriggerSuppressionIsolation(t *testing.T) {
-	db := Open("s", DialectDuckDB)
-	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
-	var mu sync.Mutex
-	fired := 0
-	db.AddTrigger("t", "count", []TriggerEvent{TrigInsert}, func(*Session, string, TriggerEvent, []sqltypes.Row, []sqltypes.Row) error {
-		mu.Lock()
-		fired++
-		mu.Unlock()
-		return nil
-	})
-	s1, s2 := db.NewSession(), db.NewSession()
-	gate := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s1.WithoutTriggers(func() error {
-			close(gate)
-			if _, err := s1.Exec("INSERT INTO t VALUES (1)"); err != nil {
-				t.Error(err)
-			}
-			<-done2(t, s2) // s2 inserts while s1's suppression is active
-			return nil
-		})
-	}()
-	<-gate
-	<-done
-	mu.Lock()
-	defer mu.Unlock()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (s2 fires, suppressed s1 does not)", fired)
-	}
-}
-
-func done2(t *testing.T, s2 *Session) chan struct{} {
-	t.Helper()
-	ch := make(chan struct{})
-	go func() {
-		defer close(ch)
-		if _, err := s2.Exec("INSERT INTO t VALUES (2)"); err != nil {
-			t.Error(err)
-		}
-	}()
-	return ch
-}
-
 // TestSessionPragmaOverlay: batch_size/workers set on a session stay
 // session-local; DB.SetPragma sets the engine-global default every
 // session without an overlay sees.

@@ -84,9 +84,9 @@ const (
 	EngineCommit = "engine/commit" // before the MVCC commit publishes
 
 	// IVM: the concurrent refresh scheduler's propagate path.
-	IVMSeal          = "ivm/seal"           // before a delta generation is sealed (ΔT frozen)
+	IVMSeal          = "ivm/seal"           // before a refresh takes its cut
 	IVMPropagateView = "ivm/propagate-view" // before one view's propagation body runs
-	IVMCombine       = "ivm/combine"        // before the group's combine/truncate commit
+	IVMCombine       = "ivm/combine"        // after the group's bodies, before its change logs are trimmed
 )
 
 // Sentinel errors for the built-in actions. Sites that can simulate the

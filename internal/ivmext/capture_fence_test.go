@@ -8,17 +8,15 @@ import (
 	"openivm/internal/engine"
 )
 
-// TestConcurrentWritersNoLostDeltas guards delta-capture exactness:
-// writers appending delta rows must never race a propagation into
-// losing a row. In the pre-generation design this was a fence (a row
-// captured between a propagation body's read of ΔT and the trailing
-// DELETE FROM ΔT was discarded unapplied, leaving the view permanently
-// stale — a rare wire-stress failure under -race). Under the generation
-// model the same invariant holds structurally: a capture lands either
-// in ΔT before the seal freezes it (and is applied) or in the overflow
-// after it (and becomes the next generation, untouched, when the
-// propagation truncates ΔT), because nothing is appended to a frozen
-// ΔT. Here lazy readers trigger propagation continuously while
+// TestConcurrentWritersNoLostDeltas guards delta exactness: writers
+// committing must never race a propagation into losing a change. In the
+// first design this was a fence (a row captured between a propagation
+// body's read of ΔT and the trailing DELETE FROM ΔT was discarded
+// unapplied, leaving the view permanently stale — a rare wire-stress
+// failure under -race). With change logs the invariant holds structurally:
+// a commit lands at or before a refresh's cut (and is in its window) or
+// after it (and in the next one), and the log drops only what every view
+// has applied. Here lazy readers trigger propagation continuously while
 // independent sessions keep writing; afterwards one final refresh must
 // make the view exactly equal to a recompute over the base table.
 func TestConcurrentWritersNoLostDeltas(t *testing.T) {

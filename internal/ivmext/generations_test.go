@@ -11,11 +11,9 @@ import (
 )
 
 // TestReadYourWritesFreshness: a session that commits base-table DML and
-// then queries the lazy view must see its own delta applied. Capture
-// fires post-commit synchronously, so by the time the session's next
-// statement runs, the delta is in the open generation; the lazy hook
-// must treat open-generation rows as pending and refresh before the
-// read — a regression guard against "only a frozen ΔT counts as stale".
+// then queries the lazy view must see its own change applied: the commit
+// appends to the change log before it returns, so the lazy hook finds it
+// pending and refreshes before the read.
 func TestReadYourWritesFreshness(t *testing.T) {
 	db := engine.Open("ryw", engine.DialectDuckDB)
 	Install(db)
@@ -47,10 +45,9 @@ func TestReadYourWritesFreshness(t *testing.T) {
 
 // TestCrossGenerationTorture races writers, lazy readers and explicit
 // concurrent refreshes across four independent materialized views (two
-// per base table) with the scheduler pool wide open. Generations seal
-// and fill continuously mid-propagation; afterwards every view must
-// equal a recompute, no delta row lost or double-applied, and the
-// parallel-refresh counter must show genuine overlap.
+// per base table) with the scheduler pool wide open. Cuts are taken while
+// the logs keep filling; afterwards every view must equal a recompute, no
+// change lost or double-applied.
 func TestCrossGenerationTorture(t *testing.T) {
 	db := engine.Open("torture", engine.DialectDuckDB)
 	ext := Install(db)
@@ -173,9 +170,9 @@ func TestCrossGenerationTorture(t *testing.T) {
 			}
 		}
 	}
-	// Two refresh groups (one shared delta per base table); coalescing
-	// means most refresh attempts find nothing to seal, but each group
-	// must have sealed at least once.
+	// Two refresh groups (one change log per base table); coalescing
+	// means most refresh attempts find nothing to apply, but each group
+	// must have cut a non-empty window at least once.
 	if n := atomic.LoadInt64(&ext.Stats.GenerationsSealed); n < 2 {
 		t.Fatalf("GenerationsSealed = %d, want >= 2", n)
 	}

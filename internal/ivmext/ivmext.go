@@ -5,24 +5,27 @@
 //   - a fallback-parser/statement hook intercepts CREATE MATERIALIZED VIEW,
 //     compiles it, executes the generated DDL, populates V and registers
 //     the view in the engine's metadata tables;
-//   - base-table INSERT/DELETE/UPDATE statements are intercepted (the
-//     paper's injected optimizer rule; here, engine row-triggers) and
-//     rerouted into the delta tables ΔT;
-//   - propagation runs eagerly after every base-table change or lazily on
-//     REFRESH / when the view is queried, controlled by PRAGMA ivm_mode;
+//   - base-table changes reach the delta tables ΔT without a second write
+//     (the paper injects an optimizer rule that reroutes DML into ΔT): a
+//     base table that feeds a view keeps a change log its commits append
+//     to, and ΔT is the catalog name the compiled scripts read it through;
+//   - propagation runs eagerly after every committed base-table change or
+//     lazily on REFRESH / when the view is queried, controlled by PRAGMA
+//     ivm_mode;
 //   - the generated SQL scripts are retained for inspection ("stored on
 //     disk" in the paper) via Extension.Scripts and SaveScripts.
 //
-// Refresh is concurrent and pipelined: capture writes ΔT inside the
-// writer's transaction; a propagation seals the generation in O(1) by
-// freezing ΔT — the table itself is the sealed generation, and captures
-// that arrive while it is frozen wait in memory and become the next
-// generation when the propagation has consumed ΔT; and independent views
-// refresh in parallel on a bounded worker pool — views that share a delta
-// table or feed each other serialize through per-view refresh locks,
-// everything else overlaps. What runs is the script PropagateSQL prints:
-// the prepared statements are steps 1–3 of ivm.Compilation.Propagate, and
-// step 4 (truncating ΔV and ΔT) goes through the catalog.
+// Refresh is concurrent: a refresh takes one cut — the latest commit
+// timestamp — and runs each view of its group over the changes committed
+// between the view's previous cut and this one, so one transaction's changes
+// to several bases land in one refresh. Writers never wait on a refresh, and
+// independent views refresh in parallel on a bounded worker pool — views
+// that share a base table or feed each other serialize through per-view
+// refresh locks, everything else overlaps. What runs is the script
+// PropagateSQL prints: the prepared statements are steps 1–3 of
+// ivm.Compilation.Propagate, and step 4 (emptying ΔV and ΔT) is the
+// runtime's: ΔV is truncated through the catalog, and ΔT's entries are
+// dropped once every view over the base has applied them.
 //
 // Compiler switches are engine pragmas:
 //
@@ -38,9 +41,11 @@ package ivmext
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,8 +58,8 @@ import (
 	"openivm/internal/engine"
 	"openivm/internal/fault"
 	"openivm/internal/ivm"
+	"openivm/internal/mvcc"
 	"openivm/internal/sqlparser"
-	"openivm/internal/sqltypes"
 )
 
 // Extension is the installed IVM extension state for one engine instance.
@@ -63,15 +68,10 @@ type Extension struct {
 
 	mu    sync.Mutex
 	views map[string]*view // by lower-cased view name
-	// deltas holds the per-delta-table generation state, keyed by the
-	// lower-cased delta table name. Shared across every view fed by the
-	// table; an entry lives exactly as long as the table's capture trigger.
-	deltas map[string]*deltaState
-
-	// writers holds, per writer session with a transaction open, what the
-	// transaction has captured (guarded by writersMu).
-	writersMu sync.Mutex
-	writers   map[*engine.Session]*writerTxn
+	// feeds holds, per delta table (lower-cased name), the change log of
+	// its base table: shared by every view over the base, and kept as long
+	// as one reads it.
+	feeds map[string]*feed
 
 	// pool bounds how many propagations run concurrently
 	// (PRAGMA ivm_refresh_workers; capacity 1 reproduces serial refresh).
@@ -81,14 +81,16 @@ type Extension struct {
 	// ParallelRefreshes stat.
 	inFlight atomic.Int64
 
-	// Stats counts propagation runs and captured delta rows (benchmarks,
-	// the demo shell and the wire stats endpoint read these). The int64
-	// counters are updated atomically — capture runs on every writer
-	// session and propagations overlap; AutoChoices stays guarded by mu.
+	// Stats counts propagation runs and logged changes (benchmarks, the
+	// demo shell and the wire stats endpoint read these). The int64
+	// counters are updated atomically — commits append to change logs on
+	// every writer session and propagations overlap; AutoChoices stays
+	// guarded by mu.
 	Stats struct {
 		// Propagations counts per-view propagation bodies applied.
 		Propagations int64
-		// DeltasCaught counts rows appended to delta tables by capture.
+		// DeltasCaught counts the entries commits appended to the change
+		// logs: one per inserted or deleted base row, two per updated one.
 		DeltasCaught int64
 		// EagerRefreshes / LazyRefreshes count scheduler entries by path.
 		EagerRefreshes int64
@@ -98,12 +100,12 @@ type Extension struct {
 		// ParallelRefreshes counts propagations that overlapped with at
 		// least one other in-flight propagation.
 		ParallelRefreshes int64
-		// GenerationsSealed counts generation seals (a non-empty ΔT frozen
-		// for a propagation).
+		// GenerationsSealed counts non-empty cuts: refreshes that found
+		// changes to apply.
 		GenerationsSealed int64
-		// CaptureStallNanos accumulates writer wait time on the delta's
-		// generation lock — bounded by a seal's freeze or a consume, never
-		// by a propagation.
+		// CaptureStallNanos accumulates commits' wait for a change log's
+		// lock — held by a refresh finding a window or trimming, never
+		// through a propagation.
 		CaptureStallNanos int64
 		// AutoChoices counts cost-based strategy selections by name
 		// (guarded by the extension mutex).
@@ -115,18 +117,19 @@ type Extension struct {
 // refresh lock: a propagation locks every view of its refresh group in
 // sorted name order (after taking a pool slot), so groups with disjoint
 // view sets run fully in parallel while overlapping groups serialize
-// deadlock-free. applied and prepared are only touched under it.
+// deadlock-free. prepared is only touched under it.
 type view struct {
 	comp *ivm.Compilation
-	// deltas is the generation state of each base table's delta table, in
-	// comp.Bases order.
-	deltas []*deltaState
-	mu     sync.Mutex
-	// applied records the newest sealed generation the view's propagation
-	// body has consumed from each of its delta tables. A marker that trails
-	// the delta's generation is an application still owed; a frozen ΔT
-	// whose every dependent view is current can be consumed.
-	applied map[*deltaState]int64
+	// feeds are the change logs of the view's base tables, in comp.Bases
+	// order.
+	feeds []*feed
+	mu    sync.Mutex
+	// from is the commit timestamp V reflects its bases at: the next
+	// refresh applies what committed after it, up to its cut, and moves it
+	// to the cut — only once the view's body has landed, which makes
+	// refresh exactly-once without wrapping propagation in an engine
+	// transaction. Written under the view's refresh lock.
+	from atomic.Uint64
 	// prepared holds the view's propagation bodies as prepared handles
 	// keyed by the (immutable) compiled script, so a refresh re-executes
 	// parsed statements and cached plans instead of re-rendering,
@@ -135,35 +138,15 @@ type view struct {
 	prepared map[*duckast.Script]*engine.Prepared
 }
 
-// deltaState is the generation state of one shared delta table ΔT, which
-// cycles open → frozen → consumed (→ open):
-//
-//   - open: capture writes ΔT inside the writer's transaction, counted in
-//     inflight (under mu) until that transaction has ended;
-//   - seal: a propagation that finds ΔT non-empty sets frozen, waits for
-//     inflight to drain and bumps gen — no row moves. A writer in flight is
-//     between its capture and its commit, and waits on no propagation. A
-//     frozen ΔT is the sealed generation: the propagation bodies read it,
-//     and a capture keeps its rows until its writer commits, then appends
-//     them to overflow, so ΔT does not change under them;
-//   - consume: once every dependent view has applied gen, ΔT is truncated,
-//     overflow moves into it as the next open generation and frozen
-//     clears — one step under mu.
-//
-// A failed body leaves ΔT frozen with its rows. gen numbers the sealed
-// generations, and each view records the last one it applied per delta
-// table (view.applied) — the pair makes refresh exactly-once without
-// wrapping propagation in an engine transaction. gen and frozen are
-// written under mu with the delta's refresh-group view locks held, and
-// read under either.
-type deltaState struct {
-	mu       sync.Mutex
-	drained  sync.Cond // on mu: inflight fell to zero
-	table    string    // ΔT
-	frozen   bool
-	gen      int64
-	inflight int
-	overflow []sqltypes.Row
+// feed is one base table's change log, which its delta table ΔT reads.
+type feed struct {
+	delta string // ΔT
+	base  *catalog.Table
+	log   *catalog.ChangeLog
+	// readers are the views over the base, the ones still being created
+	// included (guarded by Extension.mu): the log keeps what one of them
+	// has yet to apply.
+	readers []*view
 }
 
 // workerPool is a counting semaphore with dynamic capacity (re-read from
@@ -206,12 +189,12 @@ func (p *workerPool) release() {
 // Install registers the IVM extension on db and returns its handle.
 func Install(db *engine.DB) *Extension {
 	ext := &Extension{
-		db:      db,
-		views:   map[string]*view{},
-		deltas:  map[string]*deltaState{},
-		writers: map[*engine.Session]*writerTxn{},
+		db:    db,
+		views: map[string]*view{},
+		feeds: map[string]*feed{},
 	}
 	db.RegisterStatementHook(ext.statementHook)
+	db.SetAfterCommit(ext.afterCommit)
 	db.SetIVMStatsSource(ext.engineStats)
 	return ext
 }
@@ -229,42 +212,36 @@ func (ext *Extension) engineStats() engine.IVMStats {
 	}
 }
 
-// pendingGauge counts delta tables currently holding unconsumed rows.
+// pendingGauge counts the change logs holding an entry a view has yet to
+// apply.
 func (ext *Extension) pendingGauge() int64 {
 	ext.mu.Lock()
-	states := make([]*deltaState, 0, len(ext.deltas))
-	for _, ds := range ext.deltas {
-		states = append(states, ds)
-	}
-	ext.mu.Unlock()
+	defer ext.mu.Unlock()
 	var n int64
-	for _, ds := range states {
-		if ext.pending(ds) {
+	for _, f := range ext.feeds {
+		if f.log.LastTS() > f.applied() {
 			n++
 		}
 	}
 	return n
 }
 
-// pending reports whether the delta holds unconsumed rows: ΔT has rows
-// (open or frozen) or captures overflowed while it was frozen. Rows only
-// ever move from overflow into ΔT, so reading in that order misses none.
-func (ext *Extension) pending(ds *deltaState) bool {
-	ds.mu.Lock()
-	overflowed := len(ds.overflow) > 0
-	ds.mu.Unlock()
-	if overflowed {
-		return true
+// applied is the commit timestamp every reader of the feed has applied
+// its changes up to. The caller holds the extension mutex.
+func (f *feed) applied() uint64 {
+	low := uint64(math.MaxUint64)
+	for _, v := range f.readers {
+		low = min(low, v.from.Load())
 	}
-	t, err := ext.db.Catalog().Table(ds.table)
-	return err == nil && t.RowCount() > 0
+	return low
 }
 
-// anyPending reports whether any of the delta tables holds unconsumed
-// rows.
-func (ext *Extension) anyPending(states []*deltaState) bool {
-	for _, ds := range states {
-		if ext.pending(ds) {
+// pending reports whether a base of the view has committed a change the
+// view has yet to apply.
+func (v *view) pending() bool {
+	from := v.from.Load()
+	for _, f := range v.feeds {
+		if f.log.LastTS() > from {
 			return true
 		}
 	}
@@ -360,23 +337,22 @@ func (ext *Extension) statementHook(s *engine.Session, stmt sqlparser.Statement)
 	}
 	// Inside a transaction nothing refreshes: a statement there reads at
 	// the transaction's snapshot, which a refresh committing now cannot
-	// change, a refresh is not undone by ROLLBACK, and a session delivering
-	// trigger events must not wait on a seal waiting for its own capture.
+	// change, and a refresh is not undone by ROLLBACK.
 	if s.InTxn() {
 		return true, nil, fmt.Errorf("ivmext: REFRESH and materialized-view DDL cannot run inside a transaction block")
 	}
 	return true, &engine.Result{}, run()
 }
 
-// refreshStale refreshes every materialized view stmt reads whose delta
-// tables hold unconsumed rows. A reader that arrives while another
+// refreshStale refreshes every materialized view stmt reads whose base
+// tables committed changes it has yet to apply. A reader that arrives while another
 // goroutine's propagation is in flight blocks on the view's refresh lock
 // inside the scheduler and reads fresh state. Several stale views refresh
 // concurrently on the scheduler pool.
 func (ext *Extension) refreshStale(stmt sqlparser.Statement) error {
 	var stale []*view
 	for _, v := range ext.matviewsRead(stmt) {
-		if ext.anyPending(v.deltas) {
+		if v.pending() {
 			stale = append(stale, v)
 		}
 	}
@@ -435,7 +411,7 @@ func (ext *Extension) Compilation(view string) (*ivm.Compilation, bool) {
 }
 
 // createMaterializedView compiles the definition, runs the generated DDL,
-// populates V, registers delta-capture triggers and stores the metadata.
+// starts the base tables' change logs, populates V and stores the metadata.
 func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error {
 	opts, err := ext.options()
 	if err != nil {
@@ -446,80 +422,38 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error
 		return err
 	}
 
-	// Existing views may have buffered deltas against the same base
-	// tables; drain them first so the new view's initial population (from
-	// the post-delta base state) is not double-counted later. The drain
-	// consumes the frozen leftovers of failed propagations too.
-	for _, b := range comp.Bases {
-		if err := ext.refreshByDelta(b.Delta); err != nil {
-			return err
-		}
-	}
-
 	// Execute setup DDL and initial population on a fresh internal
-	// session: trigger suppression is session-scoped, so concurrent
-	// sessions' DML keeps capturing deltas while this one populates V.
-	// The index build order follows the paper: the ART is created after
-	// populating V ("it is more efficient to build small indexes for each
-	// chunk and merge them") — our engine's CREATE TABLE with PRIMARY KEY
-	// builds the ART incrementally during population, and the chunk-merge
-	// path is used by secondary CREATE INDEX builds.
+	// session. The index build order follows the paper: the ART is created
+	// after populating V ("it is more efficient to build small indexes for
+	// each chunk and merge them") — our engine's CREATE TABLE with PRIMARY
+	// KEY builds the ART incrementally during population, and the
+	// chunk-merge path is used by secondary CREATE INDEX builds.
 	is := ext.db.NewSession()
 	defer is.Close()
 	is.SetInternal(true)
 	is.SetWALBypass(true) // derived state: rebuilt on recovery, never logged
-	if err := is.WithoutTriggers(func() error {
-		if _, err := is.ExecScript(comp.SetupSQL()); err != nil {
-			return fmt.Errorf("ivmext: setup script: %w", err)
-		}
-		if _, err := is.ExecScript(comp.PopulateSQLText()); err != nil {
-			return fmt.Errorf("ivmext: populate script: %w", err)
-		}
-		// AVG decomposition: expose the declared columns as a plain view
-		// over the storage table.
-		if v := comp.ExposedViewSQL(); v != "" {
-			if _, err := is.Exec(v); err != nil {
-				return fmt.Errorf("ivmext: exposed view: %w", err)
-			}
-		}
-		return nil
-	}); err != nil {
+	if _, err := is.ExecScript(comp.SetupSQL()); err != nil {
+		return fmt.Errorf("ivmext: setup script: %w", err)
+	}
+	// The logs keep every change from before the population on, and the
+	// view starts at the population's snapshot: a write committed at or
+	// before it is in V, one committed after it in the view's first window.
+	v := &view{comp: comp, prepared: map[*duckast.Script]*engine.Prepared{}}
+	if err := ext.attach(v); err != nil {
+		return err
+	}
+	if err := populate(is, v); err != nil {
+		ext.mu.Lock()
+		ext.detachLocked(v)
+		ext.mu.Unlock()
 		return err
 	}
 
 	// Exclude the view's derived tables from the WAL and from
 	// checkpoints: recovery re-executes the CREATE MATERIALIZED VIEW,
-	// which rebuilds storage, delta tables and capture triggers from the
-	// recovered base tables.
+	// which rebuilds them and the change logs from the recovered base
+	// tables.
 	markUnlogged(ext.db.Catalog(), comp)
-
-	// Register the per-delta generation state and delta capture on every
-	// base table — once per delta table, even when several views share a
-	// base.
-	v := &view{comp: comp, applied: map[*deltaState]int64{}, prepared: map[*duckast.Script]*engine.Prepared{}}
-	ext.mu.Lock()
-	for _, b := range comp.Bases {
-		key := strings.ToLower(b.Delta)
-		ds := ext.deltas[key]
-		if ds == nil {
-			ds = &deltaState{table: b.Delta}
-			ds.drained.L = &ds.mu
-			ext.deltas[key] = ds
-			ext.db.AddTrigger(b.Name, "ivm_capture_"+b.Delta,
-				[]engine.TriggerEvent{engine.TrigInsert, engine.TrigDelete, engine.TrigUpdate},
-				func(s *engine.Session, table string, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
-					return ext.capture(s, ds, ev, oldRows, newRows)
-				})
-		}
-		// The view was just populated from the post-delta base state, so
-		// every generation sealed so far is already reflected in V: start
-		// the marker at the current generation.
-		ds.mu.Lock()
-		v.applied[ds] = ds.gen
-		ds.mu.Unlock()
-		v.deltas = append(v.deltas, ds)
-	}
-	ext.mu.Unlock()
 
 	// Metadata tables (paper: query plan, SQL string, query type).
 	ext.db.Catalog().PutIVM(&catalog.IVMMetadata{
@@ -540,6 +474,89 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error
 	return nil
 }
 
+// attach makes v a reader of its base tables' change logs, starting the
+// logs nobody reads yet and pointing their delta tables at them, with
+// v.from at the latest commit: the logs keep every change after it.
+func (ext *Extension) attach(v *view) error {
+	cat := ext.db.Catalog()
+	ext.mu.Lock()
+	defer ext.mu.Unlock()
+	v.from.Store(cat.MVCC().LatestTS())
+	for _, b := range v.comp.Bases {
+		key := strings.ToLower(b.Delta)
+		f := ext.feeds[key]
+		if f == nil {
+			base, err := cat.Table(b.Name)
+			var dt *catalog.Table
+			if err == nil {
+				dt, err = cat.Table(b.Delta)
+			}
+			if err != nil {
+				ext.detachLocked(v)
+				return err
+			}
+			f = &feed{delta: b.Delta, base: base, log: base.Track(&ext.Stats.DeltasCaught, &ext.Stats.CaptureStallNanos)}
+			dt.ReadChanges(f.log)
+			ext.feeds[key] = f
+		}
+		f.readers = append(f.readers, v)
+		v.feeds = append(v.feeds, f)
+	}
+	return nil
+}
+
+// detachLocked removes v from the readers of its change logs and returns
+// the logs it was the last reader of, which stop. The caller holds the
+// extension mutex.
+func (ext *Extension) detachLocked(v *view) []*feed {
+	var dead []*feed
+	for _, f := range v.feeds {
+		f.readers = slices.DeleteFunc(f.readers, func(r *view) bool { return r == v })
+		key := strings.ToLower(f.delta)
+		if len(f.readers) == 0 && ext.feeds[key] == f {
+			delete(ext.feeds, key)
+			f.base.Untrack()
+			dead = append(dead, f)
+		}
+	}
+	return dead
+}
+
+// populate fills V at one snapshot, in a transaction of its own, and
+// starts the view at that snapshot's timestamp. The snapshot must not see
+// an in-place upsert before it commits (catalog.Table.HoldInPlace), or its
+// commit would reach V twice: the bases are held off that path, and one
+// that took it already commits before the snapshot is taken.
+func populate(is *engine.Session, v *view) error {
+	for _, f := range v.feeds {
+		for f.base.HoldInPlace(true) {
+			f.base.HoldInPlace(false)
+			time.Sleep(50 * time.Microsecond)
+		}
+		defer f.base.HoldInPlace(false)
+	}
+	if _, err := is.Exec("BEGIN"); err != nil {
+		return err
+	}
+	from := is.ReadTS()
+	if _, err := is.ExecScript(v.comp.PopulateSQLText()); err != nil {
+		_, _ = is.Exec("ROLLBACK") // the populate error is the one to report
+		return fmt.Errorf("ivmext: populate script: %w", err)
+	}
+	if _, err := is.Exec("COMMIT"); err != nil {
+		return fmt.Errorf("ivmext: populate script: %w", err)
+	}
+	v.from.Store(from)
+	// AVG decomposition: expose the declared columns as a plain view over
+	// the storage table.
+	if sql := v.comp.ExposedViewSQL(); sql != "" {
+		if _, err := is.Exec(sql); err != nil {
+			return fmt.Errorf("ivmext: exposed view: %w", err)
+		}
+	}
+	return nil
+}
+
 func deltaNames(comp *ivm.Compilation) []string {
 	var out []string
 	for _, b := range comp.Bases {
@@ -548,18 +565,16 @@ func deltaNames(comp *ivm.Compilation) []string {
 	return out
 }
 
-// markUnlogged flags every table the compilation derives from base
-// state (delta tables, join-delta and delta-view scratch tables, the
-// view's storage table) as excluded from durability. Names that are views
-// rather than tables simply fail the catalog lookup and are skipped.
+// markUnlogged flags the tables the compilation derives from base state
+// (join-delta and delta-view scratch tables, the view's storage table) as
+// excluded from durability; delta tables store nothing. Names that are
+// views rather than tables simply fail the catalog lookup and are skipped.
 func markUnlogged(cat *catalog.Catalog, comp *ivm.Compilation) {
-	names := append(deltaNames(comp), comp.JoinDelta, comp.DeltaView)
 	st := comp.Storage
 	if st == "" {
 		st = comp.ViewName
 	}
-	names = append(names, st)
-	for _, name := range names {
+	for _, name := range []string{comp.JoinDelta, comp.DeltaView, st} {
 		if name == "" {
 			continue
 		}
@@ -569,131 +584,23 @@ func markUnlogged(cat *catalog.Catalog, comp *ivm.Compilation) {
 	}
 }
 
-// capture files the delta rows of one base-table DML event
-// (ivm.DeltaRows) in the delta's open generation. It runs on the writer's
-// session s inside the writer's transaction, and writes ΔT in it — one
-// commit with the write, held in flight until the transaction ends — or,
-// while a propagation has ΔT frozen, keeps the rows for the overflow until
-// the writer has committed. A writer never waits on a propagation:
-// CaptureStallNanos meters its wait for the generation lock.
-func (ext *Extension) capture(s *engine.Session, ds *deltaState, ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) error {
-	dt, err := ext.db.Catalog().Table(ds.table)
-	if err != nil {
-		return err
-	}
-	rows := ivm.DeltaRows(ev, oldRows, newRows)
-	if len(rows) == 0 {
-		return nil
-	}
-	w := ext.writer(s)
-	t0 := time.Now()
-	ds.mu.Lock()
-	atomic.AddInt64(&ext.Stats.CaptureStallNanos, int64(time.Since(t0)))
-	frozen := ds.frozen
-	if !frozen {
-		ds.inflight++
-	}
-	ds.mu.Unlock()
-	if frozen {
-		w.late = append(w.late, lateRows{ds, rows})
-		return nil
-	}
-	w.held = append(w.held, ds)
-	if err := s.InsertRows(dt, rows); err != nil {
-		return err
-	}
-	atomic.AddInt64(&ext.Stats.DeltasCaught, int64(len(rows)))
-	return nil
-}
-
-// writerTxn is what a writer session's open transaction has captured: the
-// deltas it holds in flight, and the rows it keeps for frozen deltas'
-// overflows until it commits. Only the session's goroutine touches it.
-type writerTxn struct {
-	held []*deltaState
-	late []lateRows
-}
-
-type lateRows struct {
-	ds   *deltaState
-	rows []sqltypes.Row
-}
-
-// writer returns what s's open transaction has captured so far; on its
-// first capture it registers the after-commit hook that settles them.
-func (ext *Extension) writer(s *engine.Session) *writerTxn {
-	ext.writersMu.Lock()
-	w := ext.writers[s]
-	first := w == nil
-	if first {
-		w = &writerTxn{}
-		ext.writers[s] = w
-	}
-	ext.writersMu.Unlock()
-	if first {
-		s.AfterCommit(func(committed bool) error { return ext.settle(s, w, committed) })
-	}
-	return w
-}
-
-// settle ends a writer transaction's captures: it releases every delta
-// held in flight — all of them first, since a refresh below seals them —
-// and, if the writer committed, files the rows kept for overflows and, in
-// eager mode, refreshes the views fed by the captured deltas.
-func (ext *Extension) settle(s *engine.Session, w *writerTxn, committed bool) error {
-	ext.writersMu.Lock()
-	delete(ext.writers, s)
-	ext.writersMu.Unlock()
-	for _, ds := range w.held {
-		ds.mu.Lock()
-		if ds.inflight--; ds.inflight == 0 {
-			ds.drained.Broadcast()
+// afterCommit is the engine's after-commit hook: in eager mode a committed
+// write to a base table with views refreshes them, once per base table.
+// Propagation's own commits are not writes of that kind.
+func (ext *Extension) afterCommit(s *engine.Session, tx *mvcc.Txn) error {
+	var err error
+	tx.Writes(func(store mvcc.Store, _ []mvcc.Op) {
+		if t, ok := store.(*catalog.Table); ok && t.Tracked() && err == nil && !s.Internal() && ext.eager() {
+			atomic.AddInt64(&ext.Stats.EagerRefreshes, 1)
+			err = ext.refreshBase(t) // a base refreshed twice coalesces
 		}
-		ds.mu.Unlock()
-	}
-	if !committed {
-		return nil
-	}
-	for _, l := range w.late {
-		if err := ext.appendCommitted(s, l.ds, l.rows); err != nil {
-			return err
-		}
-		w.held = append(w.held, l.ds)
-	}
-	if !ext.eager() {
-		return nil
-	}
-	for _, ds := range w.held { // a delta held twice refreshes once: the second coalesces
-		atomic.AddInt64(&ext.Stats.EagerRefreshes, 1)
-		if err := ext.refreshByDelta(ds.table); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// appendCommitted files the rows a committed writer captured while ΔT was
-// frozen: in the overflow while ΔT still is, else — the generation was
-// consumed before the writer committed — in ΔT, as a write of its own on s,
-// committed under the generation lock like a consume.
-func (ext *Extension) appendCommitted(s *engine.Session, ds *deltaState, rows []sqltypes.Row) error {
-	atomic.AddInt64(&ext.Stats.DeltasCaught, int64(len(rows)))
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.frozen {
-		ds.overflow = append(ds.overflow, rows...)
-		return nil
-	}
-	dt, err := ext.db.Catalog().Table(ds.table)
-	if err != nil {
-		return err
-	}
-	return s.InsertRows(dt, rows)
+	})
+	return err
 }
 
 // dropMaterializedView tears one view down completely: registry entry
-// (and with it the prepared propagation scripts and their plans), capture
-// triggers and delta tables no surviving view needs, the storage table
+// (and with it the prepared propagation scripts and their plans), the
+// change logs and delta tables no surviving view needs, the storage table
 // and metadata.
 func (ext *Extension) dropMaterializedView(v *view) error {
 	// Serialize against propagation: lock the view's whole refresh group,
@@ -705,21 +612,7 @@ func (ext *Extension) dropMaterializedView(v *view) error {
 
 	ext.mu.Lock()
 	delete(ext.views, strings.ToLower(comp.ViewName))
-	// Deltas still feeding surviving views keep their capture triggers.
-	live := map[string]bool{}
-	for _, other := range ext.views {
-		for _, b := range other.comp.Bases {
-			live[strings.ToLower(b.Delta)] = true
-		}
-	}
-	var dead []ivm.BaseTable
-	for _, b := range comp.Bases {
-		key := strings.ToLower(b.Delta)
-		if !live[key] && ext.deltas[key] != nil {
-			delete(ext.deltas, key)
-			dead = append(dead, b)
-		}
-	}
+	dead := ext.detachLocked(v) // logs still feeding surviving views stay
 	ext.mu.Unlock()
 
 	// Engine-side drops run through a fresh session so they follow the
@@ -729,10 +622,9 @@ func (ext *Extension) dropMaterializedView(v *view) error {
 	defer is.Close()
 	is.SetInternal(true)
 	is.SetWALBypass(true) // the hook wrapper logs the single DROP VIEW record
-	for _, b := range dead {
-		ext.db.RemoveTrigger(b.Name, "ivm_capture_"+b.Delta)
-		if _, err := is.Exec("DROP TABLE IF EXISTS " + b.Delta); err != nil {
-			return fmt.Errorf("ivmext: dropping delta table %s: %w", b.Delta, err)
+	for _, f := range dead {
+		if _, err := is.Exec("DROP TABLE IF EXISTS " + f.delta); err != nil {
+			return fmt.Errorf("ivmext: dropping delta table %s: %w", f.delta, err)
 		}
 	}
 	for _, tbl := range []string{comp.DeltaView, comp.JoinDelta} {
@@ -761,19 +653,15 @@ func (ext *Extension) dropMaterializedView(v *view) error {
 	return nil
 }
 
-// refreshByDelta propagates every view fed by the given delta table.
-func (ext *Extension) refreshByDelta(deltaTable string) error {
+// refreshBase propagates the views over a base table.
+func (ext *Extension) refreshBase(base *catalog.Table) error {
 	ext.mu.Lock()
 	var target *view
 	for _, v := range ext.views {
-		for _, b := range v.comp.Bases {
-			if strings.EqualFold(b.Delta, deltaTable) {
+		for _, f := range v.feeds {
+			if f.base == base {
 				target = v
-				break
 			}
-		}
-		if target != nil {
-			break
 		}
 	}
 	ext.mu.Unlock()
@@ -794,20 +682,20 @@ func (ext *Extension) Refresh(view string) error {
 }
 
 // refreshGroup computes the target's refresh group under the extension
-// mutex: the transitive closure of views linked by a shared delta table
-// or by a feeding edge (one view's materialization among another's base
-// tables). Views in one group must serialize — they consume the same
-// deltas or read each other's output; views in different groups share no
-// delta table and can propagate concurrently. Returns the group, its
-// sorted lower-cased view names (the lock order) and the generation
-// states of every delta table the group consumes.
-func (ext *Extension) refreshGroup(target *view) (map[string]*view, []string, []*deltaState) {
+// mutex: the transitive closure of views linked by a shared base table or
+// by a feeding edge (one view's materialization among another's base
+// tables). Views in one group must serialize — they read the same change
+// logs or each other's output; views in different groups share no base
+// table and can propagate concurrently. Returns the group, its sorted
+// lower-cased view names (the lock order) and the change logs the group
+// reads.
+func (ext *Extension) refreshGroup(target *view) (map[string]*view, []string, []*feed) {
 	ext.mu.Lock()
 	defer ext.mu.Unlock()
 	group := map[string]*view{strings.ToLower(target.comp.ViewName): target}
-	deltas := map[*deltaState]bool{}
-	for _, ds := range target.deltas {
-		deltas[ds] = true
+	read := map[*feed]bool{}
+	for _, f := range target.feeds {
+		read[f] = true
 	}
 	for changed := true; changed; {
 		changed = false
@@ -816,8 +704,8 @@ func (ext *Extension) refreshGroup(target *view) (map[string]*view, []string, []
 				continue
 			}
 			link := false
-			for _, ds := range v.deltas {
-				link = link || deltas[ds]
+			for _, f := range v.feeds {
+				link = link || read[f]
 			}
 			for _, g := range group {
 				link = link || feeds(v.comp, g.comp) || feeds(g.comp, v.comp)
@@ -826,8 +714,8 @@ func (ext *Extension) refreshGroup(target *view) (map[string]*view, []string, []
 				continue
 			}
 			group[name] = v
-			for _, ds := range v.deltas {
-				deltas[ds] = true
+			for _, f := range v.feeds {
+				read[f] = true
 			}
 			changed = true
 		}
@@ -837,12 +725,11 @@ func (ext *Extension) refreshGroup(target *view) (map[string]*view, []string, []
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	states := make([]*deltaState, 0, len(deltas))
-	for ds := range deltas {
-		states = append(states, ds)
+	logs := make([]*feed, 0, len(read))
+	for f := range read {
+		logs = append(logs, f)
 	}
-	sort.Slice(states, func(i, j int) bool { return states[i].table < states[j].table })
-	return group, names, states
+	return group, names, logs
 }
 
 // feeds reports whether a's materialization is among b's base tables.
@@ -875,56 +762,47 @@ func lockViews(group map[string]*view, names []string) func() {
 }
 
 // propagate refreshes the target view together with every other view in
-// its refresh group (views sharing a delta table or feeding each other).
-// The scheduler path:
+// its refresh group (views sharing a base table or feeding each other):
 //
 //  1. take a worker-pool slot (bounded concurrency), then the group's
 //     view locks in sorted name order — deadlock-free, and independent
 //     groups overlap;
-//  2. re-check for pending deltas: a propagation that ran while this one
-//     waited may have consumed them already (refresh coalescing);
-//  3. repair: if a previous propagation failed partway, ΔT is still
-//     frozen and some views' applied-generation markers trail it — re-run
-//     exactly those bodies over its intact rows, then consume the deltas
-//     every dependent view is now current on;
-//  4. seal each non-empty delta table: freeze ΔT and bump its generation
-//     number — O(1), no row moves; captures from here on overflow in
-//     memory and are untouched by this propagation;
-//  5. apply: run the body of each view whose marker trails the new
-//     generation, advancing its markers on success;
-//  6. consume (the script's step 4): truncate ΔT through the catalog,
-//     move the overflow into it as the next open generation, unfreeze.
+//  2. re-check for pending changes: a propagation that ran while this one
+//     waited may have applied them already (refresh coalescing);
+//  3. take the cut, the latest commit timestamp: a transaction's changes
+//     to the group's bases are all at or before it, or all after;
+//  4. apply: run the body of each view over what its bases committed
+//     after its from, up to the cut, and move its from to the cut;
+//  5. drop the change-log entries every view over the base has applied
+//     (the script's step 4 for ΔT).
 //
 // Bodies run as ordinary autocommit statements — no wrapping engine
 // transaction, so propagation DML keeps the quiescent single-writer fast
-// paths. Exactly-once refresh is carried by the generation markers
-// instead: a body failure leaves the view's marker untouched and ΔT
-// frozen with its rows, so the next refresh repairs just the views that
-// missed the generation and never re-applies one that landed.
+// paths. A body that fails leaves its view's from, and the entries, where
+// they were: the next refresh runs just the views that missed them, and
+// never re-applies what landed.
 func (ext *Extension) propagate(target *view) error {
 	ext.pool.acquire(ext.refreshWorkers)
 	defer ext.pool.release()
 
-	group, names, states := ext.refreshGroup(target)
+	group, names, logs := ext.refreshGroup(target)
 	defer lockViews(group, names)()
 
 	// Drop group members unregistered while we waited for the locks
-	// (concurrent DROP MATERIALIZED VIEW).
+	// (concurrent DROP MATERIALIZED VIEW), and coalesce: everything pending
+	// when we were called may have been applied by a propagation that held
+	// these locks before us.
 	ext.mu.Lock()
-	ordered := names[:0:0]
+	var views []*view
+	pending := false
 	for _, n := range names {
-		if ext.views[n] == group[n] {
-			ordered = append(ordered, n)
+		if v := group[n]; ext.views[n] == v {
+			views = append(views, v)
+			pending = pending || v.pending()
 		}
 	}
 	ext.mu.Unlock()
-	if len(ordered) == 0 {
-		return nil
-	}
-
-	// Coalesce: everything pending when we were called has been consumed
-	// by a propagation that held these locks before us.
-	if !ext.anyPending(states) {
+	if !pending {
 		return nil
 	}
 
@@ -934,108 +812,87 @@ func (ext *Extension) propagate(target *view) error {
 		atomic.AddInt64(&ext.Stats.ParallelRefreshes, 1)
 	}
 
-	// Propagation runs on a fresh internal session: its trigger
-	// suppression and any script-level state stay invisible to the
-	// sessions whose DML queued the deltas, and its own MVCC snapshots
-	// are independent of theirs. The group's view locks guarantee a given
-	// script never executes on two goroutines at once.
+	if err := fault.Inject(fault.IVMSeal); err != nil {
+		return err
+	}
+	to := ext.db.Catalog().MVCC().LatestTS()
+	defer ext.release(logs)
+
+	// Propagation runs on a fresh internal session: its script-level state
+	// stays invisible to the sessions whose DML logged the changes, and its
+	// own MVCC snapshots are independent of theirs. The group's view locks
+	// guarantee a given script never executes on two goroutines at once.
 	is := ext.db.NewSession()
 	defer is.Close()
 	is.SetInternal(true)
 	is.SetWALBypass(true) // propagation touches only unlogged derived tables
-	if err := is.WithoutTriggers(func() error {
-		// Repair + consume leftovers of a failed predecessor, so the seal
-		// below only ever finds open delta tables.
-		if err := ext.applyStale(is, group, ordered); err != nil {
+	nonEmpty := false
+	for _, v := range views {
+		ran, err := ext.applyView(is, v, to)
+		if err != nil {
 			return err
 		}
-		if err := ext.consume(is, states); err != nil {
-			return err
-		}
-
-		// Seal the open generations. From here on, new captures land in
-		// the next generation and are untouched by this propagation.
-		for _, ds := range states {
-			if err := ext.seal(ds); err != nil {
-				return err
-			}
-		}
-
-		if err := ext.applyStale(is, group, ordered); err != nil {
-			return err
-		}
-		if err := fault.Inject(fault.IVMCombine); err != nil {
-			// Every body has landed and advanced its markers; ΔT stays
-			// frozen until the next refresh repairs nothing and consumes
-			// it.
-			return err
-		}
-		return ext.consume(is, states)
-	}); err != nil {
-		return err
+		nonEmpty = nonEmpty || ran
+	}
+	if nonEmpty {
+		atomic.AddInt64(&ext.Stats.GenerationsSealed, 1)
+	}
+	if err := fault.Inject(fault.IVMCombine); err != nil {
+		return err // every body has landed and moved its view's from
 	}
 	atomic.AddInt64(&ext.Stats.Refreshes, 1)
 	return nil
 }
 
-// applyStale runs the propagation body of every group view whose
-// applied-generation markers trail the current generation of one of its
-// delta tables, advancing the markers on success. Views already current
-// (their deltas sealed nothing new, or a prior partially-failed
-// propagation already applied them) are skipped — the skip is what makes
-// retry-after-failure exactly-once.
-func (ext *Extension) applyStale(is *engine.Session, group map[string]*view, names []string) error {
-	for _, n := range names {
-		v := group[n]
-		if !v.stale() {
-			continue
-		}
-		if err := ext.applyView(is, v); err != nil {
-			return err
-		}
-		for _, ds := range v.deltas {
-			v.applied[ds] = ds.gen
-		}
+// release ends a propagation's reading of its group's change logs: the
+// windows close, and the entries every reader has applied go.
+func (ext *Extension) release(logs []*feed) {
+	ext.mu.Lock()
+	defer ext.mu.Unlock()
+	for _, f := range logs {
+		f.log.Trim(f.applied())
 	}
-	return nil
-}
-
-// stale reports whether the view still owes an application of the current
-// generation of one of its delta tables. The caller holds the view's
-// refresh-group locks, so no seal can move a generation concurrently.
-func (v *view) stale() bool {
-	for _, ds := range v.deltas {
-		if v.applied[ds] < ds.gen {
-			return true
-		}
-	}
-	return false
 }
 
 // applyView executes steps 1–3 of the view's propagation script as
-// autocommit statements and clears its scratch tables. The body's last
-// statements are the writes into V, so a script that returns success has
-// fully applied the generation; on failure the scratch is still cleared
-// through the catalog, leaving the retry a clean slate with the frozen ΔT
-// intact.
-func (ext *Extension) applyView(is *engine.Session, v *view) error {
+// autocommit statements over what its bases committed in (v.from, to] —
+// the windows its delta tables read — then moves v.from to the cut and
+// clears its scratch tables. It reports whether there was anything to
+// apply. The body's last statements are the writes into V, so a script
+// that returns success has fully applied the window; on failure the scratch
+// is still cleared through the catalog and v.from stays, leaving the retry
+// a clean slate over the same changes and any committed since.
+func (ext *Extension) applyView(is *engine.Session, v *view, to uint64) (bool, error) {
+	from := v.from.Load()
+	if from >= to {
+		return false, nil
+	}
+	rows := 0
+	for _, f := range v.feeds {
+		rows += f.log.SetWindow(from, to)
+	}
+	if rows == 0 {
+		v.from.Store(to)
+		return false, nil
+	}
 	comp := v.comp
 	if err := fault.Inject(fault.IVMPropagateView); err != nil {
-		return fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
+		return false, fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
 	atomic.AddInt64(&ext.Stats.Propagations, 1)
-	body, err := ext.preparedScript(v, ext.chooseBody(comp))
+	body, err := ext.preparedScript(v, ext.chooseBody(comp, rows))
 	if err != nil {
-		return fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
+		return false, fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
 	_, err = is.ExecStmts(body)
 	if cerr := ext.clearScratch(is, comp); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
+		return false, fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
-	return nil
+	v.from.Store(to)
+	return true, nil
 }
 
 // clearScratch empties the view's ΔV and join-delta scratch tables
@@ -1061,77 +918,6 @@ func (ext *Extension) clearScratch(is *engine.Session, comp *ivm.Compilation) er
 	return nil
 }
 
-// consume re-opens the group's frozen deltas (reopen). Its callers reach it
-// only after applyStale has brought every group view up to the generation
-// of each of its deltas; a propagation that failed before that point
-// returns without consuming, and the deltas stay frozen with their rows
-// for the next refresh's repair pass.
-func (ext *Extension) consume(is *engine.Session, states []*deltaState) error {
-	for _, ds := range states {
-		t, err := ext.db.Catalog().Table(ds.table)
-		if err != nil {
-			continue // dropped with its last view
-		}
-		if err := ds.reopen(is, t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// reopen ends a frozen generation in one step under the generation lock,
-// as one write of is: truncate ΔT (t), move the overflow into it, unfreeze.
-func (ds *deltaState) reopen(is *engine.Session, t *catalog.Table) error {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if !ds.frozen {
-		return nil
-	}
-	tx, done := is.BeginWrite()
-	_, _, err := t.TruncateTxn(tx, false)
-	if err == nil {
-		err = t.InsertBatchTxn(tx, ds.overflow)
-	}
-	if err = done(err); err != nil {
-		// ΔT stays frozen, with the overflow beside it, for the next
-		// refresh to consume.
-		return fmt.Errorf("ivmext: re-opening %s: %w", ds.table, err)
-	}
-	ds.overflow, ds.frozen = nil, false
-	return nil
-}
-
-// seal freezes the delta table's open generation when it holds rows, waits
-// for the captures in flight to end — committed, their rows are in the
-// generation; aborted, gone — and bumps the generation number: ΔT itself
-// is now the sealed generation, and captures overflow in memory until
-// consume. No row moves.
-func (ext *Extension) seal(ds *deltaState) error {
-	if err := fault.Inject(fault.IVMSeal); err != nil {
-		return err
-	}
-	t, err := ext.db.Catalog().Table(ds.table)
-	if err != nil {
-		return err
-	}
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if t.RowCount() == 0 {
-		return nil
-	}
-	ds.frozen = true
-	for ds.inflight > 0 {
-		ds.drained.Wait()
-	}
-	if t.RowCount() == 0 {
-		ds.frozen = false // every capture in flight aborted
-		return nil
-	}
-	ds.gen++
-	atomic.AddInt64(&ext.Stats.GenerationsSealed, 1)
-	return nil
-}
-
 // preparedScript returns the prepared handle for one of the view's
 // compiled bodies, preparing and caching it on first use. Compiled scripts
 // are immutable, so an entry never invalidates. The caller holds the
@@ -1154,16 +940,10 @@ func (ext *Extension) preparedScript(v *view, body *duckast.Script) (*engine.Pre
 // tracks |ΔV| (index probes per changed group) while the rebuild plans
 // scan all of |V|, so upsert wins once the view dwarfs the delta; for
 // small views rebuilding by regrouping is cheaper than per-key upserts.
-// Runs after the seal, so ΔT's row count is the generation's cardinality.
-func (ext *Extension) chooseBody(comp *ivm.Compilation) *duckast.Script {
+// deltaRows is the size of the view's windows.
+func (ext *Extension) chooseBody(comp *ivm.Compilation, deltaRows int) *duckast.Script {
 	if !strings.EqualFold(ext.db.Pragma("ivm_strategy"), "auto") || len(comp.AltBodies) == 0 {
 		return comp.Body
-	}
-	deltaRows := 0
-	for _, b := range comp.Bases {
-		if t, err := ext.db.Catalog().Table(b.Delta); err == nil {
-			deltaRows += t.RowCount()
-		}
 	}
 	viewRows := 0
 	if t, err := ext.db.Catalog().Table(comp.ViewName); err == nil {

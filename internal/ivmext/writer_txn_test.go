@@ -90,15 +90,14 @@ func TestFailedStatementKeepsNothing(t *testing.T) {
 // view (rolling back now and then, mixed with autocommit writes); lazy
 // readers; a stretch in eager mode; a session reading the views inside its
 // own open transaction, which must read the same twice; and a trigger
-// handler that reads a view inside the writer's transaction, while that
-// transaction holds its captures in flight. Nothing may deadlock on a seal
-// waiting for a capture in flight, and afterwards every view equals its
-// recompute. Run it under -race.
+// handler that reads a view inside the writer's transaction. Nothing may
+// deadlock, and afterwards every view equals its recompute. Run it under
+// -race.
 //
 // The join view's base tables have one writer, and only that writer (in
 // eager mode) and the final read refresh it: a join view refreshed while
-// another session commits to its base tables reads them ahead of its
-// sealed deltas (ROADMAP item 2), which this test is not about.
+// another session commits to its base tables reads them at statement time,
+// ahead of its cut (ROADMAP item 2), which this test is not about.
 func TestCaptureInsideWriterStress(t *testing.T) {
 	db := engine.Open("stress", engine.DialectDuckDB)
 	ext := Install(db)
@@ -117,15 +116,16 @@ func TestCaptureInsideWriterStress(t *testing.T) {
 	for _, v := range views {
 		mustExec(t, db, "CREATE MATERIALIZED VIEW "+v.name+" AS "+v.def)
 	}
-	// Registered after the views' capture triggers: the handler reads a
-	// view whose delta its own transaction has just captured into.
+	// The handler reads a view over the base its own transaction is
+	// writing, inside that transaction.
 	var handlerReads atomic.Int64
-	db.AddTrigger("customers", "reads_view", []engine.TriggerEvent{engine.TrigInsert, engine.TrigUpdate},
+	db.RegisterTriggerHandler("reads_view",
 		func(s *engine.Session, _ string, _ engine.TriggerEvent, _, _ []sqltypes.Row) error {
 			handlerReads.Add(1)
 			_, err := s.Exec("SELECT region, total FROM region_totals WHERE region = 'r1'")
 			return err
 		})
+	mustExec(t, db, "CREATE TRIGGER reads_view AFTER INSERT OR UPDATE ON customers FOR EACH ROW EXECUTE 'reads_view'")
 
 	watchdog := time.AfterFunc(90*time.Second, func() {
 		buf := make([]byte, 1<<20)

@@ -15,8 +15,8 @@
 //
 // Every accepted connection gets its own engine.Session, so N clients run
 // interleaved DML, transactions and queries concurrently against one
-// shared DB: transactions, trigger suppression and PRAGMA
-// batch_size/workers are connection-local, while the catalog,
+// shared DB: transactions and PRAGMA batch_size/workers are
+// connection-local, while the catalog,
 // materialized views and the shared SQL-text plan cache are one per
 // server. When a connection drops, its session is closed — the in-flight
 // query is cancelled (its scans and parallel workers stop via the
@@ -187,16 +187,16 @@ type IVMStats struct {
 	// ParallelRefreshes counts propagations that overlapped at least one
 	// other in-flight propagation on the scheduler pool.
 	ParallelRefreshes int64 `json:"parallelRefreshes"`
-	// GenerationsSealed counts delta generations sealed (a non-empty ΔT
-	// frozen for a propagation); GenerationsPending gauges delta tables
-	// holding unconsumed rows right now.
+	// GenerationsSealed counts non-empty cuts (refreshes that found
+	// changes to apply); GenerationsPending gauges the change logs holding
+	// an entry some view has yet to apply right now.
 	GenerationsSealed  int64 `json:"generationsSealed"`
 	GenerationsPending int64 `json:"generationsPending"`
-	// CaptureStallNanos accumulates writer wait time on the delta
-	// tables' generation locks (bounded by seals and consumes, not
+	// CaptureStallNanos accumulates commits' wait for a change log's lock
+	// (held while a refresh finds a window or trims, not through
 	// propagations).
 	CaptureStallNanos int64 `json:"captureStallNanos"`
-	// DeltaRowsCaptured counts rows appended to delta tables.
+	// DeltaRowsCaptured counts entries appended to the change logs.
 	DeltaRowsCaptured int64 `json:"deltaRowsCaptured"`
 }
 
