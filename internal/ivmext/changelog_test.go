@@ -69,12 +69,41 @@ func viewTotal(t *testing.T, db *engine.DB, name string) int64 {
 	return total
 }
 
-// TestWriterDuringRefreshLandsAfterCut parks a propagation after its cut
-// and commits base writes meanwhile, one of them from a transaction that
-// began before the refresh and commits after it: the delta table must keep
-// returning the cut's window under the body, the parked refresh must apply
-// exactly what committed before its cut, and the next refresh the rest.
-func TestWriterDuringRefreshLandsAfterCut(t *testing.T) {
+// parkAfterCut starts a refresh of qg over the three rows the caller
+// committed and holds it after its cut, before its body: the generation
+// the cut closed is frozen until the returned channel yields.
+func parkAfterCut(t *testing.T, db *engine.DB, ext *Extension) <-chan error {
+	t.Helper()
+	if n := count(t, db, "SELECT COUNT(*) FROM delta_groups"); n != 3 {
+		t.Fatalf("delta_groups shows %d pending rows, want 3", n)
+	}
+	if err := fault.Activate(fault.IVMPropagateView, "delay(300ms)@times1"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- ext.Refresh("qg") }()
+	awaitFired(t, fault.IVMPropagateView, 1)
+	return done
+}
+
+// finishParked waits for the parked refresh and checks it applied exactly
+// the generation its cut froze: the three rows worth 6.
+func finishParked(t *testing.T, db *engine.DB, done <-chan error) {
+	t.Helper()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if total := viewTotal(t, db, "qg"); total != 6 {
+		t.Fatalf("view total after the parked refresh = %d, want 6 (what committed before its cut)", total)
+	}
+}
+
+// TestCaptureOverlapsFrozenGeneration parks a propagation after its cut
+// and commits base writes meanwhile: the delta table must keep returning
+// the frozen generation under the body, the parked refresh must apply
+// exactly what committed before its cut, and the writes it overlapped land
+// in the next generation.
+func TestCaptureOverlapsFrozenGeneration(t *testing.T) {
 	db, ext := setup(t)
 	defer fault.Reset()
 	mustExec(t, db, `CREATE MATERIALIZED VIEW qg AS SELECT group_index,
@@ -82,24 +111,8 @@ func TestWriterDuringRefreshLandsAfterCut(t *testing.T) {
 	wantPending(t, db, "no changes", 0)
 	mustExec(t, db, "INSERT INTO groups VALUES ('a', 1), ('b', 2), ('c', 3)")
 	wantPending(t, db, "three changes", 1)
-	if n := count(t, db, "SELECT COUNT(*) FROM delta_groups"); n != 3 {
-		t.Fatalf("delta_groups shows %d pending rows, want 3", n)
-	}
 
-	late := db.NewSession()
-	defer late.Close()
-	for _, sql := range []string{"BEGIN", "INSERT INTO groups VALUES ('b', 100)"} {
-		if _, err := late.Exec(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The delay holds the propagation after its cut, before its body.
-	if err := fault.Activate(fault.IVMPropagateView, "delay(300ms)@times1"); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- ext.Refresh("qg") }()
-	awaitFired(t, fault.IVMPropagateView, 1)
+	done := parkAfterCut(t, db, ext)
 	s := db.NewSession()
 	defer s.Close()
 	for i := 0; i < 5; i++ {
@@ -110,18 +123,50 @@ func TestWriterDuringRefreshLandsAfterCut(t *testing.T) {
 	if n := count(t, db, "SELECT COUNT(*) FROM delta_groups"); n != 3 {
 		t.Fatalf("delta_groups moved under the parked body: %d rows, want its window of 3", n)
 	}
-	if err := <-done; err != nil {
+	finishParked(t, db, done)
+	wantPending(t, db, "written during the body", 1)
+	if n := count(t, db, "SELECT COUNT(*) FROM delta_groups"); n != 5 {
+		t.Fatalf("delta_groups holds %d rows after the refresh, want the 5 committed after its cut", n)
+	}
+	mustExec(t, db, "REFRESH MATERIALIZED VIEW qg")
+	wantPending(t, db, "converged", 0)
+	if n := count(t, db, "SELECT COUNT(*) FROM delta_groups"); n != 0 {
+		t.Fatalf("delta_groups holds %d rows every view applied", n)
+	}
+	viewEquals(t, db, "group_index, total_value", "qg",
+		"SELECT group_index, SUM(group_value) FROM groups GROUP BY group_index")
+}
+
+// TestCaptureOutlivesItsFrozenGeneration: a transaction that wrote the base
+// before a refresh's cut, wrote again while the body ran, and commits after
+// the refresh must not reach the generation the cut froze; both its writes
+// land in the next one.
+func TestCaptureOutlivesItsFrozenGeneration(t *testing.T) {
+	db, ext := setup(t)
+	defer fault.Reset()
+	mustExec(t, db, `CREATE MATERIALIZED VIEW qg AS SELECT group_index,
+		SUM(group_value) AS total_value FROM groups GROUP BY group_index`)
+	mustExec(t, db, "INSERT INTO groups VALUES ('a', 1), ('b', 2), ('c', 3)")
+
+	late := db.NewSession()
+	defer late.Close()
+	for _, sql := range []string{"BEGIN", "INSERT INTO groups VALUES ('b', 100)"} {
+		if _, err := late.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := parkAfterCut(t, db, ext)
+	if _, err := late.Exec("INSERT INTO groups VALUES ('c', 50)"); err != nil {
 		t.Fatal(err)
 	}
-	if total := viewTotal(t, db, "qg"); total != 6 {
-		t.Fatalf("view total after the parked refresh = %d, want 6 (what committed before its cut)", total)
-	}
+	finishParked(t, db, done)
+	wantPending(t, db, "uncommitted", 0)
 	if _, err := late.Exec("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
 	wantPending(t, db, "committed after the cut", 1)
-	if n := count(t, db, "SELECT COUNT(*) FROM delta_groups"); n != 6 {
-		t.Fatalf("delta_groups holds %d rows after the refresh, want the 6 committed after its cut", n)
+	if n := count(t, db, "SELECT COUNT(*) FROM delta_groups"); n != 2 {
+		t.Fatalf("delta_groups holds %d rows after the refresh, want the transaction's 2", n)
 	}
 	mustExec(t, db, "REFRESH MATERIALIZED VIEW qg")
 	wantPending(t, db, "converged", 0)
