@@ -468,7 +468,7 @@ func (t *Table) RowAt(slot int32) sqltypes.Row {
 // A delta table counts the rows its scan returns.
 func (t *Table) RowCount() int {
 	if l := t.changes.Load(); l != nil {
-		return len(l.scan(t.mv.LatestTS()))
+		return l.count(t.mv.LatestTS())
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()

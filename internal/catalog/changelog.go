@@ -65,20 +65,21 @@ func (t *Table) Untrack() {
 	t.mu.Unlock()
 }
 
-// HoldInPlace takes (hold) or releases one hold that keeps UpsertBatchTxn
-// off its in-place path on t, and reports whether a transaction that took
-// the path has yet to publish its commit: a snapshot taken now sees its
-// rows as if committed before it. Only one can be, since the path needs a
-// writer that is the only transaction.
-func (t *Table) HoldInPlace(hold bool) (pending bool) {
+// HoldInPlace keeps UpsertBatchTxn off its in-place path on t until the
+// returned release runs, and returns once a transaction that took the path
+// has published its commit: until then a snapshot sees its rows as if
+// committed before it. Only one can be pending, since the path needs a
+// writer that is the only transaction, and the hold lets no other start.
+func (t *Table) HoldInPlace() (release func()) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if hold {
-		t.inPlaceHolds++
-	} else {
-		t.inPlaceHolds--
+	t.inPlaceHolds++
+	for t.inPlaceTS > t.mv.LatestTS() {
+		t.mu.Unlock()
+		time.Sleep(50 * time.Microsecond)
+		t.mu.Lock()
 	}
-	return t.inPlaceTS > t.mv.LatestTS()
+	t.mu.Unlock()
+	return func() { t.mu.Lock(); t.inPlaceHolds--; t.mu.Unlock() }
 }
 
 // Tracked reports whether the table keeps a change log.
@@ -183,6 +184,16 @@ func (l *ChangeLog) Trim(upTo uint64) {
 		l.entries = l.entries[:0]
 	}
 	l.entries = l.entries[k:]
+}
+
+// count returns how many rows scan(readTS) returns, without building them.
+func (l *ChangeLog) count(readTS uint64) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.windowed {
+		return len(l.rows)
+	}
+	return len(l.spanLocked(0, readTS))
 }
 
 // scan returns the delta table's rows: the window's, else those of every

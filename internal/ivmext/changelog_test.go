@@ -500,6 +500,56 @@ func TestCreateViewBesideInPlaceUpsert(t *testing.T) {
 	viewEquals(t, db, "g, s, n", "mv", "SELECT g, SUM(v), COUNT(*) FROM t GROUP BY g")
 }
 
+// TestCreateViewBesideUpsertStream creates a view while one session runs
+// autocommit INSERT OR REPLACE statements back to back, each of which may
+// take the in-place path: the population must get its snapshot in bounded
+// time, and the view must match its query once the stream stops.
+func TestCreateViewBesideUpsertStream(t *testing.T) {
+	db := engine.Open("upserts", engine.DialectDuckDB)
+	Install(db)
+	mustExec(t, db, "CREATE TABLE t (k INTEGER PRIMARY KEY, g VARCHAR, v INTEGER)")
+	mustExec(t, db, "INSERT INTO t VALUES (0, 'g0', 0), (1, 'g1', 1), (2, 'g2', 2), (3, 'g3', 3)")
+	var stop atomic.Bool
+	var written atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s := db.NewSession()
+		defer s.Close()
+		for i := 0; !stop.Load(); i++ {
+			if _, err := s.Exec(fmt.Sprintf("INSERT OR REPLACE INTO t VALUES (%d, 'g%d', %d)", i%64, i%4, i%97)); err != nil {
+				t.Error(err)
+				return
+			}
+			written.Add(1)
+		}
+	}()
+	defer func() { stop.Store(true); wg.Wait() }()
+	for written.Load() < 20 {
+		time.Sleep(time.Millisecond)
+	}
+	created := make(chan error, 1)
+	go func() {
+		_, err := db.Exec("CREATE MATERIALIZED VIEW mv AS SELECT g, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY g")
+		created <- err
+	}()
+	select {
+	case err := <-created:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("CREATE MATERIALIZED VIEW did not finish beside the upsert stream")
+	}
+	for n := written.Load(); written.Load() < n+20; {
+		time.Sleep(time.Millisecond)
+	}
+	stop.Store(true)
+	wg.Wait()
+	viewEquals(t, db, "g, s, n", "mv", "SELECT g, SUM(v), COUNT(*) FROM t GROUP BY g")
+}
+
 // TestLazyRefreshReachesEveryRead: the lazy hook must refresh a stale
 // materialized view wherever a statement reads it — not only in the FROM
 // clause of a top-level SELECT. (No HAVING row: the planner rejects

@@ -51,7 +51,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"openivm/internal/catalog"
 	"openivm/internal/duckast"
@@ -495,7 +494,12 @@ func (ext *Extension) attach(v *view) error {
 				ext.detachLocked(v)
 				return err
 			}
-			f = &feed{delta: b.Delta, base: base, log: base.Track(&ext.Stats.DeltasCaught, &ext.Stats.CaptureStallNanos)}
+			f = &feed{delta: b.Delta, base: base}
+			// No commit is half published while the log starts: each one
+			// is either visible to the population's snapshot or logged.
+			cat.MVCC().WithCommitLock(func() {
+				f.log = base.Track(&ext.Stats.DeltasCaught, &ext.Stats.CaptureStallNanos)
+			})
 			dt.ReadChanges(f.log)
 			ext.feeds[key] = f
 		}
@@ -524,16 +528,12 @@ func (ext *Extension) detachLocked(v *view) []*feed {
 
 // populate fills V at one snapshot, in a transaction of its own, and
 // starts the view at that snapshot's timestamp. The snapshot must not see
-// an in-place upsert before it commits (catalog.Table.HoldInPlace), or its
-// commit would reach V twice: the bases are held off that path, and one
+// an in-place upsert before it commits, or its commit would reach V twice:
+// the bases are held off that path (catalog.Table.HoldInPlace), and one
 // that took it already commits before the snapshot is taken.
 func populate(is *engine.Session, v *view) error {
 	for _, f := range v.feeds {
-		for f.base.HoldInPlace(true) {
-			f.base.HoldInPlace(false)
-			time.Sleep(50 * time.Microsecond)
-		}
-		defer f.base.HoldInPlace(false)
+		defer f.base.HoldInPlace()()
 	}
 	if _, err := is.Exec("BEGIN"); err != nil {
 		return err
