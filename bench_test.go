@@ -375,27 +375,6 @@ func BenchmarkE14_ProjectionRefresh(b *testing.B) {
 	}
 }
 
-// BenchmarkE2_BatchSize sweeps the vectorized executor's batch size over
-// the E2 refresh loop (PRAGMA batch_size), exposing the chunk-size
-// trade-off the batch engine introduces.
-func BenchmarkE2_BatchSize(b *testing.B) {
-	for _, bs := range []int{16, 128, 1024, 8192} {
-		b.Run(fmt.Sprintf("bs%d", bs), func(b *testing.B) {
-			const rows, groups = 20000, 256
-			db := loadGroups(b, rows, groups, fmt.Sprintf("PRAGMA batch_size = %d", bs))
-			mustExecB(b, db, listing1View)
-			w := workload.Groups{Rows: rows, NumGroups: groups}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				mustExecB(b, db, w.InsertBatch(500, int64(i)))
-				b.StartTimer()
-				mustExecB(b, db, "REFRESH MATERIALIZED VIEW query_groups")
-			}
-		})
-	}
-}
-
 // BenchmarkE2_IVMRefreshWAL is the E2 refresh loop with a durable
 // backend attached: each delta insert group-commits through the WAL
 // before the refresh runs. The gap to BenchmarkE2_IVMRefresh/f10pct is
@@ -521,8 +500,9 @@ func BenchmarkE3_PureOLTP(b *testing.B) {
 	}
 }
 
-// BenchmarkE4_* measure ART index construction (view creation) vs the
-// refresh it accelerates.
+// BenchmarkE4_* measure view creation with and without the view's key
+// index — a primary key on the view table, an internal/index/slottab hash
+// table — which the upsert combine of every refresh probes.
 func BenchmarkE4_CreateViewWithIndex(b *testing.B) {
 	for _, groups := range []int{100, 10000} {
 		b.Run(fmt.Sprintf("G%d", groups), func(b *testing.B) {

@@ -13,7 +13,7 @@
 //	-dialect duckdb|postgres   target SQL dialect for emission
 //	-strategy upsert_left_join|union_regroup|full_outer_join
 //	-empty sum_zero|hidden_count
-//	-no-index                  skip the ART group-key index
+//	-no-index                  skip the group-key index
 package main
 
 import (
@@ -34,7 +34,7 @@ func main() {
 		dialect    = flag.String("dialect", "duckdb", "emission dialect: duckdb | postgres")
 		strategy   = flag.String("strategy", "upsert_left_join", "combine strategy: upsert_left_join | union_regroup | full_outer_join")
 		empty      = flag.String("empty", "sum_zero", "empty-group detection: sum_zero | hidden_count")
-		noIndex    = flag.Bool("no-index", false, "do not create the ART group-key index")
+		noIndex    = flag.Bool("no-index", false, "do not create the group-key index")
 		demo       = flag.Bool("demo", false, "compile the paper's Listing 1 example")
 	)
 	flag.Parse()

@@ -2,7 +2,7 @@
 // search space §2 of the paper sketches. The same view is compiled under
 // each combine strategy and both empty-group detection modes; the emitted
 // SQL is shown side by side and each variant is timed on the same update
-// stream, including the ART-index ablation.
+// stream, including the group-key index ablation.
 //
 //	go run ./examples/strategies
 package main
@@ -60,7 +60,7 @@ func main() {
 		fmt.Printf("%-18s refresh of %d deltas over %d rows: %v\n", strat, deltaRows, rows, d.Round(time.Microsecond))
 	}
 
-	// Part 3: the ART index ablation (paper: DuckDB needs an index to
+	// Part 3: the group-key index ablation (paper: DuckDB needs an index to
 	// apply upserts; building it costs once, then accelerates refreshes).
 	fmt.Println("\n== part 3: index on vs off (union_regroup needs none) ==")
 	for _, pragmas := range [][]string{

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"openivm/internal/enginerr"
-	"openivm/internal/index/art"
 	"openivm/internal/index/slottab"
 	"openivm/internal/mvcc"
 	"openivm/internal/sqltypes"
@@ -48,7 +47,7 @@ type verMeta struct {
 }
 
 // Table is an in-memory multi-versioned heap table with optional primary
-// key (backed by a key→slot table) and secondary ART indexes. All methods
+// key (backed by a key→slot table) and secondary hash indexes. All methods
 // are goroutine-safe; writers serialize on the table lock while readers
 // run concurrently under the shared lock.
 type Table struct {
@@ -108,16 +107,17 @@ type Table struct {
 	indexes map[string]*Index
 }
 
-// Index is a secondary index over one or more columns, backed by an ART.
-// Non-unique indexes store a set of row slots per key. Index entries are
-// not removed on delete — versions stay indexed until GC reclaims them —
-// so lookups filter by snapshot visibility.
+// Index is a secondary index over one or more columns: a hash map from the
+// encoded key to the row slots carrying it. It serves point probes only
+// (ProbeKeys); nothing walks it in key order. Index entries are not removed
+// on delete — versions stay indexed until GC reclaims them — so lookups
+// filter by snapshot visibility.
 type Index struct {
 	Name    string
 	Table   string
 	Columns []int // column positions
 	Unique  bool
-	tree    *art.Tree // key -> []int (row slots)
+	slots   map[string][]int // encoded key -> row slots
 }
 
 // View is a non-materialized view: a stored SELECT.
@@ -1229,7 +1229,7 @@ func (t *Table) resetLocked() {
 	t.nullKey, t.nullKeyScanned = false, 0
 	t.pkIndex.Reset()
 	for _, idx := range t.indexes {
-		idx.tree = art.New()
+		idx.slots = map[string][]int{}
 	}
 }
 
@@ -1563,7 +1563,7 @@ func (t *Table) compactLocked(watermark uint64) {
 	t.vers = vers
 	t.nullKey, t.nullKeyScanned = false, 0
 	for _, idx := range t.indexes {
-		idx.tree = art.New()
+		idx.slots = map[string][]int{}
 	}
 	if len(t.indexes) > 0 {
 		for i, r := range rows {
@@ -1576,9 +1576,10 @@ func (t *Table) compactLocked(watermark uint64) {
 // Secondary indexes
 // ---------------------------------------------------------------------------
 
-// CreateIndex builds a secondary index over the named columns. The build
-// follows the paper's observation about ART construction: rows are loaded
-// in chunks, each chunk's sorted run is merged into the tree (art.BulkInsert).
+// CreateIndex builds a secondary index over the named columns. Every
+// stored version is indexed, dead or retired ones included: an older
+// snapshot may still see them, and an uncommitted delete may yet abort.
+// Uniqueness is checked over live versions only.
 func (t *Table) CreateIndex(name string, cols []string, unique bool, ifNotExists bool) (*Index, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -1589,7 +1590,7 @@ func (t *Table) CreateIndex(name string, cols []string, unique bool, ifNotExists
 		}
 		return nil, fmt.Errorf("catalog: index %q already exists on %s", name, t.Name)
 	}
-	idx := &Index{Name: name, Table: t.Name, Unique: unique, tree: art.New()}
+	idx := &Index{Name: name, Table: t.Name, Unique: unique, slots: map[string][]int{}}
 	for _, cn := range cols {
 		pos := t.columnPos(cn)
 		if pos < 0 {
@@ -1597,26 +1598,19 @@ func (t *Table) CreateIndex(name string, cols []string, unique bool, ifNotExists
 		}
 		idx.Columns = append(idx.Columns, pos)
 	}
-	// Chunked bulk build (paper: "more efficient to build small indexes for
-	// each chunk and merge them"). Every stored version is indexed, dead or
-	// retired ones included: an older snapshot may still see them, and an
-	// uncommitted delete may yet abort. Uniqueness is checked over live
-	// versions only.
-	const chunk = 2048
-	for lo := 0; lo < len(t.rows); lo += chunk {
-		hi := lo + chunk
-		if hi > len(t.rows) {
-			hi = len(t.rows)
+	for slot, r := range t.rows {
+		if r == nil {
+			continue
 		}
-		var pairs []art.KV
-		for slot := lo; slot < hi; slot++ {
-			if r := t.rows[slot]; r != nil {
-				pairs = append(pairs, art.KV{Key: idx.keyFor(r), Val: slot})
+		k := string(idx.keyFor(r))
+		if idx.Unique && t.vers[slot].end == 0 {
+			for _, s := range idx.slots[k] {
+				if t.vers[s].end == 0 {
+					return nil, enginerr.Newf(enginerr.CodeDuplicateKey, "catalog: unique index %q violated", idx.Name)
+				}
 			}
 		}
-		if err := t.mergeChunkLocked(idx, pairs); err != nil {
-			return nil, err
-		}
+		idx.slots[k] = append(idx.slots[k], slot)
 	}
 	t.indexes[key] = idx
 	return idx, nil
@@ -1650,55 +1644,24 @@ func (idx *Index) keyFor(r sqltypes.Row) []byte {
 	return sqltypes.EncodeKey(nil, vals...)
 }
 
-func (t *Table) mergeChunkLocked(idx *Index, pairs []art.KV) error {
-	sort.SliceStable(pairs, func(i, j int) bool { return string(pairs[i].Key) < string(pairs[j].Key) })
-	for _, kv := range pairs {
-		slot := kv.Val.(int)
-		v, ok := idx.tree.Get(kv.Key)
-		if !ok {
-			idx.tree.Put(kv.Key, []int{slot})
-			continue
-		}
-		slots := v.([]int)
-		if idx.Unique && t.vers[slot].end == 0 {
-			for _, s := range slots {
-				if t.vers[s].end == 0 {
-					return enginerr.Newf(enginerr.CodeDuplicateKey, "catalog: unique index %q violated", idx.Name)
-				}
-			}
-		}
-		idx.tree.Put(kv.Key, append(slots, slot))
-	}
-	return nil
-}
-
 func (t *Table) insertIndexedLocked(r sqltypes.Row, slot int) {
 	for _, idx := range t.indexes {
-		key := idx.keyFor(r)
-		if v, ok := idx.tree.Get(key); ok {
-			idx.tree.Put(key, append(v.([]int), slot))
-		} else {
-			idx.tree.Put(key, []int{slot})
-		}
+		k := string(idx.keyFor(r))
+		idx.slots[k] = append(idx.slots[k], slot)
 	}
 }
 
 func (t *Table) removeIndexedLocked(r sqltypes.Row, slot int) {
 	for _, idx := range t.indexes {
-		key := idx.keyFor(r)
-		if v, ok := idx.tree.Get(key); ok {
-			slots := v.([]int)
-			for i, s := range slots {
-				if s == slot {
-					slots = append(slots[:i], slots[i+1:]...)
-					break
-				}
-			}
-			if len(slots) == 0 {
-				idx.tree.Delete(key)
-			} else {
-				idx.tree.Put(key, slots)
-			}
+		k := string(idx.keyFor(r))
+		slots := idx.slots[k]
+		if i := slices.Index(slots, slot); i >= 0 {
+			slots = slices.Delete(slots, i, i+1)
+		}
+		if len(slots) == 0 {
+			delete(idx.slots, k)
+		} else {
+			idx.slots[k] = slots
 		}
 	}
 }
@@ -1786,8 +1749,8 @@ probe:
 			if s := t.visibleLocked(sn, t.pkProbe(slottab.Hash(key), vals).slot); s >= 0 {
 				rows = append(rows, t.rows[s])
 			}
-		} else if v, ok := ki.idx.tree.Get(key); ok {
-			for _, s := range v.([]int) {
+		} else {
+			for _, s := range ki.idx.slots[string(key)] {
 				if r := t.rows[s]; r != nil && sn.Visible(t.vers[s].begin, t.vers[s].end) {
 					rows = append(rows, r)
 				}

@@ -770,7 +770,7 @@ func (l *lazySubquery) Eval(sqltypes.Row) (sqltypes.Value, error) {
 	if l.done {
 		return l.cached, nil
 	}
-	n, err := l.s.bindSelect(l.sel, l.params, l.s.stamp())
+	n, err := l.s.bindSelect(l.sel, l.params)
 	if err != nil {
 		return sqltypes.Null, err
 	}

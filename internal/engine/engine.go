@@ -111,8 +111,8 @@ type DB struct {
 	mu  sync.Mutex
 	cat *catalog.Catalog
 
-	// pragmas are the engine-global defaults; sessions overlay
-	// batch_size/workers locally (see Session.SetPragma).
+	// pragmas are the engine-global defaults; sessions overlay workers
+	// locally (see Session.SetPragma).
 	pragmas map[string]string
 
 	fallbacks []FallbackParser
@@ -134,9 +134,9 @@ type DB struct {
 	trigHandlers map[string]TriggerFunc
 
 	// schemaEpoch moves on anything that could change a plan: DDL (tables,
-	// views, indexes, triggers) and engine-global pragma writes
-	// (batch_size/workers become plan.Hint nodes). Every cached plan
-	// records the epoch it was built under (see plancache.go).
+	// views, indexes, triggers). No pragma is read while a statement is
+	// bound or optimized, so pragma writes leave it alone. Every cached
+	// plan records the epoch it was built under (see plancache.go).
 	schemaEpoch atomic.Int64
 
 	// plans is the statement cache shared across sessions, text and
@@ -305,9 +305,6 @@ func (db *DB) SetPragma(name, value string) {
 	db.mu.Lock()
 	db.pragmas[strings.ToLower(name)] = value
 	db.mu.Unlock()
-	// Pragmas flow into plans (batch_size/workers as Hint nodes), so any
-	// change invalidates cached plans.
-	db.bumpSchemaEpoch()
 }
 
 // SetAfterCommit installs fn, run on the writer's session once each of its
@@ -408,7 +405,7 @@ func (db *DB) Parse(sql string) (sqlparser.Statement, error) {
 
 // Exec executes a statement or script on a session of its own, closed
 // when Exec returns: a one-off statement from a caller that holds no
-// session. PRAGMA batch_size/workers set through it are engine-wide
+// session. PRAGMA workers set through it is engine-wide
 // (DB.SetPragma). A transaction cannot outlive the call: one the script
 // leaves open is rolled back and reported as an error; use NewSession.
 func (db *DB) Exec(sql string) (*Result, error) {
@@ -454,7 +451,7 @@ func (s *Session) newBinder(params *expr.ParamBinding) *plan.Binder {
 			if done {
 				return cached, nil
 			}
-			n, err := s.bindSelect(sel, params, s.stamp())
+			n, err := s.bindSelect(sel, params)
 			if err != nil {
 				return nil, err
 			}
@@ -484,7 +481,7 @@ func (s *Session) execExplain(params *expr.ParamBinding, st *sqlparser.ExplainSt
 func (s *Session) explain(params *expr.ParamBinding, stmt sqlparser.Statement) (string, error) {
 	switch x := stmt.(type) {
 	case *sqlparser.SelectStmt:
-		n, err := s.bindSelect(x, params, s.stamp())
+		n, err := s.bindSelect(x, params)
 		if err != nil {
 			return "", err
 		}
@@ -494,7 +491,7 @@ func (s *Session) explain(params *expr.ParamBinding, stmt sqlparser.Statement) (
 		if err != nil {
 			return "", err
 		}
-		n, err := s.bindSelect(x.Select, params, s.stamp())
+		n, err := s.bindSelect(x.Select, params)
 		if err != nil {
 			return "", err
 		}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"strconv"
 	"sync"
 
 	"openivm/internal/expr"
@@ -24,49 +23,25 @@ import (
 // without two of them ever sharing it at once. A session that finds every
 // entry of its key lent out builds one more, which the cache keeps beside
 // the others (up to planCopies per key): sessions running one shape
-// concurrently settle on one entry each. A plan is valid while the
-// planStamp it was built under equals the executing session's; the schema
-// epoch moving also empties the LRU, releasing every dead plan.
-
-// planStamp is everything outside the statement that shapes its plan: the
-// schema epoch (DDL, trigger and pragma writes move it) and the session's
-// batch_size/workers, which PlanSelect bakes into the plan as a Hint.
-type planStamp struct {
-	epoch     int64
-	batchSize int
-	workers   int
-}
-
-// stamp returns the stamp a plan built by this session right now carries.
-func (s *Session) stamp() planStamp {
-	return planStamp{epoch: s.db.epoch(), batchSize: s.batchSize(), workers: s.workers()}
-}
-
-// appendKey appends the LRU address of statement key k for a session at
-// this stamp to dst: k, followed by the knobs when either is set, so
-// sessions with different batch_size/workers keep one entry each instead of
-// replanning over each other's.
-func (at planStamp) appendKey(dst, k []byte) []byte {
-	dst = append(dst, k...)
-	if at.batchSize == 0 && at.workers == 0 {
-		return dst
-	}
-	dst = strconv.AppendInt(append(dst, 0), int64(at.batchSize), 10)
-	return strconv.AppendInt(append(dst, ','), int64(at.workers), 10)
-}
+// concurrently settle on one entry each. A plan's stamp is the schema epoch
+// it was built under (DDL and trigger writes move it): the plan is valid
+// while that equals the DB's, and the epoch moving also empties the LRU,
+// releasing every dead plan. Nothing of the session is in a plan — its
+// PRAGMA workers reaches the executor through exec.Options — so sessions
+// share one entry per statement shape whatever their pragmas.
 
 // planEntry is one statement on its way through the engine, and what the
 // cache keeps of it.
 type planEntry struct {
-	key  string // the LRU address (planStamp.appendKey); "" for a statement the cache does not hold
+	key  string // the statement's key (sqlparser.Lifted.Key); "" for a statement the cache does not hold
 	stmt sqlparser.Statement
 	// body is the statement's own SELECT — the statement itself, or the
 	// source of an INSERT — and node its plan, nil until planned or when
-	// the plan may not be executed twice (planCacheable); stamp is what
-	// node was built under.
+	// the plan may not be executed twice (planCacheable); stamp is the
+	// schema epoch node was built under.
 	body  *sqlparser.SelectStmt
 	node  plan.Node
-	stamp planStamp
+	stamp int64
 	// params is the binding the statement's parameters read: the literals
 	// lifted out of this execution's text, or the user's $N values.
 	params expr.ParamBinding
@@ -268,8 +243,7 @@ func (s *Session) PrepareScript(sql string) (*Prepared, error) {
 // statement the cache holds is known to parse.
 func (s *Session) parseUncached(p *Prepared, i int) error {
 	if l := &p.lifted[i]; l.Key != nil && (p.stmts == nil || p.stmts[i] == nil) {
-		s.keyBuf = s.stamp().appendKey(s.keyBuf[:0], l.Key)
-		if s.db.plans.holds(s.keyBuf) {
+		if s.db.plans.holds(l.Key) {
 			return nil
 		}
 	}
@@ -285,21 +259,15 @@ func (s *Session) parseUncached(p *Prepared, i int) error {
 func (s *Session) checkout(p *Prepared, i int) (*planEntry, error) {
 	l := &p.lifted[i]
 	var ent *planEntry
-	var key []byte
 	if l.Key != nil {
-		s.keyBuf = s.stamp().appendKey(s.keyBuf[:0], l.Key)
-		key = s.keyBuf
-		ent = s.db.plans.take(key)
+		ent = s.db.plans.take(l.Key)
 	}
 	if ent == nil {
 		stmt, err := s.db.parse(p, i)
 		if err != nil {
 			return nil, err
 		}
-		if l.Key == nil { // a fallback parser's statement
-			key = nil
-		}
-		ent = newEntry(key, stmt)
+		ent = newEntry(l.Key, stmt) // a fallback parser's statement has lost its key
 	}
 	if l.Params != nil || l.Rows != nil {
 		ent.params = expr.ParamBinding{Vals: l.Params, Rows: l.Rows}
@@ -311,43 +279,36 @@ func (s *Session) checkout(p *Prepared, i int) (*planEntry, error) {
 
 // PlanSelect binds and optimizes a SELECT against the session's own $N
 // binding, returning the logical plan. Exposed for the IVM compiler, which
-// rewrites view plans. When PRAGMA batch_size or PRAGMA workers is set
-// (session overlay or global), the root is wrapped in a plan.Hint so the
-// executor runs the whole tree with the requested knobs.
+// rewrites view plans.
 func (s *Session) PlanSelect(sel *sqlparser.SelectStmt) (plan.Node, error) {
-	return s.bindSelect(sel, &s.params, s.stamp())
+	return s.bindSelect(sel, &s.params)
 }
 
 // planSelect is PlanSelect for a SELECT of the statement ent: its own body
 // is served from, and planned into, the entry.
 func (s *Session) planSelect(ent *planEntry, sel *sqlparser.SelectStmt) (plan.Node, error) {
-	at := s.stamp()
+	at := s.db.epoch()
 	if sel == ent.body && ent.node != nil && ent.stamp == at {
 		return ent.node, nil
 	}
-	n, err := s.bindSelect(sel, &ent.params, at)
+	n, err := s.bindSelect(sel, &ent.params)
 	if err != nil {
 		return nil, err
 	}
 	// A plan whose schema moved while it was being built is not kept.
-	if sel == ent.body && planCacheable(n) && s.db.epoch() == at.epoch {
+	if sel == ent.body && planCacheable(n) && s.db.epoch() == at {
 		ent.node, ent.stamp = n, at
 	}
 	return n, nil
 }
 
-// bindSelect binds and optimizes sel under stamp at, its parameters read
-// from params.
-func (s *Session) bindSelect(sel *sqlparser.SelectStmt, params *expr.ParamBinding, at planStamp) (plan.Node, error) {
+// bindSelect binds and optimizes sel, its parameters read from params.
+func (s *Session) bindSelect(sel *sqlparser.SelectStmt, params *expr.ParamBinding) (plan.Node, error) {
 	n, err := s.newBinder(params).BindSelect(sel)
 	if err != nil {
 		return nil, err
 	}
-	n = optimizer.Optimize(n)
-	if at.batchSize > 0 || at.workers > 0 {
-		n = &plan.Hint{Input: n, BatchSize: at.batchSize, Workers: at.workers}
-	}
-	return n, nil
+	return optimizer.Optimize(n), nil
 }
 
 // planCacheable reports whether a bound plan may be executed again: every
@@ -386,7 +347,7 @@ func planCacheable(n plan.Node) bool {
 					ok = ok && expr.ParallelSafe(e)
 				}
 			}
-		case *plan.Distinct, *plan.Limit, *plan.SetOp, *plan.Hint:
+		case *plan.Distinct, *plan.Limit, *plan.SetOp:
 		default:
 			ok = false
 		}

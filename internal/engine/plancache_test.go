@@ -112,12 +112,11 @@ func TestPreparedPlanCacheInvalidation(t *testing.T) {
 		t.Fatalf("prepared select after table recreation returned %v", res.Rows)
 	}
 
-	// A pragma write must invalidate too (batch_size/workers are baked
-	// into the plan as Hint nodes).
+	// A pragma write does not: no pragma is read while a plan is built.
 	before := db.epoch()
 	db.SetPragma("workers", "2")
-	if db.epoch() == before {
-		t.Fatal("PRAGMA write did not bump the schema epoch")
+	if db.epoch() != before {
+		t.Fatal("PRAGMA write moved the schema epoch")
 	}
 }
 

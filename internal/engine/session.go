@@ -18,8 +18,8 @@ import (
 )
 
 // Session is one connection's execution context over a shared DB. All
-// per-connection state lives here — the open transaction, execution-pragma
-// overlays (batch_size/workers) and the cancellation context — so N sessions can run interleaved DML and
+// per-connection state lives here — the open transaction, the PRAGMA
+// workers overlay and the cancellation context — so N sessions can run interleaved DML and
 // queries against one DB without sharing any mutable statement state.
 //
 // A Session is cheap to create (the wire server makes one per accepted
@@ -73,11 +73,7 @@ type Session struct {
 	// them.
 	params expr.ParamBinding
 
-	// keyBuf is scratch for the plan-cache address of the statement being
-	// checked out (planStamp.appendKey).
-	keyBuf []byte
-
-	// knobsGlobal writes PRAGMA batch_size/workers through to the DB, like
+	// knobsGlobal writes PRAGMA workers through to the DB, like
 	// every other pragma: DB.Exec's session, which ends with the call.
 	knobsGlobal bool
 
@@ -242,7 +238,7 @@ func (s *Session) Pragma(name string) string {
 }
 
 // SetPragma sets a pragma for this session. The engine-owned execution
-// knobs (batch_size, workers) stay session-local, so two connections can
+// knob (workers) stays session-local, so two connections can
 // run with different parallelism against one DB (DB.SetPragma sets their
 // global default); every other pragma (ivm_mode, ivm_strategy, ...)
 // configures shared engine state — the IVM extension is one extension
@@ -260,16 +256,11 @@ func (s *Session) SetPragma(name, value string) {
 // sessionLocalPragma reports whether a pragma is a per-session execution
 // knob rather than shared engine configuration.
 func sessionLocalPragma(name string) bool {
-	return strings.EqualFold(name, "batch_size") || strings.EqualFold(name, "workers")
+	return strings.EqualFold(name, "workers")
 }
 
 // setPragmaChecked validates engine-owned pragmas before storing them.
 func (s *Session) setPragmaChecked(name, value string) error {
-	if strings.EqualFold(name, "batch_size") {
-		if n, err := strconv.Atoi(strings.TrimSpace(value)); err != nil || n <= 0 {
-			return fmt.Errorf("engine: PRAGMA batch_size requires a positive integer, got %q", value)
-		}
-	}
 	if strings.EqualFold(name, "workers") {
 		if n, err := strconv.Atoi(strings.TrimSpace(value)); err != nil || n < 0 {
 			return fmt.Errorf("engine: PRAGMA workers requires a non-negative integer (1 = serial, 0 = one per CPU), got %q", value)
@@ -279,10 +270,10 @@ func (s *Session) setPragmaChecked(name, value string) error {
 	return nil
 }
 
-// intPragma returns a positive-integer pragma's session-effective value
-// (0 when unset or unparsable, meaning the executor default).
-func (s *Session) intPragma(name string) int {
-	if v := s.Pragma(name); v != "" {
+// workers returns the scan parallelism selected by PRAGMA workers (0 when
+// unset or unparsable: the executor defaults to one worker per CPU).
+func (s *Session) workers() int {
+	if v := s.Pragma("workers"); v != "" {
 		if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n > 0 {
 			return n
 		}
@@ -290,19 +281,10 @@ func (s *Session) intPragma(name string) int {
 	return 0
 }
 
-// batchSize returns the execution batch size selected by PRAGMA
-// batch_size (0 when unset, meaning the executor default).
-func (s *Session) batchSize() int { return s.intPragma("batch_size") }
-
-// workers returns the scan parallelism selected by PRAGMA workers (0 when
-// unset: the executor defaults to one worker per CPU).
-func (s *Session) workers() int { return s.intPragma("workers") }
-
 // execOpts assembles the executor options for one statement: the
-// session's knobs plus the cancellation context.
+// session's PRAGMA workers plus the cancellation context.
 func (s *Session) execOpts(ctx context.Context) exec.Options {
-	at := s.stamp()
-	return exec.Options{BatchSize: at.batchSize, Workers: at.workers, Ctx: ctx}
+	return exec.Options{Workers: s.workers(), Ctx: ctx}
 }
 
 // execOptsTxn is execOpts with a transaction's read snapshot attached,

@@ -107,7 +107,7 @@ func TestDoomedTransactionRefusesStatements(t *testing.T) {
 	}
 }
 
-// TestSessionPragmaOverlay: batch_size/workers set on a session stay
+// TestSessionPragmaOverlay: workers set on a session stays
 // session-local; DB.SetPragma sets the engine-global default every
 // session without an overlay sees.
 func TestSessionPragmaOverlay(t *testing.T) {
@@ -134,8 +134,8 @@ func TestSessionPragmaOverlay(t *testing.T) {
 		t.Fatalf("s1 overlay lost: %q", got)
 	}
 	// Validation applies on sessions too.
-	if _, err := s1.Exec("PRAGMA batch_size = 0"); err == nil {
-		t.Fatal("invalid batch_size accepted on a session")
+	if _, err := s1.Exec("PRAGMA workers = -1"); err == nil {
+		t.Fatal("invalid workers accepted on a session")
 	}
 }
 
@@ -144,11 +144,11 @@ func TestSessionPragmaOverlay(t *testing.T) {
 // transaction left open is rolled back and reported.
 func TestDBExecOneOff(t *testing.T) {
 	db := Open("s", DialectDuckDB)
-	if _, err := db.Exec("PRAGMA workers = 3; PRAGMA batch_size = 64"); err != nil {
+	if _, err := db.Exec("PRAGMA workers = 3"); err != nil {
 		t.Fatal(err)
 	}
-	if w, b := db.Pragma("workers"), db.Pragma("batch_size"); w != "3" || b != "64" {
-		t.Fatalf("DB.Exec knobs: workers=%q batch_size=%q, want 3 and 64", w, b)
+	if w := db.Pragma("workers"); w != "3" {
+		t.Fatalf("DB.Exec knob: workers=%q, want 3", w)
 	}
 	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
 	if _, err := db.Exec("BEGIN; INSERT INTO t VALUES (1)"); err == nil {

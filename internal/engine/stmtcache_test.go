@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -88,34 +90,63 @@ func TestStmtCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestStmtCacheKnobSeparation: sessions with different batch_size/workers
-// must not share a plan (the Hint is baked in at plan time).
-func TestStmtCacheKnobSeparation(t *testing.T) {
+// TestStmtCacheSharedAcrossWorkers: sessions with different PRAGMA workers
+// run one statement shape from one cache entry — nothing of the session is
+// in a plan — and each execution runs with the executing session's own
+// workers: the scan it opens over a table past the parallel threshold is
+// the parallel one exactly when that session's workers exceed one.
+func TestStmtCacheSharedAcrossWorkers(t *testing.T) {
 	db := Open("sc", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE t (k INTEGER)")
-	mustExec(t, db, "INSERT INTO t VALUES (1)")
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO t VALUES (0)")
+	for k := 1; k < 6000; k++ {
+		fmt.Fprintf(&sb, ", (%d)", k)
+	}
+	mustExec(t, db, sb.String())
 	s1, s2 := db.NewSession(), db.NewSession()
+	defer s1.Close()
+	defer s2.Close()
 	if _, err := s1.Exec("PRAGMA workers = 1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s2.Exec("PRAGMA workers = 4"); err != nil {
 		t.Fatal(err)
 	}
-	const q = "SELECT k FROM t"
+	const q = "SELECT k FROM t WHERE k >= 0"
 	before := db.StmtCacheStats()
-	if _, err := s1.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	hitsBefore := db.StmtCacheStats().Hits
-	if _, err := s2.Query(q); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		for _, c := range []struct {
+			s        *Session
+			parallel bool
+		}{{s1, false}, {s2, true}} {
+			st, err := c.s.ExecStream(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%T", st.it) == "*exec.parallelScan"; got != c.parallel {
+				t.Fatalf("execution opened %T under workers=%s", st.it, c.s.Pragma("workers"))
+			}
+			n := 0
+			for {
+				rows, err := st.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rows == nil {
+					break
+				}
+				n += len(rows)
+			}
+			st.Close()
+			if n != 6000 {
+				t.Fatalf("%d rows, want 6000", n)
+			}
+		}
 	}
 	st := db.StmtCacheStats()
-	if st.Hits != hitsBefore {
-		t.Fatal("sessions with different workers knobs shared one plan")
-	}
-	if st.Entries != before.Entries+2 {
-		t.Fatalf("entries %d -> %d, want one more per knob setting", before.Entries, st.Entries)
+	if st.Entries != before.Entries+1 || st.Hits != before.Hits+3 {
+		t.Fatalf("cache %+v -> %+v, want one entry and three hits for four executions", before, st)
 	}
 }
 

@@ -27,7 +27,7 @@ func bindSQL(t *testing.T, c *catalog.Catalog, sql string) plan.Node {
 func TestBatchHintRespected(t *testing.T) {
 	c := testCatalog(t) // 12 rows
 	n := bindSQL(t, c, "SELECT k, v FROM nums")
-	it, err := OpenBatch(&plan.Hint{Input: n, BatchSize: 5}, Options{})
+	it, err := OpenBatch(n, Options{BatchSize: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

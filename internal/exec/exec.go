@@ -51,14 +51,15 @@
 // keyed by raw key bytes (byteTable): each distinct key costs its bytes in
 // a shared slab — no per-entry key string, no map bucket. The table's
 // dense entry indexes address flat side arrays (group states, join
-// buckets, multiset counts). Hash tables are pre-sized from plan
-// cardinality hints (plan.EstimateRows).
+// buckets, multiset counts). Hash tables are pre-sized from the rows a
+// build side drained, or else from the input's plan.SourceRows.
 //
 // # Join strategies
 //
-// A join drains its smaller estimated input as the build side and then
+// A join drains its build side — the smaller input when both have a known
+// plan.SourceRows, else the right one (plan.Join.BuildSide) — and then
 // picks how to read the other one (plan.ChooseJoin, called at open with the
-// build side's exact row count): stream it through a hash table of the
+// build side's drained row count): stream it through a hash table of the
 // build rows, or — when it is a bare scan of a table whose join columns are
 // its primary key or a secondary index, and the table is at least 8× the
 // build side — probe that index once per build row and never scan it. The
@@ -93,8 +94,7 @@ import (
 	"openivm/internal/sqltypes"
 )
 
-// DefaultBatchSize is the target number of rows per batch when no
-// batch-size hint is present (PRAGMA batch_size overrides it per query).
+// DefaultBatchSize is the target number of rows per batch.
 const DefaultBatchSize = 1024
 
 // Batch is a reusable chunk of rows exchanged between batch operators. It
@@ -173,13 +173,14 @@ type BatchIterator interface {
 
 // Options tunes execution.
 type Options struct {
-	// BatchSize is the target rows-per-batch (0 = DefaultBatchSize). A
-	// *plan.Hint node in the plan overrides it for its subtree.
+	// BatchSize is the target rows-per-batch (0 = DefaultBatchSize). The
+	// engine leaves it at the default; tests set it small to cross batch
+	// boundaries with few rows.
 	BatchSize int
 	// Workers is the scan/aggregation parallelism (0 = one worker per CPU,
-	// 1 = serial). A *plan.Hint node (PRAGMA workers) overrides it for its
-	// subtree. Parallelism only engages on snapshots large enough to repay
-	// the fan-out cost; see internal/exec/parallel.go.
+	// 1 = serial): the executing session's PRAGMA workers. Parallelism only
+	// engages on snapshots large enough to repay the fan-out cost; see
+	// internal/exec/parallel.go.
 	Workers int
 	// Ctx cancels execution: scans check it between batches and parallel
 	// workers between morsels, surfacing ctx.Err(). nil means no
@@ -268,14 +269,6 @@ func openBatch(n plan.Node, opts Options) (BatchIterator, error) {
 		}
 	}
 	switch x := n.(type) {
-	case *plan.Hint:
-		if x.BatchSize > 0 {
-			opts.BatchSize = x.BatchSize
-		}
-		if x.Workers > 0 {
-			opts.Workers = x.Workers
-		}
-		return openBatch(x.Input, opts)
 	case *plan.Scan:
 		if ps, parallel := newParallelScan(x, nil, nil, opts); parallel {
 			return ps, nil
@@ -311,7 +304,7 @@ func openBatch(n plan.Node, opts Options) (BatchIterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &batchDistinct{in: in, set: newRowKeySet(plan.EstimateRows(x.Input))}, nil
+		return &batchDistinct{in: in, set: newRowKeySet(sourceRows(x.Input))}, nil
 	case *plan.Sort:
 		in, err := openBatch(x.Input, opts)
 		if err != nil {
@@ -357,8 +350,6 @@ func streamsFromScan(n plan.Node) bool {
 			n = x.Input
 		case *plan.Limit:
 			n = x.Input
-		case *plan.Hint:
-			n = x.Input
 		case *plan.Scan:
 			return true
 		default:
@@ -367,10 +358,16 @@ func streamsFromScan(n plan.Node) bool {
 	}
 }
 
+// sourceRows is plan.SourceRows as a pre-sizing hint: 0 when unknown.
+func sourceRows(n plan.Node) int {
+	rows, _ := plan.SourceRows(n)
+	return rows
+}
+
 // drain materializes every row of a batch subtree (build sides, sorts).
-// The size hint comes from plan.EstimateRows and is capped like the hash
-// tables' pre-sizing: estimates can be wildly high (cross joins saturate),
-// and a huge up-front allocation must never precede the actual rows.
+// The size hint is a plan.SourceRows, which bounds the rows of a filtered
+// source from above, so it is capped like the hash tables' pre-sizing: a
+// huge up-front allocation must never precede the actual rows.
 func drain(in BatchIterator, sizeHint int) ([]sqltypes.Row, error) {
 	var out []sqltypes.Row
 	if sizeHint > 0 {

@@ -35,9 +35,9 @@ type rowKeySet struct {
 	buf []byte
 }
 
-// keyTableHint caps pre-sizing for tables built from cardinality
-// estimates: the estimate is routinely 10x high (distinct counts, filter
-// selectivity), and an oversized sparse slot array costs a cache miss per
+// keyTableHint caps pre-sizing for tables built from a plan.SourceRows:
+// the count bounds the keys from above and is routinely 10x high (distinct
+// counts, filters), and an oversized sparse slot array costs a cache miss per
 // probe. Beyond the cap the table grows itself — slot-array rehashes are
 // cheap and never touch key bytes.
 func keyTableHint(hint int) int {
@@ -189,7 +189,7 @@ func newBatchAgg(in BatchIterator, node *plan.Aggregate, opts Options) *batchAgg
 		in:      in,
 		node:    node,
 		size:    opts.BatchSize,
-		est:     plan.EstimateRows(node.Input),
+		est:     sourceRows(node.Input),
 		keySlab: newValueSlab(len(node.GroupBy), opts.BatchSize),
 		slab:    newValueSlab(len(node.GroupBy)+len(node.Aggs), opts.BatchSize),
 		pools:   make([]statePool, len(node.Aggs)),
@@ -321,10 +321,9 @@ type joinPart struct {
 	buckets []joinBucket
 }
 
-// batchJoin is the join operator. The build side — the smaller estimated
-// input (plan.BuildOnLeft) — is drained at open; how the probe side is then
-// read is plan.ChooseJoin's decision, taken at open from the build side's
-// exact row count:
+// batchJoin is the join operator. The build side (plan.Join.BuildSide) is
+// drained at open; how the probe side is then read is plan.ChooseJoin's
+// decision, taken at open from the build side's exact row count:
 //
 //   - hash join: the build rows are hashed on the equi-join columns and the
 //     whole probe side streams through the table batch by batch;
@@ -391,7 +390,7 @@ type batchJoin struct {
 }
 
 func newBatchJoin(j *plan.Join, opts Options) (BatchIterator, error) {
-	buildLeft := plan.BuildOnLeft(j)
+	buildLeft, buildHint, _ := j.BuildSide()
 	buildNode, probeNode := j.Right, j.Left
 	buildKeys, probeKeys := j.EquiRight, j.EquiLeft
 	if buildLeft {
@@ -402,7 +401,7 @@ func newBatchJoin(j *plan.Join, opts Options) (BatchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	buildRows, err := drain(bi, plan.EstimateRows(buildNode))
+	buildRows, err := drain(bi, buildHint)
 	bi.Close()
 	if err != nil {
 		return nil, err
@@ -931,17 +930,17 @@ func newBatchSetOp(s *plan.SetOp, opts Options) (BatchIterator, error) {
 	case sqlparser.SetUnionAll:
 		return &batchConcat{srcs: []BatchIterator{left, right}}, nil
 	case sqlparser.SetUnion:
-		set := newRowKeySet(plan.EstimateRows(s.Left) + plan.EstimateRows(s.Right))
+		set := newRowKeySet(sourceRows(s.Left) + sourceRows(s.Right))
 		return &batchDistinct{in: &batchConcat{srcs: []BatchIterator{left, right}}, set: set}, nil
 	case sqlparser.SetExcept, sqlparser.SetExceptAll:
-		counts, err := drainCounts(right, plan.EstimateRows(s.Right))
+		counts, err := drainCounts(right, sourceRows(s.Right))
 		right.Close()
 		if err != nil {
 			left.Close()
 			return nil, err
 		}
 		if s.Op == sqlparser.SetExcept {
-			seen := newRowKeySet(plan.EstimateRows(s.Left))
+			seen := newRowKeySet(sourceRows(s.Left))
 			return &batchKeep{in: left, keep: func(r sqltypes.Row) bool {
 				return counts.count(r) == 0 && seen.add(r)
 			}}, nil
@@ -950,13 +949,13 @@ func newBatchSetOp(s *plan.SetOp, opts Options) (BatchIterator, error) {
 			return !counts.take(r)
 		}}, nil
 	case sqlparser.SetIntersect:
-		counts, err := drainCounts(right, plan.EstimateRows(s.Right))
+		counts, err := drainCounts(right, sourceRows(s.Right))
 		right.Close()
 		if err != nil {
 			left.Close()
 			return nil, err
 		}
-		seen := newRowKeySet(plan.EstimateRows(s.Left))
+		seen := newRowKeySet(sourceRows(s.Left))
 		return &batchKeep{in: left, keep: func(r sqltypes.Row) bool {
 			return counts.count(r) > 0 && seen.add(r)
 		}}, nil

@@ -140,8 +140,7 @@ func TestIndexJoinMatchesHashJoin(t *testing.T) {
 					t.Fatal("the reference query must not run as an index join")
 				}
 				// A batch size of 2 makes the operator resume mid-build-side.
-				n := &plan.Hint{Input: bindSQL(t, c, sql), BatchSize: 2}
-				got, err := Run(n)
+				got, err := RunOpts(bindSQL(t, c, sql), Options{BatchSize: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,5 +188,83 @@ func TestIndexJoinAppliesScanFilterAndProjection(t *testing.T) {
 		if !strings.Contains(results[1], want) {
 			t.Fatalf("missing %q in:\n%s", want, results[1])
 		}
+	}
+}
+
+// TestExplainNamesTheExecutedJoin: EXPLAIN (plan.Join.Describe) and the
+// operator decide a join's build side and algorithm with the same
+// functions, so what EXPLAIN prints is what opens. The build side is the
+// smaller input when both inputs' source counts are known, else the right
+// one; d holds 6 rows and the probe tables 106.
+func TestExplainNamesTheExecutedJoin(t *testing.T) {
+	c := indexJoinCatalog(t, 100)
+	small := indexJoinCatalog(t, 6)
+	values := func(right plan.Node) *plan.Join {
+		v := &plan.Values{
+			Rows:    [][]expr.Expr{{&expr.Literal{Val: sqltypes.NewInt(1)}}, {&expr.Literal{Val: sqltypes.NewInt(3)}}},
+			Columns: []plan.ColumnInfo{{Table: "v", Name: "k", Type: sqltypes.TypeInt}},
+		}
+		return &plan.Join{Kind: sqlparser.JoinInner, Left: v, Right: right, EquiLeft: []int{0}, EquiRight: []int{0}}
+	}
+	tk, _ := c.Table("t")
+	cases := []struct {
+		name    string
+		node    plan.Node
+		explain string // how Describe begins
+		algo    plan.JoinAlgo
+		left    bool
+	}{
+		{"scan small-left join keyed scan", bindSQL(t, c, "SELECT * FROM d JOIN t ON d.k = t.k"),
+			"IndexJoin t[pk] build=left", plan.IndexJoin, true},
+		{"keyed scan join scan small-right", bindSQL(t, c, "SELECT * FROM t JOIN d ON t.k = d.k"),
+			"IndexJoin t[pk] build=right", plan.IndexJoin, false},
+		{"scan join scan under the fan-out", bindSQL(t, small, "SELECT * FROM d JOIN t ON d.k = t.k"),
+			"HashJoin build=left", plan.HashJoin, true},
+		{"aggregate left join keyed scan",
+			bindSQL(t, c, "SELECT * FROM (SELECT k, SUM(a) AS a FROM d GROUP BY k) g LEFT JOIN t ON g.k = t.k"),
+			"IndexJoin t[pk] build=left", plan.IndexJoin, true},
+		{"join join scan", bindSQL(t, c, "SELECT * FROM d JOIN t3 ON d.k = t3.k JOIN t ON d.k = t.k"),
+			"HashJoin build=right", plan.HashJoin, false},
+		{"values join keyed scan", values(plan.NewScan(tk, "")),
+			"IndexJoin t[pk] build=left", plan.IndexJoin, true},
+		{"cross join", bindSQL(t, c, "SELECT * FROM d, t3"),
+			"NestedLoop build=left", plan.NestedLoopJoin, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var j *plan.Join
+			plan.Walk(tc.node, func(x plan.Node) bool {
+				if jn, ok := x.(*plan.Join); ok && j == nil {
+					j = jn
+				}
+				return j == nil
+			})
+			if d := j.Describe(); !strings.HasPrefix(d, tc.explain+" ") {
+				t.Fatalf("EXPLAIN %q, want it to begin %q", d, tc.explain)
+			}
+			it, err := newBatchJoin(j, Options{BatchSize: DefaultBatchSize, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+			if bj := it.(*batchJoin); bj.algo != tc.algo || bj.buildLeft != tc.left {
+				t.Fatalf("executor ran algo %d build-left %v, EXPLAIN said %q", bj.algo, bj.buildLeft, tc.explain)
+			}
+		})
+	}
+
+	// A join as the build side has no count until drained: EXPLAIN names
+	// both algorithms the operator may open, and it opens one of them.
+	j := bindSQL(t, c, "SELECT * FROM t JOIN (SELECT d.k FROM d JOIN t3 ON d.k = t3.k) x ON t.k = x.k").(*plan.Project).Input.(*plan.Join)
+	if d := j.Describe(); !strings.HasPrefix(d, "HashJoin or IndexJoin t[pk] build=right ") {
+		t.Fatalf("EXPLAIN %q", d)
+	}
+	it, err := newBatchJoin(j, Options{BatchSize: DefaultBatchSize, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	if bj := it.(*batchJoin); bj.algo != plan.IndexJoin || bj.buildLeft {
+		t.Fatalf("executor ran algo %d build-left %v over a 5-row build side", bj.algo, bj.buildLeft)
 	}
 }

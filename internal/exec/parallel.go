@@ -72,7 +72,7 @@ const (
 	morselRows = 2048
 )
 
-// resolveWorkers maps the Options/Hint worker knob to a concrete count
+// resolveWorkers maps the Options worker knob to a concrete count
 // (0 or negative = one worker per CPU, the PRAGMA workers default).
 func resolveWorkers(w int) int {
 	if w > 0 {

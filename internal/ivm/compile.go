@@ -363,8 +363,8 @@ func viewKey(comp *Compilation, sel *sqlparser.SelectStmt) []string {
 	return keyOf(0, 1)
 }
 
-// needsIndex reports whether the compiled view requires the ART-backed
-// group-key index (DuckDB needs an index to apply upserts — paper §2).
+// needsIndex reports whether the compiled view requires the group-key
+// index (DuckDB needs an index to apply upserts — paper §2).
 func (c *Compilation) needsIndex() bool {
 	return (c.Class == ClassAggregate || c.Class == ClassJoinAggregate) &&
 		c.Options.Strategy == StrategyUpsertLeftJoin
@@ -409,9 +409,9 @@ func (c *Compiler) genSetup(comp *Compilation) {
 	}
 	vt := &duckast.CreateTable{Name: comp.Storage, IfNotExists: true, Columns: viewCols}
 	if comp.needsIndex() && comp.Options.CreateIndex {
-		// The ART index on the group columns, realized as the table's
-		// primary key (our engine's INSERT OR REPLACE resolves conflicts
-		// through the primary-key ART, exactly like DuckDB).
+		// The index on the group columns is the table's primary key: the
+		// engine's INSERT OR REPLACE resolves conflicts through the
+		// primary-key index, as DuckDB's does through its ART.
 		for _, g := range comp.GroupColumns() {
 			vt.PrimaryKey = append(vt.PrimaryKey, g.Name)
 		}

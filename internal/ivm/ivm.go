@@ -143,8 +143,9 @@ type Options struct {
 	Strategy Strategy
 	// Empty selects empty-group detection for step 3.
 	Empty EmptyDetection
-	// CreateIndex controls whether the setup script creates the ART-backed
-	// index (primary key on group columns) that upsert maintenance needs.
+	// CreateIndex controls whether the setup script creates the group-key
+	// index (the view table's primary key on its group columns) that upsert
+	// maintenance needs.
 	// Disabled automatically for strategies that do not upsert.
 	CreateIndex bool
 	// DeltaPrefix prefixes generated delta-table names (default "delta_").

@@ -422,11 +422,8 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error
 	}
 
 	// Execute setup DDL and initial population on a fresh internal
-	// session. The index build order follows the paper: the ART is created
-	// after populating V ("it is more efficient to build small indexes for
-	// each chunk and merge them") — our engine's CREATE TABLE with PRIMARY
-	// KEY builds the ART incrementally during population, and the
-	// chunk-merge path is used by secondary CREATE INDEX builds.
+	// session. The view table's primary key — its group-key index — is
+	// filled row by row as the population inserts.
 	is := ext.db.NewSession()
 	defer is.Close()
 	is.SetInternal(true)

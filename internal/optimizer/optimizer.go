@@ -27,8 +27,6 @@ func Optimize(n plan.Node) plan.Node {
 // rewrite applies rule to n's children first, then to n.
 func rewrite(n plan.Node, rule func(plan.Node) plan.Node) plan.Node {
 	switch x := n.(type) {
-	case *plan.Hint:
-		x.Input = rewrite(x.Input, rule)
 	case *plan.Filter:
 		x.Input = rewrite(x.Input, rule)
 	case *plan.Project:

@@ -206,7 +206,7 @@ func TestPlacementExplain(t *testing.T) {
 			"Project k, x, s, k, y, s\n  Filter (x > 0)\n    HashJoin build=right FULL OUTER JOIN (keys: [0]=[0]) [residual: (y > 3)]\n      Scan a\n      Scan b\n"},
 		// Through a subquery's renaming Project, not past a computed column.
 		{"SELECT * FROM (SELECT k, x + 1 AS x1 FROM a) sa JOIN b ON sa.k = b.k WHERE sa.x1 > 2 AND sa.k = 1",
-			"Project k, x1, k, y, s\n  HashJoin build=left JOIN (keys: [0]=[0])\n    Filter (x1 > 2)\n      Project k, (x + 1)\n        Scan a [filter: (k = 1)]\n    Scan b\n"},
+			"Project k, x1, k, y, s\n  HashJoin build=right JOIN (keys: [0]=[0])\n    Filter (x1 > 2)\n      Project k, (x + 1)\n        Scan a [filter: (k = 1)]\n    Scan b\n"},
 		// A subquery stays in its Filter.
 		{"SELECT * FROM a JOIN b ON a.k = b.k WHERE b.k IN (SELECT k FROM c) AND b.y = 1",
 			"Project k, x, s, k, y, s\n  Filter (k IN (<subquery>))\n    HashJoin build=right JOIN (keys: [0]=[0])\n      Scan a\n      Scan b [filter: (y = 1)]\n"},

@@ -215,19 +215,24 @@ func (j *Join) Schema() []ColumnInfo {
 // Children implements Node.
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
 
-// Describe implements Node. It names the algorithm the executor would run
-// the join as right now — the executor's own chooser (ChooseJoin), fed the
-// build side's estimated size where the executor has the drained count.
+// Describe implements Node. It names the build side and the algorithm the
+// executor would run the join as right now: BuildSide and ChooseJoin, the
+// executor's own deciders, fed the build side's SourceRows. A build side
+// whose count is known only once drained (a join, a set operation) may run
+// either way, and says so.
 func (j *Join) Describe() string {
-	buildLeft := BuildOnLeft(j)
-	build, side := j.Right, "right"
+	buildLeft, rows, known := j.BuildSide()
+	side := "right"
 	if buildLeft {
-		build, side = j.Left, "left"
+		side = "left"
 	}
 	var d string
-	switch s := ChooseJoin(j, buildLeft, EstimateRows(build)); s.Algo {
+	switch s := ChooseJoin(j, buildLeft, rows); s.Algo {
 	case IndexJoin:
 		d = fmt.Sprintf("IndexJoin %s[%s]", s.Probe.Table.Name, s.Index.Name)
+		if !known {
+			d = "HashJoin or " + d
+		}
 	case HashJoin:
 		d = "HashJoin"
 	default:

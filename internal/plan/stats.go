@@ -1,55 +1,59 @@
 package plan
 
 import (
-	"fmt"
 	"slices"
 
 	"openivm/internal/catalog"
 	"openivm/internal/sqlparser"
 )
 
-// Hint is a semantics-preserving pass-through node carrying executor
-// tuning knobs resolved at plan time — the batch size selected by PRAGMA
-// batch_size and the scan parallelism selected by PRAGMA workers. The
-// engine wraps the optimized plan root with it; the executor unwraps it
-// and applies the knobs to the whole subtree.
-type Hint struct {
-	Input Node
-	// BatchSize is the target rows-per-batch for the subtree (0 = executor
-	// default).
-	BatchSize int
-	// Workers is the parallel-scan worker count for the subtree (0 =
-	// executor default, one worker per CPU; 1 = serial).
-	Workers int
+// SourceRows returns how many rows n reads from its source, when that is
+// known before n runs: n is a Scan or a Values, reached through
+// single-input nodes that never add rows (Filter, Project, Aggregate,
+// Distinct, Sort, Limit). The count is the table's RowCount — exact, and
+// read without a scan — or the number of literal rows, and it bounds what
+// n emits. ok is false for a join or a set operation, whose size is
+// learned by draining it. This is the only size the planner and the
+// executor reason from; no selectivity is ever guessed.
+func SourceRows(n Node) (rows int, ok bool) {
+	for {
+		switch x := n.(type) {
+		case *Scan:
+			return x.Table.RowCount(), true
+		case *Values:
+			return len(x.Rows) + len(x.LiftedRows()), true
+		case *Filter:
+			n = x.Input
+		case *Project:
+			n = x.Input
+		case *Aggregate:
+			n = x.Input
+		case *Distinct:
+			n = x.Input
+		case *Sort:
+			n = x.Input
+		case *Limit:
+			n = x.Input
+		default:
+			return 0, false
+		}
+	}
 }
 
-// Schema implements Node.
-func (h *Hint) Schema() []ColumnInfo { return h.Input.Schema() }
-
-// Children implements Node.
-func (h *Hint) Children() []Node { return []Node{h.Input} }
-
-// Describe implements Node.
-func (h *Hint) Describe() string {
-	d := "Hint"
-	if h.BatchSize > 0 {
-		d += fmt.Sprintf(" batch_size=%d", h.BatchSize)
+// BuildSide says which input of j is drained as the build side: the left
+// one when both inputs' SourceRows are known and the left holds fewer,
+// otherwise the right. rows is the build side's SourceRows and known
+// whether there is one. Building the smaller input wins twice: the build
+// side is what gets materialized, and it is what an index join iterates.
+// The IVM shapes — a delta joined against its base, ivm_cte LEFT JOIN V —
+// build the delta side and probe the big side's key.
+func (j *Join) BuildSide() (left bool, rows int, known bool) {
+	l, lok := SourceRows(j.Left)
+	r, rok := SourceRows(j.Right)
+	if lok && rok && l < r {
+		return true, l, true
 	}
-	if h.Workers > 0 {
-		d += fmt.Sprintf(" workers=%d", h.Workers)
-	}
-	return d
-}
-
-// BuildOnLeft reports whether a join over j should drain its left input as
-// the build side and read the right one as the probe side, instead of the
-// default right-side build. Building on the smaller input wins twice: the
-// build side is what gets materialized, and it is what an index join
-// iterates. The common IVM shape — a tiny delta table joined against a
-// large base table — is exactly the case where the default right-side build
-// is maximally wrong.
-func BuildOnLeft(j *Join) bool {
-	return EstimateRows(j.Left) < EstimateRows(j.Right)
+	return false, r, rok
 }
 
 // JoinAlgo is the physical algorithm a Join runs as.
@@ -75,11 +79,12 @@ const (
 // crossover (all-matching INTEGER keys into a 65 536-row table, sweeping
 // |probe|/|build| over 1…512; table in CHANGES.md, PR 16): through the
 // primary key the index path is already ahead at 2× (22.4 vs 26.6 ms);
-// through a secondary ART index, whose probe costs about three hash
-// probes, the two paths meet between 6× and 8×. 8 is the smallest ratio
-// in the sweep at which neither kind of index loses; from there the
-// index path's time falls with the build side while the hash path's stays
-// at the table scan.
+// through a secondary index — an ordered tree then, whose probe cost
+// about three hash probes — the two paths met between 6× and 8×. A
+// secondary index is a hash map now, so 8 errs towards the hash path for
+// it; it is the smallest ratio in that sweep at which neither kind of
+// index loses, and from there the index path's time falls with the build
+// side while the hash path's stays at the table scan.
 const indexJoinMinFanout = 8
 
 // JoinStrategy is the physical plan of one Join: the algorithm, and for an
@@ -99,8 +104,8 @@ type JoinStrategy struct {
 // many rows the build side holds. The executor calls it once the build side
 // is drained, with the exact count — the prepared plan is cached across
 // refreshes while |ΔT| swings from a few rows to a bulk load, so the choice
-// cannot live in the plan; EXPLAIN calls it with the build side's estimate
-// (exact when that side is a bare table scan). It decides from structural
+// cannot live in the plan; EXPLAIN calls it with the build side's
+// SourceRows, the count the executor will drain. It decides from structural
 // facts only: an index join needs the probe side to be a bare table scan
 // whose equi-key columns are exactly the table's primary key or one
 // secondary index, key columns of the same type on both sides, a probe side
@@ -152,53 +157,4 @@ func ChooseJoin(j *Join, buildLeft bool, buildRows int) JoinStrategy {
 	}
 	s.Algo, s.Probe, s.Index, s.BuildKeys = IndexJoin, scan, idx, keys
 	return s
-}
-
-// EstimateRows returns a coarse output-cardinality estimate for the node —
-// exact for scans and values, heuristic elsewhere. The executor uses it to
-// pre-size hash tables and output buffers; it must be cheap, not precise.
-func EstimateRows(n Node) int {
-	switch x := n.(type) {
-	case *Scan:
-		return x.Table.RowCount()
-	case *Values:
-		return len(x.Rows) + len(x.LiftedRows())
-	case *Filter:
-		// Selectivity guess: keep a third.
-		return EstimateRows(x.Input)/3 + 1
-	case *Project:
-		return EstimateRows(x.Input)
-	case *Hint:
-		return EstimateRows(x.Input)
-	case *Sort:
-		return EstimateRows(x.Input)
-	case *Distinct:
-		return EstimateRows(x.Input)
-	case *Aggregate:
-		// Output is one row per group, bounded by the input.
-		return EstimateRows(x.Input)
-	case *Limit:
-		est := EstimateRows(x.Input)
-		if x.Limit >= 0 && int(x.Limit) < est {
-			est = int(x.Limit)
-		}
-		return est
-	case *Join:
-		l, r := EstimateRows(x.Left), EstimateRows(x.Right)
-		if len(x.EquiLeft) > 0 {
-			// Equi join: assume roughly foreign-key shape.
-			if l > r {
-				return l
-			}
-			return r
-		}
-		// Cross/theta join, with overflow guarding.
-		if l > 0 && r > (1<<30)/l {
-			return 1 << 30
-		}
-		return l * r
-	case *SetOp:
-		return EstimateRows(x.Left) + EstimateRows(x.Right)
-	}
-	return 0
 }

@@ -56,7 +56,7 @@ func (r Row) String() string {
 
 // EncodeKey appends a binary encoding of the values to dst such that
 // byte-wise lexicographic comparison of encodings matches CompareRows.
-// It is used for hash-table keys and as ART index keys.
+// It is used for hash-table and index keys.
 //
 // Encoding per value: 1 tag byte, then payload.
 //

@@ -91,12 +91,14 @@ func TestDrainEmptiesTablesInOneRoundTrip(t *testing.T) {
 // TestDrainLargeBacklogSpansFrames: a backlog beyond one row-batch frame.
 func TestDrainLargeBacklogSpansFrames(t *testing.T) {
 	_, cl := startServer(t)
-	mustExecRemote(t, cl, "CREATE TABLE big (k INTEGER)")
-	const n = 2*drainFrameRows + 17
+	mustExecRemote(t, cl, "CREATE TABLE big (k INTEGER, pad TEXT)")
+	const width = 1000
+	const n = 2*frameBudget/width + 17
+	pad := strings.Repeat("p", width)
 	var sb strings.Builder
-	sb.WriteString("INSERT INTO big VALUES (0)")
+	fmt.Fprintf(&sb, "INSERT INTO big VALUES (0, '%s')", pad)
 	for i := 1; i < n; i++ {
-		fmt.Fprintf(&sb, ", (%d)", i)
+		fmt.Fprintf(&sb, ", (%d, '%s')", i, pad)
 	}
 	mustExecRemote(t, cl, sb.String())
 	batch, err := cl.Drain(0, "big")

@@ -34,10 +34,16 @@ const (
 	frameTrailer  = 0x05 // binary trailerFrame: end of a streamed result
 )
 
-// maxFramePayload bounds a single frame. Row batches are sized by the
-// session's batch_size, requests are human-written SQL; anything near
-// this limit is a corrupt or hostile stream.
+// maxFramePayload bounds a single frame. Row frames stay near
+// frameBudget, requests are human-written SQL; anything near this limit is
+// a corrupt or hostile stream.
 const maxFramePayload = 64 << 20
+
+// frameBudget bounds the encoded rows of one row-batch frame, far below
+// maxFramePayload: an engine batch or a drained table of wide rows goes
+// out as several frames. A frame holds at least one row and ends at the
+// first row that takes it past the budget.
+const frameBudget = 1 << 20
 
 // trailerFrame closes a streamed result. Error is set when execution
 // failed after streaming began (rows already on the wire).
@@ -98,13 +104,21 @@ const (
 	tagStr   = 0x05
 )
 
-// appendRowBatch encodes rows onto buf and returns the extended slice.
-func appendRowBatch(buf []byte, rows []sqltypes.Row) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
-	for _, r := range rows {
-		buf = appendRow(buf, r)
+// appendRowFrame encodes the first n rows that fit one frame (frameBudget)
+// as a row-batch payload, reusing buf's storage. The rows are encoded
+// past a reserved header and the row count is written right-aligned into
+// it, so payload is a suffix of out; keep out to reuse on the next frame.
+func appendRowFrame(buf []byte, rows []sqltypes.Row) (out, payload []byte, n int) {
+	const hdr = binary.MaxVarintLen64
+	buf = append(buf[:0], make([]byte, hdr)...)
+	for n < len(rows) && (n == 0 || len(buf)-hdr < frameBudget) {
+		buf = appendRow(buf, rows[n])
+		n++
 	}
-	return buf
+	var count [hdr]byte
+	k := binary.PutUvarint(count[:], uint64(n))
+	copy(buf[hdr-k:], count[:k])
+	return buf, buf[hdr-k:], n
 }
 
 // appendRow encodes one row: its value count, then each value.

@@ -30,7 +30,7 @@ func FuzzDecodeRowBatch(f *testing.F) {
 		{{}, {}, {}},
 	}
 	for _, rows := range seedRows {
-		f.Add(appendRowBatch(nil, rows))
+		f.Add(rowFrame(rows))
 	}
 	// Hostile headers: huge claimed row/column counts on tiny payloads.
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0xff, 0xff, 0xff, 0xff, 0x0f})
@@ -43,7 +43,7 @@ func FuzzDecodeRowBatch(f *testing.F) {
 		}
 		// A successful decode must re-encode to a decodable batch of the
 		// same shape.
-		re := appendRowBatch(nil, nil)
+		re := rowFrame(nil)
 		_ = re
 		total := 0
 		for _, r := range rows {
@@ -64,7 +64,7 @@ func FuzzReadFrame(f *testing.F) {
 	writeFrame(&buf, frameRequest, appendRequest(nil, &Request{Op: opExec, SQL: "SELECT 1"}))
 	f.Add(buf.Bytes())
 	buf.Reset()
-	writeFrame(&buf, frameRows, appendRowBatch(nil, []sqltypes.Row{{sqltypes.NewInt(1)}}))
+	writeFrame(&buf, frameRows, rowFrame([]sqltypes.Row{{sqltypes.NewInt(1)}}))
 	f.Add(buf.Bytes())
 	f.Add([]byte{frameTrailer, 0xff, 0xff, 0xff, 0xff}) // oversized length
 	f.Add([]byte{0x00})                                 // truncated header

@@ -20,7 +20,7 @@ func TestSelectShaped(t *testing.T) {
 		"  WITH x AS (SELECT 1) SELECT * FROM x",
 		"EXPLAIN SELECT * FROM t",
 		"SELECT 1; SELECT 2;",
-		"PRAGMA batch_size=100; SELECT * FROM t",
+		"PRAGMA workers=1; SELECT * FROM t",
 		"VALUES (1), (2)",
 	}
 	no := []string{

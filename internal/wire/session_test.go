@@ -7,7 +7,6 @@ import (
 
 	"openivm/internal/engine"
 	"openivm/internal/ivmext"
-	"openivm/internal/sqltypes"
 )
 
 // TestSessionTransactionIsolation: each connection owns its transaction.
@@ -45,7 +44,7 @@ func TestSessionTransactionIsolation(t *testing.T) {
 	}
 }
 
-// TestSessionPragmaIsolation: PRAGMA batch_size/workers set over one
+// TestSessionPragmaIsolation: PRAGMA workers set over one
 // connection must not leak into another connection's session.
 func TestSessionPragmaIsolation(t *testing.T) {
 	srv, c1 := startServer(t)
@@ -63,8 +62,8 @@ func TestSessionPragmaIsolation(t *testing.T) {
 		t.Fatalf("session PRAGMA leaked into the global table: workers=%q", got)
 	}
 	// An invalid value still errors per session.
-	if _, err := c2.Exec("PRAGMA batch_size = -4"); err == nil {
-		t.Fatal("invalid batch_size accepted")
+	if _, err := c2.Exec("PRAGMA workers = -4"); err == nil {
+		t.Fatal("invalid workers accepted")
 	}
 }
 
@@ -219,101 +218,4 @@ func TestWireMultiClientStress(t *testing.T) {
 			t.Fatalf("row %d: view %v, recompute %v", i, view.Rows[i], want.Rows[i])
 		}
 	}
-}
-
-// TestPlanHintsNeverCrossSessions: several connections prepare and execute
-// one SQL text concurrently — and run it ad hoc, through the shared plan
-// cache — while their sessions disagree on PRAGMA workers/batch_size. A
-// cached plan carries those knobs as a Hint that overrides the executing
-// session's options, so a plan served to a session with other knobs would
-// show: batch_size is the streamed frame size. Each connection must only
-// ever see its own. Run under -race by the CI race job.
-func TestPlanHintsNeverCrossSessions(t *testing.T) {
-	srv, addr := startServerOpts(t, nil)
-	const nrows = 3000
-	loadBig(t, srv.DB, nrows, 4)
-	before := srv.DB.StmtCacheStats()
-
-	// run streams one execution and checks every full frame's size.
-	run := func(cl *Client, prepared bool, batchSize int) error {
-		var rows *Rows
-		var err error
-		if prepared {
-			rows, err = cl.QueryPrepared("q", sqltypes.NewInt(0))
-		} else {
-			rows, err = cl.Query("SELECT id FROM big")
-		}
-		if err != nil {
-			return err
-		}
-		total := 0
-		for {
-			batch, err := rows.Next()
-			if err != nil {
-				return err
-			}
-			if batch == nil {
-				break
-			}
-			total += len(batch)
-			if len(batch) != batchSize && total != nrows {
-				return fmt.Errorf("a frame of %d rows under batch_size %d: executed another session's Hint", len(batch), batchSize)
-			}
-		}
-		if total != nrows {
-			return fmt.Errorf("%d rows, want %d", total, nrows)
-		}
-		return nil
-	}
-
-	// The sessions with their own knobs publish first, so a cache that
-	// ignored the knobs would hand their Hints to the default sessions.
-	conns := []struct {
-		pragmas   string
-		batchSize int // rows per full frame this session must see
-		cl        *Client
-	}{
-		{pragmas: "PRAGMA workers = 2; PRAGMA batch_size = 64", batchSize: 64},
-		{pragmas: "PRAGMA workers = 3; PRAGMA batch_size = 200", batchSize: 200},
-		{batchSize: 1024}, // two sessions with the default knobs share plans
-		{batchSize: 1024},
-	}
-	for i := range conns {
-		c := &conns[i]
-		cl, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cl.Close()
-		c.cl = cl
-		if c.pragmas != "" {
-			if _, err := cl.Exec(c.pragmas); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := cl.Prepare("q", "SELECT id FROM big WHERE id >= $1"); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(cl, false, c.batchSize); err != nil {
-			t.Fatalf("conn %d, first ad-hoc run: %v", i, err)
-		}
-	}
-	if st := srv.DB.StmtCacheStats(); st.Entries-before.Entries != 3 || st.Hits-before.Hits != 1 {
-		t.Fatalf("shared cache after four first runs: %+v, want one entry per knob setting and one hit", st)
-	}
-
-	var wg sync.WaitGroup
-	for i := range conns {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for round := 0; round < 20; round++ {
-				if err := run(conns[i].cl, round%2 == 0, conns[i].batchSize); err != nil {
-					t.Errorf("conn %d round %d: %v", i, round, err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
 }

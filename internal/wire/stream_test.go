@@ -80,6 +80,13 @@ func dialSmallBuffer(t *testing.T, addr string) *Client {
 	return &Client{conn: conn, br: newClientReader(conn), bw: newClientWriter(conn)}
 }
 
+// rowFrame is the payload of the row-batch frame of rows, which must fit
+// in one frame.
+func rowFrame(rows []sqltypes.Row) []byte {
+	_, payload, _ := appendRowFrame(nil, rows)
+	return payload
+}
+
 // TestFrameRowBatchRoundtrip pins the binary value encoding.
 func TestFrameRowBatchRoundtrip(t *testing.T) {
 	in := []sqltypes.Row{
@@ -88,7 +95,7 @@ func TestFrameRowBatchRoundtrip(t *testing.T) {
 		{sqltypes.NewBool(true), sqltypes.NewBool(false), sqltypes.NewString("")},
 		{sqltypes.NewString("héllo, wörld"), sqltypes.NewString(strings.Repeat("y", 300))},
 	}
-	payload := appendRowBatch(nil, in)
+	payload := rowFrame(in)
 	out, err := decodeRowBatch(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -676,5 +683,67 @@ func TestStreamErrorBeforeRows(t *testing.T) {
 	}
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWideRowsSplitAcrossFrames: a result whose rows are wide is split
+// into frames by bytes, not only by rows. 1 024 rows of 70 000-byte strings
+// are one engine batch and well within one drain frame's row bound, yet
+// 72 MB — past the frame size limit. The client must read every row of a
+// stream and of a drain of them, and the connection must then serve the
+// next statement.
+func TestWideRowsSplitAcrossFrames(t *testing.T) {
+	_, cl := startServer(t)
+	const nrows, width = 1024, 70000
+	mustExecRemote(t, cl, "CREATE TABLE t (id INTEGER, s TEXT)")
+	mustExecRemote(t, cl, fmt.Sprintf("INSERT INTO t VALUES (0, '%s')", strings.Repeat("w", width)))
+	for n := 1; n < nrows; n *= 2 { // doubling shares the one string value
+		mustExecRemote(t, cl, fmt.Sprintf("INSERT INTO t SELECT id + %d, s FROM t", n))
+	}
+	check := func(what string, r []sqltypes.Value, seen map[int64]bool) {
+		t.Helper()
+		if len(r[1].S) != width || seen[r[0].I] {
+			t.Fatalf("%s: row %d arrived with %d bytes or twice", what, r[0].I, len(r[1].S))
+		}
+		seen[r[0].I] = true
+	}
+
+	rows, err := cl.Query("SELECT id, s FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed := map[int64]bool{}
+	for {
+		batch, err := rows.Next()
+		if err != nil {
+			t.Fatalf("stream: %v", err)
+		}
+		if batch == nil {
+			break
+		}
+		for _, r := range batch {
+			check("stream", r, streamed)
+		}
+	}
+	if len(streamed) != nrows {
+		t.Fatalf("stream delivered %d rows, want %d", len(streamed), nrows)
+	}
+
+	batch, err := cl.Drain(0, "t")
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	drained := map[int64]bool{}
+	for _, tbl := range batch.Tables {
+		for _, r := range tbl.Rows {
+			check("drain", r, drained)
+		}
+	}
+	if len(drained) != nrows {
+		t.Fatalf("drain delivered %d rows, want %d", len(drained), nrows)
+	}
+
+	if n := remoteCount(t, cl, "t"); n != 0 {
+		t.Fatalf("t holds %d rows after the drain", n)
 	}
 }

@@ -15,7 +15,7 @@
 //
 // Every accepted connection gets its own engine.Session, so N clients run
 // interleaved DML, transactions and queries concurrently against one
-// shared DB: transactions and PRAGMA batch_size/workers are
+// shared DB: transactions and PRAGMA workers are
 // connection-local, while the catalog,
 // materialized views and the shared SQL-text plan cache are one per
 // server. When a connection drops, its session is closed — the in-flight
@@ -669,13 +669,10 @@ func (c *v2conn) dispatch(req *Request) error {
 	}
 }
 
-// drainFrameRows bounds the rows of one row-batch frame of a drain
-// answer, keeping a large backlog inside the frame size limit.
-const drainFrameRows = 4096
-
 // writeDrain answers a drain: a response frame naming each
 // table and its row count, then that many rows per table as binary
-// row-batch frames, so deltas never pass through the JSON marshaller.
+// row-batch frames of at most frameBudget bytes each, so deltas never pass
+// through the JSON marshaller.
 func (c *v2conn) writeDrain(req *Request) error {
 	batch, err := c.srv.drain(c.sess, req)
 	if err != nil {
@@ -694,13 +691,10 @@ func (c *v2conn) writeDrain(req *Request) error {
 	}
 	for _, t := range batch.Tables {
 		for rows := t.Rows; len(rows) > 0; {
-			n := len(rows)
-			if n > drainFrameRows {
-				n = drainFrameRows
-			}
-			enc := appendRowBatch(c.wbuf[:0], rows[:n])
-			c.wbuf = enc[:0]
-			if err := c.writeF(frameRows, enc); err != nil {
+			var payload []byte
+			var n int
+			c.wbuf, payload, n = appendRowFrame(c.wbuf, rows)
+			if err := c.writeF(frameRows, payload); err != nil {
 				return err
 			}
 			rows = rows[n:]
@@ -710,13 +704,13 @@ func (c *v2conn) writeDrain(req *Request) error {
 }
 
 // streamExec runs one statement with a streamed result: schema frame,
-// row-batch frames, then a trailer. A rows frame stays in the writer
-// until the next batch has been pulled from the engine and goes out
-// before that batch is written: the last one leaves with the trailer, so
-// a short result costs one write, and at most one batch is held back, so
-// the write path is still the backpressure. An error before any frame
-// goes out is a plain error response; an error after streaming began
-// rides in the trailer.
+// row-batch frames, then a trailer. An engine batch is one frame, or
+// several when its rows take it past frameBudget. A rows frame stays in
+// the writer until the next frame is ready and goes out before it is
+// written: the last one leaves with the trailer, so a short result costs
+// one write, and at most one frame is held back, so the write path is
+// still the backpressure. An error before any frame goes out is a plain
+// error response; an error after streaming began rides in the trailer.
 func (c *v2conn) streamExec(req *Request) error {
 	s := c.srv
 	ctx, finish := c.sess.StartStatement(s.QueryTimeout)
@@ -748,6 +742,7 @@ func (c *v2conn) streamExec(req *Request) error {
 	var tr trailerFrame
 	var sentBytes int64
 	held := false // a rows frame waits in the writer
+stream:
 	for {
 		batch, berr := st.Next()
 		if berr != nil {
@@ -759,30 +754,35 @@ func (c *v2conn) streamExec(req *Request) error {
 		if batch == nil {
 			break
 		}
-		c.wbuf = appendRowBatch(c.wbuf[:0], batch)
 		if s.MaxRowsPerQuery > 0 && int64(tr.Rows+len(batch)) > s.MaxRowsPerQuery {
 			s.governorKills.Add(1)
 			tr.Error = fmt.Sprintf("wire: query killed by admission governor: row budget %d exceeded", s.MaxRowsPerQuery)
 			break
 		}
-		sentBytes += int64(len(c.wbuf))
-		if s.MaxBytesPerQuery > 0 && sentBytes > s.MaxBytesPerQuery {
-			s.governorKills.Add(1)
-			tr.Error = fmt.Sprintf("wire: query killed by admission governor: byte budget %d exceeded", s.MaxBytesPerQuery)
-			break
-		}
-		if held {
-			if err := c.bw.Flush(); err != nil {
+		for rows := batch; len(rows) > 0; {
+			var payload []byte
+			var n int
+			c.wbuf, payload, n = appendRowFrame(c.wbuf, rows)
+			sentBytes += int64(len(payload))
+			if s.MaxBytesPerQuery > 0 && sentBytes > s.MaxBytesPerQuery {
+				s.governorKills.Add(1)
+				tr.Error = fmt.Sprintf("wire: query killed by admission governor: byte budget %d exceeded", s.MaxBytesPerQuery)
+				break stream
+			}
+			if held {
+				if err := c.bw.Flush(); err != nil {
+					return err
+				}
+			}
+			if err := c.writeF(frameRows, payload); err != nil {
 				return err
 			}
+			held = true
+			tr.Rows += n
+			s.streamedBatches.Add(1)
+			s.streamedRows.Add(int64(n))
+			rows = rows[n:]
 		}
-		if err := c.writeF(frameRows, c.wbuf); err != nil {
-			return err
-		}
-		held = true
-		tr.Rows += len(batch)
-		s.streamedBatches.Add(1)
-		s.streamedRows.Add(int64(len(batch)))
 	}
 	tr.RowsAffected = st.RowsAffected()
 	// The plan goes back to the cache before the client learns the result
