@@ -11,9 +11,7 @@
 // Flags mirror the paper's compiler switches:
 //
 //	-dialect duckdb|postgres   target SQL dialect for emission
-//	-strategy upsert_left_join|union_regroup|full_outer_join
 //	-empty sum_zero|hidden_count
-//	-no-index                  skip the group-key index
 package main
 
 import (
@@ -32,20 +30,18 @@ func main() {
 		schemaPath = flag.String("schema", "", "path to a SQL file with CREATE TABLE statements")
 		viewPath   = flag.String("view", "", "path to a SQL file with one CREATE MATERIALIZED VIEW")
 		dialect    = flag.String("dialect", "duckdb", "emission dialect: duckdb | postgres")
-		strategy   = flag.String("strategy", "upsert_left_join", "combine strategy: upsert_left_join | union_regroup | full_outer_join")
 		empty      = flag.String("empty", "sum_zero", "empty-group detection: sum_zero | hidden_count")
-		noIndex    = flag.Bool("no-index", false, "do not create the group-key index")
 		demo       = flag.Bool("demo", false, "compile the paper's Listing 1 example")
 	)
 	flag.Parse()
 
-	if err := run(*schemaPath, *viewPath, *dialect, *strategy, *empty, *noIndex, *demo); err != nil {
+	if err := run(*schemaPath, *viewPath, *dialect, *empty, *demo); err != nil {
 		fmt.Fprintln(os.Stderr, "openivm:", err)
 		os.Exit(1)
 	}
 }
 
-func run(schemaPath, viewPath, dialect, strategy, empty string, noIndex, demo bool) error {
+func run(schemaPath, viewPath, dialect, empty string, demo bool) error {
 	var schemaSQL, viewSQL string
 	switch {
 	case demo:
@@ -71,13 +67,9 @@ func run(schemaPath, viewPath, dialect, strategy, empty string, noIndex, demo bo
 	if opts.Dialect, err = duckast.ParseDialect(dialect); err != nil {
 		return err
 	}
-	if opts.Strategy, err = ivm.ParseStrategy(strategy); err != nil {
-		return err
-	}
 	if opts.Empty, err = ivm.ParseEmptyDetection(empty); err != nil {
 		return err
 	}
-	opts.CreateIndex = !noIndex
 
 	// "DuckDB inside OpenIVM": an embedded engine instance provides the
 	// parser, binder and planner the compiler needs.
@@ -102,8 +94,8 @@ func run(schemaPath, viewPath, dialect, strategy, empty string, noIndex, demo bo
 		return err
 	}
 
-	fmt.Printf("-- OpenIVM compilation of view %q (class: %s, dialect: %s, strategy: %s)\n",
-		comp.ViewName, comp.Class, opts.Dialect, opts.Strategy)
+	fmt.Printf("-- OpenIVM compilation of view %q (class: %s, dialect: %s)\n",
+		comp.ViewName, comp.Class, opts.Dialect)
 	fmt.Println("\n-- === setup DDL (delta tables, view table, indexes) ===")
 	fmt.Print(comp.SetupSQL())
 	fmt.Println("\n-- === initial population ===")

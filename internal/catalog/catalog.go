@@ -1718,14 +1718,16 @@ func sameColumns(a, b []int) bool {
 // key, through ki instead of a scan: probe[at[k]] is the value for column
 // ki.Cols[k]. Matches are appended to one slice; ends[i] is where probe i's
 // matches end (they start at ends[i-1], or 0). A probe with a NULL key
-// value matches nothing — SQL equality. All probes are resolved under one
+// value matches nothing — SQL equality — unless nullSafe[k] (nil: none) says
+// that key compares as IS NOT DISTINCT FROM, whose NULL finds the rows
+// stored with a NULL there. All probes are resolved under one
 // hold of the shared lock against one snapshot (the zero snapshot means
 // latest-committed, resolved under the lock like RowsSnap), so the result
 // is what a scan at that moment would have returned for those keys. Index
 // entries outlive the versions' visibility (they go when GC reclaims the
 // version), hence the per-version visibility check on the secondary path;
 // the primary-key path walks the key's version chain.
-func (t *Table) ProbeKeys(sn mvcc.Snapshot, ki KeyIndex, probes []sqltypes.Row, at []int) (rows []sqltypes.Row, ends []int) {
+func (t *Table) ProbeKeys(sn mvcc.Snapshot, ki KeyIndex, probes []sqltypes.Row, at []int, nullSafe []bool) (rows []sqltypes.Row, ends []int) {
 	rows = make([]sqltypes.Row, 0, len(probes))
 	ends = make([]int, len(probes))
 	vals := make([]sqltypes.Value, len(at))
@@ -1739,7 +1741,7 @@ probe:
 	for i, p := range probes {
 		ends[i] = len(rows)
 		for k, c := range at {
-			if p[c].IsNull() {
+			if p[c].IsNull() && (nullSafe == nil || !nullSafe[k]) {
 				continue probe
 			}
 			vals[k] = p[c]

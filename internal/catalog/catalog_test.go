@@ -539,7 +539,7 @@ func TestTruncateVersionedWhenObserved(t *testing.T) {
 // lookupName probes the secondary index on the name column for one value.
 func lookupName(t *Table, sn mvcc.Snapshot, v sqltypes.Value) []sqltypes.Row {
 	ki, _ := t.KeyIndexOn([]int{t.ColumnPos("name")})
-	rows, _ := t.ProbeKeys(sn, ki, []sqltypes.Row{{v}}, []int{0})
+	rows, _ := t.ProbeKeys(sn, ki, []sqltypes.Row{{v}}, []int{0}, nil)
 	return rows
 }
 
@@ -620,11 +620,11 @@ func TestKeyProbesHonourSnapshot(t *testing.T) {
 			"[1|h|10.0 3|h|30.0 4|g|4.0]", "[4|g|4.0 1|h|10.0 3|h|30.0]",
 			[]int{1, 1, 2, 3, 3}, []int{1, 3}},
 	} {
-		rows, ends := tbl.ProbeKeys(tc.sn, pk, ids, []int{0})
+		rows, ends := tbl.ProbeKeys(tc.sn, pk, ids, []int{0}, nil)
 		if got := fmt.Sprint(rows); got != tc.byID || fmt.Sprint(ends) != fmt.Sprint(tc.idEnds) {
 			t.Errorf("%s, by primary key: %s ends %v, want %s ends %v", tc.label, got, ends, tc.byID, tc.idEnds)
 		}
-		rows, ends = tbl.ProbeKeys(tc.sn, sec, names, []int{0})
+		rows, ends = tbl.ProbeKeys(tc.sn, sec, names, []int{0}, nil)
 		if got := fmt.Sprint(rows); got != tc.byName || fmt.Sprint(ends) != fmt.Sprint(tc.nmEnds) {
 			t.Errorf("%s, by secondary index: %s ends %v, want %s ends %v", tc.label, got, ends, tc.byName, tc.nmEnds)
 		}
@@ -661,13 +661,13 @@ func TestProbeKeysConcurrentWithWriters(t *testing.T) {
 				default:
 				}
 				id := int64((n*7 + g) % keys)
-				rows, _ := tbl.ProbeKeys(mvcc.Snapshot{}, pk, []sqltypes.Row{{sqltypes.NewInt(id)}}, []int{0})
+				rows, _ := tbl.ProbeKeys(mvcc.Snapshot{}, pk, []sqltypes.Row{{sqltypes.NewInt(id)}}, []int{0}, nil)
 				if len(rows) > 1 || (len(rows) == 1 && rows[0][0].I != id) {
 					t.Errorf("primary-key probe %d returned %v", id, rows)
 					return
 				}
 				name := fmt.Sprint("g", id%8)
-				rows, _ = tbl.ProbeKeys(mvcc.Snapshot{}, sec, []sqltypes.Row{{sqltypes.NewString(name)}}, []int{0})
+				rows, _ = tbl.ProbeKeys(mvcc.Snapshot{}, sec, []sqltypes.Row{{sqltypes.NewString(name)}}, []int{0}, nil)
 				for _, r := range rows {
 					if r[1].S != name {
 						t.Errorf("secondary probe %q returned %v", name, r)

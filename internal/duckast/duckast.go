@@ -12,6 +12,7 @@ package duckast
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -75,52 +76,6 @@ type SelectItem struct {
 	Alias string
 }
 
-// TableRef names a FROM source with an optional alias.
-type TableRef struct {
-	Name  string
-	Alias string
-}
-
-// SQL implements Node.
-func (t *TableRef) SQL(Dialect) string {
-	if t.Alias != "" && t.Alias != t.Name {
-		return t.Name + " AS " + t.Alias
-	}
-	return t.Name
-}
-
-// Join is an explicit join clause.
-type Join struct {
-	Kind  string // "JOIN", "LEFT JOIN", "FULL OUTER JOIN", ...
-	Left  Node   // TableRef, Join or SubSelect
-	Right Node
-	On    Node // predicate; nil for CROSS JOIN
-}
-
-// SQL implements Node.
-func (j *Join) SQL(d Dialect) string {
-	s := j.Left.SQL(d) + " " + j.Kind + " " + j.Right.SQL(d)
-	if j.On != nil {
-		s += " ON " + j.On.SQL(d)
-	}
-	return s
-}
-
-// SubSelect is a parenthesized derived table.
-type SubSelect struct {
-	Select *Select
-	Alias  string
-}
-
-// SQL implements Node.
-func (s *SubSelect) SQL(d Dialect) string {
-	out := "(" + s.Select.SQL(d) + ")"
-	if s.Alias != "" {
-		out += " AS " + s.Alias
-	}
-	return out
-}
-
 // CTE is one WITH entry.
 type CTE struct {
 	Name   string
@@ -129,19 +84,12 @@ type CTE struct {
 
 // Select is a SELECT operator tree.
 type Select struct {
-	CTEs     []CTE
-	Distinct bool
-	Items    []SelectItem
-	From     Node // TableRef, Join, SubSelect; nil = no FROM
-	Where    Node
-	GroupBy  []Node
-	Having   Node
-	OrderBy  []string
-	Limit    string
-
-	// Set operation chaining.
-	SetOp string // "UNION ALL" etc.
-	Next  *Select
+	CTEs    []CTE
+	Items   []SelectItem
+	From    Node // nil = no FROM
+	Where   Node
+	GroupBy []Node
+	Having  Node
 }
 
 // SQL implements Node.
@@ -158,9 +106,6 @@ func (s *Select) SQL(d Dialect) string {
 		sb.WriteString(" ")
 	}
 	sb.WriteString("SELECT ")
-	if s.Distinct {
-		sb.WriteString("DISTINCT ")
-	}
 	for i, it := range s.Items {
 		if i > 0 {
 			sb.WriteString(", ")
@@ -188,21 +133,13 @@ func (s *Select) SQL(d Dialect) string {
 	if s.Having != nil {
 		sb.WriteString(" HAVING " + s.Having.SQL(d))
 	}
-	if s.SetOp != "" && s.Next != nil {
-		sb.WriteString(" " + s.SetOp + " " + s.Next.SQL(d))
-	}
-	if len(s.OrderBy) > 0 {
-		sb.WriteString(" ORDER BY " + strings.Join(s.OrderBy, ", "))
-	}
-	if s.Limit != "" {
-		sb.WriteString(" LIMIT " + s.Limit)
-	}
 	return sb.String()
 }
 
 // Insert emits INSERT INTO, with upsert semantics translated per dialect:
 // DuckDB uses INSERT OR REPLACE; PostgreSQL uses ON CONFLICT (keys) DO
-// UPDATE SET col = EXCLUDED.col for every non-key column.
+// UPDATE SET col = EXCLUDED.col for every column of Columns not in
+// KeyColumns.
 type Insert struct {
 	Table   string
 	Columns []string
@@ -212,9 +149,6 @@ type Insert struct {
 	// it from the primary key).
 	Upsert     bool
 	KeyColumns []string
-	// ValueColumns lists non-key columns for the PostgreSQL DO UPDATE SET
-	// clause; defaults to Columns minus KeyColumns.
-	ValueColumns []string
 }
 
 // SQL implements Node.
@@ -231,24 +165,13 @@ func (ins *Insert) SQL(d Dialect) string {
 	}
 	sb.WriteString(" " + ins.Select.SQL(d))
 	if ins.Upsert && d == DialectPostgres {
-		vals := ins.ValueColumns
-		if vals == nil {
-			keySet := map[string]bool{}
-			for _, k := range ins.KeyColumns {
-				keySet[k] = true
-			}
-			for _, c := range ins.Columns {
-				if !keySet[c] {
-					vals = append(vals, c)
-				}
-			}
-		}
 		sb.WriteString(" ON CONFLICT (" + strings.Join(ins.KeyColumns, ", ") + ") DO UPDATE SET ")
-		for i, c := range vals {
-			if i > 0 {
-				sb.WriteString(", ")
+		sep := ""
+		for _, c := range ins.Columns {
+			if !slices.Contains(ins.KeyColumns, c) {
+				sb.WriteString(sep + c + " = EXCLUDED." + c)
+				sep = ", "
 			}
-			sb.WriteString(c + " = EXCLUDED." + c)
 		}
 	}
 	return sb.String()
@@ -316,49 +239,6 @@ func typeName(t string, d Dialect) string {
 	return strings.ToUpper(t)
 }
 
-// CreateTableAs emits CREATE TABLE name AS select.
-type CreateTableAs struct {
-	Name   string
-	Select *Select
-}
-
-// SQL implements Node.
-func (ct *CreateTableAs) SQL(d Dialect) string {
-	return "CREATE TABLE " + ct.Name + " AS " + ct.Select.SQL(d)
-}
-
-// DropTable emits DROP TABLE.
-type DropTable struct {
-	Name     string
-	IfExists bool
-}
-
-// SQL implements Node.
-func (dt *DropTable) SQL(Dialect) string {
-	if dt.IfExists {
-		return "DROP TABLE IF EXISTS " + dt.Name
-	}
-	return "DROP TABLE " + dt.Name
-}
-
-// CreateIndex emits CREATE INDEX.
-type CreateIndex struct {
-	Name    string
-	Table   string
-	Columns []string
-	Unique  bool
-}
-
-// SQL implements Node.
-func (ci *CreateIndex) SQL(Dialect) string {
-	u := ""
-	if ci.Unique {
-		u = "UNIQUE "
-	}
-	return "CREATE " + u + "INDEX IF NOT EXISTS " + ci.Name + " ON " + ci.Table +
-		" (" + strings.Join(ci.Columns, ", ") + ")"
-}
-
 // Script is an ordered list of statements emitted with ';' terminators.
 type Script struct{ Stmts []Node }
 
@@ -374,36 +254,3 @@ func (s *Script) SQL(d Dialect) string {
 
 // Add appends statements.
 func (s *Script) Add(stmts ...Node) { s.Stmts = append(s.Stmts, stmts...) }
-
-// --- expression helpers (builders used by the IVM compiler) ---
-
-// Bin builds a binary expression fragment.
-func Bin(op string, l, r Node) Node {
-	return &Raw{Text: l.SQL(DialectDuckDB) + " " + op + " " + r.SQL(DialectDuckDB)}
-}
-
-// Eq builds l = r.
-func Eq(l, r Node) Node { return Bin("=", l, r) }
-
-// And chains predicates with AND; nil inputs are skipped.
-func And(preds ...Node) Node {
-	var parts []string
-	for _, p := range preds {
-		if p != nil {
-			parts = append(parts, p.SQL(DialectDuckDB))
-		}
-	}
-	if len(parts) == 0 {
-		return nil
-	}
-	return &Raw{Text: strings.Join(parts, " AND ")}
-}
-
-// Fn builds a function-call fragment.
-func Fn(name string, args ...Node) Node {
-	parts := make([]string, len(args))
-	for i, a := range args {
-		parts[i] = a.SQL(DialectDuckDB)
-	}
-	return &Raw{Text: name + "(" + strings.Join(parts, ", ") + ")"}
-}

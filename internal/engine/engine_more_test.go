@@ -18,7 +18,7 @@ func TestCreateIndexViaSQL(t *testing.T) {
 	if !ok || ki.Name != "gi" {
 		t.Fatalf("index missing: %+v", ki)
 	}
-	rows, _ := tbl.ProbeKeys(mvcc.Snapshot{}, ki, []sqltypes.Row{{sqltypes.NewString("g1")}}, []int{0})
+	rows, _ := tbl.ProbeKeys(mvcc.Snapshot{}, ki, []sqltypes.Row{{sqltypes.NewString("g1")}}, []int{0}, nil)
 	if len(rows) != 5 {
 		t.Fatalf("lookup = %d rows", len(rows))
 	}

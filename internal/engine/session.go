@@ -240,7 +240,7 @@ func (s *Session) Pragma(name string) string {
 // SetPragma sets a pragma for this session. The engine-owned execution
 // knob (workers) stays session-local, so two connections can
 // run with different parallelism against one DB (DB.SetPragma sets their
-// global default); every other pragma (ivm_mode, ivm_strategy, ...)
+// global default); every other pragma (ivm_mode, ivm_empty, ...)
 // configures shared engine state — the IVM extension is one extension
 // instance per DB — and is therefore written through to the global table.
 func (s *Session) SetPragma(name, value string) {

@@ -375,7 +375,8 @@ type batchJoin struct {
 	probePreserve bool
 	buildPreserve bool
 
-	buildKeys, probeKeys []int // equi-key positions in each side's schema
+	buildKeys, probeKeys []int  // equi-key positions in each side's schema
+	nullSafe             []bool // per equi key: NULL matches NULL (plan.Join.EquiNullSafe)
 
 	leftWidth int
 
@@ -416,6 +417,7 @@ func newBatchJoin(j *plan.Join, opts Options) (BatchIterator, error) {
 		buildMatched: make([]bool, len(buildRows)),
 		buildKeys:    buildKeys,
 		probeKeys:    probeKeys,
+		nullSafe:     j.EquiNullSafe,
 		leftWidth:    lw,
 		slab:         newValueSlab(lw+rw, opts.BatchSize),
 	}
@@ -465,7 +467,7 @@ func newBatchJoin(j *plan.Join, opts Options) (BatchIterator, error) {
 // per build row, then the probe scan's pushed-down filter and projection
 // over the rows the probes found.
 func (it *batchJoin) fetchMatches(s plan.JoinStrategy, opts Options) error {
-	rows, ends := s.Probe.Table.ProbeKeys(opts.Snap, s.Index, it.buildRows, s.BuildKeys)
+	rows, ends := s.Probe.Table.ProbeKeys(opts.Snap, s.Index, it.buildRows, s.BuildKeys, s.NullSafe)
 	it.fetched, it.fetchEnds = rows, ends
 	scan := s.Probe
 	if scan.Filter == nil && scan.Projection == nil {
@@ -538,8 +540,10 @@ func (it *batchJoin) buildHashTable(opts Options) {
 				it.keyScratch[k] = r[c]
 			}
 			it.keyBuf = sqltypes.EncodeKey(it.keyBuf[:0], it.keyScratch...)
-			// SQL equality: NULL keys never match; they stay in the table
-			// only via buildMatched for outer-tail emission.
+			// A NULL key is stored like any other value. Under `=` no
+			// probe looks it up (matchBuild), so it only reaches the
+			// outer tail through buildMatched; under IS NOT DISTINCT FROM
+			// a NULL probe finds it.
 			if bi, inserted := p.table.getOrInsert(it.keyBuf); inserted {
 				p.buckets = append(p.buckets, joinBucket{first: i})
 			} else {
@@ -658,7 +662,7 @@ func (it *batchJoin) matchBuild(p sqltypes.Row) []int {
 	if it.algo == plan.NestedLoopJoin {
 		return it.allBuild
 	}
-	if hasNullKey(p, it.probeKeys) {
+	if hasNullKey(p, it.probeKeys, it.nullSafe) {
 		return nil
 	}
 	for k, c := range it.probeKeys {
@@ -680,9 +684,11 @@ func (it *batchJoin) matchBuild(p sqltypes.Row) []int {
 	return it.cand
 }
 
-func hasNullKey(r sqltypes.Row, cols []int) bool {
-	for _, c := range cols {
-		if r[c].IsNull() {
+// hasNullKey reports whether r holds a NULL in a key column compared with
+// `=`, which matches no build row.
+func hasNullKey(r sqltypes.Row, cols []int, nullSafe []bool) bool {
+	for k, c := range cols {
+		if r[c].IsNull() && !nullSafe[k] {
 			return true
 		}
 	}

@@ -165,7 +165,7 @@ func TestIndexJoinAppliesScanFilterAndProjection(t *testing.T) {
 		probe := plan.NewScan(tk, "")
 		probe.Projection = []int{2, 0} // (s, k): the key moves to position 1
 		probe.Filter = &expr.Binary{Op: "<>", Left: &expr.Column{Idx: 1, Name: "v"}, Right: &expr.Literal{Val: sqltypes.NewInt(14)}}
-		j := &plan.Join{Kind: sqlparser.JoinLeft, Left: plan.NewScan(d, ""), Right: probe, EquiLeft: []int{0}, EquiRight: []int{1}}
+		j := &plan.Join{Kind: sqlparser.JoinLeft, Left: plan.NewScan(d, ""), Right: probe, EquiLeft: []int{0}, EquiRight: []int{1}, EquiNullSafe: []bool{false}}
 		want := plan.HashJoin
 		if pad == 100 {
 			want = plan.IndexJoin
@@ -204,7 +204,7 @@ func TestExplainNamesTheExecutedJoin(t *testing.T) {
 			Rows:    [][]expr.Expr{{&expr.Literal{Val: sqltypes.NewInt(1)}}, {&expr.Literal{Val: sqltypes.NewInt(3)}}},
 			Columns: []plan.ColumnInfo{{Table: "v", Name: "k", Type: sqltypes.TypeInt}},
 		}
-		return &plan.Join{Kind: sqlparser.JoinInner, Left: v, Right: right, EquiLeft: []int{0}, EquiRight: []int{0}}
+		return &plan.Join{Kind: sqlparser.JoinInner, Left: v, Right: right, EquiLeft: []int{0}, EquiRight: []int{0}, EquiNullSafe: []bool{false}}
 	}
 	tk, _ := c.Table("t")
 	cases := []struct {
@@ -266,5 +266,83 @@ func TestExplainNamesTheExecutedJoin(t *testing.T) {
 	defer it.Close()
 	if bj := it.(*batchJoin); bj.algo != plan.IndexJoin || bj.buildLeft {
 		t.Fatalf("executor ran algo %d build-left %v over a 5-row build side", bj.algo, bj.buildLeft)
+	}
+}
+
+// TestNullSafeJoinMatchesNestedLoop: a key compared with IS NOT DISTINCT
+// FROM matches a NULL to a NULL on every join path — the hash join building
+// either side, and the index join through a primary key, a composite one
+// and a secondary index, each probed with a NULL — and an `=` key beside it
+// still matches no NULL. Each run equals, as a multiset, the same condition
+// hidden from key extraction behind COALESCE, which the nested loop
+// evaluates row by row.
+func TestNullSafeJoinMatchesNestedLoop(t *testing.T) {
+	cases := []struct {
+		name             string
+		from             string // %s is where the d-side key reference goes
+		buildLeft        bool   // the side the small tables build
+		padded           plan.JoinAlgo
+		paddedBuildsLeft bool
+	}{
+		{"inner, build left", "d JOIN t ON %s IS NOT DISTINCT FROM t.k", true, plan.IndexJoin, true},
+		{"inner, build right", "t JOIN d ON t.k IS NOT DISTINCT FROM %s", false, plan.IndexJoin, false},
+		{"left", "d LEFT JOIN t ON %s IS NOT DISTINCT FROM t.k", true, plan.IndexJoin, true},
+		{"full outer", "d FULL OUTER JOIN t ON %s IS NOT DISTINCT FROM t.k", true, plan.HashJoin, true},
+		{"composite key beside =", "d JOIN t2 ON d.a = t2.b AND %s IS NOT DISTINCT FROM t2.a", true, plan.IndexJoin, true},
+		{"secondary index", "d JOIN t3 ON %s IS NOT DISTINCT FROM t3.k", true, plan.IndexJoin, true},
+	}
+	for _, size := range []struct {
+		label string
+		pad   int
+	}{{"small probe table", 6}, {"padded probe table", 100}} {
+		c := indexJoinCatalog(t, size.pad)
+		for name, row := range map[string]sqltypes.Row{
+			"t2": {sqltypes.Null, sqltypes.NewInt(40), sqltypes.NewInt(9)},
+			"t3": {sqltypes.NewInt(200), sqltypes.Null, sqltypes.NewInt(7)},
+		} {
+			tbl, err := c.Table(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			load(t, c, tbl, row)
+		}
+		for _, tc := range cases {
+			t.Run(size.label+"/"+tc.name, func(t *testing.T) {
+				sql := "SELECT * FROM " + fmt.Sprintf(tc.from, "d.k")
+				ref := "SELECT * FROM " + fmt.Sprintf(tc.from, "COALESCE(d.k, d.k)")
+				algo, buildLeft := plan.HashJoin, tc.buildLeft
+				if size.pad == 100 {
+					algo, buildLeft = tc.padded, tc.paddedBuildsLeft
+				}
+				n := bindSQL(t, c, sql)
+				var j *plan.Join
+				plan.Walk(n, func(x plan.Node) bool {
+					if jn, ok := x.(*plan.Join); ok && j == nil {
+						j = jn
+					}
+					return j == nil
+				})
+				it, err := newBatchJoin(j, Options{BatchSize: DefaultBatchSize, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bj := it.(*batchJoin)
+				if bj.algo != algo || bj.buildLeft != buildLeft {
+					t.Errorf("join runs as %d building left=%v, want %d building left=%v", bj.algo, bj.buildLeft, algo, buildLeft)
+				}
+				it.Close()
+				got, err := RunOpts(n, Options{BatchSize: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := runSQL(t, c, ref)
+				if g, w := multiset(got), multiset(want); g != w {
+					t.Fatalf("%s\ngot:\n%s\nreference:\n%s", sql, g, w)
+				}
+				if !strings.Contains(multiset(want), "NULL") {
+					t.Fatal("the reference matched no NULL key")
+				}
+			})
+		}
 	}
 }

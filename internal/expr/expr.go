@@ -63,7 +63,8 @@ func (l *Literal) Type() sqltypes.Type { return l.Val.T }
 // String implements Expr.
 func (l *Literal) String() string { return l.Val.SQLLiteral() }
 
-// Binary applies a binary operator. Op: + - * / % = <> < <= > >= AND OR LIKE ||.
+// Binary applies a binary operator. Op: + - * / % = <> < <= > >= AND OR LIKE ||
+// IS DISTINCT FROM, IS NOT DISTINCT FROM.
 type Binary struct {
 	Op          string
 	Left, Right Expr
@@ -154,6 +155,9 @@ func (b *Binary) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 			return sqltypes.Null, nil
 		}
 		return sqltypes.NewBool(likeMatch(l.String(), r.String())), nil
+	case "IS NOT DISTINCT FROM", "IS DISTINCT FROM":
+		// `=` that is never unknown: NULL equals NULL and no other value.
+		return sqltypes.NewBool(sqltypes.Equal(l, r) == (b.Op == "IS NOT DISTINCT FROM")), nil
 	}
 	return sqltypes.Null, fmt.Errorf("expr: unknown operator %q", b.Op)
 }
@@ -161,7 +165,7 @@ func (b *Binary) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 // Type implements Expr.
 func (b *Binary) Type() sqltypes.Type {
 	switch b.Op {
-	case "AND", "OR", "=", "<>", "<", "<=", ">", ">=", "LIKE":
+	case "AND", "OR", "=", "<>", "<", "<=", ">", ">=", "LIKE", "IS DISTINCT FROM", "IS NOT DISTINCT FROM":
 		return sqltypes.TypeBool
 	case "||":
 		return sqltypes.TypeString

@@ -355,3 +355,34 @@ func TestAggResultTypes(t *testing.T) {
 		t.Error("SUM(float) type")
 	}
 }
+
+// TestIsDistinctFrom is the truth table of the NULL-safe comparison: never
+// unknown, NULL equal to NULL and to nothing else, numbers compared by
+// value; IS DISTINCT FROM is its negation.
+func TestIsDistinctFrom(t *testing.T) {
+	cases := []struct {
+		l, r Expr
+		same bool
+	}{
+		{nullv(), nullv(), true},
+		{nullv(), intv(1), false},
+		{strv("a"), nullv(), false},
+		{intv(1), intv(1), true},
+		{intv(1), lit(sqltypes.NewFloat(1)), true},
+		{intv(1), intv(2), false},
+		{strv("a"), strv("a"), true},
+		{strv("a"), strv("b"), false},
+	}
+	for _, c := range cases {
+		for op, want := range map[string]bool{"IS NOT DISTINCT FROM": c.same, "IS DISTINCT FROM": !c.same} {
+			b := &Binary{Op: op, Left: c.l, Right: c.r}
+			v := eval(t, b, nil)
+			if v.T != sqltypes.TypeBool || v.B != want {
+				t.Errorf("%s = %v, want %v", b, v, want)
+			}
+			if b.Type() != sqltypes.TypeBool {
+				t.Errorf("%s has type %v", b, b.Type())
+			}
+		}
+	}
+}

@@ -35,7 +35,7 @@ func (c *Compiler) Compile(viewName string, sel *sqlparser.SelectStmt, sourceSQL
 		Options:   c.Opts,
 		Select:    sel,
 		SourceSQL: sourceSQL,
-		DeltaView: c.Opts.DeltaPrefix + viewName,
+		DeltaView: deltaPrefix + viewName,
 	}
 
 	// Base tables.
@@ -61,9 +61,7 @@ func (c *Compiler) Compile(viewName string, sel *sqlparser.SelectStmt, sourceSQL
 	// Generate scripts.
 	c.genSetup(comp)
 	c.genPopulate(comp)
-	if err := c.genPropagate(comp); err != nil {
-		return nil, fmt.Errorf("ivm: view %q: %w", viewName, err)
-	}
+	c.genPropagate(comp)
 	return comp, nil
 }
 
@@ -100,7 +98,7 @@ func (c *Compiler) resolveBases(comp *Compilation, from sqlparser.TableRef) erro
 		if alias == "" {
 			alias = nt.Name
 		}
-		bt := BaseTable{Name: tbl.Name, Alias: alias, Delta: c.Opts.DeltaPrefix + tbl.Name}
+		bt := BaseTable{Name: tbl.Name, Alias: alias, Delta: deltaPrefix + tbl.Name}
 		for _, col := range tbl.Columns {
 			bt.Columns = append(bt.Columns, duckast.ColumnDef{Name: col.Name, Type: col.Type.String()})
 		}
@@ -155,7 +153,7 @@ func (c *Compiler) classify(comp *Compilation, sel *sqlparser.SelectStmt, outSch
 	switch {
 	case hasAgg && isJoin:
 		comp.Class = ClassJoinAggregate
-		comp.JoinDelta = c.Opts.DeltaPrefix + "join_" + comp.ViewName
+		comp.JoinDelta = deltaPrefix + "join_" + comp.ViewName
 	case hasAgg:
 		comp.Class = ClassAggregate
 	case isJoin:
@@ -363,13 +361,6 @@ func viewKey(comp *Compilation, sel *sqlparser.SelectStmt) []string {
 	return keyOf(0, 1)
 }
 
-// needsIndex reports whether the compiled view requires the group-key
-// index (DuckDB needs an index to apply upserts — paper §2).
-func (c *Compilation) needsIndex() bool {
-	return (c.Class == ClassAggregate || c.Class == ClassJoinAggregate) &&
-		c.Options.Strategy == StrategyUpsertLeftJoin
-}
-
 // usesHiddenCount reports whether the hidden COUNT(*) column is maintained.
 func (c *Compilation) usesHiddenCount() bool {
 	return (c.Class == ClassAggregate || c.Class == ClassJoinAggregate) &&
@@ -407,17 +398,13 @@ func (c *Compiler) genSetup(comp *Compilation) {
 	if comp.usesHiddenCount() {
 		viewCols = append(viewCols, duckast.ColumnDef{Name: HiddenCountColumn, Type: "INTEGER"})
 	}
-	vt := &duckast.CreateTable{Name: comp.Storage, IfNotExists: true, Columns: viewCols}
-	if comp.needsIndex() && comp.Options.CreateIndex {
+	vt := &duckast.CreateTable{Name: comp.Storage, IfNotExists: true, Columns: viewCols, PrimaryKey: comp.Key}
+	if comp.Class == ClassAggregate || comp.Class == ClassJoinAggregate {
 		// The index on the group columns is the table's primary key: the
 		// engine's INSERT OR REPLACE resolves conflicts through the
-		// primary-key index, as DuckDB's does through its ART.
-		for _, g := range comp.GroupColumns() {
-			vt.PrimaryKey = append(vt.PrimaryKey, g.Name)
-		}
-	}
-	if comp.Key != nil && comp.Options.CreateIndex {
-		vt.PrimaryKey = comp.Key
+		// primary-key index, as DuckDB's does through its ART (paper §2:
+		// upserts need an index). A table-level key admits the NULL group.
+		vt.PrimaryKey = viewColNames(comp.GroupColumns())
 	}
 	s.Add(vt)
 

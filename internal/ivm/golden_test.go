@@ -35,12 +35,13 @@ const listing1View = `CREATE MATERIALIZED VIEW query_groups AS SELECT group_inde
 // TestListing2Golden pins the compiler output for the paper's Listing 1
 // input. The shape follows Listing 2: delta fill grouped by (key,
 // multiplicity); INSERT OR REPLACE via a signed CTE LEFT-JOINed to the
-// view; deletion of zeroed rows; delta truncation. (Where Listing 2 as
-// printed selects and groups by the view-side key — NULL for new groups —
-// we emit the delta-side key; see DESIGN.md. Step 3 names the keys ΔV
-// touched — the only groups whose count can have reached zero — so it
-// deletes the rows of the paper's `WHERE total_value = 0` through the key
-// index.)
+// view; deletion of zeroed rows; delta truncation. Three places differ
+// from Listing 2 as printed: it selects and groups by the view-side key,
+// which is NULL for a new group, where we emit the delta-side key; its
+// join compares keys with `=`, which never matches a NULL group key, where
+// we use IS NOT DISTINCT FROM; and step 3 names the keys ΔV touched — the
+// only groups whose count can have reached zero — so it deletes the rows
+// of the paper's `WHERE total_value = 0` through the key index.
 func TestListing2Golden(t *testing.T) {
 	db := newDB(t)
 	comp := compile(t, db, DefaultOptions(), listing1View)
@@ -56,7 +57,7 @@ CREATE TABLE IF NOT EXISTS delta_query_groups (group_index VARCHAR, total_value 
 
 	wantProp := strings.TrimSpace(`
 INSERT INTO delta_query_groups SELECT group_index AS group_index, SUM(group_value) AS total_value, _duckdb_ivm_multiplicity FROM delta_groups GROUP BY group_index, _duckdb_ivm_multiplicity;
-INSERT OR REPLACE INTO query_groups (group_index, total_value) WITH ivm_cte AS (SELECT group_index, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -total_value ELSE total_value END) AS total_value FROM delta_query_groups GROUP BY group_index) SELECT ivm_delta.group_index, COALESCE(query_groups.total_value, 0) + COALESCE(ivm_delta.total_value, 0) AS total_value FROM ivm_cte AS ivm_delta LEFT JOIN query_groups ON query_groups.group_index = ivm_delta.group_index;
+INSERT OR REPLACE INTO query_groups (group_index, total_value) WITH ivm_cte AS (SELECT group_index, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -total_value ELSE total_value END) AS total_value FROM delta_query_groups GROUP BY group_index) SELECT ivm_delta.group_index, COALESCE(query_groups.total_value, 0) + COALESCE(ivm_delta.total_value, 0) AS total_value FROM ivm_cte AS ivm_delta LEFT JOIN query_groups ON query_groups.group_index IS NOT DISTINCT FROM ivm_delta.group_index;
 DELETE FROM query_groups WHERE (group_index IN (SELECT group_index FROM delta_query_groups) OR group_index IS NULL) AND total_value = 0;
 DELETE FROM delta_query_groups;
 DELETE FROM delta_groups;
@@ -133,23 +134,6 @@ func TestClassStrings(t *testing.T) {
 	}
 }
 
-func TestStrategyFlags(t *testing.T) {
-	for in, want := range map[string]Strategy{
-		"":                 StrategyUpsertLeftJoin,
-		"upsert_left_join": StrategyUpsertLeftJoin,
-		"union_regroup":    StrategyUnionRegroup,
-		"foj":              StrategyFullOuterJoin,
-	} {
-		got, err := ParseStrategy(in)
-		if err != nil || got != want {
-			t.Errorf("ParseStrategy(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Error("bogus strategy should fail")
-	}
-}
-
 func TestEmptyDetectionFlags(t *testing.T) {
 	if d, _ := ParseEmptyDetection("hidden_count"); d != EmptyHiddenCount {
 		t.Error("hidden_count")
@@ -159,39 +143,6 @@ func TestEmptyDetectionFlags(t *testing.T) {
 	}
 	if _, err := ParseEmptyDetection("zzz"); err == nil {
 		t.Error("bad value should fail")
-	}
-}
-
-func TestNoIndexOption(t *testing.T) {
-	db := newDB(t)
-	opts := DefaultOptions()
-	opts.CreateIndex = false
-	comp := compile(t, db, opts, listing1View)
-	if strings.Contains(comp.SetupSQL(), "PRIMARY KEY") {
-		t.Errorf("index disabled but PK emitted:\n%s", comp.SetupSQL())
-	}
-}
-
-func TestUnionRegroupNoIndexNeeded(t *testing.T) {
-	db := newDB(t)
-	opts := DefaultOptions()
-	opts.Strategy = StrategyUnionRegroup
-	comp := compile(t, db, opts, listing1View)
-	if strings.Contains(comp.SetupSQL(), "PRIMARY KEY") {
-		t.Errorf("union_regroup needs no index:\n%s", comp.SetupSQL())
-	}
-	if !strings.Contains(comp.PropagateSQL(), "UNION ALL") {
-		t.Errorf("union_regroup should emit UNION ALL:\n%s", comp.PropagateSQL())
-	}
-}
-
-func TestFullOuterJoinStrategySQL(t *testing.T) {
-	db := newDB(t)
-	opts := DefaultOptions()
-	opts.Strategy = StrategyFullOuterJoin
-	comp := compile(t, db, opts, listing1View)
-	if !strings.Contains(comp.PropagateSQL(), "FULL OUTER JOIN") {
-		t.Errorf("missing FULL OUTER JOIN:\n%s", comp.PropagateSQL())
 	}
 }
 
@@ -208,8 +159,8 @@ func TestHiddenCountSetup(t *testing.T) {
 	}
 }
 
-// TestStep3Golden pins step 3 for every shape of group key, under every
-// combine strategy and in both dialects: one keyed form per view class.
+// TestStep3Golden pins step 3 for every shape of group key, in both
+// dialects: one keyed form per view class.
 func TestStep3Golden(t *testing.T) {
 	db := engine.Open("s3", engine.DialectDuckDB)
 	for _, ddl := range []string{
@@ -233,14 +184,12 @@ func TestStep3Golden(t *testing.T) {
 			"DELETE FROM ja2 WHERE ((x, y) IN (SELECT x, y FROM delta_ja2) OR x IS NULL OR y IS NULL) AND n = 0;"},
 	}
 	for _, dialect := range []duckast.Dialect{duckast.DialectDuckDB, duckast.DialectPostgres} {
-		for _, strat := range []Strategy{StrategyUpsertLeftJoin, StrategyUnionRegroup, StrategyFullOuterJoin} {
-			for _, c := range cases {
-				opts := DefaultOptions()
-				opts.Dialect, opts.Strategy = dialect, strat
-				prop := compile(t, db, opts, c.view).PropagateSQL()
-				if !strings.Contains(prop, "\n"+c.want+"\n") {
-					t.Errorf("[%v %v] step 3 is not %q:\n%s", dialect, strat, c.want, prop)
-				}
+		for _, c := range cases {
+			opts := DefaultOptions()
+			opts.Dialect = dialect
+			prop := compile(t, db, opts, c.view).PropagateSQL()
+			if !strings.Contains(prop, "\n"+c.want+"\n") {
+				t.Errorf("[%v] step 3 is not %q:\n%s", dialect, c.want, prop)
 			}
 		}
 	}
@@ -263,31 +212,63 @@ func TestRowKeySQL(t *testing.T) {
 	}
 }
 
+// TestMinMaxRepairSQL: after the combine, the groups a deletion touched
+// leave V — found by rowIn, which matches a NULL-keyed group too — and are
+// recomputed from the base joined to their keys with IS NOT DISTINCT FROM;
+// a group whose last row went is not recomputed and stays out.
 func TestMinMaxRepairSQL(t *testing.T) {
 	db := newDB(t)
 	comp := compile(t, db, DefaultOptions(), `CREATE MATERIALIZED VIEW mm AS
 		SELECT group_index, MIN(group_value) AS lo FROM groups GROUP BY group_index`)
 	prop := comp.PropagateSQL()
+	const deleted = "FROM delta_mm WHERE _duckdb_ivm_multiplicity = FALSE"
+	key := "COALESCE(LENGTH(CAST(group_index AS VARCHAR)) || ':' || group_index, 'N')"
 	for _, want := range []string{
 		"MIN(CASE WHEN _duckdb_ivm_multiplicity = TRUE THEN lo END)",
 		"LEAST(COALESCE(",
-		"SELECT DISTINCT group_index FROM delta_mm WHERE _duckdb_ivm_multiplicity = FALSE",
-		"NOT IN (SELECT group_index FROM groups)",
+		"\nDELETE FROM mm WHERE group_index IN (SELECT group_index " + deleted + ") OR ((group_index IS NULL) AND " +
+			key + " IN (SELECT " + key + " " + deleted + "));\n",
+		"\nINSERT INTO mm (group_index, lo) SELECT group_index AS group_index, MIN(group_value) AS lo FROM groups JOIN (SELECT group_index AS ivm_g0 " +
+			deleted + ") AS ivm_deleted ON group_index IS NOT DISTINCT FROM ivm_deleted.ivm_g0 GROUP BY group_index;\n",
 	} {
 		if !strings.Contains(prop, want) {
 			t.Errorf("min/max repair missing %q:\n%s", want, prop)
 		}
 	}
-	// A composite group key compares as a row value, not a concatenation.
+	// A composite group key joins on every key column; a join view's
+	// recompute joins its keys to the view's own join.
 	db.Exec("CREATE TABLE a (x VARCHAR, y INTEGER, v INTEGER)")
+	db.Exec("CREATE TABLE b (x VARCHAR, w INTEGER)")
 	prop = compile(t, db, DefaultOptions(), `CREATE MATERIALIZED VIEW mm2 AS
 		SELECT x, y, MAX(v) AS hi FROM a GROUP BY x, y`).PropagateSQL()
-	for _, want := range []string{
-		"FROM a WHERE (x, y) IN (SELECT DISTINCT x, y FROM delta_mm2 WHERE _duckdb_ivm_multiplicity = FALSE) GROUP BY x, y;",
-		"DELETE FROM mm2 WHERE (x, y) IN (SELECT DISTINCT x, y FROM delta_mm2 WHERE _duckdb_ivm_multiplicity = FALSE) AND (x, y) NOT IN (SELECT x, y FROM a);",
+	if want := "FROM a JOIN (SELECT x AS ivm_g0, y AS ivm_g1 FROM delta_mm2 WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_deleted " +
+		"ON x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 AND y IS NOT DISTINCT FROM ivm_deleted.ivm_g1 GROUP BY x, y;"; !strings.Contains(prop, want) {
+		t.Errorf("composite min/max repair missing %q:\n%s", want, prop)
+	}
+	prop = compile(t, db, DefaultOptions(), `CREATE MATERIALIZED VIEW mm3 AS
+		SELECT b.x, MIN(a.v) AS lo, COUNT(*) AS n FROM a JOIN b ON a.x = b.x WHERE a.v > 0 GROUP BY b.x`).PropagateSQL()
+	if want := "FROM a JOIN b ON (a.x = b.x) JOIN (SELECT x AS ivm_g0 FROM delta_mm3 WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_deleted " +
+		"ON b.x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 WHERE (a.v > 0) GROUP BY b.x;"; !strings.Contains(prop, want) {
+		t.Errorf("join min/max repair missing %q:\n%s", want, prop)
+	}
+}
+
+// TestEmptyGroupPrefersCountStar: under sum_zero a COUNT(*) column marks an
+// emptied group ahead of a COUNT(col), which reaches zero in a group whose
+// rows are all NULL there; a COUNT(col) still marks one ahead of a SUM.
+func TestEmptyGroupPrefersCountStar(t *testing.T) {
+	db := engine.Open("count", engine.DialectDuckDB)
+	if _, err := db.Exec("CREATE TABLE t (k VARCHAR, v INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	for view, want := range map[string]string{
+		"SELECT k, COUNT(v) AS c, COUNT(*) AS n FROM t GROUP BY k": "n",
+		"SELECT k, SUM(v) AS s, COUNT(v) AS c FROM t GROUP BY k":   "c",
+		"SELECT k, SUM(v) AS s FROM t GROUP BY k":                  "s",
 	} {
-		if !strings.Contains(prop, want) {
-			t.Errorf("composite min/max repair missing %q:\n%s", want, prop)
+		prop := compile(t, db, DefaultOptions(), "CREATE MATERIALIZED VIEW cv AS "+view).PropagateSQL()
+		if !strings.Contains(prop, ") AND "+want+" = 0;\n") {
+			t.Errorf("%s: step 3 does not test %s:\n%s", view, want, prop)
 		}
 	}
 }
@@ -378,43 +359,31 @@ func TestCompiledScriptsReparse(t *testing.T) {
 		"CREATE MATERIALIZED VIEW m5 AS SELECT a.x, SUM(b.w) AS s FROM a JOIN b ON a.x = b.x GROUP BY a.x",
 		"CREATE MATERIALIZED VIEW m6 AS SELECT x, v, COUNT(*) AS n, MIN(v) AS lo FROM a GROUP BY x, v",
 	}
-	for _, strat := range []Strategy{StrategyUpsertLeftJoin, StrategyUnionRegroup, StrategyFullOuterJoin} {
-		for _, v := range views {
-			opts := DefaultOptions()
-			opts.Strategy = strat
-			comp, err := NewCompiler(db, opts).CompileSQL(v)
-			if err != nil {
-				t.Fatalf("[%v] %q: %v", strat, v, err)
-			}
-			for name, script := range map[string]string{
-				"setup":     comp.SetupSQL(),
-				"populate":  comp.PopulateSQLText(),
-				"propagate": comp.PropagateSQL(),
-			} {
-				for _, stmt := range engine.SplitStatements(script) {
-					if _, err := db.Parse(stmt); err != nil {
-						t.Errorf("[%v] %s of %q does not re-parse: %v\nSQL: %s",
-							strat, name, v, err, stmt)
-					}
+	for _, v := range views {
+		comp, err := NewCompiler(db, DefaultOptions()).CompileSQL(v)
+		if err != nil {
+			t.Fatalf("%q: %v", v, err)
+		}
+		for name, script := range map[string]string{
+			"setup":     comp.SetupSQL(),
+			"populate":  comp.PopulateSQLText(),
+			"propagate": comp.PropagateSQL(),
+		} {
+			for _, stmt := range engine.SplitStatements(script) {
+				if _, err := db.Parse(stmt); err != nil {
+					t.Errorf("%s of %q does not re-parse: %v\nSQL: %s", name, v, err, stmt)
 				}
 			}
 		}
 	}
 }
 
-// TestBodiesCompiledOnce: an aggregate view carries one body per valid
-// combine strategy — three compilations in all — and the configured
-// strategy's entry is Body, whose statements are Propagate's own leading
-// nodes rather than a second compilation of them.
+// TestBodiesCompiledOnce: Body's statements are Propagate's own leading
+// nodes rather than a second compilation of them, and what follows them is
+// step 4.
 func TestBodiesCompiledOnce(t *testing.T) {
 	db := newDB(t)
 	comp := compile(t, db, DefaultOptions(), listing1View)
-	if len(comp.AltBodies) != 3 {
-		t.Fatalf("alternative bodies = %d, want one per strategy", len(comp.AltBodies))
-	}
-	if comp.AltBodies[StrategyUpsertLeftJoin] != comp.Body {
-		t.Error("the configured strategy's alternative is not Body")
-	}
 	for i, st := range comp.Body.Stmts {
 		if comp.Propagate.Stmts[i] != st {
 			t.Errorf("Body statement %d is not Propagate's node", i)
@@ -423,17 +392,6 @@ func TestBodiesCompiledOnce(t *testing.T) {
 	// Step 4 of the listing-1 view: DELETE FROM ΔV, DELETE FROM ΔT.
 	if got, want := len(comp.Body.Stmts), len(comp.Propagate.Stmts)-2; got != want {
 		t.Errorf("Body has %d statements, want Propagate's first %d", got, want)
-	}
-	// Without the index, upsert is not a valid alternative.
-	opts := DefaultOptions()
-	opts.Strategy = StrategyUnionRegroup
-	comp = compile(t, db, opts, listing1View)
-	if _, ok := comp.AltBodies[StrategyUpsertLeftJoin]; ok || len(comp.AltBodies) != 2 {
-		t.Errorf("alternatives under union_regroup = %d (upsert offered: %v), want the two rebuild plans", len(comp.AltBodies), ok)
-	}
-	// Non-aggregate classes have no strategy choice.
-	if comp = compile(t, db, DefaultOptions(), "CREATE MATERIALIZED VIEW p AS SELECT group_index FROM groups"); comp.AltBodies != nil {
-		t.Error("projection view offers alternative combine bodies")
 	}
 }
 

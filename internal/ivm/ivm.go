@@ -2,7 +2,7 @@
 // SQL-to-SQL compiler. Given a database schema and a materialized-view
 // definition, it emits
 //
-//  1. DDL creating the delta tables ΔT (base columns plus a boolean
+//  1. DDL declaring the delta tables ΔT (base columns plus a boolean
 //     multiplicity column), the table materializing the view V, the
 //     delta-view table ΔV, any intermediate tables (for join views) and
 //     the index structures aggregate maintenance needs;
@@ -10,6 +10,10 @@
 //     incremental form of the view query, in four post-processing steps:
 //     (1) insert Q*(ΔT) into ΔV, (2) fold ΔV into V, (3) delete
 //     invalidated rows from V, (4) truncate ΔV and ΔT.
+//
+// The script is the paper's, for any runtime that fills ΔT itself; the
+// embedded runtime (internal/ivmext) runs steps 1–3 of it and does step 4
+// its own way, reading ΔT as a window of the base table's change log.
 //
 // All SQL is built as a DuckAST operator tree and rendered in the dialect
 // selected by a compiler flag, so the same compilation drives both the
@@ -39,9 +43,8 @@ const MultiplicityColumn = "_duckdb_ivm_multiplicity"
 // DeltaRows builds what one base-table DML event appends to the table's
 // delta table: the affected rows with the multiplicity column appended.
 // Insertions carry TRUE, deletions FALSE, and an update is its old rows
-// (FALSE) followed by its new rows (TRUE), each in statement order. Both
-// capture sides — the extension's and the OLTP store's trigger — append
-// the result with a single InsertBatch.
+// (FALSE) followed by its new rows (TRUE), each in statement order. The
+// OLTP store's capture trigger appends the result in one batch.
 func DeltaRows(ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) []sqltypes.Row {
 	if ev == engine.TrigInsert {
 		oldRows = nil
@@ -64,49 +67,6 @@ func DeltaRows(ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) []sqltyp
 // HiddenCountColumn is the hidden per-group cardinality column maintained
 // under EmptyHiddenCount empty-group detection.
 const HiddenCountColumn = "_duckdb_ivm_count"
-
-// Strategy selects how ΔV is folded into V (paper §2: "replacing the
-// materialized table with a UNION and regrouping, or through a
-// full-outer-join, or maintaining it with a left-join with an UPSERT").
-type Strategy int
-
-// Combine strategies.
-const (
-	// StrategyUpsertLeftJoin is the paper's Listing 2 plan: LEFT JOIN the
-	// (pre-aggregated) ΔV against V and INSERT OR REPLACE the combined
-	// rows. Requires an index (primary key) on the group columns.
-	StrategyUpsertLeftJoin Strategy = iota
-	// StrategyUnionRegroup recomputes the view as V ∪ ΔV regrouped —
-	// no index required, cost proportional to |V|.
-	StrategyUnionRegroup
-	// StrategyFullOuterJoin folds via V FULL OUTER JOIN ΔV, rebuilding the
-	// table from the join result.
-	StrategyFullOuterJoin
-)
-
-// ParseStrategy maps a flag string to a Strategy.
-func ParseStrategy(s string) (Strategy, error) {
-	switch strings.ToLower(s) {
-	case "", "upsert", "upsert_left_join", "left_join":
-		return StrategyUpsertLeftJoin, nil
-	case "union", "union_regroup", "regroup":
-		return StrategyUnionRegroup, nil
-	case "full_outer_join", "outer_join", "foj":
-		return StrategyFullOuterJoin, nil
-	}
-	return StrategyUpsertLeftJoin, fmt.Errorf("ivm: unknown strategy %q", s)
-}
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyUnionRegroup:
-		return "union_regroup"
-	case StrategyFullOuterJoin:
-		return "full_outer_join"
-	}
-	return "upsert_left_join"
-}
 
 // EmptyDetection selects how step 3 recognizes groups that became empty.
 type EmptyDetection int
@@ -135,33 +95,24 @@ func ParseEmptyDetection(s string) (EmptyDetection, error) {
 }
 
 // Options are the compiler switches (paper Figure 1: "users can specify
-// the expected optimization strategies through flags").
+// the expected optimization strategies through flags"). ΔV is folded into
+// V by one plan, Listing 2's upsert of ivm_cte LEFT JOIN V (paper §2 names
+// regrouping V ∪ ΔV and a full outer join as the other points of the
+// design space): it costs what ΔV costs, through V's key index.
 type Options struct {
 	// Dialect selects the SQL dialect of the emitted scripts.
 	Dialect duckast.Dialect
-	// Strategy selects the ΔV→V combine plan for aggregate views.
-	Strategy Strategy
 	// Empty selects empty-group detection for step 3.
 	Empty EmptyDetection
-	// CreateIndex controls whether the setup script creates the group-key
-	// index (the view table's primary key on its group columns) that upsert
-	// maintenance needs.
-	// Disabled automatically for strategies that do not upsert.
-	CreateIndex bool
-	// DeltaPrefix prefixes generated delta-table names (default "delta_").
-	DeltaPrefix string
 }
 
 // DefaultOptions returns the paper-faithful defaults.
 func DefaultOptions() Options {
-	return Options{
-		Dialect:     duckast.DialectDuckDB,
-		Strategy:    StrategyUpsertLeftJoin,
-		Empty:       EmptySumZero,
-		CreateIndex: true,
-		DeltaPrefix: "delta_",
-	}
+	return Options{Dialect: duckast.DialectDuckDB, Empty: EmptySumZero}
 }
+
+// deltaPrefix prefixes generated delta-table names.
+const deltaPrefix = "delta_"
 
 // QueryClass classifies a view definition into the compiler's supported
 // incremental forms.
@@ -218,8 +169,8 @@ type ViewColumn struct {
 type BaseTable struct {
 	Name  string
 	Alias string // binding alias inside the view query
-	// Delta is the generated delta table ΔT: capture appends to it, the
-	// propagation script reads it and step 4 truncates it.
+	// Delta is the delta table ΔT the propagation script reads: what the
+	// base's writes changed since the last refresh.
 	Delta   string
 	Columns []duckast.ColumnDef
 	// Key names the base's primary-key columns when every one of them is
@@ -262,11 +213,6 @@ type Compilation struct {
 	// (truncating ΔV and ΔT through the catalog cannot fail halfway, so a
 	// script error never leaves scratch rows a retry would read twice).
 	Body *duckast.Script
-	// AltBodies holds steps 1–3 under each valid combine strategy
-	// (aggregate classes only), enabling the runtime's cost-based choice —
-	// the paper's envisioned cost-based optimization over the IVM plan
-	// space. The entry for Options.Strategy is Body itself.
-	AltBodies map[Strategy]*duckast.Script
 	// PopulateSQL fills V from the current base-table contents (initial
 	// materialization).
 	Populate *duckast.Script
@@ -388,9 +334,6 @@ type Compiler struct {
 
 // NewCompiler returns a compiler over db with the given options.
 func NewCompiler(db *engine.DB, opts Options) *Compiler {
-	if opts.DeltaPrefix == "" {
-		opts.DeltaPrefix = "delta_"
-	}
 	return &Compiler{DB: db, Opts: opts}
 }
 

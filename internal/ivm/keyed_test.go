@@ -117,7 +117,6 @@ func parseSelect(t *testing.T, def string) *sqlparser.SelectStmt {
 // a keyed FK→PK join view in both dialects: V declares the key, step 1 is
 // the keyless view's, and steps 2–3 are the keyed combine — delete the
 // keys whose row nets below zero, then insert the rows that net above it.
-// Without the index option the script is the same and V has no key.
 func TestKeyedGolden(t *testing.T) {
 	db := keyedDB(t)
 	const net = "SUM(CASE WHEN _duckdb_ivm_multiplicity = TRUE THEN 1 ELSE -1 END)"
@@ -146,25 +145,20 @@ DELETE FROM delta_orders;
 DELETE FROM delta_customers;`},
 	}
 	for _, dialect := range []duckast.Dialect{duckast.DialectDuckDB, duckast.DialectPostgres} {
-		for _, index := range []bool{true, false} {
-			for _, c := range cases {
-				opts := DefaultOptions()
-				opts.Dialect, opts.CreateIndex = dialect, index
-				comp := compile(t, db, opts, c.view)
-				setup := c.setup
-				if dialect == duckast.DialectPostgres {
-					setup = strings.ReplaceAll(setup, "VARCHAR", "TEXT")
-				}
-				if !index {
-					setup = strings.ReplaceAll(setup, ", PRIMARY KEY (oid)", "")
-				}
-				if got := strings.TrimSpace(comp.SetupSQL()); got != setup {
-					t.Errorf("[%v index=%v] setup of %s:\n got:\n%s\nwant:\n%s", dialect, index, comp.ViewName, got, setup)
-				}
-				prop := strings.ReplaceAll(c.prop, "NET", net)
-				if got := strings.TrimSpace(comp.PropagateSQL()); got != prop {
-					t.Errorf("[%v index=%v] propagate of %s:\n got:\n%s\nwant:\n%s", dialect, index, comp.ViewName, got, prop)
-				}
+		for _, c := range cases {
+			opts := DefaultOptions()
+			opts.Dialect = dialect
+			comp := compile(t, db, opts, c.view)
+			setup := c.setup
+			if dialect == duckast.DialectPostgres {
+				setup = strings.ReplaceAll(setup, "VARCHAR", "TEXT")
+			}
+			if got := strings.TrimSpace(comp.SetupSQL()); got != setup {
+				t.Errorf("[%v] setup of %s:\n got:\n%s\nwant:\n%s", dialect, comp.ViewName, got, setup)
+			}
+			prop := strings.ReplaceAll(c.prop, "NET", net)
+			if got := strings.TrimSpace(comp.PropagateSQL()); got != prop {
+				t.Errorf("[%v] propagate of %s:\n got:\n%s\nwant:\n%s", dialect, comp.ViewName, got, prop)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package ivm
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -12,16 +13,23 @@ import (
 // genPropagate builds the 4-step propagation script for the compiled view.
 //
 // Step 1  insert Q*(ΔT) into ΔV (the DBSP-rewritten query over the deltas);
-// Step 2  fold ΔV into V using the selected combine strategy;
+// Step 2  fold ΔV into V (aggregates: Listing 2's upsert);
 // Step 3  delete invalidated rows from V (empty groups / deleted tuples);
 // Step 4  truncate ΔV and every ΔT.
 //
 // A keyed projection or join view does steps 2–3 as one combine whose
 // delete comes first (emitKeyedCombine).
-func (c *Compiler) genPropagate(comp *Compilation) error {
-	body, err := c.buildBody(comp, comp.Options.Strategy)
-	if err != nil {
-		return err
+func (c *Compiler) genPropagate(comp *Compilation) {
+	body := &duckast.Script{}
+	switch comp.Class {
+	case ClassProjection:
+		c.propProjection(comp, body)
+	case ClassAggregate:
+		c.propAggregate(comp, body)
+	case ClassJoin:
+		c.propJoin(comp, body)
+	case ClassJoinAggregate:
+		c.propJoinAggregate(comp, body)
 	}
 	comp.Body = body
 	// Propagate is Body's statement nodes followed by step 4: truncate the
@@ -36,48 +44,6 @@ func (c *Compiler) genPropagate(comp *Compilation) error {
 		full.Add(&duckast.Delete{Table: b.Delta})
 	}
 	comp.Propagate = full
-
-	// Alternative combine plans for the runtime's cost-based choice. The
-	// upsert plan is only valid when the setup created the group-key index
-	// (primary key); the rebuild plans work either way.
-	if comp.Class == ClassAggregate || comp.Class == ClassJoinAggregate {
-		comp.AltBodies = map[Strategy]*duckast.Script{}
-		for _, strat := range []Strategy{StrategyUpsertLeftJoin, StrategyUnionRegroup, StrategyFullOuterJoin} {
-			if strat == StrategyUpsertLeftJoin && !(comp.needsIndex() && comp.Options.CreateIndex) {
-				continue
-			}
-			alt := body
-			if strat != comp.Options.Strategy {
-				if alt, err = c.buildBody(comp, strat); err != nil {
-					return err
-				}
-			}
-			comp.AltBodies[strat] = alt
-		}
-	}
-	return nil
-}
-
-// buildBody assembles steps 1–3 under the given combine strategy.
-func (c *Compiler) buildBody(comp *Compilation, strat Strategy) (*duckast.Script, error) {
-	s := &duckast.Script{}
-	var err error
-	switch comp.Class {
-	case ClassProjection:
-		err = c.propProjection(comp, s)
-	case ClassAggregate:
-		err = c.propAggregate(comp, s, strat)
-	case ClassJoin:
-		err = c.propJoin(comp, s)
-	case ClassJoinAggregate:
-		err = c.propJoinAggregate(comp, s, strat)
-	default:
-		err = fmt.Errorf("unsupported query class %v", comp.Class)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // mcol returns the multiplicity column reference, optionally qualified.
@@ -162,7 +128,7 @@ func deltaSourceSQL(b BaseTable) string {
 
 // propProjection emits the σ/π incremental form: identical query over ΔT,
 // multiplicity carried through (DBSP: σ* = σ, π* = π).
-func (c *Compiler) propProjection(comp *Compilation, s *duckast.Script) error {
+func (c *Compiler) propProjection(comp *Compilation, s *duckast.Script) {
 	b := comp.Bases[0]
 
 	// Step 1: ΔV := π(σ(ΔT)).
@@ -177,7 +143,7 @@ func (c *Compiler) propProjection(comp *Compilation, s *duckast.Script) error {
 	s.Add(&duckast.Insert{Table: comp.DeltaView, Select: sel})
 	if comp.Key != nil {
 		emitKeyedCombine(comp, s)
-		return nil
+		return
 	}
 
 	// Step 2: insert the insertions (multiplicity TRUE), dropping the
@@ -195,7 +161,6 @@ func (c *Compiler) propProjection(comp *Compilation, s *duckast.Script) error {
 		Where: &duckast.Raw{Text: rowIn(names,
 			fmt.Sprintf("%s WHERE %s = FALSE", comp.DeltaView, MultiplicityColumn))},
 	})
-	return nil
 }
 
 // --- aggregate views -------------------------------------------------------
@@ -244,7 +209,7 @@ func aggDeltaColumns(comp *Compilation) []ViewColumn {
 }
 
 // propAggregate emits the GROUP BY incremental form (paper Listing 2).
-func (c *Compiler) propAggregate(comp *Compilation, s *duckast.Script, strat Strategy) error {
+func (c *Compiler) propAggregate(comp *Compilation, s *duckast.Script) {
 	b := comp.Bases[0]
 
 	// Step 1: ΔV := γ(ΔT) grouped by (keys, multiplicity).
@@ -270,8 +235,8 @@ func (c *Compiler) propAggregate(comp *Compilation, s *duckast.Script, strat Str
 	step1.GroupBy = append(step1.GroupBy, &duckast.Raw{Text: MultiplicityColumn})
 	s.Add(&duckast.Insert{Table: comp.DeltaView, Select: step1})
 
-	// Step 2: combine ΔV into V under the selected strategy.
-	c.emitCombine(comp, s, comp.DeltaView, strat)
+	// Step 2: combine ΔV into V.
+	c.emitCombine(comp, s)
 
 	// Steps 2b/2c: MIN/MAX deletions cannot be combined incrementally —
 	// rescan-repair the affected groups from the base table.
@@ -281,168 +246,71 @@ func (c *Compiler) propAggregate(comp *Compilation, s *duckast.Script, strat Str
 
 	// Step 3: delete invalidated rows.
 	c.emitEmptyGroupDelete(comp, s)
-	return nil
 }
 
-// emitCombine emits the strategy-selected step 2, reading ΔV from dvName.
-func (c *Compiler) emitCombine(comp *Compilation, s *duckast.Script, dvName string, strat Strategy) {
-	groups := comp.GroupColumns()
-	dAlias := "ivm_delta"
+// emitCombine emits step 2, Listing 2's plan: aggregate ΔV per group with
+// its signs applied (ivm_cte), LEFT JOIN it to V on the group key and
+// INSERT OR REPLACE the combined rows — through V's key index, so the fold
+// costs what ΔV costs. The join compares keys with IS NOT DISTINCT FROM,
+// so a group whose key holds a NULL finds its row of V too.
+func (c *Compiler) emitCombine(comp *Compilation, s *duckast.Script) {
+	const dAlias = "ivm_delta"
 	vName := comp.Storage
+	groupNames := viewColNames(comp.GroupColumns())
 
-	// The shared CTE: per-group signed aggregation of ΔV (Listing 2 lines 6-10).
-	cte := &duckast.Select{From: &duckast.Raw{Text: dvName}}
-	for _, g := range groups {
-		cte.Items = append(cte.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: g.Name}})
-		cte.GroupBy = append(cte.GroupBy, &duckast.Raw{Text: g.Name})
+	// The CTE: per-group signed aggregation of ΔV (Listing 2 lines 6-10).
+	cte := &duckast.Select{From: &duckast.Raw{Text: comp.DeltaView}}
+	for _, g := range groupNames {
+		cte.Items = append(cte.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: g}})
+		cte.GroupBy = append(cte.GroupBy, &duckast.Raw{Text: g})
+	}
+	var onParts []string
+	for _, g := range groupNames {
+		onParts = append(onParts, fmt.Sprintf("%s.%s IS NOT DISTINCT FROM %s.%s", vName, g, dAlias, g))
+	}
+	sel := &duckast.Select{
+		CTEs: []duckast.CTE{{Name: "ivm_cte", Select: cte}},
+		From: &duckast.Raw{Text: fmt.Sprintf("ivm_cte AS %s LEFT JOIN %s ON %s",
+			dAlias, vName, strings.Join(onParts, " AND "))},
+	}
+	for _, g := range groupNames {
+		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Col{Table: dAlias, Name: g}})
 	}
 	for _, col := range aggDeltaColumns(comp) {
 		if col.IsGroupKey {
 			continue
 		}
 		cte.Items = append(cte.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: signedDeltaSQL(col)}, Alias: col.Name})
+		sel.Items = append(sel.Items, duckast.SelectItem{
+			Expr: &duckast.Raw{Text: combineSQL(col, vName, dAlias)}, Alias: col.Name})
 	}
-
-	allCols := viewColNames(aggDeltaColumns(comp))
-	groupNames := viewColNames(groups)
-
-	switch strat {
-	case StrategyUpsertLeftJoin:
-		// Listing 2: INSERT OR REPLACE ... ivm_cte LEFT JOIN view.
-		var onParts []string
-		for _, g := range groupNames {
-			onParts = append(onParts, fmt.Sprintf("%s.%s = %s.%s", vName, g, dAlias, g))
-		}
-		sel := &duckast.Select{
-			CTEs: []duckast.CTE{{Name: "ivm_cte", Select: cte}},
-			From: &duckast.Raw{Text: fmt.Sprintf("ivm_cte AS %s LEFT JOIN %s ON %s",
-				dAlias, vName, strings.Join(onParts, " AND "))},
-		}
-		for _, g := range groupNames {
-			sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Col{Table: dAlias, Name: g}})
-		}
-		for _, col := range aggDeltaColumns(comp) {
-			if col.IsGroupKey {
-				continue
-			}
-			sel.Items = append(sel.Items, duckast.SelectItem{
-				Expr: &duckast.Raw{Text: combineSQL(col, vName, dAlias)}, Alias: col.Name})
-		}
-		s.Add(&duckast.Insert{
-			Table: vName, Columns: allCols, Select: sel,
-			Upsert: true, KeyColumns: groupNames,
-		})
-
-	case StrategyUnionRegroup:
-		// V_new := γ(V ∪ signed ΔV); rebuild the table.
-		union := &duckast.Select{From: &duckast.Raw{Text: vName}}
-		for _, col := range aggDeltaColumns(comp) {
-			union.Items = append(union.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.Name}})
-		}
-		deltaPart := &duckast.Select{From: &duckast.Raw{Text: dvName}}
-		for _, col := range aggDeltaColumns(comp) {
-			switch {
-			case col.IsGroupKey:
-				deltaPart.Items = append(deltaPart.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.Name}})
-			case col.Agg == expr.AggMin || col.Agg == expr.AggMax:
-				deltaPart.Items = append(deltaPart.Items, duckast.SelectItem{
-					Expr: &duckast.Raw{Text: fmt.Sprintf("CASE WHEN %s = TRUE THEN %s END", MultiplicityColumn, col.Name)}})
-			default:
-				deltaPart.Items = append(deltaPart.Items, duckast.SelectItem{
-					Expr: &duckast.Raw{Text: fmt.Sprintf("CASE WHEN %s = FALSE THEN -%s ELSE %s END",
-						MultiplicityColumn, col.Name, col.Name)}})
-			}
-		}
-		union.SetOp = "UNION ALL"
-		union.Next = deltaPart
-
-		regroup := &duckast.Select{From: &duckast.SubSelect{Select: union, Alias: "ivm_union"}}
-		for _, g := range groupNames {
-			regroup.Items = append(regroup.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: g}})
-			regroup.GroupBy = append(regroup.GroupBy, &duckast.Raw{Text: g})
-		}
-		for _, col := range aggDeltaColumns(comp) {
-			if col.IsGroupKey {
-				continue
-			}
-			fn := "SUM"
-			if col.Agg == expr.AggMin {
-				fn = "MIN"
-			} else if col.Agg == expr.AggMax {
-				fn = "MAX"
-			}
-			regroup.Items = append(regroup.Items, duckast.SelectItem{
-				Expr: &duckast.Raw{Text: fmt.Sprintf("%s(%s)", fn, col.Name)}, Alias: col.Name})
-		}
-		tmp := vName + "_ivm_new"
-		s.Add(&duckast.CreateTableAs{Name: tmp, Select: regroup})
-		s.Add(&duckast.Delete{Table: vName})
-		refill := &duckast.Select{From: &duckast.Raw{Text: tmp}}
-		for _, n := range allCols {
-			refill.Items = append(refill.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: n}})
-		}
-		s.Add(&duckast.Insert{Table: vName, Columns: allCols, Select: refill})
-		s.Add(&duckast.DropTable{Name: tmp})
-
-	case StrategyFullOuterJoin:
-		// V_new := V ⟗ ivm_cte on the group keys.
-		var onParts []string
-		for _, g := range groupNames {
-			onParts = append(onParts, fmt.Sprintf("ivm_v.%s = %s.%s", g, dAlias, g))
-		}
-		sel := &duckast.Select{
-			CTEs: []duckast.CTE{{Name: "ivm_cte", Select: cte}},
-			From: &duckast.Raw{Text: fmt.Sprintf("%s AS ivm_v FULL OUTER JOIN ivm_cte AS %s ON %s",
-				vName, dAlias, strings.Join(onParts, " AND "))},
-		}
-		for _, g := range groupNames {
-			sel.Items = append(sel.Items, duckast.SelectItem{
-				Expr: &duckast.Raw{Text: fmt.Sprintf("COALESCE(ivm_v.%s, %s.%s)", g, dAlias, g)}, Alias: g})
-		}
-		for _, col := range aggDeltaColumns(comp) {
-			if col.IsGroupKey {
-				continue
-			}
-			var e string
-			switch col.Agg {
-			case expr.AggMin:
-				e = fmt.Sprintf("LEAST(COALESCE(ivm_v.%s, %s.%s), COALESCE(%s.%s, ivm_v.%s))",
-					col.Name, dAlias, col.Name, dAlias, col.Name, col.Name)
-			case expr.AggMax:
-				e = fmt.Sprintf("GREATEST(COALESCE(ivm_v.%s, %s.%s), COALESCE(%s.%s, ivm_v.%s))",
-					col.Name, dAlias, col.Name, dAlias, col.Name, col.Name)
-			default:
-				e = fmt.Sprintf("COALESCE(ivm_v.%s, 0) + COALESCE(%s.%s, 0)", col.Name, dAlias, col.Name)
-			}
-			sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: e}, Alias: col.Name})
-		}
-		tmp := vName + "_ivm_new"
-		s.Add(&duckast.CreateTableAs{Name: tmp, Select: sel})
-		s.Add(&duckast.Delete{Table: vName})
-		refill := &duckast.Select{From: &duckast.Raw{Text: tmp}}
-		for _, n := range allCols {
-			refill.Items = append(refill.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: n}})
-		}
-		s.Add(&duckast.Insert{Table: vName, Columns: allCols, Select: refill})
-		s.Add(&duckast.DropTable{Name: tmp})
-	}
+	s.Add(&duckast.Insert{
+		Table: vName, Columns: viewColNames(aggDeltaColumns(comp)), Select: sel,
+		Upsert: true, KeyColumns: groupNames,
+	})
 }
 
-// emitMinMaxRepair emits the rescan-repair for MIN/MAX deletions: groups
-// touched by a deletion are recomputed from the base relation, and groups
-// that vanished entirely are removed.
+// emitMinMaxRepair emits the rescan-repair for MIN/MAX deletions: the
+// groups a deletion touched leave V and are recomputed from the base
+// relation, so a group whose last row was deleted stays out. V's rows are
+// found through rowIn, which matches a NULL-keyed group too, and the base's
+// through a join on IS NOT DISTINCT FROM.
 func (c *Compiler) emitMinMaxRepair(comp *Compilation, s *duckast.Script, from string) {
-	groups := comp.GroupColumns()
-	groupNames := viewColNames(groups)
-	srcKey := groupKey(groupSrcSQL(comp.Columns))
-	dvKey := groupKey(groupNames)
-	allCols := viewColNames(aggDeltaColumns(comp))
+	groupNames := viewColNames(comp.GroupColumns())
+	deleted := fmt.Sprintf("%s WHERE %s = FALSE", comp.DeltaView, MultiplicityColumn)
+	s.Add(&duckast.Delete{Table: comp.Storage, Where: &duckast.Raw{Text: rowIn(groupNames, deleted)}})
 
-	deletedGroups := fmt.Sprintf("SELECT DISTINCT %s FROM %s WHERE %s = FALSE",
-		strings.Join(groupNames, ", "), comp.DeltaView, MultiplicityColumn)
-
-	// Recompute affected groups from the base relation.
-	recompute := &duckast.Select{From: &duckast.Raw{Text: from}}
+	// ΔV holds at most one row per group and multiplicity, so the join
+	// repeats no base row.
+	del := &duckast.Select{From: &duckast.Raw{Text: deleted}}
+	var on []string
+	for i, src := range groupSrcSQL(comp.Columns) {
+		alias := fmt.Sprintf("ivm_g%d", i)
+		del.Items = append(del.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: groupNames[i]}, Alias: alias})
+		on = append(on, fmt.Sprintf("%s IS NOT DISTINCT FROM ivm_deleted.%s", src, alias))
+	}
+	recompute := &duckast.Select{From: &duckast.Raw{Text: fmt.Sprintf("%s JOIN (%s) AS ivm_deleted ON %s",
+		from, del.SQL(comp.Options.Dialect), strings.Join(on, " AND "))}}
 	for _, col := range aggDeltaColumns(comp) {
 		switch {
 		case col.IsGroupKey:
@@ -454,29 +322,13 @@ func (c *Compiler) emitMinMaxRepair(comp *Compilation, s *duckast.Script, from s
 				Expr: &duckast.Raw{Text: aggCallSQL(col.Agg, col.SourceSQL)}, Alias: col.Name})
 		}
 	}
-	cond := fmt.Sprintf("%s IN (%s)", srcKey, deletedGroups)
 	if w := whereSQL(comp); w != "" {
-		cond = "(" + w + ") AND " + cond
+		recompute.Where = &duckast.Raw{Text: w}
 	}
-	recompute.Where = &duckast.Raw{Text: cond}
 	for _, g := range groupSrcSQL(comp.Columns) {
 		recompute.GroupBy = append(recompute.GroupBy, &duckast.Raw{Text: g})
 	}
-	s.Add(&duckast.Insert{
-		Table: comp.Storage, Columns: allCols, Select: recompute,
-		Upsert: true, KeyColumns: groupNames,
-	})
-
-	// Remove groups whose last row was deleted.
-	baseKeys := fmt.Sprintf("SELECT %s FROM %s", strings.Join(groupSrcSQL(comp.Columns), ", "), from)
-	if w := whereSQL(comp); w != "" {
-		baseKeys += " WHERE " + w
-	}
-	s.Add(&duckast.Delete{
-		Table: comp.Storage,
-		Where: &duckast.Raw{Text: fmt.Sprintf("%s IN (%s) AND %s NOT IN (%s)",
-			dvKey, deletedGroups, dvKey, baseKeys)},
-	})
+	s.Add(&duckast.Insert{Table: comp.Storage, Columns: viewColNames(aggDeltaColumns(comp)), Select: recompute})
 }
 
 // emitEmptyGroupDelete emits step 3: delete the groups whose count reached
@@ -508,23 +360,25 @@ func emptyGroupColumn(comp *Compilation) string {
 	}
 	// Paper behaviour: prefer a COUNT column, else a SUM column — over the
 	// physical storage layout, so AVG's decomposed COUNT part qualifies.
-	// Views with only MIN/MAX aggregates are fully handled by the repair
-	// steps.
-	sum := ""
+	// COUNT(*) counts the group's rows; COUNT(col) only its non-NULL
+	// arguments, so it reaches zero in a group that still has rows and
+	// marks an emptied group only when no COUNT(*) does. Views with only
+	// MIN/MAX aggregates are fully handled by the repair steps.
+	var count, sum string
 	for _, a := range comp.StorageColumns() {
 		if !a.HasAgg {
 			continue
 		}
-		switch a.Agg {
-		case expr.AggCount, expr.AggCountStar:
+		switch {
+		case a.Agg == expr.AggCountStar:
 			return a.Name
-		case expr.AggSum:
-			if sum == "" {
-				sum = a.Name
-			}
+		case a.Agg == expr.AggCount && count == "":
+			count = a.Name
+		case a.Agg == expr.AggSum && sum == "":
+			sum = a.Name
 		}
 	}
-	return sum
+	return cmp.Or(count, sum)
 }
 
 // --- join views -------------------------------------------------------------
@@ -564,7 +418,7 @@ func joinDeltaTerms(comp *Compilation, items func(sel *duckast.Select)) []*ducka
 }
 
 // propJoin emits the incremental form of a two-table equi-join view.
-func (c *Compiler) propJoin(comp *Compilation, s *duckast.Script) error {
+func (c *Compiler) propJoin(comp *Compilation, s *duckast.Script) {
 	// Step 1: the three product-rule terms feed ΔV.
 	terms := joinDeltaTerms(comp, func(sel *duckast.Select) {
 		for _, col := range comp.Columns {
@@ -576,7 +430,7 @@ func (c *Compiler) propJoin(comp *Compilation, s *duckast.Script) error {
 	}
 	if comp.Key != nil {
 		emitKeyedCombine(comp, s)
-		return nil
+		return
 	}
 
 	// Step 2: net ΔV per row (the compensation term produces cancelling
@@ -590,7 +444,6 @@ func (c *Compiler) propJoin(comp *Compilation, s *duckast.Script) error {
 		Where: &duckast.Raw{Text: rowIn(names, fmt.Sprintf("%s GROUP BY %s HAVING %s < 0",
 			comp.DeltaView, strings.Join(names, ", "), netCount))},
 	})
-	return nil
 }
 
 // netCount is a row's net multiplicity over ΔV grouped by the view columns.
@@ -627,7 +480,7 @@ func emitKeyedCombine(comp *Compilation, s *duckast.Script) {
 
 // propJoinAggregate composes the join product rule with aggregation through
 // the intermediate join-delta table.
-func (c *Compiler) propJoinAggregate(comp *Compilation, s *duckast.Script, strat Strategy) error {
+func (c *Compiler) propJoinAggregate(comp *Compilation, s *duckast.Script) {
 	// Step 1a-c: fill the join-delta intermediate.
 	aggCols := comp.AggColumns()
 	terms := joinDeltaTerms(comp, func(sel *duckast.Select) {
@@ -669,10 +522,9 @@ func (c *Compiler) propJoinAggregate(comp *Compilation, s *duckast.Script, strat
 	s.Add(&duckast.Insert{Table: comp.DeltaView, Select: step1})
 
 	// Step 2: combine, with MIN/MAX repair recomputing from the full join.
-	c.emitCombine(comp, s, comp.DeltaView, strat)
+	c.emitCombine(comp, s)
 	if comp.hasMinMax() {
 		c.emitMinMaxRepair(comp, s, fromSQL(comp, comp.Select))
 	}
 	c.emitEmptyGroupDelete(comp, s)
-	return nil
 }

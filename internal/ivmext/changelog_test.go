@@ -231,9 +231,9 @@ func TestFailedBodyKeepsItsWindow(t *testing.T) {
 		"SELECT group_index, SUM(group_value) FROM groups GROUP BY group_index")
 }
 
-// TestExecutedScriptIsPrintedScript: for every query class and combine
-// strategy, what a refresh prepares and executes is steps 1–3 of the
-// script PropagateSQL prints — the same statement nodes — step 4 is the
+// TestExecutedScriptIsPrintedScript: for every query class, what a
+// refresh prepares and executes is steps 1–3 of the script PropagateSQL
+// prints — the same statement nodes — step 4 is the
 // emptying of ΔV and ΔT the runtime does (a catalog truncate, a change-log
 // trim), and the setup script creates exactly one delta table per base
 // table.
@@ -244,59 +244,56 @@ func TestExecutedScriptIsPrintedScript(t *testing.T) {
 		{"m4", "SELECT a.x, a.v, b.w FROM a JOIN b ON a.x = b.x"},
 		{"m5", "SELECT a.x, SUM(b.w) AS s FROM a JOIN b ON a.x = b.x GROUP BY a.x"},
 	}
-	for _, strat := range []string{"upsert_left_join", "union_regroup", "full_outer_join"} {
-		db := engine.Open("printed", engine.DialectDuckDB)
-		ext := Install(db)
-		mustExec(t, db, "PRAGMA ivm_strategy = '"+strat+"'")
-		mustExec(t, db, "CREATE TABLE a (x VARCHAR, v INTEGER)")
-		mustExec(t, db, "CREATE TABLE b (x VARCHAR, w INTEGER)")
-		for _, v := range views {
-			mustExec(t, db, "CREATE MATERIALIZED VIEW "+v.name+" AS "+v.def)
+	db := engine.Open("printed", engine.DialectDuckDB)
+	ext := Install(db)
+	mustExec(t, db, "CREATE TABLE a (x VARCHAR, v INTEGER)")
+	mustExec(t, db, "CREATE TABLE b (x VARCHAR, w INTEGER)")
+	for _, v := range views {
+		mustExec(t, db, "CREATE MATERIALIZED VIEW "+v.name+" AS "+v.def)
+	}
+	mustExec(t, db, "INSERT INTO a VALUES ('k', 1), ('l', 2)")
+	mustExec(t, db, "INSERT INTO b VALUES ('k', 3)")
+	for _, v := range views {
+		mustExec(t, db, "REFRESH MATERIALIZED VIEW "+v.name)
+		comp, prepared := ext.view(v.name).comp, ext.view(v.name).prepared
+		if prepared == nil {
+			t.Fatalf("%s: the refresh prepared no body", v.name)
 		}
-		mustExec(t, db, "INSERT INTO a VALUES ('k', 1), ('l', 2)")
-		mustExec(t, db, "INSERT INTO b VALUES ('k', 3)")
-		for _, v := range views {
-			mustExec(t, db, "REFRESH MATERIALIZED VIEW "+v.name)
-			comp, prepared := ext.view(v.name).comp, ext.view(v.name).prepared
-			if len(prepared) != 1 || prepared[comp.Body] == nil {
-				t.Fatalf("[%s] %s: prepared bodies %v, want comp.Body alone", strat, v.name, prepared)
+		n := len(comp.Body.Stmts)
+		if n == 0 || n >= len(comp.Propagate.Stmts) {
+			t.Fatalf("%s: body has %d of the script's %d statements", v.name, n, len(comp.Propagate.Stmts))
+		}
+		for i, st := range comp.Body.Stmts {
+			if comp.Propagate.Stmts[i] != st {
+				t.Errorf("%s: executed statement %d is not the printed script's node", v.name, i)
 			}
-			n := len(comp.Body.Stmts)
-			if n == 0 || n >= len(comp.Propagate.Stmts) {
-				t.Fatalf("[%s] %s: body has %d of the script's %d statements", strat, v.name, n, len(comp.Propagate.Stmts))
+		}
+		// The rest of the printed script is step 4 and nothing else.
+		var truncated []string
+		for _, st := range comp.Propagate.Stmts[n:] {
+			del, ok := st.(*duckast.Delete)
+			if !ok || del.Where != nil {
+				t.Fatalf("%s: step 4 holds %s", v.name, st.SQL(duckast.DialectDuckDB))
 			}
-			for i, st := range comp.Body.Stmts {
-				if comp.Propagate.Stmts[i] != st {
-					t.Errorf("[%s] %s: executed statement %d is not the printed script's node", strat, v.name, i)
-				}
+			truncated = append(truncated, del.Table)
+		}
+		want := []string{comp.DeltaView}
+		if comp.JoinDelta != "" {
+			want = append(want, comp.JoinDelta)
+		}
+		want = append(want, deltaNames(comp)...)
+		if strings.Join(truncated, ",") != strings.Join(want, ",") {
+			t.Errorf("%s: step 4 truncates %v, want %v", v.name, truncated, want)
+		}
+		setup := comp.SetupSQL()
+		for _, b := range comp.Bases {
+			if c := strings.Count(setup, "CREATE TABLE IF NOT EXISTS "+b.Delta+" ("); c != 1 {
+				t.Errorf("%s: setup creates %s %d times", v.name, b.Delta, c)
 			}
-			// The rest of the printed script is step 4 and nothing else.
-			var truncated []string
-			for _, st := range comp.Propagate.Stmts[n:] {
-				del, ok := st.(*duckast.Delete)
-				if !ok || del.Where != nil {
-					t.Fatalf("[%s] %s: step 4 holds %s", strat, v.name, st.SQL(duckast.DialectDuckDB))
-				}
-				truncated = append(truncated, del.Table)
-			}
-			want := []string{comp.DeltaView}
-			if comp.JoinDelta != "" {
-				want = append(want, comp.JoinDelta)
-			}
-			want = append(want, deltaNames(comp)...)
-			if strings.Join(truncated, ",") != strings.Join(want, ",") {
-				t.Errorf("[%s] %s: step 4 truncates %v, want %v", strat, v.name, truncated, want)
-			}
-			setup := comp.SetupSQL()
-			for _, b := range comp.Bases {
-				if c := strings.Count(setup, "CREATE TABLE IF NOT EXISTS "+b.Delta+" ("); c != 1 {
-					t.Errorf("[%s] %s: setup creates %s %d times", strat, v.name, b.Delta, c)
-				}
-			}
-			// Every table step 4 truncates, plus V.
-			if got := strings.Count(setup, "CREATE TABLE"); got != len(want)+1 {
-				t.Errorf("[%s] %s: setup creates %d tables, want %d (one ΔT per base, V, scratch):\n%s", strat, v.name, got, len(want)+1, setup)
-			}
+		}
+		// Every table step 4 truncates, plus V.
+		if got := strings.Count(setup, "CREATE TABLE"); got != len(want)+1 {
+			t.Errorf("%s: setup creates %d tables, want %d (one ΔT per base, V, scratch):\n%s", v.name, got, len(want)+1, setup)
 		}
 	}
 }

@@ -30,13 +30,11 @@
 // Compiler switches are engine pragmas:
 //
 //	PRAGMA ivm_mode = 'eager' | 'lazy'        (default lazy)
-//	PRAGMA ivm_strategy = 'upsert_left_join' | 'union_regroup' | 'full_outer_join' | 'auto'
 //	PRAGMA ivm_empty = 'sum_zero' | 'hidden_count'
-//	PRAGMA ivm_index = 'on' | 'off'
 //	PRAGMA ivm_refresh_workers = N            (refresh-scheduler pool size)
 //
-// 'auto' defers the combine-strategy choice to refresh time, picking by
-// the |ΔV| / |V| ratio — the cost-based selection the paper motivates.
+// An aggregate view folds ΔV into V by one plan, the paper's Listing 2
+// upsert through V's key index (see ivm.Options).
 package ivmext
 
 import (
@@ -81,10 +79,9 @@ type Extension struct {
 	inFlight atomic.Int64
 
 	// Stats counts propagation runs and logged changes (benchmarks, the
-	// demo shell and the wire stats endpoint read these). The int64
-	// counters are updated atomically — commits append to change logs on
-	// every writer session and propagations overlap; AutoChoices stays
-	// guarded by mu.
+	// demo shell and the wire stats endpoint read these). The counters are
+	// updated atomically — commits append to change logs on every writer
+	// session and propagations overlap.
 	Stats struct {
 		// Propagations counts per-view propagation bodies applied.
 		Propagations int64
@@ -106,9 +103,6 @@ type Extension struct {
 		// lock — held by a refresh finding a window or trimming, never
 		// through a propagation.
 		CaptureStallNanos int64
-		// AutoChoices counts cost-based strategy selections by name
-		// (guarded by the extension mutex).
-		AutoChoices map[string]int
 	}
 }
 
@@ -129,12 +123,12 @@ type view struct {
 	// refresh exactly-once without wrapping propagation in an engine
 	// transaction. Written under the view's refresh lock.
 	from atomic.Uint64
-	// prepared holds the view's propagation bodies as prepared handles
-	// keyed by the (immutable) compiled script, so a refresh re-executes
-	// parsed statements and cached plans instead of re-rendering,
-	// re-parsing and re-planning its SQL every time. Dropping the view
-	// drops the entry, and with it the handles' plans.
-	prepared map[*duckast.Script]*engine.Prepared
+	// prepared is the view's propagation body (comp.Body) as a prepared
+	// handle, made on first refresh, so a refresh re-executes parsed
+	// statements and cached plans instead of re-rendering, re-parsing and
+	// re-planning its SQL every time. Dropping the view drops it, and with
+	// it the handle's plans.
+	prepared *engine.Prepared
 }
 
 // feed is one base table's change log, which its delta table ΔT reads.
@@ -253,25 +247,12 @@ func (ext *Extension) options() (ivm.Options, error) {
 	if ext.db.Dialect() == engine.DialectPostgres {
 		opts.Dialect = duckast.DialectPostgres
 	}
-	if s := ext.db.Pragma("ivm_strategy"); s != "" && !strings.EqualFold(s, "auto") {
-		st, err := ivm.ParseStrategy(s)
-		if err != nil {
-			return opts, err
-		}
-		opts.Strategy = st
-	}
-	// 'auto' compiles under the default (upsert, so the index exists and
-	// every alternative stays valid) and defers the choice to propagation
-	// time — the cost-based selection the paper lists as future work.
 	if s := ext.db.Pragma("ivm_empty"); s != "" {
 		e, err := ivm.ParseEmptyDetection(s)
 		if err != nil {
 			return opts, err
 		}
 		opts.Empty = e
-	}
-	if s := ext.db.Pragma("ivm_index"); s != "" {
-		opts.CreateIndex = strings.EqualFold(s, "on") || strings.EqualFold(s, "true")
 	}
 	return opts, nil
 }
@@ -434,7 +415,7 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error
 	// The logs keep every change from before the population on, and the
 	// view starts at the population's snapshot: a write committed at or
 	// before it is in V, one committed after it in the view's first window.
-	v := &view{comp: comp, prepared: map[*duckast.Script]*engine.Prepared{}}
+	v := &view{comp: comp}
 	if err := ext.attach(v); err != nil {
 		return err
 	}
@@ -877,7 +858,7 @@ func (ext *Extension) applyView(is *engine.Session, v *view, to uint64) (bool, e
 		return false, fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
 	atomic.AddInt64(&ext.Stats.Propagations, 1)
-	body, err := ext.preparedScript(v, ext.chooseBody(comp, rows))
+	body, err := ext.preparedBody(v)
 	if err != nil {
 		return false, fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
@@ -915,56 +896,19 @@ func (ext *Extension) clearScratch(is *engine.Session, comp *ivm.Compilation) er
 	return nil
 }
 
-// preparedScript returns the prepared handle for one of the view's
-// compiled bodies, preparing and caching it on first use. Compiled scripts
-// are immutable, so an entry never invalidates. The caller holds the
-// view's refresh lock, which is what makes it the handle's only executor.
-func (ext *Extension) preparedScript(v *view, body *duckast.Script) (*engine.Prepared, error) {
-	if p, ok := v.prepared[body]; ok {
-		return p, nil
+// preparedBody returns the prepared handle of the view's body, preparing
+// it on first use. A compiled script is immutable, so the handle never
+// invalidates. The caller holds the view's refresh lock, which is what
+// makes it the handle's only executor.
+func (ext *Extension) preparedBody(v *view) (*engine.Prepared, error) {
+	if v.prepared == nil {
+		p, err := ext.db.PrepareScript(v.comp.Body.SQL(v.comp.Options.Dialect))
+		if err != nil {
+			return nil, err
+		}
+		v.prepared = p
 	}
-	p, err := ext.db.PrepareScript(body.SQL(v.comp.Options.Dialect))
-	if err != nil {
-		return nil, err
-	}
-	v.prepared[body] = p
-	return p, nil
-}
-
-// chooseBody returns the propagation body to run — comp.Body, steps 1–3
-// of the printed script — or, when PRAGMA ivm_strategy='auto', the
-// cost-based pick among the combine strategies: the upsert plan's cost
-// tracks |ΔV| (index probes per changed group) while the rebuild plans
-// scan all of |V|, so upsert wins once the view dwarfs the delta; for
-// small views rebuilding by regrouping is cheaper than per-key upserts.
-// deltaRows is the size of the view's windows.
-func (ext *Extension) chooseBody(comp *ivm.Compilation, deltaRows int) *duckast.Script {
-	if !strings.EqualFold(ext.db.Pragma("ivm_strategy"), "auto") || len(comp.AltBodies) == 0 {
-		return comp.Body
-	}
-	viewRows := 0
-	if t, err := ext.db.Catalog().Table(comp.ViewName); err == nil {
-		viewRows = t.RowCount()
-	}
-	choice := ivm.StrategyUnionRegroup
-	if body, ok := comp.AltBodies[ivm.StrategyUpsertLeftJoin]; ok && viewRows > 4*deltaRows {
-		ext.recordChoice(ivm.StrategyUpsertLeftJoin)
-		return body
-	}
-	if body, ok := comp.AltBodies[choice]; ok {
-		ext.recordChoice(choice)
-		return body
-	}
-	return comp.Body
-}
-
-func (ext *Extension) recordChoice(s ivm.Strategy) {
-	ext.mu.Lock()
-	if ext.Stats.AutoChoices == nil {
-		ext.Stats.AutoChoices = map[string]int{}
-	}
-	ext.Stats.AutoChoices[s.String()]++
-	ext.mu.Unlock()
+	return v.prepared, nil
 }
 
 // Scripts returns the stored setup and propagation SQL for a view.

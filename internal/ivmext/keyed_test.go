@@ -38,41 +38,33 @@ func TestProjectionReinsertKeepsRow(t *testing.T) {
 
 // TestExplainKeyedBody: every statement of a keyed view's steps 1–3
 // explains, and step 2 deletes through V's key — for a projection and a
-// FK→PK join view — as does a point read of V. Without the index option
-// the same script scans.
+// FK→PK join view — as does a point read of V.
 func TestExplainKeyedBody(t *testing.T) {
-	for _, index := range []string{"on", "off"} {
-		db := engine.Open("keyedbody", engine.DialectDuckDB)
-		ext := Install(db)
-		mustExec(t, db, "PRAGMA ivm_index='"+index+"'")
-		mustExec(t, db, "CREATE TABLE customers (cid INTEGER PRIMARY KEY, region VARCHAR)")
-		mustExec(t, db, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)")
-		mustExec(t, db, "INSERT INTO customers VALUES (1, 'eu'), (2, 'us')")
-		mustExec(t, db, "INSERT INTO orders VALUES (1, 1, 300), (2, 2, 100), (5, 1, 400)")
-		mustExec(t, db, "CREATE MATERIALIZED VIEW big_orders AS SELECT oid, cid, amount FROM orders WHERE amount >= 250")
-		mustExec(t, db, "CREATE MATERIALIZED VIEW order_regions AS SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid")
-		for view, terms := range map[string]int{"big_orders": 1, "order_regions": 3} {
-			comp, _ := ext.Compilation(view)
-			var want []string
-			for i := 0; i < terms; i++ {
-				want = append(want, "Insert delta_"+view)
-			}
-			if index == "on" {
-				want = append(want, "KeyedDelete "+view+"[pk] keys=IN(subquery)", "Insert "+view)
-			} else {
-				want = append(want, "ScanDelete "+view, "Insert "+view)
-			}
-			var got []string
-			for _, stmt := range engine.SplitStatements(comp.Body.SQL(comp.Options.Dialect)) {
-				got = append(got, mustExec(t, db, "EXPLAIN "+stmt).Rows[0][0].S)
-			}
-			if strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Errorf("[index=%s] %s body explains as\n%s\nwant\n%s", index, view, strings.Join(got, "\n"), strings.Join(want, "\n"))
-			}
-			read := fmt.Sprint(mustExec(t, db, "EXPLAIN SELECT * FROM "+view+" WHERE oid = 5").Rows)
-			if keyed := strings.Contains(read, " KeyedScan "+view+"[pk] keys=1 "); keyed != (index == "on") {
-				t.Errorf("[index=%s] point read of %s: %s", index, view, read)
-			}
+	db := engine.Open("keyedbody", engine.DialectDuckDB)
+	ext := Install(db)
+	mustExec(t, db, "CREATE TABLE customers (cid INTEGER PRIMARY KEY, region VARCHAR)")
+	mustExec(t, db, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)")
+	mustExec(t, db, "INSERT INTO customers VALUES (1, 'eu'), (2, 'us')")
+	mustExec(t, db, "INSERT INTO orders VALUES (1, 1, 300), (2, 2, 100), (5, 1, 400)")
+	mustExec(t, db, "CREATE MATERIALIZED VIEW big_orders AS SELECT oid, cid, amount FROM orders WHERE amount >= 250")
+	mustExec(t, db, "CREATE MATERIALIZED VIEW order_regions AS SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid")
+	for view, terms := range map[string]int{"big_orders": 1, "order_regions": 3} {
+		comp, _ := ext.Compilation(view)
+		var want []string
+		for i := 0; i < terms; i++ {
+			want = append(want, "Insert delta_"+view)
+		}
+		want = append(want, "KeyedDelete "+view+"[pk] keys=IN(subquery)", "Insert "+view)
+		var got []string
+		for _, stmt := range engine.SplitStatements(comp.Body.SQL(comp.Options.Dialect)) {
+			got = append(got, mustExec(t, db, "EXPLAIN "+stmt).Rows[0][0].S)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s body explains as\n%s\nwant\n%s", view, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		read := fmt.Sprint(mustExec(t, db, "EXPLAIN SELECT * FROM "+view+" WHERE oid = 5").Rows)
+		if !strings.Contains(read, " KeyedScan "+view+"[pk] keys=1 ") {
+			t.Errorf("point read of %s: %s", view, read)
 		}
 	}
 }
@@ -83,21 +75,18 @@ func TestExplainKeyedBody(t *testing.T) {
 // and of changed rows, a delete and re-insert of one row in one generation
 // (one transaction), rows crossing the WHERE threshold both ways, NULLs in
 // non-key columns and customers that move, vanish and change their key —
-// eager, lazy, and lazy without V's key index (the same script, scanning).
+// eager and lazy.
 func TestPropertyKeyedViews(t *testing.T) {
 	views := []struct{ name, def, cols string }{
 		{"big", "SELECT oid, cid, amt, note FROM o WHERE amt >= 50", "oid, cid, amt, note"},
 		{"lines_big", "SELECT ln, oid, qty FROM l WHERE qty > 3", "ln, oid, qty"},
 		{"regional", "SELECT o.oid, c.region, o.amt, o.note FROM o JOIN c ON o.cid = c.cid WHERE o.amt >= 20", "oid, region, amt, note"},
 	}
-	for _, mode := range []string{"eager", "lazy", "lazy_noindex"} {
+	for _, mode := range []string{"eager", "lazy"} {
 		t.Run(mode, func(t *testing.T) {
 			db := engine.Open("keyedprop", engine.DialectDuckDB)
 			ext := Install(db)
-			mustExec(t, db, "PRAGMA ivm_mode='"+strings.TrimSuffix(mode, "_noindex")+"'")
-			if strings.HasSuffix(mode, "_noindex") {
-				mustExec(t, db, "PRAGMA ivm_index='off'")
-			}
+			mustExec(t, db, "PRAGMA ivm_mode='"+mode+"'")
 			mustExec(t, db, "CREATE TABLE c (cid INTEGER PRIMARY KEY, region VARCHAR)")
 			mustExec(t, db, "CREATE TABLE o (oid INTEGER PRIMARY KEY, cid INTEGER, amt INTEGER, note VARCHAR)")
 			mustExec(t, db, "CREATE TABLE l (oid INTEGER NOT NULL, ln INTEGER NOT NULL, qty INTEGER, PRIMARY KEY (oid, ln))")

@@ -72,21 +72,20 @@ func propertyDB(t *testing.T, pragmas ...string) *engine.DB {
 	return db
 }
 
+// TestPropertySumCount: a SUM/COUNT view under Listing 2's upsert-left-join
+// combine, lazy and eager.
 func TestPropertySumCount(t *testing.T) {
-	for _, strat := range []string{"upsert_left_join", "union_regroup", "full_outer_join"} {
-		for _, mode := range []string{"lazy", "eager"} {
-			t.Run(strat+"_"+mode, func(t *testing.T) {
-				db := propertyDB(t,
-					"PRAGMA ivm_strategy='"+strat+"'",
-					"PRAGMA ivm_mode='"+mode+"'",
-					"PRAGMA ivm_empty='hidden_count'")
-				mustExec(t, db, `CREATE MATERIALIZED VIEW vw AS SELECT k,
-					SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k`)
-				rng := rand.New(rand.NewSource(int64(len(strat) + len(mode))))
-				randWorkload(t, db, rng, 120, "vw", "k, s, n",
-					"SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k")
-			})
-		}
+	for _, mode := range []string{"lazy", "eager"} {
+		t.Run("upsert_left_join_"+mode, func(t *testing.T) {
+			db := propertyDB(t,
+				"PRAGMA ivm_mode='"+mode+"'",
+				"PRAGMA ivm_empty='hidden_count'")
+			mustExec(t, db, `CREATE MATERIALIZED VIEW vw AS SELECT k,
+				SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k`)
+			rng := rand.New(rand.NewSource(int64(16 + len(mode))))
+			randWorkload(t, db, rng, 120, "vw", "k, s, n",
+				"SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k")
+		})
 	}
 }
 
@@ -228,50 +227,49 @@ func TestPropertyFilteredJoin(t *testing.T) {
 	}
 }
 
+// TestPropertyJoinAggregate: a join-aggregate view under Listing 2's
+// upsert-left-join combine.
 func TestPropertyJoinAggregate(t *testing.T) {
-	for _, strat := range []string{"upsert_left_join", "union_regroup"} {
-		t.Run(strat, func(t *testing.T) {
-			db := engine.Open("prop", engine.DialectDuckDB)
-			Install(db)
-			mustExec(t, db, "PRAGMA ivm_strategy='"+strat+"'")
-			mustExec(t, db, "PRAGMA ivm_empty='hidden_count'")
-			mustExec(t, db, "CREATE TABLE c (cid INTEGER, region VARCHAR)")
-			mustExec(t, db, "CREATE TABLE o (oid INTEGER, cid INTEGER, amt INTEGER)")
-			mustExec(t, db, `CREATE MATERIALIZED VIEW ja AS
-				SELECT c.region, SUM(o.amt) AS total, COUNT(*) AS n
-				FROM o JOIN c ON o.cid = c.cid GROUP BY c.region`)
-			recompute := `SELECT c.region, SUM(o.amt), COUNT(*)
-				FROM o JOIN c ON o.cid = c.cid GROUP BY c.region`
-			rng := rand.New(rand.NewSource(23))
-			nextC, nextO := 0, 0
-			for i := 0; i < 120; i++ {
-				switch rng.Intn(8) {
-				case 0, 1:
-					mustExec(t, db, fmt.Sprintf("INSERT INTO c VALUES (%d, 'r%d')", nextC, rng.Intn(3)))
-					nextC++
-				case 2, 3, 4:
-					if nextC > 0 {
-						mustExec(t, db, fmt.Sprintf("INSERT INTO o VALUES (%d, %d, %d)", nextO, rng.Intn(nextC), rng.Intn(100)))
-						nextO++
-					}
-				case 5:
-					if nextO > 0 {
-						mustExec(t, db, fmt.Sprintf("DELETE FROM o WHERE oid = %d", rng.Intn(nextO)))
-					}
-				case 6:
-					if nextC > 0 {
-						mustExec(t, db, fmt.Sprintf("DELETE FROM c WHERE cid = %d", rng.Intn(nextC)))
-					}
-				case 7:
-					mustExec(t, db, "REFRESH MATERIALIZED VIEW ja")
+	t.Run("upsert_left_join", func(t *testing.T) {
+		db := engine.Open("prop", engine.DialectDuckDB)
+		Install(db)
+		mustExec(t, db, "PRAGMA ivm_empty='hidden_count'")
+		mustExec(t, db, "CREATE TABLE c (cid INTEGER, region VARCHAR)")
+		mustExec(t, db, "CREATE TABLE o (oid INTEGER, cid INTEGER, amt INTEGER)")
+		mustExec(t, db, `CREATE MATERIALIZED VIEW ja AS
+			SELECT c.region, SUM(o.amt) AS total, COUNT(*) AS n
+			FROM o JOIN c ON o.cid = c.cid GROUP BY c.region`)
+		recompute := `SELECT c.region, SUM(o.amt), COUNT(*)
+			FROM o JOIN c ON o.cid = c.cid GROUP BY c.region`
+		rng := rand.New(rand.NewSource(23))
+		nextC, nextO := 0, 0
+		for i := 0; i < 120; i++ {
+			switch rng.Intn(8) {
+			case 0, 1:
+				mustExec(t, db, fmt.Sprintf("INSERT INTO c VALUES (%d, 'r%d')", nextC, rng.Intn(3)))
+				nextC++
+			case 2, 3, 4:
+				if nextC > 0 {
+					mustExec(t, db, fmt.Sprintf("INSERT INTO o VALUES (%d, %d, %d)", nextO, rng.Intn(nextC), rng.Intn(100)))
+					nextO++
 				}
-				if rng.Intn(11) == 0 {
-					checkView(t, db, i, "ja", "region, total, n", recompute)
+			case 5:
+				if nextO > 0 {
+					mustExec(t, db, fmt.Sprintf("DELETE FROM o WHERE oid = %d", rng.Intn(nextO)))
 				}
+			case 6:
+				if nextC > 0 {
+					mustExec(t, db, fmt.Sprintf("DELETE FROM c WHERE cid = %d", rng.Intn(nextC)))
+				}
+			case 7:
+				mustExec(t, db, "REFRESH MATERIALIZED VIEW ja")
 			}
-			checkView(t, db, 120, "ja", "region, total, n", recompute)
-		})
-	}
+			if rng.Intn(11) == 0 {
+				checkView(t, db, i, "ja", "region, total, n", recompute)
+			}
+		}
+		checkView(t, db, 120, "ja", "region, total, n", recompute)
+	})
 }
 
 func TestPropertyTwoViewsSharedBase(t *testing.T) {
@@ -409,14 +407,46 @@ func step3Access(t *testing.T, db *engine.DB, ext *Extension, view string) strin
 	return ""
 }
 
+// step2Select returns the SELECT of the view's step 2 (the combine's
+// `WITH ivm_cte AS (…) SELECT …`, without PostgreSQL's ON CONFLICT).
+func step2Select(t *testing.T, ext *Extension, view string) string {
+	t.Helper()
+	_, prop, err := ext.Scripts(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range engine.SplitStatements(prop) {
+		if at := strings.Index(stmt, "WITH ivm_cte"); at >= 0 {
+			sel, _, _ := strings.Cut(stmt[at:], " ON CONFLICT")
+			return sel
+		}
+	}
+	t.Fatalf("no step 2 in the script of %s:\n%s", view, prop)
+	return ""
+}
+
+// step2Access returns how step 2 joins ivm_cte to V: its EXPLAIN line
+// naming the join, trimmed.
+func step2Access(t *testing.T, db *engine.DB, ext *Extension, view string) string {
+	t.Helper()
+	for _, r := range mustExec(t, db, "EXPLAIN "+step2Select(t, ext, view)).Rows {
+		if line := strings.TrimSpace(r[0].S); strings.Contains(line, "Join") {
+			return line
+		}
+	}
+	t.Fatalf("step 2 of %s explains with no join", view)
+	return ""
+}
+
 // TestPropertyEmptiedGroups is the invariant for step 3 — groups whose
 // count reaches zero leave the view, found through the keys ΔV touched —
-// on a single and a composite group key, under every combine strategy,
-// lazy and eager, with and without V's key index (the rebuild strategies
-// never create it; PRAGMA ivm_index is switched off for them as well, so
-// the statement runs on the scan path). A scripted prefix empties a group,
-// then empties and refills one inside a single generation; a random
-// workload that keeps deleting whole groups follows.
+// on a single and a composite group key, lazy and eager, through V's key
+// index (upsert_left_join, the combine that gives V its key) and on the
+// scan path (null_key: a NULL-keyed group, which no key probe finds, stays
+// in the view, so there the statement scans).
+// A scripted prefix empties a group, then empties and refills one inside a
+// single generation; a random workload that keeps deleting whole groups
+// follows.
 func TestPropertyEmptiedGroups(t *testing.T) {
 	type shape struct{ name, def, cols, recompute string }
 	shapes := []shape{
@@ -425,24 +455,25 @@ func TestPropertyEmptiedGroups(t *testing.T) {
 		{"composite", "SELECT k, w, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k, w", "k, w, s, n",
 			"SELECT k, w, SUM(v), COUNT(*) FROM t GROUP BY k, w"},
 	}
-	for _, strat := range []string{"upsert_left_join", "union_regroup", "full_outer_join"} {
+	for arm, access := range map[string]string{"upsert_left_join": "KeyedDelete", "null_key": "ScanDelete"} {
 		for _, mode := range []string{"lazy", "eager"} {
 			for _, sh := range shapes {
-				t.Run(strat+"_"+mode+"_"+sh.name, func(t *testing.T) {
+				t.Run(arm+"_"+mode+"_"+sh.name, func(t *testing.T) {
 					db := engine.Open("prop", engine.DialectDuckDB)
 					ext := Install(db)
-					mustExec(t, db, "PRAGMA ivm_strategy='"+strat+"'")
 					mustExec(t, db, "PRAGMA ivm_mode='"+mode+"'")
-					wantAccess := "KeyedDelete"
-					if strat != "upsert_left_join" {
-						mustExec(t, db, "PRAGMA ivm_index='off'")
-						wantAccess = "ScanDelete"
-					}
 					mustExec(t, db, "CREATE TABLE t (k VARCHAR, w INTEGER, v INTEGER)")
 					mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 5), ('a', 1, 6), ('a', 2, 7), ('b', 1, 8), ('c', 3, 9)")
+					// The workload never deletes a row whose k is NULL.
+					keepNull := func() {
+						if access == "ScanDelete" {
+							mustExec(t, db, "INSERT INTO t VALUES (NULL, NULL, 1)")
+						}
+					}
+					keepNull()
 					mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS "+sh.def)
-					if got := step3Access(t, db, ext, "vw"); got != wantAccess {
-						t.Errorf("step 3 runs as %s, want %s", got, wantAccess)
+					if got := step3Access(t, db, ext, "vw"); got != access {
+						t.Errorf("step 3 runs as %s, want %s", got, access)
 					}
 					step := 0
 					check := func() {
@@ -471,8 +502,9 @@ func TestPropertyEmptiedGroups(t *testing.T) {
 					if n := len(mustExec(t, db, "SELECT * FROM vw").Rows); n != 0 {
 						t.Fatalf("the emptied view holds %d rows", n)
 					}
+					keepNull()
 
-					rng := rand.New(rand.NewSource(int64(41 + len(strat) + len(mode) + len(sh.name))))
+					rng := rand.New(rand.NewSource(int64(57 + len(mode) + len(sh.name))))
 					keys := []string{"a", "b", "c", "d", "e"}
 					for i := 0; i < 160; i++ {
 						k, w := keys[rng.Intn(len(keys))], rng.Intn(3)
@@ -498,69 +530,78 @@ func TestPropertyEmptiedGroups(t *testing.T) {
 	}
 }
 
-// TestPropertyNullGroups: step 3 removes an emptied group whose key holds a
-// NULL — `g IN (SELECT g FROM ΔV)` alone never selects it — on a single and
-// a composite key, under every combine strategy. Only union_regroup combines
-// a NULL group correctly in step 2 (the joins of the other two compare keys
-// with `=`, ROADMAP item 3), so the whole view is compared under it and the
-// NULL-free groups under the others: whatever step 2 makes of the NULL
-// groups, the keyed step 3 must keep the rest right. While V holds a NULL
-// key the statement scans; before, it goes through V's key index.
+// TestPropertyNullGroups: groups whose key holds a NULL are maintained like
+// any other — step 2 finds their row of V through IS NOT DISTINCT FROM,
+// the MIN/MAX repair recomputes them, and step 3 removes them once emptied
+// (`g IN (SELECT g FROM ΔV)` alone never selects them) — on a single and a
+// composite key, a MIN/MAX view and a join-aggregate view, under both
+// empty-group modes and in both dialects; the whole view is compared.
+// Step 2 probes V's key index throughout; step 3 does too until V holds a
+// NULL key, and scans from then on.
 func TestPropertyNullGroups(t *testing.T) {
-	type shape struct{ name, def, cols, recompute, whole string }
+	type shape struct{ name, def, cols, recompute, keyNull string }
+	const join = "SELECT t.k, SUM(t.v) AS s, COUNT(*) AS n FROM t JOIN d ON t.w = d.w GROUP BY t.k"
 	shapes := []shape{
 		{"single", "SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k", "k, s, n",
-			"SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k", "k IS NOT NULL"},
+			"SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k", "k IS NULL"},
 		{"composite", "SELECT k, w, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k, w", "k, w, s, n",
-			"SELECT k, w, SUM(v), COUNT(*) FROM t GROUP BY k, w", "k IS NOT NULL AND w IS NOT NULL"},
+			"SELECT k, w, SUM(v), COUNT(*) FROM t GROUP BY k, w", "k IS NULL OR w IS NULL"},
+		{"minmax", "SELECT k, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY k", "k, lo, hi, n",
+			"SELECT k, MIN(v), MAX(v), COUNT(*) FROM t GROUP BY k", "k IS NULL"},
+		{"join", join, "k, s, n", join, "k IS NULL"},
 	}
-	for _, strat := range []string{"upsert_left_join", "union_regroup", "full_outer_join"} {
-		for _, sh := range shapes {
-			t.Run(strat+"_"+sh.name, func(t *testing.T) {
-				db := engine.Open("prop", engine.DialectDuckDB)
-				ext := Install(db)
-				mustExec(t, db, "PRAGMA ivm_strategy='"+strat+"'")
-				mustExec(t, db, "CREATE TABLE t (k VARCHAR, w INTEGER, v INTEGER)")
-				mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 5), ('b', 1, 8), ('c', 2, 9)")
-				mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS "+sh.def)
-				keyed := strat == "upsert_left_join" // the only strategy that gives V a key
-				if got := step3Access(t, db, ext, "vw"); keyed && got != "KeyedDelete" {
-					t.Errorf("no NULL key in the view yet, step 3 runs as %s", got)
-				}
-				view, recompute := "vw", sh.recompute
-				if strat != "union_regroup" {
-					view += " WHERE " + sh.whole
-					recompute = strings.Replace(recompute, " GROUP BY", " WHERE "+sh.whole+" GROUP BY", 1)
-				}
-				step := 0
-				check := func() {
-					t.Helper()
-					mustExec(t, db, "REFRESH MATERIALIZED VIEW vw")
-					checkView(t, db, step, view, sh.cols, recompute)
-					step++
-				}
-				mustExec(t, db, "INSERT INTO t VALUES (NULL, 1, 5), (NULL, 1, 6), ('d', NULL, 7), (NULL, NULL, 1)")
-				check()
-				if got := step3Access(t, db, ext, "vw"); got != "ScanDelete" {
-					t.Errorf("the view holds NULL keys, step 3 runs as %s", got)
-				}
-				// The NULL groups reach zero, beside a whole-keyed one.
-				mustExec(t, db, "DELETE FROM t WHERE k IS NULL OR w IS NULL OR k = 'c'")
-				check()
-				if n := len(mustExec(t, db, "SELECT * FROM vw WHERE k = 'c'").Rows); n != 0 {
-					t.Errorf("emptied group c still has %d rows in the view", n)
-				}
-				if strat == "union_regroup" {
-					if n := len(mustExec(t, db, "SELECT * FROM vw WHERE NOT ("+sh.whole+")").Rows); n != 0 {
+	dialects := map[string]engine.Dialect{"duckdb": engine.DialectDuckDB, "postgres": engine.DialectPostgres}
+	for _, empty := range []string{"sum_zero", "hidden_count"} {
+		for _, dialect := range []string{"duckdb", "postgres"} {
+			for _, sh := range shapes {
+				t.Run(empty+"_"+dialect+"_"+sh.name, func(t *testing.T) {
+					db := engine.Open("prop", dialects[dialect])
+					ext := Install(db)
+					mustExec(t, db, "PRAGMA ivm_empty='"+empty+"'")
+					mustExec(t, db, "CREATE TABLE t (k VARCHAR, w INTEGER, v INTEGER)")
+					mustExec(t, db, "CREATE TABLE d (w INTEGER, z INTEGER)")
+					mustExec(t, db, "INSERT INTO d VALUES (1, 10), (2, 20)")
+					mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 5), ('b', 1, 8), ('c', 2, 9)")
+					mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS "+sh.def)
+					if got := step3Access(t, db, ext, "vw"); got != "KeyedDelete" {
+						t.Errorf("no NULL key in the view yet, step 3 runs as %s", got)
+					}
+					step := 0
+					check := func() {
+						t.Helper()
+						mustExec(t, db, "REFRESH MATERIALIZED VIEW vw")
+						checkView(t, db, step, "vw", sh.cols, sh.recompute)
+						step++
+					}
+					mustExec(t, db, "INSERT INTO t VALUES (NULL, 1, 5), (NULL, 1, 6), ('d', NULL, 7), (NULL, NULL, 1)")
+					check()
+					if got := step3Access(t, db, ext, "vw"); got != "ScanDelete" {
+						t.Errorf("the view holds NULL keys, step 3 runs as %s", got)
+					}
+					if got := step2Access(t, db, ext, "vw"); !strings.HasPrefix(got, "IndexJoin vw[pk]") {
+						t.Errorf("step 2 runs as %s, want an IndexJoin on V's key", got)
+					}
+					// A NULL group grows, and loses its least and its greatest row.
+					mustExec(t, db, "INSERT INTO t VALUES (NULL, 1, 7), (NULL, 2, 2)")
+					check()
+					mustExec(t, db, "DELETE FROM t WHERE k IS NULL AND (v = 2 OR v = 7)")
+					check()
+					// The NULL groups reach zero, beside a whole-keyed one.
+					mustExec(t, db, "DELETE FROM t WHERE k IS NULL OR w IS NULL OR k = 'c'")
+					check()
+					if n := len(mustExec(t, db, "SELECT * FROM vw WHERE k = 'c'").Rows); n != 0 {
+						t.Errorf("emptied group c still has %d rows in the view", n)
+					}
+					if n := len(mustExec(t, db, "SELECT * FROM vw WHERE "+sh.keyNull).Rows); n != 0 {
 						t.Errorf("%d emptied NULL groups are still in the view", n)
 					}
-				}
-				// ... and one of them comes back, then leaves again.
-				mustExec(t, db, "INSERT INTO t VALUES (NULL, 1, 3), ('a', 1, 1)")
-				check()
-				mustExec(t, db, "DELETE FROM t WHERE k IS NULL OR k = 'a'")
-				check()
-			})
+					// ... and one of them comes back, then leaves again.
+					mustExec(t, db, "INSERT INTO t VALUES (NULL, 1, 3), ('a', 1, 1)")
+					check()
+					mustExec(t, db, "DELETE FROM t WHERE k IS NULL OR k = 'a'")
+					check()
+				})
+			}
 		}
 	}
 }
@@ -620,9 +661,10 @@ func TestPropertyNullRows(t *testing.T) {
 // TestPropertyPointReads: reading a maintained view one group at a time by
 // its key gives, group for group, the full-view read — after every refresh
 // and, in lazy mode, straight after the write that left the view stale (the
-// point read refreshes it). With V's key index (PRAGMA ivm_index, the
-// upsert strategy) the read goes through it, without (a rebuild strategy)
-// it scans; absent groups read as nothing either way.
+// point read refreshes it). A read that names the key goes through V's key
+// index (index=true); the same read over an expression of the key columns
+// (`k || ”`, `w + 0`) scans (index=false); absent groups read as nothing
+// either way.
 func TestPropertyPointReads(t *testing.T) {
 	type shape struct {
 		name, def, cols, recompute string
@@ -642,17 +684,18 @@ func TestPropertyPointReads(t *testing.T) {
 					db := engine.Open("prop", engine.DialectDuckDB)
 					Install(db)
 					mustExec(t, db, "PRAGMA ivm_mode='"+mode+"'")
-					wantAccess := "KeyedScan vw[pk] keys=1"
+					wantAccess, where := "KeyedScan vw[pk] keys=1", sh.where
 					if !index {
-						mustExec(t, db, "PRAGMA ivm_strategy='union_regroup'")
-						mustExec(t, db, "PRAGMA ivm_index='off'")
 						wantAccess = "Scan vw"
+						where = func(r []string) string {
+							return strings.NewReplacer("k =", "k || '' =", "w =", "w + 0 =").Replace(sh.where(r))
+						}
 					}
 					mustExec(t, db, "CREATE TABLE t (k VARCHAR, w INTEGER, v INTEGER)")
 					mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 5), ('a', 2, 7), ('b', 1, 8)")
 					mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS "+sh.def)
 					point := "SELECT " + sh.cols + " FROM vw WHERE "
-					plan := fmt.Sprint(mustExec(t, db, "EXPLAIN "+point+sh.where([]string{"a", "1"})).Rows)
+					plan := fmt.Sprint(mustExec(t, db, "EXPLAIN "+point+where([]string{"a", "1"})).Rows)
 					if !strings.Contains(plan, " "+wantAccess+" ") {
 						t.Fatalf("the point read explains as %s, want %s", plan, wantAccess)
 					}
@@ -660,13 +703,13 @@ func TestPropertyPointReads(t *testing.T) {
 					readByKey := func(step int, want [][]string) {
 						t.Helper()
 						for _, r := range want {
-							got := mustExec(t, db, point+sh.where(r)).Rows
+							got := mustExec(t, db, point+where(r)).Rows
 							if len(got) != 1 || got[0].String() != strings.Join(r, "|") {
 								t.Fatalf("step %d: group %v read by key as %v", step, r, got)
 							}
 						}
 						for _, r := range sh.absent {
-							if got := mustExec(t, db, point+sh.where(r)).Rows; len(got) != 0 {
+							if got := mustExec(t, db, point+where(r)).Rows; len(got) != 0 {
 								t.Fatalf("step %d: absent group %v read by key as %v", step, r, got)
 							}
 						}
@@ -737,33 +780,30 @@ func TestExplainViewPointRead(t *testing.T) {
 // reads ivm_cte through no Project that passes its input through — the
 // CTE's own select list, its reference and the renaming of ivm_delta each
 // made one — so its plan's only Project is the root, which names the
-// result.
+// result. Its join compares group keys with IS NOT DISTINCT FROM and still
+// probes V's key index, for an aggregate and a join-aggregate view whose
+// group keys are nullable.
 func TestExplainStep2ReadsCTEDirectly(t *testing.T) {
 	db := engine.Open("step2", engine.DialectDuckDB)
 	ext := Install(db)
 	mustExec(t, db, "CREATE TABLE groups (id INTEGER PRIMARY KEY, group_index VARCHAR, group_value INTEGER)")
-	mustExec(t, db, "INSERT INTO groups VALUES (1, 'g0123', 5), (2, 'g0001', 7)")
+	mustExec(t, db, "CREATE TABLE tags (id INTEGER, tag VARCHAR)")
+	mustExec(t, db, "INSERT INTO groups VALUES (1, 'g0123', 5), (2, 'g0001', 7), (3, NULL, 9)")
+	mustExec(t, db, "INSERT INTO tags VALUES (1, 'x'), (3, NULL)")
 	mustExec(t, db, "CREATE MATERIALIZED VIEW query_groups AS SELECT group_index, SUM(group_value) AS total_value, COUNT(*) AS n FROM groups GROUP BY group_index")
-	_, prop, err := ext.Scripts("query_groups")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sel string
-	for _, stmt := range engine.SplitStatements(prop) {
-		if at := strings.Index(stmt, "WITH ivm_cte"); at >= 0 {
-			sel = stmt[at:]
+	mustExec(t, db, "CREATE MATERIALIZED VIEW tag_groups AS SELECT tags.tag, groups.group_index, SUM(groups.group_value) AS total_value, COUNT(*) AS n FROM groups JOIN tags ON groups.id = tags.id GROUP BY tags.tag, groups.group_index")
+	for _, view := range []string{"query_groups", "tag_groups"} {
+		var projects []string
+		for _, r := range mustExec(t, db, "EXPLAIN "+step2Select(t, ext, view)).Rows {
+			if line := strings.TrimSpace(r[0].S); strings.HasPrefix(line, "Project ") {
+				projects = append(projects, line)
+			}
 		}
-	}
-	if sel == "" {
-		t.Fatalf("no step 2 in the script:\n%s", prop)
-	}
-	var projects []string
-	for _, r := range mustExec(t, db, "EXPLAIN "+sel).Rows {
-		if line := strings.TrimSpace(r[0].S); strings.HasPrefix(line, "Project ") {
-			projects = append(projects, line)
+		if len(projects) != 1 {
+			t.Errorf("%s: step 2 plans %d Projects, want the root alone: %q", view, len(projects), projects)
 		}
-	}
-	if len(projects) != 1 {
-		t.Errorf("step 2 plans %d Projects, want the root alone: %q", len(projects), projects)
+		if got := step2Access(t, db, ext, view); !strings.HasPrefix(got, "IndexJoin "+view+"[pk]") {
+			t.Errorf("%s: step 2 runs as %s, want an IndexJoin on V's key", view, got)
+		}
 	}
 }

@@ -532,14 +532,14 @@ func (m *Manager) watermarkLocked() uint64 {
 	return w
 }
 
-// NoteDead adds to the reclaimable-version estimate and triggers a
-// background sweep past the threshold.
+// NoteDead adds to the reclaimable-version estimate. Stores call it while
+// a commit or abort applies; that commit or abort triggers the background
+// sweep once it has finished, when the versions it killed are past the
+// watermark.
 func (m *Manager) NoteDead(n int) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		m.deadVersions.Add(int64(n))
 	}
-	m.deadVersions.Add(int64(n))
-	m.maybeGC()
 }
 
 // maybeGC spawns one background sweep when enough dead versions have
@@ -558,13 +558,16 @@ func (m *Manager) maybeGC() {
 	}
 	go func() {
 		defer m.gcRunning.Store(false)
-		m.runSweep()
+		m.runSweep(w)
 	}()
 }
 
-// runSweep performs one sweep at the current watermark.
-func (m *Manager) runSweep() {
-	w := m.Watermark()
+// runSweep performs one sweep at watermark w: the one its trigger saw, not
+// whatever holds when the goroutine gets to run — so what a background
+// sweep may reclaim is fixed when it is triggered, and a snapshot held
+// across the trigger keeps its versions from it even if released before
+// the sweep starts.
+func (m *Manager) runSweep(w uint64) {
 	n := m.sweeper(w)
 	if n > 0 {
 		m.gcVersions.Add(uint64(n))

@@ -242,12 +242,13 @@ func placeJoin(j *plan.Join, conj []expr.Expr) (plan.Node, []expr.Expr) {
 		})
 	}
 	out := &plan.Join{
-		Kind:      kind,
-		Left:      place(j.Left, left, false),
-		Right:     place(j.Right, right, false),
-		On:        and(on),
-		EquiLeft:  slices.Clip(j.EquiLeft),
-		EquiRight: slices.Clip(j.EquiRight),
+		Kind:         kind,
+		Left:         place(j.Left, left, false),
+		Right:        place(j.Right, right, false),
+		On:           and(on),
+		EquiLeft:     slices.Clip(j.EquiLeft),
+		EquiRight:    slices.Clip(j.EquiRight),
+		EquiNullSafe: slices.Clip(j.EquiNullSafe),
 	}
 	if inner && out.On != nil {
 		plan.ExtractEquiKeys(out, out.On, lw)

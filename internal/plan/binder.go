@@ -321,6 +321,7 @@ func (b *Binder) bindJoin(jt *sqlparser.JoinTable) (Node, error) {
 			}
 			j.EquiLeft = append(j.EquiLeft, li)
 			j.EquiRight = append(j.EquiRight, ri)
+			j.EquiNullSafe = append(j.EquiNullSafe, false)
 		}
 		return j, nil
 	}
@@ -335,9 +336,10 @@ func (b *Binder) bindJoin(jt *sqlparser.JoinTable) (Node, error) {
 }
 
 // ExtractEquiKeys pulls top-level AND-ed column equalities between the two
-// sides out of pred, appending them to j's hash-join keys, and leaves the
-// rest in j.On. The binder runs it on an ON condition, the optimizer on
-// what predicate placement leaves at an inner join.
+// sides out of pred — `=`, and the NULL-safe IS NOT DISTINCT FROM —
+// appending them to j's hash-join keys, and leaves the rest in j.On. The
+// binder runs it on an ON condition, the optimizer on what predicate
+// placement leaves at an inner join.
 func ExtractEquiKeys(j *Join, pred expr.Expr, leftWidth int) {
 	var residual []expr.Expr
 	var visit func(e expr.Expr)
@@ -348,20 +350,17 @@ func ExtractEquiKeys(j *Join, pred expr.Expr, leftWidth int) {
 				visit(bin.Right)
 				return
 			}
-			if bin.Op == "=" {
+			if nullSafe := bin.Op == "IS NOT DISTINCT FROM"; nullSafe || bin.Op == "=" {
 				lc, lok := bin.Left.(*expr.Column)
 				rc, rok := bin.Right.(*expr.Column)
-				if lok && rok {
-					switch {
-					case lc.Idx < leftWidth && rc.Idx >= leftWidth:
-						j.EquiLeft = append(j.EquiLeft, lc.Idx)
-						j.EquiRight = append(j.EquiRight, rc.Idx-leftWidth)
-						return
-					case rc.Idx < leftWidth && lc.Idx >= leftWidth:
-						j.EquiLeft = append(j.EquiLeft, rc.Idx)
-						j.EquiRight = append(j.EquiRight, lc.Idx-leftWidth)
-						return
-					}
+				if lok && rok && rc.Idx < leftWidth && lc.Idx >= leftWidth {
+					lc, rc = rc, lc
+				}
+				if lok && rok && lc.Idx < leftWidth && rc.Idx >= leftWidth {
+					j.EquiLeft = append(j.EquiLeft, lc.Idx)
+					j.EquiRight = append(j.EquiRight, rc.Idx-leftWidth)
+					j.EquiNullSafe = append(j.EquiNullSafe, nullSafe)
+					return
 				}
 			}
 		}

@@ -153,12 +153,20 @@ func (f keyFinder) inKeys(e expr.Expr) *KeySet {
 
 // orKeys is inKeys through the NULL-safe spelling `<IN> OR k IS NULL
 // [OR k2 IS NULL ...]`, every k a key column: ok when e is at most one
-// pinning IN and otherwise such tests. No index probe finds the NULL-keyed
-// rows they ask for, so with them (nulls) the set is good only while the
-// table holds no such row.
+// pinning IN and otherwise such tests. A disjunct may also be a conjunction
+// one of whose sides is such a term (`(k IS NULL) AND …`, as in the
+// compiler's rowIn): it selects no row that side does not. No index probe
+// finds the NULL-keyed rows the tests ask for, so with them (nulls) the set
+// is good only while the table holds no such row.
 func (f keyFinder) orKeys(e expr.Expr) (in *KeySet, nulls, ok bool) {
 	switch x := e.(type) {
 	case *expr.Binary:
+		if x.Op == "AND" {
+			if in, nulls, ok = f.orKeys(x.Left); ok {
+				return in, nulls, ok
+			}
+			return f.orKeys(x.Right)
+		}
 		if x.Op == "OR" {
 			l, ln, lok := f.orKeys(x.Left)
 			r, rn, rok := f.orKeys(x.Right)

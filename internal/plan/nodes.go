@@ -194,13 +194,16 @@ func (a *Aggregate) Describe() string {
 // Join combines two inputs. On is evaluated over the concatenation of the
 // left and right schemas. EquiLeft/EquiRight hold the positions of
 // equality key pairs extracted from On (enabling the hash and index joins);
-// the residual non-equi condition remains in On.
+// the residual non-equi condition remains in On. EquiNullSafe flags the
+// pairs compared by IS NOT DISTINCT FROM, which match a NULL to a NULL; an
+// `=` pair never matches a NULL.
 type Join struct {
-	Kind        sqlparser.JoinKind
-	Left, Right Node
-	On          expr.Expr // residual predicate (may be nil)
-	EquiLeft    []int     // key positions in Left schema
-	EquiRight   []int     // key positions in Right schema
+	Kind         sqlparser.JoinKind
+	Left, Right  Node
+	On           expr.Expr // residual predicate (may be nil)
+	EquiLeft     []int     // key positions in Left schema
+	EquiRight    []int     // key positions in Right schema
+	EquiNullSafe []bool    // per key pair: NULL matches NULL
 }
 
 // Schema implements Node.

@@ -93,11 +93,13 @@ type JoinStrategy struct {
 	Algo JoinAlgo
 	// Probe is the probe-side table access an index join replaces with key
 	// probes; its pushed-down Filter and Projection apply to every fetched
-	// row. Index is the key index probed, and BuildKeys the build-side
-	// positions of the key values, one per Index.Cols entry.
+	// row. Index is the key index probed, BuildKeys the build-side
+	// positions of the key values, one per Index.Cols entry, and NullSafe
+	// which of them match a NULL (Join.EquiNullSafe).
 	Probe     *Scan
 	Index     catalog.KeyIndex
 	BuildKeys []int
+	NullSafe  []bool
 }
 
 // ChooseJoin picks the strategy for j given which side is built and how
@@ -148,13 +150,14 @@ func ChooseJoin(j *Join, buildLeft bool, buildRows int) JoinStrategy {
 	}
 	buildSchema := build.Schema()
 	keys := make([]int, len(idx.Cols))
+	nullSafe := make([]bool, len(idx.Cols))
 	for i, c := range idx.Cols {
 		k := slices.Index(cols, c)
 		if buildSchema[buildKeys[k]].Type != scan.Table.Columns[c].Type {
 			return s
 		}
-		keys[i] = buildKeys[k]
+		keys[i], nullSafe[i] = buildKeys[k], j.EquiNullSafe[k]
 	}
-	s.Algo, s.Probe, s.Index, s.BuildKeys = IndexJoin, scan, idx, keys
+	s.Algo, s.Probe, s.Index, s.BuildKeys, s.NullSafe = IndexJoin, scan, idx, keys, nullSafe
 	return s
 }

@@ -29,7 +29,8 @@ type ColumnRef struct {
 type Literal struct{ Value sqltypes.Value }
 
 // BinaryExpr is a binary operation. Op is one of:
-// + - * / % = <> < <= > >= AND OR LIKE || .
+// + - * / % = <> < <= > >= AND OR LIKE || IS DISTINCT FROM,
+// IS NOT DISTINCT FROM.
 type BinaryExpr struct {
 	Op          string
 	Left, Right Expr

@@ -1134,6 +1134,21 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 		case "IS":
 			p.pos++ // IS
 			neg := p.acceptKw("NOT")
+			if p.acceptKw("DISTINCT") {
+				if err := p.expectKw("FROM"); err != nil {
+					return nil, err
+				}
+				right, err := p.parseBinary(precCmp + 1)
+				if err != nil {
+					return nil, err
+				}
+				op := "IS DISTINCT FROM"
+				if neg {
+					op = "IS NOT DISTINCT FROM"
+				}
+				left = &BinaryExpr{Op: op, Left: left, Right: right}
+				continue
+			}
 			if err := p.expectKw("NULL"); err != nil {
 				return nil, err
 			}

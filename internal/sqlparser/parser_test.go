@@ -370,8 +370,8 @@ func TestParseRefresh(t *testing.T) {
 }
 
 func TestParsePragma(t *testing.T) {
-	st := mustParse(t, "PRAGMA ivm_strategy='union_regroup'").(*PragmaStmt)
-	if st.Name != "ivm_strategy" || st.Value != "union_regroup" {
+	st := mustParse(t, "PRAGMA ivm_empty='hidden_count'").(*PragmaStmt)
+	if st.Name != "ivm_empty" || st.Value != "hidden_count" {
 		t.Fatalf("got %#v", st)
 	}
 }
@@ -537,5 +537,35 @@ func TestParseInSubquery(t *testing.T) {
 	ie := e.(*InExpr)
 	if _, ok := ie.List[0].(*SubqueryExpr); !ok {
 		t.Fatalf("got %#v", ie.List[0])
+	}
+}
+
+// TestParseIsDistinctFrom: `IS [NOT] DISTINCT FROM` parses to a comparison
+// at `=`'s precedence — looser than arithmetic, tighter than AND — and
+// round-trips through ExprString; `IS [NOT] NULL` is unaffected.
+func TestParseIsDistinctFrom(t *testing.T) {
+	for sql, want := range map[string]string{
+		"a IS NOT DISTINCT FROM b":              "(a IS NOT DISTINCT FROM b)",
+		"a IS DISTINCT FROM b + 1":              "(a IS DISTINCT FROM (b + 1))",
+		"a IS NOT DISTINCT FROM b AND c":        "((a IS NOT DISTINCT FROM b) AND c)",
+		"t.x IS NOT DISTINCT FROM NULL":         "(t.x IS NOT DISTINCT FROM NULL)",
+		"a IS NOT NULL OR b IS DISTINCT FROM c": "((a IS NOT NULL) OR (b IS DISTINCT FROM c))",
+	} {
+		e, err := ParseExpr(sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		if got := ExprString(e); got != want {
+			t.Errorf("%q renders as %q, want %q", sql, got, want)
+		}
+		e2, err := ParseExpr(want)
+		if err != nil || ExprString(e2) != want {
+			t.Errorf("%q does not round-trip: %v", want, err)
+		}
+	}
+	for _, bad := range []string{"a IS DISTINCT b", "a IS NOT DISTINCT", "a IS DISTINCT FROM"} {
+		if _, err := ParseExpr(bad); err == nil {
+			t.Errorf("ParseExpr(%q) should fail", bad)
+		}
 	}
 }
