@@ -37,29 +37,16 @@ type benchDB struct {
 	s *engine.Session
 }
 
-// openBench opens a database, serial by default so numbers are comparable
-// across machines with different core counts (the executor otherwise fans
-// out per CPU); pragmas — PRAGMA statements — then set engine-wide values,
-// which the IVM extension's own sessions run under too (the *Workers
-// benchmarks override workers so).
-func openBench(b *testing.B, name string, pragmas ...string) benchDB {
+// openBench opens a database and a session to run its statements on.
+func openBench(b *testing.B, name string) benchDB {
 	b.Helper()
 	db := engine.Open(name, engine.DialectDuckDB)
-	db.SetPragma("workers", "1")
-	for _, sql := range pragmas {
-		st, err := sqlparser.Parse(sql)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := st.(*sqlparser.PragmaStmt)
-		db.SetPragma(p.Name, p.Value)
-	}
 	return benchDB{DB: db, s: db.NewSession()}
 }
 
-func loadGroups(b *testing.B, rows, groups int, pragmas ...string) benchDB {
+func loadGroups(b *testing.B, rows, groups int) benchDB {
 	b.Helper()
-	db := openBench(b, "bench", pragmas...)
+	db := openBench(b, "bench")
 	ivmext.Install(db.DB)
 	w := workload.Groups{Rows: rows, NumGroups: groups, Seed: 42}
 	if err := w.Load(db.DB); err != nil {
@@ -613,45 +600,6 @@ func BenchmarkE9_UnfusedScan(b *testing.B) {
 	}
 }
 
-// BenchmarkE9_FusedScanWorkers sweeps PRAGMA workers over the E9 fused
-// scan: w1 pins the serial path, w2/w4 force the parallel partitioned
-// scan regardless of host core count. On a single-core host the parallel
-// arms measure pure fan-out overhead; on multi-core hardware they show
-// the scan scaling (the CI acceptance arm for this is w4).
-func BenchmarkE9_FusedScanWorkers(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			db := loadWide(b)
-			db.SetPragma("workers", fmt.Sprint(w))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mustExecB(b, db, "SELECT a + v, v * 2 FROM wide WHERE v % 4 = 0 AND a < 15000")
-			}
-		})
-	}
-}
-
-// BenchmarkE2_IVMRefreshWorkers runs the E2 10%-delta refresh loop under
-// PRAGMA workers, exercising parallel aggregation inside the propagation
-// scripts on multi-core hosts.
-func BenchmarkE2_IVMRefreshWorkers(b *testing.B) {
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			const rows, groups = 20000, 256
-			db := loadGroups(b, rows, groups, fmt.Sprintf("PRAGMA workers = %d", w))
-			mustExecB(b, db, listing1View)
-			wl := workload.Groups{Rows: rows, NumGroups: groups}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				mustExecB(b, db, wl.InsertBatch(rows/10, int64(i)))
-				b.StartTimer()
-				mustExecB(b, db, "REFRESH MATERIALIZED VIEW query_groups")
-			}
-		})
-	}
-}
-
 func loadWide(b *testing.B) benchDB {
 	b.Helper()
 	db := openBench(b, "e9")
@@ -674,7 +622,6 @@ func loadWide(b *testing.B) benchDB {
 // (PR 4): group keys and aggregate arguments evaluated as vector kernels
 // over a fused filter pipeline, group keys encoded column-wise into the
 // byteTable slab — no RowView materialization at the aggregate boundary.
-// Serial (workers=1) so the number isolates the columnar path itself.
 func BenchmarkE2_ColumnarAgg(b *testing.B) {
 	const rows, groups = 50000, 256
 	db := loadGroups(b, rows, groups)
@@ -685,26 +632,19 @@ func BenchmarkE2_ColumnarAgg(b *testing.B) {
 	}
 }
 
-// BenchmarkE7_JoinBuild measures the hash-join build side at scale: the
-// build input (customers) is large enough to clear the parallel-build
-// threshold, so w4 exercises the radix-partitioned two-phase build while
-// w1 pins the serial single-partition build. On a single-core host the w4
-// arm records pure fan-out overhead; multi-core CI shows the scaling.
+// BenchmarkE7_JoinBuild measures the hash-join build side at scale: a
+// 20 000-row build input (customers) probed by 30 000 orders.
 func BenchmarkE7_JoinBuild(b *testing.B) {
-	for _, w := range []int{1, 4} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			db := openBench(b, "e7b", fmt.Sprintf("PRAGMA workers = %d", w))
-			sales := workload.Sales{Customers: 20000, Orders: 30000, Regions: 8, Seed: 5}
-			if err := sales.Load(db.DB); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mustExecB(b, db, `SELECT customers.region, SUM(orders.amount), COUNT(*)
-					FROM orders JOIN customers ON orders.cid = customers.cid
-					GROUP BY customers.region`)
-			}
-		})
+	db := openBench(b, "e7b")
+	sales := workload.Sales{Customers: 20000, Orders: 30000, Regions: 8, Seed: 5}
+	if err := sales.Load(db.DB); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustExecB(b, db, `SELECT customers.region, SUM(orders.amount), COUNT(*)
+			FROM orders JOIN customers ON orders.cid = customers.cid
+			GROUP BY customers.region`)
 	}
 }
 
@@ -725,7 +665,6 @@ func BenchmarkE10_MultiViewRefresh(b *testing.B) {
 		b.Run(fmt.Sprintf("rw%d", rw), func(b *testing.B) {
 			db := engine.Open("e10", engine.DialectDuckDB)
 			ext := ivmext.Install(db)
-			db.SetPragma("workers", "1") // isolate scheduler parallelism
 			db.SetPragma("ivm_refresh_workers", fmt.Sprint(rw))
 			bdb := benchDB{DB: db, s: db.NewSession()}
 			insertBatch := func(v, n int, round int64) string {
@@ -866,9 +805,8 @@ func BenchmarkWire_Stream(b *testing.B) {
 // end: c concurrent connections — one engine.Session each — run the same
 // aggregation against one preloaded engine, exercising the framed v2 transport,
 // per-session dispatch and the shared SQL-text plan cache under
-// contention. Workers stay pinned at 1 (loadGroups) so ns/op is
-// comparable across machines; scaling with c measures session/server
-// overhead, not executor parallelism.
+// contention. Each statement runs on its session's goroutine, so scaling
+// with c measures session/server overhead.
 func BenchmarkWire_Concurrent(b *testing.B) {
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("c%d", clients), func(b *testing.B) {

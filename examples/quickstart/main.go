@@ -21,7 +21,7 @@ func main() {
 	db := engine.Open("quickstart", engine.DialectDuckDB)
 	ext := ivmext.Install(db)
 	// All statements run on an explicit session — the unit of transaction
-	// and pragma scope.
+	// scope.
 	sess := db.NewSession()
 	defer sess.Close()
 

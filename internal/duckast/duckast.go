@@ -192,6 +192,22 @@ func (del *Delete) SQL(d Dialect) string {
 	return s
 }
 
+// Update emits UPDATE … SET, one "col = expr" per Set entry.
+type Update struct {
+	Table string
+	Set   []string
+	Where Node // nil = every row
+}
+
+// SQL implements Node.
+func (up *Update) SQL(d Dialect) string {
+	s := "UPDATE " + up.Table + " SET " + strings.Join(up.Set, ", ")
+	if up.Where != nil {
+		s += " WHERE " + up.Where.SQL(d)
+	}
+	return s
+}
+
 // CreateTable emits CREATE TABLE with typed columns in dialect spelling.
 type CreateTable struct {
 	Name        string

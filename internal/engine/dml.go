@@ -755,7 +755,7 @@ func keysBeforeLock(tbl *catalog.Table, pred expr.Expr, perRow ...expr.Expr) (ke
 // caches the result. It is bound to the session that planned it and to the
 // parameter binding of its statement: the subquery runs with that session's
 // execution options and cancellation context. Plans holding one are never
-// cached (expr.ParallelSafe refuses unknown node kinds).
+// cached (expr.Stateless refuses unknown node kinds).
 type lazySubquery struct {
 	s      *Session
 	sel    *sqlparser.SelectStmt

@@ -10,7 +10,9 @@
 //     paper's optimizer-rule injection, used to trigger propagation);
 //   - an after-commit hook, which eager propagation runs from;
 //   - row-level triggers, the PostgreSQL-side delta-capture mechanism;
-//   - pragmas, the paper's "compiler switches" controlling IVM strategy.
+//   - pragmas, the paper's "compiler switches": a DB-wide name → value
+//     table the engine stores and never reads. The engine refuses a PRAGMA
+//     statement no hook claims; the IVM extension claims its own names.
 package engine
 
 import (
@@ -101,9 +103,9 @@ type trigger struct {
 
 // DB is an embedded database instance. A DB is safe for concurrent use by
 // multiple sessions: per-connection execution state (transactions,
-// execution pragmas, cancellation) lives in Session, while
-// the DB holds only shared state — catalog, triggers, hooks, the schema
-// epoch and the plan cache — each behind its own lock.
+// parameters, cancellation) lives in Session, while the DB holds only
+// shared state — catalog, triggers, hooks, pragmas, the schema epoch and
+// the plan cache — each behind its own lock.
 type DB struct {
 	Name    string
 	dialect Dialect
@@ -111,8 +113,7 @@ type DB struct {
 	mu  sync.Mutex
 	cat *catalog.Catalog
 
-	// pragmas are the engine-global defaults; sessions overlay workers
-	// locally (see Session.SetPragma).
+	// pragmas are the DB-wide pragma values (SetPragma).
 	pragmas map[string]string
 
 	fallbacks []FallbackParser
@@ -299,8 +300,9 @@ func (db *DB) Pragma(name string) string {
 	return db.pragmas[strings.ToLower(name)]
 }
 
-// SetPragma sets an engine-global pragma programmatically (session-local
-// overlays go through Session.SetPragma).
+// SetPragma sets a DB-wide pragma. A PRAGMA statement reaches it only
+// through the statement hook that claims the name, which checks the value
+// first.
 func (db *DB) SetPragma(name, value string) {
 	db.mu.Lock()
 	db.pragmas[strings.ToLower(name)] = value
@@ -405,12 +407,10 @@ func (db *DB) Parse(sql string) (sqlparser.Statement, error) {
 
 // Exec executes a statement or script on a session of its own, closed
 // when Exec returns: a one-off statement from a caller that holds no
-// session. PRAGMA workers set through it is engine-wide
-// (DB.SetPragma). A transaction cannot outlive the call: one the script
-// leaves open is rolled back and reported as an error; use NewSession.
+// session. A transaction cannot outlive the call: one the script leaves
+// open is rolled back and reported as an error; use NewSession.
 func (db *DB) Exec(sql string) (*Result, error) {
 	s := db.NewSession()
-	s.knobsGlobal = true
 	defer s.Close()
 	res, err := s.Exec(sql)
 	if err == nil && s.txn != nil {

@@ -563,10 +563,31 @@ func TestFallbackParser(t *testing.T) {
 	}
 }
 
+// TestPragma: the engine reads no pragma of its own, so a PRAGMA no
+// statement hook claims is refused with a coded error and stores nothing:
+// a misspelt name and the names of removed pragmas no longer print OK and
+// do nothing. DB.SetPragma stores a value for the extension that reads it.
 func TestPragma(t *testing.T) {
 	db := Open("t", DialectDuckDB)
-	mustExec(t, db, "PRAGMA ivm_empty='hidden_count'")
-	if db.Pragma("ivm_empty") != "hidden_count" {
+	for _, sql := range []string{
+		"PRAGMA wrokers = 4",
+		"PRAGMA batch_size = 7",
+		"PRAGMA ivm_strategy = 'union_regroup'",
+		"PRAGMA workers = 4",
+		"PRAGMA ivm_empty='hidden_count'",
+	} {
+		_, err := db.Exec(sql)
+		if got := Code(err); got != "42704" {
+			t.Errorf("%s: %v (code %q), want code 42704", sql, err, got)
+		}
+	}
+	for _, name := range []string{"wrokers", "batch_size", "ivm_strategy", "workers", "ivm_empty"} {
+		if v := db.Pragma(name); v != "" {
+			t.Errorf("refused PRAGMA %s stored %q", name, v)
+		}
+	}
+	db.SetPragma("ivm_empty", "hidden_count")
+	if db.Pragma("IVM_EMPTY") != "hidden_count" {
 		t.Fatalf("pragma = %q", db.Pragma("ivm_empty"))
 	}
 }

@@ -26,9 +26,8 @@ import (
 // concurrently settle on one entry each. A plan's stamp is the schema epoch
 // it was built under (DDL and trigger writes move it): the plan is valid
 // while that equals the DB's, and the epoch moving also empties the LRU,
-// releasing every dead plan. Nothing of the session is in a plan — its
-// PRAGMA workers reaches the executor through exec.Options — so sessions
-// share one entry per statement shape whatever their pragmas.
+// releasing every dead plan. Nothing of the session is in a plan, so
+// sessions share one entry per statement shape.
 
 // planEntry is one statement on its way through the engine, and what the
 // cache keeps of it.
@@ -312,7 +311,7 @@ func (s *Session) bindSelect(sel *sqlparser.SelectStmt, params *expr.ParamBindin
 }
 
 // planCacheable reports whether a bound plan may be executed again: every
-// expression in every node must be expr.ParallelSafe — a plan holding a
+// expression in every node must be expr.Stateless — a plan holding a
 // lazily cached scalar/IN subquery result would replay the first
 // execution's rows. Unknown node kinds refuse, keeping the default
 // conservative if new plan nodes appear.
@@ -321,30 +320,30 @@ func planCacheable(n plan.Node) bool {
 	plan.Walk(n, func(nd plan.Node) bool {
 		switch x := nd.(type) {
 		case *plan.Scan:
-			ok = ok && expr.ParallelSafe(x.Filter)
+			ok = ok && expr.Stateless(x.Filter)
 		case *plan.Filter:
-			ok = ok && expr.ParallelSafe(x.Pred)
+			ok = ok && expr.Stateless(x.Pred)
 		case *plan.Project:
 			for _, e := range x.Exprs {
-				ok = ok && expr.ParallelSafe(e)
+				ok = ok && expr.Stateless(e)
 			}
 		case *plan.Aggregate:
 			for _, g := range x.GroupBy {
-				ok = ok && expr.ParallelSafe(g)
+				ok = ok && expr.Stateless(g)
 			}
 			for _, a := range x.Aggs {
-				ok = ok && expr.ParallelSafe(a.Arg)
+				ok = ok && expr.Stateless(a.Arg)
 			}
 		case *plan.Join:
-			ok = ok && expr.ParallelSafe(x.On)
+			ok = ok && expr.Stateless(x.On)
 		case *plan.Sort:
 			for _, k := range x.Keys {
-				ok = ok && expr.ParallelSafe(k.Expr)
+				ok = ok && expr.Stateless(k.Expr)
 			}
 		case *plan.Values:
 			for _, row := range x.Rows {
 				for _, e := range row {
-					ok = ok && expr.ParallelSafe(e)
+					ok = ok && expr.Stateless(e)
 				}
 			}
 		case *plan.Distinct, *plan.Limit, *plan.SetOp:

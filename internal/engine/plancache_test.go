@@ -82,9 +82,9 @@ func TestPreparedPlanCacheHit(t *testing.T) {
 	}
 }
 
-// TestPreparedPlanCacheInvalidation: DDL and pragma writes must force a
-// re-plan — a table recreated under the same name or a changed workers
-// hint would otherwise execute against stale plan state.
+// TestPreparedPlanCacheInvalidation: DDL must force a re-plan — a table
+// recreated under the same name would otherwise execute against stale plan
+// state — and a pragma write must not, since no plan reads a pragma.
 func TestPreparedPlanCacheInvalidation(t *testing.T) {
 	db := Open("pc", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE t (k INTEGER)")
@@ -114,7 +114,7 @@ func TestPreparedPlanCacheInvalidation(t *testing.T) {
 
 	// A pragma write does not: no pragma is read while a plan is built.
 	before := db.epoch()
-	db.SetPragma("workers", "2")
+	db.SetPragma("ivm_mode", "eager")
 	if db.epoch() != before {
 		t.Fatal("PRAGMA write moved the schema epoch")
 	}

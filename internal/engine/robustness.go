@@ -35,8 +35,8 @@
 // and stack. The statement's transaction is rolled
 // back (the undo log makes this exact), the session survives, and no
 // other connection observes anything but its own consistent snapshot.
-// The executor's parallel workers route their panics to the statement
-// goroutine (see internal/exec), so this one boundary covers them too.
+// The executor runs a statement on the statement's goroutine, so this one
+// boundary covers it.
 package engine
 
 import (

@@ -5,8 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,9 +16,10 @@ import (
 )
 
 // Session is one connection's execution context over a shared DB. All
-// per-connection state lives here — the open transaction, the PRAGMA
-// workers overlay and the cancellation context — so N sessions can run interleaved DML and
-// queries against one DB without sharing any mutable statement state.
+// per-connection state lives here — the open transaction, the bound
+// parameters and the cancellation context — so N sessions can run
+// interleaved DML and queries against one DB without sharing any mutable
+// statement state.
 //
 // A Session is cheap to create (the wire server makes one per accepted
 // connection, the IVM extension one per internal script run) and is NOT
@@ -32,13 +31,9 @@ import (
 type Session struct {
 	db *DB
 
-	// mu guards the pragma overlay (read per statement, written by PRAGMA).
-	mu      sync.Mutex
-	pragmas map[string]string
-
 	// ctx is the session's lifetime context: queries started through the
 	// plain Exec/Query API run under it, and Cancel/Close cancel it, which
-	// stops in-flight scans and parallel workers (see exec.Options.Ctx).
+	// stops in-flight scans (see exec.Options.Ctx).
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -73,10 +68,6 @@ type Session struct {
 	// them.
 	params expr.ParamBinding
 
-	// knobsGlobal writes PRAGMA workers through to the DB, like
-	// every other pragma: DB.Exec's session, which ends with the call.
-	knobsGlobal bool
-
 	// walBypass excludes this session's writes and DDL from the
 	// write-ahead log. The IVM extension sets it on its internal
 	// sessions: propagation and matview bookkeeping are derived state that recovery rebuilds from base tables, so logging
@@ -105,12 +96,13 @@ func (s *Session) SetInternal(on bool) { s.internal = on }
 func (s *Session) Internal() bool { return s.internal }
 
 // NewSession creates an independent execution context over the database.
-// Sessions share the catalog, triggers, materialized views and the shared
-// plan cache; they do not share transactions or execution pragmas. Every session is entered into the DB's token
-// registry until Close, so out-of-band cancellation can address it.
+// Sessions share the catalog, triggers, materialized views, pragmas and
+// the plan cache; they do not share transactions. Every session is entered
+// into the DB's token registry until Close, so out-of-band cancellation
+// can address it.
 func (db *DB) NewSession() *Session {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Session{db: db, pragmas: map[string]string{}, ctx: ctx, cancel: cancel, token: newSessionToken()}
+	s := &Session{db: db, ctx: ctx, cancel: cancel, token: newSessionToken()}
 	db.registerSession(s)
 	return s
 }
@@ -184,7 +176,7 @@ func (s *Session) Interrupt() {
 func (s *Session) BindParams(vals []sqltypes.Value) { s.params.Vals = vals }
 
 // Cancel interrupts the session's in-flight query (if any): scans and
-// parallel workers observe the cancelled context and the statement
+// joins observe the cancelled context and the statement
 // returns context.Canceled. The session itself becomes unusable for
 // further queries — Cancel is a connection-teardown primitive, not a
 // per-statement one (use ExecContext for that).
@@ -222,69 +214,10 @@ func (s *Session) ReadTS() uint64 {
 // the statement's own.
 func (s *Session) InTxn() bool { return s.txn != nil }
 
-// --- pragmas ---
-
-// Pragma returns the session-effective pragma value: the session overlay
-// when set, the engine-global value otherwise.
-func (s *Session) Pragma(name string) string {
-	key := strings.ToLower(name)
-	s.mu.Lock()
-	v, ok := s.pragmas[key]
-	s.mu.Unlock()
-	if ok {
-		return v
-	}
-	return s.db.Pragma(name)
-}
-
-// SetPragma sets a pragma for this session. The engine-owned execution
-// knob (workers) stays session-local, so two connections can
-// run with different parallelism against one DB (DB.SetPragma sets their
-// global default); every other pragma (ivm_mode, ivm_empty, ...)
-// configures shared engine state — the IVM extension is one extension
-// instance per DB — and is therefore written through to the global table.
-func (s *Session) SetPragma(name, value string) {
-	if sessionLocalPragma(name) && !s.knobsGlobal {
-		s.mu.Lock()
-		s.pragmas[strings.ToLower(name)] = value
-		s.mu.Unlock()
-		return
-	}
-	s.db.SetPragma(name, value)
-}
-
-// sessionLocalPragma reports whether a pragma is a per-session execution
-// knob rather than shared engine configuration.
-func sessionLocalPragma(name string) bool {
-	return strings.EqualFold(name, "workers")
-}
-
-// setPragmaChecked validates engine-owned pragmas before storing them.
-func (s *Session) setPragmaChecked(name, value string) error {
-	if strings.EqualFold(name, "workers") {
-		if n, err := strconv.Atoi(strings.TrimSpace(value)); err != nil || n < 0 {
-			return fmt.Errorf("engine: PRAGMA workers requires a non-negative integer (1 = serial, 0 = one per CPU), got %q", value)
-		}
-	}
-	s.SetPragma(name, value)
-	return nil
-}
-
-// workers returns the scan parallelism selected by PRAGMA workers (0 when
-// unset or unparsable: the executor defaults to one worker per CPU).
-func (s *Session) workers() int {
-	if v := s.Pragma("workers"); v != "" {
-		if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 0
-}
-
-// execOpts assembles the executor options for one statement: the
-// session's PRAGMA workers plus the cancellation context.
+// execOpts assembles the executor options for one statement: its
+// cancellation context.
 func (s *Session) execOpts(ctx context.Context) exec.Options {
-	return exec.Options{Workers: s.workers(), Ctx: ctx}
+	return exec.Options{Ctx: ctx}
 }
 
 // execOptsTxn is execOpts with a transaction's read snapshot attached,

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"openivm/internal/enginerr"
+	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
 )
 
@@ -107,49 +108,40 @@ func TestDoomedTransactionRefusesStatements(t *testing.T) {
 	}
 }
 
-// TestSessionPragmaOverlay: workers set on a session stays
-// session-local; DB.SetPragma sets the engine-global default every
-// session without an overlay sees.
-func TestSessionPragmaOverlay(t *testing.T) {
+// TestPragmasAreDBWide: a PRAGMA a hook claims, set on one session, is the
+// value every session and the DB read, and it outlives the session that
+// set it; a session keeps no pragma of its own.
+func TestPragmasAreDBWide(t *testing.T) {
 	db := Open("s", DialectDuckDB)
+	db.RegisterStatementHook(func(s *Session, stmt sqlparser.Statement) (bool, *Result, error) {
+		if p, ok := stmt.(*sqlparser.PragmaStmt); ok && p.Name == "knob" {
+			s.DB().SetPragma(p.Name, p.Value)
+			return true, &Result{}, nil
+		}
+		return false, nil, nil
+	})
 	s1, s2 := db.NewSession(), db.NewSession()
-	if _, err := s1.Exec("PRAGMA workers = 3"); err != nil {
+	defer s2.Close()
+	if _, err := s1.Exec("PRAGMA knob = 3"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s1.Pragma("workers"); got != "3" {
-		t.Fatalf("s1 workers = %q, want 3", got)
+	s1.Close()
+	if got := s2.DB().Pragma("knob"); got != "3" {
+		t.Fatalf("s2 reads knob = %q, want s1's 3", got)
 	}
-	if got := s2.Pragma("workers"); got != "" {
-		t.Fatalf("s2 sees s1's overlay: %q", got)
+	if _, err := s2.Exec("BEGIN; PRAGMA knob = 4; ROLLBACK"); err != nil {
+		t.Fatal(err)
 	}
-	if got := db.Pragma("workers"); got != "" {
-		t.Fatalf("global table polluted: %q", got)
-	}
-	// Global default flows into sessions without an overlay.
-	db.SetPragma("workers", "2")
-	if got := s2.Pragma("workers"); got != "2" {
-		t.Fatalf("s2 misses the global default: %q", got)
-	}
-	if got := s1.Pragma("workers"); got != "3" {
-		t.Fatalf("s1 overlay lost: %q", got)
-	}
-	// Validation applies on sessions too.
-	if _, err := s1.Exec("PRAGMA workers = -1"); err == nil {
-		t.Fatal("invalid workers accepted on a session")
+	if got := db.Pragma("knob"); got != "4" {
+		t.Fatalf("knob = %q after a PRAGMA inside a rolled-back transaction, want 4 (pragmas are not transactional)", got)
 	}
 }
 
 // TestDBExecOneOff: DB.Exec's session ends with the call, so what would
-// outlive it does not silently vanish — knob pragmas are engine-wide and a
-// transaction left open is rolled back and reported.
+// outlive it does not silently vanish — a transaction left open is rolled
+// back and reported.
 func TestDBExecOneOff(t *testing.T) {
 	db := Open("s", DialectDuckDB)
-	if _, err := db.Exec("PRAGMA workers = 3"); err != nil {
-		t.Fatal(err)
-	}
-	if w := db.Pragma("workers"); w != "3" {
-		t.Fatalf("DB.Exec knob: workers=%q, want 3", w)
-	}
 	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
 	if _, err := db.Exec("BEGIN; INSERT INTO t VALUES (1)"); err == nil {
 		t.Fatal("a transaction left open by DB.Exec was not reported")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"openivm/internal/enginerr"
 	"openivm/internal/exec"
 	"openivm/internal/plan"
 	"openivm/internal/sqlparser"
@@ -16,13 +17,13 @@ import (
 // what the wire protocol streams to the client. For a SELECT it wraps the
 // live operator tree: each Next pulls one batch, so a consumer that stops
 // pulling (a slow network peer) parks the whole pipeline — natural
-// backpressure all the way down to the parallel scan's bounded channels.
+// backpressure all the way down to the scan.
 // Statements with no streaming shape (DML, DDL, hook-handled statements)
 // have already run when the stream is returned; it serves their
 // materialized result as a single batch.
 //
 // A Stream must be closed exactly once, drained or not: Close releases
-// the operator tree (terminating parallel workers). Like the session that
+// the operator tree. Like the session that
 // produced it, a Stream belongs to one goroutine.
 type Stream struct {
 	// Columns names the result columns (empty for pure DML).
@@ -160,7 +161,7 @@ func (s *Session) Query(sql string) (*Result, error) { return s.Exec(sql) }
 func (s *Session) ExecScript(sql string) (*Result, error) { return s.Exec(sql) }
 
 // ExecContext is Exec with an explicit cancellation context: the
-// statement's own execution — scans, parallel workers, filtered
+// statement's own execution — scans, joins, filtered
 // UPDATE/DELETE sweeps — observes ctx. (Uncorrelated scalar/IN subqueries
 // are bound to the session at plan time and run under the session context
 // instead.)
@@ -330,10 +331,9 @@ func (s *Session) execStmt(ctx context.Context, ent *planEntry) (*Result, error)
 	case *sqlparser.RollbackStmt:
 		return s.execRollback()
 	case *sqlparser.PragmaStmt:
-		if err := s.setPragmaChecked(st.Name, st.Value); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
+		// The engine reads no pragma of its own; a name no statement hook
+		// claimed would be stored and never read.
+		return nil, enginerr.Newf(enginerr.CodeUndefinedObject, "engine: unrecognized pragma %q", st.Name)
 	case *sqlparser.ExplainStmt:
 		return s.execExplain(&ent.params, st)
 	case *sqlparser.CreateTriggerStmt:

@@ -53,6 +53,10 @@ const (
 	// statement doomed: only COMMIT (which returns that failure) and
 	// ROLLBACK end it.
 	CodeInFailedTxn = "25P02"
+	// CodeUndefinedObject names a pragma nothing reads.
+	CodeUndefinedObject = "42704"
+	// CodeInvalidParameter is a pragma value its reader cannot use.
+	CodeInvalidParameter = "22023"
 )
 
 // Error is a classified engine error: a SQLSTATE class plus a message,

@@ -86,8 +86,8 @@ func newBatchScan(s *plan.Scan, opts Options) *batchScan {
 	return newBatchScanRows(s, scanRows(s, plan.PinnedKeys(s.Table, s.Filter), opts), opts)
 }
 
-// newBatchScanRows is newBatchScan over an explicit row snapshot — the
-// parallel scan hands each worker one snapshot partition.
+// newBatchScanRows is newBatchScan over an explicit row snapshot — the rows
+// a keyed scan's key set found.
 func newBatchScanRows(s *plan.Scan, rows []sqltypes.Row, opts Options) *batchScan {
 	it := &batchScan{node: s, rows: rows, size: opts.BatchSize, ctx: opts.Ctx}
 	if s.Projection != nil {

@@ -98,16 +98,10 @@ func (t *byteTable) keyAt(i int32) []byte {
 
 // get returns the entry index for key, or ok=false when absent.
 func (t *byteTable) get(key []byte) (int32, bool) {
-	return t.getHashed(key, hashBytes(key))
-}
-
-// getHashed is get with the key's hash computed by the caller — the
-// radix-partitioned join build hashes each key once to route it to a
-// partition table, then probes with the same hash.
-func (t *byteTable) getHashed(key []byte, h uint32) (int32, bool) {
 	if t.n == 0 {
 		return -1, false
 	}
+	h := hashBytes(key)
 	for pos := h & t.mask; ; pos = (pos + 1) & t.mask {
 		s := t.slots[pos]
 		if s.idx < 0 {
@@ -123,14 +117,10 @@ func (t *byteTable) getHashed(key []byte, h uint32) (int32, bool) {
 // bytes to the slab) when absent. inserted reports which happened; a fresh
 // entry's index is always t.len()-1, preserving first-seen dense order.
 func (t *byteTable) getOrInsert(key []byte) (idx int32, inserted bool) {
-	return t.getOrInsertHashed(key, hashBytes(key))
-}
-
-// getOrInsertHashed is getOrInsert with a caller-computed hash.
-func (t *byteTable) getOrInsertHashed(key []byte, h uint32) (idx int32, inserted bool) {
 	if t.n >= t.growAt {
 		t.grow()
 	}
+	h := hashBytes(key)
 	for pos := h & t.mask; ; pos = (pos + 1) & t.mask {
 		s := &t.slots[pos]
 		if s.idx < 0 {

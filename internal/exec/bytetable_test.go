@@ -148,7 +148,7 @@ func TestAggregateZeroMapAllocsPerGroup(t *testing.T) {
 	n := bindSQL(t, c, "SELECT k, SUM(v), COUNT(*) FROM big GROUP BY k")
 	var runErr error
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := RunOpts(n, Options{Workers: 1}); err != nil {
+		if _, err := RunOpts(n, Options{}); err != nil {
 			runErr = err
 		}
 	})

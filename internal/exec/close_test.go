@@ -3,17 +3,59 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"openivm/internal/catalog"
 	"openivm/internal/plan"
+	"openivm/internal/sqltypes"
 )
+
+// groupCatalog builds a table p(g, v, f) of rows rows, with NULLs
+// sprinkled through both the group and value columns. Values stay small
+// integers so float aggregates (AVG) are exact.
+func groupCatalog(t testing.TB, rows int) *catalog.Catalog {
+	t.Helper()
+	c := catalog.New()
+	tbl, err := c.CreateTable("p", []catalog.Column{
+		{Name: "g", Type: sqltypes.TypeString},
+		{Name: "v", Type: sqltypes.TypeInt},
+		{Name: "f", Type: sqltypes.TypeFloat},
+	}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	batch := make([]sqltypes.Row, 0, rows)
+	for i := 0; i < rows; i++ {
+		g := sqltypes.Value(sqltypes.NewString(fmt.Sprint("g", rng.Intn(97))))
+		if rng.Intn(20) == 0 {
+			g = sqltypes.Null
+		}
+		v := sqltypes.Value(sqltypes.NewInt(int64(rng.Intn(1000))))
+		if rng.Intn(15) == 0 {
+			v = sqltypes.Null
+		}
+		batch = append(batch, sqltypes.Row{g, v, sqltypes.NewFloat(float64(rng.Intn(64)) / 4)})
+	}
+	load(t, c, tbl, batch...)
+	return c
+}
+
+func rowsToStrings(rows []sqltypes.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	return out
+}
 
 // waitGoroutines polls until the goroutine count drops back to at most
 // base (plus slack for runtime background goroutines), failing after a
-// generous deadline. Polling is required: Close is a barrier for the
-// workers' user code, but the runtime needs a moment to retire them.
+// generous deadline: a query must leave no goroutine behind.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -32,37 +74,13 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestParallelScanCloseReleasesWorkers is the leak test the Close protocol
-// is measured by: open a parallel scan, pull one batch, Close mid-stream,
-// and require the goroutine count to return to its pre-query baseline.
-func TestParallelScanCloseReleasesWorkers(t *testing.T) {
-	c := parallelCatalog(t, 40000)
-	n := bindSQL(t, c, "SELECT g, v FROM p WHERE v >= 0")
-	base := runtime.NumGoroutine()
-	for round := 0; round < 3; round++ {
-		it, err := OpenBatch(n, Options{Workers: 4, BatchSize: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := it.(*parallelScan); !ok {
-			t.Fatalf("expected *parallelScan, got %T", it)
-		}
-		if b, err := it.NextBatch(); err != nil || b == nil {
-			t.Fatalf("first batch = (%v, %v)", b, err)
-		}
-		it.Close()
-	}
-	waitGoroutines(t, base)
-}
-
 // TestLimitEarlyCloseNoLeak drives a full LIMIT plan through RunOpts —
-// the engine path — and asserts no worker goroutine survives the query.
-// The plan forces parallel execution below the limit via an Aggregate
-// (a pipeline breaker, so the scan fans out even under LIMIT).
+// the engine path — over an aggregate (a pipeline breaker that drains its
+// input) and asserts no goroutine survives the query.
 func TestLimitEarlyCloseNoLeak(t *testing.T) {
-	c := parallelCatalog(t, 40000)
+	c := groupCatalog(t, 40000)
 	base := runtime.NumGoroutine()
-	rows, err := RunOpts(bindSQL(t, c, "SELECT g, SUM(v) FROM p GROUP BY g LIMIT 3"), Options{Workers: 4})
+	rows, err := RunOpts(bindSQL(t, c, "SELECT g, SUM(v) FROM p GROUP BY g LIMIT 3"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,67 +90,41 @@ func TestLimitEarlyCloseNoLeak(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestParallelScanChannelBounded pins the acceptance criterion that the
-// parallel scan's output channel holds O(workers) morsels — each of at
-// most a morsel's surviving row headers — rather than one slot for every
-// morsel of the snapshot (the old full-materialization sizing).
-func TestParallelScanChannelBounded(t *testing.T) {
-	c := parallelCatalog(t, 40000)
-	scan, filters, proj, ok := plan.ScanPipeline(bindSQL(t, c, "SELECT g, v FROM p WHERE v >= 0"))
-	if !ok {
-		t.Fatal("not a pipeline")
-	}
-	it, ok := newParallelScan(scan, filters, proj, Options{BatchSize: DefaultBatchSize, Workers: 4})
-	if !ok {
-		t.Fatal("parallel scan refused")
-	}
-	ps := it.(*parallelScan)
-	defer ps.Close()
-	if _, err := ps.NextBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := cap(ps.ch), ps.workers; got != want {
-		t.Fatalf("channel capacity = %d morsels, want O(workers) = %d", got, want)
-	}
-	if morsels := ps.queue.count(); cap(ps.ch) >= morsels {
-		t.Fatalf("channel capacity %d not smaller than morsel count %d — no backpressure", cap(ps.ch), morsels)
-	}
-	// Drain fully: the claim window must have kept the reorder buffer
-	// within O(workers) morsels the whole way, regardless of skew.
-	for {
-		b, err := ps.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-	}
-	if ps.maxBuf > ps.window {
-		t.Fatalf("reorder buffer reached %d morsels, claim window is %d", ps.maxBuf, ps.window)
-	}
+// cancelAfter is a context that reports context.Canceled from its n-th Err
+// call on: a cancellation that lands at a known point inside a long
+// operator, without timing.
+type cancelAfter struct {
+	context.Context
+	n int
 }
 
-// TestContextCancelStopsQuery: a context cancelled mid-stream must surface
-// ctx.Err() from serial and parallel plans alike, and leave no workers.
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestContextCancelStopsQuery: a cancelled context must surface ctx.Err()
+// from a long scan and a long aggregation, whether it was cancelled before
+// the first batch or mid-stream.
 func TestContextCancelStopsQuery(t *testing.T) {
-	c := parallelCatalog(t, 40000)
-	base := runtime.NumGoroutine()
+	c := groupCatalog(t, 40000)
+	agg := bindSQL(t, c, "SELECT g, SUM(v) FROM p GROUP BY g")
+	scan := bindSQL(t, c, "SELECT g, v FROM p WHERE v >= 0")
 
 	// Pre-cancelled context: even the first batch must refuse.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		_, err := RunOpts(bindSQL(t, c, "SELECT g, SUM(v) FROM p GROUP BY g"), Options{Workers: workers, Ctx: ctx})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: cancelled context returned %v, want context.Canceled", workers, err)
+	for name, n := range map[string]plan.Node{"aggregate": agg, "scan": scan} {
+		if _, err := RunOpts(n, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled context returned %v, want context.Canceled", name, err)
 		}
 	}
 
-	// Cancel after the first batch: the parallel workers must stop claiming
-	// morsels and the error must surface.
+	// Cancel after the first batch of a scan: the next batch must refuse.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	it, err := OpenBatch(bindSQL(t, c, "SELECT g, v FROM p WHERE v >= 0"), Options{Workers: 4, BatchSize: 64, Ctx: ctx2})
+	it, err := OpenBatch(scan, Options{BatchSize: 64, Ctx: ctx2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,27 +132,24 @@ func TestContextCancelStopsQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel2()
-	for {
-		b, err := it.NextBatch()
-		if err != nil {
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("mid-stream cancel surfaced %v", err)
-			}
-			break
-		}
-		if b == nil {
-			t.Fatal("cancelled query drained cleanly without surfacing ctx.Err()")
-		}
+	if b, err := it.NextBatch(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-stream cancel surfaced (%v, %v), want context.Canceled", b, err)
 	}
 	it.Close()
-	waitGoroutines(t, base)
+
+	// Cancel while the aggregation drains its 40 000-row input: the error
+	// surfaces from the build, before any group is emitted.
+	mid := &cancelAfter{Context: context.Background(), n: 100}
+	if rows, err := RunOpts(agg, Options{BatchSize: 64, Ctx: mid}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel inside the aggregation returned %d rows, %v", len(rows), err)
+	}
 }
 
 // TestCloseIdempotentAcrossOperators closes whole operator trees twice at
 // several shapes (join, set op, sort, distinct) — double-close must be a
 // no-op everywhere and half-drained children must be released.
 func TestCloseIdempotentAcrossOperators(t *testing.T) {
-	c := parallelCatalog(t, 20000)
+	c := groupCatalog(t, 20000)
 	base := runtime.NumGoroutine()
 	queries := []string{
 		"SELECT a.g, b.v FROM p AS a JOIN p AS b ON a.g = b.g LIMIT 1",
@@ -168,7 +157,7 @@ func TestCloseIdempotentAcrossOperators(t *testing.T) {
 		"SELECT DISTINCT g FROM p ORDER BY g",
 	}
 	for _, sql := range queries {
-		it, err := OpenBatch(bindSQL(t, c, sql), Options{Workers: 4})
+		it, err := OpenBatch(bindSQL(t, c, sql), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

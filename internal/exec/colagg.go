@@ -145,7 +145,7 @@ func (it *batchAgg) accumulateColumnar(b *Batch) (handled bool, err error) {
 			for k, vec := range c.keyVecs {
 				kv[k] = vec.ValueAt(i)
 			}
-			it.noteGroup(kv, int64(i))
+			it.noteGroup(kv)
 		}
 		for a, st := range it.states[int(gi)*nAggs : int(gi)*nAggs+nAggs] {
 			if err := st.AddVec(c.argVecs[a], i); err != nil {

@@ -31,7 +31,6 @@ func runAggRowPath(n plan.Node, opts Options) ([]sqltypes.Row, error) {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = DefaultBatchSize
 	}
-	opts.Workers = 1
 	agg, ok := n.(*plan.Aggregate)
 	if !ok {
 		return RunOpts(n, opts)
@@ -51,7 +50,7 @@ func runAggRowPath(n plan.Node, opts Options) ([]sqltypes.Row, error) {
 // a group count high enough to cross several byteTable grow boundaries.
 // Output must match exactly — values and first-seen group order.
 func TestColumnarAggMatchesRowAgg(t *testing.T) {
-	c := parallelCatalog(t, 12000)
+	c := groupCatalog(t, 12000)
 	queries := []string{
 		"SELECT g, SUM(v), COUNT(*), COUNT(v), MIN(v), MAX(v), AVG(v) FROM p GROUP BY g",
 		"SELECT g, SUM(f), AVG(f) FROM p GROUP BY g",
@@ -70,7 +69,7 @@ func TestColumnarAggMatchesRowAgg(t *testing.T) {
 	}
 	for _, sql := range queries {
 		for _, bs := range []int{64, DefaultBatchSize} {
-			opts := Options{BatchSize: bs, Workers: 1}
+			opts := Options{BatchSize: bs}
 			agg := aggNodeFor(t, bindSQL(t, c, sql))
 			got, err := RunOpts(agg, opts)
 			if err != nil {
@@ -95,15 +94,15 @@ func TestColumnarAggMatchesRowAgg(t *testing.T) {
 // vector, where the mismatched cells would silently degrade to NULL. The
 // operator has to fall back to the boxed row path and keep the values.
 func TestColumnarAggMixedTypeCellsFallBack(t *testing.T) {
-	c := parallelCatalog(t, 100)
+	c := groupCatalog(t, 100)
 	// x is declared INT (first CASE branch) but carries FLOAT 0.5 cells.
 	sql := "SELECT x, COUNT(*) FROM (SELECT CASE WHEN v > 500 THEN 1 ELSE 0.5 END AS x FROM p WHERE v IS NOT NULL) AS s GROUP BY x"
 	agg := aggNodeFor(t, bindSQL(t, c, sql))
-	got, err := RunOpts(agg, Options{Workers: 1})
+	got, err := RunOpts(agg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := runAggRowPath(agg, Options{Workers: 1})
+	want, err := runAggRowPath(agg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +127,14 @@ func TestColumnarAggMixedTypeCellsFallBack(t *testing.T) {
 // compile the columnar path (a silent fallback to the row loop must fail
 // loudly), and that expressions outside the kernel compiler refuse it.
 func TestColumnarAggUsed(t *testing.T) {
-	c := parallelCatalog(t, 6000)
+	c := groupCatalog(t, 6000)
 	build := func(sql string) *batchAgg {
 		agg := aggNodeFor(t, bindSQL(t, c, sql))
-		in, err := openBatch(agg.Input, Options{BatchSize: DefaultBatchSize, Workers: 1})
+		in, err := openBatch(agg.Input, Options{BatchSize: DefaultBatchSize})
 		if err != nil {
 			t.Fatal(err)
 		}
-		it := newBatchAgg(in, agg, Options{BatchSize: DefaultBatchSize, Workers: 1})
+		it := newBatchAgg(in, agg, Options{BatchSize: DefaultBatchSize})
 		if err := it.build(); err != nil {
 			t.Fatal(err)
 		}
@@ -160,14 +159,13 @@ func TestColumnarAggUsed(t *testing.T) {
 // TestColumnarAggSteadyStateAllocs guards the columnar accumulation loop:
 // once every group exists, folding another batch must not allocate.
 func TestColumnarAggSteadyStateAllocs(t *testing.T) {
-	c := parallelCatalog(t, 6000)
+	c := groupCatalog(t, 6000)
 	agg := aggNodeFor(t, bindSQL(t, c, "SELECT g, SUM(v), COUNT(*), AVG(f) FROM p GROUP BY g"))
-	in, err := openBatch(agg.Input, Options{BatchSize: DefaultBatchSize, Workers: 1})
+	in, err := openBatch(agg.Input, Options{BatchSize: DefaultBatchSize})
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := newBatchAgg(in, agg, Options{BatchSize: DefaultBatchSize, Workers: 1})
-	it.batchBase = -1
+	it := newBatchAgg(in, agg, Options{BatchSize: DefaultBatchSize})
 
 	// One warm-up batch creates the groups and the kernel state.
 	b, err := in.NextBatch()

@@ -32,17 +32,6 @@
 // rows lazily through Batch.RowView. Pipelines the kernel compiler cannot
 // handle fall back to the classic operator chain with identical semantics.
 //
-// # Parallel partitioned scans
-//
-// Scan pipelines over large snapshots fan out across worker goroutines:
-// the snapshot is split into contiguous partitions, each worker runs its
-// own copy of the pipeline, and a merge stage re-emits batches in
-// partition order so results match the serial scan row for row.
-// Aggregations over such pipelines build thread-local group tables and
-// combine them with expr.AggState.Merge. Options.Workers (PRAGMA workers)
-// sets the fan-out; the default is one worker per CPU, engaging only past
-// a snapshot-size threshold. See parallel.go.
-//
 // # Allocation-free hash paths
 //
 // Hash aggregation, hash join, distinct and the set operations key their
@@ -70,19 +59,16 @@
 //
 // # Close and cancellation
 //
-// Every iterator must be closed when the caller is done with it, drained
-// or not: Close releases operator resources and — crucially — terminates
-// the worker goroutines of parallel operators, which otherwise block on
-// their bounded output channels. Close is idempotent, propagates through
-// the whole operator tree (every wrapping operator closes its inputs,
-// including half-drained ones), and returns only after the subtree's
-// goroutines have exited. Run/RunOpts close the tree they open; callers
-// of OpenBatch own the close.
+// A statement runs on its caller's goroutine: no operator starts one of its
+// own. Every iterator must be closed when the caller is done with it,
+// drained or not: Close releases operator resources, is idempotent, and
+// propagates through the whole operator tree (every wrapping operator
+// closes its inputs, including half-drained ones). Run/RunOpts close the
+// tree they open; callers of OpenBatch own the close.
 //
 // Options.Ctx carries a cancellation context into the tree: scans and
-// joins check it between batches and parallel workers between morsels, so a
-// cancelled query surfaces ctx.Err() promptly instead of running to
-// completion.
+// joins check it between batches, so a cancelled query surfaces ctx.Err()
+// promptly instead of running to completion.
 package exec
 
 import (
@@ -163,7 +149,7 @@ func (b *Batch) reset() {
 
 // BatchIterator produces batches of rows. NextBatch returns nil at end of
 // stream and never returns a non-nil empty batch. Close releases the
-// subtree's resources (terminating any worker goroutines) and must be
+// subtree's resources and must be
 // called exactly when the caller is done, drained or not; it is
 // idempotent, and NextBatch must not be called after it.
 type BatchIterator interface {
@@ -177,14 +163,9 @@ type Options struct {
 	// engine leaves it at the default; tests set it small to cross batch
 	// boundaries with few rows.
 	BatchSize int
-	// Workers is the scan/aggregation parallelism (0 = one worker per CPU,
-	// 1 = serial): the executing session's PRAGMA workers. Parallelism only
-	// engages on snapshots large enough to repay the fan-out cost; see
-	// internal/exec/parallel.go.
-	Workers int
-	// Ctx cancels execution: scans check it between batches and parallel
-	// workers between morsels, surfacing ctx.Err(). nil means no
-	// cancellation (context.Background()).
+	// Ctx cancels execution: scans and joins check it between batches,
+	// surfacing ctx.Err(). nil means no cancellation
+	// (context.Background()).
 	Ctx context.Context
 	// Snap is the MVCC read snapshot scans filter rows by. The zero
 	// snapshot means latest-committed state, which is resolved per scan
@@ -206,8 +187,7 @@ func Run(n plan.Node) ([]sqltypes.Row, error) {
 }
 
 // RunOpts is Run with explicit execution options. The iterator tree is
-// always closed before returning, so early errors (and cancellation)
-// cannot leak parallel workers.
+// always closed before returning, early errors and cancellation included.
 func RunOpts(n plan.Node, opts Options) ([]sqltypes.Row, error) {
 	it, err := OpenBatch(n, opts)
 	if err != nil {
@@ -232,7 +212,6 @@ func OpenBatch(n plan.Node, opts Options) (BatchIterator, error) {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = DefaultBatchSize
 	}
-	opts.Workers = resolveWorkers(opts.Workers)
 	return openBatch(n, opts)
 }
 
@@ -250,19 +229,14 @@ func classicChain(n plan.Node, scan BatchIterator, opts Options) BatchIterator {
 
 func openBatch(n plan.Node, opts Options) (BatchIterator, error) {
 	// Fused fast path: collapse a Project?→Filter*→Scan chain into one
-	// columnar pass when every expression compiles to a vector kernel —
-	// partitioned across worker goroutines when the snapshot is large
-	// enough (see parallel.go). On a partial match (say the projection is
-	// too rich but the filter is simple) the recursion below still fuses
-	// the inner sub-chain. A keyed scan takes the classic chain instead,
+	// columnar pass when every expression compiles to a vector kernel. On
+	// a partial match (say the projection is too rich but the filter is
+	// simple) the recursion below still fuses the inner sub-chain. A keyed scan takes the classic chain instead,
 	// over the rows its key set finds: it reads a handful of rows through
 	// the key index, for which compiling kernels costs more than it saves.
 	if scan, filters, proj, ok := plan.ScanPipeline(n); ok {
 		if keys := plan.PinnedKeys(scan.Table, scan.Filter); keys != nil {
 			return classicChain(n, newBatchScanRows(scan, scanRows(scan, keys, opts), opts), opts), nil
-		}
-		if ps, parallel := newParallelScan(scan, filters, proj, opts); parallel {
-			return ps, nil
 		}
 		if it, compiled := newFusedScan(scan, filters, proj, opts); compiled {
 			return it, nil
@@ -270,9 +244,6 @@ func openBatch(n plan.Node, opts Options) (BatchIterator, error) {
 	}
 	switch x := n.(type) {
 	case *plan.Scan:
-		if ps, parallel := newParallelScan(x, nil, nil, opts); parallel {
-			return ps, nil
-		}
 		return newBatchScan(x, opts), nil
 	case *plan.Values:
 		return newBatchValues(x, opts), nil
@@ -289,9 +260,6 @@ func openBatch(n plan.Node, opts Options) (BatchIterator, error) {
 		}
 		return newBatchProject(in, x, opts), nil
 	case *plan.Aggregate:
-		if pa, parallel := newParallelAgg(x, opts); parallel {
-			return pa, nil
-		}
 		in, err := openBatch(x.Input, opts)
 		if err != nil {
 			return nil, err
@@ -312,18 +280,6 @@ func openBatch(n plan.Node, opts Options) (BatchIterator, error) {
 		}
 		return &batchSort{in: in, keys: x.Keys, size: opts.BatchSize}, nil
 	case *plan.Limit:
-		// A LIMIT whose input streams straight from a scan (through any
-		// chain of streaming operators — filters, projections, DISTINCT,
-		// nested limits) stops pulling after a few rows. The Close
-		// protocol would terminate a parallel scan's workers promptly, but
-		// they would still have fanned out and scanned O(workers) morsels
-		// for a query that needs ~limit rows; keep that subtree serial —
-		// strictly less work and lower latency. Pipeline breakers in
-		// between (Sort, Aggregate, Join) drain their input fully anyway,
-		// so parallelism stays on there.
-		if x.Limit >= 0 && streamsFromScan(x.Input) {
-			opts.Workers = 1
-		}
 		in, err := openBatch(x.Input, opts)
 		if err != nil {
 			return nil, err
@@ -333,29 +289,6 @@ func openBatch(n plan.Node, opts Options) (BatchIterator, error) {
 		return newBatchSetOp(x, opts)
 	}
 	return nil, fmt.Errorf("exec: unsupported plan node %T", n)
-}
-
-// streamsFromScan reports whether n produces rows incrementally straight
-// off a table scan: a chain of streaming operators (Filter, Project,
-// Distinct, Limit) ending in a Scan, with no pipeline breaker that would
-// drain its input regardless of how little the consumer pulls.
-func streamsFromScan(n plan.Node) bool {
-	for {
-		switch x := n.(type) {
-		case *plan.Filter:
-			n = x.Input
-		case *plan.Project:
-			n = x.Input
-		case *plan.Distinct:
-			n = x.Input
-		case *plan.Limit:
-			n = x.Input
-		case *plan.Scan:
-			return true
-		default:
-			return false
-		}
-	}
 }
 
 // sourceRows is plan.SourceRows as a pre-sizing hint: 0 when unknown.

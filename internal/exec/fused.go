@@ -107,19 +107,6 @@ func (ls *loadSet) vectors() []*sqltypes.Vector {
 // false when any predicate or projection expression falls outside the
 // kernel compiler's reach; the caller then builds the classic chain.
 func newFusedScan(scan *plan.Scan, filters []expr.Expr, proj *plan.Project, opts Options) (*fusedScan, bool) {
-	it, ok := compileFusedScan(scan, filters, proj, opts)
-	if !ok {
-		return nil, false
-	}
-	it.rows = scanRows(scan, nil, opts)
-	return it, true
-}
-
-// compileFusedScan builds the fused iterator without attaching a row
-// snapshot. The parallel scan compiles one instance per worker — kernels
-// and vectors are per-instance state, so each worker owns its own — and
-// assigns each a snapshot partition.
-func compileFusedScan(scan *plan.Scan, filters []expr.Expr, proj *plan.Project, opts Options) (*fusedScan, bool) {
 	full := scan.FullSchema()
 	// outCol maps a scan-output column position to its full-schema
 	// position (identity without projection pruning).
@@ -203,6 +190,7 @@ func compileFusedScan(scan *plan.Scan, filters []expr.Expr, proj *plan.Project, 
 		}
 		it.slab = newValueSlab(len(it.outCols), opts.BatchSize)
 	}
+	it.rows = scanRows(scan, nil, opts)
 	return it, true
 }
 

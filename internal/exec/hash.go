@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"openivm/internal/expr"
 	"openivm/internal/plan"
@@ -133,9 +132,8 @@ func (p *statePool) get() expr.AggState {
 // flat arrays (group key rows from a value slab, accumulator states in one
 // flat slice, the open-addressing byteTable mapping encoded key -> group
 // index), so the per-group allocation cost is amortized block growth only —
-// no map entry and no key-string allocation. The parallel aggregation
-// wrapper (parallelAgg) runs one batchAgg per snapshot partition as the
-// thread-local table and merges them through the retained table field.
+// no map entry and no key-string allocation. Groups are emitted in
+// first-seen order.
 type batchAgg struct {
 	in   BatchIterator
 	node *plan.Aggregate
@@ -154,33 +152,14 @@ type batchAgg struct {
 	slab    valueSlab
 
 	col colAgg // columnar input path (see colagg.go)
-
-	// First-seen tags, tracked only when the input is a morsel source
-	// (dynamic work assignment): tags[g] orders group g by where its first
-	// row sits in the serial stream, so the parallel combine can restore
-	// the serial operator's first-seen group order. emitOrder, when set,
-	// remaps output position -> group index.
-	tags      []int64
-	batchBase int64 // tag of the current batch's first row (-1 = untagged)
-	emitOrder []int32
 }
 
-// taggedSource is implemented by inputs that can order their batches
-// globally (the morsel source); batchTag returns the serial-stream tag of
-// the current batch's first row.
-type taggedSource interface {
-	batchTag() int64
-}
-
-// noteGroup registers a fresh group: its key row, one accumulator per
-// aggregate, and — under a tagged input — its first-seen tag.
-func (it *batchAgg) noteGroup(kv sqltypes.Row, rowInBatch int64) {
+// noteGroup registers a fresh group: its key row and one accumulator per
+// aggregate.
+func (it *batchAgg) noteGroup(kv sqltypes.Row) {
 	it.groups = append(it.groups, kv)
 	for i := range it.pools {
 		it.states = append(it.states, it.pools[i].get())
-	}
-	if it.batchBase >= 0 {
-		it.tags = append(it.tags, it.batchBase+rowInBatch)
 	}
 }
 
@@ -207,8 +186,6 @@ func (it *batchAgg) build() error {
 	keyScratch := make(sqltypes.Row, len(it.node.GroupBy))
 	var keyBuf []byte
 	nAggs := len(it.node.Aggs)
-	tagSrc, _ := it.in.(taggedSource)
-	it.batchBase = -1
 
 	for {
 		b, err := it.in.NextBatch()
@@ -218,9 +195,6 @@ func (it *batchAgg) build() error {
 		if b == nil {
 			break
 		}
-		if tagSrc != nil {
-			it.batchBase = tagSrc.batchTag()
-		}
 		// Columnar fast path: kernel-evaluated keys and arguments (see
 		// colagg.go); falls through to the row loop when unavailable.
 		if handled, err := it.accumulateColumnar(b); handled || err != nil {
@@ -229,7 +203,7 @@ func (it *batchAgg) build() error {
 			}
 			continue
 		}
-		for ri, r := range b.RowView() {
+		for _, r := range b.RowView() {
 			for i, g := range it.node.GroupBy {
 				v, err := g.Eval(r)
 				if err != nil {
@@ -242,7 +216,7 @@ func (it *batchAgg) build() error {
 			if inserted { // gi == len(it.groups): dense first-seen order
 				kv := it.keySlab.newRow()
 				copy(kv, keyScratch)
-				it.noteGroup(kv, int64(ri))
+				it.noteGroup(kv)
 			}
 			for _, st := range it.states[int(gi)*nAggs : int(gi)*nAggs+nAggs] {
 				if err := st.Add(r); err != nil {
@@ -284,9 +258,6 @@ func (it *batchAgg) NextBatch() (*Batch, error) {
 	nAggs := len(it.node.Aggs)
 	for it.pos < len(it.groups) && len(it.out.Rows) < it.size {
 		gi := it.pos
-		if it.emitOrder != nil {
-			gi = int(it.emitOrder[it.pos])
-		}
 		kv := it.groups[gi]
 		row := it.slab.newRow()
 		n := copy(row, kv)
@@ -311,14 +282,6 @@ func (it *batchAgg) Close() { it.in.Close() }
 type joinBucket struct {
 	first int
 	rest  []int
-}
-
-// joinPart is one radix partition of the build-side hash table: the key
-// directory plus its dense-index-addressed buckets. A serial build is the
-// degenerate single-partition case.
-type joinPart struct {
-	table   byteTable
-	buckets []joinBucket
 }
 
 // batchJoin is the join operator. The build side (plan.Join.BuildSide) is
@@ -350,12 +313,10 @@ type batchJoin struct {
 	buildLeft bool
 
 	buildRows []sqltypes.Row
-	// parts is the build-side hash directory, split by the high bits of the
-	// key hash (hash >> radixShift selects the partition). A single
-	// partition with radixShift 32 is the serial build; the parallel radix
-	// build produces one partition per worker (see buildHashTable).
-	parts        []joinPart
-	radixShift   uint
+	// table is the build-side hash directory: encoded equi key -> dense
+	// index into buckets.
+	table        byteTable
+	buckets      []joinBucket
 	cand         []int // reusable candidate scratch
 	allBuild     []int // cached candidate list for cross/theta joins
 	keyBuf       []byte
@@ -453,7 +414,7 @@ func newBatchJoin(j *plan.Join, opts Options) (BatchIterator, error) {
 	}
 	if it.algo == plan.HashJoin {
 		it.keyScratch = make(sqltypes.Row, len(buildKeys))
-		it.buildHashTable(opts)
+		it.buildHashTable()
 	} else {
 		it.allBuild = make([]int, len(buildRows))
 		for i := range it.allBuild {
@@ -501,158 +462,28 @@ func (it *batchJoin) fetchMatches(s plan.JoinStrategy, opts Options) error {
 	return nil
 }
 
-// buildHashTable builds the equi-key directory over it.buildRows. Small
-// build sides are built serially into one partition. Past the parallel
-// threshold, the build runs two phases across worker goroutines, the
-// parallel sibling of parallelAgg's thread-local tables: (A) contiguous
-// row chunks are key-encoded and hashed concurrently; (B) each worker owns
-// one radix partition — the high radixShift bits of the hash — and builds
-// that partition's byteTable from every chunk's pre-hashed keys. Because a
-// key's hash pins it to exactly one partition, no two workers ever touch
-// the same bucket (no locks, no cross-worker merge), and because each
-// partition scans the chunks in order, bucket contents stay in ascending
-// build-row order — probe output is row-for-row identical to the serial
-// build.
-func (it *batchJoin) buildHashTable(opts Options) {
+// buildHashTable builds the equi-key directory over it.buildRows: one
+// bucket per distinct key, addressed by the table's dense entry index — no
+// per-key allocation, no key string. Buckets list build rows in ascending
+// order.
+func (it *batchJoin) buildHashTable() {
 	rows := it.buildRows
-	nparts := 1
-	if chunks := partitionCount(len(rows), opts.Workers); chunks > 1 {
-		for nparts < chunks {
-			nparts <<= 1
+	it.table = newByteTable(presize(len(rows)))
+	it.buckets = make([]joinBucket, 0, len(rows))
+	for i, r := range rows {
+		for k, c := range it.buildKeys {
+			it.keyScratch[k] = r[c]
 		}
-		// Round DOWN to a power of two: rounding up would exceed the
-		// workers knob and drop partitions below the minPartitionRows
-		// floor partitionCount just enforced.
-		if nparts > chunks {
-			nparts >>= 1
+		it.keyBuf = sqltypes.EncodeKey(it.keyBuf[:0], it.keyScratch...)
+		// A NULL key is stored like any other value. Under `=` no probe
+		// looks it up (matchBuild), so it only reaches the outer tail
+		// through buildMatched; under IS NOT DISTINCT FROM a NULL probe
+		// finds it.
+		if bi, inserted := it.table.getOrInsert(it.keyBuf); inserted {
+			it.buckets = append(it.buckets, joinBucket{first: i})
+		} else {
+			it.buckets[bi].rest = append(it.buckets[bi].rest, i)
 		}
-	}
-	if nparts == 1 {
-		it.radixShift = 32 // hash>>32 == 0: everything routes to partition 0
-		it.parts = make([]joinPart, 1)
-		p := &it.parts[0]
-		p.table = newByteTable(presize(len(rows)))
-		// One bucket per distinct key, addressed by the table's dense entry
-		// index — no per-key allocation, no key string.
-		p.buckets = make([]joinBucket, 0, len(rows))
-		for i, r := range rows {
-			for k, c := range it.buildKeys {
-				it.keyScratch[k] = r[c]
-			}
-			it.keyBuf = sqltypes.EncodeKey(it.keyBuf[:0], it.keyScratch...)
-			// A NULL key is stored like any other value. Under `=` no
-			// probe looks it up (matchBuild), so it only reaches the
-			// outer tail through buildMatched; under IS NOT DISTINCT FROM
-			// a NULL probe finds it.
-			if bi, inserted := p.table.getOrInsert(it.keyBuf); inserted {
-				p.buckets = append(p.buckets, joinBucket{first: i})
-			} else {
-				p.buckets[bi].rest = append(p.buckets[bi].rest, i)
-			}
-		}
-		return
-	}
-
-	shift := uint(32)
-	for n := nparts; n > 1; n >>= 1 {
-		shift--
-	}
-	it.radixShift = shift
-
-	// Phase A: encode and hash every build key, one goroutine per
-	// contiguous chunk. Each chunk owns its key slab; partition tables copy
-	// the bytes they keep into their own slabs during phase B.
-	type keyedChunk struct {
-		base   int // global row index of the chunk's first row
-		hashes []uint32
-		offs   []uint32
-		keys   []byte
-	}
-	rowChunks := sqltypes.PartitionRows(rows, nparts)
-	keyed := make([]keyedChunk, len(rowChunks))
-	var wg sync.WaitGroup
-	var pc panicCapture
-	base := 0
-	for ci, ch := range rowChunks {
-		kc := &keyed[ci]
-		kc.base = base
-		base += len(ch)
-		wg.Add(1)
-		go func(ch []sqltypes.Row, kc *keyedChunk) {
-			defer wg.Done()
-			defer pc.capture()
-			scratch := make(sqltypes.Row, len(it.buildKeys))
-			kc.hashes = make([]uint32, len(ch))
-			kc.offs = make([]uint32, len(ch)+1)
-			for i, r := range ch {
-				for k, c := range it.buildKeys {
-					scratch[k] = r[c]
-				}
-				kc.keys = sqltypes.EncodeKey(kc.keys, scratch...)
-				kc.offs[i+1] = uint32(len(kc.keys))
-				kc.hashes[i] = hashBytes(kc.keys[kc.offs[i]:])
-			}
-		}(ch, kc)
-	}
-	wg.Wait()
-	pc.rethrow()
-
-	// Phase B: one goroutine per radix partition inserts its share of every
-	// chunk, in chunk (= global row) order.
-	it.parts = make([]joinPart, nparts)
-	for pi := range it.parts {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			defer pc.capture()
-			part := &it.parts[pi]
-			part.table = newByteTable(presize(len(rows) / nparts))
-			part.buckets = make([]joinBucket, 0, len(rows)/nparts)
-			want := uint32(pi)
-			for ci := range keyed {
-				kc := &keyed[ci]
-				for i, h := range kc.hashes {
-					if h>>shift != want {
-						continue
-					}
-					key := kc.keys[kc.offs[i]:kc.offs[i+1]]
-					if bi, inserted := part.table.getOrInsertHashed(key, h); inserted {
-						part.buckets = append(part.buckets, joinBucket{first: kc.base + i})
-					} else {
-						part.buckets[bi].rest = append(part.buckets[bi].rest, kc.base+i)
-					}
-				}
-			}
-		}(pi)
-	}
-	wg.Wait()
-	pc.rethrow()
-}
-
-// panicCapture routes a worker panic to the coordinator goroutine: the
-// workers here have no error channel, and a panic escaping one of them
-// would kill the process instead of reaching the statement-level
-// recovery boundary. Workers `defer pc.capture()`; the coordinator
-// calls rethrow after wg.Wait, re-raising the first captured value on a
-// goroutine the engine's recover covers.
-type panicCapture struct {
-	mu sync.Mutex
-	v  any
-}
-
-func (p *panicCapture) capture() {
-	if r := recover(); r != nil {
-		p.mu.Lock()
-		if p.v == nil {
-			p.v = r
-		}
-		p.mu.Unlock()
-	}
-}
-
-func (p *panicCapture) rethrow() {
-	if p.v != nil {
-		panic(p.v)
 	}
 }
 
@@ -669,13 +500,11 @@ func (it *batchJoin) matchBuild(p sqltypes.Row) []int {
 		it.keyScratch[k] = p[c]
 	}
 	it.keyBuf = sqltypes.EncodeKey(it.keyBuf[:0], it.keyScratch...)
-	h := hashBytes(it.keyBuf)
-	part := &it.parts[h>>it.radixShift]
-	bi, ok := part.table.getHashed(it.keyBuf, h)
+	bi, ok := it.table.get(it.keyBuf)
 	if !ok {
 		return nil
 	}
-	b := &part.buckets[bi]
+	b := &it.buckets[bi]
 	if len(b.rest) == 0 {
 		it.cand = append(it.cand[:0], b.first)
 	} else {

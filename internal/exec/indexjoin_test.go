@@ -85,7 +85,7 @@ func joinAlgoOf(t *testing.T, n plan.Node) plan.JoinAlgo {
 		}
 		return j == nil
 	})
-	it, err := newBatchJoin(j, Options{BatchSize: DefaultBatchSize, Workers: 1})
+	it, err := newBatchJoin(j, Options{BatchSize: DefaultBatchSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestExplainNamesTheExecutedJoin(t *testing.T) {
 			if d := j.Describe(); !strings.HasPrefix(d, tc.explain+" ") {
 				t.Fatalf("EXPLAIN %q, want it to begin %q", d, tc.explain)
 			}
-			it, err := newBatchJoin(j, Options{BatchSize: DefaultBatchSize, Workers: 1})
+			it, err := newBatchJoin(j, Options{BatchSize: DefaultBatchSize})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +259,7 @@ func TestExplainNamesTheExecutedJoin(t *testing.T) {
 	if d := j.Describe(); !strings.HasPrefix(d, "HashJoin or IndexJoin t[pk] build=right ") {
 		t.Fatalf("EXPLAIN %q", d)
 	}
-	it, err := newBatchJoin(j, Options{BatchSize: DefaultBatchSize, Workers: 1})
+	it, err := newBatchJoin(j, Options{BatchSize: DefaultBatchSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestNullSafeJoinMatchesNestedLoop(t *testing.T) {
 					}
 					return j == nil
 				})
-				it, err := newBatchJoin(j, Options{BatchSize: DefaultBatchSize, Workers: 1})
+				it, err := newBatchJoin(j, Options{BatchSize: DefaultBatchSize})
 				if err != nil {
 					t.Fatal(err)
 				}

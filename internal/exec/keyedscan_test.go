@@ -38,11 +38,10 @@ func idIn(ids ...int64) *expr.In {
 }
 
 // TestScanRowsKeyed: every way a scan opens goes through scanRows, which
-// hands a key-pinning filter's candidates over in scan order; the filter's
-// residual still applies, and a table far past the parallel threshold read
-// by key stays serial.
+// hands a key-pinning filter's candidates over in scan order, and the
+// filter's residual still applies.
 func TestScanRowsKeyed(t *testing.T) {
-	_, tbl := keyedCatalog(t, 3*minParallelRows)
+	_, tbl := keyedCatalog(t, 12288)
 	vIs := func(v int64) expr.Expr {
 		return &expr.Binary{Op: "=", Left: &expr.Column{Idx: 1, Name: "v", Typ: sqltypes.TypeInt}, Right: &expr.Literal{Val: sqltypes.NewInt(v)}}
 	}
@@ -57,13 +56,9 @@ func TestScanRowsKeyed(t *testing.T) {
 	scan.Projection = []int{1, 0}
 	agg := &plan.Aggregate{Input: scan, Aggs: []*expr.Aggregate{{Kind: expr.AggCountStar}}, Cols: []plan.ColumnInfo{{Name: "n", Type: sqltypes.TypeInt}}}
 	for name, n := range map[string]plan.Node{"scan": scan, "pipeline": &plan.Filter{Input: scan, Pred: vIsAt(0, 2)}, "aggregate": agg} {
-		it, err := OpenBatch(n, Options{Workers: 4})
+		it, err := OpenBatch(n, Options{})
 		if err != nil {
 			t.Fatal(err)
-		}
-		switch it.(type) {
-		case *parallelScan, *parallelAgg:
-			t.Errorf("%s: a three-key read fanned out (%T)", name, it)
 		}
 		got, err := drain(it, 0)
 		if err != nil {
@@ -76,17 +71,6 @@ func TestScanRowsKeyed(t *testing.T) {
 		if s := strings.Join(rowsToStrings(got), ";"); s != want {
 			t.Errorf("%s: rows %s, want %s", name, s, want)
 		}
-	}
-
-	// The same shapes without a pinned key keep fanning out.
-	scan.Filter = vIs(2)
-	it, err := OpenBatch(scan, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	if _, parallel := it.(*parallelScan); !parallel {
-		t.Errorf("unkeyed scan of %d rows opened as %T", 3*minParallelRows, it)
 	}
 }
 
@@ -127,9 +111,7 @@ func TestScanRowsKeySubquery(t *testing.T) {
 
 	boom := errors.New("subquery failed")
 	scan.Filter = &expr.InQuery{Operands: []expr.Expr{id}, Fetch: func() ([]sqltypes.Row, error) { return nil, boom }}
-	for _, workers := range []int{1, 4} {
-		if _, err := RunOpts(scan, Options{Workers: workers}); !errors.Is(err, boom) {
-			t.Errorf("workers=%d: the read returned %v, want the subquery's error", workers, err)
-		}
+	if _, err := RunOpts(scan, Options{}); !errors.Is(err, boom) {
+		t.Errorf("the read returned %v, want the subquery's error", err)
 	}
 }

@@ -117,20 +117,9 @@ type AggState interface {
 	// row's cell to its group's accumulator, skipping per-row Eval dispatch.
 	// arg is nil only for COUNT(*), which consumes no argument.
 	AddVec(arg *sqltypes.Vector, i int) error
-	// Merge folds another accumulator of the same aggregate into this one —
-	// the combine step of two-phase parallel aggregation, where each worker
-	// aggregates its partition into thread-local states and the partials
-	// are merged afterwards. other must come from the same *Aggregate.
-	Merge(other AggState) error
 	// Result produces the aggregate value.
 	Result() sqltypes.Value
 }
-
-// Mergeable reports whether the aggregate's partial states can be combined
-// with AggState.Merge. DISTINCT aggregates cannot: a value deduplicated
-// inside two partitions would be double-counted by merging the inner
-// states, so they must be evaluated on a single goroutine.
-func (a *Aggregate) Mergeable() bool { return !a.Distinct }
 
 // NewState returns a fresh accumulator for the aggregate.
 func (a *Aggregate) NewState() AggState {
@@ -252,26 +241,6 @@ func (s *sumState) AddVec(arg *sqltypes.Vector, i int) error {
 	return nil
 }
 
-func (s *sumState) Merge(other AggState) error {
-	o, ok := other.(*sumState)
-	if !ok {
-		return fmt.Errorf("expr: cannot merge %T into SUM state", other)
-	}
-	if o.sum.IsNull() {
-		return nil
-	}
-	if s.sum.IsNull() {
-		s.sum = o.sum
-		return nil
-	}
-	sum, err := sqltypes.Arith('+', s.sum, o.sum)
-	if err != nil {
-		return err
-	}
-	s.sum = sum
-	return nil
-}
-
 func (s *sumState) Result() sqltypes.Value { return s.sum }
 
 type countState struct {
@@ -298,15 +267,6 @@ func (s *countState) AddVec(arg *sqltypes.Vector, i int) error {
 	if arg == nil || arg.Valid(i) { // nil arg = COUNT(*)
 		s.n++
 	}
-	return nil
-}
-
-func (s *countState) Merge(other AggState) error {
-	o, ok := other.(*countState)
-	if !ok {
-		return fmt.Errorf("expr: cannot merge %T into COUNT state", other)
-	}
-	s.n += o.n
 	return nil
 }
 
@@ -353,25 +313,6 @@ func (s *minmaxState) AddVec(arg *sqltypes.Vector, i int) error {
 	return nil
 }
 
-func (s *minmaxState) Merge(other AggState) error {
-	o, ok := other.(*minmaxState)
-	if !ok {
-		return fmt.Errorf("expr: cannot merge %T into MIN/MAX state", other)
-	}
-	if o.best.IsNull() {
-		return nil
-	}
-	if s.best.IsNull() {
-		s.best = o.best
-		return nil
-	}
-	c := sqltypes.Compare(o.best, s.best)
-	if (s.isMin && c < 0) || (!s.isMin && c > 0) {
-		s.best = o.best
-	}
-	return nil
-}
-
 func (s *minmaxState) Result() sqltypes.Value { return s.best }
 
 type avgState struct {
@@ -409,16 +350,6 @@ func (s *avgState) AddVec(arg *sqltypes.Vector, i int) error {
 	return nil
 }
 
-func (s *avgState) Merge(other AggState) error {
-	o, ok := other.(*avgState)
-	if !ok {
-		return fmt.Errorf("expr: cannot merge %T into AVG state", other)
-	}
-	s.sum += o.sum
-	s.n += o.n
-	return nil
-}
-
 func (s *avgState) Result() sqltypes.Value {
 	if s.n == 0 {
 		return sqltypes.Null
@@ -453,13 +384,6 @@ func (s *distinctState) AddVec(arg *sqltypes.Vector, i int) error {
 	}
 	s.seen[string(s.buf)] = struct{}{}
 	return s.inner.AddVec(arg, i)
-}
-
-// Merge is unsupported: each partial deduplicates independently, so
-// merging inner states would double-count values seen in two partitions.
-// The executor checks Aggregate.Mergeable before parallelizing.
-func (s *distinctState) Merge(other AggState) error {
-	return fmt.Errorf("expr: DISTINCT aggregate states cannot be merged")
 }
 
 func (s *distinctState) Result() sqltypes.Value { return s.inner.Result() }

@@ -350,7 +350,7 @@ func (e *In) String() string {
 // answered from a hash set built on first use, so evaluating the node
 // once per row of a table costs O(rows + subquery) instead of their
 // product. The set and its scratch make the node single-execution,
-// single-goroutine state (ParallelSafe refuses it).
+// single-goroutine state (Stateless refuses it).
 type InQuery struct {
 	Operands []Expr
 	Fetch    func() ([]sqltypes.Row, error)
@@ -641,13 +641,12 @@ type ScalarFunc struct {
 	Fn   func(args []sqltypes.Value) (sqltypes.Value, error)
 	Typ  sqltypes.Type
 
-	// scratch holds the reusable argument buffer behind an atomic swap so a
-	// compiled plan containing this node stays ParallelSafe (a parallel
-	// scan evaluates one plan's expressions from several workers at once):
+	// scratch holds the reusable argument buffer behind an atomic swap:
 	// each Eval takes exclusive ownership of the buffer via Swap(nil) and
-	// returns it when done. Concurrent evaluators that lose the swap
-	// allocate a private buffer — correctness never depends on winning,
-	// only the steady-state alloc count does.
+	// returns it when done, so an evaluation that finds it taken (one
+	// nested in an argument, or another goroutine's) allocates a private
+	// buffer — correctness never depends on winning, only the
+	// steady-state alloc count does.
 	scratch atomic.Pointer[[]sqltypes.Value]
 }
 

@@ -1,19 +1,20 @@
 package expr
 
-// ParallelSafe reports whether e keeps no state between evaluations, so it
-// may be evaluated from several goroutines at once (a parallel scan's
-// workers) and again on a later execution of the same plan (the engine's
-// plan cache). Almost every bound expression qualifies; the exception is
-// InQuery, whose Fetch closure caches the subquery's rows lazily (the
-// engine's scalar subqueries, which arrive here as unknown node kinds, do
-// the same) — a tree containing one would replay the first execution's
-// rows and race its own cache. ScalarFunc's argument scratch moves between
-// evaluators by atomic swap, and a Param only reads its binding, which is
-// set before an execution and left alone until it ends. Unknown node kinds
-// refuse, keeping the default conservative if new Expr types appear.
+// Stateless reports whether e keeps no state between evaluations, so it may
+// be evaluated again on a later execution of the same plan (the engine's
+// plan cache) and moved to another place in the plan (predicate placement).
+// Almost every bound expression qualifies; the exception is InQuery, whose
+// Fetch closure caches the subquery's rows lazily (the engine's scalar
+// subqueries, which arrive here as unknown node kinds, do the same) — a
+// tree containing one would replay the first execution's rows. ScalarFunc's
+// argument scratch is only a buffer, and a Param only reads its binding,
+// which is set before an execution and left alone until it ends. Unknown
+// node kinds refuse, keeping the default conservative if new Expr types
+// appear.
 //
-// A nil expression (absent filter, COUNT(*) argument) is trivially safe.
-func ParallelSafe(e Expr) bool {
+// A nil expression (absent filter, COUNT(*) argument) is trivially
+// stateless.
+func Stateless(e Expr) bool {
 	safe := true
 	Walk(e, func(x Expr) {
 		switch x.(type) {

@@ -160,7 +160,7 @@ func TestHiddenCountSetup(t *testing.T) {
 }
 
 // TestStep3Golden pins step 3 for every shape of group key, in both
-// dialects: one keyed form per view class.
+// dialects: one keyed form per view class, and the view without one.
 func TestStep3Golden(t *testing.T) {
 	db := engine.Open("s3", engine.DialectDuckDB)
 	for _, ddl := range []string{
@@ -176,8 +176,10 @@ func TestStep3Golden(t *testing.T) {
 			"DELETE FROM one WHERE (x IN (SELECT x FROM delta_one) OR x IS NULL) AND n = 0;"},
 		{"CREATE MATERIALIZED VIEW two AS SELECT x, y, SUM(v) AS s, COUNT(*) AS n FROM a GROUP BY x, y",
 			"DELETE FROM two WHERE ((x, y) IN (SELECT x, y FROM delta_two) OR x IS NULL OR y IS NULL) AND n = 0;"},
+		// Without GROUP BY the view is one row that stays: emptied, it reads
+		// NULL for the SUM, as the query does over no rows.
 		{"CREATE MATERIALIZED VIEW tot AS SELECT SUM(v) AS s, COUNT(*) AS n FROM a",
-			"DELETE FROM tot WHERE n = 0;"},
+			"UPDATE tot SET s = NULL WHERE n = 0;"},
 		{"CREATE MATERIALIZED VIEW ja AS SELECT a.x, SUM(b.w) AS s FROM a JOIN b ON a.x = b.x GROUP BY a.x",
 			"DELETE FROM ja WHERE (x IN (SELECT x FROM delta_ja) OR x IS NULL) AND s = 0;"},
 		{"CREATE MATERIALIZED VIEW ja2 AS SELECT a.x, a.y, COUNT(*) AS n FROM a JOIN b ON a.x = b.x GROUP BY a.x, a.y",

@@ -182,10 +182,8 @@ func signedDeltaSQL(col ViewColumn) string {
 }
 
 // combineSQL renders the V ⊕ ΔV combination for one aggregate column,
-// given the view alias v and delta alias d.
-func combineSQL(col ViewColumn, v, d string) string {
-	vc := v + "." + col.Name
-	dc := d + "." + col.Name
+// given the column's value in V (vc) and its signed ΔV total (dc).
+func combineSQL(col ViewColumn, vc, dc string) string {
 	switch col.Agg {
 	case expr.AggMin:
 		return fmt.Sprintf("LEAST(COALESCE(%s, %s), COALESCE(%s, %s))", vc, dc, dc, vc)
@@ -257,6 +255,10 @@ func (c *Compiler) emitCombine(comp *Compilation, s *duckast.Script) {
 	const dAlias = "ivm_delta"
 	vName := comp.Storage
 	groupNames := viewColNames(comp.GroupColumns())
+	if len(groupNames) == 0 {
+		emitGlobalCombine(comp, s)
+		return
+	}
 
 	// The CTE: per-group signed aggregation of ΔV (Listing 2 lines 6-10).
 	cte := &duckast.Select{From: &duckast.Raw{Text: comp.DeltaView}}
@@ -282,7 +284,7 @@ func (c *Compiler) emitCombine(comp *Compilation, s *duckast.Script) {
 		}
 		cte.Items = append(cte.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: signedDeltaSQL(col)}, Alias: col.Name})
 		sel.Items = append(sel.Items, duckast.SelectItem{
-			Expr: &duckast.Raw{Text: combineSQL(col, vName, dAlias)}, Alias: col.Name})
+			Expr: &duckast.Raw{Text: combineSQL(col, vName+"."+col.Name, dAlias+"."+col.Name)}, Alias: col.Name})
 	}
 	s.Add(&duckast.Insert{
 		Table: vName, Columns: viewColNames(aggDeltaColumns(comp)), Select: sel,
@@ -290,27 +292,48 @@ func (c *Compiler) emitCombine(comp *Compilation, s *duckast.Script) {
 	})
 }
 
+// emitGlobalCombine is step 2 of a view without GROUP BY. Such a view is
+// one row whatever its base holds (an aggregate over no rows is a row too),
+// so ΔV folds into that row in place: each column adds its signed ΔV total,
+// a scalar subquery over ΔV.
+func emitGlobalCombine(comp *Compilation, s *duckast.Script) {
+	up := &duckast.Update{Table: comp.Storage}
+	for _, col := range aggDeltaColumns(comp) {
+		d := fmt.Sprintf("(SELECT %s FROM %s)", signedDeltaSQL(col), comp.DeltaView)
+		up.Set = append(up.Set, col.Name+" = "+combineSQL(col, col.Name, d))
+	}
+	s.Add(up)
+}
+
 // emitMinMaxRepair emits the rescan-repair for MIN/MAX deletions: the
 // groups a deletion touched leave V and are recomputed from the base
 // relation, so a group whose last row was deleted stays out. V's rows are
 // found through rowIn, which matches a NULL-keyed group too, and the base's
-// through a join on IS NOT DISTINCT FROM.
+// through a join on IS NOT DISTINCT FROM. A view without GROUP BY is
+// recomputed whole when ΔV holds a deletion; an aggregate over no rows is a
+// row too, so that recompute is filtered from outside.
 func (c *Compiler) emitMinMaxRepair(comp *Compilation, s *duckast.Script, from string) {
 	groupNames := viewColNames(comp.GroupColumns())
 	deleted := fmt.Sprintf("%s WHERE %s = FALSE", comp.DeltaView, MultiplicityColumn)
-	s.Add(&duckast.Delete{Table: comp.Storage, Where: &duckast.Raw{Text: rowIn(groupNames, deleted)}})
-
-	// ΔV holds at most one row per group and multiplicity, so the join
-	// repeats no base row.
-	del := &duckast.Select{From: &duckast.Raw{Text: deleted}}
-	var on []string
-	for i, src := range groupSrcSQL(comp.Columns) {
-		alias := fmt.Sprintf("ivm_g%d", i)
-		del.Items = append(del.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: groupNames[i]}, Alias: alias})
-		on = append(on, fmt.Sprintf("%s IS NOT DISTINCT FROM ivm_deleted.%s", src, alias))
+	recompute := &duckast.Select{From: &duckast.Raw{Text: from}}
+	var touched duckast.Node
+	if len(groupNames) == 0 {
+		touched = &duckast.Raw{Text: fmt.Sprintf("(SELECT COUNT(*) FROM %s) > 0", deleted)}
+		s.Add(&duckast.Delete{Table: comp.Storage, Where: touched})
+	} else {
+		s.Add(&duckast.Delete{Table: comp.Storage, Where: &duckast.Raw{Text: rowIn(groupNames, deleted)}})
+		// ΔV holds at most one row per group and multiplicity, so the join
+		// repeats no base row.
+		del := &duckast.Select{From: &duckast.Raw{Text: deleted}}
+		var on []string
+		for i, src := range groupSrcSQL(comp.Columns) {
+			alias := fmt.Sprintf("ivm_g%d", i)
+			del.Items = append(del.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: groupNames[i]}, Alias: alias})
+			on = append(on, fmt.Sprintf("%s IS NOT DISTINCT FROM ivm_deleted.%s", src, alias))
+		}
+		recompute.From = &duckast.Raw{Text: fmt.Sprintf("%s JOIN (%s) AS ivm_deleted ON %s",
+			from, del.SQL(comp.Options.Dialect), strings.Join(on, " AND "))}
 	}
-	recompute := &duckast.Select{From: &duckast.Raw{Text: fmt.Sprintf("%s JOIN (%s) AS ivm_deleted ON %s",
-		from, del.SQL(comp.Options.Dialect), strings.Join(on, " AND "))}}
 	for _, col := range aggDeltaColumns(comp) {
 		switch {
 		case col.IsGroupKey:
@@ -328,6 +351,11 @@ func (c *Compiler) emitMinMaxRepair(comp *Compilation, s *duckast.Script, from s
 	for _, g := range groupSrcSQL(comp.Columns) {
 		recompute.GroupBy = append(recompute.GroupBy, &duckast.Raw{Text: g})
 	}
+	if touched != nil {
+		recompute = &duckast.Select{Items: []duckast.SelectItem{{Expr: &duckast.Raw{Text: "*"}}},
+			From:  &duckast.Raw{Text: "(" + recompute.SQL(comp.Options.Dialect) + ") AS ivm_all"},
+			Where: touched}
+	}
 	s.Add(&duckast.Insert{Table: comp.Storage, Columns: viewColNames(aggDeltaColumns(comp)), Select: recompute})
 }
 
@@ -336,20 +364,31 @@ func (c *Compiler) emitMinMaxRepair(comp *Compilation, s *duckast.Script, from s
 // `DELETE FROM V WHERE n = 0` is stated over those keys alone — the same
 // rows, found through V's key index in O(|ΔV|) instead of by scanning V.
 // IN never selects a group with a NULL in its key, so those stay under the
-// paper's unkeyed test (`OR g IS NULL`). A view without group columns is
-// one row and keeps the bare form.
+// paper's unkeyed test (`OR g IS NULL`). A view without group columns keeps
+// its one row: emptied, it reads what the query reads over no rows, NULL
+// in every column but a count.
 func (c *Compiler) emitEmptyGroupDelete(comp *Compilation, s *duckast.Script) {
 	col := emptyGroupColumn(comp)
 	if col == "" {
 		return
 	}
-	where := col + " = 0"
-	if groups := viewColNames(comp.GroupColumns()); len(groups) > 0 {
-		where = fmt.Sprintf("(%s IN (SELECT %s FROM %s) OR %s IS NULL) AND %s",
-			groupKey(groups), strings.Join(groups, ", "), comp.DeltaView,
-			strings.Join(groups, " IS NULL OR "), where)
+	groups := viewColNames(comp.GroupColumns())
+	if len(groups) == 0 {
+		up := &duckast.Update{Table: comp.Storage, Where: &duckast.Raw{Text: col + " = 0"}}
+		for _, a := range aggDeltaColumns(comp) {
+			if a.Agg != expr.AggCount && a.Agg != expr.AggCountStar {
+				up.Set = append(up.Set, a.Name+" = NULL")
+			}
+		}
+		if len(up.Set) > 0 {
+			s.Add(up)
+		}
+		return
 	}
-	s.Add(&duckast.Delete{Table: comp.Storage, Where: &duckast.Raw{Text: where}})
+	s.Add(&duckast.Delete{Table: comp.Storage, Where: &duckast.Raw{Text: fmt.Sprintf(
+		"(%s IN (SELECT %s FROM %s) OR %s IS NULL) AND %s = 0",
+		groupKey(groups), strings.Join(groups, ", "), comp.DeltaView,
+		strings.Join(groups, " IS NULL OR "), col)}})
 }
 
 // emptyGroupColumn names the column whose zero marks an emptied group

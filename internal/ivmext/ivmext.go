@@ -27,7 +27,8 @@
 // runtime's: ΔV is truncated through the catalog, and ΔT's entries are
 // dropped once every view over the base has applied them.
 //
-// Compiler switches are engine pragmas:
+// Compiler switches are DB-wide pragmas, the only ones there are. The
+// statement hook claims them and checks the value when it is set:
 //
 //	PRAGMA ivm_mode = 'eager' | 'lazy'        (default lazy)
 //	PRAGMA ivm_empty = 'sum_zero' | 'hidden_count'
@@ -53,6 +54,7 @@ import (
 	"openivm/internal/catalog"
 	"openivm/internal/duckast"
 	"openivm/internal/engine"
+	"openivm/internal/enginerr"
 	"openivm/internal/fault"
 	"openivm/internal/ivm"
 	"openivm/internal/mvcc"
@@ -280,8 +282,39 @@ func (ext *Extension) refreshWorkers() int {
 	return n
 }
 
+// setPragma claims the extension's pragmas: it checks the value and
+// stores it DB-wide, where an empty value restores the default. It runs
+// inside a transaction as outside one, and ROLLBACK does not undo it. A
+// name that is not the extension's passes on to the engine, which refuses
+// it.
+func (ext *Extension) setPragma(p *sqlparser.PragmaStmt) (bool, *engine.Result, error) {
+	var err error
+	switch v := p.Value; strings.ToLower(p.Name) {
+	case "ivm_mode":
+		if v != "" && !strings.EqualFold(v, "eager") && !strings.EqualFold(v, "lazy") {
+			err = fmt.Errorf("ivmext: PRAGMA ivm_mode takes 'eager' or 'lazy', got %q", v)
+		}
+	case "ivm_empty":
+		_, err = ivm.ParseEmptyDetection(v)
+	case "ivm_refresh_workers":
+		if n, perr := strconv.Atoi(v); v != "" && (perr != nil || n < 1) {
+			err = fmt.Errorf("ivmext: PRAGMA ivm_refresh_workers takes a positive integer, got %q", v)
+		}
+	default:
+		return false, nil, nil
+	}
+	if err != nil {
+		return true, nil, enginerr.Wrap(enginerr.CodeInvalidParameter, err)
+	}
+	ext.db.SetPragma(p.Name, p.Value)
+	return true, &engine.Result{}, nil
+}
+
 // statementHook intercepts the IVM-relevant statements.
 func (ext *Extension) statementHook(s *engine.Session, stmt sqlparser.Statement) (bool, *engine.Result, error) {
+	if p, ok := stmt.(*sqlparser.PragmaStmt); ok {
+		return ext.setPragma(p)
+	}
 	// Extension-internal sessions (propagation scripts, matview setup and
 	// teardown) bypass interception entirely: a propagation's own SELECTs
 	// must not re-trigger a lazy refresh of the view they are refreshing.

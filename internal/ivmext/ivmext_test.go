@@ -292,24 +292,40 @@ func TestFilteredAggregate(t *testing.T) {
 	viewEquals(t, db, "group_index, total_value, n", "qg", recompute)
 }
 
-// TestCombineRepros replays three recorded wrong answers of step 2 and
-// step 3 under the default pragmas: a NULL group that gains a row (the
-// combine's join once compared keys with `=`, and the upsert replaced the
-// group by its delta), a NULL group of a MIN/MAX view that loses its least
-// row, and a group whose COUNT(col) reaches zero while its COUNT(*) does
-// not (the first COUNT column, of either kind, used to mark the emptied
-// group).
+// TestCombineRepros replays recorded wrong answers of step 2 and step 3
+// under the default pragmas: a NULL group that gains a row (the combine's
+// join once compared keys with `=`, and the upsert replaced the group by its
+// delta), a NULL group of a MIN/MAX view that loses its least row, a group
+// whose COUNT(col) reaches zero while its COUNT(*) does not (the first
+// COUNT column, of either kind, used to mark the emptied group), and views
+// without GROUP BY, whose step 2 once joined on an empty ON and failed to
+// refresh. Each step is a change, a refresh and what the view then reads.
 func TestCombineRepros(t *testing.T) {
-	for _, c := range []struct{ name, table, rows, view, change, want string }{
+	type step struct{ change, want string }
+	for _, c := range []struct {
+		name, table, rows, view string
+		steps                   []step
+	}{
 		{"null_group_sum", "t (k VARCHAR, v INTEGER)", "(NULL, 5), (NULL, 6)",
 			"SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k",
-			"INSERT INTO t VALUES (NULL, 7)", "NULL|18|3"},
+			[]step{{"INSERT INTO t VALUES (NULL, 7)", "NULL|18|3"}}},
 		{"null_group_minmax", "t (k VARCHAR, v INTEGER)", "(NULL, 5), (NULL, 6), ('a', 1), ('a', 2)",
 			"SELECT k, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY k",
-			"DELETE FROM t WHERE v = 5 OR v = 1", "NULL|6|6|1 a|2|2|1"},
+			[]step{{"DELETE FROM t WHERE v = 5 OR v = 1", "NULL|6|6|1 a|2|2|1"}}},
 		{"count_column", "t (k VARCHAR, v INTEGER)", "('a', NULL), ('a', NULL), ('b', 1)",
 			"SELECT k, COUNT(v) AS c, COUNT(*) AS n FROM t GROUP BY k",
-			"INSERT INTO t VALUES ('a', NULL)", "a|0|3 b|1|1"},
+			[]step{{"INSERT INTO t VALUES ('a', NULL)", "a|0|3 b|1|1"}}},
+		{"no_group_by", "t (k VARCHAR, v INTEGER)", "('a', 1), ('b', 2)",
+			"SELECT SUM(v) AS s, COUNT(*) AS n FROM t",
+			[]step{{"INSERT INTO t VALUES ('c', 5)", "8|3"}, {"DELETE FROM t WHERE k = 'a'", "7|2"},
+				{"DELETE FROM t", "NULL|0"}, {"INSERT INTO t VALUES ('d', 4)", "4|1"}}},
+		{"no_group_by_sum_only", "t (k VARCHAR, v INTEGER)", "('a', 1), ('b', 2)",
+			"SELECT SUM(v) AS s FROM t",
+			[]step{{"INSERT INTO t VALUES ('c', 5)", "8"}, {"DELETE FROM t WHERE k = 'a'", "7"}}},
+		{"no_group_by_minmax", "t (k VARCHAR, v INTEGER)", "('a', 1), ('b', 2)",
+			"SELECT MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t",
+			[]step{{"INSERT INTO t VALUES ('c', 5)", "1|5|3"}, {"DELETE FROM t WHERE k = 'a'", "2|5|2"},
+				{"DELETE FROM t", "NULL|NULL|0"}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := engine.Open("repro", engine.DialectDuckDB)
@@ -317,16 +333,66 @@ func TestCombineRepros(t *testing.T) {
 			mustExec(t, db, "CREATE TABLE "+c.table)
 			mustExec(t, db, "INSERT INTO t VALUES "+c.rows)
 			mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS "+c.view)
-			mustExec(t, db, c.change)
-			mustExec(t, db, "REFRESH MATERIALIZED VIEW vw")
-			var got []string
-			for _, r := range mustExec(t, db, "SELECT * FROM vw ORDER BY k").Rows {
-				got = append(got, r.String())
-			}
-			if strings.Join(got, " ") != c.want {
-				t.Errorf("view reads %q, want %q", got, c.want)
+			for _, st := range c.steps {
+				mustExec(t, db, st.change)
+				mustExec(t, db, "REFRESH MATERIALIZED VIEW vw")
+				var got []string
+				for _, r := range mustExec(t, db, "SELECT * FROM vw").Rows {
+					got = append(got, r.String())
+				}
+				sort.Strings(got)
+				if strings.Join(got, " ") != st.want {
+					t.Errorf("after %s: view reads %q, want %q", st.change, got, st.want)
+				}
 			}
 		})
+	}
+}
+
+// TestPragma: the extension claims its three pragmas and checks a value
+// when it is set, inside a transaction as outside one. Every other name is
+// refused: a misspelt one and those of removed pragmas no longer print OK
+// and do nothing, and a bad ivm_empty no longer waits for the next CREATE
+// MATERIALIZED VIEW to fail.
+func TestPragma(t *testing.T) {
+	db := engine.Open("p", engine.DialectDuckDB)
+	Install(db)
+	s := db.NewSession()
+	defer s.Close()
+	for _, sql := range []string{"BEGIN", "PRAGMA ivm_mode = 'eager'", "PRAGMA ivm_empty = 'hidden_count'",
+		"PRAGMA ivm_refresh_workers = 2", "ROLLBACK"} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	want := map[string]string{"ivm_mode": "eager", "ivm_empty": "hidden_count", "ivm_refresh_workers": "2"}
+	for name, v := range want {
+		if got := db.Pragma(name); got != v {
+			t.Errorf("%s = %q, want %q", name, got, v)
+		}
+	}
+	for sql, code := range map[string]string{
+		"PRAGMA wrokers = 4":                    "42704",
+		"PRAGMA batch_size = 7":                 "42704",
+		"PRAGMA ivm_strategy = 'union_regroup'": "42704",
+		"PRAGMA workers = 4":                    "42704",
+		"PRAGMA ivm_empty = 'bogus'":            "22023",
+		"PRAGMA ivm_mode = 'sometimes'":         "22023",
+		"PRAGMA ivm_refresh_workers = 0":        "22023",
+		"PRAGMA ivm_refresh_workers = 'many'":   "22023",
+	} {
+		if _, err := s.Exec(sql); engine.Code(err) != code {
+			t.Errorf("%s: %v (code %q), want code %s", sql, err, engine.Code(err), code)
+		}
+	}
+	for name, v := range want {
+		if got := db.Pragma(name); got != v {
+			t.Errorf("a refused PRAGMA moved %s to %q", name, got)
+		}
+	}
+	mustExec(t, db, "PRAGMA ivm_mode")
+	if got := db.Pragma("ivm_mode"); got != "" {
+		t.Errorf("PRAGMA ivm_mode with no value left %q, want the default", got)
 	}
 }
 

@@ -73,19 +73,25 @@ func propertyDB(t *testing.T, pragmas ...string) *engine.DB {
 }
 
 // TestPropertySumCount: a SUM/COUNT view under Listing 2's upsert-left-join
-// combine, lazy and eager.
+// combine, lazy and eager, grouped and without GROUP BY (one row, folded in
+// place).
 func TestPropertySumCount(t *testing.T) {
 	for _, mode := range []string{"lazy", "eager"} {
-		t.Run("upsert_left_join_"+mode, func(t *testing.T) {
-			db := propertyDB(t,
-				"PRAGMA ivm_mode='"+mode+"'",
-				"PRAGMA ivm_empty='hidden_count'")
-			mustExec(t, db, `CREATE MATERIALIZED VIEW vw AS SELECT k,
-				SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k`)
-			rng := rand.New(rand.NewSource(int64(16 + len(mode))))
-			randWorkload(t, db, rng, 120, "vw", "k, s, n",
-				"SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k")
-		})
+		for _, shape := range []struct{ name, key, groupBy string }{
+			{"upsert_left_join_", "k, ", " GROUP BY k"},
+			{"no_group_by_", "", ""},
+		} {
+			t.Run(shape.name+mode, func(t *testing.T) {
+				db := propertyDB(t,
+					"PRAGMA ivm_mode='"+mode+"'",
+					"PRAGMA ivm_empty='hidden_count'")
+				mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS SELECT "+shape.key+
+					"SUM(v) AS s, COUNT(*) AS n FROM t"+shape.groupBy)
+				rng := rand.New(rand.NewSource(int64(16 + len(mode))))
+				randWorkload(t, db, rng, 120, "vw", shape.key+"s, n",
+					"SELECT "+shape.key+"SUM(v), COUNT(*) FROM t"+shape.groupBy)
+			})
+		}
 	}
 }
 

@@ -106,7 +106,7 @@ func isLit(e expr.Expr) bool {
 // against n's output, applied as far down as each may go, and every Filter
 // and join condition below n placed the same way. A conjunct moves only if
 // it is built from columns, literals, parameters and scalar operators
-// (expr.ParallelSafe): a subquery stays in the Filter it was written in,
+// (expr.Stateless): a subquery stays in the Filter it was written in,
 // except that a Filter right on a scan becomes the scan's filter whole.
 // Where a conjunct may go:
 //
@@ -134,7 +134,7 @@ func place(n plan.Node, conj []expr.Expr, root bool) plan.Node {
 			moving = conjuncts(x.Pred, nil)
 		} else {
 			for _, c := range conjuncts(x.Pred, nil) {
-				if expr.ParallelSafe(c) {
+				if expr.Stateless(c) {
 					moving = append(moving, c)
 				} else {
 					kept = append(kept, c)
@@ -226,7 +226,7 @@ func placeJoin(j *plan.Join, conj []expr.Expr) (plan.Node, []expr.Expr) {
 	}
 	for _, c := range conjuncts(j.On, nil) {
 		switch l, r := reads(c); {
-		case !expr.ParallelSafe(c):
+		case !expr.Stateless(c):
 			on = append(on, c)
 		case !r && (inner || kind == sqlparser.JoinRight):
 			left = append(left, c)
@@ -308,7 +308,7 @@ func passesThrough(p *plan.Project) bool {
 
 // mapColumns returns a copy of e in which every column reference is the
 // one col returns for it, or nil when col returns nil for one. It copies
-// the expression kinds of expr.ParallelSafe; one of another kind is kept
+// the expression kinds of expr.Stateless; one of another kind is kept
 // as it is when it reads no column (a scalar subquery), else nil.
 func mapColumns(e expr.Expr, col func(*expr.Column) *expr.Column) expr.Expr {
 	ok := true

@@ -126,26 +126,3 @@ func appendKeyString(dst []byte, s string) []byte {
 func KeyString(vals ...Value) string {
 	return string(EncodeKey(nil, vals...))
 }
-
-// PartitionRows splits rows into at most parts contiguous, near-equal
-// sub-slices — the unit of work of the executor's parallel partitioned
-// scan. The partitions alias the input (no row is copied), cover it
-// exactly and in order, and are all non-empty; fewer than parts slices
-// are returned when there are not enough rows to go around.
-func PartitionRows(rows []Row, parts int) [][]Row {
-	if parts > len(rows) {
-		parts = len(rows)
-	}
-	if parts <= 1 {
-		if len(rows) == 0 {
-			return nil
-		}
-		return [][]Row{rows}
-	}
-	out := make([][]Row, parts)
-	for i := range out {
-		lo, hi := i*len(rows)/parts, (i+1)*len(rows)/parts
-		out[i] = rows[lo:hi]
-	}
-	return out
-}

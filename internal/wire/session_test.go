@@ -44,29 +44,6 @@ func TestSessionTransactionIsolation(t *testing.T) {
 	}
 }
 
-// TestSessionPragmaIsolation: PRAGMA workers set over one
-// connection must not leak into another connection's session.
-func TestSessionPragmaIsolation(t *testing.T) {
-	srv, c1 := startServer(t)
-	c2, err := Dial(c1.conn.RemoteAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-
-	if _, err := c1.Exec("PRAGMA workers = 7"); err != nil {
-		t.Fatal(err)
-	}
-	// The engine-global default is untouched by a session-local write.
-	if got := srv.DB.Pragma("workers"); got != "" {
-		t.Fatalf("session PRAGMA leaked into the global table: workers=%q", got)
-	}
-	// An invalid value still errors per session.
-	if _, err := c2.Exec("PRAGMA workers = -4"); err == nil {
-		t.Fatal("invalid workers accepted")
-	}
-}
-
 // TestMaxConnsAdmission: connections beyond MaxConns are answered with an
 // error response and closed — visible admission control, not an invisible
 // queue.
@@ -117,8 +94,8 @@ func TestMaxConnsAdmission(t *testing.T) {
 // wire stack: N writer connections and M reader connections run
 // interleaved DML, transactions and queries against one DB hosting a
 // materialized view with lazy IVM refresh — exercising concurrent delta
-// capture, session-scoped trigger suppression, the shared plan cache and
-// the parallel executor all at once. Run under -race by the CI race job.
+// capture, session-scoped trigger suppression and the shared plan cache all
+// at once. Run under -race by the CI race job.
 func TestWireMultiClientStress(t *testing.T) {
 	db := engine.Open("srv", engine.DialectDuckDB)
 	ivmext.Install(db)

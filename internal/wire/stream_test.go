@@ -577,7 +577,7 @@ func TestGovernorBudgets(t *testing.T) {
 
 // TestDisconnectMidStreamNoLeak: a client that vanishes mid-stream must
 // not strand server goroutines — the write path fails, the serve
-// goroutine tears down, the session closes and its workers stop.
+// goroutine tears down and the session closes.
 func TestDisconnectMidStreamNoLeak(t *testing.T) {
 	srv, addr := startServerOpts(t, nil)
 	loadBig(t, srv.DB, 20000, 512)

@@ -9,19 +9,17 @@
 // a time and holds at most one written batch back until the next is
 // pulled, so the result is never materialized, a short result leaves in
 // one write, and a slow reader parks the whole pipeline (backpressure
-// down to the parallel scan's bounded channels). Only the control-plane
+// down to the scan). Only the control-plane
 // answers (Response) are JSON. Any other opener is answered with one
 // error frame and closed.
 //
 // Every accepted connection gets its own engine.Session, so N clients run
 // interleaved DML, transactions and queries concurrently against one
-// shared DB: transactions and PRAGMA workers are
-// connection-local, while the catalog,
-// materialized views and the shared SQL-text plan cache are one per
-// server. When a connection drops, its session is closed — the in-flight
-// query is cancelled (its scans and parallel workers stop via the
-// engine's Close/cancellation protocol) and any open transaction rolls
-// back.
+// shared DB: transactions are connection-local, while the catalog,
+// pragmas, materialized views and the shared SQL-text plan cache are one
+// per server. When a connection drops, its session is closed — the
+// in-flight query is cancelled (its scans stop via the engine's
+// Close/cancellation protocol) and any open transaction rolls back.
 //
 // Supported operations (the fields each carries):
 //
@@ -393,8 +391,8 @@ func (s *Server) serveConn(sc *servedConn) {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-		// Session teardown: cancel the in-flight query (stops its morsel
-		// workers) and roll back an open transaction.
+		// Session teardown: cancel the in-flight query and roll back an
+		// open transaction.
 		sess.Close()
 		conn.Close()
 	}()
