@@ -31,7 +31,7 @@ func changes(rows []sqltypes.Row) string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
 		sign := "-"
-		if r[len(r)-1].B {
+		if r[len(r)-1].Bool() {
 			sign = "+"
 		}
 		out[i] = fmt.Sprintf("%s%d:%s", sign, r[0].I, r[1].S)

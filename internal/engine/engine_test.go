@@ -113,7 +113,7 @@ func TestGroupByCountMinMaxAvg(t *testing.T) {
 		t.Fatalf("got %d", len(rows))
 	}
 	r := rows[1] // g1: 1,5,9,13,17
-	if r[1].I != 5 || r[2].I != 1 || r[3].I != 17 || r[4].F != 9 {
+	if r[1].I != 5 || r[2].I != 1 || r[3].I != 17 || r[4].Float() != 9 {
 		t.Errorf("g1 = %v", r)
 	}
 }
@@ -678,5 +678,39 @@ func TestCaseCoalesceEndToEnd(t *testing.T) {
 	rows = queryRows(t, db, "SELECT COALESCE(NULL, 7)")
 	if rows[0][0].I != 7 {
 		t.Fatalf("got %v", rows)
+	}
+}
+
+// TestNumberRepros: distinct BIGINTs above 2^53 stay distinct in
+// comparisons, keys, groups and DISTINCT, and NaN equals NaN and sorts
+// above every other number, in filters and ORDER BY alike.
+func TestNumberRepros(t *testing.T) {
+	db := Open("numbers", DialectDuckDB)
+	for _, sql := range []string{
+		"CREATE TABLE p (id INTEGER PRIMARY KEY, v INTEGER)",
+		"INSERT INTO p VALUES (9007199254740992, 1)",
+		"INSERT INTO p VALUES (9007199254740993, 2)",
+		"CREATE TABLE g (k INTEGER, v INTEGER)",
+		"INSERT INTO g VALUES (9007199254740992, 1), (9007199254740993, 2)",
+		"CREATE TABLE f (k DOUBLE)",
+		"INSERT INTO f VALUES (CAST('NaN' AS DOUBLE)), (2.0), (CAST('NaN' AS DOUBLE)), (1.0)",
+	} {
+		mustExec(t, db, sql)
+	}
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT 9007199254740993 = 9007199254740992", "false"},
+		{"SELECT 9223372036854775807 < CAST(9223372036854775807 AS DOUBLE)", "true"},
+		{"SELECT id, v FROM p ORDER BY id", "9007199254740992|1 9007199254740993|2"},
+		{"SELECT k, SUM(v), COUNT(*) FROM g GROUP BY k ORDER BY k", "9007199254740992|1|1 9007199254740993|2|1"},
+		{"SELECT DISTINCT k FROM g ORDER BY k", "9007199254740992 9007199254740993"},
+		{"SELECT CAST('NaN' AS DOUBLE) = 1.0", "false"},
+		{"SELECT CAST('NaN' AS DOUBLE) = CAST('NaN' AS DOUBLE)", "true"},
+		{"SELECT COUNT(*) FROM f WHERE k = CAST('NaN' AS DOUBLE)", "2"},
+		{"SELECT COUNT(*) FROM f WHERE k > 1000000.0", "2"},
+		{"SELECT k FROM f ORDER BY k", "1.0 2.0 NaN NaN"},
+	} {
+		if got := strings.Join(sortedStrings(queryRows(t, db, c.sql)), " "); got != c.want {
+			t.Errorf("%s = %q, want %q", c.sql, got, c.want)
+		}
 	}
 }

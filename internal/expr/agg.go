@@ -227,7 +227,7 @@ func (s *sumState) AddVec(arg *sqltypes.Vector, i int) error {
 		s.sum.I += arg.Ints[i]
 		return nil
 	case arg.T == sqltypes.TypeFloat && s.sum.T == sqltypes.TypeFloat:
-		s.sum.F += arg.Floats[i]
+		s.sum = sqltypes.NewFloat(s.sum.Float() + arg.Floats[i])
 		return nil
 	case s.sum.IsNull():
 		s.sum = arg.ValueAt(i)

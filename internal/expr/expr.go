@@ -79,39 +79,39 @@ func (b *Binary) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		if l.T == sqltypes.TypeBool && !l.B {
+		if l.T == sqltypes.TypeBool && !l.Bool() {
 			return sqltypes.NewBool(false), nil
 		}
 		r, err := b.Right.Eval(row)
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		if r.T == sqltypes.TypeBool && !r.B {
+		if r.T == sqltypes.TypeBool && !r.Bool() {
 			return sqltypes.NewBool(false), nil
 		}
 		if l.IsNull() || r.IsNull() {
 			return sqltypes.Null, nil
 		}
-		return sqltypes.NewBool(l.B && r.B), nil
+		return sqltypes.NewBool(l.Bool() && r.Bool()), nil
 	case "OR":
 		l, err := b.Left.Eval(row)
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		if l.T == sqltypes.TypeBool && l.B {
+		if l.T == sqltypes.TypeBool && l.Bool() {
 			return sqltypes.NewBool(true), nil
 		}
 		r, err := b.Right.Eval(row)
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		if r.T == sqltypes.TypeBool && r.B {
+		if r.T == sqltypes.TypeBool && r.Bool() {
 			return sqltypes.NewBool(true), nil
 		}
 		if l.IsNull() || r.IsNull() {
 			return sqltypes.Null, nil
 		}
-		return sqltypes.NewBool(l.B || r.B), nil
+		return sqltypes.NewBool(l.Bool() || r.Bool()), nil
 	}
 	l, err := b.Left.Eval(row)
 	if err != nil {
@@ -363,24 +363,12 @@ type InQuery struct {
 
 // memberSet indexes a subquery result for IN. Two row values are the same
 // member exactly when sqltypes.CompareSQL calls every pair of components
-// equal (1 = 1.0), which is when memberKey gives them the same bytes.
+// equal (1 = 1.0, -0.0 = 0.0), which is when sqltypes.EncodeKey gives them
+// the same bytes.
 type memberSet struct {
 	rows  []sqltypes.Row
-	keys  map[string]struct{} // the NULL-free rows, by memberKey
+	keys  map[string]struct{} // the NULL-free rows, by sqltypes.EncodeKey
 	nulls []sqltypes.Row      // rows holding a NULL: they never match, but can make a miss unknown
-}
-
-// memberKey appends the key encoding of a NULL-free row value
-// (sqltypes.EncodeKey: numbers by value, so INTEGER 1 and DOUBLE 1.0
-// agree), with the one case folded where equal numbers encode differently.
-func memberKey(dst []byte, vals []sqltypes.Value) []byte {
-	for _, v := range vals {
-		if v.T == sqltypes.TypeFloat && v.F == 0 {
-			v.F = 0 // -0.0 = 0.0
-		}
-		dst = sqltypes.EncodeKey(dst, v)
-	}
-	return dst
 }
 
 // Rows returns the subquery's rows, each as wide as the operand.
@@ -413,7 +401,7 @@ func (e *InQuery) members() (*memberSet, error) {
 		if hasNull(r) {
 			set.nulls = append(set.nulls, r)
 		} else {
-			e.key = memberKey(e.key, r)
+			e.key = sqltypes.EncodeKey(e.key, r...)
 			ends = append(ends, len(e.key))
 		}
 	}
@@ -466,7 +454,7 @@ func (e *InQuery) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 	}
 	open := set.nulls
 	if !hasNull(e.vals) {
-		e.key = memberKey(e.key[:0], e.vals)
+		e.key = sqltypes.EncodeKey(e.key[:0], e.vals...)
 		if _, ok := set.keys[string(e.key)]; ok {
 			return sqltypes.NewBool(!e.Negate), nil
 		}
@@ -774,8 +762,8 @@ var ScalarFuncs = map[string]func(argTypes []sqltypes.Type) (func([]sqltypes.Val
 				}
 				return v, nil
 			case sqltypes.TypeFloat:
-				if v.F < 0 {
-					return sqltypes.NewFloat(-v.F), nil
+				if v.Float() < 0 {
+					return sqltypes.NewFloat(-v.Float()), nil
 				}
 				return v, nil
 			}

@@ -38,7 +38,7 @@ func TestBinaryArith(t *testing.T) {
 		t.Errorf("got %v", v)
 	}
 	v = eval(t, &Binary{Op: "*", Left: intv(2), Right: lit(sqltypes.NewFloat(1.5))}, nil)
-	if v.F != 3 {
+	if v.Float() != 3 {
 		t.Errorf("got %v", v)
 	}
 }
@@ -52,8 +52,8 @@ func TestBinaryComparisons(t *testing.T) {
 	}
 	for _, c := range cases {
 		v := eval(t, &Binary{Op: c.op, Left: intv(1), Right: intv(2)}, nil)
-		if v.B != c.want {
-			t.Errorf("1 %s 2 = %v, want %v", c.op, v.B, c.want)
+		if v.Bool() != c.want {
+			t.Errorf("1 %s 2 = %v, want %v", c.op, v.Bool(), c.want)
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestBinaryNullComparison(t *testing.T) {
 func TestThreeValuedAndOr(t *testing.T) {
 	// FALSE AND NULL = FALSE; TRUE AND NULL = NULL
 	v := eval(t, &Binary{Op: "AND", Left: boolv(false), Right: nullv()}, nil)
-	if v.IsNull() || v.B {
+	if v.IsNull() || v.Bool() {
 		t.Errorf("FALSE AND NULL = %v", v)
 	}
 	v = eval(t, &Binary{Op: "AND", Left: boolv(true), Right: nullv()}, nil)
@@ -107,14 +107,14 @@ func TestLike(t *testing.T) {
 	}
 	for _, c := range cases {
 		v := eval(t, &Binary{Op: "LIKE", Left: strv(c.s), Right: strv(c.p)}, nil)
-		if v.B != c.want {
-			t.Errorf("%q LIKE %q = %v, want %v", c.s, c.p, v.B, c.want)
+		if v.Bool() != c.want {
+			t.Errorf("%q LIKE %q = %v, want %v", c.s, c.p, v.Bool(), c.want)
 		}
 	}
 }
 
 func TestUnaryNot(t *testing.T) {
-	if v := eval(t, &Unary{Op: "NOT", Operand: boolv(true)}, nil); v.B {
+	if v := eval(t, &Unary{Op: "NOT", Operand: boolv(true)}, nil); v.Bool() {
 		t.Error("NOT TRUE")
 	}
 	if v := eval(t, &Unary{Op: "NOT", Operand: nullv()}, nil); !v.IsNull() {
@@ -129,17 +129,17 @@ func TestUnaryNeg(t *testing.T) {
 }
 
 func TestIsNull(t *testing.T) {
-	if v := eval(t, &IsNull{Operand: nullv()}, nil); !v.B {
+	if v := eval(t, &IsNull{Operand: nullv()}, nil); !v.Bool() {
 		t.Error("NULL IS NULL")
 	}
-	if v := eval(t, &IsNull{Operand: intv(1), Negate: true}, nil); !v.B {
+	if v := eval(t, &IsNull{Operand: intv(1), Negate: true}, nil); !v.Bool() {
 		t.Error("1 IS NOT NULL")
 	}
 }
 
 func TestIn(t *testing.T) {
 	e := &In{Operand: intv(2), List: []Expr{intv(1), intv(2)}}
-	if v := eval(t, e, nil); !v.B {
+	if v := eval(t, e, nil); !v.Bool() {
 		t.Error("2 IN (1,2)")
 	}
 	e2 := &In{Operand: intv(3), List: []Expr{intv(1), nullv()}}
@@ -147,18 +147,18 @@ func TestIn(t *testing.T) {
 		t.Error("3 IN (1, NULL) should be NULL")
 	}
 	e3 := &In{Operand: intv(3), List: []Expr{intv(1), intv(2)}, Negate: true}
-	if v := eval(t, e3, nil); !v.B {
+	if v := eval(t, e3, nil); !v.Bool() {
 		t.Error("3 NOT IN (1,2)")
 	}
 }
 
 func TestBetween(t *testing.T) {
 	e := &Between{Operand: intv(5), Lo: intv(1), Hi: intv(10)}
-	if v := eval(t, e, nil); !v.B {
+	if v := eval(t, e, nil); !v.Bool() {
 		t.Error("5 BETWEEN 1 AND 10")
 	}
 	e2 := &Between{Operand: intv(0), Lo: intv(1), Hi: intv(10), Negate: true}
-	if v := eval(t, e2, nil); !v.B {
+	if v := eval(t, e2, nil); !v.Bool() {
 		t.Error("0 NOT BETWEEN 1 AND 10")
 	}
 	e3 := &Between{Operand: intv(5), Lo: nullv(), Hi: intv(10)}
@@ -305,7 +305,7 @@ func TestAggMinMax(t *testing.T) {
 func TestAggAvg(t *testing.T) {
 	st := (&Aggregate{Kind: AggAvg, Arg: col(0)}).NewState()
 	addRows(t, st, sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.NewInt(3), sqltypes.Null)
-	if v := st.Result(); v.F != 2 {
+	if v := st.Result(); v.Float() != 2 {
 		t.Errorf("AVG = %v", v)
 	}
 	if v := (&Aggregate{Kind: AggAvg, Arg: col(0)}).NewState().Result(); !v.IsNull() {
@@ -377,7 +377,7 @@ func TestIsDistinctFrom(t *testing.T) {
 		for op, want := range map[string]bool{"IS NOT DISTINCT FROM": c.same, "IS DISTINCT FROM": !c.same} {
 			b := &Binary{Op: op, Left: c.l, Right: c.r}
 			v := eval(t, b, nil)
-			if v.T != sqltypes.TypeBool || v.B != want {
+			if v.T != sqltypes.TypeBool || v.Bool() != want {
 				t.Errorf("%s = %v, want %v", b, v, want)
 			}
 			if b.Type() != sqltypes.TypeBool {

@@ -286,16 +286,21 @@ func compileBinary(b *Binary, resolve func(int) (int, sqltypes.Type, bool)) (Ker
 }
 
 // buildCmpKernel assembles a typed comparison kernel over two compiled
-// inputs (with int→float promotion) — shared by compileBinary and the
-// simple-CASE operand rewrite, which compares a memoized operand kernel
-// against each arm.
+// inputs — shared by compileBinary and the simple-CASE operand rewrite,
+// which compares a memoized operand kernel against each arm. An INTEGER
+// meets a DOUBLE unpromoted, as in sqltypes.Compare: converting it would
+// round it above 2^53.
 func buildCmpKernel(op string, l Kernel, lt sqltypes.Type, r Kernel, rt sqltypes.Type) (Kernel, bool) {
 	out := &sqltypes.Vector{T: sqltypes.TypeBool}
 	switch {
 	case lt == sqltypes.TypeInt && rt == sqltypes.TypeInt:
 		return &cmpIntKernel{op: op, l: l, r: r, out: out}, true
-	case numericType(lt) && numericType(rt):
-		return &cmpFloatKernel{op: op, l: toFloat(l, lt), r: toFloat(r, rt), out: out}, true
+	case lt == sqltypes.TypeFloat && rt == sqltypes.TypeFloat:
+		return &cmpFloatKernel{op: op, l: l, r: r, out: out}, true
+	case lt == sqltypes.TypeInt && rt == sqltypes.TypeFloat:
+		return &cmpIntFloatKernel{op: op, i: l, f: r, sign: 1, out: out}, true
+	case lt == sqltypes.TypeFloat && rt == sqltypes.TypeInt:
+		return &cmpIntFloatKernel{op: op, i: r, f: l, sign: -1, out: out}, true
 	case lt == sqltypes.TypeString && rt == sqltypes.TypeString:
 		return &cmpStringKernel{op: op, l: l, r: r, out: out}, true
 	case lt == sqltypes.TypeBool && rt == sqltypes.TypeBool:
@@ -578,31 +583,55 @@ func (k *cmpFloatKernel) EvalVec(cols []*sqltypes.Vector, n int) *sqltypes.Vecto
 	out := k.out
 	out.Resize(n)
 	ls, rs, os := l.Floats[:n], r.Floats[:n], out.Bools[:n]
+	// sqltypes.CompareFloat, not the machine comparison: NaN equals NaN
+	// and sorts above every other number, as in the row path.
 	switch k.op {
 	case "=":
 		for i := range os {
-			os[i] = ls[i] == rs[i]
+			os[i] = sqltypes.CompareFloat(ls[i], rs[i]) == 0
 		}
 	case "<>":
 		for i := range os {
-			os[i] = ls[i] != rs[i]
+			os[i] = sqltypes.CompareFloat(ls[i], rs[i]) != 0
 		}
 	case "<":
 		for i := range os {
-			os[i] = ls[i] < rs[i]
+			os[i] = sqltypes.CompareFloat(ls[i], rs[i]) < 0
 		}
 	case "<=":
 		for i := range os {
-			os[i] = ls[i] <= rs[i]
+			os[i] = sqltypes.CompareFloat(ls[i], rs[i]) <= 0
 		}
 	case ">":
 		for i := range os {
-			os[i] = ls[i] > rs[i]
+			os[i] = sqltypes.CompareFloat(ls[i], rs[i]) > 0
 		}
 	case ">=":
 		for i := range os {
-			os[i] = ls[i] >= rs[i]
+			os[i] = sqltypes.CompareFloat(ls[i], rs[i]) >= 0
 		}
+	}
+	copyNulls(out, l, n)
+	copyNulls(out, r, n)
+	return out
+}
+
+// cmpIntFloatKernel compares an INTEGER input with a DOUBLE one exactly;
+// sign is -1 when the DOUBLE is the left operand.
+type cmpIntFloatKernel struct {
+	op   string
+	i, f Kernel
+	sign int
+	out  *sqltypes.Vector
+}
+
+func (k *cmpIntFloatKernel) EvalVec(cols []*sqltypes.Vector, n int) *sqltypes.Vector {
+	l, r := k.i.EvalVec(cols, n), k.f.EvalVec(cols, n)
+	out := k.out
+	out.Resize(n)
+	is, fs, os := l.Ints[:n], r.Floats[:n], out.Bools[:n]
+	for j := range os {
+		os[j] = cmpHolds(k.op, k.sign*sqltypes.CompareIntFloat(is[j], fs[j]))
 	}
 	copyNulls(out, l, n)
 	copyNulls(out, r, n)

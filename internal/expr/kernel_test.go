@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -232,6 +233,74 @@ func TestKernelUnsupportedFallback(t *testing.T) {
 	for _, e := range unsupported {
 		if _, ok := CompileKernel(e, fixtureResolve); ok {
 			t.Fatalf("%s should not compile to a kernel", e)
+		}
+	}
+}
+
+// TestNumberComparisonsRowAndKernel runs every comparison over NaN, the
+// infinities and the BIGINTs around 2^53 and 2^63 through the row path and
+// the kernel path: NaN equals NaN and sorts above every other number, and
+// an INTEGER meets a DOUBLE exactly, so both paths agree with
+// sqltypes.Compare.
+func TestNumberComparisonsRowAndKernel(t *testing.T) {
+	const p53 = 1 << 53
+	nums := []sqltypes.Value{
+		sqltypes.NewFloat(math.NaN()), sqltypes.NewFloat(math.Float64frombits(0xFFF8000000000000)),
+		sqltypes.NewFloat(math.Inf(1)), sqltypes.NewFloat(math.Inf(-1)), sqltypes.NewFloat(1),
+		sqltypes.NewFloat(math.Copysign(0, -1)), sqltypes.NewFloat(p53), sqltypes.NewFloat(1 << 63),
+		sqltypes.NewInt(p53 - 1), sqltypes.NewInt(p53), sqltypes.NewInt(p53 + 1),
+		sqltypes.NewInt(math.MaxInt64), sqltypes.NewInt(math.MinInt64), sqltypes.NewInt(0), sqltypes.NewInt(1),
+	}
+	// Hand-checked verdicts the rule fixes, whichever path runs them.
+	nan, one := sqltypes.NewFloat(math.NaN()), sqltypes.NewFloat(1)
+	for _, c := range []struct {
+		l, r sqltypes.Value
+		op   string
+		want bool
+	}{
+		{nan, nan, "=", true}, {nan, one, "=", false}, {nan, sqltypes.NewFloat(math.Inf(1)), ">", true},
+		{one, nan, "<", true}, {nan, sqltypes.NewInt(math.MaxInt64), ">", true},
+		{sqltypes.NewInt(p53 + 1), sqltypes.NewInt(p53), "=", false},
+		{sqltypes.NewInt(p53 + 1), sqltypes.NewFloat(p53), ">", true},
+		{sqltypes.NewInt(math.MaxInt64), sqltypes.NewFloat(1 << 63), "<", true},
+	} {
+		got, err := (&Binary{Op: c.op, Left: klit(c.l), Right: klit(c.r)}).Eval(nil)
+		if err != nil || got.IsTrue() != c.want {
+			t.Errorf("%v %s %v = %v (%v), want %v", c.l, c.op, c.r, got, err, c.want)
+		}
+	}
+	for _, lt := range []sqltypes.Type{sqltypes.TypeInt, sqltypes.TypeFloat} {
+		for _, rt := range []sqltypes.Type{sqltypes.TypeInt, sqltypes.TypeFloat} {
+			lv, rv := sqltypes.NewVector(lt, 0), sqltypes.NewVector(rt, 0)
+			var rows []sqltypes.Row
+			for _, a := range nums {
+				for _, b := range nums {
+					if a.T == lt && b.T == rt {
+						lv.AppendValue(a)
+						rv.AppendValue(b)
+						rows = append(rows, sqltypes.Row{a, b})
+					}
+				}
+			}
+			resolve := func(c int) (int, sqltypes.Type, bool) { return c, []sqltypes.Type{lt, rt}[c], c < 2 }
+			for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+				e := &Binary{Op: op, Left: kcol(0, lt), Right: kcol(1, rt)}
+				k, ok := CompileKernel(e, resolve)
+				if !ok {
+					t.Fatalf("%s over %s, %s did not compile", op, lt, rt)
+				}
+				out := k.EvalVec([]*sqltypes.Vector{lv, rv}, len(rows))
+				for i, r := range rows {
+					want := cmpHolds(op, sqltypes.Compare(r[0], r[1]))
+					row, err := e.Eval(r)
+					if err != nil || row.IsTrue() != want {
+						t.Errorf("row path: %s %v %s %s %v = %v, want %v", r[0].T, r[0], op, r[1].T, r[1], row, want)
+					}
+					if got := out.ValueAt(i); got.IsTrue() != want {
+						t.Errorf("kernel: %s %v %s %s %v = %v, want %v", r[0].T, r[0], op, r[1].T, r[1], got, want)
+					}
+				}
+			}
 		}
 	}
 }

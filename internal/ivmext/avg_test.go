@@ -33,7 +33,7 @@ func TestAvgViewBasics(t *testing.T) {
 	}
 
 	rows := mustExec(t, db, "SELECT group_index, mean, n FROM avgs ORDER BY group_index").Rows
-	if len(rows) != 2 || rows[0][1].F != 15 || rows[1][1].F != 5 {
+	if len(rows) != 2 || rows[0][1].Float() != 15 || rows[1][1].Float() != 5 {
 		t.Fatalf("rows = %v", rows)
 	}
 }
@@ -46,13 +46,13 @@ func TestAvgIncrementalMaintenance(t *testing.T) {
 
 	mustExec(t, db, "INSERT INTO groups VALUES ('a', 30), ('b', 7)")
 	rows := mustExec(t, db, "SELECT group_index, mean FROM avgs ORDER BY group_index").Rows
-	if rows[0][1].F != 20 || rows[1][1].F != 7 {
+	if rows[0][1].Float() != 20 || rows[1][1].Float() != 7 {
 		t.Fatalf("rows = %v", rows)
 	}
 
 	mustExec(t, db, "DELETE FROM groups WHERE group_value = 10")
 	rows = mustExec(t, db, "SELECT group_index, mean FROM avgs ORDER BY group_index").Rows
-	if len(rows) != 2 || rows[0][1].F != 30 {
+	if len(rows) != 2 || rows[0][1].Float() != 30 {
 		t.Fatalf("after delete: %v", rows)
 	}
 
@@ -115,7 +115,7 @@ func TestAvgJoinAggregate(t *testing.T) {
 		AVG(o.amt) AS mean, COUNT(*) AS n FROM o JOIN c ON o.cid = c.cid GROUP BY c.region`)
 	mustExec(t, db, "INSERT INTO o VALUES (13, 2, 150)")
 	rows := mustExec(t, db, "SELECT region, mean, n FROM ra ORDER BY region").Rows
-	if len(rows) != 2 || rows[0][1].F != 150 || rows[1][1].F != 100 {
+	if len(rows) != 2 || rows[0][1].Float() != 150 || rows[1][1].Float() != 100 {
 		t.Fatalf("rows = %v", rows)
 	}
 }

@@ -326,6 +326,10 @@ func TestCombineRepros(t *testing.T) {
 			"SELECT MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t",
 			[]step{{"INSERT INTO t VALUES ('c', 5)", "1|5|3"}, {"DELETE FROM t WHERE k = 'a'", "2|5|2"},
 				{"DELETE FROM t", "NULL|NULL|0"}}},
+		{"bigint_groups", "t (k INTEGER, v INTEGER)", "(9007199254740992, 1)",
+			"SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k",
+			[]step{{"INSERT INTO t VALUES (9007199254740993, 2)", "9007199254740992|1|1 9007199254740993|2|1"},
+				{"DELETE FROM t WHERE k = 9007199254740992", "9007199254740993|2|1"}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := engine.Open("repro", engine.DialectDuckDB)

@@ -66,16 +66,22 @@ func (r Row) String() string {
 //	string -> 0x03, escaped bytes (0x00 -> 0x00 0xFF), terminator 0x00 0x00
 //
 // Ints and floats share tag 0x02 so that 1 and 1.0 group together, matching
-// Compare's numeric promotion; -0.0 encodes as 0, which it equals.
+// Compare; -0.0 encodes as 0, which it equals, and every NaN as one NaN
+// above +Inf. An INTEGER that float64 would round (|i| > 2^53) encodes as
+// the largest float below it, then 0x04 (above every tag that can follow)
+// and its 2-byte distance from that float, so distinct INTEGERs keep
+// distinct keys in Compare's order.
 func EncodeKey(dst []byte, vals ...Value) []byte {
 	for _, v := range vals {
 		switch v.T {
 		case TypeNull:
 			dst = append(dst, 0x00)
 		case TypeBool:
-			dst = appendKeyBool(dst, v.B)
-		case TypeInt, TypeFloat:
-			dst = appendKeyNumber(dst, v.AsFloat())
+			dst = appendKeyBool(dst, v.Bool())
+		case TypeInt:
+			dst = appendKeyInt(dst, v.I)
+		case TypeFloat:
+			dst = appendKeyNumber(dst, v.Float())
 		case TypeString:
 			dst = appendKeyString(dst, v.S)
 		default:
@@ -93,10 +99,29 @@ func appendKeyBool(dst []byte, b bool) []byte {
 	return append(dst, 0x00)
 }
 
+func appendKeyInt(dst []byte, i int64) []byte {
+	const exact = 1 << 53
+	if -exact <= i && i <= exact {
+		return appendKeyNumber(dst, float64(i))
+	}
+	f := float64(i)
+	if f >= 1<<63 || int64(f) > i {
+		f = math.Nextafter(f, math.Inf(-1))
+	}
+	dst = appendKeyNumber(dst, f)
+	if d := i - int64(f); d != 0 {
+		dst = append(dst, 0x04, byte(d>>8), byte(d))
+	}
+	return dst
+}
+
 func appendKeyNumber(dst []byte, f float64) []byte {
 	dst = append(dst, 0x02)
-	if f == 0 {
+	switch {
+	case f == 0:
 		f = 0 // -0.0 equals 0 and must encode as it: one key, one group
+	case f != f:
+		f = math.NaN() // every NaN is one key, above +Inf
 	}
 	bits := math.Float64bits(f)
 	// Flip so that lexicographic byte order equals numeric order.

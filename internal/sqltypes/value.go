@@ -4,6 +4,7 @@
 package sqltypes
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -63,11 +64,13 @@ func ParseType(name string) (Type, error) {
 }
 
 // Value is a dynamically typed SQL scalar. The zero Value is SQL NULL.
+//
+// A Value is 32 bytes: the type tag, one payload word and a string. I holds
+// an INTEGER, a DOUBLE's IEEE bits or a BOOLEAN as 0/1, so I is read as an
+// integer only under T == TypeInt; Float and Bool read the other payloads.
 type Value struct {
 	T Type
-	B bool
 	I int64
-	F float64
 	S string
 }
 
@@ -75,16 +78,27 @@ type Value struct {
 var Null = Value{T: TypeNull}
 
 // NewBool returns a BOOLEAN value.
-func NewBool(b bool) Value { return Value{T: TypeBool, B: b} }
+func NewBool(b bool) Value {
+	if b {
+		return Value{T: TypeBool, I: 1}
+	}
+	return Value{T: TypeBool}
+}
 
 // NewInt returns an INTEGER value.
 func NewInt(i int64) Value { return Value{T: TypeInt, I: i} }
 
 // NewFloat returns a DOUBLE value.
-func NewFloat(f float64) Value { return Value{T: TypeFloat, F: f} }
+func NewFloat(f float64) Value { return Value{T: TypeFloat, I: int64(math.Float64bits(f))} }
 
 // NewString returns a VARCHAR value.
 func NewString(s string) Value { return Value{T: TypeString, S: s} }
+
+// Float returns a DOUBLE's payload; it is meaningful only under T == TypeFloat.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// Bool returns a BOOLEAN's payload; it is meaningful only under T == TypeBool.
+func (v Value) Bool() bool { return v.I != 0 }
 
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.T == TypeNull }
@@ -95,12 +109,11 @@ func (v Value) AsFloat() float64 {
 	case TypeInt:
 		return float64(v.I)
 	case TypeFloat:
-		return v.F
+		return v.Float()
 	case TypeBool:
-		if v.B {
+		if v.Bool() {
 			return 1
 		}
-		return 0
 	}
 	return 0
 }
@@ -111,18 +124,17 @@ func (v Value) AsInt() int64 {
 	case TypeInt:
 		return v.I
 	case TypeFloat:
-		return int64(v.F)
+		return int64(v.Float())
 	case TypeBool:
-		if v.B {
+		if v.Bool() {
 			return 1
 		}
-		return 0
 	}
 	return 0
 }
 
 // IsTrue reports whether v is the boolean TRUE (NULL and FALSE are not).
-func (v Value) IsTrue() bool { return v.T == TypeBool && v.B }
+func (v Value) IsTrue() bool { return v.T == TypeBool && v.Bool() }
 
 // String renders the value the way the engines print result rows.
 func (v Value) String() string {
@@ -130,17 +142,18 @@ func (v Value) String() string {
 	case TypeNull:
 		return "NULL"
 	case TypeBool:
-		if v.B {
+		if v.Bool() {
 			return "true"
 		}
 		return "false"
 	case TypeInt:
 		return strconv.FormatInt(v.I, 10)
 	case TypeFloat:
-		if v.F == math.Trunc(v.F) && math.Abs(v.F) < 1e15 {
-			return strconv.FormatFloat(v.F, 'f', 1, 64)
+		f := v.Float()
+		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			return strconv.FormatFloat(f, 'f', 1, 64)
 		}
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(f, 'g', -1, 64)
 	case TypeString:
 		return v.S
 	}
@@ -154,14 +167,14 @@ func (v Value) SQLLiteral() string {
 	case TypeNull:
 		return "NULL"
 	case TypeBool:
-		if v.B {
+		if v.Bool() {
 			return "TRUE"
 		}
 		return "FALSE"
 	case TypeInt:
 		return strconv.FormatInt(v.I, 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case TypeString:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
 	}
@@ -176,7 +189,7 @@ func numericPair(a, b Value) (af, bf float64, isInt bool, ok bool) {
 		case TypeInt:
 			return float64(v.I), true, true
 		case TypeFloat:
-			return v.F, false, true
+			return v.Float(), false, true
 		}
 		return 0, false, false
 	}
@@ -187,8 +200,10 @@ func numericPair(a, b Value) (af, bf float64, isInt bool, ok bool) {
 
 // Compare orders two values. NULL sorts before everything and equals only
 // NULL (this is the total order used by ORDER BY and index keys; predicate
-// comparison with NULL propagation lives in CompareSQL). Mixed numeric
-// types compare numerically; otherwise mismatched types compare by type tag.
+// comparison with NULL propagation lives in CompareSQL). Numbers compare
+// exactly: two INTEGERs as int64, an INTEGER and a DOUBLE without rounding
+// either, and NaN as CompareFloat orders it. Otherwise mismatched types
+// compare by type tag.
 func Compare(a, b Value) int {
 	if a.T == TypeNull || b.T == TypeNull {
 		switch {
@@ -200,15 +215,15 @@ func Compare(a, b Value) int {
 			return 1
 		}
 	}
-	if af, bf, _, ok := numericPair(a, b); ok {
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+	switch {
+	case a.T == TypeInt && b.T == TypeInt:
+		return cmp.Compare(a.I, b.I)
+	case a.T == TypeFloat && b.T == TypeFloat:
+		return CompareFloat(a.Float(), b.Float())
+	case a.T == TypeInt && b.T == TypeFloat:
+		return CompareIntFloat(a.I, b.Float())
+	case a.T == TypeFloat && b.T == TypeInt:
+		return -CompareIntFloat(b.I, a.Float())
 	}
 	if a.T != b.T {
 		if a.T < b.T {
@@ -218,18 +233,49 @@ func Compare(a, b Value) int {
 	}
 	switch a.T {
 	case TypeBool:
-		switch {
-		case a.B == b.B:
-			return 0
-		case !a.B:
-			return -1
-		default:
-			return 1
-		}
+		return cmp.Compare(a.AsInt(), b.AsInt())
 	case TypeString:
 		return strings.Compare(a.S, b.S)
 	}
 	return 0
+}
+
+// CompareFloat orders two DOUBLEs the way PostgreSQL and DuckDB do: NaN
+// equals NaN and sorts above every other number, -0.0 equals 0.0.
+func CompareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	}
+	switch an, bn := a != a, b != b; {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	}
+	return -1
+}
+
+// CompareIntFloat orders an INTEGER and a DOUBLE exactly, where converting
+// i to float64 would round away its low bits above 2^53. NaN is above i.
+func CompareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f || f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	// f is in [-2^63, 2^63), so its truncation fi fits an int64 and
+	// f-fi is its exact fractional part.
+	fi := int64(f)
+	if c := cmp.Compare(i, fi); c != 0 {
+		return c
+	}
+	return CompareFloat(0, f-float64(fi))
 }
 
 // CompareSQL implements SQL three-valued comparison: if either operand is
@@ -312,7 +358,7 @@ func Neg(v Value) (Value, error) {
 	case TypeInt:
 		return NewInt(-v.I), nil
 	case TypeFloat:
-		return NewFloat(-v.F), nil
+		return NewFloat(-v.Float()), nil
 	}
 	return Null, fmt.Errorf("sqltypes: cannot negate %s", v.T)
 }
@@ -322,7 +368,7 @@ func Neg(v Value) (Value, error) {
 func Cast(v Value, t Type) (Value, error) {
 	if v.IsNull() || t == TypeAny || v.T == t {
 		if v.T == TypeFloat && t == TypeInt {
-			return NewInt(int64(v.F)), nil
+			return NewInt(int64(v.Float())), nil
 		}
 		return v, nil
 	}
@@ -332,7 +378,7 @@ func Cast(v Value, t Type) (Value, error) {
 		case TypeInt:
 			return NewBool(v.I != 0), nil
 		case TypeFloat:
-			return NewBool(v.F != 0), nil
+			return NewBool(v.Float() != 0), nil
 		case TypeString:
 			switch strings.ToLower(strings.TrimSpace(v.S)) {
 			case "true", "t", "1", "yes":
@@ -347,7 +393,7 @@ func Cast(v Value, t Type) (Value, error) {
 		case TypeBool:
 			return NewInt(v.AsInt()), nil
 		case TypeFloat:
-			return NewInt(int64(v.F)), nil
+			return NewInt(int64(v.Float())), nil
 		case TypeString:
 			i, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
 			if err != nil {

@@ -152,7 +152,7 @@ func TestArithFloatPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.T != TypeFloat || got.F != 1.5 {
+	if got.T != TypeFloat || got.Float() != 1.5 {
 		t.Errorf("1 + 0.5 = %v, want 1.5", got)
 	}
 }
@@ -189,7 +189,7 @@ func TestNeg(t *testing.T) {
 	if v, _ := Neg(NewInt(5)); v.I != -5 {
 		t.Errorf("Neg(5) = %v", v)
 	}
-	if v, _ := Neg(NewFloat(1.5)); v.F != -1.5 {
+	if v, _ := Neg(NewFloat(1.5)); v.Float() != -1.5 {
 		t.Errorf("Neg(1.5) = %v", v)
 	}
 	if v, _ := Neg(Null); !v.IsNull() {

@@ -235,7 +235,7 @@ func (v *Vector) AppendValue(val Value) {
 	case TypeFloat:
 		switch val.T {
 		case TypeFloat:
-			v.AppendFloat(val.F)
+			v.AppendFloat(val.Float())
 			return
 		case TypeInt:
 			v.AppendFloat(float64(val.I))
@@ -243,7 +243,7 @@ func (v *Vector) AppendValue(val Value) {
 		}
 	case TypeBool:
 		if val.T == TypeBool {
-			v.AppendBool(val.B)
+			v.AppendBool(val.Bool())
 			return
 		}
 	case TypeString:
@@ -265,9 +265,9 @@ func (v *Vector) ValueAt(i int) Value {
 	case TypeInt:
 		return Value{T: TypeInt, I: v.Ints[i]}
 	case TypeFloat:
-		return Value{T: TypeFloat, F: v.Floats[i]}
+		return NewFloat(v.Floats[i])
 	case TypeBool:
-		return Value{T: TypeBool, B: v.Bools[i]}
+		return NewBool(v.Bools[i])
 	case TypeString:
 		return Value{T: TypeString, S: v.Strs[i]}
 	}
@@ -284,7 +284,7 @@ func (v *Vector) EncodeCell(dst []byte, i int) []byte {
 	}
 	switch v.T {
 	case TypeInt:
-		return appendKeyNumber(dst, float64(v.Ints[i]))
+		return appendKeyInt(dst, v.Ints[i])
 	case TypeFloat:
 		return appendKeyNumber(dst, v.Floats[i])
 	case TypeBool:

@@ -43,14 +43,14 @@ func appendValue(dst []byte, v sqltypes.Value) []byte {
 	dst = append(dst, byte(v.T))
 	switch v.T {
 	case sqltypes.TypeBool:
-		if v.B {
+		if v.Bool() {
 			return append(dst, 1)
 		}
 		return append(dst, 0)
 	case sqltypes.TypeInt:
 		return binary.AppendVarint(dst, v.I)
 	case sqltypes.TypeFloat:
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
+		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float()))
 	case sqltypes.TypeString:
 		return appendString(dst, v.S)
 	}

@@ -61,7 +61,7 @@ func TestDrainEmptiesTablesInOneRoundTrip(t *testing.T) {
 		t.Fatalf("drained %q", got)
 	}
 	r := batch.Tables[0].Rows[0]
-	if r[1].S != "x" || r[2].F != 1.5 || !r[3].IsTrue() || !batch.Tables[0].Rows[1][1].IsNull() {
+	if r[1].S != "x" || r[2].Float() != 1.5 || !r[3].IsTrue() || !batch.Tables[0].Rows[1][1].IsNull() {
 		t.Fatalf("row values did not survive: %v", batch.Tables[0].Rows)
 	}
 	if batch.Tables[0].N != 2 || batch.Tables[1].N != 3 {

@@ -127,7 +127,7 @@ func appendRow(buf []byte, r []sqltypes.Value) []byte {
 	for _, v := range r {
 		switch v.T {
 		case sqltypes.TypeBool:
-			if v.B {
+			if v.Bool() {
 				buf = append(buf, tagTrue)
 			} else {
 				buf = append(buf, tagFalse)
@@ -137,7 +137,7 @@ func appendRow(buf []byte, r []sqltypes.Value) []byte {
 			buf = binary.AppendVarint(buf, v.I)
 		case sqltypes.TypeFloat:
 			buf = append(buf, tagFloat)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float()))
 		case sqltypes.TypeString:
 			buf = appendString(append(buf, tagStr), v.S)
 		default:

@@ -32,7 +32,7 @@ func TestPreparedNonFiniteParams(t *testing.T) {
 	}
 	for _, r := range resp.Rows {
 		want := in[r[0].S]
-		if r[1].T != sqltypes.TypeFloat || math.Float64bits(r[1].F) != math.Float64bits(want) {
+		if r[1].T != sqltypes.TypeFloat || math.Float64bits(r[1].Float()) != math.Float64bits(want) {
 			t.Errorf("%s: got %v, want %v", r[0].S, r[1], want)
 		}
 	}

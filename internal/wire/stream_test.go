@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bufio"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -87,13 +89,35 @@ func rowFrame(rows []sqltypes.Row) []byte {
 	return payload
 }
 
+// samePayload compares two values by the payload their type reads, a
+// DOUBLE by its IEEE bits, so -0.0 and NaN are checked too.
+func samePayload(a, b sqltypes.Value) bool {
+	if a.T != b.T {
+		return false
+	}
+	switch a.T {
+	case sqltypes.TypeInt:
+		return a.I == b.I
+	case sqltypes.TypeFloat:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case sqltypes.TypeBool:
+		return a.Bool() == b.Bool()
+	case sqltypes.TypeString:
+		return a.S == b.S
+	}
+	return true
+}
+
 // TestFrameRowBatchRoundtrip pins the binary value encoding.
 func TestFrameRowBatchRoundtrip(t *testing.T) {
 	in := []sqltypes.Row{
 		{sqltypes.NewInt(0), sqltypes.NewInt(-1), sqltypes.NewInt(1 << 40)},
-		{sqltypes.NewFloat(1.5), sqltypes.NewFloat(-0.0), sqltypes.Null},
+		{sqltypes.NewFloat(1.5), sqltypes.NewFloat(math.Copysign(0, -1)), sqltypes.Null},
 		{sqltypes.NewBool(true), sqltypes.NewBool(false), sqltypes.NewString("")},
 		{sqltypes.NewString("héllo, wörld"), sqltypes.NewString(strings.Repeat("y", 300))},
+		{sqltypes.NewInt(math.MinInt64), sqltypes.NewInt(math.MaxInt64), sqltypes.NewFloat(math.NaN()),
+			sqltypes.NewFloat(math.Inf(1)), sqltypes.NewFloat(math.Inf(-1)), sqltypes.NewFloat(math.SmallestNonzeroFloat64),
+			sqltypes.NewString("\xff\xfe\x00"), sqltypes.NewString(strings.Repeat("z", 70000))},
 	}
 	payload := rowFrame(in)
 	out, err := decodeRowBatch(payload)
@@ -108,13 +132,21 @@ func TestFrameRowBatchRoundtrip(t *testing.T) {
 			t.Fatalf("row %d: cols = %d, want %d", i, len(out[i]), len(r))
 		}
 		for j, v := range r {
-			if got := out[i][j]; got.T != v.T || got.I != v.I || got.F != v.F || got.B != v.B || got.S != v.S {
+			if got := out[i][j]; !samePayload(got, v) {
 				t.Fatalf("row %d col %d: %v != %v", i, j, got, v)
 			}
 		}
 	}
 	if _, err := decodeRowBatch(payload[:len(payload)-3]); err == nil {
 		t.Fatal("truncated batch decoded without error")
+	}
+	// The value bytes clients already read.
+	row := []sqltypes.Value{sqltypes.NewInt(-1), sqltypes.NewInt(math.MinInt64), sqltypes.NewInt(math.MaxInt64),
+		sqltypes.NewFloat(1.5), sqltypes.NewFloat(math.Copysign(0, -1)), sqltypes.NewFloat(math.NaN()), sqltypes.NewFloat(math.Inf(-1)),
+		sqltypes.NewBool(true), sqltypes.NewBool(false), sqltypes.NewString(""), sqltypes.NewString("\xff\x00"), sqltypes.Null}
+	const want = "0c030103ffffffffffffffffff0103feffffffffffffffff0104000000000000f83f04000000000000008004010000000000f87f04000000000000f0ff020105000502ff0000"
+	if got := hex.EncodeToString(appendRow(nil, row)); got != want {
+		t.Errorf("row encodes as\n%s, want\n%s", got, want)
 	}
 }
 

@@ -59,7 +59,7 @@ func TestValueTypesSurviveTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := resp.Rows[0]
-	if r[0].I != 1 || r[1].F != 1.5 || r[2].S != "x" || !r[3].IsTrue() || !r[4].IsNull() {
+	if r[0].I != 1 || r[1].Float() != 1.5 || r[2].S != "x" || !r[3].IsTrue() || !r[4].IsNull() {
 		t.Fatalf("row = %v", r)
 	}
 }
