@@ -11,7 +11,6 @@
 // Flags mirror the paper's compiler switches:
 //
 //	-dialect duckdb|postgres   target SQL dialect for emission
-//	-empty sum_zero|hidden_count
 package main
 
 import (
@@ -30,18 +29,17 @@ func main() {
 		schemaPath = flag.String("schema", "", "path to a SQL file with CREATE TABLE statements")
 		viewPath   = flag.String("view", "", "path to a SQL file with one CREATE MATERIALIZED VIEW")
 		dialect    = flag.String("dialect", "duckdb", "emission dialect: duckdb | postgres")
-		empty      = flag.String("empty", "sum_zero", "empty-group detection: sum_zero | hidden_count")
 		demo       = flag.Bool("demo", false, "compile the paper's Listing 1 example")
 	)
 	flag.Parse()
 
-	if err := run(*schemaPath, *viewPath, *dialect, *empty, *demo); err != nil {
+	if err := run(*schemaPath, *viewPath, *dialect, *demo); err != nil {
 		fmt.Fprintln(os.Stderr, "openivm:", err)
 		os.Exit(1)
 	}
 }
 
-func run(schemaPath, viewPath, dialect, empty string, demo bool) error {
+func run(schemaPath, viewPath, dialect string, demo bool) error {
 	var schemaSQL, viewSQL string
 	switch {
 	case demo:
@@ -65,9 +63,6 @@ func run(schemaPath, viewPath, dialect, empty string, demo bool) error {
 	opts := ivm.DefaultOptions()
 	var err error
 	if opts.Dialect, err = duckast.ParseDialect(dialect); err != nil {
-		return err
-	}
-	if opts.Empty, err = ivm.ParseEmptyDetection(empty); err != nil {
 		return err
 	}
 

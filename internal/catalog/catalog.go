@@ -342,24 +342,6 @@ func (c *Catalog) IVMViews() []*IVMMetadata {
 	return out
 }
 
-// IVMForBaseTable returns the materialized views that depend on table name.
-func (c *Catalog) IVMForBaseTable(name string) []*IVMMetadata {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []*IVMMetadata
-	key := norm(name)
-	for _, m := range c.ivm {
-		for _, bt := range m.BaseTables {
-			if norm(bt) == key {
-				out = append(out, m)
-				break
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ViewName < out[j].ViewName })
-	return out
-}
-
 // TableNames returns all table names sorted.
 func (c *Catalog) TableNames() []string {
 	c.mu.RLock()

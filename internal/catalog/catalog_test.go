@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 
@@ -823,4 +824,22 @@ func TestNameCollisionTableView(t *testing.T) {
 	if _, err := c.CreateTable("y", []Column{{Name: "a", Type: sqltypes.TypeInt}}, nil, false); err == nil {
 		t.Error("table colliding with view should fail")
 	}
+}
+
+// IVMForBaseTable returns the materialized views that depend on table name.
+func (c *Catalog) IVMForBaseTable(name string) []*IVMMetadata {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var out []*IVMMetadata
+	key := norm(name)
+	for _, m := range c.ivm {
+		for _, bt := range m.BaseTables {
+			if norm(bt) == key {
+				out = append(out, m)
+				break
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ViewName < out[j].ViewName })
+	return out
 }

@@ -415,12 +415,6 @@ func tableSchema(tbl *catalog.Table) []plan.ColumnInfo {
 	return out
 }
 
-// ApplyDeltaRow replays one captured delta row: ApplyDeltaBatch with a
-// batch of one.
-func (s *Session) ApplyDeltaRow(table string, row sqltypes.Row, mult bool) error {
-	return s.ApplyDeltaBatch(table, []sqltypes.Row{row}, []bool{mult})
-}
-
 // ApplyDeltaBatch replays captured delta rows against a table, in order,
 // as one write: rows[i] is inserted when insert[i] is set, otherwise
 // exactly one matching copy is removed (Z-set semantics; see

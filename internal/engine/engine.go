@@ -4,8 +4,6 @@
 // optimizer and executor together and exposes the extension points OpenIVM
 // relies on:
 //
-//   - fallback parsers, tried when the main parser rejects a statement
-//     (the paper's CREATE MATERIALIZED VIEW fallback-parser mechanism);
 //   - statement hooks, which intercept statements before execution (the
 //     paper's optimizer-rule injection, used to trigger propagation);
 //   - an after-commit hook, which eager propagation runs from;
@@ -87,10 +85,6 @@ type TriggerFunc func(s *Session, table string, event TriggerEvent, oldRows, new
 // Session.SetInternal) from user connections.
 type StatementHook func(s *Session, stmt sqlparser.Statement) (handled bool, res *Result, err error)
 
-// FallbackParser is tried when the primary parser fails, mirroring DuckDB's
-// extension parser chain. It returns ok=false to pass to the next parser.
-type FallbackParser func(sql string) (stmt sqlparser.Statement, ok bool, err error)
-
 // trigger is a registered row-level trigger. durable is set for triggers
 // created by SQL (CREATE TRIGGER … EXECUTE 'name'): what the log and the
 // checkpoints record of them.
@@ -116,8 +110,7 @@ type DB struct {
 	// pragmas are the DB-wide pragma values (SetPragma).
 	pragmas map[string]string
 
-	fallbacks []FallbackParser
-	hooks     []StatementHook
+	hooks []StatementHook
 
 	// ivmStats is the IVM extension's stats snapshot callback (nil until
 	// an extension installs one via SetIVMStatsSource).
@@ -315,9 +308,6 @@ func (db *DB) SetPragma(name, value string) {
 // extension at install time, before any session runs.
 func (db *DB) SetAfterCommit(fn func(s *Session, tx *mvcc.Txn) error) { db.afterCommit = fn }
 
-// RegisterFallbackParser appends a parser tried when the main parse fails.
-func (db *DB) RegisterFallbackParser(p FallbackParser) { db.fallbacks = append(db.fallbacks, p) }
-
 // RegisterStatementHook appends a pre-execution statement hook.
 func (db *DB) RegisterStatementHook(h StatementHook) { db.hooks = append(db.hooks, h) }
 
@@ -389,20 +379,6 @@ func (s *Session) wantsTriggerRows(table string, ev TriggerEvent) bool {
 		}
 	}
 	return false
-}
-
-// Parse parses one statement, consulting fallback parsers on failure.
-func (db *DB) Parse(sql string) (sqlparser.Statement, error) {
-	stmt, err := sqlparser.Parse(sql)
-	if err == nil {
-		return stmt, nil
-	}
-	for _, fp := range db.fallbacks {
-		if st, ok, ferr := fp(sql); ok {
-			return st, ferr
-		}
-	}
-	return nil, err
 }
 
 // Exec executes a statement or script on a session of its own, closed

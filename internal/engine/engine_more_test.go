@@ -197,3 +197,9 @@ func TestRollbackUpsertRestoresOld(t *testing.T) {
 		t.Fatalf("rollback of upsert failed: %v", rows)
 	}
 }
+
+// ApplyDeltaRow replays one captured delta row: ApplyDeltaBatch with a
+// batch of one.
+func (s *Session) ApplyDeltaRow(table string, row sqltypes.Row, mult bool) error {
+	return s.ApplyDeltaBatch(table, []sqltypes.Row{row}, []bool{mult})
+}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
 )
 
@@ -539,30 +538,6 @@ func TestTriggerViaSQL(t *testing.T) {
 	}
 }
 
-func TestFallbackParser(t *testing.T) {
-	db := Open("t", DialectDuckDB)
-	// A fallback parser that recognizes custom syntax the main parser
-	// rejects — the mechanism the IVM extension uses for CREATE
-	// MATERIALIZED VIEW in the paper.
-	db.RegisterFallbackParser(func(sql string) (sqlparser.Statement, bool, error) {
-		if strings.TrimSpace(sql) == "HELLO" {
-			st, err := sqlparser.Parse("SELECT 42")
-			return st, true, err
-		}
-		return nil, false, nil
-	})
-	r, err := db.Exec("HELLO")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Rows[0][0].I != 42 {
-		t.Fatalf("got %v", r.Rows)
-	}
-	if _, err := db.Exec("GOODBYE"); err == nil {
-		t.Error("unhandled garbage should still fail")
-	}
-}
-
 // TestPragma: the engine reads no pragma of its own, so a PRAGMA no
 // statement hook claims is refused with a coded error and stores nothing:
 // a misspelt name and the names of removed pragmas no longer print OK and
@@ -586,9 +561,9 @@ func TestPragma(t *testing.T) {
 			t.Errorf("refused PRAGMA %s stored %q", name, v)
 		}
 	}
-	db.SetPragma("ivm_empty", "hidden_count")
-	if db.Pragma("IVM_EMPTY") != "hidden_count" {
-		t.Fatalf("pragma = %q", db.Pragma("ivm_empty"))
+	db.SetPragma("ivm_mode", "eager")
+	if db.Pragma("IVM_MODE") != "eager" {
+		t.Fatalf("pragma = %q", db.Pragma("ivm_mode"))
 	}
 }
 

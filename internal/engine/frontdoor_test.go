@@ -108,7 +108,6 @@ func TestFrontDoorEquivalence(t *testing.T) {
 		{name: "lazy view read", sql: "SELECT k, total FROM mv ORDER BY k", stmts: 1, lazy: 1},
 		{name: "dml", sql: "UPDATE t SET v = v + 1 WHERE k < 3", stmts: 1, check: "SELECT k, v FROM t ORDER BY k"},
 		{name: "script", sql: "INSERT INTO t VALUES (9, 90); DELETE FROM t WHERE k = 1; SELECT COUNT(*), SUM(v) FROM t", stmts: 3},
-		{name: "fallback-parsed", sql: "HELLO", stmts: 1},
 		{name: "parameterised select", sql: "SELECT k FROM t WHERE v > $1 ORDER BY k", stmts: 1},
 		{name: "insert-select", sql: "INSERT INTO dst (k, v) SELECT k, v FROM t WHERE v > $1", stmts: 1, check: "SELECT k, v FROM dst ORDER BY k"},
 	}
@@ -149,13 +148,6 @@ func runThroughFrontDoor(t *testing.T, run func(*engine.Session, string) (*engin
 	t.Helper()
 	db := engine.Open("frontdoor", engine.DialectDuckDB)
 	ext := ivmext.Install(db)
-	db.RegisterFallbackParser(func(sql string) (sqlparser.Statement, bool, error) {
-		if strings.TrimSpace(sql) != "HELLO" {
-			return nil, false, nil
-		}
-		st, err := sqlparser.Parse("SELECT 42 AS answer")
-		return st, true, err
-	})
 	admin := db.NewSession()
 	defer admin.Close()
 	for _, q := range []string{

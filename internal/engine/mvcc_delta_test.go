@@ -15,6 +15,25 @@ import (
 // transactions, so a snapshot that is already open neither loses the rows
 // a drain removes nor gains the rows a capture adds.
 
+// captureOrders creates delta_orders and attaches the capture trigger to
+// orders (oid INTEGER PRIMARY KEY, amount INTEGER).
+func captureOrders(t *testing.T, store *oltp.Store) {
+	t.Helper()
+	if _, err := store.DB.Exec(oltp.CaptureSQL("orders", []string{"oid INTEGER", "amount INTEGER"})); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pendingOrders is the number of rows delta_orders holds.
+func pendingOrders(t *testing.T, store *oltp.Store) int {
+	t.Helper()
+	dt, err := store.DB.Catalog().Table("delta_orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dt.RowCount()
+}
+
 func count(t *testing.T, s *engine.Session, table string) int64 {
 	t.Helper()
 	return mustExec(t, s, "SELECT COUNT(*) FROM "+table).Rows[0][0].I
@@ -25,9 +44,7 @@ func TestMVCCDrainInvisibleToOpenSnapshot(t *testing.T) {
 	w := store.DB.NewSession()
 	defer w.Close()
 	mustExec(t, w, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, amount INTEGER)")
-	if err := store.EnableCapture("orders"); err != nil {
-		t.Fatal(err)
-	}
+	captureOrders(t, store)
 	mustExec(t, w, "INSERT INTO orders VALUES (1, 10), (2, 20)")
 
 	a := store.DB.NewSession()
@@ -77,9 +94,7 @@ func TestMVCCSnapshotSeesWriteWithItsDelta(t *testing.T) {
 		}
 	}
 	store.DB.AddTrigger("orders", "open_a", []engine.TriggerEvent{engine.TrigInsert}, begin(a))
-	if err := store.EnableCapture("orders"); err != nil {
-		t.Fatal(err)
-	}
+	captureOrders(t, store)
 	store.DB.AddTrigger("orders", "open_b", []engine.TriggerEvent{engine.TrigInsert}, begin(b))
 	mustExec(t, w, "INSERT INTO orders VALUES (1, 10)")
 

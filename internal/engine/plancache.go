@@ -178,14 +178,14 @@ type Prepared struct {
 }
 
 // split lexes a script into its statements, lifting literals (none when
-// the DB runs verbatim). A script the lexer rejects is one statement for
-// the fallback parsers, and the cache does not hold it.
+// the DB runs verbatim). A script the lexer rejects is reported with the
+// parser's error.
 func (db *DB) split(sql string) (*Prepared, error) {
 	lifted, err := sqlparser.Lift(sql, !db.verbatim)
 	if err == nil {
 		return &Prepared{lifted: lifted}, nil
 	}
-	stmt, err := db.Parse(sql)
+	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -193,8 +193,8 @@ func (db *DB) split(sql string) (*Prepared, error) {
 }
 
 // parse parses statement i of the handle, keeping the parse. A lifted
-// statement the parser rejects goes to the fallback parsers as text, and
-// the cache does not hold what they return: its key is dropped.
+// statement the parser rejects is parsed again as text, and the cache does
+// not hold that parse: its key is dropped.
 func (db *DB) parse(p *Prepared, i int) (sqlparser.Statement, error) {
 	if p.stmts == nil {
 		p.stmts = make([]sqlparser.Statement, len(p.lifted))
@@ -210,7 +210,7 @@ func (db *DB) parse(p *Prepared, i int) (sqlparser.Statement, error) {
 		}
 		l.Key = nil
 	}
-	stmt, err := db.Parse(l.Text())
+	stmt, err := sqlparser.Parse(l.Text())
 	p.stmts[i] = stmt
 	return stmt, err
 }
@@ -266,7 +266,7 @@ func (s *Session) checkout(p *Prepared, i int) (*planEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		ent = newEntry(l.Key, stmt) // a fallback parser's statement has lost its key
+		ent = newEntry(l.Key, stmt) // a statement parsed as text has lost its key
 	}
 	if l.Params != nil || l.Rows != nil {
 		ent.params = expr.ParamBinding{Vals: l.Params, Rows: l.Rows}

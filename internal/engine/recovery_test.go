@@ -128,11 +128,6 @@ func TestRecoveryTorture(t *testing.T) {
 
 	mustExec(t, s, "CREATE TABLE kv (k INTEGER PRIMARY KEY, v INTEGER)")
 	record() // DDL is its own record; table exists but is empty
-	// Seed values are nonzero: the matview below runs under the paper's
-	// default sum_zero empty-group detection, which (faithfully but
-	// unsoundly) drops groups whose SUM is 0 on refresh — zero seeds
-	// would make the consistency check below fail for IVM reasons that
-	// have nothing to do with recovery.
 	for k := int64(0); k < 6; k++ {
 		mustExec(t, s, fmt.Sprintf("INSERT INTO kv VALUES (%d, %d)", k, k+1))
 		model[k] = k + 1
@@ -737,9 +732,7 @@ func TestRecoveryCapturedDeltas(t *testing.T) {
 	store := openDurableStore(t, dir)
 	s := store.DB.NewSession()
 	mustExec(t, s, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, amount INTEGER)")
-	if err := store.EnableCapture("orders"); err != nil {
-		t.Fatal(err)
-	}
+	captureOrders(t, store)
 	deltas := func(s *engine.Session) string {
 		return fmt.Sprint(mustExec(t, s, "SELECT * FROM delta_orders ORDER BY oid, amount, 3").Rows)
 	}
@@ -757,7 +750,7 @@ func TestRecoveryCapturedDeltas(t *testing.T) {
 		mustExec(t, s, sql)
 	}
 	want := deltas(s)
-	if n := store.PendingDeltas("orders"); n != 6 {
+	if n := pendingOrders(t, store); n != 6 {
 		t.Fatalf("captured %d delta rows before the restart, want 6: %s", n, want)
 	}
 	s.Close()
@@ -773,15 +766,15 @@ func TestRecoveryCapturedDeltas(t *testing.T) {
 	if got := mustExec(t, s, "SELECT COUNT(*) FROM orders").Rows[0][0].I; got != 2 {
 		t.Fatalf("orders after recovery holds %d rows, want 2", got)
 	}
-	drained, err := store.DrainDeltas("orders")
+	drained, err := s.DrainTable("delta_orders")
 	if err != nil || len(drained) != 6 {
 		t.Fatalf("drain after recovery returned %d rows (%v), want 6", len(drained), err)
 	}
-	if again, _ := store.DrainDeltas("orders"); len(again) != 0 {
+	if again, _ := s.DrainTable("delta_orders"); len(again) != 0 {
 		t.Fatalf("second drain returned %d rows again", len(again))
 	}
 	mustExec(t, s, "INSERT INTO orders VALUES (5, 50)")
-	if n := store.PendingDeltas("orders"); n != 1 {
+	if n := pendingOrders(t, store); n != 1 {
 		t.Fatalf("a write after recovery captured %d delta rows, want 1", n)
 	}
 
@@ -797,11 +790,11 @@ func TestRecoveryCapturedDeltas(t *testing.T) {
 	defer store.DB.Close()
 	s = store.DB.NewSession()
 	defer s.Close()
-	if n := store.PendingDeltas("orders"); n != 1 {
+	if n := pendingOrders(t, store); n != 1 {
 		t.Fatalf("delta_orders holds %d rows after the checkpointed restart, want 1", n)
 	}
 	mustExec(t, s, "DELETE FROM orders WHERE oid = 5")
-	if n := store.PendingDeltas("orders"); n != 2 {
+	if n := pendingOrders(t, store); n != 2 {
 		t.Fatalf("a write after the checkpointed restart left %d delta rows, want 2", n)
 	}
 }
@@ -823,9 +816,7 @@ func TestRecoveryCaptureRidesTheWrite(t *testing.T) {
 	store := openDurableStore(t, dir)
 	s := store.DB.NewSession()
 	mustExec(t, s, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, amount INTEGER)")
-	if err := store.EnableCapture("orders"); err != nil {
-		t.Fatal(err)
-	}
+	captureOrders(t, store)
 	next := 0
 	write := func() string {
 		switch p := rnd.Intn(6); {
@@ -938,9 +929,7 @@ func TestRecoveryUnknownTriggerHandler(t *testing.T) {
 	if _, err := store.DB.Exec("CREATE TABLE orders (oid INTEGER PRIMARY KEY, amount INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.EnableCapture("orders"); err != nil {
-		t.Fatal(err)
-	}
+	captureOrders(t, store)
 	if err := store.DB.Close(); err != nil {
 		t.Fatal(err)
 	}

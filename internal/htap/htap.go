@@ -12,8 +12,8 @@ import (
 	"strings"
 
 	"openivm/internal/engine"
-	"openivm/internal/ivm"
 	"openivm/internal/ivmext"
+	"openivm/internal/oltp"
 	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
 	"openivm/internal/wire"
@@ -118,13 +118,7 @@ func (p *Pipeline) Mirror(table string) error {
 
 	// Remote delta capture: delta table + trigger, exactly the manual
 	// PostgreSQL configuration the paper describes.
-	deltaCols := append(append([]string{}, cols...), ivm.MultiplicityColumn+" BOOLEAN")
-	if _, err := p.OLTP.Exec(fmt.Sprintf("CREATE TABLE IF NOT EXISTS %s%s (%s)", deltaPrefix, table, strings.Join(deltaCols, ", "))); err != nil {
-		return err
-	}
-	if _, err := p.OLTP.Exec(fmt.Sprintf(
-		"CREATE TRIGGER ivm_capture_%s AFTER INSERT OR DELETE OR UPDATE ON %s FOR EACH ROW EXECUTE 'ivm_capture'",
-		table, table)); err != nil {
+	if _, err := p.OLTP.Exec(oltp.CaptureSQL(table, cols)); err != nil {
 		return err
 	}
 	p.mirrored[strings.ToLower(table)] = true
@@ -137,7 +131,7 @@ func (p *Pipeline) Mirror(table string) error {
 // creates the view locally through the IVM extension (which compiles the
 // propagation scripts and registers local delta capture on the mirrors).
 func (p *Pipeline) CreateMaterializedView(sql string) error {
-	stmt, err := p.OLAP.Parse(sql)
+	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return err
 	}

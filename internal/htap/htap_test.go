@@ -13,6 +13,17 @@ import (
 	"openivm/internal/wire"
 )
 
+// pending is the number of captured rows the store's delta table of
+// table holds.
+func pending(t *testing.T, store *oltp.Store, table string) int {
+	t.Helper()
+	dt, err := store.DB.Catalog().Table("delta_" + table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dt.RowCount()
+}
+
 // startPipeline spins up an OLTP store, serves it over TCP, and connects a
 // pipeline — the full Figure 3 architecture in-process.
 func startPipeline(t *testing.T) (*oltp.Store, *Pipeline) {
@@ -188,13 +199,13 @@ func TestRemoteDeltasClearedAfterSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustRemote(t, p, "INSERT INTO t VALUES (1), (2)")
-	if store.PendingDeltas("t") != 2 {
-		t.Fatalf("remote deltas = %d", store.PendingDeltas("t"))
+	if n := pending(t, store, "t"); n != 2 {
+		t.Fatalf("remote deltas = %d", n)
 	}
 	if err := p.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if store.PendingDeltas("t") != 0 {
+	if pending(t, store, "t") != 0 {
 		t.Error("remote deltas not cleared")
 	}
 }
@@ -354,7 +365,7 @@ func TestSyncRedeliversDrainExactlyOnce(t *testing.T) {
 	if p.Stats.DeltasPulled != 3 || p.Stats.Drains != 1 {
 		t.Fatalf("stats = %+v, want the 3 deltas pulled by 1 drain", p.Stats)
 	}
-	if store.PendingDeltas("accounts") != 0 {
+	if pending(t, store, "accounts") != 0 {
 		t.Fatal("remote deltas not cleared")
 	}
 	crossCheck(t, p, "branch, total, n", "branch_totals", accountsQuery)

@@ -51,10 +51,10 @@ func (c *Compiler) Compile(viewName string, sel *sqlparser.SelectStmt, sourceSQL
 		comp.Key = viewKey(comp, sel)
 	}
 
-	// AVG decomposition: maintain hidden SUM/COUNT columns in a storage
-	// table and expose the declared columns through a plain SQL view.
+	// Hidden columns (AVG's SUM and COUNT parts, the hidden row count) live
+	// in a storage table; a plain SQL view exposes the declared columns.
 	comp.Storage = comp.ViewName
-	if comp.HasAvg() {
+	if len(comp.StorageColumns()) != len(comp.Columns) {
 		comp.Storage = comp.ViewName + "_ivm_storage"
 	}
 
@@ -361,12 +361,6 @@ func viewKey(comp *Compilation, sel *sqlparser.SelectStmt) []string {
 	return keyOf(0, 1)
 }
 
-// usesHiddenCount reports whether the hidden COUNT(*) column is maintained.
-func (c *Compilation) usesHiddenCount() bool {
-	return (c.Class == ClassAggregate || c.Class == ClassJoinAggregate) &&
-		c.Options.Empty == EmptyHiddenCount
-}
-
 // hasMinMax reports whether any aggregate column is MIN or MAX.
 func (c *Compilation) hasMinMax() bool {
 	for _, col := range c.AggColumns() {
@@ -389,14 +383,11 @@ func (c *Compiler) genSetup(comp *Compilation) {
 		s.Add(&duckast.CreateTable{Name: b.Delta, IfNotExists: true, Columns: cols})
 	}
 
-	// The table materializing the view (the storage table when AVG
-	// decomposition applies).
+	// The table materializing the view (the storage table when the view
+	// keeps hidden columns).
 	var viewCols []duckast.ColumnDef
 	for _, col := range comp.StorageColumns() {
 		viewCols = append(viewCols, duckast.ColumnDef{Name: col.Name, Type: col.Type.String()})
-	}
-	if comp.usesHiddenCount() {
-		viewCols = append(viewCols, duckast.ColumnDef{Name: HiddenCountColumn, Type: "INTEGER"})
 	}
 	vt := &duckast.CreateTable{Name: comp.Storage, IfNotExists: true, Columns: viewCols, PrimaryKey: comp.Key}
 	if comp.Class == ClassAggregate || comp.Class == ClassJoinAggregate {
@@ -407,6 +398,9 @@ func (c *Compiler) genSetup(comp *Compilation) {
 		vt.PrimaryKey = viewColNames(comp.GroupColumns())
 	}
 	s.Add(vt)
+	if comp.Storage != comp.ViewName {
+		s.Add(comp.exposedView())
+	}
 
 	// The delta-view table ΔV.
 	dvCols := append([]duckast.ColumnDef{}, viewCols...)
@@ -482,10 +476,6 @@ func (c *Compiler) genPopulate(comp *Compilation) {
 			sel.Items = append(sel.Items, duckast.SelectItem{
 				Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: col.Name})
 		}
-	}
-	if comp.usesHiddenCount() {
-		sel.Items = append(sel.Items, duckast.SelectItem{
-			Expr: &duckast.Raw{Text: "COUNT(*)"}, Alias: HiddenCountColumn})
 	}
 	if comp.Select.Where != nil {
 		sel.Where = &duckast.Raw{Text: sqlparser.ExprString(comp.Select.Where)}

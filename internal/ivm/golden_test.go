@@ -7,6 +7,8 @@ import (
 
 	"openivm/internal/duckast"
 	"openivm/internal/engine"
+	"openivm/internal/expr"
+	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
 )
 
@@ -35,30 +37,34 @@ const listing1View = `CREATE MATERIALIZED VIEW query_groups AS SELECT group_inde
 // TestListing2Golden pins the compiler output for the paper's Listing 1
 // input. The shape follows Listing 2: delta fill grouped by (key,
 // multiplicity); INSERT OR REPLACE via a signed CTE LEFT-JOINed to the
-// view; deletion of zeroed rows; delta truncation. Three places differ
-// from Listing 2 as printed: it selects and groups by the view-side key,
-// which is NULL for a new group, where we emit the delta-side key; its
+// view; deletion of emptied rows; delta truncation. Four places differ
+// from Listing 2 as printed. It selects and groups by the view-side key,
+// which is NULL for a new group, where we emit the delta-side key. Its
 // join compares keys with `=`, which never matches a NULL group key, where
-// we use IS NOT DISTINCT FROM; and step 3 names the keys ΔV touched — the
-// only groups whose count can have reached zero — so it deletes the rows
-// of the paper's `WHERE total_value = 0` through the key index.
+// we use IS NOT DISTINCT FROM. Its step 3 deletes a group whose SUM is 0,
+// which drops a group whose values net to 0 but still has rows, where we
+// keep a hidden row count in the storage table, behind a plain view of
+// the declared columns, and delete a group when it reaches 0. And step 3
+// names the keys ΔV touched — the only groups whose count can have
+// reached zero — so it finds those rows through the key index.
 func TestListing2Golden(t *testing.T) {
 	db := newDB(t)
 	comp := compile(t, db, DefaultOptions(), listing1View)
 
 	wantSetup := strings.TrimSpace(`
 CREATE TABLE IF NOT EXISTS delta_groups (group_index VARCHAR, group_value INTEGER, _duckdb_ivm_multiplicity BOOLEAN);
-CREATE TABLE IF NOT EXISTS query_groups (group_index VARCHAR, total_value INTEGER, PRIMARY KEY (group_index));
-CREATE TABLE IF NOT EXISTS delta_query_groups (group_index VARCHAR, total_value INTEGER, _duckdb_ivm_multiplicity BOOLEAN);
+CREATE TABLE IF NOT EXISTS query_groups_ivm_storage (group_index VARCHAR, total_value INTEGER, _duckdb_ivm_count INTEGER, PRIMARY KEY (group_index));
+CREATE VIEW query_groups AS SELECT group_index, total_value FROM query_groups_ivm_storage;
+CREATE TABLE IF NOT EXISTS delta_query_groups (group_index VARCHAR, total_value INTEGER, _duckdb_ivm_count INTEGER, _duckdb_ivm_multiplicity BOOLEAN);
 `)
 	if got := strings.TrimSpace(comp.SetupSQL()); got != wantSetup {
 		t.Errorf("setup SQL:\n got:\n%s\nwant:\n%s", got, wantSetup)
 	}
 
 	wantProp := strings.TrimSpace(`
-INSERT INTO delta_query_groups SELECT group_index AS group_index, SUM(group_value) AS total_value, _duckdb_ivm_multiplicity FROM delta_groups GROUP BY group_index, _duckdb_ivm_multiplicity;
-INSERT OR REPLACE INTO query_groups (group_index, total_value) WITH ivm_cte AS (SELECT group_index, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -total_value ELSE total_value END) AS total_value FROM delta_query_groups GROUP BY group_index) SELECT ivm_delta.group_index, COALESCE(query_groups.total_value, 0) + COALESCE(ivm_delta.total_value, 0) AS total_value FROM ivm_cte AS ivm_delta LEFT JOIN query_groups ON query_groups.group_index IS NOT DISTINCT FROM ivm_delta.group_index;
-DELETE FROM query_groups WHERE (group_index IN (SELECT group_index FROM delta_query_groups) OR group_index IS NULL) AND total_value = 0;
+INSERT INTO delta_query_groups SELECT group_index AS group_index, SUM(group_value) AS total_value, COUNT(*) AS _duckdb_ivm_count, _duckdb_ivm_multiplicity FROM delta_groups GROUP BY group_index, _duckdb_ivm_multiplicity;
+INSERT OR REPLACE INTO query_groups_ivm_storage (group_index, total_value, _duckdb_ivm_count) WITH ivm_cte AS (SELECT group_index, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -total_value ELSE total_value END) AS total_value, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -_duckdb_ivm_count ELSE _duckdb_ivm_count END) AS _duckdb_ivm_count FROM delta_query_groups GROUP BY group_index) SELECT ivm_delta.group_index, COALESCE(query_groups_ivm_storage.total_value, 0) + COALESCE(ivm_delta.total_value, 0) AS total_value, COALESCE(query_groups_ivm_storage._duckdb_ivm_count, 0) + COALESCE(ivm_delta._duckdb_ivm_count, 0) AS _duckdb_ivm_count FROM ivm_cte AS ivm_delta LEFT JOIN query_groups_ivm_storage ON query_groups_ivm_storage.group_index IS NOT DISTINCT FROM ivm_delta.group_index;
+DELETE FROM query_groups_ivm_storage WHERE (group_index IN (SELECT group_index FROM delta_query_groups) OR group_index IS NULL) AND _duckdb_ivm_count = 0;
 DELETE FROM delta_query_groups;
 DELETE FROM delta_groups;
 `)
@@ -67,14 +73,14 @@ DELETE FROM delta_groups;
 	}
 
 	wantPopulate := strings.TrimSpace(`
-INSERT INTO query_groups SELECT group_index AS group_index, SUM(group_value) AS total_value FROM groups GROUP BY group_index;
+INSERT INTO query_groups_ivm_storage SELECT group_index AS group_index, SUM(group_value) AS total_value, COUNT(*) AS _duckdb_ivm_count FROM groups GROUP BY group_index;
 `)
 	if got := strings.TrimSpace(comp.PopulateSQLText()); got != wantPopulate {
 		t.Errorf("populate SQL:\n got:\n%s\nwant:\n%s", got, wantPopulate)
 	}
 }
 
-const step3Listing1 = "DELETE FROM query_groups WHERE (group_index IN (SELECT group_index FROM delta_query_groups) OR group_index IS NULL) AND total_value = 0"
+const step3Listing1 = "DELETE FROM query_groups_ivm_storage WHERE (group_index IN (SELECT group_index FROM delta_query_groups) OR group_index IS NULL) AND _duckdb_ivm_count = 0"
 
 func TestListing2PostgresDialect(t *testing.T) {
 	db := newDB(t)
@@ -134,28 +140,21 @@ func TestClassStrings(t *testing.T) {
 	}
 }
 
-func TestEmptyDetectionFlags(t *testing.T) {
-	if d, _ := ParseEmptyDetection("hidden_count"); d != EmptyHiddenCount {
-		t.Error("hidden_count")
-	}
-	if d, _ := ParseEmptyDetection(""); d != EmptySumZero {
-		t.Error("default")
-	}
-	if _, err := ParseEmptyDetection("zzz"); err == nil {
-		t.Error("bad value should fail")
-	}
-}
-
+// TestHiddenCountSetup: a view that declares no COUNT(*) keeps the hidden
+// one in its storage table and its ΔV, and exposes only its declared
+// columns under its own name.
 func TestHiddenCountSetup(t *testing.T) {
 	db := newDB(t)
-	opts := DefaultOptions()
-	opts.Empty = EmptyHiddenCount
-	comp := compile(t, db, opts, listing1View)
-	if !strings.Contains(comp.SetupSQL(), HiddenCountColumn+" INTEGER") {
-		t.Errorf("hidden count column missing:\n%s", comp.SetupSQL())
-	}
-	if !strings.Contains(comp.PropagateSQL(), "DELETE FROM query_groups WHERE (group_index IN (SELECT group_index FROM delta_query_groups) OR group_index IS NULL) AND "+HiddenCountColumn+" = 0;") {
-		t.Errorf("hidden count delete missing:\n%s", comp.PropagateSQL())
+	comp := compile(t, db, DefaultOptions(), listing1View)
+	setup := comp.SetupSQL()
+	for _, want := range []string{
+		"CREATE TABLE IF NOT EXISTS query_groups_ivm_storage (group_index VARCHAR, total_value INTEGER, " + HiddenCountColumn + " INTEGER,",
+		"CREATE VIEW query_groups AS SELECT group_index, total_value FROM query_groups_ivm_storage;",
+		"delta_query_groups (group_index VARCHAR, total_value INTEGER, " + HiddenCountColumn + " INTEGER, _duckdb_ivm_multiplicity BOOLEAN)",
+	} {
+		if !strings.Contains(setup, want) {
+			t.Errorf("setup lacks %q:\n%s", want, setup)
+		}
 	}
 }
 
@@ -180,8 +179,10 @@ func TestStep3Golden(t *testing.T) {
 		// NULL for the SUM, as the query does over no rows.
 		{"CREATE MATERIALIZED VIEW tot AS SELECT SUM(v) AS s, COUNT(*) AS n FROM a",
 			"UPDATE tot SET s = NULL WHERE n = 0;"},
+		{"CREATE MATERIALIZED VIEW tot2 AS SELECT SUM(v) AS s, MAX(v) AS hi FROM a",
+			"UPDATE tot2_ivm_storage SET s = NULL, hi = NULL WHERE _duckdb_ivm_count = 0;"},
 		{"CREATE MATERIALIZED VIEW ja AS SELECT a.x, SUM(b.w) AS s FROM a JOIN b ON a.x = b.x GROUP BY a.x",
-			"DELETE FROM ja WHERE (x IN (SELECT x FROM delta_ja) OR x IS NULL) AND s = 0;"},
+			"DELETE FROM ja_ivm_storage WHERE (x IN (SELECT x FROM delta_ja) OR x IS NULL) AND _duckdb_ivm_count = 0;"},
 		{"CREATE MATERIALIZED VIEW ja2 AS SELECT a.x, a.y, COUNT(*) AS n FROM a JOIN b ON a.x = b.x GROUP BY a.x, a.y",
 			"DELETE FROM ja2 WHERE ((x, y) IN (SELECT x, y FROM delta_ja2) OR x IS NULL OR y IS NULL) AND n = 0;"},
 	}
@@ -228,9 +229,9 @@ func TestMinMaxRepairSQL(t *testing.T) {
 	for _, want := range []string{
 		"MIN(CASE WHEN _duckdb_ivm_multiplicity = TRUE THEN lo END)",
 		"LEAST(COALESCE(",
-		"\nDELETE FROM mm WHERE group_index IN (SELECT group_index " + deleted + ") OR ((group_index IS NULL) AND " +
+		"\nDELETE FROM mm_ivm_storage WHERE group_index IN (SELECT group_index " + deleted + ") OR ((group_index IS NULL) AND " +
 			key + " IN (SELECT " + key + " " + deleted + "));\n",
-		"\nINSERT INTO mm (group_index, lo) SELECT group_index AS group_index, MIN(group_value) AS lo FROM groups JOIN (SELECT group_index AS ivm_g0 " +
+		"\nINSERT INTO mm_ivm_storage (group_index, lo, _duckdb_ivm_count) SELECT group_index AS group_index, MIN(group_value) AS lo, COUNT(*) AS _duckdb_ivm_count FROM groups JOIN (SELECT group_index AS ivm_g0 " +
 			deleted + ") AS ivm_deleted ON group_index IS NOT DISTINCT FROM ivm_deleted.ivm_g0 GROUP BY group_index;\n",
 	} {
 		if !strings.Contains(prop, want) {
@@ -255,22 +256,49 @@ func TestMinMaxRepairSQL(t *testing.T) {
 	}
 }
 
-// TestEmptyGroupPrefersCountStar: under sum_zero a COUNT(*) column marks an
-// emptied group ahead of a COUNT(col), which reaches zero in a group whose
-// rows are all NULL there; a COUNT(col) still marks one ahead of a SUM.
+// TestEmptyGroupPrefersCountStar: a view's row count is its declared
+// COUNT(*), and then it keeps no hidden one; otherwise it keeps exactly
+// one hidden count. Step 3 tests that count and never a SUM or a
+// COUNT(col), which reach zero in a group that still has rows.
 func TestEmptyGroupPrefersCountStar(t *testing.T) {
 	db := engine.Open("count", engine.DialectDuckDB)
-	if _, err := db.Exec("CREATE TABLE t (k VARCHAR, v INTEGER)"); err != nil {
-		t.Fatal(err)
+	for _, ddl := range []string{"CREATE TABLE t (k VARCHAR, v INTEGER)", "CREATE TABLE u (k VARCHAR, w INTEGER)"} {
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for view, want := range map[string]string{
-		"SELECT k, COUNT(v) AS c, COUNT(*) AS n FROM t GROUP BY k": "n",
-		"SELECT k, SUM(v) AS s, COUNT(v) AS c FROM t GROUP BY k":   "c",
-		"SELECT k, SUM(v) AS s FROM t GROUP BY k":                  "s",
+		"SELECT k, COUNT(v) AS c, COUNT(*) AS n FROM t GROUP BY k":                         "n",
+		"SELECT k, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY k":                           "n",
+		"SELECT COUNT(*) AS n, SUM(v) AS s FROM t":                                         "n",
+		"SELECT k, SUM(v) AS s, COUNT(v) AS c FROM t GROUP BY k":                           HiddenCountColumn,
+		"SELECT k, SUM(v) AS s FROM t GROUP BY k":                                          HiddenCountColumn,
+		"SELECT k, COUNT(v) AS c FROM t GROUP BY k":                                        HiddenCountColumn,
+		"SELECT k, MIN(v) AS lo, MAX(v) AS hi FROM t GROUP BY k":                           HiddenCountColumn,
+		"SELECT k, AVG(v) AS m FROM t GROUP BY k":                                          HiddenCountColumn,
+		"SELECT SUM(v) AS s FROM t":                                                        HiddenCountColumn,
+		"SELECT t.k, SUM(u.w) AS s FROM t JOIN u ON t.k = u.k GROUP BY t.k":                HiddenCountColumn,
+		"SELECT t.k, SUM(u.w) AS s, COUNT(*) AS n FROM t JOIN u ON t.k = u.k GROUP BY t.k": "n",
 	} {
-		prop := compile(t, db, DefaultOptions(), "CREATE MATERIALIZED VIEW cv AS "+view).PropagateSQL()
-		if !strings.Contains(prop, ") AND "+want+" = 0;\n") {
+		comp := compile(t, db, DefaultOptions(), "CREATE MATERIALIZED VIEW cv AS "+view)
+		counts := 0
+		for _, col := range comp.StorageColumns() {
+			if col.HasAgg && col.Agg == expr.AggCountStar {
+				counts++
+			}
+		}
+		hidden := strings.Contains(comp.SetupSQL(), HiddenCountColumn)
+		if counts != 1 || hidden != (want == HiddenCountColumn) {
+			t.Errorf("%s: %d row counts, hidden %v:\n%s", view, counts, hidden, comp.SetupSQL())
+		}
+		prop := comp.PropagateSQL()
+		if !strings.Contains(prop, " "+want+" = 0;\n") {
 			t.Errorf("%s: step 3 does not test %s:\n%s", view, want, prop)
+		}
+		for _, other := range []string{" s = 0", " c = 0", " lo = 0", " hi = 0", " m_ivm_cnt = 0"} {
+			if strings.Contains(prop, other) {
+				t.Errorf("%s: step 3 tests%s:\n%s", view, other, prop)
+			}
 		}
 	}
 }
@@ -329,6 +357,17 @@ func TestCompilationAccessors(t *testing.T) {
 	}
 }
 
+// DeltaFor returns the delta-table name for a base table ("" if the table
+// is not referenced).
+func (c *Compilation) DeltaFor(base string) string {
+	for _, b := range c.Bases {
+		if strings.EqualFold(b.Name, base) {
+			return b.Delta
+		}
+	}
+	return ""
+}
+
 func TestCompileErrors(t *testing.T) {
 	db := newDB(t)
 	c := NewCompiler(db, DefaultOptions())
@@ -372,7 +411,7 @@ func TestCompiledScriptsReparse(t *testing.T) {
 			"propagate": comp.PropagateSQL(),
 		} {
 			for _, stmt := range engine.SplitStatements(script) {
-				if _, err := db.Parse(stmt); err != nil {
+				if _, err := sqlparser.Parse(stmt); err != nil {
 					t.Errorf("%s of %q does not re-parse: %v\nSQL: %s", name, v, err, stmt)
 				}
 			}

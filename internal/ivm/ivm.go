@@ -64,35 +64,11 @@ func DeltaRows(ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) []sqltyp
 	return rows
 }
 
-// HiddenCountColumn is the hidden per-group cardinality column maintained
-// under EmptyHiddenCount empty-group detection.
+// HiddenCountColumn is the row count an aggregate view keeps per group
+// when it declares no COUNT(*) of its own: step 3 deletes a group whose
+// count reaches 0. It lives in the storage table, behind the plain view
+// that exposes the declared columns.
 const HiddenCountColumn = "_duckdb_ivm_count"
-
-// EmptyDetection selects how step 3 recognizes groups that became empty.
-type EmptyDetection int
-
-// Empty-group detection modes.
-const (
-	// EmptySumZero is the paper's Listing 2 behaviour: delete rows whose
-	// COUNT aggregate is 0, or — lacking a COUNT — whose SUM is 0. Faithful
-	// to the paper but unsound for views whose SUM legitimately reaches 0;
-	// see EmptyHiddenCount.
-	EmptySumZero EmptyDetection = iota
-	// EmptyHiddenCount appends a hidden COUNT(*) column to the view table
-	// and deletes rows where it reaches 0 — sound for all inputs.
-	EmptyHiddenCount
-)
-
-// ParseEmptyDetection maps a flag string.
-func ParseEmptyDetection(s string) (EmptyDetection, error) {
-	switch strings.ToLower(s) {
-	case "", "sum_zero", "paper":
-		return EmptySumZero, nil
-	case "hidden_count", "count":
-		return EmptyHiddenCount, nil
-	}
-	return EmptySumZero, fmt.Errorf("ivm: unknown empty-group detection %q", s)
-}
 
 // Options are the compiler switches (paper Figure 1: "users can specify
 // the expected optimization strategies through flags"). ΔV is folded into
@@ -102,13 +78,11 @@ func ParseEmptyDetection(s string) (EmptyDetection, error) {
 type Options struct {
 	// Dialect selects the SQL dialect of the emitted scripts.
 	Dialect duckast.Dialect
-	// Empty selects empty-group detection for step 3.
-	Empty EmptyDetection
 }
 
 // DefaultOptions returns the paper-faithful defaults.
 func DefaultOptions() Options {
-	return Options{Dialect: duckast.DialectDuckDB, Empty: EmptySumZero}
+	return Options{Dialect: duckast.DialectDuckDB}
 }
 
 // deltaPrefix prefixes generated delta-table names.
@@ -189,9 +163,9 @@ type Compilation struct {
 	// JoinDelta is the intermediate join-delta table (join classes only).
 	JoinDelta string
 	// Storage is the table that physically materializes the view. It
-	// equals ViewName except when AVG decomposition is in play, in which
-	// case a hidden storage table holds the decomposed SUM/COUNT columns
-	// and ViewName becomes a plain SQL view over it.
+	// equals ViewName unless the view keeps hidden columns (an AVG's SUM
+	// and COUNT parts, or the hidden row count): then a storage table holds
+	// them and ViewName is a plain SQL view over it, created by the setup.
 	Storage string
 
 	Columns []ViewColumn
@@ -200,8 +174,7 @@ type Compilation struct {
 	// indexes, and what the keyed combine deletes by. Nil for the other
 	// classes and for views whose rows have no key.
 	Key []string
-	// storageCols caches the physical column layout (AVG columns expanded
-	// into their SUM and COUNT parts).
+	// storageCols caches the physical column layout (see StorageColumns).
 	storageCols []ViewColumn
 
 	// Setup holds the DDL script; Propagate the 4-step maintenance script
@@ -241,17 +214,6 @@ func (c *Compilation) BaseTableNames() []string {
 	return out
 }
 
-// DeltaFor returns the delta-table name for a base table ("" if the table
-// is not referenced).
-func (c *Compilation) DeltaFor(base string) string {
-	for _, b := range c.Bases {
-		if strings.EqualFold(b.Name, base) {
-			return b.Delta
-		}
-	}
-	return ""
-}
-
 // GroupColumns returns the group-key view columns.
 func (c *Compilation) GroupColumns() []ViewColumn {
 	var out []ViewColumn
@@ -274,23 +236,16 @@ func (c *Compilation) AggColumns() []ViewColumn {
 	return out
 }
 
-// HasAvg reports whether any view column is an AVG (decomposed into hidden
-// SUM and COUNT storage columns).
-func (c *Compilation) HasAvg() bool {
-	for _, col := range c.Columns {
-		if col.HasAgg && col.Agg == expr.AggAvg {
-			return true
-		}
-	}
-	return false
-}
-
 // StorageColumns returns the physical layout of the storage table: the
-// view columns with every AVG expanded into a SUM part and a COUNT part.
+// view columns with every AVG expanded into a SUM part and a COUNT part,
+// and, for an aggregate view that declares no COUNT(*), the hidden row
+// count. An aggregate view's storage thus holds one COUNT(*) column: its
+// first, which step 3 tests (emptyGroupColumn).
 func (c *Compilation) StorageColumns() []ViewColumn {
 	if c.storageCols != nil {
 		return c.storageCols
 	}
+	counted := false
 	for _, col := range c.Columns {
 		if col.HasAgg && col.Agg == expr.AggAvg {
 			c.storageCols = append(c.storageCols,
@@ -300,18 +255,19 @@ func (c *Compilation) StorageColumns() []ViewColumn {
 					Agg: expr.AggCount, HasAgg: true, SourceSQL: col.SourceSQL, ArgIdx: col.ArgIdx})
 			continue
 		}
+		counted = counted || col.HasAgg && col.Agg == expr.AggCountStar
 		c.storageCols = append(c.storageCols, col)
+	}
+	if !counted && (c.Class == ClassAggregate || c.Class == ClassJoinAggregate) {
+		c.storageCols = append(c.storageCols, ViewColumn{
+			Name: HiddenCountColumn, Type: sqltypes.TypeInt, Agg: expr.AggCountStar, HasAgg: true})
 	}
 	return c.storageCols
 }
 
-// ExposedViewSQL returns the CREATE VIEW statement exposing the declared
-// view columns over the storage table, or "" when the storage table *is*
-// the view (no AVG decomposition).
-func (c *Compilation) ExposedViewSQL() string {
-	if !c.HasAvg() {
-		return ""
-	}
+// exposedView returns the CREATE VIEW statement exposing the declared view
+// columns over the storage table.
+func (c *Compilation) exposedView() *duckast.Raw {
 	var items []string
 	for _, col := range c.Columns {
 		if col.HasAgg && col.Agg == expr.AggAvg {
@@ -321,8 +277,8 @@ func (c *Compilation) ExposedViewSQL() string {
 		}
 		items = append(items, col.Name)
 	}
-	return fmt.Sprintf("CREATE VIEW %s AS SELECT %s FROM %s",
-		c.ViewName, strings.Join(items, ", "), c.Storage)
+	return &duckast.Raw{Text: fmt.Sprintf("CREATE VIEW %s AS SELECT %s FROM %s",
+		c.ViewName, strings.Join(items, ", "), c.Storage)}
 }
 
 // Compiler compiles view definitions against a schema held by an embedded

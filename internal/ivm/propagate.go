@@ -1,7 +1,6 @@
 package ivm
 
 import (
-	"cmp"
 	"fmt"
 	"strings"
 
@@ -194,30 +193,16 @@ func combineSQL(col ViewColumn, vc, dc string) string {
 	}
 }
 
-// aggDeltaColumns returns the ΔV columns in table order: view columns,
-// then the hidden count when enabled.
-func aggDeltaColumns(comp *Compilation) []ViewColumn {
-	cols := append([]ViewColumn{}, comp.StorageColumns()...)
-	if comp.usesHiddenCount() {
-		cols = append(cols, ViewColumn{
-			Name: HiddenCountColumn, Agg: expr.AggCountStar, HasAgg: true,
-		})
-	}
-	return cols
-}
-
 // propAggregate emits the GROUP BY incremental form (paper Listing 2).
 func (c *Compiler) propAggregate(comp *Compilation, s *duckast.Script) {
 	b := comp.Bases[0]
 
 	// Step 1: ΔV := γ(ΔT) grouped by (keys, multiplicity).
 	step1 := &duckast.Select{From: &duckast.Raw{Text: deltaSourceSQL(b)}}
-	for _, col := range aggDeltaColumns(comp) {
+	for _, col := range comp.StorageColumns() {
 		switch {
 		case col.IsGroupKey:
 			step1.Items = append(step1.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: col.Name})
-		case col.Name == HiddenCountColumn:
-			step1.Items = append(step1.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: "COUNT(*)"}, Alias: HiddenCountColumn})
 		default:
 			step1.Items = append(step1.Items, duckast.SelectItem{
 				Expr: &duckast.Raw{Text: aggCallSQL(col.Agg, col.SourceSQL)}, Alias: col.Name})
@@ -278,7 +263,7 @@ func (c *Compiler) emitCombine(comp *Compilation, s *duckast.Script) {
 	for _, g := range groupNames {
 		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Col{Table: dAlias, Name: g}})
 	}
-	for _, col := range aggDeltaColumns(comp) {
+	for _, col := range comp.StorageColumns() {
 		if col.IsGroupKey {
 			continue
 		}
@@ -287,7 +272,7 @@ func (c *Compiler) emitCombine(comp *Compilation, s *duckast.Script) {
 			Expr: &duckast.Raw{Text: combineSQL(col, vName+"."+col.Name, dAlias+"."+col.Name)}, Alias: col.Name})
 	}
 	s.Add(&duckast.Insert{
-		Table: vName, Columns: viewColNames(aggDeltaColumns(comp)), Select: sel,
+		Table: vName, Columns: viewColNames(comp.StorageColumns()), Select: sel,
 		Upsert: true, KeyColumns: groupNames,
 	})
 }
@@ -298,7 +283,7 @@ func (c *Compiler) emitCombine(comp *Compilation, s *duckast.Script) {
 // a scalar subquery over ΔV.
 func emitGlobalCombine(comp *Compilation, s *duckast.Script) {
 	up := &duckast.Update{Table: comp.Storage}
-	for _, col := range aggDeltaColumns(comp) {
+	for _, col := range comp.StorageColumns() {
 		d := fmt.Sprintf("(SELECT %s FROM %s)", signedDeltaSQL(col), comp.DeltaView)
 		up.Set = append(up.Set, col.Name+" = "+combineSQL(col, col.Name, d))
 	}
@@ -334,12 +319,10 @@ func (c *Compiler) emitMinMaxRepair(comp *Compilation, s *duckast.Script, from s
 		recompute.From = &duckast.Raw{Text: fmt.Sprintf("%s JOIN (%s) AS ivm_deleted ON %s",
 			from, del.SQL(comp.Options.Dialect), strings.Join(on, " AND "))}
 	}
-	for _, col := range aggDeltaColumns(comp) {
+	for _, col := range comp.StorageColumns() {
 		switch {
 		case col.IsGroupKey:
 			recompute.Items = append(recompute.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: col.Name})
-		case col.Name == HiddenCountColumn:
-			recompute.Items = append(recompute.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: "COUNT(*)"}, Alias: col.Name})
 		default:
 			recompute.Items = append(recompute.Items, duckast.SelectItem{
 				Expr: &duckast.Raw{Text: aggCallSQL(col.Agg, col.SourceSQL)}, Alias: col.Name})
@@ -356,26 +339,27 @@ func (c *Compiler) emitMinMaxRepair(comp *Compilation, s *duckast.Script, from s
 			From:  &duckast.Raw{Text: "(" + recompute.SQL(comp.Options.Dialect) + ") AS ivm_all"},
 			Where: touched}
 	}
-	s.Add(&duckast.Insert{Table: comp.Storage, Columns: viewColNames(aggDeltaColumns(comp)), Select: recompute})
+	s.Add(&duckast.Insert{Table: comp.Storage, Columns: viewColNames(comp.StorageColumns()), Select: recompute})
 }
 
-// emitEmptyGroupDelete emits step 3: delete the groups whose count reached
-// zero. Only a group ΔV touched can have changed its count, so the paper's
-// `DELETE FROM V WHERE n = 0` is stated over those keys alone — the same
-// rows, found through V's key index in O(|ΔV|) instead of by scanning V.
-// IN never selects a group with a NULL in its key, so those stay under the
-// paper's unkeyed test (`OR g IS NULL`). A view without group columns keeps
-// its one row: emptied, it reads what the query reads over no rows, NULL
-// in every column but a count.
+// emitEmptyGroupDelete emits step 3: delete the groups whose row count
+// reached zero. The count is the view's COUNT(*), declared or hidden
+// (StorageColumns), and no other column is tested: a SUM or a COUNT(col)
+// reaches zero in a group that still has rows. This departs on purpose
+// from Listing 2's `WHERE total_value = 0`, which drops a group whose SUM
+// nets to 0. Only a group ΔV touched can have changed its count, so the
+// paper's unkeyed delete is stated over those keys alone — the same rows,
+// found through V's key index in O(|ΔV|) instead of by scanning V. IN
+// never selects a group with a NULL in its key, so those stay under the
+// unkeyed test (`OR g IS NULL`). A view without group columns keeps its
+// one row: emptied, it reads what the query reads over no rows, NULL in
+// every column but a count.
 func (c *Compiler) emitEmptyGroupDelete(comp *Compilation, s *duckast.Script) {
 	col := emptyGroupColumn(comp)
-	if col == "" {
-		return
-	}
 	groups := viewColNames(comp.GroupColumns())
 	if len(groups) == 0 {
 		up := &duckast.Update{Table: comp.Storage, Where: &duckast.Raw{Text: col + " = 0"}}
-		for _, a := range aggDeltaColumns(comp) {
+		for _, a := range comp.StorageColumns() {
 			if a.Agg != expr.AggCount && a.Agg != expr.AggCountStar {
 				up.Set = append(up.Set, a.Name+" = NULL")
 			}
@@ -391,33 +375,15 @@ func (c *Compiler) emitEmptyGroupDelete(comp *Compilation, s *duckast.Script) {
 		strings.Join(groups, " IS NULL OR "), col)}})
 }
 
-// emptyGroupColumn names the column whose zero marks an emptied group
-// under the configured detection mode ("" when no column does).
+// emptyGroupColumn names the view's row count: its first COUNT(*) storage
+// column, the declared one or the hidden one.
 func emptyGroupColumn(comp *Compilation) string {
-	if comp.usesHiddenCount() {
-		return HiddenCountColumn
-	}
-	// Paper behaviour: prefer a COUNT column, else a SUM column — over the
-	// physical storage layout, so AVG's decomposed COUNT part qualifies.
-	// COUNT(*) counts the group's rows; COUNT(col) only its non-NULL
-	// arguments, so it reaches zero in a group that still has rows and
-	// marks an emptied group only when no COUNT(*) does. Views with only
-	// MIN/MAX aggregates are fully handled by the repair steps.
-	var count, sum string
 	for _, a := range comp.StorageColumns() {
-		if !a.HasAgg {
-			continue
-		}
-		switch {
-		case a.Agg == expr.AggCountStar:
+		if a.Agg == expr.AggCountStar {
 			return a.Name
-		case a.Agg == expr.AggCount && count == "":
-			count = a.Name
-		case a.Agg == expr.AggSum && sum == "":
-			sum = a.Name
 		}
 	}
-	return cmp.Or(count, sum)
+	panic("ivm: aggregate view without a row count")
 }
 
 // --- join views -------------------------------------------------------------
@@ -544,14 +510,12 @@ func (c *Compiler) propJoinAggregate(comp *Compilation, s *duckast.Script) {
 	// Aggregate argument columns are named ivm_arg_<i> where i indexes the
 	// view's aggregate columns (matching joinDeltaTerms and genSetup).
 	step1 := &duckast.Select{From: &duckast.Raw{Text: comp.JoinDelta}}
-	for _, col := range aggDeltaColumns(comp) {
+	for _, col := range comp.StorageColumns() {
 		switch {
 		case col.IsGroupKey:
 			step1.Items = append(step1.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.Name}})
 			step1.GroupBy = append(step1.GroupBy, &duckast.Raw{Text: col.Name})
-		case col.Name == HiddenCountColumn, col.Agg == expr.AggCountStar:
-			step1.Items = append(step1.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: "COUNT(*)"}, Alias: col.Name})
-		default:
+		default: // COUNT(*) has no argument column: aggCallSQL ignores it
 			step1.Items = append(step1.Items, duckast.SelectItem{
 				Expr: &duckast.Raw{Text: aggCallSQL(col.Agg, fmt.Sprintf("ivm_arg_%d", col.ArgIdx))}, Alias: col.Name})
 		}

@@ -93,7 +93,7 @@ func finishParked(t *testing.T, db *engine.DB, done <-chan error) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if total := viewTotal(t, db, "qg"); total != 6 {
+	if total := viewTotal(t, db, "qg_ivm_storage"); total != 6 {
 		t.Fatalf("view total after the parked refresh = %d, want 6 (what committed before its cut)", total)
 	}
 }

@@ -31,11 +31,11 @@
 // statement hook claims them and checks the value when it is set:
 //
 //	PRAGMA ivm_mode = 'eager' | 'lazy'        (default lazy)
-//	PRAGMA ivm_empty = 'sum_zero' | 'hidden_count'
 //	PRAGMA ivm_refresh_workers = N            (refresh-scheduler pool size)
 //
 // An aggregate view folds ΔV into V by one plan, the paper's Listing 2
-// upsert through V's key index (see ivm.Options).
+// upsert through V's key index (see ivm.Options), and a group leaves it
+// when its row count reaches 0.
 package ivmext
 
 import (
@@ -243,20 +243,13 @@ func (v *view) pending() bool {
 	return false
 }
 
-// options assembles compiler options from the engine's pragmas.
-func (ext *Extension) options() (ivm.Options, error) {
+// options are the compiler options for the engine's dialect.
+func (ext *Extension) options() ivm.Options {
 	opts := ivm.DefaultOptions()
 	if ext.db.Dialect() == engine.DialectPostgres {
 		opts.Dialect = duckast.DialectPostgres
 	}
-	if s := ext.db.Pragma("ivm_empty"); s != "" {
-		e, err := ivm.ParseEmptyDetection(s)
-		if err != nil {
-			return opts, err
-		}
-		opts.Empty = e
-	}
-	return opts, nil
+	return opts
 }
 
 // eager reports whether propagation runs on every base-table change.
@@ -294,8 +287,6 @@ func (ext *Extension) setPragma(p *sqlparser.PragmaStmt) (bool, *engine.Result, 
 		if v != "" && !strings.EqualFold(v, "eager") && !strings.EqualFold(v, "lazy") {
 			err = fmt.Errorf("ivmext: PRAGMA ivm_mode takes 'eager' or 'lazy', got %q", v)
 		}
-	case "ivm_empty":
-		_, err = ivm.ParseEmptyDetection(v)
 	case "ivm_refresh_workers":
 		if n, perr := strconv.Atoi(v); v != "" && (perr != nil || n < 1) {
 			err = fmt.Errorf("ivmext: PRAGMA ivm_refresh_workers takes a positive integer, got %q", v)
@@ -426,11 +417,7 @@ func (ext *Extension) Compilation(view string) (*ivm.Compilation, bool) {
 // createMaterializedView compiles the definition, runs the generated DDL,
 // starts the base tables' change logs, populates V and stores the metadata.
 func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error {
-	opts, err := ext.options()
-	if err != nil {
-		return err
-	}
-	comp, err := ivm.NewCompiler(ext.db, opts).Compile(st.Name, st.Select, st.SourceSQL)
+	comp, err := ivm.NewCompiler(ext.db, ext.options()).Compile(st.Name, st.Select, st.SourceSQL)
 	if err != nil {
 		return err
 	}
@@ -558,13 +545,6 @@ func populate(is *engine.Session, v *view) error {
 		return fmt.Errorf("ivmext: populate script: %w", err)
 	}
 	v.from.Store(from)
-	// AVG decomposition: expose the declared columns as a plain view over
-	// the storage table.
-	if sql := v.comp.ExposedViewSQL(); sql != "" {
-		if _, err := is.Exec(sql); err != nil {
-			return fmt.Errorf("ivmext: exposed view: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -581,11 +561,7 @@ func deltaNames(comp *ivm.Compilation) []string {
 // excluded from durability; delta tables store nothing. Names that are
 // views rather than tables simply fail the catalog lookup and are skipped.
 func markUnlogged(cat *catalog.Catalog, comp *ivm.Compilation) {
-	st := comp.Storage
-	if st == "" {
-		st = comp.ViewName
-	}
-	for _, name := range []string{comp.JoinDelta, comp.DeltaView, st} {
+	for _, name := range []string{comp.JoinDelta, comp.DeltaView, comp.Storage} {
 		if name == "" {
 			continue
 		}
@@ -648,18 +624,14 @@ func (ext *Extension) dropMaterializedView(v *view) error {
 	}
 	cat := ext.db.Catalog()
 	cat.DropIVM(comp.ViewName)
-	storage := comp.Storage
-	if storage == "" {
-		storage = comp.ViewName
-	}
-	if storage != comp.ViewName {
-		// AVG decomposition: ViewName is a plain view over the storage table.
+	if comp.Storage != comp.ViewName {
+		// Hidden columns: ViewName is a plain view over the storage table.
 		if _, err := is.Exec("DROP VIEW IF EXISTS " + comp.ViewName); err != nil {
 			return fmt.Errorf("ivmext: dropping exposed view %s: %w", comp.ViewName, err)
 		}
 	}
-	if _, err := is.Exec("DROP TABLE IF EXISTS " + storage); err != nil {
-		return fmt.Errorf("ivmext: dropping storage table %s: %w", storage, err)
+	if _, err := is.Exec("DROP TABLE IF EXISTS " + comp.Storage); err != nil {
+		return fmt.Errorf("ivmext: dropping storage table %s: %w", comp.Storage, err)
 	}
 	return nil
 }
@@ -745,12 +717,8 @@ func (ext *Extension) refreshGroup(target *view) (map[string]*view, []string, []
 
 // feeds reports whether a's materialization is among b's base tables.
 func feeds(a, b *ivm.Compilation) bool {
-	st := a.Storage
-	if st == "" {
-		st = a.ViewName
-	}
 	for _, bb := range b.Bases {
-		if strings.EqualFold(bb.Name, st) || strings.EqualFold(bb.Name, a.ViewName) {
+		if strings.EqualFold(bb.Name, a.Storage) || strings.EqualFold(bb.Name, a.ViewName) {
 			return true
 		}
 	}

@@ -55,7 +55,7 @@ func TestListing1CreateMaterializedView(t *testing.T) {
 		SUM(group_value) AS total_value FROM groups GROUP BY group_index`)
 
 	// Paper's generated artifacts exist:
-	for _, tbl := range []string{"query_groups", "delta_groups", "delta_query_groups"} {
+	for _, tbl := range []string{"query_groups_ivm_storage", "delta_groups", "delta_query_groups"} {
 		if !db.Catalog().HasTable(tbl) {
 			t.Errorf("table %q missing after CREATE MATERIALIZED VIEW", tbl)
 		}
@@ -67,7 +67,7 @@ func TestListing1CreateMaterializedView(t *testing.T) {
 	if meta.QueryType != "aggregate" {
 		t.Errorf("query type = %q", meta.QueryType)
 	}
-	if !strings.Contains(meta.PropagateSQL, "INSERT OR REPLACE INTO query_groups") {
+	if !strings.Contains(meta.PropagateSQL, "INSERT OR REPLACE INTO query_groups_ivm_storage") {
 		t.Errorf("propagate SQL missing upsert:\n%s", meta.PropagateSQL)
 	}
 	if len(ext.Views()) != 1 {
@@ -132,7 +132,7 @@ func TestEagerMode(t *testing.T) {
 	if ext.Stats.EagerRefreshes == 0 {
 		t.Error("no eager refresh recorded")
 	}
-	vt, _ := db.Catalog().Table("qg")
+	vt, _ := db.Catalog().Table("qg_ivm_storage")
 	if vt.RowCount() != 1 {
 		t.Errorf("view rows = %d", vt.RowCount())
 	}
@@ -292,14 +292,18 @@ func TestFilteredAggregate(t *testing.T) {
 	viewEquals(t, db, "group_index, total_value, n", "qg", recompute)
 }
 
-// TestCombineRepros replays recorded wrong answers of step 2 and step 3
-// under the default pragmas: a NULL group that gains a row (the combine's
-// join once compared keys with `=`, and the upsert replaced the group by its
-// delta), a NULL group of a MIN/MAX view that loses its least row, a group
-// whose COUNT(col) reaches zero while its COUNT(*) does not (the first
-// COUNT column, of either kind, used to mark the emptied group), and views
-// without GROUP BY, whose step 2 once joined on an empty ON and failed to
-// refresh. Each step is a change, a refresh and what the view then reads.
+// TestCombineRepros replays recorded wrong answers of step 2 and step 3:
+// a NULL group that gains a row (the combine's join once compared keys with
+// `=`, and the upsert replaced the group by its delta), a NULL group of a
+// MIN/MAX view that loses its least row, a group whose COUNT(col) reaches
+// zero while its COUNT(*) does not (the first COUNT column, of either kind,
+// used to mark the emptied group), and views without GROUP BY, whose step 2
+// once joined on an empty ON and failed to refresh. Three more are views
+// that declare no COUNT(*), whose step 3 once tested a SUM or a COUNT(col):
+// a group whose SUM nets to 0 was dropped, a new group whose COUNT(col) is
+// 0 was left out, and a global SUM that nets to 0 read NULL. Each step is a
+// change, a refresh and what `SELECT *` then reads, which also shows a
+// hidden column leaking into the view.
 func TestCombineRepros(t *testing.T) {
 	type step struct{ change, want string }
 	for _, c := range []struct {
@@ -326,6 +330,18 @@ func TestCombineRepros(t *testing.T) {
 			"SELECT MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t",
 			[]step{{"INSERT INTO t VALUES ('c', 5)", "1|5|3"}, {"DELETE FROM t WHERE k = 'a'", "2|5|2"},
 				{"DELETE FROM t", "NULL|NULL|0"}}},
+		{"zero_sum_group", "t (k VARCHAR, v INTEGER)", "('a', 5), ('b', 0)",
+			"SELECT k, SUM(v) AS s FROM t GROUP BY k",
+			[]step{{"INSERT INTO t VALUES ('a', -5)", "a|0 b|0"}, {"DELETE FROM t WHERE k = 'b'", "a|0"}}},
+		{"count_column_only", "t (id INTEGER, k VARCHAR, v INTEGER)", "(1, 'a', 5), (2, 'b', 0), (3, 'c', NULL)",
+			"SELECT k, COUNT(v) AS c FROM t GROUP BY k",
+			[]step{{"INSERT INTO t VALUES (4, 'd', NULL)", "a|1 b|1 c|0 d|0"}, {"DELETE FROM t WHERE k = 'c'", "a|1 b|1 d|0"}}},
+		{"no_group_by_zero_sum", "t (k VARCHAR, v INTEGER)", "('a', 1)",
+			"SELECT SUM(v) AS s FROM t",
+			[]step{{"INSERT INTO t VALUES ('b', -1)", "0"}, {"DELETE FROM t", "NULL"}, {"INSERT INTO t VALUES ('c', 2)", "2"}}},
+		{"minmax_only", "t (k VARCHAR, v INTEGER)", "('a', 1), ('b', 2), ('b', 3)",
+			"SELECT k, MIN(v) AS lo, MAX(v) AS hi FROM t GROUP BY k",
+			[]step{{"DELETE FROM t WHERE v = 1 OR v = 3", "b|2|2"}, {"INSERT INTO t VALUES ('a', 4)", "a|4|4 b|2|2"}}},
 		{"bigint_groups", "t (k INTEGER, v INTEGER)", "(9007199254740992, 1)",
 			"SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k",
 			[]step{{"INSERT INTO t VALUES (9007199254740993, 2)", "9007199254740992|1|1 9007199254740993|2|1"},
@@ -353,23 +369,21 @@ func TestCombineRepros(t *testing.T) {
 	}
 }
 
-// TestPragma: the extension claims its three pragmas and checks a value
-// when it is set, inside a transaction as outside one. Every other name is
+// TestPragma: the extension claims its two pragmas and checks a value when
+// it is set, inside a transaction as outside one. Every other name is
 // refused: a misspelt one and those of removed pragmas no longer print OK
-// and do nothing, and a bad ivm_empty no longer waits for the next CREATE
-// MATERIALIZED VIEW to fail.
+// and do nothing.
 func TestPragma(t *testing.T) {
 	db := engine.Open("p", engine.DialectDuckDB)
 	Install(db)
 	s := db.NewSession()
 	defer s.Close()
-	for _, sql := range []string{"BEGIN", "PRAGMA ivm_mode = 'eager'", "PRAGMA ivm_empty = 'hidden_count'",
-		"PRAGMA ivm_refresh_workers = 2", "ROLLBACK"} {
+	for _, sql := range []string{"BEGIN", "PRAGMA ivm_mode = 'eager'", "PRAGMA ivm_refresh_workers = 2", "ROLLBACK"} {
 		if _, err := s.Exec(sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
-	want := map[string]string{"ivm_mode": "eager", "ivm_empty": "hidden_count", "ivm_refresh_workers": "2"}
+	want := map[string]string{"ivm_mode": "eager", "ivm_refresh_workers": "2"}
 	for name, v := range want {
 		if got := db.Pragma(name); got != v {
 			t.Errorf("%s = %q, want %q", name, got, v)
@@ -380,7 +394,7 @@ func TestPragma(t *testing.T) {
 		"PRAGMA batch_size = 7":                 "42704",
 		"PRAGMA ivm_strategy = 'union_regroup'": "42704",
 		"PRAGMA workers = 4":                    "42704",
-		"PRAGMA ivm_empty = 'bogus'":            "22023",
+		"PRAGMA ivm_empty = 'hidden_count'":     "42704",
 		"PRAGMA ivm_mode = 'sometimes'":         "22023",
 		"PRAGMA ivm_refresh_workers = 0":        "22023",
 		"PRAGMA ivm_refresh_workers = 'many'":   "22023",
@@ -402,16 +416,15 @@ func TestPragma(t *testing.T) {
 
 func TestHiddenCountDetection(t *testing.T) {
 	db, _ := setup(t)
-	mustExec(t, db, "PRAGMA ivm_empty='hidden_count'")
-	// A view whose SUM can legitimately reach zero — the paper's sum_zero
-	// heuristic would wrongly delete the group; hidden_count must not.
+	// A view whose SUM can legitimately reach zero: Listing 2's test of
+	// the SUM would wrongly delete the group; its hidden row count must not.
 	mustExec(t, db, "INSERT INTO groups VALUES ('a', 5), ('a', -5)")
 	mustExec(t, db, `CREATE MATERIALIZED VIEW qg AS SELECT group_index,
 		SUM(group_value) AS total_value FROM groups GROUP BY group_index`)
 	mustExec(t, db, "INSERT INTO groups VALUES ('b', 1)")
 	rows := mustExec(t, db, "SELECT group_index, total_value FROM qg").Rows
 	if len(rows) != 2 {
-		t.Fatalf("hidden_count lost the zero-sum group: %v", rows)
+		t.Fatalf("the hidden count lost the zero-sum group: %v", rows)
 	}
 	// And a fully deleted group must still disappear.
 	mustExec(t, db, "DELETE FROM groups WHERE group_index = 'a'")

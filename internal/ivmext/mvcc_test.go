@@ -27,10 +27,8 @@ func TestIVMUnderMVCCConvergence(t *testing.T) {
 	db := engine.Open("mvcc-ivm", engine.DialectDuckDB)
 	Install(db)
 	mustExec(t, db, "PRAGMA ivm_mode = 'eager'")
-	// Balanced pairs keep every group's SUM at zero; under the default
-	// sum_zero empty detection that would erase the groups, so use the
-	// hidden count to keep group lifetimes exact.
-	mustExec(t, db, "PRAGMA ivm_empty = 'hidden_count'")
+	// Balanced pairs keep every group's SUM at zero; the view's hidden row
+	// count, not its SUM, decides when a group leaves it.
 	mustExec(t, db, "CREATE TABLE ledger (g INTEGER, v INTEGER)")
 	mustExec(t, db, `CREATE MATERIALIZED VIEW balances AS
 		SELECT g, SUM(v) AS total FROM ledger GROUP BY g`)

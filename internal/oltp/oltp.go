@@ -6,15 +6,14 @@
 // alternative system), users are required to configure these triggers
 // independently" — so this package provides exactly that configuration:
 // a generic `ivm_capture` trigger handler that appends (row,
-// multiplicity) pairs to delta tables, plus a helper that creates the
-// delta table and trigger for a base table in one call.
+// multiplicity) pairs to delta tables, plus CaptureSQL, the statements
+// that create the delta table and attach the trigger for a base table.
 package oltp
 
 import (
 	"fmt"
 	"strings"
 
-	"openivm/internal/catalog"
 	"openivm/internal/engine"
 	"openivm/internal/ivm"
 	"openivm/internal/sqltypes"
@@ -56,66 +55,13 @@ func capture(sess *engine.Session, table string, ev engine.TriggerEvent, oldRows
 	return nil
 }
 
-// EnableCapture creates the delta table for a base table and attaches the
-// capture trigger — the per-table configuration the paper leaves to the
-// PostgreSQL user.
-func (s *Store) EnableCapture(table string) error {
-	tbl, err := s.DB.Catalog().Table(table)
-	if err != nil {
-		return err
-	}
-	var cols []string
-	for _, c := range tbl.Columns {
-		cols = append(cols, fmt.Sprintf("%s %s", c.Name, pgType(c.Type)))
-	}
-	cols = append(cols, ivm.MultiplicityColumn+" BOOLEAN")
-	ddl := fmt.Sprintf("CREATE TABLE IF NOT EXISTS %s (%s)", deltaName(table), strings.Join(cols, ", "))
-	if _, err := s.DB.Exec(ddl); err != nil {
-		return err
-	}
-	trig := fmt.Sprintf(
+// CaptureSQL returns the per-table configuration the paper leaves to the
+// PostgreSQL user, as a two-statement script: the delta table of table,
+// whose columns are cols ("name TYPE" each) and the multiplicity, and the
+// capture trigger that feeds it.
+func CaptureSQL(table string, cols []string) string {
+	cols = append(cols[:len(cols):len(cols)], ivm.MultiplicityColumn+" BOOLEAN")
+	return fmt.Sprintf("CREATE TABLE IF NOT EXISTS %s (%s);\n"+
 		"CREATE TRIGGER ivm_capture_%s AFTER INSERT OR DELETE OR UPDATE ON %s FOR EACH ROW EXECUTE 'ivm_capture'",
-		table, table)
-	_, err = s.DB.Exec(trig)
-	return err
-}
-
-// DrainDeltas removes and returns the buffered delta rows for a table
-// (the pull step of cross-system propagation), atomically: a delta
-// captured meanwhile is in this result or the next.
-func (s *Store) DrainDeltas(table string) ([]sqltypes.Row, error) {
-	sess := s.DB.NewSession()
-	defer sess.Close()
-	return sess.DrainTable(deltaName(table))
-}
-
-// PendingDeltas reports the number of buffered delta rows for a table.
-func (s *Store) PendingDeltas(table string) int {
-	dt, err := s.DB.Catalog().Table(deltaName(table))
-	if err != nil {
-		return 0
-	}
-	return dt.RowCount()
-}
-
-// TableColumns exposes a table's schema for remote mirroring.
-func (s *Store) TableColumns(table string) ([]catalog.Column, error) {
-	tbl, err := s.DB.Catalog().Table(table)
-	if err != nil {
-		return nil, err
-	}
-	return tbl.Columns, nil
-}
-
-func pgType(t sqltypes.Type) string {
-	switch t {
-	case sqltypes.TypeString:
-		return "TEXT"
-	case sqltypes.TypeFloat:
-		return "DOUBLE PRECISION"
-	case sqltypes.TypeBool:
-		return "BOOLEAN"
-	default:
-		return "INTEGER"
-	}
+		deltaName(table), strings.Join(cols, ", "), table, table)
 }

@@ -12,10 +12,32 @@ func newStore(t *testing.T) *Store {
 	if _, err := s.DB.Exec("CREATE TABLE orders (oid INTEGER PRIMARY KEY, amount INTEGER)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.EnableCapture("orders"); err != nil {
+	if _, err := s.DB.Exec(CaptureSQL("orders", []string{"oid INTEGER", "amount INTEGER"})); err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// drain removes and returns the captured delta rows of orders.
+func drain(t *testing.T, s *Store) []sqltypes.Row {
+	t.Helper()
+	sess := s.DB.NewSession()
+	defer sess.Close()
+	rows, err := sess.DrainTable("delta_orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// pending is the number of captured delta rows of orders.
+func pending(t *testing.T, s *Store) int {
+	t.Helper()
+	dt, err := s.DB.Catalog().Table("delta_orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dt.RowCount()
 }
 
 func TestCaptureInsert(t *testing.T) {
@@ -23,17 +45,14 @@ func TestCaptureInsert(t *testing.T) {
 	if _, err := s.DB.Exec("INSERT INTO orders VALUES (1, 10), (2, 20)"); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.PendingDeltas("orders"); n != 2 {
+	if n := pending(t, s); n != 2 {
 		t.Fatalf("pending = %d", n)
 	}
-	rows, err := s.DrainDeltas("orders")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := drain(t, s)
 	if len(rows) != 2 || !rows[0][2].IsTrue() {
 		t.Fatalf("rows = %v", rows)
 	}
-	if s.PendingDeltas("orders") != 0 {
+	if pending(t, s) != 0 {
 		t.Error("drain did not clear")
 	}
 }
@@ -41,10 +60,10 @@ func TestCaptureInsert(t *testing.T) {
 func TestCaptureDeleteUpdate(t *testing.T) {
 	s := newStore(t)
 	s.DB.Exec("INSERT INTO orders VALUES (1, 10)")
-	s.DrainDeltas("orders")
+	drain(t, s)
 
 	s.DB.Exec("UPDATE orders SET amount = 15 WHERE oid = 1")
-	rows, _ := s.DrainDeltas("orders")
+	rows := drain(t, s)
 	if len(rows) != 2 {
 		t.Fatalf("update should capture 2 rows, got %d", len(rows))
 	}
@@ -62,7 +81,7 @@ func TestCaptureDeleteUpdate(t *testing.T) {
 	}
 
 	s.DB.Exec("DELETE FROM orders WHERE oid = 1")
-	rows, _ = s.DrainDeltas("orders")
+	rows = drain(t, s)
 	if len(rows) != 1 || rows[0][2].IsTrue() {
 		t.Fatalf("delete capture wrong: %v", rows)
 	}
@@ -75,15 +94,12 @@ func TestCaptureDeleteUpdate(t *testing.T) {
 func TestCaptureMultiRowUpdateOrder(t *testing.T) {
 	s := newStore(t)
 	s.DB.Exec("INSERT INTO orders VALUES (1, 10), (2, 20), (3, 30)")
-	s.DrainDeltas("orders")
+	drain(t, s)
 
 	if _, err := s.DB.Exec("UPDATE orders SET amount = amount + 1"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := s.DrainDeltas("orders")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := drain(t, s)
 	if len(rows) != 6 {
 		t.Fatalf("captured %d rows, want 3 FALSE + 3 TRUE: %v", len(rows), rows)
 	}
@@ -134,30 +150,5 @@ func TestTransactionalWorkload(t *testing.T) {
 	r, _ := s.DB.Exec("SELECT COUNT(*) FROM orders")
 	if r.Rows[0][0].I != 1 {
 		t.Fatalf("got %v", r.Rows)
-	}
-}
-
-func TestTableColumns(t *testing.T) {
-	s := newStore(t)
-	cols, err := s.TableColumns("orders")
-	if err != nil || len(cols) != 2 || cols[0].Name != "oid" {
-		t.Fatalf("cols = %v, %v", cols, err)
-	}
-	if _, err := s.TableColumns("missing"); err == nil {
-		t.Error("missing table should error")
-	}
-}
-
-func TestPGTypeMapping(t *testing.T) {
-	cases := map[sqltypes.Type]string{
-		sqltypes.TypeString: "TEXT",
-		sqltypes.TypeFloat:  "DOUBLE PRECISION",
-		sqltypes.TypeBool:   "BOOLEAN",
-		sqltypes.TypeInt:    "INTEGER",
-	}
-	for ty, want := range cases {
-		if got := pgType(ty); got != want {
-			t.Errorf("pgType(%v) = %q, want %q", ty, got, want)
-		}
 	}
 }

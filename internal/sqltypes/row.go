@@ -31,20 +31,6 @@ func (r Row) Equal(o Row) bool {
 	return true
 }
 
-// CompareRows orders two rows lexicographically.
-func CompareRows(a, b Row) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if c := Compare(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	return len(a) - len(b)
-}
-
 // String renders the row as a pipe-separated line (shell output format).
 func (r Row) String() string {
 	parts := make([]string, len(r))
@@ -55,7 +41,8 @@ func (r Row) String() string {
 }
 
 // EncodeKey appends a binary encoding of the values to dst such that
-// byte-wise lexicographic comparison of encodings matches CompareRows.
+// byte-wise lexicographic comparison of encodings matches comparing the
+// rows value by value (Compare), shorter prefix first.
 // It is used for hash-table and index keys.
 //
 // Encoding per value: 1 tag byte, then payload.

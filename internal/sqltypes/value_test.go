@@ -366,3 +366,17 @@ func TestArithQuickAddCommutes(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// CompareRows orders two rows lexicographically.
+func CompareRows(a, b Row) int {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
+	}
+	for i := 0; i < n; i++ {
+		if c := Compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return len(a) - len(b)
+}
