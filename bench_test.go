@@ -108,7 +108,7 @@ func BenchmarkE2_IVMRefresh(b *testing.B) {
 	}
 	// The group-count sweep at a fixed 100-row delta: the view holds one
 	// row per group, and refresh time must not grow with it — step 3 finds
-	// the emptied groups among the ~100 keys of ΔV through the view's key
+	// the emptied groups among the ~100 keys of ΔT through the view's key
 	// index, not by scanning the view.
 	for _, groups := range []int{4096, 40960, 409600} {
 		b.Run(fmt.Sprintf("G%d", groups), func(b *testing.B) {

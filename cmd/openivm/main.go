@@ -1,6 +1,6 @@
 // Command openivm is the standalone SQL-to-SQL compiler: it reads a
 // database schema and a CREATE MATERIALIZED VIEW definition and prints
-// the generated delta DDL, initial population script and 4-step
+// the generated delta DDL, initial population script and
 // propagation script — the paper's compiler used as a command-line tool.
 //
 // Usage:

@@ -50,7 +50,7 @@ func main() {
 			log.Fatalf("%s combine lacks %q", dialect, upsert[dialect])
 		}
 	}
-	fmt.Println("verified: each dialect folds ΔV into V with its own upsert")
+	fmt.Println("verified: each dialect folds the delta into V with its own upsert")
 }
 
 func mustExec(db *engine.DB, sql string) {

@@ -132,10 +132,9 @@ type View struct {
 type IVMMetadata struct {
 	ViewName    string
 	SourceSQL   string
-	QueryType   string // "projection", "filter", "aggregate", "join", "join_aggregate"
+	QueryType   string // "projection", "aggregate", "join", "join_aggregate"
 	BaseTables  []string
 	DeltaTables []string
-	DeltaView   string
 	// StorageTable materializes the view ("" means the view name itself;
 	// differs under AVG decomposition).
 	StorageTable string

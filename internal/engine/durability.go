@@ -382,10 +382,9 @@ func (db *DB) Checkpoint() error {
 }
 
 // assembleCheckpoint dumps every logged table, plain view and
-// materialized-view definition. IVM-owned auxiliary objects (the view
-// entries the extension registers for matviews and their delta views)
-// are excluded: the matview's CREATE is re-executed on recovery and
-// recreates them.
+// materialized-view definition. The plain view a materialized view with
+// hidden columns is exposed through is excluded: the matview's CREATE is
+// re-executed on recovery and recreates it.
 func (db *DB) assembleCheckpoint(lastLSN uint64) (*storage.CheckpointData, error) {
 	cat := db.cat
 	snap := &storage.CheckpointData{LastLSN: lastLSN, LastTS: cat.MVCC().Current().ReadTS}
@@ -393,9 +392,6 @@ func (db *DB) assembleCheckpoint(lastLSN uint64) (*storage.CheckpointData, error
 	ivmOwned := map[string]bool{}
 	for _, m := range cat.IVMViews() {
 		ivmOwned[strings.ToLower(m.ViewName)] = true
-		if m.DeltaView != "" {
-			ivmOwned[strings.ToLower(m.DeltaView)] = true
-		}
 		snap.MatViews = append(snap.MatViews, storage.ViewSnap{Name: m.ViewName, SQL: m.SourceSQL})
 	}
 

@@ -31,6 +31,8 @@ const (
 	CodeDuplicateKey = "23505"
 	// CodeUndefinedTable names a table or view that does not exist.
 	CodeUndefinedTable = "42P01"
+	// CodeDuplicateTable names a table or view that exists already.
+	CodeDuplicateTable = "42P07"
 	// CodeRecoveryCorruption is unreadable durable state: a checkpoint
 	// or WAL record that fails its checksum or decodes inconsistently
 	// beyond the tolerated torn tail. Not retryable.

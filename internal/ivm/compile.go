@@ -35,7 +35,6 @@ func (c *Compiler) Compile(viewName string, sel *sqlparser.SelectStmt, sourceSQL
 		Options:   c.Opts,
 		Select:    sel,
 		SourceSQL: sourceSQL,
-		DeltaView: deltaPrefix + viewName,
 	}
 
 	// Base tables.
@@ -149,11 +148,13 @@ func (c *Compiler) classify(comp *Compilation, sel *sqlparser.SelectStmt, outSch
 		}
 	}
 	isJoin := len(comp.Bases) == 2
+	if isJoin {
+		comp.JoinDelta = deltaPrefix + "join_" + comp.ViewName
+	}
 
 	switch {
 	case hasAgg && isJoin:
 		comp.Class = ClassJoinAggregate
-		comp.JoinDelta = deltaPrefix + "join_" + comp.ViewName
 	case hasAgg:
 		comp.Class = ClassAggregate
 	case isJoin:
@@ -371,8 +372,8 @@ func (c *Compilation) hasMinMax() bool {
 	return false
 }
 
-// genSetup builds the DDL script: ΔT per base table, V, ΔV, the
-// intermediate join-delta table when needed, and the group-key index.
+// genSetup builds the DDL script: ΔT per base table, V with its key index,
+// and the join delta of a two-table view.
 func (c *Compiler) genSetup(comp *Compilation) {
 	s := &duckast.Script{}
 
@@ -402,25 +403,12 @@ func (c *Compiler) genSetup(comp *Compilation) {
 		s.Add(comp.exposedView())
 	}
 
-	// The delta-view table ΔV.
-	dvCols := append([]duckast.ColumnDef{}, viewCols...)
-	dvCols = append(dvCols, duckast.ColumnDef{Name: MultiplicityColumn, Type: "BOOLEAN"})
-	s.Add(&duckast.CreateTable{Name: comp.DeltaView, IfNotExists: true, Columns: dvCols})
-
-	// Intermediate join-delta table for join+aggregate views: the join's
-	// pre-aggregation projection (group keys and aggregate arguments).
-	if comp.Class == ClassJoinAggregate {
+	// The join delta of a two-table view: the values of the view columns
+	// it holds (joinDeltaColumns) and the multiplicity.
+	if comp.JoinDelta != "" {
 		var jd []duckast.ColumnDef
-		for _, col := range comp.Columns {
-			if col.IsGroupKey {
-				jd = append(jd, duckast.ColumnDef{Name: col.Name, Type: col.Type.String()})
-			}
-		}
-		for _, col := range comp.AggColumns() {
-			if col.SourceSQL == "" { // COUNT(*)
-				continue
-			}
-			jd = append(jd, duckast.ColumnDef{Name: fmt.Sprintf("ivm_arg_%d", col.ArgIdx), Type: col.Type.String()})
+		for _, col := range joinDeltaColumns(comp) {
+			jd = append(jd, duckast.ColumnDef{Name: joinDeltaColumn(col), Type: col.Type.String()})
 		}
 		jd = append(jd, duckast.ColumnDef{Name: MultiplicityColumn, Type: "BOOLEAN"})
 		s.Add(&duckast.CreateTable{Name: comp.JoinDelta, IfNotExists: true, Columns: jd})
@@ -466,25 +454,28 @@ func joinOnSQL(jt *sqlparser.JoinTable, lAlias, rAlias string) string {
 // genPopulate builds the initial-materialization script: V := Q(T).
 func (c *Compiler) genPopulate(comp *Compilation) {
 	s := &duckast.Script{}
-	sel := &duckast.Select{From: &duckast.Raw{Text: fromSQL(comp, comp.Select)}}
+	s.Add(&duckast.Insert{Table: comp.Storage, Select: storageQuery(comp, fromSQL(comp, comp.Select))})
+	comp.Populate = s
+}
+
+// storageQuery is the view's query over from, selecting the storage
+// columns: what V holds for the rows from yields.
+func storageQuery(comp *Compilation, from string) *duckast.Select {
+	sel := &duckast.Select{From: &duckast.Raw{Text: from}}
 	for _, col := range comp.StorageColumns() {
-		switch {
-		case col.HasAgg:
-			sel.Items = append(sel.Items, duckast.SelectItem{
-				Expr: &duckast.Raw{Text: aggCallSQL(col.Agg, col.SourceSQL)}, Alias: col.Name})
-		default:
-			sel.Items = append(sel.Items, duckast.SelectItem{
-				Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: col.Name})
+		src := col.SourceSQL
+		if col.HasAgg {
+			src = aggCallSQL(col.Agg, col.SourceSQL)
 		}
+		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: src}, Alias: col.Name})
 	}
-	if comp.Select.Where != nil {
-		sel.Where = &duckast.Raw{Text: sqlparser.ExprString(comp.Select.Where)}
+	if w := whereSQL(comp); w != "" {
+		sel.Where = &duckast.Raw{Text: w}
 	}
 	for _, g := range comp.GroupColumns() {
 		sel.GroupBy = append(sel.GroupBy, &duckast.Raw{Text: g.SourceSQL})
 	}
-	s.Add(&duckast.Insert{Table: comp.Storage, Select: sel})
-	comp.Populate = s
+	return sel
 }
 
 // aggCallSQL renders an aggregate call over a source expression.

@@ -35,10 +35,12 @@ const listing1View = `CREATE MATERIALIZED VIEW query_groups AS SELECT group_inde
 	SUM(group_value) AS total_value FROM groups GROUP BY group_index`
 
 // TestListing2Golden pins the compiler output for the paper's Listing 1
-// input. The shape follows Listing 2: delta fill grouped by (key,
-// multiplicity); INSERT OR REPLACE via a signed CTE LEFT-JOINed to the
-// view; deletion of emptied rows; delta truncation. Four places differ
-// from Listing 2 as printed. It selects and groups by the view-side key,
+// input. The shape follows Listing 2: INSERT OR REPLACE via a signed CTE
+// LEFT-JOINed to the view; deletion of emptied rows; delta truncation.
+// Five places differ from Listing 2 as printed. It fills a table ΔV
+// (delta_query_groups) with ΔT grouped by (key, multiplicity) for the
+// next two steps to read back, where the CTE aggregates ΔT itself and
+// step 3 reads its keys from ΔT, so there is no ΔV to create or empty. It selects and groups by the view-side key,
 // which is NULL for a new group, where we emit the delta-side key. Its
 // join compares keys with `=`, which never matches a NULL group key, where
 // we use IS NOT DISTINCT FROM. Its step 3 deletes a group whose SUM is 0,
@@ -55,17 +57,14 @@ func TestListing2Golden(t *testing.T) {
 CREATE TABLE IF NOT EXISTS delta_groups (group_index VARCHAR, group_value INTEGER, _duckdb_ivm_multiplicity BOOLEAN);
 CREATE TABLE IF NOT EXISTS query_groups_ivm_storage (group_index VARCHAR, total_value INTEGER, _duckdb_ivm_count INTEGER, PRIMARY KEY (group_index));
 CREATE VIEW query_groups AS SELECT group_index, total_value FROM query_groups_ivm_storage;
-CREATE TABLE IF NOT EXISTS delta_query_groups (group_index VARCHAR, total_value INTEGER, _duckdb_ivm_count INTEGER, _duckdb_ivm_multiplicity BOOLEAN);
 `)
 	if got := strings.TrimSpace(comp.SetupSQL()); got != wantSetup {
 		t.Errorf("setup SQL:\n got:\n%s\nwant:\n%s", got, wantSetup)
 	}
 
 	wantProp := strings.TrimSpace(`
-INSERT INTO delta_query_groups SELECT group_index AS group_index, SUM(group_value) AS total_value, COUNT(*) AS _duckdb_ivm_count, _duckdb_ivm_multiplicity FROM delta_groups GROUP BY group_index, _duckdb_ivm_multiplicity;
-INSERT OR REPLACE INTO query_groups_ivm_storage (group_index, total_value, _duckdb_ivm_count) WITH ivm_cte AS (SELECT group_index, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -total_value ELSE total_value END) AS total_value, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -_duckdb_ivm_count ELSE _duckdb_ivm_count END) AS _duckdb_ivm_count FROM delta_query_groups GROUP BY group_index) SELECT ivm_delta.group_index, COALESCE(query_groups_ivm_storage.total_value, 0) + COALESCE(ivm_delta.total_value, 0) AS total_value, COALESCE(query_groups_ivm_storage._duckdb_ivm_count, 0) + COALESCE(ivm_delta._duckdb_ivm_count, 0) AS _duckdb_ivm_count FROM ivm_cte AS ivm_delta LEFT JOIN query_groups_ivm_storage ON query_groups_ivm_storage.group_index IS NOT DISTINCT FROM ivm_delta.group_index;
-DELETE FROM query_groups_ivm_storage WHERE (group_index IN (SELECT group_index FROM delta_query_groups) OR group_index IS NULL) AND _duckdb_ivm_count = 0;
-DELETE FROM delta_query_groups;
+INSERT OR REPLACE INTO query_groups_ivm_storage (group_index, total_value, _duckdb_ivm_count) WITH ivm_cte AS (SELECT group_index AS group_index, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -group_value ELSE group_value END) AS total_value, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -1 ELSE 1 END) AS _duckdb_ivm_count FROM delta_groups GROUP BY group_index) SELECT ivm_delta.group_index, COALESCE(query_groups_ivm_storage.total_value, 0) + COALESCE(ivm_delta.total_value, 0) AS total_value, COALESCE(query_groups_ivm_storage._duckdb_ivm_count, 0) + COALESCE(ivm_delta._duckdb_ivm_count, 0) AS _duckdb_ivm_count FROM ivm_cte AS ivm_delta LEFT JOIN query_groups_ivm_storage ON query_groups_ivm_storage.group_index IS NOT DISTINCT FROM ivm_delta.group_index;
+DELETE FROM query_groups_ivm_storage WHERE (group_index IN (SELECT group_index FROM delta_groups) OR group_index IS NULL) AND _duckdb_ivm_count = 0;
 DELETE FROM delta_groups;
 `)
 	if got := strings.TrimSpace(comp.PropagateSQL()); got != wantProp {
@@ -80,7 +79,7 @@ INSERT INTO query_groups_ivm_storage SELECT group_index AS group_index, SUM(grou
 	}
 }
 
-const step3Listing1 = "DELETE FROM query_groups_ivm_storage WHERE (group_index IN (SELECT group_index FROM delta_query_groups) OR group_index IS NULL) AND _duckdb_ivm_count = 0"
+const step3Listing1 = "DELETE FROM query_groups_ivm_storage WHERE (group_index IN (SELECT group_index FROM delta_groups) OR group_index IS NULL) AND _duckdb_ivm_count = 0"
 
 func TestListing2PostgresDialect(t *testing.T) {
 	db := newDB(t)
@@ -141,8 +140,8 @@ func TestClassStrings(t *testing.T) {
 }
 
 // TestHiddenCountSetup: a view that declares no COUNT(*) keeps the hidden
-// one in its storage table and its ΔV, and exposes only its declared
-// columns under its own name.
+// one in its storage table, and exposes only its declared columns under
+// its own name.
 func TestHiddenCountSetup(t *testing.T) {
 	db := newDB(t)
 	comp := compile(t, db, DefaultOptions(), listing1View)
@@ -150,7 +149,6 @@ func TestHiddenCountSetup(t *testing.T) {
 	for _, want := range []string{
 		"CREATE TABLE IF NOT EXISTS query_groups_ivm_storage (group_index VARCHAR, total_value INTEGER, " + HiddenCountColumn + " INTEGER,",
 		"CREATE VIEW query_groups AS SELECT group_index, total_value FROM query_groups_ivm_storage;",
-		"delta_query_groups (group_index VARCHAR, total_value INTEGER, " + HiddenCountColumn + " INTEGER, _duckdb_ivm_multiplicity BOOLEAN)",
 	} {
 		if !strings.Contains(setup, want) {
 			t.Errorf("setup lacks %q:\n%s", want, setup)
@@ -159,7 +157,8 @@ func TestHiddenCountSetup(t *testing.T) {
 }
 
 // TestStep3Golden pins step 3 for every shape of group key, in both
-// dialects: one keyed form per view class, and the view without one.
+// dialects: one keyed form per view class, reading its keys from ΔT or
+// from the join delta, and the view without one.
 func TestStep3Golden(t *testing.T) {
 	db := engine.Open("s3", engine.DialectDuckDB)
 	for _, ddl := range []string{
@@ -172,9 +171,9 @@ func TestStep3Golden(t *testing.T) {
 	}
 	cases := []struct{ view, want string }{
 		{"CREATE MATERIALIZED VIEW one AS SELECT x, SUM(v) AS s, COUNT(*) AS n FROM a GROUP BY x",
-			"DELETE FROM one WHERE (x IN (SELECT x FROM delta_one) OR x IS NULL) AND n = 0;"},
+			"DELETE FROM one WHERE (x IN (SELECT x FROM delta_a) OR x IS NULL) AND n = 0;"},
 		{"CREATE MATERIALIZED VIEW two AS SELECT x, y, SUM(v) AS s, COUNT(*) AS n FROM a GROUP BY x, y",
-			"DELETE FROM two WHERE ((x, y) IN (SELECT x, y FROM delta_two) OR x IS NULL OR y IS NULL) AND n = 0;"},
+			"DELETE FROM two WHERE ((x, y) IN (SELECT x, y FROM delta_a) OR x IS NULL OR y IS NULL) AND n = 0;"},
 		// Without GROUP BY the view is one row that stays: emptied, it reads
 		// NULL for the SUM, as the query does over no rows.
 		{"CREATE MATERIALIZED VIEW tot AS SELECT SUM(v) AS s, COUNT(*) AS n FROM a",
@@ -182,9 +181,9 @@ func TestStep3Golden(t *testing.T) {
 		{"CREATE MATERIALIZED VIEW tot2 AS SELECT SUM(v) AS s, MAX(v) AS hi FROM a",
 			"UPDATE tot2_ivm_storage SET s = NULL, hi = NULL WHERE _duckdb_ivm_count = 0;"},
 		{"CREATE MATERIALIZED VIEW ja AS SELECT a.x, SUM(b.w) AS s FROM a JOIN b ON a.x = b.x GROUP BY a.x",
-			"DELETE FROM ja_ivm_storage WHERE (x IN (SELECT x FROM delta_ja) OR x IS NULL) AND _duckdb_ivm_count = 0;"},
+			"DELETE FROM ja_ivm_storage WHERE (x IN (SELECT x FROM delta_join_ja) OR x IS NULL) AND _duckdb_ivm_count = 0;"},
 		{"CREATE MATERIALIZED VIEW ja2 AS SELECT a.x, a.y, COUNT(*) AS n FROM a JOIN b ON a.x = b.x GROUP BY a.x, a.y",
-			"DELETE FROM ja2 WHERE ((x, y) IN (SELECT x, y FROM delta_ja2) OR x IS NULL OR y IS NULL) AND n = 0;"},
+			"DELETE FROM ja2 WHERE ((x, y) IN (SELECT x, y FROM delta_join_ja2) OR x IS NULL OR y IS NULL) AND n = 0;"},
 	}
 	for _, dialect := range []duckast.Dialect{duckast.DialectDuckDB, duckast.DialectPostgres} {
 		for _, c := range cases {
@@ -207,7 +206,7 @@ func TestRowKeySQL(t *testing.T) {
 		"CREATE MATERIALIZED VIEW pv AS SELECT group_index, group_value FROM groups").PropagateSQL()
 	key := "COALESCE(LENGTH(CAST(group_index AS VARCHAR)) || ':' || group_index, 'N') || " +
 		"COALESCE(LENGTH(CAST(group_value AS VARCHAR)) || ':' || group_value, 'N')"
-	const from = " FROM delta_pv WHERE _duckdb_ivm_multiplicity = FALSE)"
+	const from = " FROM delta_groups WHERE _duckdb_ivm_multiplicity = FALSE)"
 	want := "DELETE FROM pv WHERE (group_index, group_value) IN (SELECT group_index, group_value" + from +
 		" OR ((group_index IS NULL OR group_value IS NULL) AND " + key + " IN (SELECT " + key + from + ");"
 	if !strings.Contains(prop, want) {
@@ -218,21 +217,23 @@ func TestRowKeySQL(t *testing.T) {
 // TestMinMaxRepairSQL: after the combine, the groups a deletion touched
 // leave V — found by rowIn, which matches a NULL-keyed group too — and are
 // recomputed from the base joined to their keys with IS NOT DISTINCT FROM;
-// a group whose last row went is not recomputed and stays out.
+// a group whose last row went is not recomputed and stays out. The keys
+// come from ΔT, through the view's WHERE, grouped: ΔT may delete several
+// rows of one group, and the join must not repeat its base rows.
 func TestMinMaxRepairSQL(t *testing.T) {
 	db := newDB(t)
 	comp := compile(t, db, DefaultOptions(), `CREATE MATERIALIZED VIEW mm AS
 		SELECT group_index, MIN(group_value) AS lo FROM groups GROUP BY group_index`)
 	prop := comp.PropagateSQL()
-	const deleted = "FROM delta_mm WHERE _duckdb_ivm_multiplicity = FALSE"
+	const deleted = "FROM delta_groups WHERE _duckdb_ivm_multiplicity = FALSE"
 	key := "COALESCE(LENGTH(CAST(group_index AS VARCHAR)) || ':' || group_index, 'N')"
 	for _, want := range []string{
-		"MIN(CASE WHEN _duckdb_ivm_multiplicity = TRUE THEN lo END)",
+		"MIN(CASE WHEN _duckdb_ivm_multiplicity = TRUE THEN group_value END) AS lo",
 		"LEAST(COALESCE(",
 		"\nDELETE FROM mm_ivm_storage WHERE group_index IN (SELECT group_index " + deleted + ") OR ((group_index IS NULL) AND " +
 			key + " IN (SELECT " + key + " " + deleted + "));\n",
 		"\nINSERT INTO mm_ivm_storage (group_index, lo, _duckdb_ivm_count) SELECT group_index AS group_index, MIN(group_value) AS lo, COUNT(*) AS _duckdb_ivm_count FROM groups JOIN (SELECT group_index AS ivm_g0 " +
-			deleted + ") AS ivm_deleted ON group_index IS NOT DISTINCT FROM ivm_deleted.ivm_g0 GROUP BY group_index;\n",
+			deleted + " GROUP BY group_index) AS ivm_deleted ON group_index IS NOT DISTINCT FROM ivm_deleted.ivm_g0 GROUP BY group_index;\n",
 	} {
 		if !strings.Contains(prop, want) {
 			t.Errorf("min/max repair missing %q:\n%s", want, prop)
@@ -244,15 +245,21 @@ func TestMinMaxRepairSQL(t *testing.T) {
 	db.Exec("CREATE TABLE b (x VARCHAR, w INTEGER)")
 	prop = compile(t, db, DefaultOptions(), `CREATE MATERIALIZED VIEW mm2 AS
 		SELECT x, y, MAX(v) AS hi FROM a GROUP BY x, y`).PropagateSQL()
-	if want := "FROM a JOIN (SELECT x AS ivm_g0, y AS ivm_g1 FROM delta_mm2 WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_deleted " +
+	if want := "FROM a JOIN (SELECT x AS ivm_g0, y AS ivm_g1 FROM delta_a WHERE _duckdb_ivm_multiplicity = FALSE GROUP BY x, y) AS ivm_deleted " +
 		"ON x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 AND y IS NOT DISTINCT FROM ivm_deleted.ivm_g1 GROUP BY x, y;"; !strings.Contains(prop, want) {
 		t.Errorf("composite min/max repair missing %q:\n%s", want, prop)
 	}
 	prop = compile(t, db, DefaultOptions(), `CREATE MATERIALIZED VIEW mm3 AS
 		SELECT b.x, MIN(a.v) AS lo, COUNT(*) AS n FROM a JOIN b ON a.x = b.x WHERE a.v > 0 GROUP BY b.x`).PropagateSQL()
-	if want := "FROM a JOIN b ON (a.x = b.x) JOIN (SELECT x AS ivm_g0 FROM delta_mm3 WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_deleted " +
+	if want := "FROM a JOIN b ON (a.x = b.x) JOIN (SELECT x AS ivm_g0 FROM delta_join_mm3 WHERE _duckdb_ivm_multiplicity = FALSE GROUP BY x) AS ivm_deleted " +
 		"ON b.x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 WHERE (a.v > 0) GROUP BY b.x;"; !strings.Contains(prop, want) {
 		t.Errorf("join min/max repair missing %q:\n%s", want, prop)
+	}
+	prop = compile(t, db, DefaultOptions(), `CREATE MATERIALIZED VIEW mm4 AS
+		SELECT t.x AS k, MAX(t.v) AS hi FROM a AS t WHERE t.v > 0 GROUP BY t.x`).PropagateSQL()
+	if want := "FROM a AS t JOIN (SELECT t.x AS ivm_g0 FROM delta_a AS t WHERE (t.v > 0) AND _duckdb_ivm_multiplicity = FALSE GROUP BY t.x) AS ivm_deleted " +
+		"ON t.x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 WHERE (t.v > 0) GROUP BY t.x;"; !strings.Contains(prop, want) {
+		t.Errorf("filtered min/max repair missing %q:\n%s", want, prop)
 	}
 }
 
@@ -399,6 +406,8 @@ func TestCompiledScriptsReparse(t *testing.T) {
 		"CREATE MATERIALIZED VIEW m4 AS SELECT a.x, a.v, b.w FROM a JOIN b ON a.x = b.x",
 		"CREATE MATERIALIZED VIEW m5 AS SELECT a.x, SUM(b.w) AS s FROM a JOIN b ON a.x = b.x GROUP BY a.x",
 		"CREATE MATERIALIZED VIEW m6 AS SELECT x, v, COUNT(*) AS n, MIN(v) AS lo FROM a GROUP BY x, v",
+		// A negative literal argument: its negation must not read as "--".
+		"CREATE MATERIALIZED VIEW m7 AS SELECT x, SUM(-1) AS neg, SUM(-v) AS nv FROM a GROUP BY x",
 	}
 	for _, v := range views {
 		comp, err := NewCompiler(db, DefaultOptions()).CompileSQL(v)
@@ -430,8 +439,8 @@ func TestBodiesCompiledOnce(t *testing.T) {
 			t.Errorf("Body statement %d is not Propagate's node", i)
 		}
 	}
-	// Step 4 of the listing-1 view: DELETE FROM ΔV, DELETE FROM ΔT.
-	if got, want := len(comp.Body.Stmts), len(comp.Propagate.Stmts)-2; got != want {
+	// Step 4 of the listing-1 view: DELETE FROM ΔT.
+	if got, want := len(comp.Body.Stmts), len(comp.Propagate.Stmts)-1; got != want {
 		t.Errorf("Body has %d statements, want Propagate's first %d", got, want)
 	}
 }

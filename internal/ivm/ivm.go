@@ -3,17 +3,21 @@
 // definition, it emits
 //
 //  1. DDL declaring the delta tables ΔT (base columns plus a boolean
-//     multiplicity column), the table materializing the view V, the
-//     delta-view table ΔV, any intermediate tables (for join views) and
-//     the index structures aggregate maintenance needs;
+//     multiplicity column), the table materializing V with the key index
+//     aggregate maintenance needs, and the join delta of a two-table view;
 //  2. a propagation script — plain SQL implementing the DBSP-style
-//     incremental form of the view query, in four post-processing steps:
-//     (1) insert Q*(ΔT) into ΔV, (2) fold ΔV into V, (3) delete
-//     invalidated rows from V, (4) truncate ΔV and ΔT.
+//     incremental form of the view query: (2) fold the delta into V,
+//     (3) delete invalidated rows from V, (4) truncate the join delta and
+//     ΔT.
+//
+// Listing 2's step 1, which aggregates ΔT into a table ΔV for steps 2 and
+// 3 to read back, is folded into the steps that read it: each aggregates
+// ΔT (or the join delta) where it needs it, so no ΔV table exists.
 //
 // The script is the paper's, for any runtime that fills ΔT itself; the
-// embedded runtime (internal/ivmext) runs steps 1–3 of it and does step 4
-// its own way, reading ΔT as a window of the base table's change log.
+// embedded runtime (internal/ivmext) runs the body of it (Compilation.Body)
+// and does step 4 its own way, reading ΔT as a window of the base table's
+// change log.
 //
 // All SQL is built as a DuckAST operator tree and rendered in the dialect
 // selected by a compiler flag, so the same compilation drives both the
@@ -70,11 +74,11 @@ func DeltaRows(ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) []sqltyp
 // that exposes the declared columns.
 const HiddenCountColumn = "_duckdb_ivm_count"
 
-// Options are the compiler switches (paper Figure 1: "users can specify
-// the expected optimization strategies through flags"). ΔV is folded into
-// V by one plan, Listing 2's upsert of ivm_cte LEFT JOIN V (paper §2 names
+// Options are the compiler's settings: the dialect the scripts are
+// rendered in, nothing else. An aggregate view's delta is folded into V by
+// one plan, Listing 2's upsert of ivm_cte LEFT JOIN V (paper §2 names
 // regrouping V ∪ ΔV and a full outer join as the other points of the
-// design space): it costs what ΔV costs, through V's key index.
+// design space): it costs what the delta costs, through V's key index.
 type Options struct {
 	// Dialect selects the SQL dialect of the emitted scripts.
 	Dialect duckast.Dialect
@@ -102,8 +106,8 @@ const (
 	// ClassJoin is a two-table equi-join of scalar expressions (DBSP
 	// product rule: ΔV = ΔA⋈B' + A'⋈ΔB − ΔA⋈ΔB).
 	ClassJoin
-	// ClassJoinAggregate composes ClassJoin with ClassAggregate through an
-	// intermediate join-delta table.
+	// ClassJoinAggregate composes ClassJoin with ClassAggregate: the
+	// aggregate reads the join delta.
 	ClassJoinAggregate
 )
 
@@ -158,9 +162,10 @@ type Compilation struct {
 	Class    QueryClass
 	Options  Options
 
-	Bases     []BaseTable
-	DeltaView string // delta table of the view itself
-	// JoinDelta is the intermediate join-delta table (join classes only).
+	Bases []BaseTable
+	// JoinDelta is the join delta of a two-table view ("" otherwise): the
+	// product rule's three terms, filled once per refresh for the steps
+	// that read it.
 	JoinDelta string
 	// Storage is the table that physically materializes the view. It
 	// equals ViewName unless the view keeps hidden columns (an AVG's SUM
@@ -177,14 +182,15 @@ type Compilation struct {
 	// storageCols caches the physical column layout (see StorageColumns).
 	storageCols []ViewColumn
 
-	// Setup holds the DDL script; Propagate the 4-step maintenance script
-	// (what PropagateSQL renders and the metadata tables store).
+	// Setup holds the DDL script; Propagate the maintenance script (what
+	// PropagateSQL renders and the metadata tables store).
 	Setup     *duckast.Script
 	Propagate *duckast.Script
-	// Body is steps 1–3 of Propagate — the same statement nodes, not a
-	// copy. It is what a runtime executes when it performs step 4 itself
-	// (truncating ΔV and ΔT through the catalog cannot fail halfway, so a
-	// script error never leaves scratch rows a retry would read twice).
+	// Body is Propagate without step 4 — the same statement nodes, not a
+	// copy: the join delta's fill, then steps 2–3. It is what a runtime
+	// executes when it performs step 4 itself (truncating the join delta
+	// and ΔT through the catalog cannot fail halfway, so a script error
+	// never leaves scratch rows a retry would read twice).
 	Body *duckast.Script
 	// PopulateSQL fills V from the current base-table contents (initial
 	// materialization).

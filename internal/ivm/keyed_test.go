@@ -88,7 +88,11 @@ func TestViewKey(t *testing.T) {
 		// declares none and keeps the row-value delete (rowIn).
 		wantPK, wantDelete := "", "COALESCE(LENGTH(CAST("
 		if comp.Key != nil {
-			wantPK, wantDelete = "PRIMARY KEY ("+got+")", "DELETE FROM kv WHERE "+groupKey(comp.Key)+" IN (SELECT "+got+" FROM delta_kv GROUP BY "
+			delta := "delta_join_kv"
+			if len(comp.Bases) == 1 {
+				delta = "(SELECT "
+			}
+			wantPK, wantDelete = "PRIMARY KEY ("+got+")", "DELETE FROM kv WHERE "+groupKey(comp.Key)+" IN (SELECT "+got+" FROM "+delta
 		}
 		if setup := comp.SetupSQL(); strings.Contains(setup, "PRIMARY KEY") != (wantPK != "") || !strings.Contains(setup, wantPK) {
 			t.Errorf("%s: setup does not declare the key %s:\n%s", c.def, got, setup)
@@ -114,33 +118,34 @@ func parseSelect(t *testing.T, def string) *sqlparser.SelectStmt {
 }
 
 // TestKeyedGolden pins the whole compilation of a keyed projection view and
-// a keyed FK→PK join view in both dialects: V declares the key, step 1 is
-// the keyless view's, and steps 2–3 are the keyed combine — delete the
-// keys whose row nets below zero, then insert the rows that net above it.
+// a keyed FK→PK join view in both dialects: V declares the key, the join
+// view fills its join delta with the product rule's three terms, and steps
+// 2–3 are the keyed combine — delete the keys whose row nets below zero,
+// then insert the rows that net above it. The projection view's combine
+// reads its query over ΔT as a derived table, so that GROUP BY names
+// columns rather than expressions.
 func TestKeyedGolden(t *testing.T) {
 	db := keyedDB(t)
 	const net = "SUM(CASE WHEN _duckdb_ivm_multiplicity = TRUE THEN 1 ELSE -1 END)"
+	const bigDelta = "(SELECT oid AS oid, cid AS cid, amount AS amount, _duckdb_ivm_multiplicity FROM delta_orders WHERE (amount >= 250)) AS ivm_delta"
 	cases := []struct{ view, setup, prop string }{
 		{"CREATE MATERIALIZED VIEW big_orders AS SELECT oid, cid, amount FROM orders WHERE amount >= 250",
 			`CREATE TABLE IF NOT EXISTS delta_orders (oid INTEGER, cid INTEGER, amount INTEGER, _duckdb_ivm_multiplicity BOOLEAN);
-CREATE TABLE IF NOT EXISTS big_orders (oid INTEGER, cid INTEGER, amount INTEGER, PRIMARY KEY (oid));
-CREATE TABLE IF NOT EXISTS delta_big_orders (oid INTEGER, cid INTEGER, amount INTEGER, _duckdb_ivm_multiplicity BOOLEAN);`,
-			`INSERT INTO delta_big_orders SELECT oid AS oid, cid AS cid, amount AS amount, _duckdb_ivm_multiplicity FROM delta_orders WHERE (amount >= 250);
-DELETE FROM big_orders WHERE oid IN (SELECT oid FROM delta_big_orders GROUP BY oid, cid, amount HAVING NET < 0);
-INSERT INTO big_orders SELECT oid, cid, amount FROM delta_big_orders GROUP BY oid, cid, amount HAVING NET > 0;
-DELETE FROM delta_big_orders;
+CREATE TABLE IF NOT EXISTS big_orders (oid INTEGER, cid INTEGER, amount INTEGER, PRIMARY KEY (oid));`,
+			`DELETE FROM big_orders WHERE oid IN (SELECT oid FROM ` + bigDelta + ` GROUP BY oid, cid, amount HAVING NET < 0);
+INSERT INTO big_orders SELECT oid, cid, amount FROM ` + bigDelta + ` GROUP BY oid, cid, amount HAVING NET > 0;
 DELETE FROM delta_orders;`},
 		{"CREATE MATERIALIZED VIEW order_regions AS SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid",
 			`CREATE TABLE IF NOT EXISTS delta_orders (oid INTEGER, cid INTEGER, amount INTEGER, _duckdb_ivm_multiplicity BOOLEAN);
 CREATE TABLE IF NOT EXISTS delta_customers (cid INTEGER, region VARCHAR, _duckdb_ivm_multiplicity BOOLEAN);
 CREATE TABLE IF NOT EXISTS order_regions (oid INTEGER, region VARCHAR, amount INTEGER, PRIMARY KEY (oid));
-CREATE TABLE IF NOT EXISTS delta_order_regions (oid INTEGER, region VARCHAR, amount INTEGER, _duckdb_ivm_multiplicity BOOLEAN);`,
-			`INSERT INTO delta_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, o._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN customers AS c ON (o.cid = c.cid);
-INSERT INTO delta_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM orders AS o JOIN delta_customers AS c ON (o.cid = c.cid);
-INSERT INTO delta_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, o._duckdb_ivm_multiplicity <> c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN delta_customers AS c ON (o.cid = c.cid);
-DELETE FROM order_regions WHERE oid IN (SELECT oid FROM delta_order_regions GROUP BY oid, region, amount HAVING NET < 0);
-INSERT INTO order_regions SELECT oid, region, amount FROM delta_order_regions GROUP BY oid, region, amount HAVING NET > 0;
-DELETE FROM delta_order_regions;
+CREATE TABLE IF NOT EXISTS delta_join_order_regions (oid INTEGER, region VARCHAR, amount INTEGER, _duckdb_ivm_multiplicity BOOLEAN);`,
+			`INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, o._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN customers AS c ON (o.cid = c.cid);
+INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM orders AS o JOIN delta_customers AS c ON (o.cid = c.cid);
+INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, o._duckdb_ivm_multiplicity <> c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN delta_customers AS c ON (o.cid = c.cid);
+DELETE FROM order_regions WHERE oid IN (SELECT oid FROM delta_join_order_regions GROUP BY oid, region, amount HAVING NET < 0);
+INSERT INTO order_regions SELECT oid, region, amount FROM delta_join_order_regions GROUP BY oid, region, amount HAVING NET > 0;
+DELETE FROM delta_join_order_regions;
 DELETE FROM delta_orders;
 DELETE FROM delta_customers;`},
 	}

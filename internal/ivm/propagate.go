@@ -2,6 +2,7 @@ package ivm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"openivm/internal/duckast"
@@ -9,33 +10,35 @@ import (
 	"openivm/internal/sqlparser"
 )
 
-// genPropagate builds the 4-step propagation script for the compiled view.
+// genPropagate builds the propagation script for the compiled view. There
+// is no step 1 (Listing 2's fill of ΔV): each statement reads its delta
+// where it uses it (deltaSource) — ΔT, or the join delta a two-table
+// view's script fills first from the product rule's three terms.
 //
-// Step 1  insert Q*(ΔT) into ΔV (the DBSP-rewritten query over the deltas);
-// Step 2  fold ΔV into V (aggregates: Listing 2's upsert);
+// Step 2  fold the delta into V (aggregates: Listing 2's upsert);
 // Step 3  delete invalidated rows from V (empty groups / deleted tuples);
-// Step 4  truncate ΔV and every ΔT.
+// Step 4  truncate the join delta and every ΔT.
 //
 // A keyed projection or join view does steps 2–3 as one combine whose
 // delete comes first (emitKeyedCombine).
 func (c *Compiler) genPropagate(comp *Compilation) {
 	body := &duckast.Script{}
+	if comp.JoinDelta != "" {
+		fillJoinDelta(comp, body)
+	}
 	switch comp.Class {
 	case ClassProjection:
-		c.propProjection(comp, body)
-	case ClassAggregate:
-		c.propAggregate(comp, body)
+		propProjection(comp, body)
 	case ClassJoin:
-		c.propJoin(comp, body)
-	case ClassJoinAggregate:
-		c.propJoinAggregate(comp, body)
+		propJoin(comp, body)
+	default:
+		propAggregate(comp, body)
 	}
 	comp.Body = body
 	// Propagate is Body's statement nodes followed by step 4: truncate the
-	// view-local delta tables, then every ΔT.
+	// join delta, then every ΔT.
 	full := &duckast.Script{}
 	full.Add(body.Stmts...)
-	full.Add(&duckast.Delete{Table: comp.DeltaView})
 	if comp.JoinDelta != "" {
 		full.Add(&duckast.Delete{Table: comp.JoinDelta})
 	}
@@ -45,24 +48,59 @@ func (c *Compiler) genPropagate(comp *Compilation) {
 	comp.Propagate = full
 }
 
-// mcol returns the multiplicity column reference, optionally qualified.
-func mcol(qual string) string {
-	if qual == "" {
-		return MultiplicityColumn
-	}
-	return qual + "." + MultiplicityColumn
+// deltaSource is what a view's body reads its changes from: ΔT of a
+// single-table view through the view's WHERE, or the join delta of a
+// two-table view, whose rows passed the WHERE when it was filled.
+type deltaSource struct {
+	from, where string
+	// expr is a view column's value over a row of from: a group key's or a
+	// projected column's, or an aggregate's argument.
+	expr func(ViewColumn) string
 }
 
-// rowIn renders "this row of a projection or join view over cols is one of
-// the rows `SELECT cols FROM from` yields", NULL-safely. A row without a
-// NULL is compared as a row value. IN never selects a row holding a NULL,
-// so such a row is compared through rowKey instead — per row of the view
-// that costs one IS NULL test per column, the key is built only for the
-// rows that need it.
-func rowIn(cols []string, from string) string {
-	list, key := strings.Join(cols, ", "), rowKey(cols)
+// deltaOf returns the view's delta source.
+func deltaOf(comp *Compilation) deltaSource {
+	if comp.JoinDelta != "" {
+		return deltaSource{from: comp.JoinDelta, expr: joinDeltaColumn}
+	}
+	b := comp.Bases[0]
+	from := b.Delta
+	if b.Alias != b.Name {
+		from += " AS " + b.Alias
+	}
+	return deltaSource{from: from, where: whereSQL(comp),
+		expr: func(col ViewColumn) string { return col.SourceSQL }}
+}
+
+// rows renders the FROM clause of the source's rows that also satisfy cond
+// ("" for all of them).
+func (d deltaSource) rows(cond string) string {
+	conds := slices.DeleteFunc([]string{d.where, cond}, func(c string) bool { return c == "" })
+	if len(conds) == 0 {
+		return d.from
+	}
+	return d.from + " WHERE " + strings.Join(conds, " AND ")
+}
+
+// exprs maps expr over cols.
+func (d deltaSource) exprs(cols []ViewColumn) []string {
+	out := make([]string, len(cols))
+	for i, c := range cols {
+		out[i] = d.expr(c)
+	}
+	return out
+}
+
+// rowIn renders "this row of V over cols is one of the rows `SELECT srcs
+// FROM from` yields", NULL-safely; srcs are the same columns' values over
+// from. A row without a NULL is compared as a row value. IN never selects a
+// row holding a NULL, so such a row is compared through rowKey instead —
+// per row of the view that costs one IS NULL test per column, the key is
+// built only for the rows that need it.
+func rowIn(cols, srcs []string, from string) string {
 	return fmt.Sprintf("%s IN (SELECT %s FROM %s) OR ((%s IS NULL) AND %s IN (SELECT %s FROM %s))",
-		groupKey(cols), list, from, strings.Join(cols, " IS NULL OR "), key, key, from)
+		groupKey(cols), strings.Join(srcs, ", "), from, strings.Join(cols, " IS NULL OR "),
+		rowKey(cols), rowKey(srcs), from)
 }
 
 // rowKey builds a row-identity string over column names that is never
@@ -95,14 +133,13 @@ func viewColNames(cols []ViewColumn) []string {
 	return out
 }
 
-func groupSrcSQL(cols []ViewColumn) []string {
-	var out []string
-	for _, c := range cols {
-		if c.IsGroupKey {
-			out = append(out, c.SourceSQL)
-		}
+// aliased renders the select items exprs AS the names of cols.
+func aliased(exprs []string, cols []ViewColumn) []duckast.SelectItem {
+	items := make([]duckast.SelectItem, len(cols))
+	for i, c := range cols {
+		items[i] = duckast.SelectItem{Expr: &duckast.Raw{Text: exprs[i]}, Alias: c.Name}
 	}
-	return out
+	return items
 }
 
 // whereSQL renders the view's WHERE predicate ("" when absent).
@@ -113,75 +150,60 @@ func whereSQL(comp *Compilation) string {
 	return sqlparser.ExprString(comp.Select.Where)
 }
 
-// deltaSourceSQL returns the single-table FROM clause with the base table
-// replaced by its delta, keeping the original alias so that the view's
-// expressions still resolve.
-func deltaSourceSQL(b BaseTable) string {
-	if b.Alias != b.Name {
-		return b.Delta + " AS " + b.Alias
-	}
-	return b.Delta
-}
+// --- projection views ------------------------------------------------------
 
-// --- projection / filter views -------------------------------------------
-
-// propProjection emits the σ/π incremental form: identical query over ΔT,
+// propProjection emits the σ/π incremental form: the view's query over ΔT,
 // multiplicity carried through (DBSP: σ* = σ, π* = π).
-func (c *Compiler) propProjection(comp *Compilation, s *duckast.Script) {
-	b := comp.Bases[0]
-
-	// Step 1: ΔV := π(σ(ΔT)).
-	sel := &duckast.Select{From: &duckast.Raw{Text: deltaSourceSQL(b)}}
-	for _, col := range comp.Columns {
-		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: col.Name})
-	}
-	sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: MultiplicityColumn}})
-	if w := whereSQL(comp); w != "" {
-		sel.Where = &duckast.Raw{Text: w}
-	}
-	s.Add(&duckast.Insert{Table: comp.DeltaView, Select: sel})
+func propProjection(comp *Compilation, s *duckast.Script) {
+	d := deltaOf(comp)
+	srcs := d.exprs(comp.Columns)
 	if comp.Key != nil {
-		emitKeyedCombine(comp, s)
+		// The keyed combine groups by the view's columns, which are named
+		// over a derived table: a column of the query may be a constant,
+		// which GROUP BY would read as a position.
+		sel := &duckast.Select{Items: aliased(srcs, comp.Columns), From: &duckast.Raw{Text: d.rows("")}}
+		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: MultiplicityColumn}})
+		emitKeyedCombine(comp, s, "("+sel.SQL(comp.Options.Dialect)+") AS ivm_delta")
 		return
 	}
 
-	// Step 2: insert the insertions (multiplicity TRUE), dropping the
-	// multiplicity column.
-	names := viewColNames(comp.Columns)
-	ins := &duckast.Select{From: &duckast.Raw{Text: comp.DeltaView}, Where: &duckast.Raw{Text: mcol("") + " = TRUE"}}
-	for _, n := range names {
-		ins.Items = append(ins.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: n}})
-	}
-	s.Add(&duckast.Insert{Table: comp.ViewName, Select: ins})
+	// Step 2: insert the insertions (multiplicity TRUE).
+	s.Add(&duckast.Insert{Table: comp.ViewName, Select: &duckast.Select{
+		Items: aliased(srcs, comp.Columns), From: &duckast.Raw{Text: d.rows(MultiplicityColumn + " = TRUE")}}})
 
 	// Step 3: delete rows invalidated by FALSE multiplicity.
 	s.Add(&duckast.Delete{
 		Table: comp.ViewName,
-		Where: &duckast.Raw{Text: rowIn(names,
-			fmt.Sprintf("%s WHERE %s = FALSE", comp.DeltaView, MultiplicityColumn))},
+		Where: &duckast.Raw{Text: rowIn(viewColNames(comp.Columns), srcs, d.rows(MultiplicityColumn+" = FALSE"))},
 	})
 }
 
 // --- aggregate views -------------------------------------------------------
 
-// signedDeltaSQL renders the per-group signed combination of one ΔV column
-// inside the ivm_cte (paper Listing 2 line 8): additive aggregates negate
-// under FALSE multiplicity; MIN/MAX keep only insertions (deletions are
-// handled by the rescan-repair steps).
-func signedDeltaSQL(col ViewColumn) string {
+// signedDeltaSQL renders the per-group signed total of one storage column
+// over the delta, whose rows give the aggregate's argument as arg (paper
+// Listing 2 line 8, applied to ΔT itself): additive aggregates negate under
+// FALSE multiplicity, a COUNT adds ±1 per row (per non-NULL argument for
+// COUNT(e)); MIN/MAX keep only insertions (deletions are handled by the
+// rescan-repair steps).
+func signedDeltaSQL(col ViewColumn, arg string) string {
 	switch col.Agg {
-	case expr.AggMin:
-		return fmt.Sprintf("MIN(CASE WHEN %s = TRUE THEN %s END)", MultiplicityColumn, col.Name)
-	case expr.AggMax:
-		return fmt.Sprintf("MAX(CASE WHEN %s = TRUE THEN %s END)", MultiplicityColumn, col.Name)
-	default: // SUM, COUNT, COUNT(*), hidden count
-		return fmt.Sprintf("SUM(CASE WHEN %s = FALSE THEN -%s ELSE %s END)",
-			MultiplicityColumn, col.Name, col.Name)
+	case expr.AggMin, expr.AggMax:
+		return fmt.Sprintf("%s(CASE WHEN %s = TRUE THEN %s END)", col.Agg, MultiplicityColumn, arg)
+	case expr.AggCountStar:
+		return fmt.Sprintf("SUM(CASE WHEN %s = FALSE THEN -1 ELSE 1 END)", MultiplicityColumn)
+	case expr.AggCount:
+		return fmt.Sprintf("SUM(CASE WHEN %s IS NULL THEN 0 WHEN %s = FALSE THEN -1 ELSE 1 END)", arg, MultiplicityColumn)
 	}
+	neg := "-" + arg
+	if strings.HasPrefix(arg, "-") { // "--" would open a comment
+		neg = "-(" + arg + ")"
+	}
+	return fmt.Sprintf("SUM(CASE WHEN %s = FALSE THEN %s ELSE %s END)", MultiplicityColumn, neg, arg)
 }
 
 // combineSQL renders the V ⊕ ΔV combination for one aggregate column,
-// given the column's value in V (vc) and its signed ΔV total (dc).
+// given the column's value in V (vc) and its signed delta total (dc).
 func combineSQL(col ViewColumn, vc, dc string) string {
 	switch col.Agg {
 	case expr.AggMin:
@@ -193,62 +215,38 @@ func combineSQL(col ViewColumn, vc, dc string) string {
 	}
 }
 
-// propAggregate emits the GROUP BY incremental form (paper Listing 2).
-func (c *Compiler) propAggregate(comp *Compilation, s *duckast.Script) {
-	b := comp.Bases[0]
-
-	// Step 1: ΔV := γ(ΔT) grouped by (keys, multiplicity).
-	step1 := &duckast.Select{From: &duckast.Raw{Text: deltaSourceSQL(b)}}
-	for _, col := range comp.StorageColumns() {
-		switch {
-		case col.IsGroupKey:
-			step1.Items = append(step1.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: col.Name})
-		default:
-			step1.Items = append(step1.Items, duckast.SelectItem{
-				Expr: &duckast.Raw{Text: aggCallSQL(col.Agg, col.SourceSQL)}, Alias: col.Name})
-		}
-	}
-	step1.Items = append(step1.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: MultiplicityColumn}})
-	if w := whereSQL(comp); w != "" {
-		step1.Where = &duckast.Raw{Text: w}
-	}
-	for _, g := range groupSrcSQL(comp.Columns) {
-		step1.GroupBy = append(step1.GroupBy, &duckast.Raw{Text: g})
-	}
-	step1.GroupBy = append(step1.GroupBy, &duckast.Raw{Text: MultiplicityColumn})
-	s.Add(&duckast.Insert{Table: comp.DeltaView, Select: step1})
-
-	// Step 2: combine ΔV into V.
-	c.emitCombine(comp, s)
-
-	// Steps 2b/2c: MIN/MAX deletions cannot be combined incrementally —
-	// rescan-repair the affected groups from the base table.
+// propAggregate emits the GROUP BY incremental form (paper Listing 2) of an
+// aggregate or join-aggregate view over its delta source.
+func propAggregate(comp *Compilation, s *duckast.Script) {
+	d := deltaOf(comp)
+	emitCombine(comp, s, d)
+	// MIN/MAX deletions cannot be combined incrementally: rescan-repair
+	// the affected groups from the base relation.
 	if comp.hasMinMax() {
-		c.emitMinMaxRepair(comp, s, fromSQL(comp, comp.Select))
+		emitMinMaxRepair(comp, s, d)
 	}
-
-	// Step 3: delete invalidated rows.
-	c.emitEmptyGroupDelete(comp, s)
+	emitEmptyGroupDelete(comp, s, d)
 }
 
-// emitCombine emits step 2, Listing 2's plan: aggregate ΔV per group with
-// its signs applied (ivm_cte), LEFT JOIN it to V on the group key and
-// INSERT OR REPLACE the combined rows — through V's key index, so the fold
-// costs what ΔV costs. The join compares keys with IS NOT DISTINCT FROM,
-// so a group whose key holds a NULL finds its row of V too.
-func (c *Compiler) emitCombine(comp *Compilation, s *duckast.Script) {
+// emitCombine emits step 2, Listing 2's plan: aggregate the delta per
+// group with its signs applied (ivm_cte), LEFT JOIN it to V on the group
+// key and INSERT OR REPLACE the combined rows — through V's key index, so
+// the fold costs what the delta costs. The join compares keys with IS NOT
+// DISTINCT FROM, so a group whose key holds a NULL finds its row of V too.
+func emitCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 	const dAlias = "ivm_delta"
 	vName := comp.Storage
-	groupNames := viewColNames(comp.GroupColumns())
-	if len(groupNames) == 0 {
-		emitGlobalCombine(comp, s)
+	groups := comp.GroupColumns()
+	if len(groups) == 0 {
+		emitGlobalCombine(comp, s, d)
 		return
 	}
+	groupNames := viewColNames(groups)
 
-	// The CTE: per-group signed aggregation of ΔV (Listing 2 lines 6-10).
-	cte := &duckast.Select{From: &duckast.Raw{Text: comp.DeltaView}}
-	for _, g := range groupNames {
-		cte.Items = append(cte.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: g}})
+	// The CTE: per-group signed aggregation of the delta (Listing 2 lines
+	// 6-10).
+	cte := &duckast.Select{Items: aliased(d.exprs(groups), groups), From: &duckast.Raw{Text: d.rows("")}}
+	for _, g := range d.exprs(groups) {
 		cte.GroupBy = append(cte.GroupBy, &duckast.Raw{Text: g})
 	}
 	var onParts []string
@@ -267,7 +265,7 @@ func (c *Compiler) emitCombine(comp *Compilation, s *duckast.Script) {
 		if col.IsGroupKey {
 			continue
 		}
-		cte.Items = append(cte.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: signedDeltaSQL(col)}, Alias: col.Name})
+		cte.Items = append(cte.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: signedDeltaSQL(col, d.expr(col))}, Alias: col.Name})
 		sel.Items = append(sel.Items, duckast.SelectItem{
 			Expr: &duckast.Raw{Text: combineSQL(col, vName+"."+col.Name, dAlias+"."+col.Name)}, Alias: col.Name})
 	}
@@ -279,13 +277,13 @@ func (c *Compiler) emitCombine(comp *Compilation, s *duckast.Script) {
 
 // emitGlobalCombine is step 2 of a view without GROUP BY. Such a view is
 // one row whatever its base holds (an aggregate over no rows is a row too),
-// so ΔV folds into that row in place: each column adds its signed ΔV total,
-// a scalar subquery over ΔV.
-func emitGlobalCombine(comp *Compilation, s *duckast.Script) {
+// so the delta folds into that row in place: each column adds its signed
+// delta total, a scalar subquery over the delta.
+func emitGlobalCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 	up := &duckast.Update{Table: comp.Storage}
 	for _, col := range comp.StorageColumns() {
-		d := fmt.Sprintf("(SELECT %s FROM %s)", signedDeltaSQL(col), comp.DeltaView)
-		up.Set = append(up.Set, col.Name+" = "+combineSQL(col, col.Name, d))
+		dc := fmt.Sprintf("(SELECT %s FROM %s)", signedDeltaSQL(col, d.expr(col)), d.rows(""))
+		up.Set = append(up.Set, col.Name+" = "+combineSQL(col, col.Name, dc))
 	}
 	s.Add(up)
 }
@@ -295,51 +293,36 @@ func emitGlobalCombine(comp *Compilation, s *duckast.Script) {
 // relation, so a group whose last row was deleted stays out. V's rows are
 // found through rowIn, which matches a NULL-keyed group too, and the base's
 // through a join on IS NOT DISTINCT FROM. A view without GROUP BY is
-// recomputed whole when ΔV holds a deletion; an aggregate over no rows is a
-// row too, so that recompute is filtered from outside.
-func (c *Compiler) emitMinMaxRepair(comp *Compilation, s *duckast.Script, from string) {
-	groupNames := viewColNames(comp.GroupColumns())
-	deleted := fmt.Sprintf("%s WHERE %s = FALSE", comp.DeltaView, MultiplicityColumn)
-	recompute := &duckast.Select{From: &duckast.Raw{Text: from}}
-	var touched duckast.Node
-	if len(groupNames) == 0 {
-		touched = &duckast.Raw{Text: fmt.Sprintf("(SELECT COUNT(*) FROM %s) > 0", deleted)}
+// recomputed whole when the delta holds a deletion; an aggregate over no
+// rows is a row too, so that recompute is filtered from outside.
+func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
+	groups := comp.GroupColumns()
+	deleted := d.rows(MultiplicityColumn + " = FALSE")
+	from := fromSQL(comp, comp.Select)
+	cols := viewColNames(comp.StorageColumns())
+	if len(groups) == 0 {
+		touched := &duckast.Raw{Text: fmt.Sprintf("(SELECT COUNT(*) FROM %s) > 0", deleted)}
 		s.Add(&duckast.Delete{Table: comp.Storage, Where: touched})
-	} else {
-		s.Add(&duckast.Delete{Table: comp.Storage, Where: &duckast.Raw{Text: rowIn(groupNames, deleted)}})
-		// ΔV holds at most one row per group and multiplicity, so the join
-		// repeats no base row.
-		del := &duckast.Select{From: &duckast.Raw{Text: deleted}}
-		var on []string
-		for i, src := range groupSrcSQL(comp.Columns) {
-			alias := fmt.Sprintf("ivm_g%d", i)
-			del.Items = append(del.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: groupNames[i]}, Alias: alias})
-			on = append(on, fmt.Sprintf("%s IS NOT DISTINCT FROM ivm_deleted.%s", src, alias))
-		}
-		recompute.From = &duckast.Raw{Text: fmt.Sprintf("%s JOIN (%s) AS ivm_deleted ON %s",
-			from, del.SQL(comp.Options.Dialect), strings.Join(on, " AND "))}
+		s.Add(&duckast.Insert{Table: comp.Storage, Columns: cols, Select: &duckast.Select{
+			Items: []duckast.SelectItem{{Expr: &duckast.Raw{Text: "*"}}},
+			From:  &duckast.Raw{Text: "(" + storageQuery(comp, from).SQL(comp.Options.Dialect) + ") AS ivm_all"},
+			Where: touched}})
+		return
 	}
-	for _, col := range comp.StorageColumns() {
-		switch {
-		case col.IsGroupKey:
-			recompute.Items = append(recompute.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: col.Name})
-		default:
-			recompute.Items = append(recompute.Items, duckast.SelectItem{
-				Expr: &duckast.Raw{Text: aggCallSQL(col.Agg, col.SourceSQL)}, Alias: col.Name})
-		}
+	srcs := d.exprs(groups)
+	s.Add(&duckast.Delete{Table: comp.Storage, Where: &duckast.Raw{Text: rowIn(viewColNames(groups), srcs, deleted)}})
+	// The delta may delete several rows of one group: one row per group
+	// keeps the join from repeating base rows.
+	del := &duckast.Select{From: &duckast.Raw{Text: deleted}}
+	var on []string
+	for i, col := range groups {
+		alias := fmt.Sprintf("ivm_g%d", i)
+		del.Items = append(del.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: srcs[i]}, Alias: alias})
+		del.GroupBy = append(del.GroupBy, &duckast.Raw{Text: srcs[i]})
+		on = append(on, fmt.Sprintf("%s IS NOT DISTINCT FROM ivm_deleted.%s", col.SourceSQL, alias))
 	}
-	if w := whereSQL(comp); w != "" {
-		recompute.Where = &duckast.Raw{Text: w}
-	}
-	for _, g := range groupSrcSQL(comp.Columns) {
-		recompute.GroupBy = append(recompute.GroupBy, &duckast.Raw{Text: g})
-	}
-	if touched != nil {
-		recompute = &duckast.Select{Items: []duckast.SelectItem{{Expr: &duckast.Raw{Text: "*"}}},
-			From:  &duckast.Raw{Text: "(" + recompute.SQL(comp.Options.Dialect) + ") AS ivm_all"},
-			Where: touched}
-	}
-	s.Add(&duckast.Insert{Table: comp.Storage, Columns: viewColNames(comp.StorageColumns()), Select: recompute})
+	s.Add(&duckast.Insert{Table: comp.Storage, Columns: cols, Select: storageQuery(comp, fmt.Sprintf(
+		"%s JOIN (%s) AS ivm_deleted ON %s", from, del.SQL(comp.Options.Dialect), strings.Join(on, " AND ")))})
 }
 
 // emitEmptyGroupDelete emits step 3: delete the groups whose row count
@@ -347,16 +330,16 @@ func (c *Compiler) emitMinMaxRepair(comp *Compilation, s *duckast.Script, from s
 // (StorageColumns), and no other column is tested: a SUM or a COUNT(col)
 // reaches zero in a group that still has rows. This departs on purpose
 // from Listing 2's `WHERE total_value = 0`, which drops a group whose SUM
-// nets to 0. Only a group ΔV touched can have changed its count, so the
-// paper's unkeyed delete is stated over those keys alone — the same rows,
-// found through V's key index in O(|ΔV|) instead of by scanning V. IN
-// never selects a group with a NULL in its key, so those stay under the
-// unkeyed test (`OR g IS NULL`). A view without group columns keeps its
-// one row: emptied, it reads what the query reads over no rows, NULL in
-// every column but a count.
-func (c *Compiler) emitEmptyGroupDelete(comp *Compilation, s *duckast.Script) {
+// nets to 0. Only a group the delta touched can have changed its count, so
+// the paper's unkeyed delete is stated over those keys alone — the same
+// rows, found through V's key index in O(|delta|) instead of by scanning
+// V. IN never selects a group with a NULL in its key, so those stay under
+// the unkeyed test (`OR g IS NULL`). A view without group columns keeps
+// its one row: emptied, it reads what the query reads over no rows, NULL
+// in every column but a count.
+func emitEmptyGroupDelete(comp *Compilation, s *duckast.Script, d deltaSource) {
 	col := emptyGroupColumn(comp)
-	groups := viewColNames(comp.GroupColumns())
+	groups := comp.GroupColumns()
 	if len(groups) == 0 {
 		up := &duckast.Update{Table: comp.Storage, Where: &duckast.Raw{Text: col + " = 0"}}
 		for _, a := range comp.StorageColumns() {
@@ -369,10 +352,11 @@ func (c *Compiler) emitEmptyGroupDelete(comp *Compilation, s *duckast.Script) {
 		}
 		return
 	}
+	names := viewColNames(groups)
 	s.Add(&duckast.Delete{Table: comp.Storage, Where: &duckast.Raw{Text: fmt.Sprintf(
 		"(%s IN (SELECT %s FROM %s) OR %s IS NULL) AND %s = 0",
-		groupKey(groups), strings.Join(groups, ", "), comp.DeltaView,
-		strings.Join(groups, " IS NULL OR "), col)}})
+		groupKey(names), strings.Join(d.exprs(groups), ", "), d.rows(""),
+		strings.Join(names, " IS NULL OR "), col)}})
 }
 
 // emptyGroupColumn names the view's row count: its first COUNT(*) storage
@@ -388,76 +372,102 @@ func emptyGroupColumn(comp *Compilation) string {
 
 // --- join views -------------------------------------------------------------
 
-// joinDeltaTerms emits the DBSP product-rule terms as three SELECTs over
-// (ΔA ⋈ B'), (A' ⋈ ΔB) and (ΔA ⋈ ΔB), with multiplicity expressions
-// ΔA.m, ΔB.m and (ΔA.m <> ΔB.m) respectively — the last term compensates
-// for the deltas already being applied to the (post-state) base tables.
-// items(selector) produces the projection for each term.
-func joinDeltaTerms(comp *Compilation, items func(sel *duckast.Select)) []*duckast.Select {
+// joinDeltaColumn names the join-delta column that holds a view column's
+// value: the column's own name, or ivm_arg_<i> for the argument of the
+// view's i-th aggregate (no column for COUNT(*)).
+func joinDeltaColumn(col ViewColumn) string {
+	if col.HasAgg {
+		return fmt.Sprintf("ivm_arg_%d", col.ArgIdx)
+	}
+	return col.Name
+}
+
+// joinDeltaColumns lists the view columns whose values the join delta
+// holds: every column of a join view; the group keys and the aggregate
+// arguments of a join-aggregate view.
+func joinDeltaColumns(comp *Compilation) []ViewColumn {
+	if comp.Class == ClassJoin {
+		return comp.Columns
+	}
+	var out []ViewColumn
+	for _, col := range comp.Columns {
+		if !col.HasAgg || col.SourceSQL != "" {
+			out = append(out, col)
+		}
+	}
+	return out
+}
+
+// fillJoinDelta fills the join delta once per refresh with the DBSP
+// product-rule terms (ΔA ⋈ B'), (A' ⋈ ΔB) and (ΔA ⋈ ΔB), whose
+// multiplicities are ΔA.m, ΔB.m and (ΔA.m <> ΔB.m) — the last term
+// compensates for the deltas already being applied to the (post-state)
+// base tables. Steps 2 and 3 read the table rather than each re-deriving
+// the terms, so both see the same join delta whatever commits between
+// them.
+func fillJoinDelta(comp *Compilation, s *duckast.Script) {
 	jt := comp.Select.From.(*sqlparser.JoinTable)
 	a, b := comp.Bases[0], comp.Bases[1]
 	on := joinOnSQL(jt, a.Alias, b.Alias)
 	w := whereSQL(comp)
-
-	mk := func(left, right, multExpr string) *duckast.Select {
+	cols := joinDeltaColumns(comp)
+	names := make([]string, len(cols))
+	for i, col := range cols {
+		names[i] = joinDeltaColumn(col)
+	}
+	term := func(left, right, multExpr string) {
 		sel := &duckast.Select{From: &duckast.Raw{Text: left + " JOIN " + right + " ON " + on}}
-		items(sel)
+		for i, col := range cols {
+			sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: names[i]})
+		}
 		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: multExpr}, Alias: MultiplicityColumn})
 		if w != "" {
 			sel.Where = &duckast.Raw{Text: w}
 		}
-		return sel
+		s.Add(&duckast.Insert{Table: comp.JoinDelta, Select: sel})
 	}
-	aliased := func(table, alias string) string {
-		if alias != table {
-			return table + " AS " + alias
+	named := func(t BaseTable) string {
+		if t.Alias != t.Name {
+			return t.Name + " AS " + t.Alias
 		}
-		return table
+		return t.Name
 	}
-	return []*duckast.Select{
-		mk(a.Delta+" AS "+a.Alias, aliased(b.Name, b.Alias), mcol(a.Alias)),
-		mk(aliased(a.Name, a.Alias), b.Delta+" AS "+b.Alias, mcol(b.Alias)),
-		mk(a.Delta+" AS "+a.Alias, b.Delta+" AS "+b.Alias,
-			fmt.Sprintf("%s <> %s", mcol(a.Alias), mcol(b.Alias))),
-	}
+	ma, mb := a.Alias+"."+MultiplicityColumn, b.Alias+"."+MultiplicityColumn
+	term(a.Delta+" AS "+a.Alias, named(b), ma)
+	term(named(a), b.Delta+" AS "+b.Alias, mb)
+	term(a.Delta+" AS "+a.Alias, b.Delta+" AS "+b.Alias, ma+" <> "+mb)
 }
 
-// propJoin emits the incremental form of a two-table equi-join view.
-func (c *Compiler) propJoin(comp *Compilation, s *duckast.Script) {
-	// Step 1: the three product-rule terms feed ΔV.
-	terms := joinDeltaTerms(comp, func(sel *duckast.Select) {
-		for _, col := range comp.Columns {
-			sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: col.Name})
-		}
-	})
-	for _, t := range terms {
-		s.Add(&duckast.Insert{Table: comp.DeltaView, Select: t})
-	}
+// propJoin emits steps 2–3 of a two-table equi-join view over its join
+// delta.
+func propJoin(comp *Compilation, s *duckast.Script) {
 	if comp.Key != nil {
-		emitKeyedCombine(comp, s)
+		emitKeyedCombine(comp, s, comp.JoinDelta)
 		return
 	}
-
-	// Step 2: net ΔV per row (the compensation term produces cancelling
-	// pairs even for insert-only workloads) and apply insertions.
+	// Step 2: net the join delta per row (the compensation term produces
+	// cancelling pairs even for insert-only workloads) and apply
+	// insertions.
 	names := viewColNames(comp.Columns)
-	s.Add(&duckast.Insert{Table: comp.ViewName, Select: netRows(comp, names, "> 0")})
+	s.Add(&duckast.Insert{Table: comp.ViewName, Select: netRows(comp, comp.JoinDelta, names, "> 0")})
 
 	// Step 3: apply net deletions.
 	s.Add(&duckast.Delete{
 		Table: comp.ViewName,
-		Where: &duckast.Raw{Text: rowIn(names, fmt.Sprintf("%s GROUP BY %s HAVING %s < 0",
-			comp.DeltaView, strings.Join(names, ", "), netCount))},
+		Where: &duckast.Raw{Text: rowIn(names, names, fmt.Sprintf("%s GROUP BY %s HAVING %s < 0",
+			comp.JoinDelta, strings.Join(names, ", "), netCount))},
 	})
 }
 
-// netCount is a row's net multiplicity over ΔV grouped by the view columns.
+// netCount is a row's net multiplicity over a delta grouped by the view
+// columns.
 const netCount = "SUM(CASE WHEN " + MultiplicityColumn + " = TRUE THEN 1 ELSE -1 END)"
 
-// netRows selects cols of the ΔV rows whose net multiplicity satisfies cmp
-// ("> 0": inserted, "< 0": retracted).
-func netRows(comp *Compilation, cols []string, cmp string) *duckast.Select {
-	sel := &duckast.Select{From: &duckast.Raw{Text: comp.DeltaView},
+// netRows selects cols of the rows of from, a delta over the view's
+// columns, whose net multiplicity satisfies cmp ("> 0": inserted, "< 0":
+// retracted).
+func netRows(comp *Compilation, from string, cols []string, cmp string) *duckast.Select {
+	sel := &duckast.Select{From: &duckast.Raw{Text: from},
 		Having: &duckast.Raw{Text: netCount + " " + cmp}}
 	for _, n := range cols {
 		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: n}})
@@ -468,66 +478,17 @@ func netRows(comp *Compilation, cols []string, cmp string) *duckast.Select {
 	return sel
 }
 
-// emitKeyedCombine emits steps 2–3 of a keyed projection or join view:
-// delete, through V's key, every key whose row nets below zero in ΔV, then
-// insert the rows that net above zero. Rows are unique per key, so a key
-// nets to at most one retracted and one inserted row; a row retracted and
-// re-inserted unchanged nets to nothing, and deleting first keeps the
-// INSERT free of key conflicts.
-func emitKeyedCombine(comp *Compilation, s *duckast.Script) {
+// emitKeyedCombine emits steps 2–3 of a keyed projection or join view over
+// from, a delta over the view's columns: delete, through V's key, every key
+// whose row nets below zero, then insert the rows that net above zero.
+// Rows are unique per key, so a key nets to at most one retracted and one
+// inserted row; a row retracted and re-inserted unchanged nets to nothing,
+// and deleting first keeps the INSERT free of key conflicts.
+func emitKeyedCombine(comp *Compilation, s *duckast.Script, from string) {
 	s.Add(&duckast.Delete{
 		Table: comp.ViewName,
 		Where: &duckast.Raw{Text: fmt.Sprintf("%s IN (%s)",
-			groupKey(comp.Key), netRows(comp, comp.Key, "< 0").SQL(comp.Options.Dialect))},
+			groupKey(comp.Key), netRows(comp, from, comp.Key, "< 0").SQL(comp.Options.Dialect))},
 	})
-	s.Add(&duckast.Insert{Table: comp.ViewName, Select: netRows(comp, viewColNames(comp.Columns), "> 0")})
-}
-
-// propJoinAggregate composes the join product rule with aggregation through
-// the intermediate join-delta table.
-func (c *Compiler) propJoinAggregate(comp *Compilation, s *duckast.Script) {
-	// Step 1a-c: fill the join-delta intermediate.
-	aggCols := comp.AggColumns()
-	terms := joinDeltaTerms(comp, func(sel *duckast.Select) {
-		for _, col := range comp.Columns {
-			if col.IsGroupKey {
-				sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: col.Name})
-			}
-		}
-		for _, col := range aggCols {
-			if col.SourceSQL == "" {
-				continue // COUNT(*) needs no argument column
-			}
-			sel.Items = append(sel.Items, duckast.SelectItem{
-				Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: fmt.Sprintf("ivm_arg_%d", col.ArgIdx)})
-		}
-	})
-	for _, t := range terms {
-		s.Add(&duckast.Insert{Table: comp.JoinDelta, Select: t})
-	}
-
-	// Step 1d: aggregate the join-delta into ΔV, grouped by (keys, m).
-	// Aggregate argument columns are named ivm_arg_<i> where i indexes the
-	// view's aggregate columns (matching joinDeltaTerms and genSetup).
-	step1 := &duckast.Select{From: &duckast.Raw{Text: comp.JoinDelta}}
-	for _, col := range comp.StorageColumns() {
-		switch {
-		case col.IsGroupKey:
-			step1.Items = append(step1.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.Name}})
-			step1.GroupBy = append(step1.GroupBy, &duckast.Raw{Text: col.Name})
-		default: // COUNT(*) has no argument column: aggCallSQL ignores it
-			step1.Items = append(step1.Items, duckast.SelectItem{
-				Expr: &duckast.Raw{Text: aggCallSQL(col.Agg, fmt.Sprintf("ivm_arg_%d", col.ArgIdx))}, Alias: col.Name})
-		}
-	}
-	step1.Items = append(step1.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: MultiplicityColumn}})
-	step1.GroupBy = append(step1.GroupBy, &duckast.Raw{Text: MultiplicityColumn})
-	s.Add(&duckast.Insert{Table: comp.DeltaView, Select: step1})
-
-	// Step 2: combine, with MIN/MAX repair recomputing from the full join.
-	c.emitCombine(comp, s)
-	if comp.hasMinMax() {
-		c.emitMinMaxRepair(comp, s, fromSQL(comp, comp.Select))
-	}
-	c.emitEmptyGroupDelete(comp, s)
+	s.Add(&duckast.Insert{Table: comp.ViewName, Select: netRows(comp, from, viewColNames(comp.Columns), "> 0")})
 }

@@ -22,10 +22,12 @@
 // independent views refresh in parallel on a bounded worker pool — views
 // that share a base table or feed each other serialize through per-view
 // refresh locks, everything else overlaps. What runs is the script
-// PropagateSQL prints: the prepared statements are steps 1–3 of
-// ivm.Compilation.Propagate, and step 4 (emptying ΔV and ΔT) is the
-// runtime's: ΔV is truncated through the catalog, and ΔT's entries are
-// dropped once every view over the base has applied them.
+// PropagateSQL prints: the prepared statements are ivm.Compilation.Body,
+// Propagate without its step 4, and step 4 is the runtime's: a two-table
+// view's join delta is truncated through the catalog, and ΔT's entries are
+// dropped once every view over the base has applied them. There is no ΔV
+// to empty: each statement of the body reads ΔT, or the join delta, where
+// it uses it.
 //
 // Compiler switches are DB-wide pragmas, the only ones there are. The
 // statement hook claims them and checks the value when it is set:
@@ -33,9 +35,9 @@
 //	PRAGMA ivm_mode = 'eager' | 'lazy'        (default lazy)
 //	PRAGMA ivm_refresh_workers = N            (refresh-scheduler pool size)
 //
-// An aggregate view folds ΔV into V by one plan, the paper's Listing 2
-// upsert through V's key index (see ivm.Options), and a group leaves it
-// when its row count reaches 0.
+// An aggregate view folds its delta into V by one plan, the paper's
+// Listing 2 upsert through V's key index (see ivm.Options), and a group
+// leaves it when its row count reaches 0.
 package ivmext
 
 import (
@@ -64,6 +66,10 @@ import (
 // Extension is the installed IVM extension state for one engine instance.
 type Extension struct {
 	db *engine.DB
+
+	// ddl serializes CREATE and DROP MATERIALIZED VIEW, so the names a
+	// CREATE finds free (freeNames) stay free until its setup runs.
+	ddl sync.Mutex
 
 	mu    sync.Mutex
 	views map[string]*view // by lower-cased view name
@@ -421,6 +427,11 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error
 	if err != nil {
 		return err
 	}
+	ext.ddl.Lock()
+	defer ext.ddl.Unlock()
+	if err := ext.freeNames(comp); err != nil {
+		return err
+	}
 
 	// Execute setup DDL and initial population on a fresh internal
 	// session. The view table's primary key — its group-key index — is
@@ -459,7 +470,6 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error
 		QueryType:    comp.Class.String(),
 		BaseTables:   comp.BaseTableNames(),
 		DeltaTables:  deltaNames(comp),
-		DeltaView:    comp.DeltaView,
 		StorageTable: comp.Storage,
 		PropagateSQL: comp.PropagateSQL(),
 		SetupSQL:     comp.SetupSQL(),
@@ -468,6 +478,26 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error
 	ext.mu.Lock()
 	ext.views[strings.ToLower(comp.ViewName)] = v
 	ext.mu.Unlock()
+	return nil
+}
+
+// freeNames refuses the compilation when a table or view its setup creates
+// exists already: the setup's CREATE TABLE IF NOT EXISTS would take it
+// over. A ΔT that reads a change log is another view's, and shared.
+func (ext *Extension) freeNames(comp *ivm.Compilation) error {
+	cat := ext.db.Catalog()
+	names := []string{comp.ViewName, comp.Storage, comp.JoinDelta}
+	for _, b := range comp.Bases {
+		if t, err := cat.Table(b.Delta); err != nil || !t.ReadsChanges() {
+			names = append(names, b.Delta)
+		}
+	}
+	for _, name := range names {
+		if _, isView := cat.View(name); name != "" && (isView || cat.HasTable(name)) {
+			return enginerr.Newf(enginerr.CodeDuplicateTable,
+				"ivmext: materialized view %s needs the name %s, which exists already", comp.ViewName, name)
+		}
+	}
 	return nil
 }
 
@@ -557,11 +587,10 @@ func deltaNames(comp *ivm.Compilation) []string {
 }
 
 // markUnlogged flags the tables the compilation derives from base state
-// (join-delta and delta-view scratch tables, the view's storage table) as
-// excluded from durability; delta tables store nothing. Names that are
-// views rather than tables simply fail the catalog lookup and are skipped.
+// (the join delta, the view's storage table) as excluded from durability;
+// delta tables store nothing.
 func markUnlogged(cat *catalog.Catalog, comp *ivm.Compilation) {
-	for _, name := range []string{comp.JoinDelta, comp.DeltaView, comp.Storage} {
+	for _, name := range []string{comp.JoinDelta, comp.Storage} {
 		if name == "" {
 			continue
 		}
@@ -590,6 +619,8 @@ func (ext *Extension) afterCommit(s *engine.Session, tx *mvcc.Txn) error {
 // change logs and delta tables no surviving view needs, the storage table
 // and metadata.
 func (ext *Extension) dropMaterializedView(v *view) error {
+	ext.ddl.Lock()
+	defer ext.ddl.Unlock()
 	// Serialize against propagation: lock the view's whole refresh group,
 	// so a refresh mid-flight finishes before its scripts and delta
 	// tables disappear underneath it.
@@ -614,12 +645,9 @@ func (ext *Extension) dropMaterializedView(v *view) error {
 			return fmt.Errorf("ivmext: dropping delta table %s: %w", f.delta, err)
 		}
 	}
-	for _, tbl := range []string{comp.DeltaView, comp.JoinDelta} {
-		if tbl == "" {
-			continue
-		}
-		if _, err := is.Exec("DROP TABLE IF EXISTS " + tbl); err != nil {
-			return fmt.Errorf("ivmext: dropping %s: %w", tbl, err)
+	if comp.JoinDelta != "" {
+		if _, err := is.Exec("DROP TABLE IF EXISTS " + comp.JoinDelta); err != nil {
+			return fmt.Errorf("ivmext: dropping %s: %w", comp.JoinDelta, err)
 		}
 	}
 	cat := ext.db.Catalog()
@@ -833,14 +861,14 @@ func (ext *Extension) release(logs []*feed) {
 	}
 }
 
-// applyView executes steps 1–3 of the view's propagation script as
-// autocommit statements over what its bases committed in (v.from, to] —
-// the windows its delta tables read — then moves v.from to the cut and
-// clears its scratch tables. It reports whether there was anything to
-// apply. The body's last statements are the writes into V, so a script
-// that returns success has fully applied the window; on failure the scratch
-// is still cleared through the catalog and v.from stays, leaving the retry
-// a clean slate over the same changes and any committed since.
+// applyView executes the view's body as autocommit statements over what
+// its bases committed in (v.from, to] — the windows its delta tables read —
+// then moves v.from to the cut and clears its join delta. It reports
+// whether there was anything to apply. The body's last statements are the
+// writes into V, so a script that returns success has fully applied the
+// window; on failure the join delta is still cleared through the catalog
+// and v.from stays, leaving the retry a clean slate over the same changes
+// and any committed since.
 func (ext *Extension) applyView(is *engine.Session, v *view, to uint64) (bool, error) {
 	from := v.from.Load()
 	if from >= to {
@@ -864,7 +892,7 @@ func (ext *Extension) applyView(is *engine.Session, v *view, to uint64) (bool, e
 		return false, fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
 	_, err = is.ExecStmts(body)
-	if cerr := ext.clearScratch(is, comp); err == nil {
+	if cerr := ext.clearJoinDelta(is, comp); err == nil {
 		err = cerr
 	}
 	if err != nil {
@@ -874,25 +902,19 @@ func (ext *Extension) applyView(is *engine.Session, v *view, to uint64) (bool, e
 	return true, nil
 }
 
-// clearScratch empties the view's ΔV and join-delta scratch tables
-// through the catalog, one committed truncate each — a physical slot reset
-// when quiescent, so the scratch never accumulates dead version slots
-// across refreshes.
-func (ext *Extension) clearScratch(is *engine.Session, comp *ivm.Compilation) error {
-	cat := ext.db.Catalog()
-	for _, name := range []string{comp.DeltaView, comp.JoinDelta} {
-		if name == "" {
-			continue
-		}
-		t, err := cat.Table(name)
-		if err != nil {
-			continue
-		}
-		tx, done := is.BeginWrite()
-		_, _, err = t.TruncateTxn(tx, false)
-		if err = done(err); err != nil {
-			return fmt.Errorf("ivmext: clearing %s: %w", name, err)
-		}
+// clearJoinDelta empties a two-table view's join delta through the
+// catalog in one committed truncate — a physical slot reset when
+// quiescent, so the table never accumulates dead version slots across
+// refreshes.
+func (ext *Extension) clearJoinDelta(is *engine.Session, comp *ivm.Compilation) error {
+	t, err := ext.db.Catalog().Table(comp.JoinDelta)
+	if comp.JoinDelta == "" || err != nil {
+		return nil
+	}
+	tx, done := is.BeginWrite()
+	_, _, err = t.TruncateTxn(tx, false)
+	if err = done(err); err != nil {
+		return fmt.Errorf("ivmext: clearing %s: %w", comp.JoinDelta, err)
 	}
 	return nil
 }
