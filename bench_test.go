@@ -648,86 +648,79 @@ func BenchmarkE7_JoinBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkE10_MultiViewRefresh measures the concurrent refresh
-// scheduler (PR 10): K independent materialized views (disjoint base
-// tables, so disjoint refresh groups) refreshed concurrently while W
-// background writer sessions keep inserting single rows. Each iteration
-// queues a delta batch per base (untimed), then refreshes all K views
-// from K goroutines and waits (timed). The rw1 arm clamps the scheduler
-// pool to one worker — the serial baseline — and rw4 lets the four
-// groups propagate in parallel; their ns/op ratio is the scheduler's
-// speedup. stall-ns/op reports the writers' stall per iteration (time
-// their commits waited for a change log's lock): bounded by a refresh
-// building its window's rows, not by propagation duration.
+// BenchmarkE10_MultiViewRefresh measures refresh groups overlapping: K
+// independent materialized views (disjoint base tables, so disjoint refresh
+// groups) refreshed by K concurrent callers while W background writer
+// sessions keep inserting single rows. Each iteration queues a delta batch
+// per base (untimed), then refreshes all K views from K goroutines and
+// waits (timed); each refresh runs on its caller's goroutine. stall-ns/op
+// reports the writers' stall per iteration (time their commits waited for
+// a change log's lock): bounded by a refresh building its window's rows,
+// not by propagation duration.
 func BenchmarkE10_MultiViewRefresh(b *testing.B) {
 	const views, writers, deltaRows = 4, 2, 500
-	for _, rw := range []int{1, 4} {
-		b.Run(fmt.Sprintf("rw%d", rw), func(b *testing.B) {
-			db := engine.Open("e10", engine.DialectDuckDB)
-			ext := ivmext.Install(db)
-			db.SetPragma("ivm_refresh_workers", fmt.Sprint(rw))
-			bdb := benchDB{DB: db, s: db.NewSession()}
-			insertBatch := func(v, n int, round int64) string {
-				sb := fmt.Appendf(nil, "INSERT INTO e10_t%d VALUES ", v)
-				for i := 0; i < n; i++ {
-					if i > 0 {
-						sb = append(sb, ',')
-					}
-					sb = fmt.Appendf(sb, "('k%d', %d)", i%64, round*int64(n)+int64(i))
-				}
-				return string(sb)
+	db := engine.Open("e10", engine.DialectDuckDB)
+	ext := ivmext.Install(db)
+	bdb := benchDB{DB: db, s: db.NewSession()}
+	insertBatch := func(v, n int, round int64) string {
+		sb := fmt.Appendf(nil, "INSERT INTO e10_t%d VALUES ", v)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				sb = append(sb, ',')
 			}
-			for v := 0; v < views; v++ {
-				mustExecB(b, bdb, fmt.Sprintf("CREATE TABLE e10_t%d (k VARCHAR, v INTEGER)", v))
-				mustExecB(b, bdb, insertBatch(v, 2000, -1))
-				mustExecB(b, bdb, fmt.Sprintf(
-					"CREATE MATERIALIZED VIEW e10_v%d AS SELECT k, SUM(v) AS sv FROM e10_t%d GROUP BY k", v, v))
-			}
-			var stop atomic.Bool
-			var wwg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wwg.Add(1)
-				go func(w int) {
-					defer wwg.Done()
-					s := db.NewSession()
-					defer s.Close()
-					for j := 0; !stop.Load(); j++ {
-						sql := fmt.Sprintf("INSERT INTO e10_t%d VALUES ('w%d', %d)", (w+j)%views, j%64, j)
-						if _, err := s.ExecScript(sql); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			stall0 := atomic.LoadInt64(&ext.Stats.CaptureStallNanos)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				for v := 0; v < views; v++ {
-					mustExecB(b, bdb, insertBatch(v, deltaRows, int64(i)))
-				}
-				b.StartTimer()
-				var rwg sync.WaitGroup
-				for v := 0; v < views; v++ {
-					rwg.Add(1)
-					go func(v int) {
-						defer rwg.Done()
-						s := db.NewSession()
-						defer s.Close()
-						if _, err := s.ExecScript(fmt.Sprintf("REFRESH MATERIALIZED VIEW e10_v%d", v)); err != nil {
-							b.Error(err)
-						}
-					}(v)
-				}
-				rwg.Wait()
-			}
-			b.StopTimer()
-			stop.Store(true)
-			wwg.Wait()
-			b.ReportMetric(float64(atomic.LoadInt64(&ext.Stats.CaptureStallNanos)-stall0)/float64(b.N), "stall-ns/op")
-		})
+			sb = fmt.Appendf(sb, "('k%d', %d)", i%64, round*int64(n)+int64(i))
+		}
+		return string(sb)
 	}
+	for v := 0; v < views; v++ {
+		mustExecB(b, bdb, fmt.Sprintf("CREATE TABLE e10_t%d (k VARCHAR, v INTEGER)", v))
+		mustExecB(b, bdb, insertBatch(v, 2000, -1))
+		mustExecB(b, bdb, fmt.Sprintf(
+			"CREATE MATERIALIZED VIEW e10_v%d AS SELECT k, SUM(v) AS sv FROM e10_t%d GROUP BY k", v, v))
+	}
+	var stop atomic.Bool
+	var wwg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wwg.Add(1)
+		go func(w int) {
+			defer wwg.Done()
+			s := db.NewSession()
+			defer s.Close()
+			for j := 0; !stop.Load(); j++ {
+				sql := fmt.Sprintf("INSERT INTO e10_t%d VALUES ('w%d', %d)", (w+j)%views, j%64, j)
+				if _, err := s.ExecScript(sql); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	stall0 := atomic.LoadInt64(&ext.Stats.CaptureStallNanos)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for v := 0; v < views; v++ {
+			mustExecB(b, bdb, insertBatch(v, deltaRows, int64(i)))
+		}
+		b.StartTimer()
+		var rwg sync.WaitGroup
+		for v := 0; v < views; v++ {
+			rwg.Add(1)
+			go func(v int) {
+				defer rwg.Done()
+				s := db.NewSession()
+				defer s.Close()
+				if _, err := s.ExecScript(fmt.Sprintf("REFRESH MATERIALIZED VIEW e10_v%d", v)); err != nil {
+					b.Error(err)
+				}
+			}(v)
+		}
+		rwg.Wait()
+	}
+	b.StopTimer()
+	stop.Store(true)
+	wwg.Wait()
+	b.ReportMetric(float64(atomic.LoadInt64(&ext.Stats.CaptureStallNanos)-stall0)/float64(b.N), "stall-ns/op")
 }
 
 // startWireBig serves one preloaded engine with a wide 100k-row table
@@ -1030,17 +1023,12 @@ func pkBenchBatch(from, n int) []sqltypes.Row {
 // BenchmarkPKIndex_* measure the primary-key index through the table that
 // owns it: a keyed insert (one probe for the duplicate check, one index
 // entry), a point lookup, and the index's share of a compacting sweep.
-// B/key is the index's memory per key — the figure that decides whether a
-// mirror can afford a key at all.
+// The index's memory per key is bounded by internal/index/slottab's tests.
 func BenchmarkPKIndex_Put(b *testing.B) {
-	var first *catalog.Table // the fullest table built: B/key depends on the load
 	for done := 0; done < b.N; done += pkBenchRows {
 		b.StopTimer()
 		rows := pkBenchBatch(0, min(pkBenchRows, b.N-done))
 		tbl, cat := pkBenchTable(b, 0)
-		if first == nil {
-			first = tbl
-		}
 		pkBenchWrite(b, cat, func(tx *mvcc.Txn) error {
 			b.StartTimer() // the insert alone, not its commit
 			err := tbl.InsertBatchTxn(tx, rows)
@@ -1048,18 +1036,16 @@ func BenchmarkPKIndex_Put(b *testing.B) {
 			return err
 		})
 	}
-	b.ReportMetric(float64(first.PrimaryKeyIndexBytes())/float64(first.RowCount()), "B/key")
 }
 
 func BenchmarkPKIndex_Get(b *testing.B) {
 	tbl, _ := pkBenchTable(b, pkBenchRows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := tbl.LookupPK(sqltypes.NewInt(int64(i * 7919 % pkBenchRows))); !ok {
+		if _, ok := tbl.LookupPKRowSnap(mvcc.Snapshot{}, sqltypes.Row{sqltypes.NewInt(int64(i * 7919 % pkBenchRows))}); !ok {
 			b.Fatal("key not found")
 		}
 	}
-	b.ReportMetric(float64(tbl.PrimaryKeyIndexBytes())/float64(tbl.RowCount()), "B/key")
 }
 
 // BenchmarkPKIndex_Rebuild times the sweep that compacts a table after
@@ -1094,5 +1080,4 @@ func BenchmarkPKIndex_Rebuild(b *testing.B) {
 			b.Fatalf("sweep reclaimed %d versions, want %d", got, len(dead))
 		}
 	}
-	b.ReportMetric(float64(tbl.PrimaryKeyIndexBytes())/float64(tbl.RowCount()), "B/key")
 }

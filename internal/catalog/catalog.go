@@ -403,13 +403,6 @@ func (t *Table) PrimaryKeyColumnNames() []string {
 	return out
 }
 
-// PrimaryKeyIndexBytes returns the memory the primary-key index holds.
-func (t *Table) PrimaryKeyIndexBytes() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.pkIndex.Bytes()
-}
-
 // TableName returns the table's name (storage.Table).
 func (t *Table) TableName() string { return t.Name }
 
@@ -1280,17 +1273,8 @@ func (t *Table) lookupPK(sn mvcc.Snapshot, vals []sqltypes.Value) (sqltypes.Row,
 	return nil, false
 }
 
-// LookupPK returns the row with the given primary-key values, if present
-// under the latest snapshot.
-func (t *Table) LookupPK(vals ...sqltypes.Value) (sqltypes.Row, bool) {
-	if len(vals) != len(t.pkCols) || len(vals) == 0 {
-		return nil, false
-	}
-	return t.lookupPK(mvcc.Snapshot{}, vals)
-}
-
-// LookupPKRowSnap is LookupPK with the key values taken from a full-width
-// candidate row, against snapshot sn (the zero snapshot means
+// LookupPKRowSnap returns the row whose primary key equals the key values
+// of a full-width candidate row, if present under snapshot sn (the zero snapshot means
 // latest-committed) — the upsert path's per-row existence probe. Stack
 // buffers keep the probe allocation-free (the INSERT OR REPLACE loop the
 // IVM combine step runs calls this once per source row).

@@ -229,27 +229,25 @@ func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 // the oldest pinned snapshot.
 func (db *DB) TxnStats() mvcc.Stats { return db.cat.MVCC().Stats() }
 
-// IVMStats is the engine-level snapshot of the IVM refresh scheduler's
+// IVMStats is the engine-level snapshot of the IVM extension's refresh
 // counters, populated by the extension through SetIVMStatsSource. All
-// zeros when no IVM extension is installed.
+// zeros when no IVM extension is installed. The wire stats answer carries
+// it as its ivm.* group, under the JSON names below.
 type IVMStats struct {
 	// Refreshes counts completed propagations (refresh groups applied).
-	Refreshes int64
-	// ParallelRefreshes counts propagations that overlapped in time with
-	// at least one other in-flight propagation.
-	ParallelRefreshes int64
+	Refreshes int64 `json:"refreshes"`
 	// GenerationsSealed counts non-empty cuts: refreshes that found
 	// changes to apply.
-	GenerationsSealed int64
+	GenerationsSealed int64 `json:"generationsSealed"`
 	// GenerationsPending is a gauge: base tables' change logs holding an
 	// entry some view has yet to apply.
-	GenerationsPending int64
+	GenerationsPending int64 `json:"generationsPending"`
 	// CaptureStallNanos is the cumulative time commits spent waiting for
 	// a change log's lock — held while a refresh finds a window or trims,
 	// never through a whole propagation.
-	CaptureStallNanos int64
+	CaptureStallNanos int64 `json:"captureStallNanos"`
 	// DeltaRowsCaptured counts entries commits appended to change logs.
-	DeltaRowsCaptured int64
+	DeltaRowsCaptured int64 `json:"deltaRowsCaptured"`
 }
 
 // SetIVMStatsSource installs the callback IVMStats snapshots come from.
@@ -257,7 +255,7 @@ type IVMStats struct {
 // reader can run.
 func (db *DB) SetIVMStatsSource(fn func() IVMStats) { db.ivmStats = fn }
 
-// IVMStats snapshots the IVM scheduler counters (zero without an
+// IVMStats snapshots the IVM refresh counters (zero without an
 // installed source).
 func (db *DB) IVMStats() IVMStats {
 	if db.ivmStats == nil {
@@ -270,11 +268,6 @@ func (db *DB) IVMStats() IVMStats {
 // active snapshot, returning how many were removed (maintenance and
 // test hook; the background sweeper does this incrementally).
 func (db *DB) Vacuum() int { return db.cat.MVCC().Vacuum() }
-
-// IsSerializationError reports whether err is an MVCC write-write
-// conflict (first-committer-wins). The losing transaction has been
-// rolled back; clients should retry it from BEGIN.
-func IsSerializationError(err error) bool { return mvcc.IsSerialization(err) }
 
 // Code returns the SQLSTATE class carried by err ("" when
 // unclassified): 40001 serialization conflict, 23505 duplicate key,

@@ -3,7 +3,21 @@ package engine
 import (
 	"fmt"
 	"strings"
+
+	"openivm/internal/mvcc"
 )
+
+// IsSerializationError reports whether err is an MVCC write-write
+// conflict (first-committer-wins).
+func IsSerializationError(err error) bool { return mvcc.IsSerialization(err) }
+
+// DegradedReason returns the storage failure that triggered degraded
+// mode (nil when healthy).
+func (db *DB) DegradedReason() error {
+	db.degr.mu.Lock()
+	defer db.degr.mu.Unlock()
+	return db.degr.reason
+}
 
 // AddTrigger registers a row-level trigger on a handler that has no SQL
 // name, for the life of db.

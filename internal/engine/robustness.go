@@ -60,14 +60,6 @@ type degradedState struct {
 // Degraded reports whether the engine is in read-only degraded mode.
 func (db *DB) Degraded() bool { return db.degr.flag.Load() }
 
-// DegradedReason returns the storage failure that triggered degraded
-// mode (nil when healthy).
-func (db *DB) DegradedReason() error {
-	db.degr.mu.Lock()
-	defer db.degr.mu.Unlock()
-	return db.degr.reason
-}
-
 // RecoveredPanics returns how many statement-level panics this DB has
 // converted into XX000 errors.
 func (db *DB) RecoveredPanics() int64 { return db.panicsRecovered.Load() }

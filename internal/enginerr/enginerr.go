@@ -59,6 +59,16 @@ const (
 	CodeUndefinedObject = "42704"
 	// CodeInvalidParameter is a pragma value its reader cannot use.
 	CodeInvalidParameter = "22023"
+	// CodeFeatureNotSupported refuses a statement the engine parses but
+	// does not carry out, such as a materialized view over a table the
+	// IVM extension maintains.
+	CodeFeatureNotSupported = "0A000"
+	// CodeWrongObjectType refuses a statement on an object of a kind it
+	// does not apply to, such as a write to a materialized view's table.
+	CodeWrongObjectType = "42809"
+	// CodeDependentObjects refuses to drop an object others depend on,
+	// such as a base table a materialized view reads.
+	CodeDependentObjects = "2BP01"
 )
 
 // Error is a classified engine error: a SQLSTATE class plus a message,

@@ -83,7 +83,7 @@ const (
 	// Engine: the statement commit path.
 	EngineCommit = "engine/commit" // before the MVCC commit publishes
 
-	// IVM: the concurrent refresh scheduler's propagate path.
+	// IVM: a refresh's propagate path.
 	IVMSeal          = "ivm/seal"           // before a refresh takes its cut
 	IVMPropagateView = "ivm/propagate-view" // before one view's propagation body runs
 	IVMCombine       = "ivm/combine"        // after the group's bodies, before its change logs are trimmed

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"openivm/internal/engine"
-	"openivm/internal/fault"
 )
 
 // TestReadYourWritesFreshness: a session that commits base-table DML and
@@ -45,19 +44,18 @@ func TestReadYourWritesFreshness(t *testing.T) {
 
 // TestCrossGenerationTorture races writers, lazy readers and explicit
 // concurrent refreshes across four independent materialized views (two
-// per base table) with the scheduler pool wide open. Cuts are taken while
+// per base table), each caller refreshing on its own goroutine. Cuts are taken while
 // the logs keep filling; afterwards every view must equal a recompute, no
 // change lost or double-applied.
 func TestCrossGenerationTorture(t *testing.T) {
 	db := engine.Open("torture", engine.DialectDuckDB)
 	ext := Install(db)
 	mustExec(t, db, "PRAGMA ivm_mode = 'lazy'")
-	mustExec(t, db, "PRAGMA ivm_refresh_workers = '4'")
 	mustExec(t, db, "CREATE TABLE t_a (k VARCHAR, v INTEGER)")
 	mustExec(t, db, "CREATE TABLE t_b (k VARCHAR, v INTEGER)")
 	// Two views per base: views on the same base share a delta table and
-	// must serialize as one refresh group; views on different bases run
-	// concurrently on the pool.
+	// must serialize as one refresh group; views on different bases
+	// refresh concurrently when their callers do.
 	mustExec(t, db, "CREATE MATERIALIZED VIEW va_sum AS SELECT k, SUM(v) AS sv FROM t_a GROUP BY k")
 	mustExec(t, db, "CREATE MATERIALIZED VIEW va_cnt AS SELECT k, COUNT(v) AS cv FROM t_a GROUP BY k")
 	mustExec(t, db, "CREATE MATERIALIZED VIEW vb_sum AS SELECT k, SUM(v) AS sv FROM t_b GROUP BY k")
@@ -178,50 +176,57 @@ func TestCrossGenerationTorture(t *testing.T) {
 	}
 }
 
-// TestParallelRefreshOverlap pins the scheduler's concurrency claim: two
-// views over disjoint base tables are independent refresh groups, so
-// with pool capacity >= 2 their propagations overlap. A fault-injected
-// delay inside the per-view propagate window holds each propagation open
-// long enough that overlap is deterministic, and the ParallelRefreshes
-// counter must observe it. With the pool clamped to one worker the same
-// workload must never overlap.
+// TestParallelRefreshOverlap pins the refresh groups' concurrency claim
+// without a counter or a clock: while the test holds va's refresh lock, a
+// REFRESH of vb, over a disjoint base, returns with vb fresh, and a REFRESH
+// of va2, which shares va's base, does not return and leaves va2 stale.
+// Once the lock is released it returns with va2 fresh.
 func TestParallelRefreshOverlap(t *testing.T) {
-	run := func(workers string) int64 {
-		db := engine.Open("overlap"+workers, engine.DialectDuckDB)
-		ext := Install(db)
-		mustExec(t, db, "PRAGMA ivm_mode = 'lazy'")
-		mustExec(t, db, "PRAGMA ivm_refresh_workers = '"+workers+"'")
-		mustExec(t, db, "CREATE TABLE t_a (k VARCHAR, v INTEGER)")
-		mustExec(t, db, "CREATE TABLE t_b (k VARCHAR, v INTEGER)")
-		mustExec(t, db, "CREATE MATERIALIZED VIEW va AS SELECT k, SUM(v) AS sv FROM t_a GROUP BY k")
-		mustExec(t, db, "CREATE MATERIALIZED VIEW vb AS SELECT k, SUM(v) AS sv FROM t_b GROUP BY k")
-		mustExec(t, db, "INSERT INTO t_a VALUES ('a', 1)")
-		mustExec(t, db, "INSERT INTO t_b VALUES ('b', 2)")
+	db := engine.Open("overlap", engine.DialectDuckDB)
+	ext := Install(db)
+	mustExec(t, db, "PRAGMA ivm_mode = 'lazy'")
+	mustExec(t, db, "CREATE TABLE t_a (k VARCHAR, v INTEGER)")
+	mustExec(t, db, "CREATE TABLE t_b (k VARCHAR, v INTEGER)")
+	mustExec(t, db, "CREATE MATERIALIZED VIEW va AS SELECT k, SUM(v) AS sv FROM t_a GROUP BY k")
+	mustExec(t, db, "CREATE MATERIALIZED VIEW va2 AS SELECT k, COUNT(*) AS n FROM t_a GROUP BY k")
+	mustExec(t, db, "CREATE MATERIALIZED VIEW vb AS SELECT k, SUM(v) AS sv FROM t_b GROUP BY k")
+	mustExec(t, db, "INSERT INTO t_a VALUES ('a', 1)")
+	mustExec(t, db, "INSERT INTO t_b VALUES ('b', 2)")
 
-		if err := fault.Activate(fault.IVMPropagateView, "delay(60ms)"); err != nil {
-			t.Fatal(err)
-		}
-		defer fault.Reset()
-		var wg sync.WaitGroup
-		for _, v := range []string{"va", "vb"} {
-			wg.Add(1)
-			go func(v string) {
-				defer wg.Done()
-				s := db.NewSession()
-				defer s.Close()
-				if _, err := s.ExecScript("REFRESH MATERIALIZED VIEW " + v); err != nil {
-					t.Errorf("refresh %s: %v", v, err)
-				}
-			}(v)
-		}
-		wg.Wait()
-		return atomic.LoadInt64(&ext.Stats.ParallelRefreshes)
+	refresh := func(v string) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			s := db.NewSession()
+			defer s.Close()
+			_, err := s.ExecScript("REFRESH MATERIALIZED VIEW " + v)
+			done <- err
+		}()
+		return done
 	}
-
-	if n := run("4"); n == 0 {
-		t.Error("workers=4: two independent held-open propagations never overlapped")
+	va, va2, vb := ext.view("va"), ext.view("va2"), ext.view("vb")
+	va.mu.Lock()
+	shared := refresh("va2")
+	if err := <-refresh("vb"); err != nil {
+		va.mu.Unlock()
+		t.Fatalf("refresh vb: %v", err)
 	}
-	if n := run("1"); n != 0 {
-		t.Errorf("workers=1: ParallelRefreshes = %d, want 0 (pool must serialize)", n)
+	if vb.pending() {
+		t.Error("vb is stale after its refresh returned while va's lock was held")
 	}
+	select {
+	case err := <-shared:
+		t.Errorf("refresh va2 returned (%v) while va's refresh lock was held", err)
+	default:
+	}
+	if !va2.pending() {
+		t.Error("va2 was refreshed while va's refresh lock was held")
+	}
+	va.mu.Unlock()
+	if err := <-shared; err != nil {
+		t.Fatalf("refresh va2: %v", err)
+	}
+	if va.pending() || va2.pending() {
+		t.Error("va or va2 is stale after va2's refresh returned")
+	}
+	viewEquals(t, db, "k, n", "va2", "SELECT k, COUNT(*) AS n FROM t_a GROUP BY k")
 }

@@ -15,13 +15,15 @@
 //   - the generated SQL scripts are retained for inspection ("stored on
 //     disk" in the paper) via Extension.Scripts and SaveScripts.
 //
-// Refresh is concurrent: a refresh takes one cut — the latest commit
-// timestamp — and runs each view of its group over the changes committed
-// between the view's previous cut and this one, so one transaction's changes
-// to several bases land in one refresh. Writers never wait on a refresh, and
-// independent views refresh in parallel on a bounded worker pool — views
-// that share a base table or feed each other serialize through per-view
-// refresh locks, everything else overlaps. What runs is the script
+// A refresh runs on its caller's goroutine. It takes one cut — the latest
+// commit timestamp — and runs each view of its group over the changes
+// committed between the view's previous cut and this one, so one
+// transaction's changes to several bases land in one refresh. Writers never
+// wait on a refresh. Views that share a base table serialize through
+// per-view refresh locks; callers refreshing disjoint groups overlap. A
+// materialized view cannot read a table the extension maintains (a view's
+// storage, a join delta, a ΔT), and user statements cannot write or drop
+// one, nor drop a base table a view reads. What runs is the script
 // PropagateSQL prints: the prepared statements are ivm.Compilation.Body,
 // Propagate without its step 4, and step 4 is the runtime's: a two-table
 // view's join delta is truncated through the catalog, and ΔT's entries are
@@ -29,11 +31,10 @@
 // to empty: each statement of the body reads ΔT, or the join delta, where
 // it uses it.
 //
-// Compiler switches are DB-wide pragmas, the only ones there are. The
-// statement hook claims them and checks the value when it is set:
+// The compiler switch is a DB-wide pragma, the only one there is. The
+// statement hook claims it and checks the value when it is set:
 //
 //	PRAGMA ivm_mode = 'eager' | 'lazy'        (default lazy)
-//	PRAGMA ivm_refresh_workers = N            (refresh-scheduler pool size)
 //
 // An aggregate view folds its delta into V by one plan, the paper's
 // Listing 2 upsert through V's key index (see ivm.Options), and a group
@@ -45,10 +46,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,14 +77,6 @@ type Extension struct {
 	// as one reads it.
 	feeds map[string]*feed
 
-	// pool bounds how many propagations run concurrently
-	// (PRAGMA ivm_refresh_workers; capacity 1 reproduces serial refresh).
-	pool workerPool
-
-	// inFlight counts propagations currently applying, feeding the
-	// ParallelRefreshes stat.
-	inFlight atomic.Int64
-
 	// Stats counts propagation runs and logged changes (benchmarks, the
 	// demo shell and the wire stats endpoint read these). The counters are
 	// updated atomically — commits append to change logs on every writer
@@ -96,14 +87,11 @@ type Extension struct {
 		// DeltasCaught counts the entries commits appended to the change
 		// logs: one per inserted or deleted base row, two per updated one.
 		DeltasCaught int64
-		// EagerRefreshes / LazyRefreshes count scheduler entries by path.
+		// EagerRefreshes / LazyRefreshes count refreshes asked for by path.
 		EagerRefreshes int64
 		LazyRefreshes  int64
 		// Refreshes counts completed refresh-group propagations.
 		Refreshes int64
-		// ParallelRefreshes counts propagations that overlapped with at
-		// least one other in-flight propagation.
-		ParallelRefreshes int64
 		// GenerationsSealed counts non-empty cuts: refreshes that found
 		// changes to apply.
 		GenerationsSealed int64
@@ -116,9 +104,9 @@ type Extension struct {
 
 // view is the registry entry of one materialized view. mu is the view's
 // refresh lock: a propagation locks every view of its refresh group in
-// sorted name order (after taking a pool slot), so groups with disjoint
-// view sets run fully in parallel while overlapping groups serialize
-// deadlock-free. prepared is only touched under it.
+// sorted name order, so callers refreshing disjoint groups overlap while
+// overlapping groups serialize deadlock-free. prepared is only touched
+// under it.
 type view struct {
 	comp *ivm.Compilation
 	// feeds are the change logs of the view's base tables, in comp.Bases
@@ -150,43 +138,6 @@ type feed struct {
 	readers []*view
 }
 
-// workerPool is a counting semaphore with dynamic capacity (re-read from
-// the pragma at every acquire, so PRAGMA ivm_refresh_workers takes effect
-// immediately).
-type workerPool struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	inUse int
-}
-
-func (p *workerPool) acquire(capacity func() int) {
-	p.mu.Lock()
-	if p.cond == nil {
-		p.cond = sync.NewCond(&p.mu)
-	}
-	for {
-		max := capacity()
-		if max < 1 {
-			max = 1
-		}
-		if p.inUse < max {
-			break
-		}
-		p.cond.Wait()
-	}
-	p.inUse++
-	p.mu.Unlock()
-}
-
-func (p *workerPool) release() {
-	p.mu.Lock()
-	p.inUse--
-	if p.cond != nil {
-		p.cond.Broadcast()
-	}
-	p.mu.Unlock()
-}
-
 // Install registers the IVM extension on db and returns its handle.
 func Install(db *engine.DB) *Extension {
 	ext := &Extension{
@@ -200,12 +151,11 @@ func Install(db *engine.DB) *Extension {
 	return ext
 }
 
-// engineStats snapshots the scheduler counters for the engine's versioned
+// engineStats snapshots the refresh counters for the engine's versioned
 // stats surface (internal/wire exposes them as the ivm.* group).
 func (ext *Extension) engineStats() engine.IVMStats {
 	return engine.IVMStats{
 		Refreshes:          atomic.LoadInt64(&ext.Stats.Refreshes),
-		ParallelRefreshes:  atomic.LoadInt64(&ext.Stats.ParallelRefreshes),
 		GenerationsSealed:  atomic.LoadInt64(&ext.Stats.GenerationsSealed),
 		GenerationsPending: ext.pendingGauge(),
 		CaptureStallNanos:  atomic.LoadInt64(&ext.Stats.CaptureStallNanos),
@@ -263,45 +213,17 @@ func (ext *Extension) eager() bool {
 	return strings.EqualFold(ext.db.Pragma("ivm_mode"), "eager")
 }
 
-// refreshWorkers is the scheduler pool capacity: PRAGMA
-// ivm_refresh_workers, defaulting to GOMAXPROCS capped at 8.
-func (ext *Extension) refreshWorkers() int {
-	if s := ext.db.Pragma("ivm_refresh_workers"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			return n
-		}
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// setPragma claims the extension's pragmas: it checks the value and
-// stores it DB-wide, where an empty value restores the default. It runs
-// inside a transaction as outside one, and ROLLBACK does not undo it. A
-// name that is not the extension's passes on to the engine, which refuses
-// it.
+// setPragma claims the extension's pragma: it checks the value and stores
+// it DB-wide, where an empty value restores the default. It runs inside a
+// transaction as outside one, and ROLLBACK does not undo it. A name that
+// is not the extension's passes on to the engine, which refuses it.
 func (ext *Extension) setPragma(p *sqlparser.PragmaStmt) (bool, *engine.Result, error) {
-	var err error
-	switch v := p.Value; strings.ToLower(p.Name) {
-	case "ivm_mode":
-		if v != "" && !strings.EqualFold(v, "eager") && !strings.EqualFold(v, "lazy") {
-			err = fmt.Errorf("ivmext: PRAGMA ivm_mode takes 'eager' or 'lazy', got %q", v)
-		}
-	case "ivm_refresh_workers":
-		if n, perr := strconv.Atoi(v); v != "" && (perr != nil || n < 1) {
-			err = fmt.Errorf("ivmext: PRAGMA ivm_refresh_workers takes a positive integer, got %q", v)
-		}
-	default:
+	if !strings.EqualFold(p.Name, "ivm_mode") {
 		return false, nil, nil
 	}
-	if err != nil {
-		return true, nil, enginerr.Wrap(enginerr.CodeInvalidParameter, err)
+	if v := p.Value; v != "" && !strings.EqualFold(v, "eager") && !strings.EqualFold(v, "lazy") {
+		return true, nil, enginerr.Newf(enginerr.CodeInvalidParameter,
+			"ivmext: PRAGMA ivm_mode takes 'eager' or 'lazy', got %q", v)
 	}
 	ext.db.SetPragma(p.Name, p.Value)
 	return true, &engine.Result{}, nil
@@ -317,6 +239,9 @@ func (ext *Extension) statementHook(s *engine.Session, stmt sqlparser.Statement)
 	// must not re-trigger a lazy refresh of the view they are refreshing.
 	if s.Internal() {
 		return false, nil, nil
+	}
+	if err := ext.guard(stmt); err != nil {
+		return true, nil, err
 	}
 	var run func() error
 	switch st := stmt.(type) {
@@ -354,38 +279,81 @@ func (ext *Extension) statementHook(s *engine.Session, stmt sqlparser.Statement)
 	return true, &engine.Result{}, run()
 }
 
-// refreshStale refreshes every materialized view stmt reads whose base
-// tables committed changes it has yet to apply. A reader that arrives while another
-// goroutine's propagation is in flight blocks on the view's refresh lock
-// inside the scheduler and reads fresh state. Several stale views refresh
-// concurrently on the scheduler pool.
-func (ext *Extension) refreshStale(stmt sqlparser.Statement) error {
-	var stale []*view
-	for _, v := range ext.matviewsRead(stmt) {
-		if v.pending() {
-			stale = append(stale, v)
+// guard refuses a user statement that would write or drop a table the
+// extension maintains, or drop a base table a view reads: either would leave
+// a view that no longer equals its query.
+func (ext *Extension) guard(stmt sqlparser.Statement) error {
+	var name string
+	drop := false
+	switch st := stmt.(type) {
+	case *sqlparser.InsertStmt:
+		name = st.Table
+	case *sqlparser.UpdateStmt:
+		name = st.Table
+	case *sqlparser.DeleteStmt:
+		name = st.Table
+	case *sqlparser.TruncateStmt:
+		name = st.Table
+	case *sqlparser.DropStmt:
+		if st.Kind != "TABLE" {
+			return nil
+		}
+		name, drop = st.Name, true
+	default:
+		return nil
+	}
+	ext.mu.Lock()
+	defer ext.mu.Unlock()
+	if kind, v := ext.maintainerLocked(name); v != nil {
+		return enginerr.Newf(enginerr.CodeWrongObjectType,
+			"ivmext: %s is %s %s: only its refresh writes it", name, kind, v.comp.ViewName)
+	}
+	if drop {
+		for _, f := range ext.feeds {
+			if strings.EqualFold(f.base.Name, name) {
+				return enginerr.Newf(enginerr.CodeDependentObjects,
+					"ivmext: cannot drop table %s: materialized view %s reads it", name, f.readers[0].comp.ViewName)
+			}
 		}
 	}
-	switch len(stale) {
-	case 0:
-		return nil
-	case 1:
+	return nil
+}
+
+// maintainerLocked returns the view whose name, storage table, join delta
+// or delta table is name, and which of them it is (worded to precede the
+// view's name); nil when the extension maintains no such table. Every
+// view, the ones still being created included, reads a change log, so the
+// logs' readers are all of them. The caller holds the extension mutex.
+func (ext *Extension) maintainerLocked(name string) (string, *view) {
+	for _, f := range ext.feeds {
+		for _, v := range f.readers {
+			c := v.comp
+			for _, m := range [...]struct{ kind, name string }{
+				{"materialized view", c.ViewName},
+				{"the storage table of materialized view", c.Storage},
+				{"the join delta of materialized view", c.JoinDelta},
+				{"the delta table of materialized view", f.delta},
+			} {
+				if m.name != "" && strings.EqualFold(m.name, name) {
+					return m.kind, v
+				}
+			}
+		}
+	}
+	return "", nil
+}
+
+// refreshStale refreshes, one after another, every materialized view stmt
+// reads whose base tables committed changes it has yet to apply. A reader
+// that arrives while another goroutine's propagation is in flight blocks on
+// the view's refresh lock and reads fresh state.
+func (ext *Extension) refreshStale(stmt sqlparser.Statement) error {
+	for _, v := range ext.matviewsRead(stmt) {
+		if !v.pending() {
+			continue
+		}
 		atomic.AddInt64(&ext.Stats.LazyRefreshes, 1)
-		return ext.propagate(stale[0])
-	}
-	atomic.AddInt64(&ext.Stats.LazyRefreshes, int64(len(stale)))
-	var wg sync.WaitGroup
-	errs := make([]error, len(stale))
-	for i, v := range stale {
-		wg.Add(1)
-		go func(i int, v *view) {
-			defer wg.Done()
-			errs[i] = ext.propagate(v)
-		}(i, v)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+		if err := ext.propagate(v); err != nil {
 			return err
 		}
 	}
@@ -429,6 +397,9 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error
 	}
 	ext.ddl.Lock()
 	defer ext.ddl.Unlock()
+	if err := ext.readsOwnTables(comp); err != nil {
+		return err
+	}
 	if err := ext.freeNames(comp); err != nil {
 		return err
 	}
@@ -478,6 +449,21 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error
 	ext.mu.Lock()
 	ext.views[strings.ToLower(comp.ViewName)] = v
 	ext.mu.Unlock()
+	return nil
+}
+
+// readsOwnTables refuses a view over a table the extension maintains — a
+// view's storage, a join delta or a delta table: nothing would refresh it
+// when that table changes.
+func (ext *Extension) readsOwnTables(comp *ivm.Compilation) error {
+	ext.mu.Lock()
+	defer ext.mu.Unlock()
+	for _, b := range comp.Bases {
+		if _, v := ext.maintainerLocked(b.Name); v != nil {
+			return enginerr.Newf(enginerr.CodeFeatureNotSupported,
+				"ivmext: materialized view %s reads %s, a table a materialized view maintains", comp.ViewName, b.Name)
+		}
+	}
 	return nil
 }
 
@@ -693,64 +679,41 @@ func (ext *Extension) Refresh(view string) error {
 }
 
 // refreshGroup computes the target's refresh group under the extension
-// mutex: the transitive closure of views linked by a shared base table or
-// by a feeding edge (one view's materialization among another's base
-// tables). Views in one group must serialize — they read the same change
-// logs or each other's output; views in different groups share no base
-// table and can propagate concurrently. Returns the group, its sorted
-// lower-cased view names (the lock order) and the change logs the group
-// reads.
+// mutex: the transitive closure of views linked by a shared base table,
+// found by walking the readers of each change log the group reads. Views in
+// one group must serialize — they read the same change logs; views in
+// different groups share no base table and can propagate concurrently. A
+// view reads no other view's tables (CREATE refuses it), so no other edge
+// links two views. Returns the group, its sorted lower-cased view names (the
+// lock order) and the change logs the group reads.
 func (ext *Extension) refreshGroup(target *view) (map[string]*view, []string, []*feed) {
 	ext.mu.Lock()
 	defer ext.mu.Unlock()
-	group := map[string]*view{strings.ToLower(target.comp.ViewName): target}
-	read := map[*feed]bool{}
-	for _, f := range target.feeds {
-		read[f] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for name, v := range ext.views {
-			if _, ok := group[name]; ok {
-				continue
+	group := map[string]*view{}
+	var logs []*feed
+	var add func(v *view)
+	add = func(v *view) {
+		name := strings.ToLower(v.comp.ViewName)
+		if _, ok := group[name]; ok {
+			return
+		}
+		group[name] = v
+		for _, f := range v.feeds {
+			if !slices.Contains(logs, f) {
+				logs = append(logs, f)
+				for _, r := range f.readers {
+					add(r)
+				}
 			}
-			link := false
-			for _, f := range v.feeds {
-				link = link || read[f]
-			}
-			for _, g := range group {
-				link = link || feeds(v.comp, g.comp) || feeds(g.comp, v.comp)
-			}
-			if !link {
-				continue
-			}
-			group[name] = v
-			for _, f := range v.feeds {
-				read[f] = true
-			}
-			changed = true
 		}
 	}
+	add(target)
 	names := make([]string, 0, len(group))
 	for n := range group {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	logs := make([]*feed, 0, len(read))
-	for f := range read {
-		logs = append(logs, f)
-	}
 	return group, names, logs
-}
-
-// feeds reports whether a's materialization is among b's base tables.
-func feeds(a, b *ivm.Compilation) bool {
-	for _, bb := range b.Bases {
-		if strings.EqualFold(bb.Name, a.Storage) || strings.EqualFold(bb.Name, a.ViewName) {
-			return true
-		}
-	}
-	return false
 }
 
 // lockViews takes the refresh locks of the group's views in the given
@@ -769,11 +732,11 @@ func lockViews(group map[string]*view, names []string) func() {
 }
 
 // propagate refreshes the target view together with every other view in
-// its refresh group (views sharing a base table or feeding each other):
+// its refresh group (views sharing a base table), on the caller's
+// goroutine:
 //
-//  1. take a worker-pool slot (bounded concurrency), then the group's
-//     view locks in sorted name order — deadlock-free, and independent
-//     groups overlap;
+//  1. take the group's view locks in sorted name order — deadlock-free,
+//     and callers on independent groups overlap;
 //  2. re-check for pending changes: a propagation that ran while this one
 //     waited may have applied them already (refresh coalescing);
 //  3. take the cut, the latest commit timestamp: a transaction's changes
@@ -789,9 +752,6 @@ func lockViews(group map[string]*view, names []string) func() {
 // they were: the next refresh runs just the views that missed them, and
 // never re-applies what landed.
 func (ext *Extension) propagate(target *view) error {
-	ext.pool.acquire(ext.refreshWorkers)
-	defer ext.pool.release()
-
 	group, names, logs := ext.refreshGroup(target)
 	defer lockViews(group, names)()
 
@@ -811,12 +771,6 @@ func (ext *Extension) propagate(target *view) error {
 	ext.mu.Unlock()
 	if !pending {
 		return nil
-	}
-
-	n := ext.inFlight.Add(1)
-	defer ext.inFlight.Add(-1)
-	if n > 1 {
-		atomic.AddInt64(&ext.Stats.ParallelRefreshes, 1)
 	}
 
 	if err := fault.Inject(fault.IVMSeal); err != nil {

@@ -101,7 +101,6 @@ func TestFailedStatementKeepsNothing(t *testing.T) {
 func TestCaptureInsideWriterStress(t *testing.T) {
 	db := engine.Open("stress", engine.DialectDuckDB)
 	ext := Install(db)
-	mustExec(t, db, "PRAGMA ivm_refresh_workers = '2'")
 	mustExec(t, db, "CREATE TABLE customers (cid INTEGER PRIMARY KEY, region VARCHAR)")
 	mustExec(t, db, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)")
 	mustExec(t, db, "CREATE TABLE events (g VARCHAR, v INTEGER)")

@@ -307,11 +307,11 @@ func TestJoinDescribeNamesTheStrategy(t *testing.T) {
 func TestBindExprSchemaHelper(t *testing.T) {
 	c := testCatalog(t)
 	b := NewBinder(c)
-	e, err := sqlparser.ParseExpr("x + 1")
+	stmt, err := sqlparser.Parse("SELECT x + 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := b.BindExprSchema(e, []ColumnInfo{{Name: "x", Type: sqltypes.TypeInt}})
+	be, err := b.BindExprSchema(stmt.(*sqlparser.SelectStmt).Items[0].Expr, []ColumnInfo{{Name: "x", Type: sqltypes.TypeInt}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,23 +56,6 @@ func ParseScript(sql string) ([]Statement, error) {
 	}
 }
 
-// ParseExpr parses a standalone scalar expression (used in tests and by
-// trigger predicates).
-func ParseExpr(sql string) (Expr, error) {
-	p, err := newParser(sql)
-	if err != nil {
-		return nil, err
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected trailing input %q", p.peek().Text)
-	}
-	return e, nil
-}
-
 func newParser(sql string) (*Parser, error) {
 	toks, err := Tokenize(sql)
 	if err != nil {

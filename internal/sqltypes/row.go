@@ -133,8 +133,3 @@ func appendKeyString(dst []byte, s string) []byte {
 	}
 	return append(dst, 0x00, 0x00)
 }
-
-// KeyString returns EncodeKey as a string, suitable as a map key.
-func KeyString(vals ...Value) string {
-	return string(EncodeKey(nil, vals...))
-}

@@ -103,9 +103,6 @@ func (v *Vector) payloadCap() int {
 // Len returns the number of cells.
 func (v *Vector) Len() int { return v.n }
 
-// NullCount returns how many cells are NULL.
-func (v *Vector) NullCount() int { return v.nulls }
-
 // AllValid reports whether no cell is NULL — kernels use it to skip
 // per-cell validity checks in the common dense case.
 func (v *Vector) AllValid() bool { return v.nulls == 0 }

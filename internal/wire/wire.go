@@ -177,37 +177,16 @@ type StorageStats struct {
 	RecoveryReplayedBytes   int64 `json:"recoveryReplayedBytes"`
 }
 
-// IVMStats is the "ivm.*" group of StatsV2: materialized-view refresh
-// scheduler counters. All zero when the IVM extension is not installed.
-type IVMStats struct {
-	// Refreshes counts completed refresh-group propagations.
-	Refreshes int64 `json:"refreshes"`
-	// ParallelRefreshes counts propagations that overlapped at least one
-	// other in-flight propagation on the scheduler pool.
-	ParallelRefreshes int64 `json:"parallelRefreshes"`
-	// GenerationsSealed counts non-empty cuts (refreshes that found
-	// changes to apply); GenerationsPending gauges the change logs holding
-	// an entry some view has yet to apply right now.
-	GenerationsSealed  int64 `json:"generationsSealed"`
-	GenerationsPending int64 `json:"generationsPending"`
-	// CaptureStallNanos accumulates commits' wait for a change log's lock
-	// (held while a refresh finds a window or trims, not through
-	// propagations).
-	CaptureStallNanos int64 `json:"captureStallNanos"`
-	// DeltaRowsCaptured counts entries appended to the change logs.
-	DeltaRowsCaptured int64 `json:"deltaRowsCaptured"`
-}
-
 // StatsV2 is the namespaced counter snapshot returned by {"op":"stats"}
 // (Version stays 2; the flat shape that was version 1 is gone). Counters
 // are grouped by subsystem so new groups can be added without colliding
 // with existing field names.
 type StatsV2 struct {
-	Version int          `json:"version"`
-	Server  ServerStats  `json:"server"`
-	Txn     TxnStats     `json:"txn"`
-	Storage StorageStats `json:"storage"`
-	Ivm     IVMStats     `json:"ivm"`
+	Version int             `json:"version"`
+	Server  ServerStats     `json:"server"`
+	Txn     TxnStats        `json:"txn"`
+	Storage StorageStats    `json:"storage"`
+	Ivm     engine.IVMStats `json:"ivm"`
 }
 
 // Response is one server->client message.
@@ -536,15 +515,7 @@ func (s *Server) snapshotStatsV2() *StatsV2 {
 		RecoveryReplayedRecords: ss.ReplayedRecords,
 		RecoveryReplayedBytes:   ss.ReplayedBytes,
 	}
-	is := s.DB.IVMStats()
-	st.Ivm = IVMStats{
-		Refreshes:          is.Refreshes,
-		ParallelRefreshes:  is.ParallelRefreshes,
-		GenerationsSealed:  is.GenerationsSealed,
-		GenerationsPending: is.GenerationsPending,
-		CaptureStallNanos:  is.CaptureStallNanos,
-		DeltaRowsCaptured:  is.DeltaRowsCaptured,
-	}
+	st.Ivm = s.DB.IVMStats()
 	return st
 }
 
