@@ -577,61 +577,6 @@ func BenchmarkE7_JoinRecompute(b *testing.B) {
 	}
 }
 
-// BenchmarkE9_FusedScan measures the columnar fused Scan→Filter→Project
-// pipeline (typed vector kernels, selection vectors, late
-// materialization) on a filter+projection query the kernel compiler fully
-// vectorizes. BenchmarkE9_UnfusedScan runs the same data volume through an
-// ABS projection the compiler rejects (scalar functions other than
-// COALESCE stay boxed; searched CASE fuses since PR 4), exercising the
-// classic boxed operator chain as the comparison arm.
-func BenchmarkE9_FusedScan(b *testing.B) {
-	db := loadWide(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustExecB(b, db, "SELECT a + v, v * 2 FROM wide WHERE v % 4 = 0 AND a < 15000")
-	}
-}
-
-func BenchmarkE9_UnfusedScan(b *testing.B) {
-	db := loadWide(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustExecB(b, db, "SELECT ABS(a + v) FROM wide WHERE v % 4 = 0 AND a < 15000")
-	}
-}
-
-func loadWide(b *testing.B) benchDB {
-	b.Helper()
-	db := openBench(b, "e9")
-	mustExecB(b, db, "CREATE TABLE wide (a INTEGER, v INTEGER)")
-	var sb []byte
-	for lo := 0; lo < 20000; lo += 2000 {
-		sb = append(sb[:0], "INSERT INTO wide VALUES "...)
-		for i := lo; i < lo+2000; i++ {
-			if i > lo {
-				sb = append(sb, ',')
-			}
-			sb = fmt.Appendf(sb, "(%d, %d)", i, i%37)
-		}
-		mustExecB(b, db, string(sb))
-	}
-	return db
-}
-
-// BenchmarkE2_ColumnarAgg measures the columnar hash-aggregation path
-// (PR 4): group keys and aggregate arguments evaluated as vector kernels
-// over a fused filter pipeline, group keys encoded column-wise into the
-// byteTable slab — no RowView materialization at the aggregate boundary.
-func BenchmarkE2_ColumnarAgg(b *testing.B) {
-	const rows, groups = 50000, 256
-	db := loadGroups(b, rows, groups)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustExecB(b, db, `SELECT group_index, SUM(group_value), COUNT(*)
-			FROM groups WHERE group_value >= 0 GROUP BY group_index`)
-	}
-}
-
 // BenchmarkE7_JoinBuild measures the hash-join build side at scale: a
 // 20 000-row build input (customers) probed by 30 000 orders.
 func BenchmarkE7_JoinBuild(b *testing.B) {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'E2_IVMRefresh|E2_ColumnarAgg|E7_JoinIVM|E7_JoinBuild|E9_|E10_|E11_|E12_|E13_|E14_|PKIndex_|Wire_' -benchmem -count 3 . | \
+//	go test -run '^$' -bench 'E2_IVMRefresh|E7_JoinIVM|E7_JoinBuild|E10_|E11_|E12_|E13_|E14_|PKIndex_|Wire_' -benchmem -count 3 . | \
 //	    go run ./cmd/benchcheck -baseline BENCH_BASELINE.json
 //
 // Refresh the baseline after an intentional performance change:
@@ -127,7 +127,7 @@ func main() {
 
 	if *update {
 		base = baseline{
-			Note:       "Regenerate with: go test -run '^$' -bench 'E2_IVMRefresh|E2_ColumnarAgg|E7_JoinIVM|E7_JoinBuild|E9_|E10_|E11_|E12_|E13_|E14_|PKIndex_|Wire_' -benchmem -count 3 . | go run ./cmd/benchcheck -update",
+			Note:       "Regenerate with: go test -run '^$' -bench 'E2_IVMRefresh|E7_JoinIVM|E7_JoinBuild|E10_|E11_|E12_|E13_|E14_|PKIndex_|Wire_' -benchmem -count 3 . | go run ./cmd/benchcheck -update",
 			Benchmarks: got,
 		}
 		buf, err := json.MarshalIndent(base, "", "  ")

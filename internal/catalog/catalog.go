@@ -650,73 +650,6 @@ func (t *Table) InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) error {
 	return nil
 }
 
-// InsertVecsTxn appends n rows given as typed column vectors — the columnar
-// DML sink INSERT ... SELECT uses when its source pipeline produces
-// columnar batches, so rows materialize straight from the vector payloads
-// into one row-major slab with no intermediate row view. Validation is
-// hoisted out of the row loop: a vector whose type matches its column
-// needs no per-value coercion, only a NOT NULL sweep over the validity
-// bitmap. Semantics match InsertBatchTxn row for row: the first failing row
-// stops the insert with the error. The built rows are returned (durable slab
-// rows) so callers can fire triggers without rebuilding them.
-func (t *Table) InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]sqltypes.Row, error) {
-	if len(cols) != len(t.Columns) {
-		return nil, fmt.Errorf("table %s: batch has %d columns, want %d", t.Name, len(cols), len(t.Columns))
-	}
-	width := len(t.Columns)
-	slab := make([]sqltypes.Value, n*width)
-	rows := make([]sqltypes.Row, n)
-	for i := range rows {
-		rows[i] = sqltypes.Row(slab[i*width : (i+1)*width : (i+1)*width])
-	}
-
-	// Column-wise materialization + validation. A later column's failure
-	// must not mask an earlier row's: track the lowest failing row (ties
-	// resolved by column order, like the row-at-a-time path).
-	badRow, badCol := n, -1
-	var badErr error
-	note := func(i, j int, err error) {
-		if i < badRow || (i == badRow && j < badCol) {
-			badRow, badCol, badErr = i, j, err
-		}
-	}
-	for j, vec := range cols {
-		col := &t.Columns[j]
-		if vec.Len() < n {
-			return nil, fmt.Errorf("table %s: column %s vector has %d cells, want %d", t.Name, col.Name, vec.Len(), n)
-		}
-		direct := vec.T == col.Type || col.Type == sqltypes.TypeAny
-		for i := 0; i < n && i <= badRow; i++ {
-			v := vec.ValueAt(i)
-			if !direct && !v.IsNull() {
-				cv, err := sqltypes.CoerceToColumn(v, col.Type)
-				if err != nil {
-					note(i, j, fmt.Errorf("table %s column %s: %w", t.Name, col.Name, err))
-					continue
-				}
-				v = cv
-			}
-			if v.IsNull() && col.NotNull {
-				note(i, j, fmt.Errorf("table %s: NOT NULL constraint on %s violated", t.Name, col.Name))
-				continue
-			}
-			slab[i*width+j] = v
-		}
-	}
-	if badErr != nil {
-		return nil, badErr
-	}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := 0; i < n; i++ {
-		if err := t.insertOneLocked(tx, rows[i]); err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
 // UpsertTxn inserts, or replaces the existing row with the same primary key
 // (DuckDB INSERT OR REPLACE). The table must have a primary key. The
 // replaced version is end-stamped and a new version appended, so concurrent

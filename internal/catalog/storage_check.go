@@ -2,6 +2,6 @@ package catalog
 
 import "openivm/internal/storage"
 
-// The in-memory columnar table is the default implementation of the
+// The in-memory row table is the default implementation of the
 // engine's pluggable storage contract.
 var _ storage.Table = (*Table)(nil)

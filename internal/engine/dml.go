@@ -90,10 +90,9 @@ func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.
 
 	// Plain INSERT: stream source batches straight into storage, one lock
 	// acquisition per batch — the batched DML path IVM delta application
-	// runs on. Columnar batches (fused scan pipelines) sink through
-	// Table.InsertVecsTxn without ever boxing through the batch's RowView.
+	// runs on.
 	if !st.OrReplace && st.Conflict == nil {
-		return s.insertStream(ctx, n, tbl, st, colPos, identity, buildRow)
+		return s.insertStream(ctx, n, tbl, st, buildRow)
 	}
 
 	tx, done := s.BeginWrite()
@@ -155,12 +154,11 @@ func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.
 }
 
 // insertStream executes the plain-INSERT sink over a batch pipeline. Each
-// batch lands under one table lock; a columnar identity-mapped batch goes
-// through the vectorized InsertVecsTxn path (typed column loops, hoisted
-// validation), anything else builds rows and uses InsertBatchTxn. The first
-// failing row fails the statement, which then keeps none of its rows.
+// batch's rows are built and land under one table lock (InsertBatchTxn).
+// The first failing row fails the statement, which then keeps none of its
+// rows.
 func (s *Session) insertStream(ctx context.Context, n plan.Node, tbl *catalog.Table, st *sqlparser.InsertStmt,
-	colPos []int, identity bool, buildRow func(sqltypes.Row) (sqltypes.Row, error)) (*Result, error) {
+	buildRow func(sqltypes.Row) (sqltypes.Row, error)) (*Result, error) {
 	tx, done := s.BeginWrite()
 	it, err := exec.OpenBatch(n, s.execOptsTxn(ctx, tx))
 	if err != nil {
@@ -178,20 +176,12 @@ func (s *Session) insertStream(ctx context.Context, n plan.Node, tbl *catalog.Ta
 		if b == nil {
 			break
 		}
-		var rows []sqltypes.Row
-		if identity && b.Cols != nil && len(b.Cols) == len(colPos) {
-			rows, err = tbl.InsertVecsTxn(tx, b.Cols, b.Len())
-		} else if b.Cols != nil && len(b.Cols) != len(colPos) {
-			err = fmt.Errorf("engine: INSERT has %d values for %d columns", len(b.Cols), len(colPos))
-		} else {
-			src := b.RowView()
-			rows = make([]sqltypes.Row, len(src))
-			for i := 0; i < len(src) && err == nil; i++ {
-				rows[i], err = buildRow(src[i])
-			}
-			if err == nil {
-				err = tbl.InsertBatchTxn(tx, rows)
-			}
+		rows := make([]sqltypes.Row, len(b.Rows))
+		for i := 0; i < len(rows) && err == nil; i++ {
+			rows[i], err = buildRow(b.Rows[i])
+		}
+		if err == nil {
+			err = tbl.InsertBatchTxn(tx, rows)
 		}
 		if err != nil {
 			return nil, done(err)

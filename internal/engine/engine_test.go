@@ -88,6 +88,27 @@ func TestSelectExpression(t *testing.T) {
 	}
 }
 
+// TestCoalesceStopsAtFirstNonNull: the arguments to the right of
+// COALESCE's first non-NULL one are not evaluated, as PostgreSQL documents,
+// so a cast that would fail there does not fail the statement. A row whose
+// earlier arguments are all NULL still evaluates the cast, and fails.
+func TestCoalesceStopsAtFirstNonNull(t *testing.T) {
+	db := testDB(t)
+	if rows := queryRows(t, db, "SELECT COALESCE(1, CAST('abc' AS INTEGER))"); len(rows) != 1 || rows[0][0].String() != "1" {
+		t.Fatalf("literal: got %v, want 1", rows)
+	}
+	mustExec(t, db, "CREATE TABLE c (k INTEGER, s VARCHAR)")
+	mustExec(t, db, "INSERT INTO c VALUES (1, 'abc'), (NULL, '7')")
+	rows := queryRows(t, db, "SELECT COALESCE(k, CAST(s AS INTEGER)) FROM c")
+	if got := strings.Join(sortedStrings(rows), ","); got != "1,7" {
+		t.Fatalf("column: got %s, want 1,7", got)
+	}
+	mustExec(t, db, "INSERT INTO c VALUES (NULL, 'abc')")
+	if _, err := sess(t, db).Exec("SELECT COALESCE(k, CAST(s AS INTEGER)) FROM c"); err == nil {
+		t.Fatal("a NULL k with s = 'abc' evaluated the cast without an error")
+	}
+}
+
 func TestGroupBySum(t *testing.T) {
 	db := testDB(t)
 	r := mustExec(t, db, `SELECT group_index, SUM(group_value) AS total

@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// TestInsertSelectColumnarSink: INSERT ... SELECT over a fused (columnar)
-// source pipeline must produce exactly the rows the row path would, for
-// identity and non-identity column mappings, with coercion and NOT NULL
-// validation intact.
+// TestInsertSelectColumnarSink: INSERT ... SELECT over a filtered,
+// projected source lands exactly the rows the SELECT returns, with
+// coercion and NOT NULL validation intact.
 func TestInsertSelectColumnarSink(t *testing.T) {
 	db := Open("vs", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE src (k INTEGER, v DOUBLE, s TEXT)")
@@ -23,20 +22,19 @@ func TestInsertSelectColumnarSink(t *testing.T) {
 	}
 	mustExec(t, db, b.String())
 
-	// Identity mapping over a projection pipeline: the fused scan emits
-	// columnar batches that sink through InsertVecs.
+	// Identity mapping over a projection pipeline.
 	mustExec(t, db, "CREATE TABLE dst (k INTEGER, v DOUBLE)")
 	mustExec(t, db, "INSERT INTO dst SELECT k + 1, v * 2 FROM src WHERE k % 3 = 0")
 	want := mustExec(t, db, "SELECT COUNT(*), SUM(k + 1), SUM(v * 2) FROM src WHERE k % 3 = 0").Rows[0]
 	got := mustExec(t, db, "SELECT COUNT(*), SUM(k), SUM(v) FROM dst").Rows[0]
 	for i := range want {
 		if got[i].String() != want[i].String() {
-			t.Fatalf("columnar sink diverged: got %v, want %v", got, want)
+			t.Fatalf("INSERT ... SELECT diverged: got %v, want %v", got, want)
 		}
 	}
 
 	// Type coercion across the sink: float source values into an INTEGER
-	// column must coerce exactly like the row path.
+	// column.
 	mustExec(t, db, "CREATE TABLE di (k INTEGER)")
 	mustExec(t, db, "INSERT INTO di SELECT v FROM src WHERE k < 10")
 	if n := mustExec(t, db, "SELECT COUNT(*) FROM di").Rows[0][0].I; n != 10 {
@@ -48,7 +46,7 @@ func TestInsertSelectColumnarSink(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE holes (k INTEGER)")
 	mustExec(t, db, "INSERT INTO holes VALUES (1), (NULL), (2)")
 	if _, err := db.Exec("INSERT INTO strict SELECT k FROM holes WHERE k IS NULL OR k > 0"); err == nil {
-		t.Fatal("NOT NULL violation slipped through the columnar sink")
+		t.Fatal("NOT NULL violation slipped through INSERT ... SELECT")
 	}
 }
 

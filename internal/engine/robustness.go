@@ -29,7 +29,7 @@
 // # Panic isolation
 //
 // Every statement runs under a recover() (Session.isolate): a panic
-// anywhere in the statement path — binder, optimizer, kernels, triggers,
+// anywhere in the statement path — binder, optimizer, executor, triggers,
 // extension hooks, and the batches a streamed result pulls later — is
 // converted into a SQLSTATE XX000 internal error carrying the panic value
 // and stack. The statement's transaction is rolled

@@ -50,7 +50,7 @@ func (st *Stream) Next() (rows []sqltypes.Row, err error) {
 		if nerr != nil || b == nil {
 			return nil, nerr
 		}
-		return b.RowView(), nil
+		return b.Rows, nil
 	}
 	if st.served || len(st.res.Rows) == 0 {
 		return nil, nil

@@ -61,35 +61,24 @@ type batchScan struct {
 	slab valueSlab
 }
 
-// scanRows is what every scan opens with: the rows of s's table visible to
-// the statement's snapshot — all of them, or, when keys is the key set
-// s.Filter pins (plan.PinnedKeys), the rows with those keys, found through
-// the key index and in the order the scan meets them. The keys are found
-// and resolved per execution — parameters are bound per execution and the
-// plan may be a cached entry, so nothing is kept on s — and a key subquery
-// runs before the table's lock is taken. The iterators evaluate the whole
-// filter on every row they are handed, keyed or not; that is also where a
-// failing key subquery reports its error, as it always has: here it only
-// means a scan.
-func scanRows(s *plan.Scan, keys *plan.KeySet, opts Options) []sqltypes.Row {
-	vals, err := keys.Resolve(s.Table)
+// newBatchScan opens a scan over the rows of s's table visible to the
+// statement's snapshot — all of them, or, when s.Filter pins a key set
+// (plan.PinnedKeys), the rows with those keys, found through the key index
+// and in the order the scan meets them. The keys are found and resolved per
+// execution — parameters are bound per execution and the plan may be a
+// cached entry, so nothing is kept on s — and a key subquery runs before
+// the table's lock is taken. NextBatch evaluates the whole filter on every
+// row it is handed, keyed or not; that is also where a failing key subquery
+// reports its error, as it always has: here it only means a scan.
+func newBatchScan(s *plan.Scan, opts Options) *batchScan {
+	vals, err := plan.PinnedKeys(s.Table, s.Filter).Resolve(s.Table)
 	if err != nil {
 		vals = nil
 	}
 	// RowsSnap copies the row pointers under the table lock; concurrent
 	// writers replace slots in the underlying storage, so iterating it
 	// directly would race (stored Row values themselves are immutable).
-	return s.Table.RowsSnap(opts.Snap, vals)
-}
-
-func newBatchScan(s *plan.Scan, opts Options) *batchScan {
-	return newBatchScanRows(s, scanRows(s, plan.PinnedKeys(s.Table, s.Filter), opts), opts)
-}
-
-// newBatchScanRows is newBatchScan over an explicit row snapshot — the rows
-// a keyed scan's key set found.
-func newBatchScanRows(s *plan.Scan, rows []sqltypes.Row, opts Options) *batchScan {
-	it := &batchScan{node: s, rows: rows, size: opts.BatchSize, ctx: opts.Ctx}
+	it := &batchScan{node: s, rows: s.Table.RowsSnap(opts.Snap, vals), size: opts.BatchSize, ctx: opts.Ctx}
 	if s.Projection != nil {
 		it.slab = newValueSlab(len(s.Projection), opts.BatchSize)
 	}
@@ -190,7 +179,7 @@ func (it *batchFilter) NextBatch() (*Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		rows := b.RowView()
+		rows := b.Rows
 		vals, err := expr.EvalBatch(it.pred, rows, it.scratch[:0])
 		if err != nil {
 			return nil, err
@@ -205,7 +194,7 @@ func (it *batchFilter) NextBatch() (*Batch, error) {
 			}
 		}
 		if len(kept) > 0 {
-			b.Rows, b.Cols = kept, nil
+			b.Rows = kept
 			return b, nil
 		}
 	}
@@ -234,7 +223,7 @@ func (it *batchProject) NextBatch() (*Batch, error) {
 		return nil, err
 	}
 	it.out.reset()
-	for _, r := range b.RowView() {
+	for _, r := range b.Rows {
 		out := it.slab.newRow()
 		for i, e := range it.exprs {
 			v, err := e.Eval(r)
@@ -351,7 +340,7 @@ func (it *batchLimit) NextBatch() (*Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		rows := b.RowView()
+		rows := b.Rows
 		if it.skipped < it.offset {
 			skip := it.offset - it.skipped
 			if skip >= int64(len(rows)) {
@@ -371,7 +360,7 @@ func (it *batchLimit) NextBatch() (*Batch, error) {
 			continue
 		}
 		it.emitted += int64(len(rows))
-		b.Rows, b.Cols = rows, nil
+		b.Rows = rows
 		return b, nil
 	}
 }

@@ -40,7 +40,7 @@ func TestBatchHintRespected(t *testing.T) {
 		if b == nil {
 			break
 		}
-		sizes = append(sizes, b.Len())
+		sizes = append(sizes, len(b.Rows))
 	}
 	want := []int{5, 5, 2}
 	if len(sizes) != len(want) {

@@ -20,17 +20,14 @@
 // carve them out of batch-sized value slabs (see valueSlab): two
 // allocations per batch instead of two per row.
 //
-// # Columnar fast path
+// # One row path
 //
-// Scan→Filter→Project chains whose expressions compile to vector kernels
-// (expr.CompileKernel) are collapsed into a single fused operator
-// (fusedScan): referenced columns are loaded from row storage into typed
-// sqltypes.Vectors, predicates run as tight unboxed loops producing a
-// selection vector, and only surviving rows are gathered for the
-// projection — no intermediate batch is ever materialized. Fused batches
-// carry their payload as Batch.Cols; row-oriented consumers materialize
-// rows lazily through Batch.RowView. Pipelines the kernel compiler cannot
-// handle fall back to the classic operator chain with identical semantics.
+// Batches are row-major: every operator reads and writes rows, and every
+// expression runs through expr.Expr.Eval. There is no columnar path: a
+// statement opens its operator tree per execution, so vector kernels would
+// be compiled per execution, and an IVM refresh's delta-sized inputs would
+// pay that and a row→vector→row round trip for nothing (docs/ARCHITECTURE.md,
+// "One row path").
 //
 // # Allocation-free hash paths
 //
@@ -83,69 +80,16 @@ import (
 // DefaultBatchSize is the target number of rows per batch.
 const DefaultBatchSize = 1024
 
-// Batch is a reusable chunk of rows exchanged between batch operators. It
-// carries one of two payloads:
-//
-//   - row-major: Rows holds row references. The slice header is recycled by
-//     its producer on the next NextBatch call; the rows it references are
-//     immutable and durable.
-//   - columnar: Cols holds one typed vector per output column (produced by
-//     the fused scan pipeline). Row-oriented consumers call RowView, which
-//     materializes durable rows from the vectors on demand; columnar-aware
-//     consumers read the vectors directly and skip that cost.
-//
-// Either way the batch itself is owned by its producer and must not be
-// retained across NextBatch calls.
+// Batch is a reusable chunk of rows exchanged between batch operators.
+// The Rows slice header is recycled by its producer on the next NextBatch
+// call, so the batch must not be retained across calls; the rows it
+// references are immutable and durable.
 type Batch struct {
 	Rows []sqltypes.Row
-
-	// Cols is the columnar payload (nil for row-major batches). The
-	// vectors are reused by the producer across batches.
-	Cols []*sqltypes.Vector
-
-	n    int        // row count when columnar
-	slab *valueSlab // materialization arena for RowView (set by producer)
-}
-
-// Len returns the number of rows in the batch.
-func (b *Batch) Len() int {
-	if b.Cols != nil && len(b.Rows) == 0 {
-		return b.n
-	}
-	return len(b.Rows)
-}
-
-// setCols makes the batch columnar with n rows; slab is the arena RowView
-// materializes into (owned by the producer so rows stay durable).
-func (b *Batch) setCols(cols []*sqltypes.Vector, n int, slab *valueSlab) {
-	b.Rows = b.Rows[:0]
-	b.Cols, b.n, b.slab = cols, n, slab
-}
-
-// RowView returns the batch's rows, materializing them from the columnar
-// payload on first call. Materialized rows are carved from the producer's
-// value slab, so they are durable like any other batch rows: consumers may
-// retain them after the batch is recycled.
-func (b *Batch) RowView() []sqltypes.Row {
-	if b.Cols == nil || len(b.Rows) > 0 {
-		return b.Rows
-	}
-	for i := 0; i < b.n; i++ {
-		r := b.slab.newRow()
-		for j, c := range b.Cols {
-			r[j] = c.ValueAt(i)
-		}
-		b.Rows = append(b.Rows, r)
-	}
-	return b.Rows
 }
 
 // reset clears the batch for refilling, keeping capacity.
-func (b *Batch) reset() {
-	b.Rows = b.Rows[:0]
-	b.Cols = nil
-	b.n = 0
-}
+func (b *Batch) reset() { b.Rows = b.Rows[:0] }
 
 // BatchIterator produces batches of rows. NextBatch returns nil at end of
 // stream and never returns a non-nil empty batch. Close releases the
@@ -203,7 +147,7 @@ func RunOpts(n plan.Node, opts Options) ([]sqltypes.Row, error) {
 		if b == nil {
 			return out, nil
 		}
-		out = append(out, b.RowView()...)
+		out = append(out, b.Rows...)
 	}
 }
 
@@ -215,33 +159,7 @@ func OpenBatch(n plan.Node, opts Options) (BatchIterator, error) {
 	return openBatch(n, opts)
 }
 
-// classicChain opens the Project?→Filter* chain of scan pipeline n over
-// scan, the iterator of the pipeline's Scan.
-func classicChain(n plan.Node, scan BatchIterator, opts Options) BatchIterator {
-	switch x := n.(type) {
-	case *plan.Project:
-		return newBatchProject(classicChain(x.Input, scan, opts), x, opts)
-	case *plan.Filter:
-		return &batchFilter{in: classicChain(x.Input, scan, opts), pred: x.Pred}
-	}
-	return scan
-}
-
 func openBatch(n plan.Node, opts Options) (BatchIterator, error) {
-	// Fused fast path: collapse a Project?→Filter*→Scan chain into one
-	// columnar pass when every expression compiles to a vector kernel. On
-	// a partial match (say the projection is too rich but the filter is
-	// simple) the recursion below still fuses the inner sub-chain. A keyed scan takes the classic chain instead,
-	// over the rows its key set finds: it reads a handful of rows through
-	// the key index, for which compiling kernels costs more than it saves.
-	if scan, filters, proj, ok := plan.ScanPipeline(n); ok {
-		if keys := plan.PinnedKeys(scan.Table, scan.Filter); keys != nil {
-			return classicChain(n, newBatchScanRows(scan, scanRows(scan, keys, opts), opts), opts), nil
-		}
-		if it, compiled := newFusedScan(scan, filters, proj, opts); compiled {
-			return it, nil
-		}
-	}
 	switch x := n.(type) {
 	case *plan.Scan:
 		return newBatchScan(x, opts), nil
@@ -314,6 +232,6 @@ func drain(in BatchIterator, sizeHint int) ([]sqltypes.Row, error) {
 		if b == nil {
 			return out, nil
 		}
-		out = append(out, b.RowView()...)
+		out = append(out, b.Rows...)
 	}
 }

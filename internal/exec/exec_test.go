@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -106,6 +107,101 @@ func TestAggOnNullGroup(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("NULL group missing: %v", rows)
+	}
+}
+
+// TestHashAggMatchesReference checks the hash aggregate against sums,
+// counts, extremes and averages computed in Go from the scanned rows: NULL
+// keys and arguments, the IVM combine's CASE and COALESCE argument shapes,
+// a DISTINCT count, and a batch size small enough that every group spans
+// batches. Groups come out in first-seen order.
+func TestHashAggMatchesReference(t *testing.T) {
+	c := groupCatalog(t, 12000)
+	type ref struct {
+		key                                     sqltypes.Value
+		sum, signed, coalesced, n, nv, min, max int64
+		fsum                                    float64
+		distinct                                map[int64]bool
+	}
+	groups := map[string]*ref{}
+	var order []*ref
+	for _, r := range runSQL(t, c, "SELECT g, v, f FROM p") {
+		g := groups[r[0].String()]
+		if g == nil {
+			g = &ref{key: r[0], min: math.MaxInt64, max: math.MinInt64, distinct: map[int64]bool{}}
+			groups[r[0].String()] = g
+			order = append(order, g)
+		}
+		g.n++
+		g.fsum += r[2].Float()
+		if r[1].IsNull() {
+			continue
+		}
+		v := r[1].I
+		g.sum += v
+		g.signed += v
+		if v > 500 {
+			g.signed -= 2 * v
+		}
+		g.coalesced += v
+		g.nv++
+		g.min, g.max = min(g.min, v), max(g.max, v)
+		g.distinct[v] = true
+	}
+	const sql = "SELECT g, SUM(v), SUM(CASE WHEN v > 500 THEN -v ELSE v END), SUM(COALESCE(v, 0)), " +
+		"COUNT(*), COUNT(v), MIN(v), MAX(v), AVG(f), COUNT(DISTINCT v) FROM p GROUP BY g"
+	for _, bs := range []int{64, DefaultBatchSize} {
+		got, err := RunOpts(bindSQL(t, c, sql), Options{BatchSize: bs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(order) {
+			t.Fatalf("bs=%d: %d groups, want %d", bs, len(got), len(order))
+		}
+		for i, g := range order {
+			want := sqltypes.Row{g.key, sqltypes.NewInt(g.sum), sqltypes.NewInt(g.signed), sqltypes.NewInt(g.coalesced),
+				sqltypes.NewInt(g.n), sqltypes.NewInt(g.nv), sqltypes.NewInt(g.min), sqltypes.NewInt(g.max),
+				sqltypes.NewFloat(g.fsum / float64(g.n)), sqltypes.NewInt(int64(len(g.distinct)))}
+			if got[i].String() != want.String() {
+				t.Fatalf("bs=%d group %d: got %v, want %v", bs, i, got[i], want)
+			}
+		}
+	}
+}
+
+// TestAggKeepsMixedTypeGroupKeys: a derived key whose cells mix INTEGER and
+// DOUBLE (a CASE whose branches differ; Expr.Type reports the first) groups
+// by the values its cells hold, none of them turned into NULL.
+func TestAggKeepsMixedTypeGroupKeys(t *testing.T) {
+	c := groupCatalog(t, 100)
+	var hi, lo int64
+	for _, r := range runSQL(t, c, "SELECT v FROM p WHERE v IS NOT NULL") {
+		if r[0].I > 500 {
+			hi++
+		} else {
+			lo++
+		}
+	}
+	got := runSQL(t, c, "SELECT x, COUNT(*) FROM (SELECT CASE WHEN v > 500 THEN 1 ELSE 0.5 END AS x FROM p WHERE v IS NOT NULL) AS s GROUP BY x ORDER BY x")
+	want := []sqltypes.Row{{sqltypes.NewFloat(0.5), sqltypes.NewInt(lo)}, {sqltypes.NewInt(1), sqltypes.NewInt(hi)}}
+	if len(got) != len(want) || got[0].String() != want[0].String() || got[0][0].T != sqltypes.TypeFloat ||
+		got[1].String() != want[1].String() || got[1][0].T != sqltypes.TypeInt {
+		t.Fatalf("mixed-type group keys: got %v, want %v", got, want)
+	}
+}
+
+// TestNonBooleanWhereKeepsNothing: a WHERE clause that is not boolean (SQL
+// tolerates `WHERE 1`) is never TRUE, so it keeps no row.
+func TestNonBooleanWhereKeepsNothing(t *testing.T) {
+	c := testCatalog(t)
+	for _, sql := range []string{
+		"SELECT v FROM nums WHERE v + 1",
+		"SELECT v FROM nums WHERE v",
+		"SELECT v FROM nums WHERE 1",
+	} {
+		if rows := runSQL(t, c, sql); len(rows) != 0 {
+			t.Fatalf("%s: non-boolean WHERE kept %d rows", sql, len(rows))
+		}
 	}
 }
 
@@ -272,4 +368,75 @@ func TestErrorPropagation(t *testing.T) {
 	if _, err := Run(n); err == nil {
 		t.Fatal("string arithmetic must surface as execution error")
 	}
+}
+
+// TestJoinBuildSideSelection checks every join kind against a brute-force
+// nested loop when the cost model picks either build side.
+func TestJoinBuildSideSelection(t *testing.T) {
+	c := catalog.New()
+	small, _ := c.CreateTable("small", []catalog.Column{{Name: "x", Type: sqltypes.TypeInt}}, nil, false)
+	big, _ := c.CreateTable("big", []catalog.Column{{Name: "y", Type: sqltypes.TypeInt}}, nil, false)
+	for i := 0; i < 3; i++ {
+		load(t, c, small, sqltypes.Row{sqltypes.NewInt(int64(i * 2))}) // 0 2 4
+	}
+	load(t, c, small, sqltypes.Row{sqltypes.Null})
+	for i := 0; i < 40; i++ {
+		load(t, c, big, sqltypes.Row{sqltypes.NewInt(int64(i % 6))})
+	}
+	load(t, c, big, sqltypes.Row{sqltypes.Null})
+
+	cases := []string{
+		// small on the left: cost model builds left, probes right
+		"SELECT small.x, big.y FROM small JOIN big ON small.x = big.y",
+		"SELECT small.x, big.y FROM small LEFT JOIN big ON small.x = big.y",
+		"SELECT small.x, big.y FROM small RIGHT JOIN big ON small.x = big.y",
+		"SELECT small.x, big.y FROM small FULL OUTER JOIN big ON small.x = big.y",
+		// small on the right: classic right-side build
+		"SELECT big.y, small.x FROM big JOIN small ON big.y = small.x",
+		"SELECT big.y, small.x FROM big LEFT JOIN small ON big.y = small.x",
+		"SELECT big.y, small.x FROM big RIGHT JOIN small ON big.y = small.x",
+		"SELECT big.y, small.x FROM big FULL OUTER JOIN small ON big.y = small.x",
+	}
+	for _, sql := range cases {
+		got := sortedStrings(t, runSQL(t, c, sql))
+		// Reference: the same join with the equi key obscured, forcing the
+		// nested-loop path (no hash table, no build-side choice).
+		ref := sortedStrings(t, runSQL(t, c, replaceEquals(sql)))
+		if len(got) != len(ref) {
+			t.Fatalf("%s: %d rows vs nested-loop %d", sql, len(got), len(ref))
+		}
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("%s row %d: %q vs %q", sql, i, got[i], ref[i])
+			}
+		}
+	}
+}
+
+func sortedStrings(t *testing.T, rows []sqltypes.Row) []string {
+	t.Helper()
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// replaceEquals rewrites "a = b" into "a + 0 = b" in the ON clause so the
+// planner cannot extract equi keys (same trick as the existing hash-vs-loop
+// test), keeping NULL semantics identical.
+func replaceEquals(sql string) string {
+	const on = " ON "
+	for i := 0; i+len(on) <= len(sql); i++ {
+		if sql[i:i+len(on)] == on {
+			head, cond := sql[:i+len(on)], sql[i+len(on):]
+			for j := 0; j+3 <= len(cond); j++ {
+				if cond[j:j+3] == " = " {
+					return head + cond[:j] + " + 0 = " + cond[j+3:]
+				}
+			}
+		}
+	}
+	return sql
 }

@@ -150,17 +150,6 @@ type batchAgg struct {
 	pos     int
 	out     Batch
 	slab    valueSlab
-
-	col colAgg // columnar input path (see colagg.go)
-}
-
-// noteGroup registers a fresh group: its key row and one accumulator per
-// aggregate.
-func (it *batchAgg) noteGroup(kv sqltypes.Row) {
-	it.groups = append(it.groups, kv)
-	for i := range it.pools {
-		it.states = append(it.states, it.pools[i].get())
-	}
 }
 
 func newBatchAgg(in BatchIterator, node *plan.Aggregate, opts Options) *batchAgg {
@@ -195,15 +184,7 @@ func (it *batchAgg) build() error {
 		if b == nil {
 			break
 		}
-		// Columnar fast path: kernel-evaluated keys and arguments (see
-		// colagg.go); falls through to the row loop when unavailable.
-		if handled, err := it.accumulateColumnar(b); handled || err != nil {
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		for _, r := range b.RowView() {
+		for _, r := range b.Rows {
 			for i, g := range it.node.GroupBy {
 				v, err := g.Eval(r)
 				if err != nil {
@@ -216,7 +197,10 @@ func (it *batchAgg) build() error {
 			if inserted { // gi == len(it.groups): dense first-seen order
 				kv := it.keySlab.newRow()
 				copy(kv, keyScratch)
-				it.noteGroup(kv)
+				it.groups = append(it.groups, kv)
+				for i := range it.pools {
+					it.states = append(it.states, it.pools[i].get())
+				}
 			}
 			for _, st := range it.states[int(gi)*nAggs : int(gi)*nAggs+nAggs] {
 				if err := st.Add(r); err != nil {
@@ -622,7 +606,7 @@ func (it *batchJoin) NextBatch() (*Batch, error) {
 				it.prows = nil
 				continue
 			}
-			it.prows, it.pi = b.RowView(), 0
+			it.prows, it.pi = b.Rows, 0
 			continue
 		}
 		// Tail: unmatched build rows for the build-preserving kinds.
@@ -673,7 +657,7 @@ func (it *batchDistinct) NextBatch() (*Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		rows := b.RowView()
+		rows := b.Rows
 		kept := rows[:0]
 		for _, r := range rows {
 			if it.set.add(r) {
@@ -681,7 +665,7 @@ func (it *batchDistinct) NextBatch() (*Batch, error) {
 			}
 		}
 		if len(kept) > 0 {
-			b.Rows, b.Cols = kept, nil
+			b.Rows = kept
 			return b, nil
 		}
 	}
@@ -734,7 +718,7 @@ func (it *batchKeep) NextBatch() (*Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		rows := b.RowView()
+		rows := b.Rows
 		kept := rows[:0]
 		for _, r := range rows {
 			if it.keep(r) {
@@ -742,7 +726,7 @@ func (it *batchKeep) NextBatch() (*Batch, error) {
 			}
 		}
 		if len(kept) > 0 {
-			b.Rows, b.Cols = kept, nil
+			b.Rows = kept
 			return b, nil
 		}
 	}
@@ -811,7 +795,7 @@ func drainCounts(in BatchIterator, hint int) (*rowKeyCounter, error) {
 		if b == nil {
 			return &c, nil
 		}
-		for _, r := range b.RowView() {
+		for _, r := range b.Rows {
 			c.add(r)
 		}
 	}

@@ -37,8 +37,8 @@ func idIn(ids ...int64) *expr.In {
 	return in
 }
 
-// TestScanRowsKeyed: every way a scan opens goes through scanRows, which
-// hands a key-pinning filter's candidates over in scan order, and the
+// TestScanRowsKeyed: every way a scan opens goes through newBatchScan,
+// which takes a key-pinning filter's candidates in scan order, and the
 // filter's residual still applies.
 func TestScanRowsKeyed(t *testing.T) {
 	_, tbl := keyedCatalog(t, 12288)
@@ -47,7 +47,7 @@ func TestScanRowsKeyed(t *testing.T) {
 	}
 	scan := plan.NewScan(tbl, "")
 	scan.Filter = idIn(7, 4093, 7, -1, 12)
-	rows := scanRows(scan, plan.PinnedKeys(tbl, scan.Filter), Options{})
+	rows := newBatchScan(scan, Options{}).rows
 	if got, want := strings.Join(rowsToStrings(rows), ";"), "4093|3;12|2;7|7"; got != want {
 		t.Errorf("candidates %s, want %s (slot order, each key once)", got, want)
 	}

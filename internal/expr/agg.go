@@ -111,12 +111,6 @@ func (a *Aggregate) String() string {
 type AggState interface {
 	// Add folds one input row into the state.
 	Add(row sqltypes.Row) error
-	// AddVec folds cell i of the aggregate's pre-evaluated argument vector
-	// into the state — the columnar input path: the executor evaluates the
-	// argument expression once per batch as a vector kernel and feeds each
-	// row's cell to its group's accumulator, skipping per-row Eval dispatch.
-	// arg is nil only for COUNT(*), which consumes no argument.
-	AddVec(arg *sqltypes.Vector, i int) error
 	// Result produces the aggregate value.
 	Result() sqltypes.Value
 }
@@ -216,31 +210,6 @@ func (s *sumState) Add(row sqltypes.Row) error {
 	return nil
 }
 
-func (s *sumState) AddVec(arg *sqltypes.Vector, i int) error {
-	if !arg.Valid(i) {
-		return nil
-	}
-	// Unboxed accumulation on the matching payload; mixed int/float input
-	// across batches falls back to the same Arith promotion Add performs.
-	switch {
-	case arg.T == sqltypes.TypeInt && s.sum.T == sqltypes.TypeInt:
-		s.sum.I += arg.Ints[i]
-		return nil
-	case arg.T == sqltypes.TypeFloat && s.sum.T == sqltypes.TypeFloat:
-		s.sum = sqltypes.NewFloat(s.sum.Float() + arg.Floats[i])
-		return nil
-	case s.sum.IsNull():
-		s.sum = arg.ValueAt(i)
-		return nil
-	}
-	sum, err := sqltypes.Arith('+', s.sum, arg.ValueAt(i))
-	if err != nil {
-		return err
-	}
-	s.sum = sum
-	return nil
-}
-
 func (s *sumState) Result() sqltypes.Value { return s.sum }
 
 type countState struct {
@@ -258,13 +227,6 @@ func (s *countState) Add(row sqltypes.Row) error {
 		return err
 	}
 	if !v.IsNull() {
-		s.n++
-	}
-	return nil
-}
-
-func (s *countState) AddVec(arg *sqltypes.Vector, i int) error {
-	if arg == nil || arg.Valid(i) { // nil arg = COUNT(*)
 		s.n++
 	}
 	return nil
@@ -297,22 +259,6 @@ func (s *minmaxState) Add(row sqltypes.Row) error {
 	return nil
 }
 
-func (s *minmaxState) AddVec(arg *sqltypes.Vector, i int) error {
-	if !arg.Valid(i) {
-		return nil
-	}
-	v := arg.ValueAt(i)
-	if s.best.IsNull() {
-		s.best = v
-		return nil
-	}
-	c := sqltypes.Compare(v, s.best)
-	if (s.isMin && c < 0) || (!s.isMin && c > 0) {
-		s.best = v
-	}
-	return nil
-}
-
 func (s *minmaxState) Result() sqltypes.Value { return s.best }
 
 type avgState struct {
@@ -331,22 +277,6 @@ func (s *avgState) Add(row sqltypes.Row) error {
 	}
 	s.sum += v.AsFloat()
 	s.n++
-	return nil
-}
-
-func (s *avgState) AddVec(arg *sqltypes.Vector, i int) error {
-	switch {
-	case !arg.Valid(i):
-	case arg.T == sqltypes.TypeFloat:
-		s.sum += arg.Floats[i]
-		s.n++
-	case arg.T == sqltypes.TypeInt:
-		s.sum += float64(arg.Ints[i])
-		s.n++
-	default:
-		s.sum += arg.ValueAt(i).AsFloat()
-		s.n++
-	}
 	return nil
 }
 
@@ -375,15 +305,6 @@ func (s *distinctState) Add(row sqltypes.Row) error {
 	}
 	s.seen[string(s.buf)] = struct{}{}
 	return s.inner.Add(row)
-}
-
-func (s *distinctState) AddVec(arg *sqltypes.Vector, i int) error {
-	s.buf = arg.EncodeCell(s.buf[:0], i)
-	if _, ok := s.seen[string(s.buf)]; ok {
-		return nil
-	}
-	s.seen[string(s.buf)] = struct{}{}
-	return s.inner.AddVec(arg, i)
 }
 
 func (s *distinctState) Result() sqltypes.Value { return s.inner.Result() }

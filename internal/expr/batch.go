@@ -5,10 +5,8 @@ import "openivm/internal/sqltypes"
 // EvalBatch evaluates e over every row of rows, appending the results to
 // dst (pass dst[:0] to reuse a scratch buffer across batches). It is the
 // row-major batch-evaluation entry point: one expression over a whole
-// chunk, with fast paths for plain columns and literals. Expressions that
-// compile to vector kernels (CompileKernel) run faster still on columnar
-// batches; EvalBatch remains the fallback for everything the kernel
-// compiler rejects and for row-major inputs.
+// chunk, with fast paths for plain columns and literals; every other
+// expression runs through Eval row by row.
 func EvalBatch(e Expr, rows []sqltypes.Row, dst []sqltypes.Value) ([]sqltypes.Value, error) {
 	switch x := e.(type) {
 	case *Column:

@@ -626,7 +626,7 @@ func (e *Cast) String() string {
 type ScalarFunc struct {
 	Name string
 	Args []Expr
-	Fn   func(args []sqltypes.Value) (sqltypes.Value, error)
+	Fn   func(args []sqltypes.Value) (sqltypes.Value, error) // nil for COALESCE
 	Typ  sqltypes.Type
 
 	// scratch holds the reusable argument buffer behind an atomic swap:
@@ -639,8 +639,23 @@ type ScalarFunc struct {
 }
 
 // Eval implements Expr. A registered Fn must not retain its args slice
-// past the call — the buffer is recycled across evaluations.
+// past the call — the buffer is recycled across evaluations. COALESCE has
+// no Fn: it evaluates its arguments in order and stops at the first
+// non-NULL one, as PostgreSQL documents, so COALESCE(1, CAST('abc' AS
+// INTEGER)) is 1 and not a cast error.
 func (e *ScalarFunc) Eval(row sqltypes.Row) (sqltypes.Value, error) {
+	if e.Name == "COALESCE" {
+		for _, a := range e.Args {
+			v, err := a.Eval(row)
+			if err != nil {
+				return sqltypes.Null, err
+			}
+			if !v.IsNull() {
+				return v, nil
+			}
+		}
+		return sqltypes.Null, nil
+	}
 	p := e.scratch.Swap(nil)
 	if p == nil {
 		p = new([]sqltypes.Value)
@@ -738,14 +753,7 @@ var ScalarFuncs = map[string]func(argTypes []sqltypes.Type) (func([]sqltypes.Val
 				break
 			}
 		}
-		return func(args []sqltypes.Value) (sqltypes.Value, error) {
-			for _, a := range args {
-				if !a.IsNull() {
-					return a, nil
-				}
-			}
-			return sqltypes.Null, nil
-		}, t, nil
+		return nil, t, nil // ScalarFunc.Eval stops at the first non-NULL argument
 	},
 	"ABS": func(argTypes []sqltypes.Type) (func([]sqltypes.Value) (sqltypes.Value, error), sqltypes.Type, error) {
 		if len(argTypes) != 1 {

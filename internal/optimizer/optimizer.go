@@ -118,9 +118,9 @@ func isLit(e expr.Expr) bool {
 //     (right), preserved side, and a conjunct of the ON condition only into
 //     the other, null-supplying side;
 //   - through a FULL join, nowhere;
-//   - into a scan, as its filter — a fused-kernel filter, a key pin
-//     (plan.PinnedKeys), or the filter an index join applies to what it
-//     fetches.
+//   - into a scan, as its filter — evaluated on every row the scan reads,
+//     a key pin (plan.PinnedKeys), or the filter an index join applies to
+//     what it fetches.
 //
 // What stops above a node is a Filter there. root is set while n is
 // reached from the plan root through nodes that keep their input's schema:

@@ -338,39 +338,6 @@ func (s *SetOp) Describe() string {
 	return "SetOp"
 }
 
-// ScanPipeline matches the fusible Project? → Filter* → Scan chain at the
-// root of a plan subtree. When ok, scan is the base table access, filters
-// holds the predicates of any Filter nodes stacked above it (bottom-up,
-// bound against the scan's output schema — the scan's own pushed-down
-// Filter is not included since it is bound against the full row), and proj
-// is the optional projection on top. The executor uses the match to
-// collapse the chain into a single fused pass over each batch.
-//
-// A bare Scan (no stacked Filter, no Project) is not reported as a
-// pipeline: there is nothing to fuse.
-func ScanPipeline(n Node) (scan *Scan, filters []expr.Expr, proj *Project, ok bool) {
-	if p, isProj := n.(*Project); isProj {
-		proj = p
-		n = p.Input
-	}
-	for {
-		f, isFilter := n.(*Filter)
-		if !isFilter {
-			break
-		}
-		filters = append(filters, f.Pred)
-		n = f.Input
-	}
-	scan, isScan := n.(*Scan)
-	if !isScan {
-		return nil, nil, nil, false
-	}
-	if proj == nil && len(filters) == 0 && scan.Filter == nil {
-		return nil, nil, nil, false
-	}
-	return scan, filters, proj, true
-}
-
 // Explain renders a plan tree as an indented string.
 func Explain(n Node) string {
 	var sb strings.Builder

@@ -4,6 +4,3 @@ package sqltypes
 func KeyString(vals ...Value) string {
 	return string(EncodeKey(nil, vals...))
 }
-
-// NullCount returns how many cells are NULL.
-func (v *Vector) NullCount() int { return v.nulls }

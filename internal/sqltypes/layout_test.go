@@ -28,40 +28,6 @@ func edgePayloads() []Value {
 	}
 }
 
-// samePayload compares two values by the payload their type reads, a
-// DOUBLE by its IEEE bits, so -0.0 and NaN are checked too.
-func samePayload(a, b Value) bool {
-	if a.T != b.T {
-		return false
-	}
-	switch a.T {
-	case TypeInt:
-		return a.I == b.I
-	case TypeFloat:
-		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
-	case TypeBool:
-		return a.Bool() == b.Bool()
-	case TypeString:
-		return a.S == b.S
-	}
-	return true
-}
-
-// TestPayloadsSurviveVectors: every payload comes back out of a Vector
-// unchanged, and its cell encodes as EncodeKey encodes the boxed value.
-func TestPayloadsSurviveVectors(t *testing.T) {
-	for _, v := range edgePayloads() {
-		vec := NewVector(v.T, 1)
-		vec.AppendValue(v)
-		if got := vec.ValueAt(0); !samePayload(got, v) {
-			t.Errorf("%s %.20q: vector gives back %.20q", v.T, v.String(), got.String())
-		}
-		if !bytes.Equal(vec.EncodeCell(nil, 0), EncodeKey(nil, v)) {
-			t.Errorf("%s %.20q: EncodeCell and EncodeKey differ", v.T, v.String())
-		}
-	}
-}
-
 // keyOrderCases is every edge payload plus the integers around 2^53 and
 // 2^63 and the DOUBLEs next to them, where a float64 image rounds.
 func keyOrderCases() []Value {

@@ -2,7 +2,7 @@
 // boundary the paper's demo engine needed to cross to go from
 // cache-scale to durable: a Backend that owns the write-ahead log,
 // columnar checkpoints and recovery, and a Table contract that the
-// in-memory columnar form (internal/catalog) implements as the default.
+// in-memory row table (internal/catalog) implements as the default.
 //
 // # The Backend contract
 //
@@ -39,7 +39,7 @@
 // paths they may pick by themselves (TruncateTxn's physical reset,
 // UpsertBatchTxn's in-place replace), snapshot scans, and the
 // ApplyCommit/ApplyAbort restamping hooks. internal/catalog's
-// columnar Table is the default implementation; an embedded-KV backend
+// row-major Table is the default implementation; an embedded-KV backend
 // can slot in by implementing the same contract.
 package storage
 
@@ -65,7 +65,6 @@ type Table interface {
 	// snapshots until it commits, reverted when it aborts.
 	InsertTxn(tx *mvcc.Txn, row sqltypes.Row) error
 	InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) error
-	InsertVecsTxn(tx *mvcc.Txn, cols []*sqltypes.Vector, n int) ([]sqltypes.Row, error)
 	UpsertTxn(tx *mvcc.Txn, row sqltypes.Row) error
 	UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, replacedOld, replacedNew []sqltypes.Row, err error)
 	// UpdateTxn and DeleteTxn visit every visible row, or — with
