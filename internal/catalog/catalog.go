@@ -25,6 +25,7 @@ import (
 	"openivm/internal/index/slottab"
 	"openivm/internal/mvcc"
 	"openivm/internal/sqltypes"
+	"openivm/internal/storage"
 )
 
 // Column describes one table column.
@@ -650,41 +651,29 @@ func (t *Table) InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) error {
 	return nil
 }
 
-// UpsertTxn inserts, or replaces the existing row with the same primary key
-// (DuckDB INSERT OR REPLACE). The table must have a primary key. The
-// replaced version is end-stamped and a new version appended, so concurrent
-// snapshots keep seeing the old row until commit.
-func (t *Table) UpsertTxn(tx *mvcc.Txn, row sqltypes.Row) error {
-	r, err := t.validate(row)
-	if err != nil {
-		return err
-	}
-	if !t.HasPrimaryKey() {
-		return fmt.Errorf("table %s: INSERT OR REPLACE requires a primary key or unique index", t.Name)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.upsertLocked(tx, r, t.pkSeekLocked(r))
-}
-
-// UpsertBatchTxn applies INSERT OR REPLACE to a batch of rows under one
-// lock acquisition — the IVM combine step's hot path. Per-row semantics
-// match UpsertTxn, with one addition: when tx is an autocommit statement
-// transaction and the sole observer (no other transaction, no registered
-// snapshot — the same quiescence test TruncateTxn uses), replaced
-// rows are updated in place and fresh keys are appended already stamped
-// committed, instead of version-churning every group on every refresh.
-// The batch stays atomic for later-arriving readers because the table
-// lock is held throughout, and the displaced rows ride the write log
-// (OpReplace) so the rare doom-abort — only reachable through the
-// fallback path below — still reverts cleanly. A snapshot taken between
-// the batch and the statement's commit observes the statement's
-// uncommitted writes; should the statement still abort — a trigger
-// handler fails inside its transaction — that snapshot has seen writes
-// that never committed. Returns the inserted rows and the replaced old/new
-// pairs for trigger delivery; on error the applied prefix stays in tx, for
-// the caller to abort.
-func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, replacedOld, replacedNew []sqltypes.Row, err error) {
+// UpsertBatchTxn inserts rows under one lock acquisition, each row whose
+// key is taken going through merge instead: a nil merge replaces the
+// existing row with the upserted one (DuckDB INSERT OR REPLACE). The table
+// must have a primary key, and a merged row must keep existing's key. Rows
+// apply in order, so a key repeated within the batch merges with the row
+// its first occurrence left.
+//
+// A replaced version is end-stamped and a new version appended, so
+// concurrent snapshots keep seeing the old row until commit — except when
+// tx is an autocommit statement transaction and the sole observer (no
+// other transaction, no registered snapshot — the same quiescence test
+// TruncateTxn uses): then replaced rows are updated in place and fresh
+// keys are appended already stamped committed, instead of version-churning
+// every group on every refresh. The batch stays atomic for later-arriving
+// readers because the table lock is held throughout, and the displaced
+// rows ride the write log (OpReplace) so the rare doom-abort still reverts
+// cleanly. A snapshot taken between the batch and the statement's commit
+// would observe the statement's uncommitted writes, so a statement that
+// can still abort after its write — its trigger handlers have yet to run —
+// clears tx's autocommit mark first. Returns the inserted rows and the
+// replaced old/new pairs for trigger delivery; on error the applied prefix
+// stays in tx, for the caller to abort.
+func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge storage.Merge) (inserted, replacedOld, replacedNew []sqltypes.Row, err error) {
 	if !t.HasPrimaryKey() {
 		return nil, nil, nil, fmt.Errorf("table %s: INSERT OR REPLACE requires a primary key or unique index", t.Name)
 	}
@@ -697,47 +686,45 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, rep
 			return inserted, replacedOld, replacedNew, verr
 		}
 		cur := t.pkSeekLocked(r)
-		if quiescent {
-			if !cur.ok {
-				// Fresh key: append stamped committed at tx's read
-				// timestamp (not the latest one, so the row stays visible
-				// to tx's own snapshot even if unrelated commits land
-				// mid-batch), logged so an abort still removes it.
-				slot := len(t.rows)
-				t.rows = append(t.rows, r)
-				t.vers = append(t.vers, verMeta{begin: tx.ReadTS, prev: -1})
-				t.pkStore(cur, slot)
-				t.insertIndexedLocked(r, slot)
-				t.live++
-				t.logLocked(tx, mvcc.Op{Kind: mvcc.OpInsert, Slot: int32(slot), Prev: -1})
-				t.inPlaceTS = ^uint64(0)
-				inserted = append(inserted, r)
-				continue
-			}
-			newest := cur.slot
-			vm := t.vers[newest]
-			if old := t.rows[newest]; old != nil && vm.begin&mvcc.TxnBit == 0 && vm.begin <= tx.ReadTS && vm.end == 0 {
-				t.removeIndexedLocked(old, int(newest))
-				t.rows[newest] = r
-				t.insertIndexedLocked(r, int(newest))
-				t.logLocked(tx, mvcc.Op{Kind: mvcc.OpReplace, Slot: newest, Old: old})
-				t.inPlaceTS = ^uint64(0)
-				replacedOld = append(replacedOld, old)
-				replacedNew = append(replacedNew, r)
-				continue
-			}
-		}
-		// Non-quiescent, or an odd chain state (a key claimed by a
-		// version committed after tx's snapshot, uncommitted stamps):
-		// the general versioned path, which detects conflicts and dooms
-		// tx as usual.
 		vis := t.visibleLocked(tx.Snapshot(), cur.slot)
 		var old sqltypes.Row
 		if vis >= 0 {
 			old = t.rows[vis]
+			if r, err = t.mergeLocked(merge, old, r); err != nil {
+				return inserted, replacedOld, replacedNew, err
+			}
+			if r == nil {
+				continue
+			}
 		}
-		if uerr := t.upsertLocked(tx, r, cur); uerr != nil {
-			return inserted, replacedOld, replacedNew, uerr
+		switch {
+		case quiescent && !cur.ok:
+			// Fresh key: append stamped committed at tx's read timestamp
+			// (not the latest one, so the row stays visible to tx's own
+			// snapshot even if unrelated commits land mid-batch), logged
+			// so an abort still removes it.
+			slot := len(t.rows)
+			t.rows = append(t.rows, r)
+			t.vers = append(t.vers, verMeta{begin: tx.ReadTS, prev: -1})
+			t.pkStore(cur, slot)
+			t.insertIndexedLocked(r, slot)
+			t.live++
+			t.logLocked(tx, mvcc.Op{Kind: mvcc.OpInsert, Slot: int32(slot), Prev: -1})
+			t.inPlaceTS = ^uint64(0)
+		case quiescent && vis == cur.slot && t.vers[vis].begin&mvcc.TxnBit == 0 && t.vers[vis].end == 0:
+			t.removeIndexedLocked(old, int(vis))
+			t.rows[vis] = r
+			t.insertIndexedLocked(r, int(vis))
+			t.logLocked(tx, mvcc.Op{Kind: mvcc.OpReplace, Slot: vis, Old: old})
+			t.inPlaceTS = ^uint64(0)
+		default:
+			// Non-quiescent, or an odd chain state (a key claimed by a
+			// version committed after tx's snapshot, uncommitted stamps):
+			// the general versioned path, which detects conflicts and
+			// dooms tx as usual.
+			if err = t.upsertLocked(tx, r, cur); err != nil {
+				return inserted, replacedOld, replacedNew, err
+			}
 		}
 		if vis >= 0 {
 			replacedOld = append(replacedOld, old)
@@ -747,6 +734,28 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, rep
 		}
 	}
 	return inserted, replacedOld, replacedNew, nil
+}
+
+// mergeLocked returns the validated row that replaces old when excluded,
+// validated, is upserted onto its key: excluded itself under a nil merge,
+// else merge's row — nil when merge keeps old.
+func (t *Table) mergeLocked(merge storage.Merge, old, excluded sqltypes.Row) (sqltypes.Row, error) {
+	if merge == nil {
+		return excluded, nil
+	}
+	m, err := merge(old, excluded)
+	if err != nil || m == nil {
+		return nil, err
+	}
+	if m, err = t.validate(m); err != nil {
+		return nil, err
+	}
+	for _, p := range t.pkCols {
+		if !sqltypes.Equal(m[p], old[p]) {
+			return nil, enginerr.Newf(enginerr.CodeFeatureNotSupported, "table %s: ON CONFLICT DO UPDATE cannot change the primary key", t.Name)
+		}
+	}
+	return m, nil
 }
 
 // upsertLocked appends r as the newest version of its key, retiring the
@@ -1208,9 +1217,7 @@ func (t *Table) lookupPK(sn mvcc.Snapshot, vals []sqltypes.Value) (sqltypes.Row,
 
 // LookupPKRowSnap returns the row whose primary key equals the key values
 // of a full-width candidate row, if present under snapshot sn (the zero snapshot means
-// latest-committed) — the upsert path's per-row existence probe. Stack
-// buffers keep the probe allocation-free (the INSERT OR REPLACE loop the
-// IVM combine step runs calls this once per source row).
+// latest-committed). Stack buffers keep the probe allocation-free.
 func (t *Table) LookupPKRowSnap(sn mvcc.Snapshot, row sqltypes.Row) (sqltypes.Row, bool) {
 	if !t.HasPrimaryKey() {
 		return nil, false

@@ -33,7 +33,7 @@ func (a autoTable) InsertBatch(rows []sqltypes.Row) error {
 }
 
 func (a autoTable) Upsert(r sqltypes.Row) error {
-	return a.write(func(tx *mvcc.Txn) error { return a.UpsertTxn(tx, r) })
+	return a.write(func(tx *mvcc.Txn) error { _, _, _, err := a.UpsertBatchTxn(tx, []sqltypes.Row{r}, nil); return err })
 }
 
 func (a autoTable) Delete(pred func(sqltypes.Row) (bool, error)) (del []sqltypes.Row, err error) {

@@ -12,7 +12,6 @@ package duckast
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -136,43 +135,28 @@ func (s *Select) SQL(d Dialect) string {
 	return sb.String()
 }
 
-// Insert emits INSERT INTO, with upsert semantics translated per dialect:
-// DuckDB uses INSERT OR REPLACE; PostgreSQL uses ON CONFLICT (keys) DO
-// UPDATE SET col = EXCLUDED.col for every column of Columns not in
-// KeyColumns.
+// Insert emits INSERT INTO, with an ON CONFLICT (ConflictKeys) DO UPDATE
+// SET clause when Set is not empty: each entry is "col = expr", whose expr
+// reads the existing row through the table's name and the inserted one
+// through EXCLUDED — PostgreSQL's and DuckDB's spelling alike.
 type Insert struct {
-	Table   string
-	Columns []string
-	Select  *Select
-	// Upsert requests replace-on-conflict semantics. KeyColumns lists the
-	// conflict target (required for the PostgreSQL emission; DuckDB infers
-	// it from the primary key).
-	Upsert     bool
-	KeyColumns []string
+	Table        string
+	Columns      []string
+	Select       *Select
+	ConflictKeys []string
+	Set          []string
 }
 
 // SQL implements Node.
 func (ins *Insert) SQL(d Dialect) string {
 	var sb strings.Builder
-	if ins.Upsert && d == DialectDuckDB {
-		sb.WriteString("INSERT OR REPLACE INTO ")
-	} else {
-		sb.WriteString("INSERT INTO ")
-	}
-	sb.WriteString(ins.Table)
+	sb.WriteString("INSERT INTO " + ins.Table)
 	if len(ins.Columns) > 0 {
 		sb.WriteString(" (" + strings.Join(ins.Columns, ", ") + ")")
 	}
 	sb.WriteString(" " + ins.Select.SQL(d))
-	if ins.Upsert && d == DialectPostgres {
-		sb.WriteString(" ON CONFLICT (" + strings.Join(ins.KeyColumns, ", ") + ") DO UPDATE SET ")
-		sep := ""
-		for _, c := range ins.Columns {
-			if !slices.Contains(ins.KeyColumns, c) {
-				sb.WriteString(sep + c + " = EXCLUDED." + c)
-				sep = ", "
-			}
-		}
+	if len(ins.Set) > 0 {
+		sb.WriteString(" ON CONFLICT (" + strings.Join(ins.ConflictKeys, ", ") + ") DO UPDATE SET " + strings.Join(ins.Set, ", "))
 	}
 	return sb.String()
 }

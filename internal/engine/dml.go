@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"openivm/internal/catalog"
@@ -15,17 +16,21 @@ import (
 	"openivm/internal/plan"
 	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
+	"openivm/internal/storage"
 )
 
-// execInsert handles INSERT, INSERT OR REPLACE (DuckDB dialect) and
-// INSERT ... ON CONFLICT (PostgreSQL dialect).
+// execInsert handles INSERT, INSERT OR REPLACE and INSERT ... ON
+// CONFLICT. The last two are one upsert: UpsertBatchTxn, given the ON
+// CONFLICT clause as its merge.
 func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.InsertStmt) (*Result, error) {
 	tbl, err := s.writeTable(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	if st.Conflict != nil && !st.Conflict.DoNothing && !tbl.HasPrimaryKey() {
-		return nil, fmt.Errorf("engine: ON CONFLICT DO UPDATE requires a primary key on %s", st.Table)
+	if st.Conflict != nil {
+		if err := checkConflictTarget(tbl, st.Conflict); err != nil {
+			return nil, err
+		}
 	}
 
 	// Source plan (rows are pulled after the column mapping is known: the
@@ -90,59 +95,41 @@ func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.
 
 	// Plain INSERT: stream source batches straight into storage, one lock
 	// acquisition per batch — the batched DML path IVM delta application
-	// runs on.
-	if !st.OrReplace && st.Conflict == nil {
+	// runs on. DO NOTHING on a table without a key has nothing to conflict
+	// with.
+	if !st.OrReplace && (st.Conflict == nil || !tbl.HasPrimaryKey()) {
 		return s.insertStream(ctx, n, tbl, st, buildRow)
 	}
 
 	tx, done := s.BeginWrite()
+	if s.wantsTriggerRows(st.Table, TrigInsert) || s.wantsTriggerRows(st.Table, TrigUpdate) {
+		// The handlers run after the write, in its transaction, and can
+		// still abort it: no snapshot may see its rows in place.
+		tx.SetAutoCommit(false)
+	}
 	srcRows, err := exec.RunOpts(n, s.execOptsTxn(ctx, tx))
 	if err != nil {
 		return nil, done(err)
 	}
-	var inserted, replacedOld, replacedNew []sqltypes.Row
-	if st.OrReplace {
-		// One batched storage call: the whole REPLACE set lands under a
-		// single table-lock acquisition, which lets storage take its
-		// quiescent in-place path (no version churn in the IVM combine
-		// loop) while keeping the batch atomic for concurrent readers.
-		built := make([]sqltypes.Row, 0, len(srcRows))
-		for _, src := range srcRows {
-			row, err := buildRow(src)
-			if err != nil {
-				return nil, done(err)
-			}
-			built = append(built, row)
+	built := make([]sqltypes.Row, 0, len(srcRows))
+	for _, src := range srcRows {
+		row, err := buildRow(src)
+		if err != nil {
+			return nil, done(err)
 		}
-		inserted, replacedOld, replacedNew, err = tbl.UpsertBatchTxn(tx, built)
-	} else {
-		for _, src := range srcRows {
-			var row sqltypes.Row
-			if row, err = buildRow(src); err != nil {
-				break
-			}
-			old, existed := lookupByPK(tbl, tx, row)
-			if existed && st.Conflict.DoNothing {
-				continue
-			}
-			if !existed {
-				if err = tbl.InsertTxn(tx, row); err != nil {
-					break
-				}
-				inserted = append(inserted, row)
-				continue
-			}
-			var merged sqltypes.Row
-			if merged, err = s.applyConflictSet(&ent.params, tbl, st.Conflict, old, row); err == nil {
-				err = tbl.UpsertTxn(tx, merged)
-			}
-			if err != nil {
-				break
-			}
-			replacedOld = append(replacedOld, old)
-			replacedNew = append(replacedNew, merged)
+		built = append(built, row)
+	}
+	var merge storage.Merge
+	if st.Conflict != nil {
+		if merge, err = s.conflictMerge(&ent.params, tbl, st.Conflict, len(built)); err != nil {
+			return nil, done(err)
 		}
 	}
+	// One batched storage call: the whole set lands under a single
+	// table-lock acquisition, which lets storage take its quiescent
+	// in-place path (no version churn in the IVM combine step) while
+	// keeping the batch atomic for concurrent readers.
+	inserted, replacedOld, replacedNew, err := tbl.UpsertBatchTxn(tx, built, merge)
 	if err == nil {
 		s.fireTxn(st.Table, TrigInsert, nil, inserted)
 		s.fireTxn(st.Table, TrigUpdate, replacedOld, replacedNew)
@@ -151,6 +138,97 @@ func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.
 		return nil, err
 	}
 	return &Result{RowsAffected: len(inserted) + len(replacedNew)}, nil
+}
+
+// checkConflictTarget refuses an ON CONFLICT target that is not the
+// table's primary key, the one constraint that arbitrates conflicts, and DO
+// UPDATE on a table without one. A clause without a target names the key.
+func checkConflictTarget(tbl *catalog.Table, oc *sqlparser.OnConflict) error {
+	named := make([]int, len(oc.Columns))
+	for i, c := range oc.Columns {
+		if named[i] = tbl.ColumnPos(c); named[i] < 0 {
+			return enginerr.Newf(enginerr.CodeUndefinedColumn, "engine: ON CONFLICT column %q not in table %q", c, tbl.Name)
+		}
+	}
+	pk := slices.Clone(tbl.PrimaryKeyColumns())
+	slices.Sort(pk)
+	slices.Sort(named)
+	if len(named) > 0 && !slices.Equal(slices.Compact(named), pk) || len(pk) == 0 && !oc.DoNothing {
+		return enginerr.Newf(enginerr.CodeInvalidColumnReference, "engine: ON CONFLICT (%s) does not name the primary key of %s",
+			strings.Join(oc.Columns, ", "), tbl.Name)
+	}
+	return nil
+}
+
+// conflictMerge binds an ON CONFLICT clause, once per statement, into the
+// merge its upsert applies to each conflicting row: DO NOTHING keeps the
+// existing row; DO UPDATE evaluates its SET list over the schema [table
+// columns..., excluded.*] and stores the existing row with those columns
+// replaced. Merged rows are carved from one block sized to the statement's
+// rows, which each conflict at most once.
+func (s *Session) conflictMerge(params *expr.ParamBinding, tbl *catalog.Table, oc *sqlparser.OnConflict, rows int) (storage.Merge, error) {
+	if oc.DoNothing {
+		return func(_, _ sqltypes.Row) (sqltypes.Row, error) { return nil, nil }, nil
+	}
+	schema := tableSchema(tbl)
+	for _, c := range tbl.Columns {
+		schema = append(schema, plan.ColumnInfo{Table: "excluded", Name: c.Name, Type: c.Type})
+	}
+	sets, err := bindSetList(s.newBinder(params), tbl, oc.Set, schema)
+	if err == nil {
+		err = runSubqueries(sets.exprs...)
+	}
+	if err != nil {
+		return nil, err
+	}
+	w := len(tbl.Columns)
+	env := make(sqltypes.Row, 2*w)
+	var block []sqltypes.Value
+	return func(existing, excluded sqltypes.Row) (sqltypes.Row, error) {
+		if block == nil {
+			block = make([]sqltypes.Value, rows*w)
+		}
+		merged := sqltypes.Row(block[:w:w])
+		block = block[w:]
+		copy(env, existing)
+		copy(env[w:], excluded)
+		copy(merged, existing)
+		return merged, sets.apply(env, merged)
+	}, nil
+}
+
+// setList is a bound SET list, UPDATE's or ON CONFLICT DO UPDATE's: for
+// each assignment, the column it writes and its value's expression.
+type setList struct {
+	pos   []int
+	exprs []expr.Expr
+}
+
+// bindSetList binds the assignments of a SET list on tbl over schema.
+func bindSetList(b *plan.Binder, tbl *catalog.Table, set []sqlparser.Assignment, schema []plan.ColumnInfo) (setList, error) {
+	l := setList{pos: make([]int, len(set)), exprs: make([]expr.Expr, len(set))}
+	for i, a := range set {
+		if l.pos[i] = tbl.ColumnPos(a.Column); l.pos[i] < 0 {
+			return l, enginerr.Newf(enginerr.CodeUndefinedColumn, "engine: SET column %q not in table %q", a.Column, tbl.Name)
+		}
+		var err error
+		if l.exprs[i], err = b.BindExprSchema(a.Value, schema); err != nil {
+			return l, err
+		}
+	}
+	return l, nil
+}
+
+// apply writes the list's values, evaluated over env, into row.
+func (l setList) apply(env, row sqltypes.Row) error {
+	for i, e := range l.exprs {
+		v, err := e.Eval(env)
+		if err != nil {
+			return err
+		}
+		row[l.pos[i]] = v
+	}
+	return nil
 }
 
 // insertStream executes the plain-INSERT sink over a batch pipeline. Each
@@ -200,49 +278,6 @@ func (s *Session) insertStream(ctx context.Context, n plan.Node, tbl *catalog.Ta
 	return &Result{RowsAffected: total}, nil
 }
 
-// lookupByPK fetches the row matching row's primary key as seen by the
-// writing transaction's snapshot (own uncommitted writes included).
-func lookupByPK(tbl *catalog.Table, tx *mvcc.Txn, row sqltypes.Row) (sqltypes.Row, bool) {
-	if !tbl.HasPrimaryKey() {
-		return nil, false
-	}
-	return tbl.LookupPKRowSnap(tx.Snapshot(), row)
-}
-
-// applyConflictSet computes the merged row for ON CONFLICT DO UPDATE.
-// Assignment expressions see the schema [table columns..., excluded.*].
-func (s *Session) applyConflictSet(params *expr.ParamBinding, tbl *catalog.Table, oc *sqlparser.OnConflict, old, new sqltypes.Row) (sqltypes.Row, error) {
-	schema := make([]plan.ColumnInfo, 0, 2*len(tbl.Columns))
-	for _, c := range tbl.Columns {
-		schema = append(schema, plan.ColumnInfo{Table: tbl.Name, Name: c.Name, Type: c.Type})
-	}
-	for _, c := range tbl.Columns {
-		schema = append(schema, plan.ColumnInfo{Table: "excluded", Name: c.Name, Type: c.Type})
-	}
-	env := make(sqltypes.Row, 0, 2*len(old))
-	env = append(env, old...)
-	env = append(env, new...)
-
-	merged := old.Clone()
-	b := s.newBinder(params)
-	for _, a := range oc.Set {
-		p := tbl.ColumnPos(a.Column)
-		if p < 0 {
-			return nil, fmt.Errorf("engine: ON CONFLICT SET column %q unknown", a.Column)
-		}
-		e, err := b.BindExprSchema(a.Value, schema)
-		if err != nil {
-			return nil, err
-		}
-		v, err := e.Eval(env)
-		if err != nil {
-			return nil, err
-		}
-		merged[p] = v
-	}
-	return merged, nil
-}
-
 func (s *Session) execUpdate(ctx context.Context, params *expr.ParamBinding, st *sqlparser.UpdateStmt) (*Result, error) {
 	tbl, err := s.writeTable(st.Table)
 	if err != nil {
@@ -258,28 +293,14 @@ func (s *Session) execUpdate(ctx context.Context, params *expr.ParamBinding, st 
 			return nil, err
 		}
 	}
-	type setOp struct {
-		pos int
-		e   expr.Expr
-	}
-	var sets []setOp
-	var setExprs []expr.Expr
-	for _, a := range st.Set {
-		p := tbl.ColumnPos(a.Column)
-		if p < 0 {
-			return nil, fmt.Errorf("engine: SET column %q unknown", a.Column)
-		}
-		e, err := b.BindExprSchema(a.Value, schema)
-		if err != nil {
-			return nil, err
-		}
-		sets = append(sets, setOp{pos: p, e: e})
-		setExprs = append(setExprs, e)
+	sets, err := bindSetList(b, tbl, st.Set, schema)
+	if err != nil {
+		return nil, err
 	}
 
 	tx, done := s.BeginWrite()
 	check := ctxChecker(ctx)
-	keys, err := keysBeforeLock(tbl, pred, setExprs...)
+	keys, err := keysBeforeLock(tbl, pred, sets.exprs...)
 	if err != nil {
 		return nil, done(err)
 	}
@@ -299,14 +320,7 @@ func (s *Session) execUpdate(ctx context.Context, params *expr.ParamBinding, st 
 		},
 		func(r sqltypes.Row) (sqltypes.Row, error) {
 			nr := r.Clone()
-			for _, s := range sets {
-				v, err := s.e.Eval(r)
-				if err != nil {
-					return nil, err
-				}
-				nr[s.pos] = v
-			}
-			return nr, nil
+			return nr, sets.apply(r, nr)
 		})
 	if err == nil {
 		s.fireTxn(st.Table, TrigUpdate, old, new_)
@@ -708,12 +722,11 @@ func (s *Session) execRollback() (*Result, error) {
 
 // --- lazy scalar subquery ---
 
-// keysBeforeLock is what UPDATE and DELETE do before they take tbl's write
-// lock: run every uncorrelated subquery of the predicate and of the other
-// expressions evaluated per row (each caches its result) — first evaluated
-// under the lock, one that reads tbl itself would wait for the lock its own
-// statement holds — and return the keys pred pins (nil: the scan).
-func keysBeforeLock(tbl *catalog.Table, pred expr.Expr, perRow ...expr.Expr) (keys []sqltypes.Value, err error) {
+// runSubqueries runs every uncorrelated subquery of exprs, each of which
+// caches its result. A write runs them before it takes its table's write
+// lock: first evaluated under the lock, one that reads the table itself
+// would wait for the lock its own statement holds.
+func runSubqueries(exprs ...expr.Expr) (err error) {
 	fetch := func(x expr.Expr) {
 		if err != nil {
 			return
@@ -725,9 +738,19 @@ func keysBeforeLock(tbl *catalog.Table, pred expr.Expr, perRow ...expr.Expr) (ke
 			_, err = q.Eval(nil)
 		}
 	}
-	expr.Walk(pred, fetch)
-	for _, e := range perRow {
+	for _, e := range exprs {
 		expr.Walk(e, fetch)
+	}
+	return err
+}
+
+// keysBeforeLock is what UPDATE and DELETE do before they take tbl's write
+// lock: run the subqueries of the predicate and of the other expressions
+// evaluated per row, and return the keys pred pins (nil: the scan).
+func keysBeforeLock(tbl *catalog.Table, pred expr.Expr, perRow ...expr.Expr) ([]sqltypes.Value, error) {
+	err := runSubqueries(pred)
+	if err == nil {
+		err = runSubqueries(perRow...)
 	}
 	if err != nil {
 		return nil, err

@@ -291,7 +291,7 @@ func (r *recoverer) Commit(rec *storage.CommitRecord) error {
 		case storage.OpInsert:
 			err = tbl.InsertTxn(tx, op.Row)
 		case storage.OpUpsert:
-			err = tbl.UpsertTxn(tx, op.Row)
+			_, _, _, err = tbl.UpsertBatchTxn(tx, []sqltypes.Row{op.Row}, nil)
 		case storage.OpDelete:
 			_ = tbl.ApplyDeltasTxn(tx, []sqltypes.Row{op.Row}, []bool{false}) // absent: see above
 		case storage.OpTruncate:

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -9,7 +10,7 @@ import (
 
 // IsSerializationError reports whether err is an MVCC write-write
 // conflict (first-committer-wins).
-func IsSerializationError(err error) bool { return mvcc.IsSerialization(err) }
+func IsSerializationError(err error) bool { return errors.Is(err, mvcc.ErrSerialization) }
 
 // DegradedReason returns the storage failure that triggered degraded
 // mode (nil when healthy).

@@ -33,6 +33,12 @@ const (
 	CodeUndefinedTable = "42P01"
 	// CodeDuplicateTable names a table or view that exists already.
 	CodeDuplicateTable = "42P07"
+	// CodeUndefinedColumn names a column the table does not have.
+	CodeUndefinedColumn = "42703"
+	// CodeInvalidColumnReference is a column list that names no
+	// constraint it must: an ON CONFLICT target that is not the primary
+	// key.
+	CodeInvalidColumnReference = "42P10"
 	// CodeRecoveryCorruption is unreadable durable state: a checkpoint
 	// or WAL record that fails its checksum or decodes inconsistently
 	// beyond the tolerated torn tail. Not retryable.

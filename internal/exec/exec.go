@@ -49,8 +49,8 @@
 // build rows, or — when it is a bare scan of a table whose join columns are
 // its primary key or a secondary index, and the table is at least 8× the
 // build side — probe that index once per build row and never scan it. The
-// second is what an IVM refresh runs: ΔT ⋈ base and ivm_cte LEFT JOIN V
-// cost O(|ΔT|), not O(|base|). The plan is the same either way, so cached
+// second is what an IVM refresh runs: ΔT ⋈ base costs O(|ΔT|), not
+// O(|base|). The plan is the same either way, so cached
 // prepared plans switch strategy as their delta tables grow and shrink.
 // Cross and theta joins run as a nested loop. See batchJoin.
 //

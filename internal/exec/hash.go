@@ -278,8 +278,8 @@ type joinBucket struct {
 //     side, and is never scanned — its key index is probed once per build
 //     row (catalog.Table.ProbeKeys: one lock hold and one snapshot, read at
 //     open like the scan it replaces), so the join costs O(|build|). This is
-//     what makes an IVM refresh cost what the delta costs: ΔT ⋈ base and
-//     ivm_cte LEFT JOIN V both probe the big side's primary key;
+//     what makes an IVM refresh cost what the delta costs: ΔT ⋈ base
+//     probes the base's key;
 //   - nested loop (cross/theta joins): every build row is a candidate for
 //     every probe row and the residual predicate decides.
 //

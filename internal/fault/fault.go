@@ -239,15 +239,6 @@ func Activate(site, spec string) error {
 	return nil
 }
 
-// ActivateErr arms a failpoint that returns exactly err on every fire —
-// for tests that need a specific (possibly typed) error value.
-func ActivateErr(site string, err error) {
-	mu.Lock()
-	points[site] = &point{site: site, act: actError, err: fmt.Errorf("%w: %w", ErrInjected, err)}
-	mu.Unlock()
-	armed.Store(true)
-}
-
 // ActivateSpec arms a semicolon-separated list of site=spec activations
 // (the FAULT_POINTS env format).
 func ActivateSpec(list string) error {
@@ -265,13 +256,6 @@ func ActivateSpec(list string) error {
 		}
 	}
 	return nil
-}
-
-// Deactivate disarms one site (a no-op when it is not armed).
-func Deactivate(site string) {
-	mu.Lock()
-	delete(points, site)
-	mu.Unlock()
 }
 
 // Reset disarms every failpoint. Tests defer it so failpoints never leak
@@ -297,17 +281,6 @@ func Hits(site string) (hits, fired int64) {
 // Injected returns the process-wide count of fired failpoints (the wire
 // stats op's server.faultInjected counter).
 func Injected() int64 { return injected.Load() }
-
-// Active returns the armed site names (diagnostics).
-func Active() []string {
-	mu.Lock()
-	defer mu.Unlock()
-	out := make([]string, 0, len(points))
-	for site := range points {
-		out = append(out, site)
-	}
-	return out
-}
 
 // parsePoint parses `action[(arg)][@mod]...` into a point.
 func parsePoint(site, spec string) (*point, error) {

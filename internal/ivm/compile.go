@@ -392,10 +392,10 @@ func (c *Compiler) genSetup(comp *Compilation) {
 	}
 	vt := &duckast.CreateTable{Name: comp.Storage, IfNotExists: true, Columns: viewCols, PrimaryKey: comp.Key}
 	if comp.Class == ClassAggregate || comp.Class == ClassJoinAggregate {
-		// The index on the group columns is the table's primary key: the
-		// engine's INSERT OR REPLACE resolves conflicts through the
-		// primary-key index, as DuckDB's does through its ART (paper §2:
-		// upserts need an index). A table-level key admits the NULL group.
+		// The index on the group columns is the table's primary key: step
+		// 2's ON CONFLICT resolves conflicts through the primary-key
+		// index, as DuckDB's does through its ART (paper §2: upserts need
+		// an index). A table-level key admits the NULL group.
 		vt.PrimaryKey = viewColNames(comp.GroupColumns())
 	}
 	s.Add(vt)

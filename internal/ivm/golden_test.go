@@ -35,19 +35,21 @@ const listing1View = `CREATE MATERIALIZED VIEW query_groups AS SELECT group_inde
 	SUM(group_value) AS total_value FROM groups GROUP BY group_index`
 
 // TestListing2Golden pins the compiler output for the paper's Listing 1
-// input. The shape follows Listing 2: INSERT OR REPLACE via a signed CTE
-// LEFT-JOINed to the view; deletion of emptied rows; delta truncation.
-// Five places differ from Listing 2 as printed. It fills a table ΔV
-// (delta_query_groups) with ΔT grouped by (key, multiplicity) for the
-// next two steps to read back, where the CTE aggregates ΔT itself and
-// step 3 reads its keys from ΔT, so there is no ΔV to create or empty. It selects and groups by the view-side key,
-// which is NULL for a new group, where we emit the delta-side key. Its
-// join compares keys with `=`, which never matches a NULL group key, where
-// we use IS NOT DISTINCT FROM. Its step 3 deletes a group whose SUM is 0,
+// input. The shape follows Listing 2: a signed CTE folded into the view by
+// an upsert; deletion of emptied rows; delta truncation. Five places differ
+// from Listing 2 as printed. It fills a table ΔV (delta_query_groups) with
+// ΔT grouped by (key, multiplicity) for the next two steps to read back,
+// where the CTE aggregates ΔT itself and step 3 reads its keys from ΔT, so
+// there is no ΔV to create or empty. It LEFT JOINs the CTE to the view and
+// INSERT OR REPLACEs the combined rows, which finds each group's row twice
+// (once in the join, once in the upsert), where we insert the CTE's rows
+// and fold a group the view holds through ON CONFLICT DO UPDATE, whose key
+// probe is the only one — and which also finds a NULL group key, where the
+// join's `=` never matches one. Its step 3 deletes a group whose SUM is 0,
 // which drops a group whose values net to 0 but still has rows, where we
-// keep a hidden row count in the storage table, behind a plain view of
-// the declared columns, and delete a group when it reaches 0. And step 3
-// names the keys ΔV touched — the only groups whose count can have
+// keep a hidden row count in the storage table, behind a plain view of the
+// declared columns, and delete a group when it reaches 0. And step 3 names
+// the keys ΔT retracts a row of — the only groups whose count can have
 // reached zero — so it finds those rows through the key index.
 func TestListing2Golden(t *testing.T) {
 	db := newDB(t)
@@ -63,8 +65,8 @@ CREATE VIEW query_groups AS SELECT group_index, total_value FROM query_groups_iv
 	}
 
 	wantProp := strings.TrimSpace(`
-INSERT OR REPLACE INTO query_groups_ivm_storage (group_index, total_value, _duckdb_ivm_count) WITH ivm_cte AS (SELECT group_index AS group_index, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -group_value ELSE group_value END) AS total_value, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -1 ELSE 1 END) AS _duckdb_ivm_count FROM delta_groups GROUP BY group_index) SELECT ivm_delta.group_index, COALESCE(query_groups_ivm_storage.total_value, 0) + COALESCE(ivm_delta.total_value, 0) AS total_value, COALESCE(query_groups_ivm_storage._duckdb_ivm_count, 0) + COALESCE(ivm_delta._duckdb_ivm_count, 0) AS _duckdb_ivm_count FROM ivm_cte AS ivm_delta LEFT JOIN query_groups_ivm_storage ON query_groups_ivm_storage.group_index IS NOT DISTINCT FROM ivm_delta.group_index;
-DELETE FROM query_groups_ivm_storage WHERE (group_index IN (SELECT group_index FROM delta_groups) OR group_index IS NULL) AND _duckdb_ivm_count = 0;
+INSERT INTO query_groups_ivm_storage (group_index, total_value, _duckdb_ivm_count) WITH ivm_cte AS (SELECT group_index AS group_index, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -group_value ELSE group_value END) AS total_value, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -1 ELSE 1 END) AS _duckdb_ivm_count FROM delta_groups GROUP BY group_index) SELECT ivm_cte.group_index, COALESCE(NULL, 0) + COALESCE(ivm_cte.total_value, 0) AS total_value, COALESCE(NULL, 0) + COALESCE(ivm_cte._duckdb_ivm_count, 0) AS _duckdb_ivm_count FROM ivm_cte ON CONFLICT (group_index) DO UPDATE SET total_value = COALESCE(query_groups_ivm_storage.total_value, 0) + COALESCE(EXCLUDED.total_value, 0), _duckdb_ivm_count = COALESCE(query_groups_ivm_storage._duckdb_ivm_count, 0) + COALESCE(EXCLUDED._duckdb_ivm_count, 0);
+DELETE FROM query_groups_ivm_storage WHERE (group_index IN (SELECT group_index FROM delta_groups WHERE _duckdb_ivm_multiplicity = FALSE) OR group_index IS NULL) AND _duckdb_ivm_count = 0;
 DELETE FROM delta_groups;
 `)
 	if got := strings.TrimSpace(comp.PropagateSQL()); got != wantProp {
@@ -79,15 +81,21 @@ INSERT INTO query_groups_ivm_storage SELECT group_index AS group_index, SUM(grou
 	}
 }
 
-const step3Listing1 = "DELETE FROM query_groups_ivm_storage WHERE (group_index IN (SELECT group_index FROM delta_groups) OR group_index IS NULL) AND _duckdb_ivm_count = 0"
+const step3Listing1 = "DELETE FROM query_groups_ivm_storage WHERE (group_index IN (SELECT group_index FROM delta_groups WHERE _duckdb_ivm_multiplicity = FALSE) OR group_index IS NULL) AND _duckdb_ivm_count = 0"
 
+// TestListing2PostgresDialect: the propagation script is the same text in
+// both dialects — step 2's ON CONFLICT … DO UPDATE is both PostgreSQL's
+// and DuckDB's — and only the setup's type names differ.
 func TestListing2PostgresDialect(t *testing.T) {
 	db := newDB(t)
 	opts := DefaultOptions()
 	opts.Dialect = duckast.DialectPostgres
 	comp := compile(t, db, opts, listing1View)
 	prop := comp.PropagateSQL()
-	if !strings.Contains(prop, "ON CONFLICT (group_index) DO UPDATE SET total_value = EXCLUDED.total_value") {
+	if duck := compile(t, db, DefaultOptions(), listing1View).PropagateSQL(); prop != duck {
+		t.Errorf("postgres script differs from duckdb's:\n%s\nvs\n%s", prop, duck)
+	}
+	if !strings.Contains(prop, "ON CONFLICT (group_index) DO UPDATE SET total_value = COALESCE(query_groups_ivm_storage.total_value, 0) + COALESCE(EXCLUDED.total_value, 0)") {
 		t.Errorf("postgres upsert missing:\n%s", prop)
 	}
 	if strings.Contains(prop, "INSERT OR REPLACE") {
@@ -157,8 +165,8 @@ func TestHiddenCountSetup(t *testing.T) {
 }
 
 // TestStep3Golden pins step 3 for every shape of group key, in both
-// dialects: one keyed form per view class, reading its keys from ΔT or
-// from the join delta, and the view without one.
+// dialects: one keyed form per view class, reading the keys of the
+// retractions in ΔT or in the join delta, and the view without one.
 func TestStep3Golden(t *testing.T) {
 	db := engine.Open("s3", engine.DialectDuckDB)
 	for _, ddl := range []string{
@@ -171,9 +179,9 @@ func TestStep3Golden(t *testing.T) {
 	}
 	cases := []struct{ view, want string }{
 		{"CREATE MATERIALIZED VIEW one AS SELECT x, SUM(v) AS s, COUNT(*) AS n FROM a GROUP BY x",
-			"DELETE FROM one WHERE (x IN (SELECT x FROM delta_a) OR x IS NULL) AND n = 0;"},
+			"DELETE FROM one WHERE (x IN (SELECT x FROM delta_a WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL) AND n = 0;"},
 		{"CREATE MATERIALIZED VIEW two AS SELECT x, y, SUM(v) AS s, COUNT(*) AS n FROM a GROUP BY x, y",
-			"DELETE FROM two WHERE ((x, y) IN (SELECT x, y FROM delta_a) OR x IS NULL OR y IS NULL) AND n = 0;"},
+			"DELETE FROM two WHERE ((x, y) IN (SELECT x, y FROM delta_a WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL OR y IS NULL) AND n = 0;"},
 		// Without GROUP BY the view is one row that stays: emptied, it reads
 		// NULL for the SUM, as the query does over no rows.
 		{"CREATE MATERIALIZED VIEW tot AS SELECT SUM(v) AS s, COUNT(*) AS n FROM a",
@@ -181,9 +189,9 @@ func TestStep3Golden(t *testing.T) {
 		{"CREATE MATERIALIZED VIEW tot2 AS SELECT SUM(v) AS s, MAX(v) AS hi FROM a",
 			"UPDATE tot2_ivm_storage SET s = NULL, hi = NULL WHERE _duckdb_ivm_count = 0;"},
 		{"CREATE MATERIALIZED VIEW ja AS SELECT a.x, SUM(b.w) AS s FROM a JOIN b ON a.x = b.x GROUP BY a.x",
-			"DELETE FROM ja_ivm_storage WHERE (x IN (SELECT x FROM delta_join_ja) OR x IS NULL) AND _duckdb_ivm_count = 0;"},
+			"DELETE FROM ja_ivm_storage WHERE (x IN (SELECT x FROM delta_join_ja WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL) AND _duckdb_ivm_count = 0;"},
 		{"CREATE MATERIALIZED VIEW ja2 AS SELECT a.x, a.y, COUNT(*) AS n FROM a JOIN b ON a.x = b.x GROUP BY a.x, a.y",
-			"DELETE FROM ja2 WHERE ((x, y) IN (SELECT x, y FROM delta_join_ja2) OR x IS NULL OR y IS NULL) AND n = 0;"},
+			"DELETE FROM ja2 WHERE ((x, y) IN (SELECT x, y FROM delta_join_ja2 WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL OR y IS NULL) AND n = 0;"},
 	}
 	for _, dialect := range []duckast.Dialect{duckast.DialectDuckDB, duckast.DialectPostgres} {
 		for _, c := range cases {

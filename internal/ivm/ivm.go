@@ -76,9 +76,10 @@ const HiddenCountColumn = "_duckdb_ivm_count"
 
 // Options are the compiler's settings: the dialect the scripts are
 // rendered in, nothing else. An aggregate view's delta is folded into V by
-// one plan, Listing 2's upsert of ivm_cte LEFT JOIN V (paper §2 names
-// regrouping V ∪ ΔV and a full outer join as the other points of the
-// design space): it costs what the delta costs, through V's key index.
+// one plan, an upsert of ivm_cte whose ON CONFLICT combines each group V
+// holds (paper §2 names regrouping V ∪ ΔV and a full outer join as the
+// other points of the design space): it costs what the delta costs,
+// through V's key index.
 type Options struct {
 	// Dialect selects the SQL dialect of the emitted scripts.
 	Dialect duckast.Dialect

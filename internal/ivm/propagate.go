@@ -228,13 +228,15 @@ func propAggregate(comp *Compilation, s *duckast.Script) {
 	emitEmptyGroupDelete(comp, s, d)
 }
 
-// emitCombine emits step 2, Listing 2's plan: aggregate the delta per
-// group with its signs applied (ivm_cte), LEFT JOIN it to V on the group
-// key and INSERT OR REPLACE the combined rows — through V's key index, so
-// the fold costs what the delta costs. The join compares keys with IS NOT
-// DISTINCT FROM, so a group whose key holds a NULL finds its row of V too.
+// emitCombine emits step 2: aggregate the delta per group with its signs
+// applied (ivm_cte, Listing 2 lines 6-10) and upsert the groups into V.
+// Listing 2 LEFT JOINs ivm_cte to V and INSERT OR REPLACEs the combined
+// rows, which finds each group's row of V twice, once in the join and once
+// in the upsert. Here the upsert's own key probe is the only one: a new
+// group is inserted as combineSQL over no row of V, and a group V holds
+// folds its delta in through ON CONFLICT DO UPDATE — so the fold costs
+// what the delta costs.
 func emitCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
-	const dAlias = "ivm_delta"
 	vName := comp.Storage
 	groups := comp.GroupColumns()
 	if len(groups) == 0 {
@@ -243,36 +245,25 @@ func emitCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 	}
 	groupNames := viewColNames(groups)
 
-	// The CTE: per-group signed aggregation of the delta (Listing 2 lines
-	// 6-10).
 	cte := &duckast.Select{Items: aliased(d.exprs(groups), groups), From: &duckast.Raw{Text: d.rows("")}}
 	for _, g := range d.exprs(groups) {
 		cte.GroupBy = append(cte.GroupBy, &duckast.Raw{Text: g})
 	}
-	var onParts []string
+	sel := &duckast.Select{CTEs: []duckast.CTE{{Name: "ivm_cte", Select: cte}}, From: &duckast.Raw{Text: "ivm_cte"}}
 	for _, g := range groupNames {
-		onParts = append(onParts, fmt.Sprintf("%s.%s IS NOT DISTINCT FROM %s.%s", vName, g, dAlias, g))
+		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Col{Table: "ivm_cte", Name: g}})
 	}
-	sel := &duckast.Select{
-		CTEs: []duckast.CTE{{Name: "ivm_cte", Select: cte}},
-		From: &duckast.Raw{Text: fmt.Sprintf("ivm_cte AS %s LEFT JOIN %s ON %s",
-			dAlias, vName, strings.Join(onParts, " AND "))},
-	}
-	for _, g := range groupNames {
-		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Col{Table: dAlias, Name: g}})
-	}
+	ins := &duckast.Insert{Table: vName, Columns: viewColNames(comp.StorageColumns()), Select: sel, ConflictKeys: groupNames}
 	for _, col := range comp.StorageColumns() {
 		if col.IsGroupKey {
 			continue
 		}
 		cte.Items = append(cte.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: signedDeltaSQL(col, d.expr(col))}, Alias: col.Name})
 		sel.Items = append(sel.Items, duckast.SelectItem{
-			Expr: &duckast.Raw{Text: combineSQL(col, vName+"."+col.Name, dAlias+"."+col.Name)}, Alias: col.Name})
+			Expr: &duckast.Raw{Text: combineSQL(col, "NULL", "ivm_cte."+col.Name)}, Alias: col.Name})
+		ins.Set = append(ins.Set, col.Name+" = "+combineSQL(col, vName+"."+col.Name, "EXCLUDED."+col.Name))
 	}
-	s.Add(&duckast.Insert{
-		Table: vName, Columns: viewColNames(comp.StorageColumns()), Select: sel,
-		Upsert: true, KeyColumns: groupNames,
-	})
+	s.Add(ins)
 }
 
 // emitGlobalCombine is step 2 of a view without GROUP BY. Such a view is
@@ -330,13 +321,15 @@ func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 // (StorageColumns), and no other column is tested: a SUM or a COUNT(col)
 // reaches zero in a group that still has rows. This departs on purpose
 // from Listing 2's `WHERE total_value = 0`, which drops a group whose SUM
-// nets to 0. Only a group the delta touched can have changed its count, so
-// the paper's unkeyed delete is stated over those keys alone — the same
-// rows, found through V's key index in O(|delta|) instead of by scanning
-// V. IN never selects a group with a NULL in its key, so those stay under
-// the unkeyed test (`OR g IS NULL`). A view without group columns keeps
-// its one row: emptied, it reads what the query reads over no rows, NULL
-// in every column but a count.
+// nets to 0. A group's count changes only by its signed delta rows, so
+// only a group the delta retracts a row of can reach zero (DBSP): the
+// paper's unkeyed delete is stated over those keys alone — the same rows,
+// found through V's key index in O(|retractions|) instead of by scanning
+// V, and none at all in an insert-only window. IN never selects a group
+// with a NULL in its key, so those stay under the unkeyed test (`OR g IS
+// NULL`). A view without group columns keeps its one row: emptied, it
+// reads what the query reads over no rows, NULL in every column but a
+// count.
 func emitEmptyGroupDelete(comp *Compilation, s *duckast.Script, d deltaSource) {
 	col := emptyGroupColumn(comp)
 	groups := comp.GroupColumns()
@@ -355,7 +348,7 @@ func emitEmptyGroupDelete(comp *Compilation, s *duckast.Script, d deltaSource) {
 	names := viewColNames(groups)
 	s.Add(&duckast.Delete{Table: comp.Storage, Where: &duckast.Raw{Text: fmt.Sprintf(
 		"(%s IN (SELECT %s FROM %s) OR %s IS NULL) AND %s = 0",
-		groupKey(names), strings.Join(d.exprs(groups), ", "), d.rows(""),
+		groupKey(names), strings.Join(d.exprs(groups), ", "), d.rows(MultiplicityColumn+" = FALSE"),
 		strings.Join(names, " IS NULL OR "), col)}})
 }
 

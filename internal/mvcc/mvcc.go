@@ -33,7 +33,6 @@
 package mvcc
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -53,10 +52,6 @@ const TxnBit = uint64(1) << 63
 // is a classified sentinel: enginerr.CodeOf resolves it (and anything
 // wrapping it) to SQLSTATE 40001 without string matching.
 var ErrSerialization error = enginerr.New(enginerr.CodeSerialization, "serialization failure")
-
-// IsSerialization reports whether err is (or wraps) a serialization
-// failure.
-func IsSerialization(err error) bool { return errors.Is(err, ErrSerialization) }
 
 // Op is one write-log entry: a slot the transaction stamped in some
 // store. Prev records the slot the store's primary-key index pointed at

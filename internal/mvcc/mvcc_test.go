@@ -148,7 +148,7 @@ func TestCheckWritable(t *testing.T) {
 
 	// A live competitor's delete stamp is a conflict.
 	rival := m.Begin()
-	if err := m.CheckWritable(tx, rival.StampID()); !IsSerialization(err) {
+	if err := m.CheckWritable(tx, rival.StampID()); !errors.Is(err, ErrSerialization) {
 		t.Fatalf("live rival stamp: err = %v, want serialization", err)
 	}
 	// After the rival commits, its stamp resolves to a timestamp above
@@ -156,7 +156,7 @@ func TestCheckWritable(t *testing.T) {
 	if err := m.Commit(rival); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckWritable(tx, m.LatestTS()); !IsSerialization(err) {
+	if err := m.CheckWritable(tx, m.LatestTS()); !errors.Is(err, ErrSerialization) {
 		t.Fatalf("committed-after-snapshot end stamp: err = %v, want serialization", err)
 	}
 	// An aborted rival's stamp is stale and writable.
@@ -175,7 +175,7 @@ func TestDoomedCommitAborts(t *testing.T) {
 	tx.Log(st, Op{Kind: OpInsert, Slot: 3, Prev: -1})
 	tx.Doom()
 	err := m.Commit(tx)
-	if !IsSerialization(err) {
+	if !errors.Is(err, ErrSerialization) {
 		t.Fatalf("commit of doomed txn: %v, want serialization failure", err)
 	}
 	if len(st.aborts) != 1 || len(st.commits) != 0 {

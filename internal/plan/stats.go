@@ -45,8 +45,8 @@ func SourceRows(n Node) (rows int, ok bool) {
 // otherwise the right. rows is the build side's SourceRows and known
 // whether there is one. Building the smaller input wins twice: the build
 // side is what gets materialized, and it is what an index join iterates.
-// The IVM shapes — a delta joined against its base, ivm_cte LEFT JOIN V —
-// build the delta side and probe the big side's key.
+// The IVM shape — a delta joined against its base — builds the delta side
+// and probes the base's key.
 func (j *Join) BuildSide() (left bool, rows int, known bool) {
 	l, lok := SourceRows(j.Left)
 	r, rok := SourceRows(j.Right)

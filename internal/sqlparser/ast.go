@@ -298,7 +298,8 @@ func (*DropStmt) stmt()        {}
 // DML
 // ---------------------------------------------------------------------------
 
-// OnConflict describes the PostgreSQL-dialect conflict clause.
+// OnConflict describes the conflict clause INSERT … ON CONFLICT, spelled
+// alike in PostgreSQL and DuckDB.
 type OnConflict struct {
 	Columns   []string // conflict target
 	DoNothing bool
@@ -313,13 +314,13 @@ type Assignment struct {
 }
 
 // InsertStmt is INSERT [OR REPLACE] INTO t [(cols)] VALUES ... | SELECT ...
-// with optional ON CONFLICT (PostgreSQL dialect).
+// with an optional ON CONFLICT clause.
 type InsertStmt struct {
 	Table     string
 	Columns   []string
 	Select    *SelectStmt // VALUES lists parse into Select.Values
 	OrReplace bool        // DuckDB dialect INSERT OR REPLACE
-	Conflict  *OnConflict // PostgreSQL dialect
+	Conflict  *OnConflict
 }
 
 // UpdateStmt is UPDATE t SET a=e, ... [WHERE p].

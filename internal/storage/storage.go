@@ -48,6 +48,14 @@ import (
 	"openivm/internal/sqltypes"
 )
 
+// Merge decides what an upsert stores in place of the row that holds its
+// row's key: given that row (existing, the version visible to the upserting
+// transaction, its own earlier writes included) and the upserted one
+// (excluded), it returns the row that replaces existing, or nil to leave
+// existing as it is. ON CONFLICT DO UPDATE merges; DO NOTHING returns nil.
+// It runs under the table's write lock, so it must not read the table.
+type Merge func(existing, excluded sqltypes.Row) (sqltypes.Row, error)
+
 // Table is the storage contract between the engine/MVCC layers and a
 // table implementation. catalog.Table implements it (asserted there at
 // compile time); the engine's DML paths operate against this interface
@@ -65,8 +73,10 @@ type Table interface {
 	// snapshots until it commits, reverted when it aborts.
 	InsertTxn(tx *mvcc.Txn, row sqltypes.Row) error
 	InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) error
-	UpsertTxn(tx *mvcc.Txn, row sqltypes.Row) error
-	UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) (inserted, replacedOld, replacedNew []sqltypes.Row, err error)
+	// UpsertBatchTxn inserts rows, each one whose primary key is taken
+	// replacing the row there with merge's result (the row itself under a
+	// nil merge).
+	UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge Merge) (inserted, replacedOld, replacedNew []sqltypes.Row, err error)
 	// UpdateTxn and DeleteTxn visit every visible row, or — with
 	// non-nil keys: a set of primary keys, one value per key column, key
 	// after key — only the rows with those keys, each resolved through

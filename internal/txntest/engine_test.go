@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"openivm/internal/engine"
-	"openivm/internal/mvcc"
 )
 
 // engineConn adapts an embedded engine session to the harness.
@@ -84,13 +83,13 @@ func TestSequentialHistoriesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, rerr := RunSequential(open, h, mvcc.IsSerialization, o)
+		v, rerr := RunSequential(open, h, isSerialization, o)
 		teardown()
 		if rerr != nil {
 			t.Fatalf("TXNTEST_SEED=%d (history %d, from env: %v): harness error: %v", seed, i, fromEnv, rerr)
 		}
 		if v != nil {
-			min := Minimize(func() (func() (Conn, error), func(), error) { return newEngineDB(o) }, h, mvcc.IsSerialization, o)
+			min := Minimize(func() (func() (Conn, error), func(), error) { return newEngineDB(o) }, h, isSerialization, o)
 			t.Fatalf("TXNTEST_SEED=%d (history %d): %v\nminimized history:\n%s", seed, i, v, Format(min))
 		}
 	}
@@ -112,7 +111,7 @@ func TestConcurrentHistoriesEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		streams := GenerateStreams(rand.New(rand.NewSource(seed+int64(round))), 4, o)
-		if err := RunConcurrent(open, streams, mvcc.IsSerialization); err != nil {
+		if err := RunConcurrent(open, streams, isSerialization); err != nil {
 			t.Fatalf("TXNTEST_SEED=%d round %d: %v", seed, round, err)
 		}
 		teardown()

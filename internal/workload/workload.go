@@ -6,7 +6,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"openivm/internal/engine"
@@ -197,6 +196,3 @@ func Fraction(f float64) string {
 	}
 	return fmt.Sprintf("%.2g%%", f*100)
 }
-
-// Pow10 is a small helper for parameter sweeps.
-func Pow10(exp int) int { return int(math.Pow(10, float64(exp))) }

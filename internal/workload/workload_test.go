@@ -156,9 +156,3 @@ func TestGroupKeyStable(t *testing.T) {
 		t.Errorf("got %q", GroupKey(7))
 	}
 }
-
-func TestPow10(t *testing.T) {
-	if Pow10(3) != 1000 {
-		t.Errorf("got %d", Pow10(3))
-	}
-}
