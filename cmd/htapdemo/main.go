@@ -51,7 +51,7 @@ func run(orders, customers, stream int) error {
 		return err
 	}
 	defer srv.Close()
-	fmt.Printf("1. OLTP server (postgres dialect) listening on %s with %d orders / %d customers\n",
+	fmt.Printf("1. OLTP server (the PostgreSQL stand-in) listening on %s with %d orders / %d customers\n",
 		addr, orders, customers)
 
 	// 2. The OLAP side connects and creates a materialized view over the

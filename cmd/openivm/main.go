@@ -8,9 +8,7 @@
 //	openivm -schema schema.sql -view view.sql [flags]
 //	openivm -demo                     # compile the paper's Listing 1
 //
-// Flags mirror the paper's compiler switches:
-//
-//	-dialect duckdb|postgres   target SQL dialect for emission
+// The scripts are one text that DuckDB and PostgreSQL both run.
 package main
 
 import (
@@ -18,7 +16,6 @@ import (
 	"fmt"
 	"os"
 
-	"openivm/internal/duckast"
 	"openivm/internal/engine"
 	"openivm/internal/ivm"
 	"openivm/internal/sqlparser"
@@ -28,18 +25,17 @@ func main() {
 	var (
 		schemaPath = flag.String("schema", "", "path to a SQL file with CREATE TABLE statements")
 		viewPath   = flag.String("view", "", "path to a SQL file with one CREATE MATERIALIZED VIEW")
-		dialect    = flag.String("dialect", "duckdb", "emission dialect: duckdb | postgres")
 		demo       = flag.Bool("demo", false, "compile the paper's Listing 1 example")
 	)
 	flag.Parse()
 
-	if err := run(*schemaPath, *viewPath, *dialect, *demo); err != nil {
+	if err := run(*schemaPath, *viewPath, *demo); err != nil {
 		fmt.Fprintln(os.Stderr, "openivm:", err)
 		os.Exit(1)
 	}
 }
 
-func run(schemaPath, viewPath, dialect string, demo bool) error {
+func run(schemaPath, viewPath string, demo bool) error {
 	var schemaSQL, viewSQL string
 	switch {
 	case demo:
@@ -60,12 +56,6 @@ func run(schemaPath, viewPath, dialect string, demo bool) error {
 		return fmt.Errorf("need -schema and -view, or -demo (see -h)")
 	}
 
-	opts := ivm.DefaultOptions()
-	var err error
-	if opts.Dialect, err = duckast.ParseDialect(dialect); err != nil {
-		return err
-	}
-
 	// "DuckDB inside OpenIVM": an embedded engine instance provides the
 	// parser, binder and planner the compiler needs.
 	db := engine.Open("openivm", engine.DialectDuckDB)
@@ -84,13 +74,12 @@ func run(schemaPath, viewPath, dialect string, demo bool) error {
 		return fmt.Errorf("the view file must contain one CREATE MATERIALIZED VIEW statement")
 	}
 
-	comp, err := ivm.NewCompiler(db, opts).Compile(cv.Name, cv.Select, cv.SourceSQL)
+	comp, err := ivm.NewCompiler(db, ivm.DefaultOptions()).Compile(cv.Name, cv.Select, cv.SourceSQL)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("-- OpenIVM compilation of view %q (class: %s, dialect: %s)\n",
-		comp.ViewName, comp.Class, opts.Dialect)
+	fmt.Printf("-- OpenIVM compilation of view %q (class: %s)\n", comp.ViewName, comp.Class)
 	fmt.Println("\n-- === setup DDL (delta tables, view table, indexes) ===")
 	fmt.Print(comp.SetupSQL())
 	fmt.Println("\n-- === initial population ===")

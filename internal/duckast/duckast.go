@@ -1,8 +1,10 @@
 // Package duckast implements the paper's intermediate operator tree: a
 // simplified abstract representation of relational operators ("DuckAST")
 // that sits between the engine's logical plan and emitted SQL text. The
-// IVM compiler builds these trees and re-emits them as SQL strings in the
-// dialect selected by a flag, following the technique of LinkedIn's Coral.
+// IVM compiler builds these trees and re-emits them as SQL strings,
+// following the technique of LinkedIn's Coral. There is one text for both
+// targets: every statement is spelled the way DuckDB and PostgreSQL both
+// accept, and the type names are the ones both know (see typeName).
 //
 // The tree is deliberately simpler than the engine's logical plan: it
 // carries SQL fragments by structure (select lists, predicates, joins,
@@ -10,50 +12,19 @@
 // re-emission, not execution.
 package duckast
 
-import (
-	"fmt"
-	"strings"
-)
-
-// Dialect selects the SQL dialect for emission.
-type Dialect int
-
-// Dialects supported by the emitter.
-const (
-	DialectDuckDB Dialect = iota
-	DialectPostgres
-)
-
-// ParseDialect maps a flag string to a Dialect.
-func ParseDialect(s string) (Dialect, error) {
-	switch strings.ToLower(s) {
-	case "", "duckdb":
-		return DialectDuckDB, nil
-	case "postgres", "postgresql", "pg":
-		return DialectPostgres, nil
-	}
-	return DialectDuckDB, fmt.Errorf("duckast: unknown dialect %q", s)
-}
-
-// String names the dialect.
-func (d Dialect) String() string {
-	if d == DialectPostgres {
-		return "postgres"
-	}
-	return "duckdb"
-}
+import "strings"
 
 // Node is any DuckAST operator that can emit itself as SQL.
 type Node interface {
-	// SQL renders the node in the given dialect.
-	SQL(d Dialect) string
+	// SQL renders the node.
+	SQL() string
 }
 
-// Raw is a verbatim SQL fragment (already dialect-neutral).
+// Raw is a verbatim SQL fragment.
 type Raw struct{ Text string }
 
 // SQL implements Node.
-func (r *Raw) SQL(Dialect) string { return r.Text }
+func (r *Raw) SQL() string { return r.Text }
 
 // Col is a possibly qualified column reference.
 type Col struct {
@@ -62,7 +33,7 @@ type Col struct {
 }
 
 // SQL implements Node.
-func (c *Col) SQL(Dialect) string {
+func (c *Col) SQL() string {
 	if c.Table != "" {
 		return c.Table + "." + c.Name
 	}
@@ -92,7 +63,7 @@ type Select struct {
 }
 
 // SQL implements Node.
-func (s *Select) SQL(d Dialect) string {
+func (s *Select) SQL() string {
 	var sb strings.Builder
 	if len(s.CTEs) > 0 {
 		sb.WriteString("WITH ")
@@ -100,7 +71,7 @@ func (s *Select) SQL(d Dialect) string {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			sb.WriteString(c.Name + " AS (" + c.Select.SQL(d) + ")")
+			sb.WriteString(c.Name + " AS (" + c.Select.SQL() + ")")
 		}
 		sb.WriteString(" ")
 	}
@@ -109,16 +80,16 @@ func (s *Select) SQL(d Dialect) string {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(it.Expr.SQL(d))
+		sb.WriteString(it.Expr.SQL())
 		if it.Alias != "" {
 			sb.WriteString(" AS " + it.Alias)
 		}
 	}
 	if s.From != nil {
-		sb.WriteString(" FROM " + s.From.SQL(d))
+		sb.WriteString(" FROM " + s.From.SQL())
 	}
 	if s.Where != nil {
-		sb.WriteString(" WHERE " + s.Where.SQL(d))
+		sb.WriteString(" WHERE " + s.Where.SQL())
 	}
 	if len(s.GroupBy) > 0 {
 		sb.WriteString(" GROUP BY ")
@@ -126,11 +97,11 @@ func (s *Select) SQL(d Dialect) string {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			sb.WriteString(g.SQL(d))
+			sb.WriteString(g.SQL())
 		}
 	}
 	if s.Having != nil {
-		sb.WriteString(" HAVING " + s.Having.SQL(d))
+		sb.WriteString(" HAVING " + s.Having.SQL())
 	}
 	return sb.String()
 }
@@ -148,13 +119,13 @@ type Insert struct {
 }
 
 // SQL implements Node.
-func (ins *Insert) SQL(d Dialect) string {
+func (ins *Insert) SQL() string {
 	var sb strings.Builder
 	sb.WriteString("INSERT INTO " + ins.Table)
 	if len(ins.Columns) > 0 {
 		sb.WriteString(" (" + strings.Join(ins.Columns, ", ") + ")")
 	}
-	sb.WriteString(" " + ins.Select.SQL(d))
+	sb.WriteString(" " + ins.Select.SQL())
 	if len(ins.Set) > 0 {
 		sb.WriteString(" ON CONFLICT (" + strings.Join(ins.ConflictKeys, ", ") + ") DO UPDATE SET " + strings.Join(ins.Set, ", "))
 	}
@@ -168,10 +139,10 @@ type Delete struct {
 }
 
 // SQL implements Node.
-func (del *Delete) SQL(d Dialect) string {
+func (del *Delete) SQL() string {
 	s := "DELETE FROM " + del.Table
 	if del.Where != nil {
-		s += " WHERE " + del.Where.SQL(d)
+		s += " WHERE " + del.Where.SQL()
 	}
 	return s
 }
@@ -184,15 +155,15 @@ type Update struct {
 }
 
 // SQL implements Node.
-func (up *Update) SQL(d Dialect) string {
+func (up *Update) SQL() string {
 	s := "UPDATE " + up.Table + " SET " + strings.Join(up.Set, ", ")
 	if up.Where != nil {
-		s += " WHERE " + up.Where.SQL(d)
+		s += " WHERE " + up.Where.SQL()
 	}
 	return s
 }
 
-// CreateTable emits CREATE TABLE with typed columns in dialect spelling.
+// CreateTable emits CREATE TABLE with typed columns.
 type CreateTable struct {
 	Name        string
 	IfNotExists bool
@@ -207,7 +178,7 @@ type ColumnDef struct {
 }
 
 // SQL implements Node.
-func (ct *CreateTable) SQL(d Dialect) string {
+func (ct *CreateTable) SQL() string {
 	var sb strings.Builder
 	sb.WriteString("CREATE TABLE ")
 	if ct.IfNotExists {
@@ -218,7 +189,7 @@ func (ct *CreateTable) SQL(d Dialect) string {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		sb.WriteString(c.Name + " " + typeName(c.Type, d))
+		sb.WriteString(c.Name + " " + typeName(c.Type))
 	}
 	if len(ct.PrimaryKey) > 0 {
 		sb.WriteString(", PRIMARY KEY (" + strings.Join(ct.PrimaryKey, ", ") + ")")
@@ -227,26 +198,27 @@ func (ct *CreateTable) SQL(d Dialect) string {
 	return sb.String()
 }
 
-func typeName(t string, d Dialect) string {
-	if d == DialectPostgres {
-		switch strings.ToUpper(t) {
-		case "VARCHAR":
-			return "TEXT"
-		case "DOUBLE":
-			return "DOUBLE PRECISION"
-		}
+// typeName spells an engine type the way both targets read it: the
+// engine's 64-bit INTEGER is BIGINT (INTEGER is 32 bits on DuckDB and
+// PostgreSQL), DOUBLE is DOUBLE PRECISION (PostgreSQL has no DOUBLE).
+func typeName(t string) string {
+	switch t = strings.ToUpper(t); t {
+	case "INTEGER":
+		return "BIGINT"
+	case "DOUBLE":
+		return "DOUBLE PRECISION"
 	}
-	return strings.ToUpper(t)
+	return t
 }
 
 // Script is an ordered list of statements emitted with ';' terminators.
 type Script struct{ Stmts []Node }
 
 // SQL implements Node.
-func (s *Script) SQL(d Dialect) string {
+func (s *Script) SQL() string {
 	var sb strings.Builder
 	for _, st := range s.Stmts {
-		sb.WriteString(st.SQL(d))
+		sb.WriteString(st.SQL())
 		sb.WriteString(";\n")
 	}
 	return sb.String()

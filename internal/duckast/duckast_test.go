@@ -1,28 +1,6 @@
 package duckast
 
-import (
-	"strings"
-	"testing"
-)
-
-func TestParseDialect(t *testing.T) {
-	cases := map[string]Dialect{
-		"": DialectDuckDB, "duckdb": DialectDuckDB,
-		"postgres": DialectPostgres, "pg": DialectPostgres, "PostgreSQL": DialectPostgres,
-	}
-	for in, want := range cases {
-		got, err := ParseDialect(in)
-		if err != nil || got != want {
-			t.Errorf("ParseDialect(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseDialect("oracle"); err == nil {
-		t.Error("unknown dialect should fail")
-	}
-	if DialectPostgres.String() != "postgres" || DialectDuckDB.String() != "duckdb" {
-		t.Error("dialect names")
-	}
-}
+import "testing"
 
 func TestSelectSQL(t *testing.T) {
 	sel := &Select{
@@ -35,7 +13,7 @@ func TestSelectSQL(t *testing.T) {
 		GroupBy: []Node{&Col{Name: "a"}},
 	}
 	want := "SELECT a, SUM(b) AS s FROM t WHERE a > 1 GROUP BY a"
-	if got := sel.SQL(DialectDuckDB); got != want {
+	if got := sel.SQL(); got != want {
 		t.Errorf("got %q, want %q", got, want)
 	}
 }
@@ -48,7 +26,7 @@ func TestSelectWithCTE(t *testing.T) {
 		Items: []SelectItem{{Expr: &Col{Name: "x"}}},
 		From:  &Raw{Text: "c"},
 	}
-	got := sel.SQL(DialectDuckDB)
+	got := sel.SQL()
 	want := "WITH c AS (SELECT 1) SELECT x FROM c"
 	if got != want {
 		t.Errorf("got %q, want %q", got, want)
@@ -63,13 +41,13 @@ func TestSelectGroupByHaving(t *testing.T) {
 		GroupBy: []Node{&Col{Name: "a"}, &Col{Table: "x", Name: "b"}},
 	}
 	want := "SELECT a FROM t AS x GROUP BY a, x.b HAVING COUNT(*) > 1"
-	if got := sel.SQL(DialectDuckDB); got != want {
+	if got := sel.SQL(); got != want {
 		t.Errorf("got %q, want %q", got, want)
 	}
 }
 
 // TestInsertUpsertDialects: an upsert is one ON CONFLICT … DO UPDATE
-// statement, spelled the same in both dialects.
+// statement, the one text DuckDB and PostgreSQL both run.
 func TestInsertUpsertDialects(t *testing.T) {
 	ins := &Insert{
 		Table:        "v",
@@ -79,31 +57,33 @@ func TestInsertUpsertDialects(t *testing.T) {
 		Set:          []string{"s = v.s + EXCLUDED.s", "n = v.n + EXCLUDED.n"},
 	}
 	want := "INSERT INTO v (k, s, n) SELECT 1, 2 ON CONFLICT (k) DO UPDATE SET s = v.s + EXCLUDED.s, n = v.n + EXCLUDED.n"
-	for _, d := range []Dialect{DialectDuckDB, DialectPostgres} {
-		if got := ins.SQL(d); got != want {
-			t.Errorf("%v: got %q, want %q", d, got, want)
-		}
+	if got := ins.SQL(); got != want {
+		t.Errorf("got %q, want %q", got, want)
 	}
 }
 
 func TestInsertPlain(t *testing.T) {
 	ins := &Insert{Table: "t", Select: &Select{Items: []SelectItem{{Expr: &Raw{Text: "1"}}}}}
-	if got := ins.SQL(DialectDuckDB); got != "INSERT INTO t SELECT 1" {
+	if got := ins.SQL(); got != "INSERT INTO t SELECT 1" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestDeleteSQL(t *testing.T) {
 	d := &Delete{Table: "t", Where: &Raw{Text: "a = 1"}}
-	if got := d.SQL(DialectDuckDB); got != "DELETE FROM t WHERE a = 1" {
+	if got := d.SQL(); got != "DELETE FROM t WHERE a = 1" {
 		t.Errorf("got %q", got)
 	}
 	d2 := &Delete{Table: "t"}
-	if got := d2.SQL(DialectDuckDB); got != "DELETE FROM t" {
+	if got := d2.SQL(); got != "DELETE FROM t" {
 		t.Errorf("got %q", got)
 	}
 }
 
+// TestCreateTableDialectTypes: one type map for both targets. The
+// engine's 64-bit INTEGER is BIGINT (INTEGER is 32 bits on DuckDB and
+// PostgreSQL), DOUBLE is DOUBLE PRECISION (PostgreSQL has no DOUBLE), and
+// VARCHAR and BOOLEAN keep their names.
 func TestCreateTableDialectTypes(t *testing.T) {
 	ct := &CreateTable{
 		Name:        "t",
@@ -112,19 +92,13 @@ func TestCreateTableDialectTypes(t *testing.T) {
 			{Name: "a", Type: "VARCHAR"},
 			{Name: "b", Type: "DOUBLE"},
 			{Name: "c", Type: "INTEGER"},
+			{Name: "d", Type: "BOOLEAN"},
 		},
 		PrimaryKey: []string{"a"},
 	}
-	duck := ct.SQL(DialectDuckDB)
-	if !strings.Contains(duck, "a VARCHAR") || !strings.Contains(duck, "b DOUBLE,") {
-		t.Errorf("duckdb: %q", duck)
-	}
-	pg := ct.SQL(DialectPostgres)
-	if !strings.Contains(pg, "a TEXT") || !strings.Contains(pg, "b DOUBLE PRECISION") {
-		t.Errorf("postgres: %q", pg)
-	}
-	if !strings.Contains(pg, "PRIMARY KEY (a)") {
-		t.Errorf("pk missing: %q", pg)
+	want := "CREATE TABLE IF NOT EXISTS t (a VARCHAR, b DOUBLE PRECISION, c BIGINT, d BOOLEAN, PRIMARY KEY (a))"
+	if got := ct.SQL(); got != want {
+		t.Errorf("got %q, want %q", got, want)
 	}
 }
 
@@ -132,19 +106,19 @@ func TestScript(t *testing.T) {
 	s := &Script{}
 	s.Add(&Delete{Table: "a"}, &Delete{Table: "b"})
 	want := "DELETE FROM a;\nDELETE FROM b;\n"
-	if got := s.SQL(DialectDuckDB); got != want {
+	if got := s.SQL(); got != want {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestExprHelpers(t *testing.T) {
-	if got := (&Col{Table: "t", Name: "c"}).SQL(DialectDuckDB); got != "t.c" {
+	if got := (&Col{Table: "t", Name: "c"}).SQL(); got != "t.c" {
 		t.Errorf("got %q", got)
 	}
-	if got := (&Col{Name: "c"}).SQL(DialectPostgres); got != "c" {
+	if got := (&Col{Name: "c"}).SQL(); got != "c" {
 		t.Errorf("got %q", got)
 	}
-	if got := (&Raw{Text: "a IS NOT DISTINCT FROM b"}).SQL(DialectPostgres); got != "a IS NOT DISTINCT FROM b" {
+	if got := (&Raw{Text: "a IS NOT DISTINCT FROM b"}).SQL(); got != "a IS NOT DISTINCT FROM b" {
 		t.Errorf("got %q", got)
 	}
 }

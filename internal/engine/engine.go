@@ -1,6 +1,6 @@
 // Package engine implements the embedded SQL database used throughout this
-// reproduction — the stand-in for DuckDB (and, with the Postgres dialect,
-// for PostgreSQL) in the paper's architecture. It wires the parser, binder,
+// reproduction — the stand-in for DuckDB and, behind internal/oltp, for
+// PostgreSQL in the paper's architecture. It wires the parser, binder,
 // optimizer and executor together and exposes the extension points OpenIVM
 // relies on:
 //
@@ -32,23 +32,13 @@ import (
 	"openivm/internal/storage"
 )
 
-// Dialect selects SQL dialect behaviour for statements whose syntax differs
-// across systems.
+// Dialect is Open's second parameter, which no code reads: the engine
+// speaks one SQL. It stays until the repository benchmark's next change
+// drops the argument from its calls.
 type Dialect int
 
-// Dialects.
-const (
-	DialectDuckDB Dialect = iota
-	DialectPostgres
-)
-
-// String names the dialect.
-func (d Dialect) String() string {
-	if d == DialectPostgres {
-		return "postgres"
-	}
-	return "duckdb"
-}
+// DialectDuckDB is the one Dialect value.
+const DialectDuckDB Dialect = 0
 
 // Result carries the outcome of a statement.
 type Result struct {
@@ -101,8 +91,7 @@ type trigger struct {
 // shared state — catalog, triggers, hooks, pragmas, the schema epoch and
 // the plan cache — each behind its own lock.
 type DB struct {
-	Name    string
-	dialect Dialect
+	Name string
 
 	mu  sync.Mutex
 	cat *catalog.Catalog
@@ -168,11 +157,10 @@ type DB struct {
 	panicsRecovered atomic.Int64
 }
 
-// Open creates a fresh in-memory database with the given dialect.
-func Open(name string, dialect Dialect) *DB {
+// Open creates a fresh in-memory database. The Dialect is not read.
+func Open(name string, _ Dialect) *DB {
 	db := &DB{
 		Name:         name,
-		dialect:      dialect,
 		cat:          catalog.New(),
 		pragmas:      map[string]string{},
 		triggers:     map[string][]*trigger{},
@@ -275,9 +263,6 @@ func (db *DB) Vacuum() int { return db.cat.MVCC().Vacuum() }
 // classification point shared by the engine, the wire server's
 // Response.Code, and streaming trailers.
 func Code(err error) string { return enginerr.CodeOf(err) }
-
-// Dialect returns the database's SQL dialect.
-func (db *DB) Dialect() Dialect { return db.dialect }
 
 // Pragma returns a pragma value ("" when unset).
 func (db *DB) Pragma(name string) string {

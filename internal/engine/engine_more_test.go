@@ -8,7 +8,7 @@ import (
 	"openivm/internal/sqltypes"
 )
 
-// Additional engine coverage: DDL paths, error paths, dialect behaviour.
+// Additional engine coverage: DDL paths, error paths, upserts.
 
 func TestCreateIndexViaSQL(t *testing.T) {
 	db := testDB(t)
@@ -62,7 +62,7 @@ func TestUpsertWithoutPKFails(t *testing.T) {
 }
 
 func TestOnConflictWithoutPKFails(t *testing.T) {
-	db := Open("t", DialectPostgres)
+	db := Open("t", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
 	if _, err := db.Exec("INSERT INTO t VALUES (1) ON CONFLICT (a) DO NOTHING"); err == nil {
 		// DO NOTHING without PK: no conflict possible, plain insert; this
@@ -130,12 +130,6 @@ func TestFormatEmptyResult(t *testing.T) {
 	r := &Result{}
 	if out := r.Format(); out != "" {
 		t.Fatalf("empty format = %q", out)
-	}
-}
-
-func TestDialectString(t *testing.T) {
-	if DialectDuckDB.String() != "duckdb" || DialectPostgres.String() != "postgres" {
-		t.Fatal("dialect names")
 	}
 }
 

@@ -407,7 +407,7 @@ func TestInsertOrReplace(t *testing.T) {
 }
 
 func TestInsertOnConflictDoUpdate(t *testing.T) {
-	db := Open("t", DialectPostgres)
+	db := Open("t", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE t (k VARCHAR PRIMARY KEY, v INTEGER)")
 	mustExec(t, db, "INSERT INTO t VALUES ('a', 1)")
 	mustExec(t, db, "INSERT INTO t VALUES ('a', 10) ON CONFLICT (k) DO UPDATE SET v = t.v + EXCLUDED.v")
@@ -418,7 +418,7 @@ func TestInsertOnConflictDoUpdate(t *testing.T) {
 }
 
 func TestInsertOnConflictDoNothing(t *testing.T) {
-	db := Open("t", DialectPostgres)
+	db := Open("t", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE t (k VARCHAR PRIMARY KEY, v INTEGER)")
 	mustExec(t, db, "INSERT INTO t VALUES ('a', 1)")
 	mustExec(t, db, "INSERT INTO t VALUES ('a', 99) ON CONFLICT (k) DO NOTHING")

@@ -198,13 +198,13 @@ func TestExplainInsert(t *testing.T) {
 	if _, err := db.Exec("EXPLAIN INSERT INTO missing SELECT oid FROM orders"); err == nil {
 		t.Error("EXPLAIN INSERT into an unknown table should fail")
 	}
-	pg := Open("explain_pg", DialectPostgres)
-	mustExec(t, pg, "CREATE TABLE big (oid INTEGER PRIMARY KEY, amount INTEGER)")
+	up := Open("explain_upsert", DialectDuckDB)
+	mustExec(t, up, "CREATE TABLE big (oid INTEGER PRIMARY KEY, amount INTEGER)")
 	for sql, want := range map[string]string{
 		"INSERT INTO big VALUES (1, 2) ON CONFLICT (oid) DO UPDATE SET amount = EXCLUDED.amount": "Upsert big",
 		"INSERT INTO big VALUES (1, 2) ON CONFLICT DO NOTHING":                                   "Insert big",
 	} {
-		if got := queryRows(t, pg, "EXPLAIN "+sql); got[0][0].S != want {
+		if got := queryRows(t, up, "EXPLAIN "+sql); got[0][0].S != want {
 			t.Errorf("EXPLAIN %s: %v, want %s on top", sql, got, want)
 		}
 	}

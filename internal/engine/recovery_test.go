@@ -933,7 +933,7 @@ func TestRecoveryUnknownTriggerHandler(t *testing.T) {
 	if err := store.DB.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db := engine.Open("plain", engine.DialectPostgres) // no ivm_capture handler
+	db := engine.Open("plain", engine.DialectDuckDB) // no ivm_capture handler
 	b, err := storage.OpenDisk(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 func TestUpsertMatchesOracle(t *testing.T) {
 	for _, path := range []string{"quiescent", "in_txn", "beside_snapshot"} {
 		t.Run(path, func(t *testing.T) {
-			db := Open("upsert", DialectPostgres)
+			db := Open("upsert", DialectDuckDB)
 			mustExec(t, db, "CREATE TABLE t (k INTEGER PRIMARY KEY, a INTEGER, b VARCHAR)")
 			s := db.NewSession()
 			defer s.Close()
@@ -127,7 +127,7 @@ func TestUpsertMatchesOracle(t *testing.T) {
 // nothing. A SET that reads the table it writes through a subquery runs it
 // before the upsert locks the table, so it does not wait on itself.
 func TestOnConflictTarget(t *testing.T) {
-	db := Open("target", DialectPostgres)
+	db := Open("target", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
 	mustExec(t, db, "CREATE TABLE c (x INTEGER, y VARCHAR, v INTEGER, PRIMARY KEY (x, y))")
 	mustExec(t, db, "CREATE TABLE n (a INTEGER)")
@@ -165,7 +165,7 @@ func TestOnConflictTarget(t *testing.T) {
 // taken while a handler runs — which then fails, and the statement with
 // it — never sees the statement's rows.
 func TestUpsertBesideFailingTrigger(t *testing.T) {
-	db := Open("trig", DialectPostgres)
+	db := Open("trig", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
 	mustExec(t, db, "INSERT INTO t VALUES (1, 10)")
 	var seen []string

@@ -32,7 +32,6 @@ func (c *Compiler) Compile(viewName string, sel *sqlparser.SelectStmt, sourceSQL
 
 	comp := &Compilation{
 		ViewName:  viewName,
-		Options:   c.Opts,
 		Select:    sel,
 		SourceSQL: sourceSQL,
 	}

@@ -19,9 +19,9 @@
 // and does step 4 its own way, reading ΔT as a window of the base table's
 // change log.
 //
-// All SQL is built as a DuckAST operator tree and rendered in the dialect
-// selected by a compiler flag, so the same compilation drives both the
-// DuckDB-style engine and the PostgreSQL-style engine (cross-system IVM).
+// All SQL is built as a DuckAST operator tree and rendered as one text that
+// DuckDB, PostgreSQL and the embedded engine all run, so the same
+// compilation drives every system of the cross-system demo.
 //
 // The compiler links the embedded engine (internal/engine) the way OpenIVM
 // links DuckDB: it uses the engine's parser, binder and planner to
@@ -74,21 +74,16 @@ func DeltaRows(ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) []sqltyp
 // that exposes the declared columns.
 const HiddenCountColumn = "_duckdb_ivm_count"
 
-// Options are the compiler's settings: the dialect the scripts are
-// rendered in, nothing else. An aggregate view's delta is folded into V by
-// one plan, an upsert of ivm_cte whose ON CONFLICT combines each group V
-// holds (paper §2 names regrouping V ∪ ΔV and a full outer join as the
-// other points of the design space): it costs what the delta costs,
-// through V's key index.
-type Options struct {
-	// Dialect selects the SQL dialect of the emitted scripts.
-	Dialect duckast.Dialect
-}
+// Options are the compiler's settings. There are none: an aggregate view's
+// delta is folded into V by one plan, an upsert of ivm_cte whose ON
+// CONFLICT combines each group V holds (paper §2 names regrouping V ∪ ΔV
+// and a full outer join as the other points of the design space), and the
+// scripts are one text for every target. The type and DefaultOptions stay
+// for the repository benchmark's callers until its next change drops them.
+type Options struct{}
 
-// DefaultOptions returns the paper-faithful defaults.
-func DefaultOptions() Options {
-	return Options{Dialect: duckast.DialectDuckDB}
-}
+// DefaultOptions returns the (empty) compiler settings.
+func DefaultOptions() Options { return Options{} }
 
 // deltaPrefix prefixes generated delta-table names.
 const deltaPrefix = "delta_"
@@ -161,7 +156,6 @@ type BaseTable struct {
 type Compilation struct {
 	ViewName string
 	Class    QueryClass
-	Options  Options
 
 	Bases []BaseTable
 	// JoinDelta is the join delta of a two-table view ("" otherwise): the
@@ -203,14 +197,14 @@ type Compilation struct {
 	SourceSQL string
 }
 
-// SetupSQL renders the DDL script in the compilation's dialect.
-func (c *Compilation) SetupSQL() string { return c.Setup.SQL(c.Options.Dialect) }
+// SetupSQL renders the DDL script.
+func (c *Compilation) SetupSQL() string { return c.Setup.SQL() }
 
-// PropagateSQL renders the propagation script in the compilation's dialect.
-func (c *Compilation) PropagateSQL() string { return c.Propagate.SQL(c.Options.Dialect) }
+// PropagateSQL renders the propagation script.
+func (c *Compilation) PropagateSQL() string { return c.Propagate.SQL() }
 
 // PopulateSQLText renders the initial-materialization script.
-func (c *Compilation) PopulateSQLText() string { return c.Populate.SQL(c.Options.Dialect) }
+func (c *Compilation) PopulateSQLText() string { return c.Populate.SQL() }
 
 // BaseTableNames lists the referenced base tables.
 func (c *Compilation) BaseTableNames() []string {
@@ -273,13 +267,15 @@ func (c *Compilation) StorageColumns() []ViewColumn {
 }
 
 // exposedView returns the CREATE VIEW statement exposing the declared view
-// columns over the storage table.
+// columns over the storage table. An AVG whose arguments are all NULL has
+// a count of 0 and reads NULL, as the query's AVG does: PostgreSQL fails a
+// division by zero where this engine reads NULL.
 func (c *Compilation) exposedView() *duckast.Raw {
 	var items []string
 	for _, col := range c.Columns {
 		if col.HasAgg && col.Agg == expr.AggAvg {
 			items = append(items, fmt.Sprintf(
-				"CAST(%s_ivm_sum AS DOUBLE) / %s_ivm_cnt AS %s", col.Name, col.Name, col.Name))
+				"CASE WHEN %[1]s_ivm_cnt = 0 THEN NULL ELSE CAST(%[1]s_ivm_sum AS DOUBLE PRECISION) / %[1]s_ivm_cnt END AS %[1]s", col.Name))
 			continue
 		}
 		items = append(items, col.Name)
@@ -291,13 +287,12 @@ func (c *Compilation) exposedView() *duckast.Raw {
 // Compiler compiles view definitions against a schema held by an embedded
 // engine instance (the "DuckDB inside OpenIVM" of Figure 1).
 type Compiler struct {
-	DB   *engine.DB
-	Opts Options
+	DB *engine.DB
 }
 
-// NewCompiler returns a compiler over db with the given options.
-func NewCompiler(db *engine.DB, opts Options) *Compiler {
-	return &Compiler{DB: db, Opts: opts}
+// NewCompiler returns a compiler over db. Options holds no setting.
+func NewCompiler(db *engine.DB, _ Options) *Compiler {
+	return &Compiler{DB: db}
 }
 
 // CompileSQL parses a CREATE MATERIALIZED VIEW statement and compiles it.

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"openivm/internal/duckast"
 	"openivm/internal/engine"
 	"openivm/internal/sqlparser"
 )
@@ -102,7 +101,7 @@ func TestViewKey(t *testing.T) {
 		}
 	}
 	// Aggregate classes keep their group key and no row key.
-	comp := compile(t, db, DefaultOptions(), "CREATE MATERIALIZED VIEW agg AS SELECT cid, SUM(amount) AS s FROM orders GROUP BY cid")
+	comp := compile(t, db, "CREATE MATERIALIZED VIEW agg AS SELECT cid, SUM(amount) AS s FROM orders GROUP BY cid")
 	if comp.Key != nil {
 		t.Errorf("aggregate view has a row key %v", comp.Key)
 	}
@@ -118,9 +117,9 @@ func parseSelect(t *testing.T, def string) *sqlparser.SelectStmt {
 }
 
 // TestKeyedGolden pins the whole compilation of a keyed projection view and
-// a keyed FK→PK join view in both dialects: V declares the key, the join
-// view fills its join delta with the product rule's three terms, and steps
-// 2–3 are the keyed combine — delete the keys whose row nets below zero,
+// a keyed FK→PK join view: V declares the key, the join view fills its
+// join delta with the product rule's three terms, and steps 2–3 are the
+// keyed combine — delete the keys whose row nets below zero,
 // then insert the rows that net above it. The projection view's combine
 // reads its query over ΔT as a derived table, so that GROUP BY names
 // columns rather than expressions.
@@ -130,16 +129,16 @@ func TestKeyedGolden(t *testing.T) {
 	const bigDelta = "(SELECT oid AS oid, cid AS cid, amount AS amount, _duckdb_ivm_multiplicity FROM delta_orders WHERE (amount >= 250)) AS ivm_delta"
 	cases := []struct{ view, setup, prop string }{
 		{"CREATE MATERIALIZED VIEW big_orders AS SELECT oid, cid, amount FROM orders WHERE amount >= 250",
-			`CREATE TABLE IF NOT EXISTS delta_orders (oid INTEGER, cid INTEGER, amount INTEGER, _duckdb_ivm_multiplicity BOOLEAN);
-CREATE TABLE IF NOT EXISTS big_orders (oid INTEGER, cid INTEGER, amount INTEGER, PRIMARY KEY (oid));`,
+			`CREATE TABLE IF NOT EXISTS delta_orders (oid BIGINT, cid BIGINT, amount BIGINT, _duckdb_ivm_multiplicity BOOLEAN);
+CREATE TABLE IF NOT EXISTS big_orders (oid BIGINT, cid BIGINT, amount BIGINT, PRIMARY KEY (oid));`,
 			`DELETE FROM big_orders WHERE oid IN (SELECT oid FROM ` + bigDelta + ` GROUP BY oid, cid, amount HAVING NET < 0);
 INSERT INTO big_orders SELECT oid, cid, amount FROM ` + bigDelta + ` GROUP BY oid, cid, amount HAVING NET > 0;
 DELETE FROM delta_orders;`},
 		{"CREATE MATERIALIZED VIEW order_regions AS SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid",
-			`CREATE TABLE IF NOT EXISTS delta_orders (oid INTEGER, cid INTEGER, amount INTEGER, _duckdb_ivm_multiplicity BOOLEAN);
-CREATE TABLE IF NOT EXISTS delta_customers (cid INTEGER, region VARCHAR, _duckdb_ivm_multiplicity BOOLEAN);
-CREATE TABLE IF NOT EXISTS order_regions (oid INTEGER, region VARCHAR, amount INTEGER, PRIMARY KEY (oid));
-CREATE TABLE IF NOT EXISTS delta_join_order_regions (oid INTEGER, region VARCHAR, amount INTEGER, _duckdb_ivm_multiplicity BOOLEAN);`,
+			`CREATE TABLE IF NOT EXISTS delta_orders (oid BIGINT, cid BIGINT, amount BIGINT, _duckdb_ivm_multiplicity BOOLEAN);
+CREATE TABLE IF NOT EXISTS delta_customers (cid BIGINT, region VARCHAR, _duckdb_ivm_multiplicity BOOLEAN);
+CREATE TABLE IF NOT EXISTS order_regions (oid BIGINT, region VARCHAR, amount BIGINT, PRIMARY KEY (oid));
+CREATE TABLE IF NOT EXISTS delta_join_order_regions (oid BIGINT, region VARCHAR, amount BIGINT, _duckdb_ivm_multiplicity BOOLEAN);`,
 			`INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, o._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN customers AS c ON (o.cid = c.cid);
 INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM orders AS o JOIN delta_customers AS c ON (o.cid = c.cid);
 INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, o._duckdb_ivm_multiplicity <> c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN delta_customers AS c ON (o.cid = c.cid);
@@ -149,22 +148,14 @@ DELETE FROM delta_join_order_regions;
 DELETE FROM delta_orders;
 DELETE FROM delta_customers;`},
 	}
-	for _, dialect := range []duckast.Dialect{duckast.DialectDuckDB, duckast.DialectPostgres} {
-		for _, c := range cases {
-			opts := DefaultOptions()
-			opts.Dialect = dialect
-			comp := compile(t, db, opts, c.view)
-			setup := c.setup
-			if dialect == duckast.DialectPostgres {
-				setup = strings.ReplaceAll(setup, "VARCHAR", "TEXT")
-			}
-			if got := strings.TrimSpace(comp.SetupSQL()); got != setup {
-				t.Errorf("[%v] setup of %s:\n got:\n%s\nwant:\n%s", dialect, comp.ViewName, got, setup)
-			}
-			prop := strings.ReplaceAll(c.prop, "NET", net)
-			if got := strings.TrimSpace(comp.PropagateSQL()); got != prop {
-				t.Errorf("[%v] propagate of %s:\n got:\n%s\nwant:\n%s", dialect, comp.ViewName, got, prop)
-			}
+	for _, c := range cases {
+		comp := compile(t, db, c.view)
+		if got := strings.TrimSpace(comp.SetupSQL()); got != c.setup {
+			t.Errorf("setup of %s:\n got:\n%s\nwant:\n%s", comp.ViewName, got, c.setup)
+		}
+		prop := strings.ReplaceAll(c.prop, "NET", net)
+		if got := strings.TrimSpace(comp.PropagateSQL()); got != prop {
+			t.Errorf("propagate of %s:\n got:\n%s\nwant:\n%s", comp.ViewName, got, prop)
 		}
 	}
 }

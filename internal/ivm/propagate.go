@@ -163,7 +163,7 @@ func propProjection(comp *Compilation, s *duckast.Script) {
 		// which GROUP BY would read as a position.
 		sel := &duckast.Select{Items: aliased(srcs, comp.Columns), From: &duckast.Raw{Text: d.rows("")}}
 		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: MultiplicityColumn}})
-		emitKeyedCombine(comp, s, "("+sel.SQL(comp.Options.Dialect)+") AS ivm_delta")
+		emitKeyedCombine(comp, s, "("+sel.SQL()+") AS ivm_delta")
 		return
 	}
 
@@ -296,7 +296,7 @@ func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 		s.Add(&duckast.Delete{Table: comp.Storage, Where: touched})
 		s.Add(&duckast.Insert{Table: comp.Storage, Columns: cols, Select: &duckast.Select{
 			Items: []duckast.SelectItem{{Expr: &duckast.Raw{Text: "*"}}},
-			From:  &duckast.Raw{Text: "(" + storageQuery(comp, from).SQL(comp.Options.Dialect) + ") AS ivm_all"},
+			From:  &duckast.Raw{Text: "(" + storageQuery(comp, from).SQL() + ") AS ivm_all"},
 			Where: touched}})
 		return
 	}
@@ -313,7 +313,7 @@ func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 		on = append(on, fmt.Sprintf("%s IS NOT DISTINCT FROM ivm_deleted.%s", col.SourceSQL, alias))
 	}
 	s.Add(&duckast.Insert{Table: comp.Storage, Columns: cols, Select: storageQuery(comp, fmt.Sprintf(
-		"%s JOIN (%s) AS ivm_deleted ON %s", from, del.SQL(comp.Options.Dialect), strings.Join(on, " AND ")))})
+		"%s JOIN (%s) AS ivm_deleted ON %s", from, del.SQL(), strings.Join(on, " AND ")))})
 }
 
 // emitEmptyGroupDelete emits step 3: delete the groups whose row count
@@ -481,7 +481,7 @@ func emitKeyedCombine(comp *Compilation, s *duckast.Script, from string) {
 	s.Add(&duckast.Delete{
 		Table: comp.ViewName,
 		Where: &duckast.Raw{Text: fmt.Sprintf("%s IN (%s)",
-			groupKey(comp.Key), netRows(comp, from, comp.Key, "< 0").SQL(comp.Options.Dialect))},
+			groupKey(comp.Key), netRows(comp, from, comp.Key, "< 0").SQL())},
 	})
 	s.Add(&duckast.Insert{Table: comp.ViewName, Select: netRows(comp, from, viewColNames(comp.Columns), "> 0")})
 }

@@ -273,7 +273,7 @@ func TestExecutedScriptIsPrintedScript(t *testing.T) {
 		for _, st := range comp.Propagate.Stmts[n:] {
 			del, ok := st.(*duckast.Delete)
 			if !ok || del.Where != nil {
-				t.Fatalf("%s: step 4 holds %s", v.name, st.SQL(duckast.DialectDuckDB))
+				t.Fatalf("%s: step 4 holds %s", v.name, st.SQL())
 			}
 			truncated = append(truncated, del.Table)
 		}

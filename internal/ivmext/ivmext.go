@@ -53,7 +53,6 @@ import (
 	"sync/atomic"
 
 	"openivm/internal/catalog"
-	"openivm/internal/duckast"
 	"openivm/internal/engine"
 	"openivm/internal/enginerr"
 	"openivm/internal/fault"
@@ -197,15 +196,6 @@ func (v *view) pending() bool {
 		}
 	}
 	return false
-}
-
-// options are the compiler options for the engine's dialect.
-func (ext *Extension) options() ivm.Options {
-	opts := ivm.DefaultOptions()
-	if ext.db.Dialect() == engine.DialectPostgres {
-		opts.Dialect = duckast.DialectPostgres
-	}
-	return opts
 }
 
 // eager reports whether propagation runs on every base-table change.
@@ -391,7 +381,7 @@ func (ext *Extension) Compilation(view string) (*ivm.Compilation, bool) {
 // createMaterializedView compiles the definition, runs the generated DDL,
 // starts the base tables' change logs, populates V and stores the metadata.
 func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error {
-	comp, err := ivm.NewCompiler(ext.db, ext.options()).Compile(st.Name, st.Select, st.SourceSQL)
+	comp, err := ivm.NewCompiler(ext.db, ivm.DefaultOptions()).Compile(st.Name, st.Select, st.SourceSQL)
 	if err != nil {
 		return err
 	}
@@ -879,7 +869,7 @@ func (ext *Extension) clearJoinDelta(is *engine.Session, comp *ivm.Compilation) 
 // makes it the handle's only executor.
 func (ext *Extension) preparedBody(v *view) (*engine.Prepared, error) {
 	if v.prepared == nil {
-		p, err := ext.db.PrepareScript(v.comp.Body.SQL(v.comp.Options.Dialect))
+		p, err := ext.db.PrepareScript(v.comp.Body.SQL())
 		if err != nil {
 			return nil, err
 		}

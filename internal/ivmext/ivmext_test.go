@@ -553,26 +553,38 @@ func TestViewWithAlias(t *testing.T) {
 		"SELECT group_index, SUM(group_value) FROM groups GROUP BY group_index")
 }
 
+// TestPostgresDialectScripts: the scripts a view keeps (ext.Scripts) are
+// the one text PostgreSQL runs — ON CONFLICT, no INSERT OR REPLACE, no
+// DOUBLE — and the engine runs the same text.
 func TestPostgresDialectScripts(t *testing.T) {
-	db := engine.Open("pg", engine.DialectPostgres)
+	db := engine.Open("one_text", engine.DialectDuckDB)
 	ext := Install(db)
 	mustExec(t, db, "CREATE TABLE t (k VARCHAR, v INTEGER)")
 	mustExec(t, db, `CREATE MATERIALIZED VIEW vsum AS SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k`)
+	mustExec(t, db, `CREATE MATERIALIZED VIEW vavg AS SELECT k, AVG(v) AS m FROM t GROUP BY k`)
 	_, prop, err := ext.Scripts("vsum")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(prop, "ON CONFLICT (k) DO UPDATE SET") {
-		t.Errorf("postgres dialect should emit ON CONFLICT:\n%s", prop)
+		t.Errorf("script lacks ON CONFLICT:\n%s", prop)
 	}
 	if strings.Contains(prop, "INSERT OR REPLACE") {
-		t.Errorf("postgres dialect must not emit INSERT OR REPLACE:\n%s", prop)
+		t.Errorf("script holds INSERT OR REPLACE, which PostgreSQL lacks:\n%s", prop)
 	}
-	// And the engine in postgres dialect can execute its own scripts.
+	setup, _, err := ext.Scripts("vavg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(strings.ReplaceAll(setup, "DOUBLE PRECISION", ""), "DOUBLE") {
+		t.Errorf("setup names DOUBLE, which PostgreSQL lacks:\n%s", setup)
+	}
 	mustExec(t, db, "INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 5)")
 	viewEquals(t, db, "k, s, n", "vsum", "SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k")
+	viewEquals(t, db, "k, m", "vavg", "SELECT k, AVG(v) FROM t GROUP BY k")
 	mustExec(t, db, "DELETE FROM t WHERE k = 'b'")
 	viewEquals(t, db, "k, s, n", "vsum", "SELECT k, SUM(v), COUNT(*) FROM t GROUP BY k")
+	viewEquals(t, db, "k, m", "vavg", "SELECT k, AVG(v) FROM t GROUP BY k")
 }
 
 var _ = sqltypes.Null

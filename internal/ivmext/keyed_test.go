@@ -57,7 +57,7 @@ func TestExplainKeyedBody(t *testing.T) {
 		}
 		want = append(want, "KeyedDelete "+view+"[pk] keys=IN(subquery)", "Insert "+view)
 		var got []string
-		for _, stmt := range engine.SplitStatements(comp.Body.SQL(comp.Options.Dialect)) {
+		for _, stmt := range engine.SplitStatements(comp.Body.SQL()) {
 			got = append(got, mustExec(t, db, "EXPLAIN "+stmt).Rows[0][0].S)
 		}
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {

@@ -1,7 +1,6 @@
 // Package oltp implements the PostgreSQL stand-in of the paper's
-// cross-system demo: a row-store SQL engine speaking the PostgreSQL
-// dialect (ON CONFLICT upserts, TEXT/DOUBLE PRECISION types) with
-// row-level triggers for update capture. Following the paper, the OLTP
+// cross-system demo: the row-store SQL engine, writing upserts with
+// PostgreSQL's ON CONFLICT, with row-level triggers for update capture. Following the paper, the OLTP
 // side carries no IVM logic of its own — "for PostgreSQL (or any
 // alternative system), users are required to configure these triggers
 // independently" — so this package provides exactly that configuration:
@@ -31,7 +30,7 @@ type Store struct {
 //	CREATE TRIGGER cap AFTER INSERT OR DELETE OR UPDATE ON orders
 //	FOR EACH ROW EXECUTE 'ivm_capture'
 func New(name string) *Store {
-	db := engine.Open(name, engine.DialectPostgres)
+	db := engine.Open(name, engine.DialectDuckDB)
 	s := &Store{DB: db}
 	db.RegisterTriggerHandler("ivm_capture", capture)
 	return s

@@ -115,7 +115,8 @@ func TestCaptureMultiRowUpdateOrder(t *testing.T) {
 	}
 }
 
-func TestPostgresDialectUpsert(t *testing.T) {
+// TestOnConflictUpsert: the store takes PostgreSQL's ON CONFLICT upsert.
+func TestOnConflictUpsert(t *testing.T) {
 	s := newStore(t)
 	s.DB.Exec("INSERT INTO orders VALUES (1, 10)")
 	if _, err := s.DB.Exec("INSERT INTO orders VALUES (1, 99) ON CONFLICT (oid) DO UPDATE SET amount = EXCLUDED.amount"); err != nil {

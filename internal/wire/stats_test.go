@@ -48,7 +48,7 @@ func TestStatsV2Namespaced(t *testing.T) {
 // TestStatsV2Ivm: with the IVM extension installed, the ivm.* group
 // carries live refresh-scheduler counters over the wire.
 func TestStatsV2Ivm(t *testing.T) {
-	db := engine.Open("srv", engine.DialectPostgres)
+	db := engine.Open("srv", engine.DialectDuckDB)
 	ivmext.Install(db)
 	t.Cleanup(func() { db.Close() })
 	srv := NewServer(db)
@@ -108,7 +108,7 @@ func TestStatsV2Storage(t *testing.T) {
 	}
 	t.Cleanup(func() { os.RemoveAll(dir) })
 
-	db := engine.Open("srv", engine.DialectPostgres)
+	db := engine.Open("srv", engine.DialectDuckDB)
 	b, err := storage.OpenDisk(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 
 func startServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	db := engine.Open("srv", engine.DialectPostgres)
+	db := engine.Open("srv", engine.DialectDuckDB)
 	srv := NewServer(db)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
