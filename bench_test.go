@@ -116,17 +116,25 @@ func BenchmarkE2_IVMRefresh(b *testing.B) {
 	// The group-count sweep at a fixed 100-row delta: the view holds one
 	// row per group, and refresh time must not grow with it — step 3 finds
 	// the emptied groups among the ~100 keys of ΔT through the view's key
-	// index, not by scanning the view.
+	// index, not by scanning the view. Every tenth refresh the batches are
+	// taken out again, so the base never holds more than 1 000 rows beyond
+	// its load whatever b.N is; taking them out scans the base, which after
+	// every refresh would cost G409600 most of its run.
 	for _, groups := range []int{4096, 40960, 409600} {
 		b.Run(fmt.Sprintf("G%d", groups), func(b *testing.B) {
 			db := loadGroupView(b, groups)
-			w := workload.Groups{NumGroups: groups}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				mustExecB(b, db, w.InsertBatch(100, int64(i)))
+				mustExecB(b, db, trimmableBatch(groups, 100, int64(i)))
 				b.StartTimer()
 				mustExecB(b, db, "REFRESH MATERIALIZED VIEW query_groups")
+				if i%10 == 9 {
+					b.StopTimer()
+					mustExecB(b, db, "DELETE FROM groups WHERE group_value >= 1000")
+					mustExecB(b, db, "REFRESH MATERIALIZED VIEW query_groups")
+					b.StartTimer()
+				}
 			}
 		})
 	}
@@ -1006,11 +1014,15 @@ func BenchmarkPKIndex_Put(b *testing.B) {
 	}
 }
 
+// BenchmarkPKIndex_Get is one point read through the primary key, as a
+// keyed scan resolves it (RowsSnap with one key).
 func BenchmarkPKIndex_Get(b *testing.B) {
 	tbl, _ := pkBenchTable(b, pkBenchRows)
+	key := make([]sqltypes.Value, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := tbl.LookupPKRowSnap(mvcc.Snapshot{}, sqltypes.Row{sqltypes.NewInt(int64(i * 7919 % pkBenchRows))}); !ok {
+		key[0] = sqltypes.NewInt(int64(i * 7919 % pkBenchRows))
+		if len(tbl.RowsSnap(mvcc.Snapshot{}, key)) != 1 {
 			b.Fatal("key not found")
 		}
 	}

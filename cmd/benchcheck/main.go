@@ -1,8 +1,8 @@
 // Command benchcheck is the CI benchmark-regression gate: it parses
 // `go test -bench` output, reduces repeated runs (-count N) to the
 // per-benchmark minimum — the least noise-contaminated observation — and
-// compares allocs/op against a committed baseline JSON, failing the build
-// when it regresses beyond the threshold.
+// compares allocs/op and bytes/op against a committed baseline JSON,
+// failing the build when either regresses beyond the threshold.
 //
 // Usage:
 //
@@ -13,11 +13,13 @@
 //
 //	go test ... -benchmem -count 3 . | go run ./cmd/benchcheck -baseline BENCH_BASELINE.json -update
 //
-// allocs/op is machine-independent, so it is the gate. ns/op is recorded
-// in the baseline and printed beside the measurement for the reader, never
-// gated: on shared hardware the same code reads 25–100 % apart from one
-// hour to the next. Time is judged by the repository benchmark
-// (benchmark/), in alternated runs against the parent commit.
+// allocs/op and bytes/op are machine-independent, so they are the gate:
+// the collector's cycle count follows bytes allocated, which a change can
+// raise without adding an allocation. ns/op is recorded in the baseline
+// and printed beside the measurement for the reader, never gated: on
+// shared hardware the same code reads 25–100 % apart from one hour to the
+// next. Time is judged by the repository benchmark (benchmark/), in
+// alternated runs against the parent commit.
 package main
 
 import (
@@ -37,6 +39,7 @@ import (
 type entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
 // baseline is the committed BENCH_BASELINE.json shape.
@@ -48,13 +51,34 @@ type baseline struct {
 // benchLine matches one `go test -bench -benchmem` result line, e.g.
 // BenchmarkE7_JoinIVM/C16-4  4418  264546 ns/op  133685 B/op  681 allocs/op
 // The trailing -N GOMAXPROCS suffix is stripped so results are comparable
-// across machines with different core counts. allocs/op is picked out by
-// its own pattern so custom ReportMetric columns between ns/op and the
-// -benchmem pair (e.g. E10's stall-ns/op) don't hide it.
+// across machines with different core counts. allocs/op and B/op are
+// picked out by their own patterns so custom ReportMetric columns between
+// ns/op and the -benchmem pair (e.g. E10's stall-ns/op) don't hide them.
 var (
 	benchLine  = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`)
 	allocsStat = regexp.MustCompile(`\s([\d.]+) allocs/op`)
+	bytesStat  = regexp.MustCompile(`\s([\d.]+) B/op`)
 )
+
+// memStat reads one -benchmem column of line: -1 when it is missing (run
+// without -benchmem), not 0, which would satisfy every threshold and
+// silently disarm the gate for that benchmark.
+func memStat(re *regexp.Regexp, line string) float64 {
+	if m := re.FindStringSubmatch(line); m != nil {
+		v, _ := strconv.ParseFloat(m[1], 64)
+		return v
+	}
+	return -1
+}
+
+// minStat keeps the smaller of two observations, a missing one (-1) only
+// when both are.
+func minStat(prev, cur float64) float64 {
+	if prev >= 0 && (cur < 0 || prev < cur) {
+		return prev
+	}
+	return cur
+}
 
 func parseBench(r io.Reader) (map[string]entry, error) {
 	out := map[string]entry{}
@@ -69,23 +93,13 @@ func parseBench(r io.Reader) (map[string]entry, error) {
 		if err != nil {
 			continue
 		}
-		// Missing allocs/op (run without -benchmem) is recorded as -1, not
-		// 0: a zero would satisfy every threshold and silently disarm the
-		// alloc gate for that benchmark.
-		allocs := -1.0
-		if am := allocsStat.FindStringSubmatch(sc.Text()); am != nil {
-			allocs, _ = strconv.ParseFloat(am[1], 64)
-		}
+		e := entry{NsPerOp: ns, AllocsPerOp: memStat(allocsStat, sc.Text()), BytesPerOp: memStat(bytesStat, sc.Text())}
 		// -count N repeats a benchmark; keep the per-metric minimum.
 		if prev, ok := out[m[1]]; ok {
-			if prev.NsPerOp < ns {
-				ns = prev.NsPerOp
-			}
-			if prev.AllocsPerOp >= 0 && (allocs < 0 || prev.AllocsPerOp < allocs) {
-				allocs = prev.AllocsPerOp
-			}
+			e = entry{NsPerOp: min(prev.NsPerOp, ns), AllocsPerOp: minStat(prev.AllocsPerOp, e.AllocsPerOp),
+				BytesPerOp: minStat(prev.BytesPerOp, e.BytesPerOp)}
 		}
-		out[m[1]] = entry{NsPerOp: ns, AllocsPerOp: allocs}
+		out[m[1]] = e
 	}
 	return out, sc.Err()
 }
@@ -93,7 +107,7 @@ func parseBench(r io.Reader) (map[string]entry, error) {
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "committed baseline JSON")
 	input := flag.String("input", "-", "benchmark output file (- = stdin)")
-	maxAllocs := flag.Float64("max-allocs-regress", 0.25, "fail when allocs/op exceeds baseline by this fraction (negative = skip allocs check)")
+	maxAllocs := flag.Float64("max-allocs-regress", 0.25, "fail when allocs/op or bytes/op exceeds baseline by this fraction (negative = skip both checks)")
 	update := flag.Bool("update", false, "rewrite the baseline from the measured results instead of comparing")
 	flag.Parse()
 
@@ -156,19 +170,23 @@ func main() {
 			continue
 		}
 		status := "ok"
-		if *maxAllocs >= 0 && want.AllocsPerOp > 0 {
-			if have.AllocsPerOp < 0 {
-				failures = append(failures, fmt.Sprintf("%s: no allocs/op in results (run with -benchmem) but baseline has %.0f",
-					name, want.AllocsPerOp))
-				status = "NO ALLOC DATA"
-			} else if have.AllocsPerOp > want.AllocsPerOp*(1+*maxAllocs) {
-				failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f exceeds baseline %.0f by more than %.0f%%",
-					name, have.AllocsPerOp, want.AllocsPerOp, *maxAllocs*100))
-				status = "ALLOC REGRESSION"
+		for _, g := range []struct {
+			unit       string
+			have, want float64
+		}{{"allocs/op", have.AllocsPerOp, want.AllocsPerOp}, {"B/op", have.BytesPerOp, want.BytesPerOp}} {
+			switch {
+			case *maxAllocs < 0 || g.want <= 0:
+			case g.have < 0:
+				failures = append(failures, fmt.Sprintf("%s: no %s in results (run with -benchmem) but baseline has %.0f", name, g.unit, g.want))
+				status = "NO MEM DATA"
+			case g.have > g.want*(1+*maxAllocs):
+				failures = append(failures, fmt.Sprintf("%s: %s %.0f exceeds baseline %.0f by more than %.0f%%",
+					name, g.unit, g.have, g.want, *maxAllocs*100))
+				status = "MEM REGRESSION"
 			}
 		}
-		fmt.Printf("%-60s ns/op %10.0f (base %10.0f)  allocs/op %7.0f (base %7.0f)  %s\n",
-			name, have.NsPerOp, want.NsPerOp, have.AllocsPerOp, want.AllocsPerOp, status)
+		fmt.Printf("%-50s ns/op %10.0f (base %10.0f)  allocs/op %7.0f (base %7.0f)  B/op %9.0f (base %9.0f)  %s\n",
+			name, have.NsPerOp, want.NsPerOp, have.AllocsPerOp, want.AllocsPerOp, have.BytesPerOp, want.BytesPerOp, status)
 	}
 	for name := range got {
 		if _, ok := base.Benchmarks[name]; !ok {

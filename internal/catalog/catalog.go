@@ -670,12 +670,13 @@ func (t *Table) InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) error {
 // cleanly. A snapshot taken between the batch and the statement's commit
 // would observe the statement's uncommitted writes, so a statement that
 // can still abort after its write — its trigger handlers have yet to run —
-// clears tx's autocommit mark first. Returns the inserted rows and the
-// replaced old/new pairs for trigger delivery; on error the applied prefix
-// stays in tx, for the caller to abort.
-func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge storage.Merge) (inserted, replacedOld, replacedNew []sqltypes.Row, err error) {
+// clears tx's autocommit mark first. Returns how many rows were inserted
+// or replaced and — with wantRows, for trigger delivery — the inserted rows
+// and the replaced old/new pairs; on error the applied prefix stays in tx,
+// for the caller to abort.
+func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge storage.Merge, wantRows bool) (inserted, replacedOld, replacedNew []sqltypes.Row, n int, err error) {
 	if !t.HasPrimaryKey() {
-		return nil, nil, nil, fmt.Errorf("table %s: INSERT OR REPLACE requires a primary key or unique index", t.Name)
+		return nil, nil, nil, 0, fmt.Errorf("table %s: INSERT OR REPLACE requires a primary key or unique index", t.Name)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -683,7 +684,7 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge storage.
 	for _, row := range rows {
 		r, verr := t.validate(row)
 		if verr != nil {
-			return inserted, replacedOld, replacedNew, verr
+			return inserted, replacedOld, replacedNew, n, verr
 		}
 		cur := t.pkSeekLocked(r)
 		vis := t.visibleLocked(tx.Snapshot(), cur.slot)
@@ -691,7 +692,7 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge storage.
 		if vis >= 0 {
 			old = t.rows[vis]
 			if r, err = t.mergeLocked(merge, old, r); err != nil {
-				return inserted, replacedOld, replacedNew, err
+				return inserted, replacedOld, replacedNew, n, err
 			}
 			if r == nil {
 				continue
@@ -723,17 +724,20 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge storage.
 			// the general versioned path, which detects conflicts and
 			// dooms tx as usual.
 			if err = t.upsertLocked(tx, r, cur); err != nil {
-				return inserted, replacedOld, replacedNew, err
+				return inserted, replacedOld, replacedNew, n, err
 			}
 		}
-		if vis >= 0 {
+		n++
+		switch {
+		case !wantRows:
+		case vis >= 0:
 			replacedOld = append(replacedOld, old)
 			replacedNew = append(replacedNew, r)
-		} else {
+		default:
 			inserted = append(inserted, r)
 		}
 	}
-	return inserted, replacedOld, replacedNew, nil
+	return inserted, replacedOld, replacedNew, n, nil
 }
 
 // mergeLocked returns the validated row that replaces old when excluded,
@@ -1195,42 +1199,6 @@ func (t *Table) RowsSnap(sn mvcc.Snapshot, keys []sqltypes.Value) []sqltypes.Row
 		}
 	}
 	return out
-}
-
-// lookupPK resolves primary-key values to the version visible to sn (the
-// zero snapshot means latest-committed). It takes the shared lock, so the
-// key is encoded into a stack buffer: the write-path scratch is off
-// limits to concurrent readers.
-func (t *Table) lookupPK(sn mvcc.Snapshot, vals []sqltypes.Value) (sqltypes.Row, bool) {
-	var buf [64]byte
-	tag := slottab.Hash(sqltypes.EncodeKey(buf[:0], vals...))
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if sn.M == nil {
-		sn = t.mv.Current()
-	}
-	if s := t.visibleLocked(sn, t.pkProbe(tag, vals).slot); s >= 0 {
-		return t.rows[s], true
-	}
-	return nil, false
-}
-
-// LookupPKRowSnap returns the row whose primary key equals the key values
-// of a full-width candidate row, if present under snapshot sn (the zero snapshot means
-// latest-committed). Stack buffers keep the probe allocation-free.
-func (t *Table) LookupPKRowSnap(sn mvcc.Snapshot, row sqltypes.Row) (sqltypes.Row, bool) {
-	if !t.HasPrimaryKey() {
-		return nil, false
-	}
-	var vbuf [8]sqltypes.Value
-	vals := vbuf[:0]
-	for _, p := range t.pkCols {
-		if p >= len(row) {
-			return nil, false
-		}
-		vals = append(vals, row[p])
-	}
-	return t.lookupPK(sn, vals)
 }
 
 // ---------------------------------------------------------------------------

@@ -33,7 +33,10 @@ func (a autoTable) InsertBatch(rows []sqltypes.Row) error {
 }
 
 func (a autoTable) Upsert(r sqltypes.Row) error {
-	return a.write(func(tx *mvcc.Txn) error { _, _, _, err := a.UpsertBatchTxn(tx, []sqltypes.Row{r}, nil); return err })
+	return a.write(func(tx *mvcc.Txn) error {
+		_, _, _, _, err := a.UpsertBatchTxn(tx, []sqltypes.Row{r}, nil, false)
+		return err
+	})
 }
 
 func (a autoTable) Delete(pred func(sqltypes.Row) (bool, error)) (del []sqltypes.Row, err error) {

@@ -49,7 +49,7 @@ func TestChangeLogInPlaceReplacements(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := base.write(func(tx *mvcc.Txn) error {
-		_, _, _, err := base.UpsertBatchTxn(tx, []sqltypes.Row{row(1, "a", 0), row(1, "b", 0), row(2, "y", 0), row(2, "z", 0)}, nil)
+		_, _, _, _, err := base.UpsertBatchTxn(tx, []sqltypes.Row{row(1, "a", 0), row(1, "b", 0), row(2, "y", 0), row(2, "z", 0)}, nil, false)
 		return err
 	})
 	if err != nil {

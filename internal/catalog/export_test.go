@@ -1,7 +1,7 @@
 package catalog
 
 import (
-	"openivm/internal/mvcc"
+	"openivm/internal/index/slottab"
 	"openivm/internal/sqltypes"
 )
 
@@ -11,5 +11,12 @@ func (t *Table) LookupPK(vals ...sqltypes.Value) (sqltypes.Row, bool) {
 	if len(vals) != len(t.pkCols) || len(vals) == 0 {
 		return nil, false
 	}
-	return t.lookupPK(mvcc.Snapshot{}, vals)
+	var buf [64]byte
+	tag := slottab.Hash(sqltypes.EncodeKey(buf[:0], vals...))
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if s := t.visibleLocked(t.mv.Current(), t.pkProbe(tag, vals).slot); s >= 0 {
+		return t.rows[s], true
+	}
+	return nil, false
 }

@@ -38,7 +38,7 @@ func TestCommitHookSeesStableSlotsAcrossSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, _, err := tbl.UpsertBatchTxn(tx, []sqltypes.Row{row(7, "new", 1)}, nil); err != nil {
+	if _, _, _, _, err := tbl.UpsertBatchTxn(tx, []sqltypes.Row{row(7, "new", 1)}, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	hookRan := false

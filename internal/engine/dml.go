@@ -102,7 +102,8 @@ func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.
 	}
 
 	tx, done := s.BeginWrite()
-	if s.wantsTriggerRows(st.Table, TrigInsert) || s.wantsTriggerRows(st.Table, TrigUpdate) {
+	triggered := s.wantsTriggerRows(st.Table, TrigInsert) || s.wantsTriggerRows(st.Table, TrigUpdate)
+	if triggered {
 		// The handlers run after the write, in its transaction, and can
 		// still abort it: no snapshot may see its rows in place.
 		tx.SetAutoCommit(false)
@@ -121,7 +122,7 @@ func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.
 	}
 	var merge storage.Merge
 	if st.Conflict != nil {
-		if merge, err = s.conflictMerge(&ent.params, tbl, st.Conflict, len(built)); err != nil {
+		if merge, err = s.conflictMerge(ent, tbl, st.Conflict, len(built)); err != nil {
 			return nil, done(err)
 		}
 	}
@@ -129,15 +130,15 @@ func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.
 	// table-lock acquisition, which lets storage take its quiescent
 	// in-place path (no version churn in the IVM combine step) while
 	// keeping the batch atomic for concurrent readers.
-	inserted, replacedOld, replacedNew, err := tbl.UpsertBatchTxn(tx, built, merge)
-	if err == nil {
+	inserted, replacedOld, replacedNew, written, err := tbl.UpsertBatchTxn(tx, built, merge, triggered)
+	if err == nil && triggered {
 		s.fireTxn(st.Table, TrigInsert, nil, inserted)
 		s.fireTxn(st.Table, TrigUpdate, replacedOld, replacedNew)
 	}
 	if err := done(err); err != nil {
 		return nil, err
 	}
-	return &Result{RowsAffected: len(inserted) + len(replacedNew)}, nil
+	return &Result{RowsAffected: written}, nil
 }
 
 // checkConflictTarget refuses an ON CONFLICT target that is not the
@@ -160,24 +161,17 @@ func checkConflictTarget(tbl *catalog.Table, oc *sqlparser.OnConflict) error {
 	return nil
 }
 
-// conflictMerge binds an ON CONFLICT clause, once per statement, into the
-// merge its upsert applies to each conflicting row: DO NOTHING keeps the
-// existing row; DO UPDATE evaluates its SET list over the schema [table
-// columns..., excluded.*] and stores the existing row with those columns
-// replaced. Merged rows are carved from one block sized to the statement's
-// rows, which each conflict at most once.
-func (s *Session) conflictMerge(params *expr.ParamBinding, tbl *catalog.Table, oc *sqlparser.OnConflict, rows int) (storage.Merge, error) {
+// conflictMerge turns an ON CONFLICT clause into the merge its upsert
+// applies to each conflicting row: DO NOTHING keeps the existing row; DO
+// UPDATE evaluates its SET list over the schema [table columns...,
+// excluded.*] and stores the existing row with those columns replaced.
+// Merged rows are carved from one block sized to the statement's rows,
+// which each conflict at most once.
+func (s *Session) conflictMerge(ent *planEntry, tbl *catalog.Table, oc *sqlparser.OnConflict, rows int) (storage.Merge, error) {
 	if oc.DoNothing {
 		return func(_, _ sqltypes.Row) (sqltypes.Row, error) { return nil, nil }, nil
 	}
-	schema := tableSchema(tbl)
-	for _, c := range tbl.Columns {
-		schema = append(schema, plan.ColumnInfo{Table: "excluded", Name: c.Name, Type: c.Type})
-	}
-	sets, err := bindSetList(s.newBinder(params), tbl, oc.Set, schema)
-	if err == nil {
-		err = runSubqueries(sets.exprs...)
-	}
+	sets, err := s.conflictSets(ent, tbl, oc)
 	if err != nil {
 		return nil, err
 	}
@@ -195,6 +189,37 @@ func (s *Session) conflictMerge(params *expr.ParamBinding, tbl *catalog.Table, o
 		copy(merged, existing)
 		return merged, sets.apply(env, merged)
 	}, nil
+}
+
+// conflictSets binds the SET list of DO UPDATE. The bound list is kept on
+// the entry beside its cached plan, under the plan's schema epoch, when
+// every expression is expr.Stateless — its parameters read the entry's
+// binding at Eval — so a cached statement, every refresh's step 2 among
+// them, binds it once; a list with a subquery is bound per execution.
+func (s *Session) conflictSets(ent *planEntry, tbl *catalog.Table, oc *sqlparser.OnConflict) (setList, error) {
+	at := s.db.epoch()
+	if ent.sets != nil && ent.stamp == at {
+		return *ent.sets, nil
+	}
+	schema := tableSchema(tbl)
+	for _, c := range tbl.Columns {
+		schema = append(schema, plan.ColumnInfo{Table: "excluded", Name: c.Name, Type: c.Type})
+	}
+	sets, err := bindSetList(s.newBinder(&ent.params), tbl, oc.Set, schema)
+	if err == nil {
+		err = runSubqueries(sets.exprs...)
+	}
+	if err != nil {
+		return sets, err
+	}
+	keep := ent.node != nil && ent.stamp == at && s.db.epoch() == at
+	for _, e := range sets.exprs {
+		keep = keep && expr.Stateless(e)
+	}
+	if keep {
+		ent.sets = &sets
+	}
+	return sets, nil
 }
 
 // setList is a bound SET list, UPDATE's or ON CONFLICT DO UPDATE's: for

@@ -291,7 +291,7 @@ func (r *recoverer) Commit(rec *storage.CommitRecord) error {
 		case storage.OpInsert:
 			err = tbl.InsertTxn(tx, op.Row)
 		case storage.OpUpsert:
-			_, _, _, err = tbl.UpsertBatchTxn(tx, []sqltypes.Row{op.Row}, nil)
+			_, _, _, _, err = tbl.UpsertBatchTxn(tx, []sqltypes.Row{op.Row}, nil, false)
 		case storage.OpDelete:
 			_ = tbl.ApplyDeltasTxn(tx, []sqltypes.Row{op.Row}, []bool{false}) // absent: see above
 		case storage.OpTruncate:

@@ -373,21 +373,6 @@ func (db *DB) Exec(sql string) (*Result, error) {
 	return res, err
 }
 
-// SplitStatements splits a script into the texts of its statements, on
-// semicolons outside quotes and parentheses, as the lexer reads it. A
-// script the lexer rejects comes back whole.
-func SplitStatements(sql string) []string {
-	ls, err := sqlparser.Lift(sql, false)
-	if err != nil {
-		return []string{strings.TrimSpace(sql)}
-	}
-	out := make([]string, len(ls))
-	for i := range ls {
-		out[i] = ls[i].Text()
-	}
-	return out
-}
-
 // newBinder builds a binder with scalar-subquery support whose parameters
 // read params (subqueries execute with the session's options and context,
 // their parameters reading the same binding; Param nodes read it at Eval

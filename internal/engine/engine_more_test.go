@@ -119,7 +119,7 @@ func TestApplyDeltaRow(t *testing.T) {
 }
 
 func TestSplitStatementsNested(t *testing.T) {
-	parts := SplitStatements(`INSERT INTO v WITH c AS (SELECT 1; ) SELECT * FROM c; DELETE FROM v`)
+	parts := splitStatements(`INSERT INTO v WITH c AS (SELECT 1; ) SELECT * FROM c; DELETE FROM v`)
 	// The semicolon inside parens must not split.
 	if len(parts) != 2 {
 		t.Fatalf("parts = %q", parts)

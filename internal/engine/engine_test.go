@@ -617,7 +617,7 @@ func TestExecScript(t *testing.T) {
 }
 
 func TestSplitStatements(t *testing.T) {
-	parts := SplitStatements("SELECT 'a;b'; SELECT 2; ")
+	parts := splitStatements("SELECT 'a;b'; SELECT 2; ")
 	if len(parts) != 2 || !strings.Contains(parts[0], "a;b") {
 		t.Fatalf("got %v", parts)
 	}

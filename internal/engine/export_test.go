@@ -6,7 +6,23 @@ import (
 	"strings"
 
 	"openivm/internal/mvcc"
+	"openivm/internal/sqlparser"
 )
+
+// splitStatements splits a script into the texts of its statements, on
+// semicolons outside quotes and parentheses, as the lexer reads it. A
+// script the lexer rejects comes back whole.
+func splitStatements(sql string) []string {
+	ls, err := sqlparser.Lift(sql, false)
+	if err != nil {
+		return []string{strings.TrimSpace(sql)}
+	}
+	out := make([]string, len(ls))
+	for i := range ls {
+		out[i] = ls[i].Text()
+	}
+	return out
+}
 
 // IsSerializationError reports whether err is an MVCC write-write
 // conflict (first-committer-wins).

@@ -37,9 +37,12 @@ type planEntry struct {
 	// body is the statement's own SELECT — the statement itself, or the
 	// source of an INSERT — and node its plan, nil until planned or when
 	// the plan may not be executed twice (planCacheable); stamp is the
-	// schema epoch node was built under.
+	// schema epoch node was built under. sets is an INSERT's bound ON
+	// CONFLICT SET list, kept with node when every expression in it is
+	// expr.Stateless.
 	body  *sqlparser.SelectStmt
 	node  plan.Node
+	sets  *setList
 	stamp int64
 	// params is the binding the statement's parameters read: the literals
 	// lifted out of this execution's text, or the user's $N values.
@@ -296,7 +299,7 @@ func (s *Session) planSelect(ent *planEntry, sel *sqlparser.SelectStmt) (plan.No
 	}
 	// A plan whose schema moved while it was being built is not kept.
 	if sel == ent.body && planCacheable(n) && s.db.epoch() == at {
-		ent.node, ent.stamp = n, at
+		ent.node, ent.sets, ent.stamp = n, nil, at
 	}
 	return n, nil
 }

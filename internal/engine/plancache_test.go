@@ -11,6 +11,16 @@ import (
 // statement of sql (the entry take would lend next), nil when it holds none.
 func cachedPlan(t *testing.T, db *DB, sql string) plan.Node {
 	t.Helper()
+	if ent := cachedEntry(t, db, sql); ent != nil {
+		return ent.node
+	}
+	return nil
+}
+
+// cachedEntry returns the entry the statement cache would lend next for the
+// first statement of sql, nil when it holds none.
+func cachedEntry(t *testing.T, db *DB, sql string) *planEntry {
+	t.Helper()
 	ls, err := sqlparser.Lift(sql, !db.verbatim)
 	if err != nil {
 		t.Fatal(err)
@@ -19,10 +29,53 @@ func cachedPlan(t *testing.T, db *DB, sql string) plan.Node {
 	defer db.plans.mu.Unlock()
 	if el, ok := db.plans.m[string(ls[0].Key)]; ok {
 		if idle := el.Value.(*planSlot).idle; len(idle) > 0 {
-			return idle[len(idle)-1].node
+			return idle[len(idle)-1]
 		}
 	}
 	return nil
+}
+
+// TestConflictSetListBoundOnce: an upsert's ON CONFLICT SET list is bound
+// with its cached plan and not again on the next execution — which is every
+// refresh's step 2 — while an entry that outlived a schema change binds it
+// anew, and a SET list holding a subquery is bound per execution.
+func TestConflictSetListBoundOnce(t *testing.T) {
+	db := Open("cs", DialectDuckDB)
+	mustExec(t, db, "CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
+	const upsert = "INSERT INTO t (k, v) VALUES (1, 5) ON CONFLICT (k) DO UPDATE SET v = t.v + excluded.v"
+	mustExec(t, db, upsert)
+	ent := cachedEntry(t, db, upsert)
+	if ent == nil || ent.sets == nil {
+		t.Fatal("no SET list kept beside the cached plan")
+	}
+	first := ent.sets
+	mustExec(t, db, upsert)
+	if got := cachedEntry(t, db, upsert); got != ent || got.sets != first {
+		t.Fatal("the second execution bound the SET list again")
+	}
+	// An entry given back across a schema change holds a stale plan and
+	// SET list: both are rebuilt, then kept under the new epoch.
+	db.schemaEpoch.Add(1)
+	mustExec(t, db, upsert)
+	if got := cachedEntry(t, db, upsert); got.sets == nil || got.sets == first || got.stamp != db.epoch() {
+		t.Fatal("an entry from an older schema epoch kept its SET list")
+	}
+	if rows := queryRows(t, db, "SELECT v FROM t"); len(rows) != 1 || rows[0][0].I != 15 {
+		t.Fatalf("v = %v after three upserts of 5, want 15", rows)
+	}
+
+	mustExec(t, db, "CREATE TABLE u (x INTEGER)")
+	mustExec(t, db, "INSERT INTO u VALUES (100)")
+	const sub = "INSERT INTO t (k, v) VALUES (1, 5) ON CONFLICT (k) DO UPDATE SET v = (SELECT MAX(x) FROM u)"
+	mustExec(t, db, sub)
+	if got := cachedEntry(t, db, sub); got != nil && got.sets != nil {
+		t.Fatal("a SET list with a subquery was kept")
+	}
+	mustExec(t, db, "INSERT INTO u VALUES (200)")
+	mustExec(t, db, sub)
+	if rows := queryRows(t, db, "SELECT v FROM t"); len(rows) != 1 || rows[0][0].I != 200 {
+		t.Fatalf("v = %v, want the subquery's second answer 200", rows)
+	}
 }
 
 // TestPreparedPlanCacheHit: executing a prepared SELECT twice must bind

@@ -10,15 +10,18 @@ import (
 )
 
 // valueSlab hands out fixed-width rows carved from shared value blocks: a
-// handful of allocations per batch of rows instead of one per row. Blocks
-// grow from a small initial size up to the batch size, so operators over
-// tiny inputs (the common IVM delta shapes) don't pay for a full block.
-// Rows handed out are never reclaimed, so they stay valid after the
+// handful of allocations per batch of rows instead of one per row. An
+// operator that knows how many rows it will carve says so (expect), and
+// the blocks for them are sized exactly, up to the batch size; otherwise
+// blocks grow from 16 rows by doubling up to the batch size, so operators
+// over tiny inputs (the common IVM delta shapes) don't pay for a full
+// block. Rows handed out are never reclaimed, so they stay valid after the
 // producing operator recycles its batch.
 type valueSlab struct {
 	width int
 	max   int // rows-per-block cap (the batch size)
-	next  int // rows in the next block (progressive doubling)
+	next  int // rows in the next block of unknown count (progressive doubling)
+	left  int // rows expected beyond the current block
 	block []sqltypes.Value
 }
 
@@ -26,11 +29,16 @@ func newValueSlab(width, size int) valueSlab {
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
-	next := 16
-	if next > size {
-		next = size
+	return valueSlab{width: width, max: size, next: min(16, size)}
+}
+
+// expect tells the slab that n more rows are coming: blocks carved for
+// them hold exactly that many, up to the batch size. Rows past n come from
+// doubling blocks again.
+func (s *valueSlab) expect(n int) {
+	if s.width > 0 {
+		s.left = n - len(s.block)/s.width
 	}
-	return valueSlab{width: width, max: size, next: next}
 }
 
 // newRow returns a zeroed (all-NULL) row of the slab's width.
@@ -39,10 +47,14 @@ func (s *valueSlab) newRow() sqltypes.Row {
 		return sqltypes.Row{}
 	}
 	if len(s.block) < s.width {
-		s.block = make([]sqltypes.Value, s.width*s.next)
-		if s.next < s.max {
+		rows := s.next
+		if s.left > 0 {
+			rows = min(s.left, s.max)
+			s.left -= rows
+		} else if s.next < s.max {
 			s.next *= 2
 		}
+		s.block = make([]sqltypes.Value, s.width*rows)
 	}
 	r := sqltypes.Row(s.block[:s.width:s.width])
 	s.block = s.block[s.width:]
@@ -52,13 +64,14 @@ func (s *valueSlab) newRow() sqltypes.Row {
 // --- scan ---
 
 type batchScan struct {
-	node *plan.Scan
-	rows []sqltypes.Row // row snapshot taken at open (live rows only)
-	pos  int
-	size int
-	ctx  context.Context
-	out  Batch
-	slab valueSlab
+	node  *plan.Scan
+	rows  []sqltypes.Row // row snapshot taken at open (live rows only)
+	pos   int
+	size  int
+	exact bool // the scan emits every row it reads: no filter, or keyed
+	ctx   context.Context
+	out   Batch
+	slab  valueSlab
 }
 
 // newBatchScan opens a scan over the rows of s's table visible to the
@@ -78,9 +91,13 @@ func newBatchScan(s *plan.Scan, opts Options) *batchScan {
 	// RowsSnap copies the row pointers under the table lock; concurrent
 	// writers replace slots in the underlying storage, so iterating it
 	// directly would race (stored Row values themselves are immutable).
-	it := &batchScan{node: s, rows: s.Table.RowsSnap(opts.Snap, vals), size: opts.BatchSize, ctx: opts.Ctx}
+	it := &batchScan{node: s, rows: s.Table.RowsSnap(opts.Snap, vals), size: opts.BatchSize, ctx: opts.Ctx,
+		exact: s.Filter == nil || vals != nil}
 	if s.Projection != nil {
 		it.slab = newValueSlab(len(s.Projection), opts.BatchSize)
+		if it.exact {
+			it.slab.expect(len(it.rows))
+		}
 	}
 	return it
 }
@@ -90,7 +107,11 @@ func (it *batchScan) NextBatch() (*Batch, error) {
 	if err := ctxErr(it.ctx); err != nil {
 		return nil, err
 	}
-	it.out.reset()
+	if it.exact {
+		it.out.resetFor(min(len(it.rows)-it.pos, it.size))
+	} else {
+		it.out.reset()
+	}
 	for it.pos < len(it.rows) && len(it.out.Rows) < it.size {
 		r := it.rows[it.pos]
 		it.pos++
@@ -132,14 +153,17 @@ type batchValues struct {
 }
 
 func newBatchValues(v *plan.Values, opts Options) *batchValues {
-	return &batchValues{node: v, size: opts.BatchSize, slab: newValueSlab(len(v.Columns), opts.BatchSize)}
+	it := &batchValues{node: v, size: opts.BatchSize, slab: newValueSlab(len(v.Columns), opts.BatchSize)}
+	it.slab.expect(len(v.Rows))
+	return it
 }
 
 // NextBatch implements BatchIterator. A lifted list's rows are already
 // values: the batch references them.
 func (it *batchValues) NextBatch() (*Batch, error) {
-	it.out.reset()
-	for rows := it.node.LiftedRows(); it.pos < len(rows) && len(it.out.Rows) < it.size; it.pos++ {
+	rows := it.node.LiftedRows()
+	it.out.resetFor(min(max(len(rows), len(it.node.Rows))-it.pos, it.size))
+	for ; it.pos < len(rows) && len(it.out.Rows) < it.size; it.pos++ {
 		it.out.Rows = append(it.out.Rows, rows[it.pos])
 	}
 	for it.pos < len(it.node.Rows) && len(it.out.Rows) < it.size {
@@ -222,7 +246,8 @@ func (it *batchProject) NextBatch() (*Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	it.out.reset()
+	it.out.resetFor(len(b.Rows))
+	it.slab.expect(len(b.Rows))
 	for _, r := range b.Rows {
 		out := it.slab.newRow()
 		for i, e := range it.exprs {
@@ -261,6 +286,7 @@ func (it *batchSort) build() error {
 	// Precompute key tuples to avoid re-evaluating during comparisons.
 	keyed := make([]sqltypes.Row, len(rows))
 	keySlab := newValueSlab(len(it.keys), it.size)
+	keySlab.expect(len(rows))
 	for i, r := range rows {
 		kr := keySlab.newRow()
 		for k, sk := range it.keys {

@@ -115,6 +115,32 @@ func TestAggregateAllocsPerRow(t *testing.T) {
 	}
 }
 
+// TestAggregateAllocsGrowWithBlocks: a grouped aggregate's allocations
+// grow with the slab blocks, table doublings and batches its groups fill —
+// O(log G), plus one block per 1 024 groups — and not with the groups
+// themselves, so 16× the groups may not cost 4× the allocations. Every
+// aggregate kind runs, DISTINCT included, whose seen-set is one table per
+// aggregate rather than one per group.
+func TestAggregateAllocsGrowWithBlocks(t *testing.T) {
+	const sql = "SELECT k, SUM(v), COUNT(*), COUNT(v), MIN(v), MAX(v), AVG(v), COUNT(DISTINCT v) FROM big GROUP BY k"
+	allocs := func(groups int) float64 {
+		n := bindSQL(t, allocTable(t, 2*groups, groups), sql)
+		var runErr error
+		a := testing.AllocsPerRun(3, func() {
+			if rows, err := RunOpts(n, Options{}); err != nil || len(rows) != groups {
+				runErr = fmt.Errorf("%d groups: %d rows, %v", groups, len(rows), err)
+			}
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
+		}
+		return a
+	}
+	if few, many := allocs(1024), allocs(16384); many >= 4*few {
+		t.Fatalf("1 024 groups: %.0f allocations; 16 384 groups: %.0f, want under %.0f", few, many, 4*few)
+	}
+}
+
 // TestHashJoinAllocsPerRow guards the batched hash-join probe loop: with a
 // small build side, amortized allocations per probe row must stay below a
 // small constant.

@@ -9,8 +9,8 @@ import (
 // directory behind every hash operator (aggregate groups, join buckets,
 // distinct/set-op seen-sets). Each distinct key is assigned a dense entry
 // index in insertion order (0, 1, 2, …); callers use that index to address
-// flat side arrays — group key rows, accumulator states, join buckets,
-// multiset counts. Compared to the map[string]T directories it replaces,
+// flat side arrays — group output rows, join buckets, multiset counts.
+// Compared to the map[string]T directories it replaces,
 // inserting a key costs its bytes appended to one shared slab instead of a
 // heap-allocated key string plus a map bucket entry, and lookups probe a
 // flat slot array instead of runtime map buckets — the hot path allocates

@@ -13,7 +13,7 @@
 // may truncate or reorder the batch's row slice in place (filters compact
 // batches this way) but must not retain it across calls. The rows inside a
 // batch, however, are durable — producers never reuse row memory — so
-// materializing operators (Run, sorts, joins) keep row references without
+// materializing operators (RunOpts, sorts, joins) keep row references without
 // cloning.
 //
 // Operators that create new rows (project, aggregate output, join output)
@@ -36,7 +36,7 @@
 // (sqltypes.EncodeKey(buf[:0], ...)) probed in an open-addressing table
 // keyed by raw key bytes (byteTable): each distinct key costs its bytes in
 // a shared slab — no per-entry key string, no map bucket. The table's
-// dense entry indexes address flat side arrays (group states, join
+// dense entry indexes address flat side arrays (group rows, join
 // buckets, multiset counts). Hash tables are pre-sized from the rows a
 // build side drained, or else from the input's plan.SourceRows.
 //
@@ -60,8 +60,8 @@
 // own. Every iterator must be closed when the caller is done with it,
 // drained or not: Close releases operator resources, is idempotent, and
 // propagates through the whole operator tree (every wrapping operator
-// closes its inputs, including half-drained ones). Run/RunOpts close the
-// tree they open; callers of OpenBatch own the close.
+// closes its inputs, including half-drained ones). RunOpts closes the
+// tree it opens; callers of OpenBatch own the close.
 //
 // Options.Ctx carries a cancellation context into the tree: scans and
 // joins check it between batches, so a cancelled query surfaces ctx.Err()
@@ -90,6 +90,14 @@ type Batch struct {
 
 // reset clears the batch for refilling, keeping capacity.
 func (b *Batch) reset() { b.Rows = b.Rows[:0] }
+
+// resetFor clears the batch for refilling with n rows, sizing it for them.
+func (b *Batch) resetFor(n int) {
+	if cap(b.Rows) < n {
+		b.Rows = make([]sqltypes.Row, 0, n)
+	}
+	b.reset()
+}
 
 // BatchIterator produces batches of rows. NextBatch returns nil at end of
 // stream and never returns a non-nil empty batch. Close releases the
@@ -125,12 +133,7 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Run materializes all rows produced by the plan.
-func Run(n plan.Node) ([]sqltypes.Row, error) {
-	return RunOpts(n, Options{})
-}
-
-// RunOpts is Run with explicit execution options. The iterator tree is
+// RunOpts materializes all rows produced by the plan. The iterator tree is
 // always closed before returning, early errors and cancellation included.
 func RunOpts(n plan.Node, opts Options) ([]sqltypes.Row, error) {
 	it, err := OpenBatch(n, opts)

@@ -3,6 +3,8 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -42,6 +44,9 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 	}
 	return c
 }
+
+// Run materializes all rows produced by the plan.
+func Run(n plan.Node) ([]sqltypes.Row, error) { return RunOpts(n, Options{}) }
 
 func runSQL(t *testing.T, c *catalog.Catalog, sql string) []sqltypes.Row {
 	t.Helper()
@@ -167,6 +172,164 @@ func TestHashAggMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAggFoldMatchesReference checks every aggregate the hash aggregate
+// folds in its output rows against a Go reference: SUM, COUNT, COUNT(*),
+// MIN, MAX and AVG over NULL arguments, a SUM whose arguments mix INTEGER
+// and DOUBLE within a group, DISTINCT forms, a global aggregate over all
+// rows and over none, and a grouped one over none. The 1 500 groups of
+// 6 000 rows cross the 1 024-row batch and slab-block boundaries, and a
+// 64-row batch size crosses them many times.
+func TestAggFoldMatchesReference(t *testing.T) {
+	c := catalog.New()
+	tbl, err := c.CreateTable("q", []catalog.Column{
+		{Name: "g", Type: sqltypes.TypeInt},
+		{Name: "v", Type: sqltypes.TypeInt},
+		{Name: "f", Type: sqltypes.TypeFloat},
+	}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var rows []sqltypes.Row
+	for i := 0; i < 6000; i++ {
+		r := sqltypes.Row{sqltypes.NewInt(int64(rng.Intn(1500))), sqltypes.NewInt(int64(rng.Intn(40))), sqltypes.NewFloat(float64(rng.Intn(64)) / 4)}
+		for c := range r {
+			if rng.Intn(12) == 0 {
+				r[c] = sqltypes.Null
+			}
+		}
+		rows = append(rows, r)
+	}
+	load(t, c, tbl, rows...)
+
+	// ref folds one group the way SQL defines each aggregate. Every value
+	// is a small integer or a multiple of 1/4, so every sum is exact and
+	// the order of additions cannot matter.
+	type ref struct {
+		key                      sqltypes.Value
+		n, nv, nf                int64
+		sumV, sumF, mixed        float64
+		mixedFloat, anyMixed     bool
+		minV, maxV, minF, maxF   sqltypes.Value
+		distinctV, distinctF     map[float64]bool
+		distinctSumV, distinctAF float64
+	}
+	fold := func(g *ref, v, f sqltypes.Value) {
+		g.n++
+		if !v.IsNull() {
+			x := float64(v.I)
+			g.nv++
+			g.sumV += x
+			if g.minV.IsNull() || v.I < g.minV.I {
+				g.minV = v
+			}
+			if g.maxV.IsNull() || v.I > g.maxV.I {
+				g.maxV = v
+			}
+			if !g.distinctV[x] {
+				g.distinctV[x] = true
+				g.distinctSumV += x
+			}
+		}
+		if !f.IsNull() {
+			x := f.Float()
+			g.nf++
+			g.sumF += x
+			if g.minF.IsNull() || x < g.minF.Float() {
+				g.minF = f
+			}
+			if g.maxF.IsNull() || x > g.maxF.Float() {
+				g.maxF = f
+			}
+			if !g.distinctF[x] {
+				g.distinctF[x] = true
+				g.distinctAF += x
+			}
+		}
+		// CASE WHEN v % 2 = 0 THEN v ELSE f END
+		m := f
+		if !v.IsNull() && v.I%2 == 0 {
+			m = v
+		}
+		if !m.IsNull() {
+			g.anyMixed = true
+			g.mixedFloat = g.mixedFloat || m.T == sqltypes.TypeFloat
+			g.mixed += m.AsFloat()
+		}
+	}
+	result := func(g *ref) sqltypes.Row {
+		sumOrNull := func(any bool, sum float64, float bool) sqltypes.Value {
+			switch {
+			case !any:
+				return sqltypes.Null
+			case float:
+				return sqltypes.NewFloat(sum)
+			}
+			return sqltypes.NewInt(int64(sum))
+		}
+		avg := func(sum float64, n int64) sqltypes.Value {
+			if n == 0 {
+				return sqltypes.Null
+			}
+			return sqltypes.NewFloat(sum / float64(n))
+		}
+		return sqltypes.Row{
+			sumOrNull(g.nv > 0, g.sumV, false), sqltypes.NewInt(g.nv), sqltypes.NewInt(g.n),
+			g.minV, g.maxV, avg(g.sumV, g.nv), avg(g.sumF, g.nf), g.minF, g.maxF,
+			sumOrNull(g.anyMixed, g.mixed, g.mixedFloat),
+			sqltypes.NewInt(int64(len(g.distinctV))), sumOrNull(g.nv > 0, g.distinctSumV, false),
+			avg(g.distinctAF, int64(len(g.distinctF))),
+		}
+	}
+	newRef := func(key sqltypes.Value) *ref {
+		return &ref{key: key, distinctV: map[float64]bool{}, distinctF: map[float64]bool{}}
+	}
+	groups := map[sqltypes.Value]*ref{}
+	var order []*ref
+	all := newRef(sqltypes.Null)
+	for _, r := range runSQL(t, c, "SELECT g, v, f FROM q") {
+		g := groups[r[0]]
+		if g == nil {
+			g = newRef(r[0])
+			groups[r[0]] = g
+			order = append(order, g)
+		}
+		fold(g, r[1], r[2])
+		fold(all, r[1], r[2])
+	}
+	if len(order) <= DefaultBatchSize {
+		t.Fatalf("%d groups do not cross a batch", len(order))
+	}
+
+	const aggs = "SUM(v), COUNT(v), COUNT(*), MIN(v), MAX(v), AVG(v), AVG(f), MIN(f), MAX(f), " +
+		"SUM(CASE WHEN v % 2 = 0 THEN v ELSE f END), COUNT(DISTINCT v), SUM(DISTINCT v), AVG(DISTINCT f)"
+	check := func(sql string, want []sqltypes.Row) {
+		t.Helper()
+		for _, bs := range []int{64, DefaultBatchSize} {
+			got, err := RunOpts(bindSQL(t, c, sql), Options{BatchSize: bs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s (batch %d): %d rows, want %d", sql, bs, len(got), len(want))
+			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("%s (batch %d) row %d:\n got %v\nwant %v", sql, bs, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	var want []sqltypes.Row
+	for _, g := range order {
+		want = append(want, append(sqltypes.Row{g.key}, result(g)...))
+	}
+	check("SELECT g, "+aggs+" FROM q GROUP BY g", want)
+	check("SELECT "+aggs+" FROM q", []sqltypes.Row{result(all)})
+	check("SELECT "+aggs+" FROM q WHERE g < 0", []sqltypes.Row{result(newRef(sqltypes.Null))})
+	check("SELECT g, "+aggs+" FROM q WHERE g < 0 GROUP BY g", nil)
 }
 
 // TestAggKeepsMixedTypeGroupKeys: a derived key whose cells mix INTEGER and

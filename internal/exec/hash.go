@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 
 	"openivm/internal/expr"
@@ -101,69 +102,55 @@ func (c *rowKeyCounter) take(r sqltypes.Row) bool {
 
 // --- hash aggregate ---
 
-// statePool hands out accumulators for one aggregate in progressively
-// doubling blocks (expr.Aggregate.FillStates), so a grouped aggregate pays
-// O(1) allocations per block of groups instead of one per group.
-type statePool struct {
-	agg   *expr.Aggregate
-	block []expr.AggState
-	pos   int
-	next  int
-}
-
-func (p *statePool) get() expr.AggState {
-	if p.pos == len(p.block) {
-		if p.next == 0 {
-			p.next = 8
-		}
-		p.block = make([]expr.AggState, p.next)
-		p.agg.FillStates(p.block)
-		p.pos = 0
-		if p.next < 512 {
-			p.next *= 2
-		}
-	}
-	s := p.block[p.pos]
-	p.pos++
-	return s
-}
-
-// batchAgg is the hash aggregation operator. Groups live in index-addressed
-// flat arrays (group key rows from a value slab, accumulator states in one
-// flat slice, the open-addressing byteTable mapping encoded key -> group
-// index), so the per-group allocation cost is amortized block growth only —
-// no map entry and no key-string allocation. Groups are emitted in
-// first-seen order.
+// batchAgg is the hash aggregation operator. Each group's output row is
+// its own accumulator: the row is carved from a slab when the group first
+// appears — its key values, then one cell per aggregate at
+// expr.Aggregate.Empty — every input row of the group is folded into its
+// cells by expr.Aggregate.Step, and the operator emits those same rows in
+// first-seen order. The open-addressing byteTable maps an encoded group key
+// to the group's dense index, so a group costs its row in a slab block and
+// its key bytes, nothing of its own.
 type batchAgg struct {
 	in   BatchIterator
 	node *plan.Aggregate
 	size int
 	est  int
 
-	built   bool
-	table   byteTable       // encoded group key -> dense group index
-	groups  []sqltypes.Row  // group key values, first-seen order
-	states  []expr.AggState // len(node.Aggs) accumulators per group, flat
-	pools   []statePool     // one per aggregate
-	keySlab valueSlab
-	defRow  sqltypes.Row // pre-rendered row for the empty global aggregate
-	pos     int
-	out     Batch
-	slab    valueSlab
+	built  bool
+	groups []sqltypes.Row // output rows, first-seen order
+	// avgN counts, per group and aggregate, the arguments an AVG stepped
+	// (its cell holds their sum until emit); nil without an AVG.
+	avgN []int64
+	// seen is, per DISTINCT aggregate, the set of (group index, argument)
+	// pairs stepped; nil without a DISTINCT.
+	seen   []byteTable
+	keyBuf []byte
+	pos    int
+	out    Batch
+	slab   valueSlab
 }
 
 func newBatchAgg(in BatchIterator, node *plan.Aggregate, opts Options) *batchAgg {
 	it := &batchAgg{
-		in:      in,
-		node:    node,
-		size:    opts.BatchSize,
-		est:     sourceRows(node.Input),
-		keySlab: newValueSlab(len(node.GroupBy), opts.BatchSize),
-		slab:    newValueSlab(len(node.GroupBy)+len(node.Aggs), opts.BatchSize),
-		pools:   make([]statePool, len(node.Aggs)),
+		in:   in,
+		node: node,
+		size: opts.BatchSize,
+		est:  sourceRows(node.Input),
+		slab: newValueSlab(len(node.GroupBy)+len(node.Aggs), opts.BatchSize),
 	}
-	for i, a := range node.Aggs {
-		it.pools[i].agg = a
+	// The input's row count bounds the groups; a global aggregate has one.
+	if len(node.GroupBy) == 0 {
+		it.slab.expect(1)
+	} else {
+		it.slab.expect(it.est)
+	}
+	for _, a := range node.Aggs {
+		if a.Kind == expr.AggAvg && it.avgN == nil {
+			it.avgN = []int64{}
+		}
+		if a.Distinct && it.seen == nil {
+			it.seen = make([]byteTable, len(node.Aggs))
+		}
 	}
 	return it
 }
@@ -171,11 +158,8 @@ func newBatchAgg(in BatchIterator, node *plan.Aggregate, opts Options) *batchAgg
 func (it *batchAgg) build() error {
 	// Group counts are bounded by input cardinality but usually far below
 	// it; start from the estimate-capped size and let the table grow.
-	it.table = newByteTable(keyTableHint(it.est / 8))
-	keyScratch := make(sqltypes.Row, len(it.node.GroupBy))
-	var keyBuf []byte
-	nAggs := len(it.node.Aggs)
-
+	table := newByteTable(keyTableHint(it.est / 8))
+	keys := make(sqltypes.Row, len(it.node.GroupBy))
 	for {
 		b, err := it.in.NextBatch()
 		if err != nil {
@@ -186,42 +170,78 @@ func (it *batchAgg) build() error {
 		}
 		for _, r := range b.Rows {
 			for i, g := range it.node.GroupBy {
-				v, err := g.Eval(r)
-				if err != nil {
+				if keys[i], err = g.Eval(r); err != nil {
 					return err
 				}
-				keyScratch[i] = v
 			}
-			keyBuf = sqltypes.EncodeKey(keyBuf[:0], keyScratch...)
-			gi, inserted := it.table.getOrInsert(keyBuf)
+			it.keyBuf = sqltypes.EncodeKey(it.keyBuf[:0], keys...)
+			gi, inserted := table.getOrInsert(it.keyBuf)
 			if inserted { // gi == len(it.groups): dense first-seen order
-				kv := it.keySlab.newRow()
-				copy(kv, keyScratch)
-				it.groups = append(it.groups, kv)
-				for i := range it.pools {
-					it.states = append(it.states, it.pools[i].get())
-				}
+				it.newGroup(keys)
 			}
-			for _, st := range it.states[int(gi)*nAggs : int(gi)*nAggs+nAggs] {
-				if err := st.Add(r); err != nil {
-					return err
-				}
+			if err := it.fold(int(gi), r); err != nil {
+				return err
 			}
 		}
 	}
-
-	// Global aggregate with no groups and no input: one row of defaults.
+	// A global aggregate over no rows is one row of empty aggregates.
 	if len(it.node.GroupBy) == 0 && len(it.groups) == 0 {
-		row := it.slab.newRow()
-		for i, a := range it.node.Aggs {
-			row[i] = a.NewState().Result()
-		}
-		it.defRow = row
+		it.newGroup(nil)
 	}
 	return nil
 }
 
-// NextBatch implements BatchIterator.
+// newGroup appends the output row of a group first seen with keys.
+func (it *batchAgg) newGroup(keys sqltypes.Row) {
+	row := it.slab.newRow()
+	n := copy(row, keys)
+	for i, a := range it.node.Aggs {
+		row[n+i] = a.Empty()
+	}
+	it.groups = append(it.groups, row)
+	if it.avgN != nil {
+		for range it.node.Aggs {
+			it.avgN = append(it.avgN, 0)
+		}
+	}
+}
+
+// fold steps input row r into the cells of group gi.
+func (it *batchAgg) fold(gi int, r sqltypes.Row) error {
+	nAggs := len(it.node.Aggs)
+	cells := it.groups[gi][len(it.node.GroupBy):]
+	for i, a := range it.node.Aggs {
+		var v sqltypes.Value
+		if a.Arg != nil {
+			var err error
+			if v, err = a.Arg.Eval(r); err != nil {
+				return err
+			}
+		}
+		if a.Distinct && (v.IsNull() || !it.firstSeen(i, gi, v)) {
+			continue
+		}
+		if err := a.Step(&cells[i], v); err != nil {
+			return err
+		}
+		if a.Kind == expr.AggAvg && !v.IsNull() {
+			it.avgN[gi*nAggs+i]++
+		}
+	}
+	return nil
+}
+
+// firstSeen reports whether DISTINCT aggregate i meets v in group gi for
+// the first time.
+func (it *batchAgg) firstSeen(i, gi int, v sqltypes.Value) bool {
+	it.keyBuf = binary.LittleEndian.AppendUint32(it.keyBuf[:0], uint32(gi))
+	it.keyBuf = sqltypes.EncodeKey(it.keyBuf, v)
+	_, inserted := it.seen[i].getOrInsert(it.keyBuf)
+	return inserted
+}
+
+// NextBatch implements BatchIterator: the next groups' rows themselves,
+// each AVG cell turned from its sum into the average first.
 func (it *batchAgg) NextBatch() (*Batch, error) {
 	if !it.built {
 		if err := it.build(); err != nil {
@@ -229,28 +249,23 @@ func (it *batchAgg) NextBatch() (*Batch, error) {
 		}
 		it.built = true
 	}
-	if it.defRow != nil {
-		it.out.reset()
-		it.out.Rows = append(it.out.Rows, it.defRow)
-		it.defRow = nil
-		return &it.out, nil
-	}
 	if it.pos >= len(it.groups) {
 		return nil, nil
 	}
-	it.out.reset()
-	nAggs := len(it.node.Aggs)
-	for it.pos < len(it.groups) && len(it.out.Rows) < it.size {
-		gi := it.pos
-		kv := it.groups[gi]
-		row := it.slab.newRow()
-		n := copy(row, kv)
-		for i, st := range it.states[gi*nAggs : gi*nAggs+nAggs] {
-			row[n+i] = st.Result()
+	end := min(it.pos+it.size, len(it.groups))
+	if it.avgN != nil {
+		nKeys, nAggs := len(it.node.GroupBy), len(it.node.Aggs)
+		for gi := it.pos; gi < end; gi++ {
+			for i, a := range it.node.Aggs {
+				if a.Kind == expr.AggAvg {
+					cell := &it.groups[gi][nKeys+i]
+					*cell = expr.Avg(*cell, it.avgN[gi*nAggs+i])
+				}
+			}
 		}
-		it.pos++
-		it.out.Rows = append(it.out.Rows, row)
 	}
+	it.out.Rows = it.groups[it.pos:end:end]
+	it.pos = end
 	return &it.out, nil
 }
 

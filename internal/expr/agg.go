@@ -107,204 +107,62 @@ func (a *Aggregate) String() string {
 	return fmt.Sprintf("%s(%s%s)", a.Kind, d, a.Arg)
 }
 
-// AggState accumulates one aggregate over one group.
-type AggState interface {
-	// Add folds one input row into the state.
-	Add(row sqltypes.Row) error
-	// Result produces the aggregate value.
-	Result() sqltypes.Value
+// Empty returns the aggregate over no rows, which is also where a group's
+// running value starts: 0 for COUNT and COUNT(*), NULL otherwise.
+func (a *Aggregate) Empty() sqltypes.Value {
+	if a.Kind == AggCount || a.Kind == AggCountStar {
+		return sqltypes.NewInt(0)
+	}
+	return sqltypes.Null
 }
 
-// NewState returns a fresh accumulator for the aggregate.
-func (a *Aggregate) NewState() AggState {
-	var inner AggState
+// Step folds one input row into the aggregate's running value acc, which
+// starts at Empty: v is the argument evaluated over the row (ignored by
+// COUNT(*)). A NULL argument leaves acc as it is. SUM adds, COUNT counts,
+// MIN and MAX keep the extreme, and AVG keeps the DOUBLE sum its result
+// divides (Avg), its count kept by the caller. DISTINCT is the caller's
+// too: it steps each distinct argument once.
+func (a *Aggregate) Step(acc *sqltypes.Value, v sqltypes.Value) error {
+	if a.Kind == AggCountStar {
+		acc.I++
+		return nil
+	}
+	if v.IsNull() {
+		return nil
+	}
 	switch a.Kind {
-	case AggSum:
-		inner = &sumState{arg: a.Arg}
 	case AggCount:
-		inner = &countState{arg: a.Arg}
-	case AggCountStar:
-		inner = &countState{}
-	case AggMin:
-		inner = &minmaxState{arg: a.Arg, isMin: true}
-	case AggMax:
-		inner = &minmaxState{arg: a.Arg}
-	case AggAvg:
-		inner = &avgState{arg: a.Arg}
-	}
-	if a.Distinct {
-		return &distinctState{arg: a.Arg, inner: inner, seen: map[string]struct{}{}}
-	}
-	return inner
-}
-
-// FillStates populates dst with independent fresh accumulators, using one
-// backing allocation for the whole block instead of one per state — the
-// hash aggregation operator hands these out as groups appear, so a
-// grouped aggregate costs O(1) allocations per block of groups rather than
-// O(aggs) per group. DISTINCT aggregates still allocate individually
-// (each carries its own dedup map).
-func (a *Aggregate) FillStates(dst []AggState) {
-	if a.Distinct {
-		for i := range dst {
-			dst[i] = a.NewState()
-		}
-		return
-	}
-	switch a.Kind {
+		acc.I++
 	case AggSum:
-		block := make([]sumState, len(dst))
-		for i := range dst {
-			block[i].arg = a.Arg
-			dst[i] = &block[i]
+		if acc.IsNull() {
+			*acc = v
+			return nil
 		}
-	case AggCount, AggCountStar:
-		block := make([]countState, len(dst))
-		for i := range dst {
-			if a.Kind == AggCount {
-				block[i].arg = a.Arg
-			}
-			dst[i] = &block[i]
+		sum, err := sqltypes.Arith('+', *acc, v)
+		if err != nil {
+			return err
 		}
+		*acc = sum
 	case AggMin, AggMax:
-		block := make([]minmaxState, len(dst))
-		for i := range dst {
-			block[i] = minmaxState{arg: a.Arg, isMin: a.Kind == AggMin}
-			dst[i] = &block[i]
+		c := sqltypes.Compare(v, *acc)
+		if acc.IsNull() || a.Kind == AggMin && c < 0 || a.Kind == AggMax && c > 0 {
+			*acc = v
 		}
 	case AggAvg:
-		block := make([]avgState, len(dst))
-		for i := range dst {
-			block[i].arg = a.Arg
-			dst[i] = &block[i]
+		var sum float64
+		if !acc.IsNull() {
+			sum = acc.Float()
 		}
-	default:
-		for i := range dst {
-			dst[i] = a.NewState()
-		}
-	}
-}
-
-type sumState struct {
-	arg Expr
-	sum sqltypes.Value // NULL until first non-null input
-}
-
-func (s *sumState) Add(row sqltypes.Row) error {
-	v, err := s.arg.Eval(row)
-	if err != nil {
-		return err
-	}
-	if v.IsNull() {
-		return nil
-	}
-	if s.sum.IsNull() {
-		s.sum = v
-		return nil
-	}
-	sum, err := sqltypes.Arith('+', s.sum, v)
-	if err != nil {
-		return err
-	}
-	s.sum = sum
-	return nil
-}
-
-func (s *sumState) Result() sqltypes.Value { return s.sum }
-
-type countState struct {
-	arg Expr // nil for COUNT(*)
-	n   int64
-}
-
-func (s *countState) Add(row sqltypes.Row) error {
-	if s.arg == nil {
-		s.n++
-		return nil
-	}
-	v, err := s.arg.Eval(row)
-	if err != nil {
-		return err
-	}
-	if !v.IsNull() {
-		s.n++
+		*acc = sqltypes.NewFloat(sum + v.AsFloat())
 	}
 	return nil
 }
 
-func (s *countState) Result() sqltypes.Value { return sqltypes.NewInt(s.n) }
-
-type minmaxState struct {
-	arg   Expr
-	best  sqltypes.Value
-	isMin bool
-}
-
-func (s *minmaxState) Add(row sqltypes.Row) error {
-	v, err := s.arg.Eval(row)
-	if err != nil {
-		return err
-	}
-	if v.IsNull() {
-		return nil
-	}
-	if s.best.IsNull() {
-		s.best = v
-		return nil
-	}
-	c := sqltypes.Compare(v, s.best)
-	if (s.isMin && c < 0) || (!s.isMin && c > 0) {
-		s.best = v
-	}
-	return nil
-}
-
-func (s *minmaxState) Result() sqltypes.Value { return s.best }
-
-type avgState struct {
-	arg Expr
-	sum float64
-	n   int64
-}
-
-func (s *avgState) Add(row sqltypes.Row) error {
-	v, err := s.arg.Eval(row)
-	if err != nil {
-		return err
-	}
-	if v.IsNull() {
-		return nil
-	}
-	s.sum += v.AsFloat()
-	s.n++
-	return nil
-}
-
-func (s *avgState) Result() sqltypes.Value {
-	if s.n == 0 {
+// Avg is AVG's result from the sum Step keeps and the number of non-NULL
+// arguments stepped: NULL over none.
+func Avg(sum sqltypes.Value, n int64) sqltypes.Value {
+	if n == 0 {
 		return sqltypes.Null
 	}
-	return sqltypes.NewFloat(s.sum / float64(s.n))
+	return sqltypes.NewFloat(sum.Float() / float64(n))
 }
-
-type distinctState struct {
-	arg   Expr
-	inner AggState
-	seen  map[string]struct{}
-	buf   []byte // reusable key scratch
-}
-
-func (s *distinctState) Add(row sqltypes.Row) error {
-	v, err := s.arg.Eval(row)
-	if err != nil {
-		return err
-	}
-	s.buf = sqltypes.EncodeKey(s.buf[:0], v)
-	if _, ok := s.seen[string(s.buf)]; ok {
-		return nil
-	}
-	s.seen[string(s.buf)] = struct{}{}
-	return s.inner.Add(row)
-}
-
-func (s *distinctState) Result() sqltypes.Value { return s.inner.Result() }

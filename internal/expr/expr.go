@@ -778,6 +778,17 @@ var ScalarFuncs = map[string]func(argTypes []sqltypes.Type) (func([]sqltypes.Val
 			return sqltypes.Null, fmt.Errorf("ABS: non-numeric argument %s", v.T)
 		}, argTypes[0], nil
 	},
+	"NULLIF": func(argTypes []sqltypes.Type) (func([]sqltypes.Value) (sqltypes.Value, error), sqltypes.Type, error) {
+		if len(argTypes) != 2 {
+			return nil, sqltypes.TypeAny, fmt.Errorf("NULLIF requires two arguments")
+		}
+		return func(args []sqltypes.Value) (sqltypes.Value, error) {
+			if c, ok := sqltypes.CompareSQL(args[0], args[1]); ok && c == 0 {
+				return sqltypes.Null, nil
+			}
+			return args[0], nil
+		}, argTypes[0], nil
+	},
 	"LENGTH": func(argTypes []sqltypes.Type) (func([]sqltypes.Value) (sqltypes.Value, error), sqltypes.Type, error) {
 		if len(argTypes) != 1 {
 			return nil, sqltypes.TypeAny, fmt.Errorf("LENGTH requires one argument")

@@ -221,6 +221,41 @@ func TestCoalesce(t *testing.T) {
 	}
 }
 
+// TestNullIf: NULLIF(a, b) is NULL when a = b holds and a otherwise, with
+// a's type — NULL arguments never compare equal, and an INTEGER equals the
+// DOUBLE of the same number.
+func TestNullIf(t *testing.T) {
+	i, f := sqltypes.NewInt, sqltypes.NewFloat
+	cases := []struct{ a, b, want sqltypes.Value }{
+		{i(1), i(1), sqltypes.Null},
+		{i(1), i(2), i(1)},
+		{sqltypes.Null, i(1), sqltypes.Null},
+		{i(1), sqltypes.Null, i(1)},
+		{sqltypes.Null, sqltypes.Null, sqltypes.Null},
+		{i(1), f(1), sqltypes.Null},
+		{f(1), i(1), sqltypes.Null},
+		{i(2), f(1.5), i(2)},
+		{f(2.5), i(2), f(2.5)},
+		{sqltypes.NewString("x"), sqltypes.NewString("x"), sqltypes.Null},
+	}
+	for _, c := range cases {
+		args := []Expr{lit(c.a), lit(c.b)}
+		fn, typ, err := ScalarFuncs["NULLIF"]([]sqltypes.Type{c.a.T, c.b.T})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != c.a.T {
+			t.Errorf("NULLIF(%v, %v) is typed %v, want its first argument's %v", c.a, c.b, typ, c.a.T)
+		}
+		if v := eval(t, &ScalarFunc{Name: "NULLIF", Args: args, Fn: fn, Typ: typ}, nil); v != c.want {
+			t.Errorf("NULLIF(%v, %v) = %v (%v), want %v (%v)", c.a, c.b, v, v.T, c.want, c.want.T)
+		}
+	}
+	if _, _, err := ScalarFuncs["NULLIF"]([]sqltypes.Type{sqltypes.TypeInt}); err == nil {
+		t.Error("NULLIF with one argument bound")
+	}
+}
+
 func TestScalarFuncs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -250,80 +285,106 @@ func TestScalarFuncs(t *testing.T) {
 	}
 }
 
-func addRows(t *testing.T, st AggState, vals ...sqltypes.Value) {
+// fold steps vals through a as the hash aggregate steps one group's rows —
+// from Empty, each DISTINCT argument once, AVG divided by its count — and
+// returns the aggregate.
+func fold(t *testing.T, a *Aggregate, vals ...sqltypes.Value) sqltypes.Value {
 	t.Helper()
+	acc, n := a.Empty(), int64(0)
+	seen := map[sqltypes.Value]bool{}
 	for _, v := range vals {
-		if err := st.Add(sqltypes.Row{v}); err != nil {
+		if a.Distinct {
+			if seen[v] {
+				continue
+			}
+			seen[v] = true
+		}
+		if err := a.Step(&acc, v); err != nil {
 			t.Fatal(err)
 		}
+		if !v.IsNull() {
+			n++
+		}
 	}
+	if a.Kind == AggAvg {
+		return Avg(acc, n)
+	}
+	return acc
 }
 
 func TestAggSum(t *testing.T) {
 	a := &Aggregate{Kind: AggSum, Arg: col(0)}
-	st := a.NewState()
-	addRows(t, st, sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.Null, sqltypes.NewInt(3))
-	if v := st.Result(); v.I != 6 {
+	if v := fold(t, a, sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.Null, sqltypes.NewInt(3)); v.I != 6 || v.T != sqltypes.TypeInt {
 		t.Errorf("SUM = %v", v)
 	}
-	// Empty SUM is NULL.
-	if v := a.NewState().Result(); !v.IsNull() {
+	// Empty SUM, and a SUM over only NULLs, is NULL.
+	if v := fold(t, a); !v.IsNull() {
 		t.Errorf("empty SUM = %v", v)
+	}
+	if v := fold(t, a, sqltypes.Null, sqltypes.Null); !v.IsNull() {
+		t.Errorf("SUM over NULLs = %v", v)
+	}
+	// An INTEGER and a DOUBLE sum to a DOUBLE, whichever comes first.
+	for _, vals := range [][]sqltypes.Value{
+		{sqltypes.NewInt(1), sqltypes.NewFloat(0.5)},
+		{sqltypes.NewFloat(0.5), sqltypes.NewInt(1)},
+	} {
+		if v := fold(t, a, vals...); v.T != sqltypes.TypeFloat || v.Float() != 1.5 {
+			t.Errorf("SUM%v = %v, want DOUBLE 1.5", vals, v)
+		}
 	}
 }
 
 func TestAggCount(t *testing.T) {
 	a := &Aggregate{Kind: AggCount, Arg: col(0)}
-	st := a.NewState()
-	addRows(t, st, sqltypes.NewInt(1), sqltypes.Null, sqltypes.NewInt(3))
-	if v := st.Result(); v.I != 2 {
+	if v := fold(t, a, sqltypes.NewInt(1), sqltypes.Null, sqltypes.NewInt(3)); v.I != 2 {
 		t.Errorf("COUNT = %v; NULLs must not count", v)
 	}
 	aStar := &Aggregate{Kind: AggCountStar}
-	st2 := aStar.NewState()
-	addRows(t, st2, sqltypes.NewInt(1), sqltypes.Null)
-	if v := st2.Result(); v.I != 2 {
+	if v := fold(t, aStar, sqltypes.NewInt(1), sqltypes.Null); v.I != 2 {
 		t.Errorf("COUNT(*) = %v", v)
+	}
+	// COUNT over no rows is 0, not NULL.
+	for _, c := range []*Aggregate{a, aStar} {
+		if v := fold(t, c); v.T != sqltypes.TypeInt || v.I != 0 {
+			t.Errorf("empty %s = %v", c, v)
+		}
 	}
 }
 
 func TestAggMinMax(t *testing.T) {
-	mn := (&Aggregate{Kind: AggMin, Arg: col(0)}).NewState()
-	mx := (&Aggregate{Kind: AggMax, Arg: col(0)}).NewState()
-	for _, v := range []sqltypes.Value{sqltypes.NewInt(5), sqltypes.NewInt(1), sqltypes.Null, sqltypes.NewInt(9)} {
-		mn.Add(sqltypes.Row{v})
-		mx.Add(sqltypes.Row{v})
-	}
-	if v := mn.Result(); v.I != 1 {
+	vals := []sqltypes.Value{sqltypes.NewInt(5), sqltypes.NewInt(1), sqltypes.Null, sqltypes.NewInt(9)}
+	if v := fold(t, &Aggregate{Kind: AggMin, Arg: col(0)}, vals...); v.I != 1 {
 		t.Errorf("MIN = %v", v)
 	}
-	if v := mx.Result(); v.I != 9 {
+	if v := fold(t, &Aggregate{Kind: AggMax, Arg: col(0)}, vals...); v.I != 9 {
 		t.Errorf("MAX = %v", v)
+	}
+	if v := fold(t, &Aggregate{Kind: AggMin, Arg: col(0)}, sqltypes.Null); !v.IsNull() {
+		t.Errorf("MIN over NULL = %v", v)
 	}
 }
 
 func TestAggAvg(t *testing.T) {
-	st := (&Aggregate{Kind: AggAvg, Arg: col(0)}).NewState()
-	addRows(t, st, sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.NewInt(3), sqltypes.Null)
-	if v := st.Result(); v.Float() != 2 {
+	a := &Aggregate{Kind: AggAvg, Arg: col(0)}
+	if v := fold(t, a, sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.NewInt(3), sqltypes.Null); v.Float() != 2 {
 		t.Errorf("AVG = %v", v)
 	}
-	if v := (&Aggregate{Kind: AggAvg, Arg: col(0)}).NewState().Result(); !v.IsNull() {
+	if v := fold(t, a, sqltypes.NewInt(1), sqltypes.NewFloat(2.5)); v.Float() != 1.75 {
+		t.Errorf("AVG(1, 2.5) = %v", v)
+	}
+	if v := fold(t, a); !v.IsNull() {
 		t.Errorf("empty AVG = %v", v)
 	}
 }
 
 func TestAggDistinct(t *testing.T) {
 	a := &Aggregate{Kind: AggCount, Arg: col(0), Distinct: true}
-	st := a.NewState()
-	addRows(t, st, sqltypes.NewInt(1), sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.NewInt(2))
-	if v := st.Result(); v.I != 2 {
+	if v := fold(t, a, sqltypes.NewInt(1), sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.NewInt(2)); v.I != 2 {
 		t.Errorf("COUNT(DISTINCT) = %v", v)
 	}
 	s := &Aggregate{Kind: AggSum, Arg: col(0), Distinct: true}
-	st2 := s.NewState()
-	addRows(t, st2, sqltypes.NewInt(5), sqltypes.NewInt(5), sqltypes.NewInt(3))
-	if v := st2.Result(); v.I != 8 {
+	if v := fold(t, s, sqltypes.NewInt(5), sqltypes.NewInt(5), sqltypes.NewInt(3)); v.I != 8 {
 		t.Errorf("SUM(DISTINCT) = %v", v)
 	}
 }

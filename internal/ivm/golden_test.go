@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"openivm/internal/duckast"
 	"openivm/internal/engine"
 	"openivm/internal/expr"
 	"openivm/internal/sqlparser"
@@ -413,14 +414,14 @@ func TestCompiledScriptsReparse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", v, err)
 		}
-		for name, script := range map[string]string{
-			"setup":     comp.SetupSQL(),
-			"populate":  comp.PopulateSQLText(),
-			"propagate": comp.PropagateSQL(),
+		for name, script := range map[string]*duckast.Script{
+			"setup":     comp.Setup,
+			"populate":  comp.Populate,
+			"propagate": comp.Propagate,
 		} {
-			for _, stmt := range engine.SplitStatements(script) {
-				if _, err := sqlparser.Parse(stmt); err != nil {
-					t.Errorf("%s of %q does not re-parse: %v\nSQL: %s", name, v, err, stmt)
+			for _, st := range script.Stmts {
+				if _, err := sqlparser.Parse(st.SQL()); err != nil {
+					t.Errorf("%s of %q does not re-parse: %v\nSQL: %s", name, v, err, st.SQL())
 				}
 			}
 		}

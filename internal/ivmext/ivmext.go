@@ -13,7 +13,7 @@
 //     lazily on REFRESH / when the view is queried, controlled by PRAGMA
 //     ivm_mode;
 //   - the generated SQL scripts are retained for inspection ("stored on
-//     disk" in the paper) via Extension.Scripts and SaveScripts.
+//     disk" in the paper) via Extension.Scripts.
 //
 // A refresh runs on its caller's goroutine. It takes one cut — the latest
 // commit timestamp — and runs each view of its group over the changes
@@ -44,8 +44,6 @@ package ivmext
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -885,28 +883,6 @@ func (ext *Extension) Scripts(view string) (setup, propagate string, err error) 
 		return "", "", fmt.Errorf("ivmext: %q is not a materialized view", view)
 	}
 	return v.comp.SetupSQL(), v.comp.PropagateSQL(), nil
-}
-
-// SaveScripts writes each registered view's scripts to dir — the paper
-// stores the propagation scripts on disk "to allow future inspection and
-// usage without having to start DuckDB".
-func (ext *Extension) SaveScripts(dir string) error {
-	// Views and Scripts each take and release ext.mu; no file is written
-	// under it, where every refresh would queue behind the I/O.
-	for _, name := range ext.Views() {
-		setup, propagate, err := ext.Scripts(name)
-		if err != nil {
-			continue // dropped since the listing
-		}
-		base := filepath.Join(dir, strings.ToLower(name))
-		if err := os.WriteFile(base+"_setup.sql", []byte(setup), 0o644); err != nil {
-			return err
-		}
-		if err := os.WriteFile(base+"_propagate.sql", []byte(propagate), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // matviewsRead collects the registered materialized views a statement

@@ -509,10 +509,6 @@ func TestScriptsSavedAndInspectable(t *testing.T) {
 			t.Errorf("propagate missing %q:\n%s", want, prop)
 		}
 	}
-	dir := t.TempDir()
-	if err := ext.SaveScripts(dir); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestUnsupportedViewsRejected(t *testing.T) {

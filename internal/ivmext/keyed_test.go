@@ -57,8 +57,8 @@ func TestExplainKeyedBody(t *testing.T) {
 		}
 		want = append(want, "KeyedDelete "+view+"[pk] keys=IN(subquery)", "Insert "+view)
 		var got []string
-		for _, stmt := range engine.SplitStatements(comp.Body.SQL()) {
-			got = append(got, mustExec(t, db, "EXPLAIN "+stmt).Rows[0][0].S)
+		for _, stmt := range comp.Body.Stmts {
+			got = append(got, mustExec(t, db, "EXPLAIN "+stmt.SQL()).Rows[0][0].S)
 		}
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("%s body explains as\n%s\nwant\n%s", view, strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -383,17 +383,13 @@ func TestPropertyJoinDeltaSizes(t *testing.T) {
 // its EXPLAIN line.
 func step3Access(t *testing.T, db *engine.DB, ext *Extension, view string) string {
 	t.Helper()
-	_, prop, err := ext.Scripts(view)
-	if err != nil {
-		t.Fatal(err)
-	}
 	comp, _ := ext.Compilation(view)
-	for _, stmt := range engine.SplitStatements(prop) {
-		if strings.HasPrefix(stmt, "DELETE FROM "+comp.Storage+" WHERE ") {
+	for _, st := range comp.Propagate.Stmts {
+		if stmt := st.SQL(); strings.HasPrefix(stmt, "DELETE FROM "+comp.Storage+" WHERE ") {
 			return strings.Fields(mustExec(t, db, "EXPLAIN "+stmt).Rows[0][0].S)[0]
 		}
 	}
-	t.Fatalf("no step 3 in the script of %s:\n%s", view, prop)
+	t.Fatalf("no step 3 in the script of %s:\n%s", view, comp.PropagateSQL())
 	return ""
 }
 
@@ -402,17 +398,15 @@ func step3Access(t *testing.T, db *engine.DB, ext *Extension, view string) strin
 // clause).
 func step2Select(t *testing.T, ext *Extension, view string) (stmt, sel string) {
 	t.Helper()
-	_, prop, err := ext.Scripts(view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, stmt := range engine.SplitStatements(prop) {
+	comp, _ := ext.Compilation(view)
+	for _, st := range comp.Propagate.Stmts {
+		stmt := st.SQL()
 		if at := strings.Index(stmt, "WITH ivm_cte"); at >= 0 {
 			sel, _, _ := strings.Cut(stmt[at:], " ON CONFLICT")
 			return stmt, sel
 		}
 	}
-	t.Fatalf("no step 2 in the script of %s:\n%s", view, prop)
+	t.Fatalf("no step 2 in the script of %s:\n%s", view, comp.PropagateSQL())
 	return "", ""
 }
 

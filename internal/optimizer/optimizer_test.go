@@ -63,7 +63,7 @@ func TestPushFilterIntoScan(t *testing.T) {
 	if !strings.Contains(ex, "[filter:") {
 		t.Errorf("scan filter missing:\n%s", ex)
 	}
-	rows, err := exec.Run(opt)
+	rows, err := exec.RunOpts(opt, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestFoldWhereTrue(t *testing.T) {
 	if strings.Contains(plan.Explain(opt), "Filter") {
 		t.Errorf("WHERE TRUE should vanish:\n%s", plan.Explain(opt))
 	}
-	rows, _ := exec.Run(opt)
+	rows, _ := exec.RunOpts(opt, exec.Options{})
 	if len(rows) != 10 {
 		t.Errorf("rows = %d", len(rows))
 	}
@@ -116,7 +116,7 @@ func TestPruneScanColumns(t *testing.T) {
 	if len(scan.Projection) != 1 || scan.Projection[0] != 1 {
 		t.Errorf("projection = %v", scan.Projection)
 	}
-	rows, err := exec.Run(opt)
+	rows, err := exec.RunOpts(opt, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestPruneSkippedWhenAllUsed(t *testing.T) {
 func TestOptimizedAggStillCorrect(t *testing.T) {
 	c := testCatalog(t)
 	n := bindSQL(t, c, "SELECT b, SUM(a) FROM t WHERE a >= 2 GROUP BY b")
-	rows, err := exec.Run(Optimize(n))
+	rows, err := exec.RunOpts(Optimize(n), exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func bindPlacement(t *testing.T, c *catalog.Catalog, sql string) plan.Node {
 		if err != nil {
 			return nil, err
 		}
-		return func() ([]sqltypes.Row, error) { return exec.Run(n) }, nil
+		return func() ([]sqltypes.Row, error) { return exec.RunOpts(n, exec.Options{}) }, nil
 	}
 	n, err := b.BindSelect(stmt.(*sqlparser.SelectStmt))
 	if err != nil {
@@ -159,12 +159,12 @@ func TestPlacementMatchesUnoptimized(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		c := placementCatalog(t, seed)
 		for _, sql := range placementQueries() {
-			want, err := exec.Run(bindPlacement(t, c, sql))
+			want, err := exec.RunOpts(bindPlacement(t, c, sql), exec.Options{})
 			if err != nil {
 				t.Fatalf("seed %d, unoptimized %s: %v", seed, sql, err)
 			}
 			opt := Optimize(bindPlacement(t, c, sql))
-			got, err := exec.Run(opt)
+			got, err := exec.RunOpts(opt, exec.Options{})
 			if err != nil {
 				t.Fatalf("seed %d, optimized %s: %v\n%s", seed, sql, err, plan.Explain(opt))
 			}

@@ -75,8 +75,8 @@ type Table interface {
 	InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) error
 	// UpsertBatchTxn inserts rows, each one whose primary key is taken
 	// replacing the row there with merge's result (the row itself under a
-	// nil merge).
-	UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge Merge) (inserted, replacedOld, replacedNew []sqltypes.Row, err error)
+	// nil merge). It returns how many rows it wrote and, on request, which.
+	UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge Merge, wantRows bool) (inserted, replacedOld, replacedNew []sqltypes.Row, n int, err error)
 	// UpdateTxn and DeleteTxn visit every visible row, or — with
 	// non-nil keys: a set of primary keys, one value per key column, key
 	// after key — only the rows with those keys, each resolved through
