@@ -346,7 +346,6 @@ func meta(sess *engine.Session, ext *ivmext.Extension, cmd string) bool {
 	case "\\stats":
 		fmt.Printf("deltas captured:   %d\n", ext.Stats.DeltasCaught)
 		fmt.Printf("propagation runs:  %d\n", ext.Stats.Propagations)
-		fmt.Printf("eager refreshes:   %d\n", ext.Stats.EagerRefreshes)
 		fmt.Printf("lazy refreshes:    %d\n", ext.Stats.LazyRefreshes)
 		if ss := db.StorageStats(); ss.Durable {
 			fmt.Printf("wal:               %d records / %d bytes, %d fsyncs\n", ss.WALRecords, ss.WALBytes, ss.Fsyncs)

@@ -670,10 +670,8 @@ func (s *Session) deliver(t *txnState) error {
 	return t.err
 }
 
-// end closes t — committing it when err is nil, aborting it otherwise —
-// then, when it committed, runs the DB's after-commit hook. It returns err,
-// else what failed committing or making the commit durable, else the
-// hook's error.
+// end closes t — committing it when err is nil, aborting it otherwise. It
+// returns err, else what failed committing or making the commit durable.
 func (s *Session) end(t *txnState, err error) error {
 	mgr := s.db.cat.MVCC()
 	if err == nil {
@@ -682,23 +680,16 @@ func (s *Session) end(t *txnState, err error) error {
 		err = fault.Inject(fault.EngineCommit)
 	}
 	s.txn = nil
-	mtx, committed := t.mtx, false
 	if err != nil {
-		mgr.Abort(mtx)
-	} else if err = mgr.Commit(mtx); err == nil {
-		committed = true
+		mgr.Abort(t.mtx)
+	} else if err = mgr.Commit(t.mtx); err == nil {
 		// Group commit: block until the staged redo record's fsync, before
-		// the client or the hook treats the write as acknowledged.
+		// the client treats the write as acknowledged.
 		err = t.wal.wait(s.db)
 	}
 	fires := t.fires
 	clear(fires)
 	*t = txnState{fires: fires[:0]}
-	if committed && s.db.afterCommit != nil {
-		if herr := s.db.afterCommit(s, mtx); err == nil {
-			err = herr
-		}
-	}
 	return err
 }
 

@@ -6,11 +6,7 @@
 //
 //   - statement hooks, which intercept statements before execution (the
 //     paper's optimizer-rule injection, used to trigger propagation);
-//   - an after-commit hook, which eager propagation runs from;
-//   - row-level triggers, the PostgreSQL-side delta-capture mechanism;
-//   - pragmas, the paper's "compiler switches": a DB-wide name → value
-//     table the engine stores and never reads. The engine refuses a PRAGMA
-//     statement no hook claims; the IVM extension claims its own names.
+//   - row-level triggers, the PostgreSQL-side delta-capture mechanism.
 package engine
 
 import (
@@ -88,26 +84,18 @@ type trigger struct {
 // DB is an embedded database instance. A DB is safe for concurrent use by
 // multiple sessions: per-connection execution state (transactions,
 // parameters, cancellation) lives in Session, while the DB holds only
-// shared state — catalog, triggers, hooks, pragmas, the schema epoch and
-// the plan cache — each behind its own lock.
+// shared state — catalog, triggers, hooks, the schema epoch and the plan
+// cache — each behind its own lock.
 type DB struct {
 	Name string
 
-	mu  sync.Mutex
 	cat *catalog.Catalog
-
-	// pragmas are the DB-wide pragma values (SetPragma).
-	pragmas map[string]string
 
 	hooks []StatementHook
 
 	// ivmStats is the IVM extension's stats snapshot callback (nil until
 	// an extension installs one via SetIVMStatsSource).
 	ivmStats func() IVMStats
-
-	// afterCommit runs on the writer's session after each of its
-	// transactions commits (SetAfterCommit).
-	afterCommit func(s *Session, tx *mvcc.Txn) error
 
 	// trigMu guards the trigger registry: CREATE TRIGGER installs triggers
 	// at runtime while concurrent sessions' DML reads the registry to fire
@@ -117,9 +105,8 @@ type DB struct {
 	trigHandlers map[string]TriggerFunc
 
 	// schemaEpoch moves on anything that could change a plan: DDL (tables,
-	// views, indexes, triggers). No pragma is read while a statement is
-	// bound or optimized, so pragma writes leave it alone. Every cached
-	// plan records the epoch it was built under (see plancache.go).
+	// views, indexes, triggers). Every cached plan records the epoch it was
+	// built under (see plancache.go).
 	schemaEpoch atomic.Int64
 
 	// plans is the statement cache shared across sessions, text and
@@ -162,7 +149,6 @@ func Open(name string, _ Dialect) *DB {
 	db := &DB{
 		Name:         name,
 		cat:          catalog.New(),
-		pragmas:      map[string]string{},
 		triggers:     map[string][]*trigger{},
 		trigHandlers: map[string]TriggerFunc{},
 		plans:        newPlanLRU(planCacheSize),
@@ -263,28 +249,6 @@ func (db *DB) Vacuum() int { return db.cat.MVCC().Vacuum() }
 // classification point shared by the engine, the wire server's
 // Response.Code, and streaming trailers.
 func Code(err error) string { return enginerr.CodeOf(err) }
-
-// Pragma returns a pragma value ("" when unset).
-func (db *DB) Pragma(name string) string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.pragmas[strings.ToLower(name)]
-}
-
-// SetPragma sets a DB-wide pragma. A PRAGMA statement reaches it only
-// through the statement hook that claims the name, which checks the value
-// first.
-func (db *DB) SetPragma(name, value string) {
-	db.mu.Lock()
-	db.pragmas[strings.ToLower(name)] = value
-	db.mu.Unlock()
-}
-
-// SetAfterCommit installs fn, run on the writer's session once each of its
-// transactions has committed and is durable, with the transaction: what it
-// wrote is tx.Writes. fn's error becomes the statement's. Called once by an
-// extension at install time, before any session runs.
-func (db *DB) SetAfterCommit(fn func(s *Session, tx *mvcc.Txn) error) { db.afterCommit = fn }
 
 // RegisterStatementHook appends a pre-execution statement hook.
 func (db *DB) RegisterStatementHook(h StatementHook) { db.hooks = append(db.hooks, h) }

@@ -21,8 +21,8 @@ func testDB(t *testing.T) *DB {
 }
 
 // sessions holds the session each test database's statements run on
-// (mustExec, queryRows, sess): one per database, so a transaction or a
-// session pragma carries from one statement to the next.
+// (mustExec, queryRows, sess): one per database, so a transaction carries
+// from one statement to the next.
 var sessions sync.Map // *DB -> *Session
 
 // sess returns the session t's statements on db run on.
@@ -556,35 +556,6 @@ func TestTriggerViaSQL(t *testing.T) {
 	mustExec(t, db, "INSERT INTO groups VALUES ('x', 1)")
 	if n != 1 {
 		t.Fatalf("trigger fired %d times", n)
-	}
-}
-
-// TestPragma: the engine reads no pragma of its own, so a PRAGMA no
-// statement hook claims is refused with a coded error and stores nothing:
-// a misspelt name and the names of removed pragmas no longer print OK and
-// do nothing. DB.SetPragma stores a value for the extension that reads it.
-func TestPragma(t *testing.T) {
-	db := Open("t", DialectDuckDB)
-	for _, sql := range []string{
-		"PRAGMA wrokers = 4",
-		"PRAGMA batch_size = 7",
-		"PRAGMA ivm_strategy = 'union_regroup'",
-		"PRAGMA workers = 4",
-		"PRAGMA ivm_empty='hidden_count'",
-	} {
-		_, err := db.Exec(sql)
-		if got := Code(err); got != "42704" {
-			t.Errorf("%s: %v (code %q), want code 42704", sql, err, got)
-		}
-	}
-	for _, name := range []string{"wrokers", "batch_size", "ivm_strategy", "workers", "ivm_empty"} {
-		if v := db.Pragma(name); v != "" {
-			t.Errorf("refused PRAGMA %s stored %q", name, v)
-		}
-	}
-	db.SetPragma("ivm_mode", "eager")
-	if db.Pragma("IVM_MODE") != "eager" {
-		t.Fatalf("pragma = %q", db.Pragma("ivm_mode"))
 	}
 }
 

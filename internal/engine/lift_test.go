@@ -24,7 +24,7 @@ import (
 var statementKeywords = map[string]bool{
 	"SELECT": true, "WITH": true, "VALUES": true, "INSERT": true, "UPDATE": true, "DELETE": true,
 	"CREATE": true, "DROP": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true,
-	"PRAGMA": true, "EXPLAIN": true, "REFRESH": true, "TRUNCATE": true,
+	"EXPLAIN": true, "REFRESH": true, "TRUNCATE": true,
 }
 
 // formatVerb marks a string literal that is a fmt template, not SQL.

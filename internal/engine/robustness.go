@@ -13,7 +13,7 @@
 //   - write statements (DML and DDL) fail fast with SQLSTATE 58030 and
 //     a message naming the root cause — no partial commits pile up
 //     against a dead disk;
-//   - reads, EXPLAIN, PRAGMA, BEGIN/COMMIT/ROLLBACK of read-only
+//   - reads, EXPLAIN, BEGIN/COMMIT/ROLLBACK of read-only
 //     transactions, and the stats op keep serving: the in-memory MVCC
 //     state is intact and remains authoritative;
 //   - the IVM extension's internal sessions (WAL-bypassed) keep
@@ -103,8 +103,8 @@ func (db *DB) noteStorageErr(err error) error {
 }
 
 // isWriteStmt reports whether a statement mutates database state — the
-// set rejected in degraded mode. Transaction control, pragmas, EXPLAIN
-// and SELECT pass.
+// set rejected in degraded mode. Transaction control, EXPLAIN and SELECT
+// pass.
 func isWriteStmt(stmt sqlparser.Statement) bool {
 	switch stmt.(type) {
 	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt,

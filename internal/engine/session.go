@@ -96,8 +96,8 @@ func (s *Session) SetInternal(on bool) { s.internal = on }
 func (s *Session) Internal() bool { return s.internal }
 
 // NewSession creates an independent execution context over the database.
-// Sessions share the catalog, triggers, materialized views, pragmas and
-// the plan cache; they do not share transactions. Every session is entered
+// Sessions share the catalog, triggers, materialized views and the plan
+// cache; they do not share transactions. Every session is entered
 // into the DB's token registry until Close, so out-of-band cancellation
 // can address it.
 func (db *DB) NewSession() *Session {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"openivm/internal/enginerr"
-	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
 )
 
@@ -105,35 +104,6 @@ func TestDoomedTransactionRefusesStatements(t *testing.T) {
 			t.Errorf("%s: t holds %d rows, want 0", end, n)
 		}
 		s.Close()
-	}
-}
-
-// TestPragmasAreDBWide: a PRAGMA a hook claims, set on one session, is the
-// value every session and the DB read, and it outlives the session that
-// set it; a session keeps no pragma of its own.
-func TestPragmasAreDBWide(t *testing.T) {
-	db := Open("s", DialectDuckDB)
-	db.RegisterStatementHook(func(s *Session, stmt sqlparser.Statement) (bool, *Result, error) {
-		if p, ok := stmt.(*sqlparser.PragmaStmt); ok && p.Name == "knob" {
-			s.DB().SetPragma(p.Name, p.Value)
-			return true, &Result{}, nil
-		}
-		return false, nil, nil
-	})
-	s1, s2 := db.NewSession(), db.NewSession()
-	defer s2.Close()
-	if _, err := s1.Exec("PRAGMA knob = 3"); err != nil {
-		t.Fatal(err)
-	}
-	s1.Close()
-	if got := s2.DB().Pragma("knob"); got != "3" {
-		t.Fatalf("s2 reads knob = %q, want s1's 3", got)
-	}
-	if _, err := s2.Exec("BEGIN; PRAGMA knob = 4; ROLLBACK"); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Pragma("knob"); got != "4" {
-		t.Fatalf("knob = %q after a PRAGMA inside a rolled-back transaction, want 4 (pragmas are not transactional)", got)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"openivm/internal/enginerr"
 	"openivm/internal/exec"
 	"openivm/internal/plan"
 	"openivm/internal/sqlparser"
@@ -330,10 +329,6 @@ func (s *Session) execStmt(ctx context.Context, ent *planEntry) (*Result, error)
 		return s.execCommit()
 	case *sqlparser.RollbackStmt:
 		return s.execRollback()
-	case *sqlparser.PragmaStmt:
-		// The engine reads no pragma of its own; a name no statement hook
-		// claimed would be stored and never read.
-		return nil, enginerr.Newf(enginerr.CodeUndefinedObject, "engine: unrecognized pragma %q", st.Name)
 	case *sqlparser.ExplainStmt:
 		return s.execExplain(&ent.params, st)
 	case *sqlparser.CreateTriggerStmt:

@@ -61,10 +61,6 @@ const (
 	// statement doomed: only COMMIT (which returns that failure) and
 	// ROLLBACK end it.
 	CodeInFailedTxn = "25P02"
-	// CodeUndefinedObject names a pragma nothing reads.
-	CodeUndefinedObject = "42704"
-	// CodeInvalidParameter is a pragma value its reader cannot use.
-	CodeInvalidParameter = "22023"
 	// CodeFeatureNotSupported refuses a statement the engine parses but
 	// does not carry out, such as a materialized view over a table the
 	// IVM extension maintains.

@@ -146,10 +146,9 @@ func (p *Pipeline) CreateMaterializedView(sql string) error {
 
 // Sync pulls the buffered deltas of every mirrored table from the OLTP
 // side in one drain round trip and replays them against the local
-// mirrors, one batch per table, in sorted table order. Replay fires the
-// local capture triggers, so the compiled propagation scripts then
-// maintain the views; with PRAGMA ivm_mode='lazy' the actual fold happens
-// on the next view query, with 'eager' it happens during replay.
+// mirrors, one batch per table, in sorted table order. A replayed commit
+// appends to its mirror's change log, and the compiled propagation
+// scripts fold it into the views on the next query that reads them.
 //
 // The cost is proportional to the number of delta rows: the drain moves
 // only them, and a retraction finds its row through the mirror's

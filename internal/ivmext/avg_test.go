@@ -65,7 +65,7 @@ func TestAvgIncrementalMaintenance(t *testing.T) {
 }
 
 func TestAvgPropertyWorkload(t *testing.T) {
-	db := propertyDB(t)
+	db, _ := propertyDB(t)
 	mustExec(t, db, `CREATE MATERIALIZED VIEW va AS SELECT k,
 		AVG(v) AS mean, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k`)
 	rng := rand.New(rand.NewSource(77))

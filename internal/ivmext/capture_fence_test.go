@@ -22,7 +22,6 @@ import (
 func TestConcurrentWritersNoLostDeltas(t *testing.T) {
 	db := engine.Open("fence", engine.DialectDuckDB)
 	Install(db)
-	mustExec(t, db, "PRAGMA ivm_mode = 'lazy'")
 	mustExec(t, db, "CREATE TABLE groups (group_index VARCHAR, group_value INTEGER)")
 	mustExec(t, db, `CREATE MATERIALIZED VIEW query_groups AS SELECT group_index,
 		SUM(group_value) AS total_value FROM groups GROUP BY group_index`)

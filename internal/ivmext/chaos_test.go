@@ -76,7 +76,6 @@ func runRefreshChaos(t *testing.T, rnd *rand.Rand, sites, actions []string) erro
 	defer fault.Reset()
 	db := engine.Open("refreshchaos", engine.DialectDuckDB)
 	Install(db)
-	mustExec(t, db, "PRAGMA ivm_mode = 'lazy'")
 	mustExec(t, db, "CREATE TABLE c_a (k VARCHAR, v INTEGER)")
 	mustExec(t, db, "CREATE TABLE c_b (k VARCHAR, v INTEGER)")
 	mustExec(t, db, "CREATE MATERIALIZED VIEW ca_sum AS SELECT k, SUM(v) AS sv FROM c_a GROUP BY k")

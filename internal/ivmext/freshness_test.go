@@ -18,7 +18,6 @@ import (
 func TestLazyReadSeesFreshViewDuringRefresh(t *testing.T) {
 	db := engine.Open("fresh", engine.DialectDuckDB)
 	Install(db)
-	mustExec(t, db, "PRAGMA ivm_mode = 'lazy'")
 	mustExec(t, db, "CREATE TABLE groups (group_index VARCHAR, group_value INTEGER)")
 	mustExec(t, db, "INSERT INTO groups VALUES ('a', 1)")
 	mustExec(t, db, `CREATE MATERIALIZED VIEW query_groups AS SELECT group_index,

@@ -16,7 +16,6 @@ import (
 func TestReadYourWritesFreshness(t *testing.T) {
 	db := engine.Open("ryw", engine.DialectDuckDB)
 	Install(db)
-	mustExec(t, db, "PRAGMA ivm_mode = 'lazy'")
 	mustExec(t, db, "CREATE TABLE groups (group_index VARCHAR, group_value INTEGER)")
 	mustExec(t, db, `CREATE MATERIALIZED VIEW query_groups AS SELECT group_index,
 		SUM(group_value) AS total_value FROM groups GROUP BY group_index`)
@@ -50,7 +49,6 @@ func TestReadYourWritesFreshness(t *testing.T) {
 func TestCrossGenerationTorture(t *testing.T) {
 	db := engine.Open("torture", engine.DialectDuckDB)
 	ext := Install(db)
-	mustExec(t, db, "PRAGMA ivm_mode = 'lazy'")
 	mustExec(t, db, "CREATE TABLE t_a (k VARCHAR, v INTEGER)")
 	mustExec(t, db, "CREATE TABLE t_b (k VARCHAR, v INTEGER)")
 	// Two views per base: views on the same base share a delta table and
@@ -184,7 +182,6 @@ func TestCrossGenerationTorture(t *testing.T) {
 func TestParallelRefreshOverlap(t *testing.T) {
 	db := engine.Open("overlap", engine.DialectDuckDB)
 	ext := Install(db)
-	mustExec(t, db, "PRAGMA ivm_mode = 'lazy'")
 	mustExec(t, db, "CREATE TABLE t_a (k VARCHAR, v INTEGER)")
 	mustExec(t, db, "CREATE TABLE t_b (k VARCHAR, v INTEGER)")
 	mustExec(t, db, "CREATE MATERIALIZED VIEW va AS SELECT k, SUM(v) AS sv FROM t_a GROUP BY k")

@@ -9,9 +9,8 @@
 //     (the paper injects an optimizer rule that reroutes DML into ΔT): a
 //     base table that feeds a view keeps a change log its commits append
 //     to, and ΔT is the catalog name the compiled scripts read it through;
-//   - propagation runs eagerly after every committed base-table change or
-//     lazily on REFRESH / when the view is queried, controlled by PRAGMA
-//     ivm_mode;
+//   - propagation runs on REFRESH MATERIALIZED VIEW, or when a statement
+//     reads a view whose bases committed changes it has yet to apply;
 //   - the generated SQL scripts are retained for inspection ("stored on
 //     disk" in the paper) via Extension.Scripts.
 //
@@ -30,11 +29,6 @@
 // dropped once every view over the base has applied them. There is no ΔV
 // to empty: each statement of the body reads ΔT, or the join delta, where
 // it uses it.
-//
-// The compiler switch is a DB-wide pragma, the only one there is. The
-// statement hook claims it and checks the value when it is set:
-//
-//	PRAGMA ivm_mode = 'eager' | 'lazy'        (default lazy)
 //
 // An aggregate view folds its delta into V by one plan, the paper's
 // Listing 2 upsert through V's key index (see ivm.Options), and a group
@@ -55,7 +49,6 @@ import (
 	"openivm/internal/enginerr"
 	"openivm/internal/fault"
 	"openivm/internal/ivm"
-	"openivm/internal/mvcc"
 	"openivm/internal/sqlparser"
 )
 
@@ -84,9 +77,9 @@ type Extension struct {
 		// DeltasCaught counts the entries commits appended to the change
 		// logs: one per inserted or deleted base row, two per updated one.
 		DeltasCaught int64
-		// EagerRefreshes / LazyRefreshes count refreshes asked for by path.
-		EagerRefreshes int64
-		LazyRefreshes  int64
+		// LazyRefreshes counts refreshes a statement reading a stale view
+		// asked for.
+		LazyRefreshes int64
 		// Refreshes counts completed refresh-group propagations.
 		Refreshes int64
 		// GenerationsSealed counts non-empty cuts: refreshes that found
@@ -143,7 +136,6 @@ func Install(db *engine.DB) *Extension {
 		feeds: map[string]*feed{},
 	}
 	db.RegisterStatementHook(ext.statementHook)
-	db.SetAfterCommit(ext.afterCommit)
 	db.SetIVMStatsSource(ext.engineStats)
 	return ext
 }
@@ -196,32 +188,8 @@ func (v *view) pending() bool {
 	return false
 }
 
-// eager reports whether propagation runs on every base-table change.
-func (ext *Extension) eager() bool {
-	return strings.EqualFold(ext.db.Pragma("ivm_mode"), "eager")
-}
-
-// setPragma claims the extension's pragma: it checks the value and stores
-// it DB-wide, where an empty value restores the default. It runs inside a
-// transaction as outside one, and ROLLBACK does not undo it. A name that
-// is not the extension's passes on to the engine, which refuses it.
-func (ext *Extension) setPragma(p *sqlparser.PragmaStmt) (bool, *engine.Result, error) {
-	if !strings.EqualFold(p.Name, "ivm_mode") {
-		return false, nil, nil
-	}
-	if v := p.Value; v != "" && !strings.EqualFold(v, "eager") && !strings.EqualFold(v, "lazy") {
-		return true, nil, enginerr.Newf(enginerr.CodeInvalidParameter,
-			"ivmext: PRAGMA ivm_mode takes 'eager' or 'lazy', got %q", v)
-	}
-	ext.db.SetPragma(p.Name, p.Value)
-	return true, &engine.Result{}, nil
-}
-
 // statementHook intercepts the IVM-relevant statements.
 func (ext *Extension) statementHook(s *engine.Session, stmt sqlparser.Statement) (bool, *engine.Result, error) {
-	if p, ok := stmt.(*sqlparser.PragmaStmt); ok {
-		return ext.setPragma(p)
-	}
 	// Extension-internal sessions (propagation scripts, matview setup and
 	// teardown) bypass interception entirely: a propagation's own SELECTs
 	// must not re-trigger a lazy refresh of the view they are refreshing.
@@ -246,9 +214,9 @@ func (ext *Extension) statementHook(s *engine.Session, stmt sqlparser.Statement)
 			}
 		}
 	case *sqlparser.SelectStmt, *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		// Lazy mode: refresh any stale materialized view the statement
-		// reads before letting normal execution proceed (the paper models
-		// this as an implicit table function ahead of the plan).
+		// Refresh any stale materialized view the statement reads before
+		// letting normal execution proceed (the paper models this as an
+		// implicit table function ahead of the plan).
 		if !s.InTxn() {
 			if err := ext.refreshStale(stmt); err != nil {
 				return true, nil, err
@@ -574,20 +542,6 @@ func markUnlogged(cat *catalog.Catalog, comp *ivm.Compilation) {
 	}
 }
 
-// afterCommit is the engine's after-commit hook: in eager mode a committed
-// write to a base table with views refreshes them, once per base table.
-// Propagation's own commits are not writes of that kind.
-func (ext *Extension) afterCommit(s *engine.Session, tx *mvcc.Txn) error {
-	var err error
-	tx.Writes(func(store mvcc.Store, _ []mvcc.Op) {
-		if t, ok := store.(*catalog.Table); ok && t.Tracked() && err == nil && !s.Internal() && ext.eager() {
-			atomic.AddInt64(&ext.Stats.EagerRefreshes, 1)
-			err = ext.refreshBase(t) // a base refreshed twice coalesces
-		}
-	})
-	return err
-}
-
 // dropMaterializedView tears one view down completely: registry entry
 // (and with it the prepared propagation scripts and their plans), the
 // change logs and delta tables no surviving view needs, the storage table
@@ -636,24 +590,6 @@ func (ext *Extension) dropMaterializedView(v *view) error {
 		return fmt.Errorf("ivmext: dropping storage table %s: %w", comp.Storage, err)
 	}
 	return nil
-}
-
-// refreshBase propagates the views over a base table.
-func (ext *Extension) refreshBase(base *catalog.Table) error {
-	ext.mu.Lock()
-	var target *view
-	for _, v := range ext.views {
-		for _, f := range v.feeds {
-			if f.base == base {
-				target = v
-			}
-		}
-	}
-	ext.mu.Unlock()
-	if target == nil {
-		return nil
-	}
-	return ext.propagate(target)
 }
 
 // Refresh runs the propagation script for one view (REFRESH MATERIALIZED

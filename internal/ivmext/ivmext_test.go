@@ -3,6 +3,7 @@ package ivmext
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"openivm/internal/engine"
@@ -118,27 +119,6 @@ func TestAggregateUpdatePropagation(t *testing.T) {
 		"SELECT group_index, SUM(group_value), COUNT(*) FROM groups GROUP BY group_index")
 }
 
-func TestEagerMode(t *testing.T) {
-	db, ext := setup(t)
-	mustExec(t, db, "PRAGMA ivm_mode='eager'")
-	mustExec(t, db, `CREATE MATERIALIZED VIEW qg AS SELECT group_index,
-		SUM(group_value) AS total_value FROM groups GROUP BY group_index`)
-	mustExec(t, db, "INSERT INTO groups VALUES ('x', 5)")
-	// Eager: the delta tables must already be empty and the view current,
-	// without any query-triggered refresh.
-	dt, _ := db.Catalog().Table("delta_groups")
-	if dt.RowCount() != 0 {
-		t.Errorf("delta table not drained in eager mode: %d rows", dt.RowCount())
-	}
-	if ext.Stats.EagerRefreshes == 0 {
-		t.Error("no eager refresh recorded")
-	}
-	vt, _ := db.Catalog().Table("qg_ivm_storage")
-	if vt.RowCount() != 1 {
-		t.Errorf("view rows = %d", vt.RowCount())
-	}
-}
-
 func TestLazyModeRefreshOnQuery(t *testing.T) {
 	db, ext := setup(t)
 	mustExec(t, db, `CREATE MATERIALIZED VIEW qg AS SELECT group_index,
@@ -146,7 +126,7 @@ func TestLazyModeRefreshOnQuery(t *testing.T) {
 	mustExec(t, db, "INSERT INTO groups VALUES ('x', 5)")
 	dt, _ := db.Catalog().Table("delta_groups")
 	if dt.RowCount() != 1 {
-		t.Fatalf("lazy mode should buffer deltas, got %d", dt.RowCount())
+		t.Fatalf("a write should buffer its deltas, got %d", dt.RowCount())
 	}
 	rows := mustExec(t, db, "SELECT total_value FROM qg").Rows
 	if len(rows) != 1 || rows[0][0].I != 5 {
@@ -381,47 +361,28 @@ func TestCombineRepros(t *testing.T) {
 	}
 }
 
-// TestPragma: the extension claims its pragma and checks a value when it
-// is set, inside a transaction as outside one. Every other name is
-// refused: a misspelt one and those of removed pragmas no longer print OK
-// and do nothing.
-func TestPragma(t *testing.T) {
-	db := engine.Open("p", engine.DialectDuckDB)
-	Install(db)
-	s := db.NewSession()
-	defer s.Close()
-	for _, sql := range []string{"BEGIN", "PRAGMA ivm_mode = 'eager'", "ROLLBACK"} {
-		if _, err := s.Exec(sql); err != nil {
-			t.Fatalf("%s: %v", sql, err)
+// TestPragmaRefused: there is no PRAGMA statement, so no switch makes a
+// write refresh the views over its base. A write runs no propagation; the
+// statement that next reads the view runs it.
+func TestPragmaRefused(t *testing.T) {
+	db, ext := setup(t)
+	for _, sql := range []string{"PRAGMA ivm_mode", "PRAGMA ivm_mode = 'lazy'", "PRAGMA ivm_mode = 'eager'"} {
+		if _, err := db.Exec(sql); err == nil || !strings.Contains(err.Error(), "PRAGMA") {
+			t.Errorf("%s: %v, want it refused", sql, err)
 		}
 	}
-	want := map[string]string{"ivm_mode": "eager"}
-	for name, v := range want {
-		if got := db.Pragma(name); got != v {
-			t.Errorf("%s = %q, want %q", name, got, v)
-		}
+	mustExec(t, db, `CREATE MATERIALIZED VIEW qg AS SELECT group_index,
+		SUM(group_value) AS total_value FROM groups GROUP BY group_index`)
+	before := atomic.LoadInt64(&ext.Stats.Propagations)
+	mustExec(t, db, "INSERT INTO groups VALUES ('x', 5)")
+	if n := atomic.LoadInt64(&ext.Stats.Propagations) - before; n != 0 {
+		t.Fatalf("the write ran %d propagations, want none", n)
 	}
-	for sql, code := range map[string]string{
-		"PRAGMA wrokers = 4":                    "42704",
-		"PRAGMA batch_size = 7":                 "42704",
-		"PRAGMA ivm_strategy = 'union_regroup'": "42704",
-		"PRAGMA workers = 4":                    "42704",
-		"PRAGMA ivm_empty = 'hidden_count'":     "42704",
-		"PRAGMA ivm_mode = 'sometimes'":         "22023",
-		"PRAGMA ivm_refresh_workers = 2":        "42704",
-	} {
-		if _, err := s.Exec(sql); engine.Code(err) != code {
-			t.Errorf("%s: %v (code %q), want code %s", sql, err, engine.Code(err), code)
-		}
+	if rows := mustExec(t, db, "SELECT total_value FROM qg").Rows; len(rows) != 1 || rows[0][0].I != 5 {
+		t.Fatalf("qg reads %v, want 5", rows)
 	}
-	for name, v := range want {
-		if got := db.Pragma(name); got != v {
-			t.Errorf("a refused PRAGMA moved %s to %q", name, got)
-		}
-	}
-	mustExec(t, db, "PRAGMA ivm_mode")
-	if got := db.Pragma("ivm_mode"); got != "" {
-		t.Errorf("PRAGMA ivm_mode with no value left %q, want the default", got)
+	if atomic.LoadInt64(&ext.Stats.Propagations) == before {
+		t.Error("reading the stale view ran no propagation")
 	}
 }
 

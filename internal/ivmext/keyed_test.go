@@ -17,14 +17,14 @@ func TestProjectionReinsertKeepsRow(t *testing.T) {
 	for _, mode := range []string{"lazy", "eager"} {
 		t.Run(mode, func(t *testing.T) {
 			db := engine.Open("reinsert", engine.DialectDuckDB)
-			Install(db)
-			mustExec(t, db, "PRAGMA ivm_mode='"+mode+"'")
+			ext := Install(db)
 			mustExec(t, db, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)")
 			mustExec(t, db, "INSERT INTO orders VALUES (1,1,300),(2,2,100),(5,5,400)")
 			mustExec(t, db, "CREATE MATERIALIZED VIEW big_orders AS SELECT oid, cid, amount FROM orders WHERE amount >= 250")
-			mustExec(t, db, "DELETE FROM orders WHERE oid = 5")
-			mustExec(t, db, "INSERT INTO orders VALUES (5,5,400)")
-			mustExec(t, db, "INSERT OR REPLACE INTO orders VALUES (1,1,300)")
+			write := armWrite(t, ext, mode)
+			write("DELETE FROM orders WHERE oid = 5")
+			write("INSERT INTO orders VALUES (5,5,400)")
+			write("INSERT OR REPLACE INTO orders VALUES (1,1,300)")
 			var got []string
 			for _, r := range mustExec(t, db, "SELECT oid, cid, amount FROM big_orders ORDER BY oid").Rows {
 				got = append(got, r.String())
@@ -87,7 +87,6 @@ func TestPropertyKeyedViews(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			db := engine.Open("keyedprop", engine.DialectDuckDB)
 			ext := Install(db)
-			mustExec(t, db, "PRAGMA ivm_mode='"+mode+"'")
 			mustExec(t, db, "CREATE TABLE c (cid INTEGER PRIMARY KEY, region VARCHAR)")
 			mustExec(t, db, "CREATE TABLE o (oid INTEGER PRIMARY KEY, cid INTEGER, amt INTEGER, note VARCHAR)")
 			mustExec(t, db, "CREATE TABLE l (oid INTEGER NOT NULL, ln INTEGER NOT NULL, qty INTEGER, PRIMARY KEY (oid, ln))")
@@ -115,6 +114,7 @@ func TestPropertyKeyedViews(t *testing.T) {
 					t.Fatalf("%s is not keyed", v.name)
 				}
 			}
+			write := armWrite(t, ext, mode)
 			// current renders the row of table where selects as a VALUES
 			// tuple, or "" when there is none.
 			current := func(table, where string) string {
@@ -128,13 +128,14 @@ func TestPropertyKeyedViews(t *testing.T) {
 				}
 				return "(" + strings.Join(parts, ", ") + ")"
 			}
-			// mayExec runs a statement that may break a primary key; one that
-			// does keeps nothing.
+			// mayExec is write for a statement that may break a primary key;
+			// one that does keeps nothing.
 			mayExec := func(sql string) {
 				t.Helper()
 				if _, err := db.Exec(sql); err != nil && !strings.Contains(err.Error(), "primary key") {
 					t.Fatalf("Exec(%q): %v", sql, err)
 				}
+				refreshAfterWrite(t, ext, mode)
 			}
 			check := func(step int) {
 				t.Helper()
@@ -146,51 +147,51 @@ func TestPropertyKeyedViews(t *testing.T) {
 				oid := rng.Intn(nextO)
 				switch rng.Intn(14) {
 				case 0, 1:
-					mustExec(t, db, "INSERT INTO o VALUES "+orderRow(nextO))
+					write("INSERT INTO o VALUES " + orderRow(nextO))
 					nextO++
 				case 2: // replaced by itself
 					if row := current("o", fmt.Sprintf("oid = %d", oid)); row != "" {
-						mustExec(t, db, "INSERT OR REPLACE INTO o VALUES "+row)
+						write("INSERT OR REPLACE INTO o VALUES " + row)
 					}
 				case 3: // replaced by other values
-					mustExec(t, db, "INSERT OR REPLACE INTO o VALUES "+orderRow(oid))
+					write("INSERT OR REPLACE INTO o VALUES " + orderRow(oid))
 				case 4: // deleted and inserted again in one generation
 					if row := current("o", fmt.Sprintf("oid = %d", oid)); row != "" {
-						mustExec(t, db, fmt.Sprintf("BEGIN; DELETE FROM o WHERE oid = %d; INSERT INTO o VALUES %s; COMMIT", oid, row))
+						write(fmt.Sprintf("BEGIN; DELETE FROM o WHERE oid = %d; INSERT INTO o VALUES %s; COMMIT", oid, row))
 					}
 				case 5: // the key changes
-					mustExec(t, db, fmt.Sprintf("UPDATE o SET oid = %d WHERE oid = %d", nextO, oid))
+					write(fmt.Sprintf("UPDATE o SET oid = %d WHERE oid = %d", nextO, oid))
 					nextO++
 				case 6: // across the thresholds, either way
-					mustExec(t, db, fmt.Sprintf("UPDATE o SET amt = %d WHERE oid = %d", rng.Intn(100), oid))
+					write(fmt.Sprintf("UPDATE o SET amt = %d WHERE oid = %d", rng.Intn(100), oid))
 				case 7:
-					mustExec(t, db, fmt.Sprintf("UPDATE o SET note = %s, cid = %d WHERE oid = %d", nullOr("'m'"), rng.Intn(12), oid))
+					write(fmt.Sprintf("UPDATE o SET note = %s, cid = %d WHERE oid = %d", nullOr("'m'"), rng.Intn(12), oid))
 				case 8:
-					mustExec(t, db, fmt.Sprintf("DELETE FROM o WHERE oid = %d", oid))
+					write(fmt.Sprintf("DELETE FROM o WHERE oid = %d", oid))
 				case 9: // customers move, change their key, come and go
 					cid := rng.Intn(nextC + 1)
 					switch rng.Intn(4) {
 					case 0:
-						mustExec(t, db, fmt.Sprintf("UPDATE c SET region = %s WHERE cid = %d", nullOr(fmt.Sprintf("'r%d'", rng.Intn(3))), cid))
+						write(fmt.Sprintf("UPDATE c SET region = %s WHERE cid = %d", nullOr(fmt.Sprintf("'r%d'", rng.Intn(3))), cid))
 					case 1:
 						mayExec(fmt.Sprintf("UPDATE c SET cid = %d WHERE cid = %d", rng.Intn(12), cid))
 					case 2:
-						mustExec(t, db, fmt.Sprintf("DELETE FROM c WHERE cid = %d", cid))
+						write(fmt.Sprintf("DELETE FROM c WHERE cid = %d", cid))
 					default:
-						mustExec(t, db, fmt.Sprintf("INSERT OR REPLACE INTO c VALUES (%d, 'r%d')", rng.Intn(12), rng.Intn(3)))
+						write(fmt.Sprintf("INSERT OR REPLACE INTO c VALUES (%d, 'r%d')", rng.Intn(12), rng.Intn(3)))
 					}
 				case 10: // composite key: replaced by itself, moved, changed
 					ln := rng.Intn(nextO + 1)
 					switch row := current("l", fmt.Sprintf("ln = %d", ln)); {
 					case row != "" && rng.Intn(2) == 0:
-						mustExec(t, db, "INSERT OR REPLACE INTO l VALUES "+row)
+						write("INSERT OR REPLACE INTO l VALUES " + row)
 					case rng.Intn(2) == 0:
 						mayExec(fmt.Sprintf("UPDATE l SET oid = oid + 1, qty = %d WHERE ln = %d", rng.Intn(8), ln))
 					default:
-						mustExec(t, db, fmt.Sprintf("INSERT OR REPLACE INTO l VALUES (%d, %d, %d)", rng.Intn(10), ln, rng.Intn(8)))
+						write(fmt.Sprintf("INSERT OR REPLACE INTO l VALUES (%d, %d, %d)", rng.Intn(10), ln, rng.Intn(8)))
 					}
 				case 11:
-					mustExec(t, db, fmt.Sprintf("DELETE FROM l WHERE ln = %d", rng.Intn(nextO+1)))
+					write(fmt.Sprintf("DELETE FROM l WHERE ln = %d", rng.Intn(nextO+1)))
 				case 12:
 					for _, v := range views {
 						mustExec(t, db, "REFRESH MATERIALIZED VIEW "+v.name)

@@ -12,8 +12,8 @@ import (
 )
 
 // TestIVMUnderMVCCConvergence: concurrent transactional writers on the
-// base table with eager propagation, racing readers on the materialized
-// view. Every write is a balanced pair (+x, -x) into one group inside a
+// base table, each refreshing the view after every commit, racing readers
+// on the materialized view. Every write is a balanced pair (+x, -x) into one group inside a
 // single statement, so at every commit boundary each group's SUM is
 // zero. Three guarantees under test:
 //
@@ -26,7 +26,6 @@ import (
 func TestIVMUnderMVCCConvergence(t *testing.T) {
 	db := engine.Open("mvcc-ivm", engine.DialectDuckDB)
 	Install(db)
-	mustExec(t, db, "PRAGMA ivm_mode = 'eager'")
 	// Balanced pairs keep every group's SUM at zero; the view's hidden row
 	// count, not its SUM, decides when a group leaves it.
 	mustExec(t, db, "CREATE TABLE ledger (g INTEGER, v INTEGER)")
@@ -79,16 +78,19 @@ func TestIVMUnderMVCCConvergence(t *testing.T) {
 				g := rnd.Intn(groups)
 				x := rnd.Intn(1000) + 1
 				pair := fmt.Sprintf("INSERT INTO ledger VALUES (%d, %d), (%d, %d)", g, x, g, -x)
+				const refresh = "REFRESH MATERIALIZED VIEW balances"
 				switch rnd.Intn(3) {
 				case 0: // autocommit
-					if _, err := s.Exec(pair); err != nil {
-						fail(err)
-						return
+					for _, sql := range []string{pair, refresh} {
+						if _, err := s.Exec(sql); err != nil {
+							fail(err)
+							return
+						}
 					}
 				case 1: // explicit transaction, two pairs
 					g2 := rnd.Intn(groups)
 					pair2 := fmt.Sprintf("INSERT INTO ledger VALUES (%d, %d), (%d, %d)", g2, x+1, g2, -x-1)
-					for _, sql := range []string{"BEGIN", pair, pair2, "COMMIT"} {
+					for _, sql := range []string{"BEGIN", pair, pair2, "COMMIT", refresh} {
 						if _, err := s.Exec(sql); err != nil {
 							fail(err)
 							return

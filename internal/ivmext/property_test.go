@@ -15,9 +15,10 @@ import (
 // after any interleaving of INSERT/DELETE/UPDATE batches and refreshes, the
 // maintained view equals recomputing its query from scratch.
 
-// randWorkload drives n random DML statements against table "t" with
-// columns (k VARCHAR, v INTEGER), refreshing the view at random points.
-func randWorkload(t *testing.T, db *engine.DB, rng *rand.Rand, n int, view, viewCols, recompute string) {
+// randWorkload drives n random DML statements through write (armWrite)
+// against table "t" with columns (k VARCHAR, v INTEGER), refreshing the
+// view at random points.
+func randWorkload(t *testing.T, db *engine.DB, write func(sql string), rng *rand.Rand, n int, view, viewCols, recompute string) {
 	t.Helper()
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for i := 0; i < n; i++ {
@@ -25,13 +26,13 @@ func randWorkload(t *testing.T, db *engine.DB, rng *rand.Rand, n int, view, view
 		v := rng.Intn(41) - 20
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4: // insert-heavy
-			mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES ('%s', %d)", k, v))
+			write(fmt.Sprintf("INSERT INTO t VALUES ('%s', %d)", k, v))
 		case 5, 6:
-			mustExec(t, db, fmt.Sprintf("DELETE FROM t WHERE k = '%s' AND v = %d", k, v))
+			write(fmt.Sprintf("DELETE FROM t WHERE k = '%s' AND v = %d", k, v))
 		case 7:
-			mustExec(t, db, fmt.Sprintf("DELETE FROM t WHERE k = '%s'", k))
+			write(fmt.Sprintf("DELETE FROM t WHERE k = '%s'", k))
 		case 8:
-			mustExec(t, db, fmt.Sprintf("UPDATE t SET v = v + %d WHERE k = '%s'", rng.Intn(7)-3, k))
+			write(fmt.Sprintf("UPDATE t SET v = v + %d WHERE k = '%s'", rng.Intn(7)-3, k))
 		case 9:
 			mustExec(t, db, "REFRESH MATERIALIZED VIEW "+view)
 		}
@@ -61,15 +62,37 @@ func checkView(t *testing.T, db *engine.DB, step int, view, viewCols, recompute 
 	}
 }
 
-func propertyDB(t *testing.T, pragmas ...string) *engine.DB {
+// armWrite returns how a test arm runs its writes. The "lazy" arm runs a
+// write alone: a view refreshes when a statement reads it stale or the
+// workload refreshes it. The "eager" arm follows each write with REFRESH
+// MATERIALIZED VIEW of every view there is, so each write is its own
+// refresh window.
+func armWrite(t *testing.T, ext *Extension, mode string) func(sql string) {
+	return func(sql string) {
+		t.Helper()
+		mustExec(t, ext.db, sql)
+		refreshAfterWrite(t, ext, mode)
+	}
+}
+
+// refreshAfterWrite is what a write of arm mode runs after its statement
+// (armWrite).
+func refreshAfterWrite(t *testing.T, ext *Extension, mode string) {
+	t.Helper()
+	if mode != "eager" {
+		return
+	}
+	for _, v := range ext.Views() {
+		mustExec(t, ext.db, "REFRESH MATERIALIZED VIEW "+v)
+	}
+}
+
+func propertyDB(t *testing.T) (*engine.DB, *Extension) {
 	t.Helper()
 	db := engine.Open("prop", engine.DialectDuckDB)
-	Install(db)
-	for _, p := range pragmas {
-		mustExec(t, db, p)
-	}
+	ext := Install(db)
 	mustExec(t, db, "CREATE TABLE t (k VARCHAR, v INTEGER)")
-	return db
+	return db, ext
 }
 
 // TestPropertySumCount: a SUM/COUNT view under Listing 2's upsert-left-join
@@ -82,11 +105,11 @@ func TestPropertySumCount(t *testing.T) {
 			{"no_group_by_", "", ""},
 		} {
 			t.Run(shape.name+mode, func(t *testing.T) {
-				db := propertyDB(t, "PRAGMA ivm_mode='"+mode+"'")
+				db, ext := propertyDB(t)
 				mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS SELECT "+shape.key+
 					"SUM(v) AS s, COUNT(*) AS n FROM t"+shape.groupBy)
 				rng := rand.New(rand.NewSource(int64(16 + len(mode))))
-				randWorkload(t, db, rng, 120, "vw", shape.key+"s, n",
+				randWorkload(t, db, armWrite(t, ext, mode), rng, 120, "vw", shape.key+"s, n",
 					"SELECT "+shape.key+"SUM(v), COUNT(*) FROM t"+shape.groupBy)
 			})
 		}
@@ -94,20 +117,20 @@ func TestPropertySumCount(t *testing.T) {
 }
 
 func TestPropertyMinMax(t *testing.T) {
-	db := propertyDB(t)
+	db, ext := propertyDB(t)
 	mustExec(t, db, `CREATE MATERIALIZED VIEW mm AS SELECT k,
 		MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY k`)
 	rng := rand.New(rand.NewSource(7))
-	randWorkload(t, db, rng, 150, "mm", "k, lo, hi, n",
+	randWorkload(t, db, armWrite(t, ext, "lazy"), rng, 150, "mm", "k, lo, hi, n",
 		"SELECT k, MIN(v), MAX(v), COUNT(*) FROM t GROUP BY k")
 }
 
 func TestPropertyFilteredAggregate(t *testing.T) {
-	db := propertyDB(t)
+	db, ext := propertyDB(t)
 	mustExec(t, db, `CREATE MATERIALIZED VIEW pf AS SELECT k,
 		SUM(v) AS s, COUNT(*) AS n FROM t WHERE v > 0 GROUP BY k`)
 	rng := rand.New(rand.NewSource(11))
-	randWorkload(t, db, rng, 150, "pf", "k, s, n",
+	randWorkload(t, db, armWrite(t, ext, "lazy"), rng, 150, "pf", "k, s, n",
 		"SELECT k, SUM(v), COUNT(*) FROM t WHERE v > 0 GROUP BY k")
 }
 
@@ -189,35 +212,35 @@ func TestPropertyFilteredJoin(t *testing.T) {
 	for _, mode := range []string{"lazy", "eager"} {
 		t.Run(mode, func(t *testing.T) {
 			db := engine.Open("prop", engine.DialectDuckDB)
-			Install(db)
-			mustExec(t, db, "PRAGMA ivm_mode='"+mode+"'")
+			ext := Install(db)
 			mustExec(t, db, "CREATE TABLE c (cid INTEGER, region VARCHAR)")
 			mustExec(t, db, "CREATE TABLE o (oid INTEGER, cid INTEGER, amt INTEGER)")
 			const def = "SELECT o.oid, c.region, o.amt FROM o JOIN c ON o.cid = c.cid WHERE c.region <> 'r0' AND o.amt >= 30"
 			mustExec(t, db, "CREATE MATERIALIZED VIEW fj AS "+def)
+			write := armWrite(t, ext, mode)
 			rng := rand.New(rand.NewSource(int64(43 + len(mode))))
 			nextC, nextO := 0, 0
 			for i := 0; i < 150; i++ {
 				switch rng.Intn(9) {
 				case 0, 1:
-					mustExec(t, db, fmt.Sprintf("INSERT INTO c VALUES (%d, 'r%d')", nextC, rng.Intn(3)))
+					write(fmt.Sprintf("INSERT INTO c VALUES (%d, 'r%d')", nextC, rng.Intn(3)))
 					nextC++
 				case 2, 3, 4:
 					if nextC > 0 {
-						mustExec(t, db, fmt.Sprintf("INSERT INTO o VALUES (%d, %d, %d)", nextO, rng.Intn(nextC), rng.Intn(100)))
+						write(fmt.Sprintf("INSERT INTO o VALUES (%d, %d, %d)", nextO, rng.Intn(nextC), rng.Intn(100)))
 						nextO++
 					}
 				case 5:
 					if nextO > 0 {
-						mustExec(t, db, fmt.Sprintf("DELETE FROM o WHERE oid = %d", rng.Intn(nextO)))
+						write(fmt.Sprintf("DELETE FROM o WHERE oid = %d", rng.Intn(nextO)))
 					}
 				case 6:
 					if nextC > 0 {
-						mustExec(t, db, fmt.Sprintf("UPDATE c SET region = 'r%d' WHERE cid = %d", rng.Intn(3), rng.Intn(nextC)))
+						write(fmt.Sprintf("UPDATE c SET region = 'r%d' WHERE cid = %d", rng.Intn(3), rng.Intn(nextC)))
 					}
 				case 7:
 					if nextO > 0 {
-						mustExec(t, db, fmt.Sprintf("UPDATE o SET amt = %d WHERE oid = %d", rng.Intn(100), rng.Intn(nextO)))
+						write(fmt.Sprintf("UPDATE o SET amt = %d WHERE oid = %d", rng.Intn(100), rng.Intn(nextO)))
 					}
 				case 8:
 					mustExec(t, db, "REFRESH MATERIALIZED VIEW fj")
@@ -276,7 +299,7 @@ func TestPropertyJoinAggregate(t *testing.T) {
 }
 
 func TestPropertyTwoViewsSharedBase(t *testing.T) {
-	db := propertyDB(t)
+	db, _ := propertyDB(t)
 	mustExec(t, db, `CREATE MATERIALIZED VIEW s1 AS SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k`)
 	mustExec(t, db, `CREATE MATERIALIZED VIEW s2 AS SELECT k, MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY k`)
 	rng := rand.New(rand.NewSource(29))
@@ -452,13 +475,13 @@ func TestPropertyEmptiedGroups(t *testing.T) {
 				t.Run(arm+"_"+mode+"_"+sh.name, func(t *testing.T) {
 					db := engine.Open("prop", engine.DialectDuckDB)
 					ext := Install(db)
-					mustExec(t, db, "PRAGMA ivm_mode='"+mode+"'")
 					mustExec(t, db, "CREATE TABLE t (k VARCHAR, w INTEGER, v INTEGER)")
 					mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 5), ('a', 1, 6), ('a', 2, 7), ('b', 1, 8), ('c', 3, 9)")
+					write := armWrite(t, ext, mode)
 					// The workload never deletes a row whose k is NULL.
 					keepNull := func() {
 						if access == "ScanDelete" {
-							mustExec(t, db, "INSERT INTO t VALUES (NULL, NULL, 1)")
+							write("INSERT INTO t VALUES (NULL, NULL, 1)")
 						}
 					}
 					keepNull()
@@ -474,21 +497,21 @@ func TestPropertyEmptiedGroups(t *testing.T) {
 						step++
 					}
 					// A group reaches zero.
-					mustExec(t, db, "DELETE FROM t WHERE k = 'c'")
+					write("DELETE FROM t WHERE k = 'c'")
 					check()
 					if n := len(mustExec(t, db, "SELECT * FROM vw WHERE k = 'c'").Rows); n != 0 {
 						t.Fatalf("emptied group c still has %d rows in the view", n)
 					}
 					// A group reaches zero and reappears in the same generation.
-					mustExec(t, db, "DELETE FROM t WHERE k = 'a'")
-					mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 40)")
+					write("DELETE FROM t WHERE k = 'a'")
+					write("INSERT INTO t VALUES ('a', 1, 40)")
 					check()
 					// ... reappears and empties again.
-					mustExec(t, db, "INSERT INTO t VALUES ('c', 3, 1), ('d', 4, 2)")
-					mustExec(t, db, "DELETE FROM t WHERE k = 'c'")
+					write("INSERT INTO t VALUES ('c', 3, 1), ('d', 4, 2)")
+					write("DELETE FROM t WHERE k = 'c'")
 					check()
 					// Every group at once, then a fresh start.
-					mustExec(t, db, "DELETE FROM t")
+					write("DELETE FROM t")
 					check()
 					if n := len(mustExec(t, db, "SELECT * FROM vw").Rows); n != 0 {
 						t.Fatalf("the emptied view holds %d rows", n)
@@ -501,15 +524,15 @@ func TestPropertyEmptiedGroups(t *testing.T) {
 						k, w := keys[rng.Intn(len(keys))], rng.Intn(3)
 						switch rng.Intn(10) {
 						case 0, 1, 2, 3, 4:
-							mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES ('%s', %d, %d)", k, w, rng.Intn(41)-20))
+							write(fmt.Sprintf("INSERT INTO t VALUES ('%s', %d, %d)", k, w, rng.Intn(41)-20))
 						case 5:
-							mustExec(t, db, fmt.Sprintf("DELETE FROM t WHERE k = '%s' AND w = %d", k, w))
+							write(fmt.Sprintf("DELETE FROM t WHERE k = '%s' AND w = %d", k, w))
 						case 6:
-							mustExec(t, db, fmt.Sprintf("DELETE FROM t WHERE k = '%s'", k))
+							write(fmt.Sprintf("DELETE FROM t WHERE k = '%s'", k))
 						case 7:
-							mustExec(t, db, fmt.Sprintf("UPDATE t SET w = %d WHERE k = '%s' AND w = %d", rng.Intn(3), k, w))
+							write(fmt.Sprintf("UPDATE t SET w = %d WHERE k = '%s' AND w = %d", rng.Intn(3), k, w))
 						case 8:
-							mustExec(t, db, fmt.Sprintf("UPDATE t SET v = v + 1 WHERE k = '%s'", k))
+							write(fmt.Sprintf("UPDATE t SET v = v + 1 WHERE k = '%s'", k))
 						case 9:
 							check()
 						}
@@ -656,7 +679,7 @@ func TestPropertyNullRows(t *testing.T) {
 
 // TestPropertyPointReads: reading a maintained view one group at a time by
 // its key gives, group for group, the full-view read — after every refresh
-// and, in lazy mode, straight after the write that left the view stale (the
+// and, in the lazy arm, straight after the write that left the view stale (the
 // point read refreshes it). A read that names the key goes through V's key
 // index (index=true); the same read over an expression of the key columns
 // (`k || ”`, `w + 0`) scans (index=false); absent groups read as nothing
@@ -678,8 +701,7 @@ func TestPropertyPointReads(t *testing.T) {
 			for _, sh := range shapes {
 				t.Run(fmt.Sprintf("index=%v_%s_%s", index, mode, sh.name), func(t *testing.T) {
 					db := engine.Open("prop", engine.DialectDuckDB)
-					Install(db)
-					mustExec(t, db, "PRAGMA ivm_mode='"+mode+"'")
+					ext := Install(db)
 					wantAccess, where := "KeyedScan vw[pk] keys=1", sh.where
 					if !index {
 						wantAccess = "Scan vw"
@@ -690,6 +712,7 @@ func TestPropertyPointReads(t *testing.T) {
 					mustExec(t, db, "CREATE TABLE t (k VARCHAR, w INTEGER, v INTEGER)")
 					mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 5), ('a', 2, 7), ('b', 1, 8)")
 					mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS "+sh.def)
+					write := armWrite(t, ext, mode)
 					point := "SELECT " + sh.cols + " FROM vw WHERE "
 					plan := fmt.Sprint(mustExec(t, db, "EXPLAIN "+point+where([]string{"a", "1"})).Rows)
 					if !strings.Contains(plan, " "+wantAccess+" ") {
@@ -723,11 +746,11 @@ func TestPropertyPointReads(t *testing.T) {
 						k, w := keys[rng.Intn(len(keys))], rng.Intn(3)
 						switch rng.Intn(8) {
 						case 0, 1, 2, 3:
-							mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES ('%s', %d, %d)", k, w, rng.Intn(41)-20))
+							write(fmt.Sprintf("INSERT INTO t VALUES ('%s', %d, %d)", k, w, rng.Intn(41)-20))
 						case 4:
-							mustExec(t, db, fmt.Sprintf("DELETE FROM t WHERE k = '%s' AND w = %d", k, w))
+							write(fmt.Sprintf("DELETE FROM t WHERE k = '%s' AND w = %d", k, w))
 						case 5:
-							mustExec(t, db, fmt.Sprintf("UPDATE t SET v = v + 1 WHERE k = '%s'", k))
+							write(fmt.Sprintf("UPDATE t SET v = v + 1 WHERE k = '%s'", k))
 						case 6:
 							// Stale (lazy) or just propagated (eager): the point
 							// reads come first and must already be fresh.

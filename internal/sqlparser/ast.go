@@ -365,12 +365,6 @@ type ExplainStmt struct{ Stmt Statement }
 // propagation.
 type RefreshStmt struct{ View string }
 
-// PragmaStmt is PRAGMA name[=value] — engine-specific switches.
-type PragmaStmt struct {
-	Name  string
-	Value string
-}
-
 // CreateTriggerStmt is the minimal PostgreSQL-style trigger DDL used by the
 // OLTP engine for delta capture:
 //
@@ -388,7 +382,6 @@ func (*CommitStmt) stmt()        {}
 func (*RollbackStmt) stmt()      {}
 func (*ExplainStmt) stmt()       {}
 func (*RefreshStmt) stmt()       {}
-func (*PragmaStmt) stmt()        {}
 func (*CreateTriggerStmt) stmt() {}
 
 // ---------------------------------------------------------------------------

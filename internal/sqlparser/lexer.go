@@ -46,7 +46,7 @@ var keywords = func() map[string]string {
 		UNION EXCEPT INTERSECT WITH VALUES INSERT INTO DELETE UPDATE SET CREATE TABLE
 		VIEW MATERIALIZED INDEX UNIQUE DROP IF EXISTS PRIMARY KEY DEFAULT REPLACE
 		CONFLICT DO NOTHING EXCLUDED RETURNING TRUNCATE BEGIN COMMIT ROLLBACK EXPLAIN
-		REFRESH PRAGMA COUNT SUM MIN MAX AVG COALESCE OF FOR TRIGGER AFTER ROW EACH EXECUTE`) {
+		REFRESH COUNT SUM MIN MAX AVG COALESCE OF FOR TRIGGER AFTER ROW EACH EXECUTE`) {
 		m[kw] = kw
 	}
 	return m

@@ -65,7 +65,7 @@ func TestLiftKeys(t *testing.T) {
 // TestLiftStatementKinds: only SELECT, INSERT, UPDATE and DELETE carry a
 // key; every other statement keeps its literals and has none.
 func TestLiftStatementKinds(t *testing.T) {
-	ls, err := Lift("CREATE TABLE t (k INTEGER DEFAULT 5); PRAGMA ivm_mode = 'eager';; EXPLAIN SELECT * FROM t WHERE k = 1; BEGIN; SELECT * FROM t WHERE k = 1", true)
+	ls, err := Lift("CREATE TABLE t (k INTEGER DEFAULT 5); REFRESH MATERIALIZED VIEW mv;; EXPLAIN SELECT * FROM t WHERE k = 1; BEGIN; SELECT * FROM t WHERE k = 1", true)
 	if err != nil {
 		t.Fatal(err)
 	}

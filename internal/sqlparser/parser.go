@@ -206,20 +206,6 @@ func (p *Parser) parseStatement() (Statement, error) {
 			return nil, err
 		}
 		return &RefreshStmt{View: name}, nil
-	case "PRAGMA":
-		p.pos++
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		st := &PragmaStmt{Name: name}
-		if p.acceptOp("=") {
-			if v := p.peek(); v.Kind == TokEOF || p.isOp(";") {
-				return nil, p.errorf("PRAGMA %s: expected a value, got %q", name, v.Text)
-			}
-			st.Value = p.next().Text
-		}
-		return st, nil
 	}
 	return nil, p.errorf("unsupported statement %q", t.Text)
 }

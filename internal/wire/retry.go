@@ -11,7 +11,7 @@
 //     it handed out until the next drain acknowledges it, and answers a
 //     repeated acknowledgement number with the same batch (Server.drain);
 //   - exec/Query scripts are retried only when every statement is
-//     read-shaped (SELECT/WITH/EXPLAIN/SHOW/PRAGMA/VALUES);
+//     read-shaped (SELECT/WITH/EXPLAIN/SHOW/VALUES);
 //   - prepared executions are retried only when the statement's
 //     recorded SQL is read-shaped;
 //   - a streaming query is retried only while no result frame has been
@@ -121,7 +121,7 @@ func selectShaped(sql string) bool {
 			}
 		}
 		switch strings.ToUpper(s[:end]) {
-		case "SELECT", "WITH", "EXPLAIN", "SHOW", "PRAGMA", "VALUES":
+		case "SELECT", "WITH", "EXPLAIN", "SHOW", "VALUES":
 		default:
 			return false
 		}

@@ -20,12 +20,13 @@ func TestSelectShaped(t *testing.T) {
 		"  WITH x AS (SELECT 1) SELECT * FROM x",
 		"EXPLAIN SELECT * FROM t",
 		"SELECT 1; SELECT 2;",
-		"PRAGMA ivm_mode='lazy'; SELECT * FROM t",
+		"EXPLAIN SELECT 1; SELECT * FROM t",
 		"VALUES (1), (2)",
 	}
 	no := []string{
 		"INSERT INTO t VALUES (1)",
 		"SELECT 1; INSERT INTO t VALUES (1)",
+		"PRAGMA workers = 4; SELECT * FROM t",
 		"UPDATE t SET v = 1",
 		"BEGIN",
 		"CREATE TABLE t (x INTEGER)",

@@ -16,8 +16,8 @@
 // Every accepted connection gets its own engine.Session, so N clients run
 // interleaved DML, transactions and queries concurrently against one
 // shared DB: transactions are connection-local, while the catalog,
-// pragmas, materialized views and the shared SQL-text plan cache are one
-// per server. When a connection drops, its session is closed — the
+// materialized views and the shared SQL-text plan cache are one per
+// server. When a connection drops, its session is closed — the
 // in-flight query is cancelled (its scans stop via the engine's
 // Close/cancellation protocol) and any open transaction rolls back.
 //
