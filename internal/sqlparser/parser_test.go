@@ -369,6 +369,20 @@ func TestParseRefresh(t *testing.T) {
 	}
 }
 
+// TestParsePragma: PRAGMA is no statement and no keyword; the statement is
+// refused and the word is an ordinary identifier.
+func TestParsePragma(t *testing.T) {
+	for _, sql := range []string{"PRAGMA ivm_empty='hidden_count'", "PRAGMA workers"} {
+		_, err := Parse(sql)
+		if err == nil || !strings.Contains(err.Error(), "expected statement") {
+			t.Errorf("Parse(%q): err = %v, want expected statement", sql, err)
+		}
+	}
+	if _, ok := mustParse(t, "SELECT pragma FROM t").(*SelectStmt); !ok {
+		t.Error("pragma should parse as a column name")
+	}
+}
+
 func TestParseCreateTrigger(t *testing.T) {
 	st := mustParse(t, `CREATE TRIGGER cap AFTER INSERT OR DELETE OR UPDATE ON orders
 		FOR EACH ROW EXECUTE 'ivm_capture'`).(*CreateTriggerStmt)
