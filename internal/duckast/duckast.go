@@ -168,7 +168,9 @@ type CreateTable struct {
 	Name        string
 	IfNotExists bool
 	Columns     []ColumnDef
-	PrimaryKey  []string
+	// Key is declared UNIQUE NULLS NOT DISTINCT: unlike a PRIMARY KEY it
+	// admits NULLs, and two NULLs are equal under it.
+	Key []string
 }
 
 // ColumnDef is a typed column for CreateTable.
@@ -191,8 +193,8 @@ func (ct *CreateTable) SQL() string {
 		}
 		sb.WriteString(c.Name + " " + typeName(c.Type))
 	}
-	if len(ct.PrimaryKey) > 0 {
-		sb.WriteString(", PRIMARY KEY (" + strings.Join(ct.PrimaryKey, ", ") + ")")
+	if len(ct.Key) > 0 {
+		sb.WriteString(", UNIQUE NULLS NOT DISTINCT (" + strings.Join(ct.Key, ", ") + ")")
 	}
 	sb.WriteString(")")
 	return sb.String()

@@ -83,7 +83,8 @@ func TestDeleteSQL(t *testing.T) {
 // TestCreateTableDialectTypes: one type map for both targets. The
 // engine's 64-bit INTEGER is BIGINT (INTEGER is 32 bits on DuckDB and
 // PostgreSQL), DOUBLE is DOUBLE PRECISION (PostgreSQL has no DOUBLE), and
-// VARCHAR and BOOLEAN keep their names.
+// VARCHAR and BOOLEAN keep their names. The key is UNIQUE NULLS NOT
+// DISTINCT, which admits the NULL group a PRIMARY KEY would refuse.
 func TestCreateTableDialectTypes(t *testing.T) {
 	ct := &CreateTable{
 		Name:        "t",
@@ -94,9 +95,9 @@ func TestCreateTableDialectTypes(t *testing.T) {
 			{Name: "c", Type: "INTEGER"},
 			{Name: "d", Type: "BOOLEAN"},
 		},
-		PrimaryKey: []string{"a"},
+		Key: []string{"a"},
 	}
-	want := "CREATE TABLE IF NOT EXISTS t (a VARCHAR, b DOUBLE PRECISION, c BIGINT, d BOOLEAN, PRIMARY KEY (a))"
+	want := "CREATE TABLE IF NOT EXISTS t (a VARCHAR, b DOUBLE PRECISION, c BIGINT, d BOOLEAN, UNIQUE NULLS NOT DISTINCT (a))"
 	if got := ct.SQL(); got != want {
 		t.Errorf("got %q, want %q", got, want)
 	}

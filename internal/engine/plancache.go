@@ -339,6 +339,8 @@ func planCacheable(n plan.Node) bool {
 			}
 		case *plan.Join:
 			ok = ok && expr.Stateless(x.On)
+		case *plan.Series:
+			ok = ok && expr.Stateless(x.Lo) && expr.Stateless(x.Hi)
 		case *plan.Sort:
 			for _, k := range x.Keys {
 				ok = ok && expr.Stateless(k.Expr)

@@ -71,6 +71,8 @@ const (
 	// CodeDependentObjects refuses to drop an object others depend on,
 	// such as a base table a materialized view reads.
 	CodeDependentObjects = "2BP01"
+	// CodeSyntaxError is a statement the lexer or the parser cannot read.
+	CodeSyntaxError = "42601"
 )
 
 // Error is a classified engine error: a SQLSTATE class plus a message,

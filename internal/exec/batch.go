@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"openivm/internal/expr"
@@ -264,6 +265,95 @@ func (it *batchProject) NextBatch() (*Batch, error) {
 
 // Close implements BatchIterator.
 func (it *batchProject) Close() { it.in.Close() }
+
+// --- generate_series ---
+
+// batchSeries emits each input row once per integer of its series
+// (plan.Series), the integer appended, or the row itself for a bare series
+// (rows are immutable, so one may stand in a batch many times). A series
+// longer than a batch continues in the next one: the operator keeps its
+// place in the input batch and in the current row's series.
+type batchSeries struct {
+	in       BatchIterator
+	node     *plan.Series
+	size     int
+	ctx      context.Context
+	cur      []sqltypes.Row // the input batch being expanded
+	pos      int            // the next row of cur to start
+	row      sqltypes.Row   // the row being expanded, nil between rows
+	next, hi int64          // the next integer of row's series, and its last
+	out      Batch
+	slab     valueSlab
+}
+
+// NextBatch implements BatchIterator.
+func (it *batchSeries) NextBatch() (*Batch, error) {
+	if err := ctxErr(it.ctx); err != nil {
+		return nil, err
+	}
+	it.out.reset()
+	for len(it.out.Rows) < it.size {
+		if it.row == nil {
+			if it.pos == len(it.cur) {
+				b, err := it.in.NextBatch()
+				if err != nil {
+					return nil, err
+				}
+				if b == nil {
+					break
+				}
+				it.cur, it.pos = b.Rows, 0
+			}
+			if err := it.start(it.cur[it.pos]); err != nil {
+				return nil, err
+			}
+			it.pos++
+			continue
+		}
+		out := it.row
+		if !it.node.Bare {
+			out = it.slab.newRow()
+			copy(out, it.row)
+			out[len(it.row)] = sqltypes.NewInt(it.next)
+		}
+		it.out.Rows = append(it.out.Rows, out)
+		if it.next == it.hi {
+			it.row = nil
+		} else {
+			it.next++
+		}
+	}
+	if len(it.out.Rows) == 0 {
+		return nil, nil
+	}
+	return &it.out, nil
+}
+
+// start evaluates the series bounds over r and, unless the series is empty
+// (a NULL bound, or lo > hi), makes r the row being expanded.
+func (it *batchSeries) start(r sqltypes.Row) error {
+	lo, err := it.node.Lo.Eval(r)
+	if err != nil {
+		return err
+	}
+	hi, err := it.node.Hi.Eval(r)
+	if err != nil {
+		return err
+	}
+	if lo.IsNull() || hi.IsNull() {
+		return nil
+	}
+	if lo.T != sqltypes.TypeInt || hi.T != sqltypes.TypeInt {
+		return fmt.Errorf("exec: generate_series bounds must be INTEGER, got %s and %s", lo.T, hi.T)
+	}
+	if lo.I <= hi.I {
+		it.row, it.next, it.hi = r, lo.I, hi.I
+	}
+	return nil
+}
+
+// Close implements BatchIterator.
+func (it *batchSeries) Close() { it.in.Close() }
 
 // --- sort ---
 

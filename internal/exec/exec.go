@@ -188,6 +188,13 @@ func openBatch(n plan.Node, opts Options) (BatchIterator, error) {
 		return newBatchAgg(in, x, opts), nil
 	case *plan.Join:
 		return newBatchJoin(x, opts)
+	case *plan.Series:
+		in, err := openBatch(x.Input, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &batchSeries{in: in, node: x, size: opts.BatchSize, ctx: opts.Ctx,
+			slab: newValueSlab(len(x.Schema()), opts.BatchSize)}, nil
 	case *plan.Distinct:
 		in, err := openBatch(x.Input, opts)
 		if err != nil {

@@ -46,7 +46,12 @@ func (c *Compiler) Compile(viewName string, sel *sqlparser.SelectStmt, sourceSQL
 		return nil, fmt.Errorf("ivm: view %q: %w", viewName, err)
 	}
 	if comp.Class == ClassProjection || comp.Class == ClassJoin {
+		// A projection or join view is the GROUP BY of its key, or of all
+		// its columns, with the hidden row count as each row's weight.
 		comp.Key = viewKey(comp, sel)
+		for i, col := range comp.Columns {
+			comp.Columns[i].IsGroupKey = comp.Key == nil || slices.Contains(comp.Key, col.Name)
+		}
 	}
 
 	// Hidden columns (AVG's SUM and COUNT parts, the hidden row count) live
@@ -389,15 +394,12 @@ func (c *Compiler) genSetup(comp *Compilation) {
 	for _, col := range comp.StorageColumns() {
 		viewCols = append(viewCols, duckast.ColumnDef{Name: col.Name, Type: col.Type.String()})
 	}
-	vt := &duckast.CreateTable{Name: comp.Storage, IfNotExists: true, Columns: viewCols, PrimaryKey: comp.Key}
-	if comp.Class == ClassAggregate || comp.Class == ClassJoinAggregate {
-		// The index on the group columns is the table's primary key: step
-		// 2's ON CONFLICT resolves conflicts through the primary-key
-		// index, as DuckDB's does through its ART (paper §2: upserts need
-		// an index). A table-level key admits the NULL group.
-		vt.PrimaryKey = viewColNames(comp.GroupColumns())
-	}
-	s.Add(vt)
+	// The index on the group columns is the table's key: step 2's ON
+	// CONFLICT resolves conflicts through it, as DuckDB's does through its
+	// ART (paper §2: upserts need an index). UNIQUE NULLS NOT DISTINCT, not
+	// PRIMARY KEY, which makes its columns NOT NULL: V holds one NULL group.
+	s.Add(&duckast.CreateTable{Name: comp.Storage, IfNotExists: true, Columns: viewCols,
+		Key: viewColNames(comp.GroupColumns())})
 	if comp.Storage != comp.ViewName {
 		s.Add(comp.exposedView())
 	}
@@ -458,23 +460,52 @@ func (c *Compiler) genPopulate(comp *Compilation) {
 }
 
 // storageQuery is the view's query over from, selecting the storage
-// columns: what V holds for the rows from yields.
+// columns: what V holds for the rows from yields. A keyless projection or
+// join view groups the query's rows by all its columns, named over
+// viewRows: each distinct row once, with its copies counted as its weight.
+// A keyed one holds one row per key, each of weight 1, and groups nothing.
 func storageQuery(comp *Compilation, from string) *duckast.Select {
+	src, where, grouped := func(col ViewColumn) string { return col.SourceSQL }, whereSQL(comp), comp.Key == nil
+	if grouped && (comp.Class == ClassProjection || comp.Class == ClassJoin) {
+		from, where = viewRows(comp, from), ""
+		src = func(col ViewColumn) string { return col.Name }
+	}
 	sel := &duckast.Select{From: &duckast.Raw{Text: from}}
 	for _, col := range comp.StorageColumns() {
-		src := col.SourceSQL
-		if col.HasAgg {
-			src = aggCallSQL(col.Agg, col.SourceSQL)
+		item := src(col)
+		switch {
+		case col.HasAgg && !grouped:
+			item = "1"
+		case col.HasAgg:
+			item = aggCallSQL(col.Agg, col.SourceSQL)
+		case grouped:
+			sel.GroupBy = append(sel.GroupBy, &duckast.Raw{Text: item})
 		}
-		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: src}, Alias: col.Name})
+		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: item}, Alias: col.Name})
+	}
+	if where != "" {
+		sel.Where = &duckast.Raw{Text: where}
+	}
+	return sel
+}
+
+// viewRows renders the view's query over from, a projection of its rows
+// with the extra columns appended, as a derived table whose columns are the
+// view's, by name: GROUP BY reads a constant column as a position, a name
+// never.
+func viewRows(comp *Compilation, from string, extra ...string) string {
+	srcs := make([]string, len(comp.Columns))
+	for i, col := range comp.Columns {
+		srcs[i] = col.SourceSQL
+	}
+	sel := &duckast.Select{Items: aliased(srcs, comp.Columns), From: &duckast.Raw{Text: from}}
+	for _, e := range extra {
+		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: e}})
 	}
 	if w := whereSQL(comp); w != "" {
 		sel.Where = &duckast.Raw{Text: w}
 	}
-	for _, g := range comp.GroupColumns() {
-		sel.GroupBy = append(sel.GroupBy, &duckast.Raw{Text: g.SourceSQL})
-	}
-	return sel
+	return "(" + sel.SQL() + ") AS ivm_rows"
 }
 
 // aggCallSQL renders an aggregate call over a source expression.

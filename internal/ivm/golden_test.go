@@ -50,14 +50,16 @@ const listing1View = `CREATE MATERIALIZED VIEW query_groups AS SELECT group_inde
 // keep a hidden row count in the storage table, behind a plain view of the
 // declared columns, and delete a group when it reaches 0. And step 3 names
 // the keys ΔT retracts a row of — the only groups whose count can have
-// reached zero — so it finds those rows through the key index.
+// reached zero — so it finds those rows through the key index. The storage
+// is keyed UNIQUE NULLS NOT DISTINCT, not by a PRIMARY KEY, which DuckDB
+// and PostgreSQL make NOT NULL: it holds the NULL group.
 func TestListing2Golden(t *testing.T) {
 	db := newDB(t)
 	comp := compile(t, db, listing1View)
 
 	wantSetup := strings.TrimSpace(`
 CREATE TABLE IF NOT EXISTS delta_groups (group_index VARCHAR, group_value BIGINT, _duckdb_ivm_multiplicity BOOLEAN);
-CREATE TABLE IF NOT EXISTS query_groups_ivm_storage (group_index VARCHAR, total_value BIGINT, _duckdb_ivm_count BIGINT, PRIMARY KEY (group_index));
+CREATE TABLE IF NOT EXISTS query_groups_ivm_storage (group_index VARCHAR, total_value BIGINT, _duckdb_ivm_count BIGINT, UNIQUE NULLS NOT DISTINCT (group_index));
 CREATE VIEW query_groups AS SELECT group_index, total_value FROM query_groups_ivm_storage;
 `)
 	if got := strings.TrimSpace(comp.SetupSQL()); got != wantSetup {
@@ -161,8 +163,9 @@ func TestHiddenCountSetup(t *testing.T) {
 	}
 }
 
-// TestStep3Golden pins step 3 for every shape of group key: one keyed form per view class, reading the keys of the
-// retractions in ΔT or in the join delta, and the view without one.
+// TestStep3Golden pins step 3 for every shape of group key: one keyed form
+// per view class, reading the keys of the retractions in ΔT or in the join
+// delta, and the view without one.
 func TestStep3Golden(t *testing.T) {
 	db := engine.Open("s3", engine.DialectDuckDB)
 	for _, ddl := range []string{
@@ -188,6 +191,12 @@ func TestStep3Golden(t *testing.T) {
 			"DELETE FROM ja_ivm_storage WHERE (x IN (SELECT x FROM delta_join_ja WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL) AND _duckdb_ivm_count = 0;"},
 		{"CREATE MATERIALIZED VIEW ja2 AS SELECT a.x, a.y, COUNT(*) AS n FROM a JOIN b ON a.x = b.x GROUP BY a.x, a.y",
 			"DELETE FROM ja2 WHERE ((x, y) IN (SELECT x, y FROM delta_join_ja2 WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL OR y IS NULL) AND n = 0;"},
+		// A projection or join view is grouped by all its columns (these have
+		// no key): a row leaves when its weight reaches 0, and not before.
+		{"CREATE MATERIALIZED VIEW pv AS SELECT x, v + 1 AS w FROM a WHERE y > 0",
+			"DELETE FROM pv_ivm_storage WHERE ((x, w) IN (SELECT x, w FROM (SELECT x AS x, (v + 1) AS w, _duckdb_ivm_multiplicity FROM delta_a WHERE (y > 0)) AS ivm_rows WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL OR w IS NULL) AND _duckdb_ivm_count = 0;"},
+		{"CREATE MATERIALIZED VIEW jv AS SELECT a.x, b.w FROM a JOIN b ON a.x = b.x",
+			"DELETE FROM jv_ivm_storage WHERE ((x, w) IN (SELECT x, w FROM delta_join_jv WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL OR w IS NULL) AND _duckdb_ivm_count = 0;"},
 	}
 	for _, c := range cases {
 		prop := compile(t, db, c.view).PropagateSQL()
@@ -197,20 +206,30 @@ func TestStep3Golden(t *testing.T) {
 	}
 }
 
-// TestRowKeySQL: a projection or join view finds the rows to delete as row
-// values, and the rows holding a NULL — which IN never selects — by a key
-// that is never NULL and that no two distinct rows share.
+// TestRowKeySQL: the MIN/MAX repair, rowKey's one use, finds the groups a
+// deletion touched as row values, and the groups holding a NULL — which IN
+// never selects — by a key that is never NULL and that no two distinct
+// groups share. A projection view has no row key: it deletes through its
+// storage key like any grouped view.
 func TestRowKeySQL(t *testing.T) {
 	db := newDB(t)
+	if _, err := db.Exec("CREATE TABLE g2 (a VARCHAR, b INTEGER, v INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
 	prop := compile(t, db,
-		"CREATE MATERIALIZED VIEW pv AS SELECT group_index, group_value FROM groups").PropagateSQL()
-	key := "COALESCE(LENGTH(CAST(group_index AS VARCHAR)) || ':' || group_index, 'N') || " +
-		"COALESCE(LENGTH(CAST(group_value AS VARCHAR)) || ':' || group_value, 'N')"
-	const from = " FROM delta_groups WHERE _duckdb_ivm_multiplicity = FALSE)"
-	want := "DELETE FROM pv WHERE (group_index, group_value) IN (SELECT group_index, group_value" + from +
-		" OR ((group_index IS NULL OR group_value IS NULL) AND " + key + " IN (SELECT " + key + from + ");"
+		"CREATE MATERIALIZED VIEW mv AS SELECT a, b, MAX(v) AS hi FROM g2 GROUP BY a, b").PropagateSQL()
+	key := "COALESCE(LENGTH(CAST(a AS VARCHAR)) || ':' || a, 'N') || " +
+		"COALESCE(LENGTH(CAST(b AS VARCHAR)) || ':' || b, 'N')"
+	const from = " FROM delta_g2 WHERE _duckdb_ivm_multiplicity = FALSE)"
+	want := "DELETE FROM mv_ivm_storage WHERE (a, b) IN (SELECT a, b" + from +
+		" OR ((a IS NULL OR b IS NULL) AND " + key + " IN (SELECT " + key + from + ");"
 	if !strings.Contains(prop, want) {
-		t.Errorf("projection step 3 is not\n%s\nin:\n%s", want, prop)
+		t.Errorf("min/max repair is not\n%s\nin:\n%s", want, prop)
+	}
+	prop = compile(t, db,
+		"CREATE MATERIALIZED VIEW pv AS SELECT group_index, group_value FROM groups").PropagateSQL()
+	if strings.Contains(prop, "COALESCE(LENGTH(") {
+		t.Errorf("a projection view deletes through a row key:\n%s", prop)
 	}
 }
 
@@ -327,6 +346,23 @@ func TestJoinCompilationSQL(t *testing.T) {
 		if !strings.Contains(prop, want) {
 			t.Errorf("join propagation missing %q:\n%s", want, prop)
 		}
+	}
+	// The join delta folds into V grouped by all its columns (the view has
+	// no key), each row's weight its signed count, and V is read through a
+	// plain view that repeats each row as many times as its weight.
+	for _, want := range []string{
+		"CREATE TABLE IF NOT EXISTS jv_ivm_storage (x VARCHAR, v BIGINT, w BIGINT, _duckdb_ivm_count BIGINT, UNIQUE NULLS NOT DISTINCT (x, v, w));",
+		"CREATE VIEW jv AS SELECT x, v, w FROM jv_ivm_storage, generate_series(1, _duckdb_ivm_count);",
+	} {
+		if !strings.Contains(comp.SetupSQL(), want) {
+			t.Errorf("join setup missing %q:\n%s", want, comp.SetupSQL())
+		}
+	}
+	if want := "INSERT INTO jv_ivm_storage (x, v, w, _duckdb_ivm_count) WITH ivm_cte AS (SELECT x AS x, v AS v, w AS w, " +
+		"SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -1 ELSE 1 END) AS _duckdb_ivm_count FROM delta_join_jv GROUP BY x, v, w) " +
+		"SELECT ivm_cte.x, ivm_cte.v, ivm_cte.w, COALESCE(NULL, 0) + COALESCE(ivm_cte._duckdb_ivm_count, 0) AS _duckdb_ivm_count FROM ivm_cte " +
+		"ON CONFLICT (x, v, w) DO UPDATE SET _duckdb_ivm_count = COALESCE(jv_ivm_storage._duckdb_ivm_count, 0) + COALESCE(EXCLUDED._duckdb_ivm_count, 0);\n"; !strings.Contains(prop, want) {
+		t.Errorf("join combine is not\n%s\nin:\n%s", want, prop)
 	}
 }
 

@@ -4,7 +4,9 @@
 //
 //  1. DDL declaring the delta tables ΔT (base columns plus a boolean
 //     multiplicity column), the table materializing V with the key index
-//     aggregate maintenance needs, and the join delta of a two-table view;
+//     its upsert needs, and the join delta of a two-table view. Every view
+//     is grouped: a projection or join view by its key, or all its
+//     columns, with each row's weight (DBSP's Z-set) beside it;
 //  2. a propagation script — plain SQL implementing the DBSP-style
 //     incremental form of the view query: (2) fold the delta into V,
 //     (3) delete invalidated rows from V, (4) truncate the join delta and
@@ -68,10 +70,11 @@ func DeltaRows(ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) []sqltyp
 	return rows
 }
 
-// HiddenCountColumn is the row count an aggregate view keeps per group
-// when it declares no COUNT(*) of its own: step 3 deletes a group whose
-// count reaches 0. It lives in the storage table, behind the plain view
-// that exposes the declared columns.
+// HiddenCountColumn is the row count a view keeps per group when it
+// declares no COUNT(*) of its own — the Z-set weight of a projection or
+// join view's row: step 3 deletes a group whose count reaches 0. It lives
+// in the storage table, behind the plain view that exposes the declared
+// columns.
 const HiddenCountColumn = "_duckdb_ivm_count"
 
 // Options are the compiler's settings. There are none: an aggregate view's
@@ -124,8 +127,11 @@ func (c QueryClass) String() string {
 
 // ViewColumn describes one output column of the compiled view.
 type ViewColumn struct {
-	Name       string
-	Type       sqltypes.Type
+	Name string
+	Type sqltypes.Type
+	// IsGroupKey marks a column of V's key: an aggregate's GROUP BY column,
+	// a projection or join view's Key column, or any of its columns when it
+	// has no Key.
 	IsGroupKey bool
 	// Agg is set for aggregate result columns.
 	Agg expr.AggKind
@@ -170,9 +176,9 @@ type Compilation struct {
 
 	Columns []ViewColumn
 	// Key names the view columns that identify a row of a projection or
-	// join view (see viewKey): V's primary key when the setup creates
-	// indexes, and what the keyed combine deletes by. Nil for the other
-	// classes and for views whose rows have no key.
+	// join view (see viewKey): its group key, the other columns following
+	// from it. Nil for the other classes and for views whose rows have no
+	// key, which are grouped by all their columns.
 	Key []string
 	// storageCols caches the physical column layout (see StorageColumns).
 	storageCols []ViewColumn
@@ -239,9 +245,9 @@ func (c *Compilation) AggColumns() []ViewColumn {
 
 // StorageColumns returns the physical layout of the storage table: the
 // view columns with every AVG expanded into a SUM part and a COUNT part,
-// and, for an aggregate view that declares no COUNT(*), the hidden row
-// count. An aggregate view's storage thus holds one COUNT(*) column: its
-// first, which step 3 tests (emptyGroupColumn).
+// and, for a view that declares no COUNT(*), the hidden row count — a
+// projection or join row's weight. The storage thus holds one COUNT(*)
+// column: its first, which step 3 tests (emptyGroupColumn).
 func (c *Compilation) StorageColumns() []ViewColumn {
 	if c.storageCols != nil {
 		return c.storageCols
@@ -259,7 +265,7 @@ func (c *Compilation) StorageColumns() []ViewColumn {
 		counted = counted || col.HasAgg && col.Agg == expr.AggCountStar
 		c.storageCols = append(c.storageCols, col)
 	}
-	if !counted && (c.Class == ClassAggregate || c.Class == ClassJoinAggregate) {
+	if !counted {
 		c.storageCols = append(c.storageCols, ViewColumn{
 			Name: HiddenCountColumn, Type: sqltypes.TypeInt, Agg: expr.AggCountStar, HasAgg: true})
 	}
@@ -269,7 +275,8 @@ func (c *Compilation) StorageColumns() []ViewColumn {
 // exposedView returns the CREATE VIEW statement exposing the declared view
 // columns over the storage table. An AVG whose arguments are all NULL has
 // a count of 0 and reads NULL, as the query's AVG does: PostgreSQL fails a
-// division by zero where this engine reads NULL.
+// division by zero where this engine reads NULL. A projection or join view
+// reads each stored row as many times as its weight.
 func (c *Compilation) exposedView() *duckast.Raw {
 	var items []string
 	for _, col := range c.Columns {
@@ -280,8 +287,12 @@ func (c *Compilation) exposedView() *duckast.Raw {
 		}
 		items = append(items, col.Name)
 	}
+	from := c.Storage
+	if c.Class == ClassProjection || c.Class == ClassJoin {
+		from += ", generate_series(1, " + HiddenCountColumn + ")"
+	}
 	return &duckast.Raw{Text: fmt.Sprintf("CREATE VIEW %s AS SELECT %s FROM %s",
-		c.ViewName, strings.Join(items, ", "), c.Storage)}
+		c.ViewName, strings.Join(items, ", "), from)}
 }
 
 // Compiler compiles view definitions against a schema held by an embedded

@@ -83,21 +83,33 @@ func TestViewKey(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: key %s, want %s", c.def, got, c.want)
 		}
-		// A keyed view declares its key and deletes through it; a keyless one
-		// declares none and keeps the row-value delete (rowIn).
-		wantPK, wantDelete := "", "COALESCE(LENGTH(CAST("
-		if comp.Key != nil {
-			delta := "delta_join_kv"
-			if len(comp.Bases) == 1 {
-				delta = "(SELECT "
+		// Every view is grouped by its key, or by all its columns when it has
+		// none: the setup declares that key, step 2 folds into it and step 3
+		// deletes through it. Only a keyed view has other columns, which it
+		// carries from the delta's surviving rows (ivm_new).
+		key := viewColNames(comp.GroupColumns())
+		if comp.Key == nil && len(key) != len(comp.Columns) || len(key) != len(comp.Key) && comp.Key != nil {
+			t.Errorf("%s: grouped by %v, key %v", c.def, key, comp.Key)
+		}
+		delta := "delta_join_kv"
+		if len(comp.Bases) == 1 {
+			delta = "(SELECT "
+		}
+		list := strings.Join(key, ", ")
+		if setup := comp.SetupSQL(); !strings.Contains(setup, "_count BIGINT, UNIQUE NULLS NOT DISTINCT ("+list+"));") {
+			t.Errorf("%s: setup does not declare the key %s:\n%s", c.def, list, setup)
+		}
+		prop := comp.PropagateSQL()
+		for _, want := range []string{
+			"ON CONFLICT (" + list + ") DO UPDATE SET ",
+			"DELETE FROM kv_ivm_storage WHERE (" + groupKey(key) + " IN (SELECT " + list + " FROM " + delta,
+		} {
+			if !strings.Contains(prop, want) {
+				t.Errorf("%s: the script does not hold %q:\n%s", c.def, want, prop)
 			}
-			wantPK, wantDelete = "PRIMARY KEY ("+got+")", "DELETE FROM kv WHERE "+groupKey(comp.Key)+" IN (SELECT "+got+" FROM "+delta
 		}
-		if setup := comp.SetupSQL(); strings.Contains(setup, "PRIMARY KEY") != (wantPK != "") || !strings.Contains(setup, wantPK) {
-			t.Errorf("%s: setup does not declare the key %s:\n%s", c.def, got, setup)
-		}
-		if prop := comp.PropagateSQL(); !strings.Contains(prop, wantDelete) {
-			t.Errorf("%s: the script does not hold %q:\n%s", c.def, wantDelete, prop)
+		if carried := len(key) < len(comp.Columns); strings.Contains(prop, ") AS ivm_new ON ") != carried || strings.Contains(prop, "COALESCE(LENGTH(") {
+			t.Errorf("%s: carries other columns %v, and the combine is not that:\n%s", c.def, carried, prop)
 		}
 	}
 	// Aggregate classes keep their group key and no row key.
@@ -117,33 +129,43 @@ func parseSelect(t *testing.T, def string) *sqlparser.SelectStmt {
 }
 
 // TestKeyedGolden pins the whole compilation of a keyed projection view and
-// a keyed FK→PK join view: V declares the key, the join view fills its
-// join delta with the product rule's three terms, and steps 2–3 are the
-// keyed combine — delete the keys whose row nets below zero,
-// then insert the rows that net above it. The projection view's combine
-// reads its query over ΔT as a derived table, so that GROUP BY names
-// columns rather than expressions.
+// a keyed FK→PK join view: V's storage is grouped by the key with the row's
+// weight beside it (1 for every row the population inserts: the key is
+// unique), the join view fills its join delta with the product
+// rule's three terms, and step 2 is the one combine — the delta grouped by
+// the key, its signed weight added through ON CONFLICT, the other columns
+// taken from the key's surviving row (the rows that net above zero), a key
+// whose rows all net to zero left out — and step 3 deletes the retracted
+// keys whose weight reached zero. The projection view reads its query over
+// ΔT as a derived table, so that GROUP BY names columns rather than
+// expressions.
 func TestKeyedGolden(t *testing.T) {
 	db := keyedDB(t)
 	const net = "SUM(CASE WHEN _duckdb_ivm_multiplicity = TRUE THEN 1 ELSE -1 END)"
-	const bigDelta = "(SELECT oid AS oid, cid AS cid, amount AS amount, _duckdb_ivm_multiplicity FROM delta_orders WHERE (amount >= 250)) AS ivm_delta"
-	cases := []struct{ view, setup, prop string }{
+	const signed = "SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -1 ELSE 1 END) AS _duckdb_ivm_count"
+	const weight = "COALESCE(NULL, 0) + COALESCE(ivm_cte._duckdb_ivm_count, 0) AS _duckdb_ivm_count"
+	const bigDelta = "(SELECT oid AS oid, cid AS cid, amount AS amount, _duckdb_ivm_multiplicity FROM delta_orders WHERE (amount >= 250)) AS ivm_rows"
+	cases := []struct{ view, setup, populate, prop string }{
 		{"CREATE MATERIALIZED VIEW big_orders AS SELECT oid, cid, amount FROM orders WHERE amount >= 250",
 			`CREATE TABLE IF NOT EXISTS delta_orders (oid BIGINT, cid BIGINT, amount BIGINT, _duckdb_ivm_multiplicity BOOLEAN);
-CREATE TABLE IF NOT EXISTS big_orders (oid BIGINT, cid BIGINT, amount BIGINT, PRIMARY KEY (oid));`,
-			`DELETE FROM big_orders WHERE oid IN (SELECT oid FROM ` + bigDelta + ` GROUP BY oid, cid, amount HAVING NET < 0);
-INSERT INTO big_orders SELECT oid, cid, amount FROM ` + bigDelta + ` GROUP BY oid, cid, amount HAVING NET > 0;
+CREATE TABLE IF NOT EXISTS big_orders_ivm_storage (oid BIGINT, cid BIGINT, amount BIGINT, _duckdb_ivm_count BIGINT, UNIQUE NULLS NOT DISTINCT (oid));
+CREATE VIEW big_orders AS SELECT oid, cid, amount FROM big_orders_ivm_storage, generate_series(1, _duckdb_ivm_count);`,
+			`INSERT INTO big_orders_ivm_storage SELECT oid AS oid, cid AS cid, amount AS amount, 1 AS _duckdb_ivm_count FROM orders WHERE (amount >= 250);`,
+			`INSERT INTO big_orders_ivm_storage (oid, cid, amount, _duckdb_ivm_count) WITH ivm_cte AS (SELECT oid AS oid, SIGNED FROM ` + bigDelta + ` GROUP BY oid) SELECT ivm_cte.oid, ivm_new.cid, ivm_new.amount, WEIGHT FROM ivm_cte LEFT JOIN (SELECT oid, cid, amount FROM ` + bigDelta + ` GROUP BY oid, cid, amount HAVING NET > 0) AS ivm_new ON ivm_new.oid = ivm_cte.oid WHERE ivm_cte._duckdb_ivm_count <> 0 OR ivm_new.oid IS NOT NULL ON CONFLICT (oid) DO UPDATE SET cid = EXCLUDED.cid, amount = EXCLUDED.amount, _duckdb_ivm_count = COALESCE(big_orders_ivm_storage._duckdb_ivm_count, 0) + COALESCE(EXCLUDED._duckdb_ivm_count, 0);
+DELETE FROM big_orders_ivm_storage WHERE (oid IN (SELECT oid FROM ` + bigDelta + ` WHERE _duckdb_ivm_multiplicity = FALSE) OR oid IS NULL) AND _duckdb_ivm_count = 0;
 DELETE FROM delta_orders;`},
 		{"CREATE MATERIALIZED VIEW order_regions AS SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid",
 			`CREATE TABLE IF NOT EXISTS delta_orders (oid BIGINT, cid BIGINT, amount BIGINT, _duckdb_ivm_multiplicity BOOLEAN);
 CREATE TABLE IF NOT EXISTS delta_customers (cid BIGINT, region VARCHAR, _duckdb_ivm_multiplicity BOOLEAN);
-CREATE TABLE IF NOT EXISTS order_regions (oid BIGINT, region VARCHAR, amount BIGINT, PRIMARY KEY (oid));
+CREATE TABLE IF NOT EXISTS order_regions_ivm_storage (oid BIGINT, region VARCHAR, amount BIGINT, _duckdb_ivm_count BIGINT, UNIQUE NULLS NOT DISTINCT (oid));
+CREATE VIEW order_regions AS SELECT oid, region, amount FROM order_regions_ivm_storage, generate_series(1, _duckdb_ivm_count);
 CREATE TABLE IF NOT EXISTS delta_join_order_regions (oid BIGINT, region VARCHAR, amount BIGINT, _duckdb_ivm_multiplicity BOOLEAN);`,
+			`INSERT INTO order_regions_ivm_storage SELECT o.oid AS oid, c.region AS region, o.amount AS amount, 1 AS _duckdb_ivm_count FROM orders AS o JOIN customers AS c ON (o.cid = c.cid);`,
 			`INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, o._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN customers AS c ON (o.cid = c.cid);
 INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM orders AS o JOIN delta_customers AS c ON (o.cid = c.cid);
 INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, o._duckdb_ivm_multiplicity <> c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN delta_customers AS c ON (o.cid = c.cid);
-DELETE FROM order_regions WHERE oid IN (SELECT oid FROM delta_join_order_regions GROUP BY oid, region, amount HAVING NET < 0);
-INSERT INTO order_regions SELECT oid, region, amount FROM delta_join_order_regions GROUP BY oid, region, amount HAVING NET > 0;
+INSERT INTO order_regions_ivm_storage (oid, region, amount, _duckdb_ivm_count) WITH ivm_cte AS (SELECT oid AS oid, SIGNED FROM delta_join_order_regions GROUP BY oid) SELECT ivm_cte.oid, ivm_new.region, ivm_new.amount, WEIGHT FROM ivm_cte LEFT JOIN (SELECT oid, region, amount FROM delta_join_order_regions GROUP BY oid, region, amount HAVING NET > 0) AS ivm_new ON ivm_new.oid = ivm_cte.oid WHERE ivm_cte._duckdb_ivm_count <> 0 OR ivm_new.oid IS NOT NULL ON CONFLICT (oid) DO UPDATE SET region = EXCLUDED.region, amount = EXCLUDED.amount, _duckdb_ivm_count = COALESCE(order_regions_ivm_storage._duckdb_ivm_count, 0) + COALESCE(EXCLUDED._duckdb_ivm_count, 0);
+DELETE FROM order_regions_ivm_storage WHERE (oid IN (SELECT oid FROM delta_join_order_regions WHERE _duckdb_ivm_multiplicity = FALSE) OR oid IS NULL) AND _duckdb_ivm_count = 0;
 DELETE FROM delta_join_order_regions;
 DELETE FROM delta_orders;
 DELETE FROM delta_customers;`},
@@ -153,7 +175,10 @@ DELETE FROM delta_customers;`},
 		if got := strings.TrimSpace(comp.SetupSQL()); got != c.setup {
 			t.Errorf("setup of %s:\n got:\n%s\nwant:\n%s", comp.ViewName, got, c.setup)
 		}
-		prop := strings.ReplaceAll(c.prop, "NET", net)
+		if got := strings.TrimSpace(comp.PopulateSQLText()); got != c.populate {
+			t.Errorf("populate of %s:\n got:\n%s\nwant:\n%s", comp.ViewName, got, c.populate)
+		}
+		prop := strings.NewReplacer("NET", net, "SIGNED", signed, "WEIGHT", weight).Replace(c.prop)
 		if got := strings.TrimSpace(comp.PropagateSQL()); got != prop {
 			t.Errorf("propagate of %s:\n got:\n%s\nwant:\n%s", comp.ViewName, got, prop)
 		}

@@ -15,25 +15,26 @@ import (
 // where it uses it (deltaSource) — ΔT, or the join delta a two-table
 // view's script fills first from the product rule's three terms.
 //
-// Step 2  fold the delta into V (aggregates: Listing 2's upsert);
-// Step 3  delete invalidated rows from V (empty groups / deleted tuples);
+// Step 2  fold the delta into V (Listing 2's upsert, for every class);
+// Step 3  delete the groups whose row count reached zero;
 // Step 4  truncate the join delta and every ΔT.
 //
-// A keyed projection or join view does steps 2–3 as one combine whose
-// delete comes first (emitKeyedCombine).
+// A projection or join view is a grouped view too: its group key is its
+// Key, or all its columns, and its row count is each row's weight (DBSP's
+// Z-set), so one combine and one emptiness rule serve every class.
 func (c *Compiler) genPropagate(comp *Compilation) {
 	body := &duckast.Script{}
 	if comp.JoinDelta != "" {
 		fillJoinDelta(comp, body)
 	}
-	switch comp.Class {
-	case ClassProjection:
-		propProjection(comp, body)
-	case ClassJoin:
-		propJoin(comp, body)
-	default:
-		propAggregate(comp, body)
+	d := deltaOf(comp)
+	emitCombine(comp, body, d)
+	// MIN/MAX deletions cannot be combined incrementally: rescan-repair
+	// the affected groups from the base relation.
+	if comp.hasMinMax() {
+		emitMinMaxRepair(comp, body, d)
 	}
+	emitEmptyGroupDelete(comp, body, d)
 	comp.Body = body
 	// Propagate is Body's statement nodes followed by step 4: truncate the
 	// join delta, then every ΔT.
@@ -49,8 +50,9 @@ func (c *Compiler) genPropagate(comp *Compilation) {
 }
 
 // deltaSource is what a view's body reads its changes from: ΔT of a
-// single-table view through the view's WHERE, or the join delta of a
-// two-table view, whose rows passed the WHERE when it was filled.
+// single-table view through the view's WHERE (a projection view's rows
+// named as its columns, viewRows), or the join delta of a two-table view,
+// whose rows passed the WHERE when it was filled.
 type deltaSource struct {
 	from, where string
 	// expr is a view column's value over a row of from: a group key's or a
@@ -67,6 +69,10 @@ func deltaOf(comp *Compilation) deltaSource {
 	from := b.Delta
 	if b.Alias != b.Name {
 		from += " AS " + b.Alias
+	}
+	if comp.Class == ClassProjection {
+		return deltaSource{from: viewRows(comp, from, MultiplicityColumn),
+			expr: func(col ViewColumn) string { return col.Name }}
 	}
 	return deltaSource{from: from, where: whereSQL(comp),
 		expr: func(col ViewColumn) string { return col.SourceSQL }}
@@ -150,35 +156,7 @@ func whereSQL(comp *Compilation) string {
 	return sqlparser.ExprString(comp.Select.Where)
 }
 
-// --- projection views ------------------------------------------------------
-
-// propProjection emits the σ/π incremental form: the view's query over ΔT,
-// multiplicity carried through (DBSP: σ* = σ, π* = π).
-func propProjection(comp *Compilation, s *duckast.Script) {
-	d := deltaOf(comp)
-	srcs := d.exprs(comp.Columns)
-	if comp.Key != nil {
-		// The keyed combine groups by the view's columns, which are named
-		// over a derived table: a column of the query may be a constant,
-		// which GROUP BY would read as a position.
-		sel := &duckast.Select{Items: aliased(srcs, comp.Columns), From: &duckast.Raw{Text: d.rows("")}}
-		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: MultiplicityColumn}})
-		emitKeyedCombine(comp, s, "("+sel.SQL()+") AS ivm_delta")
-		return
-	}
-
-	// Step 2: insert the insertions (multiplicity TRUE).
-	s.Add(&duckast.Insert{Table: comp.ViewName, Select: &duckast.Select{
-		Items: aliased(srcs, comp.Columns), From: &duckast.Raw{Text: d.rows(MultiplicityColumn + " = TRUE")}}})
-
-	// Step 3: delete rows invalidated by FALSE multiplicity.
-	s.Add(&duckast.Delete{
-		Table: comp.ViewName,
-		Where: &duckast.Raw{Text: rowIn(viewColNames(comp.Columns), srcs, d.rows(MultiplicityColumn+" = FALSE"))},
-	})
-}
-
-// --- aggregate views -------------------------------------------------------
+// --- steps 2 and 3, every class ------------------------------------------
 
 // signedDeltaSQL renders the per-group signed total of one storage column
 // over the delta, whose rows give the aggregate's argument as arg (paper
@@ -215,19 +193,6 @@ func combineSQL(col ViewColumn, vc, dc string) string {
 	}
 }
 
-// propAggregate emits the GROUP BY incremental form (paper Listing 2) of an
-// aggregate or join-aggregate view over its delta source.
-func propAggregate(comp *Compilation, s *duckast.Script) {
-	d := deltaOf(comp)
-	emitCombine(comp, s, d)
-	// MIN/MAX deletions cannot be combined incrementally: rescan-repair
-	// the affected groups from the base relation.
-	if comp.hasMinMax() {
-		emitMinMaxRepair(comp, s, d)
-	}
-	emitEmptyGroupDelete(comp, s, d)
-}
-
 // emitCombine emits step 2: aggregate the delta per group with its signs
 // applied (ivm_cte, Listing 2 lines 6-10) and upsert the groups into V.
 // Listing 2 LEFT JOINs ivm_cte to V and INSERT OR REPLACEs the combined
@@ -236,6 +201,12 @@ func propAggregate(comp *Compilation, s *duckast.Script) {
 // group is inserted as combineSQL over no row of V, and a group V holds
 // folds its delta in through ON CONFLICT DO UPDATE — so the fold costs
 // what the delta costs.
+//
+// A keyed projection or join view's other columns are carried: they take
+// the values of the key's surviving row, the delta row that nets above
+// zero (netRows; a key has at most one, and one row per key reaches the
+// upsert, as ON CONFLICT needs). A key whose rows all net to zero changes
+// nothing, and is left out.
 func emitCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 	vName := comp.Storage
 	groups := comp.GroupColumns()
@@ -250,20 +221,49 @@ func emitCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 		cte.GroupBy = append(cte.GroupBy, &duckast.Raw{Text: g})
 	}
 	sel := &duckast.Select{CTEs: []duckast.CTE{{Name: "ivm_cte", Select: cte}}, From: &duckast.Raw{Text: "ivm_cte"}}
-	for _, g := range groupNames {
-		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Col{Table: "ivm_cte", Name: g}})
-	}
 	ins := &duckast.Insert{Table: vName, Columns: viewColNames(comp.StorageColumns()), Select: sel, ConflictKeys: groupNames}
+	carried := false
 	for _, col := range comp.StorageColumns() {
-		if col.IsGroupKey {
-			continue
+		switch {
+		case col.IsGroupKey:
+			sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Col{Table: "ivm_cte", Name: col.Name}})
+		case !col.HasAgg:
+			carried = true
+			sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Col{Table: "ivm_new", Name: col.Name}})
+			ins.Set = append(ins.Set, col.Name+" = EXCLUDED."+col.Name)
+		default:
+			cte.Items = append(cte.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: signedDeltaSQL(col, d.expr(col))}, Alias: col.Name})
+			sel.Items = append(sel.Items, duckast.SelectItem{
+				Expr: &duckast.Raw{Text: combineSQL(col, "NULL", "ivm_cte."+col.Name)}, Alias: col.Name})
+			ins.Set = append(ins.Set, col.Name+" = "+combineSQL(col, vName+"."+col.Name, "EXCLUDED."+col.Name))
 		}
-		cte.Items = append(cte.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: signedDeltaSQL(col, d.expr(col))}, Alias: col.Name})
-		sel.Items = append(sel.Items, duckast.SelectItem{
-			Expr: &duckast.Raw{Text: combineSQL(col, "NULL", "ivm_cte."+col.Name)}, Alias: col.Name})
-		ins.Set = append(ins.Set, col.Name+" = "+combineSQL(col, vName+"."+col.Name, "EXCLUDED."+col.Name))
+	}
+	if carried {
+		on := make([]string, len(groupNames))
+		for i, g := range groupNames {
+			on[i] = fmt.Sprintf("ivm_new.%s = ivm_cte.%s", g, g)
+		}
+		sel.From = &duckast.Raw{Text: fmt.Sprintf("ivm_cte LEFT JOIN (%s) AS ivm_new ON %s",
+			netRows(comp, d.rows("")).SQL(), strings.Join(on, " AND "))}
+		sel.Where = &duckast.Raw{Text: fmt.Sprintf("ivm_cte.%s <> 0 OR ivm_new.%s IS NOT NULL", emptyGroupColumn(comp), groupNames[0])}
 	}
 	s.Add(ins)
+}
+
+// netCount is a row's net multiplicity over a delta grouped by the view
+// columns.
+const netCount = "SUM(CASE WHEN " + MultiplicityColumn + " = TRUE THEN 1 ELSE -1 END)"
+
+// netRows is the per-row netting step of a keyed view's combine: the rows
+// of from, a delta over the view's columns, whose net multiplicity is above
+// zero — the rows the delta leaves in the view.
+func netRows(comp *Compilation, from string) *duckast.Select {
+	sel := &duckast.Select{From: &duckast.Raw{Text: from}, Having: &duckast.Raw{Text: netCount + " > 0"}}
+	for _, col := range comp.Columns {
+		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.Name}})
+		sel.GroupBy = append(sel.GroupBy, &duckast.Raw{Text: col.Name})
+	}
+	return sel
 }
 
 // emitGlobalCombine is step 2 of a view without GROUP BY. Such a view is
@@ -316,8 +316,8 @@ func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 		"%s JOIN (%s) AS ivm_deleted ON %s", from, del.SQL(), strings.Join(on, " AND ")))})
 }
 
-// emitEmptyGroupDelete emits step 3: delete the groups whose row count
-// reached zero. The count is the view's COUNT(*), declared or hidden
+// emitEmptyGroupDelete emits step 3: delete the groups whose row count —
+// for a projection or join view, a row's weight — reached zero. The count is the view's COUNT(*), declared or hidden
 // (StorageColumns), and no other column is tested: a SUM or a COUNT(col)
 // reaches zero in a group that still has rows. This departs on purpose
 // from Listing 2's `WHERE total_value = 0`, which drops a group whose SUM
@@ -429,59 +429,4 @@ func fillJoinDelta(comp *Compilation, s *duckast.Script) {
 	term(a.Delta+" AS "+a.Alias, named(b), ma)
 	term(named(a), b.Delta+" AS "+b.Alias, mb)
 	term(a.Delta+" AS "+a.Alias, b.Delta+" AS "+b.Alias, ma+" <> "+mb)
-}
-
-// propJoin emits steps 2–3 of a two-table equi-join view over its join
-// delta.
-func propJoin(comp *Compilation, s *duckast.Script) {
-	if comp.Key != nil {
-		emitKeyedCombine(comp, s, comp.JoinDelta)
-		return
-	}
-	// Step 2: net the join delta per row (the compensation term produces
-	// cancelling pairs even for insert-only workloads) and apply
-	// insertions.
-	names := viewColNames(comp.Columns)
-	s.Add(&duckast.Insert{Table: comp.ViewName, Select: netRows(comp, comp.JoinDelta, names, "> 0")})
-
-	// Step 3: apply net deletions.
-	s.Add(&duckast.Delete{
-		Table: comp.ViewName,
-		Where: &duckast.Raw{Text: rowIn(names, names, fmt.Sprintf("%s GROUP BY %s HAVING %s < 0",
-			comp.JoinDelta, strings.Join(names, ", "), netCount))},
-	})
-}
-
-// netCount is a row's net multiplicity over a delta grouped by the view
-// columns.
-const netCount = "SUM(CASE WHEN " + MultiplicityColumn + " = TRUE THEN 1 ELSE -1 END)"
-
-// netRows selects cols of the rows of from, a delta over the view's
-// columns, whose net multiplicity satisfies cmp ("> 0": inserted, "< 0":
-// retracted).
-func netRows(comp *Compilation, from string, cols []string, cmp string) *duckast.Select {
-	sel := &duckast.Select{From: &duckast.Raw{Text: from},
-		Having: &duckast.Raw{Text: netCount + " " + cmp}}
-	for _, n := range cols {
-		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: n}})
-	}
-	for _, col := range comp.Columns {
-		sel.GroupBy = append(sel.GroupBy, &duckast.Raw{Text: col.Name})
-	}
-	return sel
-}
-
-// emitKeyedCombine emits steps 2–3 of a keyed projection or join view over
-// from, a delta over the view's columns: delete, through V's key, every key
-// whose row nets below zero, then insert the rows that net above zero.
-// Rows are unique per key, so a key nets to at most one retracted and one
-// inserted row; a row retracted and re-inserted unchanged nets to nothing,
-// and deleting first keeps the INSERT free of key conflicts.
-func emitKeyedCombine(comp *Compilation, s *duckast.Script, from string) {
-	s.Add(&duckast.Delete{
-		Table: comp.ViewName,
-		Where: &duckast.Raw{Text: fmt.Sprintf("%s IN (%s)",
-			groupKey(comp.Key), netRows(comp, from, comp.Key, "< 0").SQL())},
-	})
-	s.Add(&duckast.Insert{Table: comp.ViewName, Select: netRows(comp, from, viewColNames(comp.Columns), "> 0")})
 }

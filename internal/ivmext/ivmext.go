@@ -893,6 +893,9 @@ func (w *readWalk) ref(tr sqlparser.TableRef) {
 		w.ref(t.Left)
 		w.ref(t.Right)
 		w.expr(t.On)
+	case *sqlparser.SeriesTable:
+		w.expr(t.Lo)
+		w.expr(t.Hi)
 	}
 }
 

@@ -334,6 +334,11 @@ func TestCombineRepros(t *testing.T) {
 			"SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k",
 			[]step{{"INSERT OR REPLACE INTO t VALUES (1, 'b', 7)", "b|13|2"},
 				{"INSERT INTO t VALUES (2, 'c', 0) ON CONFLICT (id) DO UPDATE SET k = EXCLUDED.k", "b|7|1 c|6|1"}}},
+		// Step 2 lists V's columns in storage order: an aggregate before
+		// its group key once received the key's value.
+		{"aggregate_before_group_key", "t (k VARCHAR, v INTEGER)", "('a', 1)",
+			"SELECT SUM(v) AS s, k FROM t GROUP BY k",
+			[]step{{"INSERT INTO t VALUES ('b', 2), ('a', 5)", "2|b 6|a"}}},
 		{"bigint_groups", "t (k INTEGER, v INTEGER)", "(9007199254740992, 1)",
 			"SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k",
 			[]step{{"INSERT INTO t VALUES (9007199254740993, 2)", "9007199254740992|1|1 9007199254740993|2|1"},

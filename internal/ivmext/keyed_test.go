@@ -37,9 +37,11 @@ func TestProjectionReinsertKeepsRow(t *testing.T) {
 }
 
 // TestExplainKeyedBody: every statement of a keyed view's body explains —
-// the join view's fill of its join delta, then steps 2–3 — and step 2
-// deletes through V's key, for a projection (which reads ΔT, no fill) and
-// a FK→PK join view, as does a point read of V.
+// the join view's fill of its join delta, then steps 2–3 — for a
+// projection (which reads ΔT, no fill) and a FK→PK join view: step 2
+// upserts V's storage, step 3 deletes through its key, and a point read of
+// V, through the plain view that repeats each row by its weight, is a key
+// probe of the storage.
 func TestExplainKeyedBody(t *testing.T) {
 	db := engine.Open("keyedbody", engine.DialectDuckDB)
 	ext := Install(db)
@@ -55,7 +57,7 @@ func TestExplainKeyedBody(t *testing.T) {
 		for i := 0; i < terms; i++ {
 			want = append(want, "Insert delta_join_"+view)
 		}
-		want = append(want, "KeyedDelete "+view+"[pk] keys=IN(subquery)", "Insert "+view)
+		want = append(want, "Upsert "+view+"_ivm_storage", "KeyedDelete "+view+"_ivm_storage[pk] keys=IN(subquery)")
 		var got []string
 		for _, stmt := range comp.Body.Stmts {
 			got = append(got, mustExec(t, db, "EXPLAIN "+stmt.SQL()).Rows[0][0].S)
@@ -64,7 +66,7 @@ func TestExplainKeyedBody(t *testing.T) {
 			t.Errorf("%s body explains as\n%s\nwant\n%s", view, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 		read := fmt.Sprint(mustExec(t, db, "EXPLAIN SELECT * FROM "+view+" WHERE oid = 5").Rows)
-		if !strings.Contains(read, " KeyedScan "+view+"[pk] keys=1 ") {
+		if !strings.Contains(read, " KeyedScan "+view+"_ivm_storage[pk] keys=1 ") {
 			t.Errorf("point read of %s: %s", view, read)
 		}
 	}

@@ -1,8 +1,9 @@
 // Package optimizer rewrites bound logical plans before execution: it folds
 // constant sub-expressions, places each predicate conjunct as far down the
 // plan as it may legally go (through joins and column-renaming projections
-// to the scans), drops column-identity projections below the root, and
-// narrows the columns a scan emits.
+// to the scans), drops column-identity projections below the root, folds a
+// column-selecting projection into the one below it, drops the integer of
+// a generate_series nothing reads, and narrows the columns a scan emits.
 package optimizer
 
 import (
@@ -21,6 +22,7 @@ import (
 func Optimize(n plan.Node) plan.Node {
 	n = rewrite(n, FoldConstants)
 	n = place(n, nil, true)
+	n = rewrite(n, func(n plan.Node) plan.Node { return PruneSeriesColumn(MergeProjects(n)) })
 	return rewrite(n, PruneScanColumns)
 }
 
@@ -37,6 +39,8 @@ func rewrite(n plan.Node, rule func(plan.Node) plan.Node) plan.Node {
 		x.Left = rewrite(x.Left, rule)
 		x.Right = rewrite(x.Right, rule)
 	case *plan.Distinct:
+		x.Input = rewrite(x.Input, rule)
+	case *plan.Series:
 		x.Input = rewrite(x.Input, rule)
 	case *plan.Sort:
 		x.Input = rewrite(x.Input, rule)
@@ -118,6 +122,8 @@ func isLit(e expr.Expr) bool {
 //     (right), preserved side, and a conjunct of the ON condition only into
 //     the other, null-supplying side;
 //   - through a FULL join, nowhere;
+//   - through generate_series, to its input when it does not read the
+//     series' column;
 //   - into a scan, as its filter — evaluated on every row the scan reads,
 //     a key pin (plan.PinnedKeys), or the filter an index join applies to
 //     what it fetches.
@@ -165,6 +171,21 @@ func place(n plan.Node, conj []expr.Expr, root bool) plan.Node {
 		return filter(n, kept)
 	case *plan.Join:
 		return filter(placeJoin(x, conj))
+	case *plan.Series:
+		// A conjunct that does not read the series' column goes to the
+		// input, whose row each of the series' rows repeats.
+		w := len(x.Input.Schema())
+		var moving, kept []expr.Expr
+		for _, c := range conj {
+			if readsFrom(c, w) {
+				kept = append(kept, c)
+			} else {
+				moving = append(moving, c)
+			}
+		}
+		s := *x
+		s.Input = place(x.Input, moving, false)
+		return filter(&s, kept)
 	case *plan.Scan:
 		// A scan's filter reads the full row: one already narrowed keeps
 		// the conjuncts above it.
@@ -367,6 +388,67 @@ func mapColumns(e expr.Expr, col func(*expr.Column) *expr.Column) expr.Expr {
 		return nil
 	}
 	return out
+}
+
+// MergeProjects folds a Project that only selects columns into the
+// Project below it, so a row is built once: the root of a read of a view,
+// over the view's own select list, becomes that select list renamed. An
+// expression of the lower Project that is not stateless stays where it is
+// evaluated once per row.
+func MergeProjects(n plan.Node) plan.Node {
+	p, ok := n.(*plan.Project)
+	if !ok {
+		return n
+	}
+	in, ok := p.Input.(*plan.Project)
+	if !ok {
+		return n
+	}
+	exprs := make([]expr.Expr, len(p.Exprs))
+	for i, e := range p.Exprs {
+		c, ok := e.(*expr.Column)
+		if !ok || !expr.Stateless(in.Exprs[c.Idx]) {
+			return n
+		}
+		exprs[i] = in.Exprs[c.Idx]
+	}
+	return &plan.Project{Input: in.Input, Exprs: exprs, Cols: p.Cols}
+}
+
+// PruneSeriesColumn makes bare the generate_series under a Project that
+// does not read its integer: each row it emits is then its input row,
+// repeated, not copied (a projection or join view read by weight).
+func PruneSeriesColumn(n plan.Node) plan.Node {
+	p, ok := n.(*plan.Project)
+	if !ok {
+		return n
+	}
+	s, ok := p.Input.(*plan.Series)
+	if !ok || s.Bare {
+		return n
+	}
+	for _, e := range p.Exprs {
+		if readsFrom(e, len(s.Input.Schema())) {
+			return n
+		}
+	}
+	bare := *s
+	bare.Bare = true
+	out := *p
+	out.Input = &bare
+	return &out
+}
+
+// readsFrom reports whether e reads a column at position w or after it:
+// the integer of a generate_series over a w-column input.
+func readsFrom(e expr.Expr, w int) bool {
+	read := false
+	expr.Walk(e, func(x expr.Expr) {
+		if c, ok := x.(*expr.Column); ok && c.Idx >= w {
+			read = true
+		}
+	})
+	return read
 }
 
 // PruneScanColumns narrows the scan under a Project that uses a subset of

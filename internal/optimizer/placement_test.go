@@ -114,6 +114,10 @@ func placementQueries() []string {
 		"SELECT * FROM d LEFT JOIN c ON d.k = c.k AND c.z > 1",
 		"SELECT * FROM c JOIN d ON c.k = d.k WHERE c.k = $1",
 		"SELECT * FROM d JOIN c ON d.k = c.k WHERE c.k IN (1, 2, 3) AND d.w > 0",
+		"SELECT x1, k, x1 FROM (SELECT k, x + 1 AS x1 FROM a WHERE s = 'p') sa WHERE sa.k > 0",
+		"SELECT sa.k, g FROM (SELECT k, x FROM a) sa, generate_series(1, sa.x) AS g WHERE sa.k = 1 AND g > 1",
+		"SELECT k, s FROM a, generate_series(0, x) WHERE x < 3",
+		"SELECT u.k, u.y FROM (SELECT k, y FROM b, generate_series(1, k)) u JOIN c ON u.k = c.k WHERE c.z > 0",
 	)
 }
 
@@ -207,6 +211,15 @@ func TestPlacementExplain(t *testing.T) {
 		// Through a subquery's renaming Project, not past a computed column.
 		{"SELECT * FROM (SELECT k, x + 1 AS x1 FROM a) sa JOIN b ON sa.k = b.k WHERE sa.x1 > 2 AND sa.k = 1",
 			"Project k, x1, k, y, s\n  HashJoin build=right JOIN (keys: [0]=[0])\n    Filter (x1 > 2)\n      Project k, (x + 1)\n        Scan a [filter: (k = 1)]\n    Scan b\n"},
+		// A Project that only selects columns folds into the one below it.
+		{"SELECT x1, k FROM (SELECT k, x + 1 AS x1 FROM a) sa",
+			"Project (x + 1), k\n  Scan a\n"},
+		// Below generate_series goes what does not read its integer; a
+		// series whose integer nothing reads repeats its input rows.
+		{"SELECT k FROM a, generate_series(1, x) AS g WHERE a.s = 'p' AND g > 1",
+			"Project k\n  Filter (g > 1)\n    Series g = generate_series(1, x)\n      Scan a [filter: (s = 'p')]\n"},
+		{"SELECT k FROM a, generate_series(1, x) AS g WHERE a.s = 'p'",
+			"Project k\n  Series g = generate_series(1, x) [bare]\n    Scan a [filter: (s = 'p')]\n"},
 		// A subquery stays in its Filter.
 		{"SELECT * FROM a JOIN b ON a.k = b.k WHERE b.k IN (SELECT k FROM c) AND b.y = 1",
 			"Project k, x, s, k, y, s\n  Filter (k IN (<subquery>))\n    HashJoin build=right JOIN (keys: [0]=[0])\n      Scan a\n      Scan b [filter: (y = 1)]\n"},

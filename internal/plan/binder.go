@@ -255,8 +255,39 @@ func (b *Binder) bindTableRef(tr sqlparser.TableRef) (Node, error) {
 		return renameBinding(n, alias), nil
 	case *sqlparser.JoinTable:
 		return b.bindJoin(t)
+	case *sqlparser.SeriesTable:
+		return b.bindSeries(&Values{Rows: [][]expr.Expr{{}}}, t)
 	}
 	return nil, fmt.Errorf("plan: unsupported table reference %T", tr)
+}
+
+// bindSeries binds generate_series(lo, hi) as the FROM item to the right of
+// input: its bounds read input's columns. Its one column is named by its
+// alias, else generate_series, as PostgreSQL names it.
+func (b *Binder) bindSeries(input Node, t *sqlparser.SeriesTable) (Node, error) {
+	name := t.Alias
+	if name == "" {
+		name = "generate_series"
+	}
+	bound := func(e sqlparser.Expr) (expr.Expr, error) {
+		x, err := b.bindExpr(e, input.Schema(), false)
+		if err != nil {
+			return nil, err
+		}
+		if typ := x.Type(); typ != sqltypes.TypeInt && typ != sqltypes.TypeNull && typ != sqltypes.TypeAny {
+			return nil, fmt.Errorf("plan: generate_series bound %s is %s, not INTEGER", x, typ)
+		}
+		return x, nil
+	}
+	s := &Series{Input: input, Col: ColumnInfo{Table: name, Name: name, Type: sqltypes.TypeInt}}
+	var err error
+	if s.Lo, err = bound(t.Lo); err != nil {
+		return nil, err
+	}
+	if s.Hi, err = bound(t.Hi); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 func (b *Binder) bindNamedTable(t *sqlparser.NamedTable) (Node, error) {
@@ -301,6 +332,12 @@ func (b *Binder) bindJoin(jt *sqlparser.JoinTable) (Node, error) {
 	left, err := b.bindTableRef(jt.Left)
 	if err != nil {
 		return nil, err
+	}
+	if st, ok := jt.Right.(*sqlparser.SeriesTable); ok {
+		if jt.Kind != sqlparser.JoinCross {
+			return nil, fmt.Errorf("plan: generate_series joins only by a comma or CROSS JOIN")
+		}
+		return b.bindSeries(left, st)
 	}
 	right, err := b.bindTableRef(jt.Right)
 	if err != nil {

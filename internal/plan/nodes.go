@@ -251,6 +251,40 @@ func (j *Join) Describe() string {
 	return d
 }
 
+// Series is generate_series(Lo, Hi) in FROM: each row of Input once for
+// every integer i from Lo through Hi, with i appended as Col. Lo and Hi are
+// bound against Input's row, so they may read the columns of the FROM items
+// to the series' left; a NULL bound, or Lo > Hi, yields no row. Bare
+// series emit no Col: each of their rows is the input row itself, repeated
+// (the optimizer sets it where nothing reads Col).
+type Series struct {
+	Input  Node
+	Lo, Hi expr.Expr
+	Col    ColumnInfo
+	Bare   bool
+}
+
+// Schema implements Node.
+func (s *Series) Schema() []ColumnInfo {
+	in := s.Input.Schema()
+	if s.Bare {
+		return in
+	}
+	return append(in[:len(in):len(in)], s.Col)
+}
+
+// Children implements Node.
+func (s *Series) Children() []Node { return []Node{s.Input} }
+
+// Describe implements Node.
+func (s *Series) Describe() string {
+	d := "Series " + s.Col.Name + " = generate_series(" + s.Lo.String() + ", " + s.Hi.String() + ")"
+	if s.Bare {
+		d += " [bare]"
+	}
+	return d
+}
+
 // Distinct removes duplicate rows.
 type Distinct struct{ Input Node }
 

@@ -149,6 +149,14 @@ type SubqueryTable struct {
 	Alias  string
 }
 
+// SeriesTable is generate_series(Lo, Hi) [AS Alias] in FROM: one row per
+// integer from Lo through Hi. Its arguments may read the columns of the
+// FROM items to its left, as PostgreSQL's functions in FROM may.
+type SeriesTable struct {
+	Lo, Hi Expr
+	Alias  string
+}
+
 // JoinTable is an explicit join between two table refs.
 type JoinTable struct {
 	Kind  JoinKind
@@ -189,6 +197,7 @@ func (k JoinKind) String() string {
 
 func (*NamedTable) tableRef()    {}
 func (*SubqueryTable) tableRef() {}
+func (*SeriesTable) tableRef()   {}
 func (*JoinTable) tableRef()     {}
 
 // OrderItem is one ORDER BY element.
@@ -254,12 +263,13 @@ type ColumnDef struct {
 	Default    Expr
 }
 
-// CreateTableStmt is CREATE TABLE [IF NOT EXISTS] name (cols..., [PRIMARY KEY(...)]).
+// CreateTableStmt is CREATE TABLE [IF NOT EXISTS] name (cols..., [PRIMARY
+// KEY (...) | UNIQUE NULLS NOT DISTINCT (...)]).
 type CreateTableStmt struct {
 	Name        string
 	IfNotExists bool
 	Columns     []ColumnDef
-	PrimaryKey  []string // table-level primary key columns
+	PrimaryKey  []string // the key's columns, column-level or table-level
 	AsSelect    *SelectStmt
 }
 

@@ -7,8 +7,9 @@
 package sqlparser
 
 import (
-	"fmt"
 	"strings"
+
+	"openivm/internal/enginerr"
 )
 
 // TokenKind classifies lexical tokens.
@@ -106,13 +107,13 @@ func (l *Lexer) Next() (Token, error) {
 	case c == '"': // quoted identifier
 		text, ok := l.quoted('"')
 		if !ok {
-			return Token{}, fmt.Errorf("sqlparser: unterminated quoted identifier at %d", start)
+			return Token{}, enginerr.Newf(enginerr.CodeSyntaxError, "sqlparser: unterminated quoted identifier at %d", start)
 		}
 		return Token{Kind: TokIdent, Text: text, Pos: start}, nil
 	case c == '\'':
 		text, ok := l.quoted('\'')
 		if !ok {
-			return Token{}, fmt.Errorf("sqlparser: unterminated string literal at %d", start)
+			return Token{}, enginerr.Newf(enginerr.CodeSyntaxError, "sqlparser: unterminated string literal at %d", start)
 		}
 		return Token{Kind: TokString, Text: text, Pos: start}, nil
 	case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
@@ -161,7 +162,7 @@ func (l *Lexer) Next() (Token, error) {
 		l.pos++
 		return Token{Kind: TokOp, Text: op, Pos: start}, nil
 	}
-	return Token{}, fmt.Errorf("sqlparser: unexpected character %q at %d", string(c), start)
+	return Token{}, enginerr.Newf(enginerr.CodeSyntaxError, "sqlparser: unexpected character %q at %d", string(c), start)
 }
 
 // opText holds the text of each one-byte operator, "" for other bytes.

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"openivm/internal/enginerr"
 	"openivm/internal/sqltypes"
 )
 
@@ -141,7 +142,7 @@ func (p *Parser) ident() (string, error) {
 func (p *Parser) errorf(format string, args ...any) error {
 	pos := p.peek().Pos
 	line := 1 + strings.Count(p.src[:min(pos, len(p.src))], "\n")
-	return fmt.Errorf("sqlparser: line %d (offset %d): %s", line, pos, fmt.Sprintf(format, args...))
+	return enginerr.Newf(enginerr.CodeSyntaxError, "sqlparser: line %d (offset %d): %s", line, pos, fmt.Sprintf(format, args...))
 }
 
 func min(a, b int) int {
@@ -298,9 +299,14 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 		return nil, err
 	}
 	for {
-		if p.acceptKw("PRIMARY") {
-			if err := p.expectKw("KEY"); err != nil {
-				return nil, err
+		// A table-level PRIMARY KEY (…) or UNIQUE NULLS NOT DISTINCT (…) is
+		// the table's key. Either admits a NULL, and two NULLs are equal
+		// under it, as PostgreSQL's NULLS NOT DISTINCT makes them.
+		if key, err := p.tableKeyClause(); err != nil {
+			return nil, err
+		} else if key {
+			if len(st.PrimaryKey) > 0 {
+				return nil, p.errorf("a table has one key")
 			}
 			if err := p.expectOp("("); err != nil {
 				return nil, err
@@ -336,6 +342,25 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 		return nil, err
 	}
 	return st, nil
+}
+
+// tableKeyClause accepts PRIMARY KEY or UNIQUE NULLS NOT DISTINCT, the
+// words before a table key's column list.
+func (p *Parser) tableKeyClause() (bool, error) {
+	switch {
+	case p.acceptKw("PRIMARY"):
+		return true, p.expectKw("KEY")
+	case p.acceptKw("UNIQUE"):
+		if t := p.next(); t.Kind != TokIdent || !strings.EqualFold(t.Text, "NULLS") {
+			p.pos--
+			return false, p.errorf("expected NULLS NOT DISTINCT after UNIQUE, got %q", t.Text)
+		}
+		if err := p.expectKw("NOT"); err != nil {
+			return false, err
+		}
+		return true, p.expectKw("DISTINCT")
+	}
+	return false, nil
 }
 
 func (p *Parser) parseColumnDef() (ColumnDef, error) {
@@ -1055,6 +1080,9 @@ func (p *Parser) parseTablePrimary() (TableRef, error) {
 	if err != nil {
 		return nil, err
 	}
+	if p.isOp("(") {
+		return p.parseSeries(name)
+	}
 	nt := &NamedTable{}
 	if i := strings.LastIndexByte(name, '.'); i >= 0 {
 		nt.Schema, nt.Name = name[:i], name[i+1:]
@@ -1071,6 +1099,37 @@ func (p *Parser) parseTablePrimary() (TableRef, error) {
 		nt.Alias = p.next().Text
 	}
 	return nt, nil
+}
+
+// parseSeries parses the argument list and alias of a function in FROM,
+// whose name has been read: generate_series(lo, hi) is the only one.
+func (p *Parser) parseSeries(name string) (TableRef, error) {
+	if !strings.EqualFold(name, "generate_series") {
+		return nil, p.errorf("unsupported table function %q", name)
+	}
+	p.pos++ // (
+	st := &SeriesTable{}
+	var err error
+	if st.Lo, err = p.parseExpr(); err != nil {
+		return nil, err
+	}
+	if err := p.expectOp(","); err != nil {
+		return nil, err
+	}
+	if st.Hi, err = p.parseExpr(); err != nil {
+		return nil, err
+	}
+	if err := p.expectOp(")"); err != nil {
+		return nil, err
+	}
+	if p.acceptKw("AS") {
+		if st.Alias, err = p.ident(); err != nil {
+			return nil, err
+		}
+	} else if p.peek().Kind == TokIdent {
+		st.Alias = p.next().Text
+	}
+	return st, nil
 }
 
 // --- expressions (Pratt) ---

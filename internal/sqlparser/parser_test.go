@@ -576,3 +576,43 @@ func TestParseIsDistinctFrom(t *testing.T) {
 		}
 	}
 }
+
+// TestParseUniqueNullsNotDistinct: UNIQUE NULLS NOT DISTINCT (…) is the
+// table's key, as a table-level PRIMARY KEY (…) is; a table has one key,
+// and a bare UNIQUE (…) is not one.
+func TestParseUniqueNullsNotDistinct(t *testing.T) {
+	ct := mustParse(t, "CREATE TABLE v (k VARCHAR, j INTEGER, n BIGINT, unique nulls not distinct (k, j))").(*CreateTableStmt)
+	if strings.Join(ct.PrimaryKey, ",") != "k,j" || len(ct.Columns) != 3 {
+		t.Errorf("key %v, %d columns", ct.PrimaryKey, len(ct.Columns))
+	}
+	for _, sql := range []string{
+		"CREATE TABLE v (k VARCHAR, UNIQUE (k))",
+		"CREATE TABLE v (k VARCHAR, UNIQUE NULLS DISTINCT (k))",
+		"CREATE TABLE v (k VARCHAR PRIMARY KEY, UNIQUE NULLS NOT DISTINCT (k))",
+		"CREATE TABLE v (k VARCHAR, PRIMARY KEY (k), PRIMARY KEY (k))",
+	} {
+		if _, err := Parse(sql); err == nil {
+			t.Errorf("%s: accepted", sql)
+		}
+	}
+}
+
+// TestParseGenerateSeries: generate_series(lo, hi) [AS alias] is a FROM
+// item whose bounds are expressions; no other function is one.
+func TestParseGenerateSeries(t *testing.T) {
+	sel := mustSelect(t, "SELECT k FROM t, generate_series(1, n + 1) AS g")
+	jt, ok := sel.From.(*JoinTable)
+	if !ok || jt.Kind != JoinCross {
+		t.Fatalf("from = %#v", sel.From)
+	}
+	st, ok := jt.Right.(*SeriesTable)
+	if !ok || st.Alias != "g" || ExprString(st.Lo) != "1" || ExprString(st.Hi) != "(n + 1)" {
+		t.Fatalf("series = %#v", jt.Right)
+	}
+	if st, ok := mustSelect(t, "SELECT * FROM GENERATE_SERIES(1, 3)").From.(*SeriesTable); !ok || st.Alias != "" {
+		t.Errorf("from = %#v", st)
+	}
+	if _, err := Parse("SELECT * FROM unnest(1, 2)"); err == nil {
+		t.Error("a function other than generate_series accepted in FROM")
+	}
+}

@@ -124,3 +124,19 @@ func TestStatsActiveTxn(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSyntaxErrorCodeOverWire: a statement the parser cannot read answers
+// with SQLSTATE 42601 in the response's code, as PostgreSQL's syntax_error.
+func TestSyntaxErrorCodeOverWire(t *testing.T) {
+	_, c := startServer(t)
+	if err := c.sendRequest(&Request{Op: opExec, SQL: "SELEC 1"}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.readResponse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Error == "" || resp.Code != enginerr.CodeSyntaxError {
+		t.Fatalf("SELEC 1 answers %q with code %q, want code 42601", resp.Error, resp.Code)
+	}
+}
