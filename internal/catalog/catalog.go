@@ -93,11 +93,6 @@ type Table struct {
 	pkCols  []int
 	pkIndex slottab.Table
 
-	// nullKey remembers that a stored version holds a NULL in a key column;
-	// the slots below nullKeyScanned are known to hold none (HasNullKey).
-	nullKey        bool
-	nullKeyScanned int
-
 	// Write-path scratch buffers, guarded by mu (exclusive lock): every
 	// writer serializes, so per-row key encoding reuses one buffer instead
 	// of allocating.
@@ -375,25 +370,6 @@ func (t *Table) HasPrimaryKey() bool { return len(t.pkCols) > 0 }
 
 // PrimaryKeyColumns returns the PK column positions.
 func (t *Table) PrimaryKeyColumns() []int { return t.pkCols }
-
-// HasNullKey reports whether a stored version may hold a NULL in a
-// primary-key column. `key IN (...)` can never select such a row, so a
-// statement that also asks for them (`OR key IS NULL`) has to scan while
-// this is true. Only the slots appended since the last call are looked at
-// — a row keeps its key for as long as it keeps its slot — and the answer
-// stays true until the row arrays are rebuilt (truncate, compaction).
-func (t *Table) HasNullKey() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for ; !t.nullKey && t.nullKeyScanned < len(t.rows); t.nullKeyScanned++ {
-		if r := t.rows[t.nullKeyScanned]; r != nil {
-			for _, p := range t.pkCols {
-				t.nullKey = t.nullKey || r[p].IsNull()
-			}
-		}
-	}
-	return t.nullKey
-}
 
 // PrimaryKeyColumnNames returns the PK column names in key order.
 func (t *Table) PrimaryKeyColumnNames() []string {
@@ -1146,7 +1122,6 @@ func (t *Table) resetLocked() {
 	t.vers = nil
 	t.live = 0
 	t.abortHoles = 0
-	t.nullKey, t.nullKeyScanned = false, 0
 	t.pkIndex.Reset()
 	for _, idx := range t.indexes {
 		idx.slots = map[string][]int{}
@@ -1434,7 +1409,6 @@ func (t *Table) compactLocked(watermark uint64) {
 	t.pkIndex.Remap(newSlot)
 	t.rows = rows
 	t.vers = vers
-	t.nullKey, t.nullKeyScanned = false, 0
 	for _, idx := range t.indexes {
 		idx.slots = map[string][]int{}
 	}

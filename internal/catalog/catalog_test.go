@@ -225,59 +225,6 @@ func TestDeletePred(t *testing.T) {
 	}
 }
 
-// TestHasNullKey: the table knows whether a key column holds a NULL by
-// looking at each appended slot once; the answer is kept until the row
-// arrays are rebuilt.
-func TestHasNullKey(t *testing.T) {
-	c := New()
-	raw, err := c.CreateTable("v", []Column{
-		{Name: "g", Type: sqltypes.TypeString},
-		{Name: "h", Type: sqltypes.TypeInt},
-		{Name: "n", Type: sqltypes.TypeInt},
-	}, []string{"g", "h"}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := autoTable{raw}
-	vrow := func(g sqltypes.Value, h, n int64) sqltypes.Row {
-		return sqltypes.Row{g, sqltypes.NewInt(h), sqltypes.NewInt(n)}
-	}
-	if tbl.HasNullKey() {
-		t.Error("an empty table reports a NULL key")
-	}
-	for i := int64(0); i < 40; i++ {
-		tbl.Insert(vrow(sqltypes.NewString("a"), i, 1))
-	}
-	if tbl.HasNullKey() || tbl.nullKeyScanned != 40 {
-		t.Errorf("40 whole keys: NULL key %v, %d slots looked at", tbl.nullKey, tbl.nullKeyScanned)
-	}
-	tbl.Upsert(vrow(sqltypes.NewString("a"), 3, 2)) // a new version of a whole key
-	tbl.Upsert(vrow(sqltypes.Null, 7, 1))
-	if !tbl.HasNullKey() {
-		t.Error("the NULL-keyed row went unseen")
-	}
-	// Deleting the row does not rebuild anything: the answer stays.
-	tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[0].IsNull(), nil })
-	if !tbl.HasNullKey() {
-		t.Error("the answer changed without a rebuild")
-	}
-	// Compaction (most slots dead) and truncation start over.
-	tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[1].I > 1, nil })
-	tbl.mv.Vacuum()
-	if len(tbl.rows) != 2 || tbl.HasNullKey() {
-		t.Errorf("after compaction: %d slots, NULL key %v", len(tbl.rows), tbl.nullKey)
-	}
-	tbl.Upsert(vrow(sqltypes.NewString("b"), 0, 1))
-	tbl.Upsert(vrow(sqltypes.Null, 0, 1))
-	if !tbl.HasNullKey() {
-		t.Error("the NULL-keyed row after compaction went unseen")
-	}
-	tbl.Truncate()
-	if tbl.HasNullKey() {
-		t.Error("a truncated table reports a NULL key")
-	}
-}
-
 // TestKeySetCandidates: DeleteTxn and UpdateTxn confined to a key set
 // visit, in slot order, the version of each key their snapshot sees — once
 // for a key listed twice, never for an absent key — and call the predicate

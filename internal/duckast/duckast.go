@@ -132,15 +132,20 @@ func (ins *Insert) SQL() string {
 	return sb.String()
 }
 
-// Delete emits DELETE FROM.
+// Delete emits DELETE FROM, with the FROM item Using as its USING clause
+// when set.
 type Delete struct {
 	Table string
+	Using Node
 	Where Node // nil = delete all
 }
 
 // SQL implements Node.
 func (del *Delete) SQL() string {
 	s := "DELETE FROM " + del.Table
+	if del.Using != nil {
+		s += " USING " + del.Using.SQL()
+	}
 	if del.Where != nil {
 		s += " WHERE " + del.Where.SQL()
 	}

@@ -78,6 +78,10 @@ func TestDeleteSQL(t *testing.T) {
 	if got := d2.SQL(); got != "DELETE FROM t" {
 		t.Errorf("got %q", got)
 	}
+	d3 := &Delete{Table: "t", Using: &Raw{Text: "(SELECT a FROM d) AS x"}, Where: &Raw{Text: "t.a IS NOT DISTINCT FROM x.a"}}
+	if got := d3.SQL(); got != "DELETE FROM t USING (SELECT a FROM d) AS x WHERE t.a IS NOT DISTINCT FROM x.a" {
+		t.Errorf("got %q", got)
+	}
 }
 
 // TestCreateTableDialectTypes: one type map for both targets. The

@@ -11,8 +11,8 @@ import (
 	"openivm/internal/sqltypes"
 )
 
-// TestPinnedKeys: which WHERE clauses resolve through the primary-key
-// index, and with which keys ("-" is the scan).
+// TestPinnedKeys: which WHERE clauses — and DELETE … USING forms — resolve
+// through the primary-key index, and with which keys ("-" is the scan).
 func TestPinnedKeys(t *testing.T) {
 	db := Open("keyed", DialectDuckDB)
 	mustExec(t, db, "CREATE TABLE one (k INTEGER PRIMARY KEY, v INTEGER, s TEXT)")
@@ -51,13 +51,18 @@ func TestPinnedKeys(t *testing.T) {
 		{"two", "(a, b) IN (SELECT a, b FROM pick)", "1|x|2|y|1|x"},
 		{"two", "(b, a) IN (SELECT b, a FROM pick) AND v > 0", "1|x|2|y|1|x"},
 
-		// The NULL-safe spelling: IN never selects a NULL-keyed row, so
-		// `OR key IS NULL` asks for them beside the set — which still pins
-		// the statement while the table holds no such row.
-		{"one", "(k IN (SELECT a FROM pick) OR k IS NULL) AND v = 0", "1|2|1|3"},
-		{"one", "k IS NULL OR k IN (5, 7)", "5|7"},
-		{"two", "((a, b) IN (SELECT a, b FROM pick) OR a IS NULL OR b IS NULL) AND v = 0", "1|x|2|y|1|x"},
+		// The NULL-safe spelling, DELETE … USING … IS NOT DISTINCT FROM: a
+		// NULL in the set is a key like any other, which the index finds
+		// (nulk holds one).
+		{"one", "USING (SELECT a FROM pick) AS p WHERE one.k IS NOT DISTINCT FROM p.a AND v = 0", "1|2|1|NULL|3"},
+		{"one", "USING (SELECT a FROM pick WHERE a > 1) AS p WHERE p.a IS NOT DISTINCT FROM k", "2|3"},
+		{"two", "USING (SELECT a, b FROM pick) AS p WHERE two.a IS NOT DISTINCT FROM p.a AND two.b IS NOT DISTINCT FROM p.b AND v = 0", "1|x|2|y|1|x|NULL|z|3|NULL"},
+		{"two", "USING (SELECT a, b FROM pick) AS p WHERE p.b IS NOT DISTINCT FROM b AND v = 0 AND p.a IS NOT DISTINCT FROM a", "1|x|2|y|1|x|NULL|z|3|NULL"},
 		{"nulk", "k IN (SELECT a FROM pick) AND v = 0", "1|2|1|3"},
+		{"nulk", "USING (SELECT a FROM pick) AS p WHERE nulk.k IS NOT DISTINCT FROM p.a AND v = 0", "1|2|1|NULL|3"},
+		{"one", "USING (SELECT b FROM pick) AS p WHERE one.k IS NOT DISTINCT FROM p.b", "-"}, // strings against an integer key: found at run time
+		{"two", "USING (SELECT a FROM pick) AS p WHERE two.a IS NOT DISTINCT FROM p.a", "-"}, // part of the key
+		{"none", "USING (SELECT a FROM pick) AS p WHERE none.k IS NOT DISTINCT FROM p.a", "-"},
 
 		{"one", "k + 0 = 5", "-"},
 		{"one", "k = 2 + 3", "5"}, // a constant expression pins like a literal
@@ -82,17 +87,25 @@ func TestPinnedKeys(t *testing.T) {
 		{"one", "k IN (SELECT a FROM pick) OR v = 1", "-"},
 		{"one", "k IN (SELECT a FROM pick) OR v IS NULL", "-"},
 		{"one", "k IN (SELECT a FROM pick) OR k IS NOT NULL", "-"},
+		// A NULL disjunct is a disjunction like any other: the scan.
+		{"one", "(k IN (SELECT a FROM pick) OR k IS NULL) AND v = 0", "-"},
+		{"one", "k IS NULL OR k IN (5, 7)", "-"},
+		{"two", "((a, b) IN (SELECT a, b FROM pick) OR a IS NULL OR b IS NULL) AND v = 0", "-"},
 		{"one", "k IN (1, 2) OR k IN (3) OR k IS NULL", "-"},
 		{"one", "((k IN (1) OR k IS NULL) OR (k IN (2) OR k IS NULL)) OR k IN (3)", "-"},
 		{"one", "k IS NULL", "-"},
-		{"nulk", "(k IN (SELECT a FROM pick) OR k IS NULL) AND v = 0", "-"}, // it holds a NULL key
+		{"nulk", "(k IN (SELECT a FROM pick) OR k IS NULL) AND v = 0", "-"},
 		{"two", "a IN (SELECT a FROM pick)", "-"},
 		{"two", "(a, v) IN (SELECT a, a FROM pick)", "-"},
 		{"two", "(a, a) IN (SELECT a, a FROM pick)", "-"},
 		{"none", "k IN (SELECT a FROM pick)", "-"},
 	}
 	for _, c := range cases {
-		stmt, err := sqlparser.Parse("DELETE FROM " + c.table + " WHERE " + c.where)
+		clause := c.where
+		if !strings.HasPrefix(clause, "USING ") {
+			clause = "WHERE " + clause
+		}
+		stmt, err := sqlparser.Parse("DELETE FROM " + c.table + " " + clause)
 		if err != nil {
 			t.Fatalf("%s: %v", c.where, err)
 		}
@@ -134,12 +147,13 @@ func TestExplainWrite(t *testing.T) {
 		{"DELETE FROM cust_totals WHERE (region, cid) IN (SELECT region, cid FROM delta) AND n = 0", "KeyedDelete cust_totals[pk] keys=IN(subquery)"},
 		{"UPDATE orders SET amount = 0 WHERE oid = 2", "KeyedUpdate orders[pk] keys=1"},
 		{"UPDATE orders SET amount = 0 WHERE oid IN (1, 2, 3)", "KeyedUpdate orders[pk] keys=3"},
-		{"DELETE FROM cust_totals WHERE ((region, cid) IN (SELECT region, cid FROM delta) OR region IS NULL OR cid IS NULL) AND n = 0", "KeyedDelete cust_totals[pk] keys=IN(subquery)"},
+		{"DELETE FROM cust_totals USING (SELECT region, cid FROM delta) AS d WHERE cust_totals.region IS NOT DISTINCT FROM d.region AND cust_totals.cid IS NOT DISTINCT FROM d.cid AND n = 0", "KeyedDelete cust_totals[pk] keys=IN(subquery)"},
+		{"DELETE FROM nulls USING (SELECT cid FROM delta) AS d WHERE nulls.g IS NOT DISTINCT FROM d.cid AND n = 0", "KeyedDelete nulls[pk] keys=IN(subquery)"},
 		{"DELETE FROM nulls WHERE g IN (SELECT cid FROM delta) AND n = 0", "KeyedDelete nulls[pk] keys=IN(subquery)"},
 		{"DELETE FROM cust_totals WHERE cid = 4 AND region = 'eu'", "KeyedDelete cust_totals[pk] keys=1"},
 		// The fall-backs: negated IN, part of the key, a value of the wrong
-		// kind, a table without a key, NULL-keyed rows asked for and held,
-		// no predicate at all.
+		// kind, a table without a key, a disjunction (NULL-keyed rows asked
+		// for through OR g IS NULL), no predicate at all.
 		{"DELETE FROM orders WHERE oid NOT IN (SELECT oid FROM delta)", "ScanDelete orders"},
 		{"DELETE FROM cust_totals WHERE cid IN (SELECT cid FROM delta)", "ScanDelete cust_totals"},
 		{"UPDATE cust_totals SET n = 0 WHERE region = 'eu'", "ScanUpdate cust_totals"},
@@ -293,14 +307,70 @@ func TestKeySetWrites(t *testing.T) {
 	}
 }
 
+// TestDeleteUsing: DELETE … USING … IS NOT DISTINCT FROM deletes the rows
+// whose key equals a row of the USING subquery's, a NULL key component
+// matching a NULL, through the key index, and keeps every row a residual
+// condition on the target rejects; on a table without a key it scans and
+// deletes the same rows. Any other shape is refused with 0A000 and
+// deletes nothing.
+func TestDeleteUsing(t *testing.T) {
+	db := Open("using", DialectDuckDB)
+	mustExec(t, db, "CREATE TABLE v (g INTEGER, h TEXT, n INTEGER, PRIMARY KEY (g, h))")
+	mustExec(t, db, "CREATE TABLE one (k TEXT, n INTEGER, PRIMARY KEY (k))")
+	mustExec(t, db, "CREATE TABLE bare (k TEXT, n INTEGER)")
+	mustExec(t, db, "CREATE TABLE dv (g INTEGER, h TEXT, m BOOLEAN)")
+	mustExec(t, db, "INSERT INTO v VALUES (1,'a',0), (1,NULL,0), (NULL,'a',0), (NULL,NULL,0), (2,'a',3), (NULL,'b',5), (3,'a',0)")
+	mustExec(t, db, "INSERT INTO one VALUES ('a',0), (NULL,0), ('b',1)")
+	mustExec(t, db, "INSERT INTO bare VALUES ('a',0), (NULL,0), (NULL,0), ('b',1)")
+	// Retractions (m = FALSE) name (1,a), (1,NULL), (NULL,NULL), (2,a) and
+	// (NULL,b); an insertion names (3,a).
+	mustExec(t, db, "INSERT INTO dv VALUES (1,'a',FALSE), (1,NULL,FALSE), (NULL,NULL,FALSE), (NULL,NULL,FALSE), (2,'a',FALSE), (NULL,'b',FALSE), (3,'a',TRUE)")
+	dump := func(table string) string { return sortedLines(rowStrings(queryRows(t, db, "SELECT * FROM "+table))) }
+	for _, c := range []struct{ sql, explain, left string }{
+		// Composite key, a residual on the target: (2,a) and (NULL,b) hold n > 0.
+		{"DELETE FROM v USING (SELECT g, h FROM dv WHERE m = FALSE) AS d WHERE v.g IS NOT DISTINCT FROM d.g AND h IS NOT DISTINCT FROM d.h AND n = 0",
+			"KeyedDelete v[pk] keys=IN(subquery)", "2|a|3;3|a|0;NULL|a|0;NULL|b|5"},
+		// A single key, the NULL key among the keys.
+		{"DELETE FROM one USING (SELECT k FROM bare) AS b WHERE b.k IS NOT DISTINCT FROM one.k AND one.n = 0",
+			"KeyedDelete one[pk] keys=IN(subquery)", "b|1"},
+		// No key to probe: the scan, which finds the same rows, every copy.
+		{"DELETE FROM bare USING (SELECT k FROM one WHERE n = 1 UNION ALL SELECT NULL) AS o WHERE bare.k IS NOT DISTINCT FROM o.k",
+			"ScanDelete bare", "a|0"},
+	} {
+		table := strings.Fields(c.sql)[2]
+		if got := queryRows(t, db, "EXPLAIN "+c.sql); got[0][0].S != c.explain {
+			t.Errorf("EXPLAIN %s: %v, want %s", c.sql, got, c.explain)
+		}
+		mustExec(t, db, c.sql)
+		if got := dump(table); got != c.left {
+			t.Errorf("%s leaves %s, want %s", c.sql, got, c.left)
+		}
+	}
+	for _, bad := range []string{
+		"DELETE FROM v USING (SELECT g, h FROM dv) AS d WHERE v.g = d.g AND v.h = d.h",
+		"DELETE FROM v USING (SELECT g, h, m FROM dv) AS d WHERE v.g IS NOT DISTINCT FROM d.g AND v.h IS NOT DISTINCT FROM d.h AND d.m = FALSE",
+		"DELETE FROM v USING (SELECT g, h FROM dv) WHERE v.g IS NOT DISTINCT FROM g",
+	} {
+		before := dump("v")
+		if _, err := db.Exec(bad); Code(err) != "0A000" {
+			t.Errorf("%s: %v (SQLSTATE %q), want 0A000", bad, err, Code(err))
+		}
+		if got := dump("v"); got != before {
+			t.Errorf("%s deleted rows: %s, was %s", bad, got, before)
+		}
+	}
+}
+
 // TestKeyedUpdateDeleteMatchesScan replays one random history — writes
 // inside and outside transactions, commits and rollbacks, two sessions
 // taking turns — on two engines. One receives UPDATE/DELETE statements
 // whose WHERE pins the primary key — one key with `=`, or a set through
 // `(k, g) IN (SELECT ...)` over a table of picked keys holding duplicates
-// and NULLs, alone or with `OR k IS NULL OR g IS NULL` while the table now
-// and then holds a NULL key — the other the same statements with the key
-// column wrapped in an expression, which forces the scan. Row counts, errors and table
+// and NULLs, or, for a DELETE, matched NULL-safely through `USING (SELECT
+// k, g FROM pick) AS p WHERE kv.k IS NOT DISTINCT FROM p.k …` while the
+// table now and then holds a NULL key — the other the same statements with the key column
+// wrapped in an expression, which forces the scan (COALESCE to a value no
+// key takes stands for the NULL-safe match). Row counts, errors and table
 // contents must agree after every statement.
 func TestKeyedUpdateDeleteMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -347,12 +417,14 @@ func TestKeyedUpdateDeleteMatchesScan(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				residual = fmt.Sprintf(" AND v <> %d", rng.Intn(4))
 			}
+			del, delScan := "DELETE FROM kv WHERE "+pin, "DELETE FROM kv WHERE "+noPin
 			if rng.Intn(4) == 0 { // a key set instead of one key
 				pin = "(k, g) IN (SELECT k, g FROM pick)"
 				noPin = "(k + 0, g) IN (SELECT k, g FROM pick)"
-				if rng.Intn(2) == 0 { // NULL-safe: the set, and the NULL-keyed rows
-					pin = "(" + pin + " OR k IS NULL OR g IS NULL)"
-					noPin = "(" + noPin + " OR k IS NULL OR g IS NULL)"
+				del, delScan = "DELETE FROM kv WHERE "+pin, "DELETE FROM kv WHERE "+noPin
+				if rng.Intn(2) == 0 { // NULL-safe: the NULL-keyed rows too
+					del = "DELETE FROM kv USING (SELECT k, g FROM pick) AS p WHERE kv.k IS NOT DISTINCT FROM p.k AND kv.g IS NOT DISTINCT FROM p.g"
+					delScan = "DELETE FROM kv WHERE (COALESCE(k, -1), COALESCE(g, '-')) IN (SELECT COALESCE(k, -1), COALESCE(g, '-') FROM pick)"
 				}
 			}
 			switch p := rng.Intn(100); {
@@ -375,7 +447,7 @@ func TestKeyedUpdateDeleteMatchesScan(t *testing.T) {
 				}
 				both(who, set+pin+residual, set+noPin+residual)
 			case p < 80:
-				both(who, "DELETE FROM kv WHERE "+pin+residual, "DELETE FROM kv WHERE "+noPin+residual)
+				both(who, del+residual, delScan+residual)
 			case p < 90 && !inTxn[who]:
 				both(who, "BEGIN", "BEGIN")
 				inTxn[who] = true

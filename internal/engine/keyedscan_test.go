@@ -44,16 +44,17 @@ func TestExplainKeyedScan(t *testing.T) {
 		{"SELECT n FROM cust_totals WHERE cid = 4 AND region = 'eu'", "KeyedScan cust_totals[pk] keys=1 [filter: ((cid = 4) AND (region = 'eu'))]"},
 		{"SELECT n FROM cust_totals WHERE (cid, region) IN (SELECT cid, region FROM delta)", "KeyedScan cust_totals[pk] keys=IN(subquery) [filter: ((cid, region) IN (<subquery>))]"},
 		{"SELECT n FROM nulls WHERE g IN (1, 2)", "KeyedScan nulls[pk] keys=2 [filter: (g IN (1, 2))]"},
-		{"SELECT n FROM cust_totals WHERE ((region, cid) IN (SELECT region, cid FROM delta) OR cid IS NULL) AND n = 0", "KeyedScan cust_totals[pk] keys=IN(subquery) [filter: ((((region, cid) IN (<subquery>)) OR (cid IS NULL)) AND (n = 0))]"},
 		// The fall-backs: a literal of the wrong kind, part of a composite
 		// key, an expression on the key column, a negated IN, a table
-		// without a key, NULL-keyed rows asked for and held, no predicate.
+		// without a key, a disjunction (NULL-keyed rows asked for through
+		// OR … IS NULL), no predicate.
 		{"SELECT n FROM query_groups WHERE group_index = 123", "Scan query_groups [filter: (group_index = 123)]"},
 		{"SELECT n FROM cust_totals WHERE region = 'eu'", "Scan cust_totals [filter: (region = 'eu')]"},
 		{"SELECT n FROM nulls WHERE g + 0 = 1", "Scan nulls [filter: ((g + 0) = 1)]"},
 		{"SELECT n FROM nulls WHERE g NOT IN (1, 2)", "Scan nulls [filter: (g NOT IN (1, 2))]"},
 		{"SELECT amount FROM big_orders WHERE oid = 1", "Scan big_orders [filter: (oid = 1)]"},
 		{"SELECT n FROM nulls WHERE g IN (1, 2) OR g IS NULL", "Scan nulls [filter: ((g IN (1, 2)) OR (g IS NULL))]"},
+		{"SELECT n FROM cust_totals WHERE ((region, cid) IN (SELECT region, cid FROM delta) OR cid IS NULL) AND n = 0", "Scan cust_totals [filter: ((((region, cid) IN (<subquery>)) OR (cid IS NULL)) AND (n = 0))]"},
 		{"SELECT n FROM query_groups", "Scan query_groups"},
 	} {
 		if got := scanLine(t, s, c.sql); got != c.want {

@@ -345,7 +345,9 @@ func (e *In) String() string {
 }
 
 // InQuery is x [NOT] IN (SELECT ...), or with several Operands the row
-// value form (x1, x2) [NOT] IN (SELECT c1, c2 ...). Fetch returns the
+// value form (x1, x2) [NOT] IN (SELECT c1, c2 ...). NullSafe compares each
+// component as IS NOT DISTINCT FROM instead of `=` (DELETE … USING): a NULL
+// matches a NULL, and the answer is never NULL. Fetch returns the
 // subquery's rows; providers evaluate lazily and cache. Membership is
 // answered from a hash set built on first use, so evaluating the node
 // once per row of a table costs O(rows + subquery) instead of their
@@ -355,6 +357,7 @@ type InQuery struct {
 	Operands []Expr
 	Fetch    func() ([]sqltypes.Row, error)
 	Negate   bool
+	NullSafe bool
 
 	set  *memberSet
 	vals []sqltypes.Value // operand values of the row being evaluated
@@ -367,7 +370,7 @@ type InQuery struct {
 // the same bytes.
 type memberSet struct {
 	rows  []sqltypes.Row
-	keys  map[string]struct{} // the NULL-free rows, by sqltypes.EncodeKey
+	keys  map[string]struct{} // the NULL-free rows (every row if NullSafe), by sqltypes.EncodeKey
 	nulls []sqltypes.Row      // rows holding a NULL: they never match, but can make a miss unknown
 }
 
@@ -398,7 +401,7 @@ func (e *InQuery) members() (*memberSet, error) {
 	ends := make([]int, 0, len(rows))
 	e.key = e.key[:0]
 	for _, r := range rows {
-		if hasNull(r) {
+		if !e.NullSafe && hasNull(r) {
 			set.nulls = append(set.nulls, r)
 		} else {
 			e.key = sqltypes.EncodeKey(e.key, r...)
@@ -438,7 +441,8 @@ func maybeEqual(a, b []sqltypes.Value) bool {
 // TRUE when some row of the subquery equals the operand, NULL when none
 // does but one could (the differing verdict hangs on a NULL — in the
 // operand, as for a NULL scalar, or in the row), FALSE otherwise — so
-// against an empty result FALSE whatever the operand.
+// against an empty result FALSE whatever the operand. NullSafe leaves no
+// verdict open: a NULL is a value like any other.
 func (e *InQuery) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 	set, err := e.members()
 	if err != nil {
@@ -453,7 +457,7 @@ func (e *InQuery) Eval(row sqltypes.Row) (sqltypes.Value, error) {
 		e.vals = append(e.vals, v)
 	}
 	open := set.nulls
-	if !hasNull(e.vals) {
+	if e.NullSafe || !hasNull(e.vals) {
 		e.key = sqltypes.EncodeKey(e.key[:0], e.vals...)
 		if _, ok := set.keys[string(e.key)]; ok {
 			return sqltypes.NewBool(!e.Negate), nil

@@ -111,6 +111,49 @@ func TestInQueryMatchesLinearRule(t *testing.T) {
 	}
 }
 
+// TestInQueryNullSafe: a NULL-safe IN (DELETE … USING) compares each
+// component as IS NOT DISTINCT FROM — a NULL equals a NULL and nothing
+// else, other values as `=` does — and answers TRUE or FALSE, never NULL.
+func TestInQueryNullSafe(t *testing.T) {
+	i, f, s := sqltypes.NewInt, sqltypes.NewFloat, sqltypes.NewString
+	null := sqltypes.Null
+	notDistinct := func(a, b sqltypes.Value) bool {
+		if a.IsNull() || b.IsNull() {
+			return a.IsNull() && b.IsNull()
+		}
+		cmp, ok := sqltypes.CompareSQL(a, b)
+		return ok && cmp == 0
+	}
+	parts := []sqltypes.Value{null, i(1), f(1), i(2), s("a"), s("a|"), s("|b"), s("b")}
+	for li, rows := range [][]sqltypes.Row{
+		{},
+		{{i(1), s("a")}},
+		{{i(1), null}},
+		{{null, s("a")}, {i(2), s("b")}},
+		{{null, null}},
+		{{s("a|"), s("b")}, {f(1), f(1)}},
+		{{i(2), i(2)}, {i(2), i(2)}, {i(1), s("a")}, {null, s("b")}},
+	} {
+		e := &InQuery{Operands: []Expr{&Column{Idx: 0}, &Column{Idx: 1}}, NullSafe: true,
+			Fetch: func() ([]sqltypes.Row, error) { return rows, nil }}
+		for _, x := range parts {
+			for _, y := range parts {
+				got, err := e.Eval(sqltypes.Row{x, y})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := false
+				for _, r := range rows {
+					want = want || notDistinct(x, r[0]) && notDistinct(y, r[1])
+				}
+				if got != sqltypes.NewBool(want) {
+					t.Errorf("pairs %d %v: (%v, %v) NULL-safe IN = %v, want %v", li, rows, x, y, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestInQueryFetch: the subquery is fetched once however often the node is
 // evaluated, its error surfaces, and a result of the wrong width is an
 // error rather than a silent miss.

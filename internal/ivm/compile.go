@@ -309,16 +309,11 @@ func viewKey(comp *Compilation, sel *sqlparser.SelectStmt) []string {
 			equate(&sqlparser.ColumnRef{Table: comp.Bases[0].Alias, Column: u},
 				&sqlparser.ColumnRef{Table: comp.Bases[1].Alias, Column: u})
 		}
-		var conjuncts func(e sqlparser.Expr)
-		conjuncts = func(e sqlparser.Expr) {
-			if x, ok := e.(*sqlparser.BinaryExpr); ok && x.Op == "AND" {
-				conjuncts(x.Left)
-				conjuncts(x.Right)
-			} else if ok && x.Op == "=" {
+		for _, c := range sqlparser.Conjuncts(jt.On) {
+			if x, ok := c.(*sqlparser.BinaryExpr); ok && x.Op == "=" {
 				equate(x.Left, x.Right)
 			}
 		}
-		conjuncts(jt.On)
 	}
 
 	// nameOf is the view column a plain reference to c, or to a column ON

@@ -68,7 +68,7 @@ CREATE VIEW query_groups AS SELECT group_index, total_value FROM query_groups_iv
 
 	wantProp := strings.TrimSpace(`
 INSERT INTO query_groups_ivm_storage (group_index, total_value, _duckdb_ivm_count) WITH ivm_cte AS (SELECT group_index AS group_index, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -group_value ELSE group_value END) AS total_value, SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -1 ELSE 1 END) AS _duckdb_ivm_count FROM delta_groups GROUP BY group_index) SELECT ivm_cte.group_index, COALESCE(NULL, 0) + COALESCE(ivm_cte.total_value, 0) AS total_value, COALESCE(NULL, 0) + COALESCE(ivm_cte._duckdb_ivm_count, 0) AS _duckdb_ivm_count FROM ivm_cte ON CONFLICT (group_index) DO UPDATE SET total_value = COALESCE(query_groups_ivm_storage.total_value, 0) + COALESCE(EXCLUDED.total_value, 0), _duckdb_ivm_count = COALESCE(query_groups_ivm_storage._duckdb_ivm_count, 0) + COALESCE(EXCLUDED._duckdb_ivm_count, 0);
-DELETE FROM query_groups_ivm_storage WHERE (group_index IN (SELECT group_index FROM delta_groups WHERE _duckdb_ivm_multiplicity = FALSE) OR group_index IS NULL) AND _duckdb_ivm_count = 0;
+DELETE FROM query_groups_ivm_storage USING (SELECT group_index AS group_index FROM delta_groups WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE query_groups_ivm_storage.group_index IS NOT DISTINCT FROM ivm_del.group_index AND _duckdb_ivm_count = 0;
 DELETE FROM delta_groups;
 `)
 	if got := strings.TrimSpace(comp.PropagateSQL()); got != wantProp {
@@ -83,7 +83,7 @@ INSERT INTO query_groups_ivm_storage SELECT group_index AS group_index, SUM(grou
 	}
 }
 
-const step3Listing1 = "DELETE FROM query_groups_ivm_storage WHERE (group_index IN (SELECT group_index FROM delta_groups WHERE _duckdb_ivm_multiplicity = FALSE) OR group_index IS NULL) AND _duckdb_ivm_count = 0"
+const step3Listing1 = "DELETE FROM query_groups_ivm_storage USING (SELECT group_index AS group_index FROM delta_groups WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE query_groups_ivm_storage.group_index IS NOT DISTINCT FROM ivm_del.group_index AND _duckdb_ivm_count = 0"
 
 // TestListing2PostgresDialect: Listing 2's script is one text, the one
 // PostgreSQL runs (TestPostgresOracle runs it there): step 2's ON
@@ -164,8 +164,8 @@ func TestHiddenCountSetup(t *testing.T) {
 }
 
 // TestStep3Golden pins step 3 for every shape of group key: one keyed form
-// per view class, reading the keys of the retractions in ΔT or in the join
-// delta, and the view without one.
+// for every view class, DELETE … USING the keys of the retractions in ΔT
+// or in the join delta, matched NULL-safely, and the view without one.
 func TestStep3Golden(t *testing.T) {
 	db := engine.Open("s3", engine.DialectDuckDB)
 	for _, ddl := range []string{
@@ -178,9 +178,9 @@ func TestStep3Golden(t *testing.T) {
 	}
 	cases := []struct{ view, want string }{
 		{"CREATE MATERIALIZED VIEW one AS SELECT x, SUM(v) AS s, COUNT(*) AS n FROM a GROUP BY x",
-			"DELETE FROM one WHERE (x IN (SELECT x FROM delta_a WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL) AND n = 0;"},
+			"DELETE FROM one USING (SELECT x AS x FROM delta_a WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE one.x IS NOT DISTINCT FROM ivm_del.x AND n = 0;"},
 		{"CREATE MATERIALIZED VIEW two AS SELECT x, y, SUM(v) AS s, COUNT(*) AS n FROM a GROUP BY x, y",
-			"DELETE FROM two WHERE ((x, y) IN (SELECT x, y FROM delta_a WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL OR y IS NULL) AND n = 0;"},
+			"DELETE FROM two USING (SELECT x AS x, y AS y FROM delta_a WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE two.x IS NOT DISTINCT FROM ivm_del.x AND two.y IS NOT DISTINCT FROM ivm_del.y AND n = 0;"},
 		// Without GROUP BY the view is one row that stays: emptied, it reads
 		// NULL for the SUM, as the query does over no rows.
 		{"CREATE MATERIALIZED VIEW tot AS SELECT SUM(v) AS s, COUNT(*) AS n FROM a",
@@ -188,54 +188,32 @@ func TestStep3Golden(t *testing.T) {
 		{"CREATE MATERIALIZED VIEW tot2 AS SELECT SUM(v) AS s, MAX(v) AS hi FROM a",
 			"UPDATE tot2_ivm_storage SET s = NULL, hi = NULL WHERE _duckdb_ivm_count = 0;"},
 		{"CREATE MATERIALIZED VIEW ja AS SELECT a.x, SUM(b.w) AS s FROM a JOIN b ON a.x = b.x GROUP BY a.x",
-			"DELETE FROM ja_ivm_storage WHERE (x IN (SELECT x FROM delta_join_ja WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL) AND _duckdb_ivm_count = 0;"},
+			"DELETE FROM ja_ivm_storage USING (SELECT x AS x FROM delta_join_ja WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE ja_ivm_storage.x IS NOT DISTINCT FROM ivm_del.x AND _duckdb_ivm_count = 0;"},
 		{"CREATE MATERIALIZED VIEW ja2 AS SELECT a.x, a.y, COUNT(*) AS n FROM a JOIN b ON a.x = b.x GROUP BY a.x, a.y",
-			"DELETE FROM ja2 WHERE ((x, y) IN (SELECT x, y FROM delta_join_ja2 WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL OR y IS NULL) AND n = 0;"},
+			"DELETE FROM ja2 USING (SELECT x AS x, y AS y FROM delta_join_ja2 WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE ja2.x IS NOT DISTINCT FROM ivm_del.x AND ja2.y IS NOT DISTINCT FROM ivm_del.y AND n = 0;"},
 		// A projection or join view is grouped by all its columns (these have
 		// no key): a row leaves when its weight reaches 0, and not before.
 		{"CREATE MATERIALIZED VIEW pv AS SELECT x, v + 1 AS w FROM a WHERE y > 0",
-			"DELETE FROM pv_ivm_storage WHERE ((x, w) IN (SELECT x, w FROM (SELECT x AS x, (v + 1) AS w, _duckdb_ivm_multiplicity FROM delta_a WHERE (y > 0)) AS ivm_rows WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL OR w IS NULL) AND _duckdb_ivm_count = 0;"},
+			"DELETE FROM pv_ivm_storage USING (SELECT x AS x, w AS w FROM (SELECT x AS x, (v + 1) AS w, _duckdb_ivm_multiplicity FROM delta_a WHERE (y > 0)) AS ivm_rows WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE pv_ivm_storage.x IS NOT DISTINCT FROM ivm_del.x AND pv_ivm_storage.w IS NOT DISTINCT FROM ivm_del.w AND _duckdb_ivm_count = 0;"},
 		{"CREATE MATERIALIZED VIEW jv AS SELECT a.x, b.w FROM a JOIN b ON a.x = b.x",
-			"DELETE FROM jv_ivm_storage WHERE ((x, w) IN (SELECT x, w FROM delta_join_jv WHERE _duckdb_ivm_multiplicity = FALSE) OR x IS NULL OR w IS NULL) AND _duckdb_ivm_count = 0;"},
+			"DELETE FROM jv_ivm_storage USING (SELECT x AS x, w AS w FROM delta_join_jv WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE jv_ivm_storage.x IS NOT DISTINCT FROM ivm_del.x AND jv_ivm_storage.w IS NOT DISTINCT FROM ivm_del.w AND _duckdb_ivm_count = 0;"},
 	}
 	for _, c := range cases {
 		prop := compile(t, db, c.view).PropagateSQL()
 		if !strings.Contains(prop, "\n"+c.want+"\n") {
 			t.Errorf("step 3 is not %q:\n%s", c.want, prop)
 		}
-	}
-}
-
-// TestRowKeySQL: the MIN/MAX repair, rowKey's one use, finds the groups a
-// deletion touched as row values, and the groups holding a NULL — which IN
-// never selects — by a key that is never NULL and that no two distinct
-// groups share. A projection view has no row key: it deletes through its
-// storage key like any grouped view.
-func TestRowKeySQL(t *testing.T) {
-	db := newDB(t)
-	if _, err := db.Exec("CREATE TABLE g2 (a VARCHAR, b INTEGER, v INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
-	prop := compile(t, db,
-		"CREATE MATERIALIZED VIEW mv AS SELECT a, b, MAX(v) AS hi FROM g2 GROUP BY a, b").PropagateSQL()
-	key := "COALESCE(LENGTH(CAST(a AS VARCHAR)) || ':' || a, 'N') || " +
-		"COALESCE(LENGTH(CAST(b AS VARCHAR)) || ':' || b, 'N')"
-	const from = " FROM delta_g2 WHERE _duckdb_ivm_multiplicity = FALSE)"
-	want := "DELETE FROM mv_ivm_storage WHERE (a, b) IN (SELECT a, b" + from +
-		" OR ((a IS NULL OR b IS NULL) AND " + key + " IN (SELECT " + key + from + ");"
-	if !strings.Contains(prop, want) {
-		t.Errorf("min/max repair is not\n%s\nin:\n%s", want, prop)
-	}
-	prop = compile(t, db,
-		"CREATE MATERIALIZED VIEW pv AS SELECT group_index, group_value FROM groups").PropagateSQL()
-	if strings.Contains(prop, "COALESCE(LENGTH(") {
-		t.Errorf("a projection view deletes through a row key:\n%s", prop)
+		// No NULL disjunct, no tagged string key: the USING form is the one
+		// NULL-safe lookup.
+		if strings.Contains(prop, "IS NULL OR") || strings.Contains(prop, "LENGTH(CAST(") {
+			t.Errorf("the script still spells a NULL key by hand:\n%s", prop)
+		}
 	}
 }
 
 // TestMinMaxRepairSQL: after the combine, the groups a deletion touched
-// leave V — found by rowIn, which matches a NULL-keyed group too — and are
-// recomputed from the base joined to their keys with IS NOT DISTINCT FROM;
+// leave V — found by keyedDelete, which matches a NULL-keyed group too —
+// and are recomputed from the base joined to their keys with IS NOT DISTINCT FROM;
 // a group whose last row went is not recomputed and stays out. The keys
 // come from ΔT, through the view's WHERE, grouped: ΔT may delete several
 // rows of one group, and the join must not repeat its base rows.
@@ -245,12 +223,11 @@ func TestMinMaxRepairSQL(t *testing.T) {
 		SELECT group_index, MIN(group_value) AS lo FROM groups GROUP BY group_index`)
 	prop := comp.PropagateSQL()
 	const deleted = "FROM delta_groups WHERE _duckdb_ivm_multiplicity = FALSE"
-	key := "COALESCE(LENGTH(CAST(group_index AS VARCHAR)) || ':' || group_index, 'N')"
 	for _, want := range []string{
 		"MIN(CASE WHEN _duckdb_ivm_multiplicity = TRUE THEN group_value END) AS lo",
 		"LEAST(COALESCE(",
-		"\nDELETE FROM mm_ivm_storage WHERE group_index IN (SELECT group_index " + deleted + ") OR ((group_index IS NULL) AND " +
-			key + " IN (SELECT " + key + " " + deleted + "));\n",
+		"\nDELETE FROM mm_ivm_storage USING (SELECT group_index AS group_index " + deleted +
+			") AS ivm_del WHERE mm_ivm_storage.group_index IS NOT DISTINCT FROM ivm_del.group_index;\n",
 		"\nINSERT INTO mm_ivm_storage (group_index, lo, _duckdb_ivm_count) SELECT group_index AS group_index, MIN(group_value) AS lo, COUNT(*) AS _duckdb_ivm_count FROM groups JOIN (SELECT group_index AS ivm_g0 " +
 			deleted + " GROUP BY group_index) AS ivm_deleted ON group_index IS NOT DISTINCT FROM ivm_deleted.ivm_g0 GROUP BY group_index;\n",
 	} {
@@ -363,6 +340,13 @@ func TestJoinCompilationSQL(t *testing.T) {
 		"SELECT ivm_cte.x, ivm_cte.v, ivm_cte.w, COALESCE(NULL, 0) + COALESCE(ivm_cte._duckdb_ivm_count, 0) AS _duckdb_ivm_count FROM ivm_cte " +
 		"ON CONFLICT (x, v, w) DO UPDATE SET _duckdb_ivm_count = COALESCE(jv_ivm_storage._duckdb_ivm_count, 0) + COALESCE(EXCLUDED._duckdb_ivm_count, 0);\n"; !strings.Contains(prop, want) {
 		t.Errorf("join combine is not\n%s\nin:\n%s", want, prop)
+	}
+	// A row leaves when its weight reaches 0, found NULL-safely by every
+	// column of the key.
+	if want := "\nDELETE FROM jv_ivm_storage USING (SELECT x AS x, v AS v, w AS w FROM delta_join_jv WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del " +
+		"WHERE jv_ivm_storage.x IS NOT DISTINCT FROM ivm_del.x AND jv_ivm_storage.v IS NOT DISTINCT FROM ivm_del.v " +
+		"AND jv_ivm_storage.w IS NOT DISTINCT FROM ivm_del.w AND _duckdb_ivm_count = 0;\n"; !strings.Contains(prop, want) {
+		t.Errorf("join step 3 is not\n%s\nin:\n%s", want, prop)
 	}
 }
 

@@ -96,13 +96,18 @@ func TestViewKey(t *testing.T) {
 			delta = "(SELECT "
 		}
 		list := strings.Join(key, ", ")
+		items := make([]string, len(key))
+		for i, k := range key {
+			items[i] = k + " AS " + k
+		}
 		if setup := comp.SetupSQL(); !strings.Contains(setup, "_count BIGINT, UNIQUE NULLS NOT DISTINCT ("+list+"));") {
 			t.Errorf("%s: setup does not declare the key %s:\n%s", c.def, list, setup)
 		}
 		prop := comp.PropagateSQL()
 		for _, want := range []string{
 			"ON CONFLICT (" + list + ") DO UPDATE SET ",
-			"DELETE FROM kv_ivm_storage WHERE (" + groupKey(key) + " IN (SELECT " + list + " FROM " + delta,
+			"DELETE FROM kv_ivm_storage USING (SELECT " + strings.Join(items, ", ") + " FROM " + delta,
+			"kv_ivm_storage." + key[0] + " IS NOT DISTINCT FROM ivm_del." + key[0],
 		} {
 			if !strings.Contains(prop, want) {
 				t.Errorf("%s: the script does not hold %q:\n%s", c.def, want, prop)
@@ -152,7 +157,7 @@ CREATE TABLE IF NOT EXISTS big_orders_ivm_storage (oid BIGINT, cid BIGINT, amoun
 CREATE VIEW big_orders AS SELECT oid, cid, amount FROM big_orders_ivm_storage, generate_series(1, _duckdb_ivm_count);`,
 			`INSERT INTO big_orders_ivm_storage SELECT oid AS oid, cid AS cid, amount AS amount, 1 AS _duckdb_ivm_count FROM orders WHERE (amount >= 250);`,
 			`INSERT INTO big_orders_ivm_storage (oid, cid, amount, _duckdb_ivm_count) WITH ivm_cte AS (SELECT oid AS oid, SIGNED FROM ` + bigDelta + ` GROUP BY oid) SELECT ivm_cte.oid, ivm_new.cid, ivm_new.amount, WEIGHT FROM ivm_cte LEFT JOIN (SELECT oid, cid, amount FROM ` + bigDelta + ` GROUP BY oid, cid, amount HAVING NET > 0) AS ivm_new ON ivm_new.oid = ivm_cte.oid WHERE ivm_cte._duckdb_ivm_count <> 0 OR ivm_new.oid IS NOT NULL ON CONFLICT (oid) DO UPDATE SET cid = EXCLUDED.cid, amount = EXCLUDED.amount, _duckdb_ivm_count = COALESCE(big_orders_ivm_storage._duckdb_ivm_count, 0) + COALESCE(EXCLUDED._duckdb_ivm_count, 0);
-DELETE FROM big_orders_ivm_storage WHERE (oid IN (SELECT oid FROM ` + bigDelta + ` WHERE _duckdb_ivm_multiplicity = FALSE) OR oid IS NULL) AND _duckdb_ivm_count = 0;
+DELETE FROM big_orders_ivm_storage USING (SELECT oid AS oid FROM ` + bigDelta + ` WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE big_orders_ivm_storage.oid IS NOT DISTINCT FROM ivm_del.oid AND _duckdb_ivm_count = 0;
 DELETE FROM delta_orders;`},
 		{"CREATE MATERIALIZED VIEW order_regions AS SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid",
 			`CREATE TABLE IF NOT EXISTS delta_orders (oid BIGINT, cid BIGINT, amount BIGINT, _duckdb_ivm_multiplicity BOOLEAN);
@@ -165,7 +170,7 @@ CREATE TABLE IF NOT EXISTS delta_join_order_regions (oid BIGINT, region VARCHAR,
 INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM orders AS o JOIN delta_customers AS c ON (o.cid = c.cid);
 INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, o._duckdb_ivm_multiplicity <> c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN delta_customers AS c ON (o.cid = c.cid);
 INSERT INTO order_regions_ivm_storage (oid, region, amount, _duckdb_ivm_count) WITH ivm_cte AS (SELECT oid AS oid, SIGNED FROM delta_join_order_regions GROUP BY oid) SELECT ivm_cte.oid, ivm_new.region, ivm_new.amount, WEIGHT FROM ivm_cte LEFT JOIN (SELECT oid, region, amount FROM delta_join_order_regions GROUP BY oid, region, amount HAVING NET > 0) AS ivm_new ON ivm_new.oid = ivm_cte.oid WHERE ivm_cte._duckdb_ivm_count <> 0 OR ivm_new.oid IS NOT NULL ON CONFLICT (oid) DO UPDATE SET region = EXCLUDED.region, amount = EXCLUDED.amount, _duckdb_ivm_count = COALESCE(order_regions_ivm_storage._duckdb_ivm_count, 0) + COALESCE(EXCLUDED._duckdb_ivm_count, 0);
-DELETE FROM order_regions_ivm_storage WHERE (oid IN (SELECT oid FROM delta_join_order_regions WHERE _duckdb_ivm_multiplicity = FALSE) OR oid IS NULL) AND _duckdb_ivm_count = 0;
+DELETE FROM order_regions_ivm_storage USING (SELECT oid AS oid FROM delta_join_order_regions WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE order_regions_ivm_storage.oid IS NOT DISTINCT FROM ivm_del.oid AND _duckdb_ivm_count = 0;
 DELETE FROM delta_join_order_regions;
 DELETE FROM delta_orders;
 DELETE FROM delta_customers;`},

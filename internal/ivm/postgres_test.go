@@ -279,6 +279,10 @@ type oracleCase struct {
 	// first is the first batch, per table (rows without their key): a
 	// group whose sum passes 2^31 and a sum that nets to 0.
 	first map[string][][]string
+	// minRises says the view's second column is a MIN and the history must
+	// delete some group's least row while the group keeps others: that
+	// minimum rises, and only the MIN/MAX repair can find the new one.
+	minRises bool
 }
 
 // oracleBatches is how many batches of base-table changes a case runs,
@@ -327,6 +331,14 @@ func oracleCases() []oracleCase {
 		tables: []genTable{{name: "t", cols: []string{"k", "v"}, dom: [][]string{{"NULL", "'a'", "'b'"}, {"NULL", "0", "7"}},
 			init: 8, sumOf: -1, nullGroup: "k"}},
 		first: map[string][][]string{"t": {{"'a'", "7"}, {"'a'", "7"}, {"NULL", "NULL"}, {"NULL", "NULL"}}}})
+	// MIN and MAX under deletions: the repair deletes the touched groups,
+	// a NULL group among them, through the NULL-safe keyed delete, and
+	// recomputes them from the base.
+	cases = append(cases, oracleCase{test: "minmax", schema: standaloneSchema, name: "v",
+		query: "SELECT k, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY k",
+		tables: []genTable{{name: "t", cols: []string{"k", "v"}, dom: [][]string{keyDom, vDom}, init: 8,
+			sumOf: -1, nullGroup: "k"}},
+		first: tFirst, minRises: true})
 	cids := []string{"1", "2", "3", "4", "5"}
 	amounts := []string{"-7", "0", "3", "250", "300", "1500000000"}
 	return append(cases,
@@ -384,7 +396,8 @@ func oracleCases() []oracleCase {
 // (V's storage is keyed UNIQUE NULLS NOT DISTINCT, which holds one NULL
 // group and lets ON CONFLICT fold into it), equal rows and NULLs in a
 // keyless projection view, a group sum past 2^31, sums that net to 0, an
-// AVG over only NULLs — each batch followed by the propagation script.
+// AVG over only NULLs, a group's MIN deleted — each batch followed by the
+// propagation script.
 // After each, PostgreSQL's V must equal the query as PostgreSQL evaluates
 // it, and this engine's V.
 func TestPostgresOracle(t *testing.T) {
@@ -408,6 +421,7 @@ func TestPostgresOracle(t *testing.T) {
 			both("load", h.load())
 			both("setup", comp.SetupSQL())
 			both("populate", comp.PopulateSQLText())
+			lo, rose := map[string]int64{}, false // each group's MIN, and whether one rose
 			check := func(step string) {
 				t.Helper()
 				v := mustRows(t, pg, "SELECT * FROM "+c.name)
@@ -416,6 +430,18 @@ func TestPostgresOracle(t *testing.T) {
 				}
 				if e := canonRows(mustRows(t, eng, "SELECT * FROM "+c.name)); strings.Join(v, " ") != strings.Join(e, " ") {
 					t.Fatalf("%s: PostgreSQL's %s reads\n%q\nthis engine's\n%q", step, c.name, v, e)
+				}
+				if c.minRises {
+					next := map[string]int64{}
+					for _, r := range v {
+						f := strings.Split(r, "|")
+						if m, err := strconv.ParseInt(f[1], 10, 64); err == nil {
+							was, ok := lo[f[0]]
+							rose = rose || ok && m > was
+							next[f[0]] = m
+						}
+					}
+					lo = next
 				}
 			}
 			check("populate")
@@ -427,6 +453,9 @@ func TestPostgresOracle(t *testing.T) {
 				nulls.observe(h)
 			}
 			nulls.report(t)
+			if c.minRises && !rose {
+				t.Errorf("no batch deleted a group's least row and kept the group")
+			}
 		})
 	}
 }

@@ -97,38 +97,19 @@ func (d deltaSource) exprs(cols []ViewColumn) []string {
 	return out
 }
 
-// rowIn renders "this row of V over cols is one of the rows `SELECT srcs
-// FROM from` yields", NULL-safely; srcs are the same columns' values over
-// from. A row without a NULL is compared as a row value. IN never selects a
-// row holding a NULL, so such a row is compared through rowKey instead —
-// per row of the view that costs one IS NULL test per column, the key is
-// built only for the rows that need it.
-func rowIn(cols, srcs []string, from string) string {
-	return fmt.Sprintf("%s IN (SELECT %s FROM %s) OR ((%s IS NULL) AND %s IN (SELECT %s FROM %s))",
-		groupKey(cols), strings.Join(srcs, ", "), from, strings.Join(cols, " IS NULL OR "),
-		rowKey(cols), rowKey(srcs), from)
-}
-
-// rowKey builds a row-identity string over column names that is never
-// NULL: each column becomes a tagged part — 'N' for NULL, otherwise the
-// value prefixed with its length, which keeps ('a|', 'b') and ('a', '|b')
-// apart — and the parts are concatenated (the portable-SQL stand-in for
-// IS NOT DISTINCT FROM over a row).
-func rowKey(cols []string) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = fmt.Sprintf("COALESCE(LENGTH(CAST(%s AS VARCHAR)) || ':' || %s, 'N')", c, c)
+// keyedDelete renders a delete from V of the groups the delta retracts a
+// row of, that also satisfy conds. It finds V's rows by the retractions'
+// keys through one NULL-safe spelling, DELETE … USING … IS NOT DISTINCT
+// FROM, which reaches a NULL-keyed group too through V's key index.
+func keyedDelete(comp *Compilation, d deltaSource, conds ...string) *duckast.Delete {
+	groups := comp.GroupColumns()
+	keys := &duckast.Select{Items: aliased(d.exprs(groups), groups), From: &duckast.Raw{Text: d.rows(MultiplicityColumn + " = FALSE")}}
+	var on []string
+	for _, g := range viewColNames(groups) {
+		on = append(on, fmt.Sprintf("%s.%s IS NOT DISTINCT FROM ivm_del.%s", comp.Storage, g, g))
 	}
-	return strings.Join(parts, " || ")
-}
-
-// groupKey renders a group key for IN: the column itself, or the row
-// value (g1, g2) for a composite key.
-func groupKey(cols []string) string {
-	if len(cols) == 1 {
-		return cols[0]
-	}
-	return "(" + strings.Join(cols, ", ") + ")"
+	return &duckast.Delete{Table: comp.Storage, Using: &duckast.Raw{Text: "(" + keys.SQL() + ") AS ivm_del"},
+		Where: &duckast.Raw{Text: strings.Join(append(on, conds...), " AND ")}}
 }
 
 func viewColNames(cols []ViewColumn) []string {
@@ -282,10 +263,10 @@ func emitGlobalCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 // emitMinMaxRepair emits the rescan-repair for MIN/MAX deletions: the
 // groups a deletion touched leave V and are recomputed from the base
 // relation, so a group whose last row was deleted stays out. V's rows are
-// found through rowIn, which matches a NULL-keyed group too, and the base's
-// through a join on IS NOT DISTINCT FROM. A view without GROUP BY is
-// recomputed whole when the delta holds a deletion; an aggregate over no
-// rows is a row too, so that recompute is filtered from outside.
+// found through keyedDelete, and the base's through a join on IS NOT
+// DISTINCT FROM. A view without GROUP BY is recomputed whole when the
+// delta holds a deletion; an aggregate over no rows is a row too, so that
+// recompute is filtered from outside.
 func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 	groups := comp.GroupColumns()
 	deleted := d.rows(MultiplicityColumn + " = FALSE")
@@ -300,8 +281,8 @@ func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 			Where: touched}})
 		return
 	}
+	s.Add(keyedDelete(comp, d))
 	srcs := d.exprs(groups)
-	s.Add(&duckast.Delete{Table: comp.Storage, Where: &duckast.Raw{Text: rowIn(viewColNames(groups), srcs, deleted)}})
 	// The delta may delete several rows of one group: one row per group
 	// keeps the join from repeating base rows.
 	del := &duckast.Select{From: &duckast.Raw{Text: deleted}}
@@ -323,13 +304,12 @@ func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 // from Listing 2's `WHERE total_value = 0`, which drops a group whose SUM
 // nets to 0. A group's count changes only by its signed delta rows, so
 // only a group the delta retracts a row of can reach zero (DBSP): the
-// paper's unkeyed delete is stated over those keys alone — the same rows,
-// found through V's key index in O(|retractions|) instead of by scanning
-// V, and none at all in an insert-only window. IN never selects a group
-// with a NULL in its key, so those stay under the unkeyed test (`OR g IS
-// NULL`). A view without group columns keeps its one row: emptied, it
-// reads what the query reads over no rows, NULL in every column but a
-// count.
+// paper's unkeyed delete is stated over those keys alone (keyedDelete) —
+// the same rows, a NULL-keyed group among them, found through V's key
+// index in O(|retractions|) instead of by scanning V, and none at all in
+// an insert-only window. A view without group columns keeps its one row:
+// emptied, it reads what the query reads over no rows, NULL in every
+// column but a count.
 func emitEmptyGroupDelete(comp *Compilation, s *duckast.Script, d deltaSource) {
 	col := emptyGroupColumn(comp)
 	groups := comp.GroupColumns()
@@ -345,11 +325,7 @@ func emitEmptyGroupDelete(comp *Compilation, s *duckast.Script, d deltaSource) {
 		}
 		return
 	}
-	names := viewColNames(groups)
-	s.Add(&duckast.Delete{Table: comp.Storage, Where: &duckast.Raw{Text: fmt.Sprintf(
-		"(%s IN (SELECT %s FROM %s) OR %s IS NULL) AND %s = 0",
-		groupKey(names), strings.Join(d.exprs(groups), ", "), d.rows(MultiplicityColumn+" = FALSE"),
-		strings.Join(names, " IS NULL OR "), col)}})
+	s.Add(keyedDelete(comp, d, col+" = 0"))
 }
 
 // emptyGroupColumn names the view's row count: its first COUNT(*) storage

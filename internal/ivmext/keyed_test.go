@@ -36,38 +36,60 @@ func TestProjectionReinsertKeepsRow(t *testing.T) {
 	}
 }
 
-// TestExplainKeyedBody: every statement of a keyed view's body explains —
-// the join view's fill of its join delta, then steps 2–3 — for a
-// projection (which reads ΔT, no fill) and a FK→PK join view: step 2
-// upserts V's storage, step 3 deletes through its key, and a point read of
-// V, through the plain view that repeats each row by its weight, is a key
-// probe of the storage.
+// TestExplainKeyedBody: every statement of a view's body explains — the
+// join view's fill of its join delta, then steps 2–3 — for a keyed
+// projection (which reads ΔT, no fill) and a keyed FK→PK join view, and
+// for views that hold a NULL group: an aggregate grouped by a nullable
+// column, a keyless projection (keyed by all its columns) and a MIN view.
+// Step 2 upserts V's storage, the MIN/MAX repair and step 3 delete through
+// its key, a NULL key too, and a point read of a keyed view, through the
+// plain view that repeats each row by its weight, is a key probe of the
+// storage.
 func TestExplainKeyedBody(t *testing.T) {
 	db := engine.Open("keyedbody", engine.DialectDuckDB)
 	ext := Install(db)
 	mustExec(t, db, "CREATE TABLE customers (cid INTEGER PRIMARY KEY, region VARCHAR)")
 	mustExec(t, db, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)")
 	mustExec(t, db, "INSERT INTO customers VALUES (1, 'eu'), (2, 'us')")
-	mustExec(t, db, "INSERT INTO orders VALUES (1, 1, 300), (2, 2, 100), (5, 1, 400)")
-	mustExec(t, db, "CREATE MATERIALIZED VIEW big_orders AS SELECT oid, cid, amount FROM orders WHERE amount >= 250")
-	mustExec(t, db, "CREATE MATERIALIZED VIEW order_regions AS SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid")
-	for view, terms := range map[string]int{"big_orders": 0, "order_regions": 3} {
-		comp, _ := ext.Compilation(view)
-		var want []string
-		for i := 0; i < terms; i++ {
-			want = append(want, "Insert delta_join_"+view)
+	mustExec(t, db, "INSERT INTO orders VALUES (1, 1, 300), (2, 2, 100), (5, 1, 400), (7, NULL, 500)")
+	for _, c := range []struct {
+		view, def string
+		want      []string // <V> stands for V's storage
+		pointRead bool
+	}{
+		{"big_orders", "SELECT oid, cid, amount FROM orders WHERE amount >= 250",
+			[]string{"Upsert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)"}, true},
+		{"order_regions", "SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid",
+			[]string{"Insert delta_join_order_regions", "Insert delta_join_order_regions", "Insert delta_join_order_regions",
+				"Upsert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)"}, true},
+		{"cust_totals", "SELECT cid, SUM(amount) AS total, COUNT(*) AS n FROM orders GROUP BY cid",
+			[]string{"Upsert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)"}, false},
+		{"order_amounts", "SELECT cid, amount FROM orders",
+			[]string{"Upsert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)"}, false},
+		{"cust_min", "SELECT cid, MIN(amount) AS lo FROM orders GROUP BY cid",
+			[]string{"Upsert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)", "Insert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)"}, false},
+	} {
+		mustExec(t, db, "CREATE MATERIALIZED VIEW "+c.view+" AS "+c.def)
+		comp, _ := ext.Compilation(c.view)
+		if !c.pointRead {
+			if n := len(mustExec(t, db, "SELECT * FROM "+comp.Storage+" WHERE cid IS NULL").Rows); n != 1 {
+				t.Fatalf("%s holds %d NULL groups, want 1", c.view, n)
+			}
 		}
-		want = append(want, "Upsert "+view+"_ivm_storage", "KeyedDelete "+view+"_ivm_storage[pk] keys=IN(subquery)")
+		want := strings.ReplaceAll(strings.Join(c.want, "\n"), "<V>", comp.Storage)
 		var got []string
 		for _, stmt := range comp.Body.Stmts {
 			got = append(got, mustExec(t, db, "EXPLAIN "+stmt.SQL()).Rows[0][0].S)
 		}
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Errorf("%s body explains as\n%s\nwant\n%s", view, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		if strings.Join(got, "\n") != want {
+			t.Errorf("%s body explains as\n%s\nwant\n%s", c.view, strings.Join(got, "\n"), want)
 		}
-		read := fmt.Sprint(mustExec(t, db, "EXPLAIN SELECT * FROM "+view+" WHERE oid = 5").Rows)
-		if !strings.Contains(read, " KeyedScan "+view+"_ivm_storage[pk] keys=1 ") {
-			t.Errorf("point read of %s: %s", view, read)
+		if !c.pointRead {
+			continue
+		}
+		read := fmt.Sprint(mustExec(t, db, "EXPLAIN SELECT * FROM "+c.view+" WHERE oid = 5").Rows)
+		if !strings.Contains(read, " KeyedScan "+comp.Storage+"[pk] keys=1 ") {
+			t.Errorf("point read of %s: %s", c.view, read)
 		}
 	}
 }

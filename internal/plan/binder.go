@@ -906,7 +906,7 @@ func (b *Binder) bindExpr(e sqlparser.Expr, schema []ColumnInfo, allowAgg bool) 
 				if row, ok := x.Operand.(*sqlparser.RowExpr); ok {
 					items = row.Items
 				}
-				q := &expr.InQuery{Negate: x.Negate}
+				q := &expr.InQuery{Negate: x.Negate, NullSafe: x.NullSafe}
 				for _, item := range items {
 					o, err := b.bindExpr(item, schema, allowAgg)
 					if err != nil {

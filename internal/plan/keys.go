@@ -26,13 +26,12 @@ type KeySet struct {
 // compares exactly the primary-key columns with values of their own kind
 // (sameKeyKind): every key column `=` a constant (see constant), the key
 // column `IN` a list of them (one-column keys), or the key columns, in any
-// order, `IN (SELECT ...)` — either IN possibly followed by `OR k IS NULL`
-// over key columns, as long as tbl holds no NULL-keyed row
-// (catalog.Table.HasNullKey). Anything else — a negated IN, part of the
-// key, a value of another kind, an expression over a column — leaves the
-// statement on the scan. It is asked once per execution (parameters are
-// bound then, and the plan is reused) by the executor's scan, by UPDATE and
-// DELETE, and by EXPLAIN, which prints what this returns.
+// order, `IN (SELECT ...)`, NULL-safe or not. Anything else — a negated
+// IN, a disjunction, part of the key, a value of another kind, an
+// expression over a column — leaves the statement on the scan. It is
+// asked once per execution (parameters are bound then, and the plan is
+// reused) by the executor's scan, by UPDATE and DELETE, and by EXPLAIN,
+// which prints what this returns.
 func PinnedKeys(tbl *catalog.Table, pred expr.Expr) *KeySet {
 	f := keyFinder{tbl, tbl.PrimaryKeyColumns()}
 	if pred == nil || len(f.pk) == 0 {
@@ -65,9 +64,7 @@ func PinnedKeys(tbl *catalog.Table, pred expr.Expr) *KeySet {
 		if in != nil {
 			return
 		}
-		if k, nulls, _ := f.orKeys(e); k != nil && !(nulls && tbl.HasNullKey()) {
-			in = k
-		}
+		in = f.inKeys(e)
 	}
 	walk(pred)
 	if found == len(f.pk) {
@@ -151,41 +148,6 @@ func (f keyFinder) inKeys(e expr.Expr) *KeySet {
 	return nil
 }
 
-// orKeys is inKeys through the NULL-safe spelling `<IN> OR k IS NULL
-// [OR k2 IS NULL ...]`, every k a key column: ok when e is at most one
-// pinning IN and otherwise such tests. A disjunct may also be a conjunction
-// one of whose sides is such a term (`(k IS NULL) AND …`, as in the
-// compiler's rowIn): it selects no row that side does not. No index probe
-// finds the NULL-keyed rows the tests ask for, so with them (nulls) the set
-// is good only while the table holds no such row.
-func (f keyFinder) orKeys(e expr.Expr) (in *KeySet, nulls, ok bool) {
-	switch x := e.(type) {
-	case *expr.Binary:
-		if x.Op == "AND" {
-			if in, nulls, ok = f.orKeys(x.Left); ok {
-				return in, nulls, ok
-			}
-			return f.orKeys(x.Right)
-		}
-		if x.Op == "OR" {
-			l, ln, lok := f.orKeys(x.Left)
-			r, rn, rok := f.orKeys(x.Right)
-			if !lok || !rok || (l != nil && r != nil) {
-				return nil, false, false
-			}
-			if l == nil {
-				l = r
-			}
-			return l, ln || rn, true
-		}
-	case *expr.IsNull:
-		ok = !x.Negate && f.pkPos(x.Operand) >= 0
-		return nil, ok, ok
-	}
-	in = f.inKeys(e)
-	return in, false, in != nil
-}
-
 // String is the key set as EXPLAIN shows it.
 func (k *KeySet) String() string {
 	if k.query != nil {
@@ -198,8 +160,10 @@ func (k *KeySet) String() string {
 // and UpdateTxn take (nil for a nil set: the scan), running the subquery if
 // there is one (its rows stay cached for the predicate's own evaluation) —
 // so call it before the table's lock is taken. A NULL in a subquery row
-// equals no key; a value of another kind than its key column returns nil,
-// the scan, which compares it the way the predicate does.
+// equals no key, unless the IN is NULL-safe: then it is a key like any
+// other, and the index finds the rows stored with a NULL there. A value of
+// another kind than its key column returns nil, the scan, which compares
+// it the way the predicate does.
 func (k *KeySet) Resolve(tbl *catalog.Table) ([]sqltypes.Value, error) {
 	if k == nil {
 		return nil, nil
@@ -218,11 +182,11 @@ next:
 		at := len(keys)
 		for i, p := range pk {
 			v := r[k.perm[i]]
-			if v.IsNull() {
+			switch {
+			case v.IsNull() && !k.query.NullSafe:
 				keys = keys[:at]
 				continue next
-			}
-			if !sameKeyKind(tbl.Columns[p].Type, v) {
+			case !v.IsNull() && !sameKeyKind(tbl.Columns[p].Type, v):
 				return nil, nil
 			}
 			keys = append(keys, v)

@@ -48,11 +48,13 @@ type IsNullExpr struct {
 	Negate  bool
 }
 
-// InExpr is x [NOT] IN (e1, e2, ...).
+// InExpr is x [NOT] IN (e1, e2, ...). NullSafe, which only DELETE … USING
+// sets, compares as IS NOT DISTINCT FROM: a NULL matches a NULL.
 type InExpr struct {
-	Operand Expr
-	List    []Expr
-	Negate  bool
+	Operand  Expr
+	List     []Expr
+	Negate   bool
+	NullSafe bool
 }
 
 // BetweenExpr is x [NOT] BETWEEN lo AND hi.
@@ -340,7 +342,7 @@ type UpdateStmt struct {
 	Where Expr
 }
 
-// DeleteStmt is DELETE FROM t [WHERE p].
+// DeleteStmt is DELETE FROM t [USING (SELECT …) AS a] [WHERE p] (see usingIn).
 type DeleteStmt struct {
 	Table string
 	Where Expr
@@ -439,6 +441,14 @@ func WalkExpr(e Expr, fn func(Expr) bool) {
 	case *CastExpr:
 		WalkExpr(x.Operand, fn)
 	}
+}
+
+// Conjuncts flattens e's top-level ANDs into their operands, left to right.
+func Conjuncts(e Expr) []Expr {
+	if b, ok := e.(*BinaryExpr); ok && b.Op == "AND" {
+		return append(Conjuncts(b.Left), Conjuncts(b.Right)...)
+	}
+	return []Expr{e}
 }
 
 // ExprString renders an expression back to SQL. It is used for error

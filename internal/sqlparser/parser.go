@@ -718,6 +718,12 @@ func (p *Parser) parseDelete() (Statement, error) {
 		return nil, err
 	}
 	st.Table = name
+	var using TableRef
+	if p.acceptKw("USING") {
+		if using, err = p.parseTablePrimary(); err != nil {
+			return nil, err
+		}
+	}
 	if p.acceptKw("WHERE") {
 		e, err := p.parseExpr()
 		if err != nil {
@@ -725,7 +731,65 @@ func (p *Parser) parseDelete() (Statement, error) {
 		}
 		st.Where = e
 	}
+	if using != nil {
+		if st.Where, err = usingIn(name, using, st.Where); err != nil {
+			return nil, err
+		}
+	}
 	return st, nil
+}
+
+// usingIn rewrites the WHERE of DELETE FROM table USING (SELECT …) AS a
+// into the NULL-safe membership test it stands for: the rows of table
+// whose columns are not distinct from those of a row of the subquery, and
+// that pass the rest of where. One shape is taken, the keyed delete: every
+// conjunct that reads a is `table.x IS NOT DISTINCT FROM a.y` (either way
+// round), and there is at least one. Any other use of a, and any other
+// USING item, is refused with 0A000.
+func usingIn(table string, using TableRef, where Expr) (Expr, error) {
+	u, _ := using.(*SubqueryTable)
+	if u == nil || u.Alias == "" || strings.EqualFold(u.Alias, table) {
+		return nil, enginerr.Newf(enginerr.CodeFeatureNotSupported, "sqlparser: DELETE … USING takes one (SELECT …) AS alias")
+	}
+	alias := u.Alias
+	onAlias := func(e Expr) bool {
+		c, ok := e.(*ColumnRef)
+		return ok && !c.Star && strings.EqualFold(c.Table, alias)
+	}
+	sel := &SelectStmt{From: using}
+	in := &InExpr{List: []Expr{&SubqueryExpr{Select: sel}}, NullSafe: true}
+	var out Expr = in
+	var keys []Expr
+	for _, c := range Conjuncts(where) {
+		reads := false
+		WalkExpr(c, func(x Expr) bool { reads = reads || onAlias(x); return !reads })
+		if !reads {
+			out = &BinaryExpr{Op: "AND", Left: out, Right: c}
+			continue
+		}
+		var key, col Expr
+		if b, ok := c.(*BinaryExpr); ok && b.Op == "IS NOT DISTINCT FROM" {
+			key, col = b.Left, b.Right
+			if onAlias(key) {
+				key, col = col, key
+			}
+		}
+		if k, ok := key.(*ColumnRef); !ok || k.Star || !onAlias(col) || k.Table != "" && !strings.EqualFold(k.Table, table) {
+			return nil, enginerr.Newf(enginerr.CodeFeatureNotSupported,
+				"sqlparser: DELETE … USING: %s: each condition on %s must be %s.<column> IS NOT DISTINCT FROM %s.<column>", ExprString(c), alias, table, alias)
+		}
+		keys = append(keys, key)
+		sel.Items = append(sel.Items, SelectItem{Expr: col})
+	}
+	switch len(keys) {
+	case 0:
+		return nil, enginerr.Newf(enginerr.CodeFeatureNotSupported, "sqlparser: DELETE … USING: no condition matches %s to %s", table, alias)
+	case 1:
+		in.Operand = keys[0]
+	default:
+		in.Operand = &RowExpr{Items: keys}
+	}
+	return out, nil
 }
 
 // --- SELECT ---

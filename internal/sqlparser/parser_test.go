@@ -1,9 +1,11 @@
 package sqlparser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"openivm/internal/enginerr"
 	"openivm/internal/sqltypes"
 )
 
@@ -340,6 +342,71 @@ func TestParseDelete(t *testing.T) {
 	st2 := mustParse(t, "DELETE FROM t").(*DeleteStmt)
 	if st2.Where != nil {
 		t.Fatal("unexpected where")
+	}
+}
+
+// TestParseDeleteUsing: DELETE … USING parses into the NULL-safe IN its
+// keyed shape stands for — one key column or several, either side of IS
+// NOT DISTINCT FROM, the target's columns qualified or not, residual
+// conjuncts kept beside it — and every other shape is refused with 0A000.
+func TestParseDeleteUsing(t *testing.T) {
+	for _, c := range []struct{ sql, want string }{
+		{"DELETE FROM v USING (SELECT k FROM d) AS x WHERE v.k IS NOT DISTINCT FROM x.k",
+			"v.k IN (SELECT x.k)"},
+		{"DELETE FROM v USING (SELECT a, b FROM d WHERE m = FALSE) AS x WHERE x.a IS NOT DISTINCT FROM v.g AND h IS NOT DISTINCT FROM x.b AND n = 0",
+			"(v.g, h) IN (SELECT x.a, x.b) AND (n = 0)"},
+		{"DELETE FROM v USING (SELECT k FROM d) d WHERE (v.n > 1 AND v.k IS NOT DISTINCT FROM d.k) AND v.n < 9",
+			"v.k IN (SELECT d.k) AND (v.n > 1) AND (v.n < 9)"},
+	} {
+		st := mustParse(t, c.sql).(*DeleteStmt)
+		var in *InExpr
+		var rest []string
+		for _, term := range Conjuncts(st.Where) {
+			if x, ok := term.(*InExpr); ok && in == nil {
+				in = x
+				continue
+			}
+			rest = append(rest, ExprString(term))
+		}
+		if in == nil || !in.NullSafe || in.Negate || len(in.List) != 1 {
+			t.Errorf("%s: no NULL-safe IN in %s", c.sql, ExprString(st.Where))
+			continue
+		}
+		sel := in.List[0].(*SubqueryExpr).Select
+		var items []string
+		for _, it := range sel.Items {
+			items = append(items, ExprString(it.Expr))
+		}
+		got := ExprString(in.Operand) + " IN (SELECT " + strings.Join(items, ", ") + ")"
+		if _, ok := sel.From.(*SubqueryTable); !ok {
+			got += fmt.Sprintf(" FROM %T", sel.From)
+		}
+		if len(rest) > 0 {
+			got += " AND " + strings.Join(rest, " AND ")
+		}
+		if st.Table != "v" || got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.sql, got, c.want)
+		}
+	}
+	for _, bad := range []string{
+		"DELETE FROM v USING (SELECT k FROM d) AS x WHERE v.k = x.k",                                       // a join through =
+		"DELETE FROM v USING (SELECT k, m FROM d) AS x WHERE v.k IS NOT DISTINCT FROM x.k AND x.m = FALSE", // a residual on the alias
+		"DELETE FROM v USING (SELECT k FROM d) AS x WHERE v.k IS NOT DISTINCT FROM x.k OR v.n = 0",         // a disjunction
+		"DELETE FROM v USING (SELECT k FROM d) WHERE v.k IS NOT DISTINCT FROM k",                           // no alias
+		"DELETE FROM v USING d AS x WHERE v.k IS NOT DISTINCT FROM x.k",                                    // a table, not a subquery
+		"DELETE FROM v USING (SELECT k FROM d) AS x",                                                       // no key at all
+		"DELETE FROM v USING (SELECT k FROM d) AS x WHERE v.n = 0",                                         // the same
+		"DELETE FROM v USING (SELECT k, j FROM d) AS x WHERE x.k IS NOT DISTINCT FROM x.j",                 // no column of v
+		"DELETE FROM v USING (SELECT k FROM d) AS x WHERE v.k + 1 IS NOT DISTINCT FROM x.k",                // an expression
+		"DELETE FROM v USING (SELECT k FROM d) AS x WHERE w.k IS NOT DISTINCT FROM x.k",                    // another table's column
+		"DELETE FROM v USING (SELECT k FROM d) AS x WHERE v.k IS NOT DISTINCT FROM x.k + 1",                // an expression on the alias
+		"DELETE FROM v USING generate_series(1, 3) AS x WHERE v.k IS NOT DISTINCT FROM x.x",                // a function
+		"DELETE FROM v USING (SELECT k FROM d) AS v WHERE v.k IS NOT DISTINCT FROM v.k",                    // the target's name
+	} {
+		_, err := Parse(bad)
+		if code := enginerr.CodeOf(err); code != enginerr.CodeFeatureNotSupported {
+			t.Errorf("Parse(%q) = %v (SQLSTATE %q), want 0A000", bad, err, code)
+		}
 	}
 }
 
