@@ -23,9 +23,13 @@ func lineAt(lines []string, prefix string) int {
 	return slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, prefix) })
 }
 
-// TestExplainPredicatePlacement: WHERE and ON conjuncts move through joins
-// to the scans they read, and what may not move stays put.
-func TestExplainPredicatePlacement(t *testing.T) {
+// dashboardSQL is the dashboards' ad-hoc join over dashboardDB's tables.
+const dashboardSQL = "SELECT customers.region, SUM(orders.amount) AS total, COUNT(*) AS n FROM orders JOIN customers ON orders.cid = customers.cid JOIN regions ON customers.region = regions.region WHERE regions.zone = 'z3' AND orders.amount >= 250 GROUP BY customers.region"
+
+// dashboardDB holds the dashboards' three schemas, with fewer customers
+// than orders and fewer regions than customers.
+func dashboardDB(t *testing.T) *DB {
+	t.Helper()
 	db := Open("placement", DialectDuckDB)
 	for _, sql := range []string{
 		"CREATE TABLE customers (cid INTEGER PRIMARY KEY, region VARCHAR)",
@@ -37,11 +41,17 @@ func TestExplainPredicatePlacement(t *testing.T) {
 	} {
 		mustExec(t, db, sql)
 	}
+	return db
+}
+
+// TestExplainPredicatePlacement: WHERE and ON conjuncts move through joins
+// to the scans they read, and what may not move stays put.
+func TestExplainPredicatePlacement(t *testing.T) {
+	db := dashboardDB(t)
 
 	// The dashboards' ad-hoc join: both conjuncts reach their scans, and
 	// no Filter is left above a join.
-	const dash = "SELECT customers.region, SUM(orders.amount) AS total, COUNT(*) AS n FROM orders JOIN customers ON orders.cid = customers.cid JOIN regions ON customers.region = regions.region WHERE regions.zone = 'z3' AND orders.amount >= 250 GROUP BY customers.region"
-	lines := explainLines(t, db, dash)
+	lines := explainLines(t, db, dashboardSQL)
 	if lineAt(lines, "Filter") >= 0 {
 		t.Errorf("a Filter is left in the plan:\n%s", strings.Join(lines, "\n"))
 	}
@@ -50,9 +60,9 @@ func TestExplainPredicatePlacement(t *testing.T) {
 			t.Errorf("no %q in the plan:\n%s", want, strings.Join(lines, "\n"))
 		}
 	}
-	got := fmt.Sprint(queryRows(t, db, dash+" ORDER BY customers.region"))
+	got := fmt.Sprint(queryRows(t, db, dashboardSQL+" ORDER BY customers.region"))
 	if want := "[r2|1300|2 r3|250|1]"; got != want {
-		t.Errorf("%s = %s, want %s", dash, got, want)
+		t.Errorf("%s = %s, want %s", dashboardSQL, got, want)
 	}
 
 	// A comma join's equality is a hash (or index) key, not a nested loop.
@@ -73,5 +83,28 @@ func TestExplainPredicatePlacement(t *testing.T) {
 	filter, join := lineAt(lines, "Filter (cid IS NULL)"), lineAt(lines, "HashJoin")
 	if filter < 0 || join < 0 || filter > join || lineAt(lines, "Scan customers AS c [filter: (cid > 3)]") < 0 {
 		t.Errorf("LEFT JOIN placement:\n%s", strings.Join(lines, "\n"))
+	}
+}
+
+// TestExplainDashboardJoinOrder: the dashboards' join runs as orders ⋈
+// (customers ⋈ regions) — customers meet the zone's regions first, and the
+// scan of orders probes what is left of them once — and answers as written.
+func TestExplainDashboardJoinOrder(t *testing.T) {
+	db := dashboardDB(t)
+	want := []string{
+		"Project region, sum(orders.amount), count(*)",
+		"HashAggregate region, SUM(amount), COUNT(*)",
+		"HashJoin build=right JOIN (keys: [1]=[0])",
+		"Scan orders [filter: (amount >= 250)]",
+		"HashJoin build=right JOIN (keys: [1]=[0])",
+		"Scan customers",
+		"Scan regions [filter: (zone = 'z3')]",
+	}
+	if got := explainLines(t, db, dashboardSQL); !slices.Equal(got, want) {
+		t.Errorf("EXPLAIN %s:\n got %s\nwant %s", dashboardSQL, strings.Join(got, "\n    "), strings.Join(want, "\n    "))
+	}
+	got := fmt.Sprint(queryRows(t, db, dashboardSQL+" ORDER BY customers.region"))
+	if want := "[r2|1300|2 r3|250|1]"; got != want {
+		t.Errorf("%s = %s, want %s", dashboardSQL, got, want)
 	}
 }

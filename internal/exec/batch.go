@@ -69,7 +69,8 @@ type batchScan struct {
 	rows  []sqltypes.Row // row snapshot taken at open (live rows only)
 	pos   int
 	size  int
-	exact bool // the scan emits every row it reads: no filter, or keyed
+	exact bool      // the scan emits every row it reads: no filter, or keyed
+	cmps  []cmpTerm // the filter as comparisons (compileCmpFilter), or nil
 	ctx   context.Context
 	out   Batch
 	slab  valueSlab
@@ -94,6 +95,10 @@ func newBatchScan(s *plan.Scan, opts Options) *batchScan {
 	// directly would race (stored Row values themselves are immutable).
 	it := &batchScan{node: s, rows: s.Table.RowsSnap(opts.Snap, vals), size: opts.BatchSize, ctx: opts.Ctx,
 		exact: s.Filter == nil || vals != nil}
+	// Resolving the filter costs an allocation, repaid over a batch of rows.
+	if !it.exact && len(it.rows) >= it.size {
+		it.cmps = compileCmpFilter(nil, s.Filter, len(s.FullSchema()))
+	}
 	if s.Projection != nil {
 		it.slab = newValueSlab(len(s.Projection), opts.BatchSize)
 		if it.exact {
@@ -116,7 +121,10 @@ func (it *batchScan) NextBatch() (*Batch, error) {
 	for it.pos < len(it.rows) && len(it.out.Rows) < it.size {
 		r := it.rows[it.pos]
 		it.pos++
-		if it.node.Filter != nil {
+		if it.cmps != nil && !holds(it.cmps, r) {
+			continue
+		}
+		if it.cmps == nil && it.node.Filter != nil {
 			v, err := it.node.Filter.Eval(r)
 			if err != nil {
 				return nil, err
@@ -142,6 +150,67 @@ func (it *batchScan) NextBatch() (*Batch, error) {
 
 // Close implements BatchIterator (leaf: nothing to release).
 func (it *batchScan) Close() {}
+
+// cmpTerm is one conjunct `column <op> constant` of a scan filter: the
+// operator as the sqltypes.Compare results it holds on, bit 1<<(cmp+1) for
+// each, and the constant as its value.
+type cmpTerm struct {
+	col    int
+	accept uint8
+	val    sqltypes.Value
+}
+
+// cmpAccept is the Compare results each comparison operator holds on, with
+// the column on its left.
+var cmpAccept = map[string]uint8{"=": 2, "<>": 5, "<": 1, "<=": 3, ">": 4, ">=": 6}
+
+// compileCmpFilter appends to dst filter f, bound against a row of width
+// columns, as comparisons when it is `column <op> literal-or-parameter`
+// (either way round) or an AND of such terms, and returns nil for any other
+// filter. A parameter is read now, once per execution, and the shared plan
+// node is left as it is.
+func compileCmpFilter(dst []cmpTerm, f expr.Expr, width int) []cmpTerm {
+	b, ok := f.(*expr.Binary)
+	if ok && b.Op == "AND" {
+		if dst = compileCmpFilter(dst, b.Left, width); dst == nil {
+			return nil
+		}
+		return compileCmpFilter(dst, b.Right, width)
+	}
+	if !ok {
+		return nil
+	}
+	accept, val := cmpAccept[b.Op], b.Right
+	col, ok := b.Left.(*expr.Column)
+	if !ok { // constant <op> column: < and > trade places
+		col, ok = b.Right.(*expr.Column)
+		accept, val = accept&2|accept&1<<2|accept>>2, b.Left
+	}
+	if !ok || accept == 0 || col.Idx < 0 || col.Idx >= width {
+		return nil
+	}
+	switch val.(type) {
+	case *expr.Literal, *expr.Param:
+		if v, err := val.Eval(nil); err == nil {
+			return append(dst, cmpTerm{col: col.Idx, accept: accept, val: v})
+		}
+	}
+	return nil
+}
+
+// holds reports whether every term is TRUE of row r, as expr.Binary.Eval
+// finds it: a comparison with a NULL on either side is unknown, not TRUE.
+func holds(terms []cmpTerm, r sqltypes.Row) bool {
+	for i := range terms {
+		t := &terms[i]
+		v := r[t.col]
+		if v.T == sqltypes.TypeNull || t.val.T == sqltypes.TypeNull ||
+			t.accept&(1<<(sqltypes.Compare(v, t.val)+1)) == 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // --- values ---
 

@@ -1,7 +1,10 @@
 // Package optimizer rewrites bound logical plans before execution: it folds
 // constant sub-expressions, places each predicate conjunct as far down the
 // plan as it may legally go (through joins and column-renaming projections
-// to the scans), drops column-identity projections below the root, folds a
+// to the scans), drops column-identity projections below the root, turns
+// an inner join chain (A ⋈ B) ⋈ C into A ⋈ (B ⋈ C) where C is found by
+// its primary key and B is the smaller of A and B (RotateKeyedJoin; not
+// when A's filter pins its keys or either join is outer), folds a
 // column-selecting projection into the one below it, drops the integer of
 // a generate_series nothing reads, and narrows the columns a scan emits.
 package optimizer
@@ -22,6 +25,7 @@ import (
 func Optimize(n plan.Node) plan.Node {
 	n = rewrite(n, FoldConstants)
 	n = place(n, nil, true)
+	n = rewrite(n, RotateKeyedJoin)
 	n = rewrite(n, func(n plan.Node) plan.Node { return PruneSeriesColumn(MergeProjects(n)) })
 	return rewrite(n, PruneScanColumns)
 }
@@ -278,6 +282,54 @@ func placeJoin(j *plan.Join, conj []expr.Expr) (plan.Node, []expr.Expr) {
 		out.Kind = sqlparser.JoinInner
 	}
 	return out, above
+}
+
+// RotateKeyedJoin rewrites the inner join (A ⋈ B) ⋈ C to A ⋈ (B ⋈ C)
+// when the upper join reads only B and C, C is a scan joined on every
+// column of its primary key (so B ⋈ C holds at most one row per row of B),
+// and B's SourceRows are fewer than A's, both known: A is then read once,
+// against what B and C leave of each other, instead of each row of A ⋈ B
+// being built and probed again. The chain stays as written when A is a
+// scan whose filter pins its keys (plan.PinnedKeys: a few rows already) or
+// either join is outer. Only the moved join's keys and residual change,
+// shifted by A's width; the two joins are new nodes over the same A, B, C.
+func RotateKeyedJoin(n plan.Node) plan.Node {
+	top, ok := n.(*plan.Join)
+	if !ok || top.Kind != sqlparser.JoinInner {
+		return n
+	}
+	low, ok := top.Left.(*plan.Join)
+	c, isScan := top.Right.(*plan.Scan)
+	if !ok || !isScan || c.Projection != nil || low.Kind != sqlparser.JoinInner && low.Kind != sqlparser.JoinCross {
+		return n
+	}
+	pk := c.Table.PrimaryKeyColumns()
+	if len(pk) == 0 || slices.ContainsFunc(pk, func(p int) bool { return !slices.Contains(top.EquiRight, p) }) {
+		return n
+	}
+	if a, ok := low.Left.(*plan.Scan); ok && plan.PinnedKeys(a.Table, a.Filter) != nil {
+		return n
+	}
+	rowsA, okA := plan.SourceRows(low.Left)
+	rowsB, okB := plan.SourceRows(low.Right)
+	aw := len(low.Left.Schema())
+	on := mapColumns(top.On, func(col *expr.Column) *expr.Column {
+		if col.Idx < aw {
+			return nil
+		}
+		return &expr.Column{Idx: col.Idx - aw, Name: col.Name, Typ: col.Typ}
+	})
+	if !okA || !okB || rowsB >= rowsA || slices.Min(top.EquiLeft) < aw || on == nil && top.On != nil {
+		return n
+	}
+	moved := *top
+	moved.Left, moved.On, moved.EquiLeft = low.Right, on, make([]int, len(top.EquiLeft))
+	for i, k := range top.EquiLeft {
+		moved.EquiLeft[i] = k - aw
+	}
+	rotated := *low
+	rotated.Right = &moved
+	return &rotated
 }
 
 // conjuncts appends the top-level AND-ed terms of e to dst.

@@ -14,10 +14,11 @@ import (
 	"openivm/internal/sqltypes"
 )
 
-// placementCatalog fills four tables with random rows: a and b share a
+// placementCatalog fills five tables with random rows: a and b share a
 // join key k drawn from a small domain with NULLs and repeats, c is keyed
-// on k, and d is a handful of rows — small enough beside c that a join of
-// the two probes c's key index.
+// on k, d is a handful of rows — small enough beside c that a join of
+// the two probes c's key index — and e is keyed on the pair (k, j), a
+// NULL in j for a quarter of its rows.
 func placementCatalog(t *testing.T, seed int64) *catalog.Catalog {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -60,6 +61,13 @@ func placementCatalog(t *testing.T, seed int64) *catalog.Catalog {
 	fill("d", []catalog.Column{intCol("k"), intCol("w")}, nil, rng.Intn(5), func(int) sqltypes.Row {
 		return sqltypes.Row{num(8), num(3)}
 	})
+	fill("e", []catalog.Column{intCol("k"), intCol("j"), intCol("v")}, []string{"k", "j"}, 24, func(i int) sqltypes.Row {
+		j := sqltypes.NewInt(int64(i / 6))
+		if i >= 18 {
+			j = sqltypes.Null
+		}
+		return sqltypes.Row{sqltypes.NewInt(int64(i % 6)), j, num(4)}
+	})
 	if err := c.MVCC().Commit(tx); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +77,8 @@ func placementCatalog(t *testing.T, seed int64) *catalog.Catalog {
 // placementQueries are the statements the differential test runs: every
 // join kind with conjuncts of the ON condition and of WHERE on each side,
 // on both, on neither and through subqueries, then comma joins, CTE and
-// subquery references, and index-join shapes.
+// subquery references, index-join shapes, and the join chains of
+// rotatedChains and unrotatedChains.
 func placementQueries() []string {
 	var qs []string
 	ons := []string{"", " AND a.x > 1", " AND b.y < 3", " AND a.x = b.y", " AND b.y IS NULL",
@@ -87,7 +96,7 @@ func placementQueries() []string {
 			}
 		}
 	}
-	return append(qs,
+	qs = append(qs,
 		"SELECT * FROM a, b WHERE a.k = b.k",
 		"SELECT * FROM a, b WHERE a.k = b.k AND a.x > 1 AND b.s = 'p'",
 		"SELECT * FROM a, b WHERE a.x = b.y AND a.s = b.s",
@@ -119,6 +128,48 @@ func placementQueries() []string {
 		"SELECT k, s FROM a, generate_series(0, x) WHERE x < 3",
 		"SELECT u.k, u.y FROM (SELECT k, y FROM b, generate_series(1, k)) u JOIN c ON u.k = c.k WHERE c.z > 0",
 	)
+	return append(append(qs, rotatedChains...), unrotatedChains...)
+}
+
+// rotatedChains are inner join chains (A ⋈ B) ⋈ C that RotateKeyedJoin
+// turns into A ⋈ (B ⋈ C): the upper join reads only B and C, C is joined
+// on its whole primary key, and B (d, a handful of rows) is smaller than A.
+var rotatedChains = []string{
+	"SELECT * FROM a JOIN d ON a.k = d.k JOIN c ON d.k = c.k",
+	"SELECT * FROM a JOIN d ON a.k = d.k JOIN c ON d.k = c.k AND d.w < c.z",
+	"SELECT * FROM a JOIN d ON a.k = d.k AND a.x <> d.w JOIN c ON d.w = c.k AND (d.k > 1 OR c.z IS NULL)",
+	"SELECT * FROM a JOIN d ON a.k IS NOT DISTINCT FROM d.k JOIN c ON d.k IS NOT DISTINCT FROM c.k",
+	"SELECT * FROM a JOIN d ON a.k = d.k JOIN c ON d.k = c.k WHERE a.x > 1 AND d.w IS NOT NULL AND c.z < 4 AND a.s = 'p'",
+	"SELECT a.s, d.w, c.z FROM a JOIN d ON a.k = d.k JOIN c ON c.k = d.k WHERE c.z = $1 AND a.x = $1",
+	"SELECT * FROM a, d, c WHERE a.k = d.k AND d.k = c.k AND c.z > 0",
+	"SELECT * FROM a CROSS JOIN d JOIN c ON d.k = c.k WHERE a.x = 1",
+	"SELECT * FROM a JOIN d ON a.k = d.k JOIN e ON d.k = e.k AND d.w = e.j",
+	"SELECT * FROM a JOIN d ON a.k = d.k JOIN e ON d.k = e.k AND d.w IS NOT DISTINCT FROM e.j",
+	"SELECT * FROM c JOIN d ON c.z = d.w JOIN c AS c2 ON d.k = c2.k",
+	"SELECT a.s, COUNT(*), SUM(c.z) FROM a JOIN d ON a.k = d.k JOIN c ON d.k = c.k WHERE a.x >= 1 GROUP BY a.s",
+	"SELECT * FROM a JOIN d ON a.k = d.k JOIN c ON d.k = c.k JOIN b ON a.k = b.k WHERE b.y < 3",
+	"SELECT * FROM a JOIN d ON a.k = d.k JOIN c ON d.k = c.k LEFT JOIN b ON c.z = b.y",
+	"WITH dd AS (SELECT k, w FROM d WHERE w IS NOT NULL) SELECT * FROM a JOIN dd ON a.k = dd.k JOIN c ON dd.k = c.k JOIN dd AS d2 ON c.z = d2.w",
+	"WITH ch AS (SELECT a.k, a.x, d.w, c.z FROM a JOIN d ON a.k = d.k JOIN c ON d.k = c.k) SELECT * FROM ch JOIN ch AS ch2 ON ch.x = ch2.z WHERE ch.w > 0",
+}
+
+// unrotatedChains are chains RotateKeyedJoin must leave as written: an
+// outer join in the chain, an upper join reading A, C joined on a non-key
+// or on part of a composite key, B not smaller than A, and A pinned by key.
+var unrotatedChains = []string{
+	"SELECT * FROM a LEFT JOIN d ON a.k = d.k JOIN c ON d.k = c.k",
+	"SELECT * FROM a JOIN d ON a.k = d.k LEFT JOIN c ON d.k = c.k",
+	"SELECT * FROM a RIGHT JOIN d ON a.k = d.k JOIN c ON d.k = c.k",
+	"SELECT * FROM a JOIN d ON a.x = d.w JOIN c ON a.k = c.k",
+	"SELECT * FROM a JOIN d ON a.k = d.k JOIN c ON d.k = c.k AND a.x < c.z",
+	"SELECT * FROM a JOIN d ON a.k = d.k JOIN c ON d.w = c.z",
+	"SELECT * FROM a JOIN d ON a.k = d.k JOIN c ON d.w + 1 = c.k",
+	"SELECT a.s, d.w, c.z FROM a JOIN d ON a.k = d.k JOIN c ON c.k = d.k WHERE c.z = $1 OR a.x = $1",
+	"SELECT * FROM a JOIN d ON a.k = d.k JOIN e ON d.k = e.k",
+	"SELECT * FROM d JOIN a ON d.k = a.k JOIN c ON a.k = c.k",
+	"SELECT * FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k",
+	"SELECT * FROM c JOIN d ON c.z = d.w JOIN c AS c2 ON d.k = c2.k WHERE c.k = 1",
+	"SELECT * FROM c JOIN d ON c.z = d.w JOIN c AS c2 ON d.k = c2.k WHERE c.k IN (1, 2, 3)",
 }
 
 // bindPlacement binds sql over c with $1 = 2, its IN subqueries run
@@ -223,6 +274,62 @@ func TestPlacementExplain(t *testing.T) {
 		// A subquery stays in its Filter.
 		{"SELECT * FROM a JOIN b ON a.k = b.k WHERE b.k IN (SELECT k FROM c) AND b.y = 1",
 			"Project k, x, s, k, y, s\n  Filter (k IN (<subquery>))\n    HashJoin build=right JOIN (keys: [0]=[0])\n      Scan a\n      Scan b [filter: (y = 1)]\n"},
+	} {
+		if got := plan.Explain(Optimize(bindPlacement(t, c, tc.sql))); got != tc.want {
+			t.Errorf("%s\n got:\n%s\nwant:\n%s", tc.sql, got, tc.want)
+		}
+	}
+}
+
+// rotated reports whether n holds a join whose right input is a join: what
+// RotateKeyedJoin makes, and the binder never does for a chain written
+// without parentheses.
+func rotated(n plan.Node) bool {
+	found := false
+	plan.Walk(n, func(x plan.Node) bool {
+		if j, ok := x.(*plan.Join); ok {
+			_, r := j.Right.(*plan.Join)
+			found = found || r
+		}
+		return true
+	})
+	return found
+}
+
+// TestRotateKeyedJoinFires: the rule rewrites every chain of rotatedChains
+// and none of unrotatedChains, over each fill (d holds 0 to 4 rows, always
+// fewer than a and c).
+func TestRotateKeyedJoinFires(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		c := placementCatalog(t, seed)
+		for _, chains := range []struct {
+			sqls []string
+			want bool
+		}{{rotatedChains, true}, {unrotatedChains, false}} {
+			for _, sql := range chains.sqls {
+				if opt := Optimize(bindPlacement(t, c, sql)); rotated(opt) != chains.want {
+					t.Errorf("seed %d: %s: rotated %v, want %v\n%s", seed, sql, !chains.want, chains.want, plan.Explain(opt))
+				}
+			}
+		}
+	}
+}
+
+// TestRotateKeyedJoinExplain pins the rewritten trees: A probes what B and
+// C leave of each other, the moved join's keys and residual renumbered
+// from B's first column and the output columns in their written order.
+func TestRotateKeyedJoinExplain(t *testing.T) {
+	c := placementCatalog(t, 1)
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT * FROM a JOIN d ON a.k = d.k JOIN c ON d.k = c.k AND d.w < c.z WHERE a.x > 1 AND c.z < 4",
+			"Project k, x, s, k, w, k, z\n  HashJoin build=right JOIN (keys: [0]=[0])\n    Scan a [filter: (x > 1)]\n    IndexJoin c[pk] build=left JOIN (keys: [0]=[0]) [residual: (w < z)]\n      Scan d\n      Scan c [filter: (z < 4)]\n"},
+		{"SELECT * FROM a JOIN d ON a.k IS NOT DISTINCT FROM d.k JOIN e ON d.w = e.j AND d.k = e.k",
+			"Project k, x, s, k, w, k, j, v\n  HashJoin build=right JOIN (keys: [0]=[0])\n    Scan a\n    HashJoin build=left JOIN (keys: [1 0]=[1 0])\n      Scan d\n      Scan e\n"},
+		{"SELECT a.s, c.z FROM a, d, c WHERE a.k = d.k AND d.k = c.k AND a.s = 'q'",
+			"Project s, z\n  HashJoin build=right JOIN (keys: [0]=[0])\n    Scan a [filter: (s = 'q')]\n    IndexJoin c[pk] build=left JOIN (keys: [0]=[0])\n      Scan d\n      Scan c\n"},
+		// Left as written: the upper join reads A.
+		{"SELECT * FROM a JOIN d ON a.k = d.k JOIN c ON d.k = c.k AND a.x < c.z",
+			"Project k, x, s, k, w, k, z\n  HashJoin build=right JOIN (keys: [3]=[0]) [residual: (x < z)]\n    HashJoin build=right JOIN (keys: [0]=[0])\n      Scan a\n      Scan d\n    Scan c\n"},
 	} {
 		if got := plan.Explain(Optimize(bindPlacement(t, c, tc.sql))); got != tc.want {
 			t.Errorf("%s\n got:\n%s\nwant:\n%s", tc.sql, got, tc.want)

@@ -1,7 +1,7 @@
 // Package workload provides deterministic data and update-stream
-// generators for the experiments: the paper's Listing 1 groups table, a
-// customers/orders HTAP schema, and Zipf-skewed key distributions. All
-// generators are seeded so experiment runs are reproducible.
+// generators for the experiments: the paper's Listing 1 groups table and a
+// customers/orders HTAP schema. All generators are seeded so experiment
+// runs are reproducible.
 package workload
 
 import (
@@ -150,44 +150,6 @@ func (s Sales) Load(db *engine.DB) error {
 	}
 	return load(db, "orders", orders)
 }
-
-// OrderStream generates new-order inserts (the OLTP transaction stream).
-// IDs start at s.Orders so they never collide with the base load.
-func (s Sales) OrderStream(n int, seed int64) []Update {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Update, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, Update{SQL: fmt.Sprintf(
-			"INSERT INTO orders VALUES (%d, %d, %d)",
-			s.Orders+i, rng.Intn(max(1, s.Customers)), rng.Intn(500))})
-	}
-	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Zipf draws ints in [0, n) with the given skew (s > 1; higher = more
-// skew). It is used to model hot groups in the update stream.
-type Zipf struct {
-	z *rand.Zipf
-}
-
-// NewZipf builds a Zipf sampler over n values.
-func NewZipf(n int, skew float64, seed int64) *Zipf {
-	if skew <= 1 {
-		skew = 1.01
-	}
-	rng := rand.New(rand.NewSource(seed))
-	return &Zipf{z: rand.NewZipf(rng, skew, 1, uint64(n-1))}
-}
-
-// Next draws the next value.
-func (z *Zipf) Next() int { return int(z.z.Uint64()) }
 
 // Fraction formats a float as a percentage label for experiment tables.
 func Fraction(f float64) string {

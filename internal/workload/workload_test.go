@@ -113,35 +113,6 @@ func TestSalesLoad(t *testing.T) {
 	}
 }
 
-func TestOrderStreamNoCollisions(t *testing.T) {
-	db := engine.Open("w", engine.DialectDuckDB)
-	s := Sales{Customers: 10, Orders: 100, Regions: 3, Seed: 1}
-	if err := s.Load(db); err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range s.OrderStream(50, 2) {
-		if _, err := db.Exec(u.SQL); err != nil {
-			t.Fatalf("%s: %v", u.SQL, err)
-		}
-	}
-	res, _ := db.Exec("SELECT COUNT(*) FROM orders")
-	if res.Rows[0][0].I != 150 {
-		t.Errorf("orders = %v", res.Rows)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	z := NewZipf(100, 1.5, 1)
-	counts := make([]int, 100)
-	for i := 0; i < 10000; i++ {
-		counts[z.Next()]++
-	}
-	// Rank 0 must dominate rank 50.
-	if counts[0] <= counts[50]*2 {
-		t.Errorf("insufficient skew: counts[0]=%d counts[50]=%d", counts[0], counts[50])
-	}
-}
-
 func TestFraction(t *testing.T) {
 	if Fraction(0.1) != "10%" {
 		t.Errorf("got %q", Fraction(0.1))
