@@ -7,8 +7,8 @@
 // accept, and the type names are the ones both know (see typeName).
 //
 // The tree is deliberately simpler than the engine's logical plan: it
-// carries SQL fragments by structure (select lists, predicates, joins,
-// CTEs) rather than bound expressions, because its purpose is portable
+// carries SQL fragments by structure (select lists, predicates, joins)
+// rather than bound expressions, because its purpose is portable
 // re-emission, not execution.
 package duckast
 
@@ -46,15 +46,8 @@ type SelectItem struct {
 	Alias string
 }
 
-// CTE is one WITH entry.
-type CTE struct {
-	Name   string
-	Select *Select
-}
-
 // Select is a SELECT operator tree.
 type Select struct {
-	CTEs    []CTE
 	Items   []SelectItem
 	From    Node // nil = no FROM
 	Where   Node
@@ -65,16 +58,6 @@ type Select struct {
 // SQL implements Node.
 func (s *Select) SQL() string {
 	var sb strings.Builder
-	if len(s.CTEs) > 0 {
-		sb.WriteString("WITH ")
-		for i, c := range s.CTEs {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(c.Name + " AS (" + c.Select.SQL() + ")")
-		}
-		sb.WriteString(" ")
-	}
 	sb.WriteString("SELECT ")
 	for i, it := range s.Items {
 		if i > 0 {

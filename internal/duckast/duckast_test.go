@@ -18,21 +18,6 @@ func TestSelectSQL(t *testing.T) {
 	}
 }
 
-func TestSelectWithCTE(t *testing.T) {
-	sel := &Select{
-		CTEs: []CTE{{Name: "c", Select: &Select{
-			Items: []SelectItem{{Expr: &Raw{Text: "1"}}},
-		}}},
-		Items: []SelectItem{{Expr: &Col{Name: "x"}}},
-		From:  &Raw{Text: "c"},
-	}
-	got := sel.SQL()
-	want := "WITH c AS (SELECT 1) SELECT x FROM c"
-	if got != want {
-		t.Errorf("got %q, want %q", got, want)
-	}
-}
-
 func TestSelectGroupByHaving(t *testing.T) {
 	sel := &Select{
 		Items:   []SelectItem{{Expr: &Col{Name: "a"}}},

@@ -361,6 +361,27 @@ func TestDeleteUsing(t *testing.T) {
 	}
 }
 
+// TestDeleteUsingNamesResolveInside: the IN that a USING over a plain
+// projection becomes reads the projection's FROM and WHERE in place, and a
+// name in them still resolves to that FROM alone, never to the target: k
+// in the WHERE is d.k (v.k would keep v's 1), and n, a column of v only,
+// is unknown there.
+func TestDeleteUsingNamesResolveInside(t *testing.T) {
+	db := Open("using", DialectDuckDB)
+	mustExec(t, db, "CREATE TABLE v (k INTEGER PRIMARY KEY, n INTEGER)")
+	mustExec(t, db, "CREATE TABLE d (k INTEGER, m INTEGER)")
+	mustExec(t, db, "INSERT INTO v VALUES (1,10), (2,20), (3,30)")
+	mustExec(t, db, "INSERT INTO d VALUES (1,2), (3,1)")
+	dump := func() string { return sortedLines(rowStrings(queryRows(t, db, "SELECT * FROM v"))) }
+	if _, err := db.Exec("DELETE FROM v USING (SELECT m AS k FROM d WHERE n > 0) AS x WHERE v.k IS NOT DISTINCT FROM x.k"); err == nil {
+		t.Errorf("a name of the target resolved inside the USING subquery: v is %s", dump())
+	}
+	mustExec(t, db, "DELETE FROM v USING (SELECT m AS k FROM d WHERE k > 1) AS x WHERE v.k IS NOT DISTINCT FROM x.k")
+	if got, want := dump(), "2|20;3|30"; got != want {
+		t.Errorf("v is %s, want %s", got, want)
+	}
+}
+
 // TestKeyedUpdateDeleteMatchesScan replays one random history — writes
 // inside and outside transactions, commits and rollbacks, two sessions
 // taking turns — on two engines. One receives UPDATE/DELETE statements

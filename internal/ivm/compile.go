@@ -1,11 +1,13 @@
 package ivm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
 
 	"openivm/internal/duckast"
+	"openivm/internal/enginerr"
 	"openivm/internal/expr"
 	"openivm/internal/plan"
 	"openivm/internal/sqlparser"
@@ -90,9 +92,13 @@ func checkViewShape(sel *sqlparser.SelectStmt) error {
 }
 
 // resolveBases fills comp.Bases from the FROM clause: one named table, or
-// an inner equi-join of exactly two named tables.
+// an inner equi-join of exactly two named tables. A view is no base: no
+// delta table follows its rows.
 func (c *Compiler) resolveBases(comp *Compilation, from sqlparser.TableRef) error {
 	add := func(nt *sqlparser.NamedTable) error {
+		if _, isView := c.DB.Catalog().View(nt.Name); isView {
+			return enginerr.Newf(enginerr.CodeFeatureNotSupported, "materialized views over the view %s are not supported", nt.Name)
+		}
 		tbl, err := c.DB.Catalog().Table(nt.Name)
 		if err != nil {
 			return err
@@ -414,25 +420,13 @@ func (c *Compiler) genSetup(comp *Compilation) {
 }
 
 // fromSQL reconstructs the view's FROM clause (with aliases) as SQL.
-func fromSQL(comp *Compilation, sel *sqlparser.SelectStmt) string {
+func fromSQL(comp *Compilation) string {
+	l := comp.Bases[0]
 	if len(comp.Bases) == 1 {
-		b := comp.Bases[0]
-		if b.Alias != b.Name {
-			return b.Name + " AS " + b.Alias
-		}
-		return b.Name
+		return l.as(l.Name)
 	}
-	jt := sel.From.(*sqlparser.JoinTable)
-	l, r := comp.Bases[0], comp.Bases[1]
-	ls, rs := l.Name, r.Name
-	if l.Alias != l.Name {
-		ls += " AS " + l.Alias
-	}
-	if r.Alias != r.Name {
-		rs += " AS " + r.Alias
-	}
-	on := joinOnSQL(jt, l.Alias, r.Alias)
-	return ls + " JOIN " + rs + " ON " + on
+	r := comp.Bases[1]
+	return l.as(l.Name) + " JOIN " + r.as(r.Name) + " ON " + joinOnSQL(comp.Select.From.(*sqlparser.JoinTable), l.Alias, r.Alias)
 }
 
 // joinOnSQL renders the join predicate (expanding USING).
@@ -450,7 +444,7 @@ func joinOnSQL(jt *sqlparser.JoinTable, lAlias, rAlias string) string {
 // genPopulate builds the initial-materialization script: V := Q(T).
 func (c *Compiler) genPopulate(comp *Compilation) {
 	s := &duckast.Script{}
-	s.Add(&duckast.Insert{Table: comp.Storage, Select: storageQuery(comp, fromSQL(comp, comp.Select))})
+	s.Add(&duckast.Insert{Table: comp.Storage, Select: storageQuery(comp, fromSQL(comp))})
 	comp.Populate = s
 }
 
@@ -472,7 +466,7 @@ func storageQuery(comp *Compilation, from string) *duckast.Select {
 		case col.HasAgg && !grouped:
 			item = "1"
 		case col.HasAgg:
-			item = aggCallSQL(col.Agg, col.SourceSQL)
+			item = fmt.Sprintf("%s(%s)", col.Agg, cmp.Or(col.SourceSQL, "*")) // COUNT(*) has no argument
 		case grouped:
 			sel.GroupBy = append(sel.GroupBy, &duckast.Raw{Text: item})
 		}
@@ -501,12 +495,4 @@ func viewRows(comp *Compilation, from string, extra ...string) string {
 		sel.Where = &duckast.Raw{Text: w}
 	}
 	return "(" + sel.SQL() + ") AS ivm_rows"
-}
-
-// aggCallSQL renders an aggregate call over a source expression.
-func aggCallSQL(kind expr.AggKind, src string) string {
-	if kind == expr.AggCountStar {
-		return "COUNT(*)"
-	}
-	return fmt.Sprintf("%s(%s)", kind, src)
 }

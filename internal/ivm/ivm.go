@@ -78,11 +78,12 @@ func DeltaRows(ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) []sqltyp
 const HiddenCountColumn = "_duckdb_ivm_count"
 
 // Options are the compiler's settings. There are none: an aggregate view's
-// delta is folded into V by one plan, an upsert of ivm_cte whose ON
-// CONFLICT combines each group V holds (paper §2 names regrouping V ∪ ΔV
-// and a full outer join as the other points of the design space), and the
-// scripts are one text for every target. The type and DefaultOptions stay
-// for the repository benchmark's callers until its next change drops them.
+// delta is folded into V by one plan, an upsert of the delta grouped by V's
+// key whose ON CONFLICT combines each group V holds (paper §2 names
+// regrouping V ∪ ΔV and a full outer join as the other points of the
+// design space), and the scripts are one text for every target. The type
+// and DefaultOptions stay for the repository benchmark's callers until its
+// next change drops them.
 type Options struct{}
 
 // DefaultOptions returns the (empty) compiler settings.
@@ -158,6 +159,15 @@ type BaseTable struct {
 	Key []string
 }
 
+// as renders table, the base or its delta, under the base's alias: a
+// column the view's query qualifies by it reads either one.
+func (b BaseTable) as(table string) string {
+	if table == b.Alias {
+		return table
+	}
+	return table + " AS " + b.Alias
+}
+
 // Compilation is the full compiler output for one materialized view.
 type Compilation struct {
 	ViewName string
@@ -169,9 +179,10 @@ type Compilation struct {
 	// that read it.
 	JoinDelta string
 	// Storage is the table that physically materializes the view. It
-	// equals ViewName unless the view keeps hidden columns (an AVG's SUM
-	// and COUNT parts, or the hidden row count): then a storage table holds
-	// them and ViewName is a plain SQL view over it, created by the setup.
+	// equals ViewName unless the view keeps hidden columns (a SUM's or
+	// AVG's SUM and COUNT parts, or the hidden row count): then a storage
+	// table holds them and ViewName is a plain SQL view over it, created by
+	// the setup.
 	Storage string
 
 	Columns []ViewColumn
@@ -244,19 +255,20 @@ func (c *Compilation) AggColumns() []ViewColumn {
 }
 
 // StorageColumns returns the physical layout of the storage table: the
-// view columns with every AVG expanded into a SUM part and a COUNT part,
-// and, for a view that declares no COUNT(*), the hidden row count — a
-// projection or join row's weight. The storage thus holds one COUNT(*)
-// column: its first, which step 3 tests (emptyGroupColumn).
+// view columns with every SUM and AVG expanded into a SUM part and a COUNT
+// part, the count of its non-NULL arguments, and, for a view that declares
+// no COUNT(*), the hidden row count — a projection or join row's weight.
+// The storage thus holds one COUNT(*) column: its first, which step 3
+// tests (emptyGroupColumn).
 func (c *Compilation) StorageColumns() []ViewColumn {
 	if c.storageCols != nil {
 		return c.storageCols
 	}
 	counted := false
 	for _, col := range c.Columns {
-		if col.HasAgg && col.Agg == expr.AggAvg {
+		if col.HasAgg && (col.Agg == expr.AggSum || col.Agg == expr.AggAvg) {
 			c.storageCols = append(c.storageCols,
-				ViewColumn{Name: col.Name + "_ivm_sum", Type: sqltypes.TypeFloat,
+				ViewColumn{Name: col.Name + "_ivm_sum", Type: col.Type,
 					Agg: expr.AggSum, HasAgg: true, SourceSQL: col.SourceSQL, ArgIdx: col.ArgIdx},
 				ViewColumn{Name: col.Name + "_ivm_cnt", Type: sqltypes.TypeInt,
 					Agg: expr.AggCount, HasAgg: true, SourceSQL: col.SourceSQL, ArgIdx: col.ArgIdx})
@@ -273,19 +285,22 @@ func (c *Compilation) StorageColumns() []ViewColumn {
 }
 
 // exposedView returns the CREATE VIEW statement exposing the declared view
-// columns over the storage table. An AVG whose arguments are all NULL has
-// a count of 0 and reads NULL, as the query's AVG does: PostgreSQL fails a
-// division by zero where this engine reads NULL. A projection or join view
-// reads each stored row as many times as its weight.
+// columns over the storage table. A SUM or AVG whose arguments are all
+// NULL has a count of 0 and reads NULL, as the query's does (its sum part
+// holds 0 or NULL; PostgreSQL fails the AVG's division by zero). A
+// projection or join view reads each stored row as many times as its weight.
 func (c *Compilation) exposedView() *duckast.Raw {
 	var items []string
 	for _, col := range c.Columns {
-		if col.HasAgg && col.Agg == expr.AggAvg {
-			items = append(items, fmt.Sprintf(
-				"CASE WHEN %[1]s_ivm_cnt = 0 THEN NULL ELSE CAST(%[1]s_ivm_sum AS DOUBLE PRECISION) / %[1]s_ivm_cnt END AS %[1]s", col.Name))
-			continue
+		item := col.Name
+		if col.HasAgg && (col.Agg == expr.AggSum || col.Agg == expr.AggAvg) {
+			item = col.Name + "_ivm_sum"
+			if col.Agg == expr.AggAvg {
+				item = "CAST(" + item + " AS DOUBLE PRECISION) / " + col.Name + "_ivm_cnt"
+			}
+			item = fmt.Sprintf("CASE WHEN %[1]s_ivm_cnt = 0 THEN NULL ELSE %[2]s END AS %[1]s", col.Name, item)
 		}
-		items = append(items, col.Name)
+		items = append(items, item)
 	}
 	from := c.Storage
 	if c.Class == ClassProjection || c.Class == ClassJoin {

@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -260,12 +259,6 @@ type genTable struct {
 	// nullGroup names the column whose NULL is a group of the view ("" for
 	// none): the history must grow, shrink and empty the rows holding it.
 	nullGroup string
-	// sumOf and groupBy guard a SUM against a group whose arguments are
-	// all NULL (a known failure, TestPostgresKnownFailures): after every
-	// batch, such a group gets a row whose column sumOf is 1. sumOf < 0
-	// means no guard; groupBy nil means one group.
-	sumOf   int
-	groupBy []int
 }
 
 // oracleCase is a view and the history of base-table changes it is
@@ -296,13 +289,13 @@ var (
 	salesDDL = "CREATE TABLE customers (cid BIGINT PRIMARY KEY, region VARCHAR); " +
 		"CREATE TABLE orders (oid BIGINT PRIMARY KEY, cid BIGINT, amount BIGINT)"
 	customers = genTable{name: "customers", cols: []string{"cid", "region"}, keyed: true,
-		dom: [][]string{nil, {"NULL", "'r1'", "'r2'", "'r3'"}}, init: 5, sumOf: -1, nullGroup: "region"}
+		dom: [][]string{nil, {"NULL", "'r1'", "'r2'", "'r3'"}}, init: 5, nullGroup: "region"}
 	ordersFirst = map[string][][]string{"orders": {{"1", "1500000000"}, {"1", "1500000000"}, {"2", "300"}, {"2", "-300"}}}
 )
 
-func orders(cid, amount []string, sumOf int, groupBy ...int) genTable {
+func orders(cid, amount []string) genTable {
 	return genTable{name: "orders", cols: []string{"oid", "cid", "amount"}, keyed: true,
-		dom: [][]string{nil, cid, amount}, init: 8, sumOf: sumOf, groupBy: groupBy}
+		dom: [][]string{nil, cid, amount}, init: 8}
 }
 
 func nullGroupOf(tb genTable, col string) genTable {
@@ -313,13 +306,9 @@ func nullGroupOf(tb genTable, col string) genTable {
 func oracleCases() []oracleCase {
 	var cases []oracleCase
 	for _, name := range []string{"avg", "sum_only", "global", "counted"} {
-		t := genTable{name: "t", cols: []string{"k", "v"}, dom: [][]string{keyDom, vDom}, init: 6,
-			sumOf: 1, groupBy: []int{0}, nullGroup: "k"}
-		switch name {
-		case "avg": // an AVG over only NULLs reads NULL through the exposed view
-			t.sumOf = -1
-		case "global": // no group key: k's NULL is no group
-			t.groupBy, t.nullGroup = nil, ""
+		t := genTable{name: "t", cols: []string{"k", "v"}, dom: [][]string{keyDom, vDom}, init: 6, nullGroup: "k"}
+		if name == "global" { // no group key: k's NULL is no group
+			t.nullGroup = ""
 		}
 		cases = append(cases, oracleCase{test: name, schema: standaloneSchema, name: "v", query: standaloneViews[name],
 			tables: []genTable{t}, first: tFirst})
@@ -329,16 +318,15 @@ func oracleCases() []oracleCase {
 	cases = append(cases, oracleCase{test: "keyless", schema: standaloneSchema, name: "v",
 		query: "SELECT k, v FROM t WHERE v IS NULL OR v <> 0",
 		tables: []genTable{{name: "t", cols: []string{"k", "v"}, dom: [][]string{{"NULL", "'a'", "'b'"}, {"NULL", "0", "7"}},
-			init: 8, sumOf: -1, nullGroup: "k"}},
+			init: 8, nullGroup: "k"}},
 		first: map[string][][]string{"t": {{"'a'", "7"}, {"'a'", "7"}, {"NULL", "NULL"}, {"NULL", "NULL"}}}})
 	// MIN and MAX under deletions: the repair deletes the touched groups,
 	// a NULL group among them, through the NULL-safe keyed delete, and
 	// recomputes them from the base.
 	cases = append(cases, oracleCase{test: "minmax", schema: standaloneSchema, name: "v",
-		query: "SELECT k, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY k",
-		tables: []genTable{{name: "t", cols: []string{"k", "v"}, dom: [][]string{keyDom, vDom}, init: 8,
-			sumOf: -1, nullGroup: "k"}},
-		first: tFirst, minRises: true})
+		query:  "SELECT k, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY k",
+		tables: []genTable{{name: "t", cols: []string{"k", "v"}, dom: [][]string{keyDom, vDom}, init: 8, nullGroup: "k"}},
+		first:  tFirst, minRises: true})
 	cids := []string{"1", "2", "3", "4", "5"}
 	amounts := []string{"-7", "0", "3", "250", "300", "1500000000"}
 	return append(cases,
@@ -348,7 +336,7 @@ func oracleCases() []oracleCase {
 			name:   "query_groups",
 			query:  "SELECT group_index, SUM(group_value) AS total_value, COUNT(*) AS n FROM groups GROUP BY group_index",
 			tables: []genTable{{name: "groups", cols: []string{"id", "group_index", "group_value"}, keyed: true,
-				dom: [][]string{nil, keyDom, vDom}, init: 6, sumOf: 2, groupBy: []int{1}, nullGroup: "group_index"}},
+				dom: [][]string{nil, keyDom, vDom}, init: 6, nullGroup: "group_index"}},
 			first: map[string][][]string{"groups": {{"'a'", "1500000000"}, {"'a'", "1500000000"}, {"'z'", "7"}, {"'z'", "-7"}}},
 		},
 		oracleCase{
@@ -357,7 +345,7 @@ func oracleCases() []oracleCase {
 			name:   "region_totals",
 			query:  "SELECT customers.region, SUM(orders.amount) AS total, COUNT(*) AS n FROM orders JOIN customers ON orders.cid = customers.cid GROUP BY customers.region",
 			// An order without a customer joins nothing.
-			tables: []genTable{customers, orders(append([]string{"NULL"}, cids...), amounts, -1)},
+			tables: []genTable{customers, orders(append([]string{"NULL"}, cids...), amounts)},
 			first:  ordersFirst,
 		},
 		oracleCase{
@@ -365,7 +353,7 @@ func oracleCases() []oracleCase {
 			test:   "cust_totals",
 			name:   "cust_totals",
 			query:  "SELECT cid, SUM(amount) AS total, COUNT(*) AS n FROM orders GROUP BY cid",
-			tables: []genTable{nullGroupOf(orders(append([]string{"NULL"}, cids...), append([]string{"NULL"}, amounts...), 2, 1), "cid")},
+			tables: []genTable{nullGroupOf(orders(append([]string{"NULL"}, cids...), append([]string{"NULL"}, amounts...)), "cid")},
 			first:  ordersFirst,
 		},
 		oracleCase{
@@ -373,7 +361,7 @@ func oracleCases() []oracleCase {
 			test:   "big_orders",
 			name:   "big_orders",
 			query:  "SELECT oid, cid, amount FROM orders WHERE amount >= 250",
-			tables: []genTable{orders(append([]string{"NULL"}, cids...), append([]string{"NULL"}, amounts...), -1)},
+			tables: []genTable{orders(append([]string{"NULL"}, cids...), append([]string{"NULL"}, amounts...))},
 			first:  ordersFirst,
 		},
 		// A keyed FK→PK join view: an order's region changes with its
@@ -383,7 +371,7 @@ func oracleCases() []oracleCase {
 			test:   "order_regions",
 			name:   "order_regions",
 			query:  "SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid",
-			tables: []genTable{customers, orders(append([]string{"NULL"}, cids...), amounts, -1)},
+			tables: []genTable{customers, orders(append([]string{"NULL"}, cids...), amounts)},
 			first:  ordersFirst,
 		},
 	)
@@ -395,8 +383,8 @@ func oracleCases() []oracleCase {
 // updates (of a group key too), NULL groups that grow, shrink and empty
 // (V's storage is keyed UNIQUE NULLS NOT DISTINCT, which holds one NULL
 // group and lets ON CONFLICT fold into it), equal rows and NULLs in a
-// keyless projection view, a group sum past 2^31, sums that net to 0, an
-// AVG over only NULLs, a group's MIN deleted — each batch followed by the
+// keyless projection view, a group sum past 2^31, sums that net to 0, a
+// SUM and an AVG over only NULLs, a group's MIN deleted — each batch followed by the
 // propagation script.
 // After each, PostgreSQL's V must equal the query as PostgreSQL evaluates
 // it, and this engine's V.
@@ -602,7 +590,6 @@ func (h *history) batch(b int) string {
 				h.update(tb, old, col, tb.dom[col][h.rng.Intn(len(tb.dom[col]))])
 			}
 		}
-		h.guardSums(tb)
 	}
 	for _, tb := range h.c.tables {
 		if d := h.delta[tb.name]; len(d) > 0 {
@@ -695,81 +682,6 @@ func (h *history) logDelta(tb genTable, r []string, insert bool) {
 	}
 }
 
-// guardSums gives every group of tb whose SUM argument is NULL in all its
-// rows a row whose argument is 1 (see genTable.sumOf).
-func (h *history) guardSums(tb genTable) {
-	if tb.sumOf < 0 {
-		return
-	}
-	nonNull := map[string]bool{}
-	sample := map[string][]string{}
-	for _, r := range h.rows[tb.name] {
-		var key []string
-		for _, g := range tb.groupBy {
-			key = append(key, r[g])
-		}
-		k := strings.Join(key, ",")
-		nonNull[k] = nonNull[k] || r[tb.sumOf] != "NULL"
-		sample[k] = r
-	}
-	keys := make([]string, 0, len(nonNull))
-	for k := range nonNull {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !nonNull[k] {
-			r := append([]string{}, sample[k]...)
-			r[tb.sumOf] = "1"
-			if tb.keyed {
-				r[0] = ""
-			}
-			h.insert(tb, r)
-		}
-	}
-}
-
-// knownFailureSetup compiles the counted view and runs its setup and
-// population over rows on both targets.
-func knownFailureSetup(t *testing.T, rows string) (pg, eng target, comp *Compilation) {
-	t.Helper()
-	pg = postgresTarget(t)
-	cdb := engine.Open("compile", engine.DialectDuckDB)
-	mustRun(t, cdb, standaloneSchema)
-	comp = compile(t, cdb, "CREATE MATERIALIZED VIEW v AS "+standaloneViews["counted"])
-	eng = engineTarget{engine.Open("standalone", engine.DialectDuckDB)}
-	for _, tg := range []target{pg, eng} {
-		run(t, tg, standaloneSchema)
-		run(t, tg, "INSERT INTO t VALUES "+rows)
-		run(t, tg, comp.SetupSQL())
-		run(t, tg, comp.PopulateSQLText())
-	}
-	return pg, eng, comp
-}
-
-// TestPostgresKnownFailures pins the wrong answer of the exported scripts
-// that TestPostgresOracle's history steers around (ROADMAP item 14). It
-// asserts today's answer, so it fails, and must be turned into a passing
-// check, when SUM keeps a count of its non-NULL arguments.
-func TestPostgresKnownFailures(t *testing.T) {
-	query := standaloneViews["counted"]
-	// Step 2 folds a SUM through COALESCE(…, 0), so a group whose SUM
-	// arguments are all NULL reads 0 where the query reads NULL, on both
-	// targets.
-	t.Run("sum_over_only_nulls", func(t *testing.T) {
-		pg, eng, comp := knownFailureSetup(t, "('a', NULL), ('b', 2)")
-		batch := "INSERT INTO t VALUES ('a', NULL);\nINSERT INTO delta_t VALUES ('a', NULL, TRUE);\n" + comp.PropagateSQL()
-		for name, tg := range map[string]target{"PostgreSQL": pg, "this engine": eng} {
-			run(t, tg, batch)
-			v, q := mustRows(t, tg, "SELECT * FROM v"), mustRows(t, tg, query)
-			if strings.Join(v, " ") != "a|0|2 b|2|1" || strings.Join(q, " ") != `a|\N|2 b|2|1` {
-				t.Fatalf("on %s V reads %q and the query %q, want a|0|2 against a|NULL|2: "+
-					"if they agree, the fix landed and this case becomes a passing check", name, v, q)
-			}
-		}
-	})
-}
-
 // TestPostgresRepros runs the exported scripts of a view over a few rows,
 // then one change and its ΔT rows, on PostgreSQL and on this engine: V must
 // equal its query on each, and V on one the other. The cases are wrong
@@ -779,7 +691,10 @@ func TestPostgresKnownFailures(t *testing.T) {
 //   - *_duplicates: a keyless view holding a row twice lost both copies
 //     when one of them changed;
 //   - *_null_rows: a keyless view holding a row with a NULL twice lost both
-//     copies when one of them was deleted.
+//     copies when one of them was deleted;
+//   - sum_over_only_nulls: step 2 folded a SUM through COALESCE(…, 0), so a
+//     group whose SUM arguments were all NULL read 0 (a|0|2) where the
+//     query reads NULL (a|NULL|2).
 func TestPostgresRepros(t *testing.T) {
 	const sales = "CREATE TABLE t (id BIGINT, k VARCHAR, v BIGINT); CREATE TABLE u (k VARCHAR, w VARCHAR)"
 	for _, c := range []struct{ name, schema, query, rows, change, delta string }{
@@ -795,6 +710,8 @@ func TestPostgresRepros(t *testing.T) {
 		{"join_null_rows", sales, "SELECT t.k, u.w FROM t JOIN u ON t.k = u.k",
 			"INSERT INTO t VALUES (1, 'x', 0), (2, 'x', 0); INSERT INTO u VALUES ('x', NULL)",
 			"DELETE FROM t WHERE id = 1", "INSERT INTO delta_t VALUES (1, 'x', 0, FALSE)"},
+		{"sum_over_only_nulls", standaloneSchema, standaloneViews["counted"], "INSERT INTO t VALUES ('a', NULL), ('b', 2)",
+			"INSERT INTO t VALUES ('a', NULL)", "INSERT INTO delta_t VALUES ('a', NULL, TRUE)"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cdb := engine.Open("compile", engine.DialectDuckDB)

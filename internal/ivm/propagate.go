@@ -29,12 +29,22 @@ func (c *Compiler) genPropagate(comp *Compilation) {
 	}
 	d := deltaOf(comp)
 	emitCombine(comp, body, d)
-	// MIN/MAX deletions cannot be combined incrementally: rescan-repair
-	// the affected groups from the base relation.
-	if comp.hasMinMax() {
+	switch {
+	case comp.hasMinMax():
+		// MIN/MAX deletions cannot be combined incrementally: rescan-repair
+		// the affected groups from the base relation. The repair deletes
+		// every group the delta retracts a row of and re-inserts only those
+		// that still have rows, so it leaves no group for step 3.
 		emitMinMaxRepair(comp, body, d)
+	case len(comp.GroupColumns()) > 0:
+		// Step 3 tests the row count alone (emptyGroupColumn): a SUM or a
+		// COUNT(col) reaches zero in a group that still has rows, where
+		// Listing 2 tests `total_value = 0`. Only a group the delta retracts
+		// a row of can reach zero (DBSP), so the delete names those keys
+		// (keyedDelete) and finds them through V's key index, a NULL key
+		// too. A view without GROUP BY keeps its one row (emitGlobalCombine).
+		body.Add(keyedDelete(comp, d, emptyGroupColumn(comp)+" = 0"))
 	}
-	emitEmptyGroupDelete(comp, body, d)
 	comp.Body = body
 	// Propagate is Body's statement nodes followed by step 4: truncate the
 	// join delta, then every ΔT.
@@ -65,11 +75,7 @@ func deltaOf(comp *Compilation) deltaSource {
 	if comp.JoinDelta != "" {
 		return deltaSource{from: comp.JoinDelta, expr: joinDeltaColumn}
 	}
-	b := comp.Bases[0]
-	from := b.Delta
-	if b.Alias != b.Name {
-		from += " AS " + b.Alias
-	}
+	from := comp.Bases[0].as(comp.Bases[0].Delta)
 	if comp.Class == ClassProjection {
 		return deltaSource{from: viewRows(comp, from, MultiplicityColumn),
 			expr: func(col ViewColumn) string { return col.Name }}
@@ -162,32 +168,36 @@ func signedDeltaSQL(col ViewColumn, arg string) string {
 }
 
 // combineSQL renders the V ⊕ ΔV combination for one aggregate column,
-// given the column's value in V (vc) and its signed delta total (dc).
+// given the column's value in V (vc) and its signed delta total (dc). A
+// SUM's total over only NULL arguments is NULL, in V as in the delta (its
+// count part says so), so it adds through COALESCE; a COUNT's never is.
 func combineSQL(col ViewColumn, vc, dc string) string {
 	switch col.Agg {
 	case expr.AggMin:
 		return fmt.Sprintf("LEAST(COALESCE(%s, %s), COALESCE(%s, %s))", vc, dc, dc, vc)
 	case expr.AggMax:
 		return fmt.Sprintf("GREATEST(COALESCE(%s, %s), COALESCE(%s, %s))", vc, dc, dc, vc)
-	default:
+	case expr.AggSum:
 		return fmt.Sprintf("COALESCE(%s, 0) + COALESCE(%s, 0)", vc, dc)
 	}
+	return vc + " + " + dc
 }
 
-// emitCombine emits step 2: aggregate the delta per group with its signs
-// applied (ivm_cte, Listing 2 lines 6-10) and upsert the groups into V.
-// Listing 2 LEFT JOINs ivm_cte to V and INSERT OR REPLACEs the combined
-// rows, which finds each group's row of V twice, once in the join and once
-// in the upsert. Here the upsert's own key probe is the only one: a new
-// group is inserted as combineSQL over no row of V, and a group V holds
-// folds its delta in through ON CONFLICT DO UPDATE — so the fold costs
-// what the delta costs.
+// emitCombine emits step 2, one grouped upsert: the delta aggregated per
+// group of V with its signs applied (Listing 2 lines 6-10), upserted into
+// V. Listing 2 puts those totals in a CTE, LEFT JOINs it to V and INSERT OR
+// REPLACEs the combined rows, which finds each group's row of V twice, once
+// in the join and once in the upsert. Here the upsert's own key probe is
+// the only one: a new group is inserted as its delta total, and a group V
+// holds folds its delta in through ON CONFLICT DO UPDATE — so the fold
+// costs what the delta costs.
 //
 // A keyed projection or join view's other columns are carried: they take
 // the values of the key's surviving row, the delta row that nets above
 // zero (netRows; a key has at most one, and one row per key reaches the
-// upsert, as ON CONFLICT needs). A key whose rows all net to zero changes
-// nothing, and is left out.
+// upsert, as ON CONFLICT needs), joined to the grouped delta read as a
+// derived table. A key whose rows all net to zero changes nothing, and is
+// left out.
 func emitCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 	vName := comp.Storage
 	groups := comp.GroupColumns()
@@ -197,49 +207,47 @@ func emitCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 	}
 	groupNames := viewColNames(groups)
 
-	cte := &duckast.Select{Items: aliased(d.exprs(groups), groups), From: &duckast.Raw{Text: d.rows("")}}
+	delta := &duckast.Select{From: &duckast.Raw{Text: d.rows("")}}
 	for _, g := range d.exprs(groups) {
-		cte.GroupBy = append(cte.GroupBy, &duckast.Raw{Text: g})
+		delta.GroupBy = append(delta.GroupBy, &duckast.Raw{Text: g})
 	}
-	sel := &duckast.Select{CTEs: []duckast.CTE{{Name: "ivm_cte", Select: cte}}, From: &duckast.Raw{Text: "ivm_cte"}}
-	ins := &duckast.Insert{Table: vName, Columns: viewColNames(comp.StorageColumns()), Select: sel, ConflictKeys: groupNames}
-	carried := false
+	ins := &duckast.Insert{Table: vName, Columns: viewColNames(comp.StorageColumns()), Select: delta, ConflictKeys: groupNames}
+	// sel is the select of a view with carried columns, which reads each
+	// column from the grouped delta or from the surviving row.
+	sel := &duckast.Select{}
 	for _, col := range comp.StorageColumns() {
+		from := "ivm_delta"
 		switch {
 		case col.IsGroupKey:
-			sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Col{Table: "ivm_cte", Name: col.Name}})
+			delta.Items = append(delta.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: d.expr(col)}, Alias: col.Name})
 		case !col.HasAgg:
-			carried = true
-			sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Col{Table: "ivm_new", Name: col.Name}})
+			from = "ivm_new"
 			ins.Set = append(ins.Set, col.Name+" = EXCLUDED."+col.Name)
 		default:
-			cte.Items = append(cte.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: signedDeltaSQL(col, d.expr(col))}, Alias: col.Name})
-			sel.Items = append(sel.Items, duckast.SelectItem{
-				Expr: &duckast.Raw{Text: combineSQL(col, "NULL", "ivm_cte."+col.Name)}, Alias: col.Name})
+			delta.Items = append(delta.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: signedDeltaSQL(col, d.expr(col))}, Alias: col.Name})
 			ins.Set = append(ins.Set, col.Name+" = "+combineSQL(col, vName+"."+col.Name, "EXCLUDED."+col.Name))
 		}
+		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Col{Table: from, Name: col.Name}})
 	}
-	if carried {
+	if len(delta.Items) < len(ins.Columns) { // columns carried from the surviving row
 		on := make([]string, len(groupNames))
 		for i, g := range groupNames {
-			on[i] = fmt.Sprintf("ivm_new.%s = ivm_cte.%s", g, g)
+			on[i] = fmt.Sprintf("ivm_new.%s = ivm_delta.%s", g, g)
 		}
-		sel.From = &duckast.Raw{Text: fmt.Sprintf("ivm_cte LEFT JOIN (%s) AS ivm_new ON %s",
-			netRows(comp, d.rows("")).SQL(), strings.Join(on, " AND "))}
-		sel.Where = &duckast.Raw{Text: fmt.Sprintf("ivm_cte.%s <> 0 OR ivm_new.%s IS NOT NULL", emptyGroupColumn(comp), groupNames[0])}
+		sel.From = &duckast.Raw{Text: fmt.Sprintf("(%s) AS ivm_delta LEFT JOIN (%s) AS ivm_new ON %s",
+			delta.SQL(), netRows(comp, d.rows("")).SQL(), strings.Join(on, " AND "))}
+		sel.Where = &duckast.Raw{Text: fmt.Sprintf("ivm_delta.%s <> 0 OR ivm_new.%s IS NOT NULL", emptyGroupColumn(comp), groupNames[0])}
+		ins.Select = sel
 	}
 	s.Add(ins)
 }
 
-// netCount is a row's net multiplicity over a delta grouped by the view
-// columns.
-const netCount = "SUM(CASE WHEN " + MultiplicityColumn + " = TRUE THEN 1 ELSE -1 END)"
-
 // netRows is the per-row netting step of a keyed view's combine: the rows
-// of from, a delta over the view's columns, whose net multiplicity is above
-// zero — the rows the delta leaves in the view.
+// of from, a delta over the view's columns, whose net multiplicity (their
+// signed COUNT(*)) is above zero — the rows the delta leaves in the view.
 func netRows(comp *Compilation, from string) *duckast.Select {
-	sel := &duckast.Select{From: &duckast.Raw{Text: from}, Having: &duckast.Raw{Text: netCount + " > 0"}}
+	net := signedDeltaSQL(ViewColumn{Agg: expr.AggCountStar}, "")
+	sel := &duckast.Select{From: &duckast.Raw{Text: from}, Having: &duckast.Raw{Text: net + " > 0"}}
 	for _, col := range comp.Columns {
 		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.Name}})
 		sel.GroupBy = append(sel.GroupBy, &duckast.Raw{Text: col.Name})
@@ -249,12 +257,17 @@ func netRows(comp *Compilation, from string) *duckast.Select {
 
 // emitGlobalCombine is step 2 of a view without GROUP BY. Such a view is
 // one row whatever its base holds (an aggregate over no rows is a row too),
-// so the delta folds into that row in place: each column adds its signed
-// delta total, a scalar subquery over the delta.
+// so each column adds its signed delta total in place, a scalar subquery
+// that reads NULL over an empty delta. Emptied, the row reads what the
+// query does: COUNTs 0, SUMs and AVGs NULL through their counts, MIN/MAX as
+// the repair recomputes them. So no step 3 follows.
 func emitGlobalCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 	up := &duckast.Update{Table: comp.Storage}
 	for _, col := range comp.StorageColumns() {
 		dc := fmt.Sprintf("(SELECT %s FROM %s)", signedDeltaSQL(col, d.expr(col)), d.rows(""))
+		if col.Agg == expr.AggCount || col.Agg == expr.AggCountStar {
+			dc = "COALESCE(" + dc + ", 0)"
+		}
 		up.Set = append(up.Set, col.Name+" = "+combineSQL(col, col.Name, dc))
 	}
 	s.Add(up)
@@ -270,7 +283,7 @@ func emitGlobalCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 	groups := comp.GroupColumns()
 	deleted := d.rows(MultiplicityColumn + " = FALSE")
-	from := fromSQL(comp, comp.Select)
+	from := fromSQL(comp)
 	cols := viewColNames(comp.StorageColumns())
 	if len(groups) == 0 {
 		touched := &duckast.Raw{Text: fmt.Sprintf("(SELECT COUNT(*) FROM %s) > 0", deleted)}
@@ -295,37 +308,6 @@ func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 	}
 	s.Add(&duckast.Insert{Table: comp.Storage, Columns: cols, Select: storageQuery(comp, fmt.Sprintf(
 		"%s JOIN (%s) AS ivm_deleted ON %s", from, del.SQL(), strings.Join(on, " AND ")))})
-}
-
-// emitEmptyGroupDelete emits step 3: delete the groups whose row count —
-// for a projection or join view, a row's weight — reached zero. The count is the view's COUNT(*), declared or hidden
-// (StorageColumns), and no other column is tested: a SUM or a COUNT(col)
-// reaches zero in a group that still has rows. This departs on purpose
-// from Listing 2's `WHERE total_value = 0`, which drops a group whose SUM
-// nets to 0. A group's count changes only by its signed delta rows, so
-// only a group the delta retracts a row of can reach zero (DBSP): the
-// paper's unkeyed delete is stated over those keys alone (keyedDelete) —
-// the same rows, a NULL-keyed group among them, found through V's key
-// index in O(|retractions|) instead of by scanning V, and none at all in
-// an insert-only window. A view without group columns keeps its one row:
-// emptied, it reads what the query reads over no rows, NULL in every
-// column but a count.
-func emitEmptyGroupDelete(comp *Compilation, s *duckast.Script, d deltaSource) {
-	col := emptyGroupColumn(comp)
-	groups := comp.GroupColumns()
-	if len(groups) == 0 {
-		up := &duckast.Update{Table: comp.Storage, Where: &duckast.Raw{Text: col + " = 0"}}
-		for _, a := range comp.StorageColumns() {
-			if a.Agg != expr.AggCount && a.Agg != expr.AggCountStar {
-				up.Set = append(up.Set, a.Name+" = NULL")
-			}
-		}
-		if len(up.Set) > 0 {
-			s.Add(up)
-		}
-		return
-	}
-	s.Add(keyedDelete(comp, d, col+" = 0"))
 }
 
 // emptyGroupColumn names the view's row count: its first COUNT(*) storage
@@ -395,14 +377,8 @@ func fillJoinDelta(comp *Compilation, s *duckast.Script) {
 		}
 		s.Add(&duckast.Insert{Table: comp.JoinDelta, Select: sel})
 	}
-	named := func(t BaseTable) string {
-		if t.Alias != t.Name {
-			return t.Name + " AS " + t.Alias
-		}
-		return t.Name
-	}
 	ma, mb := a.Alias+"."+MultiplicityColumn, b.Alias+"."+MultiplicityColumn
-	term(a.Delta+" AS "+a.Alias, named(b), ma)
-	term(named(a), b.Delta+" AS "+b.Alias, mb)
-	term(a.Delta+" AS "+a.Alias, b.Delta+" AS "+b.Alias, ma+" <> "+mb)
+	term(a.as(a.Delta), b.as(b.Name), ma)
+	term(a.as(a.Name), b.as(b.Delta), mb)
+	term(a.as(a.Delta), b.as(b.Delta), ma+" <> "+mb)
 }

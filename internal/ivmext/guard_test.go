@@ -37,22 +37,27 @@ func guardViewsMatch(t *testing.T, db *engine.DB) {
 // the feeding edge between the two views, and read one refresh behind:
 // after INSERT INTO t VALUES ('b',5),('c',1), v2 read 1|1 2|1 where its
 // query gives 1|1 2|2, and v3 read a|4 where it gives a|4 b|7. v1 stays
-// right through the writes.
+// right through the writes. A materialized view over a plain view, vh's
+// exposed view or a user's, is refused with 0A000 too: it failed with
+// 42P01, as if the view did not exist.
 func TestViewOverViewRefused(t *testing.T) {
 	db := guardSetup(t)
+	mustExec(t, db, "CREATE VIEW pv AS SELECT k, v FROM t")
 	for _, sql := range []string{
 		"CREATE MATERIALIZED VIEW v2 AS SELECT n, COUNT(*) AS c FROM v1 GROUP BY n",
 		"CREATE MATERIALIZED VIEW v3 AS SELECT k, s FROM v1 WHERE s > 2",
 		"CREATE MATERIALIZED VIEW v4 AS SELECT k, COUNT(*) AS c FROM vh_ivm_storage GROUP BY k",
 		"CREATE MATERIALIZED VIEW v5 AS SELECT k, COUNT(*) AS c FROM delta_t GROUP BY k",
 		"CREATE MATERIALIZED VIEW v6 AS SELECT k, COUNT(*) AS c FROM delta_join_vj GROUP BY k",
+		"CREATE MATERIALIZED VIEW v7 AS SELECT k, COUNT(*) AS c FROM vh GROUP BY k",
+		"CREATE MATERIALIZED VIEW v8 AS SELECT k, SUM(v) AS s FROM pv GROUP BY k",
 	} {
 		if _, err := db.Exec(sql); engine.Code(err) != "0A000" {
 			t.Errorf("%s: %v (code %q), want code 0A000", sql, err, engine.Code(err))
 		}
 	}
-	for _, name := range []string{"v2", "v3", "v4", "v5", "v6"} {
-		if db.Catalog().HasTable(name) {
+	for _, name := range []string{"v2", "v3", "v4", "v5", "v6", "v7", "v8"} {
+		if _, isView := db.Catalog().View(name); isView || db.Catalog().HasTable(name) {
 			t.Errorf("a refused CREATE left table %s behind", name)
 		}
 	}

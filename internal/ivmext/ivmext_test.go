@@ -282,7 +282,9 @@ func TestFilteredAggregate(t *testing.T) {
 // once joined on an empty ON and failed to refresh. Three more are views
 // that declare no COUNT(*), whose step 3 once tested a SUM or a COUNT(col):
 // a group whose SUM nets to 0 was dropped, a new group whose COUNT(col) is
-// 0 was left out, and a global SUM that nets to 0 read NULL. Each step is a
+// 0 was left out, and a global SUM that nets to 0 read NULL. A SUM over
+// only NULL arguments read 0, in a group and in an emptied view without
+// GROUP BY, where the query reads NULL. Each step is a
 // change, a refresh and what `SELECT *` then reads, which also shows a
 // hidden column leaking into the view.
 func TestCombineRepros(t *testing.T) {
@@ -339,6 +341,19 @@ func TestCombineRepros(t *testing.T) {
 		{"aggregate_before_group_key", "t (k VARCHAR, v INTEGER)", "('a', 1)",
 			"SELECT SUM(v) AS s, k FROM t GROUP BY k",
 			[]step{{"INSERT INTO t VALUES ('b', 2), ('a', 5)", "2|b 6|a"}}},
+		{"sum_over_only_nulls", "t (k VARCHAR, v INTEGER)", "('a', NULL), ('b', 2)",
+			"SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k",
+			[]step{{"INSERT INTO t VALUES ('a', NULL)", "a|NULL|2 b|2|1"}, {"INSERT INTO t VALUES ('a', 3), ('c', NULL)", "a|3|3 b|2|1 c|NULL|1"},
+				{"DELETE FROM t WHERE v = 3 OR v = 2", "a|NULL|2 c|NULL|1"}}},
+		{"no_group_by_emptied", "t (k VARCHAR, v INTEGER)", "('a', 1), ('b', 2)",
+			"SELECT SUM(v) AS s, AVG(v) AS m, MIN(v) AS lo, MAX(v) AS hi, COUNT(v) AS c, COUNT(*) AS n FROM t",
+			[]step{{"DELETE FROM t", "NULL|NULL|NULL|NULL|0|0"}, {"INSERT INTO t VALUES ('c', NULL)", "NULL|NULL|NULL|NULL|0|1"},
+				{"INSERT INTO t VALUES ('d', 4)", "4|4.0|4|4|1|2"}, {"DELETE FROM t WHERE k = 'd'", "NULL|NULL|NULL|NULL|0|1"}}},
+		// ΔT is read under the base's name: a column qualified by it failed
+		// to bind ("t.k" not found in delta_t).
+		{"qualified_by_table_name", "t (k VARCHAR, v INTEGER)", "('a', 1)",
+			"SELECT t.k, SUM(t.v) AS s, MIN(t.v) AS lo FROM t GROUP BY t.k",
+			[]step{{"INSERT INTO t VALUES ('a', 2), ('b', NULL)", "a|3|1 b|NULL|NULL"}, {"DELETE FROM t WHERE v = 1", "a|2|2 b|NULL|NULL"}}},
 		{"bigint_groups", "t (k INTEGER, v INTEGER)", "(9007199254740992, 1)",
 			"SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k",
 			[]step{{"INSERT INTO t VALUES (9007199254740993, 2)", "9007199254740992|1|1 9007199254740993|2|1"},
@@ -466,9 +481,7 @@ func TestScriptsSavedAndInspectable(t *testing.T) {
 	}
 	for _, want := range []string{
 		"INSERT INTO qg",
-		"WITH ivm_cte AS",
-		"FROM delta_groups GROUP BY group_index",
-		"ON CONFLICT (group_index) DO UPDATE SET",
+		"FROM delta_groups AS groups GROUP BY group_index ON CONFLICT (group_index) DO UPDATE SET",
 		"DELETE FROM delta_groups",
 	} {
 		if !strings.Contains(prop, want) {

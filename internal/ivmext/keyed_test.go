@@ -42,7 +42,8 @@ func TestProjectionReinsertKeepsRow(t *testing.T) {
 // for views that hold a NULL group: an aggregate grouped by a nullable
 // column, a keyless projection (keyed by all its columns) and a MIN view.
 // Step 2 upserts V's storage, the MIN/MAX repair and step 3 delete through
-// its key, a NULL key too, and a point read of a keyed view, through the
+// its key, a NULL key too (the MIN view's body ends with its repair, which
+// leaves no group for step 3), and a point read of a keyed view, through the
 // plain view that repeats each row by its weight, is a key probe of the
 // storage.
 func TestExplainKeyedBody(t *testing.T) {
@@ -67,7 +68,7 @@ func TestExplainKeyedBody(t *testing.T) {
 		{"order_amounts", "SELECT cid, amount FROM orders",
 			[]string{"Upsert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)"}, false},
 		{"cust_min", "SELECT cid, MIN(amount) AS lo FROM orders GROUP BY cid",
-			[]string{"Upsert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)", "Insert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)"}, false},
+			[]string{"Upsert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)", "Insert <V>"}, false},
 	} {
 		mustExec(t, db, "CREATE MATERIALIZED VIEW "+c.view+" AS "+c.def)
 		comp, _ := ext.Compilation(c.view)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"openivm/internal/duckast"
 	"openivm/internal/engine"
 	"openivm/internal/sqltypes"
 )
@@ -403,8 +404,8 @@ func TestPropertyJoinDeltaSizes(t *testing.T) {
 
 // step3Access returns how the engine finds the rows of the view's step 3
 // (the emptied-group delete of its propagation script, the last delete
-// from V; a MIN/MAX repair's comes before it): the first word of its
-// EXPLAIN line.
+// from V; a MIN/MAX view has none, and its repair's delete stands in): the
+// first word of its EXPLAIN line.
 func step3Access(t *testing.T, db *engine.DB, ext *Extension, view string) string {
 	t.Helper()
 	comp, _ := ext.Compilation(view)
@@ -417,17 +418,14 @@ func step3Access(t *testing.T, db *engine.DB, ext *Extension, view string) strin
 	return ""
 }
 
-// step2Select returns the view's step 2 statement and its SELECT (the
-// combine's `WITH ivm_cte AS (…) SELECT …`, without its ON CONFLICT
-// clause).
+// step2Select returns the view's step 2 statement, the upsert, and its
+// SELECT (the delta grouped by V's key, without the ON CONFLICT clause).
 func step2Select(t *testing.T, ext *Extension, view string) (stmt, sel string) {
 	t.Helper()
 	comp, _ := ext.Compilation(view)
-	for _, st := range comp.Propagate.Stmts {
-		stmt := st.SQL()
-		if at := strings.Index(stmt, "WITH ivm_cte"); at >= 0 {
-			sel, _, _ := strings.Cut(stmt[at:], " ON CONFLICT")
-			return stmt, sel
+	for _, st := range comp.Body.Stmts {
+		if ins, ok := st.(*duckast.Insert); ok && len(ins.Set) > 0 {
+			return ins.SQL(), ins.Select.SQL()
 		}
 	}
 	t.Fatalf("no step 2 in the script of %s:\n%s", view, comp.PropagateSQL())
@@ -704,16 +702,17 @@ func TestPropertyPointReads(t *testing.T) {
 				t.Run(fmt.Sprintf("index=%v_%s_%s", index, mode, sh.name), func(t *testing.T) {
 					db := engine.Open("prop", engine.DialectDuckDB)
 					ext := Install(db)
-					wantAccess, where := "KeyedScan vw[pk] keys=1", sh.where
+					mustExec(t, db, "CREATE TABLE t (k VARCHAR, w INTEGER, v INTEGER)")
+					mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 5), ('a', 2, 7), ('b', 1, 8)")
+					mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS "+sh.def)
+					comp, _ := ext.Compilation("vw")
+					wantAccess, where := "KeyedScan "+comp.Storage+"[pk] keys=1", sh.where
 					if !index {
-						wantAccess = "Scan vw"
+						wantAccess = "Scan " + comp.Storage
 						where = func(r []string) string {
 							return strings.NewReplacer("k =", "k || '' =", "w =", "w + 0 =").Replace(sh.where(r))
 						}
 					}
-					mustExec(t, db, "CREATE TABLE t (k VARCHAR, w INTEGER, v INTEGER)")
-					mustExec(t, db, "INSERT INTO t VALUES ('a', 1, 5), ('a', 2, 7), ('b', 1, 8)")
-					mustExec(t, db, "CREATE MATERIALIZED VIEW vw AS "+sh.def)
 					write := armWrite(t, ext, mode)
 					point := "SELECT " + sh.cols + " FROM vw WHERE "
 					plan := fmt.Sprint(mustExec(t, db, "EXPLAIN "+point+where([]string{"a", "1"})).Rows)
@@ -770,13 +769,16 @@ func TestPropertyPointReads(t *testing.T) {
 }
 
 // TestExplainViewPointRead: the benchmark's point reads of an aggregate
-// view — inlined key and prepared `$1` — go through the view's key index.
+// view — inlined key and prepared `$1` — go through the key index of the
+// view's storage, beneath the plain view that reads its SUM through the
+// SUM's count.
 func TestExplainViewPointRead(t *testing.T) {
 	db := engine.Open("bench", engine.DialectDuckDB)
-	Install(db)
+	ext := Install(db)
 	mustExec(t, db, "CREATE TABLE groups (id INTEGER PRIMARY KEY, group_index VARCHAR, group_value INTEGER)")
 	mustExec(t, db, "INSERT INTO groups VALUES (1, 'g0123', 5), (2, 'g0123', 6), (3, 'g0001', 7)")
 	mustExec(t, db, "CREATE MATERIALIZED VIEW query_groups AS SELECT group_index, SUM(group_value) AS total_value, COUNT(*) AS n FROM groups GROUP BY group_index")
+	comp, _ := ext.Compilation("query_groups")
 	s := db.NewSession()
 	defer s.Close()
 	s.BindParams([]sqltypes.Value{sqltypes.NewString("g0123")})
@@ -788,7 +790,7 @@ func TestExplainViewPointRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan := fmt.Sprint(res.Rows); !strings.Contains(plan, " KeyedScan query_groups[pk] keys=1 [filter: ") {
+		if plan := fmt.Sprint(res.Rows); !strings.Contains(plan, " KeyedScan "+comp.Storage+"[pk] keys=1 [filter: ") {
 			t.Errorf("EXPLAIN %s: %s", q, plan)
 		}
 		if res, err = s.Exec(q); err != nil || len(res.Rows) != 1 || res.Rows[0].String() != "11|2" {
@@ -797,13 +799,13 @@ func TestExplainViewPointRead(t *testing.T) {
 	}
 }
 
-// TestExplainStep2ReadsCTEDirectly: step 2 of an aggregate view's script
-// reads ivm_cte through no Project that passes its input through — the
-// CTE's own select list and its reference each made one — so its plan's
-// only Project is the root, which names the result. It reads V nowhere:
-// the upsert into V finds each group's row through V's key, for an
-// aggregate and a join-aggregate view whose group keys are nullable.
-func TestExplainStep2ReadsCTEDirectly(t *testing.T) {
+// TestExplainStep2ReadsDeltaDirectly: step 2 of an aggregate view's script
+// reads the delta through no Project that passes its input through — a CTE's
+// own select list and its reference each made one, and step 2 has no CTE —
+// so its plan's only Project is the root, which names the result. It reads
+// V nowhere: the upsert into V finds each group's row through V's key, for
+// an aggregate and a join-aggregate view whose group keys are nullable.
+func TestExplainStep2ReadsDeltaDirectly(t *testing.T) {
 	db := engine.Open("step2", engine.DialectDuckDB)
 	ext := Install(db)
 	mustExec(t, db, "CREATE TABLE groups (id INTEGER PRIMARY KEY, group_index VARCHAR, group_value INTEGER)")
@@ -813,6 +815,7 @@ func TestExplainStep2ReadsCTEDirectly(t *testing.T) {
 	mustExec(t, db, "CREATE MATERIALIZED VIEW query_groups AS SELECT group_index, SUM(group_value) AS total_value, COUNT(*) AS n FROM groups GROUP BY group_index")
 	mustExec(t, db, "CREATE MATERIALIZED VIEW tag_groups AS SELECT tags.tag, groups.group_index, SUM(groups.group_value) AS total_value, COUNT(*) AS n FROM groups JOIN tags ON groups.id = tags.id GROUP BY tags.tag, groups.group_index")
 	for _, view := range []string{"query_groups", "tag_groups"} {
+		comp, _ := ext.Compilation(view)
 		stmt, sel := step2Select(t, ext, view)
 		var projects []string
 		for _, r := range mustExec(t, db, "EXPLAIN "+sel).Rows {
@@ -823,10 +826,10 @@ func TestExplainStep2ReadsCTEDirectly(t *testing.T) {
 		if len(projects) != 1 {
 			t.Errorf("%s: step 2 plans %d Projects, want the root alone: %q", view, len(projects), projects)
 		}
-		if got := step2ReadsV(t, db, ext, view, view); len(got) != 0 {
+		if got := step2ReadsV(t, db, ext, view, comp.Storage); len(got) != 0 {
 			t.Errorf("%s: step 2 reads V outside its upsert: %q", view, got)
 		}
-		if got := mustExec(t, db, "EXPLAIN "+stmt).Rows[0][0].S; got != "Upsert "+view {
+		if got := mustExec(t, db, "EXPLAIN "+stmt).Rows[0][0].S; got != "Upsert "+comp.Storage {
 			t.Errorf("%s: step 2 explains as %q, want the upsert into V", view, got)
 		}
 	}

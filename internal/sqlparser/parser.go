@@ -745,7 +745,8 @@ func (p *Parser) parseDelete() (Statement, error) {
 // that pass the rest of where. One shape is taken, the keyed delete: every
 // conjunct that reads a is `table.x IS NOT DISTINCT FROM a.y` (either way
 // round), and there is at least one. Any other use of a, and any other
-// USING item, is refused with 0A000.
+// USING item, is refused with 0A000. When the subquery is a plain
+// projection (plainItems), the IN reads its FROM and WHERE directly.
 func usingIn(table string, using TableRef, where Expr) (Expr, error) {
 	u, _ := using.(*SubqueryTable)
 	if u == nil || u.Alias == "" || strings.EqualFold(u.Alias, table) {
@@ -781,6 +782,9 @@ func usingIn(table string, using TableRef, where Expr) (Expr, error) {
 		keys = append(keys, key)
 		sel.Items = append(sel.Items, SelectItem{Expr: col})
 	}
+	if items := plainItems(u.Select, sel.Items); items != nil {
+		sel.Items, sel.From, sel.Where = items, u.Select.From, u.Select.Where
+	}
 	switch len(keys) {
 	case 0:
 		return nil, enginerr.Newf(enginerr.CodeFeatureNotSupported, "sqlparser: DELETE … USING: no condition matches %s to %s", table, alias)
@@ -790,6 +794,36 @@ func usingIn(table string, using TableRef, where Expr) (Expr, error) {
 		in.Operand = &RowExpr{Items: keys}
 	}
 	return out, nil
+}
+
+// plainItems returns p's items that cols (columns of p's alias) name, each
+// exactly once, when p is a plain projection: column references over a
+// FROM, with no grouping, DISTINCT, ORDER BY, LIMIT, set operation, CTE or
+// VALUES. An IN then reads p's FROM and WHERE in place of p, planning no
+// derived table; a name still resolves to p's FROM alone, since an IN
+// subquery is bound apart from the statement around it. Else it is nil.
+func plainItems(p *SelectStmt, cols []SelectItem) []SelectItem {
+	if p.From == nil || len(p.CTEs) > 0 || p.Distinct || len(p.GroupBy) > 0 || p.Having != nil || len(p.OrderBy) > 0 ||
+		p.Limit != nil || p.Offset != nil || p.Values != nil || p.ValuesParam != nil || p.Next != nil {
+		return nil
+	}
+	out := make([]SelectItem, len(cols))
+	for i, c := range cols {
+		name, n := c.Expr.(*ColumnRef).Column, 0
+		for _, it := range p.Items {
+			ref, ok := it.Expr.(*ColumnRef)
+			if !ok || ref.Star {
+				return nil
+			}
+			if it.Alias == "" && strings.EqualFold(ref.Column, name) || strings.EqualFold(it.Alias, name) {
+				out[i], n = SelectItem{Expr: ref}, n+1
+			}
+		}
+		if n != 1 {
+			return nil
+		}
+	}
+	return out
 }
 
 // --- SELECT ---

@@ -351,12 +351,32 @@ func TestParseDelete(t *testing.T) {
 // conjuncts kept beside it — and every other shape is refused with 0A000.
 func TestParseDeleteUsing(t *testing.T) {
 	for _, c := range []struct{ sql, want string }{
+		// A plain projection: the IN reads its FROM and WHERE directly.
 		{"DELETE FROM v USING (SELECT k FROM d) AS x WHERE v.k IS NOT DISTINCT FROM x.k",
-			"v.k IN (SELECT x.k)"},
+			"v.k IN (SELECT k FROM d)"},
 		{"DELETE FROM v USING (SELECT a, b FROM d WHERE m = FALSE) AS x WHERE x.a IS NOT DISTINCT FROM v.g AND h IS NOT DISTINCT FROM x.b AND n = 0",
-			"(v.g, h) IN (SELECT x.a, x.b) AND (n = 0)"},
+			"(v.g, h) IN (SELECT a, b FROM d WHERE (m = FALSE)) AND (n = 0)"},
 		{"DELETE FROM v USING (SELECT k FROM d) d WHERE (v.n > 1 AND v.k IS NOT DISTINCT FROM d.k) AND v.n < 9",
-			"v.k IN (SELECT d.k) AND (v.n > 1) AND (v.n < 9)"},
+			"v.k IN (SELECT k FROM d) AND (v.n > 1) AND (v.n < 9)"},
+		{"DELETE FROM v USING (SELECT r.g AS k, r.z FROM (SELECT g, z FROM e) AS r) AS x WHERE v.k IS NOT DISTINCT FROM x.k",
+			"v.k IN (SELECT r.g FROM (…) AS r)"},
+		// Anything else stays a derived table under the IN.
+		{"DELETE FROM v USING (SELECT k FROM d GROUP BY k) AS x WHERE v.k IS NOT DISTINCT FROM x.k",
+			"v.k IN (SELECT x.k FROM (…) AS x)"},
+		{"DELETE FROM v USING (SELECT DISTINCT k FROM d) AS x WHERE v.k IS NOT DISTINCT FROM x.k",
+			"v.k IN (SELECT x.k FROM (…) AS x)"},
+		{"DELETE FROM v USING (SELECT k + 1 AS k FROM d) AS x WHERE v.k IS NOT DISTINCT FROM x.k",
+			"v.k IN (SELECT x.k FROM (…) AS x)"},
+		{"DELETE FROM v USING (SELECT * FROM d) AS x WHERE v.k IS NOT DISTINCT FROM x.k",
+			"v.k IN (SELECT x.k FROM (…) AS x)"},
+		{"DELETE FROM v USING (SELECT k, j AS k FROM d) AS x WHERE v.k IS NOT DISTINCT FROM x.k",
+			"v.k IN (SELECT x.k FROM (…) AS x)"},
+		{"DELETE FROM v USING (SELECT k FROM d LIMIT 1) AS x WHERE v.k IS NOT DISTINCT FROM x.k",
+			"v.k IN (SELECT x.k FROM (…) AS x)"},
+		{"DELETE FROM v USING (SELECT k FROM d UNION ALL SELECT k FROM e) AS x WHERE v.k IS NOT DISTINCT FROM x.k",
+			"v.k IN (SELECT x.k FROM (…) AS x)"},
+		{"DELETE FROM v USING (WITH c AS (SELECT k FROM d) SELECT k FROM c) AS x WHERE v.k IS NOT DISTINCT FROM x.k",
+			"v.k IN (SELECT x.k FROM (…) AS x)"},
 	} {
 		st := mustParse(t, c.sql).(*DeleteStmt)
 		var in *InExpr
@@ -377,10 +397,19 @@ func TestParseDeleteUsing(t *testing.T) {
 		for _, it := range sel.Items {
 			items = append(items, ExprString(it.Expr))
 		}
-		got := ExprString(in.Operand) + " IN (SELECT " + strings.Join(items, ", ") + ")"
-		if _, ok := sel.From.(*SubqueryTable); !ok {
+		got := ExprString(in.Operand) + " IN (SELECT " + strings.Join(items, ", ")
+		switch f := sel.From.(type) {
+		case *NamedTable:
+			got += " FROM " + f.Name
+		case *SubqueryTable:
+			got += " FROM (…) AS " + f.Alias
+		default:
 			got += fmt.Sprintf(" FROM %T", sel.From)
 		}
+		if sel.Where != nil {
+			got += " WHERE " + ExprString(sel.Where)
+		}
+		got += ")"
 		if len(rest) > 0 {
 			got += " AND " + strings.Join(rest, " AND ")
 		}
