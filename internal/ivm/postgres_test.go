@@ -682,6 +682,34 @@ func (h *history) logDelta(tb genTable, r []string, insert bool) {
 	}
 }
 
+// TestPostgresKnownFailures holds the wrong answers of the exported scripts
+// that TestPostgresOracle's history once steered around, each now asserting
+// the query's answer on PostgreSQL and on this engine.
+func TestPostgresKnownFailures(t *testing.T) {
+	query := standaloneViews["counted"]
+	// Step 2 folded a SUM through COALESCE(…, 0), so a group whose SUM
+	// arguments were all NULL read 0 (a|0|2) where the query reads NULL
+	// (a|NULL|2); SUM's non-NULL count now makes it NULL.
+	t.Run("sum_over_only_nulls", func(t *testing.T) {
+		cdb := engine.Open("compile", engine.DialectDuckDB)
+		mustRun(t, cdb, standaloneSchema)
+		comp := compile(t, cdb, "CREATE MATERIALIZED VIEW v AS "+query)
+		pg, eng := postgresTarget(t), target(engineTarget{engine.Open("standalone", engine.DialectDuckDB)})
+		batch := "INSERT INTO t VALUES ('a', NULL);\nINSERT INTO delta_t VALUES ('a', NULL, TRUE);\n" + comp.PropagateSQL()
+		for name, tg := range map[string]target{"PostgreSQL": pg, "this engine": eng} {
+			run(t, tg, standaloneSchema)
+			run(t, tg, "INSERT INTO t VALUES ('a', NULL), ('b', 2)")
+			run(t, tg, comp.SetupSQL())
+			run(t, tg, comp.PopulateSQLText())
+			run(t, tg, batch)
+			v, q := mustRows(t, tg, "SELECT * FROM v"), mustRows(t, tg, query)
+			if strings.Join(v, " ") != `a|\N|2 b|2|1` || strings.Join(q, " ") != `a|\N|2 b|2|1` {
+				t.Fatalf("on %s V reads %q and the query %q, want a|NULL|2 b|2|1 on both", name, v, q)
+			}
+		}
+	})
+}
+
 // TestPostgresRepros runs the exported scripts of a view over a few rows,
 // then one change and its ΔT rows, on PostgreSQL and on this engine: V must
 // equal its query on each, and V on one the other. The cases are wrong
@@ -691,10 +719,7 @@ func (h *history) logDelta(tb genTable, r []string, insert bool) {
 //   - *_duplicates: a keyless view holding a row twice lost both copies
 //     when one of them changed;
 //   - *_null_rows: a keyless view holding a row with a NULL twice lost both
-//     copies when one of them was deleted;
-//   - sum_over_only_nulls: step 2 folded a SUM through COALESCE(…, 0), so a
-//     group whose SUM arguments were all NULL read 0 (a|0|2) where the
-//     query reads NULL (a|NULL|2).
+//     copies when one of them was deleted.
 func TestPostgresRepros(t *testing.T) {
 	const sales = "CREATE TABLE t (id BIGINT, k VARCHAR, v BIGINT); CREATE TABLE u (k VARCHAR, w VARCHAR)"
 	for _, c := range []struct{ name, schema, query, rows, change, delta string }{
@@ -710,8 +735,6 @@ func TestPostgresRepros(t *testing.T) {
 		{"join_null_rows", sales, "SELECT t.k, u.w FROM t JOIN u ON t.k = u.k",
 			"INSERT INTO t VALUES (1, 'x', 0), (2, 'x', 0); INSERT INTO u VALUES ('x', NULL)",
 			"DELETE FROM t WHERE id = 1", "INSERT INTO delta_t VALUES (1, 'x', 0, FALSE)"},
-		{"sum_over_only_nulls", standaloneSchema, standaloneViews["counted"], "INSERT INTO t VALUES ('a', NULL), ('b', 2)",
-			"INSERT INTO t VALUES ('a', NULL)", "INSERT INTO delta_t VALUES ('a', NULL, TRUE)"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cdb := engine.Open("compile", engine.DialectDuckDB)
