@@ -79,6 +79,12 @@ type Table struct {
 	// slots) and TruncateTxn must not physically reset the arrays.
 	pinned int
 
+	// scans counts the open cursors (Scan), which hold the slot numbering
+	// as a pin does. They open and close under the shared lock or none, so
+	// the count is atomic; a sweep or a truncate reads it under the write
+	// lock, when no cursor can open.
+	scans atomic.Int32
+
 	// abortHoles counts slots emptied by aborted inserts that no sweep has
 	// yet reported as reclaimed (see gc).
 	abortHoles int
@@ -762,7 +768,7 @@ func (t *Table) upsertLocked(tx *mvcc.Txn, r sqltypes.Row, cur pkCursor) error {
 }
 
 // candidatesLocked names the slots a filtered statement visits — the one
-// resolution path of keyed reads (RowsSnap) and writes (DeleteTxn,
+// resolution path of keyed reads (Scan) and writes (DeleteTxn,
 // UpdateTxn): with nil keys every slot (slots is nil and n the slot count),
 // otherwise — keys holding one value per primary-key column, key after key
 // — the version of each key visible to sn, ascending, n of them: what the
@@ -1086,16 +1092,17 @@ func (t *Table) quiescentLocked(tx *mvcc.Txn) bool {
 
 // TruncateTxn removes every row, returning the removed rows when wantRows
 // is set and their number either way. When no transaction holds write-log
-// references into the table and tx is quiescent (quiescentLocked), the
-// backing arrays are released — an O(1) physical reset that also drops the
-// rows committed after tx's snapshot, which nobody can observe — and the
-// write log carries a single OpTruncate so redo replays it. Otherwise — and
-// always on a tracked table — every version visible to tx is end-stamped
-// like a DELETE, so concurrent snapshots keep a consistent view.
+// references into the table, no cursor walks it (Scan) and tx is quiescent
+// (quiescentLocked), the backing arrays are released — an O(1) physical
+// reset that also drops the rows committed after tx's snapshot, which
+// nobody can observe — and the write log carries a single OpTruncate so
+// redo replays it. Otherwise — and always on a tracked table — every
+// version visible to tx is end-stamped like a DELETE, so concurrent
+// snapshots keep a consistent view.
 func (t *Table) TruncateTxn(tx *mvcc.Txn, wantRows bool) ([]sqltypes.Row, int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.pinned != 0 || !t.quiescentLocked(tx) || t.Tracked() {
+	if t.pinned != 0 || t.scans.Load() != 0 || !t.quiescentLocked(tx) || t.Tracked() {
 		rows, err := t.deleteLocked(tx, nil, nil)
 		return rows, len(rows), err
 	}
@@ -1128,53 +1135,159 @@ func (t *Table) resetLocked() {
 	}
 }
 
-// Rows returns a copy of the rows visible to the latest snapshot.
+// Rows returns a copy of the rows visible to the latest snapshot, taken
+// under one hold of the shared lock (the checkpoint's read). A delta table
+// returns its change log's rows.
 func (t *Table) Rows() []sqltypes.Row {
-	return t.RowsSnap(mvcc.Snapshot{}, nil)
-}
-
-// RowsSnap returns a copy of the rows visible to sn, in slot order. The
-// zero snapshot means latest-committed (resolved under the lock). Non-nil
-// keys — a set of primary keys, one value per key column, key after key —
-// restrict the result to the rows with those keys, found through the index
-// instead of a scan (see DeleteTxn): the same rows in the same order the
-// scan returns for them, at the cost of the keys instead of the table. A
-// delta table returns its change log's rows (ReadChanges).
-func (t *Table) RowsSnap(sn mvcc.Snapshot, keys []sqltypes.Value) []sqltypes.Row {
 	if l := t.changes.Load(); l != nil {
-		if sn.M == nil {
-			sn = t.mv.Current()
-		}
-		return l.scan(sn.ReadTS)
+		return l.scan(t.mv.LatestTS())
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if sn.M == nil {
-		sn = t.mv.Current()
-	}
-	slots, n := t.candidatesLocked(sn, keys)
-	if slots != nil {
-		out := make([]sqltypes.Row, n)
-		for j, s := range slots {
-			out[j] = t.rows[s]
-		}
-		return out
-	}
+	sn := t.mv.Current()
 	out := make([]sqltypes.Row, 0, t.live)
 	for i, r := range t.rows {
-		if r == nil {
-			continue
-		}
-		vm := t.vers[i]
-		// Fast path: committed at-or-before the snapshot and not deleted.
-		if vm.begin&mvcc.TxnBit == 0 && vm.begin <= sn.ReadTS && vm.end == 0 {
-			out = append(out, r)
-		} else if sn.Visible(vm.begin, vm.end) {
+		if r != nil && sn.Visible(t.vers[i].begin, t.vers[i].end) {
 			out = append(out, r)
 		}
 	}
 	return out
 }
+
+// Scan opens a cursor over the rows visible to sn, in slot order: every
+// row, or — with non-nil keys, a set of primary keys, one value per key
+// column, key after key — the rows with those keys, found through the index
+// instead of a scan (see DeleteTxn): the same rows in the same order the
+// scan returns for them, at the cost of the keys instead of the table. The
+// zero snapshot means latest-committed: the cursor registers one at open
+// and unregisters it at close. A delta table's cursor walks its change
+// log's rows (ReadChanges).
+//
+// The cursor reads the table's slots in place, taking the shared lock once
+// per Next; nothing of the table is copied at open. A full scan stops at
+// the slot count of its open, so rows appended later — a self-reading
+// INSERT … SELECT's own — are never visited. Until it is exhausted or
+// closed the cursor holds the slot numbering, like a writer's pin: a sweep
+// does not compact the table and TruncateTxn does not reset it. What it
+// relies on beyond that is sn: its versions stay visible to it (a
+// registered snapshot holds the GC watermark), and versions written after
+// the open are invisible to it — which the owner of a transaction's
+// snapshot must keep true by not writing in that transaction while a
+// cursor over it is open.
+func (t *Table) Scan(sn mvcc.Snapshot, keys []sqltypes.Value) storage.Cursor {
+	c := new(Cursor)
+	t.Open(c, sn, keys)
+	return c
+}
+
+// Open is Scan into a cursor the caller provides (an operator's own
+// field), which costs no allocation of its own. It returns the number of
+// rows the scan is expected to return: exact for a keyed scan and a delta
+// table, the table's live version count for a full scan.
+func (t *Table) Open(c *Cursor, sn mvcc.Snapshot, keys []sqltypes.Value) (estimate int) {
+	*c = Cursor{t: t}
+	if l := t.changes.Load(); l != nil {
+		if sn.M == nil {
+			sn = t.mv.Current()
+		}
+		c.delta = l.scan(sn.ReadTS)
+		c.n = int32(len(c.delta))
+		return len(c.delta)
+	}
+	if sn.M == nil {
+		sn, c.release = t.mv.AcquireSnapshot()
+	}
+	c.sn = sn
+	t.mu.RLock()
+	slots, n := t.candidatesLocked(sn, keys)
+	c.slots, c.n, estimate = slots, int32(n), t.live
+	if slots != nil {
+		estimate = n
+	}
+	if n > 0 {
+		c.pinned = true
+		t.scans.Add(1)
+	}
+	t.mu.RUnlock()
+	if !c.pinned {
+		c.Close()
+	}
+	return estimate
+}
+
+// Cursor is an open scan of one table at one snapshot (Table.Scan). It
+// belongs to one goroutine.
+type Cursor struct {
+	t      *Table
+	sn     mvcc.Snapshot
+	slots  []int32        // a keyed scan's slots (candidatesLocked); nil for a full scan
+	delta  []sqltypes.Row // a delta table's rows
+	pos, n int32          // the next candidate to visit, and the candidates: the key slots, or the slot count at open
+
+	pinned  bool   // holds t.scans
+	release func() // unregisters the snapshot a zero-snapshot open took
+}
+
+// Next appends to dst the next rows visible to the cursor's snapshot for
+// which keep holds (nil keeps every row), up to n of them, and reports
+// whether rows may remain. It holds the table's shared lock throughout, so
+// keep must not read the table; a predicate that might (a subquery) runs
+// on the returned rows instead. A cursor that has visited everything
+// closes itself.
+func (c *Cursor) Next(dst []sqltypes.Row, n int, keep func(sqltypes.Row) bool) ([]sqltypes.Row, bool) {
+	if c.delta != nil {
+		for ; c.pos < c.n && n > 0; c.pos++ {
+			if r := c.delta[c.pos]; keep == nil || keep(r) {
+				dst = append(dst, r)
+				n--
+			}
+		}
+		return dst, c.pos < c.n
+	}
+	if !c.pinned {
+		return dst, false
+	}
+	t, sn := c.t, c.sn
+	t.mu.RLock()
+	for ; c.pos < c.n && n > 0; c.pos++ {
+		i := candidate(c.slots, int(c.pos))
+		r := t.rows[i]
+		if r == nil {
+			continue
+		}
+		vm := t.vers[i]
+		// Fast path: committed at-or-before the snapshot and not deleted.
+		if (vm.begin&mvcc.TxnBit != 0 || vm.begin > sn.ReadTS || vm.end != 0) && !sn.Visible(vm.begin, vm.end) {
+			continue
+		}
+		if keep == nil || keep(r) {
+			dst = append(dst, r)
+			n--
+		}
+	}
+	t.mu.RUnlock()
+	if c.pos < c.n {
+		return dst, true
+	}
+	c.Close()
+	return dst, false
+}
+
+// Close ends the scan: the slot numbering and the snapshot it registered
+// are released. Idempotent.
+func (c *Cursor) Close() {
+	if c.pinned {
+		c.pinned = false
+		c.t.scans.Add(-1)
+	}
+	if c.release != nil {
+		c.release()
+		c.release = nil
+	}
+}
+
+// OpenScans reports how many cursors hold the table's slot numbering.
+func (t *Table) OpenScans() int { return int(t.scans.Load()) }
 
 // ---------------------------------------------------------------------------
 // mvcc.Store: commit/abort application
@@ -1321,7 +1434,7 @@ func (t *Table) reclaimableLocked(i int, watermark uint64) bool {
 // versions are normally emptied in place — slot set to nil, index entries
 // dropped, prev pointers compressed past it — which allocates nothing per
 // surviving row. Only when garbage exceeds 1/compactFraction of the slot
-// array, and no transaction pins the slot numbering, are the arrays
+// array, and no transaction or open cursor pins the slot numbering, are the arrays
 // compacted, so hot upsert/truncate churn still cannot grow them without
 // bound.
 func (t *Table) gc(watermark uint64) int {
@@ -1337,7 +1450,7 @@ func (t *Table) gc(watermark uint64) int {
 	}
 	n := dead + t.abortHoles
 	t.abortHoles = 0
-	if t.pinned == 0 && (dead+holes)*compactFraction > len(t.rows) {
+	if t.pinned == 0 && t.scans.Load() == 0 && (dead+holes)*compactFraction > len(t.rows) {
 		t.compactLocked(watermark)
 		return n
 	}
@@ -1374,7 +1487,7 @@ func (t *Table) gc(watermark uint64) int {
 // still reachable by some snapshot, renumbering slots. The primary-key
 // index is renumbered in place (entries of dropped slots fall out); the
 // secondary indexes are rebuilt. Only legal with no pinned transactions
-// (their write logs hold slot numbers).
+// (their write logs hold slot numbers) and no open cursor (it walks them).
 func (t *Table) compactLocked(watermark uint64) {
 	keep := 0
 	newSlot := make([]int32, len(t.rows))
@@ -1569,7 +1682,7 @@ func sameColumns(a, b []int) bool {
 // that key compares as IS NOT DISTINCT FROM, whose NULL finds the rows
 // stored with a NULL there. All probes are resolved under one
 // hold of the shared lock against one snapshot (the zero snapshot means
-// latest-committed, resolved under the lock like RowsSnap), so the result
+// latest-committed, resolved under the lock), so the result
 // is what a scan at that moment would have returned for those keys. Index
 // entries outlive the versions' visibility (they go when GC reclaims the
 // version), hence the per-version visibility check on the secondary path;

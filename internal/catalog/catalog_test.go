@@ -61,6 +61,17 @@ func (a autoTable) Truncate() (rows []sqltypes.Row) {
 	return
 }
 
+// scan drains a cursor at sn (over keys, when non-nil) two rows at a time.
+func (a autoTable) scan(sn mvcc.Snapshot, keys []sqltypes.Value) []sqltypes.Row {
+	cur := a.Scan(sn, keys)
+	defer cur.Close()
+	out := []sqltypes.Row{}
+	for more := true; more; {
+		out, more = cur.Next(out, 2, nil)
+	}
+	return out
+}
+
 func testTable(t *testing.T) autoTable {
 	t.Helper()
 	c := New()
@@ -262,17 +273,17 @@ func TestKeySetCandidates(t *testing.T) {
 	} {
 		picked := map[int64]bool{5: true, 1: true, 3: true, 2: true, 42: true}
 		var scanned []sqltypes.Row
-		for _, r := range tbl.RowsSnap(c.sn, nil) {
+		for _, r := range tbl.scan(c.sn, nil) {
 			if picked[r[0].I] {
 				scanned = append(scanned, r)
 			}
 		}
-		got := fmt.Sprint(tbl.RowsSnap(c.sn, keys(5, 1, 3, 1, 2, 42, 3)))
+		got := fmt.Sprint(tbl.scan(c.sn, keys(5, 1, 3, 1, 2, 42, 3)))
 		if got != c.want || got != fmt.Sprint(scanned) {
 			t.Errorf("keyed read, %s: %s, want %s; the scan gives %v", c.label, got, c.want, scanned)
 		}
 	}
-	if got := tbl.RowsSnap(mvcc.Snapshot{}, keys()); got == nil || len(got) != 0 {
+	if got := tbl.scan(mvcc.Snapshot{}, keys()); got == nil || len(got) != 0 {
 		t.Errorf("a read of the empty key set returned %v", got)
 	}
 
@@ -295,7 +306,7 @@ func TestKeySetCandidates(t *testing.T) {
 	if got := fmt.Sprint(del); got != "[3|x|3.0 1|y|10.0]" {
 		t.Errorf("deleted %s, want 3 and the new version of 1", got)
 	}
-	if got := len(tbl.RowsSnap(old.Snapshot(), nil)); got != 8 {
+	if got := len(tbl.scan(old.Snapshot(), nil)); got != 8 {
 		t.Errorf("the open snapshot sees %d rows, want its 8", got)
 	}
 
@@ -468,7 +479,7 @@ func TestTruncateVersionedWhenObserved(t *testing.T) {
 	if rows := tbl.Truncate(); len(rows) != 10 || tbl.RowCount() != 0 {
 		t.Fatalf("truncate returned %d rows, left %d", len(rows), tbl.RowCount())
 	}
-	if got := len(tbl.RowsSnap(sn, nil)); got != 10 {
+	if got := len(tbl.scan(sn, nil)); got != 10 {
 		t.Fatalf("snapshot opened before the truncate sees %d rows, want 10", got)
 	}
 	if got := len(tbl.Rows()); got != 0 {

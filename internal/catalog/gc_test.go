@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -169,4 +170,54 @@ func TestAbortAfterPredecessorReclaimed(t *testing.T) {
 		t.Fatalf("%d slots after compaction, want 1", len(tbl.rows))
 	}
 	mustLookup(t, tbl, 1, "v3")
+}
+
+// TestCursorHoldsCompaction: a sweep that would compact the table runs
+// between two batches of an open cursor. It leaves the slot numbering as it
+// is, and the cursor returns exactly the rows visible at its open, the ones
+// deleted since among them; the first sweep after the close compacts.
+func TestCursorHoldsCompaction(t *testing.T) {
+	tbl := testTable(t)
+	mgr := tbl.mv
+	for i := int64(0); i < 100; i++ {
+		if err := tbl.Insert(row(i, "r", 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 60 of the 100 slots die before the snapshot: garbage past a third.
+	if _, err := tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[0].I < 60, nil }); err != nil {
+		t.Fatal(err)
+	}
+	sn, release := mgr.AcquireSnapshot()
+	defer release()
+	want := fmt.Sprint(tbl.scan(sn, nil))
+
+	var cur Cursor
+	tbl.Open(&cur, sn, nil)
+	defer cur.Close()
+	got, more := cur.Next(nil, 2, nil)
+	if len(got) != 2 || !more {
+		t.Fatalf("first batch: %v, more %v", got, more)
+	}
+	if _, err := tbl.Delete(func(r sqltypes.Row) (bool, error) { return r[0].I%2 == 0, nil }); err != nil {
+		t.Fatal(err)
+	}
+	slots := len(tbl.rows)
+	mgr.Vacuum()
+	if len(tbl.rows) != slots {
+		t.Fatalf("a sweep under the open cursor renumbered %d slots into %d", slots, len(tbl.rows))
+	}
+	for more {
+		got, more = cur.Next(got, 2, nil)
+	}
+	if fmt.Sprint(got) != want {
+		t.Errorf("the cursor returned %v across the sweep, want the rows of its open %v", got, want)
+	}
+	if n := tbl.OpenScans(); n != 0 {
+		t.Fatalf("an exhausted cursor still holds the table (%d)", n)
+	}
+	mgr.Vacuum()
+	if len(tbl.rows) >= slots {
+		t.Errorf("the first sweep after the close kept %d of %d slots", len(tbl.rows), slots)
+	}
 }

@@ -680,6 +680,7 @@ func (s *Session) end(t *txnState, err error) error {
 		err = fault.Inject(fault.EngineCommit)
 	}
 	s.txn = nil
+	s.cutStreams()
 	if err != nil {
 		mgr.Abort(t.mtx)
 	} else if err = mgr.Commit(t.mtx); err == nil {
@@ -716,6 +717,7 @@ func (s *Session) execCommit() (*Result, error) {
 	if t == nil {
 		return nil, fmt.Errorf("engine: no transaction in progress")
 	}
+	s.cutStreams() // before the trigger handlers write in t
 	t.ending = true
 	err := t.err
 	if err == nil {
@@ -777,7 +779,8 @@ func keysBeforeLock(tbl *catalog.Table, pred expr.Expr, perRow ...expr.Expr) ([]
 // lazySubquery evaluates an uncorrelated scalar subquery on first use and
 // caches the result. It is bound to the session that planned it and to the
 // parameter binding of its statement: the subquery runs with that session's
-// execution options and cancellation context. Plans holding one are never
+// execution options and cancellation context, at its statement's snapshot
+// (Session.subqueryOpts). Plans holding one are never
 // cached (expr.Stateless refuses unknown node kinds).
 type lazySubquery struct {
 	s      *Session
@@ -797,7 +800,7 @@ func (l *lazySubquery) Eval(sqltypes.Row) (sqltypes.Value, error) {
 	if err != nil {
 		return sqltypes.Null, err
 	}
-	rows, err := exec.RunOpts(n, l.s.execOptsTxn(l.s.ctx, l.s.currentTxn()))
+	rows, err := exec.RunOpts(n, l.s.subqueryOpts())
 	if err != nil {
 		return sqltypes.Null, err
 	}

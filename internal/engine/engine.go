@@ -339,7 +339,8 @@ func (db *DB) Exec(sql string) (*Result, error) {
 
 // newBinder builds a binder with scalar-subquery support whose parameters
 // read params (subqueries execute with the session's options and context,
-// their parameters reading the same binding; Param nodes read it at Eval
+// at their statement's snapshot, their parameters reading the same
+// binding; Param nodes read it at Eval
 // time, so a cached plan re-executes against freshly bound values).
 func (s *Session) newBinder(params *expr.ParamBinding) *plan.Binder {
 	b := plan.NewBinder(s.db.cat)
@@ -358,7 +359,7 @@ func (s *Session) newBinder(params *expr.ParamBinding) *plan.Binder {
 			if err != nil {
 				return nil, err
 			}
-			cached, err = exec.RunOpts(n, s.execOptsTxn(s.ctx, s.currentTxn()))
+			cached, err = exec.RunOpts(n, s.subqueryOpts())
 			done = err == nil
 			return cached, err
 		}, nil

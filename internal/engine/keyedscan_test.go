@@ -319,6 +319,21 @@ func TestInsertSelectKeyedSource(t *testing.T) {
 			t.Errorf("round %d: %d rows inserted, table %s; want %d and %s", round, res.RowsAffected, got, round+1, want)
 		}
 	}
+
+	// The full scan, over several batches, stops at the rows of its open:
+	// each row it read is inserted once, none of its own output again.
+	mustExec(t, db, "INSERT INTO one SELECT g, 10 FROM generate_series(5, 2500) AS g")
+	if line := scanLine(t, s, "SELECT k + 10000, v FROM one"); !strings.HasPrefix(line, "Scan one") {
+		t.Fatalf("the source is not a full scan: %s", line)
+	}
+	res, err := s.Exec("INSERT INTO one SELECT k + 10000, v FROM one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rowStrings(queryRowsSess(t, s, "SELECT COUNT(*), MIN(k), MAX(k) FROM one"))
+	if want := "5000|1|12500"; res.RowsAffected != 2500 || got[0] != want {
+		t.Errorf("full scan: %d rows inserted, table %s (rows, min, max); want 2500 and %s", res.RowsAffected, got[0], want)
+	}
 }
 
 // TestSelfReadingWriteDoesNotDeadlock: an UPDATE or DELETE on the scan path

@@ -106,12 +106,21 @@ func (db *DB) noteStorageErr(err error) error {
 // set rejected in degraded mode. Transaction control, EXPLAIN and SELECT
 // pass.
 func isWriteStmt(stmt sqlparser.Statement) bool {
+	if isDML(stmt) {
+		return true
+	}
 	switch stmt.(type) {
-	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt,
-		*sqlparser.TruncateStmt, *sqlparser.CreateTableStmt,
-		*sqlparser.CreateIndexStmt, *sqlparser.CreateViewStmt,
-		*sqlparser.DropStmt, *sqlparser.CreateTriggerStmt,
-		*sqlparser.RefreshStmt:
+	case *sqlparser.CreateTableStmt, *sqlparser.CreateIndexStmt, *sqlparser.CreateViewStmt,
+		*sqlparser.DropStmt, *sqlparser.CreateTriggerStmt, *sqlparser.RefreshStmt:
+		return true
+	}
+	return false
+}
+
+// isDML reports whether stmt writes rows in its transaction.
+func isDML(stmt sqlparser.Statement) bool {
+	switch stmt.(type) {
+	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt, *sqlparser.TruncateStmt:
 		return true
 	}
 	return false

@@ -79,6 +79,18 @@ type Session struct {
 	// e.g. the lazy-refresh hook must not re-trigger a refresh for the
 	// SELECTs a propagation script itself runs.
 	internal bool
+
+	// snap is the snapshot of the SELECT whose operators are running on
+	// the session — opening, or pulling a batch of its stream — and zero
+	// otherwise: that SELECT's subqueries read at it (subqueryOpts).
+	snap mvcc.Snapshot
+
+	// txnStreams are the open streams that read at the snapshot of the
+	// session's transaction. Their cursors read the tables in place, and
+	// could not tell the transaction's writes made before they opened
+	// from those made after: while one is open the transaction takes no
+	// write, and its end closes them (cutStreams).
+	txnStreams []*Stream
 }
 
 // SetWALBypass excludes (or re-includes) this session's writes and DDL
@@ -218,6 +230,18 @@ func (s *Session) InTxn() bool { return s.txn != nil }
 // cancellation context.
 func (s *Session) execOpts(ctx context.Context) exec.Options {
 	return exec.Options{Ctx: ctx}
+}
+
+// subqueryOpts is what a subquery executes with: the snapshot of the
+// SELECT whose operators run it, else that of the session's transaction —
+// a write's own, or the open one.
+func (s *Session) subqueryOpts() exec.Options {
+	if s.snap.M != nil {
+		o := s.execOpts(s.ctx)
+		o.Snap = s.snap
+		return o
+	}
+	return s.execOptsTxn(s.ctx, s.currentTxn())
 }
 
 // execOptsTxn is execOpts with a transaction's read snapshot attached,

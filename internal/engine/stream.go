@@ -3,8 +3,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"openivm/internal/enginerr"
 	"openivm/internal/exec"
+	"openivm/internal/mvcc"
 	"openivm/internal/plan"
 	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
@@ -31,11 +34,24 @@ type Stream struct {
 	s       *Session           // owner of a live operator tree (panic isolation)
 	it      exec.BatchIterator // nil when materialized
 	res     *Result            // materialized payload (nil when streaming)
+	snap    mvcc.Snapshot      // the snapshot the operator tree reads at
 	served  bool
 	closed  bool
+	cut     bool       // closed by the end of the transaction it read in
 	release func()     // statement-snapshot unpin (nil when none)
 	ent     *planEntry // the cache entry the operator tree was planned from, given back at Close
 }
+
+// errStreamCut is what Next returns once the transaction a stream read in
+// has ended: its cursors read that transaction's snapshot, which its end
+// changes.
+var errStreamCut = enginerr.New(enginerr.CodeNotInPrerequisiteState,
+	"engine: the stream's transaction has ended; the stream was closed")
+
+// errWriteUnderStream refuses a write to a transaction an open stream of
+// the session reads.
+var errWriteUnderStream = enginerr.New(enginerr.CodeNotInPrerequisiteState,
+	"engine: a stream of this session still reads the transaction; close it before writing")
 
 // Next returns the next batch of rows, or nil at end of stream. The
 // returned slice is owned by the stream and only valid until the next
@@ -43,8 +59,13 @@ type Stream struct {
 // operator tree is isolated to the statement like one at open (see
 // Session.isolate).
 func (st *Stream) Next() (rows []sqltypes.Row, err error) {
+	if st.cut {
+		return nil, errStreamCut
+	}
 	if st.it != nil {
 		defer st.s.isolate(&err)
+		defer func(prev mvcc.Snapshot) { st.s.snap = prev }(st.s.snap)
+		st.s.snap = st.snap
 		b, nerr := st.it.NextBatch()
 		if nerr != nil || b == nil {
 			return nil, nerr
@@ -75,12 +96,26 @@ func (st *Stream) Close() {
 	st.closed = true
 	if st.it != nil {
 		st.it.Close()
+		if i := slices.Index(st.s.txnStreams, st); i >= 0 {
+			st.s.txnStreams = slices.Delete(st.s.txnStreams, i, i+1)
+		}
 	}
 	if st.release != nil {
 		st.release()
 	}
 	if st.ent != nil {
 		st.s.db.plans.give(st.ent)
+	}
+}
+
+// cutStreams closes the streams that read at the snapshot of the session's
+// transaction, which is ending; their Next reports it.
+func (s *Session) cutStreams() {
+	for i := len(s.txnStreams) - 1; i >= 0; i-- {
+		st := s.txnStreams[i]
+		s.txnStreams = s.txnStreams[:i]
+		st.Close()
+		st.cut = true
 	}
 }
 
@@ -242,6 +277,9 @@ func (s *Session) openStmt(ctx context.Context, ent *planEntry) (st *Stream, err
 		return nil, errTxnAborted
 	}
 	defer s.isolate(&err)
+	if len(s.txnStreams) > 0 && isDML(stmt) {
+		return nil, errWriteUnderStream
+	}
 
 	// Statement hooks first (IVM interception: lazy refresh ahead of a
 	// view read, materialized-view DDL). A hook-handled schema change is
@@ -279,14 +317,19 @@ func (s *Session) openStmt(ctx context.Context, ent *planEntry) (st *Stream, err
 func (s *Session) openStream(ctx context.Context, n plan.Node) (*Stream, error) {
 	opts := s.execOpts(ctx)
 	release := s.bindSnap(&opts)
+	defer func(prev mvcc.Snapshot) { s.snap = prev }(s.snap)
+	s.snap = opts.Snap
 	it, err := exec.OpenBatch(n, opts)
 	if err != nil {
 		release()
 		return nil, err
 	}
-	st := &Stream{s: s, it: it, release: release}
+	st := &Stream{s: s, it: it, snap: opts.Snap, release: release}
 	for _, c := range n.Schema() {
 		st.Columns = append(st.Columns, c.Name)
+	}
+	if s.txn != nil {
+		s.txnStreams = append(s.txnStreams, st)
 	}
 	return st, nil
 }

@@ -73,6 +73,10 @@ const (
 	CodeDependentObjects = "2BP01"
 	// CodeSyntaxError is a statement the lexer or the parser cannot read.
 	CodeSyntaxError = "42601"
+	// CodeNotInPrerequisiteState refuses a statement the session's state
+	// does not allow yet, such as a write to a transaction that an open
+	// stream of the session still reads.
+	CodeNotInPrerequisiteState = "55000"
 )
 
 // Error is a classified engine error: a SQLSTATE class plus a message,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"openivm/internal/catalog"
 	"openivm/internal/expr"
 	"openivm/internal/plan"
 	"openivm/internal/sqltypes"
@@ -65,15 +66,17 @@ func (s *valueSlab) newRow() sqltypes.Row {
 // --- scan ---
 
 type batchScan struct {
-	node  *plan.Scan
-	rows  []sqltypes.Row // row snapshot taken at open (live rows only)
-	pos   int
-	size  int
-	exact bool      // the scan emits every row it reads: no filter, or keyed
-	cmps  []cmpTerm // the filter as comparisons (compileCmpFilter), or nil
-	ctx   context.Context
-	out   Batch
-	slab  valueSlab
+	node   *plan.Scan
+	cur    catalog.Cursor
+	left   int // rows an exact scan still expects (the cursor's estimate, less those emitted)
+	size   int
+	keep   func(sqltypes.Row) bool // the filter as comparisons (compileCmpFilter), or nil
+	ctx    context.Context
+	out    Batch
+	slab   valueSlab
+	more   bool // the cursor may hold rows yet
+	exact  bool // the scan emits every row it reads: no filter, or keyed
+	prefix bool // the projection is the first columns in order
 }
 
 // newBatchScan opens a scan over the rows of s's table visible to the
@@ -90,22 +93,38 @@ func newBatchScan(s *plan.Scan, opts Options) *batchScan {
 	if err != nil {
 		vals = nil
 	}
-	// RowsSnap copies the row pointers under the table lock; concurrent
-	// writers replace slots in the underlying storage, so iterating it
-	// directly would race (stored Row values themselves are immutable).
-	it := &batchScan{node: s, rows: s.Table.RowsSnap(opts.Snap, vals), size: opts.BatchSize, ctx: opts.Ctx,
-		exact: s.Filter == nil || vals != nil}
-	// Resolving the filter costs an allocation, repaid over a batch of rows.
-	if !it.exact && len(it.rows) >= it.size {
-		it.cmps = compileCmpFilter(nil, s.Filter, len(s.FullSchema()))
+	// The cursor reads the table in place, up to a batch per lock hold:
+	// stored rows are immutable, and the cursor holds the slot numbering
+	// until it is closed or exhausted.
+	it := &batchScan{node: s, more: true, size: opts.BatchSize, ctx: opts.Ctx, exact: s.Filter == nil || vals != nil}
+	it.left = s.Table.Open(&it.cur, opts.Snap, vals)
+	// Resolving the filter costs allocations, repaid over a batch of rows.
+	// Only its comparisons run under the table's lock; any other filter
+	// may run a subquery over the same table, so it runs on the batch.
+	if !it.exact && it.left >= it.size {
+		if cmps := compileCmpFilter(nil, s.Filter, len(s.FullSchema())); cmps != nil {
+			it.keep = func(r sqltypes.Row) bool { return holds(cmps, r) }
+		}
 	}
 	if s.Projection != nil {
-		it.slab = newValueSlab(len(s.Projection), opts.BatchSize)
-		if it.exact {
-			it.slab.expect(len(it.rows))
+		if it.prefix = isPrefix(s.Projection); !it.prefix {
+			it.slab = newValueSlab(len(s.Projection), opts.BatchSize)
+			if it.exact {
+				it.slab.expect(it.left)
+			}
 		}
 	}
 	return it
+}
+
+// isPrefix reports whether cols are the columns 0..len(cols)-1 in order.
+func isPrefix(cols []int) bool {
+	for i, c := range cols {
+		if c != i {
+			return false
+		}
+	}
+	return true
 }
 
 // NextBatch implements BatchIterator.
@@ -114,42 +133,56 @@ func (it *batchScan) NextBatch() (*Batch, error) {
 		return nil, err
 	}
 	if it.exact {
-		it.out.resetFor(min(len(it.rows)-it.pos, it.size))
+		it.out.resetFor(min(it.left, it.size))
 	} else {
 		it.out.reset()
 	}
-	for it.pos < len(it.rows) && len(it.out.Rows) < it.size {
-		r := it.rows[it.pos]
-		it.pos++
-		if it.cmps != nil && !holds(it.cmps, r) {
+	for it.more && len(it.out.Rows) < it.size {
+		from := len(it.out.Rows)
+		if it.keep != nil || it.node.Filter == nil {
+			it.out.Rows, it.more = it.cur.Next(it.out.Rows, it.size-from, it.keep)
 			continue
 		}
-		if it.cmps == nil && it.node.Filter != nil {
+		// The filter runs on the rows the cursor returns: ask for no more
+		// than the batch holds, so that it grows with the rows kept, not
+		// with the rows read.
+		want := min(it.size-from, max(cap(it.out.Rows)-from, 16))
+		it.out.Rows, it.more = it.cur.Next(it.out.Rows, want, nil)
+		kept := it.out.Rows[:from]
+		for _, r := range it.out.Rows[from:] {
 			v, err := it.node.Filter.Eval(r)
 			if err != nil {
 				return nil, err
 			}
-			if !v.IsTrue() {
-				continue
+			if v.IsTrue() {
+				kept = append(kept, r)
 			}
 		}
-		if it.node.Projection != nil {
-			out := it.slab.newRow()
-			for i, p := range it.node.Projection {
-				out[i] = r[p]
-			}
-			r = out
-		}
-		it.out.Rows = append(it.out.Rows, r)
+		it.out.Rows = kept
 	}
+	it.left -= len(it.out.Rows)
 	if len(it.out.Rows) == 0 {
 		return nil, nil
+	}
+	if proj := it.node.Projection; it.prefix {
+		k := len(proj)
+		for j, r := range it.out.Rows {
+			it.out.Rows[j] = r[:k:k]
+		}
+	} else if proj != nil {
+		for j, r := range it.out.Rows {
+			out := it.slab.newRow()
+			for i, p := range proj {
+				out[i] = r[p]
+			}
+			it.out.Rows[j] = out
+		}
 	}
 	return &it.out, nil
 }
 
-// Close implements BatchIterator (leaf: nothing to release).
-func (it *batchScan) Close() {}
+// Close implements BatchIterator: the cursor lets go of the table.
+func (it *batchScan) Close() { it.cur.Close() }
 
 // cmpTerm is one conjunct `column <op> constant` of a scan filter: the
 // operator as the sqltypes.Compare results it holds on, bit 1<<(cmp+1) for
@@ -300,23 +333,36 @@ func (it *batchFilter) Close() { it.in.Close() }
 // --- project ---
 
 type batchProject struct {
-	in    BatchIterator
-	exprs []expr.Expr
-	out   Batch
-	slab  valueSlab
+	in     BatchIterator
+	exprs  []expr.Expr
+	prefix bool // the expressions are the input's first columns in order
+	out    Batch
+	slab   valueSlab
 }
 
 func newBatchProject(in BatchIterator, p *plan.Project, opts Options) *batchProject {
-	return &batchProject{in: in, exprs: p.Exprs, slab: newValueSlab(len(p.Exprs), opts.BatchSize)}
+	prefix := true
+	for i, e := range p.Exprs {
+		c, ok := e.(*expr.Column)
+		prefix = prefix && ok && c.Idx == i
+	}
+	return &batchProject{in: in, exprs: p.Exprs, prefix: prefix, slab: newValueSlab(len(p.Exprs), opts.BatchSize)}
 }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements BatchIterator. A projection onto the input's first
+// columns re-slices each row instead of building one: rows are immutable.
 func (it *batchProject) NextBatch() (*Batch, error) {
 	b, err := it.in.NextBatch()
 	if err != nil || b == nil {
 		return nil, err
 	}
 	it.out.resetFor(len(b.Rows))
+	if k := len(it.exprs); it.prefix {
+		for _, r := range b.Rows {
+			it.out.Rows = append(it.out.Rows, r[:k:k])
+		}
+		return &it.out, nil
+	}
 	it.slab.expect(len(b.Rows))
 	for _, r := range b.Rows {
 		out := it.slab.newRow()

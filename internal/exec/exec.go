@@ -18,7 +18,11 @@
 //
 // Operators that create new rows (project, aggregate output, join output)
 // carve them out of batch-sized value slabs (see valueSlab): two
-// allocations per batch instead of two per row.
+// allocations per batch instead of two per row. A projection onto its
+// input's first columns, in order, creates none: it re-slices each row.
+// A scan reads its table in place through a cursor (catalog.Cursor), up
+// to a batch of rows per hold of the table's shared lock, and hands up the
+// stored rows.
 //
 // # One row path
 //

@@ -47,7 +47,9 @@ func TestScanRowsKeyed(t *testing.T) {
 	}
 	scan := plan.NewScan(tbl, "")
 	scan.Filter = idIn(7, 4093, 7, -1, 12)
-	rows := newBatchScan(scan, Options{}).rows
+	it := newBatchScan(scan, Options{})
+	rows, _ := it.cur.Next(nil, 100, nil)
+	it.Close()
 	if got, want := strings.Join(rowsToStrings(rows), ";"), "4093|3;12|2;7|7"; got != want {
 		t.Errorf("candidates %s, want %s (slot order, each key once)", got, want)
 	}

@@ -37,7 +37,8 @@
 // MVCC restamping protocol require from a table implementation:
 // transactional writes (there is no other kind), the quiescent fast
 // paths they may pick by themselves (TruncateTxn's physical reset,
-// UpsertBatchTxn's in-place replace), snapshot scans, and the
+// UpsertBatchTxn's in-place replace), snapshot scans through cursors
+// that read the table in place, and the
 // ApplyCommit/ApplyAbort restamping hooks. internal/catalog's
 // row-major Table is the default implementation; an embedded-KV backend
 // can slot in by implementing the same contract.
@@ -96,9 +97,13 @@ type Table interface {
 	// ops.
 	TruncateTxn(tx *mvcc.Txn, wantRows bool) ([]sqltypes.Row, int, error)
 
-	// Snapshot reads: every visible row, or — with non-nil keys, as for
-	// UpdateTxn — the visible rows with those primary keys, in scan order.
-	RowsSnap(sn mvcc.Snapshot, keys []sqltypes.Value) []sqltypes.Row
+	// Snapshot reads: a cursor over every visible row, or — with non-nil
+	// keys, as for UpdateTxn — over the visible rows with those primary
+	// keys, in scan order. The cursor reads the table in place, batch by
+	// batch: nothing is copied at open, and until it is exhausted or
+	// closed the table keeps its slot numbering (no compaction, no
+	// physical truncate).
+	Scan(sn mvcc.Snapshot, keys []sqltypes.Value) Cursor
 	RowCount() int
 
 	// RowAt returns the row stored in a write-log slot — how redo
@@ -109,6 +114,18 @@ type Table interface {
 	// Unlogged reports whether the table is excluded from the WAL and
 	// checkpoints (IVM-derived state, rebuilt on recovery).
 	Unlogged() bool
+}
+
+// Cursor is an open snapshot scan of a Table (Table.Scan). It belongs to
+// one goroutine, and must be closed unless Next has reported the end.
+type Cursor interface {
+	// Next appends to dst the next visible rows for which keep holds (nil
+	// keeps every row), up to n of them, and reports whether rows may
+	// remain; the last call closes the cursor. keep runs under the
+	// table's shared lock, so it must not read the table.
+	Next(dst []sqltypes.Row, n int, keep func(sqltypes.Row) bool) ([]sqltypes.Row, bool)
+	// Close ends the scan early. Idempotent.
+	Close()
 }
 
 // OpKind enumerates logical redo operations.

@@ -779,3 +779,35 @@ func TestWideRowsSplitAcrossFrames(t *testing.T) {
 		t.Fatalf("t holds %d rows after the drain", n)
 	}
 }
+
+// TestDisconnectReleasesCursor: a client that disconnects mid-stream
+// leaves no cursor holding the table it was reading. The server is parked
+// in the stream (the result far exceeds the transport buffers) when the
+// connection goes away.
+func TestDisconnectReleasesCursor(t *testing.T) {
+	srv, addr := startServerOpts(t, nil)
+	loadBig(t, srv.DB, 20000, 512)
+	big, err := srv.DB.Catalog().Table("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := dialSmallBuffer(t, addr)
+	rows, err := cl.Query("SELECT id, pad FROM big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rows.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if n := big.OpenScans(); n != 1 {
+		t.Fatalf("the parked stream holds %d cursors, want 1", n)
+	}
+	cl.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for big.OpenScans() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d cursors still hold the table after the client left", big.OpenScans())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
