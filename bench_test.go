@@ -1,5 +1,5 @@
 // Package openivm's root benchmark suite: one testing.B benchmark per
-// experiment (E1–E14), regenerating the measurements behind every artifact
+// experiment (E1–E21), regenerating the measurements behind every artifact
 // of the paper's demonstration section, plus the primary-key index and wire
 // micro-benchmarks. It is the repository's one experiment harness:
 //
@@ -392,6 +392,111 @@ func BenchmarkE14_ProjectionRefresh(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// e21RowsPerGroup is the rows each group (or customer) holds in the E21
+// sweeps, whatever their number.
+const e21RowsPerGroup = 4
+
+// e21Load creates table with the columns cols and loads n rows of row(i)
+// into it through the catalog.
+func e21Load(b *testing.B, db benchDB, table, cols string, n int, row func(i int) sqltypes.Row) {
+	b.Helper()
+	mustExecB(b, db, "CREATE TABLE "+table+" "+cols)
+	tbl, err := db.Catalog().Table(table)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]sqltypes.Row, n)
+	for i := range rows {
+		rows[i] = row(i)
+	}
+	if err := db.s.InsertRows(tbl, rows); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkE21_MinMaxDelete is the refresh of a MIN/MAX view after 100
+// rows, each its group's maximum, are deleted again, swept over the number
+// of groups at 4 rows a group. The repair recomputes the touched groups
+// from the base, which it finds through the index the view's setup
+// creates on the GROUP BY column: its time must not grow with the base.
+// Only the refresh of the deletes is timed.
+func BenchmarkE21_MinMaxDelete(b *testing.B) {
+	for _, groups := range []int{1024, 8192, 65536} {
+		b.Run(fmt.Sprintf("G%d", groups), func(b *testing.B) {
+			db := openBench(b, "e21")
+			ivmext.Install(db.DB)
+			n := groups * e21RowsPerGroup
+			e21Load(b, db, "t", "(id INTEGER PRIMARY KEY, g INTEGER, v INTEGER)", n, func(i int) sqltypes.Row {
+				return sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % groups)), sqltypes.NewInt(int64(i % 1000))}
+			})
+			mustExecB(b, db, "CREATE MATERIALIZED VIEW v AS SELECT g, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY g")
+			var ins, del strings.Builder
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ins.Reset()
+				del.Reset()
+				ins.WriteString("INSERT INTO t VALUES ")
+				del.WriteString("DELETE FROM t WHERE id IN (")
+				for r := 0; r < 100; r++ {
+					if r > 0 {
+						ins.WriteString(", ")
+						del.WriteString(", ")
+					}
+					fmt.Fprintf(&ins, "(%d, %d, %d)", n+r, (i*100+r)*7919%groups, 1000+r)
+					fmt.Fprintf(&del, "%d", n+r)
+				}
+				del.WriteString(")")
+				mustExecB(b, db, ins.String())
+				mustExecB(b, db, "REFRESH MATERIALIZED VIEW v")
+				mustExecB(b, db, del.String())
+				b.StartTimer()
+				mustExecB(b, db, "REFRESH MATERIALIZED VIEW v")
+			}
+		})
+	}
+}
+
+// BenchmarkE21_JoinCustomerUpdate is the refresh of an orders ⋈ customers
+// view after 10 customers change region, swept over the number of
+// customers at 4 orders a customer. ΔC finds its orders through the index
+// the view's setup creates on orders(cid), the join's non-key side: its
+// time must not grow with the base. Only the refresh is timed.
+func BenchmarkE21_JoinCustomerUpdate(b *testing.B) {
+	for _, customers := range []int{1024, 8192, 65536} {
+		b.Run(fmt.Sprintf("G%d", customers), func(b *testing.B) {
+			db := openBench(b, "e21")
+			ivmext.Install(db.DB)
+			e21Load(b, db, "customers", "(cid INTEGER PRIMARY KEY, region VARCHAR)", customers, func(i int) sqltypes.Row {
+				return sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("r%02d", i%16))}
+			})
+			e21Load(b, db, "orders", "(oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)", customers*e21RowsPerGroup, func(i int) sqltypes.Row {
+				return sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % customers)), sqltypes.NewInt(int64(i % 500))}
+			})
+			mustExecB(b, db, "CREATE MATERIALIZED VIEW v AS SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid")
+			var upd strings.Builder
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				upd.Reset()
+				fmt.Fprintf(&upd, "UPDATE customers SET region = 'r%02d' WHERE cid IN (", i%16)
+				for r := 0; r < 10; r++ {
+					if r > 0 {
+						upd.WriteString(", ")
+					}
+					fmt.Fprintf(&upd, "%d", (i*10+r)*7919%customers)
+				}
+				upd.WriteString(")")
+				mustExecB(b, db, upd.String())
+				b.StartTimer()
+				mustExecB(b, db, "REFRESH MATERIALIZED VIEW v")
+			}
+		})
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'E2_IVMRefresh|E2_Recompute|E7_JoinIVM|E7_JoinBuild|E7_JoinRecompute|E10_|E11_|E12_|E13_|E14_|PKIndex_|Wire_' -benchmem -count 3 . | \
+//	go test -run '^$' -bench 'E2_IVMRefresh|E2_Recompute|E7_JoinIVM|E7_JoinBuild|E7_JoinRecompute|E10_|E11_|E12_|E13_|E14_|E21_|PKIndex_|Wire_' -benchmem -count 3 . | \
 //	    go run ./cmd/benchcheck -baseline BENCH_BASELINE.json
 //
 // Refresh the baseline after an intentional performance change:
@@ -141,7 +141,7 @@ func main() {
 
 	if *update {
 		base = baseline{
-			Note:       "Regenerate with: go test -run '^$' -bench 'E2_IVMRefresh|E2_Recompute|E7_JoinIVM|E7_JoinBuild|E7_JoinRecompute|E10_|E11_|E12_|E13_|E14_|PKIndex_|Wire_' -benchmem -count 3 . | go run ./cmd/benchcheck -update",
+			Note:       "Regenerate with: go test -run '^$' -bench 'E2_IVMRefresh|E2_Recompute|E7_JoinIVM|E7_JoinBuild|E7_JoinRecompute|E10_|E11_|E12_|E13_|E14_|E21_|PKIndex_|Wire_' -benchmem -count 3 . | go run ./cmd/benchcheck -update",
 			Benchmarks: got,
 		}
 		buf, err := json.MarshalIndent(base, "", "  ")

@@ -105,22 +105,35 @@ type Table struct {
 	keyBuf  []byte
 	valsBuf []sqltypes.Value
 
-	// Secondary indexes by name.
-	indexes map[string]*Index
+	// Secondary indexes, sorted by lower-cased name. A slice, not a map:
+	// every write walks them.
+	indexes []*Index
 }
 
-// Index is a secondary index over one or more columns: a hash map from the
-// encoded key to the row slots carrying it. It serves point probes only
-// (ProbeKeys); nothing walks it in key order. Index entries are not removed
-// on delete — versions stay indexed until GC reclaims them — so lookups
-// filter by snapshot visibility.
+// Index is a secondary index over one or more columns. Like the primary
+// key's, it stores no keys: heads maps the hash tag of an encoded key to the
+// newest slot carrying that tag, and next, parallel to the table's rows,
+// links each slot to the next older one with the same tag (-1 ends the
+// chain). Keys that share a tag share a chain, so a probe compares the key
+// columns of each row it walks, while maintenance reads no row: an insert
+// pushes its slot onto its tag's chain, a removal unlinks it. The index
+// costs 4 bytes per slot plus the head table's 9–18 bytes per tag, and
+// allocates only when one of the two arrays grows. It serves point probes
+// only (ProbeKeys); nothing walks it in key order. Index entries are not
+// removed on delete — versions stay indexed until GC reclaims them — so
+// lookups filter by snapshot visibility.
 type Index struct {
 	Name    string
 	Table   string
 	Columns []int // column positions
 	Unique  bool
-	slots   map[string][]int // encoded key -> row slots
+	heads   slottab.Table
+	next    []int32
 }
+
+// indexHash tags an encoded secondary-index key (tests swap it to force
+// tag collisions).
+var indexHash = slottab.Hash
 
 // View is a non-materialized view: a stored SELECT.
 type View struct {
@@ -202,7 +215,7 @@ func (c *Catalog) CreateTable(name string, cols []Column, pk []string, ifNotExis
 	if _, ok := c.views[key]; ok {
 		return nil, fmt.Errorf("catalog: %q already exists as a view", name)
 	}
-	t := &Table{Name: name, Columns: cols, indexes: make(map[string]*Index), mv: c.mv}
+	t := &Table{Name: name, Columns: cols, mv: c.mv}
 	seen := map[string]bool{}
 	for _, col := range cols {
 		lc := norm(col.Name)
@@ -239,6 +252,19 @@ func (c *Catalog) HasTable(name string) bool {
 	defer c.mu.RUnlock()
 	_, ok := c.tables[norm(name)]
 	return ok
+}
+
+// IndexTable returns the table holding the secondary index name. Index
+// names are one namespace across tables, as in PostgreSQL.
+func (c *Catalog) IndexTable(name string) (*Table, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, t := range c.tables {
+		if _, ok := t.Index(name); ok {
+			return t, true
+		}
+	}
+	return nil, false
 }
 
 // DropTable removes a table (and its indexes). The bool reports whether
@@ -484,16 +510,6 @@ func (t *Table) pkStore(cur pkCursor, slot int) {
 	}
 }
 
-// pkSameKey reports whether two rows carry the same primary key.
-func (t *Table) pkSameKey(a, b sqltypes.Row) bool {
-	for _, p := range t.pkCols {
-		if !sqltypes.Equal(a[p], b[p]) {
-			return false
-		}
-	}
-	return true
-}
-
 // visibleLocked walks the version chain rooted at slot, newest to oldest,
 // and returns the slot of the version visible to sn, or -1.
 func (t *Table) visibleLocked(sn mvcc.Snapshot, slot int32) int32 {
@@ -598,6 +614,9 @@ func (t *Table) insertOneLocked(tx *mvcc.Txn, r sqltypes.Row) error {
 			prev = slot
 		}
 	}
+	if err := t.uniqueLocked(tx, r, -1); err != nil {
+		return err
+	}
 	t.appendVersionLocked(tx, r, cur, prev)
 	return nil
 }
@@ -679,6 +698,9 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge storage.
 			if r == nil {
 				continue
 			}
+		}
+		if err = t.uniqueLocked(tx, r, vis); err != nil {
+			return inserted, replacedOld, replacedNew, n, err
 		}
 		switch {
 		case quiescent && !cur.ok:
@@ -1049,13 +1071,16 @@ func (t *Table) UpdateTxn(tx *mvcc.Txn, keys []sqltypes.Value, pred func(sqltype
 			tx.Doom()
 			return old, new, cerr
 		}
+		if uerr := t.uniqueLocked(tx, nr, int32(i)); uerr != nil {
+			return old, new, uerr
+		}
 
 		// Resolve the pk mapping for the new version before stamping.
 		var cur pkCursor
 		prev := int32(i)
 		if t.HasPrimaryKey() {
 			cur = t.pkSeekLocked(nr)
-			if !t.pkSameKey(r, nr) {
+			if !sameKey(r, nr, t.pkCols) {
 				prev = -1
 				if cur.ok {
 					if t.visibleLocked(sn, cur.slot) >= 0 {
@@ -1131,7 +1156,8 @@ func (t *Table) resetLocked() {
 	t.abortHoles = 0
 	t.pkIndex.Reset()
 	for _, idx := range t.indexes {
-		idx.slots = map[string][]int{}
+		idx.heads.Reset()
+		idx.next = nil
 	}
 }
 
@@ -1523,12 +1549,7 @@ func (t *Table) compactLocked(watermark uint64) {
 	t.rows = rows
 	t.vers = vers
 	for _, idx := range t.indexes {
-		idx.slots = map[string][]int{}
-	}
-	if len(t.indexes) > 0 {
-		for i, r := range rows {
-			t.insertIndexedLocked(r, i)
-		}
+		_ = t.buildIndexLocked(idx, false)
 	}
 }
 
@@ -1539,18 +1560,18 @@ func (t *Table) compactLocked(watermark uint64) {
 // CreateIndex builds a secondary index over the named columns. Every
 // stored version is indexed, dead or retired ones included: an older
 // snapshot may still see them, and an uncommitted delete may yet abort.
-// Uniqueness is checked over live versions only.
+// A unique index is checked over live versions, as every later write
+// checks it (uniqueLocked).
 func (t *Table) CreateIndex(name string, cols []string, unique bool, ifNotExists bool) (*Index, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key := norm(name)
-	if _, ok := t.indexes[key]; ok {
+	if idx := t.indexLocked(name); idx != nil {
 		if ifNotExists {
-			return t.indexes[key], nil
+			return idx, nil
 		}
-		return nil, fmt.Errorf("catalog: index %q already exists on %s", name, t.Name)
+		return nil, enginerr.Newf(enginerr.CodeDuplicateTable, "catalog: index %q already exists on %s", name, t.Name)
 	}
-	idx := &Index{Name: name, Table: t.Name, Unique: unique, slots: map[string][]int{}}
+	idx := &Index{Name: name, Table: t.Name, Unique: unique}
 	for _, cn := range cols {
 		pos := t.columnPos(cn)
 		if pos < 0 {
@@ -1558,71 +1579,198 @@ func (t *Table) CreateIndex(name string, cols []string, unique bool, ifNotExists
 		}
 		idx.Columns = append(idx.Columns, pos)
 	}
+	if err := t.buildIndexLocked(idx, true); err != nil {
+		return nil, err
+	}
+	i, _ := slices.BinarySearchFunc(t.indexes, norm(name), func(x *Index, n string) int { return strings.Compare(norm(x.Name), n) })
+	t.indexes = slices.Insert(t.indexes, i, idx)
+	return idx, nil
+}
+
+// DropIndex removes a secondary index, reporting whether it existed. The
+// index is emptied too: a probe that looked it up before the drop finds no
+// slot a later compaction could have renumbered.
+func (t *Table) DropIndex(name string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	idx := t.indexLocked(name)
+	if idx == nil {
+		return false
+	}
+	t.indexes = slices.DeleteFunc(t.indexes, func(x *Index) bool { return x == idx })
+	idx.heads.Reset()
+	idx.next = nil
+	return true
+}
+
+// buildIndexLocked (re)builds idx over every stored version in slot order,
+// so each chain runs from its highest slot down. With check, a unique index
+// refuses a key held by two live versions.
+func (t *Table) buildIndexLocked(idx *Index, check bool) error {
+	idx.heads.Reset()
+	idx.next = make([]int32, len(t.rows))
 	for slot, r := range t.rows {
+		idx.next[slot] = -1
 		if r == nil {
 			continue
 		}
-		k := string(idx.keyFor(r))
-		if idx.Unique && t.vers[slot].end == 0 {
-			for _, s := range idx.slots[k] {
-				if t.vers[s].end == 0 {
-					return nil, enginerr.Newf(enginerr.CodeDuplicateKey, "catalog: unique index %q violated", idx.Name)
-				}
-			}
+		tag := t.indexTagLocked(idx, r)
+		if check && idx.Unique && t.vers[slot].end == 0 && idx.holdsLive(t, tag, r, -1, 0) {
+			return t.uniqueViolation(idx)
 		}
-		idx.slots[k] = append(idx.slots[k], slot)
+		idx.link(tag, slot)
 	}
-	t.indexes[key] = idx
-	return idx, nil
+	return nil
 }
 
 // Indexes lists the table's secondary indexes sorted by name.
 func (t *Table) Indexes() []*Index {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]*Index, 0, len(t.indexes))
-	for _, idx := range t.indexes {
-		out = append(out, idx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return slices.Clone(t.indexes)
 }
 
 // Index returns a secondary index by name.
 func (t *Table) Index(name string) (*Index, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	idx, ok := t.indexes[norm(name)]
-	return idx, ok
+	idx := t.indexLocked(name)
+	return idx, idx != nil
 }
 
-func (idx *Index) keyFor(r sqltypes.Row) []byte {
-	vals := make([]sqltypes.Value, len(idx.Columns))
-	for i, p := range idx.Columns {
-		vals[i] = r[p]
+func (t *Table) indexLocked(name string) *Index {
+	for _, idx := range t.indexes {
+		if strings.EqualFold(idx.Name, name) {
+			return idx
+		}
 	}
-	return sqltypes.EncodeKey(nil, vals...)
+	return nil
+}
+
+// indexTagLocked encodes r's key under idx into the write-path scratch and
+// returns its tag; the caller holds mu exclusively.
+func (t *Table) indexTagLocked(idx *Index, r sqltypes.Row) uint32 {
+	t.keyBuf = t.keyBuf[:0]
+	for _, p := range idx.Columns {
+		t.keyBuf = sqltypes.EncodeKey(t.keyBuf, r[p])
+	}
+	return indexHash(t.keyBuf)
+}
+
+// head returns the newest slot of tag's chain, or -1.
+func (idx *Index) head(tag uint32) int32 {
+	it := idx.heads.Probe(tag)
+	if !it.Next() {
+		return -1
+	}
+	return it.Slot()
+}
+
+// link pushes slot onto the chain of tag.
+func (idx *Index) link(tag uint32, slot int) {
+	for len(idx.next) <= slot {
+		idx.next = append(idx.next, -1)
+	}
+	it := idx.heads.Probe(tag)
+	if it.Next() {
+		idx.next[slot] = it.Slot()
+		idx.heads.SetAt(it.Pos(), int32(slot))
+		return
+	}
+	idx.next[slot] = -1
+	idx.heads.Insert(tag, int32(slot))
+}
+
+// unlink removes slot from the chain of tag.
+func (idx *Index) unlink(tag uint32, slot int) {
+	it := idx.heads.Probe(tag)
+	if !it.Next() {
+		return
+	}
+	s := int32(slot)
+	switch h := it.Slot(); {
+	case h == s && idx.next[s] >= 0:
+		idx.heads.SetAt(it.Pos(), idx.next[s])
+	case h == s:
+		idx.heads.DeleteAt(it.Pos())
+	default:
+		for p := h; p >= 0; p = idx.next[p] {
+			if idx.next[p] == s {
+				idx.next[p] = idx.next[s]
+				break
+			}
+		}
+	}
+	idx.next[s] = -1
+}
+
+// holdsLive reports whether a stored version other than the one in except
+// carries r's key (tag is its tag) and is live to a writer stamping own: not
+// retired, or retired by another transaction still in flight, which may
+// abort. A key holding a NULL is never held (NULLs are distinct).
+func (idx *Index) holdsLive(t *Table, tag uint32, r sqltypes.Row, except int32, own uint64) bool {
+	for _, p := range idx.Columns {
+		if r[p].IsNull() {
+			return false
+		}
+	}
+	for s := idx.head(tag); s >= 0; s = idx.next[s] {
+		o := t.rows[s]
+		if s == except || o == nil {
+			continue
+		}
+		if end := t.vers[s].end; (end == 0 || end&mvcc.TxnBit != 0 && end != own) && sameKey(o, r, idx.Columns) {
+			return true
+		}
+	}
+	return false
+}
+
+// uniqueLocked checks r, about to be stored by tx, against every unique
+// index of the table; except is the slot r replaces (-1 for none), whose
+// version is retired or overwritten by the same write.
+func (t *Table) uniqueLocked(tx *mvcc.Txn, r sqltypes.Row, except int32) error {
+	for _, idx := range t.indexes {
+		if idx.Unique && idx.holdsLive(t, t.indexTagLocked(idx, r), r, except, tx.StampID()) {
+			return t.uniqueViolation(idx)
+		}
+	}
+	return nil
+}
+
+func (t *Table) uniqueViolation(idx *Index) error {
+	return enginerr.Newf(enginerr.CodeDuplicateKey, "catalog: unique index %q violated on %s", idx.Name, t.Name)
+}
+
+// sameKeyVals reports whether row r holds vals in the columns cols.
+func sameKeyVals(r sqltypes.Row, cols []int, vals []sqltypes.Value) bool {
+	for k, p := range cols {
+		if !sqltypes.Equal(r[p], vals[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameKey reports whether rows a and b agree on the columns cols.
+func sameKey(a, b sqltypes.Row, cols []int) bool {
+	for _, p := range cols {
+		if !sqltypes.Equal(a[p], b[p]) {
+			return false
+		}
+	}
+	return true
 }
 
 func (t *Table) insertIndexedLocked(r sqltypes.Row, slot int) {
 	for _, idx := range t.indexes {
-		k := string(idx.keyFor(r))
-		idx.slots[k] = append(idx.slots[k], slot)
+		idx.link(t.indexTagLocked(idx, r), slot)
 	}
 }
 
 func (t *Table) removeIndexedLocked(r sqltypes.Row, slot int) {
 	for _, idx := range t.indexes {
-		k := string(idx.keyFor(r))
-		slots := idx.slots[k]
-		if i := slices.Index(slots, slot); i >= 0 {
-			slots = slices.Delete(slots, i, i+1)
-		}
-		if len(slots) == 0 {
-			delete(idx.slots, k)
-		} else {
-			idx.slots[k] = slots
-		}
+		idx.unlink(t.indexTagLocked(idx, r), slot)
 	}
 }
 
@@ -1633,9 +1781,13 @@ func (t *Table) removeIndexedLocked(r sqltypes.Row, slot int) {
 // KeyIndex names one of a table's point-lookup structures for ProbeKeys:
 // the primary-key index (Name "pk") or a secondary index. Cols are the
 // table column positions of the key, in the order probe values are given.
+// Keys is how many distinct keys the index held when it was looked up: the
+// table's live rows for the primary key, the tags of a secondary index
+// (keys that share a tag count once).
 type KeyIndex struct {
 	Name string
 	Cols []int
+	Keys int
 	idx  *Index // nil = primary key
 }
 
@@ -1643,21 +1795,17 @@ type KeyIndex struct {
 // order: the primary key if it qualifies, otherwise the first qualifying
 // secondary index by name.
 func (t *Table) KeyIndexOn(cols []int) (KeyIndex, bool) {
-	if sameColumns(t.pkCols, cols) {
-		return KeyIndex{Name: "pk", Cols: t.pkCols}, true
-	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var best *Index
+	if sameColumns(t.pkCols, cols) {
+		return KeyIndex{Name: "pk", Cols: t.pkCols, Keys: t.live}, true
+	}
 	for _, idx := range t.indexes {
-		if sameColumns(idx.Columns, cols) && (best == nil || idx.Name < best.Name) {
-			best = idx
+		if sameColumns(idx.Columns, cols) {
+			return KeyIndex{Name: idx.Name, Cols: idx.Columns, Keys: idx.heads.Len(), idx: idx}, true
 		}
 	}
-	if best == nil {
-		return KeyIndex{}, false
-	}
-	return KeyIndex{Name: best.Name, Cols: best.Columns, idx: best}, true
+	return KeyIndex{}, false
 }
 
 // sameColumns reports whether b is a permutation of the non-empty column
@@ -1692,6 +1840,7 @@ func (t *Table) ProbeKeys(sn mvcc.Snapshot, ki KeyIndex, probes []sqltypes.Row, 
 	ends = make([]int, len(probes))
 	vals := make([]sqltypes.Value, len(at))
 	var key []byte
+	var hits []int32
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if sn.M == nil {
@@ -1712,10 +1861,20 @@ probe:
 				rows = append(rows, t.rows[s])
 			}
 		} else {
-			for _, s := range ki.idx.slots[string(key)] {
-				if r := t.rows[s]; r != nil && sn.Visible(t.vers[s].begin, t.vers[s].end) {
-					rows = append(rows, r)
+			// The chain runs newest slot first, mostly: collect its matches,
+			// then emit them in ascending slot order, as a scan would.
+			hits = hits[:0]
+			for s := ki.idx.head(indexHash(key)); s >= 0; s = ki.idx.next[s] {
+				if r := t.rows[s]; r != nil && sn.Visible(t.vers[s].begin, t.vers[s].end) && sameKeyVals(r, ki.Cols, vals) {
+					hits = append(hits, s)
 				}
+			}
+			slices.Reverse(hits)
+			if !slices.IsSorted(hits) {
+				slices.Sort(hits)
+			}
+			for _, s := range hits {
+				rows = append(rows, t.rows[s])
 			}
 		}
 		ends[i] = len(rows)

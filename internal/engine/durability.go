@@ -346,6 +346,10 @@ func (r *recoverer) DDL(rec *storage.DDLRecord) error {
 			}
 			_, err := cat.DropView(rec.Name, true)
 			return err
+		case "INDEX":
+			if tbl, err := cat.Table(rec.Table); err == nil {
+				tbl.DropIndex(rec.Name)
+			}
 		}
 	}
 	return nil

@@ -548,6 +548,18 @@ func (s *Session) execCreateIndex(st *sqlparser.CreateIndexStmt) (*Result, error
 		return nil, err
 	}
 	_, existed := tbl.Index(st.Name)
+	if !existed {
+		// An index shares the relation namespace with tables, views and
+		// every other table's indexes, as in PostgreSQL.
+		other, isIndex := s.db.cat.IndexTable(st.Name)
+		_, isView := s.db.cat.View(st.Name)
+		if isView || s.db.cat.HasTable(st.Name) || isIndex && other != tbl {
+			if st.IfNotExists {
+				return &Result{}, nil
+			}
+			return nil, enginerr.Newf(enginerr.CodeDuplicateTable, "engine: relation %q already exists", st.Name)
+		}
+	}
 	if _, err := tbl.CreateIndex(st.Name, st.Columns, st.Unique, st.IfNotExists); err != nil {
 		return nil, err
 	}
@@ -613,7 +625,18 @@ func (s *Session) execDrop(st *sqlparser.DropStmt) (*Result, error) {
 			}
 		}
 	case "INDEX":
-		return nil, fmt.Errorf("engine: DROP INDEX not supported")
+		tbl, ok := s.db.cat.IndexTable(st.Name)
+		if !ok {
+			if st.IfExists {
+				return &Result{}, nil
+			}
+			return nil, enginerr.Newf(enginerr.CodeUndefinedObject, "engine: index %q does not exist", st.Name)
+		}
+		tbl.DropIndex(st.Name)
+		s.db.bumpSchemaEpoch() // after the mutation; see execCreateTable
+		if s.walLogging() && !tbl.Unlogged() {
+			return &Result{}, s.appendDDL(&storage.DDLRecord{Kind: storage.DDLDrop, Name: st.Name, Table: tbl.Name, ObjectKind: "INDEX"})
+		}
 	}
 	return &Result{}, nil
 }

@@ -31,8 +31,10 @@ const (
 	CodeDuplicateKey = "23505"
 	// CodeUndefinedTable names a table or view that does not exist.
 	CodeUndefinedTable = "42P01"
-	// CodeDuplicateTable names a table or view that exists already.
+	// CodeDuplicateTable names a table, view or index that exists already.
 	CodeDuplicateTable = "42P07"
+	// CodeUndefinedObject names an index that does not exist.
+	CodeUndefinedObject = "42704"
 	// CodeUndefinedColumn names a column the table does not have.
 	CodeUndefinedColumn = "42703"
 	// CodeInvalidColumnReference is a column list that names no

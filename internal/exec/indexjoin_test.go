@@ -8,6 +8,7 @@ import (
 
 	"openivm/internal/catalog"
 	"openivm/internal/expr"
+	"openivm/internal/optimizer"
 	"openivm/internal/plan"
 	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
@@ -344,5 +345,86 @@ func TestNullSafeJoinMatchesNestedLoop(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDashboardJoinProbesOrdersIndex: at the sizes of the repository
+// benchmark's wire-dashboards workload (64 regions in 8 zones, 1 000
+// customers, 10 000 orders) its ad-hoc three-table join, rotated so that
+// orders joins what customers ⋈ regions leave of one zone, probes orders
+// through the index a join view's setup creates on orders(cid): the build
+// side drains 125 customers, under one eighth of the orders. EXPLAIN names
+// the index; the operator opens the index join; and the result equals the
+// same join without the index.
+func TestDashboardJoinProbesOrdersIndex(t *testing.T) {
+	c := catalog.New()
+	col := func(name string, typ sqltypes.Type) catalog.Column { return catalog.Column{Name: name, Type: typ} }
+	mk := func(name string, rows []sqltypes.Row, cols ...catalog.Column) *catalog.Table {
+		tbl, err := c.CreateTable(name, cols, []string{cols[0].Name}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		load(t, c, tbl, rows...)
+		return tbl
+	}
+	i, s := sqltypes.NewInt, sqltypes.NewString
+	region := func(r int) sqltypes.Value { return s(fmt.Sprintf("r%02d", r)) }
+	var regions, customers, orders []sqltypes.Row
+	for r := 0; r < 64; r++ {
+		regions = append(regions, sqltypes.Row{region(r), s(fmt.Sprintf("z%d", r%8))})
+	}
+	for cid := 0; cid < 1000; cid++ {
+		customers = append(customers, sqltypes.Row{i(int64(cid)), region(cid % 64)})
+	}
+	for oid := 0; oid < 10000; oid++ {
+		orders = append(orders, sqltypes.Row{i(int64(oid)), i(int64(oid * 7919 % 1000)), i(int64(oid % 500))})
+	}
+	mk("regions", regions, col("region", sqltypes.TypeString), col("zone", sqltypes.TypeString))
+	mk("customers", customers, col("cid", sqltypes.TypeInt), col("region", sqltypes.TypeString))
+	ot := mk("orders", orders, col("oid", sqltypes.TypeInt), col("cid", sqltypes.TypeInt), col("amount", sqltypes.TypeInt))
+	const sql = "SELECT customers.region, SUM(orders.amount) AS total, COUNT(*) AS n FROM orders JOIN customers ON orders.cid = customers.cid JOIN regions ON customers.region = regions.region WHERE regions.zone = 'z3' AND orders.amount >= 250 GROUP BY customers.region"
+	run := func() (string, []string) {
+		n := optimizer.Optimize(bindSQL(t, c, sql))
+		var j *plan.Join
+		plan.Walk(n, func(x plan.Node) bool {
+			if jn, ok := x.(*plan.Join); ok && j == nil {
+				j = jn
+			}
+			return j == nil
+		})
+		it, err := newBatchJoin(j, Options{BatchSize: DefaultBatchSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bj := it.(*batchJoin)
+		algo := fmt.Sprintf("%s over %d build rows", j.Describe(), len(bj.buildRows))
+		if bj.algo != plan.IndexJoin {
+			algo = "hash: " + algo
+		}
+		it.Close()
+		res, err := Run(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, r := range res {
+			rows = append(rows, r.String())
+		}
+		sort.Strings(rows)
+		return algo, rows
+	}
+	_, want := run()
+	if len(want) != 8 {
+		t.Fatalf("zone z3 holds 8 regions, the join reads %v", want)
+	}
+	if _, err := ot.CreateIndex("orders_cid_ivm_idx", []string{"cid"}, false, false); err != nil {
+		t.Fatal(err)
+	}
+	algo, got := run()
+	if !strings.HasPrefix(algo, "HashJoin or IndexJoin orders[orders_cid_ivm_idx] ") || !strings.HasSuffix(algo, " over 125 build rows") {
+		t.Errorf("the dashboard join runs as %s", algo)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("through the index the join reads\n%v\nwithout it\n%v", got, want)
 	}
 }

@@ -56,6 +56,8 @@ func (c *Compiler) Compile(viewName string, sel *sqlparser.SelectStmt, sourceSQL
 		}
 	}
 
+	comp.Indexes = c.probeIndexes(comp, sel)
+
 	// Hidden columns (AVG's SUM and COUNT parts, the hidden row count) live
 	// in a storage table; a plain SQL view exposes the declared columns.
 	comp.Storage = comp.ViewName
@@ -263,6 +265,64 @@ type baseCol struct {
 	name string
 }
 
+// colType returns the type of a base column, "" when the base has no such
+// column.
+func (comp *Compilation) colType(c baseCol) string {
+	for _, col := range comp.Bases[c.base].Columns {
+		if strings.EqualFold(col.Name, c.name) {
+			return col.Type
+		}
+	}
+	return ""
+}
+
+// resolve finds the base column a plain reference names.
+func (comp *Compilation) resolve(e sqlparser.Expr) (baseCol, bool) {
+	ref, ok := e.(*sqlparser.ColumnRef)
+	if !ok || ref.Star {
+		return baseCol{}, false
+	}
+	var found baseCol
+	n := 0
+	for i, b := range comp.Bases {
+		c := baseCol{i, strings.ToLower(ref.Column)}
+		if (ref.Table == "" || strings.EqualFold(ref.Table, b.Alias)) && comp.colType(c) != "" {
+			found, n = c, n+1
+		}
+	}
+	return found, n == 1
+}
+
+// equiPairs lists the column pairs a two-table view's ON or USING equates,
+// left base first, in the clause's order: the join's keys.
+func (comp *Compilation) equiPairs(sel *sqlparser.SelectStmt) [][2]baseCol {
+	jt, ok := sel.From.(*sqlparser.JoinTable)
+	if !ok {
+		return nil
+	}
+	var pairs [][2]baseCol
+	equate := func(l, r sqlparser.Expr) {
+		a, aok := comp.resolve(l)
+		b, bok := comp.resolve(r)
+		if aok && bok && a.base != b.base && comp.colType(a) == comp.colType(b) {
+			if a.base == 1 {
+				a, b = b, a
+			}
+			pairs = append(pairs, [2]baseCol{a, b})
+		}
+	}
+	for _, u := range jt.Using {
+		equate(&sqlparser.ColumnRef{Table: comp.Bases[0].Alias, Column: u},
+			&sqlparser.ColumnRef{Table: comp.Bases[1].Alias, Column: u})
+	}
+	for _, c := range sqlparser.Conjuncts(jt.On) {
+		if x, ok := c.(*sqlparser.BinaryExpr); ok && x.Op == "=" {
+			equate(x.Left, x.Right)
+		}
+	}
+	return pairs
+}
+
 // viewKey names the view columns that identify a row of a projection or
 // join view, or returns nil when its rows have no key.
 //
@@ -275,58 +335,18 @@ type baseCol struct {
 // NULL (BaseTable.Key) and inner-join columns never are, so no column of
 // V's key ever holds a NULL.
 func viewKey(comp *Compilation, sel *sqlparser.SelectStmt) []string {
-	colType := func(c baseCol) string {
-		for _, col := range comp.Bases[c.base].Columns {
-			if strings.EqualFold(col.Name, c.name) {
-				return col.Type
-			}
-		}
-		return ""
-	}
-	// resolve finds the base column a plain reference names.
-	resolve := func(e sqlparser.Expr) (baseCol, bool) {
-		ref, ok := e.(*sqlparser.ColumnRef)
-		if !ok || ref.Star {
-			return baseCol{}, false
-		}
-		var found baseCol
-		n := 0
-		for i, b := range comp.Bases {
-			c := baseCol{i, strings.ToLower(ref.Column)}
-			if (ref.Table == "" || strings.EqualFold(ref.Table, b.Alias)) && colType(c) != "" {
-				found, n = c, n+1
-			}
-		}
-		return found, n == 1
-	}
-
 	// same[c] lists the columns of the other base that ON equates c with.
 	same := map[baseCol][]baseCol{}
-	equate := func(l, r sqlparser.Expr) {
-		a, aok := resolve(l)
-		b, bok := resolve(r)
-		if aok && bok && a.base != b.base && colType(a) == colType(b) {
-			same[a] = append(same[a], b)
-			same[b] = append(same[b], a)
-		}
-	}
-	if jt, ok := sel.From.(*sqlparser.JoinTable); ok {
-		for _, u := range jt.Using {
-			equate(&sqlparser.ColumnRef{Table: comp.Bases[0].Alias, Column: u},
-				&sqlparser.ColumnRef{Table: comp.Bases[1].Alias, Column: u})
-		}
-		for _, c := range sqlparser.Conjuncts(jt.On) {
-			if x, ok := c.(*sqlparser.BinaryExpr); ok && x.Op == "=" {
-				equate(x.Left, x.Right)
-			}
-		}
+	for _, p := range comp.equiPairs(sel) {
+		same[p[0]] = append(same[p[0]], p[1])
+		same[p[1]] = append(same[p[1]], p[0])
 	}
 
 	// nameOf is the view column a plain reference to c, or to a column ON
 	// equates c with, names ("" when none does).
 	nameOf := func(c baseCol) string {
 		for i, it := range sel.Items {
-			if r, ok := resolve(it.Expr); ok && (r == c || slices.Contains(same[c], r)) {
+			if r, ok := comp.resolve(it.Expr); ok && (r == c || slices.Contains(same[c], r)) {
 				return comp.Columns[i].Name
 			}
 		}
@@ -367,6 +387,60 @@ func viewKey(comp *Compilation, sel *sqlparser.SelectStmt) []string {
 	return keyOf(0, 1)
 }
 
+// probeIndexes lists the indexes the view's body needs on its bases, one
+// per column set a body statement looks rows up by: a MIN/MAX view's GROUP
+// BY columns, by which its repair recomputes the groups a delta deleted
+// from, and each join side's equi-join columns, by which the other side's
+// delta finds its partners. A set the base's primary key or another
+// secondary index covers exactly needs none. An index is named after its
+// base and columns, so views that probe the same set share it.
+func (c *Compiler) probeIndexes(comp *Compilation, sel *sqlparser.SelectStmt) []BaseIndex {
+	var sets [][]baseCol
+	if comp.Class == ClassAggregate && comp.hasMinMax() && len(sel.GroupBy) > 0 {
+		var set []baseCol
+		for _, g := range sel.GroupBy {
+			if col, ok := comp.resolve(g); ok {
+				set = append(set, col)
+			}
+		}
+		if len(set) == len(sel.GroupBy) {
+			sets = append(sets, set)
+		}
+	}
+	if pairs := comp.equiPairs(sel); len(pairs) > 0 {
+		for side := range 2 {
+			set := make([]baseCol, len(pairs))
+			for i, p := range pairs {
+				set[i] = p[side]
+			}
+			sets = append(sets, set)
+		}
+	}
+	var out []BaseIndex
+	for _, set := range sets {
+		tbl, err := c.DB.Catalog().Table(comp.Bases[set[0].base].Name)
+		if err != nil {
+			continue
+		}
+		ix := BaseIndex{Table: tbl.Name}
+		var pos []int
+		for _, col := range set {
+			if p := tbl.ColumnPos(col.name); !slices.Contains(pos, p) {
+				pos = append(pos, p)
+				ix.Columns = append(ix.Columns, tbl.Columns[p].Name)
+			}
+		}
+		ix.Name = strings.ToLower(tbl.Name + "_" + strings.Join(ix.Columns, "_") + "_ivm_idx")
+		if ki, ok := tbl.KeyIndexOn(pos); ok && !strings.EqualFold(ki.Name, ix.Name) {
+			continue
+		}
+		if !slices.ContainsFunc(out, func(o BaseIndex) bool { return o.Name == ix.Name }) {
+			out = append(out, ix)
+		}
+	}
+	return out
+}
+
 // hasMinMax reports whether any aggregate column is MIN or MAX.
 func (c *Compilation) hasMinMax() bool {
 	for _, col := range c.AggColumns() {
@@ -377,10 +451,16 @@ func (c *Compilation) hasMinMax() bool {
 	return false
 }
 
-// genSetup builds the DDL script: ΔT per base table, V with its key index,
-// and the join delta of a two-table view.
+// genSetup builds the DDL script: the indexes the body probes its bases
+// by, ΔT per base table, V with its key index, and the join delta of a
+// two-table view.
 func (c *Compiler) genSetup(comp *Compilation) {
 	s := &duckast.Script{}
+
+	for _, ix := range comp.Indexes {
+		s.Add(&duckast.Raw{Text: fmt.Sprintf("CREATE INDEX IF NOT EXISTS %s ON %s (%s)",
+			ix.Name, ix.Table, strings.Join(ix.Columns, ", "))})
+	}
 
 	// Delta tables for the base tables.
 	for _, b := range comp.Bases {

@@ -2,9 +2,10 @@
 // SQL-to-SQL compiler. Given a database schema and a materialized-view
 // definition, it emits
 //
-//  1. DDL declaring the delta tables ΔT (base columns plus a boolean
-//     multiplicity column), the table materializing V with the key index
-//     its upsert needs, and the join delta of a two-table view. Every view
+//  1. DDL declaring the indexes its body probes the base tables by, the
+//     delta tables ΔT (base columns plus a boolean multiplicity column),
+//     the table materializing V with the key index its upsert needs, and
+//     the join delta of a two-table view. Every view
 //     is grouped: a projection or join view by its key, or all its
 //     columns, with each row's weight (DBSP's Z-set) beside it;
 //  2. a propagation script — plain SQL implementing the DBSP-style
@@ -159,6 +160,13 @@ type BaseTable struct {
 	Key []string
 }
 
+// BaseIndex is a secondary index a view's setup creates on a base table.
+type BaseIndex struct {
+	Name    string
+	Table   string
+	Columns []string
+}
+
 // as renders table, the base or its delta, under the base's alias: a
 // column the view's query qualifies by it reads either one.
 func (b BaseTable) as(table string) string {
@@ -191,6 +199,9 @@ type Compilation struct {
 	// from it. Nil for the other classes and for views whose rows have no
 	// key, which are grouped by all their columns.
 	Key []string
+	// Indexes are the secondary indexes the setup creates on the bases
+	// (see probeIndexes): without them a body statement would scan a base.
+	Indexes []BaseIndex
 	// storageCols caches the physical column layout (see StorageColumns).
 	storageCols []ViewColumn
 
@@ -287,8 +298,10 @@ func (c *Compilation) StorageColumns() []ViewColumn {
 // exposedView returns the CREATE VIEW statement exposing the declared view
 // columns over the storage table. A SUM or AVG whose arguments are all
 // NULL has a count of 0 and reads NULL, as the query's does (its sum part
-// holds 0 or NULL; PostgreSQL fails the AVG's division by zero). A
-// projection or join view reads each stored row as many times as its weight.
+// holds 0 or NULL; PostgreSQL fails the AVG's division by zero). A keyless
+// projection or join view reads each stored row as many times as its
+// weight; a keyed one holds each row at weight 1 (storageQuery) and reads
+// its rows as stored.
 func (c *Compilation) exposedView() *duckast.Raw {
 	var items []string
 	for _, col := range c.Columns {
@@ -303,7 +316,7 @@ func (c *Compilation) exposedView() *duckast.Raw {
 		items = append(items, item)
 	}
 	from := c.Storage
-	if c.Class == ClassProjection || c.Class == ClassJoin {
+	if (c.Class == ClassProjection || c.Class == ClassJoin) && c.Key == nil {
 		from += ", generate_series(1, " + HiddenCountColumn + ")"
 	}
 	return &duckast.Raw{Text: fmt.Sprintf("CREATE VIEW %s AS SELECT %s FROM %s",

@@ -423,9 +423,11 @@ func (ext *Extension) readsOwnTables(comp *ivm.Compilation) error {
 	return nil
 }
 
-// freeNames refuses the compilation when a table or view its setup creates
-// exists already: the setup's CREATE TABLE IF NOT EXISTS would take it
-// over. A ΔT that reads a change log is another view's, and shared.
+// freeNames refuses the compilation when a table, view or index its setup
+// creates exists already: the setup's CREATE … IF NOT EXISTS would take it
+// over. A ΔT that reads a change log is another view's, and shared; so is
+// an index on the same base columns (the compiler names it after them).
+// Indexes share the relation namespace with tables and views.
 func (ext *Extension) freeNames(comp *ivm.Compilation) error {
 	cat := ext.db.Catalog()
 	names := []string{comp.ViewName, comp.Storage, comp.JoinDelta}
@@ -434,13 +436,28 @@ func (ext *Extension) freeNames(comp *ivm.Compilation) error {
 			names = append(names, b.Delta)
 		}
 	}
+	for _, ix := range comp.Indexes {
+		if t, ok := cat.IndexTable(ix.Name); !ok || !sameIndex(t, ix) {
+			names = append(names, ix.Name)
+		}
+	}
 	for _, name := range names {
-		if _, isView := cat.View(name); name != "" && (isView || cat.HasTable(name)) {
+		_, isView := cat.View(name)
+		_, isIndex := cat.IndexTable(name)
+		if name != "" && (isView || isIndex || cat.HasTable(name)) {
 			return enginerr.Newf(enginerr.CodeDuplicateTable,
 				"ivmext: materialized view %s needs the name %s, which exists already", comp.ViewName, name)
 		}
 	}
 	return nil
+}
+
+// sameIndex reports whether t's index named ix.Name is ix: on the same base,
+// over the same columns.
+func sameIndex(t *catalog.Table, ix ivm.BaseIndex) bool {
+	idx, _ := t.Index(ix.Name)
+	return strings.EqualFold(t.Name, ix.Table) && slices.EqualFunc(idx.Columns, ix.Columns,
+		func(p int, c string) bool { return strings.EqualFold(t.Columns[p].Name, c) })
 }
 
 // attach makes v a reader of its base tables' change logs, starting the
@@ -589,7 +606,32 @@ func (ext *Extension) dropMaterializedView(v *view) error {
 	if _, err := is.Exec("DROP TABLE IF EXISTS " + comp.Storage); err != nil {
 		return fmt.Errorf("ivmext: dropping storage table %s: %w", comp.Storage, err)
 	}
+	// An index on a base goes with the last view that probes by it. Its
+	// base is logged, so a checkpoint may hold the index: the drop is
+	// logged, unlike the setup's create, which recovery re-executes.
+	ls := ext.db.NewSession()
+	defer ls.Close()
+	ls.SetInternal(true)
+	for _, ix := range comp.Indexes {
+		if !ext.indexNeeded(ix.Name) {
+			if _, err := ls.Exec("DROP INDEX IF EXISTS " + ix.Name); err != nil {
+				return fmt.Errorf("ivmext: dropping index %s: %w", ix.Name, err)
+			}
+		}
+	}
 	return nil
+}
+
+// indexNeeded reports whether a registered view's setup creates the index.
+func (ext *Extension) indexNeeded(name string) bool {
+	ext.mu.Lock()
+	defer ext.mu.Unlock()
+	for _, v := range ext.views {
+		if slices.ContainsFunc(v.comp.Indexes, func(ix ivm.BaseIndex) bool { return ix.Name == name }) {
+			return true
+		}
+	}
+	return false
 }
 
 // Refresh runs the propagation script for one view (REFRESH MATERIALIZED

@@ -43,9 +43,8 @@ func TestProjectionReinsertKeepsRow(t *testing.T) {
 // column, a keyless projection (keyed by all its columns) and a MIN view.
 // Step 2 upserts V's storage, the MIN/MAX repair and step 3 delete through
 // its key, a NULL key too (the MIN view's body ends with its repair, which
-// leaves no group for step 3), and a point read of a keyed view, through the
-// plain view that repeats each row by its weight, is a key probe of the
-// storage.
+// leaves no group for step 3), and a point read of a keyed view, through its
+// plain view, is a key probe of the storage.
 func TestExplainKeyedBody(t *testing.T) {
 	db := engine.Open("keyedbody", engine.DialectDuckDB)
 	ext := Install(db)

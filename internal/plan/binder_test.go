@@ -257,11 +257,12 @@ func TestDescribeMethods(t *testing.T) {
 }
 
 // TestJoinDescribeNamesTheStrategy: EXPLAIN prints what the executor would
-// run — one case per strategy, plus the two ways an indexed probe side
-// still ends up hashed (a build side past the threshold, a preserved probe
-// side).
+// run — one case per strategy, plus the three ways an indexed probe side
+// still ends up hashed (a build side past the threshold, an index with too
+// few keys for the build side, a preserved probe side).
 func TestJoinDescribeNamesTheStrategy(t *testing.T) {
 	c := catalog.New()
+	fks := 7 // distinct fk values
 	mk := func(name string, pk []string, rows int) *catalog.Table {
 		tbl, err := c.CreateTable(name, []catalog.Column{
 			{Name: "k", Type: sqltypes.TypeInt}, {Name: "fk", Type: sqltypes.TypeInt},
@@ -271,7 +272,7 @@ func TestJoinDescribeNamesTheStrategy(t *testing.T) {
 		}
 		batch := make([]sqltypes.Row, rows)
 		for i := range batch {
-			batch[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % 7))}
+			batch[i] = sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % fks))}
 		}
 		tx := c.MVCC().Begin()
 		if err := tbl.InsertBatchTxn(tx, batch); err != nil {
@@ -284,15 +285,20 @@ func TestJoinDescribeNamesTheStrategy(t *testing.T) {
 	}
 	mk("delta", nil, 10)
 	mk("bulk", nil, 11)
+	few := mk("few", nil, 10*indexJoinMinFanout) // 80 rows over 7 fk values
+	fks = 10 * indexJoinMinFanout
 	base := mk("base", []string{"k"}, 10*indexJoinMinFanout)
-	if _, err := base.CreateIndex("base_fk", []string{"fk"}, false, false); err != nil {
-		t.Fatal(err)
+	for _, tbl := range []*catalog.Table{base, few} {
+		if _, err := tbl.CreateIndex(tbl.Name+"_fk", []string{"fk"}, false, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, tc := range []struct{ from, want string }{
 		{"delta JOIN base ON delta.k = base.k", "IndexJoin base[pk] build=left JOIN (keys: [0]=[0])"},
 		{"base LEFT JOIN delta ON delta.k = base.fk", "HashJoin build=right LEFT JOIN"}, // base preserved
 		{"base JOIN delta ON delta.k = base.fk", "IndexJoin base[base_fk] build=right JOIN (keys: [1]=[0])"},
-		{"bulk JOIN base ON bulk.k = base.k", "HashJoin build=left JOIN (keys: [0]=[0])"}, // 11 × 8 > 80
+		{"few JOIN delta ON delta.k = few.fk", "HashJoin build=right JOIN (keys: [1]=[0])"}, // 10 × 8 > 7 keys
+		{"bulk JOIN base ON bulk.k = base.k", "HashJoin build=left JOIN (keys: [0]=[0])"},   // 11 × 8 > 80
 		{"delta LEFT JOIN base ON delta.k = base.k AND base.fk > 1", "IndexJoin base[pk] build=left LEFT JOIN (keys: [0]=[0]) [residual: "},
 		{"delta JOIN base ON delta.k < base.k", "NestedLoop build=left JOIN [residual: "},
 		{"delta CROSS JOIN base", "NestedLoop build=left CROSS JOIN"},

@@ -71,20 +71,26 @@ const (
 	IndexJoin
 )
 
-// indexJoinMinFanout is how many times larger than the drained build side
-// the probe table must be for an index join to replace the hash join. The
-// hash path pays one hash probe per probe-table row, the index path one
-// index probe per build row, so the index wins once the table outnumbers
-// the build rows by the ratio of the two per-probe costs. Measured
-// crossover (all-matching INTEGER keys into a 65 536-row table, sweeping
-// |probe|/|build| over 1…512; table in CHANGES.md, PR 16): through the
-// primary key the index path is already ahead at 2× (22.4 vs 26.6 ms);
-// through a secondary index — an ordered tree then, whose probe cost
-// about three hash probes — the two paths met between 6× and 8×. A
-// secondary index is a hash map now, so 8 errs towards the hash path for
-// it; it is the smallest ratio in that sweep at which neither kind of
-// index loses, and from there the index path's time falls with the build
-// side while the hash path's stays at the table scan.
+// indexJoinMinFanout is how many times more keys than the drained build
+// side has rows the probe table's index must hold for an index join to
+// replace the hash join (for a primary key, how many times more rows the
+// table must hold). The hash path pays one hash probe per probe-table row,
+// the index path one index probe per build row and one fetch per row it
+// finds, about build rows × rows per key; so the index wins once the table
+// outnumbers what the index path reads by the ratio of the per-row costs.
+// Counting keys rather than rows keeps a build side that covers most of a
+// non-unique key's values (a view's population joining all customers to
+// their orders) on the hash path: through per-tag chains, with 4 to 64 rows
+// per key, an index join that finds half the table is 1.2–1.5× slower than
+// the hash join, one that finds an eighth 1.4–1.9× faster. Measured
+// crossover (unique, all-matching INTEGER keys into a 65 536-row table,
+// sweeping |probe|/|build| over 1…512; tables in CHANGES.md): through the
+// primary key the index path is ahead from 2× (24.3 vs 28.0 ms); through a
+// secondary index's per-tag chains from 2× too (24.7 vs 27.9 ms), level at
+// 4× (14.4 vs 14.9 ms), 1.5× ahead at 8× (6.0 vs 8.8 ms). The
+// lead below 8× is small, and a bulk delta keeps the hash path, so 8 stays:
+// from there the index path's time falls with the build side while the
+// hash path's stays at the table scan.
 const indexJoinMinFanout = 8
 
 // JoinStrategy is the physical plan of one Join: the algorithm, and for an
@@ -112,8 +118,9 @@ type JoinStrategy struct {
 // whose equi-key columns are exactly the table's primary key or one
 // secondary index, key columns of the same type on both sides, a probe side
 // whose unmatched rows the join does not preserve (finding those takes the
-// scan), and a probe table at least indexJoinMinFanout times the build
-// side's size — both counts are exact and O(1), so no estimator is
+// scan), and an index holding at least indexJoinMinFanout times as many
+// keys as the build side has rows — the counts are exact or, for a
+// secondary index's keys, its hash tags, all O(1), so no estimator is
 // involved.
 func ChooseJoin(j *Join, buildLeft bool, buildRows int) JoinStrategy {
 	s := JoinStrategy{Algo: HashJoin}
@@ -145,7 +152,7 @@ func ChooseJoin(j *Join, buildLeft bool, buildRows int) JoinStrategy {
 		cols[k] = c
 	}
 	idx, ok := scan.Table.KeyIndexOn(cols)
-	if !ok {
+	if !ok || buildRows*indexJoinMinFanout > idx.Keys {
 		return s
 	}
 	buildSchema := build.Schema()

@@ -198,7 +198,8 @@ type IndexDef struct {
 // SELECT: the statement's transaction logs this record in place of a
 // commit record, so table and population recover together or not at
 // all); create-index carries Table/IdxColumns/Unique; views carry SQL
-// (the defining SELECT); drop carries ObjectKind ("TABLE" or "VIEW");
+// (the defining SELECT); drop carries ObjectKind ("TABLE", "VIEW" or
+// "INDEX", the last with its Table);
 // create-trigger carries Table, Events and Handler.
 type DDLRecord struct {
 	Kind       DDLKind
