@@ -25,7 +25,6 @@ import (
 	"openivm/internal/sqltypes"
 	"openivm/internal/storage"
 	"openivm/internal/wire"
-	"openivm/internal/workload"
 
 	"openivm/internal/htap"
 )
@@ -50,11 +49,99 @@ func loadGroups(b *testing.B, rows, groups int) benchDB {
 	b.Helper()
 	db := openBench(b, "bench")
 	ivmext.Install(db.DB)
-	w := workload.Groups{Rows: rows, NumGroups: groups, Seed: 42}
-	if err := w.Load(db.DB); err != nil {
+	loadGroupsTable(b, db.DB, rows, groups)
+	return db
+}
+
+// loadGroupsTable creates the paper's Listing 1 table, groups, and loads
+// rows rows spread over groups group_index values, drawn from a fixed seed.
+func loadGroupsTable(b *testing.B, db *engine.DB, rows, groups int) {
+	rng := rand.New(rand.NewSource(42))
+	loadTable(b, db, "groups", "(group_index VARCHAR, group_value INTEGER)", rows, func(int) sqltypes.Row {
+		return sqltypes.Row{sqltypes.NewString(groupKey(rng.Intn(groups))), sqltypes.NewInt(int64(rng.Intn(1000)))}
+	})
+}
+
+// loadSales creates the cross-system demo's customers dimension and orders
+// fact table and loads them, drawn from seed: customer i in one of regions
+// regions, order i of a random customer.
+func loadSales(b *testing.B, db *engine.DB, customers, orders, regions int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	loadTable(b, db, "customers", "(cid INTEGER PRIMARY KEY, region VARCHAR)", customers, func(i int) sqltypes.Row {
+		return sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("r%03d", rng.Intn(regions)))}
+	})
+	loadTable(b, db, "orders", "(oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)", orders, func(i int) sqltypes.Row {
+		return sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(rng.Intn(max(1, customers)))), sqltypes.NewInt(int64(rng.Intn(500)))}
+	})
+}
+
+// loadTable creates table with the columns cols and loads n rows of row(i),
+// in order of i, as one committed catalog-level write, which fires no
+// trigger: a base load is not part of the measured update stream.
+func loadTable(b *testing.B, db *engine.DB, table, cols string, n int, row func(i int) sqltypes.Row) {
+	b.Helper()
+	if _, err := db.Exec("CREATE TABLE " + table + " " + cols); err != nil {
 		b.Fatal(err)
 	}
-	return db
+	tbl, err := db.Catalog().Table(table)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]sqltypes.Row, n)
+	for i := range rows {
+		rows[i] = row(i)
+	}
+	s := db.NewSession()
+	defer s.Close()
+	if err := s.InsertRows(tbl, rows); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// groupKey formats the i-th group key of the groups table.
+func groupKey(i int) string { return fmt.Sprintf("g%06d", i) }
+
+// fraction formats a float as a percentage label for a sub-benchmark.
+func fraction(f float64) string {
+	if f >= 0.01 {
+		return fmt.Sprintf("%.0f%%", f*100)
+	}
+	return fmt.Sprintf("%.2g%%", f*100)
+}
+
+// updateStream generates a deterministic stream of n single-row INSERT,
+// DELETE and UPDATE statements against the groups table over groups
+// groups. insertFrac and deleteFrac set the mix (the rest are updates).
+func updateStream(groups, n int, insertFrac, deleteFrac float64, seed int64) []string {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		key := groupKey(rng.Intn(groups))
+		r := rng.Float64()
+		switch {
+		case r < insertFrac:
+			out = append(out, fmt.Sprintf("INSERT INTO groups VALUES ('%s', %d)", key, rng.Intn(1000)))
+		case r < insertFrac+deleteFrac:
+			out = append(out, fmt.Sprintf("DELETE FROM groups WHERE group_index = '%s' AND group_value < %d", key, rng.Intn(200)))
+		default:
+			out = append(out, fmt.Sprintf("UPDATE groups SET group_value = group_value + 1 WHERE group_index = '%s'", key))
+		}
+	}
+	return out
+}
+
+// insertBatch generates a multi-row INSERT of n rows into the groups table
+// over groups groups in one statement.
+func insertBatch(groups, n int, seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	sql := "INSERT INTO groups VALUES "
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sql += ", "
+		}
+		sql += fmt.Sprintf("('%s', %d)", groupKey(rng.Intn(groups)), rng.Intn(1000))
+	}
+	return sql
 }
 
 func mustExecB(b *testing.B, db benchDB, sql string) {
@@ -90,7 +177,7 @@ func BenchmarkE1_Compile(b *testing.B) {
 // also sweeps the number of groups at a fixed delta (G4096 … G409600).
 func BenchmarkE2_IVMRefresh(b *testing.B) {
 	for _, frac := range []float64{0.001, 0.01, 0.1} {
-		b.Run(workload.Fraction(frac), func(b *testing.B) {
+		b.Run(fraction(frac), func(b *testing.B) {
 			const rows, groups = 20000, 256
 			db := loadGroups(b, rows, groups)
 			mustExecB(b, db, listing1View)
@@ -151,7 +238,7 @@ func trimmableBatch(groups, n int, seed int64) string {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		fmt.Fprintf(&sb, "('%s', %d)", workload.GroupKey(rng.Intn(groups)), 1000+rng.Intn(1000))
+		fmt.Fprintf(&sb, "('%s', %d)", groupKey(rng.Intn(groups)), 1000+rng.Intn(1000))
 	}
 	return sb.String()
 }
@@ -160,18 +247,11 @@ func trimmableBatch(groups, n int, seed int64) string {
 // view over them: a fresh view of exactly groups rows.
 func loadGroupView(b *testing.B, groups int) benchDB {
 	b.Helper()
-	db := loadGroups(b, 0, groups)
-	tbl, err := db.Catalog().Table("groups")
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := make([]sqltypes.Row, groups)
-	for g := range rows {
-		rows[g] = sqltypes.Row{sqltypes.NewString(workload.GroupKey(g)), sqltypes.NewInt(int64(g % 1000))}
-	}
-	if err := db.s.InsertRows(tbl, rows); err != nil {
-		b.Fatal(err)
-	}
+	db := openBench(b, "bench")
+	ivmext.Install(db.DB)
+	loadTable(b, db.DB, "groups", "(group_index VARCHAR, group_value INTEGER)", groups, func(g int) sqltypes.Row {
+		return sqltypes.Row{sqltypes.NewString(groupKey(g)), sqltypes.NewInt(int64(g % 1000))}
+	})
 	mustExecB(b, db, listing1View)
 	return db
 }
@@ -191,7 +271,7 @@ func BenchmarkE11_PointRead(b *testing.B) {
 				b.Helper()
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := exec(workload.GroupKey(i * 7919 % groups))
+					res, err := exec(groupKey(i * 7919 % groups))
 					if err != nil || len(res.Rows) != 1 {
 						b.Fatalf("point read: %v, %v", res, err)
 					}
@@ -228,7 +308,7 @@ func BenchmarkE13_AdhocWrite(b *testing.B) {
 	const base, groups = 50_000, 1000
 	names := make([]string, groups)
 	for g := range names {
-		names[g] = workload.GroupKey(g)
+		names[g] = groupKey(g)
 	}
 	setup := func(b *testing.B) (benchDB, func(i int)) {
 		db := openBench(b, "e13")
@@ -399,24 +479,6 @@ func BenchmarkE14_ProjectionRefresh(b *testing.B) {
 // sweeps, whatever their number.
 const e21RowsPerGroup = 4
 
-// e21Load creates table with the columns cols and loads n rows of row(i)
-// into it through the catalog.
-func e21Load(b *testing.B, db benchDB, table, cols string, n int, row func(i int) sqltypes.Row) {
-	b.Helper()
-	mustExecB(b, db, "CREATE TABLE "+table+" "+cols)
-	tbl, err := db.Catalog().Table(table)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := make([]sqltypes.Row, n)
-	for i := range rows {
-		rows[i] = row(i)
-	}
-	if err := db.s.InsertRows(tbl, rows); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkE21_MinMaxDelete is the refresh of a MIN/MAX view after 100
 // rows, each its group's maximum, are deleted again, swept over the number
 // of groups at 4 rows a group. The repair recomputes the touched groups
@@ -429,7 +491,7 @@ func BenchmarkE21_MinMaxDelete(b *testing.B) {
 			db := openBench(b, "e21")
 			ivmext.Install(db.DB)
 			n := groups * e21RowsPerGroup
-			e21Load(b, db, "t", "(id INTEGER PRIMARY KEY, g INTEGER, v INTEGER)", n, func(i int) sqltypes.Row {
+			loadTable(b, db.DB, "t", "(id INTEGER PRIMARY KEY, g INTEGER, v INTEGER)", n, func(i int) sqltypes.Row {
 				return sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % groups)), sqltypes.NewInt(int64(i % 1000))}
 			})
 			mustExecB(b, db, "CREATE MATERIALIZED VIEW v AS SELECT g, MIN(v) AS lo, MAX(v) AS hi, COUNT(*) AS n FROM t GROUP BY g")
@@ -471,10 +533,10 @@ func BenchmarkE21_JoinCustomerUpdate(b *testing.B) {
 		b.Run(fmt.Sprintf("G%d", customers), func(b *testing.B) {
 			db := openBench(b, "e21")
 			ivmext.Install(db.DB)
-			e21Load(b, db, "customers", "(cid INTEGER PRIMARY KEY, region VARCHAR)", customers, func(i int) sqltypes.Row {
+			loadTable(b, db.DB, "customers", "(cid INTEGER PRIMARY KEY, region VARCHAR)", customers, func(i int) sqltypes.Row {
 				return sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("r%02d", i%16))}
 			})
-			e21Load(b, db, "orders", "(oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)", customers*e21RowsPerGroup, func(i int) sqltypes.Row {
+			loadTable(b, db.DB, "orders", "(oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)", customers*e21RowsPerGroup, func(i int) sqltypes.Row {
 				return sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i % customers)), sqltypes.NewInt(int64(i % 500))}
 			})
 			mustExecB(b, db, "CREATE MATERIALIZED VIEW v AS SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid")
@@ -518,15 +580,12 @@ func BenchmarkE2_IVMRefreshWAL(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	w := workload.Groups{Rows: rows, NumGroups: groups, Seed: 42}
-	if err := w.Load(db.DB); err != nil {
-		b.Fatal(err)
-	}
+	loadGroupsTable(b, db.DB, rows, groups)
 	mustExecB(b, db, listing1View)
 	deltaRows := rows / 10
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mustExecB(b, db, w.InsertBatch(deltaRows, int64(i)))
+		mustExecB(b, db, insertBatch(groups, deltaRows, int64(i)))
 		mustExecB(b, db, "REFRESH MATERIALIZED VIEW query_groups")
 	}
 }
@@ -544,11 +603,9 @@ func BenchmarkE2_Recompute(b *testing.B) {
 // pipeline with and without IVM (E3: the four-way demo comparison; the
 // pure-engine arms are BenchmarkE2_Recompute and BenchmarkE3_PureOLTP).
 func BenchmarkE3_CrossSystemIVM(b *testing.B) {
-	sales := workload.Sales{Customers: 500, Orders: 5000, Regions: 16, Seed: 1}
+	const orders = 5000
 	store := oltp.New("pg")
-	if err := sales.Load(store.DB); err != nil {
-		b.Fatal(err)
-	}
+	loadSales(b, store.DB, 500, orders, 16, 1)
 	srv := wire.NewServer(store.DB)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -567,7 +624,7 @@ func BenchmarkE3_CrossSystemIVM(b *testing.B) {
 		GROUP BY customers.region`); err != nil {
 		b.Fatal(err)
 	}
-	next := sales.Orders
+	next := orders
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -583,11 +640,8 @@ func BenchmarkE3_CrossSystemIVM(b *testing.B) {
 }
 
 func BenchmarkE3_CrossSystemRecompute(b *testing.B) {
-	sales := workload.Sales{Customers: 500, Orders: 5000, Regions: 16, Seed: 1}
 	store := oltp.New("pg")
-	if err := sales.Load(store.DB); err != nil {
-		b.Fatal(err)
-	}
+	loadSales(b, store.DB, 500, 5000, 16, 1)
 	srv := wire.NewServer(store.DB)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -609,11 +663,8 @@ func BenchmarkE3_CrossSystemRecompute(b *testing.B) {
 }
 
 func BenchmarkE3_PureOLTP(b *testing.B) {
-	sales := workload.Sales{Customers: 500, Orders: 5000, Regions: 16, Seed: 1}
 	store := oltp.New("pg")
-	if err := sales.Load(store.DB); err != nil {
-		b.Fatal(err)
-	}
+	loadSales(b, store.DB, 500, 5000, 16, 1)
 	s := store.DB.NewSession()
 	defer s.Close()
 	b.ResetTimer()
@@ -650,12 +701,11 @@ func BenchmarkE6_Batch(b *testing.B) {
 			const rows, groups = 5000, 64
 			db := loadGroups(b, rows, groups)
 			mustExecB(b, db, listing1View)
-			w := workload.Groups{Rows: rows, NumGroups: groups}
-			stream := w.UpdateStream(batch, 0.8, 0.1, 13)
+			stream := updateStream(groups, batch, 0.8, 0.1, 13)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, u := range stream {
-					mustExecB(b, db, u.SQL)
+				for _, sql := range stream {
+					mustExecB(b, db, sql)
 				}
 				mustExecB(b, db, "REFRESH MATERIALIZED VIEW query_groups")
 			}
@@ -675,15 +725,13 @@ func BenchmarkE7_JoinIVM(b *testing.B) {
 		b.Run(fmt.Sprintf("C%d", customers), func(b *testing.B) {
 			db := openBench(b, "e7")
 			ivmext.Install(db.DB)
-			sales := workload.Sales{Customers: customers, Orders: 20000, Regions: 8, Seed: 5}
-			if err := sales.Load(db.DB); err != nil {
-				b.Fatal(err)
-			}
+			const orders = 20000
+			loadSales(b, db.DB, customers, orders, 8, 5)
 			mustExecB(b, db, `CREATE MATERIALIZED VIEW region_totals AS
 				SELECT customers.region, SUM(orders.amount) AS total, COUNT(*) AS n
 				FROM orders JOIN customers ON orders.cid = customers.cid
 				GROUP BY customers.region`)
-			next := sales.Orders
+			next := orders
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -701,10 +749,7 @@ func BenchmarkE7_JoinIVM(b *testing.B) {
 
 func BenchmarkE7_JoinRecompute(b *testing.B) {
 	db := openBench(b, "e7")
-	sales := workload.Sales{Customers: 2048, Orders: 20000, Regions: 8, Seed: 5}
-	if err := sales.Load(db.DB); err != nil {
-		b.Fatal(err)
-	}
+	loadSales(b, db.DB, 2048, 20000, 8, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mustExecB(b, db, `SELECT customers.region, SUM(orders.amount), COUNT(*)
@@ -717,10 +762,7 @@ func BenchmarkE7_JoinRecompute(b *testing.B) {
 // 20 000-row build input (customers) probed by 30 000 orders.
 func BenchmarkE7_JoinBuild(b *testing.B) {
 	db := openBench(b, "e7b")
-	sales := workload.Sales{Customers: 20000, Orders: 30000, Regions: 8, Seed: 5}
-	if err := sales.Load(db.DB); err != nil {
-		b.Fatal(err)
-	}
+	loadSales(b, db.DB, 20000, 30000, 8, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mustExecB(b, db, `SELECT customers.region, SUM(orders.amount), COUNT(*)
@@ -1000,11 +1042,9 @@ func BenchmarkWire_RoundTrip(b *testing.B) {
 // replay cost per pulled delta row, which must not grow with the mirror.
 func BenchmarkE12_HTAPSync(b *testing.B) {
 	const writesPerSync, upsertsPerSync = 20, 6
-	sales := workload.Sales{Customers: 2000, Orders: 100_000, Regions: 16, Seed: 1}
+	const customers, orders = 2000, 100_000
 	store := oltp.New("pg")
-	if err := sales.Load(store.DB); err != nil {
-		b.Fatal(err)
-	}
+	loadSales(b, store.DB, customers, orders, 16, 1)
 	srv := wire.NewServer(store.DB)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -1029,19 +1069,19 @@ func BenchmarkE12_HTAPSync(b *testing.B) {
 		GROUP BY customers.region`); err != nil {
 		b.Fatal(err)
 	}
-	next := sales.Orders
+	next := orders
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		for w := 0; w < writesPerSync; w++ {
 			oid := next
 			if w < upsertsPerSync {
-				oid = (i*7919 + w*104729) % sales.Orders
+				oid = (i*7919 + w*104729) % orders
 			} else {
 				next++
 			}
 			sql := fmt.Sprintf("INSERT INTO orders VALUES (%d, %d, %d) ON CONFLICT (oid) DO UPDATE SET cid = %d, amount = %d",
-				oid, oid%sales.Customers, w+1, oid%sales.Customers, i%400)
+				oid, oid%customers, w+1, oid%customers, i%400)
 			if _, err := writer.Exec(sql); err != nil {
 				b.Fatal(err)
 			}

@@ -25,7 +25,6 @@ import (
 	"openivm/internal/index/slottab"
 	"openivm/internal/mvcc"
 	"openivm/internal/sqltypes"
-	"openivm/internal/storage"
 )
 
 // Column describes one table column.
@@ -79,7 +78,7 @@ type Table struct {
 	// slots) and TruncateTxn must not physically reset the arrays.
 	pinned int
 
-	// scans counts the open cursors (Scan), which hold the slot numbering
+	// scans counts the open cursors (Open), which hold the slot numbering
 	// as a pin does. They open and close under the shared lock or none, so
 	// the count is atomic; a sweep or a truncate reads it under the write
 	// lock, when no cursor can open.
@@ -412,9 +411,6 @@ func (t *Table) PrimaryKeyColumnNames() []string {
 	return out
 }
 
-// TableName returns the table's name (storage.Table).
-func (t *Table) TableName() string { return t.Name }
-
 // SetUnlogged marks the table as excluded from the write-ahead log and
 // from checkpoints. The IVM extension uses it for delta and view
 // storage tables, which recovery rebuilds from base state.
@@ -652,6 +648,14 @@ func (t *Table) InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) error {
 	return nil
 }
 
+// Merge decides what an upsert stores in place of the row that holds its
+// row's key: given that row (existing, the version visible to the upserting
+// transaction, its own earlier writes included) and the upserted one
+// (excluded), it returns the row that replaces existing, or nil to leave
+// existing as it is. ON CONFLICT DO UPDATE merges; DO NOTHING returns nil.
+// It runs under the table's write lock, so it must not read the table.
+type Merge func(existing, excluded sqltypes.Row) (sqltypes.Row, error)
+
 // UpsertBatchTxn inserts rows under one lock acquisition, each row whose
 // key is taken going through merge instead: a nil merge replaces the
 // existing row with the upserted one (DuckDB INSERT OR REPLACE). The table
@@ -675,7 +679,7 @@ func (t *Table) InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) error {
 // or replaced and — with wantRows, for trigger delivery — the inserted rows
 // and the replaced old/new pairs; on error the applied prefix stays in tx,
 // for the caller to abort.
-func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge storage.Merge, wantRows bool) (inserted, replacedOld, replacedNew []sqltypes.Row, n int, err error) {
+func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge Merge, wantRows bool) (inserted, replacedOld, replacedNew []sqltypes.Row, n int, err error) {
 	if !t.HasPrimaryKey() {
 		return nil, nil, nil, 0, fmt.Errorf("table %s: INSERT OR REPLACE requires a primary key or unique index", t.Name)
 	}
@@ -747,7 +751,7 @@ func (t *Table) UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge storage.
 // mergeLocked returns the validated row that replaces old when excluded,
 // validated, is upserted onto its key: excluded itself under a nil merge,
 // else merge's row — nil when merge keeps old.
-func (t *Table) mergeLocked(merge storage.Merge, old, excluded sqltypes.Row) (sqltypes.Row, error) {
+func (t *Table) mergeLocked(merge Merge, old, excluded sqltypes.Row) (sqltypes.Row, error) {
 	if merge == nil {
 		return excluded, nil
 	}
@@ -790,7 +794,7 @@ func (t *Table) upsertLocked(tx *mvcc.Txn, r sqltypes.Row, cur pkCursor) error {
 }
 
 // candidatesLocked names the slots a filtered statement visits — the one
-// resolution path of keyed reads (Scan) and writes (DeleteTxn,
+// resolution path of keyed reads (Open) and writes (DeleteTxn,
 // UpdateTxn): with nil keys every slot (slots is nil and n the slot count),
 // otherwise — keys holding one value per primary-key column, key after key
 // — the version of each key visible to sn, ascending, n of them: what the
@@ -1117,7 +1121,7 @@ func (t *Table) quiescentLocked(tx *mvcc.Txn) bool {
 
 // TruncateTxn removes every row, returning the removed rows when wantRows
 // is set and their number either way. When no transaction holds write-log
-// references into the table, no cursor walks it (Scan) and tx is quiescent
+// references into the table, no cursor walks it (Open) and tx is quiescent
 // (quiescentLocked), the backing arrays are released — an O(1) physical
 // reset that also drops the rows committed after tx's snapshot, which
 // nobody can observe — and the write log carries a single OpTruncate so
@@ -1180,14 +1184,15 @@ func (t *Table) Rows() []sqltypes.Row {
 	return out
 }
 
-// Scan opens a cursor over the rows visible to sn, in slot order: every
-// row, or — with non-nil keys, a set of primary keys, one value per key
-// column, key after key — the rows with those keys, found through the index
-// instead of a scan (see DeleteTxn): the same rows in the same order the
-// scan returns for them, at the cost of the keys instead of the table. The
-// zero snapshot means latest-committed: the cursor registers one at open
-// and unregisters it at close. A delta table's cursor walks its change
-// log's rows (ReadChanges).
+// Open opens c, a cursor the caller provides (an operator's own field,
+// which costs no allocation of its own), over the rows visible to sn, in
+// slot order: every row, or — with non-nil keys, a set of primary keys,
+// one value per key column, key after key — the rows with those keys,
+// found through the index instead of a scan (see DeleteTxn): the same rows
+// in the same order the scan returns for them, at the cost of the keys
+// instead of the table. The zero snapshot means latest-committed: the
+// cursor registers one at open and unregisters it at close. A delta
+// table's cursor walks its change log's rows (ReadChanges).
 //
 // The cursor reads the table's slots in place, taking the shared lock once
 // per Next; nothing of the table is copied at open. A full scan stops at
@@ -1200,16 +1205,10 @@ func (t *Table) Rows() []sqltypes.Row {
 // the open are invisible to it — which the owner of a transaction's
 // snapshot must keep true by not writing in that transaction while a
 // cursor over it is open.
-func (t *Table) Scan(sn mvcc.Snapshot, keys []sqltypes.Value) storage.Cursor {
-	c := new(Cursor)
-	t.Open(c, sn, keys)
-	return c
-}
-
-// Open is Scan into a cursor the caller provides (an operator's own
-// field), which costs no allocation of its own. It returns the number of
-// rows the scan is expected to return: exact for a keyed scan and a delta
-// table, the table's live version count for a full scan.
+//
+// It returns the number of rows the scan is expected to return: exact for
+// a keyed scan and a delta table, the table's live version count for a
+// full scan.
 func (t *Table) Open(c *Cursor, sn mvcc.Snapshot, keys []sqltypes.Value) (estimate int) {
 	*c = Cursor{t: t}
 	if l := t.changes.Load(); l != nil {
@@ -1241,7 +1240,7 @@ func (t *Table) Open(c *Cursor, sn mvcc.Snapshot, keys []sqltypes.Value) (estima
 	return estimate
 }
 
-// Cursor is an open scan of one table at one snapshot (Table.Scan). It
+// Cursor is an open scan of one table at one snapshot (Table.Open). It
 // belongs to one goroutine.
 type Cursor struct {
 	t      *Table

@@ -63,7 +63,8 @@ func (a autoTable) Truncate() (rows []sqltypes.Row) {
 
 // scan drains a cursor at sn (over keys, when non-nil) two rows at a time.
 func (a autoTable) scan(sn mvcc.Snapshot, keys []sqltypes.Value) []sqltypes.Row {
-	cur := a.Scan(sn, keys)
+	var cur Cursor
+	a.Open(&cur, sn, keys)
 	defer cur.Close()
 	out := []sqltypes.Row{}
 	for more := true; more; {

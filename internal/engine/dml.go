@@ -16,7 +16,6 @@ import (
 	"openivm/internal/plan"
 	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
-	"openivm/internal/storage"
 )
 
 // execInsert handles INSERT, INSERT OR REPLACE and INSERT ... ON
@@ -120,7 +119,7 @@ func (s *Session) execInsert(ctx context.Context, ent *planEntry, st *sqlparser.
 		}
 		built = append(built, row)
 	}
-	var merge storage.Merge
+	var merge catalog.Merge
 	if st.Conflict != nil {
 		if merge, err = s.conflictMerge(ent, tbl, st.Conflict, len(built)); err != nil {
 			return nil, done(err)
@@ -167,7 +166,7 @@ func checkConflictTarget(tbl *catalog.Table, oc *sqlparser.OnConflict) error {
 // excluded.*] and stores the existing row with those columns replaced.
 // Merged rows are carved from one block sized to the statement's rows,
 // which each conflict at most once.
-func (s *Session) conflictMerge(ent *planEntry, tbl *catalog.Table, oc *sqlparser.OnConflict, rows int) (storage.Merge, error) {
+func (s *Session) conflictMerge(ent *planEntry, tbl *catalog.Table, oc *sqlparser.OnConflict, rows int) (catalog.Merge, error) {
 	if oc.DoNothing {
 		return func(_, _ sqltypes.Row) (sqltypes.Row, error) { return nil, nil }, nil
 	}

@@ -81,11 +81,11 @@ func (s *Session) walArm(tx *mvcc.Txn) *walPending {
 	tx.CommitHook = func(ts uint64) {
 		rec := storage.CommitRecord{CommitTS: ts}
 		tx.Writes(func(store mvcc.Store, ops []mvcc.Op) {
-			tbl, ok := store.(storage.Table)
-			if !ok || tbl.Unlogged() {
+			tbl := store.(*catalog.Table)
+			if tbl.Unlogged() {
 				return
 			}
-			name := tbl.TableName()
+			name := tbl.Name
 			for _, op := range ops {
 				switch op.Kind {
 				case mvcc.OpInsert:
@@ -130,10 +130,6 @@ func (db *DB) setBackend(b storage.Backend) {
 func (s *Session) appendDDL(rec *storage.DDLRecord) error {
 	return s.db.noteStorageErr(s.db.be().AppendDDL(rec))
 }
-
-// Backend returns the storage backend (storage.MemBackend unless a
-// durable one was attached).
-func (db *DB) Backend() storage.Backend { return db.be() }
 
 // StorageStats returns the backend's counter snapshot.
 func (db *DB) StorageStats() storage.Stats { return db.be().Stats() }

@@ -238,11 +238,6 @@ func (db *DB) IVMStats() IVMStats {
 	return db.ivmStats()
 }
 
-// Vacuum synchronously reclaims row versions dead behind the oldest
-// active snapshot, returning how many were removed (maintenance and
-// test hook; the background sweeper does this incrementally).
-func (db *DB) Vacuum() int { return db.cat.MVCC().Vacuum() }
-
 // Code returns the SQLSTATE class carried by err ("" when
 // unclassified): 40001 serialization conflict, 23505 duplicate key,
 // 42P01 undefined table, XX001 recovery corruption. It is the single
@@ -595,25 +590,6 @@ func (s *Session) execDrop(st *sqlparser.DropStmt) (*Result, error) {
 			}
 		}
 	case "VIEW":
-		// Materialized views are stored as tables + metadata (+ an exposed
-		// plain view under AVG decomposition). The IVM extension's drop hook
-		// normally intercepts these before this point and performs the full
-		// cleanup (delta tables, triggers, prepared scripts); this branch
-		// remains for engines without the extension installed.
-		if m, ok := s.db.cat.IVM(st.Name); ok {
-			s.db.cat.DropIVM(st.Name)
-			s.db.cat.DropView(st.Name, true)
-			store := m.StorageTable
-			if store == "" {
-				store = st.Name
-			}
-			_, err := s.db.cat.DropTable(store, true)
-			s.db.bumpSchemaEpoch()
-			if err == nil {
-				err = logDrop("VIEW")
-			}
-			return &Result{}, err
-		}
 		dropped, err := s.db.cat.DropView(st.Name, st.IfExists)
 		if err != nil {
 			return nil, err

@@ -151,19 +151,38 @@ func TestClassStrings(t *testing.T) {
 	}
 }
 
-// TestHiddenCountSetup: a view that declares no COUNT(*) keeps the hidden
-// one in its storage table, beside its SUM's sum and non-NULL count, and
-// exposes only its declared columns under its own name.
+// TestHiddenCountSetup: a grouped view that declares no COUNT(*) keeps the
+// hidden one in its storage table, beside its SUM's sum and non-NULL
+// count, and exposes only its declared columns under its own name. A view
+// without GROUP BY keeps none: no statement reads it there. Its SUM still
+// needs a storage table; its MIN needs none, nor an exposed view.
 func TestHiddenCountSetup(t *testing.T) {
 	db := newDB(t)
-	comp := compile(t, db, listing1View)
-	setup := comp.SetupSQL()
-	for _, want := range []string{
-		"CREATE TABLE IF NOT EXISTS query_groups_ivm_storage (group_index VARCHAR, total_value_ivm_sum BIGINT, total_value_ivm_cnt BIGINT, " + HiddenCountColumn + " BIGINT,",
-		"CREATE VIEW query_groups AS SELECT group_index, CASE WHEN total_value_ivm_cnt = 0 THEN NULL ELSE total_value_ivm_sum END AS total_value FROM query_groups_ivm_storage;",
+	for view, want := range map[string][]string{
+		listing1View: {
+			"CREATE TABLE IF NOT EXISTS query_groups_ivm_storage (group_index VARCHAR, total_value_ivm_sum BIGINT, total_value_ivm_cnt BIGINT, " + HiddenCountColumn + " BIGINT,",
+			"CREATE VIEW query_groups AS SELECT group_index, CASE WHEN total_value_ivm_cnt = 0 THEN NULL ELSE total_value_ivm_sum END AS total_value FROM query_groups_ivm_storage;",
+		},
+		"CREATE MATERIALIZED VIEW gs AS SELECT SUM(group_value) AS s FROM groups": {
+			"CREATE TABLE IF NOT EXISTS gs_ivm_storage (s_ivm_sum BIGINT, s_ivm_cnt BIGINT);",
+			"CREATE VIEW gs AS SELECT CASE WHEN s_ivm_cnt = 0 THEN NULL ELSE s_ivm_sum END AS s FROM gs_ivm_storage;",
+		},
+		"CREATE MATERIALIZED VIEW gm AS SELECT MIN(group_value) AS m FROM groups": {
+			"CREATE TABLE IF NOT EXISTS gm (m BIGINT);",
+		},
 	} {
-		if !strings.Contains(setup, want) {
-			t.Errorf("setup lacks %q:\n%s", want, setup)
+		comp := compile(t, db, view)
+		setup := comp.SetupSQL()
+		for _, w := range want {
+			if !strings.Contains(setup, w) {
+				t.Errorf("setup lacks %q:\n%s", w, setup)
+			}
+		}
+		if global := len(comp.GroupColumns()) == 0; global && strings.Contains(setup+comp.PropagateSQL(), HiddenCountColumn) {
+			t.Errorf("%s keeps a hidden count:\n%s\n%s", comp.ViewName, setup, comp.PropagateSQL())
+		}
+		if n := strings.Count(setup, "CREATE VIEW"); n != len(want)-1 {
+			t.Errorf("%s creates %d plain views:\n%s", comp.ViewName, n, setup)
 		}
 	}
 }
@@ -225,10 +244,10 @@ func TestStep3Golden(t *testing.T) {
 }
 
 // TestMinMaxRepairSQL: after the combine, the groups a deletion touched
-// leave V — found by keyedDelete, which matches a NULL-keyed group too —
-// and are recomputed from the base joined to their keys with IS NOT DISTINCT FROM;
-// a group whose last row went is not recomputed and stays out, so no step
-// 3 follows the repair. The keys
+// are recomputed from the base joined to their keys with IS NOT DISTINCT
+// FROM, and their MIN and MAX upserted over V's row, a NULL-keyed group's
+// too; a group whose last row went yields no recompute and is left to
+// step 3, which tests the row count as every grouped view's does. The keys
 // come from ΔT, through the view's WHERE, grouped: ΔT may delete several
 // rows of one group, and the join must not repeat its base rows.
 func TestMinMaxRepairSQL(t *testing.T) {
@@ -240,18 +259,19 @@ func TestMinMaxRepairSQL(t *testing.T) {
 	for _, want := range []string{
 		"MIN(CASE WHEN _duckdb_ivm_multiplicity = TRUE THEN group_value END) AS lo",
 		"LEAST(COALESCE(",
-		"\nDELETE FROM mm_ivm_storage USING (SELECT group_index AS group_index " + deleted +
-			") AS ivm_del WHERE mm_ivm_storage.group_index IS NOT DISTINCT FROM ivm_del.group_index;\n",
 		"\nINSERT INTO mm_ivm_storage (group_index, lo, _duckdb_ivm_count) SELECT group_index AS group_index, MIN(group_value) AS lo, COUNT(*) AS _duckdb_ivm_count FROM groups JOIN (SELECT group_index AS ivm_g0 " +
-			deleted + " GROUP BY group_index) AS ivm_deleted ON group_index IS NOT DISTINCT FROM ivm_deleted.ivm_g0 GROUP BY group_index;\n",
+			deleted + " GROUP BY group_index) AS ivm_deleted ON group_index IS NOT DISTINCT FROM ivm_deleted.ivm_g0 GROUP BY group_index " +
+			"ON CONFLICT (group_index) DO UPDATE SET lo = EXCLUDED.lo;\n",
 	} {
 		if !strings.Contains(prop, want) {
 			t.Errorf("min/max repair missing %q:\n%s", want, prop)
 		}
 	}
-	// The repair leaves no group for step 3: the body ends with its insert.
-	if last := comp.Body.Stmts[len(comp.Body.Stmts)-1].SQL(); !strings.HasPrefix(last, "INSERT INTO mm_ivm_storage (group_index, lo, _duckdb_ivm_count) SELECT group_index AS group_index, MIN(group_value)") {
-		t.Errorf("the body does not end with the repair's insert:\n%s", comp.Body.SQL())
+	// The body ends with step 3, and no statement deletes a group but it.
+	step3 := "DELETE FROM mm_ivm_storage USING (SELECT group_index AS group_index " + deleted +
+		") AS ivm_del WHERE mm_ivm_storage.group_index IS NOT DISTINCT FROM ivm_del.group_index AND _duckdb_ivm_count = 0"
+	if last := comp.Body.Stmts[len(comp.Body.Stmts)-1].SQL(); last != step3 || strings.Count(comp.Body.SQL(), "DELETE") != 1 {
+		t.Errorf("the body does not end with step 3 alone:\n%s", comp.Body.SQL())
 	}
 	// A composite group key joins on every key column; a join view's
 	// recompute joins its keys to the view's own join.
@@ -260,28 +280,29 @@ func TestMinMaxRepairSQL(t *testing.T) {
 	prop = compile(t, db, `CREATE MATERIALIZED VIEW mm2 AS
 		SELECT x, y, MAX(v) AS hi FROM a GROUP BY x, y`).PropagateSQL()
 	if want := "FROM a JOIN (SELECT x AS ivm_g0, y AS ivm_g1 FROM delta_a AS a WHERE _duckdb_ivm_multiplicity = FALSE GROUP BY x, y) AS ivm_deleted " +
-		"ON x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 AND y IS NOT DISTINCT FROM ivm_deleted.ivm_g1 GROUP BY x, y;"; !strings.Contains(prop, want) {
+		"ON x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 AND y IS NOT DISTINCT FROM ivm_deleted.ivm_g1 GROUP BY x, y ON CONFLICT (x, y) DO UPDATE SET hi = EXCLUDED.hi;"; !strings.Contains(prop, want) {
 		t.Errorf("composite min/max repair missing %q:\n%s", want, prop)
 	}
 	prop = compile(t, db, `CREATE MATERIALIZED VIEW mm3 AS
 		SELECT b.x, MIN(a.v) AS lo, COUNT(*) AS n FROM a JOIN b ON a.x = b.x WHERE a.v > 0 GROUP BY b.x`).PropagateSQL()
 	if want := "FROM a JOIN b ON (a.x = b.x) JOIN (SELECT x AS ivm_g0 FROM delta_join_mm3 WHERE _duckdb_ivm_multiplicity = FALSE GROUP BY x) AS ivm_deleted " +
-		"ON b.x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 WHERE (a.v > 0) GROUP BY b.x;"; !strings.Contains(prop, want) {
+		"ON b.x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 WHERE (a.v > 0) GROUP BY b.x ON CONFLICT (x) DO UPDATE SET lo = EXCLUDED.lo;"; !strings.Contains(prop, want) {
 		t.Errorf("join min/max repair missing %q:\n%s", want, prop)
 	}
 	prop = compile(t, db, `CREATE MATERIALIZED VIEW mm4 AS
 		SELECT t.x AS k, MAX(t.v) AS hi FROM a AS t WHERE t.v > 0 GROUP BY t.x`).PropagateSQL()
 	if want := "FROM a AS t JOIN (SELECT t.x AS ivm_g0 FROM delta_a AS t WHERE (t.v > 0) AND _duckdb_ivm_multiplicity = FALSE GROUP BY t.x) AS ivm_deleted " +
-		"ON t.x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 WHERE (t.v > 0) GROUP BY t.x;"; !strings.Contains(prop, want) {
+		"ON t.x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 WHERE (t.v > 0) GROUP BY t.x ON CONFLICT (k) DO UPDATE SET hi = EXCLUDED.hi;"; !strings.Contains(prop, want) {
 		t.Errorf("filtered min/max repair missing %q:\n%s", want, prop)
 	}
 }
 
-// TestEmptyGroupPrefersCountStar: a view's row count is its declared
-// COUNT(*), and then it keeps no hidden one; otherwise it keeps exactly
-// one hidden count. Step 3 tests that count and never a SUM or a
-// COUNT(col), which reach zero in a group that still has rows. A view
-// without GROUP BY, or with a MIN or MAX, has no step 3.
+// TestEmptyGroupPrefersCountStar: a grouped view's row count is its
+// declared COUNT(*), and then it keeps no hidden one; otherwise it keeps
+// exactly one hidden count. Step 3 tests that count, a MIN/MAX view's too,
+// and never a SUM or a COUNT(col), which reach zero in a group that still
+// has rows. A view without GROUP BY has no step 3 and keeps no hidden
+// count (want "": no row count unless it declares one).
 func TestEmptyGroupPrefersCountStar(t *testing.T) {
 	db := engine.Open("count", engine.DialectDuckDB)
 	for _, ddl := range []string{"CREATE TABLE t (k VARCHAR, v INTEGER)", "CREATE TABLE u (k VARCHAR, w INTEGER)"} {
@@ -298,7 +319,8 @@ func TestEmptyGroupPrefersCountStar(t *testing.T) {
 		"SELECT k, COUNT(v) AS c FROM t GROUP BY k":                                        HiddenCountColumn,
 		"SELECT k, MIN(v) AS lo, MAX(v) AS hi FROM t GROUP BY k":                           HiddenCountColumn,
 		"SELECT k, AVG(v) AS m FROM t GROUP BY k":                                          HiddenCountColumn,
-		"SELECT SUM(v) AS s FROM t":                                                        HiddenCountColumn,
+		"SELECT SUM(v) AS s FROM t":                                                        "",
+		"SELECT MIN(v) AS lo FROM t":                                                       "",
 		"SELECT t.k, SUM(u.w) AS s FROM t JOIN u ON t.k = u.k GROUP BY t.k":                HiddenCountColumn,
 		"SELECT t.k, SUM(u.w) AS s, COUNT(*) AS n FROM t JOIN u ON t.k = u.k GROUP BY t.k": "n",
 	} {
@@ -310,12 +332,16 @@ func TestEmptyGroupPrefersCountStar(t *testing.T) {
 			}
 		}
 		hidden := strings.Contains(comp.SetupSQL(), HiddenCountColumn)
-		if counts != 1 || hidden != (want == HiddenCountColumn) {
+		wantCounts := 1
+		if want == "" {
+			wantCounts = 0
+		}
+		if counts != wantCounts || hidden != (want == HiddenCountColumn) {
 			t.Errorf("%s: %d row counts, hidden %v:\n%s", view, counts, hidden, comp.SetupSQL())
 		}
 		prop := comp.PropagateSQL()
-		step3 := len(comp.GroupColumns()) > 0 && !comp.hasMinMax()
-		if strings.Contains(prop, " "+want+" = 0;\n") != step3 {
+		step3 := len(comp.GroupColumns()) > 0
+		if want != "" && strings.Contains(prop, " "+want+" = 0;\n") != step3 {
 			t.Errorf("%s: step 3 (want %v) does not test %s:\n%s", view, step3, want, prop)
 		}
 		for _, other := range []string{" s_ivm_sum = 0", " s_ivm_cnt = 0", " c = 0", " lo = 0", " hi = 0", " m_ivm_cnt = 0"} {

@@ -23,8 +23,8 @@
 // change log.
 //
 // All SQL is built as a DuckAST operator tree and rendered as one text that
-// DuckDB, PostgreSQL and the embedded engine all run, so the same
-// compilation drives every system of the cross-system demo.
+// PostgreSQL 15 and the embedded engine both run, so the same compilation
+// drives every system of the cross-system demo.
 //
 // The compiler links the embedded engine (internal/engine) the way OpenIVM
 // links DuckDB: it uses the engine's parser, binder and planner to
@@ -71,7 +71,7 @@ func DeltaRows(ev engine.TriggerEvent, oldRows, newRows []sqltypes.Row) []sqltyp
 	return rows
 }
 
-// HiddenCountColumn is the row count a view keeps per group when it
+// HiddenCountColumn is the row count a grouped view keeps per group when it
 // declares no COUNT(*) of its own — the Z-set weight of a projection or
 // join view's row: step 3 deletes a group whose count reaches 0. It lives
 // in the storage table, behind the plain view that exposes the declared
@@ -267,10 +267,11 @@ func (c *Compilation) AggColumns() []ViewColumn {
 
 // StorageColumns returns the physical layout of the storage table: the
 // view columns with every SUM and AVG expanded into a SUM part and a COUNT
-// part, the count of its non-NULL arguments, and, for a view that declares
-// no COUNT(*), the hidden row count — a projection or join row's weight.
-// The storage thus holds one COUNT(*) column: its first, which step 3
-// tests (emptyGroupColumn).
+// part, the count of its non-NULL arguments, and, for a grouped view that
+// declares no COUNT(*), the hidden row count — a projection or join row's
+// weight. A grouped view's storage thus holds one COUNT(*) column: its
+// first, which step 3 tests (emptyGroupColumn). A view without GROUP BY is
+// one row that no statement deletes, so it keeps no hidden count.
 func (c *Compilation) StorageColumns() []ViewColumn {
 	if c.storageCols != nil {
 		return c.storageCols
@@ -288,7 +289,7 @@ func (c *Compilation) StorageColumns() []ViewColumn {
 		counted = counted || col.HasAgg && col.Agg == expr.AggCountStar
 		c.storageCols = append(c.storageCols, col)
 	}
-	if !counted {
+	if !counted && len(c.GroupColumns()) > 0 {
 		c.storageCols = append(c.storageCols, ViewColumn{
 			Name: HiddenCountColumn, Type: sqltypes.TypeInt, Agg: expr.AggCountStar, HasAgg: true})
 	}

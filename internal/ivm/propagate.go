@@ -29,21 +29,19 @@ func (c *Compiler) genPropagate(comp *Compilation) {
 	}
 	d := deltaOf(comp)
 	emitCombine(comp, body, d)
-	switch {
-	case comp.hasMinMax():
-		// MIN/MAX deletions cannot be combined incrementally: rescan-repair
-		// the affected groups from the base relation. The repair deletes
-		// every group the delta retracts a row of and re-inserts only those
-		// that still have rows, so it leaves no group for step 3.
+	if comp.hasMinMax() {
+		// MIN/MAX deletions cannot be combined incrementally: the groups
+		// the delta retracts a row of are recomputed from the base relation.
 		emitMinMaxRepair(comp, body, d)
-	case len(comp.GroupColumns()) > 0:
+	}
+	if len(comp.GroupColumns()) > 0 {
 		// Step 3 tests the row count alone (emptyGroupColumn): a SUM or a
 		// COUNT(col) reaches zero in a group that still has rows, where
 		// Listing 2 tests `total_value = 0`. Only a group the delta retracts
 		// a row of can reach zero (DBSP), so the delete names those keys
 		// (keyedDelete) and finds them through V's key index, a NULL key
 		// too. A view without GROUP BY keeps its one row (emitGlobalCombine).
-		body.Add(keyedDelete(comp, d, emptyGroupColumn(comp)+" = 0"))
+		body.Add(keyedDelete(comp, d))
 	}
 	comp.Body = body
 	// Propagate is Body's statement nodes followed by step 4: truncate the
@@ -103,11 +101,11 @@ func (d deltaSource) exprs(cols []ViewColumn) []string {
 	return out
 }
 
-// keyedDelete renders a delete from V of the groups the delta retracts a
-// row of, that also satisfy conds. It finds V's rows by the retractions'
-// keys through one NULL-safe spelling, DELETE … USING … IS NOT DISTINCT
-// FROM, which reaches a NULL-keyed group too through V's key index.
-func keyedDelete(comp *Compilation, d deltaSource, conds ...string) *duckast.Delete {
+// keyedDelete renders step 3, a delete from V of the groups the delta
+// retracts a row of whose row count reached 0. It finds V's rows by the
+// retractions' keys through one NULL-safe spelling, DELETE … USING … IS NOT
+// DISTINCT FROM, which reaches a NULL-keyed group too through V's key index.
+func keyedDelete(comp *Compilation, d deltaSource) *duckast.Delete {
 	groups := comp.GroupColumns()
 	keys := &duckast.Select{Items: aliased(d.exprs(groups), groups), From: &duckast.Raw{Text: d.rows(MultiplicityColumn + " = FALSE")}}
 	var on []string
@@ -115,7 +113,7 @@ func keyedDelete(comp *Compilation, d deltaSource, conds ...string) *duckast.Del
 		on = append(on, fmt.Sprintf("%s.%s IS NOT DISTINCT FROM ivm_del.%s", comp.Storage, g, g))
 	}
 	return &duckast.Delete{Table: comp.Storage, Using: &duckast.Raw{Text: "(" + keys.SQL() + ") AS ivm_del"},
-		Where: &duckast.Raw{Text: strings.Join(append(on, conds...), " AND ")}}
+		Where: &duckast.Raw{Text: strings.Join(append(on, emptyGroupColumn(comp)+" = 0"), " AND ")}}
 }
 
 func viewColNames(cols []ViewColumn) []string {
@@ -274,12 +272,17 @@ func emitGlobalCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 }
 
 // emitMinMaxRepair emits the rescan-repair for MIN/MAX deletions: the
-// groups a deletion touched leave V and are recomputed from the base
-// relation, so a group whose last row was deleted stays out. V's rows are
-// found through keyedDelete, and the base's through a join on IS NOT
-// DISTINCT FROM. A view without GROUP BY is recomputed whole when the
-// delta holds a deletion; an aggregate over no rows is a row too, so that
-// recompute is filtered from outside.
+// groups a deletion touched are recomputed from the base relation, found
+// through a join on IS NOT DISTINCT FROM, and their MIN and MAX columns
+// upserted over what step 2 folded in. The row count step 2 folded is
+// exact already, so a group whose last row went — which the recompute
+// yields no row for — is left to step 3. A view without GROUP BY is
+// recomputed whole when the delta holds a deletion; an aggregate over no
+// rows is a row too, so that recompute is filtered from outside.
+//
+// The repair costs the retracted groups' base rows. Recomputing every
+// group the delta touches, in place of step 2's fold, would make an insert
+// cost its group's rows too, and the whole base in a view without GROUP BY.
 func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 	groups := comp.GroupColumns()
 	deleted := d.rows(MultiplicityColumn + " = FALSE")
@@ -294,7 +297,6 @@ func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 			Where: touched}})
 		return
 	}
-	s.Add(keyedDelete(comp, d))
 	srcs := d.exprs(groups)
 	// The delta may delete several rows of one group: one row per group
 	// keeps the join from repeating base rows.
@@ -306,8 +308,14 @@ func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 		del.GroupBy = append(del.GroupBy, &duckast.Raw{Text: srcs[i]})
 		on = append(on, fmt.Sprintf("%s IS NOT DISTINCT FROM ivm_deleted.%s", col.SourceSQL, alias))
 	}
-	s.Add(&duckast.Insert{Table: comp.Storage, Columns: cols, Select: storageQuery(comp, fmt.Sprintf(
-		"%s JOIN (%s) AS ivm_deleted ON %s", from, del.SQL(), strings.Join(on, " AND ")))})
+	ins := &duckast.Insert{Table: comp.Storage, Columns: cols, ConflictKeys: viewColNames(groups),
+		Select: storageQuery(comp, fmt.Sprintf("%s JOIN (%s) AS ivm_deleted ON %s", from, del.SQL(), strings.Join(on, " AND ")))}
+	for _, col := range comp.AggColumns() {
+		if col.Agg == expr.AggMin || col.Agg == expr.AggMax {
+			ins.Set = append(ins.Set, col.Name+" = EXCLUDED."+col.Name)
+		}
+	}
+	s.Add(ins)
 }
 
 // emptyGroupColumn names the view's row count: its first COUNT(*) storage

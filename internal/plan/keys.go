@@ -156,7 +156,7 @@ func (k *KeySet) String() string {
 	return fmt.Sprintf("keys=%d", k.n)
 }
 
-// Resolve returns the keys in the layout catalog.Table.Scan, DeleteTxn
+// Resolve returns the keys in the layout catalog.Table.Open, DeleteTxn
 // and UpdateTxn take (nil for a nil set: the scan), running the subquery if
 // there is one (its rows stay cached for the predicate's own evaluation) —
 // so call it before the table's lock is taken. A NULL in a subquery row

@@ -1,8 +1,8 @@
-// Package storage defines the engine's pluggable storage API — the
-// boundary the paper's demo engine needed to cross to go from
-// cache-scale to durable: a Backend that owns the write-ahead log,
-// columnar checkpoints and recovery, and a Table contract that the
-// in-memory row table (internal/catalog) implements as the default.
+// Package storage is the engine's durability layer — the boundary the
+// paper's demo engine needed to cross to go from cache-scale to durable:
+// a Backend that owns the write-ahead log, columnar checkpoints and
+// recovery, and the redo and checkpoint records it persists. Tables
+// themselves are internal/catalog's; this package holds no table.
 //
 // # The Backend contract
 //
@@ -30,103 +30,9 @@
 // MemBackend is the default: nothing persists, every call is a no-op,
 // and the engine's hot paths stay exactly as fast as before durability
 // existed.
-//
-// # The Table contract
-//
-// Table is the data-plane interface the engine's DML layer and the
-// MVCC restamping protocol require from a table implementation:
-// transactional writes (there is no other kind), the quiescent fast
-// paths they may pick by themselves (TruncateTxn's physical reset,
-// UpsertBatchTxn's in-place replace), snapshot scans through cursors
-// that read the table in place, and the
-// ApplyCommit/ApplyAbort restamping hooks. internal/catalog's
-// row-major Table is the default implementation; an embedded-KV backend
-// can slot in by implementing the same contract.
 package storage
 
-import (
-	"openivm/internal/mvcc"
-	"openivm/internal/sqltypes"
-)
-
-// Merge decides what an upsert stores in place of the row that holds its
-// row's key: given that row (existing, the version visible to the upserting
-// transaction, its own earlier writes included) and the upserted one
-// (excluded), it returns the row that replaces existing, or nil to leave
-// existing as it is. ON CONFLICT DO UPDATE merges; DO NOTHING returns nil.
-// It runs under the table's write lock, so it must not read the table.
-type Merge func(existing, excluded sqltypes.Row) (sqltypes.Row, error)
-
-// Table is the storage contract between the engine/MVCC layers and a
-// table implementation. catalog.Table implements it (asserted there at
-// compile time); the engine's DML paths operate against this interface
-// so the concrete snapshot arrays stay an implementation detail.
-type Table interface {
-	// mvcc.Store: commit restamps the write log's slots with the commit
-	// timestamp, abort reverts them — the MVCC publication protocol.
-	mvcc.Store
-
-	// TableName returns the table's name (the identifier redo records
-	// carry).
-	TableName() string
-
-	// Writes. Each runs under the given transaction: invisible to other
-	// snapshots until it commits, reverted when it aborts.
-	InsertTxn(tx *mvcc.Txn, row sqltypes.Row) error
-	InsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row) error
-	// UpsertBatchTxn inserts rows, each one whose primary key is taken
-	// replacing the row there with merge's result (the row itself under a
-	// nil merge). It returns how many rows it wrote and, on request, which.
-	UpsertBatchTxn(tx *mvcc.Txn, rows []sqltypes.Row, merge Merge, wantRows bool) (inserted, replacedOld, replacedNew []sqltypes.Row, n int, err error)
-	// UpdateTxn and DeleteTxn visit every visible row, or — with
-	// non-nil keys: a set of primary keys, one value per key column, key
-	// after key — only the rows with those keys, each resolved through
-	// the primary-key index and visited once.
-	UpdateTxn(tx *mvcc.Txn, keys []sqltypes.Value, pred func(sqltypes.Row) (bool, error), set func(sqltypes.Row) (sqltypes.Row, error)) (old, new []sqltypes.Row, err error)
-	DeleteTxn(tx *mvcc.Txn, keys []sqltypes.Value, pred func(sqltypes.Row) (bool, error)) ([]sqltypes.Row, error)
-
-	// ApplyDeltasTxn replays Z-set deltas in order under one lock:
-	// rows[i] is inserted when insert[i], else one equal copy is
-	// retracted (through the primary-key index when there is one).
-	ApplyDeltasTxn(tx *mvcc.Txn, rows []sqltypes.Row, insert []bool) error
-
-	// TruncateTxn removes every row, returning the removed rows on
-	// request and their number. The implementation may reset the table
-	// physically when no concurrent snapshot could observe the
-	// difference; it then logs one mvcc.OpTruncate in place of per-row
-	// ops.
-	TruncateTxn(tx *mvcc.Txn, wantRows bool) ([]sqltypes.Row, int, error)
-
-	// Snapshot reads: a cursor over every visible row, or — with non-nil
-	// keys, as for UpdateTxn — over the visible rows with those primary
-	// keys, in scan order. The cursor reads the table in place, batch by
-	// batch: nothing is copied at open, and until it is exhausted or
-	// closed the table keeps its slot numbering (no compaction, no
-	// physical truncate).
-	Scan(sn mvcc.Snapshot, keys []sqltypes.Value) Cursor
-	RowCount() int
-
-	// RowAt returns the row stored in a write-log slot — how redo
-	// records recover the payload of an insert/replace/delete op from
-	// the undo log's slot references.
-	RowAt(slot int32) sqltypes.Row
-
-	// Unlogged reports whether the table is excluded from the WAL and
-	// checkpoints (IVM-derived state, rebuilt on recovery).
-	Unlogged() bool
-}
-
-// Cursor is an open snapshot scan of a Table (Table.Scan). It belongs to
-// one goroutine, and must be closed unless Next has reported the end.
-type Cursor interface {
-	// Next appends to dst the next visible rows for which keep holds (nil
-	// keeps every row), up to n of them, and reports whether rows may
-	// remain; the last call closes the cursor. keep runs under the
-	// table's shared lock, so it must not read the table.
-	Next(dst []sqltypes.Row, n int, keep func(sqltypes.Row) bool) ([]sqltypes.Row, bool)
-	// Close ends the scan early. Idempotent.
-	Close()
-}
+import "openivm/internal/sqltypes"
 
 // OpKind enumerates logical redo operations.
 type OpKind uint8
