@@ -783,7 +783,7 @@ func BenchmarkE7_JoinBuild(b *testing.B) {
 func BenchmarkE10_MultiViewRefresh(b *testing.B) {
 	const views, writers, deltaRows = 4, 2, 500
 	db := engine.Open("e10", engine.DialectDuckDB)
-	ext := ivmext.Install(db)
+	ivmext.Install(db)
 	bdb := benchDB{DB: db, s: db.NewSession()}
 	insertBatch := func(v, n int, round int64) string {
 		sb := fmt.Appendf(nil, "INSERT INTO e10_t%d VALUES ", v)
@@ -818,7 +818,7 @@ func BenchmarkE10_MultiViewRefresh(b *testing.B) {
 			}
 		}(w)
 	}
-	stall0 := atomic.LoadInt64(&ext.Stats.CaptureStallNanos)
+	stall0 := db.Metrics().Snapshot()["ivm.captureStallNanos"]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -843,7 +843,7 @@ func BenchmarkE10_MultiViewRefresh(b *testing.B) {
 	b.StopTimer()
 	stop.Store(true)
 	wwg.Wait()
-	b.ReportMetric(float64(atomic.LoadInt64(&ext.Stats.CaptureStallNanos)-stall0)/float64(b.N), "stall-ns/op")
+	b.ReportMetric(float64(db.Metrics().Snapshot()["ivm.captureStallNanos"]-stall0)/float64(b.N), "stall-ns/op")
 }
 
 // startWireBig serves one preloaded engine with a wide 100k-row table

@@ -27,8 +27,8 @@
 //	\tables           list tables
 //	\views            list materialized views with their query class
 //	\scripts <view>   print the stored setup + propagation SQL
-//	\stats            extension counters (captures, refreshes); with
-//	                  -connect, the server's wire counters instead
+//	\stats            the DB's counters, one "name value" line each, in
+//	                  name order; with -connect, the server DB's
 //	\timing           toggle per-statement elapsed time
 //	\load demo        load the paper's Listing 1 schema with sample data
 package main
@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -277,25 +278,12 @@ func remoteREPL(addr string, cancelAfter time.Duration) {
 				fmt.Println(t)
 			}
 		case "\\stats":
-			st, err := cl.StatsV2()
+			m, err := cl.Stats()
 			if err != nil {
 				fmt.Println("error:", err)
 				break
 			}
-			sv := st.Server
-			fmt.Printf("connections:       %d active / %d total / %d rejected\n", sv.ActiveConns, sv.TotalConns, sv.RejectedConns)
-			fmt.Printf("plan cache:        %d entries, %d hits / %d misses, %d prepared\n", sv.PlanCacheSize, sv.PlanCacheHits, sv.PlanCacheMiss, sv.PreparedMarked)
-			fmt.Printf("streamed:          %d batches / %d rows\n", sv.StreamedBatches, sv.StreamedRows)
-			fmt.Printf("kills:             %d governor / %d timeout / %d cancel\n", sv.GovernorKills, sv.TimeoutKills, sv.Cancels)
-			fmt.Printf("txns:              %d active / %d commits / %d conflict aborts\n", st.Txn.ActiveTxns, st.Txn.Commits, st.Txn.ConflictAborts)
-			if st.Storage.Durable {
-				fmt.Printf("wal:               %d records / %d bytes, %d fsyncs, %d group batches\n",
-					st.Storage.WALRecords, st.Storage.WALBytes, st.Storage.Fsyncs, st.Storage.GroupCommitBatches)
-				fmt.Printf("checkpoints:       %d taken, last %dms ago, %d records replayed at open\n",
-					st.Storage.Checkpoints, st.Storage.LastCheckpointMS, st.Storage.RecoveryReplayedRecords)
-			} else {
-				fmt.Printf("storage:           in-memory (no WAL)\n")
-			}
+			printStats(m)
 		case "\\timing":
 			timing = !timing
 			fmt.Println("timing:", onOff(timing))
@@ -304,6 +292,19 @@ func remoteREPL(addr string, cancelAfter time.Duration) {
 		}
 		return true
 	})
+}
+
+// printStats prints a counter snapshot as "name value" lines in name
+// order: \stats, embedded and with -connect.
+func printStats(m map[string]int64) {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		fmt.Println(name, m[name])
+	}
 }
 
 func onOff(b bool) string {
@@ -344,13 +345,7 @@ func meta(sess *engine.Session, ext *ivmext.Extension, cmd string) bool {
 		fmt.Println("-- propagation --")
 		fmt.Print(prop)
 	case "\\stats":
-		fmt.Printf("deltas captured:   %d\n", ext.Stats.DeltasCaught)
-		fmt.Printf("propagation runs:  %d\n", ext.Stats.Propagations)
-		fmt.Printf("lazy refreshes:    %d\n", ext.Stats.LazyRefreshes)
-		if ss := db.StorageStats(); ss.Durable {
-			fmt.Printf("wal:               %d records / %d bytes, %d fsyncs\n", ss.WALRecords, ss.WALBytes, ss.Fsyncs)
-			fmt.Printf("checkpoints:       %d taken, %d records replayed at open\n", ss.Checkpoints, ss.ReplayedRecords)
-		}
+		printStats(db.Metrics().Snapshot())
 	case "\\load":
 		if len(fields) < 2 || fields[1] != "demo" {
 			fmt.Println("usage: \\load demo")

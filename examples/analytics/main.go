@@ -21,7 +21,7 @@ import (
 
 func main() {
 	db := engine.Open("analytics", engine.DialectDuckDB)
-	ext := ivmext.Install(db)
+	ivmext.Install(db)
 	sess := db.NewSession()
 	defer sess.Close()
 	must := func(sql string) *engine.Result {
@@ -63,10 +63,10 @@ func main() {
 	}
 	eager := time.Since(start)
 	fmt.Printf("eager regime: 2000 events in %v (%d propagation runs)\n",
-		eager.Round(time.Millisecond), ext.Stats.Propagations)
+		eager.Round(time.Millisecond), db.Metrics().Snapshot()["ivm.propagations"])
 
 	// Regime 2: lazy — deltas buffer, views refresh when queried.
-	before := ext.Stats.Propagations
+	before := db.Metrics().Snapshot()["ivm.propagations"]
 	start = time.Now()
 	for i := 0; i < 2000; i++ {
 		must(event())
@@ -77,7 +77,7 @@ func main() {
 	refresh := time.Since(start)
 	fmt.Printf("lazy regime:  2000 events in %v, first dashboard query %v (%d propagation runs)\n\n",
 		ingest.Round(time.Millisecond), refresh.Round(time.Millisecond),
-		ext.Stats.Propagations-before)
+		db.Metrics().Snapshot()["ivm.propagations"]-before)
 
 	fmt.Println("== service_load ==")
 	fmt.Print(res.Format())

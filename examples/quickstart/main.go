@@ -56,6 +56,7 @@ func main() {
 	res := must(`SELECT group_index, total_value FROM query_groups ORDER BY group_index`)
 	fmt.Print(res.Format())
 
+	st := db.Metrics().Snapshot()
 	fmt.Printf("\ndeltas captured: %d, propagation runs: %d\n",
-		ext.Stats.DeltasCaught, ext.Stats.Propagations)
+		st["ivm.deltaRowsCaptured"], st["ivm.propagations"])
 }

@@ -32,7 +32,7 @@ type ChangeLog struct {
 	last    atomic.Uint64
 
 	// appended and stall are the tracker's counters (Table.Track).
-	appended, stall *int64
+	appended, stall *atomic.Int64
 	// building counts the rows being built from entries outside mu.
 	building int
 
@@ -47,7 +47,7 @@ type ChangeLog struct {
 // keeps. Every entry a commit appends adds one to *appended, and a commit's
 // wait for the log's lock adds to *stallNanos. A tracked table never takes
 // the physical truncate: its deletions must reach the log.
-func (t *Table) Track(appended, stallNanos *int64) *ChangeLog {
+func (t *Table) Track(appended, stallNanos *atomic.Int64) *ChangeLog {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if l := t.log.Load(); l != nil {
@@ -103,7 +103,7 @@ func (t *Table) logChangesLocked(l *ChangeLog, ops []mvcc.Op, ts uint64) {
 	if !l.mu.TryLock() {
 		t0 := time.Now()
 		l.mu.Lock()
-		atomic.AddInt64(l.stall, int64(time.Since(t0)))
+		l.stall.Add(int64(time.Since(t0)))
 	}
 	defer l.mu.Unlock()
 	n := len(l.entries)
@@ -131,7 +131,7 @@ func (t *Table) logChangesLocked(l *ChangeLog, ops []mvcc.Op, ts uint64) {
 	if len(l.entries) > n {
 		slices.Reverse(l.entries[n:])
 		l.last.Store(ts)
-		atomic.AddInt64(l.appended, int64(len(l.entries)-n))
+		l.appended.Add(int64(len(l.entries) - n))
 	}
 }
 

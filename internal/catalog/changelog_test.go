@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"openivm/internal/mvcc"
@@ -11,7 +12,7 @@ import (
 
 // trackedTable returns a keyed table that keeps a change log, the delta
 // table reading the log, and the log's entry counter.
-func trackedTable(t *testing.T) (autoTable, *Table, *ChangeLog, *int64) {
+func trackedTable(t *testing.T) (autoTable, *Table, *ChangeLog, *atomic.Int64) {
 	t.Helper()
 	base := testTable(t)
 	cols := append(append([]Column{}, base.Columns...), Column{Name: "mult", Type: sqltypes.TypeBool})
@@ -20,7 +21,7 @@ func trackedTable(t *testing.T) (autoTable, *Table, *ChangeLog, *int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var appended, stall int64
+	var appended, stall atomic.Int64
 	l := base.Track(&appended, &stall)
 	dt.ReadChanges(l)
 	return base, dt, l, &appended
@@ -59,8 +60,8 @@ func TestChangeLogInPlaceReplacements(t *testing.T) {
 	if got := changes(dt.Rows()); got != want {
 		t.Fatalf("log reads %s, want %s", got, want)
 	}
-	if *appended != 8 || dt.RowCount() != 8 {
-		t.Fatalf("appended %d, delta table counts %d; want 8", *appended, dt.RowCount())
+	if appended.Load() != 8 || dt.RowCount() != 8 {
+		t.Fatalf("appended %d, delta table counts %d; want 8", appended.Load(), dt.RowCount())
 	}
 }
 

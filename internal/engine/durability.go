@@ -117,11 +117,13 @@ func (db *DB) be() storage.Backend {
 }
 
 // setBackend swaps the backend pointer (instance setup and degraded
-// re-attach only).
+// re-attach only); the backend's counters replace its predecessor's in
+// the registry.
 func (db *DB) setBackend(b storage.Backend) {
 	db.backendMu.Lock()
 	db.backend = b
 	db.backendMu.Unlock()
+	b.Register(db.metrics)
 }
 
 // appendDDL stages and syncs one DDL record, degrading the engine on an
@@ -130,12 +132,6 @@ func (db *DB) setBackend(b storage.Backend) {
 func (s *Session) appendDDL(rec *storage.DDLRecord) error {
 	return s.db.noteStorageErr(s.db.be().AppendDDL(rec))
 }
-
-// StorageStats returns the backend's counter snapshot.
-func (db *DB) StorageStats() storage.Stats { return db.be().Stats() }
-
-// Durable reports whether a durable backend is attached and armed.
-func (db *DB) Durable() bool { return db.logging.Load() }
 
 // Close flushes and releases the storage backend. The DB must not be
 // used afterwards.

@@ -21,7 +21,7 @@ import (
 	"openivm/internal/enginerr"
 	"openivm/internal/exec"
 	"openivm/internal/expr"
-	"openivm/internal/mvcc"
+	"openivm/internal/metrics"
 	"openivm/internal/plan"
 	"openivm/internal/sqlparser"
 	"openivm/internal/sqltypes"
@@ -93,9 +93,8 @@ type DB struct {
 
 	hooks []StatementHook
 
-	// ivmStats is the IVM extension's stats snapshot callback (nil until
-	// an extension installs one via SetIVMStatsSource).
-	ivmStats func() IVMStats
+	// metrics is the DB's counter registry (stats.go).
+	metrics *metrics.Registry
 
 	// trigMu guards the trigger registry: CREATE TRIGGER installs triggers
 	// at runtime while concurrent sessions' DML reads the registry to fire
@@ -139,7 +138,8 @@ type DB struct {
 	ckptMu sync.Mutex
 
 	// degr is the read-only degraded-mode state (see robustness.go);
-	// panicsRecovered counts statement panics converted to XX000 errors.
+	// panicsRecovered counts panics converted to XX000 errors, a
+	// statement's and a wire connection's (NotePanic).
 	degr            degradedState
 	panicsRecovered atomic.Int64
 }
@@ -154,7 +154,9 @@ func Open(name string, _ Dialect) *DB {
 		plans:        newPlanLRU(planCacheSize),
 		sessions:     map[string]*Session{},
 		backend:      storage.MemBackend{},
+		metrics:      metrics.New(),
 	}
+	db.registerMetrics()
 	return db
 }
 
@@ -197,46 +199,6 @@ func (db *DB) SessionByToken(token string) (*Session, bool) {
 
 // Catalog exposes the catalog (used by the IVM compiler and tests).
 func (db *DB) Catalog() *catalog.Catalog { return db.cat }
-
-// TxnStats returns the MVCC transaction-layer counters: active
-// transactions, commit/conflict totals, reclaimed versions and the age of
-// the oldest pinned snapshot.
-func (db *DB) TxnStats() mvcc.Stats { return db.cat.MVCC().Stats() }
-
-// IVMStats is the engine-level snapshot of the IVM extension's refresh
-// counters, populated by the extension through SetIVMStatsSource. All
-// zeros when no IVM extension is installed. The wire stats answer carries
-// it as its ivm.* group, under the JSON names below.
-type IVMStats struct {
-	// Refreshes counts completed propagations (refresh groups applied).
-	Refreshes int64 `json:"refreshes"`
-	// GenerationsSealed counts non-empty cuts: refreshes that found
-	// changes to apply.
-	GenerationsSealed int64 `json:"generationsSealed"`
-	// GenerationsPending is a gauge: base tables' change logs holding an
-	// entry some view has yet to apply.
-	GenerationsPending int64 `json:"generationsPending"`
-	// CaptureStallNanos is the cumulative time commits spent waiting for
-	// a change log's lock — held while a refresh finds a window or trims,
-	// never through a whole propagation.
-	CaptureStallNanos int64 `json:"captureStallNanos"`
-	// DeltaRowsCaptured counts entries commits appended to change logs.
-	DeltaRowsCaptured int64 `json:"deltaRowsCaptured"`
-}
-
-// SetIVMStatsSource installs the callback IVMStats snapshots come from.
-// Called once by the IVM extension at install time, before any stats
-// reader can run.
-func (db *DB) SetIVMStatsSource(fn func() IVMStats) { db.ivmStats = fn }
-
-// IVMStats snapshots the IVM refresh counters (zero without an
-// installed source).
-func (db *DB) IVMStats() IVMStats {
-	if db.ivmStats == nil {
-		return IVMStats{}
-	}
-	return db.ivmStats()
-}
 
 // Code returns the SQLSTATE class carried by err ("" when
 // unclassified): 40001 serialization conflict, 23505 duplicate key,

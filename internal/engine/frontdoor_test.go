@@ -147,7 +147,7 @@ func TestFrontDoorEquivalence(t *testing.T) {
 func runThroughFrontDoor(t *testing.T, run func(*engine.Session, string) (*engine.Result, error), sql, check string) outcome {
 	t.Helper()
 	db := engine.Open("frontdoor", engine.DialectDuckDB)
-	ext := ivmext.Install(db)
+	ivmext.Install(db)
 	admin := db.NewSession()
 	defer admin.Close()
 	for _, q := range []string{
@@ -173,7 +173,7 @@ func runThroughFrontDoor(t *testing.T, run func(*engine.Session, string) (*engin
 		return false, nil, nil
 	})
 
-	cache, lazy := db.StmtCacheStats(), atomic.LoadInt64(&ext.Stats.LazyRefreshes)
+	cache, lazy := db.StmtCacheStats(), db.Metrics().Snapshot()["ivm.lazyRefreshes"]
 	var sb strings.Builder
 	render := func(res *engine.Result) {
 		fmt.Fprintf(&sb, "%v affected=%d\n", res.Columns, res.RowsAffected)
@@ -186,7 +186,7 @@ func runThroughFrontDoor(t *testing.T, run func(*engine.Session, string) (*engin
 		t.Fatalf("%s: %v", sql, err)
 	}
 	render(res)
-	out := outcome{hookCalls: hookCalls.Load(), lazy: atomic.LoadInt64(&ext.Stats.LazyRefreshes) - lazy}
+	out := outcome{hookCalls: hookCalls.Load(), lazy: db.Metrics().Snapshot()["ivm.lazyRefreshes"] - lazy}
 	after := db.StmtCacheStats()
 	out.hits, out.misses = after.Hits-cache.Hits, after.Misses-cache.Misses
 	if check != "" {

@@ -272,15 +272,13 @@ func TestMVCCTxnStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := db.TxnStats()
-	if st.ActiveTxns != 1 {
-		t.Fatalf("ActiveTxns = %d, want 1", st.ActiveTxns)
+	if n := db.Metrics().Snapshot()["txn.activeTxns"]; n != 1 {
+		t.Fatalf("txn.activeTxns = %d, want 1", n)
 	}
 	if _, err := s.Exec("COMMIT"); err != nil {
 		t.Fatal(err)
 	}
-	st = db.TxnStats()
-	if st.ActiveTxns != 0 || st.Commits == 0 {
-		t.Fatalf("stats after commit = %+v", st)
+	if n := db.Metrics().Snapshot()["txn.activeTxns"]; n != 0 || db.TxnStats().Commits == 0 {
+		t.Fatalf("after commit: txn.activeTxns = %d, TxnStats = %+v", n, db.TxnStats())
 	}
 }

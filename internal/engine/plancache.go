@@ -152,23 +152,6 @@ func (c *planLRU) clear() {
 	c.lru.Init()
 }
 
-// StmtCacheStats reports the statement cache's counters (tests,
-// monitoring, the wire server's stats op). Every SELECT, INSERT, UPDATE and
-// DELETE probes the cache once per execution.
-type StmtCacheStats struct {
-	Entries int
-	Hits    int64
-	Misses  int64
-}
-
-// StmtCacheStats returns a snapshot of the statement cache.
-func (db *DB) StmtCacheStats() StmtCacheStats {
-	c := db.plans
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return StmtCacheStats{Entries: c.lru.Len(), Hits: c.hits, Misses: c.misses}
-}
-
 // Prepared is a script lexed and parsed once (PrepareScript), executed by
 // Session.ExecStmts and ExecPreparedStream. Its statements go through the
 // plan cache like text, under the keys they have as text; the handle keeps

@@ -60,9 +60,10 @@ type degradedState struct {
 // Degraded reports whether the engine is in read-only degraded mode.
 func (db *DB) Degraded() bool { return db.degr.flag.Load() }
 
-// RecoveredPanics returns how many statement-level panics this DB has
-// converted into XX000 errors.
-func (db *DB) RecoveredPanics() int64 { return db.panicsRecovered.Load() }
+// NotePanic counts a panic recovered outside the statement path (the wire
+// server's connection boundary) with the statement panics, in
+// server.panicsRecovered.
+func (db *DB) NotePanic() { db.panicsRecovered.Add(1) }
 
 // enterDegraded flips the engine into read-only mode, keeping the first
 // cause (later failures are consequences of the same dead disk).

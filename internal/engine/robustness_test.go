@@ -170,8 +170,8 @@ func TestPanicIsolationAutocommit(t *testing.T) {
 	if !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("panic value lost from the error: %v", err)
 	}
-	if db.RecoveredPanics() == 0 {
-		t.Fatal("RecoveredPanics did not count the recovered panic")
+	if db.Metrics().Snapshot()["server.panicsRecovered"] == 0 {
+		t.Fatal("server.panicsRecovered did not count the recovered panic")
 	}
 
 	// The panicking statement's write was aborted; the session survives.

@@ -33,8 +33,8 @@ func count(t *testing.T, db *engine.DB, sql string) int64 {
 
 func wantPending(t *testing.T, db *engine.DB, step string, want int64) {
 	t.Helper()
-	if got := db.IVMStats().GenerationsPending; got != want {
-		t.Fatalf("%s: GenerationsPending = %d, want %d", step, got, want)
+	if got := db.Metrics().Snapshot()["ivm.generationsPending"]; got != want {
+		t.Fatalf("%s: ivm.generationsPending = %d, want %d", step, got, want)
 	}
 }
 
@@ -214,11 +214,11 @@ func TestFailedBodyKeepsItsWindow(t *testing.T) {
 	wantPending(t, db, "after failure", 1)
 
 	// The repair runs v_sum over all six changes and v_cnt over the three new ones.
-	bodies := atomic.LoadInt64(&ext.Stats.Propagations)
+	bodies := ext.db.Metrics().Snapshot()["ivm.propagations"]
 	if err := ext.Refresh("v_cnt"); err != nil {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt64(&ext.Stats.Propagations) - bodies; got != 2 {
+	if got := ext.db.Metrics().Snapshot()["ivm.propagations"] - bodies; got != 2 {
 		t.Fatalf("repairing refresh ran %d bodies, want 2", got)
 	}
 	wantPending(t, db, "repaired", 0)
@@ -334,9 +334,9 @@ func TestDropLastViewStopsTracking(t *testing.T) {
 		t.Error("the base still keeps a change log after its last view was dropped")
 	}
 	wantPending(t, db, "dropped", 0)
-	caught := atomic.LoadInt64(&ext.Stats.DeltasCaught)
+	caught := ext.db.Metrics().Snapshot()["ivm.deltaRowsCaptured"]
 	mustExec(t, db, "INSERT INTO groups VALUES ('c', 3)")
-	if atomic.LoadInt64(&ext.Stats.DeltasCaught) != caught {
+	if ext.db.Metrics().Snapshot()["ivm.deltaRowsCaptured"] != caught {
 		t.Error("writes still logged after drop")
 	}
 

@@ -33,9 +33,9 @@ func TestDropMaterializedView(t *testing.T) {
 	}
 	// Capture trigger is gone: DML must not try to write a dropped delta
 	// table, and no deltas accumulate.
-	before := ext.Stats.DeltasCaught
+	before := ext.db.Metrics().Snapshot()["ivm.deltaRowsCaptured"]
 	mustExec(t, db, "INSERT INTO groups VALUES ('c', 3)")
-	if ext.Stats.DeltasCaught != before {
+	if ext.db.Metrics().Snapshot()["ivm.deltaRowsCaptured"] != before {
 		t.Errorf("delta capture still active after drop")
 	}
 	// Name is reusable.

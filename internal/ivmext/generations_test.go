@@ -169,7 +169,7 @@ func TestCrossGenerationTorture(t *testing.T) {
 	// Two refresh groups (one change log per base table); coalescing
 	// means most refresh attempts find nothing to apply, but each group
 	// must have cut a non-empty window at least once.
-	if n := atomic.LoadInt64(&ext.Stats.GenerationsSealed); n < 2 {
+	if n := ext.db.Metrics().Snapshot()["ivm.generationsSealed"]; n < 2 {
 		t.Fatalf("GenerationsSealed = %d, want >= 2", n)
 	}
 }

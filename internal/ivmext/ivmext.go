@@ -67,29 +67,10 @@ type Extension struct {
 	// as one reads it.
 	feeds map[string]*feed
 
-	// Stats counts propagation runs and logged changes (benchmarks, the
-	// demo shell and the wire stats endpoint read these). The counters are
-	// updated atomically — commits append to change logs on every writer
-	// session and propagations overlap.
-	Stats struct {
-		// Propagations counts per-view propagation bodies applied.
-		Propagations int64
-		// DeltasCaught counts the entries commits appended to the change
-		// logs: one per inserted or deleted base row, two per updated one.
-		DeltasCaught int64
-		// LazyRefreshes counts refreshes a statement reading a stale view
-		// asked for.
-		LazyRefreshes int64
-		// Refreshes counts completed refresh-group propagations.
-		Refreshes int64
-		// GenerationsSealed counts non-empty cuts: refreshes that found
-		// changes to apply.
-		GenerationsSealed int64
-		// CaptureStallNanos accumulates commits' wait for a change log's
-		// lock — held by a refresh finding a window or trimming, never
-		// through a propagation.
-		CaptureStallNanos int64
-	}
+	// The extension's counters, entered into the DB's registry under
+	// ivm.* by Install (docs/OPERATIONS.md says what each counts).
+	propagations, deltaRowsCaptured, lazyRefreshes, refreshes atomic.Int64
+	generationsSealed, captureStallNanos                      atomic.Int64
 }
 
 // view is the registry entry of one materialized view. mu is the view's
@@ -136,20 +117,15 @@ func Install(db *engine.DB) *Extension {
 		feeds: map[string]*feed{},
 	}
 	db.RegisterStatementHook(ext.statementHook)
-	db.SetIVMStatsSource(ext.engineStats)
+	r := db.Metrics()
+	r.Register("ivm.propagations", ext.propagations.Load)
+	r.Register("ivm.deltaRowsCaptured", ext.deltaRowsCaptured.Load)
+	r.Register("ivm.lazyRefreshes", ext.lazyRefreshes.Load)
+	r.Register("ivm.refreshes", ext.refreshes.Load)
+	r.Register("ivm.generationsSealed", ext.generationsSealed.Load)
+	r.Register("ivm.captureStallNanos", ext.captureStallNanos.Load)
+	r.Register("ivm.generationsPending", ext.pendingGauge)
 	return ext
-}
-
-// engineStats snapshots the refresh counters for the engine's versioned
-// stats surface (internal/wire exposes them as the ivm.* group).
-func (ext *Extension) engineStats() engine.IVMStats {
-	return engine.IVMStats{
-		Refreshes:          atomic.LoadInt64(&ext.Stats.Refreshes),
-		GenerationsSealed:  atomic.LoadInt64(&ext.Stats.GenerationsSealed),
-		GenerationsPending: ext.pendingGauge(),
-		CaptureStallNanos:  atomic.LoadInt64(&ext.Stats.CaptureStallNanos),
-		DeltaRowsCaptured:  atomic.LoadInt64(&ext.Stats.DeltasCaught),
-	}
 }
 
 // pendingGauge counts the change logs holding an entry a view has yet to
@@ -308,7 +284,7 @@ func (ext *Extension) refreshStale(stmt sqlparser.Statement) error {
 		if !v.pending() {
 			continue
 		}
-		atomic.AddInt64(&ext.Stats.LazyRefreshes, 1)
+		ext.lazyRefreshes.Add(1)
 		if err := ext.propagate(v); err != nil {
 			return err
 		}
@@ -485,7 +461,7 @@ func (ext *Extension) attach(v *view) error {
 			// No commit is half published while the log starts: each one
 			// is either visible to the population's snapshot or logged.
 			cat.MVCC().WithCommitLock(func() {
-				f.log = base.Track(&ext.Stats.DeltasCaught, &ext.Stats.CaptureStallNanos)
+				f.log = base.Track(&ext.deltaRowsCaptured, &ext.captureStallNanos)
 			})
 			dt.ReadChanges(f.log)
 			ext.feeds[key] = f
@@ -762,12 +738,12 @@ func (ext *Extension) propagate(target *view) error {
 		nonEmpty = nonEmpty || ran
 	}
 	if nonEmpty {
-		atomic.AddInt64(&ext.Stats.GenerationsSealed, 1)
+		ext.generationsSealed.Add(1)
 	}
 	if err := fault.Inject(fault.IVMCombine); err != nil {
 		return err // every body has landed and moved its view's from
 	}
-	atomic.AddInt64(&ext.Stats.Refreshes, 1)
+	ext.refreshes.Add(1)
 	return nil
 }
 
@@ -806,7 +782,7 @@ func (ext *Extension) applyView(is *engine.Session, v *view, to uint64) (bool, e
 	if err := fault.Inject(fault.IVMPropagateView); err != nil {
 		return false, fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
-	atomic.AddInt64(&ext.Stats.Propagations, 1)
+	ext.propagations.Add(1)
 	body, err := ext.preparedBody(v)
 	if err != nil {
 		return false, fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)

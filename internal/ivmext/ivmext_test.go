@@ -3,7 +3,6 @@ package ivmext
 import (
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"openivm/internal/engine"
@@ -135,7 +134,7 @@ func TestLazyModeRefreshOnQuery(t *testing.T) {
 	if dt.RowCount() != 0 {
 		t.Error("delta not drained after lazy refresh")
 	}
-	if ext.Stats.LazyRefreshes == 0 {
+	if ext.db.Metrics().Snapshot()["ivm.lazyRefreshes"] == 0 {
 		t.Error("no lazy refresh recorded")
 	}
 }
@@ -393,15 +392,15 @@ func TestPragmaRefused(t *testing.T) {
 	}
 	mustExec(t, db, `CREATE MATERIALIZED VIEW qg AS SELECT group_index,
 		SUM(group_value) AS total_value FROM groups GROUP BY group_index`)
-	before := atomic.LoadInt64(&ext.Stats.Propagations)
+	before := ext.db.Metrics().Snapshot()["ivm.propagations"]
 	mustExec(t, db, "INSERT INTO groups VALUES ('x', 5)")
-	if n := atomic.LoadInt64(&ext.Stats.Propagations) - before; n != 0 {
+	if n := ext.db.Metrics().Snapshot()["ivm.propagations"] - before; n != 0 {
 		t.Fatalf("the write ran %d propagations, want none", n)
 	}
 	if rows := mustExec(t, db, "SELECT total_value FROM qg").Rows; len(rows) != 1 || rows[0][0].I != 5 {
 		t.Fatalf("qg reads %v, want 5", rows)
 	}
-	if atomic.LoadInt64(&ext.Stats.Propagations) == before {
+	if ext.db.Metrics().Snapshot()["ivm.propagations"] == before {
 		t.Error("reading the stale view ran no propagation")
 	}
 }
@@ -513,8 +512,8 @@ func TestDeltaRowsCounted(t *testing.T) {
 	mustExec(t, db, "INSERT INTO groups VALUES ('a', 1), ('b', 2)")
 	mustExec(t, db, "UPDATE groups SET group_value = 3 WHERE group_index = 'a'")
 	// 2 inserts + update (1 delete + 1 insert) = 4 delta rows.
-	if ext.Stats.DeltasCaught != 4 {
-		t.Errorf("deltas = %d, want 4", ext.Stats.DeltasCaught)
+	if ext.db.Metrics().Snapshot()["ivm.deltaRowsCaptured"] != 4 {
+		t.Errorf("deltas = %d, want 4", ext.db.Metrics().Snapshot()["ivm.deltaRowsCaptured"])
 	}
 }
 

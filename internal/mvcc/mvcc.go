@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"openivm/internal/enginerr"
+	"openivm/internal/metrics"
 	"openivm/internal/sqltypes"
 )
 
@@ -253,16 +254,10 @@ type snapStatus struct {
 	born   time.Time
 }
 
-// Stats is a point-in-time counter snapshot for monitoring.
+// Stats holds txn.* counters as engine.DB.TxnStats reads them from the
+// registry (see Manager.Register).
 type Stats struct {
-	ActiveTxns     int64  // open transactions (incl. statement txns)
-	Commits        uint64 // successful commits
-	ConflictAborts uint64 // aborts of doomed (conflict-losing) txns
-	GCVersions     uint64 // dead versions reclaimed by GC
-	// OldestSnapshotMS is the age in milliseconds of the oldest active
-	// snapshot or transaction (0 when none are active) — the GC
-	// watermark's distance into the past.
-	OldestSnapshotMS int64
+	Commits, ConflictAborts, GCVersions uint64
 }
 
 // Manager allocates transaction ids and commit timestamps, tracks
@@ -285,9 +280,9 @@ type Manager struct {
 	snapSeq uint64
 
 	activeTxns     atomic.Int64
-	commits        atomic.Uint64
-	conflictAborts atomic.Uint64
-	gcVersions     atomic.Uint64
+	commits        atomic.Int64
+	conflictAborts atomic.Int64
+	gcVersions     atomic.Int64
 
 	// deadVersions estimates reclaimable versions; crossing gcEvery
 	// triggers a background sweep. gcStuckAt suppresses re-triggering
@@ -565,7 +560,7 @@ func (m *Manager) maybeGC() {
 func (m *Manager) runSweep(w uint64) {
 	n := m.sweeper(w)
 	if n > 0 {
-		m.gcVersions.Add(uint64(n))
+		m.gcVersions.Add(int64(n))
 		m.deadVersions.Add(int64(-n))
 		m.gcStuckAt.Store(0)
 	} else {
@@ -582,20 +577,25 @@ func (m *Manager) Vacuum() int {
 	w := m.Watermark()
 	n := m.sweeper(w)
 	if n > 0 {
-		m.gcVersions.Add(uint64(n))
+		m.gcVersions.Add(int64(n))
 		m.deadVersions.Add(int64(-n))
 	}
 	return n
 }
 
-// Stats returns a point-in-time counter snapshot.
-func (m *Manager) Stats() Stats {
-	s := Stats{
-		ActiveTxns:     m.activeTxns.Load(),
-		Commits:        m.commits.Load(),
-		ConflictAborts: m.conflictAborts.Load(),
-		GCVersions:     m.gcVersions.Load(),
-	}
+// Register enters the manager's counters and gauges into r under txn.*.
+func (m *Manager) Register(r *metrics.Registry) {
+	r.Register("txn.commits", m.commits.Load)
+	r.Register("txn.conflictAborts", m.conflictAborts.Load)
+	r.Register("txn.gcVersions", m.gcVersions.Load)
+	r.Register("txn.activeTxns", m.activeTxns.Load)
+	r.Register("txn.oldestSnapshotMS", m.oldestSnapshotMS)
+}
+
+// oldestSnapshotMS is the age in milliseconds of the oldest active
+// snapshot or transaction (0 when none is active): the GC watermark's
+// distance into the past.
+func (m *Manager) oldestSnapshotMS() int64 {
 	m.mu.Lock()
 	var oldest time.Time
 	for _, st := range m.status {
@@ -609,11 +609,8 @@ func (m *Manager) Stats() Stats {
 		}
 	}
 	m.mu.Unlock()
-	if !oldest.IsZero() {
-		s.OldestSnapshotMS = time.Since(oldest).Milliseconds()
-		if s.OldestSnapshotMS < 0 {
-			s.OldestSnapshotMS = 0
-		}
+	if oldest.IsZero() {
+		return 0
 	}
-	return s
+	return max(time.Since(oldest).Milliseconds(), 0)
 }

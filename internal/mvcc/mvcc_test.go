@@ -3,7 +3,16 @@ package mvcc
 import (
 	"errors"
 	"testing"
+
+	"openivm/internal/metrics"
 )
+
+// counters reads m's txn.* counters through a registry.
+func counters(m *Manager) map[string]int64 {
+	r := metrics.New()
+	m.Register(r)
+	return r.Snapshot()
+}
 
 // memStore records ApplyCommit/ApplyAbort calls in order so tests can
 // assert the manager's store protocol without a real table.
@@ -56,7 +65,7 @@ func TestBeginCommitAdvancesClock(t *testing.T) {
 	if st.unpins != 1 {
 		t.Fatalf("store unpinned %d times, want 1", st.unpins)
 	}
-	if s := m.Stats(); s.Commits != 1 || s.ActiveTxns != 0 {
+	if s := counters(m); s["txn.commits"] != 1 || s["txn.activeTxns"] != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -184,8 +193,8 @@ func TestDoomedCommitAborts(t *testing.T) {
 	if got := m.LatestTS(); got != 1 {
 		t.Fatalf("clock advanced on aborted commit: %d", got)
 	}
-	s := m.Stats()
-	if s.ConflictAborts != 1 || s.ActiveTxns != 0 {
+	s := counters(m)
+	if s["txn.conflictAborts"] != 1 || s["txn.activeTxns"] != 0 {
 		t.Fatalf("stats = %+v, want 1 conflict abort, 0 active", s)
 	}
 	if !errors.Is(err, ErrSerialization) {
@@ -301,18 +310,18 @@ func TestVacuumRunsSweeper(t *testing.T) {
 	if gotW != m.LatestTS() {
 		t.Fatalf("sweeper watermark = %d, want %d", gotW, m.LatestTS())
 	}
-	if s := m.Stats(); s.GCVersions != 7 {
-		t.Fatalf("GCVersions = %d, want 7", s.GCVersions)
+	if s := counters(m); s["txn.gcVersions"] != 7 {
+		t.Fatalf("txn.gcVersions = %d, want 7", s["txn.gcVersions"])
 	}
 }
 
 func TestStatsOldestSnapshotAge(t *testing.T) {
 	m := NewManager()
-	if s := m.Stats(); s.OldestSnapshotMS != 0 {
-		t.Fatalf("idle OldestSnapshotMS = %d, want 0", s.OldestSnapshotMS)
+	if s := counters(m); s["txn.oldestSnapshotMS"] != 0 {
+		t.Fatalf("idle txn.oldestSnapshotMS = %d, want 0", s["txn.oldestSnapshotMS"])
 	}
 	tx := m.Begin()
-	if s := m.Stats(); s.ActiveTxns != 1 || s.OldestSnapshotMS < 0 {
+	if s := counters(m); s["txn.activeTxns"] != 1 || s["txn.oldestSnapshotMS"] < 0 {
 		t.Fatalf("stats with one txn = %+v", s)
 	}
 	m.Abort(tx)

@@ -10,6 +10,7 @@ import (
 
 	"openivm/internal/enginerr"
 	"openivm/internal/fault"
+	"openivm/internal/metrics"
 )
 
 // wrapIO classifies a physical I/O failure (write, fsync, rename,
@@ -58,7 +59,7 @@ type DiskBackend struct {
 	lastCkptAt     time.Time
 	bytesSinceCkpt int64
 
-	// counters (atomic: Stats races with appenders)
+	// counters (atomic: a stats snapshot races with appenders)
 	walBytes    atomic.Int64
 	walRecords  atomic.Int64
 	fsyncs      atomic.Int64
@@ -432,25 +433,30 @@ func (b *DiskBackend) Recover(h RecoveryHandler) error {
 	return b.rotateLocked()
 }
 
-// Stats returns the backend's counters.
-func (b *DiskBackend) Stats() Stats {
-	s := Stats{
-		Durable:            true,
-		WALBytes:           b.walBytes.Load(),
-		WALRecords:         b.walRecords.Load(),
-		Fsyncs:             b.fsyncs.Load(),
-		GroupCommitBatches: b.batches.Load(),
-		Checkpoints:        b.checkpoints.Load(),
-		LastCheckpointMS:   -1,
-		ReplayedRecords:    b.replayedRec.Load(),
-		ReplayedBytes:      b.replayedB.Load(),
-	}
+// Register enters the backend's counters into r.
+func (b *DiskBackend) Register(r *metrics.Registry) { b.register(r, 1) }
+
+func (b *DiskBackend) register(r *metrics.Registry, durable int64) {
+	r.Register("storage.durable", func() int64 { return durable })
+	r.Register("storage.lastCheckpointMS", b.lastCheckpointMS)
+	r.Register("storage.walBytes", b.walBytes.Load)
+	r.Register("storage.walRecords", b.walRecords.Load)
+	r.Register("storage.fsyncs", b.fsyncs.Load)
+	r.Register("storage.groupCommitBatches", b.batches.Load)
+	r.Register("storage.checkpoints", b.checkpoints.Load)
+	r.Register("storage.recoveryReplayedRecords", b.replayedRec.Load)
+	r.Register("storage.recoveryReplayedBytes", b.replayedB.Load)
+}
+
+// lastCheckpointMS is the age in milliseconds of the last checkpoint or
+// Recover, whichever came later (-1: neither).
+func (b *DiskBackend) lastCheckpointMS() int64 {
 	b.mu.Lock()
-	if !b.lastCkptAt.IsZero() {
-		s.LastCheckpointMS = time.Since(b.lastCkptAt).Milliseconds()
+	defer b.mu.Unlock()
+	if b.lastCkptAt.IsZero() {
+		return -1
 	}
-	b.mu.Unlock()
-	return s
+	return time.Since(b.lastCkptAt).Milliseconds()
 }
 
 // Close flushes staged records and releases the backend.

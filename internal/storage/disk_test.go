@@ -6,8 +6,16 @@ import (
 	"testing"
 
 	"openivm/internal/enginerr"
+	"openivm/internal/metrics"
 	"openivm/internal/sqltypes"
 )
+
+// registered reads b's storage.* counters through a registry.
+func registered(b Backend) map[string]int64 {
+	r := metrics.New()
+	b.Register(r)
+	return r.Snapshot()
+}
 
 // memHandler replays records into an in-memory key/value model so the
 // backend can be tested without an engine on top.
@@ -94,8 +102,8 @@ func TestDiskBackendReplay(t *testing.T) {
 			t.Fatalf("replayed rows = %v, want %v", h.rows, want)
 		}
 	}
-	if st := b2.Stats(); st.ReplayedRecords != 20 {
-		t.Fatalf("ReplayedRecords = %d, want 20", st.ReplayedRecords)
+	if n := registered(b2)["storage.recoveryReplayedRecords"]; n != 20 {
+		t.Fatalf("storage.recoveryReplayedRecords = %d, want 20", n)
 	}
 	// Appends continue with fresh LSNs after recovery.
 	lsn, err := b2.AppendCommit(kvCommit(21, 9, 9))
@@ -167,8 +175,8 @@ func TestDiskBackendCheckpointPrunesLog(t *testing.T) {
 	if h.snap == nil || h.snap.LastLSN != 10 {
 		t.Fatalf("checkpoint not loaded on recovery: %+v", h.snap)
 	}
-	if st := b2.Stats(); st.ReplayedRecords != 1 {
-		t.Fatalf("ReplayedRecords = %d, want only the post-checkpoint record", st.ReplayedRecords)
+	if n := registered(b2)["storage.recoveryReplayedRecords"]; n != 1 {
+		t.Fatalf("storage.recoveryReplayedRecords = %d, want only the post-checkpoint record", n)
 	}
 	if h.rows[1] != 10 || h.rows[2] != 20 {
 		t.Fatalf("recovered rows = %v", h.rows)

@@ -32,7 +32,10 @@
 // existed.
 package storage
 
-import "openivm/internal/sqltypes"
+import (
+	"openivm/internal/metrics"
+	"openivm/internal/sqltypes"
+)
 
 // OpKind enumerates logical redo operations.
 type OpKind uint8
@@ -170,18 +173,10 @@ type RecoveryHandler interface {
 	DDL(rec *DDLRecord) error
 }
 
-// Stats is a backend's counter snapshot, surfaced through the wire
-// stats op's storage.* namespace.
+// Stats holds storage.* counters as engine.DB.StorageStats reads them
+// from the registry (see Backend.Register).
 type Stats struct {
-	Durable            bool
-	WALBytes           int64 // bytes appended to the log since open
-	WALRecords         int64 // records appended since open
-	Fsyncs             int64 // log fsync calls
-	GroupCommitBatches int64 // log flushes that covered >= 1 record
-	Checkpoints        int64 // checkpoints written since open
-	LastCheckpointMS   int64 // ms since the last checkpoint (-1: never)
-	ReplayedRecords    int64 // log records replayed by Recover
-	ReplayedBytes      int64 // log bytes replayed by Recover
+	WALBytes, WALRecords, Fsyncs, ReplayedRecords int64
 }
 
 // Backend owns durability for one engine instance. Implementations
@@ -227,8 +222,9 @@ type Backend interface {
 	// It must be called once, before any Append.
 	Recover(h RecoveryHandler) error
 
-	// Stats returns the backend's counters.
-	Stats() Stats
+	// Register enters the backend's counters into r under storage.*,
+	// replacing those of the backend it succeeds.
+	Register(r *metrics.Registry)
 
 	// Close flushes and releases the backend.
 	Close() error
@@ -250,5 +246,8 @@ func (MemBackend) Checkpoint(*CheckpointData) error           { return nil }
 func (MemBackend) EndCheckpoint()                             {}
 func (MemBackend) NeedCheckpoint() bool                       { return false }
 func (MemBackend) Recover(RecoveryHandler) error              { return nil }
-func (MemBackend) Stats() Stats                               { return Stats{LastCheckpointMS: -1} }
 func (MemBackend) Close() error                               { return nil }
+
+// Register enters the counters of a disk backend never opened: zeros,
+// and no checkpoint taken.
+func (MemBackend) Register(r *metrics.Registry) { new(DiskBackend).register(r, 0) }

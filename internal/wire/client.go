@@ -262,14 +262,26 @@ func (c *Client) Tables() ([]string, error) {
 	return resp.Tables, nil
 }
 
-// StatsV2 fetches the namespaced counter snapshot, grouped into
-// server.*, txn.*, storage.* and ivm.* subsystems.
-func (c *Client) StatsV2() (*StatsV2, error) {
+// Stats fetches the server DB's counter registry: one name -> value map
+// (docs/OPERATIONS.md lists the names).
+func (c *Client) Stats() (map[string]int64, error) {
 	resp, err := c.roundTrip(&Request{Op: opStats})
 	if err != nil {
 		return nil, err
 	}
-	return resp.StatsV2, nil
+	return resp.Stats, nil
+}
+
+// StatsV2 fetches the counters and reads the ones StatsV2 holds.
+func (c *Client) StatsV2() (*StatsV2, error) {
+	m, err := c.Stats()
+	if err != nil {
+		return nil, err
+	}
+	return &StatsV2{Server: ServerStats{
+		StreamedBatches: m["server.streamedBatches"],
+		GovernorKills:   m["server.governorKills"],
+	}}, nil
 }
 
 // collect drains a streamed exec into a materialized Response.

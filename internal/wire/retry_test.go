@@ -229,15 +229,15 @@ func TestWireChaosRetryingClients(t *testing.T) {
 	}
 	fault.Reset()
 
-	if st, err := func() (*StatsV2, error) {
+	if st, err := func() (map[string]int64, error) {
 		cl, err := Dial(addr)
 		if err != nil {
 			return nil, err
 		}
 		defer cl.Close()
-		return cl.StatsV2()
+		return cl.Stats()
 	}(); err == nil {
-		if st.Server.FaultInjected == 0 {
+		if st["server.faultInjected"] == 0 {
 			t.Fatal("chaos run reported zero injected faults")
 		}
 	}

@@ -81,11 +81,11 @@ func TestMaxConnsAdmission(t *testing.T) {
 	if err := c3.Ping(); err == nil {
 		t.Fatal("connection beyond MaxConns was admitted")
 	}
-	st, err := c1.StatsV2()
+	st, err := c1.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.RejectedConns != 1 || st.Server.ActiveConns != 2 {
+	if st["server.rejectedConns"] != 1 || st["server.activeConns"] != 2 {
 		t.Fatalf("stats = %+v, want 1 rejected / 2 active", st)
 	}
 }

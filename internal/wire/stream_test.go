@@ -186,11 +186,11 @@ func TestStreamedQuery(t *testing.T) {
 	if batches < 2 {
 		t.Fatalf("result arrived in %d batch(es); streaming should chunk it", batches)
 	}
-	st, err := cl.StatsV2()
+	st, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.StreamedRows < 5000 || st.Server.StreamedBatches < int64(batches) {
+	if st["server.streamedRows"] < 5000 || st["server.streamedBatches"] < int64(batches) {
 		t.Fatalf("streaming counters missing: %+v", st)
 	}
 }
@@ -411,12 +411,12 @@ func TestWirePreparedStatements(t *testing.T) {
 	if len(resp.Rows) != 4 {
 		t.Fatalf("$1=0 rows = %v", resp.Rows)
 	}
-	st, err := cl.StatsV2()
+	st, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.PreparedMarked != 1 {
-		t.Fatalf("preparedMarked = %d with one live prepared statement", st.Server.PreparedMarked)
+	if st["server.preparedMarked"] != 1 {
+		t.Fatalf("preparedMarked = %d with one live prepared statement", st["server.preparedMarked"])
 	}
 	// Re-preparing a name replaces the handle; a second connection's
 	// handles count until that connection goes away.
@@ -430,25 +430,25 @@ func TestWirePreparedStatements(t *testing.T) {
 	if err := other.Prepare("p", "SELECT a FROM t"); err != nil {
 		t.Fatal(err)
 	}
-	if st, err = cl.StatsV2(); err != nil || st.Server.PreparedMarked != 2 {
+	if st, err = cl.Stats(); err != nil || st["server.preparedMarked"] != 2 {
 		t.Fatalf("preparedMarked = %+v (err %v), want 2 across two connections", st, err)
 	}
 	other.Close()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if st, err = cl.StatsV2(); err != nil {
+		if st, err = cl.Stats(); err != nil {
 			t.Fatal(err)
 		}
-		if st.Server.PreparedMarked == 1 {
+		if st["server.preparedMarked"] == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("closed connection's prepared statement still counted: %d", st.Server.PreparedMarked)
+			t.Fatalf("closed connection's prepared statement still counted: %d", st["server.preparedMarked"])
 		}
 	}
 	if err := cl.Deallocate("above"); err != nil {
 		t.Fatal(err)
 	}
-	if st, err = cl.StatsV2(); err != nil || st.Server.PreparedMarked != 0 {
+	if st, err = cl.Stats(); err != nil || st["server.preparedMarked"] != 0 {
 		t.Fatalf("preparedMarked = %+v (err %v) after deallocate, want 0", st, err)
 	}
 	if _, err := cl.ExecPrepared("above", sqltypes.NewInt(2)); err == nil {
@@ -516,12 +516,12 @@ func TestCancelRace(t *testing.T) {
 	if resp.Rows[0][0].I != 20000 {
 		t.Fatalf("post-cancel count = %v", resp.Rows)
 	}
-	st, err := b.StatsV2()
+	st, err := b.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.Cancels != 1 {
-		t.Fatalf("cancels = %d, want 1", st.Server.Cancels)
+	if st["server.cancels"] != 1 {
+		t.Fatalf("cancels = %d, want 1", st["server.cancels"])
 	}
 	if err := b.Cancel("no-such-token"); err == nil {
 		t.Fatal("cancel with a bogus token must error")
@@ -551,12 +551,12 @@ func TestQueryTimeoutKill(t *testing.T) {
 	if err := drainUntilError(t, rows); err == nil || !strings.Contains(err.Error(), "deadline") {
 		t.Fatalf("overtime stream ended with %v, want deadline exceeded", err)
 	}
-	st, err := cl.StatsV2()
+	st, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.TimeoutKills != 1 {
-		t.Fatalf("timeoutKills = %d, want 1", st.Server.TimeoutKills)
+	if st["server.timeoutKills"] != 1 {
+		t.Fatalf("timeoutKills = %d, want 1", st["server.timeoutKills"])
 	}
 	// Fast statements still fit inside the budget.
 	if _, err := cl.Exec("SELECT COUNT(id) FROM big"); err != nil {
@@ -586,12 +586,12 @@ func TestGovernorBudgets(t *testing.T) {
 	if len(resp.Rows) != 1000 {
 		t.Fatalf("under-budget rows = %d", len(resp.Rows))
 	}
-	st, err := cl.StatsV2()
+	st, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.GovernorKills != 1 {
-		t.Fatalf("governorKills = %d, want 1", st.Server.GovernorKills)
+	if st["server.governorKills"] != 1 {
+		t.Fatalf("governorKills = %d, want 1", st["server.governorKills"])
 	}
 
 	// Byte budget, separately tuned server.
@@ -668,22 +668,22 @@ func TestSlowReaderBackpressure(t *testing.T) {
 	}
 	// Let the server run into the full transport buffers, then sample.
 	time.Sleep(150 * time.Millisecond)
-	st1, err := mon.StatsV2()
+	st1, err := mon.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(150 * time.Millisecond)
-	st2, err := mon.StatsV2()
+	st2, err := mon.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Server.StreamedRows != st1.Server.StreamedRows {
+	if st2["server.streamedRows"] != st1["server.streamedRows"] {
 		t.Fatalf("server kept streaming into a stalled reader: %d -> %d rows",
-			st1.Server.StreamedRows, st2.Server.StreamedRows)
+			st1["server.streamedRows"], st2["server.streamedRows"])
 	}
-	if st1.Server.StreamedRows >= nrows {
+	if st1["server.streamedRows"] >= nrows {
 		t.Fatalf("server buffered the whole %d-row result (%d streamed) with no reader",
-			nrows, st1.Server.StreamedRows)
+			nrows, st1["server.streamedRows"])
 	}
 	total := 0
 	for {

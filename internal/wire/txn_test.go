@@ -54,18 +54,18 @@ func TestSerializationErrorCode(t *testing.T) {
 	}
 
 	// The stats op surfaces the transaction counters.
-	st, err := c1.StatsV2()
+	st, err := c1.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Txn.Commits == 0 {
-		t.Fatalf("stats report no commits: %+v", st)
+	if st["txn.commits"] == 0 {
+		t.Fatalf("stats report no commits: %v", st)
 	}
-	if st.Txn.ConflictAborts == 0 {
-		t.Fatalf("stats report no conflict aborts: %+v", st)
+	if st["txn.conflictAborts"] == 0 {
+		t.Fatalf("stats report no conflict aborts: %v", st)
 	}
-	if st.Txn.ActiveTxns != 0 {
-		t.Fatalf("stats report %d active txns, want 0", st.Txn.ActiveTxns)
+	if st["txn.activeTxns"] != 0 {
+		t.Fatalf("stats report %d active txns, want 0", st["txn.activeTxns"])
 	}
 }
 
@@ -110,15 +110,15 @@ func TestStatsActiveTxn(t *testing.T) {
 	if _, err := c.Exec("BEGIN; INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.StatsV2()
+	st, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Txn.ActiveTxns != 1 {
-		t.Fatalf("ActiveTxns = %d, want 1", st.Txn.ActiveTxns)
+	if st["txn.activeTxns"] != 1 {
+		t.Fatalf("txn.activeTxns = %d, want 1", st["txn.activeTxns"])
 	}
-	if st.Txn.OldestSnapshotMS < 0 {
-		t.Fatalf("OldestSnapshotMS = %d", st.Txn.OldestSnapshotMS)
+	if st["txn.oldestSnapshotMS"] < 0 {
+		t.Fatalf("txn.oldestSnapshotMS = %d", st["txn.oldestSnapshotMS"])
 	}
 	if _, err := c.Exec("COMMIT"); err != nil {
 		t.Fatal(err)

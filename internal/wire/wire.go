@@ -29,8 +29,8 @@
 //	                              committed rows (see Server.drain)
 //	tables                     -> list table names
 //	ping                       -> liveness check
-//	stats                      -> namespaced counters: server.*, txn.*,
-//	                              storage.* (WAL/checkpoints), ivm.*
+//	stats                      -> the DB's counter registry as one flat
+//	                              name -> value map (docs/OPERATIONS.md)
 //	token                      -> this session's cancellation token
 //	cancel(token)              -> interrupt that session's statement
 //	prepare(name, sql)         -> parse once
@@ -125,68 +125,15 @@ type DrainTable struct {
 	Rows  []sqltypes.Row `json:"rows,omitempty"`
 }
 
-// ServerStats is the "server.*" group of StatsV2: connection admission,
-// plan cache, streaming, and governor counters.
-type ServerStats struct {
-	ActiveConns     int   `json:"activeConns"`
-	TotalConns      int64 `json:"totalConns"`
-	RejectedConns   int64 `json:"rejectedConns"`
-	PlanCacheSize   int   `json:"planCacheSize"`
-	PlanCacheHits   int64 `json:"planCacheHits"`
-	PlanCacheMiss   int64 `json:"planCacheMiss"`
-	PreparedMarked  int   `json:"preparedMarked"` // live connection-scoped prepared statements
-	GovernorKills   int64 `json:"governorKills"`
-	TimeoutKills    int64 `json:"timeoutKills"`
-	Cancels         int64 `json:"cancels"`
-	StreamedBatches int64 `json:"streamedBatches"`
-	StreamedRows    int64 `json:"streamedRows"`
-
-	// Degraded reports the engine is in read-only degraded mode after a
-	// sticky storage failure (writes fail fast with SQLSTATE 58030 until
-	// an operator re-attaches a healthy backend; reads keep serving).
-	Degraded bool `json:"degraded"`
-	// PanicsRecovered counts panics caught at the statement or
-	// connection boundary (surfaced to the client as SQLSTATE XX000).
-	PanicsRecovered int64 `json:"panicsRecovered"`
-	// FaultInjected counts fired failpoints process-wide; always 0 in
-	// production (the fault framework is disabled unless armed).
-	FaultInjected int64 `json:"faultInjected"`
-}
-
-// TxnStats is the "txn.*" group of StatsV2: MVCC transaction counters.
-type TxnStats struct {
-	ActiveTxns       int64 `json:"activeTxns"`
-	OldestSnapshotMS int64 `json:"oldestSnapshotMS"`
-	Commits          int64 `json:"commits"`
-	ConflictAborts   int64 `json:"conflictAborts"`
-	GCVersions       int64 `json:"gcVersions"`
-}
-
-// StorageStats is the "storage.*" group of StatsV2: durability counters
-// from the attached storage backend. With the default in-memory backend
-// Durable is false and the counters stay zero (lastCheckpointMS = -1).
-type StorageStats struct {
-	Durable                 bool  `json:"durable"`
-	WALBytes                int64 `json:"walBytes"`
-	WALRecords              int64 `json:"walRecords"`
-	Fsyncs                  int64 `json:"fsyncs"`
-	GroupCommitBatches      int64 `json:"groupCommitBatches"`
-	Checkpoints             int64 `json:"checkpoints"`
-	LastCheckpointMS        int64 `json:"lastCheckpointMS"`
-	RecoveryReplayedRecords int64 `json:"recoveryReplayedRecords"`
-	RecoveryReplayedBytes   int64 `json:"recoveryReplayedBytes"`
-}
-
-// StatsV2 is the namespaced counter snapshot returned by {"op":"stats"}
-// (Version stays 2; the flat shape that was version 1 is gone). Counters
-// are grouped by subsystem so new groups can be added without colliding
-// with existing field names.
+// StatsV2 holds the server.* counters of a stats answer that the
+// repository benchmark reads (Client.StatsV2).
 type StatsV2 struct {
-	Version int             `json:"version"`
-	Server  ServerStats     `json:"server"`
-	Txn     TxnStats        `json:"txn"`
-	Storage StorageStats    `json:"storage"`
-	Ivm     engine.IVMStats `json:"ivm"`
+	Server ServerStats
+}
+
+// ServerStats is StatsV2's server.* group.
+type ServerStats struct {
+	StreamedBatches, GovernorKills int64
 }
 
 // Response is one server->client message.
@@ -198,7 +145,7 @@ type Response struct {
 	RowsAffected int                `json:"rowsAffected,omitempty"`
 	Schema       []ColumnDesc       `json:"schema,omitempty"`
 	Tables       []string           `json:"tables,omitempty"`
-	StatsV2      *StatsV2           `json:"statsV2,omitempty"`
+	Stats        map[string]int64   `json:"stats,omitempty"`
 	Token        string             `json:"token,omitempty"`
 	Drain        *DrainBatch        `json:"drain,omitempty"`
 }
@@ -238,15 +185,14 @@ type Server struct {
 	// leaks no goroutines" is a structural property, not a timing one.
 	wg sync.WaitGroup
 
-	totalConns    int64
-	rejectedConns int64
-
+	// Counters, registered under server.* by NewServer.
+	totalConns      atomic.Int64
+	rejectedConns   atomic.Int64
 	governorKills   atomic.Int64
 	timeoutKills    atomic.Int64
 	cancels         atomic.Int64
 	streamedBatches atomic.Int64
 	streamedRows    atomic.Int64
-	panics          atomic.Int64
 	preparedLive    atomic.Int64 // connection-scoped prepared handles alive
 
 	// retained holds, per drained table (lower-cased name), the rows last
@@ -270,9 +216,24 @@ type servedConn struct {
 	busy atomic.Bool
 }
 
-// NewServer wraps db.
+// NewServer wraps db and enters the server's counters into its registry.
 func NewServer(db *engine.DB) *Server {
-	return &Server{DB: db, conns: map[net.Conn]*servedConn{}, retained: map[string]retainedDrain{}}
+	s := &Server{DB: db, conns: map[net.Conn]*servedConn{}, retained: map[string]retainedDrain{}}
+	r := db.Metrics()
+	r.Register("server.activeConns", func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return int64(len(s.conns))
+	})
+	r.Register("server.totalConns", s.totalConns.Load)
+	r.Register("server.rejectedConns", s.rejectedConns.Load)
+	r.Register("server.preparedMarked", s.preparedLive.Load)
+	r.Register("server.governorKills", s.governorKills.Load)
+	r.Register("server.timeoutKills", s.timeoutKills.Load)
+	r.Register("server.cancels", s.cancels.Load)
+	r.Register("server.streamedBatches", s.streamedBatches.Load)
+	r.Register("server.streamedRows", s.streamedRows.Load)
+	return s
 }
 
 // Listen starts serving on addr ("127.0.0.1:0" picks a free port) and
@@ -311,7 +272,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			return
 		}
 		if s.MaxConns > 0 && len(s.conns) >= s.MaxConns {
-			s.rejectedConns++
+			s.rejectedConns.Add(1)
 			s.mu.Unlock()
 			// Reject loudly: one error frame, then close. A silently
 			// dropped connection looks like a network fault to the client.
@@ -326,7 +287,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		}
 		sc := &servedConn{conn: conn, sess: s.DB.NewSession()}
 		s.conns[conn] = sc
-		s.totalConns++
+		s.totalConns.Add(1)
 		s.wg.Add(1)
 		s.mu.Unlock()
 		go s.serveConn(sc)
@@ -361,7 +322,7 @@ func (s *Server) serveConn(sc *servedConn) {
 		// takes down this connection only — the session rolls back, the
 		// connection closes, every other client keeps its server.
 		if r := recover(); r != nil {
-			s.panics.Add(1)
+			s.DB.NotePanic()
 			writeResponseFrame(conn, &Response{
 				Error: fmt.Sprintf("wire: internal error: %v", r),
 				Code:  enginerr.CodeInternal,
@@ -414,7 +375,7 @@ func (s *Server) handle(sess *engine.Session, req *Request) *Response {
 	case opTables:
 		return &Response{Tables: s.DB.Catalog().TableNames()}
 	case opStats:
-		return &Response{StatsV2: s.snapshotStatsV2()}
+		return &Response{Stats: s.DB.Metrics().Snapshot()}
 	case opToken:
 		return &Response{Token: sess.Token()}
 	case opCancel:
@@ -470,53 +431,6 @@ func (s *Server) drain(sess *engine.Session, req *Request) (*DrainBatch, error) 
 		}
 	}
 	return batch, nil
-}
-
-// snapshotStatsV2 assembles the namespaced counter snapshot.
-func (s *Server) snapshotStatsV2() *StatsV2 {
-	cs := s.DB.StmtCacheStats()
-	st := &StatsV2{Version: 2}
-	s.mu.Lock()
-	st.Server = ServerStats{
-		ActiveConns:    len(s.conns),
-		TotalConns:     s.totalConns,
-		RejectedConns:  s.rejectedConns,
-		PlanCacheSize:  cs.Entries,
-		PlanCacheHits:  cs.Hits,
-		PlanCacheMiss:  cs.Misses,
-		PreparedMarked: int(s.preparedLive.Load()),
-	}
-	s.mu.Unlock()
-	st.Server.GovernorKills = s.governorKills.Load()
-	st.Server.TimeoutKills = s.timeoutKills.Load()
-	st.Server.Cancels = s.cancels.Load()
-	st.Server.StreamedBatches = s.streamedBatches.Load()
-	st.Server.StreamedRows = s.streamedRows.Load()
-	st.Server.Degraded = s.DB.Degraded()
-	st.Server.PanicsRecovered = s.panics.Load() + s.DB.RecoveredPanics()
-	st.Server.FaultInjected = fault.Injected()
-	ts := s.DB.TxnStats()
-	st.Txn = TxnStats{
-		ActiveTxns:       ts.ActiveTxns,
-		OldestSnapshotMS: ts.OldestSnapshotMS,
-		Commits:          int64(ts.Commits),
-		ConflictAborts:   int64(ts.ConflictAborts),
-		GCVersions:       int64(ts.GCVersions),
-	}
-	ss := s.DB.StorageStats()
-	st.Storage = StorageStats{
-		Durable:                 ss.Durable,
-		WALBytes:                ss.WALBytes,
-		WALRecords:              ss.WALRecords,
-		Fsyncs:                  ss.Fsyncs,
-		GroupCommitBatches:      ss.GroupCommitBatches,
-		Checkpoints:             ss.Checkpoints,
-		LastCheckpointMS:        ss.LastCheckpointMS,
-		RecoveryReplayedRecords: ss.ReplayedRecords,
-		RecoveryReplayedBytes:   ss.ReplayedBytes,
-	}
-	st.Ivm = s.DB.IVMStats()
-	return st
 }
 
 // classifyKill records why a statement context died, if it did.
