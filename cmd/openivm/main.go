@@ -84,7 +84,7 @@ func run(schemaPath, viewPath string, demo bool) error {
 	fmt.Print(comp.SetupSQL())
 	fmt.Println("\n-- === initial population ===")
 	fmt.Print(comp.PopulateSQLText())
-	fmt.Println("\n-- === propagation script (run after filling the delta tables) ===")
+	fmt.Println("\n-- === propagation script (run after filling the delta tables, in one transaction) ===")
 	fmt.Print(comp.PropagateSQL())
 	return nil
 }

@@ -1110,11 +1110,13 @@ func (t *Table) UpdateTxn(tx *mvcc.Txn, keys []sqltypes.Value, pred func(sqltype
 }
 
 // quiescentLocked reports whether tx may take an irreversible in-place
-// fast path on this table: tx is an autocommit statement transaction (its
-// visibility window ends with the statement, and it is never rolled back
-// by its client), has not lost a conflict, and is the sole observer — no
-// other transaction, no registered snapshot — so nobody can tell the fast
-// path from versioned writes.
+// fast path on this table: tx carries the autocommit mark (an autocommit
+// statement, or an extension's internal transaction such as a refresh:
+// never rolled back by a client), has not lost a conflict, and is the sole
+// observer — no other transaction, no registered snapshot — so nobody who
+// is reading can tell the fast path from versioned writes. A transaction
+// that begins after the write and before the commit sees it, as it sees a
+// commit made before it began.
 func (t *Table) quiescentLocked(tx *mvcc.Txn) bool {
 	return tx.AutoCommit() && !tx.Doomed() && t.mv.OnlyActive(tx)
 }

@@ -221,3 +221,74 @@ func TestCursorHoldsCompaction(t *testing.T) {
 		t.Errorf("the first sweep after the close kept %d of %d slots", len(tbl.rows), slots)
 	}
 }
+
+// TestSweepBesideBegin races a reader that begins transactions, a deleter
+// that retires one version per commit (a delete and the key's reinsert, in
+// one transaction) and forced sweeps. Every key is live at every
+// timestamp, so each snapshot must see all of them: a Begin whose read
+// timestamp was taken before a sweep's watermark saw the new transaction
+// would lose the version its snapshot needs.
+func TestSweepBesideBegin(t *testing.T) {
+	const keys = 8
+	tbl := testTable(t)
+	mgr := tbl.mv
+	for i := int64(0); i < keys; i++ {
+		if err := tbl.Insert(row(i, "v", 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{}, 2)
+	go func() { // deleter
+		defer func() { done <- struct{}{} }()
+		for n := int64(0); ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := n % keys
+			tx := mgr.Begin()
+			_, err := tbl.DeleteTxn(tx, nil, func(r sqltypes.Row) (bool, error) { return r[0].I == k, nil })
+			if err == nil {
+				err = tbl.InsertTxn(tx, row(k, "v", float64(n)))
+			}
+			if err != nil {
+				mgr.Abort(tx)
+				t.Error(err)
+				return
+			}
+			if err := mgr.Commit(tx); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // forced sweeps
+		defer func() { done <- struct{}{} }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				mgr.Vacuum()
+				runtime.Gosched()
+			}
+		}
+	}()
+	var c Cursor
+	for i := 0; i < 20_000 && !t.Failed(); i++ {
+		tx := mgr.Begin()
+		runtime.Gosched() // let a commit and a sweep run before the read
+		tbl.Open(&c, tx.Snapshot(), nil)
+		rows, _ := c.Next(nil, 1<<20, nil)
+		c.Close()
+		mgr.Abort(tx)
+		if len(rows) != keys {
+			t.Errorf("snapshot %d sees %d rows, want %d", tx.ReadTS, len(rows), keys)
+		}
+	}
+	close(stop)
+	<-done
+	<-done
+}

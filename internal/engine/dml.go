@@ -204,7 +204,7 @@ func (s *Session) conflictSets(ent *planEntry, tbl *catalog.Table, oc *sqlparser
 	for _, c := range tbl.Columns {
 		schema = append(schema, plan.ColumnInfo{Table: "excluded", Name: c.Name, Type: c.Type})
 	}
-	sets, err := bindSetList(s.newBinder(&ent.params), tbl, oc.Set, schema)
+	sets, err := bindSetList(s.newBinder(ent, &ent.params), tbl, oc.Set, schema)
 	if err == nil {
 		err = runSubqueries(sets.exprs...)
 	}
@@ -308,7 +308,7 @@ func (s *Session) execUpdate(ctx context.Context, params *expr.ParamBinding, st 
 		return nil, err
 	}
 	schema := tableSchema(tbl)
-	b := s.newBinder(params)
+	b := s.newBinder(nil, params)
 
 	var pred expr.Expr
 	if st.Where != nil {
@@ -355,14 +355,14 @@ func (s *Session) execUpdate(ctx context.Context, params *expr.ParamBinding, st 
 	return &Result{RowsAffected: len(new_)}, nil
 }
 
-func (s *Session) execDelete(ctx context.Context, params *expr.ParamBinding, st *sqlparser.DeleteStmt) (*Result, error) {
+func (s *Session) execDelete(ctx context.Context, ent *planEntry, st *sqlparser.DeleteStmt) (*Result, error) {
 	tbl, err := s.writeTable(st.Table)
 	if err != nil {
 		return nil, err
 	}
 	var pred expr.Expr
 	if st.Where != nil {
-		pred, err = s.newBinder(params).BindExprSchema(st.Where, tableSchema(tbl))
+		pred, err = s.newBinder(ent, &ent.params).BindExprSchema(st.Where, tableSchema(tbl))
 		if err != nil {
 			return nil, err
 		}
@@ -405,8 +405,8 @@ func (s *Session) execTruncate(st *sqlparser.TruncateStmt) (*Result, error) {
 
 // truncate runs TRUNCATE, and DELETE without WHERE: storage clears the whole
 // table in one shot when nobody could observe the difference and no change
-// log needs its rows (IVM empties its scratch tables that way on every
-// refresh, and skips the row copy). A table with delete triggers takes the
+// log needs its rows (a drain empties a mirrored delta table that way, and
+// skips the row copy). A table with delete triggers takes the
 // versioned path: its handlers run after the truncate, in its transaction,
 // and can still abort it.
 func (s *Session) truncate(tbl *catalog.Table, table string) (*Result, error) {
@@ -579,8 +579,8 @@ func (s *Session) doomed(stmt sqlparser.Statement) bool {
 // BeginWrite returns the transaction a write runs under and a completion
 // func that takes the write's error and returns the statement's. It is the
 // one bracket every catalog write of the engine and its extensions goes
-// through: DML, trigger handlers (delta capture), the IVM extension's
-// scratch-table upkeep, the cross-system drain, recovery replay. A statement
+// through: DML, trigger handlers (delta capture), the cross-system drain,
+// recovery replay. A statement
 // either happens or does not. In autocommit the write is a transaction of
 // its own: completion delivers the statement's trigger events inside it,
 // then commits and waits for the commit's fsync — or, when the write or a
@@ -698,6 +698,11 @@ func (s *Session) execBegin() (*Result, error) {
 		return nil, fmt.Errorf("engine: transaction already in progress")
 	}
 	tx := s.db.cat.MVCC().Begin()
+	// An extension-internal transaction (a refresh group) is not rolled back
+	// by a client and is the only writer of the tables it writes: its
+	// writes take the in-place paths under the test an autocommit
+	// statement's do (catalog.Table.quiescentLocked).
+	tx.SetAutoCommit(s.internal)
 	s.txn = &txnState{mtx: tx, wal: s.walArm(tx)}
 	return &Result{}, nil
 }

@@ -298,8 +298,11 @@ func (db *DB) Exec(sql string) (*Result, error) {
 // read params (subqueries execute with the session's options and context,
 // at their statement's snapshot, their parameters reading the same
 // binding; Param nodes read it at Eval
-// time, so a cached plan re-executes against freshly bound values).
-func (s *Session) newBinder(params *expr.ParamBinding) *plan.Binder {
+// time, so a cached plan re-executes against freshly bound values). With
+// the statement's entry ent (nil when none), an IN subquery that is ent's
+// body is planned through the entry (planSelect), which keeps its plan for
+// the next execution.
+func (s *Session) newBinder(ent *planEntry, params *expr.ParamBinding) *plan.Binder {
 	b := plan.NewBinder(s.db.cat)
 	b.Params = params
 	b.SubqueryFn = func(sel *sqlparser.SelectStmt) (expr.Expr, error) {
@@ -312,7 +315,13 @@ func (s *Session) newBinder(params *expr.ParamBinding) *plan.Binder {
 			if done {
 				return cached, nil
 			}
-			n, err := s.bindSelect(sel, params)
+			var n plan.Node
+			var err error
+			if ent != nil {
+				n, err = s.planSelect(ent, sel)
+			} else {
+				n, err = s.bindSelect(sel, params)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -386,7 +395,7 @@ func (s *Session) explainWrite(params *expr.ParamBinding, verb, table string, wh
 		}
 		return "Scan" + verb + " " + tbl.Name, nil
 	}
-	pred, err := s.newBinder(params).BindExprSchema(where, tableSchema(tbl))
+	pred, err := s.newBinder(nil, params).BindExprSchema(where, tableSchema(tbl))
 	if err != nil {
 		return "", err
 	}
@@ -473,7 +482,7 @@ func (s *Session) execCreateTable(ctx context.Context, st *sqlparser.CreateTable
 	for _, cd := range st.Columns {
 		col := catalog.Column{Name: cd.Name, Type: cd.Type, NotNull: cd.NotNull}
 		if cd.Default != nil {
-			e, err := s.newBinder(&s.params).BindExprNoInput(cd.Default)
+			e, err := s.newBinder(nil, &s.params).BindExprNoInput(cd.Default)
 			if err != nil {
 				return nil, fmt.Errorf("engine: DEFAULT for %s: %w", cd.Name, err)
 			}

@@ -113,7 +113,7 @@ func TestPinnedKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred, err := s.newBinder(&s.params).BindExprSchema(stmt.(*sqlparser.DeleteStmt).Where, tableSchema(tbl))
+		pred, err := s.newBinder(nil, &s.params).BindExprSchema(stmt.(*sqlparser.DeleteStmt).Where, tableSchema(tbl))
 		if err != nil {
 			t.Fatalf("%s: %v", c.where, err)
 		}

@@ -34,10 +34,11 @@ import (
 type planEntry struct {
 	key  string // the statement's key (sqlparser.Lifted.Key); "" for a statement the cache does not hold
 	stmt sqlparser.Statement
-	// body is the statement's own SELECT — the statement itself, or the
-	// source of an INSERT — and node its plan, nil until planned or when
-	// the plan may not be executed twice (planCacheable); stamp is the
-	// schema epoch node was built under. sets is an INSERT's bound ON
+	// body is the statement's own SELECT — the statement itself, the
+	// source of an INSERT, or the subquery of a keyed DELETE (DELETE …
+	// USING, an IN (SELECT …) conjunct) — and node its plan, nil until
+	// planned or when the plan may not be executed twice (planCacheable);
+	// stamp is the schema epoch node was built under. sets is an INSERT's bound ON
 	// CONFLICT SET list, kept with node when every expression in it is
 	// expr.Stateless.
 	body  *sqlparser.SelectStmt
@@ -58,6 +59,15 @@ func newEntry(key []byte, stmt sqlparser.Statement) *planEntry {
 		ent.body = x
 	case *sqlparser.InsertStmt:
 		ent.body = x.Select
+	case *sqlparser.DeleteStmt:
+		for _, c := range sqlparser.Conjuncts(x.Where) {
+			if in, ok := c.(*sqlparser.InExpr); ok && len(in.List) == 1 {
+				if sq, ok := in.List[0].(*sqlparser.SubqueryExpr); ok {
+					ent.body = sq.Select
+					return ent
+				}
+			}
+		}
 	}
 	return ent
 }
@@ -289,7 +299,7 @@ func (s *Session) planSelect(ent *planEntry, sel *sqlparser.SelectStmt) (plan.No
 
 // bindSelect binds and optimizes sel, its parameters read from params.
 func (s *Session) bindSelect(sel *sqlparser.SelectStmt, params *expr.ParamBinding) (plan.Node, error) {
-	n, err := s.newBinder(params).BindSelect(sel)
+	n, err := s.newBinder(nil, params).BindSelect(sel)
 	if err != nil {
 		return nil, err
 	}

@@ -363,7 +363,7 @@ func (s *Session) execStmt(ctx context.Context, ent *planEntry) (*Result, error)
 	case *sqlparser.UpdateStmt:
 		return s.execUpdate(ctx, &ent.params, st)
 	case *sqlparser.DeleteStmt:
-		return s.execDelete(ctx, &ent.params, st)
+		return s.execDelete(ctx, ent, st)
 	case *sqlparser.TruncateStmt:
 		return s.execTruncate(st)
 	case *sqlparser.BeginStmt:

@@ -15,7 +15,7 @@ import (
 // handful of allocations per batch of rows instead of one per row. An
 // operator that knows how many rows it will carve says so (expect), and
 // the blocks for them are sized exactly, up to the batch size; otherwise
-// blocks grow from 16 rows by doubling up to the batch size, so operators
+// blocks grow from 4 rows by doubling up to the batch size, so operators
 // over tiny inputs (the common IVM delta shapes) don't pay for a full
 // block. Rows handed out are never reclaimed, so they stay valid after the
 // producing operator recycles its batch.
@@ -31,7 +31,7 @@ func newValueSlab(width, size int) valueSlab {
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
-	return valueSlab{width: width, max: size, next: min(16, size)}
+	return valueSlab{width: width, max: size, next: min(4, size)}
 }
 
 // expect tells the slab that n more rows are coming: blocks carved for

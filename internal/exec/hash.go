@@ -394,7 +394,7 @@ func newBatchJoin(j *plan.Join, opts Options) (BatchIterator, error) {
 	}
 	// Empty build side: unless the probe side must be preserved, the join
 	// can produce no rows at all, so skip reading the probe side entirely.
-	// This is the common shape of IVM join-delta terms where one delta
+	// This is the common shape of IVM product-rule terms where one delta
 	// table is empty.
 	if len(buildRows) == 0 && !it.probePreserve {
 		it.probeDone = true
@@ -405,7 +405,9 @@ func newBatchJoin(j *plan.Join, opts Options) (BatchIterator, error) {
 	it.algo = strategy.Algo
 	if it.algo == plan.IndexJoin {
 		it.probeDone = true
-		return it, it.fetchMatches(strategy, opts)
+		err := it.fetchMatches(strategy, opts)
+		it.slab.expect(len(it.fetched)) // a pair per match, and an outer join's unmatched build rows
+		return it, err
 	}
 	it.probe, err = openBatch(probeNode, opts)
 	if err != nil {
@@ -434,6 +436,7 @@ func (it *batchJoin) fetchMatches(s plan.JoinStrategy, opts Options) error {
 		return nil
 	}
 	slab := newValueSlab(len(scan.Projection), opts.BatchSize)
+	slab.expect(len(rows))
 	kept, lo := rows[:0], 0
 	for i, hi := range ends {
 		for _, r := range rows[lo:hi] {

@@ -86,7 +86,7 @@ const (
 	// IVM: a refresh's propagate path.
 	IVMSeal          = "ivm/seal"           // before a refresh takes its cut
 	IVMPropagateView = "ivm/propagate-view" // before one view's propagation body runs
-	IVMCombine       = "ivm/combine"        // after the group's bodies, before its change logs are trimmed
+	IVMCombine       = "ivm/combine"        // after the group's bodies, before its transaction commits
 )
 
 // Sentinel errors for the built-in actions. Sites that can simulate the

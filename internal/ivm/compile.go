@@ -160,9 +160,6 @@ func (c *Compiler) classify(comp *Compilation, sel *sqlparser.SelectStmt, outSch
 		}
 	}
 	isJoin := len(comp.Bases) == 2
-	if isJoin {
-		comp.JoinDelta = deltaPrefix + "join_" + comp.ViewName
-	}
 
 	switch {
 	case hasAgg && isJoin:
@@ -452,8 +449,7 @@ func (c *Compilation) hasMinMax() bool {
 }
 
 // genSetup builds the DDL script: the indexes the body probes its bases
-// by, ΔT per base table, V with its key index, and the join delta of a
-// two-table view.
+// by, ΔT per base table, and V with its key index.
 func (c *Compiler) genSetup(comp *Compilation) {
 	s := &duckast.Script{}
 
@@ -483,17 +479,6 @@ func (c *Compiler) genSetup(comp *Compilation) {
 		Key: viewColNames(comp.GroupColumns())})
 	if comp.Storage != comp.ViewName {
 		s.Add(comp.exposedView())
-	}
-
-	// The join delta of a two-table view: the values of the view columns
-	// it holds (joinDeltaColumns) and the multiplicity.
-	if comp.JoinDelta != "" {
-		var jd []duckast.ColumnDef
-		for _, col := range joinDeltaColumns(comp) {
-			jd = append(jd, duckast.ColumnDef{Name: joinDeltaColumn(col), Type: col.Type.String()})
-		}
-		jd = append(jd, duckast.ColumnDef{Name: MultiplicityColumn, Type: "BOOLEAN"})
-		s.Add(&duckast.CreateTable{Name: comp.JoinDelta, IfNotExists: true, Columns: jd})
 	}
 
 	comp.Setup = s

@@ -189,7 +189,8 @@ func TestHiddenCountSetup(t *testing.T) {
 
 // TestStep3Golden pins step 3 for every shape of group key: one keyed form
 // for every view class, DELETE … USING the keys of the retractions in ΔT
-// or in the join delta, matched NULL-safely. A view without GROUP BY has
+// or in a join's product-rule terms (each term's own retractions, filtered
+// on its delta side), matched NULL-safely. A view without GROUP BY has
 // none (want ""): it is one row that stays, and emptied its COUNTs read 0
 // and its SUMs NULL through their counts, so nothing follows its combine
 // but a MIN/MAX view's repair.
@@ -203,6 +204,11 @@ func TestStep3Golden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// retracted is a join's terms, each kept to its retractions, carrying
+	// the view columns cols besides a.x.
+	retracted := func(cols string) string {
+		return strings.ReplaceAll("(SELECT a.x AS x, {c}, a._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_a AS a JOIN b ON (a.x = b.x) WHERE a._duckdb_ivm_multiplicity = FALSE UNION ALL SELECT a.x AS x, {c}, b._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM a JOIN delta_b AS b ON (a.x = b.x) WHERE b._duckdb_ivm_multiplicity = FALSE UNION ALL SELECT a.x AS x, {c}, a._duckdb_ivm_multiplicity <> b._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_a AS a JOIN delta_b AS b ON (a.x = b.x) WHERE a._duckdb_ivm_multiplicity = b._duckdb_ivm_multiplicity) AS ivm_terms", "{c}", cols)
+	}
 	cases := []struct{ view, want string }{
 		{"CREATE MATERIALIZED VIEW one AS SELECT x, SUM(v) AS s, COUNT(*) AS n FROM a GROUP BY x",
 			"DELETE FROM one_ivm_storage USING (SELECT x AS x FROM delta_a AS a WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE one_ivm_storage.x IS NOT DISTINCT FROM ivm_del.x AND n = 0;"},
@@ -211,15 +217,15 @@ func TestStep3Golden(t *testing.T) {
 		{"CREATE MATERIALIZED VIEW tot AS SELECT SUM(v) AS s, COUNT(*) AS n FROM a", ""},
 		{"CREATE MATERIALIZED VIEW tot2 AS SELECT SUM(v) AS s, MAX(v) AS hi FROM a", ""},
 		{"CREATE MATERIALIZED VIEW ja AS SELECT a.x, SUM(b.w) AS s FROM a JOIN b ON a.x = b.x GROUP BY a.x",
-			"DELETE FROM ja_ivm_storage USING (SELECT x AS x FROM delta_join_ja WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE ja_ivm_storage.x IS NOT DISTINCT FROM ivm_del.x AND _duckdb_ivm_count = 0;"},
+			"DELETE FROM ja_ivm_storage USING (SELECT x AS x FROM " + retracted("b.w AS ivm_arg_0") + ") AS ivm_del WHERE ja_ivm_storage.x IS NOT DISTINCT FROM ivm_del.x AND _duckdb_ivm_count = 0;"},
 		{"CREATE MATERIALIZED VIEW ja2 AS SELECT a.x, a.y, COUNT(*) AS n FROM a JOIN b ON a.x = b.x GROUP BY a.x, a.y",
-			"DELETE FROM ja2 USING (SELECT x AS x, y AS y FROM delta_join_ja2 WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE ja2.x IS NOT DISTINCT FROM ivm_del.x AND ja2.y IS NOT DISTINCT FROM ivm_del.y AND n = 0;"},
+			"DELETE FROM ja2 USING (SELECT x AS x, y AS y FROM " + retracted("a.y AS y") + ") AS ivm_del WHERE ja2.x IS NOT DISTINCT FROM ivm_del.x AND ja2.y IS NOT DISTINCT FROM ivm_del.y AND n = 0;"},
 		// A projection or join view is grouped by all its columns (these have
 		// no key): a row leaves when its weight reaches 0, and not before.
 		{"CREATE MATERIALIZED VIEW pv AS SELECT x, v + 1 AS w FROM a WHERE y > 0",
 			"DELETE FROM pv_ivm_storage USING (SELECT x AS x, w AS w FROM (SELECT x AS x, (v + 1) AS w, _duckdb_ivm_multiplicity FROM delta_a AS a WHERE (y > 0)) AS ivm_rows WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE pv_ivm_storage.x IS NOT DISTINCT FROM ivm_del.x AND pv_ivm_storage.w IS NOT DISTINCT FROM ivm_del.w AND _duckdb_ivm_count = 0;"},
 		{"CREATE MATERIALIZED VIEW jv AS SELECT a.x, b.w FROM a JOIN b ON a.x = b.x",
-			"DELETE FROM jv_ivm_storage USING (SELECT x AS x, w AS w FROM delta_join_jv WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE jv_ivm_storage.x IS NOT DISTINCT FROM ivm_del.x AND jv_ivm_storage.w IS NOT DISTINCT FROM ivm_del.w AND _duckdb_ivm_count = 0;"},
+			"DELETE FROM jv_ivm_storage USING (SELECT x AS x, w AS w FROM " + retracted("b.w AS w") + ") AS ivm_del WHERE jv_ivm_storage.x IS NOT DISTINCT FROM ivm_del.x AND jv_ivm_storage.w IS NOT DISTINCT FROM ivm_del.w AND _duckdb_ivm_count = 0;"},
 	}
 	for _, c := range cases {
 		comp := compile(t, db, c.view)
@@ -285,9 +291,14 @@ func TestMinMaxRepairSQL(t *testing.T) {
 	}
 	prop = compile(t, db, `CREATE MATERIALIZED VIEW mm3 AS
 		SELECT b.x, MIN(a.v) AS lo, COUNT(*) AS n FROM a JOIN b ON a.x = b.x WHERE a.v > 0 GROUP BY b.x`).PropagateSQL()
-	if want := "FROM a JOIN b ON (a.x = b.x) JOIN (SELECT x AS ivm_g0 FROM delta_join_mm3 WHERE _duckdb_ivm_multiplicity = FALSE GROUP BY x) AS ivm_deleted " +
-		"ON b.x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 WHERE (a.v > 0) GROUP BY b.x ON CONFLICT (x) DO UPDATE SET lo = EXCLUDED.lo;"; !strings.Contains(prop, want) {
-		t.Errorf("join min/max repair missing %q:\n%s", want, prop)
+	for _, want := range []string{
+		"FROM a JOIN b ON (a.x = b.x) JOIN (SELECT x AS ivm_g0 FROM (SELECT b.x AS x, a.v AS ivm_arg_0, a._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity " +
+			"FROM delta_a AS a JOIN b ON (a.x = b.x) WHERE (a.v > 0) AND a._duckdb_ivm_multiplicity = FALSE UNION ALL ",
+		") AS ivm_terms GROUP BY x) AS ivm_deleted ON b.x IS NOT DISTINCT FROM ivm_deleted.ivm_g0 WHERE (a.v > 0) GROUP BY b.x ON CONFLICT (x) DO UPDATE SET lo = EXCLUDED.lo;",
+	} {
+		if !strings.Contains(prop, want) {
+			t.Errorf("join min/max repair missing %q:\n%s", want, prop)
+		}
 	}
 	prop = compile(t, db, `CREATE MATERIALIZED VIEW mm4 AS
 		SELECT t.x AS k, MAX(t.v) AS hi FROM a AS t WHERE t.v > 0 GROUP BY t.x`).PropagateSQL()
@@ -370,7 +381,7 @@ func TestJoinCompilationSQL(t *testing.T) {
 			t.Errorf("join propagation missing %q:\n%s", want, prop)
 		}
 	}
-	// The join delta folds into V grouped by all its columns (the view has
+	// The terms fold into V grouped by all the view's columns (the view has
 	// no key), each row's weight its signed count, and V is read through a
 	// plain view that repeats each row as many times as its weight.
 	for _, want := range []string{
@@ -381,34 +392,43 @@ func TestJoinCompilationSQL(t *testing.T) {
 			t.Errorf("join setup missing %q:\n%s", want, comp.SetupSQL())
 		}
 	}
+	const cols = "SELECT a.x AS x, a.v AS v, b.w AS w, "
 	if want := "INSERT INTO jv_ivm_storage (x, v, w, _duckdb_ivm_count) SELECT x AS x, v AS v, w AS w, " +
-		"SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -1 ELSE 1 END) AS _duckdb_ivm_count FROM delta_join_jv GROUP BY x, v, w " +
+		"SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -1 ELSE 1 END) AS _duckdb_ivm_count FROM (" +
+		cols + "a._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_a AS a JOIN b ON (a.x = b.x) UNION ALL " +
+		cols + "b._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM a JOIN delta_b AS b ON (a.x = b.x) UNION ALL " +
+		cols + "a._duckdb_ivm_multiplicity <> b._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_a AS a JOIN delta_b AS b ON (a.x = b.x)) AS ivm_terms GROUP BY x, v, w " +
 		"ON CONFLICT (x, v, w) DO UPDATE SET _duckdb_ivm_count = jv_ivm_storage._duckdb_ivm_count + EXCLUDED._duckdb_ivm_count;\n"; !strings.Contains(prop, want) {
 		t.Errorf("join combine is not\n%s\nin:\n%s", want, prop)
 	}
 	// A row leaves when its weight reaches 0, found NULL-safely by every
-	// column of the key.
-	if want := "\nDELETE FROM jv_ivm_storage USING (SELECT x AS x, v AS v, w AS w FROM delta_join_jv WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del " +
+	// column of the key among the terms' retractions.
+	if want := "\nDELETE FROM jv_ivm_storage USING (SELECT x AS x, v AS v, w AS w FROM (" +
+		cols + "a._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_a AS a JOIN b ON (a.x = b.x) WHERE a._duckdb_ivm_multiplicity = FALSE UNION ALL " +
+		cols + "b._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM a JOIN delta_b AS b ON (a.x = b.x) WHERE b._duckdb_ivm_multiplicity = FALSE UNION ALL " +
+		cols + "a._duckdb_ivm_multiplicity <> b._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_a AS a JOIN delta_b AS b ON (a.x = b.x) WHERE a._duckdb_ivm_multiplicity = b._duckdb_ivm_multiplicity) AS ivm_terms) AS ivm_del " +
 		"WHERE jv_ivm_storage.x IS NOT DISTINCT FROM ivm_del.x AND jv_ivm_storage.v IS NOT DISTINCT FROM ivm_del.v " +
 		"AND jv_ivm_storage.w IS NOT DISTINCT FROM ivm_del.w AND _duckdb_ivm_count = 0;\n"; !strings.Contains(prop, want) {
 		t.Errorf("join step 3 is not\n%s\nin:\n%s", want, prop)
 	}
 }
 
+// TestJoinAggregateIntermediateTable: a join aggregate keeps no
+// intermediate table. Its setup creates one ΔT per base and V, and its
+// body writes V alone, reading the product-rule terms where it uses them.
 func TestJoinAggregateIntermediateTable(t *testing.T) {
 	db := engine.Open("j", engine.DialectDuckDB)
 	db.Exec("CREATE TABLE a (x VARCHAR, v INTEGER)")
 	db.Exec("CREATE TABLE b (x VARCHAR, w INTEGER)")
 	comp := compile(t, db, `CREATE MATERIALIZED VIEW ja AS
 		SELECT a.x, SUM(b.w) AS s FROM a JOIN b ON a.x = b.x GROUP BY a.x`)
-	if comp.JoinDelta == "" {
-		t.Fatal("join aggregate should declare an intermediate table")
+	if n := strings.Count(comp.SetupSQL(), "CREATE TABLE"); n != 3 {
+		t.Errorf("setup creates %d tables, want ΔA, ΔB and V:\n%s", n, comp.SetupSQL())
 	}
-	if !strings.Contains(comp.SetupSQL(), "CREATE TABLE IF NOT EXISTS "+comp.JoinDelta) {
-		t.Errorf("intermediate table DDL missing:\n%s", comp.SetupSQL())
-	}
-	if !strings.Contains(comp.PropagateSQL(), "INSERT INTO "+comp.JoinDelta) {
-		t.Errorf("intermediate fill missing:\n%s", comp.PropagateSQL())
+	for _, st := range comp.Body.Stmts {
+		if sql := st.SQL(); !strings.HasPrefix(sql, "INSERT INTO ja_ivm_storage ") && !strings.HasPrefix(sql, "DELETE FROM ja_ivm_storage ") {
+			t.Errorf("the body writes another table than V: %s", sql)
+		}
 	}
 }
 

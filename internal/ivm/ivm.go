@@ -4,18 +4,18 @@
 //
 //  1. DDL declaring the indexes its body probes the base tables by, the
 //     delta tables ΔT (base columns plus a boolean multiplicity column),
-//     the table materializing V with the key index its upsert needs, and
-//     the join delta of a two-table view. Every view
-//     is grouped: a projection or join view by its key, or all its
-//     columns, with each row's weight (DBSP's Z-set) beside it;
+//     and the table materializing V with the key index its upsert needs.
+//     Every view is grouped: a projection or join view by its key, or all
+//     its columns, with each row's weight (DBSP's Z-set) beside it;
 //  2. a propagation script — plain SQL implementing the DBSP-style
 //     incremental form of the view query: (2) fold the delta into V,
-//     (3) delete invalidated rows from V, (4) truncate the join delta and
-//     ΔT.
+//     (3) delete invalidated rows from V, (4) truncate ΔT. It runs as one
+//     transaction, whose snapshot every statement reads the bases at.
 //
 // Listing 2's step 1, which aggregates ΔT into a table ΔV for steps 2 and
 // 3 to read back, is folded into the steps that read it: each aggregates
-// ΔT (or the join delta) where it needs it, so no ΔV table exists.
+// ΔT (or a join view's product-rule terms over it) where it needs it, so
+// no ΔV table exists.
 //
 // The script is the paper's, for any runtime that fills ΔT itself; the
 // embedded runtime (internal/ivmext) runs the body of it (Compilation.Body)
@@ -108,7 +108,7 @@ const (
 	// product rule: ΔV = ΔA⋈B' + A'⋈ΔB − ΔA⋈ΔB).
 	ClassJoin
 	// ClassJoinAggregate composes ClassJoin with ClassAggregate: the
-	// aggregate reads the join delta.
+	// aggregate reads the product rule's terms.
 	ClassJoinAggregate
 )
 
@@ -182,10 +182,6 @@ type Compilation struct {
 	Class    QueryClass
 
 	Bases []BaseTable
-	// JoinDelta is the join delta of a two-table view ("" otherwise): the
-	// product rule's three terms, filled once per refresh for the steps
-	// that read it.
-	JoinDelta string
 	// Storage is the table that physically materializes the view. It
 	// equals ViewName unless the view keeps hidden columns (a SUM's or
 	// AVG's SUM and COUNT parts, or the hidden row count): then a storage
@@ -210,10 +206,11 @@ type Compilation struct {
 	Setup     *duckast.Script
 	Propagate *duckast.Script
 	// Body is Propagate without step 4 — the same statement nodes, not a
-	// copy: the join delta's fill, then steps 2–3. It is what a runtime
-	// executes when it performs step 4 itself (truncating the join delta
-	// and ΔT through the catalog cannot fail halfway, so a script error
-	// never leaves scratch rows a retry would read twice).
+	// copy: steps 2–3. It is what a runtime executes when it performs step
+	// 4 itself, reading ΔT as a window it drops once applied. The runtime
+	// runs it in one transaction at the window's end, as the script must
+	// run: a failure anywhere keeps nothing of it, and the window stays for
+	// the retry.
 	Body *duckast.Script
 	// PopulateSQL fills V from the current base-table contents (initial
 	// materialization).

@@ -91,10 +91,6 @@ func TestViewKey(t *testing.T) {
 		if comp.Key == nil && len(key) != len(comp.Columns) || len(key) != len(comp.Key) && comp.Key != nil {
 			t.Errorf("%s: grouped by %v, key %v", c.def, key, comp.Key)
 		}
-		delta := "delta_join_kv"
-		if len(comp.Bases) == 1 {
-			delta = "(SELECT "
-		}
 		list := strings.Join(key, ", ")
 		items := make([]string, len(key))
 		for i, k := range key {
@@ -106,7 +102,7 @@ func TestViewKey(t *testing.T) {
 		prop := comp.PropagateSQL()
 		for _, want := range []string{
 			"ON CONFLICT (" + list + ") DO UPDATE SET ",
-			"DELETE FROM kv_ivm_storage USING (SELECT " + strings.Join(items, ", ") + " FROM " + delta,
+			"DELETE FROM kv_ivm_storage USING (SELECT " + strings.Join(items, ", ") + " FROM (SELECT ",
 			"kv_ivm_storage." + key[0] + " IS NOT DISTINCT FROM ivm_del." + key[0],
 		} {
 			if !strings.Contains(prop, want) {
@@ -136,8 +132,9 @@ func parseSelect(t *testing.T, def string) *sqlparser.SelectStmt {
 // TestKeyedGolden pins the whole compilation of a keyed projection view and
 // a keyed FK→PK join view: V's storage is grouped by the key with the row's
 // weight beside it (1 for every row the population inserts: the key is
-// unique), the join view fills its join delta with the product
-// rule's three terms, and step 2 is the one combine — the delta grouped by
+// unique), the join view reads its delta as the product rule's three terms
+// UNION ALL (its step 3 each term's retractions alone), and step 2 is the
+// one combine — the delta grouped by
 // the key, its signed weight added through ON CONFLICT, the other columns
 // taken from the key's surviving row (the rows that net above zero), a key
 // whose rows all net to zero left out — and step 3 deletes the retracted
@@ -151,6 +148,13 @@ func TestKeyedGolden(t *testing.T) {
 	const net = "SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -1 ELSE 1 END)"
 	const signed = "SUM(CASE WHEN _duckdb_ivm_multiplicity = FALSE THEN -1 ELSE 1 END) AS _duckdb_ivm_count"
 	const bigDelta = "(SELECT oid AS oid, cid AS cid, amount AS amount, _duckdb_ivm_multiplicity FROM delta_orders AS orders WHERE (amount >= 250)) AS ivm_rows"
+	const cols = "SELECT o.oid AS oid, c.region AS region, o.amount AS amount, "
+	const terms = "(" + cols + "o._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN customers AS c ON (o.cid = c.cid) UNION ALL " +
+		cols + "c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM orders AS o JOIN delta_customers AS c ON (o.cid = c.cid) UNION ALL " +
+		cols + "o._duckdb_ivm_multiplicity <> c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN delta_customers AS c ON (o.cid = c.cid)) AS ivm_terms"
+	const retracted = "(" + cols + "o._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN customers AS c ON (o.cid = c.cid) WHERE o._duckdb_ivm_multiplicity = FALSE UNION ALL " +
+		cols + "c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM orders AS o JOIN delta_customers AS c ON (o.cid = c.cid) WHERE c._duckdb_ivm_multiplicity = FALSE UNION ALL " +
+		cols + "o._duckdb_ivm_multiplicity <> c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN delta_customers AS c ON (o.cid = c.cid) WHERE o._duckdb_ivm_multiplicity = c._duckdb_ivm_multiplicity) AS ivm_terms"
 	cases := []struct{ view, setup, populate, prop string }{
 		{"CREATE MATERIALIZED VIEW big_orders AS SELECT oid, cid, amount FROM orders WHERE amount >= 250",
 			`CREATE TABLE IF NOT EXISTS delta_orders (oid BIGINT, cid BIGINT, amount BIGINT, _duckdb_ivm_multiplicity BOOLEAN);
@@ -165,15 +169,10 @@ DELETE FROM delta_orders;`},
 CREATE TABLE IF NOT EXISTS delta_orders (oid BIGINT, cid BIGINT, amount BIGINT, _duckdb_ivm_multiplicity BOOLEAN);
 CREATE TABLE IF NOT EXISTS delta_customers (cid BIGINT, region VARCHAR, _duckdb_ivm_multiplicity BOOLEAN);
 CREATE TABLE IF NOT EXISTS order_regions_ivm_storage (oid BIGINT, region VARCHAR, amount BIGINT, _duckdb_ivm_count BIGINT, UNIQUE NULLS NOT DISTINCT (oid));
-CREATE VIEW order_regions AS SELECT oid, region, amount FROM order_regions_ivm_storage;
-CREATE TABLE IF NOT EXISTS delta_join_order_regions (oid BIGINT, region VARCHAR, amount BIGINT, _duckdb_ivm_multiplicity BOOLEAN);`,
+CREATE VIEW order_regions AS SELECT oid, region, amount FROM order_regions_ivm_storage;`,
 			`INSERT INTO order_regions_ivm_storage SELECT o.oid AS oid, c.region AS region, o.amount AS amount, 1 AS _duckdb_ivm_count FROM orders AS o JOIN customers AS c ON (o.cid = c.cid);`,
-			`INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, o._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN customers AS c ON (o.cid = c.cid);
-INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM orders AS o JOIN delta_customers AS c ON (o.cid = c.cid);
-INSERT INTO delta_join_order_regions SELECT o.oid AS oid, c.region AS region, o.amount AS amount, o._duckdb_ivm_multiplicity <> c._duckdb_ivm_multiplicity AS _duckdb_ivm_multiplicity FROM delta_orders AS o JOIN delta_customers AS c ON (o.cid = c.cid);
-INSERT INTO order_regions_ivm_storage (oid, region, amount, _duckdb_ivm_count) SELECT ivm_delta.oid, ivm_new.region, ivm_new.amount, ivm_delta._duckdb_ivm_count FROM (SELECT oid AS oid, SIGNED FROM delta_join_order_regions GROUP BY oid) AS ivm_delta LEFT JOIN (SELECT oid, region, amount FROM delta_join_order_regions GROUP BY oid, region, amount HAVING NET > 0) AS ivm_new ON ivm_new.oid = ivm_delta.oid WHERE ivm_delta._duckdb_ivm_count <> 0 OR ivm_new.oid IS NOT NULL ON CONFLICT (oid) DO UPDATE SET region = EXCLUDED.region, amount = EXCLUDED.amount, _duckdb_ivm_count = order_regions_ivm_storage._duckdb_ivm_count + EXCLUDED._duckdb_ivm_count;
-DELETE FROM order_regions_ivm_storage USING (SELECT oid AS oid FROM delta_join_order_regions WHERE _duckdb_ivm_multiplicity = FALSE) AS ivm_del WHERE order_regions_ivm_storage.oid IS NOT DISTINCT FROM ivm_del.oid AND _duckdb_ivm_count = 0;
-DELETE FROM delta_join_order_regions;
+			`INSERT INTO order_regions_ivm_storage (oid, region, amount, _duckdb_ivm_count) SELECT ivm_delta.oid, ivm_new.region, ivm_new.amount, ivm_delta._duckdb_ivm_count FROM (SELECT oid AS oid, SIGNED FROM ` + terms + ` GROUP BY oid) AS ivm_delta LEFT JOIN (SELECT oid, region, amount FROM ` + terms + ` GROUP BY oid, region, amount HAVING NET > 0) AS ivm_new ON ivm_new.oid = ivm_delta.oid WHERE ivm_delta._duckdb_ivm_count <> 0 OR ivm_new.oid IS NOT NULL ON CONFLICT (oid) DO UPDATE SET region = EXCLUDED.region, amount = EXCLUDED.amount, _duckdb_ivm_count = order_regions_ivm_storage._duckdb_ivm_count + EXCLUDED._duckdb_ivm_count;
+DELETE FROM order_regions_ivm_storage USING (SELECT oid AS oid FROM ` + retracted + `) AS ivm_del WHERE order_regions_ivm_storage.oid IS NOT DISTINCT FROM ivm_del.oid AND _duckdb_ivm_count = 0;
 DELETE FROM delta_orders;
 DELETE FROM delta_customers;`},
 	}

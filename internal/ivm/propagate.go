@@ -12,21 +12,23 @@ import (
 
 // genPropagate builds the propagation script for the compiled view. There
 // is no step 1 (Listing 2's fill of ΔV): each statement reads its delta
-// where it uses it (deltaSource) — ΔT, or the join delta a two-table
-// view's script fills first from the product rule's three terms.
+// where it uses it (deltaSource) — ΔT, or a two-table view's product-rule
+// terms.
 //
 // Step 2  fold the delta into V (Listing 2's upsert, for every class);
 // Step 3  delete the groups whose row count reached zero;
-// Step 4  truncate the join delta and every ΔT.
+// Step 4  truncate every ΔT.
+//
+// The statements read the bases as well as ΔT (a join term's B', a MIN/MAX
+// repair's recompute), so they must read them at one snapshot, the one ΔT
+// ends at: the script runs as one transaction (REPEATABLE READ on
+// PostgreSQL).
 //
 // A projection or join view is a grouped view too: its group key is its
 // Key, or all its columns, and its row count is each row's weight (DBSP's
 // Z-set), so one combine and one emptiness rule serve every class.
 func (c *Compiler) genPropagate(comp *Compilation) {
 	body := &duckast.Script{}
-	if comp.JoinDelta != "" {
-		fillJoinDelta(comp, body)
-	}
 	d := deltaOf(comp)
 	emitCombine(comp, body, d)
 	if comp.hasMinMax() {
@@ -44,13 +46,10 @@ func (c *Compiler) genPropagate(comp *Compilation) {
 		body.Add(keyedDelete(comp, d))
 	}
 	comp.Body = body
-	// Propagate is Body's statement nodes followed by step 4: truncate the
-	// join delta, then every ΔT.
+	// Propagate is Body's statement nodes followed by step 4: truncate
+	// every ΔT.
 	full := &duckast.Script{}
 	full.Add(body.Stmts...)
-	if comp.JoinDelta != "" {
-		full.Add(&duckast.Delete{Table: comp.JoinDelta})
-	}
 	for _, b := range comp.Bases {
 		full.Add(&duckast.Delete{Table: b.Delta})
 	}
@@ -59,37 +58,48 @@ func (c *Compiler) genPropagate(comp *Compilation) {
 
 // deltaSource is what a view's body reads its changes from: ΔT of a
 // single-table view through the view's WHERE (a projection view's rows
-// named as its columns, viewRows), or the join delta of a two-table view,
-// whose rows passed the WHERE when it was filled.
+// named as its columns, viewRows), or a two-table view's product-rule terms
+// (joinTerms).
 type deltaSource struct {
-	from, where string
-	// expr is a view column's value over a row of from: a group key's or a
-	// projected column's, or an aggregate's argument.
+	// rows renders the FROM clause of the delta's rows, or of its
+	// retractions alone.
+	rows func(retracted bool) string
+	// expr is a view column's value over a row of the delta: a group key's
+	// or a projected column's, or an aggregate's argument.
 	expr func(ViewColumn) string
 }
 
 // deltaOf returns the view's delta source.
 func deltaOf(comp *Compilation) deltaSource {
-	if comp.JoinDelta != "" {
-		return deltaSource{from: comp.JoinDelta, expr: joinDeltaColumn}
+	if len(comp.Bases) == 2 {
+		return deltaSource{rows: func(retracted bool) string { return joinTerms(comp, retracted) }, expr: termColumn}
 	}
-	from := comp.Bases[0].as(comp.Bases[0].Delta)
+	from, where := comp.Bases[0].as(comp.Bases[0].Delta), whereSQL(comp)
+	expr := func(col ViewColumn) string { return col.SourceSQL }
 	if comp.Class == ClassProjection {
-		return deltaSource{from: viewRows(comp, from, MultiplicityColumn),
-			expr: func(col ViewColumn) string { return col.Name }}
+		from, where = viewRows(comp, from, MultiplicityColumn), ""
+		expr = func(col ViewColumn) string { return col.Name }
 	}
-	return deltaSource{from: from, where: whereSQL(comp),
-		expr: func(col ViewColumn) string { return col.SourceSQL }}
+	return deltaSource{expr: expr, rows: func(retracted bool) string {
+		if retracted {
+			return filtered(from, where, MultiplicityColumn+" = FALSE")
+		}
+		return filtered(from, where)
+	}}
 }
 
-// rows renders the FROM clause of the source's rows that also satisfy cond
-// ("" for all of them).
-func (d deltaSource) rows(cond string) string {
-	conds := slices.DeleteFunc([]string{d.where, cond}, func(c string) bool { return c == "" })
-	if len(conds) == 0 {
-		return d.from
+// filtered renders the FROM clause of from's rows that satisfy conds.
+func filtered(from string, conds ...string) string {
+	if c := conjunction(conds...); c != "" {
+		return from + " WHERE " + c
 	}
-	return d.from + " WHERE " + strings.Join(conds, " AND ")
+	return from
+}
+
+// conjunction joins the conditions that are not "" with AND ("" when none
+// is).
+func conjunction(conds ...string) string {
+	return strings.Join(slices.DeleteFunc(conds, func(c string) bool { return c == "" }), " AND ")
 }
 
 // exprs maps expr over cols.
@@ -107,7 +117,7 @@ func (d deltaSource) exprs(cols []ViewColumn) []string {
 // DISTINCT FROM, which reaches a NULL-keyed group too through V's key index.
 func keyedDelete(comp *Compilation, d deltaSource) *duckast.Delete {
 	groups := comp.GroupColumns()
-	keys := &duckast.Select{Items: aliased(d.exprs(groups), groups), From: &duckast.Raw{Text: d.rows(MultiplicityColumn + " = FALSE")}}
+	keys := &duckast.Select{Items: aliased(d.exprs(groups), groups), From: &duckast.Raw{Text: d.rows(true)}}
 	var on []string
 	for _, g := range viewColNames(groups) {
 		on = append(on, fmt.Sprintf("%s.%s IS NOT DISTINCT FROM ivm_del.%s", comp.Storage, g, g))
@@ -205,7 +215,7 @@ func emitCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 	}
 	groupNames := viewColNames(groups)
 
-	delta := &duckast.Select{From: &duckast.Raw{Text: d.rows("")}}
+	delta := &duckast.Select{From: &duckast.Raw{Text: d.rows(false)}}
 	for _, g := range d.exprs(groups) {
 		delta.GroupBy = append(delta.GroupBy, &duckast.Raw{Text: g})
 	}
@@ -233,7 +243,7 @@ func emitCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 			on[i] = fmt.Sprintf("ivm_new.%s = ivm_delta.%s", g, g)
 		}
 		sel.From = &duckast.Raw{Text: fmt.Sprintf("(%s) AS ivm_delta LEFT JOIN (%s) AS ivm_new ON %s",
-			delta.SQL(), netRows(comp, d.rows("")).SQL(), strings.Join(on, " AND "))}
+			delta.SQL(), netRows(comp, d.rows(false)).SQL(), strings.Join(on, " AND "))}
 		sel.Where = &duckast.Raw{Text: fmt.Sprintf("ivm_delta.%s <> 0 OR ivm_new.%s IS NOT NULL", emptyGroupColumn(comp), groupNames[0])}
 		ins.Select = sel
 	}
@@ -262,7 +272,7 @@ func netRows(comp *Compilation, from string) *duckast.Select {
 func emitGlobalCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 	up := &duckast.Update{Table: comp.Storage}
 	for _, col := range comp.StorageColumns() {
-		dc := fmt.Sprintf("(SELECT %s FROM %s)", signedDeltaSQL(col, d.expr(col)), d.rows(""))
+		dc := fmt.Sprintf("(SELECT %s FROM %s)", signedDeltaSQL(col, d.expr(col)), d.rows(false))
 		if col.Agg == expr.AggCount || col.Agg == expr.AggCountStar {
 			dc = "COALESCE(" + dc + ", 0)"
 		}
@@ -285,7 +295,7 @@ func emitGlobalCombine(comp *Compilation, s *duckast.Script, d deltaSource) {
 // cost its group's rows too, and the whole base in a view without GROUP BY.
 func emitMinMaxRepair(comp *Compilation, s *duckast.Script, d deltaSource) {
 	groups := comp.GroupColumns()
-	deleted := d.rows(MultiplicityColumn + " = FALSE")
+	deleted := d.rows(true)
 	from := fromSQL(comp)
 	cols := viewColNames(comp.StorageColumns())
 	if len(groups) == 0 {
@@ -331,62 +341,53 @@ func emptyGroupColumn(comp *Compilation) string {
 
 // --- join views -------------------------------------------------------------
 
-// joinDeltaColumn names the join-delta column that holds a view column's
-// value: the column's own name, or ivm_arg_<i> for the argument of the
-// view's i-th aggregate (no column for COUNT(*)).
-func joinDeltaColumn(col ViewColumn) string {
+// termColumn names the column of the product-rule terms that holds a view
+// column's value: the column's own name, or ivm_arg_<i> for the argument of
+// the view's i-th aggregate (no column for COUNT(*)).
+func termColumn(col ViewColumn) string {
 	if col.HasAgg {
 		return fmt.Sprintf("ivm_arg_%d", col.ArgIdx)
 	}
 	return col.Name
 }
 
-// joinDeltaColumns lists the view columns whose values the join delta
-// holds: every column of a join view; the group keys and the aggregate
-// arguments of a join-aggregate view.
-func joinDeltaColumns(comp *Compilation) []ViewColumn {
-	if comp.Class == ClassJoin {
-		return comp.Columns
-	}
-	var out []ViewColumn
-	for _, col := range comp.Columns {
-		if !col.HasAgg || col.SourceSQL != "" {
-			out = append(out, col)
-		}
-	}
-	return out
-}
-
-// fillJoinDelta fills the join delta once per refresh with the DBSP
-// product-rule terms (ΔA ⋈ B'), (A' ⋈ ΔB) and (ΔA ⋈ ΔB), whose
-// multiplicities are ΔA.m, ΔB.m and (ΔA.m <> ΔB.m) — the last term
+// joinTerms renders a two-table view's delta as a derived table: the DBSP
+// product-rule terms (ΔA ⋈ B'), (A' ⋈ ΔB) and (ΔA ⋈ ΔB), UNION ALL, whose
+// multiplicities are ΔA.m, ΔB.m and ΔA.m <> ΔB.m — the last term
 // compensates for the deltas already being applied to the (post-state)
-// base tables. Steps 2 and 3 read the table rather than each re-deriving
-// the terms, so both see the same join delta whatever commits between
-// them.
-func fillJoinDelta(comp *Compilation, s *duckast.Script) {
+// bases. Every statement of the body that reads the delta re-derives the
+// terms; they agree because the body reads the bases at one snapshot.
+// With retracted, each term keeps only its retractions, filtered on its
+// delta side (the third's, where ΔA.m <> ΔB.m is FALSE, are the rows whose
+// two sides agree), so a scan of ΔT drops the insertions before any join.
+func joinTerms(comp *Compilation, retracted bool) string {
 	jt := comp.Select.From.(*sqlparser.JoinTable)
 	a, b := comp.Bases[0], comp.Bases[1]
 	on := joinOnSQL(jt, a.Alias, b.Alias)
 	w := whereSQL(comp)
-	cols := joinDeltaColumns(comp)
-	names := make([]string, len(cols))
-	for i, col := range cols {
-		names[i] = joinDeltaColumn(col)
-	}
-	term := func(left, right, multExpr string) {
-		sel := &duckast.Select{From: &duckast.Raw{Text: left + " JOIN " + right + " ON " + on}}
-		for i, col := range cols {
-			sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: names[i]})
-		}
-		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: multExpr}, Alias: MultiplicityColumn})
-		if w != "" {
-			sel.Where = &duckast.Raw{Text: w}
-		}
-		s.Add(&duckast.Insert{Table: comp.JoinDelta, Select: sel})
-	}
 	ma, mb := a.Alias+"."+MultiplicityColumn, b.Alias+"."+MultiplicityColumn
-	term(a.as(a.Delta), b.as(b.Name), ma)
-	term(a.as(a.Name), b.as(b.Delta), mb)
-	term(a.as(a.Delta), b.as(b.Delta), ma+" <> "+mb)
+	terms := []struct{ left, right, mult, retract string }{
+		{a.as(a.Delta), b.as(b.Name), ma, ma + " = FALSE"},
+		{a.as(a.Name), b.as(b.Delta), mb, mb + " = FALSE"},
+		{a.as(a.Delta), b.as(b.Delta), ma + " <> " + mb, ma + " = " + mb},
+	}
+	arms := make([]string, len(terms))
+	for i, term := range terms {
+		sel := &duckast.Select{From: &duckast.Raw{Text: term.left + " JOIN " + term.right + " ON " + on}}
+		for _, col := range comp.Columns {
+			if col.SourceSQL != "" { // every column but a COUNT(*)
+				sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: col.SourceSQL}, Alias: termColumn(col)})
+			}
+		}
+		sel.Items = append(sel.Items, duckast.SelectItem{Expr: &duckast.Raw{Text: term.mult}, Alias: MultiplicityColumn})
+		retract := ""
+		if retracted {
+			retract = term.retract
+		}
+		if cond := conjunction(w, retract); cond != "" {
+			sel.Where = &duckast.Raw{Text: cond}
+		}
+		arms[i] = sel.SQL()
+	}
+	return "(" + strings.Join(arms, " UNION ALL ") + ") AS ivm_terms"
 }

@@ -178,10 +178,11 @@ func TestCaptureOutlivesItsFrozenGeneration(t *testing.T) {
 }
 
 // TestFailedBodyKeepsItsWindow fails the propagation body of one of two
-// views over one base while writes keep arriving. The failed view's from
-// and the log's entries must stay where they were; the next refresh
-// applies the failed view's window to it alone, and the newer writes to
-// both.
+// views over one base while writes keep arriving. A refresh group is one
+// transaction, so the failure keeps nothing of it: both views keep their
+// from, V as it was, and the log every entry; the next refresh runs both
+// bodies, over the old changes and the newer ones, and each view equals its
+// query.
 func TestFailedBodyKeepsItsWindow(t *testing.T) {
 	db, ext := setup(t)
 	defer fault.Reset()
@@ -189,37 +190,41 @@ func TestFailedBodyKeepsItsWindow(t *testing.T) {
 		COUNT(*) AS n FROM groups GROUP BY group_index`)
 	mustExec(t, db, `CREATE MATERIALIZED VIEW v_sum AS SELECT group_index,
 		SUM(group_value) AS total_value FROM groups GROUP BY group_index`)
-	f := feedOf(t, ext, "delta_groups")
 	mustExec(t, db, "INSERT INTO groups VALUES ('a', 1), ('a', 2), ('b', 10)")
 	cnt, sum := ext.view("v_cnt"), ext.view("v_sum")
-	from := sum.from.Load()
+	cntFrom, sumFrom := cnt.from.Load(), sum.from.Load()
+	cntTotal, sumTotal := viewTotal(t, db, cnt.comp.Storage), viewTotal(t, db, sum.comp.Storage)
 
-	// A group applies its views in name order: v_cnt lands, v_sum fails.
+	// A group applies its views in name order: v_cnt's body runs, v_sum's
+	// fails.
 	if err := fault.Activate(fault.IVMPropagateView, "error(boom)@after1@times1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := ext.Refresh("v_sum"); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("refresh error = %v, want the injected failure", err)
 	}
-	if cnt.from.Load() != f.log.LastTS() || sum.from.Load() != from {
-		t.Fatalf("after the failed body: v_cnt from %d, v_sum from %d; want v_cnt at the cut %d and v_sum still at %d",
-			cnt.from.Load(), sum.from.Load(), f.log.LastTS(), from)
+	if cnt.from.Load() != cntFrom || sum.from.Load() != sumFrom {
+		t.Fatalf("after the failed body: v_cnt from %d, v_sum from %d; want both where they were, %d and %d",
+			cnt.from.Load(), sum.from.Load(), cntFrom, sumFrom)
+	}
+	if got, got2 := viewTotal(t, db, cnt.comp.Storage), viewTotal(t, db, sum.comp.Storage); got != cntTotal || got2 != sumTotal {
+		t.Fatalf("after the failed body the views total %d and %d, want %d and %d as before", got, got2, cntTotal, sumTotal)
 	}
 	if n := count(t, db, "SELECT COUNT(*) FROM delta_groups"); n != 3 {
-		t.Fatalf("the log keeps %d entries after the failed body, want the 3 v_sum has yet to apply", n)
+		t.Fatalf("the log keeps %d entries after the failed body, want the 3 both views have yet to apply", n)
 	}
 
 	mustExec(t, db, "INSERT INTO groups VALUES ('b', 5), ('c', 7)")
 	mustExec(t, db, "DELETE FROM groups WHERE group_value = 1")
 	wantPending(t, db, "after failure", 1)
 
-	// The repair runs v_sum over all six changes and v_cnt over the three new ones.
+	// The retry runs both bodies over all six changes.
 	bodies := ext.db.Metrics().Snapshot()["ivm.propagations"]
 	if err := ext.Refresh("v_cnt"); err != nil {
 		t.Fatal(err)
 	}
 	if got := ext.db.Metrics().Snapshot()["ivm.propagations"] - bodies; got != 2 {
-		t.Fatalf("repairing refresh ran %d bodies, want 2", got)
+		t.Fatalf("the retry ran %d bodies, want 2", got)
 	}
 	wantPending(t, db, "repaired", 0)
 	if n := count(t, db, "SELECT COUNT(*) FROM delta_groups"); n != 0 {
@@ -233,10 +238,9 @@ func TestFailedBodyKeepsItsWindow(t *testing.T) {
 
 // TestExecutedScriptIsPrintedScript: for every query class, what a
 // refresh prepares and executes is the script PropagateSQL prints without
-// its step 4 — the same statement nodes — step 4 is the emptying of the
-// join delta and ΔT the runtime does (a catalog truncate, a change-log
-// trim), and the setup script creates exactly one delta table per base
-// table.
+// its step 4 — the same statement nodes — step 4 is the emptying of ΔT the
+// runtime does (a change-log trim), and the setup script creates exactly
+// one delta table per base table and V.
 func TestExecutedScriptIsPrintedScript(t *testing.T) {
 	views := []struct{ name, def string }{
 		{"m1", "SELECT x, v FROM a WHERE v > 0"},
@@ -277,11 +281,7 @@ func TestExecutedScriptIsPrintedScript(t *testing.T) {
 			}
 			truncated = append(truncated, del.Table)
 		}
-		var want []string
-		if comp.JoinDelta != "" {
-			want = append(want, comp.JoinDelta)
-		}
-		want = append(want, deltaNames(comp)...)
+		want := deltaNames(comp)
 		if strings.Join(truncated, ",") != strings.Join(want, ",") {
 			t.Errorf("%s: step 4 truncates %v, want %v", v.name, truncated, want)
 		}
@@ -293,7 +293,7 @@ func TestExecutedScriptIsPrintedScript(t *testing.T) {
 		}
 		// Every table step 4 truncates, plus V.
 		if got := strings.Count(setup, "CREATE TABLE"); got != len(want)+1 {
-			t.Errorf("%s: setup creates %d tables, want %d (one ΔT per base, V, scratch):\n%s", v.name, got, len(want)+1, setup)
+			t.Errorf("%s: setup creates %d tables, want %d (one ΔT per base, V):\n%s", v.name, got, len(want)+1, setup)
 		}
 	}
 }

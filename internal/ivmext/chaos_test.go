@@ -36,11 +36,10 @@ func chaosSeed() (int64, bool) {
 //
 //   - an injected refresh failure surfaces as an error on the reader or
 //     REFRESH statement that triggered it, never crashes the engine, and
-//     never corrupts the view: a failed body leaves the view's
-//     applied-generation marker and the frozen ΔT intact, so the next
-//     refresh repairs exactly the views that missed the generation —
-//     nothing lost, and a view that already applied it is skipped,
-//     nothing double-applied;
+//     never corrupts a view: a refresh group is one transaction, so a
+//     failure anywhere in it keeps nothing — every view of the group keeps
+//     its from and the log its entries, and the next refresh applies each
+//     view's whole window once — nothing lost, nothing double-applied;
 //   - writers are untouched (capture does not traverse the failpoints);
 //   - after disarming, one refresh per view converges every view to an
 //     exact recompute, and the engine still provides snapshot isolation
@@ -158,10 +157,9 @@ func runRefreshChaos(t *testing.T, rnd *rand.Rand, sites, actions []string) erro
 		return err
 	}
 
-	// Disarm and converge: every view must equal a recompute — the
-	// generation markers must have kept every injected failure
-	// exactly-once: the frozen rows preserved for the views that missed them,
-	// never re-applied to the views that did not.
+	// Disarm and converge: every view must equal a recompute — every
+	// injected failure must have kept its group's windows whole, for the
+	// next refresh to apply once.
 	fault.Reset()
 	for _, v := range views {
 		mustExec(t, db, "REFRESH MATERIALIZED VIEW "+v)
@@ -187,8 +185,8 @@ func runRefreshChaos(t *testing.T, rnd *rand.Rand, sites, actions []string) erro
 	}
 
 	// The engine must still provide snapshot isolation after injected
-	// refresh failures (the failed propagation statements' implicit
-	// aborts must not have leaked MVCC state).
+	// refresh failures (the failed refreshes' aborts must not have leaked
+	// MVCC state).
 	o := txntest.Options{Sessions: 3, Keys: 4, Ops: 30}
 	for _, stmt := range txntest.SetupSQL(o) {
 		if _, err := db.Exec(stmt); err != nil {

@@ -8,8 +8,7 @@ import (
 
 // guardSetup opens a DB with t = ('a',1),('b',2),('a',3), u = ('a',10),
 // and three views the extension maintains over them: v1 (a declared
-// COUNT(*)), vh (a hidden count in vh_ivm_storage) and vj (a join, with its
-// join delta delta_join_vj).
+// COUNT(*)), vh (a hidden count in vh_ivm_storage) and vj (a join).
 func guardSetup(t *testing.T) *engine.DB {
 	t.Helper()
 	db := engine.Open("guard", engine.DialectDuckDB)
@@ -48,7 +47,6 @@ func TestViewOverViewRefused(t *testing.T) {
 		"CREATE MATERIALIZED VIEW v3 AS SELECT k, s FROM v1 WHERE s > 2",
 		"CREATE MATERIALIZED VIEW v4 AS SELECT k, COUNT(*) AS c FROM vh_ivm_storage GROUP BY k",
 		"CREATE MATERIALIZED VIEW v5 AS SELECT k, COUNT(*) AS c FROM delta_t GROUP BY k",
-		"CREATE MATERIALIZED VIEW v6 AS SELECT k, COUNT(*) AS c FROM delta_join_vj GROUP BY k",
 		"CREATE MATERIALIZED VIEW v7 AS SELECT k, COUNT(*) AS c FROM vh GROUP BY k",
 		"CREATE MATERIALIZED VIEW v8 AS SELECT k, SUM(v) AS s FROM pv GROUP BY k",
 	} {
@@ -56,7 +54,7 @@ func TestViewOverViewRefused(t *testing.T) {
 			t.Errorf("%s: %v (code %q), want code 0A000", sql, err, engine.Code(err))
 		}
 	}
-	for _, name := range []string{"v2", "v3", "v4", "v5", "v6", "v7", "v8"} {
+	for _, name := range []string{"v2", "v3", "v4", "v5", "v7", "v8"} {
 		if _, isView := db.Catalog().View(name); isView || db.Catalog().HasTable(name) {
 			t.Errorf("a refused CREATE left table %s behind", name)
 		}
@@ -85,7 +83,6 @@ func TestUserStatementsOnViewTables(t *testing.T) {
 		"INSERT INTO vh_ivm_storage VALUES ('x',9,9)":   "42809",
 		"DROP TABLE IF EXISTS vh_ivm_storage":           "42809",
 		"INSERT INTO delta_t VALUES ('x',9)":            "42809",
-		"DELETE FROM delta_join_vj":                     "42809",
 		"DROP TABLE t":                                  "2BP01",
 		"DROP TABLE u":                                  "2BP01",
 		"BEGIN; UPDATE v1 SET n = 0; COMMIT":            "42809",

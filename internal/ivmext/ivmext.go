@@ -14,21 +14,21 @@
 //   - the generated SQL scripts are retained for inspection ("stored on
 //     disk" in the paper) via Extension.Scripts.
 //
-// A refresh runs on its caller's goroutine. It takes one cut — the latest
-// commit timestamp — and runs each view of its group over the changes
-// committed between the view's previous cut and this one, so one
-// transaction's changes to several bases land in one refresh. Writers never
-// wait on a refresh. Views that share a base table serialize through
-// per-view refresh locks; callers refreshing disjoint groups overlap. A
-// materialized view cannot read a table the extension maintains (a view's
-// storage, a join delta, a ΔT), and user statements cannot write or drop
-// one, nor drop a base table a view reads. What runs is the script
-// PropagateSQL prints: the prepared statements are ivm.Compilation.Body,
-// Propagate without its step 4, and step 4 is the runtime's: a two-table
-// view's join delta is truncated through the catalog, and ΔT's entries are
-// dropped once every view over the base has applied them. There is no ΔV
-// to empty: each statement of the body reads ΔT, or the join delta, where
-// it uses it.
+// A refresh runs on its caller's goroutine, as one engine transaction whose
+// read timestamp is its cut: each view of its group applies the changes
+// committed between the view's previous cut and this one, and reads the
+// bases at the cut, so one transaction's changes to several bases land in
+// one refresh and a join's product-rule terms agree. The group commits
+// once, or keeps nothing. Writers never wait on a refresh. Views that share
+// a base table serialize through per-view refresh locks; callers
+// refreshing disjoint groups overlap. A materialized view cannot read a
+// table the extension maintains (a view's storage or a ΔT), and user
+// statements cannot write or drop one, nor drop a base table a view reads.
+// What runs is the script PropagateSQL prints: the prepared statements are
+// ivm.Compilation.Body, Propagate without its step 4, and step 4 is the
+// runtime's: ΔT's entries are dropped once every view over the base has
+// applied them. There is no ΔV to empty: each statement of the body reads
+// ΔT where it uses it.
 //
 // An aggregate view folds its delta into V by one plan, the paper's
 // Listing 2 upsert through V's key index (see ivm.Options), and a group
@@ -60,6 +60,9 @@ type Extension struct {
 	// CREATE finds free (freeNames) stay free until its setup runs.
 	ddl sync.Mutex
 
+	// begin and commit bracket a refresh's transaction, parsed once.
+	begin, commit *engine.Prepared
+
 	mu    sync.Mutex
 	views map[string]*view // by lower-cased view name
 	// feeds holds, per delta table (lower-cased name), the change log of
@@ -86,9 +89,8 @@ type view struct {
 	mu    sync.Mutex
 	// from is the commit timestamp V reflects its bases at: the next
 	// refresh applies what committed after it, up to its cut, and moves it
-	// to the cut — only once the view's body has landed, which makes
-	// refresh exactly-once without wrapping propagation in an engine
-	// transaction. Written under the view's refresh lock.
+	// to the cut once the refresh's transaction has committed, which makes
+	// refresh exactly-once. Written under the view's refresh lock.
 	from atomic.Uint64
 	// prepared is the view's propagation body (comp.Body) as a prepared
 	// handle, made on first refresh, so a refresh re-executes parsed
@@ -112,9 +114,11 @@ type feed struct {
 // Install registers the IVM extension on db and returns its handle.
 func Install(db *engine.DB) *Extension {
 	ext := &Extension{
-		db:    db,
-		views: map[string]*view{},
-		feeds: map[string]*feed{},
+		db:     db,
+		begin:  mustPrepare(db, "BEGIN"),
+		commit: mustPrepare(db, "COMMIT"),
+		views:  map[string]*view{},
+		feeds:  map[string]*feed{},
 	}
 	db.RegisterStatementHook(ext.statementHook)
 	r := db.Metrics()
@@ -126,6 +130,15 @@ func Install(db *engine.DB) *Extension {
 	r.Register("ivm.captureStallNanos", ext.captureStallNanos.Load)
 	r.Register("ivm.generationsPending", ext.pendingGauge)
 	return ext
+}
+
+// mustPrepare prepares a statement the parser always takes.
+func mustPrepare(db *engine.DB, sql string) *engine.Prepared {
+	p, err := db.PrepareScript(sql)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // pendingGauge counts the change logs holding an entry a view has yet to
@@ -251,9 +264,9 @@ func (ext *Extension) guard(stmt sqlparser.Statement) error {
 	return nil
 }
 
-// maintainerLocked returns the view whose name, storage table, join delta
-// or delta table is name, and which of them it is (worded to precede the
-// view's name); nil when the extension maintains no such table. Every
+// maintainerLocked returns the view whose name, storage table or delta
+// table is name, and which of them it is (worded to precede the view's
+// name); nil when the extension maintains no such table. Every
 // view, the ones still being created included, reads a change log, so the
 // logs' readers are all of them. The caller holds the extension mutex.
 func (ext *Extension) maintainerLocked(name string) (string, *view) {
@@ -263,10 +276,9 @@ func (ext *Extension) maintainerLocked(name string) (string, *view) {
 			for _, m := range [...]struct{ kind, name string }{
 				{"materialized view", c.ViewName},
 				{"the storage table of materialized view", c.Storage},
-				{"the join delta of materialized view", c.JoinDelta},
 				{"the delta table of materialized view", f.delta},
 			} {
-				if m.name != "" && strings.EqualFold(m.name, name) {
+				if strings.EqualFold(m.name, name) {
 					return m.kind, v
 				}
 			}
@@ -360,11 +372,13 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error
 		return err
 	}
 
-	// Exclude the view's derived tables from the WAL and from
-	// checkpoints: recovery re-executes the CREATE MATERIALIZED VIEW,
-	// which rebuilds them and the change logs from the recovered base
-	// tables.
-	markUnlogged(ext.db.Catalog(), comp)
+	// Exclude the view's storage from the WAL and from checkpoints:
+	// recovery re-executes the CREATE MATERIALIZED VIEW, which rebuilds it
+	// and the change logs from the recovered base tables. Delta tables
+	// store nothing.
+	if t, err := ext.db.Catalog().Table(comp.Storage); err == nil {
+		t.SetUnlogged()
+	}
 
 	// Metadata tables (paper: query plan, SQL string, query type).
 	ext.db.Catalog().PutIVM(&catalog.IVMMetadata{
@@ -385,8 +399,8 @@ func (ext *Extension) createMaterializedView(st *sqlparser.CreateViewStmt) error
 }
 
 // readsOwnTables refuses a view over a table the extension maintains — a
-// view's storage, a join delta or a delta table: nothing would refresh it
-// when that table changes.
+// view's storage or a delta table: nothing would refresh it when that
+// table changes.
 func (ext *Extension) readsOwnTables(comp *ivm.Compilation) error {
 	ext.mu.Lock()
 	defer ext.mu.Unlock()
@@ -406,7 +420,7 @@ func (ext *Extension) readsOwnTables(comp *ivm.Compilation) error {
 // Indexes share the relation namespace with tables and views.
 func (ext *Extension) freeNames(comp *ivm.Compilation) error {
 	cat := ext.db.Catalog()
-	names := []string{comp.ViewName, comp.Storage, comp.JoinDelta}
+	names := []string{comp.ViewName, comp.Storage}
 	for _, b := range comp.Bases {
 		if t, err := cat.Table(b.Delta); err != nil || !t.ReadsChanges() {
 			names = append(names, b.Delta)
@@ -420,7 +434,7 @@ func (ext *Extension) freeNames(comp *ivm.Compilation) error {
 	for _, name := range names {
 		_, isView := cat.View(name)
 		_, isIndex := cat.IndexTable(name)
-		if name != "" && (isView || isIndex || cat.HasTable(name)) {
+		if isView || isIndex || cat.HasTable(name) {
 			return enginerr.Newf(enginerr.CodeDuplicateTable,
 				"ivmext: materialized view %s needs the name %s, which exists already", comp.ViewName, name)
 		}
@@ -521,20 +535,6 @@ func deltaNames(comp *ivm.Compilation) []string {
 	return out
 }
 
-// markUnlogged flags the tables the compilation derives from base state
-// (the join delta, the view's storage table) as excluded from durability;
-// delta tables store nothing.
-func markUnlogged(cat *catalog.Catalog, comp *ivm.Compilation) {
-	for _, name := range []string{comp.JoinDelta, comp.Storage} {
-		if name == "" {
-			continue
-		}
-		if t, err := cat.Table(name); err == nil {
-			t.SetUnlogged()
-		}
-	}
-}
-
 // dropMaterializedView tears one view down completely: registry entry
 // (and with it the prepared propagation scripts and their plans), the
 // change logs and delta tables no surviving view needs, the storage table
@@ -564,11 +564,6 @@ func (ext *Extension) dropMaterializedView(v *view) error {
 	for _, f := range dead {
 		if _, err := is.Exec("DROP TABLE IF EXISTS " + f.delta); err != nil {
 			return fmt.Errorf("ivmext: dropping delta table %s: %w", f.delta, err)
-		}
-	}
-	if comp.JoinDelta != "" {
-		if _, err := is.Exec("DROP TABLE IF EXISTS " + comp.JoinDelta); err != nil {
-			return fmt.Errorf("ivmext: dropping %s: %w", comp.JoinDelta, err)
 		}
 	}
 	cat := ext.db.Catalog()
@@ -681,18 +676,20 @@ func lockViews(group map[string]*view, names []string) func() {
 //     and callers on independent groups overlap;
 //  2. re-check for pending changes: a propagation that ran while this one
 //     waited may have applied them already (refresh coalescing);
-//  3. take the cut, the latest commit timestamp: a transaction's changes
-//     to the group's bases are all at or before it, or all after;
+//  3. begin one engine transaction: its read timestamp is the cut, so a
+//     transaction's changes to the group's bases are all at or before it,
+//     or all after, and every body reads the bases at it;
 //  4. apply: run the body of each view over what its bases committed
-//     after its from, up to the cut, and move its from to the cut;
+//     after its from, up to the cut, then commit once and move every
+//     view's from to the cut;
 //  5. drop the change-log entries every view over the base has applied
 //     (the script's step 4 for ΔT).
 //
-// Bodies run as ordinary autocommit statements — no wrapping engine
-// transaction, so propagation DML keeps the quiescent single-writer fast
-// paths. A body that fails leaves its view's from, and the entries, where
-// they were: the next refresh runs just the views that missed them, and
-// never re-applies what landed.
+// A failure anywhere — a body, the commit — aborts the transaction: no
+// view's write lands and every from stays, so the retry applies each
+// window whole, once. The transaction is the only writer of the group's
+// views, so while no other transaction or snapshot is open its upserts
+// take V's in-place path, as an autocommit statement's do.
 func (ext *Extension) propagate(target *view) error {
 	group, names, logs := ext.refreshGroup(target)
 	defer lockViews(group, names)()
@@ -718,17 +715,20 @@ func (ext *Extension) propagate(target *view) error {
 	if err := fault.Inject(fault.IVMSeal); err != nil {
 		return err
 	}
-	to := ext.db.Catalog().MVCC().LatestTS()
 	defer ext.release(logs)
 
-	// Propagation runs on a fresh internal session: its script-level state
-	// stays invisible to the sessions whose DML logged the changes, and its
-	// own MVCC snapshots are independent of theirs. The group's view locks
-	// guarantee a given script never executes on two goroutines at once.
+	// Propagation runs on a fresh internal session: its transaction stays
+	// invisible to the sessions whose DML logged the changes, and Close
+	// rolls back what a failure left open. The group's view locks guarantee
+	// a given script never executes on two goroutines at once.
 	is := ext.db.NewSession()
 	defer is.Close()
 	is.SetInternal(true)
 	is.SetWALBypass(true) // propagation touches only unlogged derived tables
+	if _, err := is.ExecStmts(ext.begin); err != nil {
+		return err
+	}
+	to := is.ReadTS()
 	nonEmpty := false
 	for _, v := range views {
 		ran, err := ext.applyView(is, v, to)
@@ -737,11 +737,17 @@ func (ext *Extension) propagate(target *view) error {
 		}
 		nonEmpty = nonEmpty || ran
 	}
+	if err := fault.Inject(fault.IVMCombine); err != nil {
+		return err
+	}
+	if _, err := is.ExecStmts(ext.commit); err != nil {
+		return fmt.Errorf("ivmext: propagation: %w", err)
+	}
+	for _, v := range views {
+		v.from.Store(to)
+	}
 	if nonEmpty {
 		ext.generationsSealed.Add(1)
-	}
-	if err := fault.Inject(fault.IVMCombine); err != nil {
-		return err // every body has landed and moved its view's from
 	}
 	ext.refreshes.Add(1)
 	return nil
@@ -757,25 +763,15 @@ func (ext *Extension) release(logs []*feed) {
 	}
 }
 
-// applyView executes the view's body as autocommit statements over what
-// its bases committed in (v.from, to] — the windows its delta tables read —
-// then moves v.from to the cut and clears its join delta. It reports
-// whether there was anything to apply. The body's last statements are the
-// writes into V, so a script that returns success has fully applied the
-// window; on failure the join delta is still cleared through the catalog
-// and v.from stays, leaving the retry a clean slate over the same changes
-// and any committed since.
+// applyView runs the view's body in the refresh's transaction over what its
+// bases committed in (v.from, to] — the windows its delta tables read — and
+// reports whether there was anything to apply.
 func (ext *Extension) applyView(is *engine.Session, v *view, to uint64) (bool, error) {
-	from := v.from.Load()
-	if from >= to {
-		return false, nil
-	}
 	rows := 0
 	for _, f := range v.feeds {
-		rows += f.log.SetWindow(from, to)
+		rows += f.log.SetWindow(v.from.Load(), to)
 	}
 	if rows == 0 {
-		v.from.Store(to)
 		return false, nil
 	}
 	comp := v.comp
@@ -784,35 +780,13 @@ func (ext *Extension) applyView(is *engine.Session, v *view, to uint64) (bool, e
 	}
 	ext.propagations.Add(1)
 	body, err := ext.preparedBody(v)
-	if err != nil {
-		return false, fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
-	}
-	_, err = is.ExecStmts(body)
-	if cerr := ext.clearJoinDelta(is, comp); err == nil {
-		err = cerr
+	if err == nil {
+		_, err = is.ExecStmts(body)
 	}
 	if err != nil {
 		return false, fmt.Errorf("ivmext: propagation for %s: %w", comp.ViewName, err)
 	}
-	v.from.Store(to)
 	return true, nil
-}
-
-// clearJoinDelta empties a two-table view's join delta through the
-// catalog in one committed truncate — a physical slot reset when
-// quiescent, so the table never accumulates dead version slots across
-// refreshes.
-func (ext *Extension) clearJoinDelta(is *engine.Session, comp *ivm.Compilation) error {
-	t, err := ext.db.Catalog().Table(comp.JoinDelta)
-	if comp.JoinDelta == "" || err != nil {
-		return nil
-	}
-	tx, done := is.BeginWrite()
-	_, _, err = t.TruncateTxn(tx, false)
-	if err = done(err); err != nil {
-		return fmt.Errorf("ivmext: clearing %s: %w", comp.JoinDelta, err)
-	}
-	return nil
 }
 
 // preparedBody returns the prepared handle of the view's body, preparing

@@ -36,9 +36,9 @@ func TestProjectionReinsertKeepsRow(t *testing.T) {
 	}
 }
 
-// TestExplainKeyedBody: every statement of a view's body explains — the
-// join view's fill of its join delta, then steps 2–3 — for a keyed
-// projection (which reads ΔT, no fill) and a keyed FK→PK join view, and
+// TestExplainKeyedBody: every statement of a view's body explains — steps
+// 2–3, which read ΔT or a join's product-rule terms — for a keyed
+// projection and a keyed FK→PK join view, and
 // for views that hold a NULL group: an aggregate grouped by a nullable
 // column, a keyless projection (keyed by all its columns) and a MIN view.
 // Step 2 and the MIN/MAX repair upsert V's storage, step 3 deletes through
@@ -60,8 +60,7 @@ func TestExplainKeyedBody(t *testing.T) {
 		{"big_orders", "SELECT oid, cid, amount FROM orders WHERE amount >= 250",
 			[]string{"Upsert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)"}, true},
 		{"order_regions", "SELECT o.oid, c.region, o.amount FROM orders AS o JOIN customers AS c ON o.cid = c.cid",
-			[]string{"Insert delta_join_order_regions", "Insert delta_join_order_regions", "Insert delta_join_order_regions",
-				"Upsert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)"}, true},
+			[]string{"Upsert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)"}, true},
 		{"cust_totals", "SELECT cid, SUM(amount) AS total, COUNT(*) AS n FROM orders GROUP BY cid",
 			[]string{"Upsert <V>", "KeyedDelete <V>[pk] keys=IN(subquery)"}, false},
 		{"order_amounts", "SELECT cid, amount FROM orders",

@@ -332,7 +332,7 @@ func TestPropertyTwoViewsSharedBase(t *testing.T) {
 	checkView(t, db, 120, "s2", "k, hi, n", "SELECT k, MAX(v), COUNT(*) FROM t GROUP BY k")
 }
 
-// TestPropertyJoinDeltaSizes is the join invariant on keyed, indexed base
+// TestPropertyJoinWindowSizes is the join invariant on keyed, indexed base
 // tables with the pending delta drawn from a few rows to several times the
 // base table, so the script's joins run on both sides of the index-join
 // threshold: Δo ⋈ c through c's primary key or a hash of Δo, o ⋈ Δc
@@ -340,7 +340,7 @@ func TestPropertyTwoViewsSharedBase(t *testing.T) {
 // JOIN V through V's composite key or a hash. EXPLAIN of the two delta
 // terms, asked just before each refresh, says which way that refresh goes;
 // the test requires every strategy to have been taken.
-func TestPropertyJoinDeltaSizes(t *testing.T) {
+func TestPropertyJoinWindowSizes(t *testing.T) {
 	db := engine.Open("prop", engine.DialectDuckDB)
 	Install(db)
 	mustExec(t, db, "CREATE TABLE c (cid INTEGER PRIMARY KEY, region VARCHAR)")
@@ -810,9 +810,11 @@ func TestExplainViewPointRead(t *testing.T) {
 // TestExplainStep2ReadsDeltaDirectly: step 2 of an aggregate view's script
 // reads the delta through no Project that passes its input through — a CTE's
 // own select list and its reference each made one, and step 2 has no CTE —
-// so its plan's only Project is the root, which names the result. It reads
-// V nowhere: the upsert into V finds each group's row through V's key, for
-// an aggregate and a join-aggregate view whose group keys are nullable.
+// so its plan's only Projects are the root, which names the result, and a
+// join-aggregate view's three product-rule terms, each its select list over
+// its join. It reads V nowhere: the upsert into V finds each group's row
+// through V's key, for an aggregate and a join-aggregate view whose group
+// keys are nullable.
 func TestExplainStep2ReadsDeltaDirectly(t *testing.T) {
 	db := engine.Open("step2", engine.DialectDuckDB)
 	ext := Install(db)
@@ -822,7 +824,7 @@ func TestExplainStep2ReadsDeltaDirectly(t *testing.T) {
 	mustExec(t, db, "INSERT INTO tags VALUES (1, 'x'), (3, NULL)")
 	mustExec(t, db, "CREATE MATERIALIZED VIEW query_groups AS SELECT group_index, SUM(group_value) AS total_value, COUNT(*) AS n FROM groups GROUP BY group_index")
 	mustExec(t, db, "CREATE MATERIALIZED VIEW tag_groups AS SELECT tags.tag, groups.group_index, SUM(groups.group_value) AS total_value, COUNT(*) AS n FROM groups JOIN tags ON groups.id = tags.id GROUP BY tags.tag, groups.group_index")
-	for _, view := range []string{"query_groups", "tag_groups"} {
+	for view, terms := range map[string]int{"query_groups": 0, "tag_groups": 3} {
 		comp, _ := ext.Compilation(view)
 		stmt, sel := step2Select(t, ext, view)
 		var projects []string
@@ -831,8 +833,8 @@ func TestExplainStep2ReadsDeltaDirectly(t *testing.T) {
 				projects = append(projects, line)
 			}
 		}
-		if len(projects) != 1 {
-			t.Errorf("%s: step 2 plans %d Projects, want the root alone: %q", view, len(projects), projects)
+		if len(projects) != 1+terms {
+			t.Errorf("%s: step 2 plans %d Projects, want the root and %d terms: %q", view, len(projects), terms, projects)
 		}
 		if got := step2ReadsV(t, db, ext, view, comp.Storage); len(got) != 0 {
 			t.Errorf("%s: step 2 reads V outside its upsert: %q", view, got)

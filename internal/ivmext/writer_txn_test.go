@@ -85,28 +85,29 @@ func TestFailedStatementKeepsNothing(t *testing.T) {
 	}
 }
 
-// TestCaptureInsideWriterStress runs, at once: autocommit writers; a
-// writer of BEGIN … COMMIT transactions that touch both sides of a join
-// view (rolling back now and then, mixed with autocommit writes); lazy
-// readers; a stretch in which each writer refreshes the views over what it
-// writes after every write; a session reading the views inside its own
-// open transaction, which must read the same twice; and a trigger handler
-// that reads a view inside the writer's transaction. Nothing may deadlock,
-// and afterwards every view equals its recompute. Run it under -race.
-//
-// The join view's base tables have one writer, and only that writer (in
-// its refreshing stretch) and the final read refresh it: a join view
-// refreshed while another session commits to its base tables reads them
-// at statement time, ahead of its cut (ROADMAP item 2), which this test is
-// not about.
+// TestCaptureInsideWriterStress runs, at once: autocommit writers; several
+// writers of BEGIN … COMMIT transactions that touch both sides of a join
+// view (rolling back now and then, mixed with autocommit writes), each on
+// customers and orders of its own; lazy readers; a stretch in which each
+// writer refreshes the views over what it writes after every write, so a
+// join writer's refresh runs while the others commit to both bases; a
+// session reading the views inside its own open transaction, which must
+// read the same twice; and a trigger handler that reads a view inside the
+// writer's transaction. Nothing may deadlock, and afterwards every view
+// equals its recompute: a refresh reads the bases at its cut, or a join
+// term would count a change that commits after the cut, and the next
+// window would count it again. Run it under -race.
 func TestCaptureInsideWriterStress(t *testing.T) {
 	db := engine.Open("stress", engine.DialectDuckDB)
 	Install(db)
 	mustExec(t, db, "CREATE TABLE customers (cid INTEGER PRIMARY KEY, region VARCHAR)")
 	mustExec(t, db, "CREATE TABLE orders (oid INTEGER PRIMARY KEY, cid INTEGER, amount INTEGER)")
 	mustExec(t, db, "CREATE TABLE events (g VARCHAR, v INTEGER)")
-	for c := 0; c < 8; c++ {
-		mustExec(t, db, fmt.Sprintf("INSERT INTO customers VALUES (%d, 'r%d')", c, c%3))
+	const joinWriters = 3
+	for w := 0; w < joinWriters; w++ {
+		for c := 0; c < 8; c++ {
+			mustExec(t, db, fmt.Sprintf("INSERT INTO customers VALUES (%d, 'r%d')", 1000*w+c, c%3))
+		}
 	}
 	views := []struct{ name, def, cols string }{
 		{"region_totals", "SELECT customers.region, SUM(orders.amount) AS total, COUNT(*) AS n FROM orders JOIN customers ON orders.cid = customers.cid GROUP BY customers.region", "region, total, n"},
@@ -168,35 +169,37 @@ func TestCaptureInsideWriterStress(t *testing.T) {
 			}
 		}(w)
 	}
-	writers.Add(1)
-	go func() { // both sides of the join, in transactions and out of them
-		defer writers.Done()
-		s := db.NewSession()
-		defer s.Close()
-		for j := 0; j < rounds && !stop.Load(); j++ {
-			cid := 100 + j
-			end := "COMMIT"
-			if j%6 == 5 {
-				end = "ROLLBACK"
+	for w := 0; w < joinWriters; w++ {
+		writers.Add(1)
+		go func(base int) { // both sides of the join, in transactions and out of them
+			defer writers.Done()
+			s := db.NewSession()
+			defer s.Close()
+			for j := 0; j < rounds && !stop.Load(); j++ {
+				cid := base + 100 + j
+				end := "COMMIT"
+				if j%6 == 5 {
+					end = "ROLLBACK"
+				}
+				sql := fmt.Sprintf("BEGIN; INSERT INTO customers VALUES (%d, 'r%d'); INSERT INTO orders VALUES (%d, %d, %d); "+
+					"INSERT INTO orders VALUES (%d, %d, 1); UPDATE customers SET region = 'r%d' WHERE cid = %d; %s",
+					cid, j%3, base+2*j, cid, j, base+2*j+1, base+j%8, (j+1)%3, base+j%8, end)
+				switch j % 3 {
+				case 1:
+					sql = fmt.Sprintf("UPDATE orders SET amount = amount + 1 WHERE oid = %d", base+2*j-1)
+				case 2:
+					sql = fmt.Sprintf("DELETE FROM orders WHERE oid = %d", base+2*j-4)
+				}
+				if refreshing(j) { // region_totals' refresh group holds cust_totals
+					sql += "; REFRESH MATERIALIZED VIEW region_totals"
+				}
+				if _, err := s.Exec(sql); err != nil {
+					fail("join writer", err)
+					return
+				}
 			}
-			sql := fmt.Sprintf("BEGIN; INSERT INTO customers VALUES (%d, 'r%d'); INSERT INTO orders VALUES (%d, %d, %d); "+
-				"INSERT INTO orders VALUES (%d, %d, 1); UPDATE customers SET region = 'r%d' WHERE cid = %d; %s",
-				cid, j%3, 2*j, cid, j, 2*j+1, j%8, (j+1)%3, j%8, end)
-			switch j % 3 {
-			case 1:
-				sql = fmt.Sprintf("UPDATE orders SET amount = amount + 1 WHERE oid = %d", 2*j-1)
-			case 2:
-				sql = fmt.Sprintf("DELETE FROM orders WHERE oid = %d", 2*j-4)
-			}
-			if refreshing(j) { // region_totals' refresh group holds cust_totals
-				sql += "; REFRESH MATERIALIZED VIEW region_totals"
-			}
-			if _, err := s.Exec(sql); err != nil {
-				fail("join writer", err)
-				return
-			}
-		}
-	}()
+		}(1000 * w)
+	}
 	for r := 0; r < 2; r++ {
 		others.Add(1)
 		go func() { // lazy readers

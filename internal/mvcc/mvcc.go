@@ -101,7 +101,7 @@ type Txn struct {
 
 	m      *Manager
 	doomed bool // lost a write-write conflict; COMMIT must abort
-	auto   bool // single-statement (autocommit) transaction
+	auto   bool // no client rolls it back (SetAutoCommit)
 
 	// The write log, grouped per store. A transaction touches very few
 	// stores (a statement txn usually exactly one), so the group lookup
@@ -123,15 +123,16 @@ type Txn struct {
 	CommitHook func(commitTS uint64)
 }
 
-// SetAutoCommit marks tx as a single-statement transaction (on) that
-// commits the moment its statement's write ends, barring a conflict doom,
-// or clears the mark. Stores use it to enable quiescent fast paths whose
-// visibility window must not outlive one statement; a statement that can
-// still abort after its write — its trigger handlers have yet to run in tx
-// — clears it first.
+// SetAutoCommit marks tx as a transaction no client rolls back (on) — a
+// single statement that commits the moment its write ends, barring a
+// conflict doom, or an extension's internal transaction — or clears the
+// mark. Stores use it to enable quiescent fast paths whose visibility
+// window must not outlive the transaction; a statement that can still
+// abort after its write — its trigger handlers have yet to run in tx —
+// clears it first.
 func (tx *Txn) SetAutoCommit(on bool) { tx.auto = on }
 
-// AutoCommit reports whether tx is a single-statement transaction.
+// AutoCommit reports whether tx carries the mark SetAutoCommit sets.
 func (tx *Txn) AutoCommit() bool { return tx.auto }
 
 // StampID returns the TxnBit-tagged stamp value writers store while the
@@ -327,11 +328,15 @@ func (m *Manager) Current() Snapshot {
 	return Snapshot{ReadTS: m.lastTS.Load(), M: m}
 }
 
-// Begin starts a transaction with a fresh read snapshot.
+// Begin starts a transaction with a fresh read snapshot. The read
+// timestamp is loaded under mu, as AcquireSnapshot's is: a sweep computes
+// its watermark under mu too, so it either sees the new transaction or
+// ran before its timestamp was read, and never reclaims a version the
+// snapshot still sees.
 func (m *Manager) Begin() *Txn {
 	id := m.nextID.Add(1)
-	ts := m.lastTS.Load()
 	m.mu.Lock()
+	ts := m.lastTS.Load()
 	m.status[id] = &txnStatus{readTS: ts, born: time.Now()}
 	m.mu.Unlock()
 	m.activeTxns.Add(1)
