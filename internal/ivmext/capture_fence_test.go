@@ -63,15 +63,5 @@ func TestConcurrentWritersNoLostDeltas(t *testing.T) {
 	wg.Wait()
 
 	mustExec(t, db, "REFRESH MATERIALIZED VIEW query_groups")
-	view := mustExec(t, db, "SELECT group_index, total_value FROM query_groups ORDER BY group_index")
-	want := mustExec(t, db, "SELECT group_index, SUM(group_value) FROM groups GROUP BY group_index ORDER BY group_index")
-	if len(view.Rows) != len(want.Rows) {
-		t.Fatalf("view has %d groups, recompute %d", len(view.Rows), len(want.Rows))
-	}
-	for i := range view.Rows {
-		if view.Rows[i][0].String() != want.Rows[i][0].String() ||
-			view.Rows[i][1].String() != want.Rows[i][1].String() {
-			t.Fatalf("row %d: view %v, recompute %v (lost delta)", i, view.Rows[i], want.Rows[i])
-		}
-	}
+	viewEquals(t, db, "group_index, total_value", "query_groups", "SELECT group_index, SUM(group_value) FROM groups GROUP BY group_index")
 }

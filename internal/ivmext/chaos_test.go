@@ -171,16 +171,8 @@ func runRefreshChaos(t *testing.T, rnd *rand.Rand, sites, actions []string) erro
 		{"SELECT k, cv FROM cb_cnt ORDER BY k", "SELECT k, COUNT(v) FROM c_b GROUP BY k ORDER BY k"},
 	}
 	for _, c := range checks {
-		view := mustExec(t, db, c.view)
-		want := mustExec(t, db, c.recompute)
-		if len(view.Rows) != len(want.Rows) {
-			return fmt.Errorf("%s: view has %d rows, recompute %d", c.view, len(view.Rows), len(want.Rows))
-		}
-		for i := range view.Rows {
-			if view.Rows[i][0].String() != want.Rows[i][0].String() ||
-				view.Rows[i][1].String() != want.Rows[i][1].String() {
-				return fmt.Errorf("%s row %d: view %v, recompute %v", c.view, i, view.Rows[i], want.Rows[i])
-			}
+		if d := rowsDiff(mustExec(t, db, c.view).Rows, mustExec(t, db, c.recompute).Rows); d != "" {
+			return fmt.Errorf("%s diverged from its recompute\n%s", c.view, d)
 		}
 	}
 

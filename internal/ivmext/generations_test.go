@@ -154,16 +154,8 @@ func TestCrossGenerationTorture(t *testing.T) {
 		mustExec(t, db, "REFRESH MATERIALIZED VIEW "+v)
 	}
 	for _, c := range checks {
-		view := mustExec(t, db, c.view)
-		want := mustExec(t, db, c.recompute)
-		if len(view.Rows) != len(want.Rows) {
-			t.Fatalf("%s: view has %d rows, recompute %d", c.view, len(view.Rows), len(want.Rows))
-		}
-		for i := range view.Rows {
-			if view.Rows[i][0].String() != want.Rows[i][0].String() ||
-				view.Rows[i][1].String() != want.Rows[i][1].String() {
-				t.Fatalf("%s row %d: view %v, recompute %v", c.view, i, view.Rows[i], want.Rows[i])
-			}
+		if d := rowsDiff(mustExec(t, db, c.view).Rows, mustExec(t, db, c.recompute).Rows); d != "" {
+			t.Fatalf("%s diverged from its recompute\n%s", c.view, d)
 		}
 	}
 	// Two refresh groups (one change log per base table); coalescing

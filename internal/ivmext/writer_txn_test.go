@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -255,21 +254,6 @@ func TestCaptureInsideWriterStress(t *testing.T) {
 		t.Fatal("the view-reading trigger never ran")
 	}
 	for _, v := range views {
-		got := sortedRows(t, db, "SELECT "+v.cols+" FROM "+v.name)
-		want := sortedRows(t, db, v.def)
-		if got != want {
-			t.Fatalf("%s diverged from its recompute\n got: %s\nwant: %s", v.name, got, want)
-		}
+		viewEquals(t, db, v.cols, v.name, v.def)
 	}
-}
-
-func sortedRows(t *testing.T, db *engine.DB, sql string) string {
-	t.Helper()
-	rows := mustExec(t, db, sql).Rows
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	sort.Strings(out)
-	return strings.Join(out, "\n")
 }

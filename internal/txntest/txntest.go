@@ -23,6 +23,11 @@
 // Histories write globally unique values so every observed value maps
 // back to exactly one writing operation.
 //
+// GenerateViews draws a second kind of history, for the contract that a
+// maintained view equals its query: two tables, materialized views over
+// them and writes, as SQL text only, so that any SQL endpoint can replay
+// it. Shrink minimizes a failing history of either kind.
+//
 // The seed comes from the TXNTEST_SEED environment variable when set,
 // making CI failures replayable; otherwise it derives from the clock
 // and is printed with any failure.
@@ -431,10 +436,9 @@ func RunSequential(open func() (Conn, error), h History, isSer func(error) bool,
 	return nil, nil
 }
 
-// Minimize shrinks a violating history by delta debugging: repeatedly
-// drop chunks of operations (renormalizing each candidate) and keep any
-// subset that still produces a violation on a fresh database. newDB
-// must hand back an opener onto a freshly seeded database per call.
+// Minimize shrinks a violating history (Shrink), keeping each subset
+// that still produces a violation on a fresh database. newDB must hand
+// back an opener onto a freshly seeded database per call.
 func Minimize(newDB func() (open func() (Conn, error), teardown func(), err error), h History, isSer func(error) bool, o Options) History {
 	fails := func(cand History) bool {
 		open, teardown, err := newDB()
@@ -442,29 +446,26 @@ func Minimize(newDB func() (open func() (Conn, error), teardown func(), err erro
 			return false
 		}
 		defer teardown()
-		v, _ := RunSequential(open, cand, isSer, o)
+		v, _ := RunSequential(open, cand, isSer, o) // normalizes cand
 		return v != nil
 	}
 	h = normalize(h)
 	if !fails(h) {
 		return h // not reproducible on replay; report the original
 	}
-	chunk := len(h) / 2
-	for chunk > 0 {
+	return normalize(Shrink(h, fails))
+}
+
+// Shrink minimizes a failing list of statements by delta debugging: it
+// drops ever smaller chunks and keeps each candidate for which fails still
+// holds, until no single element can go. fails(list) must hold.
+func Shrink[S ~[]T, T any](list S, fails func(S) bool) S {
+	for chunk := len(list) / 2; chunk > 0; {
 		shrunk := false
-		for start := 0; start < len(h); {
-			end := start + chunk
-			if end > len(h) {
-				end = len(h)
-			}
-			cand := make(History, 0, len(h)-(end-start))
-			cand = append(cand, h[:start]...)
-			cand = append(cand, h[end:]...)
-			cand = normalize(cand)
-			if fails(cand) {
-				h = cand
-				shrunk = true
-				// retry same position at this chunk size
+		for start := 0; start < len(list); {
+			end := min(start+chunk, len(list))
+			if cand := append(list[:start:start], list[end:]...); fails(cand) {
+				list, shrunk = cand, true // retry the same position
 			} else {
 				start = end
 			}
@@ -473,5 +474,5 @@ func Minimize(newDB func() (open func() (Conn, error), teardown func(), err erro
 			chunk /= 2
 		}
 	}
-	return h
+	return list
 }
