@@ -24,7 +24,6 @@ import (
 // TXNTEST_SEED and the history shrunk to the SQL it ran, which replays in
 // cmd/minidb.
 func TestViewOracle(t *testing.T) {
-	seed, fromEnv := txntest.Seed()
 	histories := 100
 	if testing.Short() {
 		histories = 15
@@ -32,27 +31,51 @@ func TestViewOracle(t *testing.T) {
 	for _, arm := range []string{"lazy", "eager"} {
 		t.Run(arm, func(t *testing.T) {
 			t.Parallel()
-			for i := 0; i < histories; i++ {
-				h := txntest.GenerateViews(rand.New(rand.NewSource(seed+int64(i))), txntest.ViewOptions{Views: 3, Ops: 80})
-				if diff, _ := replayViews(t, h.Views, h.Script, arm); diff != "" {
-					min := txntest.Shrink(h.Script, func(s []string) bool {
-						d, _ := replayViews(nil, h.Views, s, arm)
-						return d != ""
-					})
-					diff, ran := replayViews(nil, h.Views, min, arm)
-					t.Fatalf("TXNTEST_SEED=%d (history %d, from env: %v): %s\nminimized script:\n%s", seed, i, fromEnv, diff, ran)
-				}
-			}
+			oracle(t, histories, txntest.ViewOptions{Views: 3, Ops: 80}, replay{arm: arm})
 		})
 	}
 }
 
-// replayViews runs script and a last txntest.CheckViews on a fresh
-// database in arm, and returns the first difference a check finds ("" for
-// none) and the SQL it ran. Under a non-nil t a statement may fail only on
-// a primary key, and every view's access paths are asserted as it is
-// created and at the end; a shrinking replay passes nil and runs what runs.
-func replayViews(t *testing.T, views []txntest.View, script []string, arm string) (diff, ran string) {
+// replay is how the oracle runs a history and what its checks assert
+// beside "every view equals its query".
+type replay struct {
+	views  []txntest.View
+	script []string
+	arm    string // "lazy" or "eager"
+	reads  []bool // how a check's point reads find a group: by key (false), by an expression of it (true); nil for both
+	key    string // "keyed" or "keyless": how every view must compile; "" for either
+}
+
+// oracle replays histories drawn under o from TXNTEST_SEED on, as r says.
+// A failure prints the seed and the history shrunk to the SQL it ran.
+func oracle(t *testing.T, histories int, o txntest.ViewOptions, r replay) {
+	t.Helper()
+	if r.reads == nil {
+		r.reads = []bool{false, true}
+	}
+	seed, fromEnv := txntest.Seed()
+	for i := 0; i < histories; i++ {
+		h := txntest.GenerateViews(rand.New(rand.NewSource(seed+int64(i))), o)
+		r.views, r.script = h.Views, h.Script
+		if diff, _ := replayViews(t, r); diff != "" {
+			r.script = txntest.Shrink(h.Script, func(s []string) bool {
+				r.script = s
+				d, _ := replayViews(nil, r)
+				return d != ""
+			})
+			diff, ran := replayViews(nil, r)
+			t.Fatalf("TXNTEST_SEED=%d (history %d, from env: %v): %s\nminimized script:\n%s", seed, i, fromEnv, diff, ran)
+		}
+	}
+}
+
+// replayViews runs r's script and a last txntest.CheckViews on a fresh
+// database in r's arm, and returns the first difference a check finds (""
+// for none) and the SQL it ran. Under a non-nil t a statement may fail only
+// on a primary key, and every view's compiled key and access paths are
+// asserted as it is created and at the end; a shrinking replay passes nil
+// and runs what runs.
+func replayViews(t *testing.T, r replay) (diff, ran string) {
 	db := engine.Open("oracle", engine.DialectDuckDB)
 	defer db.Close()
 	ext := Install(db)
@@ -75,13 +98,19 @@ func replayViews(t *testing.T, views []txntest.View, script []string, arm string
 		return nil, err
 	}
 	accessPaths := func(view string) {
-		if problems := checkAccessPaths(s, ext, view); t != nil && len(problems) > 0 {
+		if t == nil {
+			return
+		}
+		if problems := checkAccessPaths(s, ext, view); len(problems) > 0 {
 			t.Errorf("%s: %s", view, strings.Join(problems, "; "))
 		}
+		if comp, ok := ext.Compilation(view); ok && r.key != "" && (comp.Key != nil) != (r.key == "keyed") {
+			t.Errorf("%s is keyed by %v, want %s: %s", view, comp.Key, r.key, comp.SourceSQL)
+		}
 	}
-	for _, stmt := range append(slices.Clip(script), txntest.CheckViews) {
+	for _, stmt := range append(slices.Clip(r.script), txntest.CheckViews) {
 		if stmt == txntest.CheckViews {
-			if diff = checkViews(exec, ext, views); diff != "" {
+			if diff = checkViews(exec, ext, r); diff != "" {
 				return diff, log.String()
 			}
 			continue
@@ -90,13 +119,13 @@ func replayViews(t *testing.T, views []txntest.View, script []string, arm string
 		if name, ok := strings.CutPrefix(stmt, "CREATE MATERIALIZED VIEW "); ok {
 			accessPaths(strings.Fields(name)[0])
 		}
-		if arm == "eager" {
+		if r.arm == "eager" {
 			for _, v := range ext.Views() {
 				exec("REFRESH MATERIALIZED VIEW " + v)
 			}
 		}
 	}
-	for _, v := range views {
+	for _, v := range r.views {
 		accessPaths(v.Name)
 	}
 	return "", log.String()
@@ -107,9 +136,9 @@ func replayViews(t *testing.T, views []txntest.View, script []string, arm string
 // for it: the read refreshes a stale view. Then every view is refreshed
 // and read beside its query in one transaction, in which no lazy refresh
 // runs, so both read one snapshot. It returns the first difference.
-func checkViews(exec func(string) ([]sqltypes.Row, error), ext *Extension, views []txntest.View) string {
-	for _, v := range views {
-		if d := pointReads(exec, ext, v); d != "" {
+func checkViews(exec func(string) ([]sqltypes.Row, error), ext *Extension, r replay) string {
+	for _, v := range r.views {
+		if d := pointReads(exec, ext, v, r.reads); d != "" {
 			return d
 		}
 	}
@@ -118,7 +147,7 @@ func checkViews(exec func(string) ([]sqltypes.Row, error), ext *Extension, views
 	}
 	exec("BEGIN")
 	defer exec("COMMIT")
-	for _, v := range views {
+	for _, v := range r.views {
 		if _, ok := ext.Compilation(v.Name); !ok {
 			continue // a shrunk script may not create it
 		}
@@ -209,9 +238,9 @@ func absentGroup(comp *ivm.Compilation) sqltypes.Row {
 }
 
 // pointReads reads two groups of a grouped aggregate view that its query
-// holds, and one it does not, by key and by an expression of the key; each
-// must read as the query's row, or as nothing.
-func pointReads(exec func(string) ([]sqltypes.Row, error), ext *Extension, v txntest.View) string {
+// holds, and one it does not, by key (false in reads) and by an expression
+// of the key (true); each must read as the query's row, or as nothing.
+func pointReads(exec func(string) ([]sqltypes.Row, error), ext *Extension, v txntest.View, reads []bool) string {
 	comp, ok := ext.Compilation(v.Name)
 	if !ok || !groupKeyed(comp) {
 		return ""
@@ -227,7 +256,7 @@ func pointReads(exec func(string) ([]sqltypes.Row, error), ext *Extension, v txn
 		if i < n {
 			want = []sqltypes.Row{r}
 		}
-		for _, expr := range []bool{false, true} {
+		for _, expr := range reads {
 			where, ok := groupWhere(comp, r, expr)
 			if !ok {
 				continue

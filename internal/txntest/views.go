@@ -3,6 +3,7 @@ package txntest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -22,10 +23,15 @@ type ViewHistory struct {
 // compares every view with its query.
 const CheckViews = "-- check views"
 
-// ViewOptions sizes a generated view history.
+// ViewOptions sizes a generated view history, and may pin what is
+// otherwise drawn.
 type ViewOptions struct {
-	Views int // views over the two tables
-	Ops   int // statements after the views are created
+	Views int // views drawn over the two tables, after Defs
+	Ops   int // statements drawn after the views are created and Then
+
+	Keys []string // when not nil, how t and u are keyed: "pk", "pk2", "index" or ""
+	Defs []string // the first views' definitions
+	Then []string // statements run after the views are created
 }
 
 // GenerateViews draws a view history. Each table is keyed by a primary
@@ -38,9 +44,16 @@ type ViewOptions struct {
 // a row deleted and inserted again in one transaction, and statements that
 // break a primary key and so keep nothing. Value domains are small, so rows
 // repeat, groups empty and refill, sums reach 0 and some hold only NULLs;
-// the DOUBLE domain holds both -0.0 and 0.0, which SQL finds equal.
+// the DOUBLE domain holds both -0.0 and 0.0, which SQL finds equal. The
+// options may pin how the tables are keyed and the first views, and script
+// statements to run before the drawn ones.
 func GenerateViews(rnd *rand.Rand, o ViewOptions) ViewHistory {
-	g := &viewGen{rnd: rnd, tKey: keyModes[rnd.Intn(len(keyModes))], uKey: keyModes[rnd.Intn(len(keyModes))]}
+	g := &viewGen{rnd: rnd}
+	if o.Keys != nil {
+		g.tKey, g.uKey = o.Keys[0], o.Keys[1]
+	} else {
+		g.tKey, g.uKey = keyModes[rnd.Intn(len(keyModes))], keyModes[rnd.Intn(len(keyModes))]
+	}
 	h := ViewHistory{Script: g.schema()}
 	for i := 0; i < 8; i++ {
 		h.Script = append(h.Script, "INSERT INTO t VALUES "+g.tRow(g.fresh()))
@@ -48,11 +61,16 @@ func GenerateViews(rnd *rand.Rand, o ViewOptions) ViewHistory {
 	for uid := 0; uid < 4; uid++ {
 		h.Script = append(h.Script, "INSERT INTO u VALUES "+g.uRow(fmt.Sprint(uid)))
 	}
+	defs := slices.Clone(o.Defs)
 	for i := 0; i < o.Views; i++ {
-		v := View{Name: fmt.Sprintf("v%d", i), Def: g.view()}
+		defs = append(defs, g.view())
+	}
+	for i, def := range defs {
+		v := View{Name: fmt.Sprintf("v%d", i), Def: def}
 		h.Views = append(h.Views, v)
 		h.Script = append(h.Script, "CREATE MATERIALIZED VIEW "+v.Name+" AS "+v.Def)
 	}
+	h.Script = append(h.Script, o.Then...)
 	for i := 0; i < o.Ops; i++ {
 		switch r := rnd.Intn(20); {
 		case r == 0:
